@@ -10,12 +10,14 @@ vet:
 build:
 	$(GO) build ./...
 
+# The per-package timeout turns a liveness bug into a failure within
+# minutes instead of a run that never ends.
 test:
-	$(GO) test ./...
+	$(GO) test -timeout 120s ./...
 
 # Short race job over the concurrency-heavy packages (mirrors CI).
 race:
-	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/vtime ./internal/rec ./internal/serve ./internal/health ./internal/wal ./internal/fsio
+	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/vtime ./internal/rec ./internal/serve ./internal/health ./internal/wal ./internal/fsio ./internal/relation ./internal/state ./internal/persist
 
 # Short chaos soak under the race detector (mirrors CI): fault-injected
 # runs whose final state is checked against the sequential oracle.

@@ -263,10 +263,9 @@ func measureWith(engine *core.Engine, w *workloads.Workload, det Detection, thre
 	for i := 0; i < runs; i++ {
 		start := time.Now()
 		_, stats, err := stm.Run(stm.Config{
-			Threads:   threads,
-			Ordered:   w.Ordered,
-			Detector:  o.detectorFor(engine, det),
-			Privatize: stm.PrivatizePersistent,
+			Threads:  threads,
+			Ordered:  w.Ordered,
+			Detector: o.detectorFor(engine, det),
 		}, w.NewState(), tasks)
 		if err != nil {
 			return Result{}, err
@@ -413,10 +412,9 @@ func MissRates(w *workloads.Workload, threads int, o Opts) (withAbs, withoutAbs 
 				}
 			} else {
 				if _, _, err := stm.Run(stm.Config{
-					Threads:   threads,
-					Ordered:   w.Ordered,
-					Detector:  engine.Detector(),
-					Privatize: stm.PrivatizePersistent,
+					Threads:  threads,
+					Ordered:  w.Ordered,
+					Detector: engine.Detector(),
 				}, w.NewState(), tasks); err != nil {
 					return 0, 0, err
 				}

@@ -183,13 +183,12 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 	flightDumped := false
 	if o.RecordPath != "" {
 		recorder = rec.New(rec.Meta{
-			Workload:  w.Name,
-			Detector:  det.String(),
-			Ordered:   w.Ordered,
-			Privatize: stm.PrivatizePersistent,
-			Threads:   threads,
-			Tasks:     len(tasks),
-			Seed:      prodSeed,
+			Workload: w.Name,
+			Detector: det.String(),
+			Ordered:  w.Ordered,
+			Threads:  threads,
+			Tasks:    len(tasks),
+			Seed:     prodSeed,
 		}, w.NewState(), rec.Options{
 			Compress:     o.RecordGzip,
 			FlightChunks: o.FlightChunks,
@@ -234,7 +233,6 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 		Threads:         threads,
 		Ordered:         w.Ordered,
 		Detector:        d,
-		Privatize:       stm.PrivatizePersistent,
 		Tracer:          tr,
 		Backoff:         stm.Backoff{Base: o.BackoffBase},
 		SerializeAfter:  o.SerializeAfter,

@@ -74,43 +74,41 @@ func TestChaosSoakSerializability(t *testing.T) {
 	var total Stats
 	for seed := int64(1); seed <= int64(*seedCount); seed++ {
 		for _, ordered := range []bool{false, true} {
-			for _, priv := range []stm.Privatize{stm.PrivatizeCopy, stm.PrivatizePersistent} {
-				tasks := soakTasks(seed, nTasks, ordered)
-				want, err := stm.RunSequential(soakState(), tasks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inj := New(Config{
-					Seed:      seed,
-					AbortProb: 0.35, AbortMaxPerTask: 3,
-					DelayProb: 0.25, MaxDelay: 200 * time.Microsecond,
-				})
-				cfg := stm.Config{
-					Threads: 4, Ordered: ordered, Privatize: priv,
-					Hooks: inj.Hooks(), MaxRetries: 500,
-				}
-				if seed%2 == 0 {
-					// Half the matrix runs the contention manager too.
-					cfg.Backoff = stm.Backoff{Base: 20 * time.Microsecond}
-					cfg.SerializeAfter = 4
-				}
-				got, stats, err := stm.Run(cfg, soakState(), tasks)
-				if err != nil {
-					t.Fatalf("seed=%d ordered=%v priv=%v: %v", seed, ordered, priv, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("seed=%d ordered=%v priv=%v: chaos state %s != sequential %s (stats %+v)",
-						seed, ordered, priv, got, want, stats)
-				}
-				if stats.Commits != nTasks {
-					t.Fatalf("seed=%d ordered=%v priv=%v: commits = %d, want %d",
-						seed, ordered, priv, stats.Commits, nTasks)
-				}
-				s := inj.Stats()
-				total.ForcedAborts += s.ForcedAborts
-				total.WindowDelays += s.WindowDelays
-				total.CommitDelays += s.CommitDelays
+			tasks := soakTasks(seed, nTasks, ordered)
+			want, err := stm.RunSequential(soakState(), tasks)
+			if err != nil {
+				t.Fatal(err)
 			}
+			inj := New(Config{
+				Seed:      seed,
+				AbortProb: 0.35, AbortMaxPerTask: 3,
+				DelayProb: 0.25, MaxDelay: 200 * time.Microsecond,
+			})
+			cfg := stm.Config{
+				Threads: 4, Ordered: ordered,
+				Hooks: inj.Hooks(), MaxRetries: 500,
+			}
+			if seed%2 == 0 {
+				// Half the matrix runs the contention manager too.
+				cfg.Backoff = stm.Backoff{Base: 20 * time.Microsecond}
+				cfg.SerializeAfter = 4
+			}
+			got, stats, err := stm.Run(cfg, soakState(), tasks)
+			if err != nil {
+				t.Fatalf("seed=%d ordered=%v: %v", seed, ordered, err)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("seed=%d ordered=%v: chaos state %s != sequential %s (stats %+v)",
+					seed, ordered, got, want, stats)
+			}
+			if stats.Commits != nTasks {
+				t.Fatalf("seed=%d ordered=%v: commits = %d, want %d",
+					seed, ordered, stats.Commits, nTasks)
+			}
+			s := inj.Stats()
+			total.ForcedAborts += s.ForcedAborts
+			total.WindowDelays += s.WindowDelays
+			total.CommitDelays += s.CommitDelays
 		}
 	}
 	// The harness must actually have injected faults, or the soak proved
@@ -319,40 +317,38 @@ func TestChaosCompressSweepSerializability(t *testing.T) {
 	for _, keep := range []int{1, 4} {
 		for seed := int64(1); seed <= int64(*seedCount); seed++ {
 			for _, ordered := range []bool{false, true} {
-				for _, priv := range []stm.Privatize{stm.PrivatizeCopy, stm.PrivatizePersistent} {
-					tasks := soakTasks(seed, nTasks, ordered)
-					want, err := stm.RunSequential(soakState(), tasks)
-					if err != nil {
-						t.Fatal(err)
-					}
-					inj := New(Config{
-						Seed:      seed,
-						AbortProb: 0.35, AbortMaxPerTask: 3,
-						DelayProb: 0.25, MaxDelay: 200 * time.Microsecond,
-					})
-					cfg := stm.Config{
-						Threads: 4, Ordered: ordered, Privatize: priv,
-						Hooks: inj.Hooks(), MaxRetries: 500,
-						HistoryCompress: true, CompressAfter: keep,
-					}
-					if seed%2 == 0 {
-						cfg.Backoff = stm.Backoff{Base: 20 * time.Microsecond}
-						cfg.SerializeAfter = 4
-					}
-					got, stats, err := stm.Run(cfg, soakState(), tasks)
-					if err != nil {
-						t.Fatalf("keep=%d seed=%d ordered=%v priv=%v: %v", keep, seed, ordered, priv, err)
-					}
-					if !got.Equal(want) {
-						t.Fatalf("keep=%d seed=%d ordered=%v priv=%v: chaos state %s != sequential %s (stats %+v)",
-							keep, seed, ordered, priv, got, want, stats)
-					}
-					if stats.Commits != nTasks {
-						t.Fatalf("keep=%d seed=%d ordered=%v priv=%v: commits = %d, want %d",
-							keep, seed, ordered, priv, stats.Commits, nTasks)
-					}
-					demotions += stats.Demotions
+				tasks := soakTasks(seed, nTasks, ordered)
+				want, err := stm.RunSequential(soakState(), tasks)
+				if err != nil {
+					t.Fatal(err)
 				}
+				inj := New(Config{
+					Seed:      seed,
+					AbortProb: 0.35, AbortMaxPerTask: 3,
+					DelayProb: 0.25, MaxDelay: 200 * time.Microsecond,
+				})
+				cfg := stm.Config{
+					Threads: 4, Ordered: ordered,
+					Hooks: inj.Hooks(), MaxRetries: 500,
+					HistoryCompress: true, CompressAfter: keep,
+				}
+				if seed%2 == 0 {
+					cfg.Backoff = stm.Backoff{Base: 20 * time.Microsecond}
+					cfg.SerializeAfter = 4
+				}
+				got, stats, err := stm.Run(cfg, soakState(), tasks)
+				if err != nil {
+					t.Fatalf("keep=%d seed=%d ordered=%v: %v", keep, seed, ordered, err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("keep=%d seed=%d ordered=%v: chaos state %s != sequential %s (stats %+v)",
+						keep, seed, ordered, got, want, stats)
+				}
+				if stats.Commits != nTasks {
+					t.Fatalf("keep=%d seed=%d ordered=%v: commits = %d, want %d",
+						keep, seed, ordered, stats.Commits, nTasks)
+				}
+				demotions += stats.Demotions
 			}
 		}
 	}
@@ -374,38 +370,36 @@ func TestChaosStripeSweepSerializability(t *testing.T) {
 	for _, stripes := range []int{1, 3, stm.DefaultCommitStripes} {
 		for seed := int64(1); seed <= int64(*seedCount); seed++ {
 			for _, ordered := range []bool{false, true} {
-				for _, priv := range []stm.Privatize{stm.PrivatizeCopy, stm.PrivatizePersistent} {
-					tasks := soakTasks(seed, nTasks, ordered)
-					want, err := stm.RunSequential(soakState(), tasks)
-					if err != nil {
-						t.Fatal(err)
-					}
-					inj := New(Config{
-						Seed:      seed,
-						AbortProb: 0.35, AbortMaxPerTask: 3,
-						DelayProb: 0.25, MaxDelay: 200 * time.Microsecond,
-					})
-					cfg := stm.Config{
-						Threads: 4, Ordered: ordered, Privatize: priv,
-						Hooks: inj.Hooks(), MaxRetries: 500,
-						CommitStripes: stripes,
-					}
-					if seed%2 == 0 {
-						cfg.Backoff = stm.Backoff{Base: 20 * time.Microsecond}
-						cfg.SerializeAfter = 4
-					}
-					got, stats, err := stm.Run(cfg, soakState(), tasks)
-					if err != nil {
-						t.Fatalf("stripes=%d seed=%d ordered=%v priv=%v: %v", stripes, seed, ordered, priv, err)
-					}
-					if !got.Equal(want) {
-						t.Fatalf("stripes=%d seed=%d ordered=%v priv=%v: chaos state %s != sequential %s (stats %+v)",
-							stripes, seed, ordered, priv, got, want, stats)
-					}
-					if stats.Commits != nTasks {
-						t.Fatalf("stripes=%d seed=%d ordered=%v priv=%v: commits = %d, want %d",
-							stripes, seed, ordered, priv, stats.Commits, nTasks)
-					}
+				tasks := soakTasks(seed, nTasks, ordered)
+				want, err := stm.RunSequential(soakState(), tasks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inj := New(Config{
+					Seed:      seed,
+					AbortProb: 0.35, AbortMaxPerTask: 3,
+					DelayProb: 0.25, MaxDelay: 200 * time.Microsecond,
+				})
+				cfg := stm.Config{
+					Threads: 4, Ordered: ordered,
+					Hooks: inj.Hooks(), MaxRetries: 500,
+					CommitStripes: stripes,
+				}
+				if seed%2 == 0 {
+					cfg.Backoff = stm.Backoff{Base: 20 * time.Microsecond}
+					cfg.SerializeAfter = 4
+				}
+				got, stats, err := stm.Run(cfg, soakState(), tasks)
+				if err != nil {
+					t.Fatalf("stripes=%d seed=%d ordered=%v: %v", stripes, seed, ordered, err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("stripes=%d seed=%d ordered=%v: chaos state %s != sequential %s (stats %+v)",
+						stripes, seed, ordered, got, want, stats)
+				}
+				if stats.Commits != nTasks {
+					t.Fatalf("stripes=%d seed=%d ordered=%v: commits = %d, want %d",
+						stripes, seed, ordered, stats.Commits, nTasks)
 				}
 			}
 		}

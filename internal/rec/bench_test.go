@@ -23,7 +23,7 @@ func BenchmarkRecord(b *testing.B) {
 			sink = r
 		}
 		_, _, err := stm.Run(stm.Config{
-			Threads: 4, Privatize: stm.PrivatizePersistent, Record: sink,
+			Threads: 4, Record: sink,
 		}, initial, tasks)
 		if err != nil {
 			b.Fatal(err)

@@ -14,7 +14,6 @@ import (
 	"repro/internal/oplog"
 	"repro/internal/relation"
 	"repro/internal/state"
-	"repro/internal/stm"
 )
 
 // TraceReason classifies why a trace artifact was rejected, mirroring the
@@ -269,6 +268,25 @@ func (d *dec) value() state.Value {
 		d.fail(TraceBadRecord, "unknown value tag %d", tag)
 		return nil
 	}
+}
+
+// locations decodes n location→value bindings, the body of a state
+// snapshot. A binding without a value (the tag that op results use for
+// "none") is malformed: a nil Value would panic the state's first Clone or
+// Equal.
+func (d *dec) locations(n uint64) *state.State {
+	st := state.New()
+	for i := uint64(0); i < n && d.err == nil; i++ {
+		loc := state.Loc(d.str())
+		v := d.value()
+		if d.err == nil && v == nil {
+			d.fail(TraceBadRecord, "location %q has no value", loc)
+		}
+		if d.err == nil {
+			st.Set(loc, v)
+		}
+	}
+	return st
 }
 
 func (d *dec) strs(what string) []string {
@@ -559,9 +577,7 @@ func decodeTrace(raw []byte) (t *Trace, err error) {
 	t.Meta.Workload = hd.str()
 	t.Meta.Detector = hd.str()
 	t.Meta.Ordered = hd.bool()
-	if hd.byte() == 1 {
-		t.Meta.Privatize = stm.PrivatizePersistent
-	}
+	hd.byte() // privatization mode of the recording run; see wirePrivatizePersistent
 	t.Meta.Threads = int(hd.u())
 	t.Meta.Tasks = int(hd.u())
 	t.Meta.Seed = hd.i()
@@ -569,14 +585,7 @@ func decodeTrace(raw []byte) (t *Trace, err error) {
 	if nlocs > uint64(len(hd.buf)-hd.pos) {
 		hd.fail(TraceBadRecord, "location count %d exceeds payload", nlocs)
 	}
-	t.Initial = state.New()
-	for i := uint64(0); i < nlocs && hd.err == nil; i++ {
-		loc := state.Loc(hd.str())
-		v := hd.value()
-		if hd.err == nil {
-			t.Initial.Set(loc, v)
-		}
-	}
+	t.Initial = hd.locations(nlocs)
 	if hd.err != nil {
 		return nil, hd.err
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/adt"
 	"repro/internal/oplog"
 	"repro/internal/state"
-	"repro/internal/stm"
 )
 
 // On-disk layout (all integers varint-encoded unless noted):
@@ -186,11 +185,15 @@ func (e *enc) rel(v state.Rel) {
 		}
 	}
 	tuples := v.R.Tuples()
-	sort.Slice(tuples, func(i, j int) bool {
-		return tupleKey(tuples[i], cols) < tupleKey(tuples[j], cols)
-	})
+	wireKeys := make([]string, len(tuples))
+	order := make([]int, len(tuples))
+	for i, t := range tuples {
+		wireKeys[i], order[i] = tupleKey(t, cols), i
+	}
+	sort.Slice(order, func(a, b int) bool { return wireKeys[order[a]] < wireKeys[order[b]] })
 	e.u(uint64(len(tuples)))
-	for _, t := range tuples {
+	for _, i := range order {
+		t := tuples[i]
 		e.u(uint64(len(t)))
 		keys := make([]string, 0, len(t))
 		for k := range t {
@@ -307,13 +310,12 @@ func encodableLog(log oplog.Log) error {
 	return nil
 }
 
-// privatizeByte maps the stm privatization mode to its wire value.
-func privatizeByte(p stm.Privatize) byte {
-	if p == stm.PrivatizePersistent {
-		return 1
-	}
-	return 0
-}
+// wirePrivatizePersistent is what the header's privatization byte always
+// carries. The runtime once chose between eager-copy (0) and persistent
+// copy-on-access (1) privatization and recorded the choice; only the
+// latter remains, so the byte is written for format compatibility and the
+// decoder accepts either value and ignores it.
+const wirePrivatizePersistent = 1
 
 // appendFrame appends a length-prefixed, CRC32-trailed payload.
 func appendFrame(dst, payload []byte) []byte {
@@ -328,7 +330,7 @@ func buildPrelude(meta Meta, initial *state.State, flags byte) ([]byte, error) {
 	e.str(meta.Workload)
 	e.str(meta.Detector)
 	e.bool(meta.Ordered)
-	e.byte(privatizeByte(meta.Privatize))
+	e.byte(wirePrivatizePersistent)
 	e.u(uint64(meta.Threads))
 	e.u(uint64(meta.Tasks))
 	e.i(meta.Seed)

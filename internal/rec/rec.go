@@ -35,19 +35,17 @@ import (
 	"repro/internal/oplog"
 	"repro/internal/seqabs"
 	"repro/internal/state"
-	"repro/internal/stm"
 )
 
 // Meta identifies the recorded run so replay can reconstruct its
 // configuration.
 type Meta struct {
-	Workload  string
-	Detector  string
-	Ordered   bool
-	Privatize stm.Privatize
-	Threads   int
-	Tasks     int
-	Seed      int64
+	Workload string
+	Detector string
+	Ordered  bool
+	Threads  int
+	Tasks    int
+	Seed     int64
 }
 
 // Options tunes the recorder.

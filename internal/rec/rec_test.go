@@ -64,7 +64,7 @@ func testTasks(n int) []adt.Task {
 func testMeta(tasks int) Meta {
 	return Meta{
 		Workload: "rec-test", Detector: "write-set",
-		Ordered: false, Privatize: stm.PrivatizePersistent,
+		Ordered: false,
 		Threads: 4, Tasks: tasks, Seed: 99,
 	}
 }
@@ -74,7 +74,7 @@ func testMeta(tasks int) Meta {
 func recordRun(t testing.TB, r *Recorder, initial *state.State, tasks []adt.Task, ordered bool) *state.State {
 	t.Helper()
 	final, _, err := stm.Run(stm.Config{
-		Threads: 4, Ordered: ordered, Privatize: stm.PrivatizePersistent,
+		Threads: 4, Ordered: ordered,
 		Record: r, Tracer: r.Tracer(nil),
 	}, initial, tasks)
 	if err != nil {
@@ -203,7 +203,7 @@ func TestFlightMidRunDumpDerivesDigest(t *testing.T) {
 	// sequential replay reproduces.
 	r := New(testMeta(len(tasks)), initial, Options{ChunkBytes: 512, FlightChunks: 64})
 	final, _, err := stm.Run(stm.Config{
-		Threads: 4, Privatize: stm.PrivatizePersistent, Record: r,
+		Threads: 4, Record: r,
 	}, initial, tasks)
 	if err != nil {
 		t.Fatal(err)

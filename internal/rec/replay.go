@@ -110,8 +110,8 @@ func (t *Trace) ReplaySequential(verifyOps bool) (*state.State, error) {
 	return st, nil
 }
 
-// Replay re-executes the trace through the stm with write-set detection
-// and the recorded privatization mode. The tasks are arranged in the
+// Replay re-executes the trace through the stm with write-set detection.
+// The tasks are arranged in the
 // RECORDED commit order and run under ordered commit, which is what makes
 // parallel replay deterministic: execution still interleaves freely
 // across workers, but every transaction commits at exactly the position
@@ -128,10 +128,9 @@ func (t *Trace) Replay(threads int) (*state.State, stm.Stats, error) {
 		threads = t.Meta.Threads
 	}
 	cfg := stm.Config{
-		Threads:   threads,
-		Ordered:   true,
-		Detector:  conflict.NewWriteSet(),
-		Privatize: t.Meta.Privatize,
+		Threads:  threads,
+		Ordered:  true,
+		Detector: conflict.NewWriteSet(),
 	}
 	return stm.Run(cfg, t.Initial, t.Tasks(false))
 }

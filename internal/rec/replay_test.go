@@ -2,7 +2,9 @@ package rec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"testing"
 	"time"
 
@@ -19,17 +21,20 @@ import (
 //	parallel-replay digest    ==  recorded digest
 //	RunSequential(tasks)      ==  recorded final state
 //
-// across {ordered, unordered} × {copy, persistent} × chaos seeds. The
-// chaos injector perturbs scheduling and forces aborts during RECORDING,
-// so each cell captures a genuinely different interleaving; replay must
-// still land on the same state every time.
+// across {ordered, unordered} × header privatization byte {0, 1} × chaos
+// seeds. The chaos injector perturbs scheduling and forces aborts during
+// RECORDING, so each cell captures a genuinely different interleaving;
+// replay must still land on the same state every time. The byte once
+// named the recording run's privatization mode (0 eager copy, 1
+// persistent); traces of both kinds exist on disk, so both must still
+// decode and replay, though the runtime has one mode and writes 1.
 func TestReplayDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in full mode only")
 	}
 	seeds := []int64{1, 42, 20240808}
 	for _, ordered := range []bool{false, true} {
-		for _, priv := range []stm.Privatize{stm.PrivatizeCopy, stm.PrivatizePersistent} {
+		for _, priv := range []byte{0, 1} {
 			for _, seed := range seeds {
 				ordered, priv, seed := ordered, priv, seed
 				name := fmt.Sprintf("ordered=%v/priv=%d/seed=%d", ordered, priv, seed)
@@ -39,7 +44,7 @@ func TestReplayDeterminismMatrix(t *testing.T) {
 					tasks := testTasks(30)
 					meta := Meta{
 						Workload: "matrix", Detector: "write-set",
-						Ordered: ordered, Privatize: priv,
+						Ordered: ordered,
 						Threads: 4, Tasks: len(tasks), Seed: seed,
 					}
 					inj := chaos.New(chaos.Config{
@@ -49,7 +54,7 @@ func TestReplayDeterminismMatrix(t *testing.T) {
 					})
 					r := New(meta, initial, Options{ChunkBytes: 1024})
 					final, _, err := stm.Run(stm.Config{
-						Threads: 4, Ordered: ordered, Privatize: priv,
+						Threads: 4, Ordered: ordered,
 						Hooks: inj.Hooks(), Record: r,
 					}, initial, tasks)
 					if err != nil {
@@ -61,7 +66,7 @@ func TestReplayDeterminismMatrix(t *testing.T) {
 					if _, err := r.WriteTo(&buf); err != nil {
 						t.Fatal(err)
 					}
-					tr, err := ReadTrace(&buf)
+					tr, err := ReadTrace(bytes.NewReader(withPrivatizeByte(t, buf.Bytes(), priv)))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -212,4 +217,30 @@ func TestReplayOrderedTrace(t *testing.T) {
 	if !st.Equal(final) {
 		t.Error("ordered replay drifted from recorded final state")
 	}
+}
+
+// withPrivatizeByte returns the trace file raw with its header's
+// privatization byte set to b (and the header frame's CRC redone). The
+// byte sits in the header frame — magic, format, flags, then uvarint
+// length, payload, CRC32 — after the workload and detector strings and
+// the ordered flag.
+func withPrivatizeByte(t *testing.T, raw []byte, b byte) []byte {
+	t.Helper()
+	start := len(traceMagic) + 2
+	n, w := binary.Uvarint(raw[start:])
+	lo, hi := start+w, start+w+int(n)
+	hd := &dec{buf: raw[lo:hi], inline: true}
+	hd.str()
+	hd.str()
+	hd.bool()
+	if hd.err != nil {
+		t.Fatal(hd.err)
+	}
+	if got := raw[lo+hd.pos]; got != wirePrivatizePersistent {
+		t.Fatalf("recorder wrote privatization byte %d, want %d", got, wirePrivatizePersistent)
+	}
+	out := append([]byte(nil), raw...)
+	out[lo+hd.pos] = b
+	binary.LittleEndian.PutUint32(out[hi:], crc32.ChecksumIEEE(out[lo:hi]))
+	return out
 }

@@ -39,14 +39,7 @@ func DecodeState(buf []byte) (st *state.State, err error) {
 		d.fail(TraceBadRecord, "location count %d exceeds payload", n)
 		return nil, d.err
 	}
-	st = state.New()
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		loc := state.Loc(d.str())
-		v := d.value()
-		if d.err == nil {
-			st.Set(loc, v)
-		}
-	}
+	st = d.locations(n)
 	if d.err != nil {
 		return nil, d.err
 	}

@@ -8,15 +8,25 @@
 // mapping "locations" (valuations of the FD's domain columns) to associated
 // values (valuations of the range columns) — exactly how JANUS encodes ADT
 // states such as a BitSet (index → bit) or a Map (key → value).
+//
+// Storage is one persistent map (internal/persist) from a tuple's location
+// key (LocKey: its valuation on the matching columns) to the tuple. Every
+// mutator preserves "at most one tuple per location key" — insert evicts
+// what it matches, remove and the set operations only drop tuples or go
+// through insert — so a point operation is one O(log32 n) lookup or path
+// copy, Clone shares structure in O(1), and only callers that ask for the
+// canonical order (Tuples, String, ContentFormula) pay for a sort. Versions
+// share tuples, which is why a stored tuple is immutable.
 package relation
 
 import (
-	"fmt"
+	"bytes"
 	"sort"
 	"strings"
 
 	"repro/internal/lattice"
 	"repro/internal/logic"
+	"repro/internal/persist"
 )
 
 // Tuple maps a set of columns to untyped values (rendered as strings).
@@ -59,11 +69,21 @@ func (t Tuple) Equal(o Tuple) bool {
 // Key renders the tuple's restriction to the given columns as a canonical
 // string, used as the subvalue-lattice key for footprints.
 func (t Tuple) Key(cols []string) string {
-	parts := make([]string, len(cols))
+	var a [64]byte // keeps the rendering of a short key off the heap
+	return string(t.appendKey(a[:0], cols))
+}
+
+// appendKey appends Key(cols) to dst.
+func (t Tuple) appendKey(dst []byte, cols []string) []byte {
 	for i, c := range cols {
-		parts[i] = c + "=" + t[c]
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, c...)
+		dst = append(dst, '=')
+		dst = append(dst, t[c]...)
 	}
-	return strings.Join(parts, ",")
+	return dst
 }
 
 // String renders the full tuple canonically.
@@ -79,9 +99,13 @@ type FD struct {
 // Relation is a set of tuples over identical columns, optionally governed
 // by one functional dependency.
 type Relation struct {
-	cols   []string // sorted
-	fd     *FD
-	tuples map[string]Tuple // keyed by full-tuple canonical key
+	cols  []string // sorted
+	match []string // sorted; the FD's domain if one is defined, else cols
+	fd    *FD
+	// tuples is keyed by LocKey. Mutators replace the pointer and never
+	// touch a published version, so clones and concurrent readers of other
+	// versions are unaffected.
+	tuples *persist.Map[Tuple]
 }
 
 // New creates an empty relation over the given columns. fd may be nil.
@@ -90,6 +114,7 @@ type Relation struct {
 func New(cols []string, fd *FD) *Relation {
 	sorted := append([]string(nil), cols...)
 	sort.Strings(sorted)
+	match := sorted
 	if fd != nil {
 		all := append(append([]string(nil), fd.Domain...), fd.Range...)
 		sort.Strings(all)
@@ -101,8 +126,15 @@ func New(cols []string, fd *FD) *Relation {
 				panic("relation: FD domain+range must partition columns")
 			}
 		}
+		match = append([]string(nil), fd.Domain...)
+		sort.Strings(match)
 	}
-	return &Relation{cols: sorted, fd: fd, tuples: make(map[string]Tuple)}
+	return &Relation{cols: sorted, match: match, fd: fd, tuples: persist.NewMap[Tuple]()}
+}
+
+// empty returns an empty relation with r's schema and FD.
+func (r *Relation) empty() *Relation {
+	return &Relation{cols: r.cols, match: r.match, fd: r.fd, tuples: persist.NewMap[Tuple]()}
 }
 
 // Cols returns the relation's columns (sorted). Callers must not mutate.
@@ -112,108 +144,134 @@ func (r *Relation) Cols() []string { return r.cols }
 func (r *Relation) FDef() *FD { return r.fd }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.tuples) }
+func (r *Relation) Len() int { return r.tuples.Len() }
 
-// Clone returns a deep copy.
+// Clone returns an independent copy in O(1): the two relations share the
+// current version's (immutable) structure and tuples, and diverge by path
+// copying as either is mutated.
 func (r *Relation) Clone() *Relation {
-	c := &Relation{cols: r.cols, fd: r.fd, tuples: make(map[string]Tuple, len(r.tuples))}
-	for k, t := range r.tuples {
-		c.tuples[k] = t.Clone()
+	c := *r
+	return &c
+}
+
+// Equal reports whether the two relations have the same schema, the same
+// FD and the same set of tuples.
+func (r *Relation) Equal(o *Relation) bool {
+	if r.Len() != o.Len() {
+		return false
 	}
+	le, err := r.Leq(o) // fails on a schema or FD mismatch
+	return err == nil && le
+}
+
+// Tuples returns the tuples in canonical order: sorted by their rendering
+// on the relation's columns. The slice is fresh; the tuples are the stored
+// ones and must not be mutated.
+func (r *Relation) Tuples() []Tuple { return r.sorted().tuples }
+
+// canonical is a relation's tuples in canonical order, each with its
+// rendering on the relation's columns (the sort key). The keys are spans
+// of one buffer, so ordering n tuples costs a handful of allocations.
+type canonical struct {
+	tuples []Tuple
+	keys   [][2]int // keys[i] is buf[keys[i][0]:keys[i][1]]
+	buf    []byte
+}
+
+func (c *canonical) key(i int) []byte { return c.buf[c.keys[i][0]:c.keys[i][1]] }
+
+func (c *canonical) Len() int           { return len(c.tuples) }
+func (c *canonical) Less(i, j int) bool { return bytes.Compare(c.key(i), c.key(j)) < 0 }
+func (c *canonical) Swap(i, j int) {
+	c.keys[i], c.keys[j] = c.keys[j], c.keys[i]
+	c.tuples[i], c.tuples[j] = c.tuples[j], c.tuples[i]
+}
+
+// sorted is the one place that pays for order: everything else reads the
+// map by key or in its arbitrary iteration order.
+func (r *Relation) sorted() *canonical {
+	n := r.Len()
+	c := &canonical{tuples: make([]Tuple, 0, n), keys: make([][2]int, 0, n)}
+	r.tuples.Range(func(k string, t Tuple) bool {
+		lo := len(c.buf)
+		if r.fd == nil {
+			c.buf = append(c.buf, k...) // without an FD the location key is the full key
+		} else {
+			c.buf = t.appendKey(c.buf, r.cols)
+		}
+		c.keys = append(c.keys, [2]int{lo, len(c.buf)})
+		c.tuples = append(c.tuples, t)
+		return true
+	})
+	sort.Sort(c)
 	return c
 }
 
-// Equal reports set equality of tuples (columns and FD must match too).
-func (r *Relation) Equal(o *Relation) bool {
-	if len(r.tuples) != len(o.tuples) {
-		return false
-	}
-	for k := range r.tuples {
-		if _, ok := o.tuples[k]; !ok {
+// sameOn reports whether t and u agree on every one of cols (an absent
+// column reads as the empty string, as in Tuple.Key).
+func sameOn(t, u Tuple, cols []string) bool {
+	for _, c := range cols {
+		if t[c] != u[c] {
 			return false
 		}
 	}
 	return true
 }
 
-// Tuples returns the tuples in canonical (sorted-key) order.
-func (r *Relation) Tuples() []Tuple {
-	keys := make([]string, 0, len(r.tuples))
-	for k := range r.tuples {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]Tuple, len(keys))
-	for i, k := range keys {
-		out[i] = r.tuples[k]
-	}
-	return out
-}
-
 // Has reports whether the relation contains a tuple equal to t.
 func (r *Relation) Has(t Tuple) bool {
-	_, ok := r.tuples[t.Key(r.cols)]
-	return ok
+	u, ok := r.tuples.Get(r.LocKey(t))
+	return ok && sameOn(t, u, r.cols)
 }
 
-// matchCols returns the columns on which the matching relation ~r compares
-// tuples: the FD's domain if one is defined, else all common columns.
-func (r *Relation) matchCols() []string {
-	if r.fd != nil {
-		sorted := append([]string(nil), r.fd.Domain...)
-		sort.Strings(sorted)
-		return sorted
-	}
-	return r.cols
-}
-
-// Matching returns the tuples t' in r with t ~r t' (§6.1).
+// Matching returns the tuples t' in r with t ~r t' (§6.1): at most one,
+// the tuple stored at t's location key.
 func (r *Relation) Matching(t Tuple) []Tuple {
-	mc := r.matchCols()
-	key := t.Key(mc)
-	var out []Tuple
-	for _, u := range r.Tuples() {
-		if u.Key(mc) == key {
-			out = append(out, u)
-		}
+	if u, ok := r.tuples.Get(r.LocKey(t)); ok {
+		return []Tuple{u}
 	}
-	return out
+	return nil
 }
 
 // LocKey returns the subvalue key of tuple t: its valuation on the matching
-// columns. Footprints and per-location sequences are indexed by this key.
-func (r *Relation) LocKey(t Tuple) string { return t.Key(r.matchCols()) }
+// columns (the FD's domain if one is defined, else all columns). Footprints
+// and per-location sequences are indexed by this key.
+func (r *Relation) LocKey(t Tuple) string { return t.Key(r.match) }
 
 // Insert applies "insert r t" of Table 2: first every tuple matching t is
 // removed, then t is added. It returns the removed tuples (for logging and
 // for inverse replay).
 func (r *Relation) Insert(t Tuple) []Tuple {
-	removed := r.Matching(t)
-	for _, u := range removed {
-		delete(r.tuples, u.Key(r.cols))
+	key := r.LocKey(t)
+	var removed []Tuple
+	if u, ok := r.tuples.Get(key); ok {
+		removed = []Tuple{u}
 	}
-	r.tuples[t.Key(r.cols)] = t.Clone()
+	r.tuples = r.tuples.Set(key, t.Clone())
 	return removed
 }
 
 // Remove applies "remove r t" of Table 2: ensures t is not in the relation.
 // It reports whether t was present.
 func (r *Relation) Remove(t Tuple) bool {
-	k := t.Key(r.cols)
-	_, ok := r.tuples[k]
-	delete(r.tuples, k)
-	return ok
+	key := r.LocKey(t)
+	if u, ok := r.tuples.Get(key); !ok || !sameOn(t, u, r.cols) {
+		return false
+	}
+	r.tuples = r.tuples.Delete(key)
+	return true
 }
 
 // Select applies "w := select r f" of Table 2: the sub-relation of tuples
 // satisfying f.
 func (r *Relation) Select(f logic.Formula) *Relation {
-	w := New(r.cols, r.fd)
-	for k, t := range r.tuples {
+	w := r.empty()
+	r.tuples.Range(func(k string, t Tuple) bool {
 		if f.Eval(tupleAssignment(t)) {
-			w.tuples[k] = t
+			w.tuples = w.tuples.Set(k, t)
 		}
-	}
+		return true
+	})
 	return w
 }
 
@@ -254,18 +312,14 @@ func (r *Relation) RemoveFootprint(t Tuple) lattice.Footprint {
 // the whole relation is read (each tuple's membership influences the
 // result).
 func (r *Relation) SelectFootprint(f logic.Formula) lattice.Footprint {
-	if keys, ok := pinnedKeys(f, r.matchCols()); ok {
+	if keys, ok := pinnedKeys(f, r.match); ok {
 		return lattice.Footprint{Read: lattice.NewKeySet(keys...), Write: lattice.EmptyKeySet()}
 	}
-	keys := make([]string, 0, len(r.tuples))
-	seen := make(map[string]struct{})
-	for _, t := range r.tuples {
-		k := r.LocKey(t)
-		if _, dup := seen[k]; !dup {
-			seen[k] = struct{}{}
-			keys = append(keys, k)
-		}
-	}
+	keys := make([]string, 0, r.Len()+1)
+	r.tuples.Range(func(k string, _ Tuple) bool {
+		keys = append(keys, k)
+		return true
+	})
 	// Absence of any other key is also observed; represent with a
 	// distinguished whole-relation key joined with the present keys.
 	keys = append(keys, WholeRelationKey)
@@ -363,18 +417,43 @@ func TupleFormula(t Tuple) logic.Formula {
 // Table 4 insert rule.
 func (r *Relation) DomainFormula(t Tuple) logic.Formula {
 	var conj []logic.Formula
-	for _, c := range r.matchCols() {
+	for _, c := range r.match {
 		conj = append(conj, logic.Atom{Col: c, Val: t[c]})
 	}
 	return logic.And(conj...)
 }
 
-// String renders the relation canonically for traces and golden tests.
+// String renders the relation canonically for traces and golden tests:
+// the tuples' own renderings in canonical order.
 func (r *Relation) String() string {
-	ts := r.Tuples()
-	parts := make([]string, len(ts))
-	for i, t := range ts {
-		parts[i] = t.String()
+	c := r.sorted()
+	var b strings.Builder
+	b.Grow(len(c.buf) + 3*len(c.tuples) + 2)
+	b.WriteByte('{')
+	for i, t := range c.tuples {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		if len(t) == len(r.cols) && r.hasCols(t) {
+			// The tuple has exactly the relation's columns, so its own
+			// rendering is the sort key already built.
+			b.WriteByte('(')
+			b.Write(c.key(i))
+			b.WriteByte(')')
+		} else {
+			b.WriteString(t.String())
+		}
 	}
-	return fmt.Sprintf("{%s}", strings.Join(parts, " "))
+	b.WriteByte('}')
+	return b.String()
+}
+
+// hasCols reports whether t binds every column of the relation.
+func (r *Relation) hasCols(t Tuple) bool {
+	for _, c := range r.cols {
+		if _, ok := t[c]; !ok {
+			return false
+		}
+	}
+	return true
 }

@@ -3,7 +3,10 @@ package relation
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/lattice"
@@ -225,5 +228,425 @@ func TestRelationString(t *testing.T) {
 	r.Insert(tup("1", "0"))
 	if got := r.String(); got != "{(idx=1,val=0) (idx=2,val=1)}" {
 		t.Errorf("String = %q", got)
+	}
+}
+
+// --- Reference model -------------------------------------------------
+//
+// modelRel is the relation as it was first implemented: a Go map keyed by
+// the full-tuple rendering, a scan for every match and a sort for every
+// ordered read. It is slow and obviously right, and the persistent
+// implementation must be indistinguishable from it.
+
+type modelRel struct {
+	cols   []string
+	fd     *FD
+	tuples map[string]Tuple
+}
+
+func newModel(cols []string, fd *FD) *modelRel {
+	sorted := append([]string(nil), cols...)
+	sort.Strings(sorted)
+	return &modelRel{cols: sorted, fd: fd, tuples: make(map[string]Tuple)}
+}
+
+func (r *modelRel) matchCols() []string {
+	if r.fd != nil {
+		sorted := append([]string(nil), r.fd.Domain...)
+		sort.Strings(sorted)
+		return sorted
+	}
+	return r.cols
+}
+
+func modelKey(t Tuple, cols []string) string {
+	parts := make([]string, len(cols))
+	for i, c := range cols {
+		parts[i] = c + "=" + t[c]
+	}
+	return strings.Join(parts, ",")
+}
+
+func (r *modelRel) Len() int { return len(r.tuples) }
+
+func (r *modelRel) Tuples() []Tuple {
+	keys := make([]string, 0, len(r.tuples))
+	for k := range r.tuples {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]Tuple, len(keys))
+	for i, k := range keys {
+		out[i] = r.tuples[k]
+	}
+	return out
+}
+
+func (r *modelRel) Has(t Tuple) bool {
+	_, ok := r.tuples[modelKey(t, r.cols)]
+	return ok
+}
+
+func (r *modelRel) LocKey(t Tuple) string { return modelKey(t, r.matchCols()) }
+
+func (r *modelRel) Matching(t Tuple) []Tuple {
+	mc := r.matchCols()
+	key := modelKey(t, mc)
+	var out []Tuple
+	for _, u := range r.Tuples() {
+		if modelKey(u, mc) == key {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+func (r *modelRel) Insert(t Tuple) []Tuple {
+	removed := r.Matching(t)
+	for _, u := range removed {
+		delete(r.tuples, modelKey(u, r.cols))
+	}
+	r.tuples[modelKey(t, r.cols)] = t.Clone()
+	return removed
+}
+
+func (r *modelRel) Remove(t Tuple) bool {
+	k := modelKey(t, r.cols)
+	_, ok := r.tuples[k]
+	delete(r.tuples, k)
+	return ok
+}
+
+func (r *modelRel) Clone() *modelRel {
+	c := newModel(r.cols, r.fd)
+	for k, t := range r.tuples {
+		c.tuples[k] = t.Clone()
+	}
+	return c
+}
+
+func (r *modelRel) Select(f logic.Formula) *modelRel {
+	w := newModel(r.cols, r.fd)
+	for k, t := range r.tuples {
+		if f.Eval(tupleAssignment(t)) {
+			w.tuples[k] = t
+		}
+	}
+	return w
+}
+
+func (r *modelRel) Union(o *modelRel) *modelRel {
+	out := r.Clone()
+	for _, t := range o.Tuples() {
+		out.Insert(t)
+	}
+	return out
+}
+
+func (r *modelRel) Intersect(o *modelRel) *modelRel {
+	out := newModel(r.cols, r.fd)
+	for k, t := range r.tuples {
+		if _, ok := o.tuples[k]; ok {
+			out.tuples[k] = t
+		}
+	}
+	return out
+}
+
+func (r *modelRel) Subtract(o *modelRel) *modelRel {
+	out := newModel(r.cols, r.fd)
+	for k, t := range r.tuples {
+		if _, ok := o.tuples[k]; !ok {
+			out.tuples[k] = t
+		}
+	}
+	return out
+}
+
+func (r *modelRel) String() string {
+	ts := r.Tuples()
+	parts := make([]string, len(ts))
+	for i, t := range ts {
+		parts[i] = t.String()
+	}
+	return "{" + strings.Join(parts, " ") + "}"
+}
+
+func (r *modelRel) InsertFootprint(t Tuple) lattice.Footprint {
+	return lattice.Footprint{Read: lattice.EmptyKeySet(), Write: lattice.NewKeySet(r.LocKey(t))}
+}
+
+func (r *modelRel) RemoveFootprint(t Tuple) lattice.Footprint {
+	if r.Has(t) {
+		return lattice.Footprint{Read: lattice.EmptyKeySet(), Write: lattice.NewKeySet(r.LocKey(t))}
+	}
+	return lattice.Footprint{Read: lattice.NewKeySet(r.LocKey(t)), Write: lattice.EmptyKeySet()}
+}
+
+func (r *modelRel) SelectFootprint(f logic.Formula) lattice.Footprint {
+	if keys, ok := pinnedKeys(f, r.matchCols()); ok {
+		return lattice.Footprint{Read: lattice.NewKeySet(keys...), Write: lattice.EmptyKeySet()}
+	}
+	keys := []string{WholeRelationKey}
+	for _, t := range r.tuples {
+		keys = append(keys, r.LocKey(t))
+	}
+	return lattice.Footprint{Read: lattice.NewKeySet(keys...), Write: lattice.EmptyKeySet()}
+}
+
+// sameFootprint compares two footprints key by key.
+func sameFootprint(a, b lattice.Footprint) bool {
+	return reflect.DeepEqual(a.Read.(lattice.KeySet).Keys(), b.Read.(lattice.KeySet).Keys()) &&
+		reflect.DeepEqual(a.Write.(lattice.KeySet).Keys(), b.Write.(lattice.KeySet).Keys())
+}
+
+// sameTuples compares two tuple lists in order, nil and empty alike.
+func sameTuples(a, b []Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !reflect.DeepEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestAgainstReferenceModel drives the relation and the reference model
+// with the same seeded random operation sequences — point operations with
+// full and partial probe tuples, selects, and the three set operations
+// over a pool of relations — on schemas with and without an FD, and
+// requires every result, every footprint and the whole observable state
+// (Len, Tuples order, String, LocKey) to be identical after every step.
+func TestAgainstReferenceModel(t *testing.T) {
+	schemas := []struct {
+		name string
+		cols []string
+		fd   *FD
+	}{
+		{"fd-1", []string{"idx", "val"}, &FD{Domain: []string{"idx"}, Range: []string{"val"}}},
+		{"fd-2", []string{"c", "b", "a"}, &FD{Domain: []string{"b", "a"}, Range: []string{"c"}}},
+		{"no-fd", []string{"b", "a"}, nil},
+	}
+	for _, sc := range schemas {
+		sc := sc
+		t.Run(sc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 20; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				const pool = 3
+				var real [pool]*Relation
+				var model [pool]*modelRel
+				for i := range real {
+					real[i], model[i] = New(sc.cols, sc.fd), newModel(sc.cols, sc.fd)
+				}
+				// randTuple draws each column from a small domain; with
+				// probability 1/4 a column is left out (a partial tuple),
+				// and now and then the tuple carries a column the schema
+				// does not have.
+				randTuple := func() Tuple {
+					u := Tuple{}
+					for _, c := range sc.cols {
+						if rng.Intn(4) > 0 {
+							u[c] = strconv.Itoa(rng.Intn(5))
+						}
+					}
+					if rng.Intn(8) == 0 {
+						u["extra"] = strconv.Itoa(rng.Intn(2))
+					}
+					return u
+				}
+				randFormula := func() logic.Formula {
+					a := logic.Atom{Col: sc.cols[rng.Intn(len(sc.cols))], Val: strconv.Itoa(rng.Intn(5))}
+					b := logic.Atom{Col: sc.cols[rng.Intn(len(sc.cols))], Val: strconv.Itoa(rng.Intn(5))}
+					switch rng.Intn(4) {
+					case 0:
+						return a
+					case 1:
+						return logic.And(a, b)
+					case 2:
+						return logic.Or(a, b)
+					default:
+						return logic.Not(a)
+					}
+				}
+				for step := 0; step < 300; step++ {
+					i, j := rng.Intn(pool), rng.Intn(pool)
+					r, m := real[i], model[i]
+					u := randTuple()
+					what := ""
+					switch op := rng.Intn(10); op {
+					case 0, 1, 2:
+						what = "insert"
+						if fr, fm := r.InsertFootprint(u), m.InsertFootprint(u); !sameFootprint(fr, fm) {
+							t.Fatalf("seed %d step %d: InsertFootprint(%v) = %v, model %v", seed, step, u, fr, fm)
+						}
+						if gr, gm := r.Insert(u), m.Insert(u); !sameTuples(gr, gm) {
+							t.Fatalf("seed %d step %d: Insert(%v) evicted %v, model %v", seed, step, u, gr, gm)
+						}
+					case 3, 4:
+						what = "remove"
+						if fr, fm := r.RemoveFootprint(u), m.RemoveFootprint(u); !sameFootprint(fr, fm) {
+							t.Fatalf("seed %d step %d: RemoveFootprint(%v) = %v, model %v", seed, step, u, fr, fm)
+						}
+						if gr, gm := r.Remove(u), m.Remove(u); gr != gm {
+							t.Fatalf("seed %d step %d: Remove(%v) = %v, model %v", seed, step, u, gr, gm)
+						}
+					case 5:
+						what = "matching/has"
+						if gr, gm := r.Matching(u), m.Matching(u); !sameTuples(gr, gm) {
+							t.Fatalf("seed %d step %d: Matching(%v) = %v, model %v", seed, step, u, gr, gm)
+						}
+						if gr, gm := r.Has(u), m.Has(u); gr != gm {
+							t.Fatalf("seed %d step %d: Has(%v) = %v, model %v", seed, step, u, gr, gm)
+						}
+					case 6:
+						what = "select"
+						f := randFormula()
+						if fr, fm := r.SelectFootprint(f), m.SelectFootprint(f); !sameFootprint(fr, fm) {
+							t.Fatalf("seed %d step %d: SelectFootprint(%v) = %v, model %v", seed, step, f, fr, fm)
+						}
+						real[j], model[j] = r.Select(f), m.Select(f)
+					case 7:
+						what = "union"
+						k := rng.Intn(pool)
+						ur, err := r.Union(real[k])
+						if err != nil {
+							t.Fatal(err)
+						}
+						real[j], model[j] = ur, m.Union(model[k])
+					case 8:
+						what = "intersect"
+						k := rng.Intn(pool)
+						ir, err := r.Intersect(real[k])
+						if err != nil {
+							t.Fatal(err)
+						}
+						real[j], model[j] = ir, m.Intersect(model[k])
+					default:
+						what = "subtract"
+						k := rng.Intn(pool)
+						sr, err := r.Subtract(real[k])
+						if err != nil {
+							t.Fatal(err)
+						}
+						real[j], model[j] = sr, m.Subtract(model[k])
+					}
+					for k := range real {
+						r, m := real[k], model[k]
+						if r.Len() != m.Len() || !sameTuples(r.Tuples(), m.Tuples()) || r.String() != m.String() {
+							t.Fatalf("seed %d step %d: after %s relation %d = %v (len %d), model %v (len %d)",
+								seed, step, what, k, r, r.Len(), m, m.Len())
+						}
+					}
+					if kr, km := r.LocKey(u), m.LocKey(u); kr != km {
+						t.Fatalf("seed %d step %d: LocKey(%v) = %q, model %q", seed, step, u, kr, km)
+					}
+				}
+			}
+		})
+	}
+}
+
+// filled returns a k→v relation of n tuples.
+func filled(n int) *Relation {
+	r := New([]string{"k", "v"}, &FD{Domain: []string{"k"}, Range: []string{"v"}})
+	for i := 0; i < n; i++ {
+		r.Insert(Tuple{"k": strconv.Itoa(i), "v": "init"})
+	}
+	return r
+}
+
+// TestCloneIsolation: versions share structure, so the property that must
+// hold is that no write to one clone is ever visible through the original
+// or a sibling — including while other goroutines read the original and
+// write their own clones (the runtime's situation: every transaction
+// clones the committed relation; run under -race).
+func TestCloneIsolation(t *testing.T) {
+	const n = 500
+	orig := filled(n)
+	want := orig.String()
+
+	a, b := orig.Clone(), orig.Clone()
+	a.Insert(Tuple{"k": "7", "v": "a"})
+	a.Remove(Tuple{"k": "8", "v": "init"})
+	b.Insert(Tuple{"k": "7", "v": "b"})
+	b.Insert(Tuple{"k": "new", "v": "b"})
+	if orig.String() != want {
+		t.Fatalf("writes to clones reached the original")
+	}
+	if !a.Has(Tuple{"k": "7", "v": "a"}) || a.Len() != n-1 || a.Has(Tuple{"k": "new", "v": "b"}) {
+		t.Fatalf("clone a saw a sibling's writes or lost its own: len %d", a.Len())
+	}
+	if !b.Has(Tuple{"k": "7", "v": "b"}) || b.Len() != n+1 || !b.Has(Tuple{"k": "8", "v": "init"}) {
+		t.Fatalf("clone b saw a sibling's writes or lost its own: len %d", b.Len())
+	}
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(2)
+		go func(w int) { // a reader of the shared version
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				k := strconv.Itoa((i*7 + w) % n)
+				if m := orig.Matching(Tuple{"k": k}); len(m) != 1 || m[0]["v"] != "init" {
+					t.Errorf("reader %d: Matching(k=%s) = %v", w, k, m)
+					return
+				}
+			}
+			if orig.String() != want {
+				t.Errorf("reader %d: original changed under concurrent clone writes", w)
+			}
+		}(w)
+		go func(w int) { // a writer of its own clone
+			defer wg.Done()
+			c := orig.Clone()
+			mine := "w" + strconv.Itoa(w)
+			for i := 0; i < n; i++ {
+				c.Insert(Tuple{"k": strconv.Itoa(i), "v": mine})
+			}
+			for _, u := range c.Tuples() {
+				if u["v"] != mine {
+					t.Errorf("writer %d: clone holds %v", w, u)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if orig.String() != want {
+		t.Fatalf("original changed under concurrent clone writes")
+	}
+}
+
+// TestPointOpsAreSizeIndependent fences the reason for the persistent
+// representation: what a point operation allocates may grow with the trie
+// depth (one path copy per level) but never with the number of tuples.
+// Between 16 and 4096 tuples a 32-way trie gains at most 3 levels.
+func TestPointOpsAreSizeIndependent(t *testing.T) {
+	const extraLevels = 3
+	small, large := filled(16), filled(4096)
+	probe := Tuple{"k": "5", "v": "x"}
+	ops := []struct {
+		name     string
+		perLevel float64 // allocations one more trie level may add
+		run      func(r *Relation) func()
+	}{
+		{"Matching", 0, func(r *Relation) func() { return func() { r.Matching(probe) } }},
+		{"Has", 0, func(r *Relation) func() { return func() { r.Has(probe) } }},
+		{"Clone", 0, func(r *Relation) func() { return func() { _ = r.Clone() } }},
+		// A path copy allocates a node and its child slice per level.
+		{"Insert", 2, func(r *Relation) func() { return func() { r.Clone().Insert(probe) } }},
+		{"Remove", 2, func(r *Relation) func() {
+			present := Tuple{"k": "5", "v": "init"}
+			return func() { r.Clone().Remove(present) }
+		}},
+	}
+	for _, op := range ops {
+		s := testing.AllocsPerRun(100, op.run(small))
+		l := testing.AllocsPerRun(100, op.run(large))
+		if l-s > op.perLevel*extraLevels {
+			t.Errorf("%s: %.0f allocs at 16 tuples, %.0f at 4096: grows with size, not depth", op.name, s, l)
+		}
 	}
 }

@@ -1,6 +1,9 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Concrete set operations of §6.1: the partial order on relations is
 // subset inclusion, join is set union, meet is set intersection, and
@@ -8,15 +11,14 @@ import "fmt"
 // content.go (ContentUnion/ContentIntersect/ContentSubtract) on concrete
 // relation states; the cross-agreement is property-tested.
 
-// compatible checks that two relations share schema and FD.
+// compatible checks that two relations share schema and FD. (The FD's
+// domain decides it: domain and range partition the shared columns.)
 func (r *Relation) compatible(o *Relation) error {
-	if len(r.cols) != len(o.cols) {
+	if !slices.Equal(r.cols, o.cols) {
 		return fmt.Errorf("relation: schema mismatch: %v vs %v", r.cols, o.cols)
 	}
-	for i := range r.cols {
-		if r.cols[i] != o.cols[i] {
-			return fmt.Errorf("relation: schema mismatch: %v vs %v", r.cols, o.cols)
-		}
+	if (r.fd == nil) != (o.fd == nil) || !slices.Equal(r.match, o.match) {
+		return fmt.Errorf("relation: FD mismatch: %v vs %v", r.fd, o.fd)
 	}
 	return nil
 }
@@ -26,12 +28,12 @@ func (r *Relation) Leq(o *Relation) (bool, error) {
 	if err := r.compatible(o); err != nil {
 		return false, err
 	}
-	for k := range r.tuples {
-		if _, ok := o.tuples[k]; !ok {
-			return false, nil
-		}
-	}
-	return true, nil
+	le := true
+	r.tuples.Range(func(_ string, t Tuple) bool {
+		le = o.Has(t)
+		return le
+	})
+	return le, nil
 }
 
 // Union returns r ∪ o as a new relation (the lattice join). The result
@@ -44,9 +46,10 @@ func (r *Relation) Union(o *Relation) (*Relation, error) {
 		return nil, err
 	}
 	out := r.Clone()
-	for _, t := range o.Tuples() {
-		out.Insert(t)
-	}
+	o.tuples.Range(func(k string, t Tuple) bool {
+		out.tuples = out.tuples.Set(k, t)
+		return true
+	})
 	return out, nil
 }
 
@@ -55,12 +58,13 @@ func (r *Relation) Intersect(o *Relation) (*Relation, error) {
 	if err := r.compatible(o); err != nil {
 		return nil, err
 	}
-	out := New(r.cols, r.fd)
-	for k, t := range r.tuples {
-		if _, ok := o.tuples[k]; ok {
-			out.tuples[k] = t.Clone()
+	out := r.empty()
+	r.tuples.Range(func(k string, t Tuple) bool {
+		if o.Has(t) {
+			out.tuples = out.tuples.Set(k, t)
 		}
-	}
+		return true
+	})
 	return out, nil
 }
 
@@ -69,11 +73,12 @@ func (r *Relation) Subtract(o *Relation) (*Relation, error) {
 	if err := r.compatible(o); err != nil {
 		return nil, err
 	}
-	out := New(r.cols, r.fd)
-	for k, t := range r.tuples {
-		if _, ok := o.tuples[k]; !ok {
-			out.tuples[k] = t.Clone()
+	out := r.Clone()
+	r.tuples.Range(func(k string, t Tuple) bool {
+		if o.Has(t) {
+			out.tuples = out.tuples.Delete(k)
 		}
-	}
+		return true
+	})
 	return out, nil
 }

@@ -1,8 +1,9 @@
 // Package state models the shared memory JANUS synchronizes: a finite map
 // from locations to values. Values are scalars (integers, strings,
 // booleans) or relational ADT states (internal/relation). Transactions
-// privatize the state at begin (CREATETRANSACTION copies Sh), mutate the
-// private copy, and replay their logs onto the global state at commit.
+// privatize the state at begin (CREATETRANSACTION; here a faulting view
+// that copies a location on first access), mutate the private copy, and
+// replay their logs onto the global state at commit.
 package state
 
 import (
@@ -16,8 +17,10 @@ import (
 // Loc identifies a shared location, e.g. "work" or "monitor.itemsWeight".
 type Loc string
 
-// Value is a shared-memory value. Implementations must support deep
-// cloning (for privatization) and equality (for SAMEREAD/COMMUTE checks).
+// Value is a shared-memory value. Implementations must support cloning
+// (for privatization: mutations of a clone never show in the original,
+// whether by copying or by structural sharing) and equality (for
+// SAMEREAD/COMMUTE checks).
 type Value interface {
 	CloneValue() Value
 	EqualValue(Value) bool
@@ -72,7 +75,8 @@ func (v Bool) String() string { return fmt.Sprintf("%t", bool(v)) }
 // Rel wraps a relational ADT state as a Value.
 type Rel struct{ R *relation.Relation }
 
-// CloneValue implements Value.
+// CloneValue implements Value. It is O(1): relation versions share
+// structure (see relation.Clone).
 func (v Rel) CloneValue() Value { return Rel{R: v.R.Clone()} }
 
 // EqualValue implements Value.
@@ -115,9 +119,9 @@ func (v IntList) String() string {
 
 // State is the shared store: a map from locations to values. A state may
 // be backed by a fault handler (NewFaulting) that lazily materializes
-// locations from an immutable snapshot source — the copy-on-access
-// privatization mode built on the fully persistent store of
-// internal/persist (the paper's §4.1 versioning discussion).
+// locations from an immutable snapshot source — copy-on-access
+// privatization (the paper's §4.1 versioning discussion), whose cost
+// follows the transaction's footprint instead of the state's size.
 type State struct {
 	m     map[Loc]Value
 	fault func(Loc) (Value, bool)
@@ -125,11 +129,6 @@ type State struct {
 
 // New returns an empty state.
 func New() *State { return &State{m: make(map[Loc]Value)} }
-
-// NewSized returns an empty state presized for n locations, for callers
-// that materialize a known location set (avoids rehash churn on bulk
-// builds like copy-mode privatization).
-func NewSized(n int) *State { return &State{m: make(map[Loc]Value, n)} }
 
 // NewFaulting returns a state that materializes unbound locations on
 // demand from fault, cloning the faulted value so later mutations never
@@ -151,16 +150,6 @@ func (s *State) Get(loc Loc) (Value, bool) {
 	return v, ok
 }
 
-// MustGet returns the value at loc, panicking if unbound — used on paths
-// where the training/runtime invariant guarantees the binding.
-func (s *State) MustGet(loc Loc) Value {
-	v, ok := s.m[loc]
-	if !ok {
-		panic(fmt.Sprintf("state: unbound location %q", loc))
-	}
-	return v
-}
-
 // Set binds loc to v.
 func (s *State) Set(loc Loc, v Value) { s.m[loc] = v }
 
@@ -180,8 +169,8 @@ func (s *State) Locs() []Loc {
 	return out
 }
 
-// Clone returns a deep copy (the privatization copy of CREATETRANSACTION).
-// A faulting state's clone shares the (immutable) fault source.
+// Clone returns an independent copy of every bound location. A faulting
+// state's clone shares the (immutable) fault source.
 func (s *State) Clone() *State {
 	c := &State{m: make(map[Loc]Value, len(s.m)), fault: s.fault}
 	for l, v := range s.m {

@@ -87,15 +87,6 @@ func TestStateBasics(t *testing.T) {
 	}
 }
 
-func TestMustGetPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("MustGet on unbound loc must panic")
-		}
-	}()
-	New().MustGet("nope")
-}
-
 func TestCloneAndEqual(t *testing.T) {
 	s := New()
 	s.Set("a", Int(1))

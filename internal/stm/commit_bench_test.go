@@ -59,22 +59,16 @@ func benchCommitParallel(b *testing.B, cfg Config) {
 }
 
 // BenchmarkCommitParallel is the headline disjoint-footprint commit
-// benchmark (persistent snapshots, write-set detection, unordered).
+// benchmark (write-set detection, unordered).
 func BenchmarkCommitParallel(b *testing.B) {
-	benchCommitParallel(b, Config{Privatize: PrivatizePersistent})
-}
-
-// BenchmarkCommitParallelCopy is the same workload under deep-copy
-// privatization, where transaction begin reads the whole state.
-func BenchmarkCommitParallelCopy(b *testing.B) {
-	benchCommitParallel(b, Config{Privatize: PrivatizeCopy})
+	benchCommitParallel(b, Config{})
 }
 
 // BenchmarkCommitParallelOrdered pins the commit order to task order: the
 // protocol's inherently serial mode, reported for contrast (commit-turn
 // wakeup costs dominate).
 func BenchmarkCommitParallelOrdered(b *testing.B) {
-	benchCommitParallel(b, Config{Privatize: PrivatizePersistent, Ordered: true})
+	benchCommitParallel(b, Config{Ordered: true})
 }
 
 // BenchmarkHistoryCompressed measures what an unbounded committed history
@@ -101,7 +95,6 @@ func BenchmarkHistoryCompressed(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			cfg := Config{
 				Threads:         runtime.GOMAXPROCS(0),
-				Privatize:       PrivatizePersistent,
 				HistoryCompress: tc.compress,
 			}
 			tasks := make([]adt.Task, b.N)

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -51,7 +52,7 @@ func TestCommitStallCountsOnlyRealWaits(t *testing.T) {
 		// reclamation pass frees the slot and the commit never waits.
 		r.history = []histEntry{{commitTime: 3}}
 		done := make(chan struct{})
-		go func() { r.stallForHistory(); close(done) }()
+		go func() { r.stallForHistory(0, 0, nil); close(done) }()
 		select {
 		case <-done:
 		case <-time.After(5 * time.Second):
@@ -75,7 +76,7 @@ func TestCommitStallCountsOnlyRealWaits(t *testing.T) {
 			close(released)
 			r.dropBegin(9)
 		}()
-		r.stallForHistory()
+		r.stallForHistory(0, 0, nil)
 		select {
 		case <-released:
 		default:
@@ -288,6 +289,61 @@ func TestMaxHistNeverExceedsBound(t *testing.T) {
 	}
 	if stats.MaxHist > bound {
 		t.Fatalf("MaxHist = %d exceeds MaxHistory = %d", stats.MaxHist, bound)
+	}
+}
+
+// TestMaxHistoryAllStalledMakesProgress is the regression for the
+// all-stall deadlock: a transaction stalled on the history bound used to
+// keep its begin watermark where it was, so when every active transaction
+// was a staller each pinned the reclamation floor below the entries that
+// filled the history and nobody was left to broadcast.
+//
+// The schedule is forced, not timed: WindowDelay holds every transaction
+// between its (clean, empty-window) validation and its first commit
+// attempt until all of them are there, so all n hold the initial begin.
+// Their footprints are disjoint, so none aborts. The first `bound` commits
+// fill the history with entries newer than every remaining begin; from
+// then on every live transaction is parked at the bound. Before the fix
+// that is a certain deadlock (the deadline turns it into a failure); with
+// stallers draining it must finish.
+func TestMaxHistoryAllStalledMakesProgress(t *testing.T) {
+	const n = 4
+	for _, bound := range []int{1, 2} { // at least two transactions left over to stall each other
+		st := state.New()
+		tasks := make([]adt.Task, n)
+		for i := range tasks {
+			loc := state.Loc(string(rune('a' + i)))
+			st.Set(loc, state.Int(0))
+			tasks[i] = func(ex adt.Executor) error {
+				return adt.Counter{L: loc}.Add(ex, 1)
+			}
+		}
+		var first [n + 1]sync.Once
+		var validated sync.WaitGroup
+		validated.Add(n)
+		hooks := &Hooks{WindowDelay: func(task int) {
+			first[task].Do(func() {
+				validated.Done()
+				validated.Wait()
+			})
+		}}
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		final, stats, err := RunCtx(ctx, Config{Threads: n, MaxHistory: bound, Hooks: hooks}, st, tasks)
+		cancel()
+		if err != nil {
+			t.Fatalf("MaxHistory=%d: every transaction parked at the bound and none woke: %v", bound, err)
+		}
+		if stats.Commits != n || stats.MaxHist > int64(bound) {
+			t.Fatalf("MaxHistory=%d: commits = %d, MaxHist = %d", bound, stats.Commits, stats.MaxHist)
+		}
+		if stats.CommitStalls == 0 {
+			t.Fatalf("MaxHistory=%d: no commit parked at the bound; the schedule is not the one under test", bound)
+		}
+		for _, l := range final.Locs() {
+			if v, _ := final.Get(l); !v.EqualValue(state.Int(1)) {
+				t.Fatalf("MaxHistory=%d: %s = %v, want 1", bound, l, v)
+			}
+		}
 	}
 }
 

@@ -44,36 +44,34 @@ func TestHistoryCompressMatchesOracle(t *testing.T) {
 	wantWork, _ := want.Get("work")
 	wantLog, _ := want.Get("log")
 	for _, ordered := range []bool{false, true} {
-		for _, priv := range []Privatize{PrivatizeCopy, PrivatizePersistent} {
-			cfg := Config{
-				Threads: 4, Ordered: ordered, Privatize: priv,
-				HistoryCompress: true, CompressAfter: 2,
+		cfg := Config{
+			Threads: 4, Ordered: ordered,
+			HistoryCompress: true, CompressAfter: 2,
+		}
+		got, stats, err := Run(cfg, initialState(), tasks)
+		if err != nil {
+			t.Fatalf("ordered=%v: %v", ordered, err)
+		}
+		if stats.Demotions == 0 {
+			t.Fatalf("ordered=%v: no demotions with CompressAfter=2 over %d commits",
+				ordered, stats.Commits)
+		}
+		if stats.HistBytes <= 0 {
+			t.Fatalf("ordered=%v: HistBytes = %d with %d live demoted entries",
+				ordered, stats.HistBytes, stats.Demotions)
+		}
+		if ordered {
+			if !got.Equal(want) {
+				t.Fatalf("ordered: %s != sequential %s", got, want)
 			}
-			got, stats, err := Run(cfg, initialState(), tasks)
-			if err != nil {
-				t.Fatalf("ordered=%v priv=%v: %v", ordered, priv, err)
-			}
-			if stats.Demotions == 0 {
-				t.Fatalf("ordered=%v priv=%v: no demotions with CompressAfter=2 over %d commits",
-					ordered, priv, stats.Commits)
-			}
-			if stats.HistBytes <= 0 {
-				t.Fatalf("ordered=%v priv=%v: HistBytes = %d with %d live demoted entries",
-					ordered, priv, stats.HistBytes, stats.Demotions)
-			}
-			if ordered {
-				if !got.Equal(want) {
-					t.Fatalf("ordered priv=%v: %s != sequential %s", priv, got, want)
-				}
-				continue
-			}
-			if v, _ := got.Get("work"); !v.EqualValue(wantWork) {
-				t.Fatalf("unordered priv=%v: work = %v, want %v", priv, v, wantWork)
-			}
-			if v, _ := got.Get("log"); len(v.(state.IntList)) != len(wantLog.(state.IntList)) {
-				t.Fatalf("unordered priv=%v: log length %d, want %d",
-					priv, len(v.(state.IntList)), len(wantLog.(state.IntList)))
-			}
+			continue
+		}
+		if v, _ := got.Get("work"); !v.EqualValue(wantWork) {
+			t.Fatalf("unordered: work = %v, want %v", v, wantWork)
+		}
+		if v, _ := got.Get("log"); len(v.(state.IntList)) != len(wantLog.(state.IntList)) {
+			t.Fatalf("unordered: log length %d, want %d",
+				len(v.(state.IntList)), len(wantLog.(state.IntList)))
 		}
 	}
 }

@@ -88,23 +88,20 @@ func TestFuzzOrderedSerializability(t *testing.T) {
 		}
 		dets := []conflict.Detector{conflict.NewWriteSet(), engine.Detector()}
 		for _, det := range dets {
-			for _, priv := range []Privatize{PrivatizeCopy, PrivatizePersistent} {
-				got, stats, err := Run(Config{
-					Threads:   4,
-					Ordered:   true,
-					Detector:  det,
-					Privatize: priv,
-				}, fuzzState(), tasks)
-				if err != nil {
-					t.Fatalf("trial %d %s/%v: %v", trial, det.Name(), priv, err)
-				}
-				if stats.Commits != int64(nTasks) {
-					t.Fatalf("trial %d: commits=%d", trial, stats.Commits)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("trial %d %s/%v: ordered run diverged\ngot:  %s\nwant: %s",
-						trial, det.Name(), priv, got, want)
-				}
+			got, stats, err := Run(Config{
+				Threads:  4,
+				Ordered:  true,
+				Detector: det,
+			}, fuzzState(), tasks)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, det.Name(), err)
+			}
+			if stats.Commits != int64(nTasks) {
+				t.Fatalf("trial %d: commits=%d", trial, stats.Commits)
+			}
+			if !got.Equal(want) {
+				t.Fatalf("trial %d %s: ordered run diverged\ngot:  %s\nwant: %s",
+					trial, det.Name(), got, want)
 			}
 		}
 	}

@@ -40,28 +40,26 @@ func panicTask(v any) adt.Task {
 }
 
 func TestTaskPanicIsError(t *testing.T) {
-	for _, priv := range []Privatize{PrivatizeCopy, PrivatizePersistent} {
-		checkNoGoroutineLeak(t, func() {
-			_, _, err := Run(Config{Threads: 2, Privatize: priv}, initialState(),
-				[]adt.Task{addTask(1), panicTask("boom"), addTask(2)})
-			if err == nil {
-				t.Fatalf("priv=%v: panicking task did not fail the run", priv)
-			}
-			var pe *PanicError
-			if !errors.As(err, &pe) {
-				t.Fatalf("priv=%v: err = %v, want *PanicError", priv, err)
-			}
-			if pe.Task != 2 {
-				t.Errorf("priv=%v: PanicError.Task = %d, want 2", priv, pe.Task)
-			}
-			if pe.Value != "boom" {
-				t.Errorf("priv=%v: PanicError.Value = %v, want boom", priv, pe.Value)
-			}
-			if !strings.Contains(string(pe.Stack), "panicTask") {
-				t.Errorf("priv=%v: stack does not name the panic site:\n%s", priv, pe.Stack)
-			}
-		})
-	}
+	checkNoGoroutineLeak(t, func() {
+		_, _, err := Run(Config{Threads: 2}, initialState(),
+			[]adt.Task{addTask(1), panicTask("boom"), addTask(2)})
+		if err == nil {
+			t.Fatalf("panicking task did not fail the run")
+		}
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("err = %v, want *PanicError", err)
+		}
+		if pe.Task != 2 {
+			t.Errorf("PanicError.Task = %d, want 2", pe.Task)
+		}
+		if pe.Value != "boom" {
+			t.Errorf("PanicError.Value = %v, want boom", pe.Value)
+		}
+		if !strings.Contains(string(pe.Stack), "panicTask") {
+			t.Errorf("stack does not name the panic site:\n%s", pe.Stack)
+		}
+	})
 }
 
 // TestOrderedPanicWakesWaiters is the regression for the crash-the-world
@@ -211,27 +209,25 @@ func TestSerializeAfterBoundsRetries(t *testing.T) {
 	}
 
 	for _, ordered := range []bool{false, true} {
-		for _, priv := range []Privatize{PrivatizeCopy, PrivatizePersistent} {
-			const k = 3
-			final, stats, err := Run(Config{
-				Threads: 4, Ordered: ordered, Privatize: priv,
-				Detector: &alwaysConflict{}, SerializeAfter: k,
-			}, initialState(), tasks)
-			if err != nil {
-				t.Fatalf("ordered=%v priv=%v: %v", ordered, priv, err)
-			}
-			if v, _ := final.Get("work"); !v.EqualValue(state.Int(want)) {
-				t.Fatalf("ordered=%v priv=%v: work = %v, want %d", ordered, priv, v, want)
-			}
-			if stats.Commits != n {
-				t.Fatalf("ordered=%v priv=%v: commits = %d, want %d", ordered, priv, stats.Commits, n)
-			}
-			if stats.Escalations == 0 {
-				t.Fatalf("ordered=%v priv=%v: no escalations under always-conflict", ordered, priv)
-			}
-			if ratio := stats.RetryRatio(); ratio > k {
-				t.Fatalf("ordered=%v priv=%v: retries/txn = %.2f, want <= %d", ordered, priv, ratio, k)
-			}
+		const k = 3
+		final, stats, err := Run(Config{
+			Threads: 4, Ordered: ordered,
+			Detector: &alwaysConflict{}, SerializeAfter: k,
+		}, initialState(), tasks)
+		if err != nil {
+			t.Fatalf("ordered=%v: %v", ordered, err)
+		}
+		if v, _ := final.Get("work"); !v.EqualValue(state.Int(want)) {
+			t.Fatalf("ordered=%v: work = %v, want %d", ordered, v, want)
+		}
+		if stats.Commits != n {
+			t.Fatalf("ordered=%v: commits = %d, want %d", ordered, stats.Commits, n)
+		}
+		if stats.Escalations == 0 {
+			t.Fatalf("ordered=%v: no escalations under always-conflict", ordered)
+		}
+		if ratio := stats.RetryRatio(); ratio > k {
+			t.Fatalf("ordered=%v: retries/txn = %.2f, want <= %d", ordered, ratio, k)
 		}
 	}
 }

@@ -5,12 +5,13 @@
 // termination and serializability guarantees hold for any sound and
 // valid detector.
 //
-// Two privatization strategies are provided (§4.1 "Versioning"): naive
-// deep copying of the shared state at transaction begin — what the
-// paper's prototype did — and copy-on-access over a fully persistent map
-// (internal/persist), the improvement the paper proposes. Both snapshot
-// from one immutable committed version, so transaction begin never
-// blocks on the commit path.
+// Privatization (§4.1 "Versioning") is copy-on-access: a transaction's
+// private view faults each location in from the committed store on first
+// touch, and relational values clone in O(1) because their versions share
+// structure (internal/persist) — the improvement the paper proposes over
+// its prototype's deep copy of the whole state at every begin. A begin
+// therefore costs nothing up front and a transaction pays only for its
+// footprint; it never blocks on the commit path.
 //
 // Commits are striped, not globally locked (see commit.go): a committer
 // locks only the stripes covering its footprint, replays into a private
@@ -35,27 +36,6 @@ import (
 	"repro/internal/persist"
 	"repro/internal/state"
 )
-
-// Privatize selects the state-privatization strategy.
-type Privatize int
-
-// Privatization modes.
-const (
-	// PrivatizeCopy deep-copies the entire shared state at transaction
-	// begin (the paper prototype's "naive fashion").
-	PrivatizeCopy Privatize = iota
-	// PrivatizePersistent snapshots a fully persistent map in O(1) and
-	// faults locations in on first access.
-	PrivatizePersistent
-)
-
-// String renders the mode.
-func (p Privatize) String() string {
-	if p == PrivatizePersistent {
-		return "persistent"
-	}
-	return "copy"
-}
 
 // Backoff configures contention management between retry attempts: after
 // an abort the task sleeps before re-executing, with an exponentially
@@ -171,8 +151,6 @@ type Config struct {
 	Ordered bool
 	// Detector is the conflict-detection algorithm; nil means write-set.
 	Detector conflict.Detector
-	// Privatize selects the snapshot strategy.
-	Privatize Privatize
 	// MaxRetries aborts the run when one task retries this many times
 	// (a liveness guard for tests; 0 means unlimited, per Theorem 4.1
 	// termination is guaranteed anyway).
@@ -331,9 +309,9 @@ type Runtime struct {
 	// base and over form the committed shared state (see store.go): a
 	// frozen table of per-location atomic value boxes for the initial
 	// locations, plus a persistent-map overflow for locations created
-	// mid-run. Both privatization modes fault from it without locking;
-	// publication merges written locations into it in commit order, one
-	// atomic store each.
+	// mid-run. Transactions fault from it without locking; publication
+	// merges written locations into it in commit order, one atomic store
+	// each.
 	base map[state.Loc]*locBox
 	over atomic.Pointer[persist.Map[*locBox]]
 
@@ -703,8 +681,8 @@ func (e *OplogBudgetError) Error() string {
 type Tx struct {
 	tid    int
 	begin  int64
-	priv   *state.State // SharedPrivatized
-	snap   *state.State // SharedSnapshot
+	priv   *state.State // the privatized shared state of Figure 7
+	snap   *state.State // its SharedSnapshot
 	log    oplog.Log
 	maxOps int // Config.MaxTxnOps; 0 = unlimited
 
@@ -885,13 +863,13 @@ func (r *Runtime) attempt(ctx obs.Ctx, task adt.Task, tid int) (committed bool, 
 			return false, nil
 		case commitStall:
 			// The history bound, not a conflict: wait for reclamation to
-			// make room, then re-detect (the history may have evolved
-			// while stalled).
+			// make room, then re-detect against what published while
+			// stalled (drained into opsC past the validated mark).
 			var govStart time.Time
 			if r.cfg.Governor != nil {
 				govStart = time.Now()
 			}
-			r.stallForHistory()
+			seen = r.stallForHistory(tid, seen, &opsC)
 			if gov := r.cfg.Governor; gov != nil {
 				gov.ObserveCommitWait(time.Since(govStart))
 			}
@@ -935,9 +913,9 @@ func (r *Runtime) logCapHint() int {
 }
 
 // createTransaction is CREATETRANSACTION of Figure 7, without the
-// paper's read lock: the committed version is an immutable map, so the
-// snapshot is a pointer read (persistent mode) or a lock-free
-// materialization (copy mode) — begin never blocks on the commit path.
+// paper's read lock and without its copy: the private view starts empty
+// and faults locations from the committed store lock-free, so begin never
+// blocks on the commit path and costs the same whatever the state's size.
 func (r *Runtime) createTransaction(tid int) *Tx {
 	// Read the begin watermark and register it under histMu in one step:
 	// once begins[tid] is visible, reclamation cannot drop entries newer
@@ -964,23 +942,8 @@ func (r *Runtime) newTx(tid int, begin int64) *Tx {
 		tx.log = make(oplog.Log, 0, hint)
 		tx.evSlab = make([]oplog.Event, 0, hint)
 	}
-	fault := r.storeGet
-	if r.cfg.Privatize == PrivatizePersistent {
-		tx.priv = state.NewFaulting(fault)
-	} else {
-		// The paper prototype's "naive fashion": the private view is an
-		// eager deep copy of the whole committed state. The detection
-		// snapshot stays a faulting view in both modes — it is protocol
-		// infrastructure, not part of the privatization strategy, and
-		// copying it eagerly would double the copy-mode begin cost.
-		st := state.NewSized(len(r.base) + r.over.Load().Len())
-		r.storeRange(func(l state.Loc, v state.Value) bool {
-			st.Set(l, v.CloneValue())
-			return true
-		})
-		tx.priv = st
-	}
-	tx.snap = state.NewFaulting(fault)
+	tx.priv = state.NewFaulting(r.storeGet)
+	tx.snap = state.NewFaulting(r.storeGet)
 	return tx
 }
 
@@ -1009,10 +972,10 @@ func (r *Runtime) advanceBegin(tid int, seen int64) {
 }
 
 // drainLocked copies every published history entry newer than seen into
-// opsC and advances the transaction's begin watermark — the ordered-wait
+// opsC and advances the transaction's begin watermark — the parked
 // variant of the fetch in the detect loop, run under the already-held
-// histMu while the waiter sleeps for its commit turn. Returns the new
-// watermark.
+// histMu while the transaction sleeps for its ordered commit turn or for
+// room under the history bound. Returns the new watermark.
 //
 // The watermark is the sequencer's published value, never the raw
 // clock: a ticketed commit may have appended nothing yet, and one that
@@ -1089,17 +1052,28 @@ func (r *Runtime) historyRoomLocked() bool {
 
 // stallForHistory blocks until the history has room for one more entry
 // (reserved slots included), forcing a reclamation pass on every wakeup,
-// or until the run fails. Progress is guaranteed: every other active
-// transaction eventually commits (publication broadcasts under
-// MaxHistory), aborts (dropBegin broadcasts), or advances its begin
-// watermark as it fetches or drains history (broadcast) — any of which
-// raises the reclamation floor. Only a stall that actually parks counts
-// toward Stats.CommitStalls: when the entry reclamation pass frees room
-// immediately, the commit never waited and nothing is recorded.
-func (r *Runtime) stallForHistory() {
+// or until the run fails. A staller that holds a begin watermark (the
+// optimistic path; opsC non-nil) drains like an ordered waiter: on every
+// wakeup it copies the entries published since seen into its window and
+// advances its begin to the published watermark, and the new watermark is
+// returned for the caller's re-detection. Without that, a run in which
+// every active transaction is stalled deadlocks — each pins the
+// reclamation floor with its own stale begin and nobody is left to
+// broadcast. With it, progress is guaranteed: a staller never holds the
+// floor below the published watermark, and every other transaction
+// eventually commits (publication broadcasts under MaxHistory), aborts
+// (dropBegin broadcasts), or advances its begin as it fetches or drains
+// (broadcast). Serial escalation stalls before its transaction exists, so
+// it holds no begin and passes a nil opsC. Only a stall that actually
+// parks counts toward Stats.CommitStalls: when the entry reclamation pass
+// frees room immediately, the commit never waited and nothing is recorded.
+func (r *Runtime) stallForHistory(tid int, seen int64, opsC *[]*conflict.Prepared) int64 {
 	stalled := false
 	r.histMu.Lock()
 	for !r.failed() {
+		if opsC != nil {
+			seen = r.drainLocked(tid, seen, opsC)
+		}
 		r.reclaimLocked()
 		if len(r.history)+r.histReserved < r.cfg.MaxHistory {
 			break
@@ -1111,6 +1085,7 @@ func (r *Runtime) stallForHistory() {
 		r.commitCond.Wait()
 	}
 	r.histMu.Unlock()
+	return seen
 }
 
 // attemptSerial escalates a starving transaction to irrevocable serial
@@ -1163,7 +1138,7 @@ func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed 
 		if r.cfg.Governor != nil {
 			govStart = time.Now()
 		}
-		r.stallForHistory()
+		r.stallForHistory(tid, 0, nil) // no transaction yet: no begin to drain
 		if gov := r.cfg.Governor; gov != nil {
 			gov.ObserveCommitWait(time.Since(govStart))
 		}

@@ -71,17 +71,15 @@ func TestParallelMatchesSequentialCommutative(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, threads := range []int{1, 2, 4, 8} {
-		for _, priv := range []Privatize{PrivatizeCopy, PrivatizePersistent} {
-			got, stats, err := Run(Config{Threads: threads, Privatize: priv}, initialState(), tasks)
-			if err != nil {
-				t.Fatalf("threads=%d priv=%v: %v", threads, priv, err)
-			}
-			if !got.Equal(want) {
-				t.Fatalf("threads=%d priv=%v: state %s != sequential %s", threads, priv, got, want)
-			}
-			if stats.Commits != 5 {
-				t.Fatalf("commits = %d, want 5", stats.Commits)
-			}
+		got, stats, err := Run(Config{Threads: threads}, initialState(), tasks)
+		if err != nil {
+			t.Fatalf("threads=%d: %v", threads, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("threads=%d: state %s != sequential %s", threads, got, want)
+		}
+		if stats.Commits != 5 {
+			t.Fatalf("commits = %d, want 5", stats.Commits)
 		}
 	}
 }
@@ -92,14 +90,12 @@ func TestOrderedMatchesSequentialOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, priv := range []Privatize{PrivatizeCopy, PrivatizePersistent} {
-		got, _, err := Run(Config{Threads: 4, Ordered: true, Privatize: priv}, initialState(), tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !got.Equal(want) {
-			t.Fatalf("priv=%v: ordered run %s != sequential %s", priv, got, want)
-		}
+	got, _, err := Run(Config{Threads: 4, Ordered: true}, initialState(), tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) {
+		t.Fatalf("ordered run %s != sequential %s", got, want)
 	}
 }
 
@@ -383,12 +379,6 @@ func TestDrainLockedEmptyHistory(t *testing.T) {
 	}
 }
 
-func TestPrivatizeString(t *testing.T) {
-	if PrivatizeCopy.String() != "copy" || PrivatizePersistent.String() != "persistent" {
-		t.Errorf("privatize strings wrong")
-	}
-}
-
 func TestStatsRetryRatio(t *testing.T) {
 	s := Stats{Tasks: 4, Retries: 6}
 	if s.RetryRatio() != 1.5 {
@@ -521,27 +511,25 @@ func TestPreparedSharingMatrix(t *testing.T) {
 	wantWork, _ := want.Get("work")
 	wantLog, _ := want.Get("log")
 	for _, ordered := range []bool{false, true} {
-		for _, priv := range []Privatize{PrivatizeCopy, PrivatizePersistent} {
-			cfg := Config{Threads: 4, Ordered: ordered, Privatize: priv, MaxHistory: 6}
-			got, _, err := Run(cfg, initialState(), tasks)
-			if err != nil {
-				t.Fatalf("ordered=%v priv=%v: %v", ordered, priv, err)
+		cfg := Config{Threads: 4, Ordered: ordered, MaxHistory: 6}
+		got, _, err := Run(cfg, initialState(), tasks)
+		if err != nil {
+			t.Fatalf("ordered=%v: %v", ordered, err)
+		}
+		if ordered {
+			if !got.Equal(want) {
+				t.Fatalf("ordered: %s != sequential %s", got, want)
 			}
-			if ordered {
-				if !got.Equal(want) {
-					t.Fatalf("ordered priv=%v: %s != sequential %s", priv, got, want)
-				}
-				continue
-			}
-			// Unordered: the append log is some serialization, but the
-			// commutative counter and the log length are invariant.
-			if v, _ := got.Get("work"); !v.EqualValue(wantWork) {
-				t.Fatalf("unordered priv=%v: work = %v, want %v", priv, v, wantWork)
-			}
-			if v, _ := got.Get("log"); len(v.(state.IntList)) != len(wantLog.(state.IntList)) {
-				t.Fatalf("unordered priv=%v: log length %d, want %d",
-					priv, len(v.(state.IntList)), len(wantLog.(state.IntList)))
-			}
+			continue
+		}
+		// Unordered: the append log is some serialization, but the
+		// commutative counter and the log length are invariant.
+		if v, _ := got.Get("work"); !v.EqualValue(wantWork) {
+			t.Fatalf("unordered: work = %v, want %v", v, wantWork)
+		}
+		if v, _ := got.Get("log"); len(v.(state.IntList)) != len(wantLog.(state.IntList)) {
+			t.Fatalf("unordered: log length %d, want %d",
+				len(v.(state.IntList)), len(wantLog.(state.IntList)))
 		}
 	}
 }

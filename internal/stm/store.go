@@ -1,7 +1,7 @@
 // The committed store: one atomic value box per shared location.
 //
-// Both privatization modes snapshot from — and publication merges into —
-// the committed version of the shared state. An earlier revision kept
+// Transactions privatize from — and publication merges into — the
+// committed version of the shared state. An earlier revision kept
 // that version as one immutable persistent map swapped wholesale per
 // commit, which made every merge pay O(log n) HAMT path copies per
 // written location and every fault a trie walk; on the allocation-bound
@@ -39,8 +39,8 @@ type locBox struct {
 }
 
 // storeGet is the committed store's read: base-table hit or overflow
-// lookup, then one atomic load. It is the fault function behind both
-// privatization modes and the replay overlay.
+// lookup, then one atomic load. It is the fault function behind every
+// transaction's private and snapshot views and the replay overlay.
 func (r *Runtime) storeGet(l state.Loc) (state.Value, bool) {
 	b := r.base[l]
 	if b == nil {
@@ -76,10 +76,8 @@ func (r *Runtime) storeSet(l state.Loc, v state.Value) {
 }
 
 // storeRange visits every location with a committed value. It is not an
-// atomic snapshot across locations (see the package comment); the
-// callers that need one — finalState, copy-mode begin — run when the
-// store is quiescent for their purposes (run drained, or any
-// mid-materialization publication is screened/validated later).
+// atomic snapshot across locations (see the package comment); its one
+// caller, finalState, runs when the store is quiescent (run drained).
 func (r *Runtime) storeRange(f func(l state.Loc, v state.Value) bool) {
 	for l, b := range r.base {
 		if p := b.v.Load(); p != nil {

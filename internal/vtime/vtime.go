@@ -45,9 +45,9 @@ type Cost struct {
 	LocalUnit float64
 	// Begin is CREATETRANSACTION's fixed cost.
 	Begin float64
-	// PrivatizePerLoc is charged per shared location faulted into the
+	// FaultPerLoc is charged per shared location faulted into the
 	// transaction's private state (copy-on-access privatization).
-	PrivatizePerLoc float64
+	FaultPerLoc float64
 	// DetectPerOp is charged per operation examined by conflict
 	// detection (the transaction's log plus its conflict history).
 	DetectPerOp float64
@@ -69,7 +69,7 @@ func DefaultCost() Cost {
 		SeqOp:            30,
 		LocalUnit:        1,
 		Begin:            500,
-		PrivatizePerLoc:  100,
+		FaultPerLoc:      100,
 		DetectPerOp:      20,
 		CommitBase:       300,
 		ReplayWritePerOp: 300,
@@ -360,7 +360,7 @@ func (r *runner) startAttempt(tid int, at float64, retries int) error {
 		return fmt.Errorf("vtime: task %d: %w", tid, err)
 	}
 	dur := r.cost.Begin +
-		float64(len(tx.touched))*r.cost.PrivatizePerLoc +
+		float64(len(tx.touched))*r.cost.FaultPerLoc +
 		float64(len(tx.log))*r.cost.Op +
 		float64(tx.local)*r.cost.LocalUnit
 	r.seq++

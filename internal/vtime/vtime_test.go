@@ -271,7 +271,7 @@ func TestCostOverride(t *testing.T) {
 	cheap.CommitBase = 1
 	cheap.ReplayWritePerOp = 1
 	cheap.Begin = 1
-	cheap.PrivatizePerLoc = 1
+	cheap.FaultPerLoc = 1
 	_, cheapStats, err := Run(Config{Threads: 1, Cost: &cheap}, initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)

@@ -127,9 +127,8 @@ func TestParallelSequenceMatchesSequential(t *testing.T) {
 				// Exact-equality checks therefore pin the commit order;
 				// TestJGraphT1UnorderedColoringValid covers the
 				// unordered case by checking the coloring invariant.
-				Ordered:   w.Ordered || w.Name == "weka" || w.Name == "jgrapht1",
-				Detector:  det,
-				Privatize: stm.PrivatizePersistent,
+				Ordered:  w.Ordered || w.Name == "weka" || w.Name == "jgrapht1",
+				Detector: det,
 			}, w.NewState(), tasks)
 			if err != nil {
 				t.Fatal(err)
@@ -154,10 +153,9 @@ func TestParallelWriteSetMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			par, _, err := stm.Run(stm.Config{
-				Threads:   4,
-				Ordered:   w.Ordered || w.Name == "weka" || w.Name == "jgrapht1", // see above
-				Detector:  conflict.NewWriteSet(),
-				Privatize: stm.PrivatizePersistent,
+				Threads:  4,
+				Ordered:  w.Ordered || w.Name == "weka" || w.Name == "jgrapht1", // see above
+				Detector: conflict.NewWriteSet(),
 			}, w.NewState(), tasks)
 			if err != nil {
 				t.Fatal(err)
@@ -211,10 +209,9 @@ func TestJGraphT1UnorderedColoringValid(t *testing.T) {
 	}
 	for _, det := range []conflict.Detector{conflict.NewSequence(c, w.Relaxations), conflict.NewWriteSet()} {
 		final, _, err := stm.Run(stm.Config{
-			Threads:   4,
-			Ordered:   false,
-			Detector:  det,
-			Privatize: stm.PrivatizePersistent,
+			Threads:  4,
+			Ordered:  false,
+			Detector: det,
 		}, w.NewState(), tasks)
 		if err != nil {
 			t.Fatalf("%s: %v", det.Name(), err)

@@ -236,17 +236,6 @@ func (d Detection) String() string {
 	return "sequence"
 }
 
-// Privatization selects the snapshot strategy of §4.1.
-type Privatization = stm.Privatize
-
-// Privatization modes.
-const (
-	// PrivatizeCopy deep-copies shared state at transaction begin.
-	PrivatizeCopy = stm.PrivatizeCopy
-	// PrivatizePersistent snapshots a fully persistent map in O(1).
-	PrivatizePersistent = stm.PrivatizePersistent
-)
-
 // Config parameterizes a Runner.
 type Config struct {
 	// Threads is the worker count (0 = GOMAXPROCS).
@@ -273,8 +262,6 @@ type Config struct {
 	InferWAW bool
 	// Relax is the consistency-relaxation specification; may be nil.
 	Relax *Relaxations
-	// Privatize selects the snapshot strategy.
-	Privatize Privatization
 	// ReclaimLogs enables committed-history reclamation.
 	ReclaimLogs bool
 	// MaxRetries guards against livelock in tests (0 = unlimited).
@@ -560,7 +547,6 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 		Threads:         r.cfg.Threads,
 		Ordered:         ordered,
 		Detector:        det,
-		Privatize:       r.cfg.Privatize,
 		MaxRetries:      r.cfg.MaxRetries,
 		ReclaimLogs:     r.cfg.ReclaimLogs,
 		Tracer:          tracer,
