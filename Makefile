@@ -4,8 +4,10 @@ GO ?= go
 
 all: check
 
+# gofmt -l prints the files it would rewrite; any name fails the target.
 vet:
 	$(GO) vet ./...
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...

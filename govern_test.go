@@ -2,7 +2,9 @@ package janus
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"expvar"
 	"runtime"
 	"testing"
 
@@ -181,7 +183,7 @@ func TestGovernedUntrainedRunDemotes(t *testing.T) {
 			continue // no concurrent overlap this attempt; try again
 		}
 		demoteEvents := 0
-		for _, e := range stats.Timeline {
+		for _, e := range trace.Events() {
 			if e.Type == obs.EvGovDemote {
 				demoteEvents++
 			}
@@ -201,6 +203,38 @@ func TestGovernedUntrainedRunDemotes(t *testing.T) {
 // TestRunBoundKnobs: the public MaxHistory / MaxTxnOps knobs reach the
 // runtime — bounded history shows in Stats.MaxHist, and a transaction past
 // its op budget fails the run with *OplogBudgetError.
+// TestPersistentGovernorPublishedOnce: a runner with a persistent governor
+// publishes it when it builds it, not on every run — a run takes no
+// process-wide lock for it, and the "janus.health" expvar does not flip to
+// whichever runner ran last.
+func TestPersistentGovernorPublishedOnce(t *testing.T) {
+	var tasks []Task
+	for i := 1; i <= 8; i++ {
+		tasks = append(tasks, identityTask(int64(i)))
+	}
+	first := New(Config{Threads: 2, Govern: true, GovernPersist: true})
+	if _, _, err := first.Run(exampleState(), tasks); err != nil {
+		t.Fatal(err)
+	}
+	if first.Governor().Stats().Detections == 0 {
+		t.Fatal("the first runner's governor answered no detection; the test cannot tell the two apart")
+	}
+	second := New(Config{Threads: 2, Govern: true, GovernPersist: true})
+	second.Governor() // built, and published, here
+	if _, _, err := first.Run(exampleState(), tasks); err != nil {
+		t.Fatal(err)
+	}
+	var got struct {
+		Detections int64 `json:"detections"`
+	}
+	if err := json.Unmarshal([]byte(expvar.Get("janus.health").String()), &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Detections != 0 {
+		t.Fatalf("janus.health shows %d detections: a run of the first runner re-published its governor over the second's", got.Detections)
+	}
+}
+
 func TestRunBoundKnobs(t *testing.T) {
 	var tasks []Task
 	for i := 1; i <= 40; i++ {

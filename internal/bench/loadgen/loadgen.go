@@ -84,11 +84,11 @@ type TenantResult struct {
 
 // Report summarizes a load-generation run.
 type Report struct {
-	Submitted int64          `json:"submitted"`
-	Accepted  int64          `json:"accepted"`
-	Sheds     int64          `json:"sheds"`
-	Deadlines int64          `json:"deadline_misses"`
-	GaveUp    int64          `json:"gave_up"`
+	Submitted int64 `json:"submitted"`
+	Accepted  int64 `json:"accepted"`
+	Sheds     int64 `json:"sheds"`
+	Deadlines int64 `json:"deadline_misses"`
+	GaveUp    int64 `json:"gave_up"`
 	// Resubmitted and Recovered describe the Resume phase: pre-crash IDs
 	// replayed, and how many came back 409 with their original verdict
 	// (the rest applied fresh — their pre-crash submission never

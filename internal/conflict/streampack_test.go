@@ -20,11 +20,11 @@ type accOp struct {
 	acc  []oplog.Access
 }
 
-func (o accOp) Apply(*state.State) (state.Value, error)   { return nil, nil }
-func (o accOp) Accesses(*state.State) []oplog.Access      { return o.acc }
-func (o accOp) Sym() oplog.Sym                            { return oplog.Sym{Kind: o.kind} }
-func (o accOp) IsRead() bool                              { return false }
-func (o accOp) String() string                            { return o.kind }
+func (o accOp) Apply(*state.State) (state.Value, error) { return nil, nil }
+func (o accOp) Accesses(*state.State) []oplog.Access    { return o.acc }
+func (o accOp) Sym() oplog.Sym                          { return oplog.Sym{Kind: o.kind} }
+func (o accOp) IsRead() bool                            { return false }
+func (o accOp) String() string                          { return o.kind }
 
 // richRandLog is randLog extended with relational per-key ops, occasional
 // wildcard extents, and an optional size multiplier that pushes the log

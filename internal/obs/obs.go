@@ -10,9 +10,11 @@
 // The design rule is that a disabled tracer costs nothing: all emission
 // goes through a value-type Ctx whose methods are no-ops (and allocation
 // free) when its Tracer is nil, so the Exec/validate/commit hot paths pay
-// a single predictable branch. When enabled, events land in fixed-size
-// per-worker rings (one uncontended mutex each) and latency samples feed
-// lock-free power-of-two histograms.
+// a single predictable branch. When enabled, events land in per-worker
+// rings (one uncontended mutex each) that grow with what is emitted up to
+// a fixed capacity, latency samples feed lock-free power-of-two
+// histograms, and a reader pays for the events it has not seen yet
+// (Trace.Since), never for the ring.
 //
 // Captured traces export to the Chrome trace-event format
 // (Trace.WriteChromeJSON) and open directly in Perfetto or

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // TestRingConcurrentEmit drives parallel writers — several per lane —
@@ -87,6 +88,152 @@ func TestRingWraparound(t *testing.T) {
 	}
 	if tr.Count(EvTxBegin) != 20 {
 		t.Fatalf("count %d, want 20 (dropped events still counted)", tr.Count(EvTxBegin))
+	}
+}
+
+// TestSinceTailsConcurrentEmitters: a reader that keeps calling Since
+// while several writers per lane emit — through every doubling of the
+// lanes, which start far below the 2000 events each ends up holding —
+// is handed every event exactly once, each writer's in order.
+func TestSinceTailsConcurrentEmitters(t *testing.T) {
+	const (
+		workers = 3
+		writers = 2
+		events  = 1000
+	)
+	tr := NewTrace(writers * events)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		for g := 0; g < writers; g++ {
+			wg.Add(1)
+			go func(w, g int) {
+				defer wg.Done()
+				for i := 0; i < events; i++ {
+					tr.Emit(Event{Type: EvTxBegin, When: int64(i), Worker: int32(w), Task: int32(i), Attempt: int32(g)})
+				}
+			}(w, g)
+		}
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+
+	next := map[[2]int32]int32{}
+	var cur Cursor
+	polls := 0
+	for finished := false; !finished; polls++ {
+		select {
+		case <-done:
+			finished = true // one more read picks up the rest
+		default:
+		}
+		var evs []Event
+		evs, cur = tr.Since(cur)
+		for _, e := range evs {
+			key := [2]int32{e.Worker, e.Attempt}
+			if e.Task != next[key] {
+				t.Fatalf("poll %d, worker %d writer %d: got event %d, want %d (lost, repeated or reordered)",
+					polls, e.Worker, e.Attempt, e.Task, next[key])
+			}
+			next[key]++
+		}
+	}
+	if len(next) != workers*writers {
+		t.Fatalf("saw %d writers, want %d", len(next), workers*writers)
+	}
+	for key, n := range next {
+		if n != events {
+			t.Fatalf("writer %v delivered %d events, want %d", key, n, events)
+		}
+	}
+	if evs, _ := tr.Since(cur); len(evs) != 0 || tr.Dropped() != 0 {
+		t.Fatalf("after the tail caught up: %d more events, %d dropped", len(evs), tr.Dropped())
+	}
+}
+
+// TestSinceAcrossWraparound: a reader that falls more than a ring behind
+// gets what the ring still holds, Dropped counts what was overwritten,
+// and the cursor carries on from there.
+func TestSinceAcrossWraparound(t *testing.T) {
+	tr := NewTrace(8)
+	emit := func(from, to int) {
+		for i := from; i < to; i++ {
+			tr.Emit(Event{Type: EvTxBegin, When: int64(i), Task: int32(i)})
+		}
+	}
+	tasks := func(evs []Event) []int32 {
+		var out []int32
+		for _, e := range evs {
+			out = append(out, e.Task)
+		}
+		return out
+	}
+	emit(0, 5)
+	evs, cur := tr.Since(Cursor{})
+	if len(evs) != 5 || tr.Dropped() != 0 {
+		t.Fatalf("first read: %v, dropped %d", tasks(evs), tr.Dropped())
+	}
+	emit(5, 25)
+	evs, cur = tr.Since(cur)
+	if got := tasks(evs); len(got) != 8 || got[0] != 17 || got[7] != 24 {
+		t.Fatalf("read after the ring wrapped twice: %v, want 17..24", got)
+	}
+	if tr.Dropped() != 17 {
+		t.Fatalf("dropped %d, want 17 (25 emitted, 8 retained)", tr.Dropped())
+	}
+	emit(25, 28)
+	evs, cur = tr.Since(cur)
+	if got := tasks(evs); len(got) != 3 || got[0] != 25 || got[2] != 27 {
+		t.Fatalf("read after three more: %v, want 25..27", got)
+	}
+	if all := tasks(tr.Events()); len(all) != 8 || all[0] != 20 || all[7] != 27 {
+		t.Fatalf("Events() = %v, want the retained 20..27", all)
+	}
+	tr.Reset()
+	emit(0, 2)
+	if evs, _ = tr.Since(cur); len(evs) != 2 {
+		t.Fatalf("a cursor from before Reset read %v, want the 2 new events", tasks(evs))
+	}
+}
+
+// TestSinceDeliversLateSpansOnce: a span is stamped with its start and
+// emitted at its end, so it can be older than everything a reader has
+// already seen, and two lanes can stamp the same instant. Neither may be
+// skipped (a cursor on the largest When seen skipped both) or repeated.
+func TestSinceDeliversLateSpansOnce(t *testing.T) {
+	tr := NewTrace(0)
+	tr.Emit(Event{Type: EvTxBegin, When: 100, Worker: 0})
+	evs, cur := tr.Since(Cursor{})
+	if len(evs) != 1 {
+		t.Fatalf("first read: %d events, want 1", len(evs))
+	}
+	tr.Emit(Event{Type: EvTask, When: 50, Dur: 100, Worker: 0}) // began before the read, ended after it
+	tr.Emit(Event{Type: EvTxBegin, When: 100, Worker: 1})       // same instant, another lane
+	evs, cur = tr.Since(cur)
+	if len(evs) != 2 || evs[0].Type != EvTask || evs[1].Worker != 1 {
+		t.Fatalf("second read: %+v, want the straddling span then lane 1's instant", evs)
+	}
+	if evs, _ = tr.Since(cur); len(evs) != 0 {
+		t.Fatalf("third read repeated %+v", evs)
+	}
+}
+
+// TestQuietTraceStaysSmall: lanes grow with what is emitted, so a trace
+// with the default 65536-event lanes that saw 100 events holds a few KiB
+// of ring, not the 17 MB three full lanes take.
+func TestQuietTraceStaysSmall(t *testing.T) {
+	tr := NewTrace(0)
+	for i := 0; i < 100; i++ {
+		tr.Emit(Event{Type: EvTxBegin, When: int64(i), Worker: int32(i%3 - 1)})
+	}
+	var held uintptr
+	for _, l := range tr.lanes {
+		held += uintptr(cap(l.buf)) * unsafe.Sizeof(Event{})
+	}
+	if held >= 64<<10 {
+		t.Fatalf("100 events hold %d bytes of ring, want < 64 KiB", held)
+	}
+	if n := len(tr.Events()); n != 100 {
+		t.Fatalf("retained %d events, want 100", n)
 	}
 }
 

@@ -27,13 +27,19 @@ type Trace struct {
 	hists   [numEventTypes]Hist
 }
 
-// lane is one worker's ring.
+// lane is one worker's ring. buf grows by doubling until it holds laneCap
+// events and is a ring from then on: event number n (counting from 0)
+// lives at buf[n%len(buf)] in both phases, because len(buf) == emitted
+// while the lane is still growing.
 type lane struct {
 	mu      sync.Mutex
 	buf     []Event
-	next    int
-	wrapped bool
+	emitted uint64 // events ever written to this lane
 }
+
+// Cursor is a read position in a Trace: how many events of each lane a
+// reader has been handed. The zero Cursor is the start of the trace.
+type Cursor struct{ seen []uint64 }
 
 // NewTrace returns a Trace whose per-worker rings hold laneCap events
 // each (DefaultLaneCap when laneCap <= 0). The epoch is now.
@@ -55,15 +61,18 @@ func (t *Trace) Emit(e Event) {
 	}
 	l := t.lane(int(e.Worker) + 1)
 	l.mu.Lock()
-	if l.wrapped {
+	if n := len(l.buf); n < t.laneCap {
+		if n == cap(l.buf) {
+			grown := make([]Event, n, min(max(2*n, 16), t.laneCap))
+			copy(grown, l.buf)
+			l.buf = grown
+		}
+		l.buf = append(l.buf, e)
+	} else {
 		t.dropped.Add(1)
+		l.buf[l.emitted%uint64(n)] = e
 	}
-	l.buf[l.next] = e
-	l.next++
-	if l.next == len(l.buf) {
-		l.next = 0
-		l.wrapped = true
-	}
+	l.emitted++
 	l.mu.Unlock()
 }
 
@@ -82,7 +91,7 @@ func (t *Trace) lane(i int) *lane {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for len(t.lanes) <= i {
-		t.lanes = append(t.lanes, &lane{buf: make([]Event, t.laneCap)})
+		t.lanes = append(t.lanes, &lane{})
 	}
 	return t.lanes[i]
 }
@@ -112,21 +121,45 @@ func (t *Trace) Workers() int {
 // timeline ordered by When (ties keep lane order). The result is a copy;
 // the trace may keep recording.
 func (t *Trace) Events() []Event {
+	evs, _ := t.Since(Cursor{})
+	return evs
+}
+
+// Since returns the events emitted after c that the rings still retain,
+// ordered by When (ties keep lane order), and the cursor to pass next
+// time. Its cost follows the number of new events, not the ring size.
+// Every event is handed out exactly once however its When compares to
+// events already delivered — a span is stamped with its start but
+// emitted at its end — unless its lane wrapped past it first, which
+// Dropped counts.
+func (t *Trace) Since(c Cursor) ([]Event, Cursor) {
 	t.mu.RLock()
 	lanes := make([]*lane, len(t.lanes))
 	copy(lanes, t.lanes)
 	t.mu.RUnlock()
+	next := Cursor{seen: make([]uint64, len(lanes))}
 	var out []Event
-	for _, l := range lanes {
-		l.mu.Lock()
-		if l.wrapped {
-			out = append(out, l.buf[l.next:]...)
+	for i, l := range lanes {
+		var from uint64
+		if i < len(c.seen) {
+			from = c.seen[i]
 		}
-		out = append(out, l.buf[:l.next]...)
+		l.mu.Lock()
+		n := uint64(len(l.buf))
+		if from > l.emitted {
+			from = 0 // c predates a Reset
+		}
+		if l.emitted-from > n {
+			from = l.emitted - n // the ring wrapped past c
+		}
+		for ; from < l.emitted; from++ {
+			out = append(out, l.buf[from%n])
+		}
+		next.seen[i] = l.emitted
 		l.mu.Unlock()
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].When < out[j].When })
-	return out
+	return out, next
 }
 
 // Reset drops all retained events and zeroes counters and histograms,

@@ -25,7 +25,7 @@ type TraceReason int
 const (
 	// TraceBadMagic: the file does not start with the JANUSTRC magic.
 	TraceBadMagic TraceReason = iota
-	// TraceBadFormat: the format version is newer than this build knows.
+	// TraceBadFormat: the format version is not the one this build reads.
 	TraceBadFormat
 	// TraceBadChecksum: a frame's CRC32 does not match its payload.
 	TraceBadChecksum

@@ -1,0 +1,140 @@
+package rec
+
+import (
+	"math/rand"
+	"strconv"
+	"testing"
+
+	"repro/internal/relation"
+	"repro/internal/state"
+)
+
+// randValue draws a value of any kind over small domains, so that random
+// pairs collide on renderings (Int 1 and Str "1") often enough to matter.
+func randValue(rng *rand.Rand) state.Value {
+	switch rng.Intn(5) {
+	case 0:
+		return state.Int(rng.Intn(3))
+	case 1:
+		return state.Str(strconv.Itoa(rng.Intn(3)))
+	case 2:
+		return state.Bool(rng.Intn(2) == 0)
+	case 3:
+		l := state.IntList{}
+		for n := rng.Intn(4); n > 0; n-- {
+			l = append(l, int64(rng.Intn(3)))
+		}
+		return l
+	default:
+		r := relation.New([]string{"k", "v"}, &relation.FD{Domain: []string{"k"}, Range: []string{"v"}})
+		for n := rng.Intn(6); n > 0; n-- {
+			r.Insert(relation.Tuple{"k": strconv.Itoa(rng.Intn(8)), "v": strconv.Itoa(rng.Intn(3))})
+		}
+		return state.Rel{R: r}
+	}
+}
+
+// reordered returns an Equal state built in a different order: locations
+// bound last to first, relations refilled from their tuples back to front.
+func reordered(st *state.State) *state.State {
+	out := state.New()
+	locs := st.Locs()
+	for i := len(locs) - 1; i >= 0; i-- {
+		v, _ := st.Get(locs[i])
+		if rel, ok := v.(state.Rel); ok {
+			r := relation.New(rel.R.Cols(), rel.R.FDef())
+			ts := rel.R.Tuples()
+			for j := len(ts) - 1; j >= 0; j-- {
+				r.Insert(ts[j])
+			}
+			v = state.Rel{R: r}
+		}
+		out.Set(locs[i], v)
+	}
+	return out
+}
+
+// TestDigestFollowsEqual: over 10^4 random pairs, Equal states built in
+// different orders digest the same — also across the state codec — and
+// states that differ in one location, one value, one value's type or one
+// tuple digest differently.
+func TestDigestFollowsEqual(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for pair := 0; pair < 10000; pair++ {
+		a := state.New()
+		for n := rng.Intn(6); n > 0; n-- {
+			a.Set(state.Loc("l"+strconv.Itoa(rng.Intn(8))), randValue(rng))
+		}
+		b := reordered(a)
+		if !a.Equal(b) || Digest(a) != Digest(b) {
+			t.Fatalf("pair %d: %s rebuilt in another order: Equal %v, digests %016x %016x", pair, a, a.Equal(b), Digest(a), Digest(b))
+		}
+		if pair%10 == 0 {
+			buf, err := EncodeState(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c, err := DecodeState(buf); err != nil || Digest(c) != Digest(a) {
+				t.Fatalf("pair %d: %s digests %016x, decoded from its encoding %016x (%v)", pair, a, Digest(a), Digest(c), err)
+			}
+		}
+
+		locs := b.Locs()
+		what := "a location more"
+		switch kind := rng.Intn(4); {
+		case kind == 0 || len(locs) == 0:
+			b.Set("more", randValue(rng))
+		case kind == 1:
+			what = "a location fewer"
+			b.Delete(locs[rng.Intn(len(locs))])
+		case kind == 2:
+			what = "a location renamed"
+			l := locs[rng.Intn(len(locs))]
+			v, _ := b.Get(l)
+			b.Delete(l)
+			b.Set(l+"'", v)
+		default:
+			what = "a value changed"
+			l := locs[rng.Intn(len(locs))]
+			switch v, _ := b.Get(l); x := v.(type) {
+			case state.Int: // same rendering, another type
+				b.Set(l, state.Str(x.String()))
+			case state.Str:
+				b.Set(l, x+"'")
+			case state.Bool:
+				b.Set(l, !x)
+			case state.IntList:
+				b.Set(l, append(state.IntList{7}, x...))
+			case state.Rel:
+				x.R.Insert(relation.Tuple{"k": strconv.Itoa(rng.Intn(8)), "v": "changed"})
+			}
+		}
+		if a.Equal(b) || Digest(a) == Digest(b) {
+			t.Fatalf("pair %d: %s and %s (%s): Equal %v, digests %016x %016x", pair, a, b, what, a.Equal(b), Digest(a), Digest(b))
+		}
+	}
+}
+
+// kvState is a state of a few scalars and one k→v relation of n tuples.
+func kvState(n int) *state.State {
+	st := state.New()
+	st.Set("work", state.Int(n))
+	st.Set("name", state.Str("tenant"))
+	r := relation.New([]string{"k", "v"}, &relation.FD{Domain: []string{"k"}, Range: []string{"v"}})
+	for i := 0; i < n; i++ {
+		r.Insert(relation.Tuple{"k": strconv.Itoa(i), "v": "init"})
+	}
+	st.Set("kv", state.Rel{R: r})
+	return st
+}
+
+// TestDigestCostIgnoresTupleCount: a digest reads each relation's kept
+// sum, so it allocates the same (nothing) at 16 and at 4096 tuples.
+func TestDigestCostIgnoresTupleCount(t *testing.T) {
+	small, large := kvState(16), kvState(4096)
+	s := testing.AllocsPerRun(100, func() { _ = Digest(small) })
+	l := testing.AllocsPerRun(100, func() { _ = Digest(large) })
+	if s != l || l != 0 {
+		t.Fatalf("Digest allocates %.0f times at 16 tuples and %.0f at 4096, want 0 and 0", s, l)
+	}
+}

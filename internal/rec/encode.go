@@ -40,7 +40,9 @@ import (
 const traceMagic = "JANUSTRC"
 
 // traceFormat is the current schema version; bump on incompatible change.
-const traceFormat = 1
+// Format 2 changed nothing in the layout: the footer digest became the
+// incremental one (Digest), and no reader for format 1 is kept.
+const traceFormat = 2
 
 // File-level flags.
 const flagGzip byte = 1 << 0

@@ -24,12 +24,12 @@ package rec
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/digest"
 	"repro/internal/fsio"
 	"repro/internal/obs"
 	"repro/internal/oplog"
@@ -361,12 +361,45 @@ func (r *Recorder) WriteFile(path string) error {
 	return nil
 }
 
-// Digest fingerprints a state via FNV-64a over its canonical rendering
-// (sorted locations, deterministic value formatting).
+// Digest fingerprints a state: the wrapping sum, over its bound
+// locations, of a hash of (location, value), finalised with the location
+// count (package digest). A relation contributes the digest it keeps
+// incrementally, so the cost is O(locations), never O(tuples), with no
+// sort and no rendering. Every digest on disk or on the wire is this one;
+// the segment, snapshot and trace formats are versioned with it.
 func Digest(st *state.State) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, st.String()) //nolint:errcheck // hash writes cannot fail
-	return h.Sum64()
+	var sum uint64
+	st.Range(func(l state.Loc, v state.Value) bool {
+		sum += digest.Mix(hashValue(digest.String(digest.Seed, string(l)), v))
+		return true
+	})
+	return digest.Set(sum, st.Len())
+}
+
+// hashValue folds v, tagged with its wire type, into h.
+func hashValue(h uint64, v state.Value) uint64 {
+	switch x := v.(type) {
+	case state.Int:
+		return digest.Uint64(digest.Uint64(h, uint64(valInt)), uint64(x))
+	case state.Str:
+		return digest.String(digest.Uint64(h, uint64(valStr)), string(x))
+	case state.Bool:
+		var b uint64
+		if x {
+			b = 1
+		}
+		return digest.Uint64(digest.Uint64(h, uint64(valBool)), b)
+	case state.IntList:
+		h = digest.Uint64(digest.Uint64(h, uint64(valList)), uint64(len(x)))
+		for _, n := range x {
+			h = digest.Uint64(h, uint64(n))
+		}
+		return h
+	case state.Rel:
+		return digest.Uint64(digest.Uint64(h, uint64(valRel)), x.R.Digest())
+	default: // no wire type either (encodableValue): fold its rendering
+		return digest.String(h, v.String())
+	}
 }
 
 // FormatDigest renders a digest the way the CLIs print it.

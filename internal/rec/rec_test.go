@@ -404,6 +404,9 @@ func TestCorruptTraceRejection(t *testing.T) {
 		{"empty", func(b []byte) []byte { return nil }, TraceBadMagic},
 		{"bad-magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, TraceBadMagic},
 		{"future-format", func(b []byte) []byte { b[8] = traceFormat + 1; return b }, TraceBadFormat},
+		// Format 1 has the same layout but an FNV-of-rendering digest in its
+		// footer: refused by version, not reported as a digest mismatch.
+		{"format-1", func(b []byte) []byte { b[8] = 1; return b }, TraceBadFormat},
 		{"flipped-header-byte", func(b []byte) []byte { b[16] ^= 0x01; return b }, TraceBadChecksum},
 		{"flipped-tail-byte", func(b []byte) []byte { b[len(b)-6] ^= 0x01; return b }, TraceBadChecksum},
 		{"truncated-mid-file", func(b []byte) []byte { return b[:len(b)*2/3] }, TraceTruncated},

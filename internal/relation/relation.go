@@ -24,6 +24,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/digest"
 	"repro/internal/lattice"
 	"repro/internal/logic"
 	"repro/internal/persist"
@@ -89,6 +90,21 @@ func (t Tuple) appendKey(dst []byte, cols []string) []byte {
 // String renders the full tuple canonically.
 func (t Tuple) String() string { return "(" + t.Key(t.Cols()) + ")" }
 
+// hash is the tuple's element hash for Relation.Digest: the sum over the
+// columns it stores (like String and the state codec) of a hash of
+// (column, value), finalised with their count. It neither allocates nor
+// depends on map iteration order. No tuple (nil) hashes to 0.
+func (t Tuple) hash() uint64 {
+	if t == nil {
+		return 0
+	}
+	var sum uint64
+	for c, v := range t {
+		sum += digest.Mix(digest.String(digest.String(digest.Seed, c), v))
+	}
+	return digest.Set(sum, len(t))
+}
+
 // FD is a functional dependency C1 → C2. Per §6.1, each relation has at
 // most one FD, and its domain and range partition the relation's columns.
 type FD struct {
@@ -106,6 +122,9 @@ type Relation struct {
 	// touch a published version, so clones and concurrent readers of other
 	// versions are unaffected.
 	tuples *persist.Map[Tuple]
+	// sum is the wrapping sum of the stored tuples' hashes, kept in step
+	// by put and drop, the only two writers of tuples.
+	sum uint64
 }
 
 // New creates an empty relation over the given columns. fd may be nil.
@@ -136,6 +155,22 @@ func New(cols []string, fd *FD) *Relation {
 func (r *Relation) empty() *Relation {
 	return &Relation{cols: r.cols, match: r.match, fd: r.fd, tuples: persist.NewMap[Tuple]()}
 }
+
+// put stores t at key in place of old, the tuple there (nil if none).
+func (r *Relation) put(key string, old, t Tuple) {
+	r.sum += t.hash() - old.hash()
+	r.tuples = r.tuples.Set(key, t)
+}
+
+// drop removes old, the tuple stored at key.
+func (r *Relation) drop(key string, old Tuple) {
+	r.sum -= old.hash()
+	r.tuples = r.tuples.Delete(key)
+}
+
+// Digest fingerprints the relation's content in O(1), whatever sequence
+// of operations produced it (see package digest).
+func (r *Relation) Digest() uint64 { return digest.Set(r.sum, r.Len()) }
 
 // Cols returns the relation's columns (sorted). Callers must not mutate.
 func (r *Relation) Cols() []string { return r.cols }
@@ -244,10 +279,11 @@ func (r *Relation) LocKey(t Tuple) string { return t.Key(r.match) }
 func (r *Relation) Insert(t Tuple) []Tuple {
 	key := r.LocKey(t)
 	var removed []Tuple
-	if u, ok := r.tuples.Get(key); ok {
-		removed = []Tuple{u}
+	old, ok := r.tuples.Get(key)
+	if ok {
+		removed = []Tuple{old}
 	}
-	r.tuples = r.tuples.Set(key, t.Clone())
+	r.put(key, old, t.Clone())
 	return removed
 }
 
@@ -255,11 +291,11 @@ func (r *Relation) Insert(t Tuple) []Tuple {
 // It reports whether t was present.
 func (r *Relation) Remove(t Tuple) bool {
 	key := r.LocKey(t)
-	if u, ok := r.tuples.Get(key); !ok || !sameOn(t, u, r.cols) {
-		return false
+	if u, ok := r.tuples.Get(key); ok && sameOn(t, u, r.cols) {
+		r.drop(key, u)
+		return true
 	}
-	r.tuples = r.tuples.Delete(key)
-	return true
+	return false
 }
 
 // Select applies "w := select r f" of Table 2: the sub-relation of tuples
@@ -268,7 +304,7 @@ func (r *Relation) Select(f logic.Formula) *Relation {
 	w := r.empty()
 	r.tuples.Range(func(k string, t Tuple) bool {
 		if f.Eval(tupleAssignment(t)) {
-			w.tuples = w.tuples.Set(k, t)
+			w.put(k, nil, t)
 		}
 		return true
 	})

@@ -419,6 +419,8 @@ func sameTuples(a, b []Tuple) bool {
 // over a pool of relations — on schemas with and without an FD, and
 // requires every result, every footprint and the whole observable state
 // (Len, Tuples order, String, LocKey) to be identical after every step.
+// The digest each relation kept incrementally through that history must
+// equal the digest of a relation built afresh from its tuples.
 func TestAgainstReferenceModel(t *testing.T) {
 	schemas := []struct {
 		name string
@@ -538,6 +540,10 @@ func TestAgainstReferenceModel(t *testing.T) {
 							t.Fatalf("seed %d step %d: after %s relation %d = %v (len %d), model %v (len %d)",
 								seed, step, what, k, r, r.Len(), m, m.Len())
 						}
+						if got, want := r.Digest(), rebuilt(r, nil).Digest(); got != want {
+							t.Fatalf("seed %d step %d: after %s relation %d = %v keeps digest %016x, rebuilt from its tuples %016x",
+								seed, step, what, k, r, got, want)
+						}
 					}
 					if kr, km := r.LocKey(u), m.LocKey(u); kr != km {
 						t.Fatalf("seed %d step %d: LocKey(%v) = %q, model %q", seed, step, u, kr, km)
@@ -545,6 +551,74 @@ func TestAgainstReferenceModel(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// rebuilt returns a fresh relation holding r's tuples, inserted in
+// canonical order or, with a source of randomness, in a shuffled one.
+func rebuilt(r *Relation, rng *rand.Rand) *Relation {
+	ts := r.Tuples()
+	if rng != nil {
+		rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	}
+	out := New(r.cols, r.fd)
+	for _, u := range ts {
+		out.Insert(u)
+	}
+	return out
+}
+
+// TestDigestSeparatesWhatStringSeparates: over 10^4 random relations, a
+// shuffled rebuild is Equal and digests the same, and a copy that differs
+// by one tuple, one value, one dropped column or one foreign column
+// digests differently — the digest tells apart exactly what the canonical
+// rendering does, which for tuples binding the schema's columns is what
+// Equal does.
+func TestDigestSeparatesWhatStringSeparates(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	cols := []string{"k", "v", "w"}
+	fd := &FD{Domain: []string{"k"}, Range: []string{"v", "w"}}
+	for pair := 0; pair < 10000; pair++ {
+		a := New(cols, fd)
+		for n := rng.Intn(9); n > 0; n-- {
+			a.Insert(Tuple{"k": strconv.Itoa(rng.Intn(12)), "v": strconv.Itoa(rng.Intn(3)), "w": strconv.Itoa(rng.Intn(3))})
+		}
+		b := rebuilt(a, rng)
+		if !a.Equal(b) || a.Digest() != b.Digest() {
+			t.Fatalf("pair %d: %v and its shuffled rebuild %v: Equal %v, digests %016x %016x",
+				pair, a, b, a.Equal(b), a.Digest(), b.Digest())
+		}
+		wellFormed := true
+		ts := b.Tuples()
+		switch kind := rng.Intn(5); {
+		case kind == 0 || len(ts) == 0: // one more tuple, at a new key
+			b.Insert(Tuple{"k": "new", "v": "0", "w": "0"})
+		case kind == 1: // one tuple fewer
+			b.Remove(ts[rng.Intn(len(ts))])
+		case kind == 2: // one value differs
+			u := ts[rng.Intn(len(ts))].Clone()
+			u["w"] += "'"
+			b.Insert(u)
+		case kind == 3: // one column dropped: a partial tuple
+			u := ts[rng.Intn(len(ts))].Clone()
+			delete(u, "w")
+			b.Insert(u)
+			wellFormed = false
+		default: // one foreign column
+			u := ts[rng.Intn(len(ts))].Clone()
+			u["extra"] = "1"
+			b.Insert(u)
+			wellFormed = false
+		}
+		if a.String() == b.String() || a.Digest() == b.Digest() {
+			t.Fatalf("pair %d: %v and %v differ by one change but digest %016x and %016x", pair, a, b, a.Digest(), b.Digest())
+		}
+		if wellFormed && a.Equal(b) {
+			t.Fatalf("pair %d: %v and %v are Equal but digest differently", pair, a, b)
+		}
+		if c := rebuilt(b, rng); c.Digest() != b.Digest() {
+			t.Fatalf("pair %d: %v digests %016x, its shuffled rebuild %016x", pair, b, b.Digest(), c.Digest())
+		}
 	}
 }
 
@@ -565,7 +639,7 @@ func filled(n int) *Relation {
 func TestCloneIsolation(t *testing.T) {
 	const n = 500
 	orig := filled(n)
-	want := orig.String()
+	want, wantDigest := orig.String(), orig.Digest()
 
 	a, b := orig.Clone(), orig.Clone()
 	a.Insert(Tuple{"k": "7", "v": "a"})
@@ -611,10 +685,13 @@ func TestCloneIsolation(t *testing.T) {
 					return
 				}
 			}
+			if c.Digest() != rebuilt(c, nil).Digest() || c.Digest() == wantDigest {
+				t.Errorf("writer %d: clone's digest %016x does not follow its own writes", w, c.Digest())
+			}
 		}(w)
 	}
 	wg.Wait()
-	if orig.String() != want {
+	if orig.String() != want || orig.Digest() != wantDigest {
 		t.Fatalf("original changed under concurrent clone writes")
 	}
 }
@@ -635,6 +712,7 @@ func TestPointOpsAreSizeIndependent(t *testing.T) {
 		{"Matching", 0, func(r *Relation) func() { return func() { r.Matching(probe) } }},
 		{"Has", 0, func(r *Relation) func() { return func() { r.Has(probe) } }},
 		{"Clone", 0, func(r *Relation) func() { return func() { _ = r.Clone() } }},
+		{"Digest", 0, func(r *Relation) func() { return func() { _ = r.Digest() } }},
 		// A path copy allocates a node and its child slice per level.
 		{"Insert", 2, func(r *Relation) func() { return func() { r.Clone().Insert(probe) } }},
 		{"Remove", 2, func(r *Relation) func() {

@@ -47,7 +47,8 @@ func (r *Relation) Union(o *Relation) (*Relation, error) {
 	}
 	out := r.Clone()
 	o.tuples.Range(func(k string, t Tuple) bool {
-		out.tuples = out.tuples.Set(k, t)
+		old, _ := out.tuples.Get(k)
+		out.put(k, old, t)
 		return true
 	})
 	return out, nil
@@ -61,7 +62,7 @@ func (r *Relation) Intersect(o *Relation) (*Relation, error) {
 	out := r.empty()
 	r.tuples.Range(func(k string, t Tuple) bool {
 		if o.Has(t) {
-			out.tuples = out.tuples.Set(k, t)
+			out.put(k, nil, t)
 		}
 		return true
 	})
@@ -76,7 +77,7 @@ func (r *Relation) Subtract(o *Relation) (*Relation, error) {
 	out := r.Clone()
 	r.tuples.Range(func(k string, t Tuple) bool {
 		if o.Has(t) {
-			out.tuples = out.tuples.Delete(k)
+			out.drop(k, t)
 		}
 		return true
 	})

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -13,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/digest"
 	"repro/internal/wal"
 )
 
@@ -166,10 +166,7 @@ func soakOnePoint(t *testing.T, pi int, point string) {
 
 // soakBatch derives a deterministic mixed batch from its ID.
 func soakBatch(id string) *Batch {
-	h := fnv.New64a()
-	h.Write([]byte(id))
-	n := int64(h.Sum64()%97) + 1
-	return mixedBatch(id, n)
+	return mixedBatch(id, int64(digest.String(digest.Seed, id)%97)+1)
 }
 
 // submitRaw posts a batch and decodes whichever reply shape came back.

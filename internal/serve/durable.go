@@ -139,18 +139,6 @@ func (s *Server) recoverTenant(t *tenant) error {
 	}
 	// A restart rebuilds exactly the live index, including its bound.
 	t.evictSeenLocked()
-
-	// Rebuild the display journal (/journalz) from the seen index in
-	// journal order, bounded like the live path bounds it.
-	ids := make([]string, 0, len(t.seen))
-	for id := range t.seen {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return t.seen[ids[i]].seq < t.seen[ids[j]].seq })
-	if len(ids) > journalCap {
-		ids = ids[len(ids)-journalCap:]
-	}
-	t.journal = ids
 	t.wal = l
 	return nil
 }
@@ -187,7 +175,7 @@ func (t *tenant) maybeSnapshot() {
 // states are immutable (runBatch swaps the pointer, never mutates).
 func (t *tenant) writeSnapshotNow() error {
 	t.mu.Lock()
-	st := t.st
+	st, digest := t.st, t.digest
 	seq := uint64(t.applied)
 	seen := make([]wal.SeenEntry, 0, len(t.seen))
 	for id, ab := range t.seen {
@@ -202,7 +190,7 @@ func (t *tenant) writeSnapshotNow() error {
 	if err != nil {
 		return fmt.Errorf("serve: encoding snapshot state: %w", err)
 	}
-	snap := wal.Snapshot{Seq: seq, Digest: rec.Digest(st), State: enc, Seen: seen}
+	snap := wal.Snapshot{Seq: seq, Digest: digest, State: enc, Seen: seen}
 	if err := t.wal.WriteSnapshot(snap); err != nil {
 		return fmt.Errorf("serve: writing snapshot: %w", err)
 	}

@@ -2,11 +2,14 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -177,41 +180,57 @@ func TestDurableRestartExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestDurableSeenOutlivesJournalCap pins the satellite fix directly:
-// duplicate refusal consults the seen index, which is complete and
-// durable, not the capped display journal — so a duplicate of the
-// oldest batch still 409s even when the display journal has evicted it.
-func TestDurableSeenOutlivesJournalCap(t *testing.T) {
+// TestJournalzIsTheSeenIndex: /journalz and journal_len read the
+// exactly-once index itself — the applied IDs in journal order, bounded
+// by DedupWindow — so the listing and duplicate refusal cannot disagree,
+// live or after a restart from snapshot plus suffix.
+func TestJournalzIsTheSeenIndex(t *testing.T) {
 	dir := t.TempDir()
-	srv := NewServer(durableCfg(dir))
+	cfg := durableCfg(dir)
+	cfg.DedupWindow = 4
+	srv := NewServer(cfg)
 	ts := httptest.NewServer(srv.Handler())
 	c := ts.Client()
 
-	first := mixedBatch("cap-1", 1)
-	postBatch(t, c, ts.URL, "cap", first, nil)
-	for i := int64(2); i <= 6; i++ {
-		postBatch(t, c, ts.URL, "cap", mixedBatch(fmt.Sprintf("cap-%d", i), i), nil)
+	for i := int64(1); i <= 8; i++ {
+		if code, _ := postBatch(t, c, ts.URL, "j", mixedBatch(fmt.Sprintf("j-%d", i), i), nil); code != http.StatusOK {
+			t.Fatalf("submit %d: %d", i, code)
+		}
+		if i == 6 {
+			if err := srv.lookup("j").writeSnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Simulate the display journal aging past the first entry (the real
-	// cap is 65536; evict manually rather than submitting 65k batches).
-	tn := srv.lookup("cap")
-	tn.mu.Lock()
-	tn.journal = tn.journal[1:]
-	tn.mu.Unlock()
-
-	var er ErrorReply
-	if code, _ := postBatch(t, c, ts.URL, "cap", first, &er); code != http.StatusConflict || er.Code != CodeDuplicate || er.Applied != 1 {
-		t.Fatalf("evicted-from-display duplicate: %d %+v", code, er)
+	check := func(c *http.Client, base, when string) {
+		t.Helper()
+		var j JournalReply
+		getJSON(t, c, base+"/journalz?tenant=j", &j)
+		if want := []string{"j-5", "j-6", "j-7", "j-8"}; !slices.Equal(j.IDs, want) || j.Applied != 8 {
+			t.Fatalf("%s: /journalz = %+v, want ids %v at applied 8", when, j, want)
+		}
+		var h HealthReply
+		getJSON(t, c, base+"/healthz", &h)
+		if got := h.Tenants["j"].JournalLen; got != 4 {
+			t.Fatalf("%s: journal_len = %d, want 4", when, got)
+		}
+		for i, id := range j.IDs {
+			var er ErrorReply
+			if code, _ := postBatch(t, c, base, "j", mixedBatch(id, 0), &er); code != http.StatusConflict || er.Applied != int64(5+i) {
+				t.Fatalf("%s: listed id %s not refused with its verdict: %d %+v", when, id, code, er)
+			}
+		}
 	}
+	check(c, ts.URL, "live")
 	shutdown(t, srv, ts)
 
-	// Same refusal after a restart.
-	srv2 := NewServer(durableCfg(dir))
+	srv2 := NewServer(cfg)
+	if _, err := srv2.RecoverTenants(); err != nil {
+		t.Fatalf("boot recovery: %v", err)
+	}
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer shutdown(t, srv2, ts2)
-	if code, _ := postBatch(t, ts2.Client(), ts2.URL, "cap", first, &er); code != http.StatusConflict || er.Applied != 1 {
-		t.Fatalf("duplicate after restart: %d %+v", code, er)
-	}
+	check(ts2.Client(), ts2.URL, "after restart")
 }
 
 // TestDurableSnapshotBoundsRecovery: snapshots publish in the
@@ -588,6 +607,70 @@ func TestDedupWindowRetention(t *testing.T) {
 	if code, _ := postBatch(t, c2, ts2.URL, "win", mixedBatch("w-2", 2), &res); code != http.StatusOK {
 		t.Fatalf("evicted ID after restart should re-apply: %d", code)
 	}
+}
+
+// TestFormat1JournalRefusedUntouched: a segment or snapshot written in
+// format 1 carries the digest this build no longer computes. The tenant
+// is refused with the typed wal.BadFormat — not replayed into a digest
+// mismatch, not repaired as if it were crash damage, not poisoned — and
+// its directory is left byte for byte as it was.
+func TestFormat1JournalRefusedUntouched(t *testing.T) {
+	for name, file := range map[string]string{"segment": "wal-*.seg", "snapshot": "snap-*.jsnap"} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			srv := NewServer(durableCfg(dir))
+			ts := httptest.NewServer(srv.Handler())
+			for i := int64(1); i <= 4; i++ {
+				postBatch(t, ts.Client(), ts.URL, "old", mixedBatch(fmt.Sprintf("o-%d", i), i), nil)
+			}
+			if err := srv.lookup("old").writeSnapshotNow(); err != nil {
+				t.Fatal(err)
+			}
+			shutdown(t, srv, ts)
+
+			paths, _ := filepath.Glob(filepath.Join(dir, "old", file))
+			if len(paths) != 1 {
+				t.Fatalf("want one %s, found %v", file, paths)
+			}
+			buf, err := os.ReadFile(paths[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			buf[8] = 1 // the format byte follows the 8-byte magic
+			if err := os.WriteFile(paths[0], buf, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirBytes(t, filepath.Join(dir, "old"))
+
+			srv2 := NewServer(durableCfg(dir))
+			_, err = srv2.RecoverTenants()
+			var we *wal.Error
+			if !errors.As(err, &we) || we.Reason != wal.BadFormat || errors.Is(err, wal.ErrPoisoned) {
+				t.Fatalf("recovery error = %v, want a wal.BadFormat refusal", err)
+			}
+			if after := dirBytes(t, filepath.Join(dir, "old")); !reflect.DeepEqual(before, after) {
+				t.Fatalf("refused tenant's directory was modified: %d files before, %d after", len(before), len(after))
+			}
+		})
+	}
+}
+
+// dirBytes reads every file of dir.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = string(b)
+	}
+	return out
 }
 
 // TestRecoveryFailureCachedAndIsolated: a tenant whose journal cannot

@@ -531,7 +531,8 @@ func (s *Server) handleStatez(w http.ResponseWriter, r *http.Request) {
 }
 
 // JournalReply is the /journalz body: applied batch IDs in commit order
-// (bounded to the most recent journalCap entries).
+// (the most recent Config.DedupWindow of them: the exactly-once index
+// is the journal).
 type JournalReply struct {
 	Tenant  string   `json:"tenant"`
 	Applied int64    `json:"applied"`
@@ -545,7 +546,10 @@ func (s *Server) handleJournalz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	t.mu.Lock()
-	ids := append([]string(nil), t.journal...)
+	ids := make([]string, len(t.seenOrder))
+	for i, e := range t.seenOrder {
+		ids[i] = e.id
+	}
 	applied := t.applied
 	t.mu.Unlock()
 	reply(w, http.StatusOK, JournalReply{Tenant: t.name, Applied: applied, IDs: ids})
@@ -553,8 +557,9 @@ func (s *Server) handleJournalz(w http.ResponseWriter, r *http.Request) {
 
 // handleTimeline streams the tenant's protocol timeline as NDJSON,
 // reusing the per-tenant obs trace. One shot by default; with ?follow=1
-// it long-polls the trace until the client disconnects, emitting only
-// events newer than the last cursor.
+// it polls the trace until the client disconnects, emitting the events
+// recorded since the last poll (each exactly once, ordered by start
+// time within a poll).
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	t := s.lookup(tenantName(r))
 	if t == nil {
@@ -564,15 +569,11 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	fl, _ := w.(http.Flusher)
-	var cursor int64 = -1
+	var cursor janus.TraceCursor
 	emit := func() {
-		evs := t.trace.Events()
-		sort.Slice(evs, func(i, j int) bool { return evs[i].When < evs[j].When })
+		var evs []janus.TraceEvent
+		evs, cursor = t.trace.Since(cursor)
 		for _, ev := range evs {
-			if ev.When <= cursor {
-				continue
-			}
-			cursor = ev.When
 			_ = enc.Encode(map[string]any{
 				"type": ev.Type.String(), "when_ns": ev.When, "dur_ns": ev.Dur,
 				"worker": ev.Worker, "task": ev.Task, "attempt": ev.Attempt,

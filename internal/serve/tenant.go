@@ -31,11 +31,12 @@ type tenant struct {
 	// admission (inflight cap), never unbounded.
 	gate chan struct{}
 
-	// mu guards the committed state and the applied-batch journal.
+	// mu guards the committed state, its digest (computed once, when the
+	// state is swapped in) and the applied-batch index.
 	mu      sync.Mutex
 	st      *janus.State
+	digest  uint64
 	applied int64
-	journal []string
 	// seen maps applied batch IDs to the journal position and state
 	// digest their commit produced: the exactly-once index. A duplicate
 	// submission is refused with the original verdict (409 carrying that
@@ -45,6 +46,7 @@ type tenant struct {
 	// Retention is bounded by dedupWindow: seenOrder lists the indexed
 	// entries in journal order and the oldest are evicted past the
 	// window, keeping the index (and every snapshot it rides in) finite.
+	// seenOrder is also the journal /journalz lists.
 	seen      map[string]appliedBatch
 	seenOrder []seenAt
 	// dedupWindow is Config.DedupWindow, copied at creation (<=0 means
@@ -128,6 +130,7 @@ func (s *Server) newTenant(name string) (*tenant, error) {
 			return nil, err
 		}
 	}
+	t.digest = rec.Digest(t.st)
 	cfg := s.cfg.Runner
 	cfg.Govern = true
 	cfg.GovernPersist = true
@@ -230,14 +233,9 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 
 	t.mu.Lock()
 	t.st = final
+	t.digest = digest64
 	t.applied++
 	applied := t.applied
-	t.journal = append(t.journal, b.ID)
-	if n := len(t.journal); n > journalCap {
-		// Bound the in-memory display journal; exactly-once refusal does
-		// not ride on it (the seen index below is complete and durable).
-		t.journal = append(t.journal[:0], t.journal[n-journalCap:]...)
-	}
 	t.seen[b.ID] = appliedBatch{seq: seq, digest: digest64}
 	t.seenOrder = append(t.seenOrder, seenAt{id: b.ID, seq: seq})
 	t.evictSeenLocked()
@@ -260,13 +258,6 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 	return res, nil
 }
 
-// journalCap bounds the retained in-memory display journal (the
-// /journalz ID listing) per tenant. Exactly-once refusal does NOT
-// degrade at this cap: duplicate detection consults the seen index,
-// which survives restarts via snapshot + journal and is bounded only
-// by the much larger (and operator-tunable) Config.DedupWindow.
-const journalCap = 65536
-
 // evictSeenLocked enforces the dedup retention window: once the seen
 // index exceeds dedupWindow entries, the oldest (lowest journal seq)
 // are dropped. An ID older than the window stops being refused as a
@@ -287,15 +278,18 @@ func (t *tenant) evictSeenLocked() {
 			delete(t.seen, e.id)
 		}
 	}
-	t.seenOrder = append(t.seenOrder[:0], t.seenOrder[n:]...)
+	// Reslice, never slide: the dead prefix goes when append next outgrows
+	// the array and copies the live window, so an eviction costs O(1)
+	// amortised instead of a memmove of the whole window per batch.
+	t.seenOrder = t.seenOrder[n:]
 }
 
 // snapshot reads the tenant's introspection view for /healthz.
 func (t *tenant) snapshot() TenantHealth {
 	t.mu.Lock()
 	applied := t.applied
-	journalLen := len(t.journal)
-	digest := rec.FormatDigest(rec.Digest(t.st))
+	journalLen := len(t.seenOrder)
+	digest := rec.FormatDigest(t.digest)
 	t.mu.Unlock()
 	th := TenantHealth{
 		Health:     t.govState().String(),

@@ -150,20 +150,20 @@ type BatchResult struct {
 // Error codes carried in ErrorReply.Code. Retryable codes ship a
 // Retry-After; the rest are permanent for the same request.
 const (
-	CodeBadRequest     = "bad_request"      // 400: malformed batch
-	CodeTenantLimit    = "tenant_limit"     // 429: MaxTenants reached
-	CodeOverloaded     = "overloaded"       // 429: per-tenant in-flight cap hit
-	CodeTripped        = "tripped"          // 503: governor tripped, shedding
-	CodeDraining       = "draining"         // 503: shutdown in progress
-	CodeRetryExhausted = "retry_exhausted"  // 503: speculation starved (congestion)
-	CodeDeadline       = "deadline"         // 504: batch deadline expired
-	CodeCanceled       = "canceled"         // 499: client went away mid-request
-	CodeDuplicate      = "duplicate"        // 409: batch ID already applied
-	CodeBatchFailed    = "batch_failed"     // 422: a task body failed
-	CodeUnknownTenant  = "unknown_tenant"   // 404: introspection on absent tenant
+	CodeBadRequest     = "bad_request"        // 400: malformed batch
+	CodeTenantLimit    = "tenant_limit"       // 429: MaxTenants reached
+	CodeOverloaded     = "overloaded"         // 429: per-tenant in-flight cap hit
+	CodeTripped        = "tripped"            // 503: governor tripped, shedding
+	CodeDraining       = "draining"           // 503: shutdown in progress
+	CodeRetryExhausted = "retry_exhausted"    // 503: speculation starved (congestion)
+	CodeDeadline       = "deadline"           // 504: batch deadline expired
+	CodeCanceled       = "canceled"           // 499: client went away mid-request
+	CodeDuplicate      = "duplicate"          // 409: batch ID already applied
+	CodeBatchFailed    = "batch_failed"       // 422: a task body failed
+	CodeUnknownTenant  = "unknown_tenant"     // 404: introspection on absent tenant
 	CodeMethod         = "method_not_allowed" // 405
-	CodeJournal        = "journal_error"    // 503: batch ran but could not be journaled; not applied
-	CodeRecovery       = "recovery_failed"  // 500: tenant journal unrecoverable; operator required
+	CodeJournal        = "journal_error"      // 503: batch ran but could not be journaled; not applied
+	CodeRecovery       = "recovery_failed"    // 500: tenant journal unrecoverable; operator required
 )
 
 // ErrorReply is every non-2xx body: a typed, machine-readable failure.

@@ -159,6 +159,16 @@ func (s *State) Delete(loc Loc) { delete(s.m, loc) }
 // Len returns the number of bound locations.
 func (s *State) Len() int { return len(s.m) }
 
+// Range calls fn for every bound location, in no particular order, until
+// fn returns false.
+func (s *State) Range(fn func(Loc, Value) bool) {
+	for l, v := range s.m {
+		if !fn(l, v) {
+			return
+		}
+	}
+}
+
 // Locs returns the bound locations in sorted order.
 func (s *State) Locs() []Loc {
 	out := make([]Loc, 0, len(s.m))

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -151,9 +152,16 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 	for _, seq := range snapSeqs {
 		buf, rerr := os.ReadFile(filepath.Join(dir, snapName(seq)))
 		if rerr == nil {
-			if snap, derr := DecodeSnapshot(buf); derr == nil {
+			snap, derr := DecodeSnapshot(buf)
+			if derr == nil {
 				rcv.Snapshot = &snap
 				break
+			}
+			var we *Error
+			if errors.As(derr, &we) && we.Reason == BadFormat {
+				// Written by another build, not damaged: refuse like a
+				// segment, and leave the directory as it is.
+				return nil, nil, fmt.Errorf("wal: snapshot %s: %w", snapName(seq), derr)
 			}
 		}
 		rcv.BadSnapshots++
@@ -186,7 +194,7 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 		if serr != nil {
 			switch serr.Reason {
 			case BadMagic, BadFormat:
-				// Not our file or from a future build: refuse to guess.
+				// Not our file or from another build: refuse to guess.
 				return nil, nil, fmt.Errorf("wal: segment %s: %w", segName(start), serr)
 			}
 			damaged = true

@@ -50,7 +50,7 @@ type SeenEntry struct {
 // One frame, one CRC: a snapshot is valid whole or rejected whole.
 const (
 	snapMagic  = "JANUSSNP"
-	snapFormat = byte(1)
+	snapFormat = byte(2)
 )
 
 func encodeSnapshot(s Snapshot) []byte {

@@ -164,7 +164,8 @@ type Reason int
 const (
 	// BadMagic: the file does not start with the expected magic.
 	BadMagic Reason = iota
-	// BadFormat: the format version is newer than this build knows.
+	// BadFormat: not the format version this build reads (format 1
+	// carried the FNV-of-rendering digest and has no reader).
 	BadFormat
 	// BadChecksum: a frame's CRC32 does not match its payload.
 	BadChecksum
@@ -249,7 +250,7 @@ var ErrPoisoned = fmt.Errorf("wal: journal poisoned by earlier I/O failure; rest
 // recovery.
 const (
 	segMagic   = "JANUSWAL"
-	segFormat  = byte(1)
+	segFormat  = byte(2)
 	recMarker  = byte('R')
 	segHdrSize = len(segMagic) + 1
 )

@@ -94,6 +94,9 @@ type (
 	Trace = obs.Trace
 	// TraceEvent is one recorded timeline entry.
 	TraceEvent = obs.Event
+	// TraceCursor is a read position for Trace.Since; the zero value is
+	// the start of the trace.
+	TraceCursor = obs.Cursor
 	// AbortReason classifies why a detector rejected a transaction.
 	AbortReason = conflict.Reason
 
@@ -336,8 +339,10 @@ type Config struct {
 	Record CommitSink
 	// Trace, when non-nil, records every run's protocol events (task
 	// spans, validations, commits, aborts with reasons, cache queries)
-	// into per-worker ring buffers; see RunStats.Timeline and
-	// Trace.WriteChromeJSON. Nil disables tracing at no cost.
+	// into per-worker ring buffers. The caller owns the trace and reads
+	// it when it wants to — Trace.Events, Trace.Since for a tail,
+	// Trace.WriteChromeJSON — so a run costs only the events it emits.
+	// Nil disables tracing at no cost.
 	Trace *Trace
 	// Observe, when non-empty, starts a debug HTTP endpoint on the
 	// address (e.g. ":6060") serving /debug/vars (expvar, including the
@@ -483,9 +488,6 @@ type RunStats struct {
 	Run stm.Stats
 	// Detector is the conflict-detector accounting.
 	Detector conflict.Stats
-	// Timeline is the run's captured event timeline, merged across
-	// worker lanes in time order; nil unless Config.Trace was set.
-	Timeline []TraceEvent
 	// Health is the governor's end-of-run snapshot (state, demotions,
 	// probes, restores, window rates); nil unless Config.Govern was set.
 	Health *HealthStats
@@ -504,9 +506,9 @@ func (r *Runner) detector() conflict.Detector {
 // both Config.Govern and Config.GovernPersist are set. The first call
 // builds it (wrapping the runner's configured detector); every run of the
 // runner then feeds the same sliding windows, so its state reflects
-// sustained traffic. Callers use it for admission decisions: State()
-// reports healthy/degraded/tripped live, and health.Publish can export it
-// under a per-tenant expvar name.
+// sustained traffic, and publishes it once as the "janus.health" expvar.
+// Callers use it for admission decisions: State() reports healthy/
+// degraded/tripped live; health.Publish can export it under another name.
 func (r *Runner) Governor() *health.Governor {
 	if !r.cfg.Govern || !r.cfg.GovernPersist {
 		return nil
@@ -517,6 +519,7 @@ func (r *Runner) Governor() *health.Governor {
 			gc.Tracer = r.cfg.Trace
 		}
 		r.gov = health.NewGovernor(r.detector(), nil, gc)
+		health.Publish("janus.health", r.gov)
 	})
 	return r.gov
 }
@@ -538,8 +541,8 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 				gc.Tracer = tracer
 			}
 			gov = health.NewGovernor(det, nil, gc)
+			health.Publish("janus.health", gov)
 		}
-		health.Publish("janus.health", gov)
 		det = gov
 		stmGov = gov
 	}
@@ -591,9 +594,6 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 				rs.Detector.Reasons[k] += v
 			}
 		}
-	}
-	if r.cfg.Trace != nil {
-		rs.Timeline = r.cfg.Trace.Events()
 	}
 	return final, rs, err
 }

@@ -478,12 +478,13 @@ func TestInitCustomADT(t *testing.T) {
 	}
 }
 
-// TestTracedRunProducesTimeline runs a contended parallel workload with
-// a Trace attached and checks the end-to-end observability path: the
-// timeline comes back in RunStats, task spans are attributed to workers,
-// aborts carry a reason and location, the abort-reason breakdown in
-// stm.Stats agrees with the trace, and the Chrome exporter accepts it.
-func TestTracedRunProducesTimeline(t *testing.T) {
+// TestTracedRunFillsTrace runs a contended parallel workload with a
+// Trace attached and checks the end-to-end observability path: the
+// caller reads the events from its own trace, task spans are attributed
+// to workers, aborts carry a reason and location, the abort-reason
+// breakdown in stm.Stats agrees with the trace, and the Chrome exporter
+// accepts it.
+func TestTracedRunFillsTrace(t *testing.T) {
 	st := exampleState()
 	var tasks []Task
 	for i := 1; i <= 32; i++ {
@@ -495,11 +496,12 @@ func TestTracedRunProducesTimeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats.Timeline) == 0 {
-		t.Fatal("traced run returned an empty timeline")
+	events := tr.Events()
+	if len(events) == 0 {
+		t.Fatal("traced run left its trace empty")
 	}
 	var taskSpans, aborts int64
-	for _, e := range stats.Timeline {
+	for _, e := range events {
 		switch e.Type {
 		case obs.EvTask:
 			taskSpans++
