@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race check bench bench-contention bench-detect bench-commit bench-oplog bench-governor bench-journal chaos soak serve-smoke crash-matrix trace record-replay clean
+.PHONY: all vet build test race check bench bench-contention bench-commit bench-governor bench-journal chaos soak serve-smoke crash-matrix trace record-replay clean
 
 all: check
 
@@ -62,16 +62,6 @@ bench-contention:
 	$(GO) test -run '^$$' -bench 'BenchmarkLookupParallel|BenchmarkDetectHighContention' \
 		-benchmem -cpu 1,4,8 ./internal/cache ./internal/conflict | tee bench-contention.txt
 
-# Detection-path benchmark trajectory: runs the prepared-projection
-# benchmarks (sequential, parallel, high-contention, plus the DetectV
-# legacy shims) and folds the numbers into BENCH_detect.json under the
-# "after" label. The "before" entry preserves the pre-projection baseline
-# and is never overwritten by this target. Informational, not gating.
-bench-detect:
-	$(GO) test -run '^$$' -bench 'BenchmarkDetect' -benchmem -cpu 1,4 \
-		./internal/conflict | tee bench-detect.txt
-	$(GO) run ./cmd/janus-benchjson -file BENCH_detect.json -label after < bench-detect.txt
-
 # Commit-path benchmark trajectory: the striped-commit throughput
 # benchmarks (disjoint-footprint workload; persistent, copy, and ordered
 # variants) folded into BENCH_commit.json under the "after" label. The
@@ -81,19 +71,6 @@ bench-commit:
 	$(GO) test -run '^$$' -bench 'BenchmarkCommitParallel' -benchmem -cpu 8 \
 		./internal/stm | tee bench-commit.txt
 	$(GO) run ./cmd/janus-benchjson -file BENCH_commit.json -label after < bench-commit.txt
-
-# Streaming/compression benchmark trajectory: streaming decomposition
-# vs the materializing shim, large-transaction detection (live-B records
-# what each artifact form keeps retained), and the compressed-history
-# window, folded into BENCH_oplog.json under the "after" label. The
-# "before" entry preserves the materialize-everything baseline and is
-# never overwritten by this target. Informational, not gating.
-bench-oplog:
-	$(GO) test -run '^$$' -bench 'BenchmarkDecompose|BenchmarkDetectLargeTxn' \
-		-benchmem ./internal/oplog ./internal/conflict | tee bench-oplog.txt
-	$(GO) test -run '^$$' -bench 'BenchmarkHistoryCompressed' -benchmem \
-		./internal/stm | tee -a bench-oplog.txt
-	$(GO) run ./cmd/janus-benchjson -file BENCH_oplog.json -label after < bench-oplog.txt
 
 # Governed chaos bench: one fault-injected run per workload with the
 # health governor attached; the JSON report records governor_state,
@@ -134,4 +111,4 @@ record-replay:
 		< record-overhead.txt
 
 clean:
-	rm -f out.json bench-contention.txt bench-commit.txt bench-oplog.txt BENCH_governor.json janus.trace record-overhead.txt bench-journal.txt
+	rm -f out.json bench-contention.txt bench-commit.txt BENCH_governor.json janus.trace record-overhead.txt bench-journal.txt

@@ -6,8 +6,8 @@
 // replaces its entry and leaves the others untouched, so a "before"
 // baseline recorded once survives any number of "after" refreshes:
 //
-//	go test -bench Detect -benchmem ./internal/conflict |
-//	    janus-benchjson -file BENCH_detect.json -label after
+//	go test -bench CommitParallel -benchmem ./internal/stm |
+//	    janus-benchjson -file BENCH_commit.json -label after
 //
 // With -reports, stdin is instead a JSON array of bench.RunReport (the
 // output of `janus-bench -json` or `janus-replay -json`); each report
@@ -55,7 +55,7 @@ type Entry struct {
 }
 
 func main() {
-	file := flag.String("file", "BENCH_detect.json", "trajectory file to update")
+	file := flag.String("file", "BENCH_commit.json", "trajectory file to update")
 	label := flag.String("label", "", "label to record this run under (required)")
 	reports := flag.Bool("reports", false, "parse stdin as a bench.RunReport JSON array (janus-bench/janus-replay -json) instead of go test -bench text")
 	flag.Parse()

@@ -14,7 +14,6 @@ package conflict
 
 import (
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/cache"
@@ -110,32 +109,26 @@ type Verdict struct {
 // transaction that passes the checks against each committed transaction
 // individually passes them against their concatenation.
 type Detector interface {
-	// Detect reports whether the transaction conflicts.
-	Detect(snapshot *state.State, txn oplog.Log, committed []oplog.Log) bool
-	// DetectV is Detect with observability: the returned Verdict carries
-	// abort-reason attribution, and detection-internal events (cache
-	// hits, misses, fallbacks) are emitted through ctx. A zero Ctx
-	// disables tracing at no cost.
-	DetectV(ctx obs.Ctx, snapshot *state.State, txn oplog.Log, committed []oplog.Log) Verdict
-	// DetectPrepared is DetectV over commit-time prepared projections:
-	// txn is the running transaction's artifact (prepared once per
-	// attempt) and committed are the history entries' artifacts (each
-	// prepared once, at commit time, and shared read-only by every
-	// concurrent detector). This is the runtime's hot path; DetectV
-	// remains as the compatibility shim for callers holding raw logs.
+	// DetectPrepared reports whether the transaction conflicts: txn is
+	// the running transaction's artifact (prepared once per attempt) and
+	// committed are the history entries' artifacts (each prepared once,
+	// at commit time, and shared read-only by every concurrent
+	// detector). The returned Verdict carries abort-reason attribution,
+	// and detection-internal events (cache hits, misses, fallbacks) are
+	// emitted through ctx; a zero Ctx disables tracing at no cost.
 	DetectPrepared(ctx obs.Ctx, snapshot *state.State, txn *Prepared, committed []*Prepared) Verdict
 	Name() string
 }
 
 // Stats counts detector activity.
 type Stats struct {
-	Detections    int64 // Detect calls
-	Conflicts     int64 // Detect calls that reported a conflict
+	Detections    int64 // DetectPrepared calls
+	Conflicts     int64 // DetectPrepared calls that reported a conflict
 	PairQueries   int64 // per-location sequence queries (sequence detector)
 	Fallbacks     int64 // queries answered by the write-set fallback
 	RelaxedChecks int64 // queries answered by a relaxation-aware check
 	// Reasons is the abort-reason breakdown: for each reason (by its
-	// String name), how many Detect calls failed on that check.
+	// String name), how many DetectPrepared calls failed on that check.
 	Reasons map[string]int64
 }
 
@@ -185,31 +178,6 @@ func (w *WriteSet) Stats() Stats {
 	}
 }
 
-// Detect implements Detector.
-func (w *WriteSet) Detect(snapshot *state.State, txn oplog.Log, committed []oplog.Log) bool {
-	return w.DetectV(obs.Ctx{}, snapshot, txn, committed).Conflict
-}
-
-// DetectV implements Detector. Raw logs have no prepared artifact to
-// reuse, so the access-mode maps are built per call — from a pool, so the
-// shim stays allocation-free at steady state.
-func (w *WriteSet) DetectV(_ obs.Ctx, _ *state.State, txn oplog.Log, committed []oplog.Log) Verdict {
-	atomic.AddInt64(&w.stats.Detections, 1)
-	mt := pooledModes(txn)
-	defer releaseModes(mt)
-	for _, c := range committed {
-		mc := pooledModes(c)
-		p, q, hit := findWriteSetConflict(mt, mc, nil)
-		releaseModes(mc)
-		if hit {
-			atomic.AddInt64(&w.stats.Conflicts, 1)
-			w.reasons.add(ReasonWriteSet)
-			return Verdict{Conflict: true, Reason: ReasonWriteSet, P: p, Q: q}
-		}
-	}
-	return Verdict{}
-}
-
 // DetectPrepared implements Detector: both sides carry memoized access
 // modes, so no maps are rebuilt per call. Committed entries whose
 // footprint signatures are write-disjoint from the transaction's are
@@ -245,11 +213,6 @@ type mode struct {
 
 func accessModes(l oplog.Log) map[oplog.PLoc]mode {
 	m := make(map[oplog.PLoc]mode)
-	fillModes(m, l)
-	return m
-}
-
-func fillModes(m map[oplog.PLoc]mode, l oplog.Log) {
 	for _, e := range l {
 		for _, a := range e.Acc {
 			cur := m[a.P]
@@ -258,24 +221,7 @@ func fillModes(m map[oplog.PLoc]mode, l oplog.Log) {
 			m[a.P] = cur
 		}
 	}
-}
-
-// modePool recycles the scratch access-mode maps WriteSet.DetectV builds
-// for raw logs (the prepared path reuses each artifact's memoized maps
-// instead).
-var modePool = sync.Pool{
-	New: func() any { return make(map[oplog.PLoc]mode, 16) },
-}
-
-func pooledModes(l oplog.Log) map[oplog.PLoc]mode {
-	m := modePool.Get().(map[oplog.PLoc]mode)
-	fillModes(m, l)
 	return m
-}
-
-func releaseModes(m map[oplog.PLoc]mode) {
-	clear(m)
-	modePool.Put(m)
 }
 
 // pairConflictsWriteSet applies the write-set rule over every overlapping
@@ -420,19 +366,6 @@ func (s *Sequence) Stats() Stats {
 	}
 }
 
-// Detect implements Detector.
-func (s *Sequence) Detect(snapshot *state.State, txn oplog.Log, committed []oplog.Log) bool {
-	return s.DetectV(obs.Ctx{}, snapshot, txn, committed).Conflict
-}
-
-// DetectV implements Detector by preparing the raw logs and delegating to
-// DetectPrepared — the compatibility shim for callers without commit-time
-// artifacts (tests, the simulator). The runtime prepares each log once
-// and calls DetectPrepared directly.
-func (s *Sequence) DetectV(ctx obs.Ctx, snapshot *state.State, txn oplog.Log, committed []oplog.Log) Verdict {
-	return s.DetectPrepared(ctx, snapshot, Prepare(txn), PrepareAll(committed))
-}
-
 // DetectPrepared implements Detector, realizing DETECTCONFLICTS of
 // Figure 8 over prepared projections: every overlapping per-location
 // subsequence pair of the transaction and each committed transaction is
@@ -443,25 +376,29 @@ func (s *Sequence) DetectV(ctx obs.Ctx, snapshot *state.State, txn oplog.Log, co
 // enabled) the symbolic shape pair.
 func (s *Sequence) DetectPrepared(ctx obs.Ctx, snapshot *state.State, txn *Prepared, committed []*Prepared) Verdict {
 	atomic.AddInt64(&s.stats.Detections, 1)
+	if len(committed) == 0 {
+		// Validity: an empty history never conflicts, so a transaction
+		// that validates against nothing is not decomposed either.
+		return Verdict{}
+	}
 	tlocs := txn.locations()
-	// Streaming and compressed artifacts carry index stubs; their
-	// subsequences render on demand into pooled scratch (one slot per
-	// side) held for the duration of this call and released after the
-	// verdict, so detection memory stays flat in ops/txn.
+	// Compressed artifacts carry index stubs; their subsequences decode
+	// on demand into pooled scratch (one slot per side) held for the
+	// duration of this call and released after the verdict.
 	var sc *renderScratch
 	defer func() {
 		if sc != nil {
 			sc.release()
 		}
 	}()
-	render := func(p *Prepared, pl *preparedLoc, slot func(*renderScratch) *renderSlot) *preparedLoc {
+	render := func(pl *preparedLoc, slot func(*renderScratch) *renderSlot) *preparedLoc {
 		if !pl.virtual() {
 			return pl
 		}
 		if sc == nil {
 			sc = getScratch()
 		}
-		return p.renderLoc(pl, slot(sc))
+		return renderLoc(pl, slot(sc))
 	}
 	var ta, tw uint64
 	haveSigs := false
@@ -490,9 +427,9 @@ func (s *Sequence) DetectPrepared(ctx obs.Ctx, snapshot *state.State, txn *Prepa
 				}
 				atomic.AddInt64(&s.stats.PairQueries, 1)
 				if ltR == nil {
-					ltR = render(txn, lt, func(sc *renderScratch) *renderSlot { return &sc.t })
+					ltR = render(lt, func(sc *renderScratch) *renderSlot { return &sc.t })
 				}
-				lcR := render(c, lc, func(sc *renderScratch) *renderSlot { return &sc.c })
+				lcR := render(lc, func(sc *renderScratch) *renderSlot { return &sc.c })
 				if v := s.pairVerdict(ctx, snapshot, ltR, lcR); v.Conflict {
 					atomic.AddInt64(&s.stats.Conflicts, 1)
 					s.reasons.add(v.Reason)

@@ -82,16 +82,16 @@ func benchSetup(b *testing.B, nLocs, stride int) *benchFixture {
 	for i := range f.running {
 		f.running[i] = txn(i+1, i*stride)
 	}
-	f.committedPrep = PrepareAll(f.committed)
+	f.committedPrep = prepareAll(f.committed)
 	return f
 }
 
 // detectOnce is one runtime attempt on the prepared path: the running
-// transaction's log is prepared once (as after runTaskBody, with pooled
-// buffers) and validated against the shared commit-time projections; an
-// attempt that does not publish recycles its artifact.
+// transaction's log is prepared once (as after runTaskBody) and validated
+// against the shared commit-time projections; an attempt that does not
+// publish recycles its artifact.
 func (f *benchFixture) detectOnce(b *testing.B, i int) {
-	prep := PreparePooled(f.running[i%len(f.running)])
+	prep := Prepare(f.running[i%len(f.running)])
 	v := f.det.DetectPrepared(obs.Ctx{}, f.st, prep, f.committedPrep)
 	prep.Recycle()
 	if v.Conflict {
@@ -107,20 +107,6 @@ func BenchmarkDetectSequential(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.detectOnce(b, i)
-	}
-}
-
-// BenchmarkDetectSequentialLegacy is the pre-projection baseline shape:
-// DetectV re-derives every per-location decomposition, symbolic shape,
-// and access-mode map on each call, for the committed side too.
-func BenchmarkDetectSequentialLegacy(b *testing.B) {
-	f := benchSetup(b, 16, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v := f.det.DetectV(obs.Ctx{}, f.st, f.running[i%len(f.running)], f.committed)
-		if v.Conflict {
-			b.Fatal("identity transactions must not conflict")
-		}
 	}
 }
 
@@ -160,79 +146,44 @@ func BenchmarkDetectHighContention(b *testing.B) {
 // BenchmarkDetectLargeTxn measures detection cost and artifact memory for
 // a transaction two orders of magnitude larger than the usual workload:
 // one identity-add pair on each of 2048 counters (4096 ops, 2048 distinct
-// projection locations). The materialized sub-benchmark pins the
-// pre-streaming path, which carves a full per-location event arena for
-// the whole log on first query; streaming keeps only the location index
-// and renders each overlapping projection on demand into pooled scratch
-// during detection. live-B reports the heap retained by one prepared
-// artifact after a detection pass (GC-fenced delta), the number that used
-// to bound transaction size.
+// projection locations). live-B reports the heap retained by one prepared
+// artifact after a detection pass (GC-fenced delta): the log plus the
+// event and descriptor arenas carved for it on first query.
 func BenchmarkDetectLargeTxn(b *testing.B) {
 	const totalOps = 4096
-	for _, tc := range []struct {
-		name string
-		prep func(oplog.Log) *Prepared
-	}{
-		{"materialized", Prepare},
-		{"streaming", PrepareStreaming},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			// Pin the auto threshold so "materialized" stays materialized at
-			// this size; the streaming side is forced explicitly.
-			orig := streamOpsThreshold
-			streamOpsThreshold = 1 << 30
-			defer func() { streamOpsThreshold = orig }()
-			f := benchSetup(b, totalOps/2, 1)
-			var ops []oplog.Op
-			for j := 0; j < totalOps/2; j++ {
-				loc := state.Loc("ctr" + strconv.Itoa(j))
-				d := int64(j%9 + 1)
-				ops = append(ops, adt.NumAddOp{L: loc, Delta: d}, adt.NumAddOp{L: loc, Delta: -d})
-			}
-			l := benchLog(b, f.st, 1, ops...)
-
-			runtime.GC()
-			runtime.GC()
-			var m0, m1 runtime.MemStats
-			runtime.ReadMemStats(&m0)
-			held := tc.prep(l)
-			if v := f.det.DetectPrepared(obs.Ctx{}, f.st, held, f.committedPrep); v.Conflict {
-				b.Fatal("identity transactions must not conflict")
-			}
-			runtime.GC()
-			runtime.GC()
-			runtime.ReadMemStats(&m1)
-
-			b.ReportAllocs()
-			b.ResetTimer() // note: also clears ReportMetric values
-			for i := 0; i < b.N; i++ {
-				p := tc.prep(l)
-				if v := f.det.DetectPrepared(obs.Ctx{}, f.st, p, f.committedPrep); v.Conflict {
-					b.Fatal("identity transactions must not conflict")
-				}
-			}
-			if m1.HeapAlloc > m0.HeapAlloc {
-				b.ReportMetric(float64(m1.HeapAlloc-m0.HeapAlloc), "live-B")
-			}
-			runtime.KeepAlive(held)
-		})
+	f := benchSetup(b, totalOps/2, 1)
+	var ops []oplog.Op
+	for j := 0; j < totalOps/2; j++ {
+		loc := state.Loc("ctr" + strconv.Itoa(j))
+		d := int64(j%9 + 1)
+		ops = append(ops, adt.NumAddOp{L: loc, Delta: d}, adt.NumAddOp{L: loc, Delta: -d})
 	}
-}
+	l := benchLog(b, f.st, 1, ops...)
 
-// BenchmarkDetectHighContentionLegacy is the same workload on the DetectV
-// compatibility shim, which prepares both sides on every call — the cost
-// profile of the pre-projection detector.
-func BenchmarkDetectHighContentionLegacy(b *testing.B) {
-	f := benchSetup(b, 16, 1)
+	runtime.GC()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	held := Prepare(l)
+	if v := f.det.DetectPrepared(obs.Ctx{}, f.st, held, f.committedPrep); v.Conflict {
+		b.Fatal("identity transactions must not conflict")
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+
 	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			v := f.det.DetectV(obs.Ctx{}, f.st, f.running[i%len(f.running)], f.committed)
-			i++
-			if v.Conflict {
-				b.Fatal("identity transactions must not conflict")
-			}
+	b.ResetTimer() // note: also clears ReportMetric values
+	for i := 0; i < b.N; i++ {
+		p := Prepare(l)
+		v := f.det.DetectPrepared(obs.Ctx{}, f.st, p, f.committedPrep)
+		p.Recycle()
+		if v.Conflict {
+			b.Fatal("identity transactions must not conflict")
 		}
-	})
+	}
+	if m1.HeapAlloc > m0.HeapAlloc {
+		b.ReportMetric(float64(m1.HeapAlloc-m0.HeapAlloc), "live-B")
+	}
+	runtime.KeepAlive(held)
 }

@@ -6,6 +6,7 @@ import (
 	"repro/internal/adt"
 	"repro/internal/cache"
 	"repro/internal/commute"
+	"repro/internal/obs"
 	"repro/internal/oplog"
 	"repro/internal/seqabs"
 	"repro/internal/state"
@@ -36,6 +37,21 @@ func record(t *testing.T, st *state.State, task int, ops ...oplog.Op) oplog.Log 
 	return l
 }
 
+// prepareAll prepares each log of a committed window.
+func prepareAll(logs []oplog.Log) []*Prepared {
+	out := make([]*Prepared, len(logs))
+	for i, l := range logs {
+		out[i] = Prepare(l)
+	}
+	return out
+}
+
+// detect prepares both sides, as the runtime does once per attempt and
+// once per commit, and reports det's verdict.
+func detect(det Detector, st *state.State, txn oplog.Log, committed ...oplog.Log) bool {
+	return det.DetectPrepared(obs.Ctx{}, st, Prepare(txn), prepareAll(committed)).Conflict
+}
+
 func TestWriteSetBasic(t *testing.T) {
 	st := baseState()
 	w := NewWriteSet()
@@ -44,19 +60,19 @@ func TestWriteSetBasic(t *testing.T) {
 	rd := record(t, st, 2, adt.NumLoadOp{L: "work"})
 	other := record(t, st, 2, adt.NumLoadOp{L: "max"})
 
-	if !w.Detect(st, add, []oplog.Log{add2}) {
+	if !detect(w, st, add, add2) {
 		t.Errorf("write-write overlap must conflict under write-set")
 	}
-	if !w.Detect(st, rd, []oplog.Log{add}) {
+	if !detect(w, st, rd, add) {
 		t.Errorf("read-write overlap must conflict")
 	}
-	if w.Detect(st, rd, []oplog.Log{record(t, st, 3, adt.NumLoadOp{L: "work"})}) {
+	if detect(w, st, rd, record(t, st, 3, adt.NumLoadOp{L: "work"})) {
 		t.Errorf("read-read must not conflict")
 	}
-	if w.Detect(st, add, []oplog.Log{other}) {
+	if detect(w, st, add, other) {
 		t.Errorf("disjoint locations must not conflict")
 	}
-	if w.Detect(st, add, nil) {
+	if detect(w, st, add) {
 		t.Errorf("empty history must not conflict (validity)")
 	}
 	if s := w.Stats(); s.Detections != 5 || s.Conflicts != 2 {
@@ -79,7 +95,7 @@ func TestSequenceHitAvoidsFalseConflict(t *testing.T) {
 	det := NewSequence(c, nil)
 	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}, adt.NumAddOp{L: "work", Delta: -5})
 	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}, adt.NumAddOp{L: "work", Delta: -7})
-	if det.Detect(st, id1, []oplog.Log{id2}) {
+	if detect(det, st, id1, id2) {
 		t.Fatalf("trained identity pair must not conflict")
 	}
 	if s := det.Stats(); s.PairQueries != 1 || s.Fallbacks != 0 {
@@ -95,7 +111,7 @@ func TestSequenceMissFallsBackToWriteSet(t *testing.T) {
 	det := NewSequence(cache.New(seqabs.Abstract), nil)
 	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}, adt.NumAddOp{L: "work", Delta: -5})
 	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}, adt.NumAddOp{L: "work", Delta: -7})
-	if !det.Detect(st, id1, []oplog.Log{id2}) {
+	if !detect(det, st, id1, id2) {
 		t.Fatalf("empty cache must fall back to write-set and conflict")
 	}
 	if s := det.Stats(); s.Fallbacks != 1 {
@@ -111,7 +127,7 @@ func TestSequenceNilCachePureFallback(t *testing.T) {
 	det := &Sequence{}
 	rd := record(t, st, 1, adt.NumLoadOp{L: "work"})
 	wr := record(t, st, 2, adt.NumStoreOp{L: "work", V: 3})
-	if !det.Detect(st, rd, []oplog.Log{wr}) {
+	if !detect(det, st, rd, wr) {
 		t.Fatalf("nil cache must behave like write-set")
 	}
 }
@@ -121,13 +137,13 @@ func TestSequenceOnlineMode(t *testing.T) {
 	det := &Sequence{Cache: cache.New(seqabs.Abstract), Online: true}
 	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}, adt.NumAddOp{L: "work", Delta: -5})
 	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}, adt.NumAddOp{L: "work", Delta: -7})
-	if det.Detect(st, id1, []oplog.Log{id2}) {
+	if detect(det, st, id1, id2) {
 		t.Fatalf("online mode must run the concrete check and admit identity pairs")
 	}
 	// Genuinely conflicting pair is still caught online.
 	wr5 := record(t, st, 1, adt.NumStoreOp{L: "work", V: 5})
 	rd := record(t, st, 2, adt.NumLoadOp{L: "work"})
-	if !det.Detect(st, rd, []oplog.Log{wr5}) {
+	if !detect(det, st, rd, wr5) {
 		t.Fatalf("online mode must detect a read disturbed by a store")
 	}
 }
@@ -140,12 +156,12 @@ func TestRelaxationsRAWSpuriousReads(t *testing.T) {
 	det := NewSequence(cache.New(seqabs.Abstract), rx)
 	rd := record(t, st, 1, adt.NumLoadOp{L: "max"})
 	wr := record(t, st, 2, adt.NumStoreOp{L: "max", V: 5})
-	if det.Detect(st, rd, []oplog.Log{wr}) {
+	if detect(det, st, rd, wr) {
 		t.Fatalf("RAW-relaxed read/write must not conflict")
 	}
 	// Write-write on the same location still conflicts (no WAW relax).
 	wr2 := record(t, st, 1, adt.NumStoreOp{L: "max", V: 9})
-	if !det.Detect(st, wr2, []oplog.Log{wr}) {
+	if !detect(det, st, wr2, wr) {
 		t.Fatalf("stores of different values must still conflict")
 	}
 	if s := det.Stats(); s.RelaxedChecks == 0 {
@@ -162,17 +178,17 @@ func TestRelaxationsWAWSharedAsLocal(t *testing.T) {
 	det := NewSequence(cache.New(seqabs.Abstract), rx)
 	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: "a.go"}, adt.StrLoadOp{L: "ctx"})
 	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: "b.go"}, adt.StrLoadOp{L: "ctx"})
-	if det.Detect(st, a, []oplog.Log{b}) {
+	if detect(det, st, a, b) {
 		t.Fatalf("WAW-relaxed shared-as-local must not conflict")
 	}
 	// Without the relaxation it conflicts (different final stores).
 	strict := NewSequence(cache.New(seqabs.Abstract), nil)
-	if !strict.Detect(st, a, []oplog.Log{b}) {
+	if !detect(strict, st, a, b) {
 		t.Fatalf("unrelaxed shared-as-local with different stores must conflict")
 	}
 	// A bare read of the entry value still conflicts: SAMEREAD is kept.
 	spy := record(t, st, 3, adt.StrLoadOp{L: "ctx"})
-	if !det.Detect(st, spy, []oplog.Log{b}) {
+	if !detect(det, st, spy, b) {
 		t.Fatalf("WAW relaxation must not drop SAMEREAD")
 	}
 }
@@ -184,7 +200,7 @@ func TestRelaxationsBothOnStack(t *testing.T) {
 	det := NewSequence(cache.New(seqabs.Abstract), rx)
 	push := record(t, st, 1, adt.ListPushOp{L: "stk", V: 1})
 	push2 := record(t, st, 2, adt.ListPushOp{L: "stk", V: 2})
-	if det.Detect(st, push, []oplog.Log{push2}) {
+	if detect(det, st, push, push2) {
 		t.Fatalf("fully relaxed stack ops must not conflict")
 	}
 }
@@ -199,7 +215,7 @@ func TestWildcardFallsBack(t *testing.T) {
 		Acc: []oplog.Access{{P: oplog.MakePLoc("bits", "*"), Read: true}},
 	}}
 	put := record(t, st, 2, adt.RelPutOp{L: "bits", Key: "9", Val: "1"})
-	if !det.Detect(st, scan, []oplog.Log{put}) {
+	if !detect(det, st, scan, put) {
 		t.Fatalf("wildcard read vs key write must conflict conservatively")
 	}
 	if s := det.Stats(); s.Fallbacks != 1 {
@@ -231,14 +247,14 @@ func TestLearnOnlineConvergesWithoutTraining(t *testing.T) {
 	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}, adt.NumAddOp{L: "work", Delta: -5})
 	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}, adt.NumAddOp{L: "work", Delta: -7})
 	// First query proves and caches the condition immediately: no conflict.
-	if det.Detect(st, id1, []oplog.Log{id2}) {
+	if detect(det, st, id1, id2) {
 		t.Fatalf("online learning must prove the identity pair on first sight")
 	}
 	if det.Cache.Len() == 0 {
 		t.Fatalf("online learning must populate the cache")
 	}
 	// Second query is a plain hit.
-	if det.Detect(st, id1, []oplog.Log{id2}) {
+	if detect(det, st, id1, id2) {
 		t.Fatalf("second query must hit")
 	}
 	if s := det.Cache.Stats(); s.Hits == 0 {
@@ -255,12 +271,12 @@ func TestInferWAWAdmitsSharedAsLocal(t *testing.T) {
 	// tolerated under commit-order serialization.
 	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: "a.go"}, adt.StrLoadOp{L: "ctx"})
 	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: "b.go"}, adt.StrLoadOp{L: "ctx"})
-	if det.Detect(st, a, []oplog.Log{b}) {
+	if detect(det, st, a, b) {
 		t.Fatalf("InferWAW must admit shared-as-local store/read pairs")
 	}
 	// A stale read is never admitted: SAMEREAD is kept.
 	spy := record(t, st, 3, adt.StrLoadOp{L: "ctx"})
-	if !det.Detect(st, spy, []oplog.Log{b}) {
+	if !detect(det, st, spy, b) {
 		t.Fatalf("InferWAW must keep the read-stability requirement")
 	}
 	// Stack sequences: a balanced pair passes; a prestate-popping one
@@ -269,11 +285,11 @@ func TestInferWAWAdmitsSharedAsLocal(t *testing.T) {
 	st2.Set("stk", state.IntList{5})
 	bal := record(t, st2, 1, adt.ListPushOp{L: "stk", V: 1}, adt.ListPopOp{L: "stk"})
 	grow := record(t, st2, 2, adt.ListPushOp{L: "stk", V: 9})
-	if det.Detect(st2, bal, []oplog.Log{grow}) {
+	if detect(det, st2, bal, grow) {
 		t.Fatalf("balanced stack reads are stable under a growing committed txn")
 	}
 	popper := record(t, st2, 3, adt.ListPopOp{L: "stk"})
-	if !det.Detect(st2, popper, []oplog.Log{grow}) {
+	if !detect(det, st2, popper, grow) {
 		t.Fatalf("a prestate pop must conflict with a growing committed txn")
 	}
 }

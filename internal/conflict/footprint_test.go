@@ -98,7 +98,7 @@ func TestFootprintLargeLogUsesIndex(t *testing.T) {
 // bug made pooled commits plan stripes and signatures for a different
 // transaction's locations — silent lost updates).
 func TestFootprintRecycleReset(t *testing.T) {
-	p := PreparePooled(footLog([]oplog.Access{footAcc("old", "", true, true)}))
+	p := Prepare(footLog([]oplog.Access{footAcc("old", "", true, true)}))
 	if foot := p.Footprint(); len(foot) != 1 || foot[0].Loc != "old" {
 		t.Fatalf("first footprint = %v, want [old]", foot)
 	}
@@ -108,7 +108,7 @@ func TestFootprintRecycleReset(t *testing.T) {
 	// the old log's footprint into the new transaction.
 	reused := false
 	for i := 0; i < 8; i++ {
-		q := PreparePooled(footLog([]oplog.Access{footAcc("new", "", true, false)}))
+		q := Prepare(footLog([]oplog.Access{footAcc("new", "", true, false)}))
 		reused = reused || q == p
 		foot := q.Footprint()
 		if len(foot) != 1 || foot[0].Loc != "new" {

@@ -70,13 +70,9 @@ func modeBits(m mode) byte {
 	return b
 }
 
-// packRecord compresses an artifact. Each location is read through
-// renderLoc — a materialized location passes through its memoized
-// projections, a streaming artifact's virtual stub is rendered out of
-// the log into one reusable slot — so large auto-streaming committed
-// entries compress correctly without ever materializing their arenas.
-// The record shares the descriptor strings with the source ops but drops
-// every event, arena, and log reference.
+// packRecord compresses a full artifact from its memoized per-location
+// projections. The record shares the descriptor strings with the source
+// ops but drops every event, arena, and log reference.
 func packRecord(p *Prepared) *packedRec {
 	locs := p.locations()
 	sigAll, sigWrite := p.Signatures()
@@ -91,9 +87,8 @@ func packRecord(p *Prepared) *packedRec {
 		slot[locs[i].p] = i
 	}
 	intern := make(map[oplog.Sym]int, 16)
-	var sl renderSlot
 	for i := range locs {
-		pl := p.renderLoc(&locs[i], &sl)
+		pl := &locs[i]
 		pr := &r.locs[i]
 		pr.p, pr.wildcard, pr.n = pl.p, pl.wildcard, len(pl.syms)
 		pr.seqOff = len(r.buf)

@@ -31,14 +31,6 @@ import (
 type Prepared struct {
 	log oplog.Log
 
-	// streaming keeps the per-location projections virtual: locations()
-	// discovers the projection-location index only (one small entry per
-	// distinct PLoc, no event or descriptor arenas), and a location's
-	// subsequence is rendered on demand into per-detection scratch and
-	// released after the verdict. Chosen automatically for large logs so
-	// detection memory stays flat in ops/txn; see streamOpsThreshold.
-	streaming bool
-
 	// packed, when non-nil, is the compact compressed record of a demoted
 	// committed-history entry (see packed.go); log is nil and every
 	// projection decodes from the record.
@@ -48,15 +40,15 @@ type Prepared struct {
 	// shapes. Only the sequence detector consumes it — the write-set
 	// detector compares whole-log access modes — so it is computed on
 	// first use (locations), not at Prepare: a run under write-set
-	// detection never pays for decomposition at all. In streaming or
-	// compressed mode the entries are index stubs (location and wildcard
-	// flag only; seq and syms nil) rendered on demand via renderLoc.
+	// detection never pays for decomposition at all. A compressed
+	// artifact's entries are index stubs (location and wildcard flag
+	// only; seq and syms nil) decoded on demand via renderLoc.
 	locsOnce sync.Once
 	locs     []preparedLoc
 
 	// dec and symArena are the decomposition's backing buffers. They are
-	// owned exclusively while materializing and recycled through
-	// preparedPool for unpublished attempts; a published Prepared keeps
+	// owned exclusively while materializing and return to preparedPool
+	// with an unpublished attempt (Recycle); a published Prepared keeps
 	// them forever.
 	dec      oplog.Decomposer
 	symArena []oplog.Sym
@@ -227,28 +219,26 @@ func (pl *preparedLoc) seqKey(c *cache.Cache) (key []byte, ok bool) {
 	return pl.key, true
 }
 
-// Prepare computes a log's detection artifact. All projections are
-// deferred to first use behind sync.Once memos: the decomposition and
-// symbolic shapes materialize when a sequence detector first asks for
-// them (locations), the write-set mode maps when a detection falls back
-// to them, the footprint when the commit path plans its stripes — so
-// each run pays only for the projections its configuration consumes.
-func Prepare(l oplog.Log) *Prepared {
-	return prepareInto(new(Prepared), l)
-}
-
-// preparedPool recycles unpublished attempt artifacts (PreparePooled /
+// preparedPool recycles unpublished attempt artifacts (Prepare /
 // Recycle), keeping the per-attempt preparation allocation-free in the
 // steady state — the seqabs.AppendKey discipline applied to the whole
 // artifact.
 var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
 
-// PreparePooled is Prepare drawing the artifact and its backing buffers
-// from a pool. The caller owns the result exclusively until it either
-// publishes it to the committed history (after which it is shared
-// read-only forever and must never be recycled) or calls Recycle.
-func PreparePooled(l oplog.Log) *Prepared {
-	return prepareInto(preparedPool.Get().(*Prepared), l)
+// Prepare binds a log to its detection artifact, drawn with its backing
+// buffers from a pool. All projections are deferred to first use behind
+// sync.Once memos: the decomposition and symbolic shapes materialize
+// when a sequence detector first asks for them (locations), the write-set
+// mode maps when a detection falls back to them, the footprint when the
+// commit path plans its stripes — so each run pays only for the
+// projections its configuration consumes. The caller owns the result
+// exclusively until it either publishes it to the committed history
+// (after which it is shared read-only forever and must never be
+// recycled) or calls Recycle.
+func Prepare(l oplog.Log) *Prepared {
+	p := preparedPool.Get().(*Prepared)
+	p.log = l
+	return p
 }
 
 // Recycle returns an unpublished artifact's backing buffers to the pool.
@@ -267,7 +257,6 @@ func (p *Prepared) Recycle() {
 	p.locs = p.locs[:0]
 	p.locsOnce = sync.Once{}
 	p.log = nil
-	p.streaming = false
 	p.packed = nil
 	p.modesOnce = sync.Once{}
 	p.modes = nil
@@ -277,36 +266,6 @@ func (p *Prepared) Recycle() {
 	p.sigAll, p.sigWrite = 0, 0
 	preparedPool.Put(p)
 }
-
-// streamOpsThreshold is the op count from which Prepare switches to
-// streaming projections: below it the materialized arenas are small and
-// their memoization wins (every projection computed exactly once per
-// artifact); from it up, detection renders per-location subsequences on
-// demand into pooled scratch so memory stays flat no matter how large
-// the transaction grows. A var so tests and benchmarks can pin either
-// mode at equal sizes.
-var streamOpsThreshold = 256
-
-// prepareInto binds the artifact to its log. p is either freshly
-// allocated or recycled (all lazy state zeroed by Recycle), never a live
-// shared value. Every projection is lazy; nothing else is computed here.
-func prepareInto(p *Prepared, l oplog.Log) *Prepared {
-	p.log = l
-	p.streaming = len(l) >= streamOpsThreshold
-	return p
-}
-
-// PrepareStreaming is Prepare with streaming projections forced
-// regardless of log size (tests and memory benchmarks; production uses
-// the automatic threshold).
-func PrepareStreaming(l oplog.Log) *Prepared {
-	p := Prepare(l)
-	p.streaming = true
-	return p
-}
-
-// Streaming reports whether the artifact keeps its projections virtual.
-func (p *Prepared) Streaming() bool { return p.streaming }
 
 // locations returns the per-location decomposition, materializing it on
 // first use and sharing it read-only thereafter (safe for concurrent
@@ -329,19 +288,6 @@ func (p *Prepared) materializeLocs() {
 		}
 		for i := range r.locs {
 			p.locs[i] = preparedLoc{p: r.locs[i].p, wildcard: r.locs[i].wildcard, packed: r, pIdx: i}
-		}
-		return
-	}
-	if p.streaming {
-		// Discovery pass only: the index in first-access order, no arenas.
-		infos := p.dec.Stream(p.log)
-		if cap(p.locs) < len(infos) {
-			p.locs = make([]preparedLoc, len(infos))
-		} else {
-			p.locs = p.locs[:len(infos)]
-		}
-		for i := range infos {
-			p.locs[i] = preparedLoc{p: infos[i].P, wildcard: infos[i].P.IsWildcard()}
 		}
 		return
 	}
@@ -376,19 +322,6 @@ func (p *Prepared) materializeLocs() {
 	}
 }
 
-// PrepareAll prepares each log (a convenience for the DetectV shims and
-// tests; the runtime prepares incrementally, one entry per commit).
-func PrepareAll(logs []oplog.Log) []*Prepared {
-	if logs == nil {
-		return nil
-	}
-	out := make([]*Prepared, len(logs))
-	for i, l := range logs {
-		out[i] = Prepare(l)
-	}
-	return out
-}
-
 // Log returns the underlying transaction log (nil for a compressed
 // artifact, which retains no events).
 func (p *Prepared) Log() oplog.Log { return p.log }
@@ -418,25 +351,24 @@ func (p *Prepared) accessModes() map[oplog.PLoc]mode {
 	return p.modes
 }
 
-// virtual reports whether the location is an index stub (streaming or
-// compressed artifact) whose subsequence must be rendered before use.
+// virtual reports whether the location is a compressed artifact's index
+// stub, whose subsequence must be decoded before use.
 func (pl *preparedLoc) virtual() bool { return pl.syms == nil }
 
-// renderSlot is one reusable rendering target: a preparedLoc whose seq,
-// syms, and cache-key buffers are owned by the slot and recycled across
+// renderSlot is one reusable rendering target: a preparedLoc whose syms
+// and cache-key buffers are owned by the slot and recycled across
 // renders. Single-goroutine; the memo Onces are re-armed per render so
 // the rendered location behaves exactly like a materialized one to
 // pairVerdict.
 type renderSlot struct {
 	pl   preparedLoc
-	seq  oplog.Log
 	syms []oplog.Sym
 }
 
 // renderScratch holds the two rendering slots one detection call needs —
 // the running transaction's side and the committed side — drawn from a
 // pool per DetectPrepared call that meets a virtual location and
-// released (dropping all event references) after the verdict.
+// released after the verdict.
 type renderScratch struct {
 	t, c renderSlot
 }
@@ -445,12 +377,10 @@ var scratchPool = sync.Pool{New: func() any { return new(renderScratch) }}
 
 func getScratch() *renderScratch { return scratchPool.Get().(*renderScratch) }
 
-// release drops the slots' event and descriptor references (keeping
-// buffer capacity) and returns the scratch to the pool.
+// release drops the slots' descriptor references (keeping buffer
+// capacity) and returns the scratch to the pool.
 func (sc *renderScratch) release() {
 	for _, sl := range [...]*renderSlot{&sc.t, &sc.c} {
-		clear(sl.seq)
-		sl.seq = sl.seq[:0]
 		clear(sl.syms)
 		sl.syms = sl.syms[:0]
 		key := sl.pl.key
@@ -460,42 +390,22 @@ func (sc *renderScratch) release() {
 	scratchPool.Put(sc)
 }
 
-// renderLoc materializes a virtual location into the slot and returns
-// the rendered preparedLoc. For a streaming artifact the subsequence is
-// streamed out of the log (oplog.SubseqIter); for a compressed one the
-// symbolic shape is decoded from the record (no events exist — seq stays
-// nil and the access modes decode on demand). A non-virtual location
-// passes through untouched.
-func (p *Prepared) renderLoc(src *preparedLoc, sl *renderSlot) *preparedLoc {
-	if !src.virtual() {
-		return src
-	}
+// renderLoc decodes a virtual location's symbolic shape from its
+// compressed record into the slot and returns the rendered preparedLoc
+// (no events exist — seq stays nil and the access modes decode on
+// demand).
+func renderLoc(src *preparedLoc, sl *renderSlot) *preparedLoc {
 	key := sl.pl.key
 	sl.pl = preparedLoc{p: src.p, wildcard: src.wildcard, packed: src.packed, pIdx: src.pIdx}
 	sl.pl.key = key[:0]
-	if src.packed != nil {
-		sl.syms = src.packed.appendSyms(sl.syms[:0], src.pIdx)
-		sl.pl.syms = sl.syms
-		return &sl.pl
-	}
-	sl.seq, sl.syms = sl.seq[:0], sl.syms[:0]
-	it := p.log.Subseq(src.p)
-	for {
-		e, ok := it.Next()
-		if !ok {
-			break
-		}
-		sl.seq = append(sl.seq, e)
-		sl.syms = append(sl.syms, e.Op.Sym())
-	}
-	sl.pl.seq = sl.seq
+	sl.syms = src.packed.appendSyms(sl.syms[:0], src.pIdx)
 	sl.pl.syms = sl.syms
 	return &sl.pl
 }
 
 // accessModes returns the subsequence's write-set modes, computing them
-// on first use — from the events for a materialized or rendered
-// subsequence, decoded from the compressed record for a demoted one.
+// on first use — from the events for a materialized subsequence, decoded
+// from the compressed record for a demoted one.
 func (pl *preparedLoc) accessModes() map[oplog.PLoc]mode {
 	pl.modesOnce.Do(func() {
 		if pl.packed != nil {

@@ -70,46 +70,16 @@ func TestDetectorCompositionality(t *testing.T) {
 			committed[i] = randLog(t, rng, st, 100+i)
 		}
 		for _, det := range detectors {
-			whole := det.DetectV(obs.Ctx{}, st, txn, committed).Conflict
+			whole := detect(det, st, txn, committed...)
 			any := false
 			for _, c := range committed {
-				if det.DetectV(obs.Ctx{}, st, txn, []oplog.Log{c}).Conflict {
+				if detect(det, st, txn, c) {
 					any = true
 				}
 			}
 			if whole != any {
 				t.Fatalf("trial %d, %s: whole-window verdict %v != per-entry disjunction %v",
 					trial, det.Name(), whole, any)
-			}
-		}
-	}
-}
-
-// TestDetectPreparedMatchesDetectV: the prepared path and the
-// compatibility shim must agree on every randomized input, for both
-// detectors.
-func TestDetectPreparedMatchesDetectV(t *testing.T) {
-	st := baseState()
-	detectors := []Detector{
-		NewWriteSet(),
-		NewSequence(trainedIdentityCache(), nil),
-		NewSequence(nil, nil),
-	}
-	rng := rand.New(rand.NewSource(43))
-	for trial := 0; trial < 200; trial++ {
-		txn := randLog(t, rng, st, 1)
-		committed := make([]oplog.Log, rng.Intn(4))
-		for i := range committed {
-			committed[i] = randLog(t, rng, st, 100+i)
-		}
-		prep := Prepare(txn)
-		prepC := PrepareAll(committed)
-		for _, det := range detectors {
-			v1 := det.DetectV(obs.Ctx{}, st, txn, committed)
-			v2 := det.DetectPrepared(obs.Ctx{}, st, prep, prepC)
-			if v1.Conflict != v2.Conflict {
-				t.Fatalf("trial %d, %s: DetectV=%v DetectPrepared=%v",
-					trial, det.Name(), v1.Conflict, v2.Conflict)
 			}
 		}
 	}
@@ -129,7 +99,7 @@ func TestPreparedSharedConcurrently(t *testing.T) {
 	for i := range committed {
 		committed[i] = randLog(t, rng, st, 100+i)
 	}
-	prepC := PrepareAll(committed)
+	prepC := prepareAll(committed)
 	txns := make([]oplog.Log, 8)
 	preps := make([]*Prepared, len(txns))
 	for i := range txns {
@@ -178,17 +148,17 @@ func TestPreparedSharedConcurrently(t *testing.T) {
 
 // TestPreparePooledRecycle: a recycled artifact's buffers must be fully
 // rebuilt on reuse — pool reuse yields the same projections and verdicts
-// as a fresh Prepare.
+// as an artifact that never saw the pool.
 func TestPreparePooledRecycle(t *testing.T) {
 	st := baseState()
 	rng := rand.New(rand.NewSource(53))
 	det := NewSequence(trainedIdentityCache(), nil)
 	committed := []oplog.Log{randLog(t, rng, st, 100), randLog(t, rng, st, 101)}
-	prepC := PrepareAll(committed)
+	prepC := prepareAll(committed)
 	for trial := 0; trial < 100; trial++ {
 		txn := randLog(t, rng, st, 1)
-		pooled := PreparePooled(txn)
-		fresh := Prepare(txn)
+		pooled := Prepare(txn)
+		fresh := &Prepared{log: txn}
 		if pooled.NumLocs() != fresh.NumLocs() || pooled.Ops() != fresh.Ops() {
 			t.Fatalf("trial %d: pooled artifact shape %d/%d != fresh %d/%d",
 				trial, pooled.NumLocs(), pooled.Ops(), fresh.NumLocs(), fresh.Ops())

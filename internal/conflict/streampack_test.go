@@ -27,9 +27,8 @@ func (o accOp) IsRead() bool                            { return false }
 func (o accOp) String() string                          { return o.kind }
 
 // richRandLog is randLog extended with relational per-key ops, occasional
-// wildcard extents, and an optional size multiplier that pushes the log
-// past streamOpsThreshold — covering every pairVerdict path (trained hit,
-// fallback, wildcard, relaxation residual) on both representation modes.
+// wildcard extents, and an optional size multiplier — covering every
+// pairVerdict path (trained hit, fallback, wildcard, relaxation residual).
 func richRandLog(t *testing.T, rng *rand.Rand, st *state.State, task, scale int) oplog.Log {
 	t.Helper()
 	locs := []state.Loc{"work", "max"}
@@ -55,6 +54,17 @@ func richRandLog(t *testing.T, rng *rand.Rand, st *state.State, task, scale int)
 	return record(t, st, task, ops...)
 }
 
+// trialScale is the richRandLog multiplier the compression properties
+// use: every fifth trial draws 65 to 260 times, so the decomposition runs
+// on its index map (past oplog's linearScanAccesses) and the record holds
+// a large entry.
+func trialScale(trial int) int {
+	if trial%5 == 0 {
+		return 65
+	}
+	return 1
+}
+
 // equivDetectors is the detector matrix for representation-equivalence
 // properties: every configuration whose verdict depends only on shapes,
 // modes, and signatures (the Online concrete check needs events and is
@@ -74,78 +84,6 @@ func equivDetectors() []Detector {
 	}
 }
 
-// TestStreamingPreparedMatchesMaterialized: detection over streaming
-// projections (index stubs + on-demand rendering) must agree — verdict
-// and reason — with detection over fully materialized artifacts, on both
-// the running and the committed side, over randomized logs.
-func TestStreamingPreparedMatchesMaterialized(t *testing.T) {
-	st := baseState()
-	dets := equivDetectors()
-	rng := rand.New(rand.NewSource(47))
-	// Pin Prepare to the materialized path regardless of log size; the
-	// streaming side is forced explicitly via PrepareStreaming.
-	orig := streamOpsThreshold
-	streamOpsThreshold = 1 << 30
-	defer func() { streamOpsThreshold = orig }()
-	for trial := 0; trial < 300; trial++ {
-		scale := 1
-		if trial%5 == 0 {
-			scale = 1 + orig/4 // logs past the normal auto threshold
-		}
-		txn := richRandLog(t, rng, st, 1, scale)
-		committed := make([]oplog.Log, rng.Intn(4))
-		for i := range committed {
-			committed[i] = richRandLog(t, rng, st, 100+i, 1)
-		}
-		mTxn, mC := Prepare(txn), PrepareAll(committed)
-		sTxn := PrepareStreaming(txn)
-		sC := make([]*Prepared, len(committed))
-		for i := range committed {
-			sC[i] = PrepareStreaming(committed[i])
-		}
-		for _, det := range dets {
-			want := det.DetectPrepared(obs.Ctx{}, st, mTxn, mC)
-			for name, pair := range map[string][2]any{
-				"stream-txn":  {sTxn, mC},
-				"stream-both": {sTxn, sC},
-				"stream-hist": {mTxn, sC},
-			} {
-				got := det.DetectPrepared(obs.Ctx{}, st, pair[0].(*Prepared), pair[1].([]*Prepared))
-				if got.Conflict != want.Conflict || got.Reason != want.Reason {
-					t.Fatalf("trial %d, %s, %s: got %v/%v, want %v/%v",
-						trial, det.Name(), name, got.Conflict, got.Reason, want.Conflict, want.Reason)
-				}
-			}
-		}
-	}
-}
-
-// TestStreamingPooledRecycle: large (auto-streaming) pooled artifacts
-// must detect correctly across recycle/reuse — the per-attempt lifecycle
-// the runtime drives.
-func TestStreamingPooledRecycle(t *testing.T) {
-	st := baseState()
-	det := NewSequence(trainedIdentityCache(), nil)
-	rng := rand.New(rand.NewSource(53))
-	committed := PrepareAll([]oplog.Log{
-		richRandLog(t, rng, st, 100, 1),
-		richRandLog(t, rng, st, 101, 1),
-	})
-	for round := 0; round < 50; round++ {
-		txn := richRandLog(t, rng, st, 1, streamOpsThreshold)
-		prep := PreparePooled(txn)
-		if !prep.Streaming() {
-			t.Fatalf("round %d: %d-op pooled artifact not streaming", round, len(txn))
-		}
-		want := det.DetectPrepared(obs.Ctx{}, st, Prepare(txn), committed)
-		got := det.DetectPrepared(obs.Ctx{}, st, prep, committed)
-		if got.Conflict != want.Conflict {
-			t.Fatalf("round %d: pooled streaming verdict %v, want %v", round, got.Conflict, want.Conflict)
-		}
-		prep.Recycle()
-	}
-}
-
 // TestCompressedDetectionMatchesUncompressed: demoting committed entries
 // to compressed records must not change any verdict or reason, including
 // in mixed windows (some entries demoted, some full) — the no-false-
@@ -156,12 +94,13 @@ func TestCompressedDetectionMatchesUncompressed(t *testing.T) {
 	dets := equivDetectors()
 	rng := rand.New(rand.NewSource(59))
 	for trial := 0; trial < 300; trial++ {
-		txn := richRandLog(t, rng, st, 1, 1)
+		scale := trialScale(trial)
+		txn := richRandLog(t, rng, st, 1, scale)
 		committed := make([]oplog.Log, rng.Intn(4))
 		for i := range committed {
-			committed[i] = richRandLog(t, rng, st, 100+i, 1)
+			committed[i] = richRandLog(t, rng, st, 100+i, scale)
 		}
-		full := PrepareAll(committed)
+		full := prepareAll(committed)
 		packed := make([]*Prepared, len(full))
 		mixed := make([]*Prepared, len(full))
 		for i := range full {
@@ -199,7 +138,7 @@ func TestCompressedOnlineSoundness(t *testing.T) {
 	for trial := 0; trial < 300; trial++ {
 		txn := richRandLog(t, rng, st, 1, 1)
 		committed := []oplog.Log{richRandLog(t, rng, st, 100, 1)}
-		full := PrepareAll(committed)
+		full := prepareAll(committed)
 		packed := []*Prepared{full[0].Compress()}
 		prep := Prepare(txn)
 		fullV := det.DetectPrepared(obs.Ctx{}, st, prep, full)
@@ -218,16 +157,9 @@ func TestCompressRoundTrip(t *testing.T) {
 	st := baseState()
 	rng := rand.New(rand.NewSource(67))
 	for trial := 0; trial < 100; trial++ {
-		l := richRandLog(t, rng, st, 1, 1+rng.Intn(3))
+		l := richRandLog(t, rng, st, 1, trialScale(trial)*(1+rng.Intn(3)))
 		src := Prepare(l)
-		// Odd trials compress a streaming artifact (the committed-entry form
-		// of a large transaction); the record must still match the
-		// materialized projections exactly.
-		comSrc := src
-		if trial%2 == 1 {
-			comSrc = PrepareStreaming(l)
-		}
-		cp := comSrc.Compress()
+		cp := src.Compress()
 		if cp == src || !cp.Compressed() {
 			t.Fatal("Compress must produce a distinct compressed artifact")
 		}
@@ -278,7 +210,7 @@ func TestCompressRoundTrip(t *testing.T) {
 			if clocs[i].p != slocs[i].p || clocs[i].wildcard != slocs[i].wildcard {
 				t.Fatalf("location %d index mismatch", i)
 			}
-			r := cp.renderLoc(&clocs[i], &sl)
+			r := renderLoc(&clocs[i], &sl)
 			if len(r.syms) != len(slocs[i].syms) {
 				t.Fatalf("location %q decoded %d syms, want %d", slocs[i].p, len(r.syms), len(slocs[i].syms))
 			}

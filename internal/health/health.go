@@ -48,7 +48,6 @@ import (
 
 	"repro/internal/conflict"
 	"repro/internal/obs"
-	"repro/internal/oplog"
 	"repro/internal/state"
 )
 
@@ -269,26 +268,12 @@ func (g *Governor) Fallback() conflict.Detector { return g.fallback }
 // Name implements conflict.Detector.
 func (g *Governor) Name() string { return "governed-" + g.primary.Name() }
 
-// Detect implements conflict.Detector.
-func (g *Governor) Detect(snapshot *state.State, txn oplog.Log, committed []oplog.Log) bool {
-	return g.DetectV(obs.Ctx{}, snapshot, txn, committed).Conflict
-}
-
-// DetectV implements conflict.Detector: healthy detections go to the
-// primary, degraded ones to the fallback (except promotion probes), and
-// the verdict feeds the window accounting that drives transitions.
+// DetectPrepared implements conflict.Detector: healthy detections go to
+// the primary, degraded ones to the fallback (except promotion probes),
+// and the verdict feeds the window accounting that drives transitions.
 // Tripped transactions run serially and never validate, so a detection
 // arriving while tripped (a straggler that raced the trip) is answered
 // by the fallback.
-func (g *Governor) DetectV(ctx obs.Ctx, snapshot *state.State, txn oplog.Log, committed []oplog.Log) conflict.Verdict {
-	return g.govern(func(d conflict.Detector) conflict.Verdict {
-		return d.DetectV(ctx, snapshot, txn, committed)
-	})
-}
-
-// DetectPrepared implements conflict.Detector over commit-time prepared
-// projections; the routing and window accounting are identical to
-// DetectV's.
 func (g *Governor) DetectPrepared(ctx obs.Ctx, snapshot *state.State, txn *conflict.Prepared, committed []*conflict.Prepared) conflict.Verdict {
 	return g.govern(func(d conflict.Detector) conflict.Verdict {
 		return d.DetectPrepared(ctx, snapshot, txn, committed)

@@ -66,6 +66,16 @@ func idPair(t *testing.T, st *state.State) (oplog.Log, []oplog.Log) {
 	return id1, []oplog.Log{id2}
 }
 
+// detect prepares both sides, as the runtime does, and runs one governed
+// detection.
+func detect(g *Governor, st *state.State, txn oplog.Log, committed ...oplog.Log) conflict.Verdict {
+	prepC := make([]*conflict.Prepared, len(committed))
+	for i, l := range committed {
+		prepC[i] = conflict.Prepare(l)
+	}
+	return g.DetectPrepared(obs.Ctx{}, st, conflict.Prepare(txn), prepC)
+}
+
 // disjointPair returns logs over non-overlapping locations: detecting them
 // makes zero pair queries, so a probe on them is uninformative.
 func disjointPair(t *testing.T, st *state.State) (oplog.Log, []oplog.Log) {
@@ -164,7 +174,7 @@ func TestDemoteOnMissRate(t *testing.T) {
 	})
 	txn, committed := idPair(t, st)
 	for i := 0; i < 4; i++ {
-		g.DetectV(obs.Ctx{}, st, txn, committed)
+		detect(g, st, txn, committed...)
 	}
 	if g.State() != Degraded {
 		t.Fatalf("state = %v after a 100%% miss window, want degraded", g.State())
@@ -189,7 +199,7 @@ func TestDemoteOnAbortRate(t *testing.T) {
 	add1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 1})
 	add2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 1})
 	for i := 0; i < 4; i++ {
-		if v := g.DetectV(obs.Ctx{}, st, add1, []oplog.Log{add2}); !v.Conflict {
+		if v := detect(g, st, add1, add2); !v.Conflict {
 			t.Fatal("write-write overlap must conflict")
 		}
 	}
@@ -214,7 +224,7 @@ func TestTripAndRecover(t *testing.T) {
 	add2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 1})
 	conflicting := func(n int) {
 		for i := 0; i < n; i++ {
-			g.DetectV(obs.Ctx{}, st, add1, []oplog.Log{add2})
+			detect(g, st, add1, add2)
 		}
 	}
 	conflicting(4) // window 1: demote
@@ -268,14 +278,14 @@ func TestProbeRestores(t *testing.T) {
 		ProbeEvery: 2, RestoreProbes: 2, Tracer: tr,
 	})
 	txn, committed := idPair(t, st)
-	g.DetectV(obs.Ctx{}, st, txn, committed)
-	g.DetectV(obs.Ctx{}, st, txn, committed)
+	detect(g, st, txn, committed...)
+	detect(g, st, txn, committed...)
 	if g.State() != Degraded {
 		t.Fatalf("state = %v after the storm window, want degraded", g.State())
 	}
 	storm.Store(false) // cache answers again; probes should notice
 	for i := 0; i < 8 && g.State() != Healthy; i++ {
-		g.DetectV(obs.Ctx{}, st, txn, committed)
+		detect(g, st, txn, committed...)
 	}
 	if g.State() != Healthy {
 		t.Fatalf("state = %v after clean probes, want healthy", g.State())
@@ -314,18 +324,18 @@ func TestProbeUninformativeKeepsStreak(t *testing.T) {
 	})
 	txn, committed := idPair(t, st)
 	noTxn, noCommitted := disjointPair(t, st)
-	g.DetectV(obs.Ctx{}, st, txn, committed)
-	g.DetectV(obs.Ctx{}, st, txn, committed)
+	detect(g, st, txn, committed...)
+	detect(g, st, txn, committed...)
 	if g.State() != Degraded {
 		t.Fatalf("state = %v after the storm window, want degraded", g.State())
 	}
 	storm.Store(false)
-	g.DetectV(obs.Ctx{}, st, txn, committed) // probe: clean (streak 1)
-	g.DetectV(obs.Ctx{}, st, noTxn, noCommitted)
+	detect(g, st, txn, committed...) // probe: clean (streak 1)
+	detect(g, st, noTxn, noCommitted...)
 	if g.State() != Degraded {
 		t.Fatal("an uninformative probe must not restore on its own")
 	}
-	g.DetectV(obs.Ctx{}, st, txn, committed) // probe: clean (streak 2) → restore
+	detect(g, st, txn, committed...) // probe: clean (streak 2) → restore
 	if g.State() != Healthy {
 		t.Fatalf("state = %v, want healthy: the uninformative probe reset the clean streak", g.State())
 	}
@@ -427,7 +437,7 @@ func TestProbeGateSerializesProbes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				g.DetectV(obs.Ctx{}, st, txn, committed)
+				detect(g, st, txn, committed...)
 			}
 		}()
 	}
@@ -465,7 +475,7 @@ func TestOnTransitionHook(t *testing.T) {
 	add2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 1})
 	conflicting := func(n int) {
 		for i := 0; i < n; i++ {
-			g.DetectV(obs.Ctx{}, st, add1, []oplog.Log{add2})
+			detect(g, st, add1, add2)
 		}
 	}
 	conflicting(12) // demote, then (two bad windows later) trip

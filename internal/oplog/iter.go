@@ -1,211 +1,48 @@
-// Streaming decomposition: iterators over per-location subsequences that
-// never materialize event arenas. The materializing Decompose path remains
-// as the compatibility shim for callers that need a stable []PLocSeq; the
-// iterator path exists so detection over very large transactions runs at
-// memory proportional to the number of distinct locations, not the number
-// of operations (ROADMAP item 2, after janus-datalog's iterator
-// architecture).
-//
-// Contract shared by every iterator here: Next returns (item, true) until
-// the sequence is exhausted, then (zero, false) forever; iterators are
-// single-goroutine values and are invalidated by mutating their source log
-// or Decomposer. SubseqIter yields exactly the multiset of events the
-// materialized Decompose would place in that location's subsequence, in
-// the same order (an event accessing the location twice is yielded twice).
+// Cursor view over Decomposer.Decompose's output, kept for the offline
+// decomposition timing in benchmark/library.go.
 
 package oplog
 
-// Iter is a streaming iterator over log events.
-type Iter interface {
-	// Next returns the next event, or (nil, false) when exhausted.
-	Next() (*Event, bool)
-}
-
-// SubseqIter streams one projection location's subsequence of a log in
-// program order, without materializing an arena: it scans the source log
-// and yields each event once per access to the location, exactly matching
-// the materialized Decompose subsequence. The zero value is an exhausted
-// iterator.
-type SubseqIter struct {
-	log Log
-	p   PLoc
-	pos int
-	acc int
-}
-
-// Subseq returns a streaming iterator over l's subsequence at p.
-func (l Log) Subseq(p PLoc) SubseqIter { return SubseqIter{log: l, p: p} }
-
-// Next yields the subsequence's next event.
-func (it *SubseqIter) Next() (*Event, bool) {
-	for it.pos < len(it.log) {
-		e := it.log[it.pos]
-		for it.acc < len(e.Acc) {
-			a := e.Acc[it.acc]
-			it.acc++
-			if a.P == it.p {
-				return e, true
-			}
-		}
-		it.pos++
-		it.acc = 0
-	}
-	return nil, false
-}
-
-// Reset rewinds the iterator to the start of the subsequence.
-func (it *SubseqIter) Reset() { it.pos, it.acc = 0, 0 }
-
-// LocInfo is one projection location discovered by Stream: the PLoc and
-// its subsequence length, with no materialized events.
+// LocInfo is one projection location of a decomposed log with its
+// subsequence length.
 type LocInfo struct {
 	P PLoc
 	N int
 }
 
-// Stream runs the discovery pass of Decompose only: it returns the log's
-// projection locations in first-access order with their subsequence
-// lengths, building no event arena. Subsequences are rendered on demand
-// with Iter. The returned slice is owned by the Decomposer and remains
-// valid until its next Decompose, Stream, or Release call.
-func (d *Decomposer) Stream(l Log) []LocInfo {
-	d.src = l
-	d.discover(l)
-	if cap(d.locs) < len(d.out) {
-		d.locs = make([]LocInfo, len(d.out))
-	} else {
-		d.locs = d.locs[:len(d.out)]
+// SubseqIter is a cursor over one location's subsequence. The zero value
+// is exhausted.
+type SubseqIter struct {
+	seq Log
+}
+
+// Next returns (event, true) until the subsequence is exhausted, then
+// (nil, false) forever.
+func (it *SubseqIter) Next() (*Event, bool) {
+	if len(it.seq) == 0 {
+		return nil, false
 	}
-	for i := range d.out {
-		d.locs[i] = LocInfo{P: d.out[i].P, N: d.counts[i]}
+	e := it.seq[0]
+	it.seq = it.seq[1:]
+	return e, true
+}
+
+// Stream decomposes l and returns its projection locations in
+// first-access order. The slice is owned by the Decomposer and valid
+// until its next Decompose, Stream or Release call.
+func (d *Decomposer) Stream(l Log) []LocInfo {
+	d.locs = d.locs[:0]
+	for _, ps := range d.Decompose(l) {
+		d.locs = append(d.locs, LocInfo{P: ps.P, N: len(ps.Seq)})
 	}
 	return d.locs
 }
 
-// Iter returns a streaming iterator over the streamed log's subsequence
-// at p. Stream must have been called; a location the log never accesses
-// yields an empty iteration.
-func (d *Decomposer) Iter(p PLoc) SubseqIter { return d.src.Subseq(p) }
-
-// FilterIter yields the events of an inner iterator that satisfy a
-// predicate.
-type FilterIter struct {
-	src  Iter
-	keep func(*Event) bool
-}
-
-// Filter wraps src, keeping only events for which keep returns true.
-func Filter(src Iter, keep func(*Event) bool) *FilterIter {
-	return &FilterIter{src: src, keep: keep}
-}
-
-// Next yields the next kept event.
-func (f *FilterIter) Next() (*Event, bool) {
-	for {
-		e, ok := f.src.Next()
-		if !ok {
-			return nil, false
-		}
-		if f.keep(e) {
-			return e, true
-		}
+// Iter returns a cursor over the last decomposed log's subsequence at p;
+// a location the log never accesses yields an empty iteration.
+func (d *Decomposer) Iter(p PLoc) SubseqIter {
+	if i := d.find(p); i >= 0 {
+		return SubseqIter{seq: d.out[i].Seq}
 	}
-}
-
-// SymsIter projects an event iterator onto symbolic descriptors — the
-// streaming equivalent of Log.Syms for a subsequence.
-type SymsIter struct {
-	src Iter
-}
-
-// ProjectSyms wraps src, yielding each event's Sym.
-func ProjectSyms(src Iter) *SymsIter { return &SymsIter{src: src} }
-
-// Next yields the next descriptor.
-func (s *SymsIter) Next() (Sym, bool) {
-	e, ok := s.src.Next()
-	if !ok {
-		return Sym{}, false
-	}
-	return e.Op.Sym(), true
-}
-
-// JoinPair is one overlapping location pair produced by JoinByLoc, with
-// streaming iterators over the two subsequences.
-type JoinPair struct {
-	P, Q        PLoc
-	Left, Right SubseqIter
-}
-
-// LocJoin enumerates the overlapping projection-location pairs of two
-// streamed logs — the pair structure sequence detection walks — without
-// materializing either side's subsequences.
-type LocJoin struct {
-	a, b *Decomposer
-	i, j int
-}
-
-// JoinByLoc joins two streamed decompositions by location overlap. Both
-// decomposers must have Streamed their logs. Pairs are yielded in
-// left-major first-access order.
-func JoinByLoc(a, b *Decomposer) *LocJoin { return &LocJoin{a: a, b: b} }
-
-// Next yields the next overlapping pair.
-func (jn *LocJoin) Next() (JoinPair, bool) {
-	for jn.i < len(jn.a.locs) {
-		p := jn.a.locs[jn.i].P
-		for jn.j < len(jn.b.locs) {
-			q := jn.b.locs[jn.j].P
-			jn.j++
-			if p.Overlaps(q) {
-				return JoinPair{P: p, Q: q, Left: jn.a.Iter(p), Right: jn.b.Iter(q)}, true
-			}
-		}
-		jn.i++
-		jn.j = 0
-	}
-	return JoinPair{}, false
-}
-
-// BufferedIterator records the events an inner iterator yields so the
-// sequence can be re-traversed without re-scanning the source — the
-// re-iteration case detection hits when one subsequence is compared
-// against several counterparts. The buffer fills lazily: only what has
-// been pulled is retained, and Rewind replays it from the start.
-type BufferedIterator struct {
-	src Iter
-	buf Log
-	pos int
-}
-
-// Buffer wraps src with lazy re-iteration support.
-func Buffer(src Iter) *BufferedIterator { return &BufferedIterator{src: src} }
-
-// Next yields the next event, from the buffer when rewound past filled
-// ground, pulling (and recording) from the source otherwise.
-func (b *BufferedIterator) Next() (*Event, bool) {
-	if b.pos < len(b.buf) {
-		e := b.buf[b.pos]
-		b.pos++
-		return e, true
-	}
-	e, ok := b.src.Next()
-	if !ok {
-		return nil, false
-	}
-	b.buf = append(b.buf, e)
-	b.pos++
-	return e, true
-}
-
-// Rewind restarts iteration from the first event. Events not yet pulled
-// from the source remain unbuffered until reached again.
-func (b *BufferedIterator) Rewind() { b.pos = 0 }
-
-// Release drops the buffered event references (keeping capacity), so a
-// retained BufferedIterator does not pin its source log's events.
-func (b *BufferedIterator) Release() {
-	clear(b.buf)
-	b.buf = b.buf[:0]
-	b.pos = 0
+	return SubseqIter{}
 }

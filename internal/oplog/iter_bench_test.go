@@ -19,51 +19,6 @@ func benchLog(nLocs, total int) Log {
 	return l
 }
 
-// BenchmarkDecomposeStream compares the materializing decomposition
-// against the streaming one on a large transaction (4096 ops over 64
-// locations), each iteration on a fresh Decomposer — the per-transaction
-// shape. The materialized path allocates an arena proportional to total
-// accesses; the streaming path allocates proportional to distinct
-// locations only, which is the flat-memory property large-transaction
-// detection builds on.
-func BenchmarkDecomposeStream(b *testing.B) {
-	l := benchLog(64, 4096)
-	b.Run("materialized", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var d Decomposer
-			out := d.Decompose(l)
-			n := 0
-			for _, ps := range out {
-				n += len(ps.Seq)
-			}
-			if n != len(l) {
-				b.Fatal("bad decomposition")
-			}
-		}
-	})
-	b.Run("streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			var d Decomposer
-			locs := d.Stream(l)
-			n := 0
-			for _, li := range locs {
-				it := d.Iter(li.P)
-				for {
-					if _, ok := it.Next(); !ok {
-						break
-					}
-					n++
-				}
-			}
-			if n != len(l) {
-				b.Fatal("bad stream")
-			}
-		}
-	})
-}
-
 // BenchmarkDecomposerCrossover measures the first-access-discovery
 // crossover between the linear scan and the index map, pinning each path
 // in turn at equal input sizes by overriding linearScanAccesses. The

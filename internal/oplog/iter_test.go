@@ -32,8 +32,8 @@ func collect(it SubseqIter) Log {
 }
 
 // TestSubseqIterMatchesDecompose: for randomized logs on both sides of the
-// linearScanAccesses boundary, streaming each discovered location must
-// yield exactly the materialized Decompose subsequence.
+// linearScanAccesses boundary, the cursor over each discovered location
+// must yield exactly the reference model's subsequence.
 func TestSubseqIterMatchesDecompose(t *testing.T) {
 	st := state.New()
 	for n := 0; n < 8; n++ {
@@ -42,62 +42,57 @@ func TestSubseqIterMatchesDecompose(t *testing.T) {
 	var d Decomposer
 	for _, total := range []int{0, 1, 5, 20, linearScanAccesses - 1, linearScanAccesses, linearScanAccesses + 10, 4 * linearScanAccesses} {
 		l := randDecomposeLog(st, 6, total, total)
-		want := DecomposeOrdered(l)
+		want := refDecompose(l)
 		locs := d.Stream(l)
 		if len(locs) != len(want) {
 			t.Fatalf("total=%d: Stream found %d locations, want %d", total, len(locs), len(want))
 		}
-		for i, li := range locs {
-			if li.P != want[i].P {
-				t.Fatalf("total=%d: loc %d = %q, want %q (first-access order)", total, i, li.P, want[i].P)
+		for _, li := range locs {
+			if li.N != len(want[li.P]) {
+				t.Fatalf("total=%d: loc %q count = %d, want %d", total, li.P, li.N, len(want[li.P]))
 			}
-			if li.N != len(want[i].Seq) {
-				t.Fatalf("total=%d: loc %q count = %d, want %d", total, li.P, li.N, len(want[i].Seq))
-			}
-			got := collect(d.Iter(li.P))
-			if !reflect.DeepEqual(got, want[i].Seq) {
-				t.Fatalf("total=%d: streamed subsequence for %q differs from Decompose", total, li.P)
+			if got := collect(d.Iter(li.P)); !reflect.DeepEqual(got, want[li.P]) {
+				t.Fatalf("total=%d: cursor subsequence for %q differs from the model", total, li.P)
 			}
 		}
 	}
 }
 
 // TestSubseqIterMultiAccess: an event accessing a location twice appears
-// twice in that location's subsequence — on the streaming path exactly as
-// on the materialized one — and Reset rewinds.
+// twice in that location's subsequence, and an absent location yields an
+// empty iteration.
 func TestSubseqIterMultiAccess(t *testing.T) {
 	e1 := &Event{Op: multiOp{}, Acc: []Access{{P: "x", Write: true}, {P: "y", Read: true}}}
 	e2 := &Event{Op: multiOp{}, Acc: []Access{{P: "x", Read: true}, {P: "x", Write: true}}}
 	l := Log{e1, e2}
-	want := Decompose(l)
+	want := refDecompose(l)
+	var d Decomposer
+	d.Stream(l)
 	for _, p := range []PLoc{"x", "y", "absent"} {
-		got := collect(l.Subseq(p))
+		got := collect(d.Iter(p))
 		if !reflect.DeepEqual(got, want[p]) {
 			t.Fatalf("subsequence at %q = %v, want %v", p, got, want[p])
 		}
 	}
-	it := l.Subseq("x")
-	first := collect(it)
-	it.Reset()
-	if again := collect(it); !reflect.DeepEqual(again, first) {
-		t.Fatal("Reset did not rewind the iterator")
+	if got := collect(d.Iter("x")); len(got) != 3 {
+		t.Fatalf("x subsequence has %d events, want 3 (e2 twice)", len(got))
 	}
 }
 
-// TestStreamReuseAndRelease: a Decomposer must stream correctly across
-// reuse (alternating with materializing calls) and drop its source log
-// and location buffer on Release.
+// TestStreamReuseAndRelease: a Decomposer must serve cursors correctly
+// across reuse (alternating with plain Decompose calls, on both sides of
+// the scan/map boundary) and forget the last log on Release — including
+// the index mode, so a cursor asked for afterwards is empty rather than
+// a read through a stale index.
 func TestStreamReuseAndRelease(t *testing.T) {
 	st := state.New()
 	for n := 0; n < 8; n++ {
 		st.Set(state.Loc(string(rune('a'+n))), state.Int(0))
 	}
 	var d Decomposer
-	for _, total := range []int{30, 3, 0, linearScanAccesses + 5, 7} {
+	for _, total := range []int{30, 3, 0, 7, linearScanAccesses + 5} {
 		l := randDecomposeLog(st, 6, total, total)
-		want := DecomposeOrdered(l)
-		// Interleave a materializing call to ensure the shared discovery
-		// buffers do not corrupt a later stream.
+		want := refDecompose(l)
 		d.Decompose(randDecomposeLog(st, 3, 9, total+1))
 		locs := d.Stream(l)
 		if len(locs) != len(want) {
@@ -105,129 +100,19 @@ func TestStreamReuseAndRelease(t *testing.T) {
 		}
 		for i := range locs {
 			got := collect(d.Iter(locs[i].P))
-			if !reflect.DeepEqual(got, want[i].Seq) {
-				t.Fatalf("total=%d: streamed subsequence for %q differs after reuse", total, locs[i].P)
+			if !reflect.DeepEqual(got, want[locs[i].P]) {
+				t.Fatalf("total=%d: cursor subsequence for %q differs after reuse", total, locs[i].P)
 			}
 		}
 	}
-	d.Release()
-	if d.src != nil {
-		t.Fatal("Release kept the source log")
+	if !d.useMap {
+		t.Fatal("the last log must be a map-mode one for the Release check below")
 	}
+	d.Release()
 	if len(d.locs) != 0 {
 		t.Fatal("Release left location infos behind")
 	}
 	if got := collect(d.Iter("a")); got != nil {
 		t.Fatal("Iter after Release must yield nothing")
-	}
-}
-
-// TestFilterProjectSyms: composition — filtering a subsequence and
-// projecting it onto descriptors.
-func TestFilterProjectSyms(t *testing.T) {
-	st := state.New()
-	st.Set("x", state.Int(0))
-	l := Log{
-		mkEvent(1, 0, fakeOp{loc: "x", add: 1}, st),
-		mkEvent(1, 1, fakeOp{loc: "x", read: true}, st),
-		mkEvent(1, 2, fakeOp{loc: "x", add: 1}, st),
-	}
-	it := l.Subseq("x")
-	writes := Filter(&it, func(e *Event) bool { return !e.Op.IsRead() })
-	syms := ProjectSyms(writes)
-	var got []Sym
-	for {
-		s, ok := syms.Next()
-		if !ok {
-			break
-		}
-		got = append(got, s)
-	}
-	want := []Sym{{Kind: "num.add", Arg: "1"}, {Kind: "num.add", Arg: "1"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("filtered projection = %v, want %v", got, want)
-	}
-}
-
-// TestJoinByLoc: the overlap join must enumerate exactly the pairs the
-// detection double loop visits, including wildcard overlap, with working
-// subsequence iterators on both sides.
-func TestJoinByLoc(t *testing.T) {
-	mk := func(ps ...PLoc) Log {
-		var l Log
-		for i, p := range ps {
-			l = append(l, &Event{Op: multiOp{}, Seq: i, Acc: []Access{{P: p, Write: true}}})
-		}
-		return l
-	}
-	left := mk("bits#k=1", "work", "bits#k=1")
-	right := mk("bits#*", "other", "work")
-	var da, db Decomposer
-	da.Stream(left)
-	db.Stream(right)
-	jn := JoinByLoc(&da, &db)
-	type pair struct{ p, q PLoc }
-	var got []pair
-	for {
-		jp, ok := jn.Next()
-		if !ok {
-			break
-		}
-		got = append(got, pair{jp.P, jp.Q})
-		if len(collect(jp.Left)) == 0 || len(collect(jp.Right)) == 0 {
-			t.Fatalf("pair (%q,%q) yielded empty side iterators", jp.P, jp.Q)
-		}
-	}
-	want := []pair{{"bits#k=1", "bits#*"}, {"work", "work"}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("joined pairs = %v, want %v", got, want)
-	}
-}
-
-// TestBufferedIterator: lazy fill, mid-stream rewind replaying only the
-// pulled prefix then continuing from the source, and Release dropping
-// references.
-func TestBufferedIterator(t *testing.T) {
-	st := state.New()
-	st.Set("x", state.Int(0))
-	l := randDecomposeLog(st, 1, 5, 1)
-	it := l.Subseq("a")
-	b := Buffer(&it)
-	e0, _ := b.Next()
-	e1, _ := b.Next()
-	b.Rewind()
-	r0, _ := b.Next()
-	r1, _ := b.Next()
-	if r0 != e0 || r1 != e1 {
-		t.Fatal("rewound prefix differs from first traversal")
-	}
-	rest := 0
-	for {
-		if _, ok := b.Next(); !ok {
-			break
-		}
-		rest++
-	}
-	if rest != 3 {
-		t.Fatalf("post-rewind continuation yielded %d events, want 3", rest)
-	}
-	b.Rewind()
-	var all Log
-	for {
-		e, ok := b.Next()
-		if !ok {
-			break
-		}
-		all = append(all, e)
-	}
-	if !reflect.DeepEqual(all, l) {
-		t.Fatal("full rewound traversal differs from the log")
-	}
-	b.Release()
-	if len(b.buf) != 0 {
-		t.Fatal("Release left buffered events")
-	}
-	if _, ok := b.Next(); ok {
-		t.Fatal("released buffer over an exhausted source must be empty")
 	}
 }

@@ -149,21 +149,8 @@ func (l Log) Syms() []Sym {
 	return out
 }
 
-// Decompose partitions a history into per-projection-location
-// subsequences, preserving order — the DECOMPOSE operation of Figure 8.
-// An event appears in the subsequence of every PLoc it accesses.
-func Decompose(l Log) map[PLoc]Log {
-	out := make(map[PLoc]Log)
-	for _, e := range l {
-		for _, a := range e.Acc {
-			out[a.P] = append(out[a.P], e)
-		}
-	}
-	return out
-}
-
 // PLocSeq is one per-projection-location subsequence produced by
-// DecomposeOrdered.
+// Decomposer.Decompose.
 type PLocSeq struct {
 	P   PLoc
 	Seq Log
@@ -177,7 +164,9 @@ type Decomposer struct {
 	counts []int
 	arena  Log
 	idx    map[PLoc]int
-	src    Log
+	// useMap records whether the last decomposed log was indexed through
+	// idx (true) or is found by linear scan over out.
+	useMap bool
 	locs   []LocInfo
 }
 
@@ -203,11 +192,8 @@ func (d *Decomposer) discover(l Log) int {
 	}
 	d.out = d.out[:0]
 	d.counts = d.counts[:0]
-	if total == 0 {
-		return 0
-	}
-	useMap := total >= linearScanAccesses
-	if useMap {
+	d.useMap = total >= linearScanAccesses
+	if d.useMap {
 		if d.idx == nil {
 			d.idx = make(map[PLoc]int, 16)
 		} else {
@@ -216,11 +202,11 @@ func (d *Decomposer) discover(l Log) int {
 	}
 	for _, e := range l {
 		for _, a := range e.Acc {
-			if i := d.find(a.P, useMap); i >= 0 {
+			if i := d.find(a.P); i >= 0 {
 				d.counts[i]++
 				continue
 			}
-			if useMap {
+			if d.useMap {
 				d.idx[a.P] = len(d.out)
 			}
 			d.out = append(d.out, PLocSeq{P: a.P})
@@ -230,10 +216,10 @@ func (d *Decomposer) discover(l Log) int {
 	return total
 }
 
-// find locates p in the discovered set, by index map or linear scan.
-// useMap must match the value discover chose for this log.
-func (d *Decomposer) find(p PLoc, useMap bool) int {
-	if useMap {
+// find locates p in the discovered set, by the index map or linear scan,
+// whichever discover chose for this log.
+func (d *Decomposer) find(p PLoc) int {
+	if d.useMap {
 		if i, ok := d.idx[p]; ok {
 			return i
 		}
@@ -257,7 +243,6 @@ func (d *Decomposer) Decompose(l Log) []PLocSeq {
 	if total == 0 {
 		return d.out
 	}
-	useMap := total >= linearScanAccesses
 	// Second pass: carve per-location windows out of one arena and fill.
 	if cap(d.arena) < total {
 		d.arena = make(Log, total)
@@ -271,7 +256,7 @@ func (d *Decomposer) Decompose(l Log) []PLocSeq {
 	}
 	for _, e := range l {
 		for _, a := range e.Acc {
-			i := d.find(a.P, useMap)
+			i := d.find(a.P)
 			d.out[i].Seq = append(d.out[i].Seq, e)
 		}
 	}
@@ -287,21 +272,9 @@ func (d *Decomposer) Release() {
 	}
 	d.out = d.out[:0]
 	d.counts = d.counts[:0]
-	d.src = nil
-	for i := range d.locs {
-		d.locs[i] = LocInfo{}
-	}
+	d.useMap = false
+	clear(d.locs)
 	d.locs = d.locs[:0]
-}
-
-// DecomposeOrdered is Decompose returning the subsequences as a slice in
-// first-access order instead of a map: iteration is deterministic and the
-// subsequences share a single backing array, so a decomposition that is
-// computed once and then read by many concurrent detectors (see
-// conflict.Prepared) stays cheap regardless of how many locations the log
-// touches. The result is independently owned by the caller.
-func DecomposeOrdered(l Log) []PLocSeq {
-	return new(Decomposer).Decompose(l)
 }
 
 // Writes reports whether any event in the log writes p.

@@ -103,6 +103,19 @@ func TestReplay(t *testing.T) {
 	}
 }
 
+// refDecompose is the reference model of Figure 8's DECOMPOSE that the
+// Decomposer is checked against: per-projection-location subsequences in
+// program order, an event appearing once per access to the location.
+func refDecompose(l Log) map[PLoc]Log {
+	out := make(map[PLoc]Log)
+	for _, e := range l {
+		for _, a := range e.Acc {
+			out[a.P] = append(out[a.P], e)
+		}
+	}
+	return out
+}
+
 func TestDecompose(t *testing.T) {
 	st := state.New()
 	st.Set("x", state.Int(0))
@@ -110,15 +123,15 @@ func TestDecompose(t *testing.T) {
 	ax := mkEvent(1, 0, fakeOp{loc: "x", add: 1}, st)
 	ay := mkEvent(1, 1, fakeOp{loc: "y", add: 1}, st)
 	ax2 := mkEvent(1, 2, fakeOp{loc: "x", add: 1}, st)
-	m := Decompose(Log{ax, ay, ax2})
-	if len(m) != 2 {
-		t.Fatalf("domains = %d, want 2", len(m))
+	got := new(Decomposer).Decompose(Log{ax, ay, ax2})
+	if len(got) != 2 || got[0].P != "x" || got[1].P != "y" {
+		t.Fatalf("locations = %v, want [x y]", got)
 	}
-	if got := m["x"]; len(got) != 2 || got[0] != ax || got[1] != ax2 {
-		t.Errorf("x subsequence wrong: %v", got)
+	if x := got[0].Seq; len(x) != 2 || x[0] != ax || x[1] != ax2 {
+		t.Errorf("x subsequence wrong: %v", x)
 	}
-	if got := m["y"]; len(got) != 1 || got[0] != ay {
-		t.Errorf("y subsequence wrong: %v", got)
+	if y := got[1].Seq; len(y) != 1 || y[0] != ay {
+		t.Errorf("y subsequence wrong: %v", y)
 	}
 }
 
@@ -181,8 +194,8 @@ func TestDecomposeOrderedMatchesDecompose(t *testing.T) {
 	// linearScanAccesses accesses).
 	for _, total := range []int{0, 1, 5, 20, linearScanAccesses + 10} {
 		l := randDecomposeLog(st, 5, total, total)
-		want := Decompose(l)
-		got := DecomposeOrdered(l)
+		want := refDecompose(l)
+		got := new(Decomposer).Decompose(l)
 		if len(got) != len(want) {
 			t.Fatalf("total=%d: %d locations, want %d", total, len(got), len(want))
 		}
@@ -205,7 +218,7 @@ func TestDecomposeOrderedFirstAccessOrder(t *testing.T) {
 		mkEvent(1, 2, fakeOp{loc: "y", add: 1}, st),
 		mkEvent(1, 3, fakeOp{loc: "z", add: 1}, st),
 	}
-	got := DecomposeOrdered(l)
+	got := new(Decomposer).Decompose(l)
 	wantOrder := []PLoc{"y", "x", "z"}
 	if len(got) != len(wantOrder) {
 		t.Fatalf("locations = %d, want %d", len(got), len(wantOrder))
@@ -231,7 +244,7 @@ func TestDecomposerReuse(t *testing.T) {
 	var d Decomposer
 	for _, total := range []int{30, 3, 0, linearScanAccesses + 5, 7} {
 		l := randDecomposeLog(st, 6, total, total)
-		want := Decompose(l)
+		want := refDecompose(l)
 		got := d.Decompose(l)
 		if len(got) != len(want) {
 			t.Fatalf("total=%d: %d locations, want %d", total, len(got), len(want))

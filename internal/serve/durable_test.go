@@ -15,6 +15,7 @@ import (
 
 	janus "repro"
 	"repro/internal/adt"
+	"repro/internal/conflict"
 	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/oplog"
@@ -495,9 +496,9 @@ func TestDurableRecoveryEdgeCases(t *testing.T) {
 			}
 			return oplog.Log{&oplog.Event{Op: op, Task: task, Seq: 0, Acc: acc, Observed: v}}
 		}
-		l1, l2 := mklog(1, 5), mklog(2, 7)
+		txn, committed := conflict.Prepare(mklog(1, 5)), []*conflict.Prepared{conflict.Prepare(mklog(2, 7))}
 		for i := 0; i < 16 && g.State() != health.Tripped; i++ {
-			g.DetectV(obs.Ctx{}, st, l1, []oplog.Log{l2})
+			g.DetectPrepared(obs.Ctx{}, st, txn, committed)
 		}
 		if g.State() != health.Tripped {
 			t.Fatalf("governor state %v, want tripped", g.State())

@@ -747,7 +747,7 @@ func (r *Runtime) attempt(ctx obs.Ctx, task adt.Task, tid int) (committed bool, 
 	// succeeds, the same artifact becomes the history entry, making the
 	// commit-time preparation free; otherwise the attempt is the
 	// artifact's only owner and its buffers go back to the pool.
-	prep := conflict.PreparePooled(tx.log)
+	prep := conflict.Prepare(tx.log)
 	published := false
 	defer func() {
 		if !published {

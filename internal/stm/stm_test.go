@@ -231,14 +231,6 @@ func TestMaxRetriesGuard(t *testing.T) {
 // resulting livelock.
 type alwaysConflict struct{}
 
-func (a *alwaysConflict) Detect(_ *state.State, _ oplog.Log, _ []oplog.Log) bool {
-	return true
-}
-
-func (a *alwaysConflict) DetectV(_ obs.Ctx, _ *state.State, _ oplog.Log, _ []oplog.Log) conflict.Verdict {
-	return conflict.Verdict{Conflict: true, Reason: conflict.ReasonWriteSet}
-}
-
 func (a *alwaysConflict) DetectPrepared(_ obs.Ctx, _ *state.State, _ *conflict.Prepared, _ []*conflict.Prepared) conflict.Verdict {
 	return conflict.Verdict{Conflict: true, Reason: conflict.ReasonWriteSet}
 }

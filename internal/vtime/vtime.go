@@ -225,8 +225,8 @@ func (h *eventHeap) Pop() any {
 }
 
 type histEntry struct {
-	ver int64
-	log oplog.Log
+	ver  int64
+	prep *conflict.Prepared
 }
 
 type runner struct {
@@ -371,13 +371,13 @@ func (r *runner) startAttempt(tid int, at float64, retries int) error {
 	return nil
 }
 
-// window returns the logs committed after beginVer, one per transaction
-// in commit order.
-func (r *runner) window(beginVer int64) []oplog.Log {
-	var out []oplog.Log
+// window returns the artifacts of the logs committed after beginVer, one
+// per transaction in commit order.
+func (r *runner) window(beginVer int64) []*conflict.Prepared {
+	var out []*conflict.Prepared
 	for _, h := range r.history {
 		if h.ver > beginVer {
-			out = append(out, h.log)
+			out = append(out, h.prep)
 		}
 	}
 	return out
@@ -394,11 +394,13 @@ func (r *runner) process(e *event) error {
 	committed := r.window(e.beginVer)
 	windowOps := 0
 	for _, c := range committed {
-		windowOps += len(c)
+		windowOps += c.Ops()
 	}
 	detectCost := r.cost.DetectPerOp * float64(len(e.tx.log)+windowOps)
 	t := e.time + detectCost
-	if v := r.detector.DetectV(obs.Ctx{}, e.tx.snap, e.tx.log, committed); v.Conflict {
+	prep := conflict.Prepare(e.tx.log)
+	if v := r.detector.DetectPrepared(obs.Ctx{}, e.tx.snap, prep, committed); v.Conflict {
+		prep.Recycle()
 		r.stats.Conflicts++
 		r.stats.Retries++
 		if r.stats.AbortReasons == nil {
@@ -436,7 +438,7 @@ func (r *runner) process(e *event) error {
 		return err
 	}
 	r.clock++
-	r.history = append(r.history, histEntry{ver: r.clock, log: e.tx.log})
+	r.history = append(r.history, histEntry{ver: r.clock, prep: prep})
 	if done > r.makespan {
 		r.makespan = done
 	}

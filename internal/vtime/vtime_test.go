@@ -9,7 +9,6 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/oplog"
 	"repro/internal/state"
 	"repro/internal/stm"
 	"repro/internal/workloads"
@@ -249,10 +248,6 @@ func TestMaxRetriesGuard(t *testing.T) {
 
 type alwaysConflict struct{}
 
-func (alwaysConflict) Detect(*state.State, oplog.Log, []oplog.Log) bool { return true }
-func (alwaysConflict) DetectV(obs.Ctx, *state.State, oplog.Log, []oplog.Log) conflict.Verdict {
-	return conflict.Verdict{Conflict: true, Reason: conflict.ReasonWriteSet}
-}
 func (alwaysConflict) DetectPrepared(obs.Ctx, *state.State, *conflict.Prepared, []*conflict.Prepared) conflict.Verdict {
 	return conflict.Verdict{Conflict: true, Reason: conflict.ReasonWriteSet}
 }

@@ -1,7 +1,7 @@
 // The synthetic heavy-transaction driver. The five paper benchmarks are
 // all small transactions — a handful of logged operations each — which
-// never exercises the streaming-decomposition or compressed-history
-// paths. Heavy is the CLI-drivable counterweight: every transaction logs
+// never exercises the decomposer's index map or the compressed-history
+// path on large entries. Heavy is the CLI-drivable counterweight: every transaction logs
 // a configurable number of operations over a skewable location
 // distribution, so janus-bench can profile the large-ops/txn regime
 // (`-ops-per-txn`, `-txn-skew`) that BenchmarkDetectLargeTxn and
