@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race check bench bench-contention bench-commit bench-governor bench-journal chaos soak serve-smoke crash-matrix trace record-replay clean
+.PHONY: all vet build test race stress check bench bench-contention bench-commit bench-governor bench-journal chaos soak serve-smoke crash-matrix trace record-replay clean
 
 all: check
 
@@ -20,6 +20,12 @@ test:
 # Short race job over the concurrency-heavy packages (mirrors CI).
 race:
 	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/vtime ./internal/rec ./internal/serve ./internal/health ./internal/wal ./internal/fsio ./internal/relation ./internal/state ./internal/persist
+
+# Repeat the stm liveness tests (history bound, stalls, cancellation): the
+# schedules they stage are ordered by construction, so 20 of 20 must pass
+# even under package-level load (mirrors CI, beside the race job).
+stress:
+	$(GO) test -count=20 -run 'MaxHistory|Stall|Cancel' ./internal/stm
 
 # Short chaos soak under the race detector (mirrors CI): fault-injected
 # runs whose final state is checked against the sequential oracle.
@@ -50,7 +56,7 @@ serve-smoke:
 crash-matrix:
 	sh scripts/crash-matrix.sh
 
-check: vet build test race chaos serve-smoke
+check: vet build test race stress chaos serve-smoke
 
 bench:
 	$(GO) run ./cmd/janus-bench

@@ -29,7 +29,10 @@ type Executor interface {
 // paper's benchmarks, cast into a closure over an Executor. Tasks must be
 // deterministic and re-runnable from scratch (RUNTASK of Figure 7 retries
 // aborted tasks), and must route every shared-state access through the
-// executor.
+// executor. A commit relies on that determinism: it publishes the values
+// the task's ops computed on the transaction's private state wherever no
+// concurrent commit wrote, and re-applies the logged ops elsewhere (see
+// oplog.Op.Apply), so nothing outside the executor may steer an op.
 type Task func(ex Executor) error
 
 // CostSink is implemented by executors that account a task's local

@@ -128,6 +128,7 @@ func TestStatsSchemaRoundTrip(t *testing.T) {
 			Tasks: 1, Commits: 2, Retries: 3, Conflicts: 4,
 			BackoffWaits: 5, Escalations: 6, CommitStalls: 7,
 			ValidationsSkipped: 8, Demotions: 9, HistBytes: 10,
+			LocsInstalled: 11, LocsReplayed: 12,
 		},
 	}
 	out, err := json.Marshal(rep)
@@ -141,6 +142,8 @@ func TestStatsSchemaRoundTrip(t *testing.T) {
 		"validations_skipped": `"validations_skipped":8`,
 		"demotions":           `"demotions":9`,
 		"hist_bytes":          `"hist_bytes":10`,
+		"locs_installed":      `"locs_installed":11`,
+		"locs_replayed":       `"locs_replayed":12`,
 	} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("report JSON missing %s: %s", key, out)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/adt"
 	"repro/internal/oplog"
 	"repro/internal/state"
 )
@@ -158,5 +159,58 @@ func TestSignaturesNoFalseNegatives(t *testing.T) {
 	}
 	if w1&a2 != 0 || a1&w2 != 0 {
 		t.Fatal("read-read overlap must screen out")
+	}
+}
+
+// opLog logs real ops (Compress needs their descriptors) with the access
+// lists they report.
+func opLog(ops ...oplog.Op) oplog.Log {
+	l := make(oplog.Log, len(ops))
+	for i, op := range ops {
+		l[i] = &oplog.Event{Op: op, Task: 1, Seq: i, Acc: op.Accesses(nil)}
+	}
+	return l
+}
+
+// TestDirtyWrites pins the install commit's join: a footprint location is
+// dirty iff the transaction writes it and a window entry writes it too —
+// reads on either side, other locations and other keys' hash bits do not
+// count, a relation is one location whatever the keys, and a compressed
+// entry joins like the full one it was demoted from.
+func TestDirtyWrites(t *testing.T) {
+	txn := Prepare(opLog(
+		adt.NumAddOp{L: "a", Delta: 1},            // written; a window entry writes it
+		adt.NumAddOp{L: "b", Delta: 1},            // written; a window entry only reads it
+		adt.NumLoadOp{L: "c"},                     // read only; a window entry writes it
+		adt.RelPutOp{L: "m", Key: "k1", Val: "v"}, // written; a window entry writes another key
+		adt.NumStoreOp{L: "d", V: 1},              // written; nobody else touches it
+		adt.NumAddOp{L: "e", Delta: 1},            // written; only the compressed entry writes it
+	))
+	writesA := Prepare(opLog(adt.NumAddOp{L: "a", Delta: 2}, adt.NumLoadOp{L: "b"}, adt.NumStoreOp{L: "zz", V: 0}))
+	writesCM := Prepare(opLog(adt.NumAddOp{L: "c", Delta: 2}, adt.RelPutOp{L: "m", Key: "k2", Val: "w"}))
+	writesE := Prepare(opLog(adt.NumAddOp{L: "e", Delta: 2})).Compress()
+	disjoint := Prepare(opLog(adt.NumAddOp{L: "q", Delta: 2}))
+
+	want := map[state.Loc]bool{"a": true, "m": true, "e": true}
+	dirty, n := txn.DirtyWrites([]*Prepared{disjoint, writesA, writesCM, writesE, writesA}, nil)
+	foot := txn.Footprint()
+	if len(dirty) != len(foot) || n != len(want) {
+		t.Fatalf("DirtyWrites = %v, %d over footprint %v; want %d dirty", dirty, n, foot, len(want))
+	}
+	for i, f := range foot {
+		if dirty[i] != want[f.Loc] {
+			t.Errorf("%s dirty = %v, want %v", f.Loc, dirty[i], want[f.Loc])
+		}
+	}
+	// An empty or disjoint window dirties nothing, and the buffer is
+	// reused with stale marks cleared.
+	again, n := txn.DirtyWrites([]*Prepared{disjoint}, dirty)
+	if n != 0 || &again[0] != &dirty[0] {
+		t.Fatalf("disjoint window: %d dirty, buffer reused %v", n, &again[0] == &dirty[0])
+	}
+	for i := range again {
+		if again[i] {
+			t.Fatalf("stale dirty mark at %s", foot[i].Loc)
+		}
 	}
 }

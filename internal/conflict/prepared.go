@@ -159,6 +159,45 @@ func (p *Prepared) Signatures() (sigAll, sigWrite uint64) {
 	return p.sigAll, p.sigWrite
 }
 
+// DirtyWrites joins p's footprint exactly against the write footprints of
+// window: dirty[i] is set iff p writes Footprint()[i] and some entry of
+// window writes the same location; n counts the set entries. It is the
+// per-location refinement of the signature screen — signatures first
+// (entry, then location bit), then the precomputed hash, then the
+// location string, so the common disjoint window costs one AND per entry.
+// The stm's install commit replays only the dirty locations: a written
+// location no window entry wrote still holds, in the transaction's
+// private state, the value a replay would compute. dirty reuses buf's
+// capacity.
+func (p *Prepared) DirtyWrites(window []*Prepared, buf []bool) (dirty []bool, n int) {
+	foot := p.Footprint()
+	dirty = append(buf[:0], make([]bool, len(foot))...)
+	if p.sigWrite == 0 {
+		return dirty, 0
+	}
+	for _, c := range window {
+		if _, cw := c.Signatures(); cw&p.sigWrite == 0 {
+			continue
+		}
+		for _, fc := range c.Footprint() {
+			if !fc.Write || p.sigWrite&(1<<(fc.Hash%64)) == 0 {
+				continue
+			}
+			for i := range foot {
+				if foot[i].Hash != fc.Hash || foot[i].Loc != fc.Loc {
+					continue
+				}
+				if foot[i].Write && !dirty[i] {
+					dirty[i] = true
+					n++
+				}
+				break
+			}
+		}
+	}
+	return dirty, n
+}
+
 // fnv64a is the 64-bit FNV-1a string hash.
 func fnv64a(s string) uint64 {
 	h := uint64(14695981039346656037)

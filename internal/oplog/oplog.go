@@ -5,7 +5,8 @@
 // Every shared-state access a task performs is an Op. Ops are immutable
 // descriptors; applying one mutates a given state and returns the observed
 // value (for reads). A transaction's log replays at commit time against the
-// global state (REPLAYLOGGEDOPERATIONS in Figure 7).
+// global state (REPLAYLOGGEDOPERATIONS in Figure 7) — in this runtime, the
+// part of it that touches locations a concurrent commit wrote.
 //
 // Projection locations (PLoc) refine shared locations to the subvalue
 // granularity of §5.1: a scalar location projects to itself, a relational
@@ -94,7 +95,13 @@ func (s Sym) String() string {
 // Op is a loggable shared-state operation.
 type Op interface {
 	// Apply executes the operation against st, returning the observed
-	// value for reads (nil for pure effects).
+	// value for reads (nil for pure effects). It must be a deterministic
+	// function of the op and of the values st holds at the locations
+	// Accesses names, and may touch no other location: the commit path
+	// installs a location's privately computed value when no concurrent
+	// commit wrote that location and re-applies the op only otherwise, so
+	// both must yield the same value (stm.replayCompute). Apply may
+	// therefore run once or several times per committed transaction.
 	Apply(st *state.State) (state.Value, error)
 	// Accesses returns the projection locations the operation touches
 	// when executed in pre-state st, with read/write flags. This is the

@@ -320,18 +320,86 @@ func Classify(syms []oplog.Sym) Theory {
 
 // BlockIdempotent reports whether a concrete symbolic block is idempotent
 // under its covering theory — the predicate driving the Kleene-cross
-// abstraction of §5.2.
+// abstraction of §5.2. It decides by folding, not by building the
+// analyses: seqabs asks once per candidate block per prepared location,
+// and the Reads/Pushes slices of AnalyzeRegister/AnalyzeStack would be
+// garbage the moment the answer is known. The fold is pinned equal to
+// Idempotent(AnalyzeRegister(·)) / IdempotentStack(AnalyzeStack(·)) by a
+// table test.
 func BlockIdempotent(syms []oplog.Sym) bool {
 	if len(syms) == 0 {
 		return false
 	}
-	if a, ok := AnalyzeRegister(syms); ok {
-		return Idempotent(a)
+	if idem, ok := registerIdempotent(syms); ok {
+		return idem
 	}
-	if sa, ok := AnalyzeStack(syms); ok {
-		return IdempotentStack(sa)
+	idem, ok := stackIdempotent(syms)
+	return ok && idem
+}
+
+// registerIdempotent is Idempotent(AnalyzeRegister(syms)) without the
+// Reads slice. A store, once composed in, stays a store (Effect.Then), so
+// "every read's prefix is a store" is exactly "no read preceded the first
+// store" — one flag instead of one prefix per read.
+func registerIdempotent(syms []oplog.Sym) (idem, ok bool) {
+	eff := Effect{Kind: Ident}
+	readBeforeStore := false
+	for _, s := range syms {
+		var step Effect
+		switch s.Kind {
+		case adt.KindNumAdd:
+			n, err := strconv.ParseInt(s.Arg, 10, 64)
+			if err != nil {
+				return false, false
+			}
+			step = normAdd(n)
+		case adt.KindNumStore, adt.KindStrStore, adt.KindBoolStore, adt.KindRelPut:
+			step = Effect{Kind: Store, V: s.Arg}
+		case adt.KindRelRemove, adt.KindRelClear:
+			step = Effect{Kind: Store, V: adt.AbsentVal}
+		case adt.KindNumLoad, adt.KindStrLoad, adt.KindBoolLoad, adt.KindRelGet, adt.KindRelHas:
+			if eff.Kind != Store {
+				readBeforeStore = true
+			}
+			continue
+		default:
+			return false, false
+		}
+		if eff, ok = eff.Then(step); !ok {
+			return false, false
+		}
 	}
-	return false
+	switch eff.Kind {
+	case Ident:
+		return true, true
+	case Store:
+		return !readBeforeStore, true
+	default:
+		return false, true
+	}
+}
+
+// stackIdempotent is IdempotentStack(AnalyzeStack(syms)) without the
+// virtual stack: balance needs only how many of the sequence's own pushes
+// are still standing and whether a pop ever reached the entry stack.
+func stackIdempotent(syms []oplog.Sym) (idem, ok bool) {
+	virt, entryPops := 0, 0
+	for _, s := range syms {
+		switch s.Kind {
+		case adt.KindListPush:
+			virt++
+		case adt.KindListPop:
+			if virt > 0 {
+				virt--
+			} else {
+				entryPops++
+			}
+		case adt.KindListSize:
+		default:
+			return false, false
+		}
+	}
+	return virt == 0 && entryPops == 0, true
 }
 
 // ShapeKey renders the kind sequence of a block, the shape identity used

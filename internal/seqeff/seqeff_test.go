@@ -245,6 +245,65 @@ func TestBlockIdempotent(t *testing.T) {
 	}
 }
 
+// TestBlockIdempotentFoldMatchesAnalyses pins the allocation-free fold
+// inside BlockIdempotent to the definitions it replaces:
+// Idempotent(AnalyzeRegister(·)) when the register theory covers the
+// sequence, IdempotentStack(AnalyzeStack(·)) when the stack theory does,
+// false otherwise — on random sequences over every operation kind,
+// including malformed adds, non-numeric stores under an add, and kinds no
+// theory covers.
+func TestBlockIdempotentFoldMatchesAnalyses(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	vals := []string{"0", "1", "-1", "7", "x", "white", adt.AbsentVal}
+	register := []string{
+		adt.KindNumAdd, adt.KindNumStore, adt.KindStrStore, adt.KindBoolStore,
+		adt.KindRelPut, adt.KindRelRemove, adt.KindRelClear,
+		adt.KindNumLoad, adt.KindStrLoad, adt.KindBoolLoad, adt.KindRelGet, adt.KindRelHas,
+	}
+	stack := []string{adt.KindListPush, adt.KindListPop, adt.KindListSize}
+	all := append(append([]string{"no.such.kind"}, register...), stack...)
+	reference := func(syms []oplog.Sym) bool {
+		if len(syms) == 0 {
+			return false
+		}
+		if a, ok := AnalyzeRegister(syms); ok {
+			return Idempotent(a)
+		}
+		if sa, ok := AnalyzeStack(syms); ok {
+			return IdempotentStack(sa)
+		}
+		return false
+	}
+	idem := 0
+	for i := 0; i < 20000; i++ {
+		pool := all
+		switch i % 4 { // mostly single-theory sequences, so both folds see long inputs
+		case 0, 1:
+			pool = register
+		case 2:
+			pool = stack
+		}
+		syms := make([]oplog.Sym, rng.Intn(7))
+		for j := range syms {
+			syms[j] = sym(pool[rng.Intn(len(pool))], vals[rng.Intn(len(vals))])
+		}
+		want := reference(syms)
+		if got := BlockIdempotent(syms); got != want {
+			t.Fatalf("%v: BlockIdempotent = %v, analyses say %v", syms, got, want)
+		}
+		if want {
+			idem++
+		}
+	}
+	if idem < 1000 || idem > 19000 {
+		t.Fatalf("%d of 20000 random sequences idempotent: the table does not exercise both answers", idem)
+	}
+	seq := []oplog.Sym{sym(adt.KindNumStore, "3"), sym(adt.KindNumLoad, ""), sym(adt.KindNumAdd, "2"), sym(adt.KindNumLoad, "")}
+	if n := testing.AllocsPerRun(100, func() { BlockIdempotent(seq[:2]) }); n != 0 {
+		t.Fatalf("BlockIdempotent allocates %.0f per call on a store/load block, want 0", n)
+	}
+}
+
 // TestIdempotenceSemantics validates the Lemma 5.1 predicate against
 // direct double-execution on random register sequences over a small value
 // domain.

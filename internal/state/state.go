@@ -27,6 +27,18 @@ type Value interface {
 	fmt.Stringer
 }
 
+// Copy returns a value independent of v: mutating one never shows in the
+// other. Scalars are immutable, so the interface value is handed back as
+// it is — calling CloneValue on them would re-box the same bits (a heap
+// allocation per string or large integer); everything else clones.
+func Copy(v Value) Value {
+	switch v.(type) {
+	case Int, Str, Bool:
+		return v
+	}
+	return v.CloneValue()
+}
+
 // Int is a 64-bit integer scalar.
 type Int int64
 
@@ -142,7 +154,7 @@ func (s *State) Get(loc Loc) (Value, bool) {
 	v, ok := s.m[loc]
 	if !ok && s.fault != nil {
 		if fv, found := s.fault(loc); found {
-			v = fv.CloneValue()
+			v = Copy(fv)
 			s.m[loc] = v
 			return v, true
 		}
@@ -184,7 +196,7 @@ func (s *State) Locs() []Loc {
 func (s *State) Clone() *State {
 	c := &State{m: make(map[Loc]Value, len(s.m)), fault: s.fault}
 	for l, v := range s.m {
-		c.m[l] = v.CloneValue()
+		c.m[l] = Copy(v)
 	}
 	return c
 }

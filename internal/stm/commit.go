@@ -4,11 +4,13 @@
 // write lock, so commit throughput is serial no matter how many cores
 // run detection. This file replaces that critical section with a striped
 // commit: a committer locks only the stripes covering its footprint
-// (read off conflict.Prepared, the PR-5 detection artifact), takes a
-// commit-time ticket, replays its log into a private overlay with no
-// global lock held, and then publishes — merges its written locations
-// into the committed version and appends its history entry — in strict
-// ticket order through a commit sequencer. Commits whose footprints are
+// (read off conflict.Prepared, the PR-5 detection artifact), replays —
+// into a private overlay, with no global lock held — only the part of its
+// log that touches locations an entry of its validated window wrote,
+// takes a commit-time ticket, and then publishes — installs its written
+// locations into the committed version, the untouched ones straight from
+// its private state, and appends its history entry — in strict ticket
+// order through a commit sequencer. Commits whose footprints are
 // disjoint never contend past the ticket increment; only
 // overlapping-footprint commits serialize, on exactly the stripes they
 // share.
@@ -22,18 +24,21 @@
 // before its stripes were held is screened by a footprint-signature
 // check (no false negatives: equal locations set equal bits); any
 // overlap there aborts the commit back to re-detection. So the log
-// replays against exactly the state its detector validated it against,
-// up to commuting reorderings — the same guarantee the global lock
-// bought, without the convoy.
+// takes effect against exactly the state its detector validated it
+// against, up to commuting reorderings — the same guarantee the global
+// lock bought, without the convoy. And where no commit since begin wrote
+// a location, "takes effect" needs no second execution: the value the
+// transaction computed privately is the value a replay would compute.
 package stm
 
 import (
+	"fmt"
+	"slices"
 	"strconv"
 	"sync/atomic"
 
 	"repro/internal/conflict"
 	"repro/internal/obs"
-	"repro/internal/oplog"
 	"repro/internal/state"
 )
 
@@ -224,32 +229,116 @@ func (r *Runtime) reserveHistorySlot() bool {
 	return true
 }
 
-// replayCompute replays a validated log onto a private faulting overlay
-// of the committed store and returns the overlay; no shared state is
-// mutated. The caller must hold its footprint stripes (or the global
-// write lock): that guarantees no concurrent publication touches a
-// location the replay reads, so the overlay is identical to one
-// computed against the publication-turn store.
-func (r *Runtime) replayCompute(log oplog.Log) (*state.State, error) {
-	tmp := state.NewFaulting(r.storeGet)
-	if err := log.Replay(tmp); err != nil {
-		return nil, err
+// replayCompute re-applies, onto a private faulting overlay of the
+// committed store (tx.overlay), the logged ops whose location tx.dirty
+// marks: the locations a window entry wrote, whose committed values have
+// moved since the transaction faulted them. Ops on clean locations are
+// skipped — their result already sits in tx.priv. No shared state is
+// mutated. The caller must hold the footprint stripes, so no concurrent
+// publication touches a location the replay reads and the overlay equals
+// one computed in the publication turn.
+//
+// Skipping is per op, and sound because an op reads and writes one
+// location: the ops on a dirty location are the whole of the log's
+// effect on it. A log that breaks that — an op spanning a dirty and a
+// clean location would find the clean one without the skipped ops'
+// effects — replays in full, every written location taken from the
+// overlay, which is Figure 7's COMMIT.
+func (r *Runtime) replayCompute(tx *Tx, foot []conflict.FootprintLoc, nDirty int) error {
+	written := 0
+	for i := range foot {
+		if foot[i].Write {
+			written++
+		}
 	}
-	return tmp, nil
+	tx.overlay = state.NewFaulting(r.storeGet)
+	if nDirty < written {
+		done, err := tx.replayDirty(foot)
+		if done || err != nil {
+			return err
+		}
+		for i := range foot {
+			tx.dirty[i] = foot[i].Write
+		}
+		tx.overlay = state.NewFaulting(r.storeGet)
+	}
+	return tx.log.Replay(tx.overlay)
 }
 
-// mergeVersion publishes a replayed overlay's written locations into the
+// replayDirty applies the logged ops that access a dirty location to
+// tx.overlay, in log order. It reports false, leaving the overlay
+// unfinished, at the first op that accesses dirty and clean locations
+// both.
+func (t *Tx) replayDirty(foot []conflict.FootprintLoc) (bool, error) {
+	locs := make([]state.Loc, 0, 8)
+	for i := range foot {
+		if t.dirty[i] {
+			locs = append(locs, foot[i].Loc)
+		}
+	}
+	for _, e := range t.log {
+		n := 0
+		for _, a := range e.Acc {
+			if slices.Contains(locs, a.P.Loc()) {
+				n++
+			}
+		}
+		if n == 0 {
+			continue
+		}
+		if n < len(e.Acc) {
+			return false, nil
+		}
+		if _, err := e.Op.Apply(t.overlay); err != nil {
+			return false, fmt.Errorf("stm: replaying %s: %w", e, err)
+		}
+	}
+	return true, nil
+}
+
+// installed returns the value the commit publishes for footprint
+// location i: the replayed one if the location is dirty, otherwise the
+// one the transaction computed while it ran. A written location no commit
+// in (begin, now] wrote holds the same committed value now as when the
+// transaction faulted it, and ops are deterministic, so the private value
+// is the value a replay would compute (DESIGN.md §11).
+func (t *Tx) installed(i int, loc state.Loc) (state.Value, bool) {
+	if t.replayed(i) {
+		return t.overlay.Get(loc)
+	}
+	return t.priv.Get(loc)
+}
+
+// replayed reports whether footprint location i takes its committed value
+// from the replay overlay (a serial transaction has no plan at all).
+func (t *Tx) replayed(i int) bool { return t.overlay != nil && t.dirty[i] }
+
+// mergeVersion publishes the transaction's written locations into the
 // committed store — one atomic box store per location. Callers are
-// serialized (publication turn or global write lock), so overflow-map
-// growth for freshly created locations needs no CAS loop.
-func (r *Runtime) mergeVersion(tmp *state.State, foot []conflict.FootprintLoc) {
-	for _, f := range foot {
+// serialized (publication turn or global write lock), which is what
+// location creation in the overflow table relies on.
+func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
+	var fromPriv, fromReplay int64
+	for i, f := range foot {
 		if !f.Write {
 			continue
 		}
-		if v, ok := tmp.Get(f.Loc); ok {
-			r.storeSet(f.Loc, v.CloneValue())
+		v, ok := tx.installed(i, f.Loc)
+		if !ok {
+			continue
 		}
+		r.storeSet(f.Loc, state.Copy(v))
+		if tx.replayed(i) {
+			fromReplay++
+		} else {
+			fromPriv++
+		}
+	}
+	if fromPriv > 0 {
+		atomic.AddInt64(&r.stats.LocsInstalled, fromPriv)
+	}
+	if fromReplay > 0 {
+		atomic.AddInt64(&r.stats.LocsReplayed, fromReplay)
 	}
 }
 
@@ -314,13 +403,15 @@ func (r *Runtime) demoteLocked(ctx obs.Ctx) {
 // commit is COMMIT of Figure 7, striped. The committer locks its
 // footprint stripes (sorted; deadlock-free), screens the history that
 // published since its last validated fetch with the footprint-signature
-// test, takes a dense commit-time ticket, replays with no global lock
-// held, and publishes in ticket order through the sequencer. The global
+// test, replays what the validated window (every entry in (begin, tcheck])
+// dirtied, takes a dense commit-time ticket, and publishes in ticket
+// order through the sequencer. The global
 // lock is held on the read side only, so commits overlap each other and
 // exclude nothing but serial escalation. On any outcome but commitOK no
 // shared state was mutated.
-func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, tcheck int64) commitResult {
-	tx.planStripes(prep.Footprint(), len(r.stripes))
+func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, window []*conflict.Prepared, tcheck int64) commitResult {
+	foot := prep.Footprint()
+	tx.planStripes(foot, len(r.stripes))
 	r.lock.RLock()
 	defer r.lock.RUnlock()
 	stripeStart := ctx.Now()
@@ -350,19 +441,30 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, tcheck in
 		}
 		reserved = true
 	}
-	// Replay before ticketing: the ticket is the point of no return (a
-	// ticket that never publishes would wedge the sequencer), so every
-	// fallible step happens first. A replay error is terminal for the
-	// whole run — never a retry.
-	rep, err := r.replayCompute(tx.log)
-	if err != nil {
-		if reserved {
-			r.histMu.Lock()
-			r.histReserved--
-			r.histMu.Unlock()
+	// Install, don't replay: window is every entry in (begin, tcheck] and
+	// the screen above cleared (tcheck, published], so a written location
+	// no window entry wrote has not moved since the transaction faulted it
+	// and publishes straight from tx.priv. Only the rest is replayed —
+	// before ticketing: the ticket is the point of no return (a ticket
+	// that never publishes would wedge the sequencer), so every fallible
+	// step happens first. A replay error is terminal for the whole run —
+	// never a retry.
+	var nDirty int
+	tx.dirty, nDirty = prep.DirtyWrites(window, tx.dirtyBuf[:0])
+	tx.overlay = nil
+	if nDirty > 0 {
+		if err := r.replayCompute(tx, foot, nDirty); err != nil {
+			if reserved {
+				r.histMu.Lock()
+				r.histReserved--
+				r.histMu.Unlock()
+			}
+			r.fail(err)
+			return commitFailed
 		}
-		r.fail(err)
-		return commitFailed
+	}
+	if r.installCheck != nil {
+		r.installCheck(tx, foot)
 	}
 	ctime := r.clock.Add(1)
 	pipeStart := ctx.Now()
@@ -372,7 +474,7 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, tcheck in
 		return commitFailed
 	}
 	ctx.End(obs.EvCommitPipeline, pipeStart)
-	r.mergeVersion(rep, prep.Footprint())
+	r.mergeVersion(tx, foot)
 	r.publishEntry(ctx, tx.tid, ctime, prep, tx.sigAll, tx.sigWrite, reserved)
 	if sink := r.cfg.Record; sink != nil {
 		// Inside the publication turn: sinks see commits in strictly

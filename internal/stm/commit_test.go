@@ -9,24 +9,66 @@ import (
 	"time"
 
 	"repro/internal/adt"
+	"repro/internal/conflict"
+	"repro/internal/obs"
+	"repro/internal/oplog"
 	"repro/internal/state"
 )
+
+// neverConflict clears every window. Valid only for task sets whose
+// transactions all commute (equal stores, counter adds).
+type neverConflict struct{}
+
+func (neverConflict) DetectPrepared(obs.Ctx, *state.State, *conflict.Prepared, []*conflict.Prepared) conflict.Verdict {
+	return conflict.Verdict{}
+}
+func (neverConflict) Name() string { return "never" }
+
+// committedSignal is a CommitSink that closes ch when the given task
+// commits.
+type committedSignal struct {
+	task int
+	ch   chan struct{}
+}
+
+func (c committedSignal) ObserveCommitted(task int, _ int64, _ oplog.Log) {
+	if task == c.task {
+		close(c.ch)
+	}
+}
+
+// runExploding runs a transaction whose one op fails on its second Apply
+// (task 1) beside a transaction that stores the same value to the same
+// location (task 2; equal stores commute). With overlap (runOverlapped),
+// task 2's entry lands in task 1's window, "boom" is dirty, and the commit
+// must re-apply the exploding op. Without, the tasks run one after the
+// other and nothing is dirty.
+func runExploding(overlap bool) (fired int32, final *state.State, stats Stats, err error) {
+	st := state.New()
+	st.Set("boom", state.Int(0))
+	exploder := func(ex adt.Executor) error {
+		_, err := ex.Exec(explodingOp{fired: &fired})
+		return err
+	}
+	storer := func(ex adt.Executor) error { return adt.Counter{L: "boom"}.Store(ex, 1) }
+	if overlap {
+		final, stats, err = runOverlapped(st, exploder, storer)
+	} else {
+		final, stats, err = Run(Config{Threads: 1}, st, []adt.Task{exploder, storer})
+	}
+	return atomic.LoadInt32(&fired), final, stats, err
+}
 
 // TestReplayErrorDoesNotRetry pins the doomed-retry fix: a replay
 // failure is terminal for the run, so the failing attempt must return
 // through commitFailed without ever re-entering the retry loop. Before
 // the fix the error was mapped to a lost commit race, so the attempt
 // burned a full retry (re-execution, re-validation, backoff) before the
-// worker noticed the run was dead.
+// worker noticed the run was dead. A commit replays only what a window
+// entry wrote, so the exploding op's location is made dirty by a second
+// transaction committing inside its window.
 func TestReplayErrorDoesNotRetry(t *testing.T) {
-	st := state.New()
-	st.Set("boom", state.Int(0))
-	var fired int32
-	task := func(ex adt.Executor) error {
-		_, err := ex.Exec(explodingOp{fired: &fired})
-		return err
-	}
-	_, stats, err := Run(Config{Threads: 1}, st, []adt.Task{task})
+	fired, _, stats, err := runExploding(true)
 	if err == nil {
 		t.Fatal("run succeeded, want replay failure")
 	}
@@ -35,8 +77,27 @@ func TestReplayErrorDoesNotRetry(t *testing.T) {
 	}
 	// One Apply in the task body, one in the replay that failed; a
 	// doomed retry would have re-executed the body for a third.
-	if got := atomic.LoadInt32(&fired); got != 2 {
-		t.Fatalf("op applied %d times, want 2 (exec + failed replay)", got)
+	if fired != 2 {
+		t.Fatalf("op applied %d times, want 2 (exec + failed replay)", fired)
+	}
+}
+
+// TestCleanCommitAppliesOnce is the converse: when no commit overlapped
+// the transaction's window its private values are installed as they are,
+// so an op that would fail on a second Apply commits.
+func TestCleanCommitAppliesOnce(t *testing.T) {
+	fired, final, stats, err := runExploding(false)
+	if err != nil {
+		t.Fatalf("clean-window commit failed: %v", err)
+	}
+	if fired != 1 {
+		t.Fatalf("op applied %d times, want 1 (exec only: nothing was dirty)", fired)
+	}
+	if v, _ := final.Get("boom"); !v.EqualValue(state.Int(1)) {
+		t.Fatalf("boom = %v, want 1", v)
+	}
+	if stats.LocsReplayed != 0 || stats.LocsInstalled != 2 {
+		t.Fatalf("installed/replayed = %d/%d, want 2/0", stats.LocsInstalled, stats.LocsReplayed)
 	}
 }
 

@@ -258,21 +258,27 @@ func TestMaxHistoryCancelWhileStalled(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			tasks = append(tasks, addTask(1))
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
+		r := New(Config{Threads: 4, MaxHistory: 2}, initialState())
 		done := make(chan error, 1)
 		go func() {
-			_, _, err := RunCtx(ctx, Config{Threads: 4, MaxHistory: 2},
-				initialState(), tasks)
+			_, _, err := r.run(tasks)
 			done <- err
 		}()
-		// Give the run time to fill the history and hit the bound (the
-		// parked task pins the floor, so at most 2 commits land before
-		// every other worker stalls), then cancel. The failure broadcast
-		// must wake the stalled committers; unparking the blocker lets its
-		// worker drain (a task body cannot be preempted).
-		time.Sleep(50 * time.Millisecond)
-		cancel()
+		// The parked task pins the floor, so at most 2 commits land before
+		// every other worker stalls. Wait for a commit to actually park on
+		// the bound, cancel, and only once the failure is visible unpark
+		// the blocker so its worker can drain (a task body cannot be
+		// preempted). Ordering the two events — instead of firing them back
+		// to back and hoping cancellation wins — is what keeps the run from
+		// completing under load.
+		for deadline := time.Now().Add(10 * time.Second); atomic.LoadInt64(&r.stats.CommitStalls) == 0; {
+			if time.Now().After(deadline) {
+				t.Fatal("no commit stalled on the history bound")
+			}
+			time.Sleep(time.Millisecond)
+		}
+		r.fail(fmt.Errorf("stm: run canceled: %w", context.Canceled))
+		<-r.done
 		close(parked)
 		select {
 		case err := <-done:

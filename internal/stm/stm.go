@@ -14,8 +14,10 @@
 // footprint; it never blocks on the commit path.
 //
 // Commits are striped, not globally locked (see commit.go): a committer
-// locks only the stripes covering its footprint, replays into a private
-// overlay, and publishes in commit-time order through a sequencer.
+// locks only the stripes covering its footprint, installs the values it
+// already computed for the locations no concurrent commit wrote, replays
+// into a private overlay only the rest, and publishes in commit-time
+// order through a sequencer.
 // Footprint-disjoint transactions commit concurrently; the paper's
 // global write lock survives only for serial escalation.
 package stm
@@ -23,6 +25,7 @@ package stm
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -33,7 +36,6 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/obs"
 	"repro/internal/oplog"
-	"repro/internal/persist"
 	"repro/internal/state"
 )
 
@@ -101,7 +103,7 @@ type Hooks struct {
 	// race window that the commit-time clock re-check guards.
 	WindowDelay func(task int)
 	// CommitDelay runs inside the commit critical section (footprint
-	// stripes held, race screen passed), before the log replays — it
+	// stripes held, race screen passed), before anything replays — it
 	// stretches the commit window every overlapping transaction races
 	// against, and lets tests observe which commits replay concurrently.
 	CommitDelay func(task int)
@@ -250,6 +252,15 @@ type Stats struct {
 	// entries, in bytes — a gauge: demotion adds an entry's record size,
 	// reclamation subtracts it. Always 0 without HistoryCompress.
 	HistBytes int64 `json:"hist_bytes"`
+	// LocsInstalled counts written locations published straight from the
+	// transaction's private state: no entry of its validated window wrote
+	// them, so the private value already was the committed one. A
+	// footprint-disjoint run installs everything.
+	LocsInstalled int64 `json:"locs_installed"`
+	// LocsReplayed counts written locations whose published value came
+	// from re-applying the log at commit because a window entry had
+	// written them (or because the log forced Figure 7's full replay).
+	LocsReplayed int64 `json:"locs_replayed"`
 	// AbortReasons breaks Conflicts down by the detector check that
 	// failed (reason name → count); nil when no conflicts occurred.
 	AbortReasons map[string]int64 `json:"abort_reasons,omitempty"`
@@ -308,12 +319,12 @@ type Runtime struct {
 
 	// base and over form the committed shared state (see store.go): a
 	// frozen table of per-location atomic value boxes for the initial
-	// locations, plus a persistent-map overflow for locations created
-	// mid-run. Transactions fault from it without locking; publication
-	// merges written locations into it in commit order, one atomic store
-	// each.
+	// locations, plus an insert-only sharded table for locations created
+	// mid-run. Transactions fault from it without blocking on a commit;
+	// publication merges written locations into it in commit order, one
+	// atomic store each.
 	base map[state.Loc]*locBox
-	over atomic.Pointer[persist.Map[*locBox]]
+	over overflow
 
 	histMu  sync.Mutex
 	history []histEntry
@@ -336,6 +347,11 @@ type Runtime struct {
 	// Tx.log capacity from it to cut append regrowth in Tx.Exec.
 	opsSum atomic.Int64
 	opsCnt atomic.Int64
+
+	// installCheck, when set (tests only), sees every commit's install
+	// plan at the point it is final: stripes or write lock held, replay
+	// done, nothing published yet.
+	installCheck func(tx *Tx, foot []conflict.FootprintLoc)
 
 	errOnce sync.Once
 	err     error
@@ -371,11 +387,11 @@ func New(cfg Config, initial *state.State) *Runtime {
 	for _, loc := range locs {
 		v, _ := initial.Get(loc)
 		b := new(locBox)
-		cl := v.CloneValue()
+		cl := state.Copy(v)
 		b.v.Store(&cl)
 		r.base[loc] = b
 	}
-	r.over.Store(persist.NewMap[*locBox]())
+	r.over.seed = maphash.MakeSeed()
 	return r
 }
 
@@ -561,6 +577,8 @@ func (r *Runtime) statsSnapshot() Stats {
 		ValidationsSkipped: atomic.LoadInt64(&r.stats.ValidationsSkipped),
 		Demotions:          atomic.LoadInt64(&r.stats.Demotions),
 		HistBytes:          atomic.LoadInt64(&r.stats.HistBytes),
+		LocsInstalled:      atomic.LoadInt64(&r.stats.LocsInstalled),
+		LocsReplayed:       atomic.LoadInt64(&r.stats.LocsReplayed),
 	}
 	for reason := conflict.Reason(1); reason < conflict.NumReasons; reason++ {
 		if n := atomic.LoadInt64(&r.abortReasons[reason]); n > 0 {
@@ -577,7 +595,7 @@ func (r *Runtime) statsSnapshot() Stats {
 func (r *Runtime) finalState() *state.State {
 	out := state.New()
 	r.storeRange(func(l state.Loc, v state.Value) bool {
-		out.Set(l, v.CloneValue())
+		out.Set(l, state.Copy(v))
 		return true
 	})
 	return out
@@ -698,6 +716,14 @@ type Tx struct {
 	stripesBuf [8]stripeRef
 	sigAll     uint64
 	sigWrite   uint64
+
+	// The commit's install plan (commit.go), aligned with the footprint:
+	// dirty[i] marks location i as written by an entry of the validated
+	// window, and overlay holds the dirty locations' replayed values (nil
+	// when nothing was dirty — a serial transaction's always is).
+	dirty    []bool
+	dirtyBuf [8]bool
+	overlay  *state.State
 }
 
 // Exec implements adt.Executor.
@@ -849,7 +875,7 @@ func (r *Runtime) attempt(ctx obs.Ctx, task adt.Task, tid int) (committed bool, 
 			h.WindowDelay(tid)
 		}
 		commitStart := ctx.Now()
-		res := r.commit(ctx, tx, prep, seen)
+		res := r.commit(ctx, tx, prep, opsC, seen)
 		switch res {
 		case commitOK:
 			published = true
@@ -1163,15 +1189,17 @@ func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed 
 	// A serial transaction never validated, so its log has no artifact
 	// yet; prepare it here (under the write lock, once) for the detectors
 	// of every future transaction that finds it in the history, and for
-	// its own footprint (the merge's written-location list).
+	// its own footprint (the merge's written-location list). Nothing is
+	// replayed: the transaction ran alone against the live store, so its
+	// private values are the post-commit values.
 	prep := conflict.Prepare(tx.log)
-	rep, err := r.replayCompute(tx.log)
-	if err != nil {
-		return false, err
+	foot := prep.Footprint()
+	if r.installCheck != nil {
+		r.installCheck(tx, foot)
 	}
-	sigAll, sigWrite := footprintSigs(prep.Footprint())
+	sigAll, sigWrite := footprintSigs(foot)
 	ctime := r.clock.Add(1)
-	r.mergeVersion(rep, prep.Footprint())
+	r.mergeVersion(tx, foot)
 	r.publishEntry(ctx, tid, ctime, prep, sigAll, sigWrite, false)
 	if sink := r.cfg.Record; sink != nil {
 		sink.ObserveCommitted(tid, ctime, tx.log)

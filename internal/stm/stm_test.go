@@ -420,17 +420,11 @@ func (e explodingOp) Sym() oplog.Sym { return oplog.Sym{Kind: "num.store", Arg: 
 func (e explodingOp) IsRead() bool   { return false }
 func (e explodingOp) String() string { return "exploding" }
 
-// TestReplayFailureSurfaces injects an op that fails during commit replay;
-// the runtime must surface the error instead of wedging.
+// TestReplayFailureSurfaces injects an op that fails during commit replay
+// (its location is dirtied by a commit inside its window, see
+// runExploding); the runtime must surface the error instead of wedging.
 func TestReplayFailureSurfaces(t *testing.T) {
-	st := state.New()
-	st.Set("boom", state.Int(0))
-	var fired int32
-	task := func(ex adt.Executor) error {
-		_, err := ex.Exec(explodingOp{fired: &fired})
-		return err
-	}
-	_, _, err := Run(Config{Threads: 1}, st, []adt.Task{task})
+	_, _, _, err := runExploding(true)
 	if err == nil || !strings.Contains(err.Error(), "replay exploded") {
 		t.Fatalf("err = %v, want replay failure", err)
 	}

@@ -1,16 +1,16 @@
 // The committed store: one atomic value box per shared location.
 //
 // Transactions privatize from — and publication merges into — the
-// committed version of the shared state. An earlier revision kept
-// that version as one immutable persistent map swapped wholesale per
-// commit, which made every merge pay O(log n) HAMT path copies per
-// written location and every fault a trie walk; on the allocation-bound
-// commit path those path copies were the single largest allocation
-// site. The box store flattens the version into a frozen Go map of
-// per-location boxes (locations present in the initial state) plus a
-// small persistent-map overflow for locations created mid-run: a merge
-// is one atomic pointer store per written location and a fault is one
-// map hit plus an atomic load, both lock-free.
+// committed version of the shared state. The store is flat: a frozen Go
+// map of per-location boxes for the locations present in the initial
+// state, plus an insert-only sharded table for locations created mid-run.
+// A merge is one atomic pointer store per written location and a fault is
+// one map hit plus an atomic load. Creating a location costs its box and
+// an amortized map slot under one shard's lock — the same at 100 existing
+// overflow locations and at 20 000, which matters because creation runs
+// inside the serialized publication turn. Boxes are never removed or
+// replaced, so a reader that found one may keep using it without the
+// shard lock.
 //
 // What the flattening gives up is cross-location snapshot atomicity:
 // two faults by one transaction may observe values from different
@@ -18,14 +18,17 @@
 // value is some published commit's value for that location; a commit
 // whose published write the transaction could have observed necessarily
 // overlaps the transaction's footprint, so it is either at or below the
-// validated fetch watermark (its entry was detected against) or above
-// it (caught by the commit-time signature screen, which sends the
-// attempt back to re-detection). Replay recomputes every operation
-// against the stripe-protected committed values at publication time, so
-// observed execution values never leak into the committed state.
+// validated fetch watermark (its entry was detected against, and its
+// written locations are the ones the commit replays — see commit.go) or
+// above it (caught by the commit-time signature screen, which sends the
+// attempt back to re-detection). A private value is installed only for a
+// location no commit wrote since the transaction began, so observed
+// execution values never leak into the committed state.
 package stm
 
 import (
+	"hash/maphash"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/state"
@@ -38,16 +41,60 @@ type locBox struct {
 	v atomic.Pointer[state.Value]
 }
 
+// overflowShards is the overflow table's shard count: enough that two
+// workers faulting mid-run locations rarely meet on one shard's lock.
+const overflowShards = 64
+
+// overflowShard is one shard of the overflow table. Readers (faults) take
+// the read side; creation takes the write side and is already serialized
+// across shards by the publication turn.
+type overflowShard struct {
+	mu sync.RWMutex
+	m  map[state.Loc]*locBox
+}
+
+// overflow is the insert-only table of locations created mid-run.
+type overflow struct {
+	seed   maphash.Seed
+	shards [overflowShards]overflowShard
+}
+
+func (o *overflow) shard(l state.Loc) *overflowShard {
+	return &o.shards[maphash.String(o.seed, string(l))%overflowShards]
+}
+
+// get returns l's box, or nil if no commit has created l.
+func (o *overflow) get(l state.Loc) *locBox {
+	s := o.shard(l)
+	s.mu.RLock()
+	b := s.m[l]
+	s.mu.RUnlock()
+	return b
+}
+
+// create returns l's box, inserting an empty one if l is new.
+func (o *overflow) create(l state.Loc) *locBox {
+	s := o.shard(l)
+	s.mu.Lock()
+	b := s.m[l]
+	if b == nil {
+		if s.m == nil {
+			s.m = make(map[state.Loc]*locBox)
+		}
+		b = new(locBox)
+		s.m[l] = b
+	}
+	s.mu.Unlock()
+	return b
+}
+
 // storeGet is the committed store's read: base-table hit or overflow
 // lookup, then one atomic load. It is the fault function behind every
 // transaction's private and snapshot views and the replay overlay.
 func (r *Runtime) storeGet(l state.Loc) (state.Value, bool) {
 	b := r.base[l]
 	if b == nil {
-		if ov := r.over.Load(); ov != nil {
-			b, _ = ov.Get(string(l))
-		}
-		if b == nil {
+		if b = r.over.get(l); b == nil {
 			return nil, false
 		}
 	}
@@ -59,17 +106,12 @@ func (r *Runtime) storeGet(l state.Loc) (state.Value, bool) {
 }
 
 // storeSet publishes one location's committed value. Callers are
-// serialized (publication turn or the global write lock), so growing the
-// overflow map is a plain load-set-store; concurrent readers see either
-// the old overflow (location absent) or the new one.
+// serialized (publication turn or the global write lock).
 func (r *Runtime) storeSet(l state.Loc, v state.Value) {
 	b := r.base[l]
 	if b == nil {
-		ov := r.over.Load()
-		b, _ = ov.Get(string(l))
-		if b == nil {
-			b = new(locBox)
-			r.over.Store(ov.Set(string(l), b))
+		if b = r.over.get(l); b == nil {
+			b = r.over.create(l)
 		}
 	}
 	b.v.Store(&v)
@@ -80,18 +122,15 @@ func (r *Runtime) storeSet(l state.Loc, v state.Value) {
 // caller, finalState, runs when the store is quiescent (run drained).
 func (r *Runtime) storeRange(f func(l state.Loc, v state.Value) bool) {
 	for l, b := range r.base {
-		if p := b.v.Load(); p != nil {
-			if !f(l, *p) {
+		if p := b.v.Load(); p != nil && !f(l, *p) {
+			return
+		}
+	}
+	for i := range r.over.shards {
+		for l, b := range r.over.shards[i].m {
+			if p := b.v.Load(); p != nil && !f(l, *p) {
 				return
 			}
 		}
-	}
-	if ov := r.over.Load(); ov != nil {
-		ov.Range(func(k string, b *locBox) bool {
-			if p := b.v.Load(); p != nil {
-				return f(state.Loc(k), *p)
-			}
-			return true
-		})
 	}
 }
