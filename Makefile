@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race stress check bench bench-contention bench-commit bench-governor bench-journal chaos soak serve-smoke crash-matrix trace record-replay clean
+.PHONY: all vet build test race stress check bench bench-quick bench-contention bench-commit bench-governor bench-journal chaos soak serve-smoke crash-matrix trace record-replay clean
 
 all: check
 
@@ -56,10 +56,18 @@ serve-smoke:
 crash-matrix:
 	sh scripts/crash-matrix.sh
 
-check: vet build test race stress chaos serve-smoke
+check: vet build test bench-quick race stress chaos serve-smoke
 
 bench:
 	$(GO) run ./cmd/janus-bench
+
+# Smoke run of the fenced end-to-end benchmark (mirrors CI): all five
+# workloads at smoke sizes, one measured and one traced child run each,
+# every output check on. Exits 1 when a child fails to build or reports
+# correct=false, so an API deletion that breaks benchmark/ fails here
+# rather than in the pipeline. The numbers it prints mean nothing.
+bench-quick:
+	$(GO) run ./benchmark -quick -seconds 1
 
 # Contention benchmarks for the sharded cache and the detection loop,
 # swept across GOMAXPROCS. Output lands in bench-contention.txt so CI can
@@ -69,8 +77,8 @@ bench-contention:
 		-benchmem -cpu 1,4,8 ./internal/cache ./internal/conflict | tee bench-contention.txt
 
 # Commit-path benchmark trajectory: the striped-commit throughput
-# benchmarks (disjoint-footprint workload; persistent, copy, and ordered
-# variants) folded into BENCH_commit.json under the "after" label. The
+# benchmarks (disjoint-footprint workload; unordered and ordered) folded
+# into BENCH_commit.json under the "after" label. The
 # "before" entry preserves the single-global-lock baseline and is never
 # overwritten by this target. Informational, not gating.
 bench-commit:

@@ -72,7 +72,6 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "profile wall-clock runs and emit RunStats + CacheStats + timing as JSON")
 		detName  = flag.String("detector", "seq", "detector for profiled runs: seq or ws")
 		obsAddr  = flag.String("obs", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060)")
-		shards   = flag.Int("cacheshards", 0, "commutativity-cache shard count, rounded up to a power of two (0 = default)")
 		chaosSd  = flag.Int64("chaos", 0, "run profiled runs under deterministic fault injection with this seed (0 = off): forced aborts, stretched commit windows, forced cache misses")
 		serAfter = flag.Int("serialize-after", 0, "escalate a task to irrevocable serial mode after this many consecutive aborts (0 = never)")
 		backoff  = flag.Duration("backoff", 0, "base of the bounded exponential retry backoff, e.g. 50us (0 = retry immediately)")
@@ -82,8 +81,6 @@ func main() {
 		recFly   = flag.Int("record-flight", 0, "flight-recorder mode: keep only this many trace chunks in memory and dump them on a governor demotion/trip (requires -record and -govern; 0 = stream the whole run)")
 		recGzip  = flag.Bool("record-gzip", false, "gzip-compress trace chunks")
 		stripes  = flag.Int("commit-stripes", 0, "commit-path lock table size for profiled runs (0 = default; 1 = single global commit lock)")
-		histComp = flag.Bool("history-compress", false, "demote committed-history entries past the recent window to compact compressed records in profiled runs (flat-memory large histories; run.demotions/run.hist_bytes record the effect)")
-		compAft  = flag.Int("compress-after", 0, "most-recent committed entries kept in full form under -history-compress (0 = default)")
 		opsTxn   = flag.Int("ops-per-txn", 0, "operations per transaction for the synthetic heavy workload (selects -workloads heavy when no filter is given; 0 = heavy default)")
 		txnSkew  = flag.Float64("txn-skew", 0, "heavy workload location skew: 0 = uniform access, larger values concentrate the footprint on a hot subset")
 		serveURL = flag.String("serve", "", "load-generator client mode: drive a running janus-serve at this base URL and verify the exactly-once/digest contract (exits nonzero on violation)")
@@ -101,13 +98,10 @@ func main() {
 	}
 
 	opts := bench.Opts{
-		ProdRuns: *runs, CacheShards: *shards,
-		ChaosSeed: *chaosSd, SerializeAfter: *serAfter, BackoffBase: *backoff,
+		ProdRuns: *runs, ChaosSeed: *chaosSd, SerializeAfter: *serAfter, BackoffBase: *backoff,
 		Govern: *govern, GovernWindow: *govWin,
 		RecordPath: *record, FlightChunks: *recFly, RecordGzip: *recGzip,
-		CommitStripes:   *stripes,
-		HistoryCompress: *histComp, CompressAfter: *compAft,
-		OpsPerTxn: *opsTxn, TxnSkew: *txnSkew,
+		CommitStripes: *stripes, OpsPerTxn: *opsTxn, TxnSkew: *txnSkew,
 	}
 	if (*opsTxn > 0 || *txnSkew != 0) && *names == "" {
 		// The shape knobs only mean something to the synthetic heavy
@@ -167,8 +161,8 @@ func main() {
 		profile(out, opts, *traceOut, *jsonOut, *detName)
 		return
 	}
-	if *chaosSd != 0 || *serAfter != 0 || *backoff != 0 || *govern || *govWin != 0 || *record != "" || *stripes != 0 || *histComp || *compAft != 0 {
-		fatalf("-chaos/-serialize-after/-backoff/-govern/-record/-commit-stripes/-history-compress apply to profiled wall-clock runs; add -json or -trace")
+	if *chaosSd != 0 || *serAfter != 0 || *backoff != 0 || *govern || *govWin != 0 || *record != "" || *stripes != 0 {
+		fatalf("-chaos/-serialize-after/-backoff/-govern/-record/-commit-stripes apply to profiled wall-clock runs; add -json or -trace")
 	}
 	wantFig := func(n int) bool { return *figure == 0 && *table == 0 || *figure == n }
 	wantTab := func(n int) bool { return *figure == 0 && *table == 0 || *table == n }

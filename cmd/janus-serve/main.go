@@ -63,8 +63,6 @@ func main() {
 		threads      = flag.Int("threads", 0, "worker threads per tenant runner (0 = GOMAXPROCS)")
 		detector     = flag.String("detector", "seq", "conflict detector: seq or ws")
 		learn        = flag.Bool("learn-online", true, "prove and cache commutativity conditions at detection time (online training)")
-		histComp     = flag.Bool("history-compress", false, "demote committed-history entries past the retention window to compressed records (per-tenant demotions/hist_bytes in /healthz and /varz)")
-		compAft      = flag.Int("compress-after", 0, "history entries kept in full form before demotion under -history-compress (0 = default)")
 		maxTenants   = flag.Int("max-tenants", 0, "tenant namespace bound (0 = default)")
 		maxInflight  = flag.Int("max-inflight", 0, "per-tenant in-flight cap while healthy (0 = default)")
 		degInflight  = flag.Int("degraded-inflight", 0, "per-tenant in-flight cap while degraded (0 = MaxInflight/4)")
@@ -89,12 +87,10 @@ func main() {
 	flag.Parse()
 
 	rcfg := janus.Config{
-		Threads:         *threads,
-		LearnOnline:     *learn,
-		HistoryCompress: *histComp,
-		CompressAfter:   *compAft,
-		Backoff:         janus.Backoff{Base: *backoffBase, Max: *backoffMax},
-		Governor:        janus.GovernorConfig{Window: *governWindow},
+		Threads:     *threads,
+		LearnOnline: *learn,
+		Backoff:     janus.Backoff{Base: *backoffBase, Max: *backoffMax},
+		Governor:    janus.GovernorConfig{Window: *governWindow},
 	}
 	switch *detector {
 	case "seq":

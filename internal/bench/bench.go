@@ -79,9 +79,6 @@ type Opts struct {
 	// not run 8 threads fully in parallel; sweeping Cores projects the
 	// evaluation onto modern machines.
 	Machine *vtime.Machine
-	// CacheShards overrides the commutativity cache's shard count
-	// (0 = cache.DefaultShards).
-	CacheShards int
 	// SerializeAfter escalates starving transactions to irrevocable
 	// serial mode after this many consecutive aborts in profiled runs
 	// (0 = never).
@@ -119,15 +116,6 @@ type Opts struct {
 	// in profiled runs (0 = stm.DefaultCommitStripes; 1 = the paper's
 	// single global commit lock, for baseline comparisons).
 	CommitStripes int
-	// HistoryCompress demotes committed-history entries past the
-	// CompressAfter window to compact compressed records in profiled
-	// runs: O(locations) bytes per old entry instead of O(ops), so large
-	// history windows of heavy transactions stay flat in memory. The
-	// report's run.demotions / run.hist_bytes record the effect.
-	HistoryCompress bool
-	// CompressAfter is the number of most-recent committed entries kept
-	// in full form under HistoryCompress (0 = stm.DefaultCompressAfter).
-	CompressAfter int
 	// OpsPerTxn sets the synthetic heavy workload's operations per
 	// transaction (0 = workloads.DefaultHeavyOps). Only the "heavy"
 	// workload reads it.
@@ -206,7 +194,6 @@ func (o Opts) trainEngine(w *workloads.Workload, disableAbs bool) (*core.Engine,
 	engine := core.NewEngine(core.Options{
 		DisableAbstraction: disableAbs,
 		Relax:              w.Relaxations,
-		CacheShards:        o.CacheShards,
 	})
 	if err := engine.TrainMany(w.NewState(), w.TrainingPayloads()); err != nil {
 		return nil, err

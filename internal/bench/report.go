@@ -45,11 +45,6 @@ type RunReport struct {
 	// CommitStripes echoes the commit-path lock table override the run
 	// used (omitted when the stm default applied).
 	CommitStripes int `json:"commit_stripes,omitempty"`
-	// HistoryCompress / CompressAfter echo the committed-history
-	// compression knobs (omitted when compression was off); the matching
-	// accounting is run.demotions and run.hist_bytes.
-	HistoryCompress bool `json:"history_compress,omitempty"`
-	CompressAfter   int  `json:"compress_after,omitempty"`
 	// OpsPerTxn / TxnSkew echo the heavy-workload shape knobs (omitted
 	// for the paper workloads, which ignore them).
 	OpsPerTxn int     `json:"ops_per_txn,omitempty"`
@@ -124,10 +119,6 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 		BackoffBaseNs:  int64(o.BackoffBase),
 		CommitStripes:  o.CommitStripes,
 		ChaosSeed:      o.ChaosSeed,
-	}
-	if o.HistoryCompress {
-		rep.HistoryCompress = true
-		rep.CompressAfter = o.CompressAfter
 	}
 	if w.Name == workloads.HeavyName {
 		rep.OpsPerTxn = o.OpsPerTxn
@@ -230,18 +221,16 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 	}
 	start := time.Now()
 	final, stats, err := stm.Run(stm.Config{
-		Threads:         threads,
-		Ordered:         w.Ordered,
-		Detector:        d,
-		Tracer:          tr,
-		Backoff:         stm.Backoff{Base: o.BackoffBase},
-		SerializeAfter:  o.SerializeAfter,
-		Hooks:           hooks,
-		Governor:        stmGov,
-		Record:          sink,
-		CommitStripes:   o.CommitStripes,
-		HistoryCompress: o.HistoryCompress,
-		CompressAfter:   o.CompressAfter,
+		Threads:        threads,
+		Ordered:        w.Ordered,
+		Detector:       d,
+		Tracer:         tr,
+		Backoff:        stm.Backoff{Base: o.BackoffBase},
+		SerializeAfter: o.SerializeAfter,
+		Hooks:          hooks,
+		Governor:       stmGov,
+		Record:         sink,
+		CommitStripes:  o.CommitStripes,
 	}, w.NewState(), tasks)
 	rep.ElapsedNs = int64(time.Since(start))
 	rep.Run = stats

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"strings"
 	"sync"
 	"testing"
@@ -540,6 +542,7 @@ func TestLoadRejectsTruncation(t *testing.T) {
 }
 
 func TestLoadSpecErrorReasons(t *testing.T) {
+	bogus := `{"entries":{"k":"bogus-kind"}}`
 	cases := []struct {
 		in   string
 		want SpecReason
@@ -549,7 +552,8 @@ func TestLoadSpecErrorReasons(t *testing.T) {
 		{`{"magic":"JANUS-SPEC","format":2,"mode":"concrete","crc32":0,"payload":{}}`, SpecModeMismatch},
 		{`{"magic":"JANUS-SPEC","format":2,"mode":"abstract","crc32":1,"payload":{"entries":{}}}`, SpecBadChecksum},
 		{`not json`, SpecBadPayload},
-		{`{"format":1,"mode":"abstract","entries":{"k":"bogus-kind"}}`, SpecBadEntry},
+		{fmt.Sprintf(`{"magic":"JANUS-SPEC","format":2,"mode":"abstract","crc32":%d,"payload":%s}`,
+			crc32.ChecksumIEEE([]byte(bogus)), bogus), SpecBadEntry},
 	}
 	for _, tc := range cases {
 		dst := New(seqabs.Abstract)
@@ -565,16 +569,19 @@ func TestLoadSpecErrorReasons(t *testing.T) {
 	}
 }
 
-// TestLoadLegacyV1 keeps pre-envelope artifacts loadable: no integrity
-// check is possible, but well-formed v1 specs must not be orphaned.
+// TestLoadLegacyV1 pins that stripping the envelope does not bypass the
+// checksum: a magic-less v1 document, which carries none, is rejected
+// with a typed error and leaves the cache unchanged.
 func TestLoadLegacyV1(t *testing.T) {
 	dst := New(seqabs.Abstract)
 	v1 := `{"format":1,"mode":"abstract","entries":{"num.add|num.add":"always"}}`
-	if err := dst.Load(strings.NewReader(v1)); err != nil {
-		t.Fatalf("legacy v1 spec rejected: %v", err)
+	err := dst.Load(strings.NewReader(v1))
+	var se *SpecError
+	if !errors.As(err, &se) || se.Reason != SpecBadMagic {
+		t.Fatalf("magic-less v1 spec: %v, want *SpecError{SpecBadMagic}", err)
 	}
-	if dst.Len() != 1 {
-		t.Fatalf("legacy load: %d entries, want 1", dst.Len())
+	if dst.Len() != 0 {
+		t.Fatalf("rejected load left %d entries in the cache", dst.Len())
 	}
 }
 

@@ -21,20 +21,19 @@ import (
 // typed *SpecError instead of silently training the production cache on
 // garbage commutativity verdicts.
 
-// specMagic identifies a JANUS spec artifact; a file without it is either
-// a legacy v1 spec (loaded for compatibility, without integrity checking)
-// or not a spec at all.
+// specMagic identifies a JANUS spec artifact; a file without it is not a
+// spec.
 const specMagic = "JANUS-SPEC"
 
-// specFormat is the current schema version. v1 was a bare
-// {format, mode, entries} object with no magic and no checksum.
+// specFormat is the current schema version. There is no reader for 1 (a
+// bare {format, mode, entries} object with no magic and no checksum).
 const specFormat = 2
 
 // specEnvelope is the on-disk format: metadata in the clear, the entry
 // table as an opaque checksummed payload.
 type specEnvelope struct {
-	// Magic is specMagic; its presence distinguishes an envelope from the
-	// legacy v1 format and from arbitrary JSON.
+	// Magic is specMagic; its presence distinguishes an envelope from
+	// arbitrary JSON.
 	Magic string `json:"magic"`
 	// Format identifies the schema; bump on incompatible change.
 	Format int `json:"format"`
@@ -56,14 +55,6 @@ type specPayload struct {
 	Entries map[string]string `json:"entries"`
 }
 
-// specFileV1 is the legacy unversioned-envelope format, still accepted on
-// load so artifacts trained before the envelope existed keep working.
-type specFileV1 struct {
-	Format  int               `json:"format"`
-	Mode    string            `json:"mode"`
-	Entries map[string]string `json:"entries"`
-}
-
 // ErrFrozen is returned by Load on a frozen cache: the spec-loading phase
 // ends at Freeze, and the caller — not the artifact — violated that
 // contract. It is deliberately not a *SpecError, so lenient loaders that
@@ -78,7 +69,8 @@ const (
 	// SpecBadPayload: the file is not parseable as a spec at all, or the
 	// checksummed payload does not decode.
 	SpecBadPayload SpecReason = iota
-	// SpecBadMagic: the file parses as JSON but carries a wrong magic.
+	// SpecBadMagic: the file parses as JSON but carries no magic or a
+	// wrong one.
 	SpecBadMagic
 	// SpecBadFormat: the format version is unknown.
 	SpecBadFormat
@@ -184,8 +176,7 @@ func (c *Cache) Save(w io.Writer) error {
 // envelope (magic, format version, abstraction mode) and the payload
 // checksum first. Artifact faults — corruption, version or mode mismatch,
 // unknown entries — are reported as *SpecError and leave the cache
-// unchanged; loading into a frozen cache returns ErrFrozen. Legacy v1
-// specs (no envelope) load for compatibility, without integrity checking.
+// unchanged; loading into a frozen cache returns ErrFrozen.
 // Conflicting kinds resolve by commute.Resolve, so loading multiple specs
 // is order-independent.
 func (c *Cache) Load(r io.Reader) error {
@@ -200,48 +191,31 @@ func (c *Cache) Load(r io.Reader) error {
 	if err := json.Unmarshal(raw, &env); err != nil {
 		return &SpecError{Reason: SpecBadPayload, Detail: "decoding spec", Err: err}
 	}
-	var entries map[string]string
-	switch {
-	case env.Magic == specMagic:
-		if env.Format != specFormat {
-			return &SpecError{Reason: SpecBadFormat, Detail: fmt.Sprintf("unsupported spec format %d (want %d)", env.Format, specFormat)}
-		}
-		if env.Mode != c.abs.Mode.String() {
-			return &SpecError{Reason: SpecModeMismatch, Detail: fmt.Sprintf("spec built with %s abstraction, cache uses %s", env.Mode, c.abs.Mode)}
-		}
-		// Verify the checksum over the canonical compact form: the
-		// envelope was written indented, so the raw payload bytes carry
-		// that indentation and must be re-compacted first.
-		var compact bytes.Buffer
-		if err := json.Compact(&compact, env.Payload); err != nil {
-			return &SpecError{Reason: SpecBadPayload, Detail: "compacting payload", Err: err}
-		}
-		if sum := crc32.ChecksumIEEE(compact.Bytes()); sum != env.CRC32 {
-			return &SpecError{Reason: SpecBadChecksum, Detail: fmt.Sprintf("payload crc32 %08x, envelope says %08x", sum, env.CRC32)}
-		}
-		var p specPayload
-		if err := json.Unmarshal(env.Payload, &p); err != nil {
-			return &SpecError{Reason: SpecBadPayload, Detail: "decoding payload", Err: err}
-		}
-		entries = p.Entries
-	case env.Magic != "":
+	if env.Magic != specMagic {
 		return &SpecError{Reason: SpecBadMagic, Detail: fmt.Sprintf("magic %q, want %q", env.Magic, specMagic)}
-	default:
-		// No magic: either a legacy v1 spec or not a spec at all.
-		var f specFileV1
-		if err := json.Unmarshal(raw, &f); err != nil {
-			return &SpecError{Reason: SpecBadPayload, Detail: "decoding spec", Err: err}
-		}
-		if f.Format != 1 {
-			return &SpecError{Reason: SpecBadFormat, Detail: fmt.Sprintf("unsupported spec format %d", f.Format)}
-		}
-		if f.Mode != c.abs.Mode.String() {
-			return &SpecError{Reason: SpecModeMismatch, Detail: fmt.Sprintf("spec built with %s abstraction, cache uses %s", f.Mode, c.abs.Mode)}
-		}
-		entries = f.Entries
 	}
-	parsed := make(map[string]commute.ConditionKind, len(entries))
-	for k, name := range entries {
+	if env.Format != specFormat {
+		return &SpecError{Reason: SpecBadFormat, Detail: fmt.Sprintf("unsupported spec format %d (want %d)", env.Format, specFormat)}
+	}
+	if env.Mode != c.abs.Mode.String() {
+		return &SpecError{Reason: SpecModeMismatch, Detail: fmt.Sprintf("spec built with %s abstraction, cache uses %s", env.Mode, c.abs.Mode)}
+	}
+	// Verify the checksum over the canonical compact form: the envelope
+	// was written indented, so the raw payload bytes carry that
+	// indentation and must be re-compacted first.
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, env.Payload); err != nil {
+		return &SpecError{Reason: SpecBadPayload, Detail: "compacting payload", Err: err}
+	}
+	if sum := crc32.ChecksumIEEE(compact.Bytes()); sum != env.CRC32 {
+		return &SpecError{Reason: SpecBadChecksum, Detail: fmt.Sprintf("payload crc32 %08x, envelope says %08x", sum, env.CRC32)}
+	}
+	var p specPayload
+	if err := json.Unmarshal(env.Payload, &p); err != nil {
+		return &SpecError{Reason: SpecBadPayload, Detail: "decoding payload", Err: err}
+	}
+	parsed := make(map[string]commute.ConditionKind, len(p.Entries))
+	for k, name := range p.Entries {
 		kind, err := kindFromName(name)
 		if err != nil {
 			return err

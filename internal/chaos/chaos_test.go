@@ -303,60 +303,6 @@ func TestChaosAbortBoundRespected(t *testing.T) {
 	}
 }
 
-// TestChaosCompressSweepSerializability re-runs the serializability soak
-// with committed-history compression on: every cell of the seed ×
-// {ordered, unordered} × {copy, persistent} matrix runs with a tiny
-// CompressAfter window, so in-flight validations routinely screen — and
-// on footprint overlap decode — compressed entries while the injector
-// forces aborts and stretches commit windows. The final state must still
-// be exactly the sequential oracle's, and the matrix must actually have
-// demoted, or compression was never on the detection path.
-func TestChaosCompressSweepSerializability(t *testing.T) {
-	const nTasks = 30
-	var demotions int64
-	for _, keep := range []int{1, 4} {
-		for seed := int64(1); seed <= int64(*seedCount); seed++ {
-			for _, ordered := range []bool{false, true} {
-				tasks := soakTasks(seed, nTasks, ordered)
-				want, err := stm.RunSequential(soakState(), tasks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				inj := New(Config{
-					Seed:      seed,
-					AbortProb: 0.35, AbortMaxPerTask: 3,
-					DelayProb: 0.25, MaxDelay: 200 * time.Microsecond,
-				})
-				cfg := stm.Config{
-					Threads: 4, Ordered: ordered,
-					Hooks: inj.Hooks(), MaxRetries: 500,
-					HistoryCompress: true, CompressAfter: keep,
-				}
-				if seed%2 == 0 {
-					cfg.Backoff = stm.Backoff{Base: 20 * time.Microsecond}
-					cfg.SerializeAfter = 4
-				}
-				got, stats, err := stm.Run(cfg, soakState(), tasks)
-				if err != nil {
-					t.Fatalf("keep=%d seed=%d ordered=%v: %v", keep, seed, ordered, err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("keep=%d seed=%d ordered=%v: chaos state %s != sequential %s (stats %+v)",
-						keep, seed, ordered, got, want, stats)
-				}
-				if stats.Commits != nTasks {
-					t.Fatalf("keep=%d seed=%d ordered=%v: commits = %d, want %d",
-						keep, seed, ordered, stats.Commits, nTasks)
-				}
-				demotions += stats.Demotions
-			}
-		}
-	}
-	if demotions == 0 {
-		t.Fatal("no history entries were demoted across the matrix")
-	}
-}
-
 // TestChaosStripeSweepSerializability re-runs the serializability soak
 // across commit-stripe table sizes: 1 degenerates the striped commit to
 // the paper's single lock, 3 forces heavy stripe sharing (five locations

@@ -382,59 +382,21 @@ func (s *Sequence) DetectPrepared(ctx obs.Ctx, snapshot *state.State, txn *Prepa
 		return Verdict{}
 	}
 	tlocs := txn.locations()
-	// Compressed artifacts carry index stubs; their subsequences decode
-	// on demand into pooled scratch (one slot per side) held for the
-	// duration of this call and released after the verdict.
-	var sc *renderScratch
-	defer func() {
-		if sc != nil {
-			sc.release()
-		}
-	}()
-	render := func(pl *preparedLoc, slot func(*renderScratch) *renderSlot) *preparedLoc {
-		if !pl.virtual() {
-			return pl
-		}
-		if sc == nil {
-			sc = getScratch()
-		}
-		return renderLoc(pl, slot(sc))
-	}
-	var ta, tw uint64
-	haveSigs := false
 	for _, c := range committed {
-		if c.Compressed() {
-			// Screen before decoding: equal locations set equal signature
-			// bits (no false negatives), so a clear screen skips the entry
-			// without touching the record.
-			if !haveSigs {
-				ta, tw = txn.Signatures()
-				haveSigs = true
-			}
-			ca, cw := c.Signatures()
-			if tw&ca == 0 && ta&cw == 0 {
-				continue
-			}
-		}
 		clocs := c.locations()
 		for i := range tlocs {
 			lt := &tlocs[i]
-			var ltR *preparedLoc
 			for j := range clocs {
 				lc := &clocs[j]
 				if !lt.p.Overlaps(lc.p) {
 					continue
 				}
 				atomic.AddInt64(&s.stats.PairQueries, 1)
-				if ltR == nil {
-					ltR = render(lt, func(sc *renderScratch) *renderSlot { return &sc.t })
-				}
-				lcR := render(lc, func(sc *renderScratch) *renderSlot { return &sc.c })
-				if v := s.pairVerdict(ctx, snapshot, ltR, lcR); v.Conflict {
+				if v := s.pairVerdict(ctx, snapshot, lt, lc); v.Conflict {
 					atomic.AddInt64(&s.stats.Conflicts, 1)
 					s.reasons.add(v.Reason)
 					if ctx.Enabled() {
-						v.ShapeT, v.ShapeC = symsString(ltR.syms), symsString(lcR.syms)
+						v.ShapeT, v.ShapeC = symsString(lt.syms), symsString(lc.syms)
 					}
 					return v
 				}
@@ -519,11 +481,8 @@ func (s *Sequence) pairVerdict(ctx obs.Ctx, snapshot *state.State, lt, lc *prepa
 			}
 		}
 	}
-	// Miss: concrete online check or write-set fallback. The concrete
-	// check replays events, which a compressed history entry no longer
-	// carries (seq == nil): such pairs take the conservative write-set
-	// fallback instead — sound (it can only over-reject), never unsound.
-	if s.Online && snapshot != nil && lt.seq != nil && lc.seq != nil {
+	// Miss: concrete online check or write-set fallback.
+	if s.Online && snapshot != nil {
 		hit, err := commute.ConflictConcrete(snapshot, p, lt.seq, lc.seq)
 		if err == nil {
 			if hit {

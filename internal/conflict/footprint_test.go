@@ -162,8 +162,7 @@ func TestSignaturesNoFalseNegatives(t *testing.T) {
 	}
 }
 
-// opLog logs real ops (Compress needs their descriptors) with the access
-// lists they report.
+// opLog logs real ops with the access lists they report.
 func opLog(ops ...oplog.Op) oplog.Log {
 	l := make(oplog.Log, len(ops))
 	for i, op := range ops {
@@ -175,8 +174,7 @@ func opLog(ops ...oplog.Op) oplog.Log {
 // TestDirtyWrites pins the install commit's join: a footprint location is
 // dirty iff the transaction writes it and a window entry writes it too —
 // reads on either side, other locations and other keys' hash bits do not
-// count, a relation is one location whatever the keys, and a compressed
-// entry joins like the full one it was demoted from.
+// count, and a relation is one location whatever the keys.
 func TestDirtyWrites(t *testing.T) {
 	txn := Prepare(opLog(
 		adt.NumAddOp{L: "a", Delta: 1},            // written; a window entry writes it
@@ -184,15 +182,13 @@ func TestDirtyWrites(t *testing.T) {
 		adt.NumLoadOp{L: "c"},                     // read only; a window entry writes it
 		adt.RelPutOp{L: "m", Key: "k1", Val: "v"}, // written; a window entry writes another key
 		adt.NumStoreOp{L: "d", V: 1},              // written; nobody else touches it
-		adt.NumAddOp{L: "e", Delta: 1},            // written; only the compressed entry writes it
 	))
 	writesA := Prepare(opLog(adt.NumAddOp{L: "a", Delta: 2}, adt.NumLoadOp{L: "b"}, adt.NumStoreOp{L: "zz", V: 0}))
 	writesCM := Prepare(opLog(adt.NumAddOp{L: "c", Delta: 2}, adt.RelPutOp{L: "m", Key: "k2", Val: "w"}))
-	writesE := Prepare(opLog(adt.NumAddOp{L: "e", Delta: 2})).Compress()
 	disjoint := Prepare(opLog(adt.NumAddOp{L: "q", Delta: 2}))
 
-	want := map[state.Loc]bool{"a": true, "m": true, "e": true}
-	dirty, n := txn.DirtyWrites([]*Prepared{disjoint, writesA, writesCM, writesE, writesA}, nil)
+	want := map[state.Loc]bool{"a": true, "m": true}
+	dirty, n := txn.DirtyWrites([]*Prepared{disjoint, writesA, writesCM, writesA}, nil)
 	foot := txn.Footprint()
 	if len(dirty) != len(foot) || n != len(want) {
 		t.Fatalf("DirtyWrites = %v, %d over footprint %v; want %d dirty", dirty, n, foot, len(want))

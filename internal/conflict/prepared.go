@@ -31,18 +31,11 @@ import (
 type Prepared struct {
 	log oplog.Log
 
-	// packed, when non-nil, is the compact compressed record of a demoted
-	// committed-history entry (see packed.go); log is nil and every
-	// projection decodes from the record.
-	packed *packedRec
-
 	// locs memoizes the per-location decomposition with its symbolic
 	// shapes. Only the sequence detector consumes it — the write-set
 	// detector compares whole-log access modes — so it is computed on
 	// first use (locations), not at Prepare: a run under write-set
-	// detection never pays for decomposition at all. A compressed
-	// artifact's entries are index stubs (location and wildcard flag
-	// only; seq and syms nil) decoded on demand via renderLoc.
+	// detection never pays for decomposition at all.
 	locsOnce sync.Once
 	locs     []preparedLoc
 
@@ -95,11 +88,6 @@ const footprintScanBound = 64
 // relation land on the same footprint entry.
 func (p *Prepared) Footprint() []FootprintLoc {
 	p.footOnce.Do(func() {
-		if p.packed != nil {
-			p.foot = p.packed.footprint()
-			p.sigAll, p.sigWrite = p.packed.sigAll, p.packed.sigWrite
-			return
-		}
 		var idx map[state.Loc]int
 		for _, e := range p.log {
 			for _, a := range e.Acc {
@@ -151,10 +139,6 @@ func (p *Prepared) Footprint() []FootprintLoc {
 // locations set equal bits, so the test has no false negatives, and a
 // collision merely costs a precise check.
 func (p *Prepared) Signatures() (sigAll, sigWrite uint64) {
-	if p.packed != nil {
-		// Stored at compression time; the immutable record needs no memo.
-		return p.packed.sigAll, p.packed.sigWrite
-	}
 	p.Footprint()
 	return p.sigAll, p.sigWrite
 }
@@ -216,13 +200,6 @@ type preparedLoc struct {
 	syms     []oplog.Sym
 	wildcard bool
 
-	// packed/pIdx back-reference a compressed record's location slot; set
-	// only on the index stubs of a compressed artifact (and carried into
-	// their rendered scratch copies), where seq is nil and the access
-	// modes decode from the record instead of the subsequence.
-	packed *packedRec
-	pIdx   int
-
 	// modes memoizes the subsequence's access modes for the write-set
 	// fallback paths (wildcard extents, cache misses, relaxed residuals).
 	modesOnce sync.Once
@@ -246,11 +223,7 @@ type preparedLoc struct {
 func (pl *preparedLoc) seqKey(c *cache.Cache) (key []byte, ok bool) {
 	pl.keyOnce.Do(func() {
 		pl.keyMode = c.Mode()
-		// Append into the existing buffer: nil for a shared artifact (the
-		// memo is rendered once), the slot's reusable buffer for a
-		// scratch-rendered location (re-rendered per pair, so the
-		// capacity amortizes).
-		pl.key = c.AppendSeqKey(pl.key[:0], pl.syms)
+		pl.key = c.AppendSeqKey(nil, pl.syms)
 	})
 	if pl.keyMode != c.Mode() {
 		return nil, false
@@ -296,7 +269,6 @@ func (p *Prepared) Recycle() {
 	p.locs = p.locs[:0]
 	p.locsOnce = sync.Once{}
 	p.log = nil
-	p.packed = nil
 	p.modesOnce = sync.Once{}
 	p.modes = nil
 	p.footOnce = sync.Once{}
@@ -316,20 +288,6 @@ func (p *Prepared) locations() []preparedLoc {
 }
 
 func (p *Prepared) materializeLocs() {
-	if p.packed != nil {
-		// Index stubs over the compressed record: location and wildcard
-		// flag for the overlap walk, back-references for on-demand decode.
-		r := p.packed
-		if cap(p.locs) < len(r.locs) {
-			p.locs = make([]preparedLoc, len(r.locs))
-		} else {
-			p.locs = p.locs[:len(r.locs)]
-		}
-		for i := range r.locs {
-			p.locs[i] = preparedLoc{p: r.locs[i].p, wildcard: r.locs[i].wildcard, packed: r, pIdx: i}
-		}
-		return
-	}
 	decomp := p.dec.Decompose(p.log)
 	if len(decomp) == 0 {
 		p.locs = p.locs[:0]
@@ -361,97 +319,25 @@ func (p *Prepared) materializeLocs() {
 	}
 }
 
-// Log returns the underlying transaction log (nil for a compressed
-// artifact, which retains no events).
+// Log returns the underlying transaction log.
 func (p *Prepared) Log() oplog.Log { return p.log }
 
 // Ops returns the number of logged operations.
-func (p *Prepared) Ops() int {
-	if p.packed != nil {
-		return p.packed.ops
-	}
-	return len(p.log)
-}
+func (p *Prepared) Ops() int { return len(p.log) }
 
 // NumLocs returns the number of projection locations the log touches.
 func (p *Prepared) NumLocs() int { return len(p.locations()) }
 
 // accessModes returns the whole-log write-set modes, computing them on
-// first use. A compressed artifact reconstructs them from the record's
-// per-location entries.
+// first use.
 func (p *Prepared) accessModes() map[oplog.PLoc]mode {
-	p.modesOnce.Do(func() {
-		if p.packed != nil {
-			p.modes = p.packed.allModes()
-			return
-		}
-		p.modes = accessModes(p.log)
-	})
+	p.modesOnce.Do(func() { p.modes = accessModes(p.log) })
 	return p.modes
 }
 
-// virtual reports whether the location is a compressed artifact's index
-// stub, whose subsequence must be decoded before use.
-func (pl *preparedLoc) virtual() bool { return pl.syms == nil }
-
-// renderSlot is one reusable rendering target: a preparedLoc whose syms
-// and cache-key buffers are owned by the slot and recycled across
-// renders. Single-goroutine; the memo Onces are re-armed per render so
-// the rendered location behaves exactly like a materialized one to
-// pairVerdict.
-type renderSlot struct {
-	pl   preparedLoc
-	syms []oplog.Sym
-}
-
-// renderScratch holds the two rendering slots one detection call needs —
-// the running transaction's side and the committed side — drawn from a
-// pool per DetectPrepared call that meets a virtual location and
-// released after the verdict.
-type renderScratch struct {
-	t, c renderSlot
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(renderScratch) }}
-
-func getScratch() *renderScratch { return scratchPool.Get().(*renderScratch) }
-
-// release drops the slots' descriptor references (keeping buffer
-// capacity) and returns the scratch to the pool.
-func (sc *renderScratch) release() {
-	for _, sl := range [...]*renderSlot{&sc.t, &sc.c} {
-		clear(sl.syms)
-		sl.syms = sl.syms[:0]
-		key := sl.pl.key
-		sl.pl = preparedLoc{}
-		sl.pl.key = key[:0]
-	}
-	scratchPool.Put(sc)
-}
-
-// renderLoc decodes a virtual location's symbolic shape from its
-// compressed record into the slot and returns the rendered preparedLoc
-// (no events exist — seq stays nil and the access modes decode on
-// demand).
-func renderLoc(src *preparedLoc, sl *renderSlot) *preparedLoc {
-	key := sl.pl.key
-	sl.pl = preparedLoc{p: src.p, wildcard: src.wildcard, packed: src.packed, pIdx: src.pIdx}
-	sl.pl.key = key[:0]
-	sl.syms = src.packed.appendSyms(sl.syms[:0], src.pIdx)
-	sl.pl.syms = sl.syms
-	return &sl.pl
-}
-
 // accessModes returns the subsequence's write-set modes, computing them
-// on first use — from the events for a materialized subsequence, decoded
-// from the compressed record for a demoted one.
+// on first use.
 func (pl *preparedLoc) accessModes() map[oplog.PLoc]mode {
-	pl.modesOnce.Do(func() {
-		if pl.packed != nil {
-			pl.modes = pl.packed.locModes(pl.pIdx)
-			return
-		}
-		pl.modes = accessModes(pl.seq)
-	})
+	pl.modesOnce.Do(func() { pl.modes = accessModes(pl.seq) })
 	return pl.modes
 }

@@ -40,11 +40,6 @@ type Options struct {
 	InferWAW bool
 	// Relax is the §5.3 consistency-relaxation specification; may be nil.
 	Relax *conflict.Relaxations
-	// SkipVerify disables training-time verification passes.
-	SkipVerify bool
-	// CacheShards overrides the commutativity cache's shard count
-	// (rounded up to a power of two); 0 means cache.DefaultShards.
-	CacheShards int
 }
 
 // Engine is a trained JANUS detection engine.
@@ -56,7 +51,7 @@ type Engine struct {
 
 // NewEngine builds an untrained engine.
 func NewEngine(opts Options) *Engine {
-	return &Engine{opts: opts, cache: cache.NewSharded(opts.mode(), opts.CacheShards)}
+	return &Engine{opts: opts, cache: cache.New(opts.mode())}
 }
 
 func (o Options) mode() seqabs.Mode {
@@ -69,10 +64,7 @@ func (o Options) mode() seqabs.Mode {
 // Train profiles one sequential run of the payload from initial and folds
 // the learned conditions into the engine's cache.
 func (e *Engine) Train(initial *state.State, tasks []adt.Task) error {
-	c, rep, err := train.Train(initial, tasks, train.Options{
-		Mode:       e.opts.mode(),
-		SkipVerify: e.opts.SkipVerify,
-	})
+	c, rep, err := train.Train(initial, tasks, train.Options{Mode: e.opts.mode()})
 	if err != nil {
 		return fmt.Errorf("core: training: %w", err)
 	}

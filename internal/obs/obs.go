@@ -92,10 +92,6 @@ const (
 	// replay is done, the commit time is assigned, and the committer
 	// waits for every earlier commit time to finish publishing.
 	EvCommitPipeline
-	// EvHistoryDemote marks one committed-history entry compressed to its
-	// compact record (Config.HistoryCompress): Loc carries the entry's
-	// task id, Detail the retained byte count.
-	EvHistoryDemote
 
 	numEventTypes
 )
@@ -139,8 +135,6 @@ func (t EventType) String() string {
 		return "commit.stripe"
 	case EvCommitPipeline:
 		return "commit.pipeline"
-	case EvHistoryDemote:
-		return "history.demote"
 	default:
 		return "none"
 	}
@@ -229,20 +223,6 @@ func (c Ctx) Abort(reason, loc, detail string) {
 
 // Cache emits a cache-query instant (EvCacheHit/Miss/Fallback).
 func (c Ctx) Cache(t EventType, loc, detail string) {
-	if c.T == nil {
-		return
-	}
-	c.T.Emit(Event{
-		Type: t, When: c.T.Now(),
-		Worker: c.Worker, Task: c.Task, Attempt: c.Attempt,
-		Loc: loc, Detail: detail,
-	})
-}
-
-// Mark emits an attributed instant event — Loc and Detail carry
-// free-form attribution — for protocol milestones that are neither spans
-// nor aborts (e.g. a history demotion with its retained byte count).
-func (c Ctx) Mark(t EventType, loc, detail string) {
 	if c.T == nil {
 		return
 	}

@@ -80,8 +80,6 @@ type tenant struct {
 	failed    atomic.Int64 // batch_failed / deadline / canceled outcomes
 	retries   atomic.Int64 // cumulative run retries
 	commits   atomic.Int64 // cumulative task commits
-	demotions atomic.Int64 // cumulative history-entry demotions (HistoryCompress)
-	histBytes atomic.Int64 // last run's live compressed-history bytes
 	runNanos  atomic.Int64 // cumulative run wall time
 	snapshots atomic.Int64 // snapshots published
 	snapErrs  atomic.Int64 // snapshot attempts that failed
@@ -214,8 +212,6 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 		return nil, err
 	}
 	t.commits.Add(stats.Run.Commits)
-	t.demotions.Add(stats.Run.Demotions)
-	t.histBytes.Store(stats.Run.HistBytes)
 
 	digest64 := rec.Digest(final)
 	if t.wal != nil {
@@ -302,8 +298,6 @@ func (t *tenant) snapshot() TenantHealth {
 		Failed:     t.failed.Load(),
 		Commits:    t.commits.Load(),
 		Retries:    t.retries.Load(),
-		Demotions:  t.demotions.Load(),
-		HistBytes:  t.histBytes.Load(),
 	}
 	if t.wal != nil {
 		th.WalSeq = t.wal.NextSeq() - 1
@@ -329,12 +323,6 @@ type TenantHealth struct {
 	Failed     int64  `json:"failed"`
 	Commits    int64  `json:"commits"`
 	Retries    int64  `json:"retries"`
-	// Demotions counts committed-history entries compressed to compact
-	// records across the tenant's runs (zero unless the runner enables
-	// HistoryCompress); HistBytes is the last run's live compressed
-	// footprint when it finished.
-	Demotions int64 `json:"demotions,omitempty"`
-	HistBytes int64 `json:"hist_bytes,omitempty"`
 	// WalSeq is the last durably journaled sequence; SnapshotSeq the seq
 	// the newest snapshot covers (recovery replays the difference).
 	WalSeq       uint64 `json:"wal_seq,omitempty"`

@@ -34,7 +34,6 @@ package stm
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"sync/atomic"
 
 	"repro/internal/conflict"
@@ -343,11 +342,10 @@ func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
 }
 
 // publishEntry appends one committed transaction to the history,
-// releasing its MaxHistory reservation, tracking the peak length,
-// reclaiming if configured, and demoting the entry that aged out of the
-// HistoryCompress window. Publication order (the caller's sequencer
+// releasing its MaxHistory reservation, tracking the peak length and
+// reclaiming if configured. Publication order (the caller's sequencer
 // turn) keeps commit times strictly increasing in history order.
-func (r *Runtime) publishEntry(ctx obs.Ctx, tid int, ctime int64, prep *conflict.Prepared, sigAll, sigWrite uint64, reserved bool) {
+func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared, sigAll, sigWrite uint64, reserved bool) {
 	r.histMu.Lock()
 	r.history = append(r.history, histEntry{
 		commitTime: ctime, task: tid, prep: prep, sigAll: sigAll, sigWrite: sigWrite,
@@ -359,45 +357,7 @@ func (r *Runtime) publishEntry(ctx obs.Ctx, tid int, ctime int64, prep *conflict
 	if r.cfg.ReclaimLogs {
 		r.reclaimLocked()
 	}
-	if r.cfg.HistoryCompress {
-		r.demoteLocked(ctx)
-	}
 	r.histMu.Unlock()
-}
-
-// DefaultCompressAfter is the HistoryCompress recent-window size when
-// Config.CompressAfter is zero: enough full entries that the hot
-// detection window (the entries most transactions validate against)
-// never decodes, while everything older drops to its compact record.
-const DefaultCompressAfter = 8
-
-// demoteLocked compresses the newest history entry past the
-// CompressAfter window, if any. Caller holds histMu.
-//
-// One demotion per publication keeps the invariant "every entry older
-// than the window is compressed": an append moves exactly one entry
-// across the window boundary, and reclamation only drops a prefix, which
-// never moves an entry back across it. In-flight detectors may still
-// hold the full artifact from an earlier history fetch — both artifacts
-// are immutable and valid; the full one becomes collectable once the
-// last such window ends, which is where the memory comes back.
-func (r *Runtime) demoteLocked(ctx obs.Ctx) {
-	keep := r.cfg.CompressAfter
-	if keep <= 0 {
-		keep = DefaultCompressAfter
-	}
-	i := len(r.history) - 1 - keep
-	if i < 0 || r.history[i].prep.Compressed() {
-		return
-	}
-	h := &r.history[i]
-	h.prep = h.prep.Compress()
-	n := h.prep.CompressedBytes()
-	atomic.AddInt64(&r.stats.Demotions, 1)
-	atomic.AddInt64(&r.stats.HistBytes, int64(n))
-	if ctx.Enabled() {
-		ctx.Mark(obs.EvHistoryDemote, strconv.Itoa(h.task), strconv.Itoa(n)+"B")
-	}
 }
 
 // commit is COMMIT of Figure 7, striped. The committer locks its
@@ -475,7 +435,7 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, window []
 	}
 	ctx.End(obs.EvCommitPipeline, pipeStart)
 	r.mergeVersion(tx, foot)
-	r.publishEntry(ctx, tx.tid, ctime, prep, tx.sigAll, tx.sigWrite, reserved)
+	r.publishEntry(tx.tid, ctime, prep, tx.sigAll, tx.sigWrite, reserved)
 	if sink := r.cfg.Record; sink != nil {
 		// Inside the publication turn: sinks see commits in strictly
 		// increasing commitTime order across all workers.

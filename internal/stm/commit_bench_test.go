@@ -70,69 +70,3 @@ func BenchmarkCommitParallel(b *testing.B) {
 func BenchmarkCommitParallelOrdered(b *testing.B) {
 	benchCommitParallel(b, Config{Ordered: true})
 }
-
-// BenchmarkHistoryCompressed measures what an unbounded committed history
-// retains with and without Config.HistoryCompress. Each transaction runs
-// 32 counter ops — heavy enough that a full history entry's event log and
-// arenas dominate — and the runtime is kept alive across a GC fence so
-// hist-live-B is the retained history footprint, not transient garbage.
-// ns/op shows what the demotion pass costs the publish path. The 10x-ops
-// case pins the flat-memory acceptance bound: ten times the ops/txn over
-// an unbounded (≥ any 10× MaxHistory window) history must retain no more
-// than 1.5× the small-config full baseline per transaction — compressed
-// records are O(locations), so op count stops mattering.
-func BenchmarkHistoryCompressed(b *testing.B) {
-	const opsPerTxn = 32
-	for _, tc := range []struct {
-		name     string
-		compress bool
-		ops      int
-	}{
-		{"full", false, opsPerTxn},
-		{"compressed", true, opsPerTxn},
-		{"compressed-10x-ops", true, 10 * opsPerTxn},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			cfg := Config{
-				Threads:         runtime.GOMAXPROCS(0),
-				HistoryCompress: tc.compress,
-			}
-			tasks := make([]adt.Task, b.N)
-			for i := range tasks {
-				c := adt.Counter{L: state.Loc(fmt.Sprintf("c%02d", i%commitBenchLocs))}
-				ops := tc.ops
-				tasks[i] = func(ex adt.Executor) error {
-					for k := 0; k < ops; k++ {
-						if err := c.Add(ex, 1); err != nil {
-							return err
-						}
-					}
-					return nil
-				}
-			}
-			var m0, m1 runtime.MemStats
-			runtime.GC()
-			runtime.GC()
-			runtime.ReadMemStats(&m0)
-			b.ReportAllocs()
-			b.ResetTimer() // note: also clears ReportMetric values
-			r := New(cfg, commitBenchState())
-			_, stats, err := r.run(tasks)
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if stats.Commits != int64(b.N) {
-				b.Fatalf("commits = %d, want %d", stats.Commits, b.N)
-			}
-			runtime.GC()
-			runtime.GC()
-			runtime.ReadMemStats(&m1)
-			if m1.HeapAlloc > m0.HeapAlloc {
-				b.ReportMetric(float64(m1.HeapAlloc-m0.HeapAlloc)/float64(b.N), "hist-live-B/txn")
-			}
-			b.ReportMetric(float64(stats.Demotions), "demotions")
-			runtime.KeepAlive(r)
-		})
-	}
-}

@@ -99,7 +99,7 @@ func installState() *state.State {
 // mix clean and dirty locations; every commit's installed values are
 // compared with a full replay taken under the same stripes, and the final
 // state with the sequential one (Theorem 4.1) — unordered and ordered,
-// with and without HistoryCompress and MaxHistory, under a detector that
+// with and without MaxHistory, under a detector that
 // clears every window (all dirty counters reach commit) and under
 // write-set detection (only relation keys do).
 func TestInstallEqualsReplay(t *testing.T) {
@@ -109,7 +109,6 @@ func TestInstallEqualsReplay(t *testing.T) {
 	}
 	variants := []variant{
 		{"plain", Config{}},
-		{"compress", Config{HistoryCompress: true, CompressAfter: 1}},
 		{"maxhist", Config{MaxHistory: 3}},
 	}
 	var installed, replayed int64

@@ -194,21 +194,6 @@ type Config struct {
 	// the log without bound. A task that propagates the error (the normal
 	// contract) fails the run with it. 0 means unlimited.
 	MaxTxnOps int
-	// HistoryCompress demotes committed-history entries that age out of
-	// the recent window to compact compressed records
-	// (conflict.Prepared.Compress): the entry's event log and materialized
-	// arenas are dropped and detectors screen the record by footprint
-	// signature, decoding a subsequence only on overlap — so a long
-	// history retains O(locations) bytes per old entry instead of O(ops).
-	// Verdicts are unchanged except under Config-level Online detection,
-	// whose concrete check degrades to the sound write-set fallback
-	// against compressed entries. Off by default.
-	HistoryCompress bool
-	// CompressAfter is the number of most-recent committed entries kept in
-	// full form under HistoryCompress; entries older than that are demoted
-	// as commits publish. 0 means DefaultCompressAfter. Ignored unless
-	// HistoryCompress is set.
-	CompressAfter int
 	// Record receives each committed transaction's op log (see
 	// CommitSink); nil disables recording at the cost of one branch.
 	Record CommitSink
@@ -245,13 +230,6 @@ type Stats struct {
 	// immutable, so per-entry verdicts are final): the rework the
 	// pre-watermark loop would have paid after every lost commit race.
 	ValidationsSkipped int64 `json:"validations_skipped"`
-	// Demotions counts committed-history entries compressed to compact
-	// records under Config.HistoryCompress.
-	Demotions int64 `json:"demotions"`
-	// HistBytes is the retained size of the currently compressed history
-	// entries, in bytes — a gauge: demotion adds an entry's record size,
-	// reclamation subtracts it. Always 0 without HistoryCompress.
-	HistBytes int64 `json:"hist_bytes"`
 	// LocsInstalled counts written locations published straight from the
 	// transaction's private state: no entry of its validated window wrote
 	// them, so the private value already was the committed one. A
@@ -575,8 +553,6 @@ func (r *Runtime) statsSnapshot() Stats {
 		CommitStalls: atomic.LoadInt64(&r.stats.CommitStalls),
 
 		ValidationsSkipped: atomic.LoadInt64(&r.stats.ValidationsSkipped),
-		Demotions:          atomic.LoadInt64(&r.stats.Demotions),
-		HistBytes:          atomic.LoadInt64(&r.stats.HistBytes),
 		LocsInstalled:      atomic.LoadInt64(&r.stats.LocsInstalled),
 		LocsReplayed:       atomic.LoadInt64(&r.stats.LocsReplayed),
 	}
@@ -1200,7 +1176,7 @@ func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed 
 	sigAll, sigWrite := footprintSigs(foot)
 	ctime := r.clock.Add(1)
 	r.mergeVersion(tx, foot)
-	r.publishEntry(ctx, tid, ctime, prep, sigAll, sigWrite, false)
+	r.publishEntry(tid, ctime, prep, sigAll, sigWrite, false)
 	if sink := r.cfg.Record; sink != nil {
 		sink.ObserveCommitted(tid, ctime, tx.log)
 	}
@@ -1234,10 +1210,6 @@ func (r *Runtime) reclaimLocked() {
 			continue
 		}
 		atomic.AddInt64(&r.stats.Reclaimed, 1)
-		if h.prep.Compressed() {
-			// The HistBytes gauge tracks live compressed records only.
-			atomic.AddInt64(&r.stats.HistBytes, -int64(h.prep.CompressedBytes()))
-		}
 	}
 	// Zero the dropped tail of the backing array so reclaimed oplog.Log
 	// references become collectable — compaction alone keeps them alive.

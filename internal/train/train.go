@@ -70,10 +70,6 @@ func (p *Profiler) Trace() oplog.Log { return p.trace }
 type Options struct {
 	// Mode selects the cache key abstraction (Figure 11 knob).
 	Mode seqabs.Mode
-	// SkipVerify disables the verification passes (concrete Figure 8
-	// validation and SAT content-formula checks). Verification is on by
-	// default; training is offline, so its cost is acceptable.
-	SkipVerify bool
 	// MaxPairsPerLoc bounds the quadratic pair enumeration per location;
 	// 0 means DefaultMaxPairsPerLoc.
 	MaxPairsPerLoc int
@@ -179,15 +175,13 @@ func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) 
 					rep.Rejected++
 					continue
 				}
-				if !opts.SkipVerify {
-					ok, err := verifyPair(rep, initial, p, seqs[i].Events, seqs[j].Events, kind)
-					if err != nil {
-						return nil, err
-					}
-					if !ok {
-						rep.VerifyDropped++
-						continue
-					}
+				ok, err := verifyPair(rep, initial, p, seqs[i].Events, seqs[j].Events, kind)
+				if err != nil {
+					return nil, err
+				}
+				if !ok {
+					rep.VerifyDropped++
+					continue
 				}
 				c.Put(s1, s2, kind)
 				rep.Cached[kind]++

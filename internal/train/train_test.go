@@ -281,20 +281,6 @@ func TestProfilerSkipsLocalWork(t *testing.T) {
 	}
 }
 
-func TestSkipVerifyStillCaches(t *testing.T) {
-	c, rep, err := Train(initialState(), []adt.Task{identityTask(2), identityTask(5)},
-		Options{Mode: seqabs.Abstract, SkipVerify: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Len() == 0 {
-		t.Fatalf("SkipVerify must still cache proved pairs")
-	}
-	if rep.SATChecks != 0 || rep.VerifyDropped != 0 {
-		t.Fatalf("SkipVerify must not run verification: %+v", rep)
-	}
-}
-
 func TestTrainingIsDeterministic(t *testing.T) {
 	tasks := []adt.Task{identityTask(2), stackTask(4), drawTask("white"), drawTask("white")}
 	a, _, err := Train(initialState(), tasks, Options{Mode: seqabs.Abstract})

@@ -1,11 +1,10 @@
 // The synthetic heavy-transaction driver. The five paper benchmarks are
 // all small transactions — a handful of logged operations each — which
-// never exercises the decomposer's index map or the compressed-history
-// path on large entries. Heavy is the CLI-drivable counterweight: every transaction logs
-// a configurable number of operations over a skewable location
-// distribution, so janus-bench can profile the large-ops/txn regime
-// (`-ops-per-txn`, `-txn-skew`) that BenchmarkDetectLargeTxn and
-// BenchmarkHistoryCompressed measure in isolation.
+// never exercises the decomposer's index map. Heavy is the CLI-drivable
+// counterweight: every transaction logs a configurable number of
+// operations over a skewable location distribution, so janus-bench can
+// profile the large-ops/txn regime (`-ops-per-txn`, `-txn-skew`) that
+// BenchmarkDetectLargeTxn measures in isolation.
 
 package workloads
 
@@ -39,8 +38,8 @@ func heavyLoc(i int) state.Loc { return state.Loc(fmt.Sprintf("h%02d", i)) }
 // write-set detection would serialize, exactly like the paper patterns,
 // but at 10–100× the operation count. opsPerTxn <= 0 means
 // DefaultHeavyOps. skew biases location choice toward low indices
-// (0 = uniform; larger values concentrate the footprint, raising
-// signature-overlap and decode rates in compressed-history runs).
+// (0 = uniform; larger values concentrate the footprint, raising the
+// share of transaction pairs whose footprints overlap).
 func Heavy(opsPerTxn int, skew float64) *Workload {
 	if opsPerTxn <= 0 {
 		opsPerTxn = DefaultHeavyOps

@@ -280,14 +280,6 @@ type Config struct {
 	// starving transactions are guaranteed progress under pathological
 	// contention. 0 never escalates.
 	SerializeAfter int
-	// CacheShards sets the commutativity cache's shard count (rounded up
-	// to a power of two; 0 = default). More shards cut lock contention
-	// between concurrent detection queries during training and online
-	// learning; frozen caches are lock-free regardless.
-	CacheShards int
-	// SkipTrainingVerify disables training-time verification (concrete
-	// Figure 8 validation and SAT equivalence checks).
-	SkipTrainingVerify bool
 	// Govern enables the runtime health governor: the run's detector is
 	// wrapped in a hysteresis state machine that demotes to write-set
 	// detection when sliding-window cache-miss or abort rates cross the
@@ -313,18 +305,6 @@ type Config struct {
 	// MaxTxnOps bounds a single transaction's operation log; an op past
 	// the budget is refused with *OplogBudgetError. 0 means unlimited.
 	MaxTxnOps int
-	// HistoryCompress demotes committed-history entries that age out of
-	// the recent window to compact compressed records: O(locations) bytes
-	// per old entry instead of O(ops), so a large MaxHistory of heavy
-	// transactions stays flat in memory. Detectors screen compressed
-	// entries by footprint signature and decode only on overlap; the
-	// optional Online concrete check degrades to the sound write-set
-	// fallback against them. See RunStats.Run.Demotions/HistBytes.
-	HistoryCompress bool
-	// CompressAfter is the number of most-recent committed entries kept
-	// in full form under HistoryCompress. 0 means the stm default
-	// (stm.DefaultCompressAfter); ignored unless HistoryCompress is set.
-	CompressAfter int
 	// CommitStripes sets the runtime's commit-path location lock table
 	// size: a committing transaction locks only the stripes its footprint
 	// hashes into, so footprint-disjoint transactions replay their
@@ -379,8 +359,6 @@ func New(cfg Config) *Runner {
 		LearnOnline:        cfg.LearnOnline,
 		InferWAW:           cfg.InferWAW,
 		Relax:              cfg.Relax,
-		SkipVerify:         cfg.SkipTrainingVerify,
-		CacheShards:        cfg.CacheShards,
 	})}
 	if cfg.Trace != nil {
 		obs.Publish("janus.obs", cfg.Trace)
@@ -547,21 +525,19 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 		stmGov = gov
 	}
 	final, stats, err := stm.RunCtx(ctx, stm.Config{
-		Threads:         r.cfg.Threads,
-		Ordered:         ordered,
-		Detector:        det,
-		MaxRetries:      r.cfg.MaxRetries,
-		ReclaimLogs:     r.cfg.ReclaimLogs,
-		Tracer:          tracer,
-		Backoff:         r.cfg.Backoff,
-		SerializeAfter:  r.cfg.SerializeAfter,
-		Governor:        stmGov,
-		MaxHistory:      r.cfg.MaxHistory,
-		MaxTxnOps:       r.cfg.MaxTxnOps,
-		HistoryCompress: r.cfg.HistoryCompress,
-		CompressAfter:   r.cfg.CompressAfter,
-		CommitStripes:   r.cfg.CommitStripes,
-		Record:          r.cfg.Record,
+		Threads:        r.cfg.Threads,
+		Ordered:        ordered,
+		Detector:       det,
+		MaxRetries:     r.cfg.MaxRetries,
+		ReclaimLogs:    r.cfg.ReclaimLogs,
+		Tracer:         tracer,
+		Backoff:        r.cfg.Backoff,
+		SerializeAfter: r.cfg.SerializeAfter,
+		Governor:       stmGov,
+		MaxHistory:     r.cfg.MaxHistory,
+		MaxTxnOps:      r.cfg.MaxTxnOps,
+		CommitStripes:  r.cfg.CommitStripes,
+		Record:         r.cfg.Record,
 	}, initial, tasks)
 	rs := RunStats{Run: stats}
 	inner := det

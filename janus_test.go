@@ -3,6 +3,7 @@ package janus
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -108,7 +109,7 @@ func TestFreezeAfterTraining(t *testing.T) {
 	for i := 1; i <= 10; i++ {
 		tasks = append(tasks, identityTask(int64(i)))
 	}
-	r := New(Config{Threads: 4, Detection: DetectSequence, CacheShards: 4})
+	r := New(Config{Threads: 4, Detection: DetectSequence})
 	if err := r.Train(st, tasks[:3]); err != nil {
 		t.Fatal(err)
 	}
@@ -435,6 +436,46 @@ func TestSpecSaveLoadAcrossRunners(t *testing.T) {
 	other := New(Config{DisableAbstraction: true})
 	if err := other.LoadSpec(bytes.NewReader(spec.Bytes())); err == nil {
 		t.Fatalf("abstraction-mode mismatch must be rejected")
+	}
+}
+
+// TestLenientLoadRejectsStrippedEnvelope: a trained spec rewritten as a
+// magic-less, checksum-less document must not load under either policy —
+// the lenient one degrades the runner to write-set detection.
+func TestLenientLoadRejectsStrippedEnvelope(t *testing.T) {
+	var env struct {
+		Mode    string `json:"mode"`
+		Payload struct {
+			Entries map[string]string `json:"entries"`
+		} `json:"payload"`
+	}
+	if err := json.Unmarshal(trainedSpec(t), &env); err != nil {
+		t.Fatal(err)
+	}
+	if len(env.Payload.Entries) == 0 {
+		t.Fatal("trained spec carries no entries")
+	}
+	stripped, err := json.Marshal(map[string]any{"format": 1, "mode": env.Mode, "entries": env.Payload.Entries})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var se *SpecError
+	if err := New(Config{}).LoadSpec(bytes.NewReader(stripped)); !errors.As(err, &se) {
+		t.Fatalf("strict load of a stripped spec = %v, want *SpecError", err)
+	}
+	r := New(Config{Threads: 2})
+	if err := r.LoadSpecPolicy(bytes.NewReader(stripped), SpecLenient); err != nil {
+		t.Fatalf("lenient load failed the call: %v", err)
+	}
+	if !r.SpecRejected() || r.CacheStats().Entries != 0 {
+		t.Fatalf("stripped spec loaded: rejected=%v entries=%d", r.SpecRejected(), r.CacheStats().Entries)
+	}
+	_, stats, err := r.Run(exampleState(), []Task{identityTask(1), identityTask(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Detector.PairQueries != 0 {
+		t.Fatalf("degraded runner still ran the sequence detector: %+v", stats.Detector)
 	}
 }
 
