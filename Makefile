@@ -19,13 +19,16 @@ test:
 
 # Short race job over the concurrency-heavy packages (mirrors CI).
 race:
-	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/vtime ./internal/rec ./internal/serve ./internal/health ./internal/wal ./internal/fsio ./internal/relation ./internal/state ./internal/persist
+	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/rec ./internal/serve ./internal/health ./internal/wal ./internal/fsio ./internal/relation ./internal/state ./internal/persist
 
 # Repeat the stm liveness tests (history bound, stalls, cancellation): the
 # schedules they stage are ordered by construction, so 20 of 20 must pass
-# even under package-level load (mirrors CI, beside the race job).
+# even under package-level load (mirrors CI, beside the race job). Those
+# are the lock-level schedules; the step-level ones are enumerated, not
+# repeated, so the explorer runs once beside them.
 stress:
 	$(GO) test -count=20 -run 'MaxHistory|Stall|Cancel' ./internal/stm
+	$(GO) test -count=1 -run 'TestExploreSchedules' ./internal/stm
 
 # Short chaos soak under the race detector (mirrors CI): fault-injected
 # runs whose final state is checked against the sequential oracle.

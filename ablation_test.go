@@ -14,7 +14,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/state"
 	"repro/internal/stm"
-	"repro/internal/vtime"
 	"repro/internal/workloads"
 )
 
@@ -42,21 +41,21 @@ func BenchmarkAblationCostModel(b *testing.B) {
 		}
 		engine := trainedEngine(b, w, false)
 		for _, sc := range scales {
-			cost := vtime.DefaultCost()
+			cost := stm.DefaultCost()
 			cost.Op *= sc.opMul
 			cost.CommitBase *= sc.comMul
 			cost.ReplayWritePerOp *= sc.comMul
 			cost.ReplayReadPerOp *= sc.comMul
 			for _, detName := range []string{"sequence", "write-set"} {
 				b.Run(fmt.Sprintf("%s/%s/%s", wname, sc.name, detName), func(b *testing.B) {
-					var stats vtime.Stats
+					var stats stm.SimStats
 					for i := 0; i < b.N; i++ {
 						det := conflict.Detector(conflict.NewWriteSet())
 						if detName == "sequence" {
 							det = engine.Detector()
 						}
 						var err error
-						_, stats, err = vtime.Run(vtime.Config{
+						_, stats, err = stm.Simulate(stm.SimConfig{
 							Threads:  8,
 							Ordered:  w.Ordered,
 							Detector: det,
@@ -224,10 +223,10 @@ func BenchmarkAblationCommitOrder(b *testing.B) {
 			name = "ordered"
 		}
 		b.Run(name, func(b *testing.B) {
-			var stats vtime.Stats
+			var stats stm.SimStats
 			for i := 0; i < b.N; i++ {
 				var err error
-				_, stats, err = vtime.Run(vtime.Config{
+				_, stats, err = stm.Simulate(stm.SimConfig{
 					Threads:  8,
 					Ordered:  ordered,
 					Detector: engine.Detector(),

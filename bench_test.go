@@ -23,7 +23,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/conflict"
 	"repro/internal/core"
-	"repro/internal/vtime"
+	"repro/internal/stm"
 	"repro/internal/workloads"
 )
 
@@ -54,9 +54,9 @@ func trainedEngine(b *testing.B, w *workloads.Workload, disableAbs bool) *core.E
 	return engine
 }
 
-func simRun(b *testing.B, w *workloads.Workload, det conflict.Detector, threads int) vtime.Stats {
+func simRun(b *testing.B, w *workloads.Workload, det conflict.Detector, threads int) stm.SimStats {
 	b.Helper()
-	_, stats, err := vtime.Run(vtime.Config{
+	_, stats, err := stm.Simulate(stm.SimConfig{
 		Threads:  threads,
 		Ordered:  w.Ordered,
 		Detector: det,
@@ -76,7 +76,7 @@ func BenchmarkFigure9(b *testing.B) {
 			for _, th := range benchThreads {
 				b.Run(fmt.Sprintf("%s/%s/%dthr", w.Name, detName, th), func(b *testing.B) {
 					engine := trainedEngine(b, w, false)
-					var stats vtime.Stats
+					var stats stm.SimStats
 					for i := 0; i < b.N; i++ {
 						det := conflict.Detector(conflict.NewWriteSet())
 						if detName == "sequence" {
@@ -100,7 +100,7 @@ func BenchmarkFigure10(b *testing.B) {
 			for _, th := range benchThreads {
 				b.Run(fmt.Sprintf("%s/%s/%dthr", w.Name, detName, th), func(b *testing.B) {
 					engine := trainedEngine(b, w, false)
-					var stats vtime.Stats
+					var stats stm.SimStats
 					for i := 0; i < b.N; i++ {
 						det := conflict.Detector(conflict.NewWriteSet())
 						if detName == "sequence" {
@@ -137,7 +137,7 @@ func BenchmarkFigure11(b *testing.B) {
 						if pass == 1 {
 							engine.Cache().ResetStats()
 						}
-						if _, _, err := vtime.Run(vtime.Config{
+						if _, _, err := stm.Simulate(stm.SimConfig{
 							Threads:  8,
 							Ordered:  w.Ordered,
 							Detector: engine.Detector(),

@@ -52,7 +52,7 @@ import (
 	"repro/internal/bench"
 	loadgenpkg "repro/internal/bench/loadgen"
 	"repro/internal/obs"
-	"repro/internal/vtime"
+	"repro/internal/stm"
 	"repro/internal/workloads"
 )
 
@@ -143,7 +143,9 @@ func main() {
 		opts.Workloads = strings.Split(*names, ",")
 	}
 	if *cores > 0 {
-		opts.Machine = &vtime.Machine{Cores: *cores, SMTBonus: 0.25}
+		m := stm.DefaultMachine()
+		m.Cores = *cores
+		opts.Machine = &m
 	}
 
 	if *obsAddr != "" {

@@ -115,15 +115,15 @@ func TestRetryLimitErrorSurfacesTyped(t *testing.T) {
 	}
 }
 
-// TestGovernPersistReusesGovernor: with GovernPersist the runner keeps
-// one governor across runs — Governor() returns the same live state
-// machine before, during, and after runs, and its windows accumulate
-// instead of resetting per batch.
+// TestGovernPersistReusesGovernor: a governed runner keeps one governor
+// across runs — Governor() returns the same live state machine before,
+// during, and after runs, and its windows accumulate instead of resetting
+// per batch.
 func TestGovernPersistReusesGovernor(t *testing.T) {
-	r := New(Config{Detection: DetectWriteSet, Threads: 2, Govern: true, GovernPersist: true})
+	r := New(Config{Detection: DetectWriteSet, Threads: 2, Govern: true})
 	g := r.Governor()
 	if g == nil {
-		t.Fatal("Governor() = nil with Govern+GovernPersist")
+		t.Fatal("Governor() = nil with Govern")
 	}
 	if r.Governor() != g {
 		t.Fatal("Governor() not stable across calls")
@@ -144,8 +144,8 @@ func TestGovernPersistReusesGovernor(t *testing.T) {
 	if got := g.Stats().Detections; got <= after1 {
 		t.Errorf("persistent governor detections = %d after 3 runs, want > %d (accumulating, not per-run)", got, after1)
 	}
-	// Without GovernPersist there is no cross-run governor to expose.
-	if ephemeral := New(Config{Govern: true}); ephemeral.Governor() != nil {
-		t.Error("Governor() != nil without GovernPersist")
+	// Governor() is non-nil iff Govern.
+	if plain := New(Config{}); plain.Governor() != nil {
+		t.Error("Governor() != nil without Govern")
 	}
 }

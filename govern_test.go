@@ -203,8 +203,8 @@ func TestGovernedUntrainedRunDemotes(t *testing.T) {
 // TestRunBoundKnobs: the public MaxHistory / MaxTxnOps knobs reach the
 // runtime — bounded history shows in Stats.MaxHist, and a transaction past
 // its op budget fails the run with *OplogBudgetError.
-// TestPersistentGovernorPublishedOnce: a runner with a persistent governor
-// publishes it when it builds it, not on every run — a run takes no
+// TestPersistentGovernorPublishedOnce: a governed runner publishes its
+// governor when it builds it, not on every run — a run takes no
 // process-wide lock for it, and the "janus.health" expvar does not flip to
 // whichever runner ran last.
 func TestPersistentGovernorPublishedOnce(t *testing.T) {
@@ -212,14 +212,14 @@ func TestPersistentGovernorPublishedOnce(t *testing.T) {
 	for i := 1; i <= 8; i++ {
 		tasks = append(tasks, identityTask(int64(i)))
 	}
-	first := New(Config{Threads: 2, Govern: true, GovernPersist: true})
+	first := New(Config{Threads: 2, Govern: true})
 	if _, _, err := first.Run(exampleState(), tasks); err != nil {
 		t.Fatal(err)
 	}
 	if first.Governor().Stats().Detections == 0 {
 		t.Fatal("the first runner's governor answered no detection; the test cannot tell the two apart")
 	}
-	second := New(Config{Threads: 2, Govern: true, GovernPersist: true})
+	second := New(Config{Threads: 2, Govern: true})
 	second.Governor() // built, and published, here
 	if _, _, err := first.Run(exampleState(), tasks); err != nil {
 		t.Fatal(err)

@@ -210,11 +210,13 @@ func TestCanvas(t *testing.T) {
 	if err := c.DrawPixel(ex, 2, 3, "white"); err != nil {
 		t.Fatal(err)
 	}
-	col, ok, err := c.ReadPixel(ex, 2, 3)
+	// A pixel is the relational key "x:y".
+	pixels := KVMap{L: "canvas"}
+	col, ok, err := pixels.Get(ex, "2:3")
 	if err != nil || !ok || col != "white" {
-		t.Fatalf("ReadPixel = %q %v %v", col, ok, err)
+		t.Fatalf("pixel 2:3 = %q %v %v", col, ok, err)
 	}
-	if _, ok, _ := c.ReadPixel(ex, 0, 0); ok {
+	if _, ok, _ := pixels.Get(ex, "0:0"); ok {
 		t.Errorf("unpainted pixel must report !ok")
 	}
 }

@@ -214,17 +214,3 @@ func (c Canvas) DrawPixel(ex Executor, x, y int, color string) error {
 	_, err := ex.Exec(RelPutOp{L: c.L, Key: key, Val: color})
 	return err
 }
-
-// ReadPixel reads pixel (x, y)'s color; ok is false for unpainted pixels.
-func (c Canvas) ReadPixel(ex Executor, x, y int) (color string, ok bool, err error) {
-	key := strconv.Itoa(x) + ":" + strconv.Itoa(y)
-	v, err := ex.Exec(RelGetOp{L: c.L, Key: key})
-	if err != nil {
-		return "", false, err
-	}
-	s := string(v.(state.Str))
-	if s == AbsentVal {
-		return "", false, nil
-	}
-	return s, true, nil
-}

@@ -36,8 +36,9 @@ type Executor interface {
 type Task func(ex Executor) error
 
 // CostSink is implemented by executors that account a task's local
-// (non-shared) computation in virtual time — the discrete-event simulator
-// (internal/vtime) and the training profiler — instead of burning CPU.
+// (non-shared) computation in virtual time — the wrapper stm.Simulate puts
+// around a transaction, and the training profiler — instead of burning
+// CPU.
 type CostSink interface {
 	AddLocalWork(units int64)
 }

@@ -311,21 +311,6 @@ func (r *Report) SafeRelaxations() *conflict.Relaxations {
 	return conflict.NewRelaxations(raw, waw)
 }
 
-// WithCandidates builds the specification including the RAW candidates —
-// the configuration a user confirms after reviewing the report.
-func (r *Report) WithCandidates() *conflict.Relaxations {
-	var raw, waw []state.Loc
-	for _, f := range r.Findings {
-		if f.SuggestWAW {
-			waw = append(waw, f.Loc)
-		}
-		if f.CandidateRAW || f.SuggestRAW {
-			raw = append(raw, f.Loc)
-		}
-	}
-	return conflict.NewRelaxations(raw, waw)
-}
-
 // Render prints the report.
 func (r *Report) Render(w io.Writer) {
 	fmt.Fprintf(w, "%-28s %-6s %-6s %-16s %s\n", "location", "plocs", "tasks", "pattern", "suggestion")

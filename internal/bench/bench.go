@@ -5,10 +5,10 @@
 // methodology: five sequential training runs per benchmark, several
 // production runs with the first (cold) run excluded, results averaged.
 //
-// Speedups come from the virtual-time machine simulator (internal/vtime)
-// by default — the build host has a single CPU core, so wall-clock
-// parallel speedup is physically meaningless there; see DESIGN.md. The
-// wall-clock runtime (internal/stm) can be selected for multi-core hosts.
+// Speedups come from the runtime's discrete-event driver (stm.Simulate)
+// by default — the build host has too few cores for wall-clock parallel
+// speedup at 8 threads to mean anything; see DESIGN.md. The goroutine
+// driver (stm.Run), same protocol, can be selected for multi-core hosts.
 package bench
 
 import (
@@ -20,7 +20,6 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/stm"
-	"repro/internal/vtime"
 	"repro/internal/workloads"
 )
 
@@ -78,7 +77,7 @@ type Opts struct {
 	// 2-way-SMT Nehalem). The §7.2 discussion notes their hardware could
 	// not run 8 threads fully in parallel; sweeping Cores projects the
 	// evaluation onto modern machines.
-	Machine *vtime.Machine
+	Machine *stm.Machine
 	// SerializeAfter escalates starving transactions to irrevocable
 	// serial mode after this many consecutive aborts in profiled runs
 	// (0 = never).
@@ -147,6 +146,17 @@ func (o Opts) defaults() Opts {
 		o.Threads = []int{1, 2, 4, 8}
 	}
 	return o
+}
+
+// simConfig is the one place a simulated run's configuration is built
+// from the options, so no consumer can drop a field.
+func (o Opts) simConfig(w *workloads.Workload, det conflict.Detector, threads int) stm.SimConfig {
+	return stm.SimConfig{
+		Threads:  threads,
+		Ordered:  w.Ordered,
+		Detector: det,
+		Machine:  o.Machine,
+	}
 }
 
 func machineLabel(o Opts) string {
@@ -223,14 +233,9 @@ func measureWith(engine *core.Engine, w *workloads.Workload, det Detection, thre
 	tasks := w.Tasks(o.Size, prodSeed)
 	res := Result{Workload: w.Name, Detector: det.String(), Threads: threads, Tasks: len(tasks)}
 	if o.Mode == Simulated {
-		// Deterministic: one cold run for cache-stat hygiene, then one
-		// measured run (repeats would be identical).
-		_, stats, err := vtime.Run(vtime.Config{
-			Threads:  threads,
-			Ordered:  w.Ordered,
-			Detector: o.detectorFor(engine, det),
-			Machine:  o.Machine,
-		}, w.NewState(), tasks)
+		// Deterministic: one run (repeats would be identical, and the
+		// frozen cache leaves nothing to warm).
+		_, stats, err := stm.Simulate(o.simConfig(w, o.detectorFor(engine, det), threads), w.NewState(), tasks)
 		if err != nil {
 			return Result{}, err
 		}
@@ -390,11 +395,7 @@ func MissRates(w *workloads.Workload, threads int, o Opts) (withAbs, withoutAbs 
 				engine.Cache().ResetStats()
 			}
 			if o.Mode == Simulated {
-				if _, _, err := vtime.Run(vtime.Config{
-					Threads:  threads,
-					Ordered:  w.Ordered,
-					Detector: engine.Detector(),
-				}, w.NewState(), tasks); err != nil {
+				if _, _, err := stm.Simulate(o.simConfig(w, engine.Detector(), threads), w.NewState(), tasks); err != nil {
 					return 0, 0, err
 				}
 			} else {
@@ -497,7 +498,7 @@ func TrainingSummary(out io.Writer) error {
 // precision translates into scheduling.
 func Timeline(out io.Writer, name string, threads int, o Opts) error {
 	o = o.defaults()
-	w, err := workloads.ByName(name)
+	w, err := o.Resolve(name)
 	if err != nil {
 		return err
 	}
@@ -506,12 +507,9 @@ func Timeline(out io.Writer, name string, threads int, o Opts) error {
 		return err
 	}
 	tasks := w.Tasks(o.Size, prodSeed)
-	_, stats, err := vtime.Run(vtime.Config{
-		Threads:        threads,
-		Ordered:        w.Ordered,
-		Detector:       engine.Detector(),
-		RecordTimeline: true,
-	}, w.NewState(), tasks)
+	cfg := o.simConfig(w, engine.Detector(), threads)
+	cfg.RecordTimeline = true
+	_, stats, err := stm.Simulate(cfg, w.NewState(), tasks)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/vtime"
+	"repro/internal/stm"
 	"repro/internal/workloads"
 )
 
@@ -177,6 +177,14 @@ func TestTimelineSmoke(t *testing.T) {
 	if err := Timeline(&buf, "nope", 4, Opts{}); err == nil {
 		t.Errorf("unknown workload must error")
 	}
+	// The synthetic workload resolves here as it does under -workloads.
+	buf.Reset()
+	if err := Timeline(&buf, workloads.HeavyName, 4, Opts{Size: workloads.Small, OpsPerTxn: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "Timeline: "+workloads.HeavyName) {
+		t.Errorf("heavy timeline:\n%s", buf.String())
+	}
 }
 
 func TestMachineOverride(t *testing.T) {
@@ -186,7 +194,7 @@ func TestMachineOverride(t *testing.T) {
 	}
 	base := Opts{Mode: Simulated, Size: workloads.Small}
 	wide := base
-	wide.Machine = &vtime.Machine{Cores: 16, SMTBonus: 0.25}
+	wide.Machine = &stm.Machine{Cores: 16, SMTBonus: 0.25}
 	capped, err := Measure(w, Seq, 8, base)
 	if err != nil {
 		t.Fatal(err)
@@ -198,5 +206,32 @@ func TestMachineOverride(t *testing.T) {
 	if uncapped.Speedup <= capped.Speedup {
 		t.Fatalf("16-core machine must beat the 4-core testbed: %v vs %v",
 			uncapped.Speedup, capped.Speedup)
+	}
+
+	// Figure 11's path and the timeline honor the override too. A one-core
+	// machine runs one transaction at a time, so no conflict query is ever
+	// made and the miss rate pmd shows without abstraction drops to zero;
+	// the timeline's makespan follows the core count.
+	pmd, err := workloads.ByName("pmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	single := base
+	single.Machine = &stm.Machine{Cores: 1}
+	if _, without, err := MissRates(pmd, 8, base); err != nil || without == 0 {
+		t.Fatalf("pmd without abstraction on the testbed: miss rate %v, err %v", without, err)
+	}
+	if _, without, err := MissRates(pmd, 8, single); err != nil || without != 0 {
+		t.Fatalf("pmd on one core: miss rate %v, err %v; the machine override was dropped", without, err)
+	}
+	var narrow, broad bytes.Buffer
+	if err := Timeline(&narrow, "jfilesync", 8, base); err != nil {
+		t.Fatal(err)
+	}
+	if err := Timeline(&broad, "jfilesync", 8, wide); err != nil {
+		t.Fatal(err)
+	}
+	if narrow.String() == broad.String() {
+		t.Fatalf("timeline ignores the machine override:\n%s", narrow.String())
 	}
 }

@@ -179,15 +179,6 @@ func (c *Cache) putKey(key string, kind commute.ConditionKind) {
 	sh.entries[key] = commute.Resolve(sh.entries[key], kind)
 }
 
-// Lookup answers a production commutativity query: whether the concrete
-// pair conflicts. hit reports whether the cache had a proved condition for
-// the pair's shape; on a miss the caller must fall back to write-set
-// detection. Hit/miss statistics are recorded per unique key.
-func (c *Cache) Lookup(s1, s2 []oplog.Sym) (conflict, hit bool) {
-	conflict, _, hit = c.LookupDetail(s1, s2)
-	return conflict, hit
-}
-
 // LookupDetail is Lookup with abort-reason attribution: on a conflicting
 // hit, failed names the check of the cached condition that rejected the
 // pair (same-read, commute, or theory when the instance left the
@@ -378,22 +369,6 @@ func (c *Cache) Stats() Stats {
 	}
 	st.Lookups = st.Hits + st.Misses
 	return st
-}
-
-// ShardLens returns the entry count per shard (distribution diagnostics).
-func (c *Cache) ShardLens() []int {
-	out := make([]int, len(c.shards))
-	for i := range c.shards {
-		sh := &c.shards[i]
-		if c.frozen.Load() {
-			out[i] = len(sh.entries)
-			continue
-		}
-		sh.mu.RLock()
-		out[i] = len(sh.entries)
-		sh.mu.RUnlock()
-	}
-	return out
 }
 
 // Dump renders the cache contents deterministically for inspection and

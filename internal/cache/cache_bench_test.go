@@ -24,7 +24,7 @@ func BenchmarkLookupHit(b *testing.B) {
 	q1, q2 := id("7"), id("9")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if conflict, hit := c.Lookup(q1, q2); !hit || conflict {
+		if conflict, _, hit := c.LookupDetail(q1, q2); !hit || conflict {
 			b.Fatal("unexpected result")
 		}
 	}
@@ -36,7 +36,7 @@ func BenchmarkLookupMiss(b *testing.B) {
 	q2 := []oplog.Sym{{Kind: adt.KindNumAdd, Arg: "5"}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, hit := c.Lookup(q1, q2); hit {
+		if _, _, hit := c.LookupDetail(q1, q2); hit {
 			b.Fatal("unexpected hit")
 		}
 	}
@@ -73,7 +73,7 @@ func lookupParallel(b *testing.B, freeze bool) {
 		for pb.Next() {
 			q := queries[i&(len(queries)-1)]
 			i++
-			if _, hit := c.Lookup(q[0], q[1]); !hit {
+			if _, _, hit := c.LookupDetail(q[0], q[1]); !hit {
 				b.Fatal("unexpected miss")
 			}
 		}
@@ -104,7 +104,7 @@ func BenchmarkLookupStackIdentity(b *testing.B) {
 	q1, q2 := bal(5), bal(7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if conflict, hit := c.Lookup(q1, q2); !hit || conflict {
+		if conflict, _, hit := c.LookupDetail(q1, q2); !hit || conflict {
 			b.Fatal("unexpected result")
 		}
 	}

@@ -28,13 +28,13 @@ func TestPutLookupHit(t *testing.T) {
 	if c.Len() != 1 {
 		t.Fatalf("Len = %d", c.Len())
 	}
-	conflict, hit := c.Lookup(idPair("7"), idPair("9"))
+	conflict, _, hit := c.LookupDetail(idPair("7"), idPair("9"))
 	if !hit || conflict {
 		t.Fatalf("Lookup = conflict=%v hit=%v", conflict, hit)
 	}
 	// Longer instance still hits under abstraction.
 	long := append(idPair("1"), idPair("4")...)
-	conflict, hit = c.Lookup(long, idPair("9"))
+	conflict, _, hit = c.LookupDetail(long, idPair("9"))
 	if !hit || conflict {
 		t.Fatalf("long Lookup = conflict=%v hit=%v", conflict, hit)
 	}
@@ -42,7 +42,7 @@ func TestPutLookupHit(t *testing.T) {
 
 func TestMissIsConservative(t *testing.T) {
 	c := New(seqabs.Abstract)
-	conflict, hit := c.Lookup(idPair("1"), idPair("2"))
+	conflict, _, hit := c.LookupDetail(idPair("1"), idPair("2"))
 	if hit || !conflict {
 		t.Fatalf("empty cache must miss conservatively: conflict=%v hit=%v", conflict, hit)
 	}
@@ -59,12 +59,12 @@ func TestCondNoneIgnored(t *testing.T) {
 func TestStats(t *testing.T) {
 	c := New(seqabs.Abstract)
 	c.Put(idPair("2"), idPair("3"), commute.CondAlways)
-	c.Lookup(idPair("1"), idPair("2")) // hit
-	c.Lookup(idPair("5"), idPair("6")) // hit, same key
+	c.LookupDetail(idPair("1"), idPair("2")) // hit
+	c.LookupDetail(idPair("5"), idPair("6")) // hit, same key
 	store := []oplog.Sym{sym(adt.KindNumStore, "5")}
-	c.Lookup(store, store)       // miss
-	c.Lookup(store, store)       // miss, same key
-	c.Lookup(store, idPair("1")) // miss, new key
+	c.LookupDetail(store, store)       // miss
+	c.LookupDetail(store, store)       // miss, same key
+	c.LookupDetail(store, idPair("1")) // miss, new key
 	st := c.Stats()
 	if st.Lookups != 5 || st.Hits != 2 || st.Misses != 3 {
 		t.Fatalf("stats = %+v", st)
@@ -93,7 +93,7 @@ func TestPutConflictResolution(t *testing.T) {
 	// store(5) vs store(6) must still evaluate (and conflict) under the
 	// kept register condition.
 	store6 := []oplog.Sym{sym(adt.KindNumStore, "6")}
-	conflict, hit := c.Lookup(store, store6)
+	conflict, _, hit := c.LookupDetail(store, store6)
 	if !hit || !conflict {
 		t.Fatalf("register condition must be kept: conflict=%v hit=%v", conflict, hit)
 	}
@@ -114,7 +114,7 @@ func TestMerge(t *testing.T) {
 	b2.Put(store, store, commute.CondAlways)
 	a.Merge(b2)
 	store6 := []oplog.Sym{sym(adt.KindNumStore, "6")}
-	if conflict, hit := a.Lookup(store, store6); !hit || !conflict {
+	if conflict, _, hit := a.LookupDetail(store, store6); !hit || !conflict {
 		t.Fatalf("merge must keep register entry: conflict=%v hit=%v", conflict, hit)
 	}
 }
@@ -153,7 +153,7 @@ func TestConcurrentAccess(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 200; j++ {
-				c.Lookup(idPair("3"), idPair("4"))
+				c.LookupDetail(idPair("3"), idPair("4"))
 				c.Stats()
 			}
 		}()
@@ -186,12 +186,9 @@ func TestShardDistribution(t *testing.T) {
 	if c.Len() != keys {
 		t.Fatalf("Len = %d, want %d", c.Len(), keys)
 	}
-	lens := c.ShardLens()
-	if len(lens) != 8 {
-		t.Fatalf("ShardLens = %v", lens)
-	}
 	total := 0
-	for i, n := range lens {
+	for i := range c.shards {
+		n := len(c.shards[i].entries)
 		total += n
 		// A uniform hash puts ~32 keys per shard; any shard holding more
 		// than half the keys means the hash is effectively unsharded.
@@ -230,7 +227,7 @@ func TestConcurrentPutLookupMerge(t *testing.T) {
 			defer wg.Done()
 			for i := 1; i <= 50; i++ {
 				c.Put(distinctSeq(i%16+1), distinctSeq(i%16+200), commute.CondAlways)
-				c.Lookup(distinctSeq(i%32+1), distinctSeq(i%32+100))
+				c.LookupDetail(distinctSeq(i%32+1), distinctSeq(i%32+100))
 				if w == 0 && i%10 == 0 {
 					c.Merge(other)
 				}
@@ -292,9 +289,9 @@ func TestMergeOrderDeterminism(t *testing.T) {
 func TestStatsFirstOutcome(t *testing.T) {
 	c := New(seqabs.Abstract)
 	store := []oplog.Sym{sym(adt.KindNumStore, "5")}
-	c.Lookup(store, store) // miss
+	c.LookupDetail(store, store) // miss
 	c.Put(store, store, commute.CondRegister)
-	c.Lookup(store, store) // now hits, but the key's first query missed
+	c.LookupDetail(store, store) // now hits, but the key's first query missed
 	st := c.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("totals = %+v", st)
@@ -339,7 +336,7 @@ func TestFreeze(t *testing.T) {
 	if err := c.Load(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("Load into frozen cache must fail")
 	}
-	if conflict, hit := c.Lookup(store, store); !hit || conflict {
+	if conflict, _, hit := c.LookupDetail(store, store); !hit || conflict {
 		t.Fatalf("frozen lookup: conflict=%v hit=%v", conflict, hit)
 	}
 	c.ResetStats()
@@ -353,7 +350,7 @@ func TestFreeze(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				c.Lookup(store, store)
+				c.LookupDetail(store, store)
 				c.Stats()
 			}
 		}()
@@ -380,7 +377,7 @@ func TestFreezeDuringWrites(t *testing.T) {
 			defer wg.Done()
 			for i := 1; i <= 100; i++ {
 				c.Put(distinctSeq(i), distinctSeq(i+100), commute.CondAlways)
-				c.Lookup(distinctSeq(i), distinctSeq(i+100))
+				c.LookupDetail(distinctSeq(i), distinctSeq(i+100))
 			}
 		}(w)
 	}
@@ -422,11 +419,11 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed contents:\n%s\nvs\n%s", dst.Dump(), src.Dump())
 	}
 	// Loaded conditions behave: identity hit, different stores conflict.
-	if conflict, hit := dst.Lookup(idPair("9"), idPair("4")); !hit || conflict {
+	if conflict, _, hit := dst.LookupDetail(idPair("9"), idPair("4")); !hit || conflict {
 		t.Fatalf("loaded identity pair: conflict=%v hit=%v", conflict, hit)
 	}
 	store6 := []oplog.Sym{sym(adt.KindNumStore, "6")}
-	if conflict, hit := dst.Lookup(store, store6); !hit || !conflict {
+	if conflict, _, hit := dst.LookupDetail(store, store6); !hit || !conflict {
 		t.Fatalf("loaded store pair: conflict=%v hit=%v", conflict, hit)
 	}
 }
@@ -596,17 +593,5 @@ func TestLoadFrozenIsErrFrozenNotSpecError(t *testing.T) {
 	var se *SpecError
 	if errors.As(err, &se) {
 		t.Fatalf("ErrFrozen must not be a *SpecError (contract violation, not artifact fault)")
-	}
-}
-
-func TestModeFromString(t *testing.T) {
-	if m, err := ModeFromString("abstract"); err != nil || m != seqabs.Abstract {
-		t.Errorf("abstract: %v %v", m, err)
-	}
-	if m, err := ModeFromString("concrete"); err != nil || m != seqabs.Concrete {
-		t.Errorf("concrete: %v %v", m, err)
-	}
-	if _, err := ModeFromString("weird"); err == nil {
-		t.Errorf("unknown mode must error")
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 
 	"repro/internal/commute"
-	"repro/internal/seqabs"
 )
 
 // The commutativity specification built by offline training is a
@@ -226,16 +225,4 @@ func (c *Cache) Load(r io.Reader) error {
 		c.putKey(k, v)
 	}
 	return nil
-}
-
-// ModeFromString parses an abstraction mode name (for tools loading specs
-// whose mode must drive cache construction).
-func ModeFromString(s string) (seqabs.Mode, error) {
-	switch s {
-	case seqabs.Abstract.String():
-		return seqabs.Abstract, nil
-	case seqabs.Concrete.String():
-		return seqabs.Concrete, nil
-	}
-	return 0, fmt.Errorf("cache: unknown abstraction mode %q", s)
 }

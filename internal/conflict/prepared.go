@@ -325,9 +325,6 @@ func (p *Prepared) Log() oplog.Log { return p.log }
 // Ops returns the number of logged operations.
 func (p *Prepared) Ops() int { return len(p.log) }
 
-// NumLocs returns the number of projection locations the log touches.
-func (p *Prepared) NumLocs() int { return len(p.locations()) }
-
 // accessModes returns the whole-log write-set modes, computing them on
 // first use.
 func (p *Prepared) accessModes() map[oplog.PLoc]mode {

@@ -159,9 +159,9 @@ func TestPreparePooledRecycle(t *testing.T) {
 		txn := randLog(t, rng, st, 1)
 		pooled := Prepare(txn)
 		fresh := &Prepared{log: txn}
-		if pooled.NumLocs() != fresh.NumLocs() || pooled.Ops() != fresh.Ops() {
+		if len(pooled.locations()) != len(fresh.locations()) || pooled.Ops() != fresh.Ops() {
 			t.Fatalf("trial %d: pooled artifact shape %d/%d != fresh %d/%d",
-				trial, pooled.NumLocs(), pooled.Ops(), fresh.NumLocs(), fresh.Ops())
+				trial, len(pooled.locations()), pooled.Ops(), len(fresh.locations()), fresh.Ops())
 		}
 		for i := range fresh.locs {
 			pl, fl := &pooled.locs[i], &fresh.locs[i]

@@ -18,7 +18,6 @@ import (
 	"repro/internal/adt"
 	"repro/internal/cache"
 	"repro/internal/conflict"
-	"repro/internal/health"
 	"repro/internal/seqabs"
 	"repro/internal/state"
 	"repro/internal/train"
@@ -91,16 +90,6 @@ func (e *Engine) Detector() *conflict.Sequence {
 	det.LearnOnline = e.opts.LearnOnline
 	det.InferWAW = e.opts.InferWAW
 	return det
-}
-
-// GovernedDetector wraps a fresh sequence detector (over the trained
-// cache) and a write-set fallback in a health governor: detections route
-// through the sequence detector while it is profitable, degrade to the
-// fallback under miss storms or abort churn, and escalate to serial
-// execution when even write-set detection thrashes. The returned governor
-// is both the run's conflict.Detector and its stm.Config.Governor.
-func (e *Engine) GovernedDetector(gc health.Config) *health.Governor {
-	return health.NewGovernor(e.Detector(), conflict.NewWriteSet(), gc)
 }
 
 // Freeze switches the trained cache into read-only production mode:

@@ -112,11 +112,3 @@ func WriteAtomicFunc(path string, fn func(io.Writer) error) error {
 	}
 	return a.Publish()
 }
-
-// WriteAtomic publishes data at path atomically.
-func WriteAtomic(path string, data []byte) error {
-	return WriteAtomicFunc(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}

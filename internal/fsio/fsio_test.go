@@ -32,10 +32,18 @@ func noTempLeft(t *testing.T, dir string, want ...string) {
 	}
 }
 
+// writeBytes publishes data at path through WriteAtomicFunc.
+func writeBytes(path, data string) error {
+	return WriteAtomicFunc(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, data)
+		return err
+	})
+}
+
 func TestWriteAtomicPublishes(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "artifact.bin")
-	if err := WriteAtomic(path, []byte("hello")); err != nil {
+	if err := writeBytes(path, "hello"); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -58,7 +66,7 @@ func TestWriteAtomicReplacesExisting(t *testing.T) {
 	if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteAtomic(path, []byte("new")); err != nil {
+	if err := writeBytes(path, "new"); err != nil {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
@@ -73,7 +81,7 @@ func TestWriteAtomicReplacesExisting(t *testing.T) {
 func TestWriteFuncErrorLeavesOldArtifact(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "artifact.bin")
-	if err := WriteAtomic(path, []byte("keep me")); err != nil {
+	if err := writeBytes(path, "keep me"); err != nil {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")

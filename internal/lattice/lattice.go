@@ -7,12 +7,10 @@
 // operations exists iff their footprints overlap on a common location
 // (Equation 1 in the paper).
 //
-// Two instantiations cover the system:
-//
-//   - Unit: the two-point lattice {⊥, ⊤} used for scalar locations, where an
-//     access either touches the whole value or nothing.
-//   - KeySet: the powerset lattice over tuple/field keys used for relational
-//     (ADT) locations, where an access touches a set of tuple keys.
+// One instantiation is in use: KeySet, the powerset lattice over
+// tuple/field keys for relational (ADT) locations, where an access touches
+// a set of tuple keys. (Scalar locations need only the two-point lattice
+// {⊥, ⊤}, which the detectors encode as an access's read/write flags.)
 package lattice
 
 import (
@@ -39,60 +37,6 @@ type Sub interface {
 	Overlaps(o Sub) bool
 	// String renders the element for traces and tests.
 	String() string
-}
-
-// Unit is the two-point lattice for scalar locations: Bottom (untouched)
-// and Top (the whole value).
-type Unit struct {
-	top bool
-}
-
-// UnitBottom is the ⊥ of the Unit lattice.
-func UnitBottom() Unit { return Unit{top: false} }
-
-// UnitTop is the ⊤ of the Unit lattice: the entire scalar value.
-func UnitTop() Unit { return Unit{top: true} }
-
-// IsBottom implements Sub.
-func (u Unit) IsBottom() bool { return !u.top }
-
-// IsTop reports whether u is the whole value.
-func (u Unit) IsTop() bool { return u.top }
-
-// Leq implements Sub. It panics if o is not a Unit.
-func (u Unit) Leq(o Sub) bool {
-	return !u.top || o.(Unit).top
-}
-
-// Join implements Sub.
-func (u Unit) Join(o Sub) Sub {
-	return Unit{top: u.top || o.(Unit).top}
-}
-
-// Meet implements Sub.
-func (u Unit) Meet(o Sub) Sub {
-	return Unit{top: u.top && o.(Unit).top}
-}
-
-// Subtract implements Sub. In the two-point lattice v − v = ⊥ and v − ⊥ = v.
-func (u Unit) Subtract(o Sub) Sub {
-	if o.(Unit).top {
-		return Unit{top: false}
-	}
-	return u
-}
-
-// Overlaps implements Sub.
-func (u Unit) Overlaps(o Sub) bool {
-	return u.top && o.(Unit).top
-}
-
-// String implements Sub.
-func (u Unit) String() string {
-	if u.top {
-		return "⊤"
-	}
-	return "⊥"
 }
 
 // KeySet is the powerset lattice over string keys, used for relational
@@ -210,27 +154,4 @@ func (s KeySet) String() string {
 type Footprint struct {
 	Read  Sub
 	Write Sub
-}
-
-// Depends reports whether two footprints on the same location induce a
-// dependency per Equation 1: (w1 ⊔ r1) ⊓ (w2 ⊔ r2) ≠ ⊥ with at least one
-// write involved. Pure read/read overlap is an input dependency, which
-// Equation 1 subsumes; callers that need flow/anti/output dependencies only
-// should use DependsRW.
-func Depends(a, b Footprint) bool {
-	au := a.Write.Join(a.Read)
-	bu := b.Write.Join(b.Read)
-	return au.Overlaps(bu)
-}
-
-// DependsRW reports a dependency where at least one side writes the
-// overlapping subvalue (flow, anti, or output dependency).
-func DependsRW(a, b Footprint) bool {
-	if a.Write.Overlaps(b.Write) {
-		return true
-	}
-	if a.Write.Overlaps(b.Read) {
-		return true
-	}
-	return b.Write.Overlaps(a.Read)
 }

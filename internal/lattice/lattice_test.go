@@ -7,40 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestUnitBasics(t *testing.T) {
-	b, tp := UnitBottom(), UnitTop()
-	if !b.IsBottom() || tp.IsBottom() {
-		t.Fatalf("bottom/top misclassified")
-	}
-	if !b.Leq(tp) || tp.Leq(b) {
-		t.Errorf("order wrong: ⊥⊑⊤ must hold, ⊤⊑⊥ must not")
-	}
-	if !b.Leq(b) || !tp.Leq(tp) {
-		t.Errorf("Leq not reflexive")
-	}
-	if got := tp.Join(b); !got.(Unit).IsTop() {
-		t.Errorf("⊤⊔⊥ = %v, want ⊤", got)
-	}
-	if got := tp.Meet(b); !got.IsBottom() {
-		t.Errorf("⊤⊓⊥ = %v, want ⊥", got)
-	}
-	if got := tp.Subtract(tp); !got.IsBottom() {
-		t.Errorf("⊤−⊤ = %v, want ⊥", got)
-	}
-	if got := tp.Subtract(b); !got.(Unit).IsTop() {
-		t.Errorf("⊤−⊥ = %v, want ⊤", got)
-	}
-	if b.Overlaps(tp) || !tp.Overlaps(tp) {
-		t.Errorf("overlap wrong")
-	}
-}
-
-func TestUnitString(t *testing.T) {
-	if UnitTop().String() != "⊤" || UnitBottom().String() != "⊥" {
-		t.Errorf("unexpected strings %q %q", UnitTop(), UnitBottom())
-	}
-}
-
 func TestKeySetBasics(t *testing.T) {
 	a := NewKeySet("x", "y")
 	b := NewKeySet("y", "z")
@@ -136,43 +102,5 @@ func TestKeySetSubtractMinimality(t *testing.T) {
 		if a.Leq(smaller.Join(b)) {
 			t.Errorf("dropping %q from subtraction still covers a; not minimal", k)
 		}
-	}
-}
-
-func TestDepends(t *testing.T) {
-	w := Footprint{Read: UnitBottom(), Write: UnitTop()}
-	r := Footprint{Read: UnitTop(), Write: UnitBottom()}
-	n := Footprint{Read: UnitBottom(), Write: UnitBottom()}
-	cases := []struct {
-		name    string
-		a, b    Footprint
-		dep, rw bool
-	}{
-		{"write-write", w, w, true, true},
-		{"write-read", w, r, true, true},
-		{"read-write", r, w, true, true},
-		{"read-read", r, r, true, false}, // input dependency: Depends yes, DependsRW no
-		{"none", n, w, false, false},
-		{"none2", r, n, false, false},
-	}
-	for _, c := range cases {
-		if got := Depends(c.a, c.b); got != c.dep {
-			t.Errorf("%s: Depends = %v, want %v", c.name, got, c.dep)
-		}
-		if got := DependsRW(c.a, c.b); got != c.rw {
-			t.Errorf("%s: DependsRW = %v, want %v", c.name, got, c.rw)
-		}
-	}
-}
-
-func TestDependsKeySets(t *testing.T) {
-	a := Footprint{Read: NewKeySet("k1"), Write: NewKeySet("k2")}
-	b := Footprint{Read: NewKeySet("k3"), Write: NewKeySet("k1")}
-	if !DependsRW(a, b) {
-		t.Errorf("b writes k1 which a reads; must depend")
-	}
-	c := Footprint{Read: NewKeySet("k9"), Write: NewKeySet("k8")}
-	if DependsRW(a, c) {
-		t.Errorf("disjoint footprints must not depend")
 	}
 }

@@ -215,9 +215,6 @@ func Iff(f, g Formula) Formula {
 // Xor returns f ⊕ g = ¬(f ↔ g).
 func Xor(f, g Formula) Formula { return Not(Iff(f, g)) }
 
-// Implies returns f → g = ¬f ∨ g.
-func Implies(f, g Formula) Formula { return Or(Not(f), g) }
-
 // Atoms returns the atoms of f in a deterministic (sorted) order.
 func Atoms(f Formula) []Atom {
 	set := make(map[Atom]struct{})

@@ -63,8 +63,6 @@ func TestEval(t *testing.T) {
 		{Not(q), true},
 		{And(p, Not(q)), true},
 		{Or(q, r), false},
-		{Implies(q, r), true},
-		{Implies(p, q), false},
 		{Iff(p, Not(q)), true},
 		{Xor(p, q), true},
 	}

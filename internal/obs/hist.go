@@ -46,9 +46,6 @@ func (h *Hist) reset() {
 // Count returns the number of recorded samples.
 func (h *Hist) Count() int64 { return h.count.Load() }
 
-// Sum returns the total of all samples in nanoseconds.
-func (h *Hist) Sum() int64 { return h.sum.Load() }
-
 // Mean returns the average sample in nanoseconds.
 func (h *Hist) Mean() float64 {
 	n := h.count.Load()

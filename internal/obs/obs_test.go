@@ -262,8 +262,8 @@ func TestHistQuantiles(t *testing.T) {
 	if h.Count() != 1000 {
 		t.Fatalf("count %d", h.Count())
 	}
-	if h.Sum() != 1000*1001/2 {
-		t.Fatalf("sum %d", h.Sum())
+	if got := h.sum.Load(); got != 1000*1001/2 {
+		t.Fatalf("sum %d", got)
 	}
 	p50, p99 := h.Quantile(0.5), h.Quantile(0.99)
 	if p50 < 500-1 || p50 > 1023 {
@@ -287,8 +287,8 @@ func TestHistogramsFedBySpans(t *testing.T) {
 	tr.Emit(Event{Type: EvTxValidate, When: 10, Dur: 2500})
 	tr.Emit(Event{Type: EvTxAbort, When: 20}) // instant: no histogram
 	h := tr.Hist(EvTxValidate)
-	if h.Count() != 2 || h.Sum() != 4000 {
-		t.Fatalf("validate hist n=%d sum=%d, want 2/4000", h.Count(), h.Sum())
+	if h.Count() != 2 || h.sum.Load() != 4000 {
+		t.Fatalf("validate hist n=%d sum=%d, want 2/4000", h.Count(), h.sum.Load())
 	}
 	vars := tr.Vars()
 	if vars["counts"].(map[string]int64)["tx.abort"] != 1 {

@@ -284,30 +284,6 @@ func (d *Decomposer) Release() {
 	d.locs = d.locs[:0]
 }
 
-// Writes reports whether any event in the log writes p.
-func (l Log) Writes(p PLoc) bool {
-	for _, e := range l {
-		for _, a := range e.Acc {
-			if a.Write && a.P.Overlaps(p) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Reads reports whether any event in the log reads p.
-func (l Log) Reads(p PLoc) bool {
-	for _, e := range l {
-		for _, a := range e.Acc {
-			if a.Read && a.P.Overlaps(p) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // String renders the log compactly.
 func (l Log) String() string {
 	parts := make([]string, len(l))

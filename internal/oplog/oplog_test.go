@@ -135,22 +135,6 @@ func TestDecompose(t *testing.T) {
 	}
 }
 
-func TestWritesReads(t *testing.T) {
-	st := state.New()
-	st.Set("x", state.Int(0))
-	l := Log{mkEvent(1, 0, fakeOp{loc: "x", add: 1}, st), mkEvent(1, 1, fakeOp{loc: "x", read: true}, st)}
-	if !l.Writes("x") || !l.Reads("x") {
-		t.Errorf("Writes/Reads on x must both hold")
-	}
-	if l.Writes("y") || l.Reads("y") {
-		t.Errorf("no accesses to y")
-	}
-	readOnly := Log{mkEvent(1, 0, fakeOp{loc: "x", read: true}, st)}
-	if readOnly.Writes("x") {
-		t.Errorf("read-only log must not report writes")
-	}
-}
-
 func TestSymsAndStrings(t *testing.T) {
 	st := state.New()
 	st.Set("x", state.Int(0))

@@ -12,7 +12,6 @@ package sat
 
 import (
 	"errors"
-	"sort"
 )
 
 // Status is the outcome of a Solve call.
@@ -477,23 +476,4 @@ func tautological(cl []int) bool {
 		seen[l] = struct{}{}
 	}
 	return false
-}
-
-// SortLits sorts a clause's literals by variable then sign; exported for
-// deterministic golden tests of CNF dumps.
-func SortLits(cl []int) {
-	sort.Slice(cl, func(i, j int) bool {
-		ai, aj := cl[i], cl[j]
-		vi, vj := ai, aj
-		if vi < 0 {
-			vi = -vi
-		}
-		if vj < 0 {
-			vj = -vj
-		}
-		if vi != vj {
-			return vi < vj
-		}
-		return ai < aj
-	})
 }

@@ -186,17 +186,6 @@ func TestRandom3SATAgainstBruteForce(t *testing.T) {
 	}
 }
 
-func TestSortLits(t *testing.T) {
-	cl := []int{-3, 1, 3, -1, 2}
-	SortLits(cl)
-	want := []int{-1, 1, 2, -3, 3}
-	for i := range want {
-		if cl[i] != want[i] {
-			t.Fatalf("SortLits = %v, want %v", cl, want)
-		}
-	}
-}
-
 func TestStatusString(t *testing.T) {
 	if Sat.String() != "SAT" || Unsat.String() != "UNSAT" || Unknown.String() != "UNKNOWN" {
 		t.Errorf("status strings wrong")

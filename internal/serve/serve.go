@@ -25,9 +25,9 @@ type Config struct {
 	// Schema declares the shared locations every tenant starts with;
 	// zero means DefaultSchema.
 	Schema Schema
-	// Runner is the per-tenant runner template. Govern and GovernPersist
-	// are forced on (admission control needs the live governor); Trace
-	// and Record are replaced with per-tenant instances.
+	// Runner is the per-tenant runner template. Govern is forced on
+	// (admission control needs the live governor); Trace and Record are
+	// replaced with per-tenant instances.
 	Runner janus.Config
 	// MaxTenants bounds the tenant namespace; a new tenant past the
 	// bound is refused with 429 tenant_limit. 0 means 64.
@@ -619,13 +619,6 @@ func (s *Server) Drain(ctx context.Context) error {
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain timed out: %w", context.Cause(ctx))
 	}
-}
-
-// Draining reports whether intake is stopped.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
 }
 
 // DumpFlight writes every tenant's flight-recorder ring into dir as

@@ -131,7 +131,6 @@ func (s *Server) newTenant(name string) (*tenant, error) {
 	t.digest = rec.Digest(t.st)
 	cfg := s.cfg.Runner
 	cfg.Govern = true
-	cfg.GovernPersist = true
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = s.cfg.RetryBudget
 	}

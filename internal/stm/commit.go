@@ -269,12 +269,7 @@ func (r *Runtime) replayCompute(tx *Tx, foot []conflict.FootprintLoc, nDirty int
 // unfinished, at the first op that accesses dirty and clean locations
 // both.
 func (t *Tx) replayDirty(foot []conflict.FootprintLoc) (bool, error) {
-	locs := make([]state.Loc, 0, 8)
-	for i := range foot {
-		if t.dirty[i] {
-			locs = append(locs, foot[i].Loc)
-		}
-	}
+	locs := t.dirtyLocs(foot)
 	for _, e := range t.log {
 		n := 0
 		for _, a := range e.Acc {
@@ -293,6 +288,17 @@ func (t *Tx) replayDirty(foot []conflict.FootprintLoc) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// dirtyLocs lists the footprint locations the install plan marks dirty.
+func (t *Tx) dirtyLocs(foot []conflict.FootprintLoc) []state.Loc {
+	locs := make([]state.Loc, 0, 8)
+	for i := range foot {
+		if t.dirty[i] {
+			locs = append(locs, foot[i].Loc)
+		}
+	}
+	return locs
 }
 
 // installed returns the value the commit publishes for footprint
@@ -369,7 +375,7 @@ func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared, si
 // lock is held on the read side only, so commits overlap each other and
 // exclude nothing but serial escalation. On any outcome but commitOK no
 // shared state was mutated.
-func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, window []*conflict.Prepared, tcheck int64) commitResult {
+func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, tcheck int64) commitResult {
 	foot := prep.Footprint()
 	tx.planStripes(foot, len(r.stripes))
 	r.lock.RLock()
@@ -401,7 +407,7 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, window []
 		}
 		reserved = true
 	}
-	// Install, don't replay: window is every entry in (begin, tcheck] and
+	// Install, don't replay: tx.window is every entry in (begin, tcheck] and
 	// the screen above cleared (tcheck, published], so a written location
 	// no window entry wrote has not moved since the transaction faulted it
 	// and publishes straight from tx.priv. Only the rest is replayed —
@@ -410,7 +416,7 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, window []
 	// step happens first. A replay error is terminal for the whole run —
 	// never a retry.
 	var nDirty int
-	tx.dirty, nDirty = prep.DirtyWrites(window, tx.dirtyBuf[:0])
+	tx.dirty, nDirty = prep.DirtyWrites(tx.window, tx.dirtyBuf[:0])
 	tx.overlay = nil
 	if nDirty > 0 {
 		if err := r.replayCompute(tx, foot, nDirty); err != nil {

@@ -1,27 +1,18 @@
-package vtime
+package stm
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"repro/internal/adt"
 	"repro/internal/conflict"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/state"
-	"repro/internal/stm"
 	"repro/internal/workloads"
 )
 
-func initialState() *state.State {
-	st := state.New()
-	st.Set("work", state.Int(0))
-	st.Set("log", state.IntList{})
-	return st
-}
-
-func addTask(n int64) adt.Task {
+// workTask is addTask with enough local work for parallelism to pay.
+func workTask(n int64) adt.Task {
 	return func(ex adt.Executor) error {
 		if err := (adt.Counter{L: "work"}).Add(ex, n); err != nil {
 			return err
@@ -31,7 +22,7 @@ func addTask(n int64) adt.Task {
 	}
 }
 
-func identityTask(n int64) adt.Task {
+func workIdentityTask(n int64) adt.Task {
 	return func(ex adt.Executor) error {
 		c := adt.Counter{L: "work"}
 		if err := c.Add(ex, n); err != nil {
@@ -42,15 +33,9 @@ func identityTask(n int64) adt.Task {
 	}
 }
 
-func appendTask(id int64) adt.Task {
-	return func(ex adt.Executor) error {
-		return adt.Stack{L: "log"}.Push(ex, id)
-	}
-}
-
-func run(t *testing.T, cfg Config, tasks []adt.Task) (*state.State, Stats) {
+func simulate(t *testing.T, cfg SimConfig, tasks []adt.Task) (*state.State, SimStats) {
 	t.Helper()
-	final, stats, err := Run(cfg, initialState(), tasks)
+	final, stats, err := Simulate(cfg, initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,9 +43,9 @@ func run(t *testing.T, cfg Config, tasks []adt.Task) (*state.State, Stats) {
 }
 
 func TestDeterministic(t *testing.T) {
-	tasks := []adt.Task{identityTask(1), identityTask(2), identityTask(3), addTask(4)}
-	_, a := run(t, Config{Threads: 4, RecordTimeline: true}, tasks)
-	_, b := run(t, Config{Threads: 4, RecordTimeline: true}, tasks)
+	tasks := []adt.Task{workIdentityTask(1), workIdentityTask(2), workIdentityTask(3), workTask(4)}
+	_, a := simulate(t, SimConfig{Threads: 4, RecordTimeline: true}, tasks)
+	_, b := simulate(t, SimConfig{Threads: 4, RecordTimeline: true}, tasks)
 	if a.Makespan != b.Makespan || a.Retries != b.Retries || a.Commits != b.Commits || a.Speedup != b.Speedup {
 		t.Fatalf("simulated runs differ:\n%+v\n%+v", a, b)
 	}
@@ -75,13 +60,13 @@ func TestDeterministic(t *testing.T) {
 }
 
 func TestFinalStateMatchesSequential(t *testing.T) {
-	tasks := []adt.Task{addTask(1), addTask(2), addTask(3), addTask(4), addTask(5)}
-	want, err := stm.RunSequential(initialState(), tasks)
+	tasks := []adt.Task{workTask(1), workTask(2), workTask(3), workTask(4), workTask(5)}
+	want, err := RunSequential(initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, th := range []int{1, 2, 4, 8} {
-		final, stats, err := Run(Config{Threads: th}, initialState(), tasks)
+		final, stats, err := Simulate(SimConfig{Threads: th}, initialState(), tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +81,7 @@ func TestFinalStateMatchesSequential(t *testing.T) {
 
 func TestOrderedCommitsFollowTaskOrder(t *testing.T) {
 	tasks := []adt.Task{appendTask(1), appendTask(2), appendTask(3), appendTask(4)}
-	final, _ := run(t, Config{Threads: 4, Ordered: true}, tasks)
+	final, _ := simulate(t, SimConfig{Threads: 4, Ordered: true}, tasks)
 	v, _ := final.Get("log")
 	lst := v.(state.IntList)
 	for i, x := range lst {
@@ -106,8 +91,8 @@ func TestOrderedCommitsFollowTaskOrder(t *testing.T) {
 	}
 }
 
-func TestSingleThreadNoRetries(t *testing.T) {
-	_, stats := run(t, Config{Threads: 1}, []adt.Task{addTask(1), addTask(2)})
+func TestSimulatedSingleThreadNoRetries(t *testing.T) {
+	_, stats := simulate(t, SimConfig{Threads: 1}, []adt.Task{workTask(1), workTask(2)})
 	if stats.Retries != 0 {
 		t.Fatalf("retries = %d at 1 thread", stats.Retries)
 	}
@@ -119,9 +104,9 @@ func TestSingleThreadNoRetries(t *testing.T) {
 func TestWriteSetRetriesUnderConcurrency(t *testing.T) {
 	var tasks []adt.Task
 	for i := 1; i <= 16; i++ {
-		tasks = append(tasks, addTask(int64(i)))
+		tasks = append(tasks, workTask(int64(i)))
 	}
-	_, stats := run(t, Config{Threads: 4}, tasks)
+	_, stats := simulate(t, SimConfig{Threads: 4}, tasks)
 	if stats.Retries == 0 {
 		t.Fatalf("overlapping write-set txns must retry")
 	}
@@ -136,17 +121,17 @@ func TestWriteSetRetriesUnderConcurrency(t *testing.T) {
 func TestSequenceDetectorBeatsWriteSetOnIdentity(t *testing.T) {
 	var tasks []adt.Task
 	for i := 1; i <= 16; i++ {
-		tasks = append(tasks, identityTask(int64(i)))
+		tasks = append(tasks, workIdentityTask(int64(i)))
 	}
 	engine := core.NewEngine(core.Options{})
 	if err := engine.Train(initialState(), tasks[:4]); err != nil {
 		t.Fatal(err)
 	}
-	_, seqStats, err := Run(Config{Threads: 8, Detector: engine.Detector()}, initialState(), tasks)
+	_, seqStats, err := Simulate(SimConfig{Threads: 8, Detector: engine.Detector()}, initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wsStats, err := Run(Config{Threads: 8, Detector: conflict.NewWriteSet()}, initialState(), tasks)
+	_, wsStats, err := Simulate(SimConfig{Threads: 8, Detector: conflict.NewWriteSet()}, initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +152,7 @@ func TestSequenceDetectorBeatsWriteSetOnIdentity(t *testing.T) {
 func TestSpeedupScalesWithThreads(t *testing.T) {
 	var tasks []adt.Task
 	for i := 1; i <= 32; i++ {
-		tasks = append(tasks, identityTask(int64(i)))
+		tasks = append(tasks, workIdentityTask(int64(i)))
 	}
 	engine := core.NewEngine(core.Options{})
 	if err := engine.Train(initialState(), tasks[:4]); err != nil {
@@ -175,7 +160,7 @@ func TestSpeedupScalesWithThreads(t *testing.T) {
 	}
 	prev := 0.0
 	for _, th := range []int{1, 2, 4} {
-		_, stats, err := Run(Config{Threads: th, Detector: engine.Detector()}, initialState(), tasks)
+		_, stats, err := Simulate(SimConfig{Threads: th, Detector: engine.Detector()}, initialState(), tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,13 +190,13 @@ func TestMachineEffective(t *testing.T) {
 func TestSMTCapacityCapsSpeedup(t *testing.T) {
 	var tasks []adt.Task
 	for i := 1; i <= 64; i++ {
-		tasks = append(tasks, identityTask(int64(i)))
+		tasks = append(tasks, workIdentityTask(int64(i)))
 	}
 	engine := core.NewEngine(core.Options{})
 	if err := engine.Train(initialState(), tasks[:4]); err != nil {
 		t.Fatal(err)
 	}
-	_, eight, err := Run(Config{Threads: 8, Detector: engine.Detector()}, initialState(), tasks)
+	_, eight, err := Simulate(SimConfig{Threads: 8, Detector: engine.Detector()}, initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +204,7 @@ func TestSMTCapacityCapsSpeedup(t *testing.T) {
 		t.Fatalf("8 threads on the 4-core SMT machine cannot exceed 5x, got %v", eight.Speedup)
 	}
 	uncapped := Machine{Cores: 64}
-	_, wide, err := Run(Config{Threads: 8, Detector: engine.Detector(), Machine: &uncapped}, initialState(), tasks)
+	_, wide, err := Simulate(SimConfig{Threads: 8, Detector: engine.Detector(), Machine: &uncapped}, initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,50 +213,43 @@ func TestSMTCapacityCapsSpeedup(t *testing.T) {
 	}
 }
 
-func TestTaskErrorPropagates(t *testing.T) {
+func TestSimulatedTaskErrorPropagates(t *testing.T) {
 	boom := errors.New("boom")
 	bad := func(adt.Executor) error { return boom }
-	_, _, err := Run(Config{Threads: 2}, initialState(), []adt.Task{addTask(1), bad})
+	_, _, err := Simulate(SimConfig{Threads: 2}, initialState(), []adt.Task{workTask(1), bad})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
-func TestMaxRetriesGuard(t *testing.T) {
-	always := alwaysConflict{}
-	_, _, err := Run(Config{Threads: 2, Detector: always, MaxRetries: 3},
-		initialState(), []adt.Task{addTask(1), addTask(2)})
-	if err == nil || !strings.Contains(err.Error(), "retries") {
-		t.Fatalf("err = %v", err)
+func TestSimulatedMaxRetriesGuard(t *testing.T) {
+	_, _, err := Simulate(SimConfig{Threads: 2, Detector: &alwaysConflict{}, MaxRetries: 3},
+		initialState(), []adt.Task{workTask(1), workTask(2)})
+	var rle *RetryLimitError
+	if !errors.As(err, &rle) || rle.Retries != 3 {
+		t.Fatalf("err = %v, want a RetryLimitError at 3 retries", err)
 	}
 }
 
-type alwaysConflict struct{}
-
-func (alwaysConflict) DetectPrepared(obs.Ctx, *state.State, *conflict.Prepared, []*conflict.Prepared) conflict.Verdict {
-	return conflict.Verdict{Conflict: true, Reason: conflict.ReasonWriteSet}
-}
-func (alwaysConflict) Name() string { return "always" }
-
 func TestInvalidThreads(t *testing.T) {
-	if _, _, err := Run(Config{}, initialState(), nil); err == nil {
+	if _, _, err := Simulate(SimConfig{}, initialState(), nil); err == nil {
 		t.Fatalf("zero threads must error")
 	}
 }
 
 func TestCostOverride(t *testing.T) {
-	tasks := []adt.Task{addTask(1)}
+	tasks := []adt.Task{workTask(1)}
 	cheap := DefaultCost()
 	cheap.Op = 1
 	cheap.CommitBase = 1
 	cheap.ReplayWritePerOp = 1
 	cheap.Begin = 1
 	cheap.FaultPerLoc = 1
-	_, cheapStats, err := Run(Config{Threads: 1, Cost: &cheap}, initialState(), tasks)
+	_, cheapStats, err := Simulate(SimConfig{Threads: 1, Cost: &cheap}, initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, defStats, err := Run(Config{Threads: 1}, initialState(), tasks)
+	_, defStats, err := Simulate(SimConfig{Threads: 1}, initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,46 +258,15 @@ func TestCostOverride(t *testing.T) {
 	}
 }
 
-// TestAgreesWithWallClockRuntime cross-validates the simulator's final
-// states and commit counts against the goroutine runtime on the real
-// workloads (ordered where order matters).
-func TestAgreesWithWallClockRuntime(t *testing.T) {
-	for _, name := range []string{"jfilesync", "pmd", "jgrapht2"} {
-		w, err := workloads.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tasks := w.Tasks(workloads.Small, 5)
-		engine := core.NewEngine(core.Options{Relax: w.Relaxations})
-		if err := engine.TrainMany(w.NewState(), w.TrainingPayloads()[:2]); err != nil {
-			t.Fatal(err)
-		}
-		simFinal, simStats, err := Run(Config{Threads: 4, Ordered: true, Detector: engine.Detector()}, w.NewState(), tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wallFinal, wallStats, err := stm.Run(stm.Config{Threads: 4, Ordered: true, Detector: engine.Detector()}, w.NewState(), tasks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if simStats.Commits != wallStats.Commits {
-			t.Fatalf("%s: commits %d vs %d", name, simStats.Commits, wallStats.Commits)
-		}
-		if !simFinal.Equal(wallFinal) {
-			t.Fatalf("%s: simulated final state differs from wall-clock runtime", name)
-		}
-	}
-}
-
 func TestRetryRatioZeroTasks(t *testing.T) {
-	if (Stats{}).RetryRatio() != 0 {
+	if (SimStats{}).RetryRatio() != 0 {
 		t.Errorf("zero tasks ratio must be 0")
 	}
 }
 
 func TestTimelineRecords(t *testing.T) {
-	tasks := []adt.Task{addTask(1), addTask(2), addTask(3), addTask(4)}
-	_, stats, err := Run(Config{Threads: 2, RecordTimeline: true}, initialState(), tasks)
+	tasks := []adt.Task{workTask(1), workTask(2), workTask(3), workTask(4)}
+	_, stats, err := Simulate(SimConfig{Threads: 2, RecordTimeline: true}, initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +297,49 @@ func TestTimelineRecords(t *testing.T) {
 		t.Fatalf("attempts %d != commits %d + retries %d", totalAttempts, stats.Commits, stats.Retries)
 	}
 	// Off by default.
-	_, noTL, err := Run(Config{Threads: 2}, initialState(), tasks)
+	_, noTL, err := Simulate(SimConfig{Threads: 2}, initialState(), tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(noTL.Timeline) != 0 {
 		t.Fatalf("timeline recorded without the flag")
+	}
+}
+
+// TestSimulatedWorkloadsSerializable is Theorem 4.1 on the five ported
+// loops under the simulated schedule: with the trained detector and the
+// workload's relaxations, the final state equals a sequential run of the
+// tasks in the order the timeline says they committed, on every location
+// the relaxation specification does not declare immaterial.
+func TestSimulatedWorkloadsSerializable(t *testing.T) {
+	for _, w := range workloads.All() {
+		tasks := w.Tasks(workloads.Small, 5)
+		engine := core.NewEngine(core.Options{Relax: w.Relaxations})
+		if err := engine.TrainMany(w.NewState(), w.TrainingPayloads()[:2]); err != nil {
+			t.Fatal(err)
+		}
+		final, stats, err := Simulate(SimConfig{
+			Threads: 8, Ordered: w.Ordered, Detector: engine.Detector(), RecordTimeline: true,
+		}, w.NewState(), tasks)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		order := make([]adt.Task, len(tasks))
+		for i, tt := range stats.Timeline {
+			order[i] = tasks[tt.Task-1]
+		}
+		want, err := RunSequential(w.NewState(), order)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, loc := range want.Locs() {
+			if w.Relaxations != nil && w.Relaxations.Any(loc) {
+				continue
+			}
+			wv, _ := want.Get(loc)
+			if gv, ok := final.Get(loc); !ok || !gv.EqualValue(wv) {
+				t.Errorf("%s: %s = %v after the simulated run, %v sequentially in commit order", w.Name, loc, gv, wv)
+			}
+		}
 	}
 }

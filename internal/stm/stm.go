@@ -611,20 +611,15 @@ func (r *Runtime) runTask(task adt.Task, tid, worker int) {
 			return
 		}
 		if committed {
-			atomic.AddInt64(&r.stats.Commits, 1)
-			if gov != nil {
-				gov.ObserveCommit()
-			}
+			r.noteCommit()
 			ctx.End(obs.EvTask, start)
 			return
 		}
 		if r.failed() {
 			return
 		}
-		atomic.AddInt64(&r.stats.Retries, 1)
 		retries++
-		if r.cfg.MaxRetries > 0 && retries >= r.cfg.MaxRetries {
-			r.fail(fmt.Errorf("stm: %w", &RetryLimitError{Task: tid, Retries: retries}))
+		if !r.noteRetry(tid, retries) {
 			return
 		}
 		if wait := r.cfg.Backoff.wait(tid, retries); wait > 0 {
@@ -654,6 +649,25 @@ func (r *Runtime) sleep(d time.Duration) bool {
 	}
 }
 
+// noteCommit counts one committed transaction.
+func (r *Runtime) noteCommit() {
+	atomic.AddInt64(&r.stats.Commits, 1)
+	if gov := r.cfg.Governor; gov != nil {
+		gov.ObserveCommit()
+	}
+}
+
+// noteRetry counts one aborted attempt, the task's retries-th. When that
+// exhausts Config.MaxRetries it fails the run and reports false.
+func (r *Runtime) noteRetry(tid, retries int) bool {
+	atomic.AddInt64(&r.stats.Retries, 1)
+	if r.cfg.MaxRetries > 0 && retries >= r.cfg.MaxRetries {
+		r.fail(fmt.Errorf("stm: %w", &RetryLimitError{Task: tid, Retries: retries}))
+		return false
+	}
+	return true
+}
+
 // OplogBudgetError is what Tx.Exec returns once a transaction's
 // operation log reaches Config.MaxTxnOps: the op is refused so a single
 // runaway task cannot grow its private log without bound. A task that
@@ -679,6 +693,11 @@ type Tx struct {
 	snap   *state.State // its SharedSnapshot
 	log    oplog.Log
 	maxOps int // Config.MaxTxnOps; 0 = unlimited
+
+	// window is the committed history this attempt has fetched, (begin,
+	// seen] in commit order: what finish detects against and what commit
+	// joins the footprint with.
+	window []*conflict.Prepared
 
 	// evSlab backs the log's events in batches: Exec appends into the
 	// current slab and logs a pointer to the slab element, one allocation
@@ -726,30 +745,50 @@ func (t *Tx) Exec(op oplog.Op) (state.Value, error) {
 	return v, nil
 }
 
-// Log returns the transaction's operation log (for tests and tracing).
-func (t *Tx) Log() oplog.Log { return t.log }
-
-// attempt executes one transaction attempt: CREATETRANSACTION,
-// RUNSEQUENTIAL, ordered wait, then the detect/commit loop.
+// attempt executes one transaction attempt: its two halves back to back.
+// The split is the seam the discrete-event driver (sim.go) and the
+// schedule explorer schedule around; neither half knows who calls it.
 func (r *Runtime) attempt(ctx obs.Ctx, task adt.Task, tid int) (committed bool, err error) {
+	tx, prep, err := r.execute(ctx, task, tid)
+	if err != nil {
+		return false, err
+	}
+	return r.finish(ctx, tx, prep), nil
+}
+
+// execute is an attempt's first half: CREATETRANSACTION (the begin
+// watermark), RUNSEQUENTIAL (the task body against the private view), and
+// the preparation of the resulting log. A body error ends the attempt
+// here; otherwise the caller owes the transaction a finish.
+func (r *Runtime) execute(ctx obs.Ctx, task adt.Task, tid int) (*Tx, *conflict.Prepared, error) {
 	tx := r.createTransaction(tid)
-	defer r.dropBegin(tid)
 	ctx.Instant(obs.EvTxBegin)
 
 	runStart := ctx.Now()
 	if err := runTaskBody(task, tx, tid); err != nil {
-		return false, err
+		r.dropBegin(tid)
+		return nil, nil, err
 	}
 	ctx.End(obs.EvTxRun, runStart)
 	r.recordOps(len(tx.log))
 
 	// The transaction's own log is prepared once per attempt — not once
-	// per detection call — so every pass of the detect/commit loop below
-	// reuses the same decomposition and memoized shapes. If the commit
-	// succeeds, the same artifact becomes the history entry, making the
-	// commit-time preparation free; otherwise the attempt is the
+	// per detection call — so every pass of the detect/commit loop in
+	// finish reuses the same decomposition and memoized shapes. If the
+	// commit succeeds, the same artifact becomes the history entry, making
+	// the commit-time preparation free; otherwise the attempt is the
 	// artifact's only owner and its buffers go back to the pool.
-	prep := conflict.Prepare(tx.log)
+	return tx, conflict.Prepare(tx.log), nil
+}
+
+// finish is an attempt's second half: the ordered wait, then the
+// fetch-window/detect/commit loop, until the transaction commits (true)
+// or aborts (false: a conflict, or the run failed). Either way the
+// transaction's begin watermark is dropped, and an unpublished artifact
+// recycled.
+func (r *Runtime) finish(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared) (committed bool) {
+	tid := tx.tid
+	defer r.dropBegin(tid)
 	published := false
 	defer func() {
 		if !published {
@@ -760,13 +799,12 @@ func (r *Runtime) attempt(ctx obs.Ctx, task adt.Task, tid int) (committed bool, 
 	// The conflict history grows monotonically while the transaction
 	// retries the detect/commit loop (reclamation never touches entries
 	// newer than an active transaction's begin), so each iteration fetches
-	// only the entries that committed since the previous attempt's
-	// snapshot instead of recopying the whole (begin, now] window.
-	var opsC []*conflict.Prepared
+	// into tx.window only the entries that committed since the previous
+	// pass's snapshot instead of recopying the whole (begin, now] window.
 	seen := tx.begin
 
-	// validated is the incremental watermark: opsC[:validated] passed a
-	// clean detection earlier in this attempt. Committed logs are
+	// validated is the incremental watermark: tx.window[:validated] passed
+	// a clean detection earlier in this attempt. Committed logs are
 	// immutable and per-entry verdicts compose (see conflict.Detector),
 	// so those verdicts are final — after a lost commit race only the
 	// entries that committed since the last clean pass are checked.
@@ -790,7 +828,7 @@ func (r *Runtime) attempt(ctx obs.Ctx, task adt.Task, tid int) (committed bool, 
 		if r.cfg.MaxHistory > 0 {
 			r.histMu.Lock()
 			for r.published.Load() != int64(tid) && !r.failed() {
-				seen = r.drainLocked(tid, seen, &opsC)
+				seen = r.drainLocked(tid, seen, &tx.window)
 				r.commitCond.Wait()
 			}
 			r.histMu.Unlock()
@@ -802,20 +840,20 @@ func (r *Runtime) attempt(ctx obs.Ctx, task adt.Task, tid int) (committed bool, 
 		}
 		ctx.End(obs.EvCommitWait, waitStart)
 		if r.failed() {
-			return false, nil
+			return false
 		}
 	}
 
 	for {
 		if r.failed() {
-			return false, nil
+			return false
 		}
 		now := r.published.Load()
 		if now > seen {
-			opsC = r.committedHistory(opsC, seen, now)
+			tx.window = r.committedHistory(tx.window, seen, now)
 			seen = now
 			if r.cfg.MaxHistory > 0 {
-				// Everything up to seen is copied into opsC; advance the
+				// Everything up to seen is copied into the window; advance the
 				// begin watermark so reclamation (and the MaxHistory
 				// backpressure that depends on it) can move past it.
 				r.advanceBegin(tid, seen)
@@ -824,16 +862,16 @@ func (r *Runtime) attempt(ctx obs.Ctx, task adt.Task, tid int) (committed bool, 
 		if h := r.cfg.Hooks; h != nil && h.ForceAbort != nil && h.ForceAbort(tid, int(ctx.Attempt)) {
 			atomic.AddInt64(&r.abortReasons[conflict.ReasonInjected], 1)
 			ctx.Abort(conflict.ReasonInjected.String(), "", "")
-			return false, nil
+			return false
 		}
 		valStart := ctx.Now()
 		if validated > 0 {
 			atomic.AddInt64(&r.stats.ValidationsSkipped, int64(validated))
 		}
-		verdict := r.detector.DetectPrepared(ctx, tx.snap, prep, opsC[validated:])
+		verdict := r.detector.DetectPrepared(ctx, tx.snap, prep, tx.window[validated:])
 		ctx.End(obs.EvTxValidate, valStart)
 		if !verdict.Conflict {
-			validated = len(opsC)
+			validated = len(tx.window)
 		}
 		if verdict.Conflict {
 			atomic.AddInt64(&r.stats.Conflicts, 1)
@@ -845,33 +883,33 @@ func (r *Runtime) attempt(ctx obs.Ctx, task adt.Task, tid int) (committed bool, 
 				}
 				ctx.Abort(verdict.Reason.String(), string(verdict.P), detail)
 			}
-			return false, nil // abort; RUNTASK retries from scratch
+			return false // abort; RUNTASK retries from scratch
 		}
 		if h := r.cfg.Hooks; h != nil && h.WindowDelay != nil {
 			h.WindowDelay(tid)
 		}
 		commitStart := ctx.Now()
-		res := r.commit(ctx, tx, prep, opsC, seen)
+		res := r.commit(ctx, tx, prep, seen)
 		switch res {
 		case commitOK:
 			published = true
 			ctx.End(obs.EvTxCommit, commitStart)
-			return true, nil
+			return true
 		case commitFailed:
 			// The run is dead (replay error or external failure): the
 			// attempt is doomed, so return without re-entering the retry
 			// loop — a doomed retry would burn a backoff sleep and a
 			// validation pass before noticing.
-			return false, nil
+			return false
 		case commitStall:
 			// The history bound, not a conflict: wait for reclamation to
 			// make room, then re-detect against what published while
-			// stalled (drained into opsC past the validated mark).
+			// stalled (drained into the window past the validated mark).
 			var govStart time.Time
 			if r.cfg.Governor != nil {
 				govStart = time.Now()
 			}
-			seen = r.stallForHistory(tid, seen, &opsC)
+			seen = r.stallForHistory(tid, seen, &tx.window)
 			if gov := r.cfg.Governor; gov != nil {
 				gov.ObserveCommitWait(time.Since(govStart))
 			}
@@ -944,8 +982,21 @@ func (r *Runtime) newTx(tid int, begin int64) *Tx {
 		tx.log = make(oplog.Log, 0, hint)
 		tx.evSlab = make([]oplog.Event, 0, hint)
 	}
-	tx.priv = state.NewFaulting(r.storeGet)
+	// The snapshot is bound as the private view faults: each location's
+	// entry is the committed value the transaction first observed — the
+	// entry state its reads came from, which is what a detector that
+	// evaluates sequences concretely must start from. Left to fault on its
+	// own, at detection, it would read values a window commit has already
+	// replaced and clear the very read that commit invalidated. (The
+	// store's values are immutable, so the snapshot shares them.)
 	tx.snap = state.NewFaulting(r.storeGet)
+	tx.priv = state.NewFaulting(func(l state.Loc) (state.Value, bool) {
+		v, ok := r.storeGet(l)
+		if ok {
+			tx.snap.Set(l, v)
+		}
+		return v, ok
+	})
 	return tx
 }
 

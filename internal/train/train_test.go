@@ -96,7 +96,7 @@ func TestTrainIdentityPattern(t *testing.T) {
 	if err := pShort.Run([]adt.Task{identityTask(3)}); err != nil {
 		t.Fatal(err)
 	}
-	conflict, hit := c.Lookup(pLong.Trace().Syms(), pShort.Trace().Syms())
+	conflict, _, hit := c.LookupDetail(pLong.Trace().Syms(), pShort.Trace().Syms())
 	if !hit || conflict {
 		t.Fatalf("Lookup(long identity, short identity) = conflict=%v hit=%v", conflict, hit)
 	}
@@ -154,14 +154,14 @@ func TestTrainDifferentWritesStillCachesRegisterCondition(t *testing.T) {
 	if err := drawTask("blue")(pB); err != nil {
 		t.Fatal(err)
 	}
-	conflict, hit := c.Lookup(pA.Trace().Syms(), pB.Trace().Syms())
+	conflict, _, hit := c.LookupDetail(pA.Trace().Syms(), pB.Trace().Syms())
 	if !hit {
 		t.Fatalf("equal shape must hit")
 	}
 	if !conflict {
 		t.Fatalf("different colors must conflict")
 	}
-	conflict, hit = c.Lookup(pA.Trace().Syms(), pA.Trace().Syms())
+	conflict, _, hit = c.LookupDetail(pA.Trace().Syms(), pA.Trace().Syms())
 	if !hit || conflict {
 		t.Fatalf("same color must not conflict: conflict=%v hit=%v", conflict, hit)
 	}
@@ -189,7 +189,7 @@ func TestConcreteModeMissesOnLengthChange(t *testing.T) {
 	if err := identityTask(3)(pShort); err != nil {
 		t.Fatal(err)
 	}
-	_, hit := c.Lookup(p.Trace().Syms(), pShort.Trace().Syms())
+	_, _, hit := c.LookupDetail(p.Trace().Syms(), pShort.Trace().Syms())
 	if hit {
 		t.Fatalf("concrete mode must miss on a length change")
 	}
@@ -197,7 +197,7 @@ func TestConcreteModeMissesOnLengthChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conflict, hit := abstract.Lookup(p.Trace().Syms(), pShort.Trace().Syms())
+	conflict, _, hit := abstract.LookupDetail(p.Trace().Syms(), pShort.Trace().Syms())
 	if !hit || conflict {
 		t.Fatalf("abstract mode must hit and report commutativity; conflict=%v hit=%v", conflict, hit)
 	}

@@ -285,18 +285,16 @@ type Config struct {
 	// detection when sliding-window cache-miss or abort rates cross the
 	// GovernorConfig thresholds (probing its way back once conditions
 	// clear) and escalates the whole run to serial execution when even
-	// write-set detection thrashes. See RunStats.Health.
+	// write-set detection thrashes. See RunStats.Health. A governed Runner
+	// owns one governor for all its runs, so sliding-window abort/miss
+	// rates, trip state and probe streaks reflect its sustained traffic
+	// (a server's tenant) rather than resetting on every batch;
+	// Runner.Governor exposes the live state machine for admission
+	// control. Build a fresh Runner for fresh windows.
 	Govern bool
 	// Governor tunes the Govern state machine; the zero value uses the
 	// internal/health defaults.
 	Governor GovernorConfig
-	// GovernPersist keeps one health governor alive across every run of
-	// this Runner instead of building a fresh one per run. A long-lived
-	// server wants this: sliding-window abort/miss rates, trip state, and
-	// probe streaks then reflect the tenant's sustained traffic rather
-	// than resetting on every batch, and Runner.Governor exposes the live
-	// state machine for admission-control decisions. Requires Govern.
-	GovernPersist bool
 	// MaxHistory bounds the runtime's committed-history length: a commit
 	// that would overflow the bound forces a reclamation pass and then
 	// stalls until active transactions advance past the old entries.
@@ -343,9 +341,9 @@ type Runner struct {
 	// permanently degrades to write-set detection (the cache cannot be
 	// trusted to have been trained as intended).
 	specRejected bool
-	// gov is the persistent health governor (Config.GovernPersist). It is
-	// built lazily on first use — not in New — so spec loading and lenient
-	// rejection can still steer which detector it wraps.
+	// gov is the health governor (Config.Govern). It is built lazily on
+	// first use — not in New — so spec loading and lenient rejection can
+	// still steer which detector it wraps.
 	govOnce sync.Once
 	gov     *health.Governor
 }
@@ -480,15 +478,15 @@ func (r *Runner) detector() conflict.Detector {
 	return r.engine.Detector()
 }
 
-// Governor returns the runner's persistent health governor, or nil unless
-// both Config.Govern and Config.GovernPersist are set. The first call
-// builds it (wrapping the runner's configured detector); every run of the
-// runner then feeds the same sliding windows, so its state reflects
-// sustained traffic, and publishes it once as the "janus.health" expvar.
+// Governor returns the runner's health governor, or nil unless
+// Config.Govern is set. The first call builds it (wrapping the runner's
+// configured detector); every run of the runner then feeds the same
+// sliding windows, so its state reflects sustained traffic, and publishes
+// it once as the "janus.health" expvar.
 // Callers use it for admission decisions: State() reports healthy/
 // degraded/tripped live; health.Publish can export it under another name.
 func (r *Runner) Governor() *health.Governor {
-	if !r.cfg.Govern || !r.cfg.GovernPersist {
+	if !r.cfg.Govern {
 		return nil
 	}
 	r.govOnce.Do(func() {
@@ -508,19 +506,9 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 	if r.cfg.Trace != nil {
 		tracer = r.cfg.Trace
 	}
-	var gov *health.Governor
+	gov := r.Governor()
 	var stmGov stm.Governor
-	if r.cfg.Govern {
-		if r.cfg.GovernPersist {
-			gov = r.Governor()
-		} else {
-			gc := r.cfg.Governor
-			if gc.Tracer == nil {
-				gc.Tracer = tracer
-			}
-			gov = health.NewGovernor(det, nil, gc)
-			health.Publish("janus.health", gov)
-		}
+	if gov != nil {
 		det = gov
 		stmGov = gov
 	}
