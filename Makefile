@@ -17,9 +17,13 @@ build:
 test:
 	$(GO) test -timeout 120s ./...
 
-# Short race job over the concurrency-heavy packages (mirrors CI).
+# Short race job over the concurrency-heavy packages (mirrors CI). The
+# second line is the poisoned-recycle runs outside those packages (stm's is
+# in the first): with recycled artifacts poisoned a use-after-recycle
+# panics, and -race is what reports a reader overlapping the recycler.
 race:
 	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/rec ./internal/serve ./internal/health ./internal/wal ./internal/fsio ./internal/relation ./internal/state ./internal/persist
+	$(GO) test -race -count=1 -run PoisonedRecycle ./internal/chaos ./internal/workloads
 
 # Repeat the stm liveness tests (history bound, stalls, cancellation): the
 # schedules they stage are ordered by construction, so 20 of 20 must pass

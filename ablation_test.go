@@ -108,37 +108,30 @@ func BenchmarkAblationOnlineDetection(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationLogReclamation measures the committed-history footprint
-// with and without the reclamation extension, reporting the peak history
-// length.
+// BenchmarkAblationLogReclamation reports the committed history's peak
+// length over a run of len(tasks) transactions. The paper's prototype kept
+// every log (§7.2); the runtime no longer can — every commit reclaims — so
+// there is one row, and the run length is the baseline it is read against.
 func BenchmarkAblationLogReclamation(b *testing.B) {
 	w, err := workloads.ByName("pmd")
 	if err != nil {
 		b.Fatal(err)
 	}
-	tasks := w.Tasks(workloads.Small, benchSeed)
+	tasks := w.Tasks(workloads.Production, benchSeed)
 	engine := trainedEngine(b, w, false)
-	for _, reclaim := range []bool{false, true} {
-		name := "keep-all"
-		if reclaim {
-			name = "reclaim"
+	var maxHist int64
+	for i := 0; i < b.N; i++ {
+		_, stats, err := stm.Run(stm.Config{
+			Threads:  4,
+			Detector: engine.Detector(),
+		}, w.NewState(), tasks)
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			var maxHist int64
-			for i := 0; i < b.N; i++ {
-				_, stats, err := stm.Run(stm.Config{
-					Threads:     4,
-					Detector:    engine.Detector(),
-					ReclaimLogs: reclaim,
-				}, w.NewState(), tasks)
-				if err != nil {
-					b.Fatal(err)
-				}
-				maxHist = stats.MaxHist
-			}
-			b.ReportMetric(float64(maxHist), "peak-history")
-		})
+		maxHist = max(maxHist, stats.MaxHist)
 	}
+	b.ReportMetric(float64(maxHist), "peak-history")
+	b.ReportMetric(float64(len(tasks)), "transactions")
 }
 
 // BenchmarkAblationPrivatization compares the runtime's privatization —

@@ -2,8 +2,11 @@ package janus
 
 import (
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"path/filepath"
 	"sort"
@@ -19,16 +22,28 @@ var liveByContract = map[string]string{
 	"internal/rec.TraceError.Unwrap":     "errors.Is/As walk it",
 	"internal/serve.journalError.Unwrap": "errors.Is/As walk it",
 	"internal/wal.Error.Unwrap":          "errors.Is/As walk it",
+	"internal/relation.canonical.Len":    "sort.Sort calls it",
 	"internal/relation.canonical.Less":   "sort.Sort calls it",
+	"internal/relation.canonical.Swap":   "sort.Sort calls it",
+	"internal/stm.simHeap.Len":           "container/heap calls it",
 	"internal/stm.simHeap.Less":          "container/heap calls it",
+	"internal/stm.simHeap.Swap":          "container/heap calls it",
+	"internal/stm.simHeap.Push":          "container/heap calls it",
+	"internal/stm.simHeap.Pop":           "container/heap calls it",
 
 	// A method of a type the root package re-exports (janus.BitSet,
-	// janus.Canvas, janus.Trace, janus.CustomObject): the library's API,
-	// exercised by the root package's tests.
-	"internal/adt.BitSet.Clear":     "library API through janus.BitSet",
-	"internal/adt.Canvas.DrawPixel": "library API through janus.Canvas",
-	"internal/obs.Trace.Reset":      "library API through janus.Trace",
-	"internal/relspec.Object.Clear": "library API through janus.CustomObject",
+	// janus.Canvas, janus.IntArray, janus.Trace, janus.CustomObject): the
+	// library's API, exercised by the root package's tests.
+	"internal/adt.BitSet.Clear":      "library API through janus.BitSet",
+	"internal/adt.Canvas.DrawPixel":  "library API through janus.Canvas",
+	"internal/adt.IntArray.Get":      "library API through janus.IntArray",
+	"internal/adt.IntArray.Set":      "library API through janus.IntArray",
+	"internal/obs.Trace.Reset":       "library API through janus.Trace",
+	"internal/relspec.Object.Clear":  "library API through janus.CustomObject",
+	"internal/relspec.Object.Delete": "library API through janus.CustomObject",
+	"internal/relspec.Object.Get":    "library API through janus.CustomObject",
+	"internal/relspec.Object.Has":    "library API through janus.CustomObject",
+	"internal/relspec.Object.Put":    "library API through janus.CustomObject",
 
 	// A test's reference implementation: a test compares the shipped code
 	// against it, so deleting it deletes the oracle.
@@ -40,6 +55,12 @@ var liveByContract = map[string]string{
 	"internal/seqeff.PairConflicts":   "Figure 8 on analyses: the verdict commute's and seqabs's lemma tests compare with",
 	"internal/seqeff.Idempotent":      "the definition BlockIdempotent's allocation-free fold is pinned to",
 	"internal/seqeff.IdempotentStack": "the definition BlockIdempotent's allocation-free fold is pinned to",
+	"internal/state.State.Equal":      "Theorem 4.1's comparison: final state against the sequential run's, in every oracle test",
+
+	// What tests in several packages build their inputs with, and the
+	// switch that makes a use-after-recycle fail loudly in them.
+	"internal/conflict.Prepare":        "artifact of a hand-made log: detector tests in conflict, health, serve and stm",
+	"internal/conflict.PoisonRecycled": "poisoned-recycle runs in stm, chaos and workloads (make race)",
 
 	// The fault-injection harness: package chaos exists to be called from
 	// other packages' soak tests.
@@ -67,13 +88,81 @@ var liveByContract = map[string]string{
 	"internal/relation.Relation.InsertFootprint": "ROADMAP 5(c)",
 	"internal/relation.Relation.RemoveFootprint": "ROADMAP 5(c)",
 	"internal/relation.Relation.SelectFootprint": "ROADMAP 5(c)",
+
+	// Methods only their own package's tests call. Name matching hid each
+	// behind a live method of the same name on another type; ROADMAP item
+	// 6(a) deletes them or finds them a caller.
+	"internal/lattice.KeySet.Len":    "ROADMAP 6(a)",
+	"internal/persist.Vector.Append": "ROADMAP 6(a): nothing outside its tests uses persist.Vector since vtime went",
+	"internal/persist.Vector.Set":    "ROADMAP 6(a)",
+	"internal/persist.Vector.Slice":  "ROADMAP 6(a)",
+	"internal/relation.Tuple.Equal":  "ROADMAP 6(a)",
+	"internal/state.State.Delete":    "ROADMAP 6(a)",
+	"internal/train.TrainMany":       "ROADMAP 6(a): core.Engine.TrainMany loops over Train itself",
+	"internal/wal.Log.Dir":           "ROADMAP 6(a)",
+}
+
+// modulePath is go.mod's module line: what import paths inside the
+// repository start with.
+const modulePath = "repro"
+
+// moduleImporter type-checks the module's own packages from the parsed
+// files, on demand, and hands everything else to the standard library's
+// source importer.
+type moduleImporter struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // import path → non-test files
+	pkgs  map[string]*types.Package
+	std   types.Importer
+	info  *types.Info
+}
+
+func (m *moduleImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := m.pkgs[path]; ok {
+		return pkg, nil
+	}
+	files, ok := m.files[path]
+	if !ok {
+		return m.std.Import(path)
+	}
+	// Errors are dropped: an identifier the checker could not resolve is
+	// matched by name, as all of them were before the audit used types.
+	conf := types.Config{Importer: m, Error: func(error) {}}
+	pkg, _ := conf.Check(path, m.fset, files, m.info)
+	m.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// funcKey names a function or a concrete type's method the way decls are
+// keyed, dir.Func or dir.Type.Method; "" for an interface's method.
+func funcKey(fn *types.Func) string {
+	fn = fn.Origin()
+	if fn.Pkg() == nil {
+		return ""
+	}
+	dir := strings.TrimPrefix(strings.TrimPrefix(fn.Pkg().Path(), modulePath), "/")
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return dir + "." + fn.Name()
+	}
+	t := recv.Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok && !types.IsInterface(named) {
+		return dir + "." + named.Obj().Name() + "." + fn.Name()
+	}
+	return ""
 }
 
 // TestNoDeadExports fails on an exported function or method under
-// internal/ that no non-test file of the module refers to. Matching is by
-// identifier: any use of the name anywhere outside _test.go files — a
-// call, a method value, an interface's method list — counts as a
-// reference, so the audit can miss dead code but cannot flag live code,
+// internal/ that no non-test file of the module refers to. An identifier
+// the type checker resolves to a function, or to a method of a concrete
+// type, is a reference to that declaration alone — so (*state.State).Reset
+// being called says nothing about (*obs.Trace).Reset. Every other use of
+// the name anywhere outside _test.go files — a call through an interface,
+// an interface's method list, a field — counts for every declaration of
+// that name, so the audit can miss dead code but cannot flag live code,
 // except a method only a standard-library interface reaches; those are in
 // liveByContract.
 func TestNoDeadExports(t *testing.T) {
@@ -83,8 +172,18 @@ func TestNoDeadExports(t *testing.T) {
 		name *ast.Ident
 	}
 	var decls []decl
-	uses := map[string]int{} // identifier → occurrences outside declarations
 	declIdents := map[*ast.Ident]bool{}
+	// The source importer would run cgo on the standard library's cgo
+	// files; their pure-Go variants declare the same API.
+	defer func(was bool) { build.Default.CgoEnabled = was }(build.Default.CgoEnabled)
+	build.Default.CgoEnabled = false
+	mod := &moduleImporter{
+		fset:  fset,
+		files: map[string][]*ast.File{},
+		pkgs:  map[string]*types.Package{},
+		std:   importer.ForCompiler(fset, "source", nil),
+		info:  &types.Info{Uses: map[*ast.Ident]types.Object{}},
+	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -103,6 +202,8 @@ func TestNoDeadExports(t *testing.T) {
 			return err
 		}
 		dir := filepath.ToSlash(filepath.Dir(path))
+		pkgPath := strings.TrimSuffix(modulePath+"/"+dir, "/.") // the root package's dir is "."
+		mod.files[pkgPath] = append(mod.files[pkgPath], file)
 		for _, d := range file.Decls {
 			fn, ok := d.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() || !strings.HasPrefix(dir, "internal/") {
@@ -122,22 +223,40 @@ func TestNoDeadExports(t *testing.T) {
 			decls = append(decls, decl{key, fn.Name})
 			declIdents[fn.Name] = true
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			if id, ok := n.(*ast.Ident); ok && !declIdents[id] {
-				uses[id.Name]++
-			}
-			return true
-		})
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 
+	usesByKey := map[string]int{}  // occurrences resolved to one declaration
+	usesByName := map[string]int{} // all other occurrences outside declarations
+	for path, files := range mod.files {
+		if _, err := mod.Import(path); err != nil {
+			t.Fatal(err)
+		}
+		for _, file := range files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				id, ok := n.(*ast.Ident)
+				if !ok || declIdents[id] {
+					return true
+				}
+				if fn, ok := mod.info.Uses[id].(*types.Func); ok {
+					if key := funcKey(fn); key != "" {
+						usesByKey[key]++
+						return true
+					}
+				}
+				usesByName[id.Name]++
+				return true
+			})
+		}
+	}
+
 	var dead []string
 	flagged := map[string]bool{}
 	for _, d := range decls {
-		if uses[d.name.Name] > 0 {
+		if usesByKey[d.key] > 0 || usesByName[d.name.Name] > 0 {
 			continue
 		}
 		flagged[d.key] = true

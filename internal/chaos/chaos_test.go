@@ -69,7 +69,21 @@ func soakTasks(seed int64, n int, ordered bool) []adt.Task {
 // aborts and stretched commit windows — alternating between the plain
 // retry loop and the backoff+escalation contention manager — must
 // produce exactly the sequential oracle's final state.
-func TestChaosSoakSerializability(t *testing.T) {
+func TestChaosSoakSerializability(t *testing.T) { soakSerializability(t, 0) }
+
+// TestChaosPoisonedRecycle repeats the soak with recycled artifacts
+// poisoned (conflict.PoisonRecycled), without a history bound and with
+// MaxHistory 1 to 4, where windows outlive their transactions' begins: a
+// transaction that reads an artifact the runtime has taken back panics
+// with the stack instead of, at best, missing the oracle's state.
+func TestChaosPoisonedRecycle(t *testing.T) {
+	defer conflict.PoisonRecycled(true)()
+	for maxHistory := 0; maxHistory <= 4; maxHistory++ {
+		t.Run(fmt.Sprintf("maxhist=%d", maxHistory), func(t *testing.T) { soakSerializability(t, maxHistory) })
+	}
+}
+
+func soakSerializability(t *testing.T, maxHistory int) {
 	const nTasks = 30
 	var total Stats
 	for seed := int64(1); seed <= int64(*seedCount); seed++ {
@@ -87,6 +101,7 @@ func TestChaosSoakSerializability(t *testing.T) {
 			cfg := stm.Config{
 				Threads: 4, Ordered: ordered,
 				Hooks: inj.Hooks(), MaxRetries: 500,
+				MaxHistory: maxHistory,
 			}
 			if seed%2 == 0 {
 				// Half the matrix runs the contention manager too.

@@ -15,6 +15,7 @@ package conflict
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cache"
 	"repro/internal/oplog"
@@ -25,11 +26,20 @@ import (
 // Prepared is one transaction log with its detection-side projections
 // computed once: the per-location subsequences in first-access order,
 // each with its memoized symbolic shape, plus lazily memoized write-set
-// access modes. A Prepared is immutable after Prepare returns (the lazy
-// mode maps are guarded by sync.Once), so a single value is safely shared
-// by any number of concurrent DetectPrepared calls.
+// access modes. It is also the log's storage: a transaction takes an
+// artifact at begin (Begin) and logs into it (Append). Once the last
+// Append has returned a Prepared is immutable (the lazy projections are
+// guarded by sync.Once), so a single value is safely shared by any number
+// of concurrent DetectPrepared calls, until its owner recycles it.
 type Prepared struct {
 	log oplog.Log
+	// slab backs the log's events in batches: Append writes the event into
+	// the current slab and logs a pointer to the element, one allocation
+	// per batch instead of one per operation. A full slab is abandoned in
+	// place (logged pointers keep it alive until Recycle clears them) and a
+	// doubled one starts; the artifact keeps the last, largest one, so the
+	// transactions that reuse it soon log without allocating.
+	slab []oplog.Event
 
 	// locs memoizes the per-location decomposition with its symbolic
 	// shapes. Only the sequence detector consumes it — the write-set
@@ -41,8 +51,8 @@ type Prepared struct {
 
 	// dec and symArena are the decomposition's backing buffers. They are
 	// owned exclusively while materializing and return to preparedPool
-	// with an unpublished attempt (Recycle); a published Prepared keeps
-	// them forever.
+	// with the artifact (Recycle), whether its attempt aborted or its
+	// history entry was reclaimed.
 	dec      oplog.Decomposer
 	symArena []oplog.Sym
 
@@ -57,8 +67,11 @@ type Prepared struct {
 	// (Signatures), computed alongside it.
 	footOnce sync.Once
 	foot     []FootprintLoc
+	footIdx  map[state.Loc]int // Footprint's index past footprintScanBound
 	sigAll   uint64
 	sigWrite uint64
+
+	poisoned bool // recycled under PoisonRecycled: any further use is a bug
 }
 
 // FootprintLoc is one distinct shared location a prepared log accesses,
@@ -88,7 +101,8 @@ const footprintScanBound = 64
 // relation land on the same footprint entry.
 func (p *Prepared) Footprint() []FootprintLoc {
 	p.footOnce.Do(func() {
-		var idx map[state.Loc]int
+		p.checkLive()
+		var idx map[state.Loc]int // nil while the footprint is short enough to scan
 		for _, e := range p.log {
 			for _, a := range e.Acc {
 				loc := a.P.Loc()
@@ -111,7 +125,10 @@ func (p *Prepared) Footprint() []FootprintLoc {
 				}
 				p.foot = append(p.foot, FootprintLoc{Loc: loc, Hash: fnv64a(string(loc)), Write: a.Write})
 				if idx == nil && len(p.foot) > footprintScanBound {
-					idx = make(map[state.Loc]int, 2*len(p.foot))
+					if p.footIdx == nil {
+						p.footIdx = make(map[state.Loc]int, 2*len(p.foot))
+					}
+					idx = p.footIdx
 					for k := range p.foot {
 						idx[p.foot[k].Loc] = k
 					}
@@ -155,7 +172,11 @@ func (p *Prepared) Signatures() (sigAll, sigWrite uint64) {
 // capacity.
 func (p *Prepared) DirtyWrites(window []*Prepared, buf []bool) (dirty []bool, n int) {
 	foot := p.Footprint()
-	dirty = append(buf[:0], make([]bool, len(foot))...)
+	if cap(buf) < len(foot) {
+		buf = make([]bool, len(foot))
+	}
+	dirty = buf[:len(foot)]
+	clear(dirty)
 	if p.sigWrite == 0 {
 		return dirty, 0
 	}
@@ -223,7 +244,7 @@ type preparedLoc struct {
 func (pl *preparedLoc) seqKey(c *cache.Cache) (key []byte, ok bool) {
 	pl.keyOnce.Do(func() {
 		pl.keyMode = c.Mode()
-		pl.key = c.AppendSeqKey(nil, pl.syms)
+		pl.key = c.AppendSeqKey(pl.key[:0], pl.syms)
 	})
 	if pl.keyMode != c.Mode() {
 		return nil, false
@@ -231,51 +252,147 @@ func (pl *preparedLoc) seqKey(c *cache.Cache) (key []byte, ok bool) {
 	return pl.key, true
 }
 
-// preparedPool recycles unpublished attempt artifacts (Prepare /
-// Recycle), keeping the per-attempt preparation allocation-free in the
-// steady state — the seqabs.AppendKey discipline applied to the whole
-// artifact.
+// preparedPool recycles artifacts (Begin / Recycle) with everything they
+// grew — log and event slab, decomposer buffers, descriptor arena,
+// per-location entries and their key buffers, footprint — so a
+// transaction runs in what an earlier one left behind. The pool is
+// package-wide because the storage must outlive a runtime: a server
+// builds one per batch, shorter than any reclamation window.
 var preparedPool = sync.Pool{New: func() any { return new(Prepared) }}
 
-// Prepare binds a log to its detection artifact, drawn with its backing
-// buffers from a pool. All projections are deferred to first use behind
-// sync.Once memos: the decomposition and symbolic shapes materialize
-// when a sequence detector first asks for them (locations), the write-set
-// mode maps when a detection falls back to them, the footprint when the
-// commit path plans its stripes — so each run pays only for the
-// projections its configuration consumes. The caller owns the result
-// exclusively until it either publishes it to the committed history
-// (after which it is shared read-only forever and must never be
-// recycled) or calls Recycle.
+// maxPooledOps bounds the log a pooled artifact may have room for: one
+// outlier transaction's storage is left to the collector instead of
+// parking megabytes in the pool.
+const maxPooledOps = 1 << 14
+
+// Begin returns an empty artifact for a transaction about to run, drawn
+// with its backing buffers from the pool. The transaction logs into it
+// with Append; all projections are deferred to first use behind sync.Once
+// memos: the decomposition and symbolic shapes materialize when a sequence
+// detector first asks for them (locations), the write-set mode maps when a
+// detection falls back to them, the footprint when the commit path plans
+// its stripes — so each run pays only for the projections its
+// configuration consumes.
+//
+// Ownership: the caller owns the artifact, log included, exclusively. An
+// attempt that aborts calls Recycle. One that commits publishes the
+// artifact to the committed history, where it is shared read-only with
+// every transaction whose window reaches it; the history calls Recycle
+// once no such transaction is left (stm's reclamation floor). Either way
+// nothing the artifact handed out — the Log slice, the *oplog.Event
+// pointers in it, Footprint's slice — may be used after Recycle: the next
+// transaction overwrites them. What an event refers to (Op, Acc, Observed)
+// is allocated per operation, never reused, and may be kept.
+func Begin() *Prepared {
+	return preparedPool.Get().(*Prepared)
+}
+
+// Append logs one executed operation.
+func (p *Prepared) Append(ev oplog.Event) {
+	if len(p.slab) == cap(p.slab) {
+		n := 2 * cap(p.slab)
+		if n == 0 {
+			n = 8
+		}
+		p.slab = make([]oplog.Event, 0, n)
+	}
+	p.slab = append(p.slab, ev)
+	p.log = append(p.log, &p.slab[len(p.slab)-1])
+}
+
+// Prepare returns the artifact of a log recorded elsewhere, copying its
+// events (not what they refer to) into the artifact's own storage. The
+// runtime never needs it — transactions log into their artifact from the
+// first operation — but detector tests build logs by hand.
 func Prepare(l oplog.Log) *Prepared {
-	p := preparedPool.Get().(*Prepared)
-	p.log = l
+	p := Begin()
+	for _, e := range l {
+		p.Append(*e)
+	}
 	return p
 }
 
-// Recycle returns an unpublished artifact's backing buffers to the pool.
-// The caller must guarantee no other goroutine can still reach p — in the
-// runtime, the artifact of an attempt that aborted without publishing.
+// poisonRecycled makes Recycle poison what it takes back instead of
+// pooling it (see PoisonRecycled).
+var poisonRecycled atomic.Bool
+
+// PoisonRecycled is a fault-detection switch for tests: while on, Recycle
+// overwrites every event of the recycled log with an operation whose
+// methods panic and the descriptor arena with a sentinel, marks the
+// artifact so that its projections panic too, and leaves it out of the
+// pool — so whoever still holds a recycled artifact, its log or one of its
+// events fails with a stack at the next use, every time, instead of
+// reading zeroed storage or another transaction's log. (Reuse itself is
+// what every other test runs on, and where -race reports a reader that
+// overlaps the next writer.) It returns the function that restores the
+// previous setting.
+func PoisonRecycled(on bool) (restore func()) {
+	was := poisonRecycled.Swap(on)
+	return func() { poisonRecycled.Store(was) }
+}
+
+// recycledOp is what a poisoned event holds.
+type recycledOp struct{}
+
+const recycledMsg = "conflict: use of a transaction log after its artifact was recycled"
+
+func (recycledOp) Apply(*state.State) (state.Value, error) { panic(recycledMsg) }
+func (recycledOp) Accesses(*state.State) []oplog.Access    { panic(recycledMsg) }
+func (recycledOp) Sym() oplog.Sym                          { panic(recycledMsg) }
+func (recycledOp) IsRead() bool                            { panic(recycledMsg) }
+func (recycledOp) String() string                          { return "recycled" }
+
+// checkLive guards the lazily computed projections: they are recomputed
+// after Recycle reset their memos, which is where a stale holder of a
+// poisoned artifact arrives first.
+func (p *Prepared) checkLive() {
+	if p.poisoned {
+		panic(recycledMsg)
+	}
+}
+
+// Recycle returns the artifact and all its storage to the pool. The
+// caller must guarantee no other goroutine can still reach p: the artifact
+// of an attempt that aborted without publishing, or a history entry at or
+// below every active transaction's begin. Everything is cleared first — a
+// pooled artifact pins no event, operation or value of its old log.
 func (p *Prepared) Recycle() {
 	if p == nil {
 		return
 	}
+	p.locsOnce = sync.Once{}
+	p.modesOnce = sync.Once{}
+	p.footOnce = sync.Once{}
+	if poisonRecycled.Load() {
+		// Through the logged pointers, so abandoned slabs are reached too.
+		for _, e := range p.log {
+			*e = oplog.Event{Op: recycledOp{}, Task: -1, Seq: -1}
+		}
+		for i := range p.symArena {
+			p.symArena[i] = oplog.Sym{Kind: "conflict.recycled"}
+		}
+		p.poisoned = true
+		return
+	}
+	clear(p.slab)
+	p.slab = p.slab[:0]
+	clear(p.log)
+	p.log = p.log[:0]
 	p.dec.Release()
 	clear(p.symArena)
 	p.symArena = p.symArena[:0]
 	for i := range p.locs {
-		p.locs[i] = preparedLoc{}
+		p.locs[i] = preparedLoc{key: p.locs[i].key[:0]}
 	}
 	p.locs = p.locs[:0]
-	p.locsOnce = sync.Once{}
-	p.log = nil
-	p.modesOnce = sync.Once{}
 	p.modes = nil
-	p.footOnce = sync.Once{}
 	clear(p.foot)
 	p.foot = p.foot[:0]
+	clear(p.footIdx)
 	p.sigAll, p.sigWrite = 0, 0
-	preparedPool.Put(p)
+	if cap(p.log) <= maxPooledOps {
+		preparedPool.Put(p)
+	}
 }
 
 // locations returns the per-location decomposition, materializing it on
@@ -288,6 +405,7 @@ func (p *Prepared) locations() []preparedLoc {
 }
 
 func (p *Prepared) materializeLocs() {
+	p.checkLive()
 	decomp := p.dec.Decompose(p.log)
 	if len(decomp) == 0 {
 		p.locs = p.locs[:0]
@@ -315,7 +433,7 @@ func (p *Prepared) materializeLocs() {
 		for j, e := range d.Seq {
 			syms[j] = e.Op.Sym()
 		}
-		p.locs[i] = preparedLoc{p: d.P, seq: d.Seq, syms: syms, wildcard: d.P.IsWildcard()}
+		p.locs[i] = preparedLoc{p: d.P, seq: d.Seq, syms: syms, wildcard: d.P.IsWildcard(), key: p.locs[i].key[:0]}
 	}
 }
 
@@ -328,7 +446,10 @@ func (p *Prepared) Ops() int { return len(p.log) }
 // accessModes returns the whole-log write-set modes, computing them on
 // first use.
 func (p *Prepared) accessModes() map[oplog.PLoc]mode {
-	p.modesOnce.Do(func() { p.modes = accessModes(p.log) })
+	p.modesOnce.Do(func() {
+		p.checkLive()
+		p.modes = accessModes(p.log)
+	})
 	return p.modes
 }
 

@@ -116,7 +116,11 @@ type Op interface {
 	fmt.Stringer
 }
 
-// Event is one executed operation in a trace or transaction log.
+// Event is one executed operation in a trace or transaction log. Inside
+// the runtime an Event lives in storage its log's artifact owns and a later
+// transaction overwrites (conflict.Prepared.Recycle): whoever is handed a
+// runtime log (stm.CommitSink) keeps copies of the structs, not pointers.
+// Op, Acc and Observed are allocated per operation and never reused.
 type Event struct {
 	Op   Op
 	Task int // transaction/task identifier

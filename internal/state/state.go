@@ -149,6 +149,12 @@ func NewFaulting(fault func(Loc) (Value, bool)) *State {
 	return &State{m: make(map[Loc]Value), fault: fault}
 }
 
+// Reset unbinds every location, keeping the map's storage and the fault
+// source: the state a pooled transaction shell hands its next transaction.
+// Clearing costs in proportion to the most locations the state ever held,
+// so a caller that pools states bounds that (stm drops outsized shells).
+func (s *State) Reset() { clear(s.m) }
+
 // Get returns the value at loc and whether it is bound.
 func (s *State) Get(loc Loc) (Value, bool) {
 	v, ok := s.m[loc]

@@ -62,9 +62,6 @@ type stripeRef struct {
 // ascending index order); deduplication merges two locations on one
 // stripe into a single acquisition in the stronger mode.
 func (t *Tx) planStripes(foot []conflict.FootprintLoc, nStripes int) {
-	if t.stripes == nil {
-		t.stripes = t.stripesBuf[:0]
-	}
 	t.stripes = t.stripes[:0]
 	t.sigAll, t.sigWrite = 0, 0
 	for _, f := range foot {
@@ -219,7 +216,7 @@ func (r *Runtime) reserveHistorySlot() bool {
 	r.histMu.Lock()
 	defer r.histMu.Unlock()
 	if len(r.history)+r.histReserved >= r.cfg.MaxHistory {
-		r.reclaimLocked()
+		r.reclaimLocked(nil)
 	}
 	if len(r.history)+r.histReserved >= r.cfg.MaxHistory {
 		return false
@@ -250,7 +247,8 @@ func (r *Runtime) replayCompute(tx *Tx, foot []conflict.FootprintLoc, nDirty int
 			written++
 		}
 	}
-	tx.overlay = state.NewFaulting(r.storeGet)
+	tx.overlay = tx.replay
+	tx.overlay.Reset()
 	if nDirty < written {
 		done, err := tx.replayDirty(foot)
 		if done || err != nil {
@@ -259,9 +257,9 @@ func (r *Runtime) replayCompute(tx *Tx, foot []conflict.FootprintLoc, nDirty int
 		for i := range foot {
 			tx.dirty[i] = foot[i].Write
 		}
-		tx.overlay = state.NewFaulting(r.storeGet)
+		tx.overlay.Reset()
 	}
-	return tx.log.Replay(tx.overlay)
+	return tx.prep.Log().Replay(tx.overlay)
 }
 
 // replayDirty applies the logged ops that access a dirty location to
@@ -270,7 +268,7 @@ func (r *Runtime) replayCompute(tx *Tx, foot []conflict.FootprintLoc, nDirty int
 // both.
 func (t *Tx) replayDirty(foot []conflict.FootprintLoc) (bool, error) {
 	locs := t.dirtyLocs(foot)
-	for _, e := range t.log {
+	for _, e := range t.prep.Log() {
 		n := 0
 		for _, a := range e.Acc {
 			if slices.Contains(locs, a.P.Loc()) {
@@ -290,14 +288,16 @@ func (t *Tx) replayDirty(foot []conflict.FootprintLoc) (bool, error) {
 	return true, nil
 }
 
-// dirtyLocs lists the footprint locations the install plan marks dirty.
+// dirtyLocs lists the footprint locations the install plan marks dirty,
+// in the shell's scratch: valid until the next call.
 func (t *Tx) dirtyLocs(foot []conflict.FootprintLoc) []state.Loc {
-	locs := make([]state.Loc, 0, 8)
+	locs := t.dirtyLocBuf[:0]
 	for i := range foot {
 		if t.dirty[i] {
 			locs = append(locs, foot[i].Loc)
 		}
 	}
+	t.dirtyLocBuf = locs
 	return locs
 }
 
@@ -348,10 +348,15 @@ func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
 }
 
 // publishEntry appends one committed transaction to the history,
-// releasing its MaxHistory reservation, tracking the peak length and
-// reclaiming if configured. Publication order (the caller's sequencer
-// turn) keeps commit times strictly increasing in history order.
+// releasing its MaxHistory reservation and tracking the peak length, and
+// takes back the entries no active transaction can need any more: their
+// artifacts are recycled here, after histMu is released, for the next
+// transactions to log into. The new entry itself always stays (its commit
+// time is above the published watermark until the caller advances it).
+// Publication order (the caller's sequencer turn) keeps commit times
+// strictly increasing in history order.
 func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared, sigAll, sigWrite uint64, reserved bool) {
+	var buf [4]*conflict.Prepared
 	r.histMu.Lock()
 	r.history = append(r.history, histEntry{
 		commitTime: ctime, task: tid, prep: prep, sigAll: sigAll, sigWrite: sigWrite,
@@ -360,10 +365,11 @@ func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared, si
 		r.histReserved--
 	}
 	casMax(&r.stats.MaxHist, int64(len(r.history)))
-	if r.cfg.ReclaimLogs {
-		r.reclaimLocked()
-	}
+	recycle := r.reclaimLocked(buf[:0])
 	r.histMu.Unlock()
+	for _, p := range recycle {
+		p.Recycle()
+	}
 }
 
 // commit is COMMIT of Figure 7, striped. The committer locks its
@@ -375,7 +381,8 @@ func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared, si
 // lock is held on the read side only, so commits overlap each other and
 // exclude nothing but serial escalation. On any outcome but commitOK no
 // shared state was mutated.
-func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, tcheck int64) commitResult {
+func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, tcheck int64) commitResult {
+	prep := tx.prep
 	foot := prep.Footprint()
 	tx.planStripes(foot, len(r.stripes))
 	r.lock.RLock()
@@ -416,7 +423,7 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, tcheck in
 	// step happens first. A replay error is terminal for the whole run —
 	// never a retry.
 	var nDirty int
-	tx.dirty, nDirty = prep.DirtyWrites(tx.window, tx.dirtyBuf[:0])
+	tx.dirty, nDirty = prep.DirtyWrites(tx.window, tx.dirty)
 	tx.overlay = nil
 	if nDirty > 0 {
 		if err := r.replayCompute(tx, foot, nDirty); err != nil {
@@ -445,7 +452,7 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared, tcheck in
 	if sink := r.cfg.Record; sink != nil {
 		// Inside the publication turn: sinks see commits in strictly
 		// increasing commitTime order across all workers.
-		sink.ObserveCommitted(tx.tid, ctime, tx.log)
+		sink.ObserveCommitted(tx.tid, ctime, prep.Log())
 	}
 	r.advancePublished(ctime)
 	if r.cfg.MaxHistory > 0 {

@@ -132,12 +132,6 @@ var exploreDetectors = []struct {
 	{"sequence", func() conflict.Detector { return &conflict.Sequence{Online: true} }},
 }
 
-// pending is a task's executed attempt awaiting its finish.
-type pending struct {
-	tx   *Tx
-	prep *conflict.Prepared
-}
-
 // exploration is one point of the test matrix.
 type exploration struct {
 	set     exploreSet
@@ -165,7 +159,7 @@ func (x exploration) run(pick func(step, enabled int) int) (trace []string, err 
 	sink := &commitCollector{}
 	r := New(Config{Threads: 1, Ordered: x.ordered, Detector: x.det, Record: sink}, x.set.initial())
 	r.stats.Tasks = n
-	inFlight := make([]*pending, n+1)
+	inFlight := make([]*Tx, n+1) // a task's executed attempt awaiting its finish
 	done := make([]bool, n+1)
 	attempts := make([]int, n+1)
 	for step, left := 0, n; left > 0; step++ {
@@ -186,14 +180,14 @@ func (x exploration) run(pick func(step, enabled int) int) (trace []string, err 
 		ctx := obs.Ctx{Task: int32(tid), Attempt: int32(attempts[tid] + 1)}
 		if inFlight[tid] == nil {
 			trace = append(trace, fmt.Sprintf("execute_%d", tid))
-			tx, prep, err := r.execute(ctx, tasks[tid-1], tid)
+			tx, err := r.execute(ctx, tasks[tid-1], tid)
 			if err != nil {
 				return trace, err
 			}
-			inFlight[tid] = &pending{tx, prep}
+			inFlight[tid] = tx
 			continue
 		}
-		committed := r.finish(ctx, inFlight[tid].tx, inFlight[tid].prep)
+		committed := r.finish(ctx, inFlight[tid])
 		inFlight[tid] = nil
 		attempts[tid]++
 		if err := r.runErr(); err != nil {

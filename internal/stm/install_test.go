@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -23,7 +24,7 @@ import (
 func checkInstallAgainstReplay(t *testing.T, r *Runtime) {
 	r.installCheck = func(tx *Tx, foot []conflict.FootprintLoc) {
 		full := state.NewFaulting(r.storeGet)
-		if err := tx.log.Replay(full); err != nil {
+		if err := tx.prep.Log().Replay(full); err != nil {
 			t.Errorf("task %d: full replay failed: %v", tx.tid, err)
 			return
 		}
@@ -102,18 +103,13 @@ func installState() *state.State {
 // with and without MaxHistory, under a detector that
 // clears every window (all dirty counters reach commit) and under
 // write-set detection (only relation keys do).
-func TestInstallEqualsReplay(t *testing.T) {
-	type variant struct {
-		name string
-		cfg  Config
-	}
-	variants := []variant{
-		{"plain", Config{}},
-		{"maxhist", Config{MaxHistory: 3}},
-	}
+func TestInstallEqualsReplay(t *testing.T) { installEqualsReplay(t, 0, 3) }
+
+// installEqualsReplay runs the oracle once per MaxHistory setting.
+func installEqualsReplay(t *testing.T, maxHistories ...int) {
 	var installed, replayed int64
 	for _, ordered := range []bool{false, true} {
-		for _, v := range variants {
+		for _, maxHistory := range maxHistories {
 			for seed := int64(0); seed < 4; seed++ {
 				rng := rand.New(rand.NewSource(100*seed + 7))
 				tasks := commutingTasks(rng, 20, ordered)
@@ -122,10 +118,7 @@ func TestInstallEqualsReplay(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, det := range []conflict.Detector{neverConflict{}, conflict.NewWriteSet()} {
-					cfg := v.cfg
-					cfg.Threads = 4
-					cfg.Ordered = ordered
-					cfg.Detector = det
+					cfg := Config{Threads: 4, Ordered: ordered, Detector: det, MaxHistory: maxHistory}
 					// Deterministic per-task stalls: a third of the
 					// transactions sit between validation and commit, a
 					// third inside the commit, while the others publish.
@@ -146,8 +139,12 @@ func TestInstallEqualsReplay(t *testing.T) {
 					r := New(cfg, installState())
 					checkInstallAgainstReplay(t, r)
 					got, stats, err := r.run(tasks)
-					name := fmt.Sprintf("ordered=%v %s seed=%d %s", ordered, v.name, seed, det.Name())
+					name := fmt.Sprintf("ordered=%v maxhist=%d seed=%d %s", ordered, maxHistory, seed, det.Name())
 					if err != nil {
+						var p *PanicError
+						if errors.As(err, &p) {
+							t.Fatalf("%s: %v\n%s", name, err, p.Stack)
+						}
 						t.Fatalf("%s: %v", name, err)
 					}
 					if !got.Equal(want) {

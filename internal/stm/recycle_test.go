@@ -1,0 +1,123 @@
+package stm
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/adt"
+	"repro/internal/conflict"
+	"repro/internal/obs"
+	"repro/internal/state"
+)
+
+// TestPoisonedRecycle reruns the commit path's two oracles with recycled
+// artifacts poisoned (conflict.PoisonRecycled): every explored schedule,
+// and the threaded install-equals-replay runs unordered and ordered, with
+// no history bound and with MaxHistory 1 to 4 — the setting under which a
+// window outlives its transaction's begin and reclaimed entries must not
+// be recycled. A transaction that touches an artifact after the runtime
+// took it back panics there, and the run fails with the stack (or, in the
+// explorer, with the schedule) instead of a wrong final state.
+func TestPoisonedRecycle(t *testing.T) {
+	defer conflict.PoisonRecycled(true)()
+	t.Run("explore", TestExploreSchedules)
+	t.Run("install", func(t *testing.T) { installEqualsReplay(t, 0, 1, 2, 3, 4) })
+}
+
+// fourOps is a transaction of four logged operations over two counters.
+func fourOps(a, b state.Loc) adt.Task {
+	return func(ex adt.Executor) error {
+		for _, l := range []state.Loc{a, b, a, b} {
+			if err := (adt.Counter{L: l}).Add(ex, 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestSteadyStateAttemptAllocs pins what an attempt allocates once the
+// pools are warm: what its operations are made of — per operation the
+// boxed Op, its Acc slice and the value it computes, per written location
+// the committed store's box — and nothing per transaction. Two transactions over
+// disjoint counters are interleaved so that one commits inside the other's
+// window: the sequence detector then decomposes both artifacts, and the
+// first one is reclaimed and recycled by the next round's commit. A Tx, a
+// view's map, a Prepared, a log, a slab or a decomposer buffer allocated
+// per attempt each cost at least one allocation per transaction, two per
+// round, and fail the bound.
+func TestSteadyStateAttemptAllocs(t *testing.T) {
+	st := state.New()
+	for i := 0; i < 4; i++ {
+		st.Set(fuzzCounterLoc(i), state.Int(1<<20)) // past the runtime's small-integer cache
+	}
+	r := New(Config{Threads: 1, Detector: &conflict.Sequence{}}, st)
+	outer, inner := fourOps("c0", "c1"), fourOps("c2", "c3")
+	tid := 0
+	round := func() {
+		tid += 2
+		ctx := obs.Ctx{Task: int32(tid)}
+		tx, err := r.execute(ctx, outer, tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if committed, err := r.attempt(obs.Ctx{Task: int32(tid + 1)}, inner, tid+1); err != nil || !committed {
+			t.Fatalf("inner attempt: committed=%v err=%v", committed, err)
+		}
+		if len(r.history) != 1 {
+			t.Fatalf("history holds %d entries inside the outer window, want the inner commit alone", len(r.history))
+		}
+		if !r.finish(ctx, tx) {
+			t.Fatal("outer transaction aborted against a disjoint commit")
+		}
+		tx.release()
+	}
+	// sync.Pool may drop an object at any time (and does, on purpose,
+	// under -race), so a single round can allocate what the steady state
+	// does not: take the best of several.
+	best := 1e9
+	for i := 0; i < 100; i++ {
+		best = min(best, testing.AllocsPerRun(1, round))
+	}
+	// Per round: 8 operations × (Op box + Acc + new value), 4 written
+	// locations × the committed box.
+	const perOp = 8*3 + 4
+	if best > perOp+1 { // one object per transaction would be two more
+		t.Fatalf("a warm round of two 4-op transactions allocates %.0f objects, want the operations' %d", best, perOp)
+	}
+	t.Logf("%.0f allocations per round of two 4-op transactions (%d are the operations')", best, perOp)
+}
+
+// TestPoolDropsOutliers: a transaction far larger than the rest must not
+// leave its storage in the pools — a shell whose maps every later clear
+// would have to sweep, an artifact parking its slab.
+func TestPoolDropsOutliers(t *testing.T) {
+	r := New(Config{Threads: 1}, state.New())
+	big := func(ex adt.Executor) error {
+		for i := 0; i <= maxShellLocs; i++ {
+			if err := (adt.Counter{L: state.Loc(fmt.Sprintf("l%d", i))}).Store(ex, 1); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	tx, err := r.execute(obs.Ctx{Task: 1}, big, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep := tx.prep
+	if !r.finish(obs.Ctx{Task: 1}, tx) {
+		t.Fatal("the only transaction aborted")
+	}
+	tx.release()
+	if tx.r == nil {
+		t.Errorf("a shell with %d bound locations was pooled (bound %d)", tx.priv.Len(), maxShellLocs)
+	}
+	// The artifact is still the history's; the run's end returns it.
+	r.run(nil)
+	for i := 0; i < 64; i++ {
+		if p := conflict.Begin(); p == prep {
+			t.Fatalf("an artifact with a %d-event log was pooled", maxShellLocs+1)
+		}
+	}
+}

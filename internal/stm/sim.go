@@ -190,7 +190,7 @@ type simEvent struct {
 	time    float64 // virtual end of the body
 	seq     int     // tie-break: scheduling order
 	tx      *Tx
-	prep    *conflict.Prepared
+	ops     int     // logged operations (an aborted finish recycles the log)
 	first   float64 // virtual begin of the task's first attempt
 	retries int     // aborted attempts before this one
 }
@@ -310,19 +310,20 @@ func (s *sim) sequentialCost(initial *state.State) (float64, error) {
 func (s *sim) start(tid int, at, first float64, retries int) error {
 	var body costedTx
 	task := s.tasks[tid-1]
-	tx, prep, err := s.r.execute(obs.Ctx{Task: int32(tid), Attempt: int32(retries + 1)}, func(ex adt.Executor) error {
+	tx, err := s.r.execute(obs.Ctx{Task: int32(tid), Attempt: int32(retries + 1)}, func(ex adt.Executor) error {
 		body.Tx = ex.(*Tx)
 		return task(&body)
 	}, tid)
 	if err != nil {
 		return fmt.Errorf("stm: task %d: %w", tid, err)
 	}
+	ops := tx.prep.Ops()
 	dur := s.cost.Begin +
-		float64(len(prep.Footprint()))*s.cost.FaultPerLoc +
-		float64(len(tx.log))*s.cost.Op +
+		float64(len(tx.prep.Footprint()))*s.cost.FaultPerLoc +
+		float64(ops)*s.cost.Op +
 		float64(body.local)*s.cost.LocalUnit
 	s.seq++
-	heap.Push(&s.events, &simEvent{time: at + dur, seq: s.seq, tx: tx, prep: prep, first: first, retries: retries})
+	heap.Push(&s.events, &simEvent{time: at + dur, seq: s.seq, tx: tx, ops: ops, first: first, retries: retries})
 	return nil
 }
 
@@ -337,7 +338,7 @@ func (s *sim) process(e *simEvent) error {
 		s.parked[tid] = e
 		return nil
 	}
-	committed := r.finish(obs.Ctx{Task: int32(tid), Attempt: int32(e.retries + 1)}, e.tx, e.prep)
+	committed := r.finish(obs.Ctx{Task: int32(tid), Attempt: int32(e.retries + 1)}, e.tx)
 	if err := r.runErr(); err != nil {
 		return err
 	}
@@ -345,7 +346,7 @@ func (s *sim) process(e *simEvent) error {
 	for _, c := range e.tx.window {
 		windowOps += c.Ops()
 	}
-	t := e.time + s.cost.DetectPerOp*float64(len(e.tx.log)+windowOps)
+	t := e.time + s.cost.DetectPerOp*float64(e.ops+windowOps)
 	if !committed {
 		if !r.noteRetry(tid, e.retries+1) {
 			return r.runErr()
@@ -354,7 +355,7 @@ func (s *sim) process(e *simEvent) error {
 	}
 	r.noteCommit()
 
-	done := s.commitDone(e.tx, e.prep.Footprint(), t)
+	done := s.commitDone(e.tx, e.tx.prep.Footprint(), t)
 	if done > s.makespan {
 		s.makespan = done
 	}
@@ -414,7 +415,7 @@ func (s *sim) commitDone(tx *Tx, foot []conflict.FootprintLoc, t float64) float6
 		// Otherwise it re-applied the ops on dirty locations.
 		dirty := tx.dirtyLocs(foot)
 		all := len(dirty) == written
-		for _, ev := range tx.log {
+		for _, ev := range tx.prep.Log() {
 			if !all && !touches(ev, dirty) {
 				continue
 			}

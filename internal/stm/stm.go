@@ -138,8 +138,12 @@ type Governor interface {
 // the logs replayed in that order over the initial state reconstruct the
 // final state. The flip side of the ordering guarantee: a slow sink
 // stalls every later commit, so implementations must return promptly.
-// The log is the transaction's live slice: implementations must not
-// retain it past the call. A nil sink costs one branch per commit.
+// The log is the transaction's live storage, which the runtime reuses for
+// a later transaction once the commit's history entry is reclaimed:
+// implementations must retain neither the slice nor the *oplog.Event
+// pointers in it past the call. A copy of the Event structs is theirs, and
+// what an event refers to — Op, Acc, Observed — is allocated per operation
+// and may be kept. A nil sink costs one branch per commit.
 type CommitSink interface {
 	ObserveCommitted(task int, commitTime int64, log oplog.Log)
 }
@@ -157,11 +161,6 @@ type Config struct {
 	// (a liveness guard for tests; 0 means unlimited, per Theorem 4.1
 	// termination is guaranteed anyway).
 	MaxRetries int
-	// ReclaimLogs drops committed history entries no running transaction
-	// can need (commitTime ≤ min Begin of active transactions). The
-	// paper notes its prototype "doesn't reclaim the logs of garbage
-	// transactions"; this implements that engineering improvement.
-	ReclaimLogs bool
 	// Tracer receives protocol events (task/transaction spans, abort
 	// reasons, commit waits) when non-nil; see internal/obs. A nil
 	// tracer costs a single branch per event site — the hot path does
@@ -182,12 +181,17 @@ type Config struct {
 	// waits, escalations) and can force serial-only execution; see the
 	// Governor interface and internal/health.
 	Governor Governor
-	// MaxHistory bounds the committed-history length: a commit that would
-	// grow the history past the bound first forces a reclamation pass and
-	// then stalls until active transactions advance past the old entries
-	// (Stats.CommitStalls counts these). The stall is context-aware — a
-	// run failure or cancellation wakes it. 0 means unbounded (the
-	// pre-existing behavior).
+	// MaxHistory bounds the committed-history length. Every commit already
+	// drops the entries no running transaction can need (the paper notes
+	// its prototype "doesn't reclaim the logs of garbage transactions"), so
+	// the history is as long as the slowest active transaction's window;
+	// MaxHistory caps that too: transactions hand their windows' entries
+	// over as they fetch them, and a commit that would still grow the
+	// history past the bound stalls until they have (Stats.CommitStalls
+	// counts these). The stall is context-aware — a run failure or
+	// cancellation wakes it. Entries reclaimed under a bound go to the
+	// collector instead of being recycled (see reclaimLocked). 0 means no
+	// cap.
 	MaxHistory int
 	// MaxTxnOps bounds a single transaction's operation log: an Exec past
 	// the budget refuses the op with *OplogBudgetError instead of growing
@@ -214,8 +218,14 @@ type Stats struct {
 	Commits   int64 `json:"commits"`
 	Retries   int64 `json:"retries"`   // aborted execution attempts
 	Conflicts int64 `json:"conflicts"` // conflict detections that failed
-	Reclaimed int64 `json:"reclaimed"` // history entries reclaimed
-	MaxHist   int64 `json:"max_hist"`  // peak committed-history length
+	// Reclaimed counts history entries dropped while the run was going,
+	// because every active transaction had begun after them. (What is left
+	// when the run ends is returned to the pool too, uncounted.)
+	Reclaimed int64 `json:"reclaimed"`
+	// MaxHist is the peak committed-history length: the longest window any
+	// transaction of the run could have had to validate against, plus the
+	// entry being published. It follows concurrency, not run length.
+	MaxHist int64 `json:"max_hist"`
 	// BackoffWaits counts backoff sleeps taken between retry attempts.
 	BackoffWaits int64 `json:"backoff_waits"`
 	// Escalations counts transactions that ran in irrevocable serial
@@ -253,8 +263,8 @@ func (s Stats) RetryRatio() float64 {
 }
 
 // histEntry is one committed transaction's contribution to the history:
-// the log's detection artifact, prepared exactly once at commit time
-// (conflict.Prepare) and shared read-only by every concurrent detector.
+// the artifact the transaction logged into and validated with, on loan to
+// every concurrent detector (read-only) until reclamation takes it back.
 type histEntry struct {
 	commitTime int64 // the commit's sequencer ticket
 	task       int
@@ -319,12 +329,6 @@ type Runtime struct {
 
 	stats        Stats
 	abortReasons [conflict.NumReasons]int64
-
-	// opsSum/opsCnt maintain a run-scope running average of operations
-	// per executed transaction body; createTransaction preallocates
-	// Tx.log capacity from it to cut append regrowth in Tx.Exec.
-	opsSum atomic.Int64
-	opsCnt atomic.Int64
 
 	// installCheck, when set (tests only), sees every commit's install
 	// plan at the point it is final: stripes or write lock held, replay
@@ -534,6 +538,13 @@ func (r *Runtime) run(tasks []adt.Task) (*state.State, Stats, error) {
 		}(w)
 	}
 	wg.Wait()
+	// No transaction is left: what remains of the history goes back to the
+	// pool too. A run is often shorter than a reclamation window (a server
+	// batch), so this is where most of its artifacts return.
+	for _, h := range r.history {
+		h.prep.Recycle()
+	}
+	r.history = nil
 	if err := r.runErr(); err != nil {
 		return nil, r.statsSnapshot(), err
 	}
@@ -685,25 +696,27 @@ func (e *OplogBudgetError) Error() string {
 }
 
 // Tx is a running transaction; it implements adt.Executor by applying ops
-// to the privatized state and logging them.
+// to the privatized state and logging them. A Tx is a shell a transaction
+// moves into (newTx) and out of (release): the views with their maps and
+// fault closures, the window and the commit scratch stay with the shell
+// for the next transaction, on this runtime or a later one.
 type Tx struct {
+	r      *Runtime // whose store the views fault from; nil while pooled
 	tid    int
 	begin  int64
 	priv   *state.State // the privatized shared state of Figure 7
 	snap   *state.State // its SharedSnapshot
-	log    oplog.Log
-	maxOps int // Config.MaxTxnOps; 0 = unlimited
+	maxOps int          // Config.MaxTxnOps; 0 = unlimited
+
+	// prep is the artifact the transaction logs into (conflict.Begin): the
+	// log's storage belongs to it, not to the shell, because a committed
+	// log outlives its transaction in the history.
+	prep *conflict.Prepared
 
 	// window is the committed history this attempt has fetched, (begin,
 	// seen] in commit order: what finish detects against and what commit
 	// joins the footprint with.
 	window []*conflict.Prepared
-
-	// evSlab backs the log's events in batches: Exec appends into the
-	// current slab and logs a pointer to the slab element, one allocation
-	// per batch instead of one per operation. A full slab is abandoned in
-	// place (logged pointers keep it alive) and a doubled one starts.
-	evSlab []oplog.Event
 
 	// Commit-path scratch (commit.go): the sorted stripe set and overlap
 	// signatures of the attempt's footprint, planned per commit attempt.
@@ -715,33 +728,81 @@ type Tx struct {
 	// The commit's install plan (commit.go), aligned with the footprint:
 	// dirty[i] marks location i as written by an entry of the validated
 	// window, and overlay holds the dirty locations' replayed values (nil
-	// when nothing was dirty — a serial transaction's always is).
-	dirty    []bool
-	dirtyBuf [8]bool
-	overlay  *state.State
+	// when nothing was dirty — a serial transaction's always is; otherwise
+	// replay, the shell's own overlay state).
+	dirty       []bool
+	dirtyBuf    [8]bool
+	overlay     *state.State
+	replay      *state.State
+	dirtyLocBuf []state.Loc
+}
+
+// txPool holds transaction shells between transactions. Like the artifact
+// pool it is package-wide: a shell outlives the runtime it last served.
+var txPool = sync.Pool{New: func() any {
+	t := new(Tx)
+	// One fault closure per view and shell, not per transaction: they read
+	// the store of whichever runtime the shell currently serves.
+	fault := func(l state.Loc) (state.Value, bool) { return t.r.storeGet(l) }
+	// The snapshot is bound as the private view faults: each location's
+	// entry is the committed value the transaction first observed — the
+	// entry state its reads came from, which is what a detector that
+	// evaluates sequences concretely must start from. Left to fault on its
+	// own, at detection, it would read values a window commit has already
+	// replaced and clear the very read that commit invalidated. (The
+	// store's values are immutable, so the snapshot shares them.)
+	t.snap = state.NewFaulting(fault)
+	t.priv = state.NewFaulting(func(l state.Loc) (state.Value, bool) {
+		v, ok := t.r.storeGet(l)
+		if ok {
+			t.snap.Set(l, v)
+		}
+		return v, ok
+	})
+	t.replay = state.NewFaulting(fault)
+	t.stripes = t.stripesBuf[:0]
+	t.dirty = t.dirtyBuf[:0]
+	return t
+}}
+
+// maxShellLocs bounds the locations a pooled shell's views may have held:
+// clearing a map costs in proportion to its largest size ever, so one
+// outlier transaction's shell is left to the collector instead of taxing
+// every transaction after it.
+const maxShellLocs = 1 << 14
+
+// release ends the transaction's use of its shell and pools it. Callers
+// are the places a transaction ends for good — attempt after finish,
+// attemptSerial, execute's body-error path — never the halves themselves:
+// the drivers that call execute and finish directly (sim.go, the schedule
+// explorer) read the window, the stripes and the install plan afterwards.
+// The artifact is not the shell's to return: finish recycles or publishes
+// it.
+func (t *Tx) release() {
+	if t.priv.Len() > maxShellLocs || t.snap.Len() > maxShellLocs || t.replay.Len() > maxShellLocs {
+		return
+	}
+	t.priv.Reset()
+	t.snap.Reset()
+	t.replay.Reset()
+	clear(t.window)
+	t.window = t.window[:0]
+	t.r, t.prep, t.overlay = nil, nil, nil
+	txPool.Put(t)
 }
 
 // Exec implements adt.Executor.
 func (t *Tx) Exec(op oplog.Op) (state.Value, error) {
-	if t.maxOps > 0 && len(t.log) >= t.maxOps {
-		return nil, &OplogBudgetError{Task: t.tid, Ops: len(t.log), Budget: t.maxOps}
+	n := t.prep.Ops()
+	if t.maxOps > 0 && n >= t.maxOps {
+		return nil, &OplogBudgetError{Task: t.tid, Ops: n, Budget: t.maxOps}
 	}
 	acc := op.Accesses(t.priv)
 	v, err := op.Apply(t.priv)
 	if err != nil {
 		return nil, err
 	}
-	if len(t.evSlab) == cap(t.evSlab) {
-		n := 2 * cap(t.evSlab)
-		if n == 0 {
-			n = 8
-		}
-		t.evSlab = make([]oplog.Event, 0, n)
-	}
-	t.evSlab = append(t.evSlab, oplog.Event{
-		Op: op, Task: t.tid, Seq: len(t.log), Acc: acc, Observed: v,
-	})
-	t.log = append(t.log, &t.evSlab[len(t.evSlab)-1])
+	t.prep.Append(oplog.Event{Op: op, Task: t.tid, Seq: n, Acc: acc, Observed: v})
 	return v, nil
 }
 
@@ -749,45 +810,48 @@ func (t *Tx) Exec(op oplog.Op) (state.Value, error) {
 // The split is the seam the discrete-event driver (sim.go) and the
 // schedule explorer schedule around; neither half knows who calls it.
 func (r *Runtime) attempt(ctx obs.Ctx, task adt.Task, tid int) (committed bool, err error) {
-	tx, prep, err := r.execute(ctx, task, tid)
+	tx, err := r.execute(ctx, task, tid)
 	if err != nil {
 		return false, err
 	}
-	return r.finish(ctx, tx, prep), nil
+	committed = r.finish(ctx, tx)
+	tx.release()
+	return committed, nil
 }
 
 // execute is an attempt's first half: CREATETRANSACTION (the begin
 // watermark), RUNSEQUENTIAL (the task body against the private view), and
 // the preparation of the resulting log. A body error ends the attempt
 // here; otherwise the caller owes the transaction a finish.
-func (r *Runtime) execute(ctx obs.Ctx, task adt.Task, tid int) (*Tx, *conflict.Prepared, error) {
+func (r *Runtime) execute(ctx obs.Ctx, task adt.Task, tid int) (*Tx, error) {
 	tx := r.createTransaction(tid)
 	ctx.Instant(obs.EvTxBegin)
 
 	runStart := ctx.Now()
 	if err := runTaskBody(task, tx, tid); err != nil {
 		r.dropBegin(tid)
-		return nil, nil, err
+		tx.prep.Recycle()
+		tx.release()
+		return nil, err
 	}
 	ctx.End(obs.EvTxRun, runStart)
-	r.recordOps(len(tx.log))
 
-	// The transaction's own log is prepared once per attempt — not once
-	// per detection call — so every pass of the detect/commit loop in
-	// finish reuses the same decomposition and memoized shapes. If the
-	// commit succeeds, the same artifact becomes the history entry, making
-	// the commit-time preparation free; otherwise the attempt is the
-	// artifact's only owner and its buffers go back to the pool.
-	return tx, conflict.Prepare(tx.log), nil
+	// The artifact the transaction logged into (tx.prep) is prepared once
+	// per attempt — not once per detection call — so every pass of the
+	// detect/commit loop in finish reuses the same decomposition and
+	// memoized shapes. If the commit succeeds, the same artifact becomes the
+	// history entry, making the commit-time preparation free; otherwise the
+	// attempt is the artifact's only owner and it goes back to the pool.
+	return tx, nil
 }
 
 // finish is an attempt's second half: the ordered wait, then the
 // fetch-window/detect/commit loop, until the transaction commits (true)
 // or aborts (false: a conflict, or the run failed). Either way the
 // transaction's begin watermark is dropped, and an unpublished artifact
-// recycled.
-func (r *Runtime) finish(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared) (committed bool) {
-	tid := tx.tid
+// recycled — log included, so after an abort the transaction has no log.
+func (r *Runtime) finish(ctx obs.Ctx, tx *Tx) (committed bool) {
+	tid, prep := tx.tid, tx.prep
 	defer r.dropBegin(tid)
 	published := false
 	defer func() {
@@ -798,7 +862,8 @@ func (r *Runtime) finish(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared) (committe
 
 	// The conflict history grows monotonically while the transaction
 	// retries the detect/commit loop (reclamation never touches entries
-	// newer than an active transaction's begin), so each iteration fetches
+	// newer than an active transaction's begin — which is also why nothing
+	// in the window can be recycled under it), so each iteration fetches
 	// into tx.window only the entries that committed since the previous
 	// pass's snapshot instead of recopying the whole (begin, now] window.
 	seen := tx.begin
@@ -889,7 +954,7 @@ func (r *Runtime) finish(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared) (committe
 			h.WindowDelay(tid)
 		}
 		commitStart := ctx.Now()
-		res := r.commit(ctx, tx, prep, seen)
+		res := r.commit(ctx, tx, seen)
 		switch res {
 		case commitOK:
 			published = true
@@ -922,36 +987,6 @@ func (r *Runtime) finish(ctx obs.Ctx, tx *Tx, prep *conflict.Prepared) (committe
 	}
 }
 
-// recordOps feeds one executed transaction body's op count into the
-// running ops-per-transaction average behind logCapHint.
-func (r *Runtime) recordOps(n int) {
-	r.opsSum.Add(int64(n))
-	r.opsCnt.Add(1)
-}
-
-// maxLogCapHint bounds the preallocation so one outlier transaction
-// cannot make every later transaction over-allocate.
-const maxLogCapHint = 1 << 14
-
-// logCapHint returns the Tx.log capacity to preallocate: the running
-// average of ops per executed transaction body (rounded up), bounded by
-// MaxTxnOps and maxLogCapHint. 0 — before any sample — lets append grow
-// the log organically.
-func (r *Runtime) logCapHint() int {
-	cnt := r.opsCnt.Load()
-	if cnt == 0 {
-		return 0
-	}
-	hint := int((r.opsSum.Load() + cnt - 1) / cnt)
-	if r.cfg.MaxTxnOps > 0 && hint > r.cfg.MaxTxnOps {
-		hint = r.cfg.MaxTxnOps
-	}
-	if hint > maxLogCapHint {
-		hint = maxLogCapHint
-	}
-	return hint
-}
-
 // createTransaction is CREATETRANSACTION of Figure 7, without the
 // paper's read lock and without its copy: the private view starts empty
 // and faults locations from the committed store lock-free, so begin never
@@ -976,27 +1011,14 @@ func (r *Runtime) createTransaction(tid int) *Tx {
 // published time ≥ what begin guarantees; values from commits past the
 // validated fetch watermark are screened or re-detected at commit (see
 // store.go), never silently trusted.
+//
+// The transaction moves into a pooled shell and takes a pooled artifact to
+// log into; in the steady state neither allocates, and the log's capacity
+// is whatever the artifact's last transaction needed.
 func (r *Runtime) newTx(tid int, begin int64) *Tx {
-	tx := &Tx{tid: tid, begin: begin, maxOps: r.cfg.MaxTxnOps}
-	if hint := r.logCapHint(); hint > 0 {
-		tx.log = make(oplog.Log, 0, hint)
-		tx.evSlab = make([]oplog.Event, 0, hint)
-	}
-	// The snapshot is bound as the private view faults: each location's
-	// entry is the committed value the transaction first observed — the
-	// entry state its reads came from, which is what a detector that
-	// evaluates sequences concretely must start from. Left to fault on its
-	// own, at detection, it would read values a window commit has already
-	// replaced and clear the very read that commit invalidated. (The
-	// store's values are immutable, so the snapshot shares them.)
-	tx.snap = state.NewFaulting(r.storeGet)
-	tx.priv = state.NewFaulting(func(l state.Loc) (state.Value, bool) {
-		v, ok := r.storeGet(l)
-		if ok {
-			tx.snap.Set(l, v)
-		}
-		return v, ok
-	})
+	tx := txPool.Get().(*Tx)
+	tx.r, tx.tid, tx.begin, tx.maxOps = r, tid, begin, r.cfg.MaxTxnOps
+	tx.prep = conflict.Begin()
 	return tx
 }
 
@@ -1098,7 +1120,7 @@ func (r *Runtime) historyRoomLocked() bool {
 	r.histMu.Lock()
 	defer r.histMu.Unlock()
 	if len(r.history)+r.histReserved >= r.cfg.MaxHistory {
-		r.reclaimLocked()
+		r.reclaimLocked(nil)
 	}
 	return len(r.history)+r.histReserved < r.cfg.MaxHistory
 }
@@ -1127,7 +1149,7 @@ func (r *Runtime) stallForHistory(tid int, seen int64, opsC *[]*conflict.Prepare
 		if opsC != nil {
 			seen = r.drainLocked(tid, seen, opsC)
 		}
-		r.reclaimLocked()
+		r.reclaimLocked(nil)
 		if len(r.history)+r.histReserved < r.cfg.MaxHistory {
 			break
 		}
@@ -1206,20 +1228,21 @@ func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed 
 	// ticketed), so the sequencer is drained — clock == published — and
 	// the privatized view cannot go stale.
 	tx := r.newTx(tid, r.published.Load())
+	defer tx.release()
+	prep := tx.prep
 	if err := runTaskBody(task, tx, tid); err != nil {
+		prep.Recycle()
 		return false, err
 	}
-	r.recordOps(len(tx.log))
 	if h := r.cfg.Hooks; h != nil && h.CommitDelay != nil {
 		h.CommitDelay(tid)
 	}
-	// A serial transaction never validated, so its log has no artifact
-	// yet; prepare it here (under the write lock, once) for the detectors
-	// of every future transaction that finds it in the history, and for
-	// its own footprint (the merge's written-location list). Nothing is
-	// replayed: the transaction ran alone against the live store, so its
-	// private values are the post-commit values.
-	prep := conflict.Prepare(tx.log)
+	// A serial transaction never validated; its artifact is published for
+	// the detectors of every future transaction that finds it in the
+	// history, and read here for its own footprint (the merge's
+	// written-location list). Nothing is replayed: the transaction ran
+	// alone against the live store, so its private values are the
+	// post-commit values.
 	foot := prep.Footprint()
 	if r.installCheck != nil {
 		r.installCheck(tx, foot)
@@ -1229,7 +1252,7 @@ func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed 
 	r.mergeVersion(tx, foot)
 	r.publishEntry(tid, ctime, prep, sigAll, sigWrite, false)
 	if sink := r.cfg.Record; sink != nil {
-		sink.ObserveCommitted(tid, ctime, tx.log)
+		sink.ObserveCommitted(tid, ctime, prep.Log())
 	}
 	r.advancePublished(ctime)
 	if r.cfg.MaxHistory > 0 {
@@ -1242,30 +1265,45 @@ func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed 
 }
 
 // reclaimLocked drops history entries every active transaction has already
-// seen (commitTime ≤ min active begin). Caller holds histMu. The floor is
-// the published watermark, not the raw clock: an entry appended by a
-// commit whose publication turn has not finished must never be dropped
-// before any transaction could have fetched it.
-func (r *Runtime) reclaimLocked() {
+// seen (commitTime ≤ min active begin) and appends their artifacts to
+// recycle, for the caller to Recycle once it has released histMu. Caller
+// holds histMu. The floor is the published watermark, not the raw clock: an
+// entry appended by a commit whose publication turn has not finished must
+// never be dropped before any transaction could have fetched it.
+//
+// Why a dropped artifact may be reused at once (DESIGN.md §19): a window
+// holds only entries newer than its transaction's begin, begins are
+// registered under histMu at a value no lower than the floor of any
+// earlier pass, and they stay registered until finish has read the window
+// for the last time — so an entry at or below every registered begin is in
+// no window, in no overlapsPublished range and in no later fetch. A
+// MaxHistory run breaks the first clause on purpose: advanceBegin and
+// drainLocked raise a begin past entries they have just copied into a
+// window the detector and the install plan still read. Its dropped entries
+// are therefore not handed back; they leave the history and the collector
+// frees them when the last window lets go.
+func (r *Runtime) reclaimLocked(recycle []*conflict.Prepared) []*conflict.Prepared {
 	minBegin := r.published.Load()
 	for _, b := range r.begins {
 		if b < minBegin {
 			minBegin = b
 		}
 	}
-	n := len(r.history)
-	kept := r.history[:0]
-	for _, h := range r.history {
-		if h.commitTime > minBegin {
-			kept = append(kept, h)
-			continue
+	// Commit times increase along the history, so what goes is a prefix.
+	cut := searchHist(r.history, minBegin)
+	if cut == 0 {
+		return recycle
+	}
+	if r.cfg.MaxHistory == 0 {
+		for _, h := range r.history[:cut] {
+			recycle = append(recycle, h.prep)
 		}
-		atomic.AddInt64(&r.stats.Reclaimed, 1)
 	}
-	// Zero the dropped tail of the backing array so reclaimed oplog.Log
-	// references become collectable — compaction alone keeps them alive.
-	for i := len(kept); i < n; i++ {
-		r.history[i] = histEntry{}
-	}
-	r.history = kept
+	atomic.AddInt64(&r.stats.Reclaimed, int64(cut))
+	kept := copy(r.history, r.history[cut:])
+	// Zero the vacated tail of the backing array: compaction alone would
+	// keep the dropped artifacts reachable from it.
+	clear(r.history[kept:])
+	r.history = r.history[:kept]
+	return recycle
 }

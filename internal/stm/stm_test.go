@@ -237,67 +237,103 @@ func (a *alwaysConflict) DetectPrepared(_ obs.Ctx, _ *state.State, _ *conflict.P
 
 func (a *alwaysConflict) Name() string { return "always-conflict" }
 
-func TestReclaimLogs(t *testing.T) {
-	var tasks []adt.Task
-	for i := 1; i <= 30; i++ {
-		tasks = append(tasks, addTask(int64(i)))
+// TestHistoryFollowsConcurrencyNotRunLength: every commit takes back the
+// entries no active transaction can still need, so the history is as long
+// as the windows of the transactions in flight, never as long as the run.
+// On two threads a window is as long as the other worker gets ahead while
+// one transaction holds its begin, which the scheduler decides; here no
+// body starts while a task eight or more before it still holds one, so the
+// bound is the test's.
+func TestHistoryFollowsConcurrencyNotRunLength(t *testing.T) {
+	const n, lead = 1000, 8
+	var r *Runtime
+	oldestActive := func() int {
+		r.histMu.Lock()
+		defer r.histMu.Unlock()
+		oldest := n + 1
+		for tid := range r.begins {
+			oldest = min(oldest, tid)
+		}
+		return oldest
 	}
-	_, noReclaim, err := Run(Config{Threads: 1}, initialState(), tasks)
-	if err != nil {
-		t.Fatal(err)
+	tasks := make([]adt.Task, n)
+	for i := range tasks {
+		add := addTask(int64(i%7 + 1))
+		tasks[i] = func(ex adt.Executor) error {
+			for oldestActive() <= i+1-lead {
+				runtime.Gosched()
+			}
+			return add(ex)
+		}
 	}
-	_, reclaim, err := Run(Config{Threads: 1, ReclaimLogs: true}, initialState(), tasks)
-	if err != nil {
-		t.Fatal(err)
+	run := func(threads, n int) Stats {
+		r = New(Config{Threads: threads}, initialState())
+		_, stats, err := r.run(tasks[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if held := stats.Commits - stats.Reclaimed; held < 1 || held > stats.MaxHist {
+			t.Fatalf("Reclaimed = %d of %d commits with MaxHist %d: the run must end holding its last entries and no more",
+				stats.Reclaimed, stats.Commits, stats.MaxHist)
+		}
+		return stats
 	}
-	if noReclaim.MaxHist != 30 {
-		t.Fatalf("without reclamation MaxHist = %d, want 30", noReclaim.MaxHist)
+	// One thread: a commit finds its predecessor's entry and nothing else.
+	if one := run(1, 30); one.MaxHist > 2 || one.Reclaimed < 28 {
+		t.Fatalf("1 thread, 30 tasks: MaxHist = %d (want <= 2), Reclaimed = %d (want >= 28)", one.MaxHist, one.Reclaimed)
 	}
-	if reclaim.MaxHist >= noReclaim.MaxHist {
-		t.Fatalf("reclamation did not bound history: %d vs %d", reclaim.MaxHist, noReclaim.MaxHist)
-	}
-	if reclaim.Reclaimed == 0 {
-		t.Fatalf("nothing reclaimed")
+	if two := run(2, n); two.MaxHist > 2*lead {
+		t.Fatalf("2 threads, %d tasks at most %d apart: MaxHist = %d", n, lead, two.MaxHist)
 	}
 }
 
-// TestReclaimReleasesLogReferences checks that reclamation actually frees
-// memory: compacting with history[:0] keeps dropped entries alive in the
-// backing array unless the tail is zeroed, so the dropped slots must hold
-// no oplog.Log references after reclaimLocked runs.
+// pinnedOp is an operation allocated on its own, so a test can tell when
+// nothing refers to it any more.
+type pinnedOp struct{ adt.NumAddOp }
+
+// TestReclaimReleasesLogReferences checks that reclamation frees what a log
+// referred to, now that the log's own storage is recycled instead: the
+// dropped slots of the history's backing array are zeroed, and the pooled
+// artifact keeps no event of its old log — slab, log and arenas are
+// cleared before it is pooled — so an operation only that log held becomes
+// collectable while the artifact sits in the pool.
 func TestReclaimReleasesLogReferences(t *testing.T) {
-	r := New(Config{ReclaimLogs: true}, initialState())
+	r := New(Config{}, initialState())
+	collected := make(chan struct{}, 1)
 	for ct := int64(2); ct <= 6; ct++ {
-		r.history = append(r.history, histEntry{
-			commitTime: ct,
-			task:       int(ct),
-			prep:       conflict.Prepare(oplog.Log{&oplog.Event{Task: int(ct)}}),
-		})
+		op := &pinnedOp{adt.NumAddOp{L: "work", Delta: ct}}
+		if ct == 2 {
+			runtime.SetFinalizer(op, func(*pinnedOp) { collected <- struct{}{} })
+		}
+		prep := conflict.Begin()
+		prep.Append(oplog.Event{Op: op, Task: int(ct), Acc: op.Accesses(nil)})
+		r.history = append(r.history, histEntry{commitTime: ct, task: int(ct), prep: prep})
 	}
 	r.clock.Store(7)
 	r.published.Store(7) // all six commits fully published
 	r.begins[1] = 4      // active transaction began at 4: entries ≤ 4 reclaimable
 	backing := r.history
-	collected := make(chan struct{}, 1)
-	runtime.SetFinalizer(backing[0].prep.Log()[0], func(*oplog.Event) { collected <- struct{}{} })
 
 	r.histMu.Lock()
-	r.reclaimLocked()
+	recycle := r.reclaimLocked(nil)
 	r.histMu.Unlock()
 
 	if len(r.history) != 2 {
 		t.Fatalf("kept %d entries, want 2 (commit times 5, 6)", len(r.history))
 	}
-	if got := atomic.LoadInt64(&r.stats.Reclaimed); got != 3 {
-		t.Fatalf("Reclaimed = %d, want 3", got)
+	if got := atomic.LoadInt64(&r.stats.Reclaimed); got != 3 || len(recycle) != 3 {
+		t.Fatalf("Reclaimed = %d, %d artifacts to recycle, want 3 and 3", got, len(recycle))
 	}
 	for i := len(r.history); i < len(backing); i++ {
 		if backing[i].prep != nil {
 			t.Errorf("dropped slot %d still references its prepared log", i)
 		}
 	}
-	// With the slot zeroed, the reclaimed entry's log is unreachable and
-	// its events become collectable.
+	for _, p := range recycle {
+		p.Recycle()
+	}
+	// The artifacts are in the pool, reachable; the first one's operation
+	// must not be.
 	for i := 0; i < 20; i++ {
 		runtime.GC()
 		select {
@@ -306,7 +342,7 @@ func TestReclaimReleasesLogReferences(t *testing.T) {
 		default:
 		}
 	}
-	t.Fatalf("reclaimed log entry was never garbage-collected")
+	t.Fatalf("a reclaimed log's operation was never garbage-collected: the pooled artifact pins it")
 }
 
 // TestDrainLockedCapsAtAppendedHistory reproduces the publish/drain race:
@@ -440,12 +476,11 @@ func TestDisabledTracingAddsNoAllocs(t *testing.T) {
 	st.Set("work", state.Int(0))
 	op := adt.NumAddOp{L: "work", Delta: 1}
 	newTx := func() *Tx {
-		return &Tx{priv: st.Clone(), snap: st.Clone(), log: make(oplog.Log, 0, 4)}
+		return &Tx{priv: st.Clone(), snap: st.Clone(), prep: conflict.Begin()}
 	}
 
 	txBase := newTx()
 	base := testing.AllocsPerRun(500, func() {
-		txBase.log = txBase.log[:0]
 		if _, err := txBase.Exec(op); err != nil {
 			t.Fatal(err)
 		}
@@ -454,7 +489,6 @@ func TestDisabledTracingAddsNoAllocs(t *testing.T) {
 	txObs := newTx()
 	var ctx obs.Ctx
 	instrumented := testing.AllocsPerRun(500, func() {
-		txObs.log = txObs.log[:0]
 		start := ctx.Now()
 		ctx.Instant(obs.EvTxBegin)
 		if _, err := txObs.Exec(op); err != nil {
@@ -521,8 +555,9 @@ func TestPreparedSharingMatrix(t *testing.T) {
 }
 
 // commitCollector is a CommitSink that snapshots every delivery: task id,
-// commit time, and a deep copy of the log (the contract forbids retaining
-// the live slice).
+// commit time, and a copy of the log's events (the contract forbids
+// retaining the live slice or the events it points to: the runtime logs a
+// later transaction into the same storage).
 type commitCollector struct {
 	mu      sync.Mutex
 	commits []collectedCommit
@@ -536,7 +571,10 @@ type collectedCommit struct {
 
 func (c *commitCollector) ObserveCommitted(task int, commitTime int64, log oplog.Log) {
 	cp := make(oplog.Log, len(log))
-	copy(cp, log)
+	for i, e := range log {
+		ev := *e
+		cp[i] = &ev
+	}
 	c.mu.Lock()
 	c.commits = append(c.commits, collectedCommit{task: task, ctime: commitTime, log: cp})
 	c.mu.Unlock()
@@ -602,12 +640,11 @@ func TestDisabledRecordingAddsNoAllocs(t *testing.T) {
 	st.Set("work", state.Int(0))
 	op := adt.NumAddOp{L: "work", Delta: 1}
 	newTx := func() *Tx {
-		return &Tx{priv: st.Clone(), snap: st.Clone(), log: make(oplog.Log, 0, 4)}
+		return &Tx{priv: st.Clone(), snap: st.Clone(), prep: conflict.Begin()}
 	}
 
 	txBase := newTx()
 	base := testing.AllocsPerRun(500, func() {
-		txBase.log = txBase.log[:0]
 		if _, err := txBase.Exec(op); err != nil {
 			t.Fatal(err)
 		}
@@ -616,12 +653,11 @@ func TestDisabledRecordingAddsNoAllocs(t *testing.T) {
 	var cfg Config // Record is nil — the disabled configuration
 	txRec := newTx()
 	guarded := testing.AllocsPerRun(500, func() {
-		txRec.log = txRec.log[:0]
 		if _, err := txRec.Exec(op); err != nil {
 			t.Fatal(err)
 		}
 		if sink := cfg.Record; sink != nil {
-			sink.ObserveCommitted(1, 1, txRec.log)
+			sink.ObserveCommitted(1, 1, txRec.prep.Log())
 		}
 	})
 

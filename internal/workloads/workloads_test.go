@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/conflict"
@@ -104,7 +105,21 @@ func TestTasksDeterministic(t *testing.T) {
 // check: for every workload, a parallel run under trained sequence-based
 // detection must produce a final state consistent with the sequential
 // baseline on the locations the benchmark's output lives in.
-func TestParallelSequenceMatchesSequential(t *testing.T) {
+func TestParallelSequenceMatchesSequential(t *testing.T) { sequenceMatchesSequential(t, 0) }
+
+// TestPoisonedRecycle repeats both oracle tests with recycled artifacts
+// poisoned (conflict.PoisonRecycled), without a history bound and with
+// MaxHistory 1 to 4: the paper's loops, with their real windows, must never
+// read an artifact after the runtime took it back.
+func TestPoisonedRecycle(t *testing.T) {
+	defer conflict.PoisonRecycled(true)()
+	for maxHistory := 0; maxHistory <= 4; maxHistory++ {
+		t.Run(fmt.Sprintf("sequence/maxhist=%d", maxHistory), func(t *testing.T) { sequenceMatchesSequential(t, maxHistory) })
+		t.Run(fmt.Sprintf("write-set/maxhist=%d", maxHistory), func(t *testing.T) { writeSetMatchesSequential(t, maxHistory) })
+	}
+}
+
+func sequenceMatchesSequential(t *testing.T, maxHistory int) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -127,8 +142,9 @@ func TestParallelSequenceMatchesSequential(t *testing.T) {
 				// Exact-equality checks therefore pin the commit order;
 				// TestJGraphT1UnorderedColoringValid covers the
 				// unordered case by checking the coloring invariant.
-				Ordered:  w.Ordered || w.Name == "weka" || w.Name == "jgrapht1",
-				Detector: det,
+				Ordered:    w.Ordered || w.Name == "weka" || w.Name == "jgrapht1",
+				Detector:   det,
+				MaxHistory: maxHistory,
 			}, w.NewState(), tasks)
 			if err != nil {
 				t.Fatal(err)
@@ -143,7 +159,9 @@ func TestParallelSequenceMatchesSequential(t *testing.T) {
 
 // TestParallelWriteSetMatchesSequential checks the baseline detector too:
 // conservative detection must still be serializable (just slower).
-func TestParallelWriteSetMatchesSequential(t *testing.T) {
+func TestParallelWriteSetMatchesSequential(t *testing.T) { writeSetMatchesSequential(t, 0) }
+
+func writeSetMatchesSequential(t *testing.T, maxHistory int) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -153,9 +171,10 @@ func TestParallelWriteSetMatchesSequential(t *testing.T) {
 				t.Fatal(err)
 			}
 			par, _, err := stm.Run(stm.Config{
-				Threads:  4,
-				Ordered:  w.Ordered || w.Name == "weka" || w.Name == "jgrapht1", // see above
-				Detector: conflict.NewWriteSet(),
+				Threads:    4,
+				Ordered:    w.Ordered || w.Name == "weka" || w.Name == "jgrapht1", // see above
+				Detector:   conflict.NewWriteSet(),
+				MaxHistory: maxHistory,
 			}, w.NewState(), tasks)
 			if err != nil {
 				t.Fatal(err)

@@ -265,8 +265,6 @@ type Config struct {
 	InferWAW bool
 	// Relax is the consistency-relaxation specification; may be nil.
 	Relax *Relaxations
-	// ReclaimLogs enables committed-history reclamation.
-	ReclaimLogs bool
 	// MaxRetries guards against livelock in tests (0 = unlimited).
 	MaxRetries int
 	// Backoff enables contention management: after an abort, the task
@@ -312,7 +310,10 @@ type Config struct {
 	// Record, when non-nil, receives each committed transaction's
 	// operation log inside the commit's publication turn — commit order,
 	// exactly once per accepted transaction (see internal/rec for the
-	// chunked trace recorder / flight recorder built on this). Nil
+	// chunked trace recorder / flight recorder built on this). The sink
+	// may keep neither the log slice nor the events it points to — the
+	// runtime reuses both for later transactions — but copies of the
+	// events are its own, and their Op, Acc and Observed may be kept. Nil
 	// disables recording at the cost of one branch per commit.
 	Record CommitSink
 	// Trace, when non-nil, records every run's protocol events (task
@@ -517,7 +518,6 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 		Ordered:        ordered,
 		Detector:       det,
 		MaxRetries:     r.cfg.MaxRetries,
-		ReclaimLogs:    r.cfg.ReclaimLogs,
 		Tracer:         tracer,
 		Backoff:        r.cfg.Backoff,
 		SerializeAfter: r.cfg.SerializeAfter,
