@@ -80,7 +80,6 @@ func main() {
 		record   = flag.String("record", "", "capture each profiled run as a replayable binary op-trace at this path (replay with janus-replay)")
 		recFly   = flag.Int("record-flight", 0, "flight-recorder mode: keep only this many trace chunks in memory and dump them on a governor demotion/trip (requires -record and -govern; 0 = stream the whole run)")
 		recGzip  = flag.Bool("record-gzip", false, "gzip-compress trace chunks")
-		stripes  = flag.Int("commit-stripes", 0, "commit-path lock table size for profiled runs (0 = default; 1 = single global commit lock)")
 		opsTxn   = flag.Int("ops-per-txn", 0, "operations per transaction for the synthetic heavy workload (selects -workloads heavy when no filter is given; 0 = heavy default)")
 		txnSkew  = flag.Float64("txn-skew", 0, "heavy workload location skew: 0 = uniform access, larger values concentrate the footprint on a hot subset")
 		serveURL = flag.String("serve", "", "load-generator client mode: drive a running janus-serve at this base URL and verify the exactly-once/digest contract (exits nonzero on violation)")
@@ -101,7 +100,7 @@ func main() {
 		ProdRuns: *runs, ChaosSeed: *chaosSd, SerializeAfter: *serAfter, BackoffBase: *backoff,
 		Govern: *govern, GovernWindow: *govWin,
 		RecordPath: *record, FlightChunks: *recFly, RecordGzip: *recGzip,
-		CommitStripes: *stripes, OpsPerTxn: *opsTxn, TxnSkew: *txnSkew,
+		OpsPerTxn: *opsTxn, TxnSkew: *txnSkew,
 	}
 	if (*opsTxn > 0 || *txnSkew != 0) && *names == "" {
 		// The shape knobs only mean something to the synthetic heavy
@@ -163,8 +162,8 @@ func main() {
 		profile(out, opts, *traceOut, *jsonOut, *detName)
 		return
 	}
-	if *chaosSd != 0 || *serAfter != 0 || *backoff != 0 || *govern || *govWin != 0 || *record != "" || *stripes != 0 {
-		fatalf("-chaos/-serialize-after/-backoff/-govern/-record/-commit-stripes apply to profiled wall-clock runs; add -json or -trace")
+	if *chaosSd != 0 || *serAfter != 0 || *backoff != 0 || *govern || *govWin != 0 || *record != "" {
+		fatalf("-chaos/-serialize-after/-backoff/-govern/-record apply to profiled wall-clock runs; add -json or -trace")
 	}
 	wantFig := func(n int) bool { return *figure == 0 && *table == 0 || *figure == n }
 	wantTab := func(n int) bool { return *figure == 0 && *table == 0 || *table == n }

@@ -89,17 +89,11 @@ var liveByContract = map[string]string{
 	"internal/relation.Relation.RemoveFootprint": "ROADMAP 5(c)",
 	"internal/relation.Relation.SelectFootprint": "ROADMAP 5(c)",
 
-	// Methods only their own package's tests call. Name matching hid each
-	// behind a live method of the same name on another type; ROADMAP item
-	// 6(a) deletes them or finds them a caller.
-	"internal/lattice.KeySet.Len":    "ROADMAP 6(a)",
-	"internal/persist.Vector.Append": "ROADMAP 6(a): nothing outside its tests uses persist.Vector since vtime went",
+	// Methods only their own package's tests call; ROADMAP item 6(a)
+	// deletes the type.
+	"internal/persist.Vector.Append": "ROADMAP 6(a): nothing outside its tests uses the vector since vtime went",
 	"internal/persist.Vector.Set":    "ROADMAP 6(a)",
 	"internal/persist.Vector.Slice":  "ROADMAP 6(a)",
-	"internal/relation.Tuple.Equal":  "ROADMAP 6(a)",
-	"internal/state.State.Delete":    "ROADMAP 6(a)",
-	"internal/train.TrainMany":       "ROADMAP 6(a): core.Engine.TrainMany loops over Train itself",
-	"internal/wal.Log.Dir":           "ROADMAP 6(a)",
 }
 
 // modulePath is go.mod's module line: what import paths inside the

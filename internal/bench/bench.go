@@ -111,10 +111,6 @@ type Opts struct {
 	FlightChunks int
 	// RecordGzip compresses trace chunks.
 	RecordGzip bool
-	// CommitStripes overrides the runtime's commit-path lock table size
-	// in profiled runs (0 = stm.DefaultCommitStripes; 1 = the paper's
-	// single global commit lock, for baseline comparisons).
-	CommitStripes int
 	// OpsPerTxn sets the synthetic heavy workload's operations per
 	// transaction (0 = workloads.DefaultHeavyOps). Only the "heavy"
 	// workload reads it.

@@ -42,9 +42,6 @@ type RunReport struct {
 	// the run used (omitted when disabled).
 	SerializeAfter int   `json:"serialize_after,omitempty"`
 	BackoffBaseNs  int64 `json:"backoff_base_ns,omitempty"`
-	// CommitStripes echoes the commit-path lock table override the run
-	// used (omitted when the stm default applied).
-	CommitStripes int `json:"commit_stripes,omitempty"`
 	// OpsPerTxn / TxnSkew echo the heavy-workload shape knobs (omitted
 	// for the paper workloads, which ignore them).
 	OpsPerTxn int     `json:"ops_per_txn,omitempty"`
@@ -117,7 +114,6 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 		Tasks:          len(tasks),
 		SerializeAfter: o.SerializeAfter,
 		BackoffBaseNs:  int64(o.BackoffBase),
-		CommitStripes:  o.CommitStripes,
 		ChaosSeed:      o.ChaosSeed,
 	}
 	if w.Name == workloads.HeavyName {
@@ -230,7 +226,6 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 		Hooks:          hooks,
 		Governor:       stmGov,
 		Record:         sink,
-		CommitStripes:  o.CommitStripes,
 	}, w.NewState(), tasks)
 	rep.ElapsedNs = int64(time.Since(start))
 	rep.Run = stats

@@ -126,7 +126,7 @@ func TestStatsSchemaRoundTrip(t *testing.T) {
 		Workload: "schema", Detector: "seq", Threads: 2,
 		Run: stm.Stats{
 			Tasks: 1, Commits: 2, Retries: 3, Conflicts: 4,
-			BackoffWaits: 5, Escalations: 6, CommitStalls: 7,
+			BackoffWaits: 5, Escalations: 6, Reclaimed: 7,
 			ValidationsSkipped: 8, LocsInstalled: 11, LocsReplayed: 12,
 		},
 	}
@@ -137,7 +137,7 @@ func TestStatsSchemaRoundTrip(t *testing.T) {
 	for key, want := range map[string]string{
 		"backoff_waits":       `"backoff_waits":5`,
 		"escalations":         `"escalations":6`,
-		"commit_stalls":       `"commit_stalls":7`,
+		"reclaimed":           `"reclaimed":7`,
 		"validations_skipped": `"validations_skipped":8`,
 		"locs_installed":      `"locs_installed":11`,
 		"locs_replayed":       `"locs_replayed":12`,

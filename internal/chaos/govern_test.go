@@ -106,10 +106,9 @@ func TestGovernorMissStormEqualsOracle(t *testing.T) {
 // permanent forced misses plus genuinely conflicting tasks make degraded
 // windows abort-heavy enough to trip into serial execution, the serial
 // budget recovers back to degraded, and the run must still match the
-// oracle. A MaxHistory bound rides along to prove commit-side
-// backpressure composes with governed serial escalation.
+// oracle.
 func TestGovernorTripEqualsOracle(t *testing.T) {
-	const nTasks, bound = 40, 8
+	const nTasks = 40
 	tasks := soakTasks(11, nTasks, false)
 	want, err := stm.RunSequential(soakState(), tasks)
 	if err != nil {
@@ -125,8 +124,7 @@ func TestGovernorTripEqualsOracle(t *testing.T) {
 			Window: 2, TripWindows: 1, RecoverCommits: 4, ProbeEvery: 1 << 20,
 		})
 		got, stats, err := stm.Run(stm.Config{
-			Threads: 4, Detector: gov, Governor: gov,
-			MaxHistory: bound, MaxRetries: 500,
+			Threads: 4, Detector: gov, Governor: gov, MaxRetries: 500,
 		}, soakState(), tasks)
 		if err != nil {
 			t.Fatalf("seed=%d: %v", seed, err)
@@ -134,10 +132,6 @@ func TestGovernorTripEqualsOracle(t *testing.T) {
 		if !got.Equal(want) {
 			t.Fatalf("seed=%d: governed state %s != sequential %s (health %+v)",
 				seed, got, want, gov.Stats())
-		}
-		if stats.MaxHist > bound {
-			t.Fatalf("seed=%d: MaxHist = %d exceeds bound %d under governed chaos",
-				seed, stats.MaxHist, bound)
 		}
 		trips += gov.Stats().Trips
 		escalations += stats.Escalations

@@ -64,9 +64,6 @@ func (s KeySet) Has(k string) bool {
 	return ok
 }
 
-// Len returns the number of keys in the set.
-func (s KeySet) Len() int { return len(s.keys) }
-
 // Keys returns the keys in sorted order.
 func (s KeySet) Keys() []string {
 	out := make([]string, 0, len(s.keys))

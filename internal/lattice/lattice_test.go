@@ -38,8 +38,8 @@ func TestKeySetBasics(t *testing.T) {
 
 func TestKeySetHasLen(t *testing.T) {
 	s := NewKeySet("a", "b", "b")
-	if s.Len() != 2 {
-		t.Errorf("Len = %d, want 2 (duplicates collapse)", s.Len())
+	if got := s.Keys(); len(got) != 2 {
+		t.Errorf("Keys = %v, want 2 (duplicates collapse)", got)
 	}
 	if !s.Has("a") || s.Has("c") {
 		t.Errorf("Has wrong")

@@ -577,7 +577,6 @@ func decodeTrace(raw []byte) (t *Trace, err error) {
 	t.Meta.Workload = hd.str()
 	t.Meta.Detector = hd.str()
 	t.Meta.Ordered = hd.bool()
-	hd.byte() // privatization mode of the recording run; see wirePrivatizePersistent
 	t.Meta.Threads = int(hd.u())
 	t.Meta.Tasks = int(hd.u())
 	t.Meta.Seed = hd.i()

@@ -41,8 +41,10 @@ const traceMagic = "JANUSTRC"
 
 // traceFormat is the current schema version; bump on incompatible change.
 // Format 2 changed nothing in the layout: the footer digest became the
-// incremental one (Digest), and no reader for format 1 is kept.
-const traceFormat = 2
+// incremental one (Digest). Format 3 dropped the header's privatization
+// byte, which the runtime had stopped choosing. No reader for an older
+// format is kept.
+const traceFormat = 3
 
 // File-level flags.
 const flagGzip byte = 1 << 0
@@ -312,13 +314,6 @@ func encodableLog(log oplog.Log) error {
 	return nil
 }
 
-// wirePrivatizePersistent is what the header's privatization byte always
-// carries. The runtime once chose between eager-copy (0) and persistent
-// copy-on-access (1) privatization and recorded the choice; only the
-// latter remains, so the byte is written for format compatibility and the
-// decoder accepts either value and ignores it.
-const wirePrivatizePersistent = 1
-
 // appendFrame appends a length-prefixed, CRC32-trailed payload.
 func appendFrame(dst, payload []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(payload)))
@@ -332,7 +327,6 @@ func buildPrelude(meta Meta, initial *state.State, flags byte) ([]byte, error) {
 	e.str(meta.Workload)
 	e.str(meta.Detector)
 	e.bool(meta.Ordered)
-	e.byte(wirePrivatizePersistent)
 	e.u(uint64(meta.Threads))
 	e.u(uint64(meta.Tasks))
 	e.i(meta.Seed)

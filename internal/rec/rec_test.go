@@ -295,7 +295,6 @@ func craftRelTrace(cols []string, fd *relation.FD) []byte {
 	e.str("crafted")   // workload
 	e.str("write-set") // detector
 	e.bool(false)      // ordered
-	e.byte(0)          // privatize
 	e.u(1)             // threads
 	e.u(0)             // tasks
 	e.i(0)             // seed
@@ -407,6 +406,10 @@ func TestCorruptTraceRejection(t *testing.T) {
 		// Format 1 has the same layout but an FNV-of-rendering digest in its
 		// footer: refused by version, not reported as a digest mismatch.
 		{"format-1", func(b []byte) []byte { b[8] = 1; return b }, TraceBadFormat},
+		// Format 2 carries a privatization byte after the ordered flag that
+		// format 3 dropped: refused by version, not misread as the thread
+		// count.
+		{"format-2", func(b []byte) []byte { b[8] = 2; return b }, TraceBadFormat},
 		{"flipped-header-byte", func(b []byte) []byte { b[16] ^= 0x01; return b }, TraceBadChecksum},
 		{"flipped-tail-byte", func(b []byte) []byte { b[len(b)-6] ^= 0x01; return b }, TraceBadChecksum},
 		{"truncated-mid-file", func(b []byte) []byte { return b[:len(b)*2/3] }, TraceTruncated},

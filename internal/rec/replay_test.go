@@ -2,9 +2,7 @@ package rec
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"testing"
 	"time"
 
@@ -21,96 +19,92 @@ import (
 //	parallel-replay digest    ==  recorded digest
 //	RunSequential(tasks)      ==  recorded final state
 //
-// across {ordered, unordered} × header privatization byte {0, 1} × chaos
-// seeds. The chaos injector perturbs scheduling and forces aborts during
-// RECORDING, so each cell captures a genuinely different interleaving;
-// replay must still land on the same state every time. The byte once
-// named the recording run's privatization mode (0 eager copy, 1
-// persistent); traces of both kinds exist on disk, so both must still
-// decode and replay, though the runtime has one mode and writes 1.
+// across {ordered, unordered} × chaos seeds. The chaos injector perturbs
+// scheduling and forces aborts during RECORDING, so each cell captures a
+// genuinely different interleaving; replay must still land on the same
+// state every time. The cells keep the priv=1 segment they were named by
+// when format-2 headers carried a privatization byte (1 is what every
+// recorder wrote), so each cell's name stays the same across formats.
 func TestReplayDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in full mode only")
 	}
 	seeds := []int64{1, 42, 20240808}
 	for _, ordered := range []bool{false, true} {
-		for _, priv := range []byte{0, 1} {
-			for _, seed := range seeds {
-				ordered, priv, seed := ordered, priv, seed
-				name := fmt.Sprintf("ordered=%v/priv=%d/seed=%d", ordered, priv, seed)
-				t.Run(name, func(t *testing.T) {
-					t.Parallel()
-					initial := testState()
-					tasks := testTasks(30)
-					meta := Meta{
-						Workload: "matrix", Detector: "write-set",
-						Ordered: ordered,
-						Threads: 4, Tasks: len(tasks), Seed: seed,
-					}
-					inj := chaos.New(chaos.Config{
-						Seed:      seed,
-						AbortProb: 0.3, AbortMaxPerTask: 2,
-						DelayProb: 0.2, MaxDelay: 50 * time.Microsecond,
-					})
-					r := New(meta, initial, Options{ChunkBytes: 1024})
-					final, _, err := stm.Run(stm.Config{
-						Threads: 4, Ordered: ordered,
-						Hooks: inj.Hooks(), Record: r,
-					}, initial, tasks)
-					if err != nil {
-						t.Fatalf("recording run: %v", err)
-					}
-					r.Close(final)
-
-					var buf bytes.Buffer
-					if _, err := r.WriteTo(&buf); err != nil {
-						t.Fatal(err)
-					}
-					tr, err := ReadTrace(bytes.NewReader(withPrivatizeByte(t, buf.Bytes(), priv)))
-					if err != nil {
-						t.Fatal(err)
-					}
-					// The oracle: run the ORIGINAL task closures one-at-a-time
-					// in the recorded commit order (task ids are 1-based,
-					// matching the stm's). Serializability of the recorded run
-					// is exactly "final states agree with that serial order".
-					serial := make([]adt.Task, len(tr.Txns))
-					for i, txn := range tr.Txns {
-						serial[i] = tasks[txn.Task-1]
-					}
-					oracle, err := stm.RunSequential(testState(), serial)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !oracle.Equal(final) {
-						t.Fatalf("recorded run not serializable:\n par %s\n seq %s", final, oracle)
-					}
-					want := Digest(final)
-					if tr.DigestKind != DigestFinal || tr.Digest != want {
-						t.Fatalf("trace digest %016x (%s), want final %016x", tr.Digest, tr.DigestKind, want)
-					}
-					// Sequential replay, with per-op observed-value checks.
-					seqState, err := tr.ReplaySequential(true)
-					if err != nil {
-						t.Fatalf("ReplaySequential: %v", err)
-					}
-					if got := Digest(seqState); got != want {
-						t.Errorf("sequential replay digest %016x != recorded %016x", got, want)
-					}
-					// Parallel replay through the live stm under the recorded
-					// mode — a fresh nondeterministic schedule, same outcome.
-					parState, stats, err := tr.Replay(0)
-					if err != nil {
-						t.Fatalf("Replay: %v", err)
-					}
-					if got := Digest(parState); got != want {
-						t.Errorf("parallel replay digest %016x != recorded %016x", got, want)
-					}
-					if stats.Commits != int64(len(tr.Txns)) {
-						t.Errorf("parallel replay committed %d of %d txns", stats.Commits, len(tr.Txns))
-					}
+		for _, seed := range seeds {
+			name := fmt.Sprintf("ordered=%v/priv=1/seed=%d", ordered, seed)
+			t.Run(name, func(t *testing.T) {
+				t.Parallel()
+				initial := testState()
+				tasks := testTasks(30)
+				meta := Meta{
+					Workload: "matrix", Detector: "write-set",
+					Ordered: ordered,
+					Threads: 4, Tasks: len(tasks), Seed: seed,
+				}
+				inj := chaos.New(chaos.Config{
+					Seed:      seed,
+					AbortProb: 0.3, AbortMaxPerTask: 2,
+					DelayProb: 0.2, MaxDelay: 50 * time.Microsecond,
 				})
-			}
+				r := New(meta, initial, Options{ChunkBytes: 1024})
+				final, _, err := stm.Run(stm.Config{
+					Threads: 4, Ordered: ordered,
+					Hooks: inj.Hooks(), Record: r,
+				}, initial, tasks)
+				if err != nil {
+					t.Fatalf("recording run: %v", err)
+				}
+				r.Close(final)
+
+				var buf bytes.Buffer
+				if _, err := r.WriteTo(&buf); err != nil {
+					t.Fatal(err)
+				}
+				tr, err := ReadTrace(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The oracle: run the ORIGINAL task closures one-at-a-time
+				// in the recorded commit order (task ids are 1-based,
+				// matching the stm's). Serializability of the recorded run
+				// is exactly "final states agree with that serial order".
+				serial := make([]adt.Task, len(tr.Txns))
+				for i, txn := range tr.Txns {
+					serial[i] = tasks[txn.Task-1]
+				}
+				oracle, err := stm.RunSequential(testState(), serial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !oracle.Equal(final) {
+					t.Fatalf("recorded run not serializable:\n par %s\n seq %s", final, oracle)
+				}
+				want := Digest(final)
+				if tr.DigestKind != DigestFinal || tr.Digest != want {
+					t.Fatalf("trace digest %016x (%s), want final %016x", tr.Digest, tr.DigestKind, want)
+				}
+				// Sequential replay, with per-op observed-value checks.
+				seqState, err := tr.ReplaySequential(true)
+				if err != nil {
+					t.Fatalf("ReplaySequential: %v", err)
+				}
+				if got := Digest(seqState); got != want {
+					t.Errorf("sequential replay digest %016x != recorded %016x", got, want)
+				}
+				// Parallel replay through the live stm under the recorded
+				// mode — a fresh nondeterministic schedule, same outcome.
+				parState, stats, err := tr.Replay(0)
+				if err != nil {
+					t.Fatalf("Replay: %v", err)
+				}
+				if got := Digest(parState); got != want {
+					t.Errorf("parallel replay digest %016x != recorded %016x", got, want)
+				}
+				if stats.Commits != int64(len(tr.Txns)) {
+					t.Errorf("parallel replay committed %d of %d txns", stats.Commits, len(tr.Txns))
+				}
+			})
 		}
 	}
 }
@@ -217,30 +211,4 @@ func TestReplayOrderedTrace(t *testing.T) {
 	if !st.Equal(final) {
 		t.Error("ordered replay drifted from recorded final state")
 	}
-}
-
-// withPrivatizeByte returns the trace file raw with its header's
-// privatization byte set to b (and the header frame's CRC redone). The
-// byte sits in the header frame — magic, format, flags, then uvarint
-// length, payload, CRC32 — after the workload and detector strings and
-// the ordered flag.
-func withPrivatizeByte(t *testing.T, raw []byte, b byte) []byte {
-	t.Helper()
-	start := len(traceMagic) + 2
-	n, w := binary.Uvarint(raw[start:])
-	lo, hi := start+w, start+w+int(n)
-	hd := &dec{buf: raw[lo:hi], inline: true}
-	hd.str()
-	hd.str()
-	hd.bool()
-	if hd.err != nil {
-		t.Fatal(hd.err)
-	}
-	if got := raw[lo+hd.pos]; got != wirePrivatizePersistent {
-		t.Fatalf("recorder wrote privatization byte %d, want %d", got, wirePrivatizePersistent)
-	}
-	out := append([]byte(nil), raw...)
-	out[lo+hd.pos] = b
-	binary.LittleEndian.PutUint32(out[hi:], crc32.ChecksumIEEE(out[lo:hi]))
-	return out
 }

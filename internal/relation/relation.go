@@ -53,20 +53,6 @@ func (t Tuple) Cols() []string {
 	return out
 }
 
-// Equal reports column-wise equality.
-func (t Tuple) Equal(o Tuple) bool {
-	if len(t) != len(o) {
-		return false
-	}
-	for c, v := range t {
-		ov, ok := o[c]
-		if !ok || ov != v {
-			return false
-		}
-	}
-	return true
-}
-
 // Key renders the tuple's restriction to the given columns as a canonical
 // string, used as the subvalue-lattice key for footprints.
 func (t Tuple) Key(cols []string) string {

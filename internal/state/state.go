@@ -171,9 +171,6 @@ func (s *State) Get(loc Loc) (Value, bool) {
 // Set binds loc to v.
 func (s *State) Set(loc Loc, v Value) { s.m[loc] = v }
 
-// Delete unbinds loc.
-func (s *State) Delete(loc Loc) { delete(s.m, loc) }
-
 // Len returns the number of bound locations.
 func (s *State) Len() int { return len(s.m) }
 

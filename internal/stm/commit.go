@@ -41,12 +41,13 @@ import (
 	"repro/internal/state"
 )
 
-// DefaultCommitStripes is the commit-stripe table size when
-// Config.CommitStripes is zero. 64 stripes keep the false-sharing rate
-// (distinct locations hashing to one stripe) negligible for the
-// footprint sizes the workloads exhibit while the table stays small
-// enough to sit in cache.
-const DefaultCommitStripes = 64
+// commitStripes is the commit-path location lock table size; a commit
+// locks the stripes its footprint hashes into, so only transactions whose
+// footprints collide serialize their replays. 64 stripes keep the
+// false-sharing rate (distinct locations hashing to one stripe) negligible
+// for the footprint sizes the workloads exhibit while the table stays
+// small enough to sit in cache.
+const commitStripes = 64
 
 // stripeRef is one resolved stripe of a transaction's footprint: the
 // table index and the lock mode (write side iff some location on the
@@ -61,7 +62,7 @@ type stripeRef struct {
 // multi-stripe acquisition deadlock-free (every committer locks in
 // ascending index order); deduplication merges two locations on one
 // stripe into a single acquisition in the stronger mode.
-func (t *Tx) planStripes(foot []conflict.FootprintLoc, nStripes int) {
+func (t *Tx) planStripes(foot []conflict.FootprintLoc) {
 	t.stripes = t.stripes[:0]
 	t.sigAll, t.sigWrite = 0, 0
 	for _, f := range foot {
@@ -70,7 +71,7 @@ func (t *Tx) planStripes(foot []conflict.FootprintLoc, nStripes int) {
 		if f.Write {
 			t.sigWrite |= bit
 		}
-		idx := int32(f.Hash % uint64(nStripes))
+		idx := int32(f.Hash % commitStripes)
 		pos := len(t.stripes)
 		for i := range t.stripes {
 			if t.stripes[i].idx >= idx {
@@ -206,25 +207,6 @@ func (r *Runtime) overlapsPublished(after, upto int64, sigAll, sigWrite uint64) 
 	return false
 }
 
-// reserveHistorySlot claims one committed-history slot against
-// Config.MaxHistory before the commit tickets, forcing a reclamation
-// pass first if the bound is hit. Reservations (ticketed commits that
-// have not appended yet) count toward the bound, so concurrent commits
-// cannot overshoot it between check and append — Stats.MaxHist never
-// exceeds MaxHistory.
-func (r *Runtime) reserveHistorySlot() bool {
-	r.histMu.Lock()
-	defer r.histMu.Unlock()
-	if len(r.history)+r.histReserved >= r.cfg.MaxHistory {
-		r.reclaimLocked(nil)
-	}
-	if len(r.history)+r.histReserved >= r.cfg.MaxHistory {
-		return false
-	}
-	r.histReserved++
-	return true
-}
-
 // replayCompute re-applies, onto a private faulting overlay of the
 // committed store (tx.overlay), the logged ops whose location tx.dirty
 // marks: the locations a window entry wrote, whose committed values have
@@ -347,25 +329,29 @@ func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
 	}
 }
 
-// publishEntry appends one committed transaction to the history,
-// releasing its MaxHistory reservation and tracking the peak length, and
-// takes back the entries no active transaction can need any more: their
-// artifacts are recycled here, after histMu is released, for the next
-// transactions to log into. The new entry itself always stays (its commit
-// time is above the published watermark until the caller advances it).
-// Publication order (the caller's sequencer turn) keeps commit times
-// strictly increasing in history order.
-func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared, sigAll, sigWrite uint64, reserved bool) {
+// publishEntry appends one committed transaction to the history, tracking
+// the peak length, and takes back the entries no active transaction can
+// need any more: their artifacts are recycled here, after histMu is
+// released, for the next transactions to log into. The new entry itself
+// always stays (its commit time is above the published watermark until the
+// caller advances it). Publication order (the caller's sequencer turn)
+// keeps commit times strictly increasing in history order.
+//
+// The committer's own begin still pins its window through this pass — the
+// drivers that call finish directly read the window after it returns — and
+// is dropped at the end of it: nothing of the window is read once another
+// commit can publish, and a begin left registered until finish unwinds
+// would let a worker descheduled in between pin the history for every
+// commit the others make meanwhile.
+func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared, sigAll, sigWrite uint64) {
 	var buf [4]*conflict.Prepared
 	r.histMu.Lock()
 	r.history = append(r.history, histEntry{
 		commitTime: ctime, task: tid, prep: prep, sigAll: sigAll, sigWrite: sigWrite,
 	})
-	if reserved {
-		r.histReserved--
-	}
 	casMax(&r.stats.MaxHist, int64(len(r.history)))
 	recycle := r.reclaimLocked(buf[:0])
+	delete(r.begins, tid)
 	r.histMu.Unlock()
 	for _, p := range recycle {
 		p.Recycle()
@@ -384,7 +370,7 @@ func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared, si
 func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, tcheck int64) commitResult {
 	prep := tx.prep
 	foot := prep.Footprint()
-	tx.planStripes(foot, len(r.stripes))
+	tx.planStripes(foot)
 	r.lock.RLock()
 	defer r.lock.RUnlock()
 	stripeStart := ctx.Now()
@@ -407,13 +393,6 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, tcheck int64) commitResult {
 	if r.failed() {
 		return commitFailed
 	}
-	reserved := false
-	if r.cfg.MaxHistory > 0 {
-		if !r.reserveHistorySlot() {
-			return commitStall
-		}
-		reserved = true
-	}
 	// Install, don't replay: tx.window is every entry in (begin, tcheck] and
 	// the screen above cleared (tcheck, published], so a written location
 	// no window entry wrote has not moved since the transaction faulted it
@@ -427,11 +406,6 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, tcheck int64) commitResult {
 	tx.overlay = nil
 	if nDirty > 0 {
 		if err := r.replayCompute(tx, foot, nDirty); err != nil {
-			if reserved {
-				r.histMu.Lock()
-				r.histReserved--
-				r.histMu.Unlock()
-			}
 			r.fail(err)
 			return commitFailed
 		}
@@ -448,21 +422,13 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, tcheck int64) commitResult {
 	}
 	ctx.End(obs.EvCommitPipeline, pipeStart)
 	r.mergeVersion(tx, foot)
-	r.publishEntry(tx.tid, ctime, prep, tx.sigAll, tx.sigWrite, reserved)
+	r.publishEntry(tx.tid, ctime, prep, tx.sigAll, tx.sigWrite)
 	if sink := r.cfg.Record; sink != nil {
 		// Inside the publication turn: sinks see commits in strictly
 		// increasing commitTime order across all workers.
 		sink.ObserveCommitted(tx.tid, ctime, prep.Log())
 	}
 	r.advancePublished(ctime)
-	if r.cfg.MaxHistory > 0 {
-		// MaxHistory waiters (stalled commits, ordered drainers) park on
-		// commitCond; wake them after the watermark moved so their
-		// re-checks observe it.
-		r.histMu.Lock()
-		r.commitCond.Broadcast()
-		r.histMu.Unlock()
-	}
 	return commitOK
 }
 

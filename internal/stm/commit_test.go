@@ -1,7 +1,6 @@
 package stm
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -101,54 +100,37 @@ func TestCleanCommitAppliesOnce(t *testing.T) {
 	}
 }
 
-// TestCommitStallCountsOnlyRealWaits pins the stall-accounting fix:
-// Stats.CommitStalls counts commits that actually parked on the history
-// bound, not ones whose entry reclamation pass freed room immediately.
-func TestCommitStallCountsOnlyRealWaits(t *testing.T) {
-	t.Run("ImmediateReclaimIsNotAStall", func(t *testing.T) {
-		r := New(Config{MaxHistory: 1}, state.New())
-		r.clock.Store(5)
-		r.published.Store(5)
-		// One stale entry, no active transaction pinning it: the entry
-		// reclamation pass frees the slot and the commit never waits.
-		r.history = []histEntry{{commitTime: 3}}
-		done := make(chan struct{})
-		go func() { r.stallForHistory(0, 0, nil); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			t.Fatal("stallForHistory blocked with reclaimable history")
+// TestMaxHistNeverExceedsBound: in ordered mode the history never holds
+// more than Threads+1 entries (the derivation is at
+// TestHistoryFollowsConcurrencyNotRunLength), with commits publishing
+// concurrently and, here, windows that conflict: eight threads on four
+// counters abort and retry, and a retry begins later, never earlier.
+func TestMaxHistNeverExceedsBound(t *testing.T) {
+	const threads, n, counters = 8, 64, 4
+	st := state.New()
+	for i := 0; i < counters; i++ {
+		st.Set(state.Loc(string(rune('a'+i))), state.Int(0))
+	}
+	tasks := make([]adt.Task, n)
+	for i := range tasks {
+		loc := state.Loc(string(rune('a' + i%counters)))
+		tasks[i] = func(ex adt.Executor) error {
+			return adt.Counter{L: loc}.Add(ex, 1)
 		}
-		if got := atomic.LoadInt64(&r.stats.CommitStalls); got != 0 {
-			t.Fatalf("CommitStalls = %d for a stall that resolved without waiting, want 0", got)
+	}
+	final, stats, err := Run(Config{Threads: threads, Ordered: true}, st, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.MaxHist > threads+1 {
+		t.Fatalf("MaxHist = %d exceeds Threads+1 = %d", stats.MaxHist, threads+1)
+	}
+	for i := 0; i < counters; i++ {
+		loc := state.Loc(string(rune('a' + i)))
+		if v, _ := final.Get(loc); !v.EqualValue(state.Int(n / counters)) {
+			t.Fatalf("%s = %v, want %d", loc, v, n/counters)
 		}
-	})
-	t.Run("RealWaitCountsOnce", func(t *testing.T) {
-		r := New(Config{MaxHistory: 1}, state.New())
-		r.clock.Store(5)
-		r.published.Store(5)
-		r.history = []histEntry{{commitTime: 3}}
-		// An active transaction with begin 2 pins the entry; the stalling
-		// commit must park until the pin is dropped.
-		r.begins[9] = 2
-		released := make(chan struct{})
-		go func() {
-			time.Sleep(20 * time.Millisecond)
-			close(released)
-			r.dropBegin(9)
-		}()
-		r.stallForHistory(0, 0, nil)
-		select {
-		case <-released:
-		default:
-			t.Fatal("stallForHistory returned before the pinning transaction departed")
-		}
-		// Parked (possibly through several spurious wakeups), but one
-		// stalled commit is one stall.
-		if got := atomic.LoadInt64(&r.stats.CommitStalls); got != 1 {
-			t.Fatalf("CommitStalls = %d for one parked commit, want 1", got)
-		}
-	})
+	}
 }
 
 // commitGauge observes replay concurrency through the CommitDelay hook,
@@ -294,117 +276,6 @@ func TestSerialEscalationExcludesStripedCommits(t *testing.T) {
 	}
 	if got := g.max(); got != 1 {
 		t.Fatalf("peak commit concurrency = %d with serial escalations in flight, want 1", got)
-	}
-}
-
-// TestCommitStripesOne degenerates the stripe table to the paper's
-// single commit lock and checks the protocol still serializes and
-// completes — the configuration CI uses as the contention worst case.
-func TestCommitStripesOne(t *testing.T) {
-	st := state.New()
-	for i := 0; i < 8; i++ {
-		st.Set(state.Loc(string(rune('a'+i))), state.Int(0))
-	}
-	tasks := make([]adt.Task, 32)
-	for i := range tasks {
-		loc := state.Loc(string(rune('a' + i%8)))
-		tasks[i] = func(ex adt.Executor) error {
-			return adt.Counter{L: loc}.Add(ex, 1)
-		}
-	}
-	final, stats, err := Run(Config{Threads: 4, CommitStripes: 1}, st, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		loc := state.Loc(string(rune('a' + i)))
-		if v, _ := final.Get(loc); !v.EqualValue(state.Int(4)) {
-			t.Fatalf("%s = %v, want 4", loc, v)
-		}
-	}
-	if stats.Commits != 32 {
-		t.Fatalf("Commits = %d, want 32", stats.Commits)
-	}
-}
-
-// TestMaxHistNeverExceedsBound pins the reservation accounting: with
-// commits publishing concurrently, the recorded peak history length must
-// still respect Config.MaxHistory exactly (reserved slots count toward
-// the bound between ticket and append).
-func TestMaxHistNeverExceedsBound(t *testing.T) {
-	st := state.New()
-	for i := 0; i < 8; i++ {
-		st.Set(state.Loc(string(rune('a'+i))), state.Int(0))
-	}
-	tasks := make([]adt.Task, 64)
-	for i := range tasks {
-		loc := state.Loc(string(rune('a' + i%8)))
-		tasks[i] = func(ex adt.Executor) error {
-			return adt.Counter{L: loc}.Add(ex, 1)
-		}
-	}
-	const bound = 3
-	_, stats, err := Run(Config{Threads: 8, MaxHistory: bound}, st, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.MaxHist > bound {
-		t.Fatalf("MaxHist = %d exceeds MaxHistory = %d", stats.MaxHist, bound)
-	}
-}
-
-// TestMaxHistoryAllStalledMakesProgress is the regression for the
-// all-stall deadlock: a transaction stalled on the history bound used to
-// keep its begin watermark where it was, so when every active transaction
-// was a staller each pinned the reclamation floor below the entries that
-// filled the history and nobody was left to broadcast.
-//
-// The schedule is forced, not timed: WindowDelay holds every transaction
-// between its (clean, empty-window) validation and its first commit
-// attempt until all of them are there, so all n hold the initial begin.
-// Their footprints are disjoint, so none aborts. The first `bound` commits
-// fill the history with entries newer than every remaining begin; from
-// then on every live transaction is parked at the bound. Before the fix
-// that is a certain deadlock (the deadline turns it into a failure); with
-// stallers draining it must finish.
-func TestMaxHistoryAllStalledMakesProgress(t *testing.T) {
-	const n = 4
-	for _, bound := range []int{1, 2} { // at least two transactions left over to stall each other
-		st := state.New()
-		tasks := make([]adt.Task, n)
-		for i := range tasks {
-			loc := state.Loc(string(rune('a' + i)))
-			st.Set(loc, state.Int(0))
-			tasks[i] = func(ex adt.Executor) error {
-				return adt.Counter{L: loc}.Add(ex, 1)
-			}
-		}
-		var first [n + 1]sync.Once
-		var validated sync.WaitGroup
-		validated.Add(n)
-		hooks := &Hooks{WindowDelay: func(task int) {
-			first[task].Do(func() {
-				validated.Done()
-				validated.Wait()
-			})
-		}}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		final, stats, err := RunCtx(ctx, Config{Threads: n, MaxHistory: bound, Hooks: hooks}, st, tasks)
-		cancel()
-		if err != nil {
-			t.Fatalf("MaxHistory=%d: every transaction parked at the bound and none woke: %v", bound, err)
-		}
-		if stats.Commits != n || stats.MaxHist > int64(bound) {
-			t.Fatalf("MaxHistory=%d: commits = %d, MaxHist = %d", bound, stats.Commits, stats.MaxHist)
-		}
-		if stats.CommitStalls == 0 {
-			t.Fatalf("MaxHistory=%d: no commit parked at the bound; the schedule is not the one under test", bound)
-		}
-		for _, l := range final.Locs() {
-			if v, _ := final.Get(l); !v.EqualValue(state.Int(1)) {
-				t.Fatalf("MaxHistory=%d: %s = %v, want 1", bound, l, v)
-			}
-		}
 	}
 }
 

@@ -76,63 +76,6 @@ func TestGovernorObservesBackoff(t *testing.T) {
 	}
 }
 
-// TestMaxHistoryBoundsHistory is the acceptance criterion for
-// Config.MaxHistory: with reclamation otherwise off, the committed
-// history must never exceed the bound (Stats.MaxHist ≤ bound), commits
-// must stall-and-reclaim instead, and the final state must be unaffected
-// — in both commit orders.
-func TestMaxHistoryBoundsHistory(t *testing.T) {
-	const n, bound = 120, 8
-	for _, ordered := range []bool{false, true} {
-		var tasks []adt.Task
-		var want int64
-		for i := 1; i <= n; i++ {
-			tasks = append(tasks, addTask(int64(i)))
-			want += int64(i)
-		}
-		final, stats, err := Run(Config{Threads: 4, Ordered: ordered, MaxHistory: bound},
-			initialState(), tasks)
-		if err != nil {
-			t.Fatalf("ordered=%v: %v", ordered, err)
-		}
-		if v, _ := final.Get("work"); !v.EqualValue(state.Int(want)) {
-			t.Fatalf("ordered=%v: work = %v, want %d", ordered, v, want)
-		}
-		if stats.MaxHist > bound {
-			t.Errorf("ordered=%v: MaxHist = %d exceeds bound %d", ordered, stats.MaxHist, bound)
-		}
-		if stats.Commits != n {
-			t.Errorf("ordered=%v: commits = %d, want %d", ordered, stats.Commits, n)
-		}
-		if stats.Reclaimed == 0 {
-			t.Errorf("ordered=%v: bound was hit but nothing reclaimed", ordered)
-		}
-	}
-}
-
-// TestMaxHistoryWithSerialEscalation: the serial path must respect the
-// bound too (it publishes to the same history).
-func TestMaxHistoryWithSerialEscalation(t *testing.T) {
-	const n, bound = 60, 4
-	var tasks []adt.Task
-	for i := 1; i <= n; i++ {
-		tasks = append(tasks, addTask(1))
-	}
-	hooks := &Hooks{ForceAbort: func(task, attempt int) bool { return attempt == 1 }}
-	_, stats, err := Run(Config{
-		Threads: 4, MaxHistory: bound, SerializeAfter: 1, Hooks: hooks,
-	}, initialState(), tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.MaxHist > bound {
-		t.Errorf("MaxHist = %d exceeds bound %d", stats.MaxHist, bound)
-	}
-	if stats.Escalations == 0 {
-		t.Error("no escalations; serial path untested")
-	}
-}
-
 // TestMaxTxnOpsBudget: an op past the budget is refused with
 // *OplogBudgetError, the run fails with it (errors.As), and a task
 // within budget is unaffected.
@@ -237,59 +180,6 @@ func TestRunCtxCancelDuringSerialLock(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatal("run did not drain after cancel during serial lock hold; lock leaked?")
-		}
-	})
-}
-
-// TestMaxHistoryCancelWhileStalled: cancellation must wake a commit
-// stalled on the history bound (the stall waits on commitCond, which the
-// failure broadcast reaches).
-func TestMaxHistoryCancelWhileStalled(t *testing.T) {
-	checkNoGoroutineLeak(t, func() {
-		// A task parked in its body pins the reclamation floor at its old
-		// begin, so other commits fill the 2-entry history and stall.
-		parked := make(chan struct{})
-		blocker := func(ex adt.Executor) error {
-			<-parked
-			return adt.Counter{L: "work"}.Add(ex, 1)
-		}
-		var tasks []adt.Task
-		tasks = append(tasks, blocker)
-		for i := 0; i < 20; i++ {
-			tasks = append(tasks, addTask(1))
-		}
-		r := New(Config{Threads: 4, MaxHistory: 2}, initialState())
-		done := make(chan error, 1)
-		go func() {
-			_, _, err := r.run(tasks)
-			done <- err
-		}()
-		// The parked task pins the floor, so at most 2 commits land before
-		// every other worker stalls. Wait for a commit to actually park on
-		// the bound, cancel, and only once the failure is visible unpark
-		// the blocker so its worker can drain (a task body cannot be
-		// preempted). Ordering the two events — instead of firing them back
-		// to back and hoping cancellation wins — is what keeps the run from
-		// completing under load.
-		for deadline := time.Now().Add(10 * time.Second); atomic.LoadInt64(&r.stats.CommitStalls) == 0; {
-			if time.Now().After(deadline) {
-				t.Fatal("no commit stalled on the history bound")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		r.fail(fmt.Errorf("stm: run canceled: %w", context.Canceled))
-		<-r.done
-		close(parked)
-		select {
-		case err := <-done:
-			if err == nil {
-				t.Fatal("run completed despite parked task; expected cancellation")
-			}
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("err = %v, want context.Canceled", err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("stalled commit not woken by cancellation")
 		}
 	})
 }

@@ -100,59 +100,53 @@ func installState() *state.State {
 // mix clean and dirty locations; every commit's installed values are
 // compared with a full replay taken under the same stripes, and the final
 // state with the sequential one (Theorem 4.1) — unordered and ordered,
-// with and without MaxHistory, under a detector that
-// clears every window (all dirty counters reach commit) and under
-// write-set detection (only relation keys do).
-func TestInstallEqualsReplay(t *testing.T) { installEqualsReplay(t, 0, 3) }
-
-// installEqualsReplay runs the oracle once per MaxHistory setting.
-func installEqualsReplay(t *testing.T, maxHistories ...int) {
+// under a detector that clears every window (all dirty counters reach
+// commit) and under write-set detection (only relation keys do).
+func TestInstallEqualsReplay(t *testing.T) {
 	var installed, replayed int64
 	for _, ordered := range []bool{false, true} {
-		for _, maxHistory := range maxHistories {
-			for seed := int64(0); seed < 4; seed++ {
-				rng := rand.New(rand.NewSource(100*seed + 7))
-				tasks := commutingTasks(rng, 20, ordered)
-				want, err := RunSequential(installState(), tasks)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, det := range []conflict.Detector{neverConflict{}, conflict.NewWriteSet()} {
-					cfg := Config{Threads: 4, Ordered: ordered, Detector: det, MaxHistory: maxHistory}
-					// Deterministic per-task stalls: a third of the
-					// transactions sit between validation and commit, a
-					// third inside the commit, while the others publish.
-					cfg.Hooks = &Hooks{
-						WindowDelay: func(task int) {
-							if task%3 == 0 {
-								time.Sleep(50 * time.Microsecond)
-							} else {
-								runtime.Gosched()
-							}
-						},
-						CommitDelay: func(task int) {
-							if task%3 == 1 {
-								time.Sleep(20 * time.Microsecond)
-							}
-						},
-					}
-					r := New(cfg, installState())
-					checkInstallAgainstReplay(t, r)
-					got, stats, err := r.run(tasks)
-					name := fmt.Sprintf("ordered=%v maxhist=%d seed=%d %s", ordered, maxHistory, seed, det.Name())
-					if err != nil {
-						var p *PanicError
-						if errors.As(err, &p) {
-							t.Fatalf("%s: %v\n%s", name, err, p.Stack)
+		for seed := int64(0); seed < 4; seed++ {
+			rng := rand.New(rand.NewSource(100*seed + 7))
+			tasks := commutingTasks(rng, 20, ordered)
+			want, err := RunSequential(installState(), tasks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, det := range []conflict.Detector{neverConflict{}, conflict.NewWriteSet()} {
+				cfg := Config{Threads: 4, Ordered: ordered, Detector: det}
+				// Deterministic per-task stalls: a third of the
+				// transactions sit between validation and commit, a
+				// third inside the commit, while the others publish.
+				cfg.Hooks = &Hooks{
+					WindowDelay: func(task int) {
+						if task%3 == 0 {
+							time.Sleep(50 * time.Microsecond)
+						} else {
+							runtime.Gosched()
 						}
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !got.Equal(want) {
-						t.Fatalf("%s: final state %s, sequential %s", name, got, want)
-					}
-					installed += stats.LocsInstalled
-					replayed += stats.LocsReplayed
+					},
+					CommitDelay: func(task int) {
+						if task%3 == 1 {
+							time.Sleep(20 * time.Microsecond)
+						}
+					},
 				}
+				r := New(cfg, installState())
+				checkInstallAgainstReplay(t, r)
+				got, stats, err := r.run(tasks)
+				name := fmt.Sprintf("ordered=%v seed=%d %s", ordered, seed, det.Name())
+				if err != nil {
+					var p *PanicError
+					if errors.As(err, &p) {
+						t.Fatalf("%s: %v\n%s", name, err, p.Stack)
+					}
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s: final state %s, sequential %s", name, got, want)
+				}
+				installed += stats.LocsInstalled
+				replayed += stats.LocsReplayed
 			}
 		}
 	}

@@ -12,16 +12,14 @@ import (
 
 // TestPoisonedRecycle reruns the commit path's two oracles with recycled
 // artifacts poisoned (conflict.PoisonRecycled): every explored schedule,
-// and the threaded install-equals-replay runs unordered and ordered, with
-// no history bound and with MaxHistory 1 to 4 — the setting under which a
-// window outlives its transaction's begin and reclaimed entries must not
-// be recycled. A transaction that touches an artifact after the runtime
-// took it back panics there, and the run fails with the stack (or, in the
-// explorer, with the schedule) instead of a wrong final state.
+// and the threaded install-equals-replay runs unordered and ordered. A
+// transaction that touches an artifact after the runtime took it back
+// panics there, and the run fails with the stack (or, in the explorer,
+// with the schedule) instead of a wrong final state.
 func TestPoisonedRecycle(t *testing.T) {
 	defer conflict.PoisonRecycled(true)()
 	t.Run("explore", TestExploreSchedules)
-	t.Run("install", func(t *testing.T) { installEqualsReplay(t, 0, 1, 2, 3, 4) })
+	t.Run("install", TestInstallEqualsReplay)
 }
 
 // fourOps is a transaction of four logged operations over two counters.

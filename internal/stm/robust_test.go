@@ -63,8 +63,8 @@ func TestTaskPanicIsError(t *testing.T) {
 }
 
 // TestOrderedPanicWakesWaiters is the regression for the crash-the-world
-// failure mode: in ordered mode, tasks 2..N block on commitCond until the
-// clock reaches their id. If task 1 panics and the process merely died —
+// failure mode: in ordered mode, tasks 2..N block in waitPublished until
+// the published watermark reaches their id. If task 1 panics and the process merely died —
 // or the waiters were never woken — this test would crash or hang; it
 // must instead return the panic as a run error promptly.
 func TestOrderedPanicWakesWaiters(t *testing.T) {

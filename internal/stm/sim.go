@@ -20,7 +20,7 @@
 // divided by the makespan.
 //
 // What it cannot reach is anything below a half: lock-level interleavings,
-// lost commit races, MaxHistory stalls. Those belong to the staged tests
+// lost commit races, cancellation mid-wait. Those belong to the staged tests
 // and `make stress`.
 package stm
 
@@ -228,7 +228,7 @@ type sim struct {
 	nextTask int
 	// Virtual release times of the commit path's resources: each stripe's
 	// last writer and last reader, and the publication turn.
-	stripeWrite, stripeRead []float64
+	stripeWrite, stripeRead [commitStripes]float64
 	turnFree                float64
 	makespan                float64
 	timeline                []TaskTiming
@@ -261,8 +261,6 @@ func Simulate(cfg SimConfig, initial *state.State, tasks []adt.Task) (*state.Sta
 		machine = *cfg.Machine
 	}
 	s.r.stats.Tasks = len(tasks)
-	s.stripeWrite = make([]float64, len(s.r.stripes))
-	s.stripeRead = make([]float64, len(s.r.stripes))
 
 	seqCost, err := s.sequentialCost(initial)
 	if err != nil {

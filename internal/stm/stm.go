@@ -122,7 +122,7 @@ type Governor interface {
 	// ObserveCommit records one committed transaction.
 	ObserveCommit()
 	// ObserveCommitWait records time spent waiting for a commit turn
-	// (ordered mode) or for history backpressure to clear.
+	// (ordered mode).
 	ObserveCommitWait(d time.Duration)
 	// ObserveBackoff records one contention-management backoff sleep.
 	ObserveBackoff(d time.Duration)
@@ -181,18 +181,6 @@ type Config struct {
 	// waits, escalations) and can force serial-only execution; see the
 	// Governor interface and internal/health.
 	Governor Governor
-	// MaxHistory bounds the committed-history length. Every commit already
-	// drops the entries no running transaction can need (the paper notes
-	// its prototype "doesn't reclaim the logs of garbage transactions"), so
-	// the history is as long as the slowest active transaction's window;
-	// MaxHistory caps that too: transactions hand their windows' entries
-	// over as they fetch them, and a commit that would still grow the
-	// history past the bound stalls until they have (Stats.CommitStalls
-	// counts these). The stall is context-aware — a run failure or
-	// cancellation wakes it. Entries reclaimed under a bound go to the
-	// collector instead of being recycled (see reclaimLocked). 0 means no
-	// cap.
-	MaxHistory int
 	// MaxTxnOps bounds a single transaction's operation log: an Exec past
 	// the budget refuses the op with *OplogBudgetError instead of growing
 	// the log without bound. A task that propagates the error (the normal
@@ -201,13 +189,6 @@ type Config struct {
 	// Record receives each committed transaction's op log (see
 	// CommitSink); nil disables recording at the cost of one branch.
 	Record CommitSink
-	// CommitStripes sets the commit-path location lock table size; a
-	// commit locks the stripes its footprint hashes into, so only
-	// transactions whose footprints collide serialize their replays.
-	// More stripes mean fewer false collisions at a few cache lines of
-	// cost. 0 means DefaultCommitStripes; 1 degenerates to the paper's
-	// single commit lock.
-	CommitStripes int
 }
 
 // Stats reports a run's behavior. The JSON tags are the RunReport schema
@@ -231,9 +212,6 @@ type Stats struct {
 	// Escalations counts transactions that ran in irrevocable serial
 	// mode after SerializeAfter consecutive aborts.
 	Escalations int64 `json:"escalations"`
-	// CommitStalls counts commits that hit the MaxHistory bound and
-	// waited for reclamation to make room.
-	CommitStalls int64 `json:"commit_stalls"`
 	// ValidationsSkipped counts committed-history entries the incremental
 	// detect/commit loop did NOT re-validate because a previous pass of
 	// the same attempt had already cleared them (committed logs are
@@ -303,7 +281,7 @@ type Runtime struct {
 	seqWaiters map[int64][]chan struct{}
 
 	// stripes is the commit-path location lock table (commit.go).
-	stripes []sync.RWMutex
+	stripes [commitStripes]sync.RWMutex
 
 	// base and over form the committed shared state (see store.go): a
 	// frozen table of per-location atomic value boxes for the initial
@@ -318,12 +296,6 @@ type Runtime struct {
 	history []histEntry
 	// begins tracks active transactions' begin times for reclamation.
 	begins map[int]int64
-	// histReserved counts MaxHistory slots claimed by ticketed commits
-	// that have not appended yet (reserveHistorySlot), so concurrent
-	// commits cannot overshoot the bound between check and append.
-	histReserved int
-
-	commitCond *sync.Cond // broadcast on publication (MaxHistory waiters)
 
 	tracer obs.Tracer
 
@@ -358,12 +330,6 @@ func New(cfg Config, initial *state.State) *Runtime {
 	}
 	r.clock.Store(1)
 	r.published.Store(1)
-	r.commitCond = sync.NewCond(&r.histMu)
-	n := cfg.CommitStripes
-	if n <= 0 {
-		n = DefaultCommitStripes
-	}
-	r.stripes = make([]sync.RWMutex, n)
 	locs := initial.Locs()
 	r.base = make(map[state.Loc]*locBox, len(locs))
 	for _, loc := range locs {
@@ -474,11 +440,7 @@ func (d *directExec) Exec(op oplog.Op) (state.Value, error) { return op.Apply(d.
 func (r *Runtime) fail(err error) {
 	r.errOnce.Do(func() {
 		r.err = err
-		close(r.done)
-		// Wake ordered waiters so they observe the failure.
-		r.histMu.Lock()
-		r.commitCond.Broadcast()
-		r.histMu.Unlock()
+		close(r.done) // wakes ordered waiters and backoff sleeps
 	})
 }
 
@@ -519,8 +481,8 @@ func (r *Runtime) run(tasks []adt.Task) (*state.State, Stats, error) {
 			// Backstop: task-body panics are recovered in runTaskBody
 			// with the task's identity; this catches panics in the
 			// protocol code itself so a bug here fails the run (waking
-			// ordered-mode waiters via fail's broadcast) rather than
-			// killing the process with peers blocked on commitCond.
+			// ordered-mode waiters via the done channel) rather than
+			// killing the process with peers blocked in waitPublished.
 			current := 0
 			defer func() {
 				if p := recover(); p != nil {
@@ -561,7 +523,6 @@ func (r *Runtime) statsSnapshot() Stats {
 		MaxHist:      atomic.LoadInt64(&r.stats.MaxHist),
 		BackoffWaits: atomic.LoadInt64(&r.stats.BackoffWaits),
 		Escalations:  atomic.LoadInt64(&r.stats.Escalations),
-		CommitStalls: atomic.LoadInt64(&r.stats.CommitStalls),
 
 		ValidationsSkipped: atomic.LoadInt64(&r.stats.ValidationsSkipped),
 		LocsInstalled:      atomic.LoadInt64(&r.stats.LocsInstalled),
@@ -848,14 +809,15 @@ func (r *Runtime) execute(ctx obs.Ctx, task adt.Task, tid int) (*Tx, error) {
 // finish is an attempt's second half: the ordered wait, then the
 // fetch-window/detect/commit loop, until the transaction commits (true)
 // or aborts (false: a conflict, or the run failed). Either way the
-// transaction's begin watermark is dropped, and an unpublished artifact
-// recycled — log included, so after an abort the transaction has no log.
+// transaction's begin watermark is dropped — by its publication, or on the
+// way out — and an unpublished artifact recycled, log included, so after an
+// abort the transaction has no log.
 func (r *Runtime) finish(ctx obs.Ctx, tx *Tx) (committed bool) {
 	tid, prep := tx.tid, tx.prep
-	defer r.dropBegin(tid)
 	published := false
 	defer func() {
 		if !published {
+			r.dropBegin(tid)
 			prep.Recycle()
 		}
 	}()
@@ -876,34 +838,7 @@ func (r *Runtime) finish(ctx obs.Ctx, tx *Tx) (committed bool) {
 	validated := 0
 
 	if r.cfg.Ordered {
-		// Wait until all preceding tasks fully published: published ==
-		// tid. Under MaxHistory the waiter parks on commitCond and drains
-		// the history incrementally on every wakeup, advancing its begin
-		// watermark — otherwise its stale begin would pin the whole
-		// window and deadlock a predecessor stalled on the history bound.
-		// Without MaxHistory it registers on the commit sequencer's
-		// waiter table instead and is woken exactly once, by its
-		// predecessor's publication — the O(1) "may I commit?" query, no
-		// broadcast storm across all waiting tasks.
-		waitStart := ctx.Now()
-		var govStart time.Time
-		if r.cfg.Governor != nil {
-			govStart = time.Now()
-		}
-		if r.cfg.MaxHistory > 0 {
-			r.histMu.Lock()
-			for r.published.Load() != int64(tid) && !r.failed() {
-				seen = r.drainLocked(tid, seen, &tx.window)
-				r.commitCond.Wait()
-			}
-			r.histMu.Unlock()
-		} else {
-			r.waitPublished(int64(tid))
-		}
-		if gov := r.cfg.Governor; gov != nil {
-			gov.ObserveCommitWait(time.Since(govStart))
-		}
-		ctx.End(obs.EvCommitWait, waitStart)
+		r.waitTurn(ctx, tid)
 		if r.failed() {
 			return false
 		}
@@ -917,12 +852,6 @@ func (r *Runtime) finish(ctx obs.Ctx, tx *Tx) (committed bool) {
 		if now > seen {
 			tx.window = r.committedHistory(tx.window, seen, now)
 			seen = now
-			if r.cfg.MaxHistory > 0 {
-				// Everything up to seen is copied into the window; advance the
-				// begin watermark so reclamation (and the MaxHistory
-				// backpressure that depends on it) can move past it.
-				r.advanceBegin(tid, seen)
-			}
 		}
 		if h := r.cfg.Hooks; h != nil && h.ForceAbort != nil && h.ForceAbort(tid, int(ctx.Attempt)) {
 			atomic.AddInt64(&r.abortReasons[conflict.ReasonInjected], 1)
@@ -966,19 +895,6 @@ func (r *Runtime) finish(ctx obs.Ctx, tx *Tx) (committed bool) {
 			// loop — a doomed retry would burn a backoff sleep and a
 			// validation pass before noticing.
 			return false
-		case commitStall:
-			// The history bound, not a conflict: wait for reclamation to
-			// make room, then re-detect against what published while
-			// stalled (drained into the window past the validated mark).
-			var govStart time.Time
-			if r.cfg.Governor != nil {
-				govStart = time.Now()
-			}
-			seen = r.stallForHistory(tid, seen, &tx.window)
-			if gov := r.cfg.Governor; gov != nil {
-				gov.ObserveCommitWait(time.Since(govStart))
-			}
-			ctx.End(obs.EvCommitWait, commitStart)
 		default: // commitRace
 			// History evolved between detection and commit: re-detect.
 			// The lost race is commit-queue contention, not a conflict.
@@ -1025,57 +941,26 @@ func (r *Runtime) newTx(tid int, begin int64) *Tx {
 func (r *Runtime) dropBegin(tid int) {
 	r.histMu.Lock()
 	delete(r.begins, tid)
-	if r.cfg.MaxHistory > 0 {
-		// A departing transaction can raise the reclamation floor; wake
-		// any commit stalled on the history bound.
-		r.commitCond.Broadcast()
-	}
 	r.histMu.Unlock()
 }
 
-// advanceBegin raises a transaction's begin watermark to seen: every
-// history entry at or before it has been copied into the transaction's
-// private window, so reclamation no longer needs to retain those entries
-// on its behalf. Stalled commits are woken to re-try reclamation.
-func (r *Runtime) advanceBegin(tid int, seen int64) {
-	r.histMu.Lock()
-	if b, ok := r.begins[tid]; ok && seen > b {
-		r.begins[tid] = seen
-		r.commitCond.Broadcast()
+// waitTurn is ordered mode's commit turn: it blocks until every preceding
+// task has published (published == tid) or the run fails, reporting the
+// wait to the tracer and the governor. The waiter registers on the commit
+// sequencer's waiter table and is woken exactly once, by its predecessor's
+// publication — the O(1) "may I commit?" query, no broadcast storm across
+// all waiting tasks.
+func (r *Runtime) waitTurn(ctx obs.Ctx, tid int) {
+	waitStart := ctx.Now()
+	var govStart time.Time
+	if r.cfg.Governor != nil {
+		govStart = time.Now()
 	}
-	r.histMu.Unlock()
-}
-
-// drainLocked copies every published history entry newer than seen into
-// opsC and advances the transaction's begin watermark — the parked
-// variant of the fetch in the detect loop, run under the already-held
-// histMu while the transaction sleeps for its ordered commit turn or for
-// room under the history bound. Returns the new watermark.
-//
-// The watermark is the sequencer's published value, never the raw
-// clock: a ticketed commit may have appended nothing yet, and one that
-// appended but has not advanced the watermark is skipped here (entries
-// above published) and picked up by a later fetch. Every entry in
-// (seen, published] is present, because publication appends before
-// advancing the watermark and this waiter's begin pins entries newer
-// than seen against reclamation.
-func (r *Runtime) drainLocked(tid int, seen int64, opsC *[]*conflict.Prepared) int64 {
-	now := r.published.Load()
-	if now <= seen {
-		return seen
+	r.waitPublished(int64(tid))
+	if gov := r.cfg.Governor; gov != nil {
+		gov.ObserveCommitWait(time.Since(govStart))
 	}
-	lo := searchHist(r.history, seen)
-	for _, h := range r.history[lo:] {
-		if h.commitTime > now {
-			break
-		}
-		*opsC = append(*opsC, h.prep)
-	}
-	if b, ok := r.begins[tid]; ok && now > b {
-		r.begins[tid] = now
-		r.commitCond.Broadcast()
-	}
-	return now
+	ctx.End(obs.EvCommitWait, waitStart)
 }
 
 // committedHistory appends to dst the prepared artifacts of transactions
@@ -1099,69 +984,15 @@ func (r *Runtime) committedHistory(dst []*conflict.Prepared, begin, now int64) [
 }
 
 // commitResult is commit's outcome: committed, lost the footprint race
-// (an overlapping entry published since detection), stalled on the
-// MaxHistory bound, or terminal (the run failed — the attempt must not
-// retry).
+// (an overlapping entry published since detection), or terminal (the run
+// failed — the attempt must not retry).
 type commitResult int
 
 const (
 	commitOK commitResult = iota
 	commitRace
-	commitStall
 	commitFailed
 )
-
-// historyRoomLocked reports whether the committed history can accept one
-// more entry under Config.MaxHistory, forcing a reclamation pass first if
-// it cannot. Caller holds the global write lock (serial escalation), so
-// no commit is ticketed, no slot is reserved, and the history cannot
-// grow between this check and the subsequent publish.
-func (r *Runtime) historyRoomLocked() bool {
-	r.histMu.Lock()
-	defer r.histMu.Unlock()
-	if len(r.history)+r.histReserved >= r.cfg.MaxHistory {
-		r.reclaimLocked(nil)
-	}
-	return len(r.history)+r.histReserved < r.cfg.MaxHistory
-}
-
-// stallForHistory blocks until the history has room for one more entry
-// (reserved slots included), forcing a reclamation pass on every wakeup,
-// or until the run fails. A staller that holds a begin watermark (the
-// optimistic path; opsC non-nil) drains like an ordered waiter: on every
-// wakeup it copies the entries published since seen into its window and
-// advances its begin to the published watermark, and the new watermark is
-// returned for the caller's re-detection. Without that, a run in which
-// every active transaction is stalled deadlocks — each pins the
-// reclamation floor with its own stale begin and nobody is left to
-// broadcast. With it, progress is guaranteed: a staller never holds the
-// floor below the published watermark, and every other transaction
-// eventually commits (publication broadcasts under MaxHistory), aborts
-// (dropBegin broadcasts), or advances its begin as it fetches or drains
-// (broadcast). Serial escalation stalls before its transaction exists, so
-// it holds no begin and passes a nil opsC. Only a stall that actually
-// parks counts toward Stats.CommitStalls: when the entry reclamation pass
-// frees room immediately, the commit never waited and nothing is recorded.
-func (r *Runtime) stallForHistory(tid int, seen int64, opsC *[]*conflict.Prepared) int64 {
-	stalled := false
-	r.histMu.Lock()
-	for !r.failed() {
-		if opsC != nil {
-			seen = r.drainLocked(tid, seen, opsC)
-		}
-		r.reclaimLocked(nil)
-		if len(r.history)+r.histReserved < r.cfg.MaxHistory {
-			break
-		}
-		if !stalled {
-			stalled = true
-			atomic.AddInt64(&r.stats.CommitStalls, 1)
-		}
-		r.commitCond.Wait()
-	}
-	r.histMu.Unlock()
-	return seen
-}
 
 // attemptSerial escalates a starving transaction to irrevocable serial
 // mode: it holds the global write lock across execute and commit, so no
@@ -1179,46 +1010,12 @@ func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed 
 	}
 	serialStart := ctx.Now()
 	if r.cfg.Ordered {
-		waitStart := ctx.Now()
-		var govStart time.Time
-		if r.cfg.Governor != nil {
-			govStart = time.Now()
-		}
-		if r.cfg.MaxHistory > 0 {
-			r.histMu.Lock()
-			for r.published.Load() != int64(tid) && !r.failed() {
-				r.commitCond.Wait()
-			}
-			r.histMu.Unlock()
-		} else {
-			r.waitPublished(int64(tid))
-		}
-		if gov := r.cfg.Governor; gov != nil {
-			gov.ObserveCommitWait(time.Since(govStart))
-		}
-		ctx.End(obs.EvCommitWait, waitStart)
+		r.waitTurn(ctx, tid)
 	}
 	if r.failed() {
 		return false, nil
 	}
-	// Serial mode must respect the history bound too, but cannot stall
-	// while holding the write lock — fetchers advancing their begin
-	// watermarks need the read side. Make room first, then re-check under
-	// the lock, looping over the race where concurrent commits refill the
-	// history in between.
 	r.lock.Lock()
-	for r.cfg.MaxHistory > 0 && !r.failed() && !r.historyRoomLocked() {
-		r.lock.Unlock()
-		var govStart time.Time
-		if r.cfg.Governor != nil {
-			govStart = time.Now()
-		}
-		r.stallForHistory(tid, 0, nil) // no transaction yet: no begin to drain
-		if gov := r.cfg.Governor; gov != nil {
-			gov.ObserveCommitWait(time.Since(govStart))
-		}
-		r.lock.Lock()
-	}
 	defer r.lock.Unlock()
 	if r.failed() {
 		return false, nil
@@ -1250,16 +1047,11 @@ func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed 
 	sigAll, sigWrite := footprintSigs(foot)
 	ctime := r.clock.Add(1)
 	r.mergeVersion(tx, foot)
-	r.publishEntry(tid, ctime, prep, sigAll, sigWrite, false)
+	r.publishEntry(tid, ctime, prep, sigAll, sigWrite)
 	if sink := r.cfg.Record; sink != nil {
 		sink.ObserveCommitted(tid, ctime, prep.Log())
 	}
 	r.advancePublished(ctime)
-	if r.cfg.MaxHistory > 0 {
-		r.histMu.Lock()
-		r.commitCond.Broadcast()
-		r.histMu.Unlock()
-	}
 	ctx.End(obs.EvTxSerial, serialStart)
 	return true, nil
 }
@@ -1276,12 +1068,7 @@ func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed 
 // registered under histMu at a value no lower than the floor of any
 // earlier pass, and they stay registered until finish has read the window
 // for the last time — so an entry at or below every registered begin is in
-// no window, in no overlapsPublished range and in no later fetch. A
-// MaxHistory run breaks the first clause on purpose: advanceBegin and
-// drainLocked raise a begin past entries they have just copied into a
-// window the detector and the install plan still read. Its dropped entries
-// are therefore not handed back; they leave the history and the collector
-// frees them when the last window lets go.
+// no window, in no overlapsPublished range and in no later fetch.
 func (r *Runtime) reclaimLocked(recycle []*conflict.Prepared) []*conflict.Prepared {
 	minBegin := r.published.Load()
 	for _, b := range r.begins {
@@ -1294,10 +1081,8 @@ func (r *Runtime) reclaimLocked(recycle []*conflict.Prepared) []*conflict.Prepar
 	if cut == 0 {
 		return recycle
 	}
-	if r.cfg.MaxHistory == 0 {
-		for _, h := range r.history[:cut] {
-			recycle = append(recycle, h.prep)
-		}
+	for _, h := range r.history[:cut] {
+		recycle = append(recycle, h.prep)
 	}
 	atomic.AddInt64(&r.stats.Reclaimed, int64(cut))
 	kept := copy(r.history, r.history[cut:])

@@ -244,16 +244,35 @@ func (a *alwaysConflict) Name() string { return "always-conflict" }
 // one transaction holds its begin, which the scheduler decides; here no
 // body starts while a task eight or more before it still holds one, so the
 // bound is the test's.
+//
+// In ordered mode the bound is the protocol's: Threads+1, however slow a
+// straggler is. Task j publishes with commit time j+1 once published == j,
+// and a begin b means tasks below b have published. Tasks are dealt in order
+// and a worker takes its next one only after its last has published, so
+// the predecessors of j still unpublished at its begin, b..j-1, are held by
+// the other Threads-1 workers: b ≥ j-Threads+1. Task k appends its entry
+// after task k-1's publication reclaimed every entry at or below the lowest
+// registered begin. Every earlier task dropped its begin as it published;
+// task k-1's own, at least k-Threads, is registered through its pass, and
+// later tasks' are higher. What survives is commit times k-Threads+1..k,
+// Threads entries, and task k's makes Threads+1. The stragglers here hold
+// their bodies until the next Threads-1 tasks have begun, so task
+// s+Threads-1 begins at exactly s and the bound is reached at task
+// s+Threads: MaxHist is exactly Threads+1.
 func TestHistoryFollowsConcurrencyNotRunLength(t *testing.T) {
 	const n, lead = 1000, 8
 	var r *Runtime
-	oldestActive := func() int {
+	activeRange := func() (oldest, newest int) {
 		r.histMu.Lock()
 		defer r.histMu.Unlock()
-		oldest := n + 1
+		oldest = n + 1
 		for tid := range r.begins {
-			oldest = min(oldest, tid)
+			oldest, newest = min(oldest, tid), max(newest, tid)
 		}
+		return oldest, newest
+	}
+	oldestActive := func() int {
+		oldest, _ := activeRange()
 		return oldest
 	}
 	tasks := make([]adt.Task, n)
@@ -266,9 +285,9 @@ func TestHistoryFollowsConcurrencyNotRunLength(t *testing.T) {
 			return add(ex)
 		}
 	}
-	run := func(threads, n int) Stats {
-		r = New(Config{Threads: threads}, initialState())
-		_, stats, err := r.run(tasks[:n])
+	run := func(cfg Config, tasks []adt.Task) Stats {
+		r = New(cfg, initialState())
+		_, stats, err := r.run(tasks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,11 +298,33 @@ func TestHistoryFollowsConcurrencyNotRunLength(t *testing.T) {
 		return stats
 	}
 	// One thread: a commit finds its predecessor's entry and nothing else.
-	if one := run(1, 30); one.MaxHist > 2 || one.Reclaimed < 28 {
+	if one := run(Config{Threads: 1}, tasks[:30]); one.MaxHist > 2 || one.Reclaimed < 28 {
 		t.Fatalf("1 thread, 30 tasks: MaxHist = %d (want <= 2), Reclaimed = %d (want >= 28)", one.MaxHist, one.Reclaimed)
 	}
-	if two := run(2, n); two.MaxHist > 2*lead {
+	if two := run(Config{Threads: 2}, tasks); two.MaxHist > 2*lead {
 		t.Fatalf("2 threads, %d tasks at most %d apart: MaxHist = %d", n, lead, two.MaxHist)
+	}
+
+	// Ordered, a straggler every 100 tasks. Each task stores to one of eight
+	// counters, so no window of at most threads-1 predecessors conflicts and
+	// every begin is the one the derivation counts.
+	const threads = 4
+	straggled := make([]adt.Task, n)
+	for i := range straggled {
+		tid, loc := i+1, state.Loc(fmt.Sprintf("c%d", i%8))
+		straggled[i] = func(ex adt.Executor) error {
+			for i%100 == 0 {
+				if _, newest := activeRange(); newest >= tid+threads-1 {
+					break
+				}
+				runtime.Gosched()
+			}
+			return adt.Counter{L: loc}.Store(ex, int64(tid))
+		}
+	}
+	if ord := run(Config{Threads: threads, Ordered: true}, straggled); ord.MaxHist != threads+1 {
+		t.Fatalf("ordered, %d threads, %d tasks with stragglers: MaxHist = %d, want exactly %d",
+			threads, n, ord.MaxHist, threads+1)
 	}
 }
 
@@ -343,68 +384,6 @@ func TestReclaimReleasesLogReferences(t *testing.T) {
 		}
 	}
 	t.Fatalf("a reclaimed log's operation was never garbage-collected: the pooled artifact pins it")
-}
-
-// TestDrainLockedCapsAtAppendedHistory reproduces the publish/drain race:
-// commits ticket the clock before their publication turn comes up, and a
-// publishing commit appends its entry before advancing the published
-// watermark, so an ordered waiter can drain while the clock (3) is ahead
-// of the watermark (2) and an appended entry (commit time 3) is not yet
-// published. The drain must cap at the published watermark — advancing to
-// the raw clock, or copying the appended-but-unpublished entry, would
-// move the begin watermark past history it has not consistently fetched
-// (fetches read (seen, now] only).
-func TestDrainLockedCapsAtAppendedHistory(t *testing.T) {
-	r := New(Config{Ordered: true, MaxHistory: 8}, initialState())
-	r.history = append(r.history, histEntry{
-		commitTime: 2, task: 1, prep: conflict.Prepare(oplog.Log{&oplog.Event{Task: 1}}),
-	})
-	// A second commit is mid-publication: its entry is appended but the
-	// watermark has not advanced past it; a third holds ticket 3.
-	r.history = append(r.history, histEntry{
-		commitTime: 3, task: 2, prep: conflict.Prepare(oplog.Log{&oplog.Event{Task: 2}}),
-	})
-	r.clock.Store(3)
-	r.published.Store(2)
-	r.begins[7] = 1
-
-	var ops []*conflict.Prepared
-	r.histMu.Lock()
-	seen := r.drainLocked(7, 1, &ops)
-	again := r.drainLocked(7, seen, &ops)
-	r.histMu.Unlock()
-
-	if seen != 2 {
-		t.Fatalf("watermark = %d, want 2 (published watermark, not clock 3)", seen)
-	}
-	if again != 2 {
-		t.Fatalf("re-drain watermark = %d, want 2", again)
-	}
-	if len(ops) != 1 || ops[0].Log()[0].Task != 1 {
-		t.Fatalf("drained ops = %+v, want exactly the published log", ops)
-	}
-	if r.begins[7] != 2 {
-		t.Fatalf("begins[7] = %d, want 2", r.begins[7])
-	}
-}
-
-// TestDrainLockedEmptyHistory: with the clock ahead of an entirely empty
-// (or fully in-flight) history, a drain must be a no-op rather than
-// advancing the waiter past entries it has not copied.
-func TestDrainLockedEmptyHistory(t *testing.T) {
-	r := New(Config{Ordered: true, MaxHistory: 8}, initialState())
-	r.clock.Store(5)
-	r.begins[3] = 1
-
-	var ops []*conflict.Prepared
-	r.histMu.Lock()
-	seen := r.drainLocked(3, 1, &ops)
-	r.histMu.Unlock()
-
-	if seen != 1 || len(ops) != 0 || r.begins[3] != 1 {
-		t.Fatalf("drain on empty history moved state: seen=%d ops=%d begins[3]=%d",
-			seen, len(ops), r.begins[3])
-	}
 }
 
 func TestStatsRetryRatio(t *testing.T) {
@@ -506,12 +485,11 @@ func TestDisabledTracingAddsNoAllocs(t *testing.T) {
 	}
 }
 
-// TestPreparedSharingMatrix runs a contended mixed workload across the
-// full ordered/unordered × copy/persistent matrix. Retries, lost commit
-// races, and the incremental re-validation watermark all make concurrent
-// validators read the same published projections; under -race this
-// checks that sharing is sound and the outcome still matches the
-// sequential oracle.
+// TestPreparedSharingMatrix runs a contended mixed workload in both commit
+// orders. Retries, lost commit races, and the incremental re-validation
+// watermark all make concurrent validators read the same published
+// projections; under -race this checks that sharing is sound and the
+// outcome still matches the sequential oracle.
 func TestPreparedSharingMatrix(t *testing.T) {
 	var tasks []adt.Task
 	for i := 1; i <= 12; i++ {
@@ -531,7 +509,7 @@ func TestPreparedSharingMatrix(t *testing.T) {
 	wantWork, _ := want.Get("work")
 	wantLog, _ := want.Get("log")
 	for _, ordered := range []bool{false, true} {
-		cfg := Config{Threads: 4, Ordered: ordered, MaxHistory: 6}
+		cfg := Config{Threads: 4, Ordered: ordered}
 		got, _, err := Run(cfg, initialState(), tasks)
 		if err != nil {
 			t.Fatalf("ordered=%v: %v", ordered, err)

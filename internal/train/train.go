@@ -120,22 +120,6 @@ func Train(initial *state.State, tasks []adt.Task, opts Options) (*cache.Cache, 
 	return c, rep, nil
 }
 
-// TrainMany runs Train over several payloads (the paper uses 5 training
-// runs) and merges the caches.
-func TrainMany(initial *state.State, payloads [][]adt.Task, opts Options) (*cache.Cache, []*Report, error) {
-	c := cache.New(opts.Mode)
-	var reps []*Report
-	for i, tasks := range payloads {
-		ci, rep, err := Train(initial, tasks, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("train: payload %d: %w", i, err)
-		}
-		c.Merge(ci)
-		reps = append(reps, rep)
-	}
-	return c, reps, nil
-}
-
 // Learn mines a recorded trace and populates the cache. initial is the
 // state the trace started from (used to type synthetic verification
 // states).

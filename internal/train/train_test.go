@@ -203,17 +203,21 @@ func TestConcreteModeMissesOnLengthChange(t *testing.T) {
 	}
 }
 
+// TestTrainManyMerges: caches trained on different payloads merge into one
+// that holds both payloads' patterns, the way core.Engine trains on the
+// paper's several training runs.
 func TestTrainManyMerges(t *testing.T) {
 	payloads := [][]adt.Task{
 		{identityTask(2), identityTask(3)},
 		{stackTask(1), stackTask(2)},
 	}
-	c, reps, err := TrainMany(initialState(), payloads, Options{Mode: seqabs.Abstract})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reps) != 2 {
-		t.Fatalf("reports = %d", len(reps))
+	c := cache.New(seqabs.Abstract)
+	for _, tasks := range payloads {
+		ci, _, err := Train(initialState(), tasks, Options{Mode: seqabs.Abstract})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Merge(ci)
 	}
 	if c.Len() < 2 {
 		t.Fatalf("merged cache must hold both patterns, len=%d\n%s", c.Len(), c.Dump())

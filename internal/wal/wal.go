@@ -311,9 +311,6 @@ type Log struct {
 	flushDone chan struct{}
 }
 
-// Dir returns the journal directory.
-func (l *Log) Dir() string { return l.dir }
-
 // NextSeq returns the sequence number the next Append must carry.
 func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()

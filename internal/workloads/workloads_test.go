@@ -1,14 +1,12 @@
 package workloads
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/conflict"
-	"repro/internal/seqabs"
+	"repro/internal/core"
 	"repro/internal/state"
 	"repro/internal/stm"
-	"repro/internal/train"
 )
 
 func TestRegistry(t *testing.T) {
@@ -105,21 +103,7 @@ func TestTasksDeterministic(t *testing.T) {
 // check: for every workload, a parallel run under trained sequence-based
 // detection must produce a final state consistent with the sequential
 // baseline on the locations the benchmark's output lives in.
-func TestParallelSequenceMatchesSequential(t *testing.T) { sequenceMatchesSequential(t, 0) }
-
-// TestPoisonedRecycle repeats both oracle tests with recycled artifacts
-// poisoned (conflict.PoisonRecycled), without a history bound and with
-// MaxHistory 1 to 4: the paper's loops, with their real windows, must never
-// read an artifact after the runtime took it back.
-func TestPoisonedRecycle(t *testing.T) {
-	defer conflict.PoisonRecycled(true)()
-	for maxHistory := 0; maxHistory <= 4; maxHistory++ {
-		t.Run(fmt.Sprintf("sequence/maxhist=%d", maxHistory), func(t *testing.T) { sequenceMatchesSequential(t, maxHistory) })
-		t.Run(fmt.Sprintf("write-set/maxhist=%d", maxHistory), func(t *testing.T) { writeSetMatchesSequential(t, maxHistory) })
-	}
-}
-
-func sequenceMatchesSequential(t *testing.T, maxHistory int) {
+func TestParallelSequenceMatchesSequential(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -128,11 +112,7 @@ func sequenceMatchesSequential(t *testing.T, maxHistory int) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c, _, err := train.TrainMany(w.NewState(), w.TrainingPayloads()[:2], train.Options{Mode: seqabs.Abstract})
-			if err != nil {
-				t.Fatal(err)
-			}
-			det := conflict.NewSequence(c, w.Relaxations)
+			det := trainedDetector(t, w)
 			par, stats, err := stm.Run(stm.Config{
 				Threads: 4,
 				// Weka's painting and JGraphT-1's coloring are
@@ -142,9 +122,8 @@ func sequenceMatchesSequential(t *testing.T, maxHistory int) {
 				// Exact-equality checks therefore pin the commit order;
 				// TestJGraphT1UnorderedColoringValid covers the
 				// unordered case by checking the coloring invariant.
-				Ordered:    w.Ordered || w.Name == "weka" || w.Name == "jgrapht1",
-				Detector:   det,
-				MaxHistory: maxHistory,
+				Ordered:  w.Ordered || w.Name == "weka" || w.Name == "jgrapht1",
+				Detector: det,
 			}, w.NewState(), tasks)
 			if err != nil {
 				t.Fatal(err)
@@ -157,11 +136,20 @@ func sequenceMatchesSequential(t *testing.T, maxHistory int) {
 	}
 }
 
+// trainedDetector is the sequence detector trained on w's first two
+// training payloads.
+func trainedDetector(t *testing.T, w *Workload) *conflict.Sequence {
+	t.Helper()
+	e := core.NewEngine(core.Options{Relax: w.Relaxations})
+	if err := e.TrainMany(w.NewState(), w.TrainingPayloads()[:2]); err != nil {
+		t.Fatal(err)
+	}
+	return e.Detector()
+}
+
 // TestParallelWriteSetMatchesSequential checks the baseline detector too:
 // conservative detection must still be serializable (just slower).
-func TestParallelWriteSetMatchesSequential(t *testing.T) { writeSetMatchesSequential(t, 0) }
-
-func writeSetMatchesSequential(t *testing.T, maxHistory int) {
+func TestParallelWriteSetMatchesSequential(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -171,10 +159,9 @@ func writeSetMatchesSequential(t *testing.T, maxHistory int) {
 				t.Fatal(err)
 			}
 			par, _, err := stm.Run(stm.Config{
-				Threads:    4,
-				Ordered:    w.Ordered || w.Name == "weka" || w.Name == "jgrapht1", // see above
-				Detector:   conflict.NewWriteSet(),
-				MaxHistory: maxHistory,
+				Threads:  4,
+				Ordered:  w.Ordered || w.Name == "weka" || w.Name == "jgrapht1", // see above
+				Detector: conflict.NewWriteSet(),
 			}, w.NewState(), tasks)
 			if err != nil {
 				t.Fatal(err)
@@ -182,6 +169,17 @@ func writeSetMatchesSequential(t *testing.T, maxHistory int) {
 			checkOutputs(t, w.Name, seq, par)
 		})
 	}
+}
+
+// TestPoisonedRecycle repeats both oracle tests with recycled artifacts
+// poisoned (conflict.PoisonRecycled): the paper's loops, with their real
+// windows, must never read an artifact after the runtime took it back.
+// maxhist=0 names the unbounded history, the one policy the runtime has;
+// the cells kept that name when the history bound was removed.
+func TestPoisonedRecycle(t *testing.T) {
+	defer conflict.PoisonRecycled(true)()
+	t.Run("sequence/maxhist=0", TestParallelSequenceMatchesSequential)
+	t.Run("write-set/maxhist=0", TestParallelWriteSetMatchesSequential)
 }
 
 // checkOutputs compares the benchmark's semantically meaningful outputs
@@ -222,11 +220,7 @@ func TestJGraphT1UnorderedColoringValid(t *testing.T) {
 	w := JGraphT1()
 	g := jgGraphFor(Small, 7)
 	tasks := w.Tasks(Small, 7)
-	c, _, err := train.TrainMany(w.NewState(), w.TrainingPayloads()[:2], train.Options{Mode: seqabs.Abstract})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, det := range []conflict.Detector{conflict.NewSequence(c, w.Relaxations), conflict.NewWriteSet()} {
+	for _, det := range []conflict.Detector{trainedDetector(t, w), conflict.NewWriteSet()} {
 		final, _, err := stm.Run(stm.Config{
 			Threads:  4,
 			Ordered:  false,

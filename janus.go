@@ -293,20 +293,9 @@ type Config struct {
 	// Governor tunes the Govern state machine; the zero value uses the
 	// internal/health defaults.
 	Governor GovernorConfig
-	// MaxHistory bounds the runtime's committed-history length: a commit
-	// that would overflow the bound forces a reclamation pass and then
-	// stalls until active transactions advance past the old entries.
-	// Stats.MaxHist never exceeds it. 0 means unbounded.
-	MaxHistory int
 	// MaxTxnOps bounds a single transaction's operation log; an op past
 	// the budget is refused with *OplogBudgetError. 0 means unlimited.
 	MaxTxnOps int
-	// CommitStripes sets the runtime's commit-path location lock table
-	// size: a committing transaction locks only the stripes its footprint
-	// hashes into, so footprint-disjoint transactions replay their
-	// commits concurrently. 0 means the stm default; 1 degenerates to the
-	// paper's single global commit lock.
-	CommitStripes int
 	// Record, when non-nil, receives each committed transaction's
 	// operation log inside the commit's publication turn — commit order,
 	// exactly once per accepted transaction (see internal/rec for the
@@ -522,9 +511,7 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 		Backoff:        r.cfg.Backoff,
 		SerializeAfter: r.cfg.SerializeAfter,
 		Governor:       stmGov,
-		MaxHistory:     r.cfg.MaxHistory,
 		MaxTxnOps:      r.cfg.MaxTxnOps,
-		CommitStripes:  r.cfg.CommitStripes,
 		Record:         r.cfg.Record,
 	}, initial, tasks)
 	rs := RunStats{Run: stats}
