@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race stress check bench bench-quick bench-contention bench-commit bench-governor bench-journal chaos soak serve-smoke crash-matrix trace record-replay clean
+.PHONY: all vet build test race stress check bench bench-quick bench-contention bench-commit bench-governor bench-journal chaos soak fuzz serve-smoke crash-matrix trace record-replay clean
 
 all: check
 
@@ -50,6 +50,23 @@ chaos:
 # the remaining arguments as packages of the current directory.)
 soak:
 	$(GO) test -race -count=1 -run Chaos -timeout 30m ./internal/chaos -chaos.seeds=200
+
+# Fuzz every decoder that reads bytes from disk, FUZZTIME each (go test
+# -fuzz takes one target at a time, so the target loops over every Fuzz*
+# function the packages declare). Tier-1 runs only the seed corpora. A
+# failing input lands in the package's testdata/fuzz, to be checked in as
+# a regression seed once fixed. Used by the nightly workflow at 60s.
+# Minimizing a new interesting input is capped at 10s: the trace seeds
+# are ~10 KB, and the default 60s cap let one minimization eat a whole
+# target's budget.
+FUZZTIME ?= 30s
+fuzz:
+	@for pkg in $$($(GO) list ./...); do \
+		for fn in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "== $$pkg $$fn ($(FUZZTIME))"; \
+			$(GO) test -run '^$$' -fuzz "^$$fn$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 10s $$pkg || exit 1; \
+		done; \
+	done
 
 # Serving-layer integration smoke, two phases: (1) in-memory load +
 # exactly-once journal + sequential-oracle digest verification + clean

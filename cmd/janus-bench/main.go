@@ -72,10 +72,10 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "profile wall-clock runs and emit RunStats + CacheStats + timing as JSON")
 		detName  = flag.String("detector", "seq", "detector for profiled runs: seq or ws")
 		obsAddr  = flag.String("obs", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060)")
-		chaosSd  = flag.Int64("chaos", 0, "run profiled runs under deterministic fault injection with this seed (0 = off): forced aborts, stretched commit windows, forced cache misses")
+		chaosSd  = flag.Int64("chaos", 0, "run profiled runs under deterministic fault injection with this seed (0 = off): forced aborts, stretched commit windows, forced cache misses and an early miss storm")
 		serAfter = flag.Int("serialize-after", 0, "escalate a task to irrevocable serial mode after this many consecutive aborts (0 = never)")
 		backoff  = flag.Duration("backoff", 0, "base of the bounded exponential retry backoff, e.g. 50us (0 = retry immediately)")
-		govern   = flag.Bool("govern", false, "wrap profiled runs in the health governor (graceful degradation); with -chaos, adds a miss storm so the demotion path is exercised")
+		govern   = flag.Bool("govern", false, "wrap profiled runs in the health governor (graceful degradation); -chaos's miss storm exercises its demotion path")
 		govWin   = flag.Int("govern-window", 0, "governor evaluation window size in detections (0 = default)")
 		record   = flag.String("record", "", "capture each profiled run as a replayable binary op-trace at this path (replay with janus-replay)")
 		recFly   = flag.Int("record-flight", 0, "flight-recorder mode: keep only this many trace chunks in memory and dump them on a governor demotion/trip (requires -record and -govern; 0 = stream the whole run)")
@@ -224,7 +224,7 @@ func profile(out *os.File, opts bench.Opts, traceOut string, jsonOut bool, detNa
 		var tracer *obs.Trace
 		if traceOut != "" {
 			tracer = obs.NewTrace(0)
-			obs.Publish("janus.obs", tracer)
+			obs.PublishVars("janus.obs", func() any { return tracer.Vars() })
 		}
 		// A failed run still yields a report: the error lands in the
 		// JSON `error` field (with whatever partial stats were gathered)

@@ -37,6 +37,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/fsio"
 	"repro/internal/rec"
 )
 
@@ -58,7 +59,7 @@ func main() {
 	trace, err := rec.ReadTrace(f)
 	f.Close()
 	if err != nil {
-		var terr *rec.TraceError
+		var terr *fsio.FrameError
 		if errors.As(err, &terr) {
 			fatalf("%s: rejected (%s): %v", path, terr.Reason, err)
 		}

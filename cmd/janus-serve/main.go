@@ -53,6 +53,7 @@ import (
 	"time"
 
 	janus "repro"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/wal"
 )
@@ -123,7 +124,7 @@ func main() {
 		DedupWindow:      *dedupWindow,
 		CrashHook:        crashHook(*chaosCrash),
 	})
-	serve.PublishVars("janus.serve", srv)
+	obs.PublishVars("janus.serve", func() any { return srv.Vars() })
 	if *dataDir != "" {
 		names, rerr := srv.RecoverTenants()
 		if rerr != nil {

@@ -19,9 +19,8 @@ import (
 var liveByContract = map[string]string{
 	// Reached through a standard-library interface, never by name.
 	"internal/cache.SpecError.Unwrap":    "errors.Is/As walk it",
-	"internal/rec.TraceError.Unwrap":     "errors.Is/As walk it",
+	"internal/fsio.FrameError.Unwrap":    "errors.Is/As walk it",
 	"internal/serve.journalError.Unwrap": "errors.Is/As walk it",
-	"internal/wal.Error.Unwrap":          "errors.Is/As walk it",
 	"internal/relation.canonical.Len":    "sort.Sort calls it",
 	"internal/relation.canonical.Less":   "sort.Sort calls it",
 	"internal/relation.canonical.Swap":   "sort.Sort calls it",
@@ -88,12 +87,6 @@ var liveByContract = map[string]string{
 	"internal/relation.Relation.InsertFootprint": "ROADMAP 5(c)",
 	"internal/relation.Relation.RemoveFootprint": "ROADMAP 5(c)",
 	"internal/relation.Relation.SelectFootprint": "ROADMAP 5(c)",
-
-	// Methods only their own package's tests call; ROADMAP item 6(a)
-	// deletes the type.
-	"internal/persist.Vector.Append": "ROADMAP 6(a): nothing outside its tests uses the vector since vtime went",
-	"internal/persist.Vector.Set":    "ROADMAP 6(a)",
-	"internal/persist.Vector.Slice":  "ROADMAP 6(a)",
 }
 
 // modulePath is go.mod's module line: what import paths inside the

@@ -87,14 +87,13 @@ type Opts struct {
 	BackoffBase time.Duration
 	// ChaosSeed, when nonzero, runs profiled runs under deterministic
 	// fault injection (internal/chaos) with this seed: forced aborts,
-	// stretched commit windows, and forced commutativity-cache misses.
+	// stretched commit windows, forced commutativity-cache misses, and a
+	// contiguous storm of forced misses early in the run.
 	ChaosSeed int64
 	// Govern wraps profiled runs' detectors in the health governor
 	// (internal/health): sliding-window miss/abort rates demote to
 	// write-set detection and can trip the run to serial execution; the
-	// report then records the governor's end-of-run snapshot. Combined
-	// with ChaosSeed, the injector adds a contiguous miss storm so the
-	// demotion path is actually exercised.
+	// report then records the governor's end-of-run snapshot.
 	Govern bool
 	// GovernWindow overrides the governor's evaluation window size
 	// (0 = the internal/health default).

@@ -141,19 +141,18 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 	var inj *chaos.Injector
 	var hooks *stm.Hooks
 	if o.ChaosSeed != 0 {
-		cc := chaos.Config{
+		// The miss storm (a contiguous burst of forced misses early in the
+		// run) is what a governor governs: it makes the demotion → probe →
+		// restore cycle show up in a governed report. It is injected
+		// governed or not, so that -chaos and -govern -chaos runs face the
+		// same faults and compare like for like.
+		inj = chaos.New(chaos.Config{
 			Seed:      o.ChaosSeed,
 			AbortProb: 0.25, AbortMaxPerTask: 3,
 			DelayProb: 0.2, MaxDelay: 200 * time.Microsecond,
-			MissProb: 0.25,
-		}
-		if o.Govern {
-			// Give the governor something to govern: a contiguous burst of
-			// forced misses early in the run, so the demotion → probe →
-			// restore cycle shows up in the report.
-			cc.StormStart, cc.StormLen = 1, 500
-		}
-		inj = chaos.New(cc)
+			MissProb:   0.25,
+			StormStart: 1, StormLen: 500,
+		})
 		hooks = inj.Hooks()
 		if seq, ok := d.(*conflict.Sequence); ok {
 			seq.ForceMiss = inj.ForceMiss
@@ -211,7 +210,7 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 			}
 		}
 		gov = health.NewGovernor(d, nil, hc)
-		health.Publish("janus.health", gov)
+		obs.PublishVars("janus.health", func() any { return gov.Vars() })
 		d = gov
 		stmGov = gov
 	}

@@ -461,7 +461,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 }
 
 // saveSample saves a small cache and returns the artifact bytes.
-func saveSample(t *testing.T) []byte {
+func saveSample(t testing.TB) []byte {
 	t.Helper()
 	src := New(seqabs.Abstract)
 	src.Put(idPair("1"), idPair("2"), commute.CondAlways)

@@ -10,6 +10,10 @@
 // serving layer's durable snapshots all publish through this package;
 // before it existed each carried its own (subtly different) copy of the
 // idiom.
+//
+// The package also holds the one binary framing those artifacts share
+// (frame.go): a magic + format header, CRC32-checked length-prefixed
+// frames, a bounds-checked payload Reader, and one typed *FrameError.
 package fsio
 
 import (

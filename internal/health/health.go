@@ -39,7 +39,6 @@
 package health
 
 import (
-	"expvar"
 	"fmt"
 	"math"
 	"sync"
@@ -527,45 +526,4 @@ func (g *Governor) Vars() map[string]any {
 		"backoff_ns":          s.BackoffNs,
 		"escalations":         s.Escalations,
 	}
-}
-
-// published guards expvar registration the same way obs.Publish does:
-// expvar panics on duplicate names, but successive runs legitimately
-// re-publish; the snapshot source is swapped instead.
-var published struct {
-	sync.Mutex
-	governors map[string]*Governor
-}
-
-// Publish exports the governor's health snapshot under the expvar name
-// (default "janus.health"). Re-publishing under the same name atomically
-// swaps the underlying governor. A name already registered with expvar by
-// someone else is left alone — the governor is still recorded so a later
-// swap works, but no second expvar.Publish runs; a long-lived process
-// publishing many per-tenant governors must never be able to crash on
-// expvar's duplicate-name panic.
-func Publish(name string, g *Governor) {
-	if name == "" {
-		name = "janus.health"
-	}
-	published.Lock()
-	defer published.Unlock()
-	if published.governors == nil {
-		published.governors = make(map[string]*Governor)
-	}
-	if _, ok := published.governors[name]; !ok {
-		if expvar.Get(name) == nil {
-			n := name
-			expvar.Publish(n, expvar.Func(func() any {
-				published.Lock()
-				gov := published.governors[n]
-				published.Unlock()
-				if gov == nil {
-					return nil
-				}
-				return gov.Vars()
-			}))
-		}
-	}
-	published.governors[name] = g
 }

@@ -382,10 +382,10 @@ func TestVarsAndPublish(t *testing.T) {
 	}
 
 	const name = "janus.health.test"
-	Publish(name, g1)
+	obs.PublishVars(name, func() any { return g1.Vars() })
 	g2 := NewGovernor(conflict.NewWriteSet(), nil, Config{})
-	g2.state.Store(int32(Tripped)) // white-box: make g2 distinguishable
-	Publish(name, g2)              // must swap, not panic
+	g2.state.Store(int32(Tripped))                         // white-box: make g2 distinguishable
+	obs.PublishVars(name, func() any { return g2.Vars() }) // must swap, not panic
 	v := expvar.Get(name)
 	if v == nil {
 		t.Fatalf("expvar %q not published", name)
@@ -398,9 +398,9 @@ func TestVarsAndPublish(t *testing.T) {
 // TestPublishForeignExpvarName: a name someone else already registered
 // with expvar directly (another package, a test, a user's own expvar.Func)
 // must not crash the process — expvar.Publish panics on duplicates, and a
-// daemon registering per-tenant governors cannot afford that. Publish must
-// detect the foreign registration, skip the second expvar.Publish, and
-// still record the governor for swap semantics.
+// daemon registering per-tenant governors cannot afford that. The registry
+// must detect the foreign registration, skip the second expvar.Publish,
+// and still record the governor for swap semantics.
 func TestPublishForeignExpvarName(t *testing.T) {
 	const name = "janus.health.foreign"
 	expvar.Publish(name, expvar.Func(func() any { return "foreign" }))
@@ -410,9 +410,9 @@ func TestPublishForeignExpvarName(t *testing.T) {
 		}
 	}()
 	g := NewGovernor(conflict.NewWriteSet(), nil, Config{})
-	Publish(name, g)
-	Publish(name, g) // second call exercises the recorded-name path too
-	// The foreign registration wins the expvar slot; Publish must not
+	obs.PublishVars(name, func() any { return g.Vars() })
+	obs.PublishVars(name, func() any { return g.Vars() }) // second call exercises the recorded-name path too
+	// The foreign registration wins the expvar slot; the registry must not
 	// have replaced or broken it.
 	if v := expvar.Get(name); v == nil || !strings.Contains(v.String(), "foreign") {
 		t.Errorf("expvar %q = %v, want the original foreign registration", name, v)

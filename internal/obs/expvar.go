@@ -8,42 +8,35 @@ import (
 	"sync"
 )
 
-// published guards expvar registration: expvar.Publish panics on
-// duplicate names, but callers (one Runner per run, tests) legitimately
-// re-publish. The snapshot source is swapped instead.
-var published struct {
+// registry holds what each published expvar name reports. expvar.Publish
+// panics on a duplicate name, but runs, tenants and tests legitimately
+// publish a name again, so a name is registered with expvar once and
+// publishing it again swaps the function behind it.
+var registry struct {
 	sync.Mutex
-	traces map[string]*Trace
+	vars map[string]func() any
 }
 
-// Publish exports a trace's aggregate counters and histograms under
-// expvar name (default "janus.obs"). Re-publishing under the same name
-// atomically swaps the underlying trace, so each run's Runner can call
-// it without coordination. The exported value is a JSON object with
-// per-event-type counts, dropped-event count, and histogram summaries
-// for every span type.
-func Publish(name string, t *Trace) {
-	if name == "" {
-		name = "janus.obs"
+// PublishVars exports fn's value under the expvar name; publishing the
+// name again swaps the function behind it. A name someone else registered
+// with expvar directly is left alone: fn is recorded, but expvar keeps the
+// foreign value, so a process publishing many names (one per tenant) can
+// never hit expvar's duplicate-name panic.
+func PublishVars(name string, fn func() any) {
+	registry.Lock()
+	defer registry.Unlock()
+	if registry.vars == nil {
+		registry.vars = make(map[string]func() any)
 	}
-	published.Lock()
-	defer published.Unlock()
-	if published.traces == nil {
-		published.traces = make(map[string]*Trace)
-	}
-	if _, ok := published.traces[name]; !ok {
-		n := name
-		expvar.Publish(n, expvar.Func(func() any {
-			published.Lock()
-			tr := published.traces[n]
-			published.Unlock()
-			if tr == nil {
-				return nil
-			}
-			return tr.Vars()
+	if _, ok := registry.vars[name]; !ok && expvar.Get(name) == nil {
+		expvar.Publish(name, expvar.Func(func() any {
+			registry.Lock()
+			fn := registry.vars[name]
+			registry.Unlock()
+			return fn()
 		}))
 	}
-	published.traces[name] = t
+	registry.vars[name] = fn
 }
 
 // Vars returns the trace's aggregate state as an expvar-friendly value.

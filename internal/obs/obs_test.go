@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -302,15 +303,12 @@ func TestHistogramsFedBySpans(t *testing.T) {
 func TestPublishRepublish(t *testing.T) {
 	t1, t2 := NewTrace(8), NewTrace(8)
 	t1.Emit(Event{Type: EvTxBegin})
-	Publish("janus.test", t1)
-	Publish("janus.test", t2) // must not panic on duplicate name
+	PublishVars("janus.test", func() any { return t1.Vars() })
+	PublishVars("janus.test", func() any { return t2.Vars() }) // must not panic on duplicate name
 	t2.Emit(Event{Type: EvTxBegin})
 	t2.Emit(Event{Type: EvTxBegin})
-	published.Lock()
-	cur := published.traces["janus.test"]
-	published.Unlock()
-	if cur != t2 {
-		t.Fatal("republish did not swap the trace")
+	if got := expvar.Get("janus.test").String(); !strings.Contains(got, `"tx.begin":2`) {
+		t.Fatalf("republish did not swap the trace: %s", got)
 	}
 }
 

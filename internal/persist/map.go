@@ -5,8 +5,8 @@
 // can snapshot the shared state in O(1) instead of deep-copying it, and
 // multiple transactions can concurrently derive modified versions.
 //
-// The package implements a hash-array-mapped trie map with string keys and
-// a 32-way branching persistent vector, both with path copying.
+// The package implements a hash-array-mapped trie map with string keys,
+// with path copying.
 package persist
 
 import (

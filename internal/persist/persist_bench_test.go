@@ -67,28 +67,3 @@ func BenchmarkMapSnapshotVsDeepCopy(b *testing.B) {
 		}
 	})
 }
-
-func BenchmarkVectorAppend(b *testing.B) {
-	b.ReportAllocs()
-	v := NewVector[int]()
-	for i := 0; i < b.N; i++ {
-		v = v.Append(i)
-	}
-	if v.Len() != b.N {
-		b.Fatal("length mismatch")
-	}
-}
-
-func BenchmarkVectorAt(b *testing.B) {
-	v := NewVector[int]()
-	for i := 0; i < 4096; i++ {
-		v = v.Append(i)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if v.At(i%4096) != i%4096 {
-			b.Fatal("wrong value")
-		}
-	}
-}

@@ -132,112 +132,8 @@ func TestMapNilReceiver(t *testing.T) {
 	m.Range(func(string, int) bool { t.Error("nil map Range must not call fn"); return true })
 }
 
-func TestVectorAppendAtAcrossLevels(t *testing.T) {
-	// Cross several leaf blocks and at least one level split (>32*32).
-	const n = 1100
-	v := NewVector[int]()
-	var versions []*Vector[int]
-	for i := 0; i < n; i++ {
-		v = v.Append(i)
-		if i == 31 || i == 32 || i == 1023 || i == 1024 {
-			versions = append(versions, v)
-		}
-	}
-	if v.Len() != n {
-		t.Fatalf("Len = %d, want %d", v.Len(), n)
-	}
-	for i := 0; i < n; i++ {
-		if got := v.At(i); got != i {
-			t.Fatalf("At(%d) = %d", i, got)
-		}
-	}
-	wantLens := []int{32, 33, 1024, 1025}
-	for vi, ver := range versions {
-		if ver.Len() != wantLens[vi] {
-			t.Fatalf("version %d Len = %d, want %d", vi, ver.Len(), wantLens[vi])
-		}
-		for i := 0; i < ver.Len(); i++ {
-			if ver.At(i) != i {
-				t.Fatalf("version %d At(%d) = %d", vi, i, ver.At(i))
-			}
-		}
-	}
-}
-
-func TestVectorSetPersistence(t *testing.T) {
-	v := NewVector[string]()
-	for i := 0; i < 100; i++ {
-		v = v.Append(fmt.Sprintf("e%d", i))
-	}
-	w := v.Set(5, "changed").Set(99, "tailchange")
-	if v.At(5) != "e5" || v.At(99) != "e99" {
-		t.Fatalf("original version mutated")
-	}
-	if w.At(5) != "changed" || w.At(99) != "tailchange" {
-		t.Fatalf("new version missing updates: %q %q", w.At(5), w.At(99))
-	}
-	if w.At(50) != "e50" {
-		t.Fatalf("untouched element changed")
-	}
-}
-
-func TestVectorSlice(t *testing.T) {
-	v := NewVector[int]().Append(1).Append(2).Append(3)
-	s := v.Slice()
-	if len(s) != 3 || s[0] != 1 || s[2] != 3 {
-		t.Fatalf("Slice = %v", s)
-	}
-}
-
-func TestVectorPanics(t *testing.T) {
-	v := NewVector[int]().Append(1)
-	for _, fn := range []func(){
-		func() { v.At(-1) },
-		func() { v.At(1) },
-		func() { v.Set(2, 0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("expected panic")
-				}
-			}()
-			fn()
-		}()
-	}
-}
-
-func TestVectorRandomAgainstModel(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	v := NewVector[int]()
-	var model []int
-	for i := 0; i < 5000; i++ {
-		if v.Len() > 0 && rng.Intn(4) == 0 {
-			idx := rng.Intn(v.Len())
-			x := rng.Int()
-			v = v.Set(idx, x)
-			model[idx] = x
-		} else {
-			x := rng.Int()
-			v = v.Append(x)
-			model = append(model, x)
-		}
-	}
-	if v.Len() != len(model) {
-		t.Fatalf("Len = %d, want %d", v.Len(), len(model))
-	}
-	for i, want := range model {
-		if got := v.At(i); got != want {
-			t.Fatalf("At(%d) = %d, want %d", i, got, want)
-		}
-	}
-}
-
 func TestStrings(t *testing.T) {
 	if NewMap[int]().Set("a", 1).String() != "persist.Map(len=1)" {
 		t.Errorf("map String wrong")
-	}
-	if NewVector[int]().Append(1).String() != "persist.Vector(len=1)" {
-		t.Errorf("vector String wrong")
 	}
 }

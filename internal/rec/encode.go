@@ -5,30 +5,27 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"repro/internal/adt"
+	"repro/internal/fsio"
 	"repro/internal/oplog"
 	"repro/internal/state"
 )
 
-// On-disk layout (all integers varint-encoded unless noted):
+// On-disk layout (fsio's frames; integers varint-encoded unless noted):
 //
-//	file   := magic format flags header chunk* footer
-//	magic  := "JANUSTRC" (8 raw bytes)
-//	header := uvarint(len) payload crc32(payload, 4 bytes LE)
-//	chunk  := 'C' uvarint(len(body)) uvarint(rawLen) body crc32(body)
-//	footer := 'F' uvarint(len) payload crc32(payload)
+//	file   := fsio.header("JANUSTRC", 4) frame(header) chunk* footer
+//	chunk  := 'C' frame(uvarint(rawLen) body)
+//	footer := 'F' frame(payload)
 //
-// The header payload carries the run metadata and a full snapshot of the
-// initial shared state; chunk bodies carry the transaction and event
-// records (gzip-compressed when the file flag says so; rawLen is the
+// The header payload carries the file flags, the run metadata and a full
+// snapshot of the initial shared state; chunk bodies carry the transaction
+// and event records (gzip-compressed when the flags say so; rawLen is the
 // uncompressed body length); the footer carries the commit count and the
-// final-state digest. Every frame is independently CRC32-checksummed —
-// the PR 4 spec-envelope discipline applied to a binary stream — so a
-// truncated or bit-flipped artifact is rejected with a typed *TraceError
-// instead of silently replaying garbage.
+// final-state digest. Every byte after the format byte sits in a CRC32-
+// checked frame, so a truncated or bit-flipped artifact is rejected with a
+// typed *fsio.FrameError instead of silently replaying garbage.
 //
 // Strings inside a chunk go through a per-chunk string table (0 marks an
 // inline definition that is appended to the table; n>0 is a back-reference
@@ -42,9 +39,10 @@ const traceMagic = "JANUSTRC"
 // traceFormat is the current schema version; bump on incompatible change.
 // Format 2 changed nothing in the layout: the footer digest became the
 // incremental one (Digest). Format 3 dropped the header's privatization
-// byte, which the runtime had stopped choosing. No reader for an older
-// format is kept.
-const traceFormat = 3
+// byte, which the runtime had stopped choosing. Format 4 moved the flags
+// byte and each chunk's rawLen inside their frames' CRC. No reader for an
+// older format is kept.
+const traceFormat = 4
 
 // File-level flags.
 const flagGzip byte = 1 << 0
@@ -314,54 +312,54 @@ func encodableLog(log oplog.Log) error {
 	return nil
 }
 
-// appendFrame appends a length-prefixed, CRC32-trailed payload.
-func appendFrame(dst, payload []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+// state writes a full state snapshot: the location count, then each
+// location with its value, in sorted order.
+func (e *enc) state(st *state.State) error {
+	locs := st.Locs()
+	e.u(uint64(len(locs)))
+	for _, l := range locs {
+		v, _ := st.Get(l)
+		if err := encodableValue(v); err != nil {
+			return err
+		}
+		e.str(string(l))
+		e.value(v)
+	}
+	return nil
 }
 
-// buildPrelude renders magic, format, flags, and the CRC'd header frame.
+// buildPrelude renders the file header and the header frame.
 func buildPrelude(meta Meta, initial *state.State, flags byte) ([]byte, error) {
 	e := newEnc(true)
+	e.byte(flags)
 	e.str(meta.Workload)
 	e.str(meta.Detector)
 	e.bool(meta.Ordered)
 	e.u(uint64(meta.Threads))
 	e.u(uint64(meta.Tasks))
 	e.i(meta.Seed)
-	locs := initial.Locs()
-	e.u(uint64(len(locs)))
-	for _, l := range locs {
-		v, _ := initial.Get(l)
-		if err := encodableValue(v); err != nil {
-			return nil, err
-		}
-		e.str(string(l))
-		e.value(v)
+	if err := e.state(initial); err != nil {
+		return nil, err
 	}
-	out := append([]byte(traceMagic), byte(traceFormat), flags)
-	return appendFrame(out, e.buf), nil
+	return fsio.AppendFrame(fsio.AppendHeader(nil, traceMagic, traceFormat), e.buf), nil
 }
 
 // chunkFrame seals a chunk body into its on-disk frame, compressing when
 // asked. rawLen always records the uncompressed body length.
 func chunkFrame(body []byte, compress bool) []byte {
-	raw := len(body)
+	payload := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(len(body)))
 	if compress {
-		var zbuf bytes.Buffer
-		zw := gzip.NewWriter(&zbuf)
+		zbuf := bytes.NewBuffer(payload)
+		zw := gzip.NewWriter(zbuf)
 		zw.Write(body) //nolint:errcheck // bytes.Buffer writes cannot fail
 		if err := zw.Close(); err != nil {
 			panic("rec: gzip to memory failed: " + err.Error())
 		}
-		body = zbuf.Bytes()
+		payload = zbuf.Bytes()
+	} else {
+		payload = append(payload, body...)
 	}
-	out := []byte{frameChunk}
-	out = binary.AppendUvarint(out, uint64(len(body)))
-	out = binary.AppendUvarint(out, uint64(raw))
-	out = append(out, body...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
+	return fsio.AppendFrame([]byte{frameChunk}, payload)
 }
 
 // footerFrame renders the trailing frame: counts, completeness flags, and
@@ -382,5 +380,5 @@ func footerFrame(commits, events int64, truncated, lossy bool, kind DigestKind, 
 	e.buf = binary.LittleEndian.AppendUint64(e.buf, digest)
 	e.u(uint64(evicted))
 	e.str(lossyDetail)
-	return appendFrame([]byte{frameFooter}, e.buf)
+	return fsio.AppendFrame([]byte{frameFooter}, e.buf)
 }

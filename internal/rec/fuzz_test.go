@@ -4,17 +4,19 @@ import (
 	"bytes"
 	"errors"
 	"testing"
+
+	"repro/internal/fsio"
 )
 
 // FuzzReadTrace drives the decoder with arbitrary bytes: it must never
-// panic, and every rejection must be a typed *TraceError — the CLI
+// panic, and every rejection must be a typed *fsio.FrameError — the CLI
 // depends on that contract to report a reason for every bad artifact.
 func FuzzReadTrace(f *testing.F) {
 	base := validTrace(f)
 	f.Add(base)
 	f.Add([]byte{})
 	f.Add([]byte(traceMagic))
-	f.Add(append([]byte(traceMagic), traceFormat, 0))
+	f.Add(fsio.AppendHeader(nil, traceMagic, traceFormat))
 	// A few targeted mutants seed interesting paths: flipped header
 	// byte, truncations at frame boundaries, doubled tail.
 	for _, cut := range []int{1, len(base) / 2, len(base) - 1} {
@@ -28,7 +30,7 @@ func FuzzReadTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := ReadTrace(bytes.NewReader(data))
 		if err != nil {
-			var terr *TraceError
+			var terr *fsio.FrameError
 			if !errors.As(err, &terr) {
 				t.Fatalf("untyped decode error %T: %v", err, err)
 			}
@@ -62,11 +64,11 @@ func FuzzValueRoundTrip(f *testing.F) {
 		e.i(n)
 		e.str(s)
 		e.str(loc) // backref path
-		d := &dec{buf: e.buf}
+		d := &dec{Reader: fsio.NewReader(e.buf)}
 		if got := d.str(); got != loc {
 			t.Fatalf("str round-trip: %q != %q", got, loc)
 		}
-		if got := d.i(); got != n {
+		if got := d.Varint(); got != n {
 			t.Fatalf("int round-trip: %d != %d", got, n)
 		}
 		if got := d.str(); got != s {
@@ -75,11 +77,8 @@ func FuzzValueRoundTrip(f *testing.F) {
 		if got := d.str(); got != loc {
 			t.Fatalf("backref round-trip: %q != %q", got, loc)
 		}
-		if d.err != nil {
-			t.Fatalf("decoder error on own encoding: %v", d.err)
-		}
-		if d.pos != len(d.buf) {
-			t.Fatalf("decoder consumed %d of %d bytes", d.pos, len(d.buf))
+		if err := d.Done(); err != nil {
+			t.Fatalf("decoder error on own encoding: %v", err)
 		}
 	})
 }

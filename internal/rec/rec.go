@@ -318,25 +318,22 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 // state. Caller holds r.mu; only valid with no evictions and no loss.
 func (r *Recorder) deriveDigestLocked() (uint64, error) {
 	var txns []TxnRecord
-	collect := func(frame []byte) error {
-		off := 1 // skip the 'C' marker
-		chunk, err := decodeChunkFrame(frame, &off, r.opts.Compress)
+	for _, frame := range r.sealed {
+		payload, _, err := fsio.NextFrame(frame, 1) // past the 'C' marker
 		if err != nil {
-			return err
+			return 0, err
+		}
+		chunk, err := decodeChunk(payload, r.opts.Compress)
+		if err != nil {
+			return 0, err
 		}
 		txns = append(txns, chunk.txns...)
-		return nil
 	}
-	for _, frame := range r.sealed {
-		if err := collect(frame); err != nil {
-			return 0, err
-		}
+	cur, err := decodeRecords(r.cur.buf)
+	if err != nil {
+		return 0, err
 	}
-	if len(r.cur.buf) > 0 {
-		if err := collect(chunkFrame(r.cur.buf, r.opts.Compress)); err != nil {
-			return 0, err
-		}
-	}
+	txns = append(txns, cur.txns...)
 	// Commits arrive at the sink in publish order per worker but may
 	// interleave across workers; sort into the serialization order.
 	sort.SliceStable(txns, func(i, j int) bool { return txns[i].CommitTime < txns[j].CommitTime })

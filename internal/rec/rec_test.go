@@ -2,12 +2,14 @@ package rec
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/adt"
+	"repro/internal/fsio"
 	"repro/internal/oplog"
 	"repro/internal/relation"
 	"repro/internal/state"
@@ -188,9 +190,9 @@ func TestFlightRingEvictionMarksTruncated(t *testing.T) {
 	if _, err := tr.ReplaySequential(false); err == nil {
 		t.Fatal("replaying a truncated trace must fail")
 	} else {
-		var terr *TraceError
-		if !errors.As(err, &terr) || terr.Reason != TraceTruncated {
-			t.Errorf("want *TraceError{TraceTruncated}, got %v", err)
+		var terr *fsio.FrameError
+		if !errors.As(err, &terr) || terr.Reason != fsio.Torn {
+			t.Errorf("want *fsio.FrameError{Torn}, got %v", err)
 		}
 	}
 }
@@ -265,9 +267,9 @@ func TestUnencodableOpMarksLossy(t *testing.T) {
 	if _, err := tr.ReplaySequential(false); err == nil {
 		t.Fatal("replaying a lossy trace must fail")
 	} else {
-		var terr *TraceError
-		if !errors.As(err, &terr) || terr.Reason != TraceLossy {
-			t.Errorf("want *TraceError{TraceLossy}, got %v", err)
+		var terr *fsio.FrameError
+		if !errors.As(err, &terr) || terr.Reason != fsio.Lossy {
+			t.Errorf("want *fsio.FrameError{Lossy}, got %v", err)
 		}
 	}
 }
@@ -292,6 +294,7 @@ func validTrace(t testing.TB) []byte {
 // artifact.
 func craftRelTrace(cols []string, fd *relation.FD) []byte {
 	e := newEnc(true)
+	e.byte(0)          // flags
 	e.str("crafted")   // workload
 	e.str("write-set") // detector
 	e.bool(false)      // ordered
@@ -319,14 +322,13 @@ func craftRelTrace(cols []string, fd *relation.FD) []byte {
 		}
 	}
 	e.u(0) // no tuples
-	out := append([]byte(traceMagic), byte(traceFormat), 0)
-	out = appendFrame(out, e.buf)
+	out := fsio.AppendFrame(fsio.AppendHeader(nil, traceMagic, traceFormat), e.buf)
 	return append(out, footerFrame(0, 0, false, false, DigestNone, 0, 0, "")...)
 }
 
 // TestCraftedRelationRejection pins the never-panic contract against
 // CRC-valid traces whose relation schema violates relation.New's
-// invariants: decoding must return TraceBadRecord, not panic.
+// invariants: decoding must return BadRecord, not panic.
 func TestCraftedRelationRejection(t *testing.T) {
 	cases := []struct {
 		name string
@@ -356,12 +358,12 @@ func TestCraftedRelationRejection(t *testing.T) {
 			if err == nil {
 				t.Fatal("invalid relation schema accepted")
 			}
-			var terr *TraceError
+			var terr *fsio.FrameError
 			if !errors.As(err, &terr) {
-				t.Fatalf("want *TraceError, got %T: %v", err, err)
+				t.Fatalf("want *fsio.FrameError, got %T: %v", err, err)
 			}
-			if terr.Reason != TraceBadRecord {
-				t.Errorf("reason = %s, want %s (err: %v)", terr.Reason, TraceBadRecord, err)
+			if terr.Reason != fsio.BadRecord {
+				t.Errorf("reason = %s, want %s (err: %v)", terr.Reason, fsio.BadRecord, err)
 			}
 		})
 	}
@@ -395,25 +397,39 @@ func TestFailedDumpNotCounted(t *testing.T) {
 
 func TestCorruptTraceRejection(t *testing.T) {
 	base := validTrace(t)
+	// The first chunk frame follows the header frame: its marker, then the
+	// length prefix, then rawLen as the first byte of the CRC'd payload.
+	_, chunkAt, err := fsio.NextFrame(base, len(traceMagic)+1)
+	if err != nil || base[chunkAt] != frameChunk {
+		t.Fatalf("no chunk frame after the header (err %v)", err)
+	}
+	_, lenWidth := binary.Uvarint(base[chunkAt+1:])
+	rawLenAt := chunkAt + 1 + lenWidth
 	cases := []struct {
 		name   string
 		mutate func([]byte) []byte
-		reason TraceReason
+		reason fsio.Reason
 	}{
-		{"empty", func(b []byte) []byte { return nil }, TraceBadMagic},
-		{"bad-magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, TraceBadMagic},
-		{"future-format", func(b []byte) []byte { b[8] = traceFormat + 1; return b }, TraceBadFormat},
+		{"empty", func(b []byte) []byte { return nil }, fsio.Torn},
+		{"bad-magic", func(b []byte) []byte { b[0] ^= 0xff; return b }, fsio.BadMagic},
+		{"future-format", func(b []byte) []byte { b[8] = traceFormat + 1; return b }, fsio.BadFormat},
 		// Format 1 has the same layout but an FNV-of-rendering digest in its
 		// footer: refused by version, not reported as a digest mismatch.
-		{"format-1", func(b []byte) []byte { b[8] = 1; return b }, TraceBadFormat},
+		{"format-1", func(b []byte) []byte { b[8] = 1; return b }, fsio.BadFormat},
 		// Format 2 carries a privatization byte after the ordered flag that
 		// format 3 dropped: refused by version, not misread as the thread
 		// count.
-		{"format-2", func(b []byte) []byte { b[8] = 2; return b }, TraceBadFormat},
-		{"flipped-header-byte", func(b []byte) []byte { b[16] ^= 0x01; return b }, TraceBadChecksum},
-		{"flipped-tail-byte", func(b []byte) []byte { b[len(b)-6] ^= 0x01; return b }, TraceBadChecksum},
-		{"truncated-mid-file", func(b []byte) []byte { return b[:len(b)*2/3] }, TraceTruncated},
-		{"footer-stripped", func(b []byte) []byte { return b[:len(b)-8] }, TraceTruncated},
+		{"format-2", func(b []byte) []byte { b[8] = 2; return b }, fsio.BadFormat},
+		// Format 3 kept the flags byte and each chunk's rawLen outside the
+		// CRC: refused by version, not misread through the new frames.
+		{"format-3", func(b []byte) []byte { b[8] = 3; return b }, fsio.BadFormat},
+		{"flipped-header-byte", func(b []byte) []byte { b[16] ^= 0x01; return b }, fsio.BadChecksum},
+		// rawLen sits inside the chunk's CRC, so a flip is a checksum
+		// mismatch, not a body-length disagreement.
+		{"flipped-rawlen", func(b []byte) []byte { b[rawLenAt] ^= 0x01; return b }, fsio.BadChecksum},
+		{"flipped-tail-byte", func(b []byte) []byte { b[len(b)-6] ^= 0x01; return b }, fsio.BadChecksum},
+		{"truncated-mid-file", func(b []byte) []byte { return b[:len(b)*2/3] }, fsio.Torn},
+		{"footer-stripped", func(b []byte) []byte { return b[:len(b)-8] }, fsio.Torn},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -422,9 +438,9 @@ func TestCorruptTraceRejection(t *testing.T) {
 			if err == nil {
 				t.Fatal("corrupt trace accepted")
 			}
-			var terr *TraceError
+			var terr *fsio.FrameError
 			if !errors.As(err, &terr) {
-				t.Fatalf("want *TraceError, got %T: %v", err, err)
+				t.Fatalf("want *fsio.FrameError, got %T: %v", err, err)
 			}
 			if terr.Reason != c.reason {
 				t.Errorf("reason = %s, want %s (err: %v)", terr.Reason, c.reason, err)

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/conflict"
+	"repro/internal/fsio"
 	"repro/internal/state"
 	"repro/internal/stm"
 )
@@ -19,14 +20,14 @@ import (
 // full protocol on a production-shaped schedule while keeping the
 // outcome deterministic.
 
-// ErrLossy rejects replay of traces that skipped unencodable
-// transactions.
+// checkReplayable rejects replay of traces that skipped unencodable
+// transactions (Lossy) or evicted chunks (Torn).
 func (t *Trace) checkReplayable() error {
 	if t.Lossy {
-		return &TraceError{Reason: TraceLossy, Detail: t.LossyDetail}
+		return &fsio.FrameError{Reason: fsio.Lossy, Detail: t.LossyDetail}
 	}
 	if t.Truncated {
-		return traceErr(TraceTruncated, "flight dump evicted %d chunks; retained %d of %d commits", t.EvictedChunks, len(t.Txns), t.Commits)
+		return fsio.Errorf(fsio.Torn, "flight dump evicted %d chunks; retained %d of %d commits", t.EvictedChunks, len(t.Txns), t.Commits)
 	}
 	return nil
 }

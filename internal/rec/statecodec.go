@@ -1,6 +1,9 @@
 package rec
 
-import "repro/internal/state"
+import (
+	"repro/internal/fsio"
+	"repro/internal/state"
+)
 
 // EncodeState renders a full shared-state snapshot in the trace format's
 // inline value encoding (sorted locations, no string table) — the same
@@ -11,40 +14,25 @@ import "repro/internal/state"
 // trace encoding.
 func EncodeState(st *state.State) ([]byte, error) {
 	e := newEnc(true)
-	locs := st.Locs()
-	e.u(uint64(len(locs)))
-	for _, l := range locs {
-		v, _ := st.Get(l)
-		if err := encodableValue(v); err != nil {
-			return nil, err
-		}
-		e.str(string(l))
-		e.value(v)
+	if err := e.state(st); err != nil {
+		return nil, err
 	}
 	return e.buf, nil
 }
 
 // DecodeState parses an EncodeState payload. Malformed input yields a
-// typed *TraceError (never a panic), matching the trace decoder's
+// typed *fsio.FrameError (never a panic), matching the trace decoder's
 // contract.
 func DecodeState(buf []byte) (st *state.State, err error) {
 	defer func() {
 		if p := recover(); p != nil {
-			st, err = nil, traceErr(TraceBadRecord, "panic decoding state: %v", p)
+			st, err = nil, fsio.Errorf(fsio.BadRecord, "panic decoding state: %v", p)
 		}
 	}()
-	d := &dec{buf: buf, inline: true}
-	n := d.u()
-	if n > uint64(len(d.buf)-d.pos) {
-		d.fail(TraceBadRecord, "location count %d exceeds payload", n)
-		return nil, d.err
-	}
-	st = d.locations(n)
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.pos != len(d.buf) {
-		return nil, traceErr(TraceBadRecord, "%d trailing bytes after state snapshot", len(d.buf)-d.pos)
+	d := dec{Reader: fsio.NewReader(buf), inline: true}
+	st = d.locations(d.Count("location"))
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return st, nil
 }

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"testing"
 
+	"repro/internal/fsio"
 	"repro/internal/relation"
 	"repro/internal/state"
 )
@@ -50,7 +51,7 @@ func TestStateCodecRoundTrip(t *testing.T) {
 }
 
 // TestStateCodecRejectsCorruption: every truncation and a sampling of
-// bit flips must yield a typed *TraceError, never a panic.
+// bit flips must yield a typed *fsio.FrameError, never a panic.
 func TestStateCodecRejectsCorruption(t *testing.T) {
 	buf, err := EncodeState(codecState())
 	if err != nil {
@@ -67,7 +68,7 @@ func TestStateCodecRejectsCorruption(t *testing.T) {
 			}
 			return
 		}
-		var te *TraceError
+		var te *fsio.FrameError
 		if !errors.As(err, &te) {
 			t.Fatalf("untyped decode error: %v", err)
 		}
@@ -220,9 +221,9 @@ func valuelessLocationSnapshot() []byte {
 // Clone or Equal (in the serving layer: recovery of a crafted snapshot).
 func TestDecodeStateRejectsValuelessLocation(t *testing.T) {
 	_, err := DecodeState(valuelessLocationSnapshot())
-	var te *TraceError
-	if !errors.As(err, &te) || te.Reason != TraceBadRecord {
-		t.Fatalf("err = %v, want a TraceBadRecord *TraceError", err)
+	var te *fsio.FrameError
+	if !errors.As(err, &te) || te.Reason != fsio.BadRecord {
+		t.Fatalf("err = %v, want a BadRecord *fsio.FrameError", err)
 	}
 }
 
@@ -238,7 +239,7 @@ func FuzzDecodeState(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeState(data)
 		if err != nil {
-			var te *TraceError
+			var te *fsio.FrameError
 			if !errors.As(err, &te) {
 				t.Fatalf("untyped decode error %T: %v", err, err)
 			}

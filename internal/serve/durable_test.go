@@ -16,6 +16,7 @@ import (
 	janus "repro"
 	"repro/internal/adt"
 	"repro/internal/conflict"
+	"repro/internal/fsio"
 	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/oplog"
@@ -612,7 +613,7 @@ func TestDedupWindowRetention(t *testing.T) {
 
 // TestFormat1JournalRefusedUntouched: a segment or snapshot written in
 // format 1 carries the digest this build no longer computes. The tenant
-// is refused with the typed wal.BadFormat — not replayed into a digest
+// is refused with the typed fsio.BadFormat — not replayed into a digest
 // mismatch, not repaired as if it were crash damage, not poisoned — and
 // its directory is left byte for byte as it was.
 func TestFormat1JournalRefusedUntouched(t *testing.T) {
@@ -645,9 +646,9 @@ func TestFormat1JournalRefusedUntouched(t *testing.T) {
 
 			srv2 := NewServer(durableCfg(dir))
 			_, err = srv2.RecoverTenants()
-			var we *wal.Error
-			if !errors.As(err, &we) || we.Reason != wal.BadFormat || errors.Is(err, wal.ErrPoisoned) {
-				t.Fatalf("recovery error = %v, want a wal.BadFormat refusal", err)
+			var fe *fsio.FrameError
+			if !errors.As(err, &fe) || fe.Reason != fsio.BadFormat || errors.Is(err, wal.ErrPoisoned) {
+				t.Fatalf("recovery error = %v, want an fsio.BadFormat refusal", err)
 			}
 			if after := dirBytes(t, filepath.Join(dir, "old")); !reflect.DeepEqual(before, after) {
 				t.Fatalf("refused tenant's directory was modified: %d files before, %d after", len(before), len(after))

@@ -676,37 +676,3 @@ func (s *Server) Vars() map[string]any {
 		"tenants":    tenants,
 	}
 }
-
-// publishedVars guards process-wide expvar registration exactly like
-// health.Publish: tests build many servers in one process, and expvar
-// panics on duplicate names.
-var publishedVars struct {
-	sync.Mutex
-	servers map[string]*Server
-}
-
-// PublishVars exports the server's snapshot under the expvar name
-// (default "janus.serve"); re-publishing swaps the source server.
-func PublishVars(name string, s *Server) {
-	if name == "" {
-		name = "janus.serve"
-	}
-	publishedVars.Lock()
-	defer publishedVars.Unlock()
-	if publishedVars.servers == nil {
-		publishedVars.servers = make(map[string]*Server)
-	}
-	if _, ok := publishedVars.servers[name]; !ok && expvar.Get(name) == nil {
-		n := name
-		expvar.Publish(n, expvar.Func(func() any {
-			publishedVars.Lock()
-			srv := publishedVars.servers[n]
-			publishedVars.Unlock()
-			if srv == nil {
-				return nil
-			}
-			return srv.Vars()
-		}))
-	}
-	publishedVars.servers[name] = s
-}

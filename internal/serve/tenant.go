@@ -10,6 +10,7 @@ import (
 
 	janus "repro"
 	"repro/internal/health"
+	"repro/internal/obs"
 	"repro/internal/rec"
 	"repro/internal/wal"
 )
@@ -145,7 +146,7 @@ func (s *Server) newTenant(name string) (*tenant, error) {
 	cfg.Record = t.rec
 	t.runner = janus.New(cfg)
 	if g := t.runner.Governor(); g != nil {
-		health.Publish("janus.health."+name, g)
+		obs.PublishVars("janus.health."+name, func() any { return g.Vars() })
 	}
 	return t, nil
 }

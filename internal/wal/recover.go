@@ -1,10 +1,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -36,75 +34,36 @@ type Recovered struct {
 	BadSnapshots int
 }
 
-// scanSegment reads one segment file. It returns the records of the
-// valid prefix, the byte length of that prefix, and a non-nil *Error
-// describing the first invalid frame (nil when the whole file is
-// valid). It never panics on crafted input.
-func scanSegment(path string) (recs []Record, validLen int64, serr *Error) {
-	buf, err := os.ReadFile(path)
+// ScanSegment decodes a journal segment's bytes. It returns the records
+// of the valid prefix, the byte length of that prefix, and a
+// *fsio.FrameError describing the first invalid frame (nil when the whole
+// segment is valid). It never panics on crafted input.
+func ScanSegment(buf []byte) (recs []Record, validLen int, err error) {
+	pos, err := fsio.CheckHeader(buf, segMagic, segFormat)
 	if err != nil {
-		return nil, 0, &Error{Reason: BadRecord, Detail: "reading segment", Err: err}
+		return nil, 0, err
 	}
-	if len(buf) < segHdrSize {
-		return nil, 0, walErr(Torn, "segment of %d bytes is shorter than its header", len(buf))
-	}
-	if string(buf[:len(segMagic)]) != segMagic {
-		return nil, 0, walErr(BadMagic, "not a journal segment")
-	}
-	if buf[len(segMagic)] != segFormat {
-		return nil, 0, walErr(BadFormat, "segment format %d, this build reads %d", buf[len(segMagic)], segFormat)
-	}
-	pos := segHdrSize
 	for pos < len(buf) {
-		rec, next, rerr := decodeRecordFrame(buf, pos)
-		if rerr != nil {
-			return recs, int64(pos), rerr
+		if buf[pos] != recMarker {
+			return recs, pos, fsio.Errorf(fsio.BadRecord, "unknown frame marker 0x%02x at offset %d", buf[pos], pos)
+		}
+		payload, next, err := fsio.NextFrame(buf, pos+1)
+		if err != nil {
+			return recs, pos, err
+		}
+		d := fsio.NewReader(payload)
+		var rec Record
+		rec.Seq = d.Uvarint()
+		rec.ID = string(d.Bytes(d.Uvarint()))
+		rec.Payload = append([]byte(nil), d.Bytes(d.Uvarint())...)
+		rec.Digest = d.U64LE()
+		if err := d.Done(); err != nil {
+			return recs, pos, err
 		}
 		recs = append(recs, rec)
 		pos = next
 	}
-	return recs, int64(pos), nil
-}
-
-// decodeRecordFrame parses one record frame at off, returning the
-// record and the offset past it.
-func decodeRecordFrame(buf []byte, off int) (Record, int, *Error) {
-	var rec Record
-	if buf[off] != recMarker {
-		return rec, 0, walErr(BadRecord, "unknown frame marker 0x%02x at offset %d", buf[off], off)
-	}
-	plen, n := binary.Uvarint(buf[off+1:])
-	if n <= 0 {
-		return rec, 0, walErr(Torn, "record truncated in frame length at offset %d", off)
-	}
-	body := off + 1 + n
-	if plen > uint64(len(buf)-body) || uint64(len(buf)-body)-plen < 4 {
-		return rec, 0, walErr(Torn, "record of %d bytes runs past end of segment at offset %d", plen, off)
-	}
-	payload := buf[body : body+int(plen)]
-	sum := binary.LittleEndian.Uint32(buf[body+int(plen):])
-	if crc32.ChecksumIEEE(payload) != sum {
-		return rec, 0, walErr(BadChecksum, "record CRC mismatch at offset %d", off)
-	}
-
-	d := &snapDec{buf: payload}
-	rec.Seq = d.uvarint()
-	rec.ID = string(d.bytes(d.uvarint()))
-	rec.Payload = append([]byte(nil), d.bytes(d.uvarint())...)
-	rec.Digest = d.u64le()
-	if d.err == nil && d.pos != len(payload) {
-		d.fail(BadRecord, "%d trailing bytes inside record payload", len(payload)-d.pos)
-	}
-	if d.err != nil {
-		var te *Error
-		if e, ok := d.err.(*Error); ok {
-			te = e
-		} else {
-			te = &Error{Reason: BadRecord, Err: d.err}
-		}
-		return rec, 0, te
-	}
-	return rec, body + int(plen) + 4, nil
+	return recs, pos, nil
 }
 
 // Recover scans dir (creating it if absent), selects the newest valid
@@ -157,8 +116,8 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 				rcv.Snapshot = &snap
 				break
 			}
-			var we *Error
-			if errors.As(derr, &we) && we.Reason == BadFormat {
+			var fe *fsio.FrameError
+			if errors.As(derr, &fe) && fe.Reason == fsio.BadFormat {
 				// Written by another build, not damaged: refuse like a
 				// segment, and leave the directory as it is.
 				return nil, nil, fmt.Errorf("wal: snapshot %s: %w", snapName(seq), derr)
@@ -190,29 +149,33 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 		if i+1 < len(segStarts) && segStarts[i+1] <= snapSeq+1 {
 			continue // fully covered by the snapshot
 		}
-		segRecs, validLen, serr := scanSegment(path)
+		buf, err := os.ReadFile(path)
+		if err != nil {
+			return nil, nil, fmt.Errorf("wal: reading segment %s: %w", segName(start), err)
+		}
+		segRecs, validLen, serr := ScanSegment(buf)
 		if serr != nil {
-			switch serr.Reason {
-			case BadMagic, BadFormat:
+			var fe *fsio.FrameError
+			if errors.As(serr, &fe) && (fe.Reason == fsio.BadMagic || fe.Reason == fsio.BadFormat) {
 				// Not our file or from another build: refuse to guess.
 				return nil, nil, fmt.Errorf("wal: segment %s: %w", segName(start), serr)
 			}
 			damaged = true
 			rcv.Truncations++
-			if validLen < int64(segHdrSize) {
+			if validLen < segHdrSize {
 				rcv.TruncateDetail = append(rcv.TruncateDetail,
 					fmt.Sprintf("removed segment %s (%v)", segName(start), serr))
 				os.Remove(path)
 			} else {
 				rcv.TruncateDetail = append(rcv.TruncateDetail,
 					fmt.Sprintf("truncated segment %s to %d bytes (%v)", segName(start), validLen, serr))
-				if terr := os.Truncate(path, validLen); terr != nil {
+				if terr := os.Truncate(path, int64(validLen)); terr != nil {
 					return nil, nil, fmt.Errorf("wal: truncating damaged segment: %w", terr)
 				}
 			}
 		}
 		if len(segRecs) > 0 && segRecs[0].Seq != start {
-			return nil, nil, walErr(SeqGap, "segment %s starts at seq %d, not %d",
+			return nil, nil, fsio.Errorf(fsio.SeqGap, "segment %s starts at seq %d, not %d",
 				segName(start), segRecs[0].Seq, start)
 		}
 		recs = append(recs, segRecs...)
@@ -222,7 +185,7 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 	// suffix the snapshot does not cover.
 	for i := 1; i < len(recs); i++ {
 		if recs[i].Seq != recs[i-1].Seq+1 {
-			return nil, nil, walErr(SeqGap, "journal jumps from seq %d to %d", recs[i-1].Seq, recs[i].Seq)
+			return nil, nil, fsio.Errorf(fsio.SeqGap, "journal jumps from seq %d to %d", recs[i-1].Seq, recs[i].Seq)
 		}
 	}
 	keep := recs[:0]
@@ -233,7 +196,7 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 	}
 	rcv.Records = append([]Record(nil), keep...)
 	if len(rcv.Records) > 0 && rcv.Records[0].Seq != snapSeq+1 {
-		return nil, nil, walErr(SeqGap, "journal resumes at seq %d but snapshot covers through %d",
+		return nil, nil, fsio.Errorf(fsio.SeqGap, "journal resumes at seq %d but snapshot covers through %d",
 			rcv.Records[0].Seq, snapSeq)
 	}
 

@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -37,11 +36,9 @@ type SeenEntry struct {
 	Digest uint64
 }
 
-// Snapshot file layout:
+// Snapshot file layout (fsio's frames):
 //
-//	file    := magic format frame
-//	magic   := "JANUSSNP" (8 raw bytes)
-//	frame   := uvarint(len(payload)) payload crc32(payload, 4B LE)
+//	file    := fsio.header("JANUSSNP", 2) frame(payload)
 //	payload := uvarint(seq) u64le(digest)
 //	           uvarint(len(state)) state
 //	           uvarint(len(seen)) seen*
@@ -66,115 +63,37 @@ func encodeSnapshot(s Snapshot) []byte {
 		payload = binary.AppendUvarint(payload, e.Seq)
 		payload = binary.LittleEndian.AppendUint64(payload, e.Digest)
 	}
-
-	out := append([]byte(snapMagic), snapFormat)
-	out = binary.AppendUvarint(out, uint64(len(payload)))
-	out = append(out, payload...)
-	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
-}
-
-// snapDec is a bounds-checked cursor over a snapshot payload; any
-// overrun latches a typed error, mirroring internal/rec's decoder.
-type snapDec struct {
-	buf []byte
-	pos int
-	err error
-}
-
-func (d *snapDec) fail(reason Reason, format string, args ...any) {
-	if d.err == nil {
-		d.err = walErr(reason, format, args...)
-	}
-}
-
-func (d *snapDec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf[d.pos:])
-	if n <= 0 {
-		d.fail(BadRecord, "truncated uvarint at offset %d", d.pos)
-		return 0
-	}
-	d.pos += n
-	return v
-}
-
-func (d *snapDec) bytes(n uint64) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)-d.pos) {
-		d.fail(BadRecord, "field of %d bytes exceeds payload at offset %d", n, d.pos)
-		return nil
-	}
-	b := d.buf[d.pos : d.pos+int(n)]
-	d.pos += int(n)
-	return b
-}
-
-func (d *snapDec) u64le() uint64 {
-	b := d.bytes(8)
-	if d.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
+	return fsio.AppendFrame(fsio.AppendHeader(nil, snapMagic, snapFormat), payload)
 }
 
 // DecodeSnapshot parses a snapshot file's bytes, verifying magic,
-// format, and CRC. Malformed input yields a typed *Error, never a
-// panic.
+// format, and CRC. Malformed input yields a typed *fsio.FrameError, never
+// a panic.
 func DecodeSnapshot(buf []byte) (Snapshot, error) {
-	var s Snapshot
-	if len(buf) < len(snapMagic)+1 {
-		return s, walErr(Torn, "snapshot of %d bytes is shorter than its header", len(buf))
+	off, err := fsio.CheckHeader(buf, snapMagic, snapFormat)
+	if err != nil {
+		return Snapshot{}, err
 	}
-	if string(buf[:len(snapMagic)]) != snapMagic {
-		return s, walErr(BadMagic, "not a snapshot file")
+	payload, next, err := fsio.NextFrame(buf, off)
+	if err != nil {
+		return Snapshot{}, err
 	}
-	if buf[len(snapMagic)] != snapFormat {
-		return s, walErr(BadFormat, "snapshot format %d, this build reads %d", buf[len(snapMagic)], snapFormat)
+	if next != len(buf) {
+		return Snapshot{}, fsio.Errorf(fsio.BadRecord, "%d trailing bytes after snapshot frame", len(buf)-next)
 	}
-	rest := buf[len(snapMagic)+1:]
-	plen, n := binary.Uvarint(rest)
-	if n <= 0 {
-		return s, walErr(Torn, "snapshot truncated in frame length")
-	}
-	rest = rest[n:]
-	if plen > uint64(len(rest)) || uint64(len(rest))-plen < 4 {
-		return s, walErr(Torn, "snapshot frame of %d bytes exceeds file", plen)
-	}
-	payload := rest[:plen]
-	sum := binary.LittleEndian.Uint32(rest[plen : plen+4])
-	if crc32.ChecksumIEEE(payload) != sum {
-		return s, walErr(BadChecksum, "snapshot frame CRC mismatch")
-	}
-	if uint64(len(rest)) != plen+4 {
-		return s, walErr(BadRecord, "%d trailing bytes after snapshot frame", uint64(len(rest))-plen-4)
-	}
-
-	d := &snapDec{buf: payload}
-	s.Seq = d.uvarint()
-	s.Digest = d.u64le()
-	s.State = append([]byte(nil), d.bytes(d.uvarint())...)
-	nSeen := d.uvarint()
-	if d.err == nil && nSeen > uint64(len(payload)) {
-		// Each entry costs at least a few bytes; a count beyond the
-		// payload length is structurally impossible.
-		d.fail(BadRecord, "seen-index count %d exceeds payload", nSeen)
-	}
-	for i := uint64(0); i < nSeen && d.err == nil; i++ {
+	d := fsio.NewReader(payload)
+	s := Snapshot{Seq: d.Uvarint(), Digest: d.U64LE()}
+	s.State = append([]byte(nil), d.Bytes(d.Uvarint())...)
+	nSeen := d.Count("seen-index")
+	for i := 0; i < nSeen && d.Err() == nil; i++ {
 		var e SeenEntry
-		e.ID = string(d.bytes(d.uvarint()))
-		e.Seq = d.uvarint()
-		e.Digest = d.u64le()
+		e.ID = string(d.Bytes(d.Uvarint()))
+		e.Seq = d.Uvarint()
+		e.Digest = d.U64LE()
 		s.Seen = append(s.Seen, e)
 	}
-	if d.err != nil {
-		return Snapshot{}, d.err
-	}
-	if d.pos != len(payload) {
-		return Snapshot{}, walErr(BadRecord, "%d trailing bytes inside snapshot payload", len(payload)-d.pos)
+	if err := d.Done(); err != nil {
+		return Snapshot{}, err
 	}
 	return s, nil
 }

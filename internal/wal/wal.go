@@ -1,7 +1,7 @@
 // Package wal is the durability layer under the serving tier: a
 // per-tenant write-ahead journal of applied batches plus point-in-time
-// snapshots, built from the same framing discipline as internal/rec's
-// trace format (magic + version prefix, varint fields, a CRC32 over
+// snapshots, built from the frames internal/rec's trace format uses too
+// (internal/fsio: magic + version prefix, varint fields, a CRC32 over
 // every frame, typed never-panic rejection of anything malformed).
 //
 // The contract the serving layer builds on:
@@ -21,9 +21,9 @@
 //     garbage, which Truncate collects. Recovery therefore reads one
 //     snapshot plus a bounded journal suffix.
 //   - A torn tail (crash mid-append) or a CRC-corrupt record is
-//     detected, reported with a typed *Error, physically truncated at
-//     the last valid record, and counted — never panicked on, never
-//     silently replayed.
+//     detected, reported with a typed *fsio.FrameError, physically
+//     truncated at the last valid record, and counted — never panicked
+//     on, never silently replayed.
 //
 // Crash points: Options.Hook is consulted at the protocol's
 // durability-critical instants (before/after an append reaches the
@@ -39,7 +39,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -156,74 +155,6 @@ type Record struct {
 	Digest  uint64
 }
 
-// Reason classifies a journal or snapshot rejection, mirroring
-// internal/rec's TraceReason discipline.
-type Reason int
-
-// Rejection reasons.
-const (
-	// BadMagic: the file does not start with the expected magic.
-	BadMagic Reason = iota
-	// BadFormat: not the format version this build reads (format 1
-	// carried the FNV-of-rendering digest and has no reader).
-	BadFormat
-	// BadChecksum: a frame's CRC32 does not match its payload.
-	BadChecksum
-	// Torn: the file ends mid-frame (crash during append).
-	Torn
-	// BadRecord: a frame payload is structurally malformed.
-	BadRecord
-	// SeqGap: the journal is missing records it should hold — damage
-	// beyond a recoverable torn tail.
-	SeqGap
-)
-
-// String renders the reason.
-func (r Reason) String() string {
-	switch r {
-	case BadMagic:
-		return "bad magic"
-	case BadFormat:
-		return "unsupported format"
-	case BadChecksum:
-		return "checksum mismatch"
-	case Torn:
-		return "torn record"
-	case BadRecord:
-		return "malformed record"
-	case SeqGap:
-		return "sequence gap"
-	default:
-		return fmt.Sprintf("reason(%d)", int(r))
-	}
-}
-
-// Error is the typed rejection error for journal artifacts.
-type Error struct {
-	Reason Reason
-	Detail string
-	Err    error
-}
-
-// Error renders the failure.
-func (e *Error) Error() string {
-	msg := "wal: " + e.Reason.String()
-	if e.Detail != "" {
-		msg += ": " + e.Detail
-	}
-	if e.Err != nil {
-		msg += ": " + e.Err.Error()
-	}
-	return msg
-}
-
-// Unwrap exposes the underlying cause.
-func (e *Error) Unwrap() error { return e.Err }
-
-func walErr(reason Reason, format string, args ...any) *Error {
-	return &Error{Reason: reason, Detail: fmt.Sprintf(format, args...)}
-}
-
 // ErrCrashed reports an operation on a log poisoned by a crash-point
 // hook: the simulated process is dead, nothing further happens.
 var ErrCrashed = fmt.Errorf("wal: crash point tripped; log poisoned")
@@ -237,11 +168,10 @@ var ErrCrashed = fmt.Errorf("wal: crash point tripped; log poisoned")
 // the tail back to the last valid record.
 var ErrPoisoned = fmt.Errorf("wal: journal poisoned by earlier I/O failure; restart via Recover")
 
-// Segment file layout:
+// Segment file layout (fsio's frames):
 //
-//	segment := magic format record*
-//	magic   := "JANUSWAL" (8 raw bytes)
-//	record  := 'R' uvarint(len(payload)) payload crc32(payload, 4B LE)
+//	segment := fsio.header("JANUSWAL", 2) record*
+//	record  := 'R' frame(payload)
 //	payload := uvarint(seq) uvarint(len(id)) id
 //	           uvarint(len(data)) data u64le(digest)
 //
@@ -269,20 +199,17 @@ func parseSeqName(name, prefix, suffix string) (uint64, bool) {
 	return seq, true
 }
 
-// appendRecordFrame renders one record's on-disk frame.
-func appendRecordFrame(dst []byte, r Record) []byte {
-	var payload []byte
+// encodeRecord renders one record's on-disk frame.
+func encodeRecord(r Record) []byte {
+	payload := make([]byte, 0, 3*binary.MaxVarintLen64+len(r.ID)+len(r.Payload)+8)
 	payload = binary.AppendUvarint(payload, r.Seq)
 	payload = binary.AppendUvarint(payload, uint64(len(r.ID)))
 	payload = append(payload, r.ID...)
 	payload = binary.AppendUvarint(payload, uint64(len(r.Payload)))
 	payload = append(payload, r.Payload...)
 	payload = binary.LittleEndian.AppendUint64(payload, r.Digest)
-
-	dst = append(dst, recMarker)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	dst = append(dst, payload...)
-	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	frame := append(make([]byte, 0, 1+binary.MaxVarintLen64+len(payload)+4), recMarker)
+	return fsio.AppendFrame(frame, payload)
 }
 
 // Log is one tenant's open journal. All methods are safe for concurrent
@@ -386,7 +313,7 @@ func (l *Log) Append(rec Record) error {
 		return l.deadErrLocked()
 	}
 	if rec.Seq != l.nextSeq {
-		return walErr(SeqGap, "append seq %d, journal expects %d", rec.Seq, l.nextSeq)
+		return fsio.Errorf(fsio.SeqGap, "append seq %d, journal expects %d", rec.Seq, l.nextSeq)
 	}
 	if l.opts.Hook != nil && l.opts.Hook(PointAppendBefore) {
 		l.dead = true
@@ -397,7 +324,7 @@ func (l *Log) Append(rec Record) error {
 			return err
 		}
 	}
-	frame := appendRecordFrame(nil, rec)
+	frame := encodeRecord(rec)
 	if _, err := l.f.Write(frame); err != nil {
 		// A short write left garbage mid-segment. Cut the file back to
 		// the known-good offset so the next append lands after valid
@@ -487,8 +414,7 @@ func (l *Log) openSegmentLocked(startSeq uint64) error {
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
-	hdr := append([]byte(segMagic), segFormat)
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(fsio.AppendHeader(nil, segMagic, segFormat)); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: writing segment header: %w", err)
 	}

@@ -349,7 +349,7 @@ func New(cfg Config) *Runner {
 		Relax:              cfg.Relax,
 	})}
 	if cfg.Trace != nil {
-		obs.Publish("janus.obs", cfg.Trace)
+		obs.PublishVars("janus.obs", func() any { return cfg.Trace.Vars() })
 	}
 	if cfg.Observe != "" {
 		r.obsAddr, r.obsErr = obs.Serve(cfg.Observe)
@@ -474,7 +474,8 @@ func (r *Runner) detector() conflict.Detector {
 // sliding windows, so its state reflects sustained traffic, and publishes
 // it once as the "janus.health" expvar.
 // Callers use it for admission decisions: State() reports healthy/
-// degraded/tripped live; health.Publish can export it under another name.
+// degraded/tripped live; obs.PublishVars can export its Vars under another
+// name.
 func (r *Runner) Governor() *health.Governor {
 	if !r.cfg.Govern {
 		return nil
@@ -485,7 +486,7 @@ func (r *Runner) Governor() *health.Governor {
 			gc.Tracer = r.cfg.Trace
 		}
 		r.gov = health.NewGovernor(r.detector(), nil, gc)
-		health.Publish("janus.health", r.gov)
+		obs.PublishVars("janus.health", func() any { return r.gov.Vars() })
 	})
 	return r.gov
 }
