@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race stress check bench bench-quick bench-contention bench-commit bench-governor bench-journal chaos soak fuzz serve-smoke crash-matrix trace record-replay clean
+.PHONY: all vet build test race stress check bench bench-quick bench-contention bench-commit bench-journal chaos soak fuzz serve-smoke crash-matrix trace record-replay clean
 
 all: check
 
@@ -22,7 +22,7 @@ test:
 # in the first): with recycled artifacts poisoned a use-after-recycle
 # panics, and -race is what reports a reader overlapping the recycler.
 race:
-	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/rec ./internal/serve ./internal/health ./internal/wal ./internal/fsio ./internal/relation ./internal/state ./internal/persist
+	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/rec ./internal/serve ./internal/wal ./internal/fsio ./internal/relation ./internal/state ./internal/persist
 	$(GO) test -race -count=1 -run PoisonedRecycle ./internal/chaos ./internal/workloads
 
 # Repeat the stm liveness tests (context drains, cancellation under the
@@ -115,14 +115,6 @@ bench-commit:
 		./internal/stm | tee bench-commit.txt
 	$(GO) run ./cmd/janus-benchjson -file BENCH_commit.json -label after < bench-commit.txt
 
-# Governed chaos bench: one fault-injected run per workload with the
-# health governor attached; the JSON report records governor_state,
-# demotions, and the full health snapshot. Used by the nightly workflow;
-# informational, not gating.
-bench-governor:
-	$(GO) run ./cmd/janus-bench -json -govern -govern-window 8 -chaos 42 \
-		-workloads jfilesync,pmd > BENCH_governor.json
-
 # Journal append-latency trajectory: BenchmarkJournalAppend across the
 # three fsync policies (never / group / always — the price of the
 # ack => durable contract is the fsync in the append path), folded into
@@ -138,14 +130,14 @@ bench-journal:
 trace:
 	$(GO) run ./cmd/janus-bench -trace out.json -workloads jfilesync
 
-# Record/replay round trip: capture a chaos-perturbed governed run as a
+# Record/replay round trip: capture a chaos-perturbed run as a
 # binary op trace, deterministically replay it (janus-replay exits nonzero
 # on any digest mismatch), and fold the replay timings plus the recording
 # overhead benchmark into BENCH_replay.json. Used by the nightly workflow;
 # the replay step IS gating — a mismatch means lost determinism.
 record-replay:
-	$(GO) run ./cmd/janus-bench -json -chaos 42 -govern -govern-window 8 \
-		-record janus.trace -workloads jfilesync > /dev/null
+	$(GO) run ./cmd/janus-bench -json -chaos 42 -record janus.trace \
+		-workloads jfilesync > /dev/null
 	$(GO) run ./cmd/janus-replay -json -verify-ops janus.trace | \
 		$(GO) run ./cmd/janus-benchjson -reports -file BENCH_replay.json -label replay
 	$(GO) test -run '^$$' -bench BenchmarkRecord -benchmem ./internal/rec | \
@@ -154,4 +146,4 @@ record-replay:
 		< record-overhead.txt
 
 clean:
-	rm -f out.json bench-contention.txt bench-commit.txt BENCH_governor.json janus.trace record-overhead.txt bench-journal.txt
+	rm -f out.json bench-contention.txt bench-commit.txt janus.trace record-overhead.txt bench-journal.txt

@@ -26,17 +26,12 @@
 //
 //	janus-bench -json -chaos 42 -workloads jfilesync
 //	    profile under deterministic fault injection (forced aborts,
-//	    stretched commit windows, forced cache misses) with seed 42;
-//	    the report carries the injected-fault counts
+//	    stretched commit windows, forced cache misses, and an early storm
+//	    of 500 misses that the per-pair write-set fallback answers) with
+//	    seed 42; the report carries the injected-fault counts
 //	janus-bench -json -serialize-after 8 -backoff 50us ...
 //	    enable contention management: bounded exponential backoff and
 //	    escalation to irrevocable serial mode after 8 consecutive aborts
-//	janus-bench -json -govern -chaos 42 -workloads jfilesync
-//	    wrap the run in the health governor (graceful degradation to
-//	    write-set detection / serial execution under miss storms or
-//	    abort churn); the chaos injector adds a miss storm and the
-//	    report records governor_state, demotions, and the full health
-//	    snapshot
 //
 // A failed run (task error, retry-guard livelock) exits nonzero and, in
 // JSON mode, carries the failure in the report's `error` field instead of
@@ -75,10 +70,7 @@ func main() {
 		chaosSd  = flag.Int64("chaos", 0, "run profiled runs under deterministic fault injection with this seed (0 = off): forced aborts, stretched commit windows, forced cache misses and an early miss storm")
 		serAfter = flag.Int("serialize-after", 0, "escalate a task to irrevocable serial mode after this many consecutive aborts (0 = never)")
 		backoff  = flag.Duration("backoff", 0, "base of the bounded exponential retry backoff, e.g. 50us (0 = retry immediately)")
-		govern   = flag.Bool("govern", false, "wrap profiled runs in the health governor (graceful degradation); -chaos's miss storm exercises its demotion path")
-		govWin   = flag.Int("govern-window", 0, "governor evaluation window size in detections (0 = default)")
 		record   = flag.String("record", "", "capture each profiled run as a replayable binary op-trace at this path (replay with janus-replay)")
-		recFly   = flag.Int("record-flight", 0, "flight-recorder mode: keep only this many trace chunks in memory and dump them on a governor demotion/trip (requires -record and -govern; 0 = stream the whole run)")
 		recGzip  = flag.Bool("record-gzip", false, "gzip-compress trace chunks")
 		opsTxn   = flag.Int("ops-per-txn", 0, "operations per transaction for the synthetic heavy workload (selects -workloads heavy when no filter is given; 0 = heavy default)")
 		txnSkew  = flag.Float64("txn-skew", 0, "heavy workload location skew: 0 = uniform access, larger values concentrate the footprint on a hot subset")
@@ -98,20 +90,13 @@ func main() {
 
 	opts := bench.Opts{
 		ProdRuns: *runs, ChaosSeed: *chaosSd, SerializeAfter: *serAfter, BackoffBase: *backoff,
-		Govern: *govern, GovernWindow: *govWin,
-		RecordPath: *record, FlightChunks: *recFly, RecordGzip: *recGzip,
+		RecordPath: *record, RecordGzip: *recGzip,
 		OpsPerTxn: *opsTxn, TxnSkew: *txnSkew,
 	}
 	if (*opsTxn > 0 || *txnSkew != 0) && *names == "" {
 		// The shape knobs only mean something to the synthetic heavy
 		// workload; select it rather than silently profiling jfilesync.
 		*names = workloads.HeavyName
-	}
-	if *recFly > 0 && *record == "" {
-		fatalf("-record-flight requires -record")
-	}
-	if *recFly > 0 && !*govern {
-		fatalf("-record-flight dumps on governor transitions; add -govern")
 	}
 	switch *size {
 	case "production":
@@ -162,8 +147,8 @@ func main() {
 		profile(out, opts, *traceOut, *jsonOut, *detName)
 		return
 	}
-	if *chaosSd != 0 || *serAfter != 0 || *backoff != 0 || *govern || *govWin != 0 || *record != "" {
-		fatalf("-chaos/-serialize-after/-backoff/-govern/-record apply to profiled wall-clock runs; add -json or -trace")
+	if *chaosSd != 0 || *serAfter != 0 || *backoff != 0 || *record != "" {
+		fatalf("-chaos/-serialize-after/-backoff/-record apply to profiled wall-clock runs; add -json or -trace")
 	}
 	wantFig := func(n int) bool { return *figure == 0 && *table == 0 || *figure == n }
 	wantTab := func(n int) bool { return *figure == 0 && *table == 0 || *table == n }
@@ -246,12 +231,8 @@ func profile(out *os.File, opts bench.Opts, traceOut string, jsonOut bool, detNa
 				traceOut, tracer.Workers())
 		}
 		if rep.Record != nil {
-			how := "stream"
-			if rep.FlightDump {
-				how = "flight dump"
-			}
-			fmt.Fprintf(os.Stderr, "janus-bench: recorded %s (%s, %d commits, %d events, %d bytes; replay with janus-replay)\n",
-				rep.RecordPath, how, rep.Record.Commits, rep.Record.Events, rep.Record.Bytes)
+			fmt.Fprintf(os.Stderr, "janus-bench: recorded %s (%d commits, %d events, %d bytes; replay with janus-replay)\n",
+				rep.RecordPath, rep.Record.Commits, rep.Record.Events, rep.Record.Bytes)
 		}
 	}
 	if jsonOut {
@@ -275,11 +256,6 @@ func profile(out *os.File, opts bench.Opts, traceOut string, jsonOut bool, detNa
 			}
 			if rep.Chaos != nil {
 				fmt.Fprintf(out, "  chaos(seed=%d): %+v\n", rep.ChaosSeed, *rep.Chaos)
-			}
-			if rep.Health != nil {
-				fmt.Fprintf(out, "  governor: state=%s demotions=%d trips=%d probes=%d restores=%d\n",
-					rep.Health.State, rep.Health.Demotions, rep.Health.Trips,
-					rep.Health.Probes, rep.Health.Restores)
 			}
 			if len(rep.Run.AbortReasons) > 0 {
 				fmt.Fprintf(out, "  abort reasons: %v\n", rep.Run.AbortReasons)

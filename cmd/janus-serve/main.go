@@ -1,17 +1,17 @@
 // Command janus-serve is a long-running multi-tenant transaction service
 // over the JANUS runtime: clients POST batched transactional workloads to
 // /submit and each tenant gets its own runner, committed state, spec
-// cache handle, flight recorder, and health governor. Admission control
-// follows the governor — full parallel admission while healthy, a reduced
-// in-flight cap while degraded, and a serialized (or shedding) window
-// while tripped — with typed, retryable 429/503 replies carrying
-// Retry-After hints.
+// cache handle, and flight recorder. Admission is one per-tenant in-flight
+// cap (-max-inflight): a submit past it is shed with a typed, retryable
+// 429 carrying a Retry-After hint. A task's conflicts are the runtime's
+// business — a cache miss falls back to write-set detection for that one
+// pair, and ordered commits bound each task's retries.
 //
 // Endpoints:
 //
 //	POST /submit?tenant=NAME    submit a batch (or X-Janus-Tenant header)
 //	GET  /healthz               service + per-tenant health
-//	GET  /varz                  expvar (includes per-tenant governors)
+//	GET  /varz                  expvar (janus.serve: per-tenant counters)
 //	GET  /statez?tenant=NAME    committed values + state digest
 //	GET  /journalz?tenant=NAME  applied batch IDs in order
 //	GET  /timeline?tenant=NAME  NDJSON event stream (&follow=1 to tail)
@@ -65,9 +65,7 @@ func main() {
 		detector     = flag.String("detector", "seq", "conflict detector: seq or ws")
 		learn        = flag.Bool("learn-online", true, "prove and cache commutativity conditions at detection time (online training)")
 		maxTenants   = flag.Int("max-tenants", 0, "tenant namespace bound (0 = default)")
-		maxInflight  = flag.Int("max-inflight", 0, "per-tenant in-flight cap while healthy (0 = default)")
-		degInflight  = flag.Int("degraded-inflight", 0, "per-tenant in-flight cap while degraded (0 = MaxInflight/4)")
-		trippedShed  = flag.Bool("tripped-shed", false, "shed every submit while tripped instead of serializing one at a time")
+		maxInflight  = flag.Int("max-inflight", 0, "per-tenant in-flight cap; a submit past it is shed with 429 (0 = default 32)")
 		retryBudget  = flag.Int("retry-budget", 0, "per-task speculation retry budget (0 = default)")
 		defDeadline  = flag.Duration("default-deadline", 0, "deadline for batches that declare none (0 = default 10s)")
 		maxDeadline  = flag.Duration("max-deadline", 0, "cap on client-declared deadlines (0 = default 60s)")
@@ -76,7 +74,6 @@ func main() {
 		flightChunks = flag.Int("flight-chunks", 0, "flight-recorder ring size in sealed chunks per tenant (0 = default)")
 		flightDir    = flag.String("flight-dir", ".", "directory for flight-recorder dumps on abnormal exit")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "budget for draining in-flight batches on shutdown")
-		governWindow = flag.Int("govern-window", 0, "governor evaluation window in detections (0 = default)")
 		dataDir      = flag.String("data-dir", "", "directory for per-tenant durable journals; empty serves in-memory only")
 		fsyncMode    = flag.String("fsync", "always", "journal fsync policy: always (ack => durable), group (interval fsync), never")
 		fsyncIvl     = flag.Duration("fsync-interval", 0, "group-commit fsync cadence under -fsync group (0 = default 25ms)")
@@ -91,7 +88,6 @@ func main() {
 		Threads:     *threads,
 		LearnOnline: *learn,
 		Backoff:     janus.Backoff{Base: *backoffBase, Max: *backoffMax},
-		Governor:    janus.GovernorConfig{Window: *governWindow},
 	}
 	switch *detector {
 	case "seq":
@@ -107,22 +103,20 @@ func main() {
 		log.Fatalf("janus-serve: %v", err)
 	}
 	srv := serve.NewServer(serve.Config{
-		Runner:           rcfg,
-		MaxTenants:       *maxTenants,
-		MaxInflight:      *maxInflight,
-		DegradedInflight: *degInflight,
-		TrippedShed:      *trippedShed,
-		RetryBudget:      *retryBudget,
-		DefaultDeadline:  *defDeadline,
-		MaxDeadline:      *maxDeadline,
-		FlightChunks:     *flightChunks,
-		DataDir:          *dataDir,
-		Fsync:            policy,
-		FsyncInterval:    *fsyncIvl,
-		SegmentBytes:     *segBytes,
-		SnapshotEvery:    *snapEvery,
-		DedupWindow:      *dedupWindow,
-		CrashHook:        crashHook(*chaosCrash),
+		Runner:          rcfg,
+		MaxTenants:      *maxTenants,
+		MaxInflight:     *maxInflight,
+		RetryBudget:     *retryBudget,
+		DefaultDeadline: *defDeadline,
+		MaxDeadline:     *maxDeadline,
+		FlightChunks:    *flightChunks,
+		DataDir:         *dataDir,
+		Fsync:           policy,
+		FsyncInterval:   *fsyncIvl,
+		SegmentBytes:    *segBytes,
+		SnapshotEvery:   *snapEvery,
+		DedupWindow:     *dedupWindow,
+		CrashHook:       crashHook(*chaosCrash),
 	})
 	obs.PublishVars("janus.serve", func() any { return srv.Vars() })
 	if *dataDir != "" {

@@ -114,38 +114,3 @@ func TestRetryLimitErrorSurfacesTyped(t *testing.T) {
 		t.Errorf("Retries = %d, want 1", rle.Retries)
 	}
 }
-
-// TestGovernPersistReusesGovernor: a governed runner keeps one governor
-// across runs — Governor() returns the same live state machine before,
-// during, and after runs, and its windows accumulate instead of resetting
-// per batch.
-func TestGovernPersistReusesGovernor(t *testing.T) {
-	r := New(Config{Detection: DetectWriteSet, Threads: 2, Govern: true})
-	g := r.Governor()
-	if g == nil {
-		t.Fatal("Governor() = nil with Govern")
-	}
-	if r.Governor() != g {
-		t.Fatal("Governor() not stable across calls")
-	}
-	var after1 int64
-	for i := 0; i < 3; i++ {
-		_, stats, err := r.Run(exampleState(), []Task{addTask(1), addTask(2)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if stats.Health == nil {
-			t.Fatal("RunStats.Health = nil under Govern")
-		}
-		if i == 0 {
-			after1 = stats.Health.Detections
-		}
-	}
-	if got := g.Stats().Detections; got <= after1 {
-		t.Errorf("persistent governor detections = %d after 3 runs, want > %d (accumulating, not per-run)", got, after1)
-	}
-	// Governor() is non-nil iff Govern.
-	if plain := New(Config{}); plain.Governor() != nil {
-		t.Error("Governor() != nil without Govern")
-	}
-}

@@ -58,12 +58,12 @@ var liveByContract = map[string]string{
 
 	// What tests in several packages build their inputs with, and the
 	// switch that makes a use-after-recycle fail loudly in them.
-	"internal/conflict.Prepare":        "artifact of a hand-made log: detector tests in conflict, health, serve and stm",
+	"internal/conflict.Prepare":        "artifact of a hand-made log: detector tests in conflict, serve and stm",
 	"internal/conflict.PoisonRecycled": "poisoned-recycle runs in stm, chaos and workloads (make race)",
 
 	// The fault-injection harness: package chaos exists to be called from
 	// other packages' soak tests.
-	"internal/chaos.CorruptSpec":                "janus and chaos governor soaks",
+	"internal/chaos.CorruptSpec":                "janus and chaos corrupt-spec tests",
 	"internal/chaos.Injector.WrapPanics":        "chaos panic-injection soak",
 	"internal/chaos.CrashPlan.Fired":            "serve crash-recovery soak",
 	"internal/chaos.CrashPlan.Visits":           "serve crash-recovery soak",

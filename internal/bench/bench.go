@@ -90,24 +90,10 @@ type Opts struct {
 	// stretched commit windows, forced commutativity-cache misses, and a
 	// contiguous storm of forced misses early in the run.
 	ChaosSeed int64
-	// Govern wraps profiled runs' detectors in the health governor
-	// (internal/health): sliding-window miss/abort rates demote to
-	// write-set detection and can trip the run to serial execution; the
-	// report then records the governor's end-of-run snapshot.
-	Govern bool
-	// GovernWindow overrides the governor's evaluation window size
-	// (0 = the internal/health default).
-	GovernWindow int
 	// RecordPath, when set, captures each profiled run as a replayable
-	// binary trace (internal/rec) and writes it there. With FlightChunks
-	// = 0 the trace streams the whole run and is written at the end; with
-	// FlightChunks > 0 the recorder keeps only that many recent chunks in
-	// memory and dumps them to RecordPath the moment the health governor
-	// demotes or trips (flight-recorder mode; requires Govern).
+	// binary trace (internal/rec) of the whole run and writes it there at
+	// the end.
 	RecordPath string
-	// FlightChunks bounds the recorder's in-memory chunk ring (0 =
-	// unbounded stream capture).
-	FlightChunks int
 	// RecordGzip compresses trace chunks.
 	RecordGzip bool
 	// OpsPerTxn sets the synthetic heavy workload's operations per

@@ -4,14 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cache"
 	"repro/internal/chaos"
 	"repro/internal/conflict"
-	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/rec"
 	"repro/internal/stm"
@@ -51,12 +48,6 @@ type RunReport struct {
 	// was not chaos-enabled.
 	ChaosSeed int64        `json:"chaos_seed,omitempty"`
 	Chaos     *chaos.Stats `json:"chaos,omitempty"`
-	// GovernorState / Demotions summarize a governed run for trajectory
-	// diffing; Health carries the governor's full end-of-run snapshot.
-	// All omitted unless Opts.Govern was set.
-	GovernorState string        `json:"governor_state,omitempty"`
-	Demotions     int64         `json:"demotions,omitempty"`
-	Health        *health.Stats `json:"health,omitempty"`
 	// Error is the run's failure, when it failed: the report then carries
 	// whatever partial accounting was gathered, and consumers must treat
 	// the run as unsuccessful (janus-bench exits nonzero).
@@ -65,12 +56,9 @@ type RunReport struct {
 	// histograms) when one was supplied.
 	Trace map[string]any `json:"trace,omitempty"`
 	// RecordPath / Record report op-trace capture (Opts.RecordPath):
-	// where the artifact went and the recorder's counters. FlightDump is
-	// true when the artifact was dumped by the flight recorder on a
-	// governor demotion/trip rather than written at run end.
+	// where the artifact went and the recorder's counters.
 	RecordPath string     `json:"record_path,omitempty"`
 	Record     *rec.Stats `json:"record,omitempty"`
-	FlightDump bool       `json:"flight_dump,omitempty"`
 	// Replay carries janus-replay's verification verdict when the report
 	// describes a replayed trace instead of a live workload run.
 	Replay *ReplayInfo `json:"replay,omitempty"`
@@ -142,10 +130,9 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 	var hooks *stm.Hooks
 	if o.ChaosSeed != 0 {
 		// The miss storm (a contiguous burst of forced misses early in the
-		// run) is what a governor governs: it makes the demotion → probe →
-		// restore cycle show up in a governed report. It is injected
-		// governed or not, so that -chaos and -govern -chaos runs face the
-		// same faults and compare like for like.
+		// run) sends 500 pair queries in a row down the per-pair write-set
+		// fallback (§5.3): the run must stay correct with the cache
+		// answering nothing.
 		inj = chaos.New(chaos.Config{
 			Seed:      o.ChaosSeed,
 			AbortProb: 0.25, AbortMaxPerTask: 3,
@@ -164,9 +151,6 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 	}
 	var recorder *rec.Recorder
 	var sink stm.CommitSink
-	var flightWG sync.WaitGroup
-	var flightDumping atomic.Bool
-	flightDumped := false
 	if o.RecordPath != "" {
 		recorder = rec.New(rec.Meta{
 			Workload: w.Name,
@@ -175,44 +159,10 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 			Threads:  threads,
 			Tasks:    len(tasks),
 			Seed:     prodSeed,
-		}, w.NewState(), rec.Options{
-			Compress:     o.RecordGzip,
-			FlightChunks: o.FlightChunks,
-		})
+		}, w.NewState(), rec.Options{Compress: o.RecordGzip})
 		sink = recorder
 		// Tee protocol events into the trace alongside the op logs.
 		tr = recorder.Tracer(tr)
-	}
-	var gov *health.Governor
-	var stmGov stm.Governor
-	if o.Govern {
-		hc := health.Config{Window: o.GovernWindow, Tracer: tr}
-		if recorder != nil && o.FlightChunks > 0 {
-			// The flight-recorder incident hook: a demotion or trip dumps
-			// whatever the chunk ring holds. Restores don't — the artifact
-			// of interest is the state at the incident. The hook runs under
-			// the governor's transition lock and must return promptly, so
-			// the disk dump happens on a single-flight goroutine; a repeat
-			// incident while a dump is in progress is skipped (the recorder
-			// snapshot is taken at write time either way).
-			hc.OnTransition = func(from, to health.State, detail string) {
-				if to <= from || !flightDumping.CompareAndSwap(false, true) {
-					return
-				}
-				flightWG.Add(1)
-				go func() {
-					defer flightWG.Done()
-					defer flightDumping.Store(false)
-					if err := recorder.WriteFile(o.RecordPath); err == nil {
-						flightDumped = true
-					}
-				}()
-			}
-		}
-		gov = health.NewGovernor(d, nil, hc)
-		obs.PublishVars("janus.health", func() any { return gov.Vars() })
-		d = gov
-		stmGov = gov
 	}
 	start := time.Now()
 	final, stats, err := stm.Run(stm.Config{
@@ -223,20 +173,11 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 		Backoff:        stm.Backoff{Base: o.BackoffBase},
 		SerializeAfter: o.SerializeAfter,
 		Hooks:          hooks,
-		Governor:       stmGov,
 		Record:         sink,
 	}, w.NewState(), tasks)
 	rep.ElapsedNs = int64(time.Since(start))
 	rep.Run = stats
-	inner := d
-	if gov != nil {
-		hs := gov.Stats()
-		rep.GovernorState = hs.State
-		rep.Demotions = hs.Demotions
-		rep.Health = &hs
-		inner = gov.Primary()
-	}
-	switch dd := inner.(type) {
+	switch dd := d.(type) {
 	case *conflict.WriteSet:
 		rep.Conflict = dd.Stats()
 	case *conflict.Sequence:
@@ -253,22 +194,12 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 		rep.Trace = tracer.Vars()
 	}
 	if recorder != nil {
-		// An async incident dump may still be in flight; wait so the
-		// stream-dump fallback below sees the definitive flightDumped.
-		flightWG.Wait()
 		// Seal the capture with the run's final state (nil on failure:
 		// the dump then reports no final digest rather than a wrong one).
 		recorder.Close(final)
 		rep.RecordPath = o.RecordPath
-		rep.FlightDump = flightDumped
-		if !flightDumped {
-			// Stream mode (or an incident-free flight run, where an
-			// end-of-run snapshot beats no artifact at all). An incident
-			// dump is preserved as-is — overwriting it with the post-
-			// recovery ring would destroy the evidence it captured.
-			if werr := recorder.WriteFile(o.RecordPath); werr != nil {
-				return fail(fmt.Errorf("bench: recording %s: %w", w.Name, werr))
-			}
+		if werr := recorder.WriteFile(o.RecordPath); werr != nil {
+			return fail(fmt.Errorf("bench: recording %s: %w", w.Name, werr))
 		}
 		rs := recorder.Stats()
 		rep.Record = &rs

@@ -208,9 +208,6 @@ func TestProfileRunRecordRoundTrip(t *testing.T) {
 	if rep.Record.Commits != rep.Run.Commits {
 		t.Errorf("recorder saw %d commits, run committed %d", rep.Record.Commits, rep.Run.Commits)
 	}
-	if rep.FlightDump {
-		t.Error("stream capture flagged as flight dump")
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
@@ -235,48 +232,5 @@ func TestProfileRunRecordRoundTrip(t *testing.T) {
 	}
 	if len(trace.Events) == 0 {
 		t.Error("no protocol events teed into the trace")
-	}
-}
-
-// TestProfileRunFlightDump drives the incident path: a governed chaos run
-// with a flight ring must dump the trace on the governor's demotion, and
-// the report must say so.
-func TestProfileRunFlightDump(t *testing.T) {
-	w, err := workloads.ByName("jfilesync")
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "incident.trace")
-	opts := Opts{
-		Size:         workloads.Small,
-		ChaosSeed:    42,
-		Govern:       true,
-		GovernWindow: 4,
-		RecordPath:   path, FlightChunks: 4,
-	}
-	rep, err := ProfileRun(w, Seq, 2, opts, nil)
-	if err != nil {
-		t.Fatalf("governed chaos run failed: %v", err)
-	}
-	if rep.Health == nil || rep.Health.Demotions == 0 {
-		t.Skipf("governor never demoted (health=%+v); flight dump not exercised", rep.Health)
-	}
-	if !rep.FlightDump {
-		t.Fatal("governor demoted but report carries no flight dump")
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatalf("flight dump artifact missing: %v", err)
-	}
-	defer f.Close()
-	trace, err := rec.ReadTrace(f)
-	if err != nil {
-		t.Fatalf("flight dump does not decode: %v", err)
-	}
-	// The dump happened mid-run (at the demotion), so it cannot carry a
-	// final digest — it is either derived (lossless ring) or absent
-	// (evictions).
-	if trace.DigestKind == rec.DigestFinal {
-		t.Error("mid-run flight dump claims a final digest")
 	}
 }

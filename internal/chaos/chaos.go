@@ -50,7 +50,7 @@ type Config struct {
 	// StormStart/StormLen configure a miss storm: ForceMiss consultations
 	// numbered [StormStart, StormStart+StormLen) — counted 1-based across
 	// the whole run — all miss, modelling a contiguous burst of untrained
-	// inputs (the condition the health governor demotes on). StormLen 0
+	// inputs, each answered by the per-pair write-set fallback. StormLen 0
 	// disables the storm. Unlike the other fault classes the storm is
 	// temporal by construction (it targets a phase of the run, not a
 	// (task, attempt) pair), so it is driven by a shared counter rather

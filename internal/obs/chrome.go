@@ -104,25 +104,24 @@ func writeChromeJSON(w io.Writer, events []Event) error {
 }
 
 // isMarker reports whether an event type is a point-in-time marker —
-// cache queries, governor transitions, spec rejections — that must
+// cache queries, spec rejections — that must
 // render as a Chrome instant ("i") even if a duration sneaks onto it,
 // never as a zero-width span.
 func isMarker(t EventType) bool {
 	switch t {
-	case EvCacheHit, EvCacheMiss, EvCacheFallback,
-		EvGovDemote, EvGovProbe, EvGovRestore, EvSpecRejected:
+	case EvCacheHit, EvCacheMiss, EvCacheFallback, EvSpecRejected:
 		return true
 	default:
 		return false
 	}
 }
 
-// markerScope picks the instant's highlight scope: governor transitions
-// and spec rejections are run-scoped incidents ("g" draws them across
-// the whole timeline); everything else stays on its thread lane.
+// markerScope picks the instant's highlight scope: a spec rejection is a
+// run-scoped incident ("g" draws it across the whole timeline);
+// everything else stays on its thread lane.
 func markerScope(t EventType) string {
 	switch t {
-	case EvGovDemote, EvGovProbe, EvGovRestore, EvSpecRejected:
+	case EvSpecRejected:
 		return "g"
 	default:
 		return "t"

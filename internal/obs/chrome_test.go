@@ -13,8 +13,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
 // goldenEvents is a hand-built timeline covering every export shape:
 // spans on two worker lanes, an abort with full attribution, cache
-// instants, backoff and serial-escalation spans, governor transitions,
-// a spec rejection, and an event from an unknown worker.
+// instants, backoff and serial-escalation spans, a spec rejection, and an
+// event from an unknown worker.
 func goldenEvents() []Event {
 	return []Event{
 		{Type: EvTask, When: 1000, Dur: 9000, Worker: 0, Task: 1, Attempt: 1},
@@ -30,9 +30,6 @@ func goldenEvents() []Event {
 		{Type: EvTxBackoff, When: 2500, Dur: 800, Worker: 1, Task: 2, Attempt: 1},
 		{Type: EvTxSerial, When: 3400, Dur: 2000, Worker: 1, Task: 2, Attempt: 3},
 		{Type: EvCacheHit, When: 6000, Worker: -1, Task: 3},
-		{Type: EvGovDemote, When: 6500, Worker: -1, Detail: "miss rate 0.62 ≥ 0.50"},
-		{Type: EvGovProbe, When: 7000, Worker: -1, Detail: "probe miss rate 0.10"},
-		{Type: EvGovRestore, When: 7500, Worker: -1, Detail: "2 clean probes"},
 		{Type: EvSpecRejected, When: 8000, Worker: -1, Detail: "spec checksum mismatch"},
 	}
 }
@@ -113,14 +110,11 @@ func TestChromeJSONWellFormed(t *testing.T) {
 
 // TestChromeMarkerEvents checks marker types always export as instant
 // ("i") records — even when a duration sneaks onto the event — and that
-// governor/spec incidents get global scope while cache queries stay on
-// their thread lane.
+// a spec rejection gets global scope while cache queries stay on their
+// thread lane.
 func TestChromeMarkerEvents(t *testing.T) {
 	events := []Event{
-		{Type: EvGovDemote, When: 100, Dur: 50, Worker: -1, Detail: "abort rate 0.80 ≥ 0.75"},
-		{Type: EvGovProbe, When: 200, Worker: -1},
-		{Type: EvGovRestore, When: 300, Worker: -1},
-		{Type: EvSpecRejected, When: 400, Worker: -1, Detail: "bad magic"},
+		{Type: EvSpecRejected, When: 400, Dur: 50, Worker: -1, Detail: "bad magic"},
 		{Type: EvCacheHit, When: 500, Worker: 0, Task: 1, Loc: "work"},
 		{Type: EvCacheMiss, When: 600, Worker: 0, Task: 1, Loc: "work"},
 		{Type: EvCacheFallback, When: 700, Worker: 0, Task: 1, Loc: "work"},
@@ -136,13 +130,10 @@ func TestChromeMarkerEvents(t *testing.T) {
 		t.Fatalf("invalid JSON: %v", err)
 	}
 	wantScope := map[string]string{
-		"governor.demote":  "g",
-		"governor.probe":   "g",
-		"governor.restore": "g",
-		"spec.rejected":    "g",
-		"cache.hit":        "t",
-		"cache.miss":       "t",
-		"cache.fallback":   "t",
+		"spec.rejected":  "g",
+		"cache.hit":      "t",
+		"cache.miss":     "t",
+		"cache.fallback": "t",
 	}
 	seen := 0
 	for _, e := range out.TraceEvents {

@@ -68,18 +68,6 @@ const (
 	EvCacheHit
 	EvCacheMiss
 	EvCacheFallback
-	// EvGovDemote marks a health-governor demotion (healthy→degraded or
-	// degraded→tripped); Detail carries the transition and the window
-	// rates that triggered it.
-	EvGovDemote
-	// EvGovProbe marks a promotion probe: one degraded-mode detection
-	// routed through the demoted primary detector to sample whether the
-	// commutativity cache is answering again. Detail reports the probe
-	// outcome (clean/dirty).
-	EvGovProbe
-	// EvGovRestore marks a health-governor promotion (tripped→degraded
-	// or degraded→healthy after consecutive clean probes).
-	EvGovRestore
 	// EvSpecRejected marks a lenient LoadSpec rejecting a corrupt or
 	// incompatible trained-spec artifact; the run degrades to write-set
 	// detection instead of failing. Detail carries the rejection error.
@@ -123,12 +111,6 @@ func (t EventType) String() string {
 		return "cache.miss"
 	case EvCacheFallback:
 		return "cache.fallback"
-	case EvGovDemote:
-		return "governor.demote"
-	case EvGovProbe:
-		return "governor.probe"
-	case EvGovRestore:
-		return "governor.restore"
 	case EvSpecRejected:
 		return "spec.rejected"
 	case EvCommitStripe:

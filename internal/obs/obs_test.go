@@ -312,6 +312,29 @@ func TestPublishRepublish(t *testing.T) {
 	}
 }
 
+// TestPublishForeignExpvarName: a name someone else already registered
+// with expvar directly (another package, a test, a user's own expvar.Func)
+// must not crash the process — expvar.Publish panics on duplicates, and a
+// daemon publishing one name per tenant cannot afford that. PublishVars
+// must detect the foreign registration, skip the second expvar.Publish,
+// and still record the function for swap semantics.
+func TestPublishForeignExpvarName(t *testing.T) {
+	const name = "janus.test.foreign"
+	expvar.Publish(name, expvar.Func(func() any { return "foreign" }))
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("PublishVars panicked on foreign expvar name: %v", r)
+		}
+	}()
+	PublishVars(name, func() any { return "ours" })
+	PublishVars(name, func() any { return "ours again" }) // second call exercises the recorded-name path too
+	// The foreign registration keeps the expvar slot; PublishVars must not
+	// have replaced or broken it.
+	if v := expvar.Get(name); v == nil || !strings.Contains(v.String(), "foreign") {
+		t.Errorf("expvar %q = %v, want the original foreign registration", name, v)
+	}
+}
+
 func TestReset(t *testing.T) {
 	tr := NewTrace(8)
 	tr.Emit(Event{Type: EvTask, Dur: 100, Worker: 0})

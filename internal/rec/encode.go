@@ -40,9 +40,10 @@ const traceMagic = "JANUSTRC"
 // Format 2 changed nothing in the layout: the footer digest became the
 // incremental one (Digest). Format 3 dropped the header's privatization
 // byte, which the runtime had stopped choosing. Format 4 moved the flags
-// byte and each chunk's rawLen inside their frames' CRC. No reader for an
-// older format is kept.
-const traceFormat = 4
+// byte and each chunk's rawLen inside their frames' CRC. Format 5 dropped
+// three event types, renumbering every later one in the event byte. No
+// reader for an older format is kept.
+const traceFormat = 5
 
 // File-level flags.
 const flagGzip byte = 1 << 0

@@ -12,8 +12,8 @@
 //     complete artifact at Close. Used by `janus-bench -record`.
 //   - Flight-recorder capture (Options.FlightChunks > 0) bounds the
 //     in-memory chunk ring, evicting the oldest sealed chunks. A dump —
-//     triggered by a health-governor demotion/trip or a signal — snapshots
-//     whatever the ring holds into a complete, self-validating artifact.
+//     janus-serve's on an abnormal exit — snapshots whatever the ring
+//     holds into a complete, self-validating artifact.
 //     Evictions mark the dump truncated; its footer then carries no
 //     replay-verifiable digest.
 //

@@ -423,6 +423,9 @@ func TestCorruptTraceRejection(t *testing.T) {
 		// Format 3 kept the flags byte and each chunk's rawLen outside the
 		// CRC: refused by version, not misread through the new frames.
 		{"format-3", func(b []byte) []byte { b[8] = 3; return b }, fsio.BadFormat},
+		// Format 4 numbered the event types after the governor's three:
+		// refused by version, not misread as the renumbered events.
+		{"format-4", func(b []byte) []byte { b[8] = 4; return b }, fsio.BadFormat},
 		{"flipped-header-byte", func(b []byte) []byte { b[16] ^= 0x01; return b }, fsio.BadChecksum},
 		// rawLen sits inside the chunk's CRC, so a flip is a checksum
 		// mismatch, not a body-length disagreement.

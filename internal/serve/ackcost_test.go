@@ -138,12 +138,12 @@ func TestTimelineFollowDeliversLateSpansOnce(t *testing.T) {
 	}
 
 	now := tr.Now()
-	tr.Emit(obs.Event{Type: obs.EvGovProbe, When: now, Worker: 0, Detail: "first"})
+	tr.Emit(obs.Event{Type: obs.EvTxBegin, When: now, Worker: 0, Detail: "first"})
 	marked("first") // the follower's cursor is now past When == now
 
 	tr.Emit(obs.Event{Type: obs.EvTask, When: now - 1000, Dur: 5000, Worker: 0, Detail: "straddler"})
-	tr.Emit(obs.Event{Type: obs.EvGovProbe, When: now, Worker: 1, Detail: "same-instant"})
-	tr.Emit(obs.Event{Type: obs.EvGovProbe, When: tr.Now(), Worker: 0, Detail: "second"})
+	tr.Emit(obs.Event{Type: obs.EvTxBegin, When: now, Worker: 1, Detail: "same-instant"})
+	tr.Emit(obs.Event{Type: obs.EvTxBegin, When: tr.Now(), Worker: 0, Detail: "second"})
 	if seen := marked("second"); seen["straddler"] != 1 || seen["same-instant"] != 1 {
 		t.Fatalf("between the marks the follower got %v, want straddler and same-instant once each", seen)
 	}
@@ -151,9 +151,9 @@ func TestTimelineFollowDeliversLateSpansOnce(t *testing.T) {
 	// Overrun lane 0's 64-event ring between two polls.
 	before := tr.Dropped()
 	for i := 0; i < 200; i++ {
-		tr.Emit(obs.Event{Type: obs.EvGovProbe, When: tr.Now(), Worker: -1, Detail: "flood"})
+		tr.Emit(obs.Event{Type: obs.EvTxBegin, When: tr.Now(), Worker: -1, Detail: "flood"})
 	}
-	tr.Emit(obs.Event{Type: obs.EvGovProbe, When: tr.Now(), Worker: 0, Detail: "third"})
+	tr.Emit(obs.Event{Type: obs.EvTxBegin, When: tr.Now(), Worker: 0, Detail: "third"})
 	seen := marked("third")
 	if seen["straddler"]+seen["same-instant"]+seen["second"] != 0 {
 		t.Fatalf("events were repeated after the ring wrapped: %v", seen)

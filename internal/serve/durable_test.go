@@ -13,13 +13,7 @@ import (
 	"testing"
 	"time"
 
-	janus "repro"
-	"repro/internal/adt"
-	"repro/internal/conflict"
 	"repro/internal/fsio"
-	"repro/internal/health"
-	"repro/internal/obs"
-	"repro/internal/oplog"
 	"repro/internal/rec"
 	"repro/internal/wal"
 )
@@ -470,67 +464,6 @@ func TestDurableRecoveryEdgeCases(t *testing.T) {
 		}
 	})
 
-	t.Run("TrippedGovernorTenantRecovers", func(t *testing.T) {
-		dir := t.TempDir()
-		cfg := durableCfg(dir)
-		cfg.Runner.Governor = janus.GovernorConfig{Window: 4, TripWindows: 1, ProbeEvery: 1000}
-		srv := NewServer(cfg)
-		ts := httptest.NewServer(srv.Handler())
-		c := ts.Client()
-		var res BatchResult
-		if code, _ := postBatch(t, c, ts.URL, "trippy", mixedBatch("b-1", 3), &res); code != http.StatusOK {
-			t.Fatalf("submit: %d", code)
-		}
-
-		// Trip the governor directly: feed it windows of pure write-write
-		// conflicts (the same drive health's own tests use).
-		tn := srv.lookup("trippy")
-		g := tn.runner.Governor()
-		st := InitialState(srv.Schema())
-		mklog := func(task int, delta int64) oplog.Log {
-			op := adt.NumAddOp{L: "c0", Delta: delta}
-			work := st.Clone()
-			acc := op.Accesses(work)
-			v, err := op.Apply(work)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return oplog.Log{&oplog.Event{Op: op, Task: task, Seq: 0, Acc: acc, Observed: v}}
-		}
-		txn, committed := conflict.Prepare(mklog(1, 5)), []*conflict.Prepared{conflict.Prepare(mklog(2, 7))}
-		for i := 0; i < 16 && g.State() != health.Tripped; i++ {
-			g.DetectPrepared(obs.Ctx{}, st, txn, committed)
-		}
-		if g.State() != health.Tripped {
-			t.Fatalf("governor state %v, want tripped", g.State())
-		}
-		var before StateReply
-		getJSON(t, c, ts.URL+"/statez?tenant=trippy", &before)
-		shutdown(t, srv, ts)
-
-		// Recovery replays through the sequential oracle — no governor in
-		// the path — and the restarted tenant starts healthy and serves.
-		srv2 := NewServer(cfg)
-		if _, err := srv2.RecoverTenants(); err != nil {
-			t.Fatalf("recovering tripped tenant: %v", err)
-		}
-		ts2 := httptest.NewServer(srv2.Handler())
-		defer shutdown(t, srv2, ts2)
-		c2 := ts2.Client()
-		var after StateReply
-		getJSON(t, c2, ts2.URL+"/statez?tenant=trippy", &after)
-		if after.Digest != before.Digest || after.Applied != before.Applied {
-			t.Fatalf("tripped-tenant recovery: %+v -> %+v", before, after)
-		}
-		var h HealthReply
-		getJSON(t, c2, ts2.URL+"/healthz", &h)
-		if h.Tenants["trippy"].Health != health.Healthy.String() {
-			t.Fatalf("restarted tenant health %q", h.Tenants["trippy"].Health)
-		}
-		if code, _ := postBatch(t, c2, ts2.URL, "trippy", mixedBatch("b-2", 4), &res); code != http.StatusOK {
-			t.Fatalf("post-recovery submit: %d", code)
-		}
-	})
 }
 
 // TestTenantNameValidation: names that cannot double as journal

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	janus "repro"
-	"repro/internal/health"
 	"repro/internal/rec"
 	"repro/internal/wal"
 )
@@ -25,25 +24,16 @@ type Config struct {
 	// Schema declares the shared locations every tenant starts with;
 	// zero means DefaultSchema.
 	Schema Schema
-	// Runner is the per-tenant runner template. Govern is forced on
-	// (admission control needs the live governor); Trace and Record are
+	// Runner is the per-tenant runner template. Trace and Record are
 	// replaced with per-tenant instances.
 	Runner janus.Config
 	// MaxTenants bounds the tenant namespace; a new tenant past the
 	// bound is refused with 429 tenant_limit. 0 means 64.
 	MaxTenants int
-	// MaxInflight is the per-tenant admitted-but-unfinished cap while
-	// the tenant's governor is healthy. This is the bounded intake
-	// queue: request N+1 is shed with 429, never buffered. 0 means 32.
+	// MaxInflight is the per-tenant admitted-but-unfinished cap. This is
+	// the bounded intake queue: request N+1 is shed with 429, never
+	// buffered. 0 means 32.
 	MaxInflight int
-	// DegradedInflight is the cap while degraded; 0 means
-	// max(1, MaxInflight/4).
-	DegradedInflight int
-	// TrippedShed sheds every submit with 503 while the governor is
-	// tripped. Off (default), a tripped tenant still admits one batch at
-	// a time — the governor forces serial execution internally, so the
-	// tenant makes progress at reduced throughput instead of hard-failing.
-	TrippedShed bool
 	// RetryBudget is the per-tenant speculation retry budget (the
 	// runner's MaxRetries) when the template leaves it unset: a batch
 	// whose transactions thrash past it fails fast with a retryable 503
@@ -103,9 +93,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 32
-	}
-	if c.DegradedInflight <= 0 {
-		c.DegradedInflight = max(1, c.MaxInflight/4)
 	}
 	if c.RetryBudget <= 0 {
 		c.RetryBudget = 512
@@ -233,38 +220,16 @@ func (s *Server) lookup(name string) *tenant {
 	return s.tenants[name]
 }
 
-// admit checks the tenant's governor-driven admission window and claims
-// an in-flight slot. It returns the reply code to shed with ("" admits).
-//
-// The state machine: healthy admits up to MaxInflight concurrent batches
-// per tenant; degraded shrinks the window to DegradedInflight (the
-// governor has demoted detection — less speculation per tenant keeps the
-// fallback from thrashing); tripped serializes to one in-flight batch
-// (the governor is already forcing serial execution inside the runner)
-// or sheds outright under TrippedShed.
-func (s *Server) admit(t *tenant) string {
-	limit := int64(s.cfg.MaxInflight)
-	var code string
-	switch t.govState() {
-	case health.Degraded:
-		limit = int64(s.cfg.DegradedInflight)
-		code = CodeOverloaded
-	case health.Tripped:
-		if s.cfg.TrippedShed {
-			return CodeTripped
-		}
-		limit = 1
-		code = CodeTripped
-	default:
-		code = CodeOverloaded
-	}
+// admit claims one of the tenant's MaxInflight in-flight slots, reporting
+// false when all are taken.
+func (s *Server) admit(t *tenant) bool {
 	for {
 		n := t.inflight.Load()
-		if n >= limit {
-			return code
+		if n >= int64(s.cfg.MaxInflight) {
+			return false
 		}
 		if t.inflight.CompareAndSwap(n, n+1) {
-			return ""
+			return true
 		}
 	}
 }
@@ -391,14 +356,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	if code := s.admit(t); code != "" {
-		status := http.StatusTooManyRequests
-		msg := "tenant in-flight window full"
-		if code == CodeTripped {
-			status = http.StatusServiceUnavailable
-			msg = "tenant governor tripped; shedding"
-		}
-		s.shed(w, t, status, code, msg)
+	if !s.admit(t) {
+		s.shed(w, t, http.StatusTooManyRequests, CodeOverloaded, "tenant in-flight window full")
 		return
 	}
 	defer t.inflight.Add(-1)
@@ -623,7 +582,7 @@ func (s *Server) Drain(ctx context.Context) error {
 
 // DumpFlight writes every tenant's flight-recorder ring into dir as
 // flight-<tenant>.jtrace, returning the paths written. Called on
-// abnormal exit (drain timeout, governor trip at shutdown) so the last
+// abnormal exit (a drain timeout, a dead listener) so the last
 // window of committed traffic survives for janus-replay.
 func (s *Server) DumpFlight(dir string) ([]string, error) {
 	s.mu.Lock()

@@ -171,7 +171,7 @@ func TestSubmitAndIntrospection(t *testing.T) {
 		t.Fatalf("ghost statez status = %d", code)
 	}
 
-	// healthz names the tenant and its governor state.
+	// healthz names the tenant and its applied count.
 	var h HealthReply
 	getJSON(t, c, ts.URL+"/healthz", &h)
 	if h.Status != "ok" || h.Tenants["acme"].Applied != 1 {
@@ -315,6 +315,47 @@ func TestDeadlinePropagation(t *testing.T) {
 	getJSON(t, c, ts.URL+"/statez?tenant=dl", &after)
 	if after.Digest != before.Digest {
 		t.Fatalf("state changed across failed batch: %s -> %s", before.Digest, after.Digest)
+	}
+}
+
+// TestOversizeWorkRejected: a batch whose work ops sum past maxBatchWork
+// would spin beyond every deadline and drain, since a task body cannot be
+// preempted. It is a 400 before admission, whether one op is huge or the
+// sum of several would overflow, and the tenant state is unchanged.
+func TestOversizeWorkRejected(t *testing.T) {
+	srv := NewServer(Config{Runner: testRunner()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := ts.Client()
+
+	postBatch(t, c, ts.URL, "spin", addBatch("base", 1, 7), nil)
+	var before StateReply
+	getJSON(t, c, ts.URL+"/statez?tenant=spin", &before)
+
+	work := func(id string, deltas ...int64) *Batch {
+		b := &Batch{ID: id}
+		for _, d := range deltas {
+			b.Tasks = append(b.Tasks, TaskSpec{Ops: []OpSpec{{Op: "work", Delta: d}}})
+		}
+		return b
+	}
+	for _, b := range []*Batch{
+		work("huge", 9_000_000_000_000_000_000),
+		work("overflowing", 1<<62, 1<<62, 1<<62),
+		work("just-over", maxBatchWork/2, maxBatchWork/2, 1),
+	} {
+		var e ErrorReply
+		if code, _ := postBatch(t, c, ts.URL, "spin", b, &e); code != http.StatusBadRequest || e.Code != CodeBadRequest {
+			t.Fatalf("%s: status %d code %q, want 400 bad_request", b.ID, code, e.Code)
+		}
+	}
+	var after StateReply
+	getJSON(t, c, ts.URL+"/statez?tenant=spin", &after)
+	if after.Digest != before.Digest || after.Applied != before.Applied {
+		t.Fatalf("state changed across rejected batches: %+v -> %+v", before, after)
+	}
+	if _, err := compile(srv.schIdx, work("at-bound", maxBatchWork/2, maxBatchWork/2)); err != nil {
+		t.Fatalf("a batch of exactly maxBatchWork units was refused: %v", err)
 	}
 }
 

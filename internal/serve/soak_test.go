@@ -7,14 +7,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	janus "repro"
 	"repro/internal/chaos"
-	"repro/internal/health"
 	"repro/internal/rec"
 )
 
@@ -268,173 +267,141 @@ func TestChaosServiceSoak(t *testing.T) {
 	})
 }
 
-// TestChaosGovernorTripFlipsAdmission drives one tenant's governor
-// through its full cycle with real contention and asserts the admission
-// mode visibly flips at each stage:
+// TestChaosConflictStormCompletes drives one tenant through a conflict
+// storm with janus-serve's runner defaults (sequence detection, online
+// learning, GOMAXPROCS workers, 1ms..32ms backoff): two clients submit
+// batches of eight stack pushes, each behind a long spin. Overlapping
+// pushes conflict under speculation, and their unbalanced stack shapes
+// are unprovable, so every pair query of a retry falls back to the
+// write-set check for that pair. Ordered commits bound each task's
+// retries: a retry starts only after its predecessor published. The
+// invariants:
 //
-//   - storm batches of stack pushes behind long spins conflict under
-//     speculation AND are unprovable for the commutativity cache, so
-//     windows demote, probes stay dirty, and the governor trips;
-//   - while tripped the admission window is one and the excess sheds
-//     with typed retryable 503s;
-//   - recovery traffic of counter adds (provably commutative, so probes
-//     come back clean) restores the governor to healthy.
+//   - every batch is acknowledged with 200, after retrying any typed
+//     overloaded 429 it met on the way; nothing else is ever returned;
+//   - the final digest equals the ApplySequential chain over the journal.
 //
 // The spin per task is sized well past the Go scheduler's preemption
-// quantum so speculative windows genuinely overlap even on GOMAXPROCS=1
-// — short tasks on a single P run to completion unpreempted and never
-// conflict at all.
-func TestChaosGovernorTripFlipsAdmission(t *testing.T) {
+// quantum so speculative windows genuinely overlap even on GOMAXPROCS=1.
+// The logged row (batches/s, ack latency, retries, sheds) is the serve
+// storm measurement of DESIGN.md §8.
+func TestChaosConflictStormCompletes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: skipping under -short")
 	}
-	const spin = 6_000_000 // ~15ms here; must exceed the ~10ms preemption quantum
-
-	rcfg := testRunner()
-	rcfg.Detection = janus.DetectSequence
-	rcfg.LearnOnline = true // probes can turn clean once shapes are proven
-	var trips, restores atomic.Int64
-	rcfg.Governor = janus.GovernorConfig{
-		Window:          20,
-		DemoteMissRate:  1.1, // only abort rates demote in this test
-		DemoteAbortRate: 0.10,
-		TripAbortRate:   0.25,
-		TripWindows:     1,
-		ProbeEvery:      4,
-		RestoreProbes:   2,
-		RecoverCommits:  48,
-		OnTransition: func(from, to health.State, detail string) {
-			if to == health.Tripped {
-				trips.Add(1)
-			}
-			if to < from {
-				restores.Add(1)
-			}
-		},
+	const (
+		clients   = 2
+		perClient = 20
+		spin      = 6_000_000 // ~15ms; must exceed the ~10ms preemption quantum
+	)
+	rcfg := janus.Config{
+		Detection:   janus.DetectSequence,
+		LearnOnline: true,
+		Backoff:     janus.Backoff{Base: time.Millisecond, Max: 32 * time.Millisecond},
 	}
-	sch := Schema{
-		Counters: []string{"c1", "r0", "r1", "r2", "r3", "r4", "r5", "r6", "r7"},
-		Stacks:   []string{"stk"},
-	}
-	srv := NewServer(Config{Runner: rcfg, Schema: sch, MaxInflight: 8})
+	srv := NewServer(Config{Runner: rcfg, Schema: Schema{Stacks: []string{"stk"}}, MaxInflight: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := ts.Client()
 
-	// Storm batch: every task pushes a distinct value behind a long spin.
-	// Overlapping pushes conflict under the write-set fallback, and their
-	// unbalanced stack shapes are unprovable (CondNone), so degraded-mode
-	// probes stay fallback-heavy (dirty) instead of restoring healthy.
-	storm := func(id string, salt, tasks int, work int64) *Batch {
+	storm := func(id string, salt int) *Batch {
 		b := &Batch{ID: id}
-		for i := 0; i < tasks; i++ {
+		for i := 0; i < 8; i++ {
 			b.Tasks = append(b.Tasks, TaskSpec{Ops: []OpSpec{
-				{Op: "work", Delta: work},
+				{Op: "work", Delta: spin},
 				{Op: "push", Loc: "stk", Delta: int64(salt*64 + i)},
 			}})
 		}
 		return b
 	}
 
-	// Phase 1: hammer until the governor trips (bounded budget).
-	tripped := false
-	deadline := time.Now().Add(60 * time.Second)
-	for i := 0; !tripped && time.Now().Before(deadline); i++ {
-		postBatch(t, c, ts.URL, "stormy", storm(fmt.Sprintf("storm-%d", i), i, 8, spin), nil)
-		tn := srv.lookup("stormy")
-		if tn == nil {
-			t.Fatal("tenant missing")
-		}
-		if tn.govState() == health.Tripped {
-			tripped = true
-		}
-	}
-	if !tripped {
-		g := srv.lookup("stormy").runner.Governor()
-		t.Fatalf("governor never tripped under the conflict storm: %+v", g.Stats())
-	}
-
-	// Phase 2: while tripped the admission window is one; submits racing
-	// a slow in-flight batch shed with the typed tripped 503. The racers
-	// are tiny so any that land while the slot is free stay cheap.
-	var shedErr ErrorReply
-	var shedCode int
+	var mu sync.Mutex
+	batches := make(map[string]*Batch)
+	var latMs []float64
+	var retries, sheds, failed int64
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		postBatch(t, c, ts.URL, "stormy", storm("occupy", 999, 8, 20_000_000), nil)
-	}()
-	time.Sleep(10 * time.Millisecond) // let the occupier take the slot
-	for i := 0; i < 50; i++ {
-		racer := &Batch{ID: fmt.Sprintf("race-%d", i), Tasks: []TaskSpec{
-			{Ops: []OpSpec{{Op: "add", Loc: "r0", Delta: 1}}},
-		}}
-		var e ErrorReply
-		code, _ := postBatch(t, c, ts.URL, "stormy", racer, &e)
-		if code == http.StatusServiceUnavailable && e.Code == CodeTripped {
-			shedCode, shedErr = code, e
-			break
-		}
+	start := time.Now()
+	for cl := 0; cl < clients; cl++ {
+		wg.Add(1)
+		go func(cl int) {
+			defer wg.Done()
+			for i := 0; i < perClient; i++ {
+				b := storm(fmt.Sprintf("storm-c%d-%d", cl, i), cl*perClient+i)
+				mu.Lock()
+				batches[b.ID] = b
+				mu.Unlock()
+				body, err := json.Marshal(b)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				sent := time.Now()
+				for {
+					resp, err := c.Post(ts.URL+"/submit?tenant=stormy", "application/json", bytes.NewReader(body))
+					if err != nil {
+						t.Errorf("%s: %v", b.ID, err)
+						return
+					}
+					var raw json.RawMessage
+					derr := json.NewDecoder(resp.Body).Decode(&raw)
+					resp.Body.Close()
+					if derr != nil {
+						t.Errorf("%s: decoding reply (status %d): %v", b.ID, resp.StatusCode, derr)
+						return
+					}
+					code := resp.StatusCode
+					if code == http.StatusOK {
+						var res BatchResult
+						if err := json.Unmarshal(raw, &res); err != nil {
+							t.Errorf("%s: decoding reply: %v", b.ID, err)
+						}
+						mu.Lock()
+						latMs = append(latMs, float64(time.Since(sent).Microseconds())/1e3)
+						retries += res.Retries
+						mu.Unlock()
+						break
+					}
+					var e ErrorReply
+					_ = json.Unmarshal(raw, &e)
+					if code != http.StatusTooManyRequests || e.Code != CodeOverloaded {
+						mu.Lock()
+						failed++
+						mu.Unlock()
+						t.Errorf("%s: status %d %+v; want 200 or a typed overloaded 429", b.ID, code, e)
+						break
+					}
+					mu.Lock()
+					sheds++
+					mu.Unlock()
+					time.Sleep(min(time.Duration(e.RetryAfterMS)*time.Millisecond, 10*time.Millisecond))
+				}
+			}
+		}(cl)
 	}
 	wg.Wait()
-	if shedCode != http.StatusServiceUnavailable {
-		t.Fatalf("tripped tenant never shed with 503/tripped")
+	elapsed := time.Since(start)
+
+	var j JournalReply
+	getJSON(t, c, ts.URL+"/journalz?tenant=stormy", &j)
+	if len(j.IDs) != clients*perClient {
+		t.Fatalf("journal holds %d batches, want %d", len(j.IDs), clients*perClient)
 	}
-	if shedErr.RetryAfterMS <= 0 {
-		t.Errorf("tripped shed carries no retry hint: %+v", shedErr)
+	oracle := InitialState(srv.Schema())
+	for _, id := range j.IDs {
+		var err error
+		if oracle, err = ApplySequential(oracle, srv.Schema(), batches[id]); err != nil {
+			t.Fatalf("oracle replay of %s: %v", id, err)
+		}
+	}
+	var st StateReply
+	getJSON(t, c, ts.URL+"/statez?tenant=stormy", &st)
+	if want := rec.FormatDigest(rec.Digest(oracle)); st.Digest != want {
+		t.Fatalf("state digest %s != oracle %s", st.Digest, want)
 	}
 
-	// Phase 3: recovery traffic — mostly disjoint counter adds plus a
-	// pair of overlapping c1 adds. Tripped batches run serially and drain
-	// the recovery budget; back in degraded, the overlapping adds give
-	// probes informative pair queries that the now-proven CondAlways add
-	// shapes answer cleanly, restoring healthy. The overlap fraction is
-	// kept small so degraded windows stay under the trip threshold.
-	recovered := false
-	deadline = time.Now().Add(60 * time.Second)
-	for i := 0; !recovered && time.Now().Before(deadline); i++ {
-		clean := &Batch{ID: fmt.Sprintf("clean-%d", i)}
-		for task := 0; task < 2; task++ {
-			clean.Tasks = append(clean.Tasks, TaskSpec{Ops: []OpSpec{
-				{Op: "work", Delta: spin},
-				{Op: "add", Loc: "c1", Delta: 1},
-			}})
-		}
-		for task := 0; task < 8; task++ {
-			clean.Tasks = append(clean.Tasks, TaskSpec{Ops: []OpSpec{
-				{Op: "work", Delta: spin},
-				{Op: "add", Loc: fmt.Sprintf("r%d", task), Delta: 1},
-			}})
-		}
-		code, _ := postBatch(t, c, ts.URL, "stormy", clean, nil)
-		if code != http.StatusOK && code != http.StatusServiceUnavailable && code != http.StatusTooManyRequests {
-			t.Fatalf("clean batch status %d", code)
-		}
-		if srv.lookup("stormy").govState() == health.Healthy {
-			recovered = true
-		}
-	}
-	if !recovered {
-		g := srv.lookup("stormy").runner.Governor()
-		t.Fatalf("governor never recovered to healthy on clean traffic: %+v", g.Stats())
-	}
-
-	// The cycle is visible in the transition history and /healthz.
-	if trips.Load() == 0 {
-		t.Error("no trip transition observed")
-	}
-	if restores.Load() == 0 {
-		t.Error("no restore transition observed")
-	}
-	var h HealthReply
-	getJSON(t, c, ts.URL+"/healthz", &h)
-	if h.Tenants["stormy"].Health != "healthy" {
-		t.Errorf("healthz after recovery = %+v", h.Tenants["stormy"])
-	}
-	if h.Tenants["stormy"].Shed == 0 {
-		t.Errorf("no sheds recorded across the trip cycle")
-	}
-	g := srv.lookup("stormy").runner.Governor()
-	t.Logf("trip cycle: trips=%d restores=%d stats=%+v", trips.Load(), restores.Load(), g.Stats())
+	sort.Float64s(latMs)
+	pct := func(q float64) float64 { return latMs[min(len(latMs)-1, int(q*float64(len(latMs))))] }
+	n := float64(len(latMs))
+	t.Logf("storm: batches=%d batches_per_s=%.2f p50_ms=%.1f p99_ms=%.1f retries_per_batch=%.2f failed=%d shed=%d",
+		len(latMs), n/elapsed.Seconds(), pct(0.50), pct(0.99), float64(retries)/n, failed, sheds)
 }

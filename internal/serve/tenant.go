@@ -9,18 +9,16 @@ import (
 	"time"
 
 	janus "repro"
-	"repro/internal/health"
-	"repro/internal/obs"
 	"repro/internal/rec"
 	"repro/internal/wal"
 )
 
-// tenant is one client namespace: its own Runner (own spec cache handle
-// and persistent governor), its own committed state, its own flight
-// recorder and trace, its own durable journal when the server has a
-// data dir, and its own admission counters. Nothing a tenant does —
-// thrash its governor, wedge on its deadline, flood its queue — touches
-// another tenant's runner, state, or journal.
+// tenant is one client namespace: its own Runner (own spec cache handle),
+// its own committed state, its own flight recorder and trace, its own
+// durable journal when the server has a data dir, and its own admission
+// counters. Nothing a tenant does — thrash on conflicts, wedge on its
+// deadline, flood its queue — touches another tenant's runner, state, or
+// journal.
 type tenant struct {
 	name   string
 	runner *janus.Runner
@@ -69,7 +67,7 @@ type tenant struct {
 	snapWG   sync.WaitGroup
 
 	// inflight counts admitted-but-unfinished submits; admission caps it
-	// per governor state.
+	// at MaxInflight.
 	inflight atomic.Int64
 	// shedStreak counts consecutive sheds; Retry-After scales with it so
 	// a persistently overloaded tenant's clients spread further out.
@@ -84,7 +82,6 @@ type tenant struct {
 	runNanos  atomic.Int64 // cumulative run wall time
 	snapshots atomic.Int64 // snapshots published
 	snapErrs  atomic.Int64 // snapshot attempts that failed
-	lastState atomic.Int64 // last observed governor state (health.State)
 
 	// set once at recovery, read-only after: repair actions the boot scan
 	// took (operator-visible — the journal lost a suffix or a crash tore
@@ -112,9 +109,8 @@ type seenAt struct {
 // newTenant builds a tenant from the server's runner template. With a
 // data dir the tenant's state, applied count, and seen index are first
 // recovered from its journal (see durable.go); the runner then gets a
-// persistent governor (admission reads its live state), a per-tenant
-// flight recorder as its commit sink, and a per-tenant trace feeding
-// the timeline endpoint.
+// per-tenant flight recorder as its commit sink and a per-tenant trace
+// feeding the timeline endpoint.
 func (s *Server) newTenant(name string) (*tenant, error) {
 	t := &tenant{
 		name:        name,
@@ -131,7 +127,6 @@ func (s *Server) newTenant(name string) (*tenant, error) {
 	}
 	t.digest = rec.Digest(t.st)
 	cfg := s.cfg.Runner
-	cfg.Govern = true
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = s.cfg.RetryBudget
 	}
@@ -145,21 +140,7 @@ func (s *Server) newTenant(name string) (*tenant, error) {
 	}, t.st, rec.Options{FlightChunks: s.cfg.FlightChunks})
 	cfg.Record = t.rec
 	t.runner = janus.New(cfg)
-	if g := t.runner.Governor(); g != nil {
-		obs.PublishVars("janus.health."+name, func() any { return g.Vars() })
-	}
 	return t, nil
-}
-
-// govState reads the tenant governor's live state.
-func (t *tenant) govState() health.State {
-	g := t.runner.Governor()
-	if g == nil {
-		return health.Healthy
-	}
-	st := g.State()
-	t.lastState.Store(int64(st))
-	return st
 }
 
 // acquire takes the tenant's run gate, giving up when ctx expires (the
@@ -248,7 +229,6 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 		Retries:   stats.Run.Retries,
 		Digest:    digest,
 		Applied:   applied,
-		Health:    t.govState().String(),
 		ElapsedMS: elapsed.Milliseconds(),
 	}
 	return res, nil
@@ -288,7 +268,6 @@ func (t *tenant) snapshot() TenantHealth {
 	digest := rec.FormatDigest(t.digest)
 	t.mu.Unlock()
 	th := TenantHealth{
-		Health:     t.govState().String(),
 		Inflight:   t.inflight.Load(),
 		Applied:    applied,
 		JournalLen: int64(journalLen),
@@ -313,7 +292,6 @@ func (t *tenant) snapshot() TenantHealth {
 // TenantHealth is one tenant's row in the /healthz reply. The journal
 // fields appear only for durable tenants.
 type TenantHealth struct {
-	Health     string `json:"health"`
 	Inflight   int64  `json:"inflight"`
 	Applied    int64  `json:"applied"`
 	JournalLen int64  `json:"journal_len,omitempty"`

@@ -7,14 +7,13 @@
 // oracle), and applies the final state atomically: a batch either
 // commits whole or leaves the tenant state untouched.
 //
-// The robustness surface is the point (see DESIGN.md §12): admission is
-// wired to each tenant's persistent health governor (healthy admits a
-// full parallel window, degraded shrinks it, tripped serializes or
-// sheds), every request carries a deadline into RunInOrderCtx, intake
-// is bounded (excess load is shed with typed, retryable 429/503 replies
-// carrying Retry-After — never queued without bound), and shutdown
-// drains in-flight batches under a deadline with per-tenant flight
-// recorders dumped on abnormal exit.
+// The robustness surface is the point (see DESIGN.md §12): intake is
+// bounded per tenant by one in-flight cap (excess load is shed with
+// typed, retryable 429/503 replies carrying Retry-After — never queued
+// without bound), every request carries a deadline into RunInOrderCtx, a
+// batch's work is bounded before it is admitted, and shutdown drains
+// in-flight batches under a deadline with per-tenant flight recorders
+// dumped on abnormal exit.
 package serve
 
 import (
@@ -141,10 +140,8 @@ type BatchResult struct {
 	Digest string `json:"digest"`
 	// Applied is the tenant's total applied-batch count including this
 	// one; it equals this batch's position in the journal.
-	Applied int64 `json:"applied"`
-	// Health is the tenant governor's state at reply time.
-	Health    string `json:"health"`
-	ElapsedMS int64  `json:"elapsed_ms"`
+	Applied   int64 `json:"applied"`
+	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
 // Error codes carried in ErrorReply.Code. Retryable codes ship a
@@ -153,7 +150,6 @@ const (
 	CodeBadRequest     = "bad_request"        // 400: malformed batch
 	CodeTenantLimit    = "tenant_limit"       // 429: MaxTenants reached
 	CodeOverloaded     = "overloaded"         // 429: per-tenant in-flight cap hit
-	CodeTripped        = "tripped"            // 503: governor tripped, shedding
 	CodeDraining       = "draining"           // 503: shutdown in progress
 	CodeRetryExhausted = "retry_exhausted"    // 503: speculation starved (congestion)
 	CodeDeadline       = "deadline"           // 504: batch deadline expired
@@ -167,7 +163,7 @@ const (
 )
 
 // ErrorReply is every non-2xx body: a typed, machine-readable failure.
-// RetryAfterMS is set on retryable codes (overloaded, tripped, draining,
+// RetryAfterMS is set on retryable codes (overloaded, draining,
 // retry_exhausted, deadline) and mirrors the Retry-After header.
 type ErrorReply struct {
 	Error        string `json:"error"`
@@ -193,6 +189,13 @@ const maxBatchTasks = 4096
 // maxTaskOps bounds one task's declared ops the same way.
 const maxTaskOps = 4096
 
+// maxBatchWork bounds the units a batch's "work" ops declare, summed over
+// all its tasks. A task body cannot be preempted, so an unbounded spin
+// would hold the tenant's gate past every deadline and past a drain.
+// adt.LocalWork spins about 0.4 units/ns on a 2.1 GHz Xeon, so the bound
+// is roughly 10 s of compute.
+const maxBatchWork = 1 << 32
+
 // compile validates a batch against the schema and compiles each task
 // into a janus.Task. All validation happens here, before admission
 // commits any resources: an invalid op anywhere rejects the whole batch.
@@ -207,6 +210,7 @@ func compile(sch map[string]locKind, b *Batch) ([]janus.Task, error) {
 		return nil, fmt.Errorf("batch has %d tasks, limit %d", len(b.Tasks), maxBatchTasks)
 	}
 	tasks := make([]janus.Task, len(b.Tasks))
+	var work int64 // never above maxBatchWork, so the sum cannot overflow
 	for ti, ts := range b.Tasks {
 		if len(ts.Ops) == 0 {
 			return nil, fmt.Errorf("task %d has no ops", ti)
@@ -218,6 +222,12 @@ func compile(sch map[string]locKind, b *Batch) ([]janus.Task, error) {
 		for oi, op := range ops {
 			if err := checkOp(sch, op); err != nil {
 				return nil, fmt.Errorf("task %d op %d: %w", ti, oi, err)
+			}
+			if op.Op == "work" {
+				if op.Delta > maxBatchWork-work {
+					return nil, fmt.Errorf("task %d op %d: batch work exceeds %d units", ti, oi, maxBatchWork)
+				}
+				work += op.Delta
 			}
 		}
 		tasks[ti] = func(ex janus.Executor) error {

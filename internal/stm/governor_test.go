@@ -12,67 +12,26 @@ import (
 	"repro/internal/state"
 )
 
-// fakeGov is a minimal Governor for runtime-side tests: a settable
-// SerialOnly switch plus counters for every Observe signal.
-type fakeGov struct {
-	serial      atomic.Bool
-	commits     atomic.Int64
-	escalations atomic.Int64
-	backoffs    atomic.Int64
-	commitWaits atomic.Int64
-}
+// fakeGov counts the commit-turn waits the runtime reports.
+type fakeGov struct{ commitWaits atomic.Int64 }
 
-func (g *fakeGov) SerialOnly() bool                  { return g.serial.Load() }
-func (g *fakeGov) ObserveCommit()                    { g.commits.Add(1) }
-func (g *fakeGov) ObserveCommitWait(_ time.Duration) { g.commitWaits.Add(1) }
-func (g *fakeGov) ObserveBackoff(_ time.Duration)    { g.backoffs.Add(1) }
-func (g *fakeGov) ObserveEscalation()                { g.escalations.Add(1) }
+func (g *fakeGov) ObserveCommitWait(time.Duration) { g.commitWaits.Add(1) }
 
-// TestGovernorSerialOnlyEscalatesEveryTask: a tripped governor must route
-// every transaction through the irrevocable serial path, in both commit
-// orders, and still produce the correct final state.
-func TestGovernorSerialOnlyEscalatesEveryTask(t *testing.T) {
-	for _, ordered := range []bool{false, true} {
-		gov := &fakeGov{}
-		gov.serial.Store(true)
-		tasks := []adt.Task{addTask(1), addTask(2), addTask(3), addTask(4)}
-		final, stats, err := Run(Config{Threads: 4, Ordered: ordered, Governor: gov},
-			initialState(), tasks)
-		if err != nil {
-			t.Fatalf("ordered=%v: %v", ordered, err)
-		}
-		if v, _ := final.Get("work"); !v.EqualValue(state.Int(10)) {
-			t.Fatalf("ordered=%v: work = %v, want 10", ordered, v)
-		}
-		if stats.Escalations != int64(len(tasks)) {
-			t.Errorf("ordered=%v: Escalations = %d, want %d", ordered, stats.Escalations, len(tasks))
-		}
-		if got := gov.commits.Load(); got != int64(len(tasks)) {
-			t.Errorf("ordered=%v: ObserveCommit count = %d, want %d", ordered, got, len(tasks))
-		}
-		if got := gov.escalations.Load(); got != int64(len(tasks)) {
-			t.Errorf("ordered=%v: ObserveEscalation count = %d, want %d", ordered, got, len(tasks))
-		}
-	}
-}
-
-// TestGovernorObservesBackoff: aborted attempts that sleep must report
-// each backoff to the governor.
-func TestGovernorObservesBackoff(t *testing.T) {
+// TestGovernorObservesCommitWaits: in ordered mode every attempt waits for
+// its commit turn once, and each wait is reported to the governor.
+func TestGovernorObservesCommitWaits(t *testing.T) {
 	gov := &fakeGov{}
 	hooks := &Hooks{ForceAbort: func(task, attempt int) bool { return attempt == 1 }}
-	_, stats, err := Run(Config{
-		Threads: 2, Governor: gov, Hooks: hooks,
-		Backoff: Backoff{Base: time.Microsecond},
-	}, initialState(), []adt.Task{addTask(1), addTask(2)})
+	_, stats, err := Run(Config{Threads: 2, Ordered: true, Governor: gov, Hooks: hooks},
+		initialState(), []adt.Task{addTask(1), addTask(2), addTask(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.BackoffWaits == 0 {
-		t.Fatal("no backoff waits recorded; hook did not fire")
+	if stats.Retries == 0 {
+		t.Fatal("no retries recorded; hook did not fire")
 	}
-	if got := gov.backoffs.Load(); got != stats.BackoffWaits {
-		t.Errorf("ObserveBackoff count = %d, want %d", got, stats.BackoffWaits)
+	if got, want := gov.commitWaits.Load(), stats.Commits+stats.Retries; got != want {
+		t.Errorf("ObserveCommitWait count = %d, want one per attempt (%d)", got, want)
 	}
 }
 
@@ -120,13 +79,24 @@ func TestMaxTxnOpsSerialPath(t *testing.T) {
 		}
 		return nil
 	}
-	gov := &fakeGov{}
-	gov.serial.Store(true)
-	_, _, err := Run(Config{Threads: 1, MaxTxnOps: 4, Governor: gov},
-		initialState(), []adt.Task{hungry})
+	// The first, speculative attempt stays within budget and is forced to
+	// abort; SerializeAfter escalates the second.
+	attempts := 0
+	task := func(ex adt.Executor) error {
+		if attempts++; attempts == 1 {
+			return adt.Counter{L: "work"}.Add(ex, 1)
+		}
+		return hungry(ex)
+	}
+	hooks := &Hooks{ForceAbort: func(_, attempt int) bool { return attempt == 1 }}
+	_, stats, err := Run(Config{Threads: 1, MaxTxnOps: 4, SerializeAfter: 1, Hooks: hooks},
+		initialState(), []adt.Task{task})
 	var be *OplogBudgetError
 	if !errors.As(err, &be) {
 		t.Fatalf("err = %v, want *OplogBudgetError", err)
+	}
+	if stats.Escalations != 1 {
+		t.Errorf("Escalations = %d, want the budget hit on the serial attempt", stats.Escalations)
 	}
 }
 

@@ -321,17 +321,23 @@ func TestInstallCountersNameThePath(t *testing.T) {
 func TestSerialInstallsWithoutReplay(t *testing.T) {
 	st := state.New()
 	st.Set("boom", state.Int(0))
-	var fired int32
-	gov := &fakeGov{}
-	gov.serial.Store(true)
-	final, stats, err := Run(Config{Threads: 1, Governor: gov}, st, []adt.Task{func(ex adt.Executor) error {
-		_, err := ex.Exec(explodingOp{fired: &fired})
+	// Each attempt gets its own op; the first is forced to abort and
+	// SerializeAfter escalates the second.
+	var fired []*int32
+	hooks := &Hooks{ForceAbort: func(_, attempt int) bool { return attempt == 1 }}
+	final, stats, err := Run(Config{Threads: 1, SerializeAfter: 1, Hooks: hooks}, st, []adt.Task{func(ex adt.Executor) error {
+		f := new(int32)
+		fired = append(fired, f)
+		_, err := ex.Exec(explodingOp{fired: f})
 		return err
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := atomic.LoadInt32(&fired); got != 1 {
+	if len(fired) != 2 {
+		t.Fatalf("%d attempts, want a forced abort then the serial attempt", len(fired))
+	}
+	if got := atomic.LoadInt32(fired[1]); got != 1 {
 		t.Fatalf("op applied %d times under serial escalation, want 1", got)
 	}
 	if v, _ := final.Get("boom"); !v.EqualValue(state.Int(1)) {

@@ -109,25 +109,13 @@ type Hooks struct {
 	CommitDelay func(task int)
 }
 
-// Governor is the runtime-health feedback hook (see internal/health): the
-// runtime consults SerialOnly before each attempt and feeds protocol
-// signals (commits, waits, escalations) back through the Observe methods,
-// closing the loop that lets a health controller demote detection or
-// force serial execution at run scope. Implementations must be safe for
-// concurrent use; a nil Governor disables governance.
+// Governor observes ordered mode's commit-turn waits, the one protocol
+// signal a caller can time from outside the trace. Implementations must be
+// safe for concurrent use; a nil Governor costs one branch per wait.
 type Governor interface {
-	// SerialOnly reports whether every transaction must escalate straight
-	// to irrevocable serial execution (the governor's tripped state).
-	SerialOnly() bool
-	// ObserveCommit records one committed transaction.
-	ObserveCommit()
 	// ObserveCommitWait records time spent waiting for a commit turn
 	// (ordered mode).
 	ObserveCommitWait(d time.Duration)
-	// ObserveBackoff records one contention-management backoff sleep.
-	ObserveBackoff(d time.Duration)
-	// ObserveEscalation records one serial escalation.
-	ObserveEscalation()
 }
 
 // CommitSink receives every committed transaction's operation log — the
@@ -177,9 +165,8 @@ type Config struct {
 	SerializeAfter int
 	// Hooks are fault-injection points (tests only); nil in production.
 	Hooks *Hooks
-	// Governor, when non-nil, receives run-health signals (commits,
-	// waits, escalations) and can force serial-only execution; see the
-	// Governor interface and internal/health.
+	// Governor, when non-nil, receives every commit-turn wait; see the
+	// Governor interface.
 	Governor Governor
 	// MaxTxnOps bounds a single transaction's operation log: an Exec past
 	// the budget refuses the op with *OplogBudgetError instead of growing
@@ -559,7 +546,6 @@ func (r *Runtime) finalState() *state.State {
 // against an adversarial detector.
 func (r *Runtime) runTask(task adt.Task, tid, worker int) {
 	ctx := obs.Ctx{T: r.tracer, Worker: int32(worker), Task: int32(tid)}
-	gov := r.cfg.Governor
 	start := ctx.Now()
 	retries := 0
 	for {
@@ -569,11 +555,7 @@ func (r *Runtime) runTask(task adt.Task, tid, worker int) {
 		ctx.Attempt = int32(retries + 1)
 		var committed bool
 		var err error
-		serial := r.cfg.SerializeAfter > 0 && retries >= r.cfg.SerializeAfter
-		if gov != nil && gov.SerialOnly() {
-			serial = true // governor tripped: run-wide serial escalation
-		}
-		if serial {
+		if r.cfg.SerializeAfter > 0 && retries >= r.cfg.SerializeAfter {
 			committed, err = r.attemptSerial(ctx, task, tid)
 		} else {
 			committed, err = r.attempt(ctx, task, tid)
@@ -596,9 +578,6 @@ func (r *Runtime) runTask(task adt.Task, tid, worker int) {
 		}
 		if wait := r.cfg.Backoff.wait(tid, retries); wait > 0 {
 			atomic.AddInt64(&r.stats.BackoffWaits, 1)
-			if gov != nil {
-				gov.ObserveBackoff(wait)
-			}
 			waitStart := ctx.Now()
 			if !r.sleep(wait) {
 				return // run failed or canceled mid-backoff
@@ -622,12 +601,7 @@ func (r *Runtime) sleep(d time.Duration) bool {
 }
 
 // noteCommit counts one committed transaction.
-func (r *Runtime) noteCommit() {
-	atomic.AddInt64(&r.stats.Commits, 1)
-	if gov := r.cfg.Governor; gov != nil {
-		gov.ObserveCommit()
-	}
-}
+func (r *Runtime) noteCommit() { atomic.AddInt64(&r.stats.Commits, 1) }
 
 // noteRetry counts one aborted attempt, the task's retries-th. When that
 // exhausts Config.MaxRetries it fails the run and reports false.
@@ -1005,9 +979,6 @@ const (
 // still commit, preserving the task-order serialization.
 func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed bool, err error) {
 	atomic.AddInt64(&r.stats.Escalations, 1)
-	if gov := r.cfg.Governor; gov != nil {
-		gov.ObserveEscalation()
-	}
 	serialStart := ctx.Now()
 	if r.cfg.Ordered {
 		r.waitTurn(ctx, tid)

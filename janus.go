@@ -40,13 +40,11 @@ import (
 	"context"
 	"errors"
 	"io"
-	"sync"
 
 	"repro/internal/adt"
 	"repro/internal/cache"
 	"repro/internal/conflict"
 	"repro/internal/core"
-	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/relspec"
@@ -127,14 +125,6 @@ type (
 	// version or abstraction-mode mismatch, unknown entries); LoadSpec
 	// returns one, errors.As-matchable, for every artifact fault.
 	SpecError = cache.SpecError
-
-	// GovernorConfig tunes the Config.Govern health governor: window
-	// size, demotion/trip/restore thresholds, probe cadence, and the
-	// serial-commit recovery budget. The zero value uses sane defaults.
-	GovernorConfig = health.Config
-	// HealthStats is the governor's snapshot (state, transition counts,
-	// last window rates); see RunStats.Health.
-	HealthStats = health.Stats
 
 	// CustomSpec declares a user-defined ADT's relational representation
 	// (§6.1): arbitrary columns with an optional functional dependency
@@ -278,21 +268,6 @@ type Config struct {
 	// starving transactions are guaranteed progress under pathological
 	// contention. 0 never escalates.
 	SerializeAfter int
-	// Govern enables the runtime health governor: the run's detector is
-	// wrapped in a hysteresis state machine that demotes to write-set
-	// detection when sliding-window cache-miss or abort rates cross the
-	// GovernorConfig thresholds (probing its way back once conditions
-	// clear) and escalates the whole run to serial execution when even
-	// write-set detection thrashes. See RunStats.Health. A governed Runner
-	// owns one governor for all its runs, so sliding-window abort/miss
-	// rates, trip state and probe streaks reflect its sustained traffic
-	// (a server's tenant) rather than resetting on every batch;
-	// Runner.Governor exposes the live state machine for admission
-	// control. Build a fresh Runner for fresh windows.
-	Govern bool
-	// Governor tunes the Govern state machine; the zero value uses the
-	// internal/health defaults.
-	Governor GovernorConfig
 	// MaxTxnOps bounds a single transaction's operation log; an op past
 	// the budget is refused with *OplogBudgetError. 0 means unlimited.
 	MaxTxnOps int
@@ -331,11 +306,6 @@ type Runner struct {
 	// permanently degrades to write-set detection (the cache cannot be
 	// trusted to have been trained as intended).
 	specRejected bool
-	// gov is the health governor (Config.Govern). It is built lazily on
-	// first use — not in New — so spec loading and lenient rejection can
-	// still steer which detector it wraps.
-	govOnce sync.Once
-	gov     *health.Governor
 }
 
 // New builds a Runner. When cfg.Observe is set, the debug endpoint is
@@ -454,9 +424,6 @@ type RunStats struct {
 	Run stm.Stats
 	// Detector is the conflict-detector accounting.
 	Detector conflict.Stats
-	// Health is the governor's end-of-run snapshot (state, demotions,
-	// probes, restores, window rates); nil unless Config.Govern was set.
-	Health *HealthStats
 }
 
 // detector builds the configured detector instance for one run. A runner
@@ -468,40 +435,11 @@ func (r *Runner) detector() conflict.Detector {
 	return r.engine.Detector()
 }
 
-// Governor returns the runner's health governor, or nil unless
-// Config.Govern is set. The first call builds it (wrapping the runner's
-// configured detector); every run of the runner then feeds the same
-// sliding windows, so its state reflects sustained traffic, and publishes
-// it once as the "janus.health" expvar.
-// Callers use it for admission decisions: State() reports healthy/
-// degraded/tripped live; obs.PublishVars can export its Vars under another
-// name.
-func (r *Runner) Governor() *health.Governor {
-	if !r.cfg.Govern {
-		return nil
-	}
-	r.govOnce.Do(func() {
-		gc := r.cfg.Governor
-		if gc.Tracer == nil && r.cfg.Trace != nil {
-			gc.Tracer = r.cfg.Trace
-		}
-		r.gov = health.NewGovernor(r.detector(), nil, gc)
-		obs.PublishVars("janus.health", func() any { return r.gov.Vars() })
-	})
-	return r.gov
-}
-
 func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered bool) (*State, RunStats, error) {
 	det := r.detector()
 	var tracer obs.Tracer
 	if r.cfg.Trace != nil {
 		tracer = r.cfg.Trace
-	}
-	gov := r.Governor()
-	var stmGov stm.Governor
-	if gov != nil {
-		det = gov
-		stmGov = gov
 	}
 	final, stats, err := stm.RunCtx(ctx, stm.Config{
 		Threads:        r.cfg.Threads,
@@ -511,41 +449,15 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 		Tracer:         tracer,
 		Backoff:        r.cfg.Backoff,
 		SerializeAfter: r.cfg.SerializeAfter,
-		Governor:       stmGov,
 		MaxTxnOps:      r.cfg.MaxTxnOps,
 		Record:         r.cfg.Record,
 	}, initial, tasks)
 	rs := RunStats{Run: stats}
-	inner := det
-	if gov != nil {
-		s := gov.Stats()
-		rs.Health = &s
-		inner = gov.Primary()
-	}
-	switch d := inner.(type) {
+	switch d := det.(type) {
 	case *conflict.WriteSet:
 		rs.Detector = d.Stats()
 	case *conflict.Sequence:
 		rs.Detector = d.Stats()
-	}
-	if gov != nil {
-		// Fold in the detections the governor's write-set fallback
-		// answered while degraded, so RunStats.Detector still accounts for
-		// every detection of the run.
-		if ws, ok := gov.Fallback().(*conflict.WriteSet); ok {
-			fs := ws.Stats()
-			rs.Detector.Detections += fs.Detections
-			rs.Detector.Conflicts += fs.Conflicts
-			rs.Detector.PairQueries += fs.PairQueries
-			rs.Detector.Fallbacks += fs.Fallbacks
-			rs.Detector.RelaxedChecks += fs.RelaxedChecks
-			for k, v := range fs.Reasons {
-				if rs.Detector.Reasons == nil {
-					rs.Detector.Reasons = make(map[string]int64)
-				}
-				rs.Detector.Reasons[k] += v
-			}
-		}
 	}
 	return final, rs, err
 }
