@@ -29,9 +29,10 @@
 //	    stretched commit windows, forced cache misses, and an early storm
 //	    of 500 misses that the per-pair write-set fallback answers) with
 //	    seed 42; the report carries the injected-fault counts
-//	janus-bench -json -serialize-after 8 -backoff 50us ...
-//	    enable contention management: bounded exponential backoff and
-//	    escalation to irrevocable serial mode after 8 consecutive aborts
+//	janus-bench -json -backoff 50us ...
+//	    enable contention management: bounded exponential backoff with
+//	    jitter between a task's abort and its retry (retries need no other
+//	    bound: each is charged to another task's commit, Theorem 4.1)
 //
 // A failed run (task error, retry-guard livelock) exits nonzero and, in
 // JSON mode, carries the failure in the report's `error` field instead of
@@ -68,10 +69,8 @@ func main() {
 		detName  = flag.String("detector", "seq", "detector for profiled runs: seq or ws")
 		obsAddr  = flag.String("obs", "", "serve /debug/vars and /debug/pprof on this address (e.g. :6060)")
 		chaosSd  = flag.Int64("chaos", 0, "run profiled runs under deterministic fault injection with this seed (0 = off): forced aborts, stretched commit windows, forced cache misses and an early miss storm")
-		serAfter = flag.Int("serialize-after", 0, "escalate a task to irrevocable serial mode after this many consecutive aborts (0 = never)")
 		backoff  = flag.Duration("backoff", 0, "base of the bounded exponential retry backoff, e.g. 50us (0 = retry immediately)")
 		record   = flag.String("record", "", "capture each profiled run as a replayable binary op-trace at this path (replay with janus-replay)")
-		recGzip  = flag.Bool("record-gzip", false, "gzip-compress trace chunks")
 		opsTxn   = flag.Int("ops-per-txn", 0, "operations per transaction for the synthetic heavy workload (selects -workloads heavy when no filter is given; 0 = heavy default)")
 		txnSkew  = flag.Float64("txn-skew", 0, "heavy workload location skew: 0 = uniform access, larger values concentrate the footprint on a hot subset")
 		serveURL = flag.String("serve", "", "load-generator client mode: drive a running janus-serve at this base URL and verify the exactly-once/digest contract (exits nonzero on violation)")
@@ -89,9 +88,8 @@ func main() {
 	}
 
 	opts := bench.Opts{
-		ProdRuns: *runs, ChaosSeed: *chaosSd, SerializeAfter: *serAfter, BackoffBase: *backoff,
-		RecordPath: *record, RecordGzip: *recGzip,
-		OpsPerTxn: *opsTxn, TxnSkew: *txnSkew,
+		ProdRuns: *runs, ChaosSeed: *chaosSd, BackoffBase: *backoff,
+		RecordPath: *record, OpsPerTxn: *opsTxn, TxnSkew: *txnSkew,
 	}
 	if (*opsTxn > 0 || *txnSkew != 0) && *names == "" {
 		// The shape knobs only mean something to the synthetic heavy
@@ -147,8 +145,8 @@ func main() {
 		profile(out, opts, *traceOut, *jsonOut, *detName)
 		return
 	}
-	if *chaosSd != 0 || *serAfter != 0 || *backoff != 0 || *record != "" {
-		fatalf("-chaos/-serialize-after/-backoff/-record apply to profiled wall-clock runs; add -json or -trace")
+	if *chaosSd != 0 || *backoff != 0 || *record != "" {
+		fatalf("-chaos/-backoff/-record apply to profiled wall-clock runs; add -json or -trace")
 	}
 	wantFig := func(n int) bool { return *figure == 0 && *table == 0 || *figure == n }
 	wantTab := func(n int) bool { return *figure == 0 && *table == 0 || *table == n }
@@ -246,9 +244,8 @@ func profile(out *os.File, opts bench.Opts, traceOut string, jsonOut bool, detNa
 			}
 			fmt.Fprintf(out, "%s: detector=%s threads=%d tasks=%d commits=%d retries=%d speedup=%.2f\n",
 				rep.Workload, rep.Detector, rep.Threads, rep.Tasks, rep.Run.Commits, rep.Run.Retries, rep.Speedup)
-			if rep.Run.Escalations > 0 || rep.Run.BackoffWaits > 0 {
-				fmt.Fprintf(out, "  contention: escalations=%d backoff-waits=%d\n",
-					rep.Run.Escalations, rep.Run.BackoffWaits)
+			if rep.Run.BackoffWaits > 0 {
+				fmt.Fprintf(out, "  contention: backoff-waits=%d\n", rep.Run.BackoffWaits)
 			}
 			if rep.Run.ValidationsSkipped > 0 {
 				fmt.Fprintf(out, "  incremental validation: skipped=%d already-validated entries\n",

@@ -49,8 +49,6 @@ var liveByContract = map[string]string{
 	"internal/sat.Verify":             "checks every model the solver returns, in the solver's tests",
 	"internal/logic.EquivalentBrute":  "truth-table oracle for the SAT-backed Equivalent",
 	"internal/logic.Xor":              "builds the formulas EquivalentBrute's tests enumerate",
-	"internal/affine.AnalyzeSyms":     "the closed-form theory seqeff's verdicts are cross-checked against",
-	"internal/affine.PairConflicts":   "the closed-form theory seqeff's verdicts are cross-checked against",
 	"internal/seqeff.PairConflicts":   "Figure 8 on analyses: the verdict commute's and seqabs's lemma tests compare with",
 	"internal/seqeff.Idempotent":      "the definition BlockIdempotent's allocation-free fold is pinned to",
 	"internal/seqeff.IdempotentStack": "the definition BlockIdempotent's allocation-free fold is pinned to",

@@ -78,10 +78,6 @@ type Opts struct {
 	// not run 8 threads fully in parallel; sweeping Cores projects the
 	// evaluation onto modern machines.
 	Machine *stm.Machine
-	// SerializeAfter escalates starving transactions to irrevocable
-	// serial mode after this many consecutive aborts in profiled runs
-	// (0 = never).
-	SerializeAfter int
 	// BackoffBase enables bounded exponential retry backoff in profiled
 	// runs (0 = retry immediately).
 	BackoffBase time.Duration
@@ -94,8 +90,6 @@ type Opts struct {
 	// binary trace (internal/rec) of the whole run and writes it there at
 	// the end.
 	RecordPath string
-	// RecordGzip compresses trace chunks.
-	RecordGzip bool
 	// OpsPerTxn sets the synthetic heavy workload's operations per
 	// transaction (0 = workloads.DefaultHeavyOps). Only the "heavy"
 	// workload reads it.

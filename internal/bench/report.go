@@ -35,10 +35,9 @@ type RunReport struct {
 	Run          stm.Stats      `json:"run"`
 	Conflict     conflict.Stats `json:"conflict"`
 	Cache        cache.Stats    `json:"cache"`
-	// SerializeAfter / BackoffBaseNs echo the contention-management knobs
-	// the run used (omitted when disabled).
-	SerializeAfter int   `json:"serialize_after,omitempty"`
-	BackoffBaseNs  int64 `json:"backoff_base_ns,omitempty"`
+	// BackoffBaseNs echoes the backoff base the run used (omitted when
+	// disabled).
+	BackoffBaseNs int64 `json:"backoff_base_ns,omitempty"`
 	// OpsPerTxn / TxnSkew echo the heavy-workload shape knobs (omitted
 	// for the paper workloads, which ignore them).
 	OpsPerTxn int     `json:"ops_per_txn,omitempty"`
@@ -95,14 +94,13 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 	o = o.defaults()
 	tasks := w.Tasks(o.Size, prodSeed)
 	rep := RunReport{
-		Workload:       w.Name,
-		Detector:       det.String(),
-		Threads:        threads,
-		Size:           o.Size.String(),
-		Tasks:          len(tasks),
-		SerializeAfter: o.SerializeAfter,
-		BackoffBaseNs:  int64(o.BackoffBase),
-		ChaosSeed:      o.ChaosSeed,
+		Workload:      w.Name,
+		Detector:      det.String(),
+		Threads:       threads,
+		Size:          o.Size.String(),
+		Tasks:         len(tasks),
+		BackoffBaseNs: int64(o.BackoffBase),
+		ChaosSeed:     o.ChaosSeed,
 	}
 	if w.Name == workloads.HeavyName {
 		rep.OpsPerTxn = o.OpsPerTxn
@@ -159,21 +157,20 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 			Threads:  threads,
 			Tasks:    len(tasks),
 			Seed:     prodSeed,
-		}, w.NewState(), rec.Options{Compress: o.RecordGzip})
+		}, w.NewState(), rec.Options{})
 		sink = recorder
 		// Tee protocol events into the trace alongside the op logs.
 		tr = recorder.Tracer(tr)
 	}
 	start := time.Now()
 	final, stats, err := stm.Run(stm.Config{
-		Threads:        threads,
-		Ordered:        w.Ordered,
-		Detector:       d,
-		Tracer:         tr,
-		Backoff:        stm.Backoff{Base: o.BackoffBase},
-		SerializeAfter: o.SerializeAfter,
-		Hooks:          hooks,
-		Record:         sink,
+		Threads:  threads,
+		Ordered:  w.Ordered,
+		Detector: d,
+		Tracer:   tr,
+		Backoff:  stm.Backoff{Base: o.BackoffBase},
+		Hooks:    hooks,
+		Record:   sink,
 	}, w.NewState(), tasks)
 	rep.ElapsedNs = int64(time.Since(start))
 	rep.Run = stats

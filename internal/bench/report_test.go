@@ -86,10 +86,9 @@ func TestProfileRunChaosReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := Opts{
-		Size:           workloads.Small,
-		ChaosSeed:      42,
-		SerializeAfter: 8,
-		BackoffBase:    20 * time.Microsecond,
+		Size:        workloads.Small,
+		ChaosSeed:   42,
+		BackoffBase: 20 * time.Microsecond,
 	}
 	rep, err := ProfileRun(w, Seq, 2, opts, nil)
 	if err != nil {
@@ -101,8 +100,8 @@ func TestProfileRunChaosReport(t *testing.T) {
 	if rep.ChaosSeed != 42 || rep.Chaos == nil {
 		t.Fatalf("chaos accounting missing: seed=%d stats=%v", rep.ChaosSeed, rep.Chaos)
 	}
-	if rep.SerializeAfter != 8 || rep.BackoffBaseNs != int64(20*time.Microsecond) {
-		t.Fatalf("contention knobs not echoed: %+v", rep)
+	if rep.BackoffBaseNs != int64(20*time.Microsecond) {
+		t.Fatalf("backoff base not echoed: %+v", rep)
 	}
 	if rep.Run.Commits != int64(rep.Tasks) {
 		t.Fatalf("commits %d != tasks %d under chaos", rep.Run.Commits, rep.Tasks)

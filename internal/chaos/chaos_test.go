@@ -77,10 +77,10 @@ func soakTasksOn(ctrs []state.Loc, seed int64, n int, ordered bool) []adt.Task {
 
 // TestChaosSoakSerializability is the core soak: for every seed ×
 // {ordered, unordered} cell, a run under forced aborts and stretched
-// commit windows — alternating between the plain retry loop and the
-// backoff+escalation contention manager — must produce exactly the
-// sequential oracle's final state. On the 64-stripe commit table, tasks on
-// different counters replay concurrently.
+// commit windows — alternating between the plain retry loop and retries
+// with backoff — must produce exactly the sequential oracle's final state.
+// On the 64-stripe commit table, tasks on different counters replay
+// concurrently.
 func TestChaosSoakSerializability(t *testing.T) { soakSerializability(t, soakCounters) }
 
 // TestChaosStripeSweepSerializability re-runs the soak with its five
@@ -137,9 +137,8 @@ func soakSerializability(t *testing.T, ctrs []state.Loc) {
 				Hooks: inj.Hooks(), MaxRetries: 500,
 			}
 			if seed%2 == 0 {
-				// Half the matrix runs the contention manager too.
+				// Half the matrix backs off between retries too.
 				cfg.Backoff = stm.Backoff{Base: 20 * time.Microsecond}
-				cfg.SerializeAfter = 4
 			}
 			got, stats, err := stm.Run(cfg, soakStateOn(ctrs), tasks)
 			if err != nil {
@@ -279,36 +278,6 @@ func TestChaosTerminationUnderMaxAbortPressure(t *testing.T) {
 	}
 	if stats.Retries < nTasks*3 {
 		t.Fatalf("Retries = %d, want >= %d", stats.Retries, nTasks*3)
-	}
-}
-
-// TestChaosEscalationUnderMaxAbortPressure combines certain aborts with a
-// SerializeAfter below the injection bound: every task escalates to
-// irrevocable serial mode (which has no validation pass, so the injector
-// cannot touch it) and the run completes with bounded retries.
-func TestChaosEscalationUnderMaxAbortPressure(t *testing.T) {
-	const nTasks = 16
-	tasks := soakTasks(7, nTasks, false)
-	want, err := stm.RunSequential(soakState(), tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := New(Config{Seed: 7, AbortProb: 1, AbortMaxPerTask: 1 << 20})
-	got, stats, err := stm.Run(stm.Config{
-		Threads: 4, Hooks: inj.Hooks(), SerializeAfter: 2,
-		Backoff: stm.Backoff{Base: 10 * time.Microsecond},
-	}, soakState(), tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Fatalf("state %s != sequential %s", got, want)
-	}
-	if stats.Escalations != nTasks {
-		t.Fatalf("Escalations = %d, want %d (every task starves)", stats.Escalations, nTasks)
-	}
-	if ratio := stats.RetryRatio(); ratio > 2 {
-		t.Fatalf("retries/txn = %.2f, want <= SerializeAfter = 2", ratio)
 	}
 }
 

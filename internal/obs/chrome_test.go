@@ -13,7 +13,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
 // goldenEvents is a hand-built timeline covering every export shape:
 // spans on two worker lanes, an abort with full attribution, cache
-// instants, backoff and serial-escalation spans, a spec rejection, and an
+// instants, a backoff span, a spec rejection, and an
 // event from an unknown worker.
 func goldenEvents() []Event {
 	return []Event{
@@ -28,7 +28,6 @@ func goldenEvents() []Event {
 		{Type: EvTxAbort, When: 2400, Worker: 1, Task: 2, Attempt: 1,
 			Reason: "same-read", Loc: "work", Detail: "[num.add(1) num.load] vs [num.add(2)]"},
 		{Type: EvTxBackoff, When: 2500, Dur: 800, Worker: 1, Task: 2, Attempt: 1},
-		{Type: EvTxSerial, When: 3400, Dur: 2000, Worker: 1, Task: 2, Attempt: 3},
 		{Type: EvCacheHit, When: 6000, Worker: -1, Task: 3},
 		{Type: EvSpecRejected, When: 8000, Worker: -1, Detail: "spec checksum mismatch"},
 	}

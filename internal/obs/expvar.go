@@ -53,7 +53,7 @@ func (t *Trace) Vars() map[string]any {
 	}
 	out["counts"] = counts
 	hists := map[string]any{}
-	for _, ev := range []EventType{EvTask, EvTxRun, EvTxValidate, EvTxCommit, EvCommitWait, EvTxBackoff, EvTxSerial} {
+	for _, ev := range []EventType{EvTask, EvTxRun, EvTxValidate, EvTxCommit, EvCommitWait, EvTxBackoff} {
 		h := t.Hist(ev)
 		if h.Count() == 0 {
 			continue

@@ -120,13 +120,12 @@ func TestHistVarsQuantiles(t *testing.T) {
 	tr := NewTrace(16)
 	tr.Emit(Event{Type: EvTxRun, When: 0, Dur: 1000, Worker: 0, Task: 1})
 	tr.Emit(Event{Type: EvTxBackoff, When: 0, Dur: 500, Worker: 0, Task: 1})
-	tr.Emit(Event{Type: EvTxSerial, When: 0, Dur: 2000, Worker: 0, Task: 1})
 	vars := tr.Vars()
 	hists, ok := vars["hist"].(map[string]any)
 	if !ok {
 		t.Fatalf("Vars()[hist] missing or mistyped: %T", vars["hist"])
 	}
-	for _, name := range []string{EvTxRun.String(), EvTxBackoff.String(), EvTxSerial.String()} {
+	for _, name := range []string{EvTxRun.String(), EvTxBackoff.String()} {
 		entry, ok := hists[name].(map[string]any)
 		if !ok {
 			t.Fatalf("hist[%q] missing: have %v", name, hists)

@@ -58,10 +58,6 @@ const (
 	// EvTxBackoff spans a contention-management backoff sleep between
 	// retry attempts (Config.Backoff in internal/stm).
 	EvTxBackoff
-	// EvTxSerial spans an escalation to irrevocable serial mode: the
-	// starving transaction holds the global write lock for its whole
-	// execute+commit (Config.SerializeAfter in internal/stm).
-	EvTxSerial
 	// EvCacheHit / EvCacheMiss mark commutativity-cache lookups during
 	// validation; EvCacheFallback marks a query answered by the
 	// write-set fallback instead of a proved condition.
@@ -103,8 +99,6 @@ func (t EventType) String() string {
 		return "commit.wait"
 	case EvTxBackoff:
 		return "tx.backoff"
-	case EvTxSerial:
-		return "tx.serial"
 	case EvCacheHit:
 		return "cache.hit"
 	case EvCacheMiss:

@@ -41,10 +41,10 @@ func BenchmarkRecord(b *testing.B) {
 			run(b, New(testMeta(nTasks), testState(), Options{}))
 		}
 	})
-	b.Run("on-gzip-dump", func(b *testing.B) {
+	b.Run("on-dump", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			r := New(testMeta(nTasks), testState(), Options{Compress: true})
+			r := New(testMeta(nTasks), testState(), Options{})
 			run(b, r)
 			if _, err := r.WriteTo(io.Discard); err != nil {
 				b.Fatal(err)

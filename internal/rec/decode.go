@@ -1,8 +1,6 @@
 package rec
 
 import (
-	"bytes"
-	"compress/gzip"
 	"io"
 	"sort"
 
@@ -272,25 +270,14 @@ type chunkPayload struct {
 	events []obs.Event
 }
 
-// decodeChunk decodes one chunk frame's payload: the raw body length,
-// then the (possibly gzipped) body.
-func decodeChunk(payload []byte, compressed bool) (chunkPayload, error) {
+// decodeChunk decodes one chunk frame's payload: the body length, then
+// the body.
+func decodeChunk(payload []byte) (chunkPayload, error) {
 	d := fsio.NewReader(payload)
 	rawLen := d.Uvarint()
 	body := d.Bytes(uint64(d.Remaining()))
 	if err := d.Err(); err != nil {
 		return chunkPayload{}, err
-	}
-	if compressed {
-		zr, err := gzip.NewReader(bytes.NewReader(body))
-		if err != nil {
-			return chunkPayload{}, &fsio.FrameError{Reason: fsio.BadRecord, Detail: "chunk gzip header", Err: err}
-		}
-		// The raw length bounds decompression so a corrupted length can't
-		// balloon memory.
-		if body, err = io.ReadAll(io.LimitReader(zr, int64(rawLen)+1)); err != nil {
-			return chunkPayload{}, &fsio.FrameError{Reason: fsio.BadRecord, Detail: "chunk gzip body", Err: err}
-		}
 	}
 	if uint64(len(body)) != rawLen {
 		return chunkPayload{}, fsio.Errorf(fsio.BadRecord, "chunk body of %d bytes, rawLen says %d", len(body), rawLen)
@@ -298,7 +285,7 @@ func decodeChunk(payload []byte, compressed bool) (chunkPayload, error) {
 	return decodeRecords(body)
 }
 
-// decodeRecords decodes an uncompressed chunk body's records. Shared by
+// decodeRecords decodes a chunk body's records. Shared by
 // ReadTrace and the recorder's derived-digest path.
 func decodeRecords(body []byte) (chunkPayload, error) {
 	var out chunkPayload
@@ -376,7 +363,6 @@ func decodeTrace(raw []byte) (t *Trace, err error) {
 	}
 	t = &Trace{}
 	hd := dec{Reader: fsio.NewReader(header), inline: true}
-	compressed := hd.Byte()&flagGzip != 0
 	t.Meta.Workload = hd.str()
 	t.Meta.Detector = hd.str()
 	t.Meta.Ordered = hd.bool()
@@ -394,7 +380,7 @@ func decodeTrace(raw []byte) (t *Trace, err error) {
 			return nil, err
 		}
 		off = next
-		chunk, err := decodeChunk(payload, compressed)
+		chunk, err := decodeChunk(payload)
 		if err != nil {
 			return nil, err
 		}

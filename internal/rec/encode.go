@@ -1,8 +1,6 @@
 package rec
 
 import (
-	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -15,17 +13,16 @@ import (
 
 // On-disk layout (fsio's frames; integers varint-encoded unless noted):
 //
-//	file   := fsio.header("JANUSTRC", 4) frame(header) chunk* footer
+//	file   := fsio.header("JANUSTRC", 6) frame(header) chunk* footer
 //	chunk  := 'C' frame(uvarint(rawLen) body)
 //	footer := 'F' frame(payload)
 //
-// The header payload carries the file flags, the run metadata and a full
-// snapshot of the initial shared state; chunk bodies carry the transaction
-// and event records (gzip-compressed when the flags say so; rawLen is the
-// uncompressed body length); the footer carries the commit count and the
-// final-state digest. Every byte after the format byte sits in a CRC32-
-// checked frame, so a truncated or bit-flipped artifact is rejected with a
-// typed *fsio.FrameError instead of silently replaying garbage.
+// The header payload carries the run metadata and a full snapshot of the
+// initial shared state; chunk bodies carry the transaction and event
+// records (rawLen is the body length); the footer carries the commit count
+// and the final-state digest. Every byte after the format byte sits in a
+// CRC32-checked frame, so a truncated or bit-flipped artifact is rejected
+// with a typed *fsio.FrameError instead of silently replaying garbage.
 //
 // Strings inside a chunk go through a per-chunk string table (0 marks an
 // inline definition that is appended to the table; n>0 is a back-reference
@@ -41,12 +38,11 @@ const traceMagic = "JANUSTRC"
 // incremental one (Digest). Format 3 dropped the header's privatization
 // byte, which the runtime had stopped choosing. Format 4 moved the flags
 // byte and each chunk's rawLen inside their frames' CRC. Format 5 dropped
-// three event types, renumbering every later one in the event byte. No
-// reader for an older format is kept.
-const traceFormat = 5
-
-// File-level flags.
-const flagGzip byte = 1 << 0
+// three event types, renumbering every later one in the event byte.
+// Format 6 dropped another (the serial-escalation span), renumbering again,
+// and the header's flags byte, whose one flag marked gzip-compressed
+// chunks. No reader for an older format is kept.
+const traceFormat = 6
 
 // Frame markers.
 const (
@@ -330,9 +326,8 @@ func (e *enc) state(st *state.State) error {
 }
 
 // buildPrelude renders the file header and the header frame.
-func buildPrelude(meta Meta, initial *state.State, flags byte) ([]byte, error) {
+func buildPrelude(meta Meta, initial *state.State) ([]byte, error) {
 	e := newEnc(true)
-	e.byte(flags)
 	e.str(meta.Workload)
 	e.str(meta.Detector)
 	e.bool(meta.Ordered)
@@ -345,22 +340,10 @@ func buildPrelude(meta Meta, initial *state.State, flags byte) ([]byte, error) {
 	return fsio.AppendFrame(fsio.AppendHeader(nil, traceMagic, traceFormat), e.buf), nil
 }
 
-// chunkFrame seals a chunk body into its on-disk frame, compressing when
-// asked. rawLen always records the uncompressed body length.
-func chunkFrame(body []byte, compress bool) []byte {
+// chunkFrame seals a chunk body into its on-disk frame.
+func chunkFrame(body []byte) []byte {
 	payload := binary.AppendUvarint(make([]byte, 0, binary.MaxVarintLen64+len(body)), uint64(len(body)))
-	if compress {
-		zbuf := bytes.NewBuffer(payload)
-		zw := gzip.NewWriter(zbuf)
-		zw.Write(body) //nolint:errcheck // bytes.Buffer writes cannot fail
-		if err := zw.Close(); err != nil {
-			panic("rec: gzip to memory failed: " + err.Error())
-		}
-		payload = zbuf.Bytes()
-	} else {
-		payload = append(payload, body...)
-	}
-	return fsio.AppendFrame([]byte{frameChunk}, payload)
+	return fsio.AppendFrame([]byte{frameChunk}, append(payload, body...))
 }
 
 // footerFrame renders the trailing frame: counts, completeness flags, and

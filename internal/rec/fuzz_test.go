@@ -17,6 +17,11 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(traceMagic))
 	f.Add(fsio.AppendHeader(nil, traceMagic, traceFormat))
+	// The previous format's header in front of a current body: refused by
+	// version before any payload is read.
+	prev := append([]byte(nil), base...)
+	prev[len(traceMagic)] = traceFormat - 1
+	f.Add(prev)
 	// A few targeted mutants seed interesting paths: flipped header
 	// byte, truncations at frame boundaries, doubled tail.
 	for _, cut := range []int{1, len(base) / 2, len(base) - 1} {

@@ -53,8 +53,6 @@ type Options struct {
 	// ChunkBytes seals a chunk once its body reaches this size.
 	// 0 means DefaultChunkBytes.
 	ChunkBytes int
-	// Compress gzips chunk bodies.
-	Compress bool
 	// FlightChunks, when > 0, bounds the sealed-chunk ring (flight
 	// recorder mode); 0 keeps everything (stream capture).
 	FlightChunks int
@@ -193,7 +191,7 @@ func (r *Recorder) maybeSealLocked() {
 	if len(r.cur.buf) < r.opts.ChunkBytes {
 		return
 	}
-	frame := chunkFrame(r.cur.buf, r.opts.Compress)
+	frame := chunkFrame(r.cur.buf)
 	r.sealed = append(r.sealed, frame)
 	r.sealedBytes += int64(len(frame))
 	r.cur = newEnc(false)
@@ -276,11 +274,7 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 
-	var flags byte
-	if r.opts.Compress {
-		flags |= flagGzip
-	}
-	out, err := buildPrelude(r.meta, r.initial, flags)
+	out, err := buildPrelude(r.meta, r.initial)
 	if err != nil {
 		return 0, err
 	}
@@ -288,7 +282,7 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 		out = append(out, frame...)
 	}
 	if len(r.cur.buf) > 0 {
-		out = append(out, chunkFrame(r.cur.buf, r.opts.Compress)...)
+		out = append(out, chunkFrame(r.cur.buf)...)
 	}
 
 	truncated := r.evicted > 0
@@ -323,7 +317,7 @@ func (r *Recorder) deriveDigestLocked() (uint64, error) {
 		if err != nil {
 			return 0, err
 		}
-		chunk, err := decodeChunk(payload, r.opts.Compress)
+		chunk, err := decodeChunk(payload)
 		if err != nil {
 			return 0, err
 		}

@@ -87,76 +87,70 @@ func recordRun(t testing.TB, r *Recorder, initial *state.State, tasks []adt.Task
 }
 
 func TestRoundTripStream(t *testing.T) {
-	for _, compress := range []bool{false, true} {
-		name := "plain"
-		if compress {
-			name = "gzip"
-		}
-		t.Run(name, func(t *testing.T) {
-			initial := testState()
-			tasks := testTasks(40)
-			// Small chunks force multiple sealed frames per trace.
-			r := New(testMeta(len(tasks)), initial, Options{ChunkBytes: 256, Compress: compress})
-			final := recordRun(t, r, initial, tasks, false)
+	t.Run("plain", func(t *testing.T) {
+		initial := testState()
+		tasks := testTasks(40)
+		// Small chunks force multiple sealed frames per trace.
+		r := New(testMeta(len(tasks)), initial, Options{ChunkBytes: 256})
+		final := recordRun(t, r, initial, tasks, false)
 
-			var buf bytes.Buffer
-			if _, err := r.WriteTo(&buf); err != nil {
-				t.Fatal(err)
+		var buf bytes.Buffer
+		if _, err := r.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("ReadTrace: %v", err)
+		}
+		if tr.Meta != testMeta(len(tasks)) {
+			t.Errorf("meta round-trip: got %+v", tr.Meta)
+		}
+		if !tr.Initial.Equal(testState()) {
+			t.Errorf("initial state round-trip drifted:\n got %s\nwant %s", tr.Initial, testState())
+		}
+		if len(tr.Txns) != len(tasks) {
+			t.Fatalf("retained %d txns, want %d", len(tr.Txns), len(tasks))
+		}
+		if tr.Truncated || tr.Lossy {
+			t.Fatalf("stream capture flagged truncated=%v lossy=%v", tr.Truncated, tr.Lossy)
+		}
+		if tr.DigestKind != DigestFinal {
+			t.Fatalf("digest kind = %s, want final", tr.DigestKind)
+		}
+		if tr.Digest != Digest(final) {
+			t.Errorf("recorded digest %016x != final state digest %016x", tr.Digest, Digest(final))
+		}
+		// Commit times are unique and sorted after decode.
+		seen := map[int64]bool{}
+		for i, txn := range tr.Txns {
+			if seen[txn.CommitTime] {
+				t.Fatalf("duplicate commit time %d", txn.CommitTime)
 			}
-			tr, err := ReadTrace(&buf)
-			if err != nil {
-				t.Fatalf("ReadTrace: %v", err)
+			seen[txn.CommitTime] = true
+			if i > 0 && txn.CommitTime < tr.Txns[i-1].CommitTime {
+				t.Fatalf("txns not sorted by commit time at %d", i)
 			}
-			if tr.Meta != testMeta(len(tasks)) {
-				t.Errorf("meta round-trip: got %+v", tr.Meta)
+			if txn.Shape == "" {
+				t.Errorf("txn %d lost its shape key", i)
 			}
-			if !tr.Initial.Equal(testState()) {
-				t.Errorf("initial state round-trip drifted:\n got %s\nwant %s", tr.Initial, testState())
+			if len(txn.Ops) == 0 || len(txn.Observed) != len(txn.Ops) {
+				t.Fatalf("txn %d: %d ops, %d observed", i, len(txn.Ops), len(txn.Observed))
 			}
-			if len(tr.Txns) != len(tasks) {
-				t.Fatalf("retained %d txns, want %d", len(tr.Txns), len(tasks))
-			}
-			if tr.Truncated || tr.Lossy {
-				t.Fatalf("stream capture flagged truncated=%v lossy=%v", tr.Truncated, tr.Lossy)
-			}
-			if tr.DigestKind != DigestFinal {
-				t.Fatalf("digest kind = %s, want final", tr.DigestKind)
-			}
-			if tr.Digest != Digest(final) {
-				t.Errorf("recorded digest %016x != final state digest %016x", tr.Digest, Digest(final))
-			}
-			// Commit times are unique and sorted after decode.
-			seen := map[int64]bool{}
-			for i, txn := range tr.Txns {
-				if seen[txn.CommitTime] {
-					t.Fatalf("duplicate commit time %d", txn.CommitTime)
-				}
-				seen[txn.CommitTime] = true
-				if i > 0 && txn.CommitTime < tr.Txns[i-1].CommitTime {
-					t.Fatalf("txns not sorted by commit time at %d", i)
-				}
-				if txn.Shape == "" {
-					t.Errorf("txn %d lost its shape key", i)
-				}
-				if len(txn.Ops) == 0 || len(txn.Observed) != len(txn.Ops) {
-					t.Fatalf("txn %d: %d ops, %d observed", i, len(txn.Ops), len(txn.Observed))
-				}
-			}
-			// The event stream teed through Tracer survives too.
-			if len(tr.Events) == 0 {
-				t.Error("no protocol events captured")
-			}
-			// Sequential oracle replay reproduces the recorded final state,
-			// checking every observed value on the way.
-			st, err := tr.ReplaySequential(true)
-			if err != nil {
-				t.Fatalf("ReplaySequential: %v", err)
-			}
-			if !st.Equal(final) {
-				t.Errorf("sequential replay drifted:\n got %s\nwant %s", st, final)
-			}
-		})
-	}
+		}
+		// The event stream teed through Tracer survives too.
+		if len(tr.Events) == 0 {
+			t.Error("no protocol events captured")
+		}
+		// Sequential oracle replay reproduces the recorded final state,
+		// checking every observed value on the way.
+		st, err := tr.ReplaySequential(true)
+		if err != nil {
+			t.Fatalf("ReplaySequential: %v", err)
+		}
+		if !st.Equal(final) {
+			t.Errorf("sequential replay drifted:\n got %s\nwant %s", st, final)
+		}
+	})
 }
 
 func TestFlightRingEvictionMarksTruncated(t *testing.T) {
@@ -294,7 +288,6 @@ func validTrace(t testing.TB) []byte {
 // artifact.
 func craftRelTrace(cols []string, fd *relation.FD) []byte {
 	e := newEnc(true)
-	e.byte(0)          // flags
 	e.str("crafted")   // workload
 	e.str("write-set") // detector
 	e.bool(false)      // ordered
@@ -426,6 +419,10 @@ func TestCorruptTraceRejection(t *testing.T) {
 		// Format 4 numbered the event types after the governor's three:
 		// refused by version, not misread as the renumbered events.
 		{"format-4", func(b []byte) []byte { b[8] = 4; return b }, fsio.BadFormat},
+		// Format 5 carried a flags byte ahead of the metadata and numbered the
+		// event types after the serial-escalation span: refused by version,
+		// not misread as the workload name.
+		{"format-5", func(b []byte) []byte { b[8] = 5; return b }, fsio.BadFormat},
 		{"flipped-header-byte", func(b []byte) []byte { b[16] ^= 0x01; return b }, fsio.BadChecksum},
 		// rawLen sits inside the chunk's CRC, so a flip is a checksum
 		// mismatch, not a body-length disagreement.

@@ -1,9 +1,10 @@
 // Package seqeff analyzes the composite effect of per-location operation
-// sequences, generalizing the numeric affine theory (internal/affine) to
-// all the operation kinds of the reproduction: numeric add/store/load,
-// string and boolean stores/loads, per-key relational put/remove/get/has
-// (a relational key behaves as a register whose "absent" value is a
-// distinguished constant), and stack push/pop/size.
+// sequences, generalizing the numeric affine theory (affine_theory_test.go,
+// kept as a cross-check) to all the operation kinds of the reproduction:
+// numeric add/store/load, string and boolean stores/loads, per-key
+// relational put/remove/get/has (a relational key behaves as a register
+// whose "absent" value is a distinguished constant), and stack
+// push/pop/size.
 //
 // The theory answers the three questions the hindsight engine asks:
 //

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/adt"
-	"repro/internal/affine"
 	"repro/internal/oplog"
 )
 
@@ -385,44 +384,5 @@ func TestEffectString(t *testing.T) {
 		(Effect{Kind: Add, N: 2}).String() != "x+2" ||
 		(Effect{Kind: Store, V: "a"}).String() != "≔a" {
 		t.Errorf("effect strings wrong")
-	}
-}
-
-// TestAgreesWithAffineTheory cross-validates the generalized register
-// theory against the specialized affine theory (internal/affine) on
-// random numeric sequences: both must produce identical conflict
-// verdicts.
-func TestAgreesWithAffineTheory(t *testing.T) {
-	rng := rand.New(rand.NewSource(2718))
-	gen := func() []oplog.Sym {
-		n := 1 + rng.Intn(5)
-		out := make([]oplog.Sym, n)
-		for i := range out {
-			switch rng.Intn(3) {
-			case 0:
-				out[i] = sym(adt.KindNumAdd, strconv.Itoa(rng.Intn(9)-4))
-			case 1:
-				out[i] = sym(adt.KindNumStore, strconv.Itoa(rng.Intn(5)))
-			default:
-				out[i] = sym(adt.KindNumLoad, "")
-			}
-		}
-		return out
-	}
-	for iter := 0; iter < 1000; iter++ {
-		s1, s2 := gen(), gen()
-		r1, ok1 := AnalyzeRegister(s1)
-		r2, ok2 := AnalyzeRegister(s2)
-		a1, okA1 := affine.AnalyzeSyms(s1)
-		a2, okA2 := affine.AnalyzeSyms(s2)
-		if !ok1 || !ok2 || !okA1 || !okA2 {
-			t.Fatalf("iter %d: analyses failed: %v %v %v %v", iter, ok1, ok2, okA1, okA2)
-		}
-		reg := PairConflicts(r1, r2)
-		aff := affine.PairConflicts(a1, a2)
-		if reg != aff {
-			t.Fatalf("iter %d: register says conflict=%v, affine says %v\ns1=%v\ns2=%v",
-				iter, reg, aff, s1, s2)
-		}
 	}
 }

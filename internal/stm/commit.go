@@ -58,10 +58,14 @@ type stripeRef struct {
 }
 
 // planStripes resolves the footprint into the transaction's sorted,
-// deduplicated stripe set and its overlap signatures. Sorting makes
-// multi-stripe acquisition deadlock-free (every committer locks in
-// ascending index order); deduplication merges two locations on one
-// stripe into a single acquisition in the stronger mode.
+// deduplicated stripe set and its 64-bit overlap signatures: one bit per
+// location hash, over all accessed locations and over written locations.
+// Two footprints can only share a location if
+// (A.sigWrite & B.sigAll) | (A.sigAll & B.sigWrite) is non-zero — equal
+// locations hash to equal bits, so the test has no false negatives.
+// Sorting makes multi-stripe acquisition deadlock-free (every committer
+// locks in ascending index order); deduplication merges two locations on
+// one stripe into a single acquisition in the stronger mode.
 func (t *Tx) planStripes(foot []conflict.FootprintLoc) {
 	t.stripes = t.stripes[:0]
 	t.sigAll, t.sigWrite = 0, 0
@@ -87,22 +91,6 @@ func (t *Tx) planStripes(foot []conflict.FootprintLoc) {
 		copy(t.stripes[pos+1:], t.stripes[pos:])
 		t.stripes[pos] = stripeRef{idx: idx, write: f.Write}
 	}
-}
-
-// footprintSigs folds a footprint into its 64-bit overlap signatures:
-// one bit per location hash, over all accessed locations and over
-// written locations. Two footprints can only share a location if
-// (A.sigWrite & B.sigAll) | (A.sigAll & B.sigWrite) is non-zero — equal
-// locations hash to equal bits, so the test has no false negatives.
-func footprintSigs(foot []conflict.FootprintLoc) (sigAll, sigWrite uint64) {
-	for _, f := range foot {
-		bit := uint64(1) << (f.Hash % 64)
-		sigAll |= bit
-		if f.Write {
-			sigWrite |= bit
-		}
-	}
-	return sigAll, sigWrite
 }
 
 // lockStripes acquires the transaction's planned stripes in ascending
@@ -297,13 +285,13 @@ func (t *Tx) installed(i int, loc state.Loc) (state.Value, bool) {
 }
 
 // replayed reports whether footprint location i takes its committed value
-// from the replay overlay (a serial transaction has no plan at all).
+// from the replay overlay.
 func (t *Tx) replayed(i int) bool { return t.overlay != nil && t.dirty[i] }
 
 // mergeVersion publishes the transaction's written locations into the
 // committed store — one atomic box store per location. Callers are
-// serialized (publication turn or global write lock), which is what
-// location creation in the overflow table relies on.
+// serialized by the publication turn, which is what location creation in
+// the overflow table relies on.
 func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
 	var fromPriv, fromReplay int64
 	for i, f := range foot {
@@ -363,16 +351,13 @@ func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared, si
 // published since its last validated fetch with the footprint-signature
 // test, replays what the validated window (every entry in (begin, tcheck])
 // dirtied, takes a dense commit-time ticket, and publishes in ticket
-// order through the sequencer. The global
-// lock is held on the read side only, so commits overlap each other and
-// exclude nothing but serial escalation. On any outcome but commitOK no
+// order through the sequencer. Nothing else is locked: commits with
+// disjoint footprints overlap freely. On any outcome but commitOK no
 // shared state was mutated.
 func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, tcheck int64) commitResult {
 	prep := tx.prep
 	foot := prep.Footprint()
 	tx.planStripes(foot)
-	r.lock.RLock()
-	defer r.lock.RUnlock()
 	stripeStart := ctx.Now()
 	r.lockStripes(tx)
 	defer r.unlockStripes(tx)

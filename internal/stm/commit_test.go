@@ -245,40 +245,6 @@ func TestDisjointCommitsOverlap(t *testing.T) {
 	}
 }
 
-// TestSerialEscalationExcludesStripedCommits checks the demoted global
-// lock still does its one remaining job: a serial escalation (write
-// side) must not run while any striped commit holds the read side, so
-// the gauge never sees a serial commit overlap an optimistic one.
-func TestSerialEscalationExcludesStripedCommits(t *testing.T) {
-	st := state.New()
-	st.Set("hot", state.Int(0))
-	g := newCommitGauge()
-	var forced int32
-	tasks := make([]adt.Task, 16)
-	for i := range tasks {
-		tasks[i] = func(ex adt.Executor) error {
-			return adt.Counter{L: "hot"}.Add(ex, 1)
-		}
-	}
-	_, _, err := Run(Config{
-		Threads:        8,
-		SerializeAfter: 2,
-		Hooks: &Hooks{
-			CommitDelay: g.hook,
-			ForceAbort: func(task, attempt int) bool {
-				// Starve a few tasks into escalation.
-				return task <= 4 && attempt <= 2 && atomic.AddInt32(&forced, 1) > 0
-			},
-		},
-	}, st, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := g.max(); got != 1 {
-		t.Fatalf("peak commit concurrency = %d with serial escalations in flight, want 1", got)
-	}
-}
-
 // TestWaitPublishedFailureWakes checks the sequencer's waiters observe a
 // run failure instead of parking forever on a watermark that will never
 // be reached.

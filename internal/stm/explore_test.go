@@ -18,8 +18,9 @@ import (
 // with an aborted task re-queued for another execute. For small task sets
 // every schedule is run; the oracle is Theorem 4.1 stated exactly: the
 // final state equals a sequential run of the tasks in the order they
-// committed. Below a half (lock order, lost commit races, history stalls)
-// nothing is explored; see the staged tests for those.
+// committed, and no task makes more attempts than there are tasks. Below
+// a half (lock order, lost commit races, history stalls) nothing is
+// explored; see the staged tests for those.
 
 // exploreSet is one hand-built task set over two or three locations.
 type exploreSet struct {
@@ -153,8 +154,13 @@ type exploration struct {
 func (x exploration) run(pick func(step, enabled int) int) (trace []string, err error) {
 	n := x.n
 	tasks := make([]adt.Task, n)
+	bodies := make([]int, n+1) // task-body invocations: the attempts begun
 	for i := range tasks {
-		tasks[i] = x.set.task(i + 1)
+		tid, task := i+1, x.set.task(i+1)
+		tasks[i] = func(ex adt.Executor) error {
+			bodies[tid]++
+			return task(ex)
+		}
 	}
 	sink := &commitCollector{}
 	r := New(Config{Threads: 1, Ordered: x.ordered, Detector: x.det, Record: sink}, x.set.initial())
@@ -183,6 +189,11 @@ func (x exploration) run(pick func(step, enabled int) int) (trace []string, err 
 			tx, err := r.execute(ctx, tasks[tid-1], tid)
 			if err != nil {
 				return trace, err
+			}
+			// Theorem 4.1's bound: every abort is charged to a distinct
+			// commit by another task, so no task begins attempt n+1.
+			if bodies[tid] > n {
+				return trace, fmt.Errorf("task %d began attempt %d in a set of %d", tid, bodies[tid], n)
 			}
 			inFlight[tid] = tx
 			continue

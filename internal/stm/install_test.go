@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -312,39 +311,5 @@ func TestInstallCountersNameThePath(t *testing.T) {
 		if v, _ := final.Get(fuzzCounterLoc(l)); !v.EqualValue(state.Int(n)) {
 			t.Fatalf("%s = %v, want %d", fuzzCounterLoc(l), v, n)
 		}
-	}
-}
-
-// TestSerialInstallsWithoutReplay: a serial escalation runs alone under
-// the write lock, so its private state is the post-commit state and
-// nothing is re-applied.
-func TestSerialInstallsWithoutReplay(t *testing.T) {
-	st := state.New()
-	st.Set("boom", state.Int(0))
-	// Each attempt gets its own op; the first is forced to abort and
-	// SerializeAfter escalates the second.
-	var fired []*int32
-	hooks := &Hooks{ForceAbort: func(_, attempt int) bool { return attempt == 1 }}
-	final, stats, err := Run(Config{Threads: 1, SerializeAfter: 1, Hooks: hooks}, st, []adt.Task{func(ex adt.Executor) error {
-		f := new(int32)
-		fired = append(fired, f)
-		_, err := ex.Exec(explodingOp{fired: f})
-		return err
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fired) != 2 {
-		t.Fatalf("%d attempts, want a forced abort then the serial attempt", len(fired))
-	}
-	if got := atomic.LoadInt32(fired[1]); got != 1 {
-		t.Fatalf("op applied %d times under serial escalation, want 1", got)
-	}
-	if v, _ := final.Get("boom"); !v.EqualValue(state.Int(1)) {
-		t.Fatalf("boom = %v, want 1", v)
-	}
-	if stats.Escalations != 1 || stats.LocsInstalled != 1 || stats.LocsReplayed != 0 {
-		t.Fatalf("escalations/installed/replayed = %d/%d/%d, want 1/1/0",
-			stats.Escalations, stats.LocsInstalled, stats.LocsReplayed)
 	}
 }

@@ -18,8 +18,8 @@
 // already computed for the locations no concurrent commit wrote, replays
 // into a private overlay only the rest, and publishes in commit-time
 // order through a sequencer.
-// Footprint-disjoint transactions commit concurrently; the paper's
-// global write lock survives only for serial escalation.
+// Footprint-disjoint transactions commit concurrently; there is no global
+// lock.
 package stm
 
 import (
@@ -120,11 +120,10 @@ type Governor interface {
 
 // CommitSink receives every committed transaction's operation log — the
 // record half of record/replay (see internal/rec). ObserveCommitted runs
-// inside the commit's publication turn (serial escalations call it with
-// the global write lock held), so calls arrive in strictly increasing
-// commitTime order across all workers — the serialization order — and
-// the logs replayed in that order over the initial state reconstruct the
-// final state. The flip side of the ordering guarantee: a slow sink
+// inside the commit's publication turn, so calls arrive in strictly
+// increasing commitTime order across all workers — the serialization
+// order — and the logs replayed in that order over the initial state
+// reconstruct the final state. The flip side of the ordering guarantee: a slow sink
 // stalls every later commit, so implementations must return promptly.
 // The log is the transaction's live storage, which the runtime reuses for
 // a later transaction once the commit's history entry is reclaimed:
@@ -157,22 +156,11 @@ type Config struct {
 	// Backoff configures bounded exponential retry backoff with jitter
 	// after aborts; the zero value retries immediately.
 	Backoff Backoff
-	// SerializeAfter escalates a transaction to irrevocable serial mode
-	// after this many consecutive aborts: it takes the global write lock,
-	// re-executes alone, and commits unconditionally, so progress is
-	// guaranteed under pathological contention instead of burning CPU on
-	// doomed speculation. 0 never escalates.
-	SerializeAfter int
 	// Hooks are fault-injection points (tests only); nil in production.
 	Hooks *Hooks
 	// Governor, when non-nil, receives every commit-turn wait; see the
 	// Governor interface.
 	Governor Governor
-	// MaxTxnOps bounds a single transaction's operation log: an Exec past
-	// the budget refuses the op with *OplogBudgetError instead of growing
-	// the log without bound. A task that propagates the error (the normal
-	// contract) fails the run with it. 0 means unlimited.
-	MaxTxnOps int
 	// Record receives each committed transaction's op log (see
 	// CommitSink); nil disables recording at the cost of one branch.
 	Record CommitSink
@@ -196,8 +184,10 @@ type Stats struct {
 	MaxHist int64 `json:"max_hist"`
 	// BackoffWaits counts backoff sleeps taken between retry attempts.
 	BackoffWaits int64 `json:"backoff_waits"`
-	// Escalations counts transactions that ran in irrevocable serial
-	// mode after SerializeAfter consecutive aborts.
+	// Escalations is always 0: the runtime has one commit path and no
+	// serial mode (a task's retries are bounded by the other tasks'
+	// commits, Theorem 4.1). The field stays for the benchmark's
+	// stm.escalations column until that column goes (ROADMAP 8(a)).
 	Escalations int64 `json:"escalations"`
 	// ValidationsSkipped counts committed-history entries the incremental
 	// detect/commit loop did NOT re-validate because a previous pass of
@@ -235,7 +225,7 @@ type histEntry struct {
 	task       int
 	prep       *conflict.Prepared
 	// sigAll/sigWrite are the entry's footprint overlap signatures
-	// (footprintSigs): later commits use them to screen, without
+	// (planStripes): later commits use them to screen, without
 	// re-detection, whether an entry that published mid-attempt could
 	// possibly share a location with them.
 	sigAll   uint64
@@ -247,11 +237,6 @@ type Runtime struct {
 	cfg      Config
 	detector conflict.Detector
 
-	// lock is the paper's global read-write lock, demoted by the striped
-	// commit path to one job: optimistic commits hold the read side
-	// while ticketed — so they overlap each other freely — and serial
-	// escalation takes the write side to run truly alone.
-	lock  sync.RWMutex
 	clock atomic.Int64 // commit-time ticket counter, initialized to 1
 
 	// published is the commit sequencer's watermark: the highest commit
@@ -290,8 +275,8 @@ type Runtime struct {
 	abortReasons [conflict.NumReasons]int64
 
 	// installCheck, when set (tests only), sees every commit's install
-	// plan at the point it is final: stripes or write lock held, replay
-	// done, nothing published yet.
+	// plan at the point it is final: stripes held, replay done, nothing
+	// published yet.
 	installCheck func(tx *Tx, foot []conflict.FootprintLoc)
 
 	errOnce sync.Once
@@ -509,7 +494,6 @@ func (r *Runtime) statsSnapshot() Stats {
 		Reclaimed:    atomic.LoadInt64(&r.stats.Reclaimed),
 		MaxHist:      atomic.LoadInt64(&r.stats.MaxHist),
 		BackoffWaits: atomic.LoadInt64(&r.stats.BackoffWaits),
-		Escalations:  atomic.LoadInt64(&r.stats.Escalations),
 
 		ValidationsSkipped: atomic.LoadInt64(&r.stats.ValidationsSkipped),
 		LocsInstalled:      atomic.LoadInt64(&r.stats.LocsInstalled),
@@ -538,12 +522,12 @@ func (r *Runtime) finalState() *state.State {
 
 // runTask is RUNTASK of Figure 7: retry until commit. The whole service
 // time (all attempts through the successful commit) is traced as one
-// EvTask span on the worker's lane. Contention management wraps the
-// retry loop: aborted attempts back off with bounded exponential jitter
-// (Config.Backoff), and after Config.SerializeAfter consecutive aborts
-// the transaction escalates to irrevocable serial mode, which cannot
-// abort — so retries per transaction are bounded by SerializeAfter even
-// against an adversarial detector.
+// EvTask span on the worker's lane. Aborted attempts back off with
+// bounded exponential jitter (Config.Backoff). There is no serial mode:
+// an attempt aborts only on a window entry that committed after its
+// begin, and the retry begins after that entry, so each retry is charged
+// to a distinct commit by another task and a task retries at most
+// tasks−1 times (Theorem 4.1) under a sound detector.
 func (r *Runtime) runTask(task adt.Task, tid, worker int) {
 	ctx := obs.Ctx{T: r.tracer, Worker: int32(worker), Task: int32(tid)}
 	start := ctx.Now()
@@ -553,13 +537,7 @@ func (r *Runtime) runTask(task adt.Task, tid, worker int) {
 			return
 		}
 		ctx.Attempt = int32(retries + 1)
-		var committed bool
-		var err error
-		if r.cfg.SerializeAfter > 0 && retries >= r.cfg.SerializeAfter {
-			committed, err = r.attemptSerial(ctx, task, tid)
-		} else {
-			committed, err = r.attempt(ctx, task, tid)
-		}
+		committed, err := r.attempt(ctx, task, tid)
 		if err != nil {
 			r.fail(fmt.Errorf("stm: task %d: %w", tid, err))
 			return
@@ -614,34 +592,17 @@ func (r *Runtime) noteRetry(tid, retries int) bool {
 	return true
 }
 
-// OplogBudgetError is what Tx.Exec returns once a transaction's
-// operation log reaches Config.MaxTxnOps: the op is refused so a single
-// runaway task cannot grow its private log without bound. A task that
-// propagates it (the adt.Task contract) fails the run with this error,
-// recoverable via errors.As.
-type OplogBudgetError struct {
-	Task   int // transaction id
-	Ops    int // ops already logged
-	Budget int // Config.MaxTxnOps
-}
-
-// Error implements error.
-func (e *OplogBudgetError) Error() string {
-	return fmt.Sprintf("task %d oplog budget exceeded: %d ops logged, budget %d", e.Task, e.Ops, e.Budget)
-}
-
 // Tx is a running transaction; it implements adt.Executor by applying ops
 // to the privatized state and logging them. A Tx is a shell a transaction
 // moves into (newTx) and out of (release): the views with their maps and
 // fault closures, the window and the commit scratch stay with the shell
 // for the next transaction, on this runtime or a later one.
 type Tx struct {
-	r      *Runtime // whose store the views fault from; nil while pooled
-	tid    int
-	begin  int64
-	priv   *state.State // the privatized shared state of Figure 7
-	snap   *state.State // its SharedSnapshot
-	maxOps int          // Config.MaxTxnOps; 0 = unlimited
+	r     *Runtime // whose store the views fault from; nil while pooled
+	tid   int
+	begin int64
+	priv  *state.State // the privatized shared state of Figure 7
+	snap  *state.State // its SharedSnapshot
 
 	// prep is the artifact the transaction logs into (conflict.Begin): the
 	// log's storage belongs to it, not to the shell, because a committed
@@ -663,8 +624,8 @@ type Tx struct {
 	// The commit's install plan (commit.go), aligned with the footprint:
 	// dirty[i] marks location i as written by an entry of the validated
 	// window, and overlay holds the dirty locations' replayed values (nil
-	// when nothing was dirty — a serial transaction's always is; otherwise
-	// replay, the shell's own overlay state).
+	// when nothing was dirty; otherwise replay, the shell's own overlay
+	// state).
 	dirty       []bool
 	dirtyBuf    [8]bool
 	overlay     *state.State
@@ -707,10 +668,10 @@ var txPool = sync.Pool{New: func() any {
 const maxShellLocs = 1 << 14
 
 // release ends the transaction's use of its shell and pools it. Callers
-// are the places a transaction ends for good — attempt after finish,
-// attemptSerial, execute's body-error path — never the halves themselves:
-// the drivers that call execute and finish directly (sim.go, the schedule
-// explorer) read the window, the stripes and the install plan afterwards.
+// are the places a transaction ends for good — attempt after finish and
+// execute's body-error path — never the halves themselves: the drivers
+// that call execute and finish directly (sim.go, the schedule explorer)
+// read the window, the stripes and the install plan afterwards.
 // The artifact is not the shell's to return: finish recycles or publishes
 // it.
 func (t *Tx) release() {
@@ -728,16 +689,12 @@ func (t *Tx) release() {
 
 // Exec implements adt.Executor.
 func (t *Tx) Exec(op oplog.Op) (state.Value, error) {
-	n := t.prep.Ops()
-	if t.maxOps > 0 && n >= t.maxOps {
-		return nil, &OplogBudgetError{Task: t.tid, Ops: n, Budget: t.maxOps}
-	}
 	acc := op.Accesses(t.priv)
 	v, err := op.Apply(t.priv)
 	if err != nil {
 		return nil, err
 	}
-	t.prep.Append(oplog.Event{Op: op, Task: t.tid, Seq: n, Acc: acc, Observed: v})
+	t.prep.Append(oplog.Event{Op: op, Task: t.tid, Seq: t.prep.Ops(), Acc: acc, Observed: v})
 	return v, nil
 }
 
@@ -907,7 +864,7 @@ func (r *Runtime) createTransaction(tid int) *Tx {
 // is whatever the artifact's last transaction needed.
 func (r *Runtime) newTx(tid int, begin int64) *Tx {
 	tx := txPool.Get().(*Tx)
-	tx.r, tx.tid, tx.begin, tx.maxOps = r, tid, begin, r.cfg.MaxTxnOps
+	tx.r, tx.tid, tx.begin = r, tid, begin
 	tx.prep = conflict.Begin()
 	return tx
 }
@@ -967,65 +924,6 @@ const (
 	commitRace
 	commitFailed
 )
-
-// attemptSerial escalates a starving transaction to irrevocable serial
-// mode: it holds the global write lock across execute and commit, so no
-// concurrent commit can invalidate it and no validation is needed — the
-// transaction literally runs alone at the current clock, which makes its
-// commit trivially serializable and guarantees progress under contention
-// no detector-based retry could survive (the Theorem 4.1 termination
-// argument degenerates to "the lock holder finishes"). In ordered mode it
-// first waits for its commit turn, at which point no predecessor can
-// still commit, preserving the task-order serialization.
-func (r *Runtime) attemptSerial(ctx obs.Ctx, task adt.Task, tid int) (committed bool, err error) {
-	atomic.AddInt64(&r.stats.Escalations, 1)
-	serialStart := ctx.Now()
-	if r.cfg.Ordered {
-		r.waitTurn(ctx, tid)
-	}
-	if r.failed() {
-		return false, nil
-	}
-	r.lock.Lock()
-	defer r.lock.Unlock()
-	if r.failed() {
-		return false, nil
-	}
-	// Build the transaction against the live version; the write lock
-	// excludes every optimistic commit (they hold the read side while
-	// ticketed), so the sequencer is drained — clock == published — and
-	// the privatized view cannot go stale.
-	tx := r.newTx(tid, r.published.Load())
-	defer tx.release()
-	prep := tx.prep
-	if err := runTaskBody(task, tx, tid); err != nil {
-		prep.Recycle()
-		return false, err
-	}
-	if h := r.cfg.Hooks; h != nil && h.CommitDelay != nil {
-		h.CommitDelay(tid)
-	}
-	// A serial transaction never validated; its artifact is published for
-	// the detectors of every future transaction that finds it in the
-	// history, and read here for its own footprint (the merge's
-	// written-location list). Nothing is replayed: the transaction ran
-	// alone against the live store, so its private values are the
-	// post-commit values.
-	foot := prep.Footprint()
-	if r.installCheck != nil {
-		r.installCheck(tx, foot)
-	}
-	sigAll, sigWrite := footprintSigs(foot)
-	ctime := r.clock.Add(1)
-	r.mergeVersion(tx, foot)
-	r.publishEntry(tid, ctime, prep, sigAll, sigWrite)
-	if sink := r.cfg.Record; sink != nil {
-		sink.ObserveCommitted(tid, ctime, prep.Log())
-	}
-	r.advancePublished(ctime)
-	ctx.End(obs.EvTxSerial, serialStart)
-	return true, nil
-}
 
 // reclaimLocked drops history entries every active transaction has already
 // seen (commitTime ≤ min active begin) and appends their artifacts to

@@ -106,7 +106,7 @@ func (r *Runtime) storeGet(l state.Loc) (state.Value, bool) {
 }
 
 // storeSet publishes one location's committed value. Callers are
-// serialized (publication turn or the global write lock).
+// serialized by the publication turn.
 func (r *Runtime) storeSet(l state.Loc, v state.Value) {
 	b := r.base[l]
 	if b == nil {

@@ -117,10 +117,6 @@ type (
 	// commit order (see Config.Record and internal/rec for the standard
 	// implementation).
 	CommitSink = stm.CommitSink
-	// OplogBudgetError is what a transaction's Exec returns — and the run
-	// fails with — once one task's operation log exceeds Config.MaxTxnOps;
-	// unwrap it with errors.As.
-	OplogBudgetError = stm.OplogBudgetError
 	// SpecError reports a rejected trained-spec artifact (corruption,
 	// version or abstraction-mode mismatch, unknown entries); LoadSpec
 	// returns one, errors.As-matchable, for every artifact fault.
@@ -262,15 +258,6 @@ type Config struct {
 	// retrying instead of immediately re-running speculation that is
 	// likely to abort again. Zero retries immediately.
 	Backoff Backoff
-	// SerializeAfter escalates a transaction to irrevocable serial mode
-	// after this many consecutive aborts: it takes the runtime's global
-	// write lock, re-executes alone, and commits unconditionally, so
-	// starving transactions are guaranteed progress under pathological
-	// contention. 0 never escalates.
-	SerializeAfter int
-	// MaxTxnOps bounds a single transaction's operation log; an op past
-	// the budget is refused with *OplogBudgetError. 0 means unlimited.
-	MaxTxnOps int
 	// Record, when non-nil, receives each committed transaction's
 	// operation log inside the commit's publication turn — commit order,
 	// exactly once per accepted transaction (see internal/rec for the
@@ -285,31 +272,24 @@ type Config struct {
 	// into per-worker ring buffers. The caller owns the trace and reads
 	// it when it wants to — Trace.Events, Trace.Since for a tail,
 	// Trace.WriteChromeJSON — so a run costs only the events it emits.
-	// Nil disables tracing at no cost.
+	// Its counters and latency histograms are published to expvar as
+	// "janus.obs". Nil disables tracing at no cost.
 	Trace *Trace
-	// Observe, when non-empty, starts a debug HTTP endpoint on the
-	// address (e.g. ":6060") serving /debug/vars (expvar, including the
-	// trace's counters and latency histograms) and /debug/pprof. Check
-	// DebugAddr for the bound address and any bind error.
-	Observe string
 }
 
 // Runner is a configured JANUS instance: train it once, then run task
 // sets in parallel. The zero Config gives sequence-based detection with
 // abstraction on.
 type Runner struct {
-	cfg     Config
-	engine  *core.Engine
-	obsAddr string
-	obsErr  error
+	cfg    Config
+	engine *core.Engine
 	// specRejected records a lenient LoadSpecPolicy rejection: the runner
 	// permanently degrades to write-set detection (the cache cannot be
 	// trusted to have been trained as intended).
 	specRejected bool
 }
 
-// New builds a Runner. When cfg.Observe is set, the debug endpoint is
-// started immediately and the trace (if any) is published to expvar.
+// New builds a Runner and publishes its trace, if any, to expvar.
 func New(cfg Config) *Runner {
 	r := &Runner{cfg: cfg, engine: core.NewEngine(core.Options{
 		DisableAbstraction: cfg.DisableAbstraction,
@@ -321,15 +301,8 @@ func New(cfg Config) *Runner {
 	if cfg.Trace != nil {
 		obs.PublishVars("janus.obs", func() any { return cfg.Trace.Vars() })
 	}
-	if cfg.Observe != "" {
-		r.obsAddr, r.obsErr = obs.Serve(cfg.Observe)
-	}
 	return r
 }
-
-// DebugAddr returns the bound address of the Config.Observe debug
-// endpoint, or the error that prevented it from starting.
-func (r *Runner) DebugAddr() (string, error) { return r.obsAddr, r.obsErr }
 
 // Train profiles the payload sequentially (no synchronization) from the
 // given initial state and folds the learned commutativity conditions into
@@ -442,15 +415,13 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 		tracer = r.cfg.Trace
 	}
 	final, stats, err := stm.RunCtx(ctx, stm.Config{
-		Threads:        r.cfg.Threads,
-		Ordered:        ordered,
-		Detector:       det,
-		MaxRetries:     r.cfg.MaxRetries,
-		Tracer:         tracer,
-		Backoff:        r.cfg.Backoff,
-		SerializeAfter: r.cfg.SerializeAfter,
-		MaxTxnOps:      r.cfg.MaxTxnOps,
-		Record:         r.cfg.Record,
+		Threads:    r.cfg.Threads,
+		Ordered:    ordered,
+		Detector:   det,
+		MaxRetries: r.cfg.MaxRetries,
+		Tracer:     tracer,
+		Backoff:    r.cfg.Backoff,
+		Record:     r.cfg.Record,
 	}, initial, tasks)
 	rs := RunStats{Run: stats}
 	switch d := det.(type) {

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"testing"
 
 	"repro/internal/obs"
@@ -617,37 +616,5 @@ func TestPanicSurfacesAsError(t *testing.T) {
 	}
 	if pe.Task != 2 || pe.Value != "client bug" {
 		t.Fatalf("PanicError = %+v", pe)
-	}
-}
-
-// TestContentionKnobsSurfaceInConfig drives the public Backoff and
-// SerializeAfter knobs end to end: under write-set detection, tasks that
-// all mutate one counter contend; the knobs must keep the run correct and
-// surface their accounting in RunStats.
-func TestContentionKnobsSurfaceInConfig(t *testing.T) {
-	r := New(Config{
-		Detection:      DetectWriteSet,
-		Threads:        4,
-		Backoff:        Backoff{Base: 10 * time.Microsecond},
-		SerializeAfter: 3,
-	})
-	var tasks []Task
-	var want int64
-	for i := 1; i <= 40; i++ {
-		tasks = append(tasks, addTask(int64(i)))
-		want += int64(i)
-	}
-	final, stats, err := r.Run(exampleState(), tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := final.Get("work"); v.String() != fmt.Sprint(want) {
-		t.Fatalf("work = %v, want %d", v, want)
-	}
-	if stats.Run.Commits != 40 {
-		t.Fatalf("commits = %d, want 40", stats.Run.Commits)
-	}
-	if stats.Run.RetryRatio() > 3 {
-		t.Fatalf("retries/txn = %.2f, want <= SerializeAfter", stats.Run.RetryRatio())
 	}
 }

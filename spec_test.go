@@ -101,25 +101,3 @@ func TestLoadSpecLenientPassesThroughNonSpecErrors(t *testing.T) {
 		t.Fatal("a contract violation must not count as an artifact rejection")
 	}
 }
-
-// TestRunBoundKnobs: the public MaxTxnOps knob reaches the runtime — a
-// transaction past its op budget fails the run with *OplogBudgetError.
-func TestRunBoundKnobs(t *testing.T) {
-	hungry := func(ex Executor) error {
-		for i := 0; i < 6; i++ {
-			if err := (Counter{L: "work"}).Add(ex, 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	r := New(Config{Threads: 1, Detection: DetectWriteSet, MaxTxnOps: 3})
-	_, _, err := r.Run(exampleState(), []Task{hungry})
-	var be *OplogBudgetError
-	if !errors.As(err, &be) {
-		t.Fatalf("err = %v, want *OplogBudgetError", err)
-	}
-	if be.Budget != 3 {
-		t.Fatalf("budget = %d, want 3", be.Budget)
-	}
-}
