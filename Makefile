@@ -17,7 +17,7 @@ build:
 test:
 	$(GO) test -timeout 120s ./...
 
-# Short race job over the concurrency-heavy packages (mirrors CI). The
+# Short race job over the concurrency-heavy packages (CI's race job). The
 # second line is the poisoned-recycle runs outside those packages (stm's is
 # in the first): with recycled artifacts poisoned a use-after-recycle
 # panics, and -race is what reports a reader overlapping the recycler.
@@ -28,7 +28,7 @@ race:
 # Repeat the stm liveness tests (context drains, sequencer waiters woken
 # by a failure, an ordered run whose first task fails): the schedules they
 # stage are ordered by construction, so 20 of 20 must pass even under
-# package-level load (mirrors CI, beside the race job). go test -run
+# package-level load (CI runs it in the race job). go test -run
 # passes when nothing matches, so the target first checks that all five
 # named tests exist. Those are the lock-level
 # schedules; the step-level ones are enumerated, not repeated, so the
@@ -39,7 +39,7 @@ stress:
 	$(GO) test -count=20 -run '$(STRESS_TESTS)' ./internal/stm
 	$(GO) test -count=1 -run 'TestExploreSchedules' ./internal/stm
 
-# Short chaos soak under the race detector (mirrors CI): fault-injected
+# Short chaos soak under the race detector (CI's chaos-soak job): fault-injected
 # runs whose final state is checked against the sequential oracle.
 chaos:
 	$(GO) test -race -count=1 -run Chaos ./internal/...

@@ -1,8 +1,8 @@
 package janus
 
 // Ablation benchmarks for the design choices DESIGN.md calls out: the
-// simulator's cost calibration, the §5.3 online-checking alternative, log
-// reclamation, privatization strategy, and ordered vs unordered commits.
+// simulator's cost calibration, log reclamation, privatization strategy,
+// and ordered vs unordered commits.
 
 import (
 	"fmt"
@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/conflict"
-	"repro/internal/core"
 	"repro/internal/relation"
 	"repro/internal/state"
 	"repro/internal/stm"
@@ -70,41 +69,6 @@ func BenchmarkAblationCostModel(b *testing.B) {
 				})
 			}
 		}
-	}
-}
-
-// BenchmarkAblationOnlineDetection compares the cached (trained) sequence
-// detector against the §5.3 online alternative, which runs the concrete
-// Figure 8 checks at runtime on every miss. Measured as real CPU time of
-// the wall-clock runtime — the paper's expectation that online checking
-// is "unlikely to be acceptable in performance" shows up as ns/op.
-func BenchmarkAblationOnlineDetection(b *testing.B) {
-	w, err := workloads.ByName("jfilesync")
-	if err != nil {
-		b.Fatal(err)
-	}
-	tasks := w.Tasks(workloads.Small, benchSeed)
-	for _, mode := range []string{"cached", "online"} {
-		b.Run(mode, func(b *testing.B) {
-			var det conflict.Detector
-			if mode == "cached" {
-				det = trainedEngine(b, w, false).Detector()
-			} else {
-				online := core.NewEngine(core.Options{Online: true, Relax: w.Relaxations})
-				d := online.Detector()
-				d.Online = true
-				det = d
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := stm.Run(stm.Config{
-					Threads:  4,
-					Detector: det,
-				}, w.NewState(), tasks); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

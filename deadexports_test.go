@@ -70,21 +70,6 @@ var liveByContract = map[string]string{
 	"internal/chaos.ServiceInjector.Deadline":   "serve soak",
 	"internal/chaos.ServiceInjector.Disconnect": "serve soak",
 	"internal/chaos.ServiceInjector.SlowBatch":  "serve soak",
-
-	// §6: Table 2's primitives beyond insert/remove/matching and Table 3's
-	// footprints. No workload reaches them; ROADMAP item 5(c) puts them
-	// under the oracle or deletes them.
-	"internal/relation.ContentRemove":            "ROADMAP 5(c)",
-	"internal/relation.ContentSelect":            "ROADMAP 5(c)",
-	"internal/relation.ContentUnion":             "ROADMAP 5(c)",
-	"internal/relation.ContentIntersect":         "ROADMAP 5(c)",
-	"internal/relation.ContentSubtract":          "ROADMAP 5(c)",
-	"internal/relation.Relation.Select":          "ROADMAP 5(c)",
-	"internal/relation.Relation.Union":           "ROADMAP 5(c)",
-	"internal/relation.Relation.Intersect":       "ROADMAP 5(c)",
-	"internal/relation.Relation.InsertFootprint": "ROADMAP 5(c)",
-	"internal/relation.Relation.RemoveFootprint": "ROADMAP 5(c)",
-	"internal/relation.Relation.SelectFootprint": "ROADMAP 5(c)",
 }
 
 // modulePath is go.mod's module line: what import paths inside the

@@ -47,8 +47,14 @@ func relTuple(key, val string) relation.Tuple {
 	return relation.Tuple{DomainCol: key, RangeCol: val}
 }
 
+// domainCols is the key of an ADT relation: its FD's domain.
+var domainCols = []string{DomainCol}
+
+// relPLoc is key's projection location in the relation at l. Its key is
+// the tuple key relation.Tuple.Key renders, escapes and all, so it names
+// the tuple Relation.LocKey finds.
 func relPLoc(l state.Loc, key string) oplog.PLoc {
-	return oplog.MakePLoc(l, DomainCol+"="+key)
+	return oplog.MakePLoc(l, relation.Tuple{DomainCol: key}.Key(domainCols))
 }
 
 // RelPutOp binds Key to Val in the relation at L ("insert" of Table 2).
@@ -68,8 +74,8 @@ func (o RelPutOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-// Accesses implements oplog.Op (InsertFootprint of Table 3: a write of the
-// key's subvalue).
+// Accesses implements oplog.Op (the insert footprint of Table 3: a write
+// of the key's subvalue).
 func (o RelPutOp) Accesses(*state.State) []oplog.Access {
 	return []oplog.Access{{P: relPLoc(o.L, o.Key), Write: true}}
 }

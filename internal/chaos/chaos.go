@@ -183,9 +183,9 @@ func (i *Injector) CommitDelay(task int) {
 
 // ForceMiss implements conflict.Sequence.ForceMiss: a seeded coin per
 // (task, attempt) that pretends the commutativity cache has no entry,
-// driving the detector onto its write-set/online fallback paths. A
-// configured miss storm (StormStart/StormLen) overrides the coin for a
-// contiguous burst of consultations.
+// driving the detector onto its write-set fallback path. A configured
+// miss storm (StormStart/StormLen) overrides the coin for a contiguous
+// burst of consultations.
 func (i *Injector) ForceMiss(task, attempt int) bool {
 	if i.cfg.StormLen > 0 {
 		n := i.lookups.Add(1)

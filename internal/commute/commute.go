@@ -330,9 +330,10 @@ func Commutes(s *state.State, l oplog.PLoc, seq1, seq2 oplog.Log) (bool, error) 
 // ConflictConcrete is the idealized CONFLICT of Figure 8 executed
 // concretely from entry state s: a conflict exists unless every read
 // prefix of each sequence passes SAMEREAD and the pair passes COMMUTE.
-// Training uses it to validate learned conditions on observed instances;
-// the "online" detection mode (an ablation the paper mentions in §5.3)
-// uses it directly.
+// It is an offline oracle, not a runtime path (it needs the entry state,
+// which the runtime does not keep): training uses it to validate learned
+// conditions on observed instances, and the soundness tests use it as
+// their reference.
 func ConflictConcrete(s *state.State, l oplog.PLoc, seq1, seq2 oplog.Log) (bool, error) {
 	for _, prefix := range readPrefixes(seq1) {
 		same, err := SameRead(s, l, prefix, seq2)

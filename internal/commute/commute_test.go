@@ -172,6 +172,27 @@ func TestConflictConcreteEqualWrites(t *testing.T) {
 	}
 }
 
+// TestConflictConcreteKeysWithSeparators: a built-in ADT op's projection
+// key and the key PLocValue matches tuples by must be one rendering, or the
+// judgment finds no tuple, reads the absent value in both orders and
+// admits two different writes to a key holding a separator.
+func TestConflictConcreteKeysWithSeparators(t *testing.T) {
+	base := state.New()
+	base.Set("m", adt.NewRelValue())
+	for _, key := range []string{"a,b", "a=b", `a\b`, "k=a,k=b"} {
+		after := base.Clone()
+		w1 := record(t, after, 1, adt.RelPutOp{L: "m", Key: key, Val: "1"})
+		w2 := record(t, base.Clone(), 2, adt.RelPutOp{L: "m", Key: key, Val: "2"})
+		p := w1[0].Acc[0].P
+		if conflict, err := ConflictConcrete(base, p, w1, w2); err != nil || !conflict {
+			t.Errorf("key %q: different writes must conflict: %v %v", key, conflict, err)
+		}
+		if v, err := PLocValue(after, p); err != nil || !v.EqualValue(state.Str("v=1")) {
+			t.Errorf("key %q: PLocValue after the put = %v, %v; want v=1", key, v, err)
+		}
+	}
+}
+
 func TestConflictConcreteSharedAsLocal(t *testing.T) {
 	base := state.New()
 	base.Set("f", state.Str("init"))

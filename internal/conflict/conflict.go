@@ -52,8 +52,6 @@ const (
 	// ReasonTheory: a cached condition's theory did not cover the
 	// concrete pair (answered conservatively).
 	ReasonTheory
-	// ReasonOnline: the concrete online sequence check found a conflict.
-	ReasonOnline
 	// ReasonInjected: a fault injector (internal/chaos) forced the abort;
 	// no detector check actually failed.
 	ReasonInjected
@@ -77,8 +75,6 @@ func (r Reason) String() string {
 		return "wildcard"
 	case ReasonTheory:
 		return "theory"
-	case ReasonOnline:
-		return "online"
 	case ReasonInjected:
 		return "injected"
 	default:
@@ -99,9 +95,10 @@ type Verdict struct {
 
 // Detector decides whether a transaction conflicts with its conflict
 // history — the logs of the transactions that committed while it ran, one
-// per committed transaction, in commit order (§4.1). snapshot is the
-// transaction's entry state (SharedSnapshot). Implementations must be
-// safe for concurrent use.
+// per committed transaction, in commit order (§4.1). snapshot is always
+// nil: no detector evaluates sequences concretely at runtime (a cache miss
+// falls back to the write-set rule, §5.3), and the runtime keeps no entry
+// state to pass. Implementations must be safe for concurrent use.
 //
 // The history is kept per-transaction because both Lemma 5.2 and the
 // training phase reason about pairs of single-transaction sequences; the
@@ -307,32 +304,27 @@ func NewRelaxations(raw, waw []state.Loc) *Relaxations {
 
 // Sequence is the hindsight detector: per-location sequence pairs are
 // answered from the trained commutativity cache, relaxation-aware theory
-// checks, the concrete online check (optional), or the write-set fallback.
+// checks, or — on a cache miss — the write-set fallback.
 type Sequence struct {
 	// Cache holds the trained commutativity specification. A nil cache
 	// makes every query a miss (pure fallback).
 	Cache *cache.Cache
 	// Relax is the consistency-relaxation specification; may be nil.
 	Relax *Relaxations
-	// Online enables the §5.3 alternative of running the sequence-based
-	// check concretely at runtime on cache misses instead of falling back
-	// to write-set detection ("unlikely to be acceptable in performance",
-	// which the ablation benchmarks confirm).
-	Online bool
 	// LearnOnline implements the §5.3 remark that "memoization can be
 	// used to support online training": on a cache miss, the detector
 	// attempts to prove a condition for the pair's shape right away and
 	// caches it, so an untrained system converges to trained behavior
 	// after one miss per shape pair.
 	LearnOnline bool
-	// InferWAW enables the §5.3 "limited automatic inference": when
-	// out-of-order parallelization is permitted, write-after-write
-	// dependences between two transactions are ignored — a pair whose
-	// reads are all order-insensitive is admitted even when the final
-	// values differ, because serializing the transactions in commit
-	// order is then a correct serial outcome. It is sound ONLY for
-	// unordered commits; the runtime must not combine it with ordered
-	// execution.
+	// InferWAW enables the §5.3 "limited automatic inference": write-
+	// after-write dependences between two transactions are ignored — a
+	// pair is admitted when the running transaction's reads are stable
+	// under the committed one's effect, even when the final values
+	// differ. The outcome is the commit-order serialization (the
+	// committed transaction first): under unordered commits some legal
+	// serial order, under ordered commits the sequential order itself,
+	// since the committed transaction precedes the running one.
 	InferWAW bool
 
 	// ForceMiss, when non-nil, is consulted before each commutativity-
@@ -374,7 +366,7 @@ func (s *Sequence) Stats() Stats {
 // misses, and fallbacks are emitted through ctx; a conflict verdict
 // carries the failed check, the location pair, and (when tracing is
 // enabled) the symbolic shape pair.
-func (s *Sequence) DetectPrepared(ctx obs.Ctx, snapshot *state.State, txn *Prepared, committed []*Prepared) Verdict {
+func (s *Sequence) DetectPrepared(ctx obs.Ctx, _ *state.State, txn *Prepared, committed []*Prepared) Verdict {
 	atomic.AddInt64(&s.stats.Detections, 1)
 	if len(committed) == 0 {
 		// Validity: an empty history never conflicts, so a transaction
@@ -392,7 +384,7 @@ func (s *Sequence) DetectPrepared(ctx obs.Ctx, snapshot *state.State, txn *Prepa
 					continue
 				}
 				atomic.AddInt64(&s.stats.PairQueries, 1)
-				if v := s.pairVerdict(ctx, snapshot, lt, lc); v.Conflict {
+				if v := s.pairVerdict(ctx, lt, lc); v.Conflict {
 					atomic.AddInt64(&s.stats.Conflicts, 1)
 					s.reasons.add(v.Reason)
 					if ctx.Enabled() {
@@ -424,7 +416,7 @@ func reasonForCheck(c commute.Check) Reason {
 // The symbolic shapes are read from the artifacts' memoized projections;
 // the access modes behind the fallback paths are memoized lazily on first
 // use.
-func (s *Sequence) pairVerdict(ctx obs.Ctx, snapshot *state.State, lt, lc *preparedLoc) Verdict {
+func (s *Sequence) pairVerdict(ctx obs.Ctx, lt, lc *preparedLoc) Verdict {
 	p, q := lt.p, lc.p
 	conflict := func(r Reason) Verdict { return Verdict{Conflict: true, Reason: r, P: p, Q: q} }
 	// Wildcard-extent pairs (whole-relation observations) are outside the
@@ -444,7 +436,7 @@ func (s *Sequence) pairVerdict(ctx obs.Ctx, snapshot *state.State, lt, lc *prepa
 		}
 		return Verdict{}
 	}
-	if s.InferWAW && !s.inferWAWConflicts(lt.syms, lc.syms) {
+	if s.InferWAW && !readsStale(lt.syms, lc.syms) {
 		return Verdict{}
 	}
 	if s.Cache != nil && (s.ForceMiss == nil || !s.ForceMiss(int(ctx.Task), int(ctx.Attempt))) {
@@ -481,16 +473,7 @@ func (s *Sequence) pairVerdict(ctx obs.Ctx, snapshot *state.State, lt, lc *prepa
 			}
 		}
 	}
-	// Miss: concrete online check or write-set fallback.
-	if s.Online && snapshot != nil {
-		hit, err := commute.ConflictConcrete(snapshot, p, lt.seq, lc.seq)
-		if err == nil {
-			if hit {
-				return conflict(ReasonOnline)
-			}
-			return Verdict{}
-		}
-	}
+	// Miss: write-set fallback.
 	atomic.AddInt64(&s.stats.Fallbacks, 1)
 	ctx.Cache(obs.EvCacheFallback, string(p), "")
 	if s.fallback(lt, lc) {
@@ -508,14 +491,14 @@ func symsString(syms []oplog.Sym) string {
 	return strings.Join(parts, " ")
 }
 
-// inferWAWConflicts is the commit-order judgment behind InferWAW: the
-// running transaction conflicts with a committed one only if some read of
-// the running transaction observes a value the committed transaction's
+// readsStale is the commit-order judgment behind InferWAW: the running
+// transaction conflicts with a committed one only if some read of the
+// running transaction observes a value the committed transaction's
 // composite effect changes. The committed transaction serializes first
 // (it already did), so its own reads and the pair's final-value
 // disagreement are immaterial. Pairs outside the effect theories report a
 // conflict here and flow on to the normal (stricter) pipeline.
-func (s *Sequence) inferWAWConflicts(symsT, symsC []oplog.Sym) bool {
+func readsStale(symsT, symsC []oplog.Sym) bool {
 	if aT, ok := seqeff.AnalyzeRegister(symsT); ok {
 		if aC, ok := seqeff.AnalyzeRegister(symsC); ok {
 			return !seqeff.SameRead(aT, aC.Eff)

@@ -132,22 +132,6 @@ func TestSequenceNilCachePureFallback(t *testing.T) {
 	}
 }
 
-func TestSequenceOnlineMode(t *testing.T) {
-	st := baseState()
-	det := &Sequence{Cache: cache.New(seqabs.Abstract), Online: true}
-	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}, adt.NumAddOp{L: "work", Delta: -5})
-	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}, adt.NumAddOp{L: "work", Delta: -7})
-	if detect(det, st, id1, id2) {
-		t.Fatalf("online mode must run the concrete check and admit identity pairs")
-	}
-	// Genuinely conflicting pair is still caught online.
-	wr5 := record(t, st, 1, adt.NumStoreOp{L: "work", V: 5})
-	rd := record(t, st, 2, adt.NumLoadOp{L: "work"})
-	if !detect(det, st, rd, wr5) {
-		t.Fatalf("online mode must detect a read disturbed by a store")
-	}
-}
-
 func TestRelaxationsRAWSpuriousReads(t *testing.T) {
 	// The JGraphT-1 maxColor pattern (Figure 3): one transaction reads,
 	// another writes. RAW relaxation suppresses the conflict.

@@ -75,7 +75,6 @@ func TestNoConflictImpliesSerialEquivalence(t *testing.T) {
 		{"sequence/trained", NewSequence(trainedIdentityCache(), nil)},
 		{"sequence/nil-cache", NewSequence(nil, nil)},
 		{"sequence/learn-online", learn},
-		{"sequence/online", &Sequence{Online: true}},
 	}
 	admitted := make([]int, len(dets))
 	rng := rand.New(rand.NewSource(71))

@@ -28,14 +28,11 @@ type Options struct {
 	// DisableAbstraction turns off §5.2 sequence abstraction (cache keys
 	// require exact shape matches) — the Figure 11 ablation knob.
 	DisableAbstraction bool
-	// Online answers cache misses with the concrete Figure 8 check at
-	// runtime instead of the write-set fallback.
-	Online bool
 	// LearnOnline proves and caches conditions for missed shape pairs at
 	// runtime (online training via memoization, §5.3).
 	LearnOnline bool
 	// InferWAW ignores write-after-write dependences between transactions
-	// (§5.3 automatic inference); sound only for unordered commits.
+	// (§5.3 automatic inference): runs serialize in commit order.
 	InferWAW bool
 	// Relax is the §5.3 consistency-relaxation specification; may be nil.
 	Relax *conflict.Relaxations
@@ -86,7 +83,6 @@ func (e *Engine) TrainMany(initial *state.State, payloads [][]adt.Task) error {
 // Each run should use a fresh detector so its statistics are per-run.
 func (e *Engine) Detector() *conflict.Sequence {
 	det := conflict.NewSequence(e.cache, e.opts.Relax)
-	det.Online = e.opts.Online
 	det.LearnOnline = e.opts.LearnOnline
 	det.InferWAW = e.opts.InferWAW
 	return det

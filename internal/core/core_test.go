@@ -83,9 +83,9 @@ var errBoom = boomErr{}
 
 func TestEngineOptionsPropagate(t *testing.T) {
 	relax := conflict.NewRelaxations([]state.Loc{"x"}, nil)
-	e := NewEngine(Options{Online: true, LearnOnline: true, InferWAW: true, Relax: relax})
+	e := NewEngine(Options{LearnOnline: true, InferWAW: true, Relax: relax})
 	det := e.Detector()
-	if !det.Online || !det.LearnOnline || !det.InferWAW {
+	if !det.LearnOnline || !det.InferWAW {
 		t.Fatalf("options not propagated: %+v", det)
 	}
 	if !det.Relax.TolerateRAW("x") {

@@ -23,9 +23,9 @@ import (
 
 // PLoc is a projection location: either a scalar location "loc", or a
 // relational location refined by tuple key, "loc#key". The distinguished
-// key "*" stands for the relation's full extent (see
-// relation.WholeRelationKey); an access to it overlaps every key of the
-// same location.
+// key "*" stands for the relation's full extent (a tuple key always has the
+// form "col=val", so it never collides); an access to it overlaps every key
+// of the same location.
 type PLoc string
 
 // MakePLoc builds a PLoc from a location and an optional tuple key.

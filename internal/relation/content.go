@@ -3,11 +3,11 @@ package relation
 import "repro/internal/logic"
 
 // This file implements the Table 4 update rules on content formulas: each
-// primitive relational operation is mirrored as a transformation of the
-// propositional formula describing the relation's content. Chaining these
-// rules over a sequence of operations yields a symbolic description of the
-// sequence's composite effect, which internal/symrel compares for
-// equivalence with SAT.
+// primitive relational operation the ADTs issue is mirrored as a
+// transformation of the propositional formula describing the relation's
+// content. Chaining these rules over a sequence of operations yields a
+// symbolic description of the sequence's composite effect, which
+// training (internal/train) compares for equivalence with SAT.
 
 // ContentInsert returns the content formula after "insert r t":
 // (fr ∧ ¬∧_{c∈Cdom} c=t_c) ∨ ∧_{c∈C} c=t_c.
@@ -18,35 +18,9 @@ func (r *Relation) ContentInsert(fr logic.Formula, t Tuple) logic.Formula {
 	)
 }
 
-// ContentRemove returns the content formula after "remove r t":
-// fr ∧ ¬∧_{c∈C} c=t_c.
-func ContentRemove(fr logic.Formula, t Tuple) logic.Formula {
-	return logic.And(fr, logic.Not(TupleFormula(t)))
-}
-
 // ContentRemoveMatching returns the content formula after removing every
 // tuple matching t (the matching-removal JANUS ADT operations use):
 // fr ∧ ¬∧_{c∈Cdom} c=t_c.
 func (r *Relation) ContentRemoveMatching(fr logic.Formula, t Tuple) logic.Formula {
 	return logic.And(fr, logic.Not(r.DomainFormula(t)))
-}
-
-// ContentSelect returns the content formula of w := select r φ: fr ∧ φ.
-func ContentSelect(fr, sel logic.Formula) logic.Formula {
-	return logic.And(fr, sel)
-}
-
-// ContentSubtract returns the formula for r′ = r \ w: fr ∧ ¬fw.
-func ContentSubtract(fr, fw logic.Formula) logic.Formula {
-	return logic.And(fr, logic.Not(fw))
-}
-
-// ContentUnion returns the formula for r′ = r ∪ w: fr ∨ fw.
-func ContentUnion(fr, fw logic.Formula) logic.Formula {
-	return logic.Or(fr, fw)
-}
-
-// ContentIntersect returns the formula for r′ = r ∩ w: fr ∧ fw.
-func ContentIntersect(fr, fw logic.Formula) logic.Formula {
-	return logic.And(fr, fw)
 }

@@ -1,8 +1,10 @@
 // Package relation implements the relational state representation of JANUS
 // §6.1: tuples, relations with at most one functional dependency, the
-// primitive operations of Table 2 (insert, remove, select), their footprints
-// (Table 3), and the propositional content representation of Table 4 used
-// for SAT-backed equivalence testing.
+// primitive operations of Table 2 the ADTs issue (insert, remove, the
+// matching lookup), the subset order, and the propositional content
+// representation of Table 4 that training's SAT check compares. Table 3's
+// footprints are not computed here: each ADT operation reports its own
+// (oplog.Op.Accesses), keyed by LocKey.
 //
 // A relation specializes, via its functional dependency, into a function
 // mapping "locations" (valuations of the FD's domain columns) to associated
@@ -12,20 +14,21 @@
 // Storage is one persistent map (internal/persist) from a tuple's location
 // key (LocKey: its valuation on the matching columns) to the tuple. Every
 // mutator preserves "at most one tuple per location key" — insert evicts
-// what it matches, remove and the set operations only drop tuples or go
-// through insert — so a point operation is one O(log32 n) lookup or path
-// copy, Clone shares structure in O(1), and only callers that ask for the
-// canonical order (Tuples, String, ContentFormula) pay for a sort. Versions
-// share tuples, which is why a stored tuple is immutable.
+// what it matches, remove only drops — so a point operation is one
+// O(log32 n) lookup or path copy, Clone shares structure in O(1), and only
+// callers that ask for the canonical order (Tuples, String,
+// ContentFormula) pay for a sort. Versions share tuples, which is why a
+// stored tuple is immutable.
 package relation
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"repro/internal/digest"
-	"repro/internal/lattice"
 	"repro/internal/logic"
 	"repro/internal/persist"
 )
@@ -54,7 +57,10 @@ func (t Tuple) Cols() []string {
 }
 
 // Key renders the tuple's restriction to the given columns as a canonical
-// string, used as the subvalue-lattice key for footprints.
+// string, "c1=v1,c2=v2" in the order of cols, used as the location key of
+// footprints and projections. A `\`, `,` or `=` inside a column or a value
+// is escaped with a `\`, so distinct restrictions render distinctly and
+// ParseKey inverts the rendering; text without those bytes renders as is.
 func (t Tuple) Key(cols []string) string {
 	var a [64]byte // keeps the rendering of a short key off the heap
 	return string(t.appendKey(a[:0], cols))
@@ -66,11 +72,56 @@ func (t Tuple) appendKey(dst []byte, cols []string) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, c...)
+		dst = appendEscaped(dst, c)
 		dst = append(dst, '=')
-		dst = append(dst, t[c]...)
+		dst = appendEscaped(dst, t[c])
 	}
 	return dst
+}
+
+// appendEscaped appends s to dst with a `\` before every `\`, `,` and `=`.
+func appendEscaped(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c == '\\' || c == ',' || c == '=' {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', c)
+			start = i + 1
+		}
+	}
+	return append(dst, s[start:]...)
+}
+
+// ParseKey inverts Key: it returns the tuple a key renders, each column
+// bound to its value. The empty string parses to the empty tuple.
+func ParseKey(s string) Tuple {
+	t := Tuple{}
+	if s == "" {
+		return t
+	}
+	var col string
+	inValue := false
+	field := make([]byte, 0, len(s))
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\\' && i+1 < len(s):
+			i++
+			field = append(field, s[i])
+		case c == '=' && !inValue:
+			col, field, inValue = string(field), field[:0], true
+		case c == ',':
+			if inValue {
+				t[col] = string(field)
+			}
+			field, inValue = field[:0], false
+		default:
+			field = append(field, c)
+		}
+	}
+	if inValue {
+		t[col] = string(field)
+	}
+	return t
 }
 
 // String renders the full tuple canonically.
@@ -137,11 +188,6 @@ func New(cols []string, fd *FD) *Relation {
 	return &Relation{cols: sorted, match: match, fd: fd, tuples: persist.NewMap[Tuple]()}
 }
 
-// empty returns an empty relation with r's schema and FD.
-func (r *Relation) empty() *Relation {
-	return &Relation{cols: r.cols, match: r.match, fd: r.fd, tuples: persist.NewMap[Tuple]()}
-}
-
 // put stores t at key in place of old, the tuple there (nil if none).
 func (r *Relation) put(key string, old, t Tuple) {
 	r.sum += t.hash() - old.hash()
@@ -183,6 +229,32 @@ func (r *Relation) Equal(o *Relation) bool {
 	}
 	le, err := r.Leq(o) // fails on a schema or FD mismatch
 	return err == nil && le
+}
+
+// Leq reports r ⊑ o, the §6.1 partial order on relations: every tuple of
+// r is in o (subset inclusion).
+func (r *Relation) Leq(o *Relation) (bool, error) {
+	if err := r.compatible(o); err != nil {
+		return false, err
+	}
+	le := true
+	r.tuples.Range(func(_ string, t Tuple) bool {
+		le = o.Has(t)
+		return le
+	})
+	return le, nil
+}
+
+// compatible checks that two relations share schema and FD. (The FD's
+// domain decides it: domain and range partition the shared columns.)
+func (r *Relation) compatible(o *Relation) error {
+	if !slices.Equal(r.cols, o.cols) {
+		return fmt.Errorf("relation: schema mismatch: %v vs %v", r.cols, o.cols)
+	}
+	if (r.fd == nil) != (o.fd == nil) || !slices.Equal(r.match, o.match) {
+		return fmt.Errorf("relation: FD mismatch: %v vs %v", r.fd, o.fd)
+	}
+	return nil
 }
 
 // Tuples returns the tuples in canonical order: sorted by their rendering
@@ -282,132 +354,6 @@ func (r *Relation) Remove(t Tuple) bool {
 		return true
 	}
 	return false
-}
-
-// Select applies "w := select r f" of Table 2: the sub-relation of tuples
-// satisfying f.
-func (r *Relation) Select(f logic.Formula) *Relation {
-	w := r.empty()
-	r.tuples.Range(func(k string, t Tuple) bool {
-		if f.Eval(tupleAssignment(t)) {
-			w.put(k, nil, t)
-		}
-		return true
-	})
-	return w
-}
-
-// tupleAssignment renders the tuple as a truth assignment over
-// column=value atoms, for evaluating Table 1 formulas against it.
-func tupleAssignment(t Tuple) map[logic.Atom]bool {
-	asn := make(map[logic.Atom]bool, len(t))
-	for c, v := range t {
-		asn[logic.Atom{Col: c, Val: v}] = true
-	}
-	return asn
-}
-
-// InsertFootprint returns the Table 3 footprint of "insert r t" in the
-// current state: it writes the subvalue keyed by t's location and reads
-// nothing (the insert overwrites unconditionally).
-func (r *Relation) InsertFootprint(t Tuple) lattice.Footprint {
-	return lattice.Footprint{
-		Read:  lattice.EmptyKeySet(),
-		Write: lattice.NewKeySet(r.LocKey(t)),
-	}
-}
-
-// RemoveFootprint returns the Table 3 footprint of "remove r t". Following
-// §6.2, t belongs in the read set when r does not contain t (the operation
-// observes absence); it is written when present.
-func (r *Relation) RemoveFootprint(t Tuple) lattice.Footprint {
-	key := r.LocKey(t)
-	if r.Has(t) {
-		return lattice.Footprint{Read: lattice.EmptyKeySet(), Write: lattice.NewKeySet(key)}
-	}
-	return lattice.Footprint{Read: lattice.NewKeySet(key), Write: lattice.EmptyKeySet()}
-}
-
-// SelectFootprint returns the Table 3 footprint of "select r f": a read of
-// every location whose tuple the selection inspects. When f pins all the
-// matching columns to constants the read narrows to those keys; otherwise
-// the whole relation is read (each tuple's membership influences the
-// result).
-func (r *Relation) SelectFootprint(f logic.Formula) lattice.Footprint {
-	if keys, ok := pinnedKeys(f, r.match); ok {
-		return lattice.Footprint{Read: lattice.NewKeySet(keys...), Write: lattice.EmptyKeySet()}
-	}
-	keys := make([]string, 0, r.Len()+1)
-	r.tuples.Range(func(k string, _ Tuple) bool {
-		keys = append(keys, k)
-		return true
-	})
-	// Absence of any other key is also observed; represent with a
-	// distinguished whole-relation key joined with the present keys.
-	keys = append(keys, WholeRelationKey)
-	return lattice.Footprint{Read: lattice.NewKeySet(keys...), Write: lattice.EmptyKeySet()}
-}
-
-// WholeRelationKey is the distinguished footprint key standing for the
-// relation's full extent (membership of every location, including absent
-// ones). Unpinned selects read it; it overlaps every write via the
-// ExtentKey convention applied by callers building footprints.
-const WholeRelationKey = "*"
-
-// pinnedKeys reports whether formula f is a disjunction of full matching-
-// column pinnings, returning the corresponding keys. For example, with
-// matching columns {idx}, the formula idx=3 ∨ idx=5 pins keys
-// {"idx=3","idx=5"}.
-func pinnedKeys(f logic.Formula, matchCols []string) ([]string, bool) {
-	disjuncts := orList(f)
-	var keys []string
-	for _, d := range disjuncts {
-		t, ok := conjunctionToTuple(d)
-		if !ok {
-			return nil, false
-		}
-		for _, c := range matchCols {
-			if _, has := t[c]; !has {
-				return nil, false
-			}
-		}
-		keys = append(keys, t.Key(matchCols))
-	}
-	return keys, true
-}
-
-func orList(f logic.Formula) []logic.Formula {
-	if o, ok := f.(logic.OrF); ok {
-		return o.Fs
-	}
-	return []logic.Formula{f}
-}
-
-// conjunctionToTuple interprets a conjunction of atoms as a partial tuple.
-func conjunctionToTuple(f logic.Formula) (Tuple, bool) {
-	var atoms []logic.Atom
-	switch g := f.(type) {
-	case logic.Atom:
-		atoms = []logic.Atom{g}
-	case logic.AndF:
-		for _, sub := range g.Fs {
-			a, ok := sub.(logic.Atom)
-			if !ok {
-				return nil, false
-			}
-			atoms = append(atoms, a)
-		}
-	default:
-		return nil, false
-	}
-	t := make(Tuple, len(atoms))
-	for _, a := range atoms {
-		if prev, dup := t[a.Col]; dup && prev != a.Val {
-			return nil, false
-		}
-		t[a.Col] = a.Val
-	}
-	return t, true
 }
 
 // ContentFormula returns the Table 4 propositional representation of the

@@ -10,7 +10,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/lattice"
 	"repro/internal/logic"
 )
 
@@ -69,25 +68,6 @@ func TestRemove(t *testing.T) {
 	}
 }
 
-func TestSelect(t *testing.T) {
-	r := bitset()
-	r.Insert(tup("1", "1"))
-	r.Insert(tup("2", "0"))
-	r.Insert(tup("3", "1"))
-	w := r.Select(logic.Atom{Col: "val", Val: "1"})
-	if w.Len() != 2 || !w.Has(tup("1", "1")) || !w.Has(tup("3", "1")) {
-		t.Fatalf("select val=1 = %v", w)
-	}
-	empty := r.Select(logic.False)
-	if empty.Len() != 0 {
-		t.Fatalf("select false must be empty")
-	}
-	all := r.Select(logic.True)
-	if !all.Equal(r) {
-		t.Fatalf("select true must be identity")
-	}
-}
-
 func TestMatchingAndLocKey(t *testing.T) {
 	r := bitset()
 	r.Insert(tup("7", "1"))
@@ -113,47 +93,6 @@ func TestCloneIsDeep(t *testing.T) {
 	}
 }
 
-func TestFootprints(t *testing.T) {
-	r := bitset()
-	r.Insert(tup("1", "1"))
-
-	ins := r.InsertFootprint(tup("2", "1"))
-	if !ins.Write.(lattice.KeySet).Has("idx=2") || !ins.Read.IsBottom() {
-		t.Errorf("insert footprint = %+v", ins)
-	}
-
-	remPresent := r.RemoveFootprint(tup("1", "1"))
-	if !remPresent.Write.(lattice.KeySet).Has("idx=1") || !remPresent.Read.IsBottom() {
-		t.Errorf("remove-present footprint = %+v", remPresent)
-	}
-	remAbsent := r.RemoveFootprint(tup("9", "1"))
-	if !remAbsent.Read.(lattice.KeySet).Has("idx=9") || !remAbsent.Write.IsBottom() {
-		t.Errorf("remove-absent footprint must read absence: %+v", remAbsent)
-	}
-
-	pinned := r.SelectFootprint(logic.Atom{Col: "idx", Val: "1"})
-	if got := pinned.Read.(lattice.KeySet).Keys(); !reflect.DeepEqual(got, []string{"idx=1"}) {
-		t.Errorf("pinned select footprint = %v", got)
-	}
-	un := r.SelectFootprint(logic.Atom{Col: "val", Val: "1"})
-	if !un.Read.(lattice.KeySet).Has(WholeRelationKey) {
-		t.Errorf("unpinned select must read the whole-relation key: %v", un.Read)
-	}
-}
-
-func TestPinnedKeysDisjunction(t *testing.T) {
-	r := bitset()
-	f := logic.Or(
-		logic.And(logic.Atom{Col: "idx", Val: "1"}, logic.Atom{Col: "val", Val: "1"}),
-		logic.Atom{Col: "idx", Val: "5"},
-	)
-	fp := r.SelectFootprint(f)
-	got := fp.Read.(lattice.KeySet).Keys()
-	if !reflect.DeepEqual(got, []string{"idx=1", "idx=5"}) {
-		t.Errorf("keys = %v", got)
-	}
-}
-
 func TestContentFormulaMatchesConcrete(t *testing.T) {
 	// Random op sequences: the Table 4 symbolic content must agree with
 	// the concrete relation on every tuple of a small universe.
@@ -169,8 +108,10 @@ func TestContentFormulaMatchesConcrete(t *testing.T) {
 				f = r.ContentInsert(f, u)
 				r.Insert(u)
 			} else {
-				f = ContentRemove(f, u)
-				r.Remove(u)
+				f = r.ContentRemoveMatching(f, u)
+				for _, m := range r.Matching(u) {
+					r.Remove(m)
+				}
 			}
 		}
 		// Check agreement on the full universe.
@@ -190,20 +131,43 @@ func TestContentFormulaMatchesConcrete(t *testing.T) {
 	}
 }
 
-func TestContentSetOps(t *testing.T) {
-	a := logic.Atom{Col: "x", Val: "1"}
-	b := logic.Atom{Col: "x", Val: "2"}
-	if !logic.EquivalentBrute(ContentUnion(a, b), logic.Or(a, b)) {
-		t.Errorf("union")
+// flat builds an FD-free relation over one column from values.
+func flat(vals ...string) *Relation {
+	r := New([]string{"x"}, nil)
+	for _, v := range vals {
+		r.Insert(Tuple{"x": v})
 	}
-	if !logic.EquivalentBrute(ContentIntersect(a, b), logic.And(a, b)) {
-		t.Errorf("intersect")
+	return r
+}
+
+func TestSetOpsBasics(t *testing.T) {
+	a := flat("1", "2", "3")
+	i := flat("2", "3")
+	le, err := i.Leq(a)
+	if err != nil || !le {
+		t.Fatalf("a subset must be ⊑ a")
 	}
-	if !logic.EquivalentBrute(ContentSubtract(a, b), logic.And(a, logic.Not(b))) {
-		t.Errorf("subtract")
+	le, _ = a.Leq(i)
+	if le {
+		t.Fatalf("a must not be ⊑ its strict subset")
 	}
-	if !logic.EquivalentBrute(ContentSelect(a, b), logic.And(a, b)) {
-		t.Errorf("select")
+	if a.Equal(i) || !i.Equal(flat("3", "2")) {
+		t.Fatalf("Equal must compare tuple sets")
+	}
+}
+
+func TestSetOpsSchemaMismatch(t *testing.T) {
+	a := flat("1")
+	b := New([]string{"y"}, nil)
+	if _, err := a.Leq(b); err == nil {
+		t.Errorf("Leq across schemas must fail")
+	}
+	if a.Equal(b) {
+		t.Errorf("relations over different schemas must not be Equal")
+	}
+	fd := New([]string{"x", "y"}, &FD{Domain: []string{"x"}, Range: []string{"y"}})
+	if _, err := New([]string{"x", "y"}, nil).Leq(fd); err == nil {
+		t.Errorf("Leq across FDs must fail")
 	}
 }
 
@@ -217,6 +181,35 @@ func TestTupleBasics(t *testing.T) {
 	}
 	if got := u.Cols(); !reflect.DeepEqual(got, []string{"idx", "val"}) {
 		t.Errorf("Cols = %v", got)
+	}
+}
+
+// TestKeyIsInjective: values holding the rendering's separators are
+// escaped, so distinct restrictions render distinctly and ParseKey reads
+// every one back; plain values render unescaped.
+func TestKeyIsInjective(t *testing.T) {
+	cols := []string{"a", "b"}
+	tuples := []Tuple{
+		{"a": "c", "b": "a,b=x"},
+		{"a": "c,b=a", "b": "x"},
+		{"a": `c\`, "b": "x"},
+		{"a": `c\,b=x`, "b": ""},
+		{"a": "=", "b": ","},
+		{"a": "", "b": ""},
+	}
+	seen := map[string]Tuple{}
+	for _, u := range tuples {
+		k := u.Key(cols)
+		if prev, dup := seen[k]; dup {
+			t.Fatalf("%v and %v both render %q", prev, u, k)
+		}
+		seen[k] = u
+		if got := ParseKey(k); !maps.Equal(got, u) {
+			t.Errorf("ParseKey(%q) = %v, want %v", k, got, u)
+		}
+	}
+	if got := (Tuple{"a": "1", "b": "x y"}).Key(cols); got != "a=1,b=x y" {
+		t.Errorf("plain key = %q", got)
 	}
 }
 
@@ -323,42 +316,18 @@ func (r *modelRel) Clone() *modelRel {
 	return c
 }
 
-func (r *modelRel) Select(f logic.Formula) *modelRel {
-	w := newModel(r.cols, r.fd)
-	for k, t := range r.tuples {
-		if f.Eval(tupleAssignment(t)) {
-			w.tuples[k] = t
-		}
+// Equal reports whether the two models hold the same tuples on their
+// columns.
+func (r *modelRel) Equal(o *modelRel) bool {
+	if len(r.tuples) != len(o.tuples) {
+		return false
 	}
-	return w
-}
-
-func (r *modelRel) Union(o *modelRel) *modelRel {
-	out := r.Clone()
-	for _, t := range o.Tuples() {
-		out.Insert(t)
-	}
-	return out
-}
-
-func (r *modelRel) Intersect(o *modelRel) *modelRel {
-	out := newModel(r.cols, r.fd)
-	for k, t := range r.tuples {
-		if _, ok := o.tuples[k]; ok {
-			out.tuples[k] = t
-		}
-	}
-	return out
-}
-
-func (r *modelRel) Subtract(o *modelRel) *modelRel {
-	out := newModel(r.cols, r.fd)
-	for k, t := range r.tuples {
+	for k := range r.tuples {
 		if _, ok := o.tuples[k]; !ok {
-			out.tuples[k] = t
+			return false
 		}
 	}
-	return out
+	return true
 }
 
 func (r *modelRel) String() string {
@@ -368,34 +337,6 @@ func (r *modelRel) String() string {
 		parts[i] = t.String()
 	}
 	return "{" + strings.Join(parts, " ") + "}"
-}
-
-func (r *modelRel) InsertFootprint(t Tuple) lattice.Footprint {
-	return lattice.Footprint{Read: lattice.EmptyKeySet(), Write: lattice.NewKeySet(r.LocKey(t))}
-}
-
-func (r *modelRel) RemoveFootprint(t Tuple) lattice.Footprint {
-	if r.Has(t) {
-		return lattice.Footprint{Read: lattice.EmptyKeySet(), Write: lattice.NewKeySet(r.LocKey(t))}
-	}
-	return lattice.Footprint{Read: lattice.NewKeySet(r.LocKey(t)), Write: lattice.EmptyKeySet()}
-}
-
-func (r *modelRel) SelectFootprint(f logic.Formula) lattice.Footprint {
-	if keys, ok := pinnedKeys(f, r.matchCols()); ok {
-		return lattice.Footprint{Read: lattice.NewKeySet(keys...), Write: lattice.EmptyKeySet()}
-	}
-	keys := []string{WholeRelationKey}
-	for _, t := range r.tuples {
-		keys = append(keys, r.LocKey(t))
-	}
-	return lattice.Footprint{Read: lattice.NewKeySet(keys...), Write: lattice.EmptyKeySet()}
-}
-
-// sameFootprint compares two footprints key by key.
-func sameFootprint(a, b lattice.Footprint) bool {
-	return reflect.DeepEqual(a.Read.(lattice.KeySet).Keys(), b.Read.(lattice.KeySet).Keys()) &&
-		reflect.DeepEqual(a.Write.(lattice.KeySet).Keys(), b.Write.(lattice.KeySet).Keys())
 }
 
 // sameTuples compares two tuple lists in order, nil and empty alike.
@@ -413,10 +354,10 @@ func sameTuples(a, b []Tuple) bool {
 
 // TestAgainstReferenceModel drives the relation and the reference model
 // with the same seeded random operation sequences — point operations with
-// full and partial probe tuples, selects, and the three set operations
-// over a pool of relations — on schemas with and without an FD, and
-// requires every result, every footprint and the whole observable state
-// (Len, Tuples order, String, LocKey) to be identical after every step.
+// full and partial probe tuples, clones and equality over a pool of
+// relations — on schemas with and without an FD, and requires every
+// result and the whole observable state (Len, Tuples order, String,
+// LocKey) to be identical after every step.
 // The digest each relation kept incrementally through that history must
 // equal the digest of a relation built afresh from its tuples.
 func TestAgainstReferenceModel(t *testing.T) {
@@ -456,39 +397,19 @@ func TestAgainstReferenceModel(t *testing.T) {
 					}
 					return u
 				}
-				randFormula := func() logic.Formula {
-					a := logic.Atom{Col: sc.cols[rng.Intn(len(sc.cols))], Val: strconv.Itoa(rng.Intn(5))}
-					b := logic.Atom{Col: sc.cols[rng.Intn(len(sc.cols))], Val: strconv.Itoa(rng.Intn(5))}
-					switch rng.Intn(4) {
-					case 0:
-						return a
-					case 1:
-						return logic.And(a, b)
-					case 2:
-						return logic.Or(a, b)
-					default:
-						return logic.Not(a)
-					}
-				}
 				for step := 0; step < 300; step++ {
 					i, j := rng.Intn(pool), rng.Intn(pool)
 					r, m := real[i], model[i]
 					u := randTuple()
 					what := ""
-					switch op := rng.Intn(10); op {
+					switch op := rng.Intn(8); op {
 					case 0, 1, 2:
 						what = "insert"
-						if fr, fm := r.InsertFootprint(u), m.InsertFootprint(u); !sameFootprint(fr, fm) {
-							t.Fatalf("seed %d step %d: InsertFootprint(%v) = %v, model %v", seed, step, u, fr, fm)
-						}
 						if gr, gm := r.Insert(u), m.Insert(u); !sameTuples(gr, gm) {
 							t.Fatalf("seed %d step %d: Insert(%v) evicted %v, model %v", seed, step, u, gr, gm)
 						}
 					case 3, 4:
 						what = "remove"
-						if fr, fm := r.RemoveFootprint(u), m.RemoveFootprint(u); !sameFootprint(fr, fm) {
-							t.Fatalf("seed %d step %d: RemoveFootprint(%v) = %v, model %v", seed, step, u, fr, fm)
-						}
 						if gr, gm := r.Remove(u), m.Remove(u); gr != gm {
 							t.Fatalf("seed %d step %d: Remove(%v) = %v, model %v", seed, step, u, gr, gm)
 						}
@@ -501,36 +422,13 @@ func TestAgainstReferenceModel(t *testing.T) {
 							t.Fatalf("seed %d step %d: Has(%v) = %v, model %v", seed, step, u, gr, gm)
 						}
 					case 6:
-						what = "select"
-						f := randFormula()
-						if fr, fm := r.SelectFootprint(f), m.SelectFootprint(f); !sameFootprint(fr, fm) {
-							t.Fatalf("seed %d step %d: SelectFootprint(%v) = %v, model %v", seed, step, f, fr, fm)
-						}
-						real[j], model[j] = r.Select(f), m.Select(f)
-					case 7:
-						what = "union"
-						k := rng.Intn(pool)
-						ur, err := r.Union(real[k])
-						if err != nil {
-							t.Fatal(err)
-						}
-						real[j], model[j] = ur, m.Union(model[k])
-					case 8:
-						what = "intersect"
-						k := rng.Intn(pool)
-						ir, err := r.Intersect(real[k])
-						if err != nil {
-							t.Fatal(err)
-						}
-						real[j], model[j] = ir, m.Intersect(model[k])
+						what = "clone"
+						real[j], model[j] = r.Clone(), m.Clone()
 					default:
-						what = "subtract"
-						k := rng.Intn(pool)
-						sr, err := r.Subtract(real[k])
-						if err != nil {
-							t.Fatal(err)
+						what = "equal"
+						if gr, gm := r.Equal(real[j]), m.Equal(model[j]); gr != gm {
+							t.Fatalf("seed %d step %d: Equal(%v, %v) = %v, model %v", seed, step, r, real[j], gr, gm)
 						}
-						real[j], model[j] = sr, m.Subtract(model[k])
 					}
 					for k := range real {
 						r, m := real[k], model[k]

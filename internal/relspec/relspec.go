@@ -16,7 +16,6 @@ package relspec
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/adt"
 	"repro/internal/oplog"
@@ -107,13 +106,13 @@ func (s Spec) rangeArg(t relation.Tuple) string {
 	for _, d := range s.Domain {
 		dom[d] = true
 	}
-	var parts []string
+	var cols []string
 	for _, c := range t.Cols() {
 		if !dom[c] {
-			parts = append(parts, c+"="+t[c])
+			cols = append(cols, c)
 		}
 	}
-	return strings.Join(parts, ",")
+	return t.Key(cols)
 }
 
 // Object is a handle to a shared custom ADT instance.
@@ -206,7 +205,7 @@ func (o Object) Get(ex adt.Executor, key relation.Tuple) (relation.Tuple, bool, 
 	if s == adt.AbsentVal {
 		return nil, false, nil
 	}
-	return parseTuple(s), true, nil
+	return relation.ParseKey(s), true, nil
 }
 
 // Has reports whether any tuple matches the key.
@@ -225,20 +224,6 @@ func (o Object) Has(ex adt.Executor, key relation.Tuple) (bool, error) {
 func (o Object) Clear(ex adt.Executor) error {
 	_, err := ex.Exec(clearOp{obj: o})
 	return err
-}
-
-// parseTuple reverses Tuple.Key rendering ("c1=v1,c2=v2").
-func parseTuple(s string) relation.Tuple {
-	t := relation.Tuple{}
-	if s == "" {
-		return t
-	}
-	for _, part := range strings.Split(s, ",") {
-		if i := strings.IndexByte(part, '='); i >= 0 {
-			t[part[:i]] = part[i+1:]
-		}
-	}
-	return t
 }
 
 // --- Operations ---

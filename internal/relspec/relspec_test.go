@@ -246,8 +246,44 @@ func TestParseTupleRoundTrip(t *testing.T) {
 			t.Errorf("%s = %q, want %q", c, got[c], v)
 		}
 	}
-	if tp := parseTuple(""); len(tp) != 0 {
+	if tp := relation.ParseKey(""); len(tp) != 0 {
 		t.Errorf("empty parse = %v", tp)
+	}
+}
+
+// TestKeysWithSeparatorsStayDistinct: a multi-column key whose values
+// contain the rendering's separators names its own location, and a value
+// holding them reads back whole.
+func TestKeysWithSeparatorsStayDistinct(t *testing.T) {
+	obj, ex := newObj(t)
+	a, b := key("c", "a,src=b"), key("b,src=c", "a")
+	if err := obj.Put(ex, route("c", "a,src=b", "1", "x")); err != nil {
+		t.Fatal(err)
+	}
+	if err := obj.Put(ex, route("b,src=c", "a", "2", "y")); err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []relation.Tuple{a, b} {
+		if has, err := obj.Has(ex, k); err != nil || !has {
+			t.Errorf("Has(%v) = %v, %v; want true", k, has, err)
+		}
+	}
+	if v, _ := ex.st.Get(obj.L); v.(state.Rel).R.Len() != 2 {
+		t.Errorf("two puts at distinct keys left %v", v)
+	}
+
+	evil := route("s", "d", "1,via=evil", "gw")
+	if err := obj.Put(ex, evil); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := obj.Get(ex, key("s", "d"))
+	if err != nil || !ok {
+		t.Fatalf("Get: %v, %v", ok, err)
+	}
+	for c, v := range evil {
+		if got[c] != v {
+			t.Errorf("%s = %q, want %q", c, got[c], v)
+		}
 	}
 }
 

@@ -174,35 +174,30 @@ func runOverlapped(st *state.State, first, second adt.Task) (*state.State, Stats
 	}, st, []adt.Task{first, second})
 }
 
-// moveOp is a test-local op over two locations: it takes N from From and
-// gives it to To. No shipped op spans locations; the commit path must
-// still be right for one that does.
-type moveOp struct {
-	From, To state.Loc
-	N        int64
+// spreadOp is a test-local op over two locations: it adds N to both A and
+// B. No shipped op spans locations; the commit path must still be right
+// for one that does. Its projection at either location is exactly the
+// counter add its symbol names, so the sequence theories cover its pairs.
+type spreadOp struct {
+	A, B state.Loc
+	N    int64
 }
 
-func (o moveOp) Apply(st *state.State) (state.Value, error) {
-	for _, s := range []struct {
-		l state.Loc
-		d int64
-	}{{o.From, -o.N}, {o.To, o.N}} {
-		if _, err := (adt.NumAddOp{L: s.l, Delta: s.d}).Apply(st); err != nil {
+func (o spreadOp) Apply(st *state.State) (state.Value, error) {
+	for _, l := range []state.Loc{o.A, o.B} {
+		if _, err := (adt.NumAddOp{L: l, Delta: o.N}).Apply(st); err != nil {
 			return nil, err
 		}
 	}
 	return nil, nil
 }
 
-func (o moveOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{
-		{P: oplog.PLoc(o.From), Read: true, Write: true},
-		{P: oplog.PLoc(o.To), Read: true, Write: true},
-	}
+func (o spreadOp) Accesses(st *state.State) []oplog.Access {
+	return append(adt.NumAddOp{L: o.A}.Accesses(st), adt.NumAddOp{L: o.B}.Accesses(st)...)
 }
-func (o moveOp) Sym() oplog.Sym { return oplog.Sym{Kind: "test.move", Arg: fmt.Sprint(o.N)} }
-func (o moveOp) IsRead() bool   { return false }
-func (o moveOp) String() string { return fmt.Sprintf("%s-%d->%s", o.From, o.N, o.To) }
+func (o spreadOp) Sym() oplog.Sym { return adt.NumAddOp{Delta: o.N}.Sym() }
+func (o spreadOp) IsRead() bool   { return false }
+func (o spreadOp) String() string { return fmt.Sprintf("%s,%s+=%d", o.A, o.B, o.N) }
 
 // TestPartialReplay pins the two shapes of a commit whose window dirtied
 // one of its two written locations. Single-location ops: only the dirty
@@ -248,9 +243,9 @@ func TestPartialReplay(t *testing.T) {
 		if err := (adt.Counter{L: "a"}).Add(ex, 5); err != nil {
 			return err
 		}
-		_, err := ex.Exec(moveOp{From: "a", To: "b", N: 2})
+		_, err := ex.Exec(spreadOp{A: "a", B: "b", N: 2})
 		return err
-	}, 3, 12, 1, 2)
+	}, 7, 12, 1, 2)
 }
 
 // TestInstallCountersNameThePath: an operator reads which path a run took

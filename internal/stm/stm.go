@@ -602,7 +602,6 @@ type Tx struct {
 	tid   int
 	begin int64
 	priv  *state.State // the privatized shared state of Figure 7
-	snap  *state.State // its SharedSnapshot
 
 	// prep is the artifact the transaction logs into (conflict.Begin): the
 	// log's storage belongs to it, not to the shell, because a committed
@@ -640,21 +639,7 @@ var txPool = sync.Pool{New: func() any {
 	// One fault closure per view and shell, not per transaction: they read
 	// the store of whichever runtime the shell currently serves.
 	fault := func(l state.Loc) (state.Value, bool) { return t.r.storeGet(l) }
-	// The snapshot is bound as the private view faults: each location's
-	// entry is the committed value the transaction first observed — the
-	// entry state its reads came from, which is what a detector that
-	// evaluates sequences concretely must start from. Left to fault on its
-	// own, at detection, it would read values a window commit has already
-	// replaced and clear the very read that commit invalidated. (The
-	// store's values are immutable, so the snapshot shares them.)
-	t.snap = state.NewFaulting(fault)
-	t.priv = state.NewFaulting(func(l state.Loc) (state.Value, bool) {
-		v, ok := t.r.storeGet(l)
-		if ok {
-			t.snap.Set(l, v)
-		}
-		return v, ok
-	})
+	t.priv = state.NewFaulting(fault)
 	t.replay = state.NewFaulting(fault)
 	t.stripes = t.stripesBuf[:0]
 	t.dirty = t.dirtyBuf[:0]
@@ -675,11 +660,10 @@ const maxShellLocs = 1 << 14
 // The artifact is not the shell's to return: finish recycles or publishes
 // it.
 func (t *Tx) release() {
-	if t.priv.Len() > maxShellLocs || t.snap.Len() > maxShellLocs || t.replay.Len() > maxShellLocs {
+	if t.priv.Len() > maxShellLocs || t.replay.Len() > maxShellLocs {
 		return
 	}
 	t.priv.Reset()
-	t.snap.Reset()
 	t.replay.Reset()
 	clear(t.window)
 	t.window = t.window[:0]
@@ -793,7 +777,7 @@ func (r *Runtime) finish(ctx obs.Ctx, tx *Tx) (committed bool) {
 		if validated > 0 {
 			atomic.AddInt64(&r.stats.ValidationsSkipped, int64(validated))
 		}
-		verdict := r.detector.DetectPrepared(ctx, tx.snap, prep, tx.window[validated:])
+		verdict := r.detector.DetectPrepared(ctx, nil, prep, tx.window[validated:])
 		ctx.End(obs.EvTxValidate, valStart)
 		if !verdict.Conflict {
 			validated = len(tx.window)
@@ -852,10 +836,10 @@ func (r *Runtime) createTransaction(tid int) *Tx {
 	return r.newTx(tid, begin)
 }
 
-// newTx builds a transaction whose private and snapshot views privatize
-// the committed store. Faults read the store live (per-location, after
-// begin was fixed), so every observed value reflects a commit at some
-// published time ≥ what begin guarantees; values from commits past the
+// newTx builds a transaction whose private view privatizes the committed
+// store. Faults read the store live (per-location, after begin was
+// fixed), so every observed value reflects a commit at some published
+// time ≥ what begin guarantees; values from commits past the
 // validated fetch watermark are screened or re-detected at commit (see
 // store.go), never silently trusted.
 //

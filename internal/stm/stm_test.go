@@ -455,7 +455,7 @@ func TestDisabledTracingAddsNoAllocs(t *testing.T) {
 	st.Set("work", state.Int(0))
 	op := adt.NumAddOp{L: "work", Delta: 1}
 	newTx := func() *Tx {
-		return &Tx{priv: st.Clone(), snap: st.Clone(), prep: conflict.Begin()}
+		return &Tx{priv: st.Clone(), prep: conflict.Begin()}
 	}
 
 	txBase := newTx()
@@ -618,7 +618,7 @@ func TestDisabledRecordingAddsNoAllocs(t *testing.T) {
 	st.Set("work", state.Int(0))
 	op := adt.NumAddOp{L: "work", Delta: 1}
 	newTx := func() *Tx {
-		return &Tx{priv: st.Clone(), snap: st.Clone(), prep: conflict.Begin()}
+		return &Tx{priv: st.Clone(), prep: conflict.Begin()}
 	}
 
 	txBase := newTx()

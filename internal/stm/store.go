@@ -90,7 +90,7 @@ func (o *overflow) create(l state.Loc) *locBox {
 
 // storeGet is the committed store's read: base-table hit or overflow
 // lookup, then one atomic load. It is the fault function behind every
-// transaction's private and snapshot views and the replay overlay.
+// transaction's private view and the replay overlay.
 func (r *Runtime) storeGet(l state.Loc) (state.Value, bool) {
 	b := r.base[l]
 	if b == nil {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/relation"
 	"repro/internal/seqabs"
 	"repro/internal/state"
-	"repro/internal/symrel"
 )
 
 // Profiler executes tasks sequentially against a live state, recording the
@@ -231,11 +230,7 @@ func syntheticStates(initial *state.State, p oplog.PLoc) []*state.State {
 		empty := adt.NewRelValue()
 		boundKey := adt.NewRelValue()
 		if key := p.Key(); key != "" && key != "*" {
-			// Key is rendered "k=<raw>"; recover the raw key.
-			raw := key
-			if len(raw) > 2 && raw[:2] == adt.DomainCol+"=" {
-				raw = raw[2:]
-			}
+			raw := relation.ParseKey(key)[adt.DomainCol]
 			boundKey.R.Insert(relation.Tuple{adt.DomainCol: raw, adt.RangeCol: "⟂probe"})
 		}
 		variants = []state.Value{tv, empty, boundKey}
@@ -280,8 +275,7 @@ func satVerify(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Log
 	f0 := r.ContentFormula()
 	fAB := contentAfter(r, contentAfter(r, f0, e1), e2)
 	fBA := contentAfter(r, contentAfter(r, f0, e2), e1)
-	var checker symrel.Checker
-	eq, err := checker.Equivalent(fAB, fBA)
+	eq, err := equivalent(fAB, fBA, satBudget)
 	if err != nil {
 		// Budget exhausted: treat as a failed proof, drop the entry.
 		rep.SATFailures++

@@ -309,3 +309,23 @@ func TestTaskErrorSurfacesWithTaskNumber(t *testing.T) {
 }
 
 var errSentinel = errors.New("sentinel")
+
+// TestSyntheticStatesBindEscapedKey: the bound-key variant binds the raw
+// key the projection names, escapes undone, so a key holding a separator
+// is probed with its own tuple present.
+func TestSyntheticStatesBindEscapedKey(t *testing.T) {
+	for _, key := range []string{"plain", "a,b", "a=b", `a\b`} {
+		p := adt.RelPutOp{L: "canvas", Key: key}.Accesses(nil)[0].P
+		states := syntheticStates(initialState(), p)
+		bound := false
+		for _, st := range states {
+			v, _ := st.Get("canvas")
+			for _, tu := range v.(state.Rel).R.Tuples() {
+				bound = bound || tu[adt.DomainCol] == key
+			}
+		}
+		if !bound {
+			t.Errorf("key %q (projection %q): no synthetic state binds it", key, p)
+		}
+	}
+}

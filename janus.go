@@ -235,9 +235,6 @@ type Config struct {
 	// abstraction (the Figure 11 ablation); cache keys then require an
 	// exact shape match.
 	DisableAbstraction bool
-	// Online answers cache misses with the concrete sequence check at
-	// runtime instead of the write-set fallback (§5.3 alternative).
-	Online bool
 	// LearnOnline proves and caches commutativity conditions for missed
 	// shape pairs at runtime — "online training" via memoization (§5.3) —
 	// so an untrained Runner converges to trained behavior after one miss
@@ -293,7 +290,6 @@ type Runner struct {
 func New(cfg Config) *Runner {
 	r := &Runner{cfg: cfg, engine: core.NewEngine(core.Options{
 		DisableAbstraction: cfg.DisableAbstraction,
-		Online:             cfg.Online,
 		LearnOnline:        cfg.LearnOnline,
 		InferWAW:           cfg.InferWAW,
 		Relax:              cfg.Relax,

@@ -277,24 +277,6 @@ func TestSequentialDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestOnlineModeConfig(t *testing.T) {
-	st := exampleState()
-	var tasks []Task
-	for i := 1; i <= 8; i++ {
-		tasks = append(tasks, identityTask(int64(i)))
-	}
-	// No training at all: online mode must still admit identity pairs by
-	// running the concrete Figure 8 check at runtime.
-	r := New(Config{Threads: 4, Online: true})
-	_, stats, err := r.RunOutOfOrder(st, tasks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Run.Retries != 0 {
-		t.Fatalf("online sequence checking must admit identity pairs, got %d retries", stats.Run.Retries)
-	}
-}
-
 func TestLearnOnlineRunnerConverges(t *testing.T) {
 	st := exampleState()
 	var tasks []Task

@@ -105,7 +105,6 @@ func TestConfigMatrixMatchesSequential(t *testing.T) {
 	}{
 		{"write-set", Config{Detection: DetectWriteSet}, false},
 		{"sequence", Config{}, true},
-		{"online", Config{Online: true}, false},
 		{"learn-online", Config{LearnOnline: true}, false},
 		{"infer-waw", Config{InferWAW: true}, true},
 		{"no-abstraction", Config{DisableAbstraction: true}, true},
