@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test race stress check bench bench-quick bench-contention bench-commit bench-journal chaos soak fuzz serve-smoke crash-matrix trace record-replay clean
+.PHONY: all vet build test allocs race stress check bench bench-quick bench-contention bench-commit bench-journal chaos soak fuzz serve-smoke crash-matrix trace record-replay clean
 
 all: check
 
@@ -38,6 +38,31 @@ stress:
 	@n=$$($(GO) test -list '$(STRESS_TESTS)' ./internal/stm | grep -c '^Test'); test "$$n" = 5 || { echo "stress: $$n of 5 named tests found"; exit 1; }
 	$(GO) test -count=20 -run '$(STRESS_TESTS)' ./internal/stm
 	$(GO) test -count=1 -run 'TestExploreSchedules' ./internal/stm
+
+# The allocation pins (CI's test job): every test that calls
+# testing.AllocsPerRun, run by name with -count=1 so a cached pass never
+# stands in for a run. go test -run passes when nothing matches, so the
+# target first checks that each named test exists: a renamed pin fails
+# here instead of quietly not running.
+ALLOCS_TESTS = \
+	internal/commute:TestEvaluateDetailAllocs \
+	internal/obs:TestDisabledCtxZeroAllocs \
+	internal/rec:TestDigestCostIgnoresTupleCount \
+	internal/relation:TestPointOpsAreSizeIndependent \
+	internal/seqabs:TestAppendPairKeyAllocs \
+	internal/seqeff:TestBlockIdempotent \
+	internal/stm:TestDisabledRecordingAddsNoAllocs \
+	internal/stm:TestDisabledTracingAddsNoAllocs \
+	internal/stm:TestSteadyStateAttemptAllocs \
+	internal/stm:TestStoreCreateCostIsFlat
+allocs:
+	@for t in $(ALLOCS_TESTS); do \
+		n=$$($(GO) test -list "^$${t#*:}$$" ./$${t%%:*} | grep -cx "$${t#*:}"); \
+		test "$$n" = 1 || { echo "allocs: $${t#*:} not found in ./$${t%%:*}"; exit 1; }; \
+	done
+	@for t in $(ALLOCS_TESTS); do \
+		$(GO) test -count=1 -run "^$${t#*:}$$" ./$${t%%:*} || exit 1; \
+	done
 
 # Short chaos soak under the race detector (CI's chaos-soak job): fault-injected
 # runs whose final state is checked against the sequential oracle.
@@ -85,7 +110,7 @@ serve-smoke:
 crash-matrix:
 	sh scripts/crash-matrix.sh
 
-check: vet build test bench-quick race stress chaos serve-smoke
+check: vet build test allocs bench-quick race stress chaos serve-smoke
 
 bench:
 	$(GO) run ./cmd/janus-bench

@@ -46,13 +46,9 @@ var liveByContract = map[string]string{
 
 	// A test's reference implementation: a test compares the shipped code
 	// against it, so deleting it deletes the oracle.
-	"internal/sat.Verify":             "checks every model the solver returns, in the solver's tests",
-	"internal/logic.EquivalentBrute":  "truth-table oracle for the SAT-backed Equivalent",
-	"internal/logic.Xor":              "builds the formulas EquivalentBrute's tests enumerate",
-	"internal/seqeff.PairConflicts":   "Figure 8 on analyses: the verdict commute's and seqabs's lemma tests compare with",
-	"internal/seqeff.Idempotent":      "the definition BlockIdempotent's allocation-free fold is pinned to",
-	"internal/seqeff.IdempotentStack": "the definition BlockIdempotent's allocation-free fold is pinned to",
-	"internal/state.State.Equal":      "Theorem 4.1's comparison: final state against the sequential run's, in every oracle test",
+	"internal/logic.Xor":            "builds the formulas the truth-table oracle's tests enumerate",
+	"internal/seqeff.PairConflicts": "Figure 8 on analyses: the verdict commute's and seqabs's lemma tests compare with",
+	"internal/state.State.Equal":    "Theorem 4.1's comparison: final state against the sequential run's, in every oracle test",
 
 	// What tests in several packages build their inputs with, and the
 	// switch that makes a use-after-recycle fail loudly in them.

@@ -16,12 +16,13 @@ type directExec struct {
 }
 
 func (d *directExec) Exec(op oplog.Op) (state.Value, error) {
-	acc := op.Accesses(d.st)
+	acc := op.AppendAccesses(nil, d.st)
 	v, err := op.Apply(d.st)
 	if err != nil {
 		return nil, err
 	}
-	d.log = append(d.log, &oplog.Event{Op: op, Seq: len(d.log), Acc: acc, Observed: v})
+	ev := oplog.NewEvent(op, 0, len(d.log), acc, v)
+	d.log = append(d.log, &ev)
 	return v, nil
 }
 
@@ -185,8 +186,8 @@ func TestKVMap(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := ex.log[pre]
-	if len(e.Acc) != 1 || !e.Acc[0].Read || e.Acc[0].Write {
-		t.Errorf("remove-absent access = %+v, want pure read", e.Acc)
+	if acc := e.Accesses(); len(acc) != 1 || !acc[0].Read || acc[0].Write {
+		t.Errorf("remove-absent access = %+v, want pure read", acc)
 	}
 }
 
@@ -235,7 +236,7 @@ func TestRelClearAccessesListPresentKeys(t *testing.T) {
 	_ = b.Set(ex, 1)
 	_ = b.Set(ex, 5)
 	op := RelClearOp{L: "bits"}
-	acc := op.Accesses(ex.st)
+	acc := op.AppendAccesses(nil, ex.st)
 	if len(acc) != 2 {
 		t.Fatalf("clear accesses = %v, want 2 writes", acc)
 	}
@@ -246,7 +247,7 @@ func TestRelClearAccessesListPresentKeys(t *testing.T) {
 	}
 	// On an empty relation the clear has no footprint.
 	_, _ = op.Apply(ex.st)
-	if got := op.Accesses(ex.st); len(got) != 0 {
+	if got := op.AppendAccesses(nil, ex.st); len(got) != 0 {
 		t.Errorf("clear of empty relation must have empty footprint, got %v", got)
 	}
 }

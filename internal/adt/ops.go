@@ -107,9 +107,9 @@ func (o NumAddOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-// Accesses implements oplog.Op.
-func (o NumAddOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: oplog.MakePLoc(o.L, ""), Read: true, Write: true}}
+// AppendAccesses implements oplog.Op.
+func (o NumAddOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true, Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -135,9 +135,9 @@ func (o NumStoreOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-// Accesses implements oplog.Op.
-func (o NumStoreOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: oplog.MakePLoc(o.L, ""), Write: true}}
+// AppendAccesses implements oplog.Op.
+func (o NumStoreOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -163,9 +163,9 @@ func (o NumLoadOp) Apply(st *state.State) (state.Value, error) {
 	return state.Int(v), nil
 }
 
-// Accesses implements oplog.Op.
-func (o NumLoadOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: oplog.MakePLoc(o.L, ""), Read: true}}
+// AppendAccesses implements oplog.Op.
+func (o NumLoadOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true})
 }
 
 // Sym implements oplog.Op.
@@ -191,9 +191,9 @@ func (o StrStoreOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-// Accesses implements oplog.Op.
-func (o StrStoreOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: oplog.MakePLoc(o.L, ""), Write: true}}
+// AppendAccesses implements oplog.Op.
+func (o StrStoreOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -221,9 +221,9 @@ func (o StrLoadOp) Apply(st *state.State) (state.Value, error) {
 	return s, nil
 }
 
-// Accesses implements oplog.Op.
-func (o StrLoadOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: oplog.MakePLoc(o.L, ""), Read: true}}
+// AppendAccesses implements oplog.Op.
+func (o StrLoadOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true})
 }
 
 // Sym implements oplog.Op.
@@ -249,9 +249,9 @@ func (o BoolStoreOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-// Accesses implements oplog.Op.
-func (o BoolStoreOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: oplog.MakePLoc(o.L, ""), Write: true}}
+// AppendAccesses implements oplog.Op.
+func (o BoolStoreOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -281,9 +281,9 @@ func (o BoolLoadOp) Apply(st *state.State) (state.Value, error) {
 	return b, nil
 }
 
-// Accesses implements oplog.Op.
-func (o BoolLoadOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: oplog.MakePLoc(o.L, ""), Read: true}}
+// AppendAccesses implements oplog.Op.
+func (o BoolLoadOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true})
 }
 
 // Sym implements oplog.Op.
@@ -313,10 +313,10 @@ func (o ListPushOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-// Accesses implements oplog.Op: structural update — read and write of the
-// whole list value.
-func (o ListPushOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: oplog.MakePLoc(o.L, ""), Read: true, Write: true}}
+// AppendAccesses implements oplog.Op: structural update — read and write
+// of the whole list value.
+func (o ListPushOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true, Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -347,9 +347,9 @@ func (o ListPopOp) Apply(st *state.State) (state.Value, error) {
 	return state.Int(top), nil
 }
 
-// Accesses implements oplog.Op.
-func (o ListPopOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: oplog.MakePLoc(o.L, ""), Read: true, Write: true}}
+// AppendAccesses implements oplog.Op.
+func (o ListPopOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true, Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -373,9 +373,9 @@ func (o ListSizeOp) Apply(st *state.State) (state.Value, error) {
 	return state.Int(len(l)), nil
 }
 
-// Accesses implements oplog.Op.
-func (o ListSizeOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: oplog.MakePLoc(o.L, ""), Read: true}}
+// AppendAccesses implements oplog.Op.
+func (o ListSizeOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true})
 }
 
 // Sym implements oplog.Op.

@@ -74,10 +74,10 @@ func (o RelPutOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-// Accesses implements oplog.Op (the insert footprint of Table 3: a write
-// of the key's subvalue).
-func (o RelPutOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: relPLoc(o.L, o.Key), Write: true}}
+// AppendAccesses implements oplog.Op (the insert footprint of Table 3: a
+// write of the key's subvalue).
+func (o RelPutOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: relPLoc(o.L, o.Key), Write: true})
 }
 
 // Sym implements oplog.Op. The key is part of the projection location, so
@@ -109,16 +109,17 @@ func (o RelRemoveOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-// Accesses implements oplog.Op. Per §6.2, removing an absent tuple reads
-// the key (the op observes absence); removing a present one writes it.
-func (o RelRemoveOp) Accesses(st *state.State) []oplog.Access {
+// AppendAccesses implements oplog.Op. Per §6.2, removing an absent tuple
+// reads the key (the op observes absence); removing a present one writes
+// it.
+func (o RelRemoveOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.Access {
 	p := relPLoc(o.L, o.Key)
 	if r, err := getRel(st, o.L); err == nil {
 		if len(r.Matching(relTuple(o.Key, ""))) == 0 {
-			return []oplog.Access{{P: p, Read: true}}
+			return append(dst, oplog.Access{P: p, Read: true})
 		}
 	}
-	return []oplog.Access{{P: p, Write: true}}
+	return append(dst, oplog.Access{P: p, Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -149,9 +150,9 @@ func (o RelGetOp) Apply(st *state.State) (state.Value, error) {
 	return state.Str(m[0][RangeCol]), nil
 }
 
-// Accesses implements oplog.Op.
-func (o RelGetOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: relPLoc(o.L, o.Key), Read: true}}
+// AppendAccesses implements oplog.Op.
+func (o RelGetOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: relPLoc(o.L, o.Key), Read: true})
 }
 
 // Sym implements oplog.Op.
@@ -178,9 +179,9 @@ func (o RelHasOp) Apply(st *state.State) (state.Value, error) {
 	return state.Bool(len(r.Matching(relTuple(o.Key, ""))) > 0), nil
 }
 
-// Accesses implements oplog.Op.
-func (o RelHasOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: relPLoc(o.L, o.Key), Read: true}}
+// AppendAccesses implements oplog.Op.
+func (o RelHasOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: relPLoc(o.L, o.Key), Read: true})
 }
 
 // Sym implements oplog.Op.
@@ -210,17 +211,16 @@ func (o RelClearOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-// Accesses implements oplog.Op.
-func (o RelClearOp) Accesses(st *state.State) []oplog.Access {
+// AppendAccesses implements oplog.Op.
+func (o RelClearOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.Access {
 	r, err := getRel(st, o.L)
 	if err != nil {
-		return nil
+		return dst
 	}
-	var out []oplog.Access
 	for _, t := range r.Tuples() {
-		out = append(out, oplog.Access{P: relPLoc(o.L, t[DomainCol]), Write: true})
+		dst = append(dst, oplog.Access{P: relPLoc(o.L, t[DomainCol]), Write: true})
 	}
-	return out
+	return dst
 }
 
 // Sym implements oplog.Op.

@@ -106,7 +106,7 @@ func Analyze(trace oplog.Log) *Report {
 	firstOp := make(map[taskLoc]string)
 	for _, e := range trace {
 		locs := map[state.Loc]struct{}{}
-		for _, a := range e.Acc {
+		for _, a := range e.Accesses() {
 			locs[a.P.Loc()] = struct{}{}
 		}
 		if len(locs) == 0 {

@@ -76,6 +76,33 @@ func TestEvaluate(t *testing.T) {
 	}
 }
 
+// TestEvaluateDetailAllocs: a cached condition's verdict on a cache hit
+// allocates nothing. The analyses keep counts and flags, not the prefix
+// effects or pushed values the judgment never reads past a length.
+func TestEvaluateDetailAllocs(t *testing.T) {
+	reg1 := []oplog.Sym{sym(adt.KindNumLoad, ""), sym(adt.KindNumAdd, "4"), sym(adt.KindNumAdd, "-4")}
+	reg2 := []oplog.Sym{sym(adt.KindNumStore, "5"), sym(adt.KindNumLoad, ""), sym(adt.KindNumStore, "5")}
+	stk1 := []oplog.Sym{sym(adt.KindListPush, "2"), sym(adt.KindListSize, ""), sym(adt.KindListPop, "")}
+	stk2 := []oplog.Sym{sym(adt.KindListPush, "7"), sym(adt.KindListPush, "8"), sym(adt.KindListPop, ""), sym(adt.KindListPop, "")}
+	for _, c := range []struct {
+		kind   ConditionKind
+		s1, s2 []oplog.Sym
+		want   Check
+	}{
+		{CondRegister, reg1, reg2, CheckSameRead},
+		{CondRegister, reg2, reg2, CheckNone},
+		{CondStackIdentity, stk1, stk2, CheckNone},
+		{CondStackIdentity, stk1, stk1[:1], CheckCommute},
+	} {
+		if _, failed, ok := EvaluateDetail(c.kind, c.s1, c.s2); !ok || failed != c.want {
+			t.Fatalf("%v on %v / %v: failed=%v ok=%v, want %v", c.kind, c.s1, c.s2, failed, ok, c.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { EvaluateDetail(c.kind, c.s1, c.s2) }); n != 0 {
+			t.Errorf("EvaluateDetail(%v) allocates %.0f per call, want 0", c.kind, n)
+		}
+	}
+}
+
 func TestConditionKindString(t *testing.T) {
 	want := map[ConditionKind]string{
 		CondNone: "none", CondAlways: "always",
@@ -93,12 +120,13 @@ func record(t *testing.T, st *state.State, task int, ops ...oplog.Op) oplog.Log 
 	t.Helper()
 	var l oplog.Log
 	for i, op := range ops {
-		acc := op.Accesses(st)
+		acc := op.AppendAccesses(nil, st)
 		v, err := op.Apply(st)
 		if err != nil {
 			t.Fatalf("apply %v: %v", op, err)
 		}
-		l = append(l, &oplog.Event{Op: op, Task: task, Seq: i, Acc: acc, Observed: v})
+		ev := oplog.NewEvent(op, task, i, acc, v)
+		l = append(l, &ev)
 	}
 	return l
 }
@@ -183,7 +211,7 @@ func TestConflictConcreteKeysWithSeparators(t *testing.T) {
 		after := base.Clone()
 		w1 := record(t, after, 1, adt.RelPutOp{L: "m", Key: key, Val: "1"})
 		w2 := record(t, base.Clone(), 2, adt.RelPutOp{L: "m", Key: key, Val: "2"})
-		p := w1[0].Acc[0].P
+		p := w1[0].Accesses()[0].P
 		if conflict, err := ConflictConcrete(base, p, w1, w2); err != nil || !conflict {
 			t.Errorf("key %q: different writes must conflict: %v %v", key, conflict, err)
 		}

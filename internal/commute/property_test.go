@@ -28,9 +28,10 @@ func genRegisterLog(rng *rand.Rand, loc state.Loc, task int) oplog.Log {
 	st.Set(loc, state.Int(0))
 	var l oplog.Log
 	for i, op := range ops {
-		acc := op.Accesses(st)
+		acc := op.AppendAccesses(nil, st)
 		v, _ := op.Apply(st)
-		l = append(l, &oplog.Event{Op: op, Task: task, Seq: i, Acc: acc, Observed: v})
+		ev := oplog.NewEvent(op, task, i, acc, v)
+		l = append(l, &ev)
 	}
 	return l
 }
@@ -58,12 +59,13 @@ func genStackLog(rng *rand.Rand, loc state.Loc, task int) oplog.Log {
 		default:
 			op = adt.ListSizeOp{L: loc}
 		}
-		acc := op.Accesses(st)
+		acc := op.AppendAccesses(nil, st)
 		v, err := op.Apply(st)
 		if err != nil {
 			break
 		}
-		l = append(l, &oplog.Event{Op: op, Task: task, Seq: i, Acc: acc, Observed: v})
+		ev := oplog.NewEvent(op, task, i, acc, v)
+		l = append(l, &ev)
 	}
 	return l
 }
@@ -170,9 +172,10 @@ func TestRelationalConditionsSoundPerKey(t *testing.T) {
 			default:
 				op = adt.RelHasOp{L: "r", Key: "k"}
 			}
-			acc := op.Accesses(st)
+			acc := op.AppendAccesses(nil, st)
 			v, _ := op.Apply(st)
-			l = append(l, &oplog.Event{Op: op, Task: task, Seq: i, Acc: acc, Observed: v})
+			ev := oplog.NewEvent(op, task, i, acc, v)
+			l = append(l, &ev)
 		}
 		return l
 	}

@@ -211,7 +211,7 @@ type mode struct {
 func accessModes(l oplog.Log) map[oplog.PLoc]mode {
 	m := make(map[oplog.PLoc]mode)
 	for _, e := range l {
-		for _, a := range e.Acc {
+		for _, a := range e.Accesses() {
 			cur := m[a.P]
 			cur.read = cur.read || a.Read
 			cur.write = cur.write || a.Write

@@ -20,12 +20,13 @@ func benchLog(b *testing.B, st *state.State, task int, ops ...oplog.Op) oplog.Lo
 	work := st.Clone()
 	var l oplog.Log
 	for i, op := range ops {
-		acc := op.Accesses(work)
+		acc := op.AppendAccesses(nil, work)
 		v, err := op.Apply(work)
 		if err != nil {
 			b.Fatalf("apply %v: %v", op, err)
 		}
-		l = append(l, &oplog.Event{Op: op, Task: task, Seq: i, Acc: acc, Observed: v})
+		ev := oplog.NewEvent(op, task, i, acc, v)
+		l = append(l, &ev)
 	}
 	return l
 }

@@ -27,12 +27,13 @@ func record(t *testing.T, st *state.State, task int, ops ...oplog.Op) oplog.Log 
 	work := st.Clone()
 	var l oplog.Log
 	for i, op := range ops {
-		acc := op.Accesses(work)
+		acc := op.AppendAccesses(nil, work)
 		v, err := op.Apply(work)
 		if err != nil {
 			t.Fatalf("apply %v: %v", op, err)
 		}
-		l = append(l, &oplog.Event{Op: op, Task: task, Seq: i, Acc: acc, Observed: v})
+		ev := oplog.NewEvent(op, task, i, acc, v)
+		l = append(l, &ev)
 	}
 	return l
 }
@@ -194,10 +195,9 @@ func TestWildcardFallsBack(t *testing.T) {
 	det := NewSequence(cache.New(seqabs.Abstract), nil)
 	// Build events with a synthetic wildcard read (whole-relation scan)
 	// against a concrete key write.
-	scan := oplog.Log{{
-		Op: adt.RelGetOp{L: "bits", Key: "1"}, Task: 1, Seq: 0,
-		Acc: []oplog.Access{{P: oplog.MakePLoc("bits", "*"), Read: true}},
-	}}
+	ev := oplog.NewEvent(adt.RelGetOp{L: "bits", Key: "1"}, 1, 0,
+		[]oplog.Access{{P: oplog.MakePLoc("bits", "*"), Read: true}}, nil)
+	scan := oplog.Log{&ev}
 	put := record(t, st, 2, adt.RelPutOp{L: "bits", Key: "9", Val: "1"})
 	if !detect(det, st, scan, put) {
 		t.Fatalf("wildcard read vs key write must conflict conservatively")

@@ -18,7 +18,8 @@ func footAcc(loc state.Loc, key string, read, write bool) oplog.Access {
 func footLog(accs ...[]oplog.Access) oplog.Log {
 	l := make(oplog.Log, len(accs))
 	for i, a := range accs {
-		l[i] = &oplog.Event{Task: 1, Seq: i, Acc: a}
+		ev := oplog.NewEvent(nil, 1, i, a, nil)
+		l[i] = &ev
 	}
 	return l
 }
@@ -166,7 +167,8 @@ func TestSignaturesNoFalseNegatives(t *testing.T) {
 func opLog(ops ...oplog.Op) oplog.Log {
 	l := make(oplog.Log, len(ops))
 	for i, op := range ops {
-		l[i] = &oplog.Event{Op: op, Task: 1, Seq: i, Acc: op.Accesses(nil)}
+		ev := oplog.NewEvent(op, 1, i, op.AppendAccesses(nil, nil), nil)
+		l[i] = &ev
 	}
 	return l
 }

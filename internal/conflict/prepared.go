@@ -104,7 +104,7 @@ func (p *Prepared) Footprint() []FootprintLoc {
 		p.checkLive()
 		var idx map[state.Loc]int // nil while the footprint is short enough to scan
 		for _, e := range p.log {
-			for _, a := range e.Acc {
+			for _, a := range e.Accesses() {
 				loc := a.P.Loc()
 				j := -1
 				if idx != nil {
@@ -280,9 +280,12 @@ const maxPooledOps = 1 << 14
 // every transaction whose window reaches it; the history calls Recycle
 // once no such transaction is left (stm's reclamation floor). Either way
 // nothing the artifact handed out — the Log slice, the *oplog.Event
-// pointers in it, Footprint's slice — may be used after Recycle: the next
-// transaction overwrites them. What an event refers to (Op, Acc, Observed)
-// is allocated per operation, never reused, and may be kept.
+// pointers in it, the footprint an event's Accesses returns, Footprint's
+// slice — may be used after Recycle: the next transaction overwrites them.
+// A copy of an event is whole (its one-location footprint is stored in
+// the struct), and what an event refers to (Op, Observed, a
+// multi-location footprint's slice) is allocated per operation, never
+// reused, and may be kept.
 func Begin() *Prepared {
 	return preparedPool.Get().(*Prepared)
 }
@@ -317,12 +320,13 @@ func Prepare(l oplog.Log) *Prepared {
 var poisonRecycled atomic.Bool
 
 // PoisonRecycled is a fault-detection switch for tests: while on, Recycle
-// overwrites every event of the recycled log with an operation whose
-// methods panic and the descriptor arena with a sentinel, marks the
-// artifact so that its projections panic too, and leaves it out of the
-// pool — so whoever still holds a recycled artifact, its log or one of its
-// events fails with a stack at the next use, every time, instead of
-// reading zeroed storage or another transaction's log. (Reuse itself is
+// overwrites every event of the recycled log with a tombstone whose
+// operation and footprint panic (oplog.Event.Poison) and the descriptor
+// arena with a sentinel, marks the artifact so that its projections panic
+// too, and leaves it out of the pool — so whoever still holds a recycled
+// artifact, its log or one of its events fails with a stack at the next
+// use, every time, instead of reading zeroed storage or another
+// transaction's log. (Reuse itself is
 // what every other test runs on, and where -race reports a reader that
 // overlaps the next writer.) It returns the function that restores the
 // previous setting.
@@ -337,10 +341,12 @@ type recycledOp struct{}
 const recycledMsg = "conflict: use of a transaction log after its artifact was recycled"
 
 func (recycledOp) Apply(*state.State) (state.Value, error) { panic(recycledMsg) }
-func (recycledOp) Accesses(*state.State) []oplog.Access    { panic(recycledMsg) }
-func (recycledOp) Sym() oplog.Sym                          { panic(recycledMsg) }
-func (recycledOp) IsRead() bool                            { panic(recycledMsg) }
-func (recycledOp) String() string                          { return "recycled" }
+func (recycledOp) AppendAccesses([]oplog.Access, *state.State) []oplog.Access {
+	panic(recycledMsg)
+}
+func (recycledOp) Sym() oplog.Sym { panic(recycledMsg) }
+func (recycledOp) IsRead() bool   { panic(recycledMsg) }
+func (recycledOp) String() string { return "recycled" }
 
 // checkLive guards the lazily computed projections: they are recomputed
 // after Recycle reset their memos, which is where a stale holder of a
@@ -366,7 +372,7 @@ func (p *Prepared) Recycle() {
 	if poisonRecycled.Load() {
 		// Through the logged pointers, so abandoned slabs are reached too.
 		for _, e := range p.log {
-			*e = oplog.Event{Op: recycledOp{}, Task: -1, Seq: -1}
+			e.Poison(recycledOp{})
 		}
 		for i := range p.symArena {
 			p.symArena[i] = oplog.Sym{Kind: "conflict.recycled"}

@@ -21,10 +21,12 @@ type accOp struct {
 }
 
 func (o accOp) Apply(*state.State) (state.Value, error) { return nil, nil }
-func (o accOp) Accesses(*state.State) []oplog.Access    { return o.acc }
-func (o accOp) Sym() oplog.Sym                          { return oplog.Sym{Kind: o.kind} }
-func (o accOp) IsRead() bool                            { return false }
-func (o accOp) String() string                          { return o.kind }
+func (o accOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, o.acc...)
+}
+func (o accOp) Sym() oplog.Sym { return oplog.Sym{Kind: o.kind} }
+func (o accOp) IsRead() bool   { return false }
+func (o accOp) String() string { return o.kind }
 
 // richRandLog is randLog extended with relational per-key ops and
 // occasional wildcard extents — covering every pairVerdict path (trained

@@ -61,7 +61,7 @@ type Graph struct {
 
 // accessOf returns the event's access to p, if any.
 func accessOf(e *oplog.Event, p oplog.PLoc) (oplog.Access, bool) {
-	for _, a := range e.Acc {
+	for _, a := range e.Accesses() {
 		if a.P.Overlaps(p) {
 			return a, true
 		}
@@ -106,13 +106,13 @@ func chainsByPLoc(trace oplog.Log) map[oplog.PLoc]oplog.Log {
 	chains := make(map[oplog.PLoc]oplog.Log)
 	// First pass: concrete PLocs.
 	for _, e := range trace {
-		for _, a := range e.Acc {
+		for _, a := range e.Accesses() {
 			chains[a.P] = append(chains[a.P], e)
 		}
 	}
 	// Second pass: fold wildcard accesses into sibling key chains.
 	for _, e := range trace {
-		for _, a := range e.Acc {
+		for _, a := range e.Accesses() {
 			if !a.P.IsWildcard() {
 				continue
 			}

@@ -17,12 +17,13 @@ func trace(st *state.State, steps []struct {
 }) oplog.Log {
 	var l oplog.Log
 	for i, s := range steps {
-		acc := s.op.Accesses(st)
+		acc := s.op.AppendAccesses(nil, st)
 		v, err := s.op.Apply(st)
 		if err != nil {
 			panic(err)
 		}
-		l = append(l, &oplog.Event{Op: s.op, Task: s.task, Seq: i, Acc: acc, Observed: v})
+		ev := oplog.NewEvent(s.op, s.task, i, acc, v)
+		l = append(l, &ev)
 	}
 	return l
 }

@@ -259,30 +259,3 @@ func Substitute(f Formula, a Atom, g Formula) Formula {
 	}
 	panic(fmt.Sprintf("logic: unknown formula type %T", f))
 }
-
-// TautologyBrute decides validity of f by enumerating all assignments.
-// It is exponential in the number of atoms and intended for tests and for
-// formulas known to be tiny; the production path uses internal/sat.
-func TautologyBrute(f Formula) bool {
-	atoms := Atoms(f)
-	if len(atoms) > 20 {
-		panic("logic: TautologyBrute called with too many atoms")
-	}
-	asn := make(map[Atom]bool, len(atoms))
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(atoms) {
-			return f.Eval(asn)
-		}
-		asn[atoms[i]] = false
-		if !rec(i + 1) {
-			return false
-		}
-		asn[atoms[i]] = true
-		return rec(i + 1)
-	}
-	return rec(0)
-}
-
-// EquivalentBrute decides f ↔ g by enumeration (tests only).
-func EquivalentBrute(f, g Formula) bool { return TautologyBrute(Iff(f, g)) }

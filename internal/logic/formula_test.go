@@ -247,3 +247,30 @@ func TestColumnExclusivity(t *testing.T) {
 		t.Fatalf("exclusivity must make c=1 ∧ c=2 unsatisfiable")
 	}
 }
+
+// TautologyBrute decides validity of f by enumerating all assignments.
+// It is exponential in the number of atoms: the truth-table oracle the
+// SAT-backed Equivalent and the simplifier are checked against.
+func TautologyBrute(f Formula) bool {
+	atoms := Atoms(f)
+	if len(atoms) > 20 {
+		panic("logic: TautologyBrute called with too many atoms")
+	}
+	asn := make(map[Atom]bool, len(atoms))
+	var rec func(i int) bool
+	rec = func(i int) bool {
+		if i == len(atoms) {
+			return f.Eval(asn)
+		}
+		asn[atoms[i]] = false
+		if !rec(i + 1) {
+			return false
+		}
+		asn[atoms[i]] = true
+		return rec(i + 1)
+	}
+	return rec(0)
+}
+
+// EquivalentBrute decides f ↔ g by enumeration.
+func EquivalentBrute(f, g Formula) bool { return TautologyBrute(Iff(f, g)) }

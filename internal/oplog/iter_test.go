@@ -14,10 +14,12 @@ type multiOp struct {
 }
 
 func (m multiOp) Apply(*state.State) (state.Value, error) { return nil, nil }
-func (m multiOp) Accesses(*state.State) []Access          { return m.acc }
-func (m multiOp) Sym() Sym                                { return Sym{Kind: "multi"} }
-func (m multiOp) IsRead() bool                            { return false }
-func (m multiOp) String() string                          { return "multi" }
+func (m multiOp) AppendAccesses(dst []Access, _ *state.State) []Access {
+	return append(dst, m.acc...)
+}
+func (m multiOp) Sym() Sym       { return Sym{Kind: "multi"} }
+func (m multiOp) IsRead() bool   { return false }
+func (m multiOp) String() string { return "multi" }
 
 // collect drains a SubseqIter.
 func collect(it SubseqIter) Log {
@@ -62,8 +64,8 @@ func TestSubseqIterMatchesDecompose(t *testing.T) {
 // twice in that location's subsequence, and an absent location yields an
 // empty iteration.
 func TestSubseqIterMultiAccess(t *testing.T) {
-	e1 := &Event{Op: multiOp{}, Acc: []Access{{P: "x", Write: true}, {P: "y", Read: true}}}
-	e2 := &Event{Op: multiOp{}, Acc: []Access{{P: "x", Read: true}, {P: "x", Write: true}}}
+	e1 := mkEvent(1, 0, multiOp{acc: []Access{{P: "x", Write: true}, {P: "y", Read: true}}}, nil)
+	e2 := mkEvent(1, 1, multiOp{acc: []Access{{P: "x", Read: true}, {P: "x", Write: true}}}, nil)
 	l := Log{e1, e2}
 	want := refDecompose(l)
 	var d Decomposer

@@ -97,17 +97,20 @@ type Op interface {
 	// Apply executes the operation against st, returning the observed
 	// value for reads (nil for pure effects). It must be a deterministic
 	// function of the op and of the values st holds at the locations
-	// Accesses names, and may touch no other location: the commit path
-	// installs a location's privately computed value when no concurrent
-	// commit wrote that location and re-applies the op only otherwise, so
-	// both must yield the same value (stm.replayCompute). Apply may
-	// therefore run once or several times per committed transaction.
+	// AppendAccesses names, and may touch no other location: the commit
+	// path installs a location's privately computed value when no
+	// concurrent commit wrote that location and re-applies the op only
+	// otherwise, so both must yield the same value (stm.replayCompute).
+	// Apply may therefore run once or several times per committed
+	// transaction.
 	Apply(st *state.State) (state.Value, error)
-	// Accesses returns the projection locations the operation touches
-	// when executed in pre-state st, with read/write flags. This is the
-	// only dynamic context conflict detection needs (§5.3: read and
-	// write sets).
-	Accesses(st *state.State) []Access
+	// AppendAccesses appends to dst the projection locations the
+	// operation touches when executed in pre-state st, with read/write
+	// flags, and returns the extended slice. This is the only dynamic
+	// context conflict detection needs (§5.3: read and write sets). The
+	// executors pass a buffer they reuse, so an op whose footprint is one
+	// location computes it without allocating.
+	AppendAccesses(dst []Access, st *state.State) []Access
 	// Sym returns the symbolic descriptor used for sequence matching.
 	Sym() Sym
 	// IsRead reports whether the operation observes a value that flows
@@ -120,16 +123,69 @@ type Op interface {
 // the runtime an Event lives in storage its log's artifact owns and a later
 // transaction overwrites (conflict.Prepared.Recycle): whoever is handed a
 // runtime log (stm.CommitSink) keeps copies of the structs, not pointers.
-// Op, Acc and Observed are allocated per operation and never reused.
+// A copy is whole: a one-location footprint is stored in the struct by
+// value, so the copy's Accesses reads its own. What an event refers to —
+// Op, Observed and a multi-location footprint's slice — is allocated per
+// operation and never reused.
 type Event struct {
 	Op   Op
 	Task int // transaction/task identifier
 	Seq  int // position in the global trace (training) or log (runtime)
-	// Accesses as computed against the pre-state at execution time.
-	Acc []Access
 	// Observed holds the value returned by a read op at execution time;
 	// nil for effects. Training uses it to validate SAMEREAD concretely.
 	Observed state.Value
+
+	// The footprint as computed against the pre-state at execution time
+	// (Accesses): nacc locations, held in one when there is one and in
+	// many otherwise; nacc is -1 in a poisoned event (Poison).
+	nacc int
+	one  [1]Access
+	many []Access
+}
+
+// NewEvent returns the event of op executed as operation seq of task,
+// with footprint acc and observed value v. A one-location footprint is
+// stored in the event by value and a longer one copied, so acc may be a
+// buffer the caller reuses.
+func NewEvent(op Op, task, seq int, acc []Access, v state.Value) Event {
+	e := Event{Op: op, Task: task, Seq: seq, Observed: v, nacc: len(acc)}
+	switch len(acc) {
+	case 0:
+	case 1:
+		e.one[0] = acc[0]
+	default:
+		e.many = append([]Access(nil), acc...)
+	}
+	return e
+}
+
+// Accesses returns the event's footprint: the projection locations its
+// operation touched, as computed against the pre-state at execution time.
+// The slice is the event's own and must not be modified.
+func (e *Event) Accesses() []Access {
+	if e.nacc == 1 {
+		return e.one[:]
+	}
+	if e.nacc < 0 {
+		return e.poisonedAccesses()
+	}
+	return e.many
+}
+
+// poisonedAccesses asks a poisoned event's tombstone op for the
+// footprint, which panics: a stale reader must not see "touches
+// nothing". Kept out of Accesses so that the reader every decomposition
+// and footprint loop calls per event inlines.
+//
+//go:noinline
+func (e *Event) poisonedAccesses() []Access { return e.Op.AppendAccesses(nil, nil) }
+
+// Poison overwrites e with a tombstone whose operation is op and whose
+// footprint is op's to compute (Accesses calls op.AppendAccesses): a log's
+// owner poisons its recycled events with an op whose methods panic, so a
+// stale reader fails at the footprint as at the op.
+func (e *Event) Poison(op Op) {
+	*e = Event{Op: op, Task: -1, Seq: -1, nacc: -1}
 }
 
 // String renders the event for traces.
@@ -199,7 +255,7 @@ var linearScanAccesses = 32
 func (d *Decomposer) discover(l Log) int {
 	total := 0
 	for _, e := range l {
-		total += len(e.Acc)
+		total += len(e.Accesses())
 	}
 	d.out = d.out[:0]
 	d.counts = d.counts[:0]
@@ -212,7 +268,7 @@ func (d *Decomposer) discover(l Log) int {
 		}
 	}
 	for _, e := range l {
-		for _, a := range e.Acc {
+		for _, a := range e.Accesses() {
 			if i := d.find(a.P); i >= 0 {
 				d.counts[i]++
 				continue
@@ -266,7 +322,7 @@ func (d *Decomposer) Decompose(l Log) []PLocSeq {
 		off += d.counts[i]
 	}
 	for _, e := range l {
-		for _, a := range e.Acc {
+		for _, a := range e.Accesses() {
 			i := d.find(a.P)
 			d.out[i].Seq = append(d.out[i].Seq, e)
 		}

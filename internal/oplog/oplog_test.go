@@ -24,11 +24,8 @@ func (f fakeOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-func (f fakeOp) Accesses(*state.State) []Access {
-	if f.read {
-		return []Access{{P: PLoc(f.loc), Read: true}}
-	}
-	return []Access{{P: PLoc(f.loc), Read: true, Write: true}}
+func (f fakeOp) AppendAccesses(dst []Access, _ *state.State) []Access {
+	return append(dst, Access{P: PLoc(f.loc), Read: true, Write: !f.read})
 }
 
 func (f fakeOp) Sym() Sym {
@@ -86,7 +83,37 @@ func TestPLocOverlaps(t *testing.T) {
 }
 
 func mkEvent(task, seq int, op Op, st *state.State) *Event {
-	return &Event{Op: op, Task: task, Seq: seq, Acc: op.Accesses(st)}
+	e := NewEvent(op, task, seq, op.AppendAccesses(nil, st), nil)
+	return &e
+}
+
+// TestEventFootprint: an event keeps a footprint of any length as its
+// own, and a copy of the struct reads the footprint stored in the copy,
+// not in the original, so the original's storage may be overwritten.
+func TestEventFootprint(t *testing.T) {
+	buf := make([]Access, 0, 4)
+	for _, acc := range [][]Access{
+		nil,
+		{{P: "x", Read: true}},
+		{{P: "x", Write: true}, {P: "y", Read: true}, {P: "x", Read: true}},
+	} {
+		buf = append(buf[:0], acc...)
+		e := NewEvent(multiOp{}, 1, 2, buf, state.Int(7))
+		for i := range buf {
+			buf[i] = Access{P: "clobbered"} // the caller reuses its buffer
+		}
+		if got := e.Accesses(); len(got) != len(acc) || (len(acc) > 0 && !reflect.DeepEqual(got, acc)) {
+			t.Fatalf("footprint %v read back as %v", acc, got)
+		}
+		cp := e
+		e = NewEvent(multiOp{}, 0, 0, []Access{{P: "other", Write: true}}, nil)
+		if got := cp.Accesses(); len(got) != len(acc) || (len(acc) > 0 && !reflect.DeepEqual(got, acc)) {
+			t.Fatalf("copied event's footprint %v read back as %v after the original was overwritten", acc, got)
+		}
+		if cp.Task != 1 || cp.Seq != 2 || !cp.Observed.EqualValue(state.Int(7)) {
+			t.Fatalf("event fields lost: %+v", cp)
+		}
+	}
 }
 
 func TestReplay(t *testing.T) {
@@ -109,7 +136,7 @@ func TestReplay(t *testing.T) {
 func refDecompose(l Log) map[PLoc]Log {
 	out := make(map[PLoc]Log)
 	for _, e := range l {
-		for _, a := range e.Acc {
+		for _, a := range e.Accesses() {
 			out[a.P] = append(out[a.P], e)
 		}
 	}

@@ -4,7 +4,7 @@
 // matching lookup), the subset order, and the propositional content
 // representation of Table 4 that training's SAT check compares. Table 3's
 // footprints are not computed here: each ADT operation reports its own
-// (oplog.Op.Accesses), keyed by LocKey.
+// (oplog.Op.AppendAccesses), keyed by LocKey.
 //
 // A relation specializes, via its functional dependency, into a function
 // mapping "locations" (valuations of the FD's domain columns) to associated

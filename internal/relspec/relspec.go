@@ -248,8 +248,8 @@ func (p putOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-func (p putOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: p.obj.ploc(p.obj.S.keyOf(p.t)), Write: true}}
+func (p putOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: p.obj.ploc(p.obj.S.keyOf(p.t)), Write: true})
 }
 
 func (p putOp) Sym() oplog.Sym {
@@ -290,12 +290,12 @@ func (d deleteOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-func (d deleteOp) Accesses(st *state.State) []oplog.Access {
+func (d deleteOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.Access {
 	p := d.obj.ploc(d.key.Key(d.obj.S.domainCols()))
 	if m, _, err := d.matching(st); err == nil && len(m) == 0 {
-		return []oplog.Access{{P: p, Read: true}} // observes absence (§6.2)
+		return append(dst, oplog.Access{P: p, Read: true}) // observes absence (§6.2)
 	}
-	return []oplog.Access{{P: p, Write: true}}
+	return append(dst, oplog.Access{P: p, Write: true})
 }
 
 func (d deleteOp) Sym() oplog.Sym { return oplog.Sym{Kind: adt.KindRelRemove} }
@@ -327,8 +327,8 @@ func (g getOp) Apply(st *state.State) (state.Value, error) {
 	return state.Str(m[0].Key(m[0].Cols())), nil
 }
 
-func (g getOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: g.obj.ploc(g.key.Key(g.obj.S.domainCols())), Read: true}}
+func (g getOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: g.obj.ploc(g.key.Key(g.obj.S.domainCols())), Read: true})
 }
 
 func (g getOp) Sym() oplog.Sym { return oplog.Sym{Kind: adt.KindRelGet} }
@@ -356,8 +356,8 @@ func (h hasOp) Apply(st *state.State) (state.Value, error) {
 	return state.Bool(len(r.Matching(probe)) > 0), nil
 }
 
-func (h hasOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: h.obj.ploc(h.key.Key(h.obj.S.domainCols())), Read: true}}
+func (h hasOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: h.obj.ploc(h.key.Key(h.obj.S.domainCols())), Read: true})
 }
 
 func (h hasOp) Sym() oplog.Sym { return oplog.Sym{Kind: adt.KindRelHas} }
@@ -379,16 +379,15 @@ func (c clearOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-func (c clearOp) Accesses(st *state.State) []oplog.Access {
+func (c clearOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.Access {
 	r, err := c.obj.rel(st)
 	if err != nil {
-		return nil
+		return dst
 	}
-	var out []oplog.Access
 	for _, t := range r.Tuples() {
-		out = append(out, oplog.Access{P: c.obj.ploc(c.obj.S.keyOf(t)), Write: true})
+		dst = append(dst, oplog.Access{P: c.obj.ploc(c.obj.S.keyOf(t)), Write: true})
 	}
-	return out
+	return dst
 }
 
 func (c clearOp) Sym() oplog.Sym { return oplog.Sym{Kind: adt.KindRelClear} }

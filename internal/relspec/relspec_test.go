@@ -36,12 +36,13 @@ type directExec struct {
 }
 
 func (d *directExec) Exec(op oplog.Op) (state.Value, error) {
-	acc := op.Accesses(d.st)
+	acc := op.AppendAccesses(nil, d.st)
 	v, err := op.Apply(d.st)
 	if err != nil {
 		return nil, err
 	}
-	d.log = append(d.log, &oplog.Event{Op: op, Seq: len(d.log), Acc: acc, Observed: v})
+	ev := oplog.NewEvent(op, 0, len(d.log), acc, v)
+	d.log = append(d.log, &ev)
 	return v, nil
 }
 
@@ -139,7 +140,7 @@ func TestFootprintsArePerCompositeKey(t *testing.T) {
 	if err := obj.Put(ex, route("a", "b", "3", "r1")); err != nil {
 		t.Fatal(err)
 	}
-	acc := ex.log[0].Acc
+	acc := ex.log[0].Accesses()
 	if len(acc) != 1 || !acc[0].Write {
 		t.Fatalf("put accesses = %+v", acc)
 	}
@@ -150,7 +151,7 @@ func TestFootprintsArePerCompositeKey(t *testing.T) {
 	if err := obj.Delete(ex, key("q", "r")); err != nil {
 		t.Fatal(err)
 	}
-	acc = ex.log[len(ex.log)-1].Acc
+	acc = ex.log[len(ex.log)-1].Accesses()
 	if len(acc) != 1 || !acc[0].Read || acc[0].Write {
 		t.Fatalf("delete-absent accesses = %+v", acc)
 	}

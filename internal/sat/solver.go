@@ -437,43 +437,3 @@ func (s *solver) search() (Status, error) {
 		s.enqueue(-v, nil) // branch false first: content formulas are sparse
 	}
 }
-
-// Verify checks that model satisfies all clauses; used by tests and as a
-// cheap internal sanity check by callers that cannot tolerate a solver bug.
-func Verify(clauses [][]int, model []bool) bool {
-	for _, cl := range clauses {
-		ok := false
-		for _, l := range cl {
-			v := l
-			if v < 0 {
-				v = -v
-			}
-			if v-1 >= len(model) {
-				return false
-			}
-			if (l > 0) == model[v-1] {
-				ok = true
-				break
-			}
-		}
-		if !ok && len(cl) > 0 {
-			// A tautological clause simplifies to nil earlier; raw
-			// tautologies still count as satisfied.
-			if !tautological(cl) {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func tautological(cl []int) bool {
-	seen := make(map[int]struct{}, len(cl))
-	for _, l := range cl {
-		if _, ok := seen[-l]; ok {
-			return true
-		}
-		seen[l] = struct{}{}
-	}
-	return false
-}

@@ -236,3 +236,43 @@ func TestLearnedUnitFixesVariable(t *testing.T) {
 		t.Fatalf("x must be forced true: %v %v", res.Status, res.Model)
 	}
 }
+
+// Verify checks that model satisfies all clauses: the oracle every model
+// the solver returns is checked against.
+func Verify(clauses [][]int, model []bool) bool {
+	for _, cl := range clauses {
+		ok := false
+		for _, l := range cl {
+			v := l
+			if v < 0 {
+				v = -v
+			}
+			if v-1 >= len(model) {
+				return false
+			}
+			if (l > 0) == model[v-1] {
+				ok = true
+				break
+			}
+		}
+		if !ok && len(cl) > 0 {
+			// A tautological clause simplifies to nil earlier; raw
+			// tautologies still count as satisfied.
+			if !tautological(cl) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func tautological(cl []int) bool {
+	seen := make(map[int]struct{}, len(cl))
+	for _, l := range cl {
+		if _, ok := seen[-l]; ok {
+			return true
+		}
+		seen[l] = struct{}{}
+	}
+	return false
+}

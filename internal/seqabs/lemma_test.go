@@ -148,18 +148,8 @@ func TestAbstractionNeverChangesConflictVerdict(t *testing.T) {
 		if !ok1 || !ok2 || !ok3 {
 			continue
 		}
-		if an1.Eff != an2.Eff || len(an1.Reads) != len(an2.Reads) {
+		if an1 != an2 {
 			continue // same shape but different instance semantics: fine
-		}
-		same := true
-		for i := range an1.Reads {
-			if an1.Reads[i] != an2.Reads[i] {
-				same = false
-				break
-			}
-		}
-		if !same {
-			continue
 		}
 		v1 := seqeff.PairConflicts(an1, an3)
 		v2 := seqeff.PairConflicts(an2, an3)

@@ -160,7 +160,6 @@ func (a *Abstracter) findCollapse(rest []oplog.Sym, maxBlock int) (k, m int) {
 		if !a.idem(block) {
 			continue
 		}
-		shape := seqeff.ShapeKey(block)
 		m = 1
 		for {
 			start := m * k
@@ -168,7 +167,7 @@ func (a *Abstracter) findCollapse(rest []oplog.Sym, maxBlock int) (k, m int) {
 				break
 			}
 			next := rest[start : start+k]
-			if seqeff.ShapeKey(next) != shape || !a.idem(next) {
+			if !sameKinds(next, block) || !a.idem(next) {
 				break
 			}
 			m++
@@ -176,6 +175,19 @@ func (a *Abstracter) findCollapse(rest []oplog.Sym, maxBlock int) (k, m int) {
 		return k, m
 	}
 	return 0, 0
+}
+
+// sameKinds reports whether two equal-length blocks have the same shape,
+// their kind sequence, comparing the kinds in place. Operation kinds hold
+// no space, so this decides exactly what comparing the blocks' joined
+// renderings would.
+func sameKinds(a, b []oplog.Sym) bool {
+	for i := range a {
+		if a[i].Kind != b[i].Kind {
+			return false
+		}
+	}
+	return true
 }
 
 func kinds(syms []oplog.Sym) []string {
@@ -200,9 +212,12 @@ const pairSep = " ⇄ "
 
 // AppendKey renders the sequence's cache key directly into dst and
 // returns the extended slice. It produces exactly Abstract(syms).String()
-// but skips the intermediate Pattern, keeping the production lookup path
-// allocation-free (the buffer aside) — the per-query cost §5.3 requires
-// to stay "on a par with write-set detection".
+// but skips the intermediate Pattern, and the collapse search compares
+// block shapes in place and asks seqeff's allocation-free analyses for
+// idempotence, so into a buffer with room it allocates nothing (except
+// to render a numeric store an add folds into, Effect.Then) — the
+// per-query cost §5.3 requires to stay "on a par with write-set
+// detection".
 func (a *Abstracter) AppendKey(dst []byte, syms []oplog.Sym) []byte {
 	if a.Mode == Concrete {
 		for i, s := range syms {

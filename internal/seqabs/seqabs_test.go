@@ -159,3 +159,26 @@ func TestEmptySequence(t *testing.T) {
 		t.Errorf("empty concrete key = %q", key)
 	}
 }
+
+// TestAppendPairKeyAllocs: rendering the pair key of a Kleene-collapsible
+// pair into a buffer with room allocates nothing — the collapse search
+// compares block shapes in place and decides idempotence without
+// building anything. The longer side collapses over four repetitions, so
+// shapes are compared past the first block.
+func TestAppendPairKeyAllocs(t *testing.T) {
+	a := &Abstracter{Mode: Abstract}
+	var long, short []oplog.Sym
+	for i := 1; i <= 4; i++ {
+		long = append(long, addPair(i)...)
+	}
+	for i := 1; i <= 2; i++ {
+		short = append(short, addPair(i+4)...)
+	}
+	buf := a.AppendPairKey(nil, long, short)
+	if want := "(num.add num.add)+ ⇄ (num.add num.add)+"; string(buf) != want {
+		t.Fatalf("pair key = %q, want %q", buf, want)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = a.AppendPairKey(buf[:0], long, short) }); n != 0 {
+		t.Fatalf("AppendPairKey into a warm buffer allocates %.0f per call, want 0", n)
+	}
+}

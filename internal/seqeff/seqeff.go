@@ -18,7 +18,6 @@ package seqeff
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/adt"
 	"repro/internal/oplog"
@@ -108,22 +107,20 @@ func Commute(a, b Effect) bool {
 
 // Analysis decomposes a register sequence.
 type Analysis struct {
-	Eff   Effect
-	Reads []Effect // prefix effect immediately before each observing op
+	Eff Effect
+	// ReadBeforeStore reports a read that precedes the sequence's first
+	// store, so that the value it observes depends on the entry state. A
+	// store, once composed in, stays a store (Effect.Then), so this is
+	// exactly "some read's prefix effect is not a store": the one fact
+	// SAMEREAD and idempotence need of the reads.
+	ReadBeforeStore bool
 }
 
 // SameRead reports whether every read in a is unaffected by executing a
-// concurrent sequence with composite effect g first.
+// concurrent sequence with composite effect g first: g is the identity,
+// or every read follows a's first store.
 func SameRead(a Analysis, g Effect) bool {
-	if g.IsIdent() {
-		return true
-	}
-	for _, prefix := range a.Reads {
-		if prefix.Kind != Store {
-			return false
-		}
-	}
-	return true
+	return g.IsIdent() || !a.ReadBeforeStore
 }
 
 // PairConflicts runs the per-location CONFLICT judgment (Figure 8) on two
@@ -148,12 +145,7 @@ func Idempotent(a Analysis) bool {
 	case Ident:
 		return true
 	case Store:
-		for _, prefix := range a.Reads {
-			if prefix.Kind != Store {
-				return false
-			}
-		}
-		return true
+		return !a.ReadBeforeStore
 	default:
 		return false
 	}
@@ -187,7 +179,7 @@ func AnalyzeRegister(syms []oplog.Sym) (Analysis, bool) {
 			return Analysis{}, false
 		}
 		if read {
-			a.Reads = append(a.Reads, a.Eff)
+			a.ReadBeforeStore = a.ReadBeforeStore || a.Eff.Kind != Store
 			continue
 		}
 		eff, ok := a.Eff.Then(step)
@@ -202,50 +194,47 @@ func AnalyzeRegister(syms []oplog.Sym) (Analysis, bool) {
 // --- Stack theory ---
 
 // StackAnalysis summarizes a sequence of stack operations relative to the
-// entry stack.
+// entry stack. The judgments need only heights, never the pushed values:
+// the stack theory's one commuting case is two balanced sequences.
 type StackAnalysis struct {
 	// NetPops counts pops that consumed entry-state elements.
 	NetPops int
-	// Pushes holds the net pushed values remaining above the entry level.
-	Pushes []string
+	// NetPushes counts the sequence's own pushes still above the entry
+	// level at its end.
+	NetPushes int
 	// PrestateRead reports whether any pop observed an entry-state value.
 	PrestateRead bool
-	// SizeReads holds the net height delta at each size observation.
-	SizeReads []int
+	// SizeReads counts size observations.
+	SizeReads int
 }
 
 // Balanced reports net identity: the sequence restores the entry stack
 // exactly and never consumed entry-state elements.
 func (s StackAnalysis) Balanced() bool {
-	return s.NetPops == 0 && len(s.Pushes) == 0 && !s.PrestateRead
+	return s.NetPops == 0 && s.NetPushes == 0 && !s.PrestateRead
 }
 
 // AnalyzeStack folds a sequence of stack operations. ok is false for
 // non-stack kinds.
 func AnalyzeStack(syms []oplog.Sym) (StackAnalysis, bool) {
 	var sa StackAnalysis
-	var virt []string // values pushed by the sequence, above entry level
-	depth := 0        // net height delta
 	for _, s := range syms {
 		switch s.Kind {
 		case adt.KindListPush:
-			virt = append(virt, s.Arg)
-			depth++
+			sa.NetPushes++
 		case adt.KindListPop:
-			if len(virt) > 0 {
-				virt = virt[:len(virt)-1]
+			if sa.NetPushes > 0 {
+				sa.NetPushes--
 			} else {
 				sa.NetPops++
 				sa.PrestateRead = true
 			}
-			depth--
 		case adt.KindListSize:
-			sa.SizeReads = append(sa.SizeReads, depth)
+			sa.SizeReads++
 		default:
 			return StackAnalysis{}, false
 		}
 	}
-	sa.Pushes = append([]string(nil), virt...)
 	return sa, true
 }
 
@@ -257,13 +246,13 @@ func StackReadsStable(a, other StackAnalysis) bool {
 	if a.PrestateRead {
 		// Pops reached the entry stack: the values observed depend on
 		// what the other sequence left there.
-		otherIdentity := other.NetPops == 0 && len(other.Pushes) == 0
+		otherIdentity := other.NetPops == 0 && other.NetPushes == 0
 		if !otherIdentity {
 			return false
 		}
 	}
-	if len(a.SizeReads) > 0 {
-		if len(other.Pushes)-other.NetPops != 0 {
+	if a.SizeReads > 0 {
+		if other.NetPushes-other.NetPops != 0 {
 			return false
 		}
 	}
@@ -321,94 +310,19 @@ func Classify(syms []oplog.Sym) Theory {
 
 // BlockIdempotent reports whether a concrete symbolic block is idempotent
 // under its covering theory — the predicate driving the Kleene-cross
-// abstraction of §5.2. It decides by folding, not by building the
-// analyses: seqabs asks once per candidate block per prepared location,
-// and the Reads/Pushes slices of AnalyzeRegister/AnalyzeStack would be
-// garbage the moment the answer is known. The fold is pinned equal to
-// Idempotent(AnalyzeRegister(·)) / IdempotentStack(AnalyzeStack(·)) by a
-// table test.
+// abstraction of §5.2: Idempotent(AnalyzeRegister(·)) when the register
+// theory covers the block, IdempotentStack(AnalyzeStack(·)) when the
+// stack theory does, false otherwise and for the empty block. seqabs asks
+// once per candidate block per prepared location, and the analyses keep
+// flags and counts, so the question allocates nothing beyond the value of
+// a numeric store an add folds into (Effect.Then).
 func BlockIdempotent(syms []oplog.Sym) bool {
 	if len(syms) == 0 {
 		return false
 	}
-	if idem, ok := registerIdempotent(syms); ok {
-		return idem
+	if a, ok := AnalyzeRegister(syms); ok {
+		return Idempotent(a)
 	}
-	idem, ok := stackIdempotent(syms)
-	return ok && idem
-}
-
-// registerIdempotent is Idempotent(AnalyzeRegister(syms)) without the
-// Reads slice. A store, once composed in, stays a store (Effect.Then), so
-// "every read's prefix is a store" is exactly "no read preceded the first
-// store" — one flag instead of one prefix per read.
-func registerIdempotent(syms []oplog.Sym) (idem, ok bool) {
-	eff := Effect{Kind: Ident}
-	readBeforeStore := false
-	for _, s := range syms {
-		var step Effect
-		switch s.Kind {
-		case adt.KindNumAdd:
-			n, err := strconv.ParseInt(s.Arg, 10, 64)
-			if err != nil {
-				return false, false
-			}
-			step = normAdd(n)
-		case adt.KindNumStore, adt.KindStrStore, adt.KindBoolStore, adt.KindRelPut:
-			step = Effect{Kind: Store, V: s.Arg}
-		case adt.KindRelRemove, adt.KindRelClear:
-			step = Effect{Kind: Store, V: adt.AbsentVal}
-		case adt.KindNumLoad, adt.KindStrLoad, adt.KindBoolLoad, adt.KindRelGet, adt.KindRelHas:
-			if eff.Kind != Store {
-				readBeforeStore = true
-			}
-			continue
-		default:
-			return false, false
-		}
-		if eff, ok = eff.Then(step); !ok {
-			return false, false
-		}
-	}
-	switch eff.Kind {
-	case Ident:
-		return true, true
-	case Store:
-		return !readBeforeStore, true
-	default:
-		return false, true
-	}
-}
-
-// stackIdempotent is IdempotentStack(AnalyzeStack(syms)) without the
-// virtual stack: balance needs only how many of the sequence's own pushes
-// are still standing and whether a pop ever reached the entry stack.
-func stackIdempotent(syms []oplog.Sym) (idem, ok bool) {
-	virt, entryPops := 0, 0
-	for _, s := range syms {
-		switch s.Kind {
-		case adt.KindListPush:
-			virt++
-		case adt.KindListPop:
-			if virt > 0 {
-				virt--
-			} else {
-				entryPops++
-			}
-		case adt.KindListSize:
-		default:
-			return false, false
-		}
-	}
-	return virt == 0 && entryPops == 0, true
-}
-
-// ShapeKey renders the kind sequence of a block, the shape identity used
-// by abstraction and cache keys.
-func ShapeKey(syms []oplog.Sym) string {
-	kinds := make([]string, len(syms))
-	for i, s := range syms {
-		kinds[i] = s.Kind
-	}
-	return strings.Join(kinds, " ")
+	sa, ok := AnalyzeStack(syms)
+	return ok && IdempotentStack(sa)
 }

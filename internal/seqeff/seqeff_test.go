@@ -82,8 +82,8 @@ func TestAnalyzeRegister(t *testing.T) {
 	if !ok || b.Eff.Kind != Store || b.Eff.V != "f.go" {
 		t.Fatalf("store-load: %v %v", b, ok)
 	}
-	if len(b.Reads) != 1 || b.Reads[0].Kind != Store {
-		t.Fatalf("read prefix must be the store: %v", b.Reads)
+	if b.ReadBeforeStore {
+		t.Fatalf("the read follows the store: %+v", b)
 	}
 	if !Idempotent(b) {
 		t.Errorf("store-then-load must be idempotent")
@@ -93,6 +93,9 @@ func TestAnalyzeRegister(t *testing.T) {
 	c, _ := AnalyzeRegister([]oplog.Sym{
 		sym(adt.KindNumLoad, ""), sym(adt.KindNumStore, "5"),
 	})
+	if !c.ReadBeforeStore {
+		t.Fatalf("the read precedes the store: %+v", c)
+	}
 	if Idempotent(c) {
 		t.Errorf("load-then-store must not be idempotent")
 	}
@@ -107,8 +110,22 @@ func TestAnalyzeRegister(t *testing.T) {
 	e, ok := AnalyzeRegister([]oplog.Sym{
 		sym(adt.KindRelPut, "white"), sym(adt.KindRelGet, ""), sym(adt.KindRelRemove, ""),
 	})
-	if !ok || e.Eff.Kind != Store || e.Eff.V != adt.AbsentVal {
-		t.Fatalf("rel seq effect = %v", e.Eff)
+	if !ok || e.Eff.Kind != Store || e.Eff.V != adt.AbsentVal || e.ReadBeforeStore {
+		t.Fatalf("rel seq analysis = %+v", e)
+	}
+
+	// A read under adds alone sees the entry value; a store, once in,
+	// stays a store, even under a later add.
+	f, ok := AnalyzeRegister([]oplog.Sym{
+		sym(adt.KindNumAdd, "1"), sym(adt.KindNumLoad, ""), sym(adt.KindNumStore, "4"),
+		sym(adt.KindNumAdd, "2"), sym(adt.KindNumLoad, ""),
+	})
+	if !ok || !f.ReadBeforeStore || f.Eff != (Effect{Kind: Store, V: "6"}) {
+		t.Fatalf("add-load-store-add-load analysis = %+v %v", f, ok)
+	}
+	g, _ := AnalyzeRegister([]oplog.Sym{sym(adt.KindNumStore, "4"), sym(adt.KindNumAdd, "2"), sym(adt.KindNumLoad, "")})
+	if g.ReadBeforeStore || !Idempotent(g) {
+		t.Fatalf("store-add-load analysis = %+v", g)
 	}
 
 	// Stack ops leave the register theory.
@@ -173,8 +190,12 @@ func TestAnalyzeStack(t *testing.T) {
 		t.Errorf("balanced sequence must be idempotent")
 	}
 
+	if balanced.NetPushes != 0 || balanced.NetPops != 0 || balanced.SizeReads != 0 {
+		t.Fatalf("balanced push/pop counts: %+v", balanced)
+	}
+
 	popFirst, _ := AnalyzeStack([]oplog.Sym{sym(adt.KindListPop, ""), sym(adt.KindListPush, "1")})
-	if popFirst.Balanced() || !popFirst.PrestateRead || popFirst.NetPops != 1 {
+	if popFirst.Balanced() || !popFirst.PrestateRead || popFirst.NetPops != 1 || popFirst.NetPushes != 1 {
 		t.Fatalf("pop-first: %+v", popFirst)
 	}
 	if IdempotentStack(popFirst) {
@@ -184,8 +205,8 @@ func TestAnalyzeStack(t *testing.T) {
 	sized, _ := AnalyzeStack([]oplog.Sym{
 		sym(adt.KindListPush, "1"), sym(adt.KindListSize, ""), sym(adt.KindListPop, ""),
 	})
-	if len(sized.SizeReads) != 1 || sized.SizeReads[0] != 1 {
-		t.Fatalf("size read deltas = %v", sized.SizeReads)
+	if sized.SizeReads != 1 {
+		t.Fatalf("size reads = %d, want 1", sized.SizeReads)
 	}
 	if !sized.Balanced() {
 		t.Errorf("push-size-pop is balanced")
@@ -193,6 +214,21 @@ func TestAnalyzeStack(t *testing.T) {
 
 	if _, ok := AnalyzeStack([]oplog.Sym{sym(adt.KindNumAdd, "1")}); ok {
 		t.Errorf("register op must not be stack-analyzable")
+	}
+
+	// Pushes left standing are counted net of the pops that took them
+	// back; a size read is unstable only under a height change.
+	net, _ := AnalyzeStack([]oplog.Sym{
+		sym(adt.KindListPush, "1"), sym(adt.KindListPush, "2"), sym(adt.KindListPop, ""), sym(adt.KindListSize, ""),
+	})
+	if net.NetPushes != 1 || net.NetPops != 0 || net.PrestateRead || net.Balanced() {
+		t.Fatalf("push-push-pop-size: %+v", net)
+	}
+	if StackReadsStable(sized, net) || !StackReadsStable(sized, balanced) || !StackReadsStable(net, balanced) {
+		t.Errorf("a size read is stable exactly under a height-preserving sequence")
+	}
+	if !StackReadsStable(popFirst, balanced) || StackReadsStable(popFirst, net) {
+		t.Errorf("an entry-state pop is stable exactly under an identity sequence")
 	}
 }
 
@@ -244,13 +280,12 @@ func TestBlockIdempotent(t *testing.T) {
 	}
 }
 
-// TestBlockIdempotentFoldMatchesAnalyses pins the allocation-free fold
-// inside BlockIdempotent to the definitions it replaces:
-// Idempotent(AnalyzeRegister(·)) when the register theory covers the
-// sequence, IdempotentStack(AnalyzeStack(·)) when the stack theory does,
-// false otherwise — on random sequences over every operation kind,
-// including malformed adds, non-numeric stores under an add, and kinds no
-// theory covers.
+// TestBlockIdempotentFoldMatchesAnalyses pins BlockIdempotent, on random
+// sequences over every operation kind — including malformed adds,
+// non-numeric stores under an add, and kinds no theory covers — to its
+// definition: Idempotent(AnalyzeRegister(·)) when the register theory
+// covers the sequence, IdempotentStack(AnalyzeStack(·)) when the stack
+// theory does, false otherwise. Neither it nor the analyses allocate.
 func TestBlockIdempotentFoldMatchesAnalyses(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	vals := []string{"0", "1", "-1", "7", "x", "white", adt.AbsentVal}
@@ -261,22 +296,18 @@ func TestBlockIdempotentFoldMatchesAnalyses(t *testing.T) {
 	}
 	stack := []string{adt.KindListPush, adt.KindListPop, adt.KindListSize}
 	all := append(append([]string{"no.such.kind"}, register...), stack...)
-	reference := func(syms []oplog.Sym) bool {
+	definition := func(syms []oplog.Sym) bool {
 		if len(syms) == 0 {
 			return false
 		}
-		if a, ok := AnalyzeRegister(syms); ok {
-			return Idempotent(a)
-		}
-		if sa, ok := AnalyzeStack(syms); ok {
-			return IdempotentStack(sa)
-		}
-		return false
+		a, regOK := AnalyzeRegister(syms)
+		sa, stackOK := AnalyzeStack(syms)
+		return regOK && Idempotent(a) || stackOK && IdempotentStack(sa)
 	}
 	idem := 0
 	for i := 0; i < 20000; i++ {
 		pool := all
-		switch i % 4 { // mostly single-theory sequences, so both folds see long inputs
+		switch i % 4 { // mostly single-theory sequences, so both theories see long inputs
 		case 0, 1:
 			pool = register
 		case 2:
@@ -286,7 +317,7 @@ func TestBlockIdempotentFoldMatchesAnalyses(t *testing.T) {
 		for j := range syms {
 			syms[j] = sym(pool[rng.Intn(len(pool))], vals[rng.Intn(len(vals))])
 		}
-		want := reference(syms)
+		want := definition(syms)
 		if got := BlockIdempotent(syms); got != want {
 			t.Fatalf("%v: BlockIdempotent = %v, analyses say %v", syms, got, want)
 		}
@@ -297,9 +328,18 @@ func TestBlockIdempotentFoldMatchesAnalyses(t *testing.T) {
 	if idem < 1000 || idem > 19000 {
 		t.Fatalf("%d of 20000 random sequences idempotent: the table does not exercise both answers", idem)
 	}
+
 	seq := []oplog.Sym{sym(adt.KindNumStore, "3"), sym(adt.KindNumLoad, ""), sym(adt.KindNumAdd, "2"), sym(adt.KindNumLoad, "")}
-	if n := testing.AllocsPerRun(100, func() { BlockIdempotent(seq[:2]) }); n != 0 {
-		t.Fatalf("BlockIdempotent allocates %.0f per call on a store/load block, want 0", n)
+	stk := []oplog.Sym{sym(adt.KindListPush, "3"), sym(adt.KindListSize, ""), sym(adt.KindListPop, ""), sym(adt.KindListPop, "")}
+	for name, f := range map[string]func(){
+		"BlockIdempotent(store/load)": func() { BlockIdempotent(seq[:2]) },
+		"BlockIdempotent(stack)":      func() { BlockIdempotent(stk) },
+		"AnalyzeRegister":             func() { AnalyzeRegister(seq[1:]) },
+		"AnalyzeStack":                func() { AnalyzeStack(stk) },
+	} {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s allocates %.0f per call, want 0", name, n)
+		}
 	}
 }
 
@@ -366,16 +406,6 @@ func TestIdempotenceSemantics(t *testing.T) {
 		if got != want {
 			t.Fatalf("iter %d: Idempotent=%v, semantics=%v, seq=%v", iter, got, want, seq)
 		}
-	}
-}
-
-func TestShapeKey(t *testing.T) {
-	got := ShapeKey([]oplog.Sym{sym(adt.KindNumAdd, "1"), sym(adt.KindNumLoad, "")})
-	if got != "num.add num.load" {
-		t.Errorf("ShapeKey = %q", got)
-	}
-	if ShapeKey(nil) != "" {
-		t.Errorf("empty ShapeKey = %q", ShapeKey(nil))
 	}
 }
 

@@ -239,8 +239,9 @@ func (r *Runtime) replayCompute(tx *Tx, foot []conflict.FootprintLoc, nDirty int
 func (t *Tx) replayDirty(foot []conflict.FootprintLoc) (bool, error) {
 	locs := t.dirtyLocs(foot)
 	for _, e := range t.prep.Log() {
+		acc := e.Accesses()
 		n := 0
-		for _, a := range e.Acc {
+		for _, a := range acc {
 			if slices.Contains(locs, a.P.Loc()) {
 				n++
 			}
@@ -248,7 +249,7 @@ func (t *Tx) replayDirty(foot []conflict.FootprintLoc) (bool, error) {
 		if n == 0 {
 			continue
 		}
-		if n < len(e.Acc) {
+		if n < len(acc) {
 			return false, nil
 		}
 		if _, err := e.Op.Apply(t.overlay); err != nil {

@@ -192,8 +192,8 @@ func (o spreadOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-func (o spreadOp) Accesses(st *state.State) []oplog.Access {
-	return append(adt.NumAddOp{L: o.A}.Accesses(st), adt.NumAddOp{L: o.B}.Accesses(st)...)
+func (o spreadOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.Access {
+	return adt.NumAddOp{L: o.B}.AppendAccesses(adt.NumAddOp{L: o.A}.AppendAccesses(dst, st), st)
 }
 func (o spreadOp) Sym() oplog.Sym { return adt.NumAddOp{Delta: o.N}.Sym() }
 func (o spreadOp) IsRead() bool   { return false }

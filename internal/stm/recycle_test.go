@@ -1,12 +1,15 @@
 package stm
 
 import (
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/adt"
 	"repro/internal/conflict"
 	"repro/internal/obs"
+	"repro/internal/oplog"
 	"repro/internal/state"
 )
 
@@ -15,11 +18,42 @@ import (
 // and the threaded install-equals-replay runs unordered and ordered. A
 // transaction that touches an artifact after the runtime took it back
 // panics there, and the run fails with the stack (or, in the explorer,
-// with the schedule) instead of a wrong final state.
+// with the schedule) instead of a wrong final state. The footprint case
+// holds a logged event past its artifact's recycling: the footprint lives
+// in the event, and a poisoned one must panic, not report that the op
+// touched nothing.
 func TestPoisonedRecycle(t *testing.T) {
 	defer conflict.PoisonRecycled(true)()
 	t.Run("explore", TestExploreSchedules)
 	t.Run("install", TestInstallEqualsReplay)
+	t.Run("footprint", func(t *testing.T) {
+		st := state.New()
+		st.Set("c0", state.Int(0))
+		r := New(Config{Threads: 1}, st)
+		var stale *oplog.Event
+		body := func(ex adt.Executor) error {
+			if err := (adt.Counter{L: "c0"}).Add(ex, 1); err != nil {
+				return err
+			}
+			stale = ex.(*Tx).prep.Log()[0]
+			if len(stale.Accesses()) != 1 {
+				t.Errorf("live event's footprint = %v, want one location", stale.Accesses())
+			}
+			return errors.New("abandon the attempt")
+		}
+		// A body error ends the attempt in execute, which recycles the
+		// artifact the event lives in.
+		if _, err := r.execute(obs.Ctx{Task: 1}, body, 1); err == nil {
+			t.Fatal("execute swallowed the body error")
+		}
+		defer func() {
+			if p := recover(); p == nil || !strings.Contains(fmt.Sprint(p), "recycled") {
+				t.Fatalf("reading a recycled event's footprint: recovered %v, want the recycled-log panic", p)
+			}
+		}()
+		acc := stale.Accesses()
+		t.Fatalf("a recycled event's footprint read as %v", acc)
+	})
 }
 
 // fourOps is a transaction of four logged operations over two counters.
@@ -36,8 +70,9 @@ func fourOps(a, b state.Loc) adt.Task {
 
 // TestSteadyStateAttemptAllocs pins what an attempt allocates once the
 // pools are warm: what its operations are made of — per operation the
-// boxed Op, its Acc slice and the value it computes, per written location
-// the committed store's box — and nothing per transaction. Two transactions over
+// boxed Op and the value it computes, per written location the committed
+// store's box — and nothing per transaction. A one-location footprint is
+// stored in the logged event, so it costs nothing of its own. Two transactions over
 // disjoint counters are interleaved so that one commits inside the other's
 // window: the sequence detector then decomposes both artifacts, and the
 // first one is reclaimed and recycled by the next round's commit. A Tx, a
@@ -77,9 +112,9 @@ func TestSteadyStateAttemptAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		best = min(best, testing.AllocsPerRun(1, round))
 	}
-	// Per round: 8 operations × (Op box + Acc + new value), 4 written
-	// locations × the committed box.
-	const perOp = 8*3 + 4
+	// Per round: 8 operations × (Op box + new value), 4 written locations
+	// × the committed box.
+	const perOp = 8*2 + 4
 	if best > perOp+1 { // one object per transaction would be two more
 		t.Fatalf("a warm round of two 4-op transactions allocates %.0f objects, want the operations' %d", best, perOp)
 	}

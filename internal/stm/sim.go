@@ -442,7 +442,7 @@ func (s *sim) commitDone(tx *Tx, foot []conflict.FootprintLoc, t float64) float6
 
 // touches reports whether a logged op accesses one of locs.
 func touches(e *oplog.Event, locs []state.Loc) bool {
-	for _, a := range e.Acc {
+	for _, a := range e.Accesses() {
 		if slices.Contains(locs, a.P.Loc()) {
 			return true
 		}
@@ -452,7 +452,7 @@ func touches(e *oplog.Event, locs []state.Loc) bool {
 
 // writes reports whether a logged op wrote any location.
 func writes(e *oplog.Event) bool {
-	for _, a := range e.Acc {
+	for _, a := range e.Accesses() {
 		if a.Write {
 			return true
 		}

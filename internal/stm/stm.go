@@ -128,9 +128,11 @@ type Governor interface {
 // The log is the transaction's live storage, which the runtime reuses for
 // a later transaction once the commit's history entry is reclaimed:
 // implementations must retain neither the slice nor the *oplog.Event
-// pointers in it past the call. A copy of the Event structs is theirs, and
-// what an event refers to — Op, Acc, Observed — is allocated per operation
-// and may be kept. A nil sink costs one branch per commit.
+// pointers in it past the call. A copy of the Event structs is theirs,
+// footprint included (a one-location footprint is stored in the struct,
+// so the copy's Accesses reads the copy), and what an event refers to —
+// Op, Observed, a multi-location footprint's slice — is allocated per
+// operation and may be kept. A nil sink costs one branch per commit.
 type CommitSink interface {
 	ObserveCommitted(task int, commitTime int64, log oplog.Log)
 }
@@ -608,6 +610,10 @@ type Tx struct {
 	// log outlives its transaction in the history.
 	prep *conflict.Prepared
 
+	// acc is the footprint buffer Exec hands each op: an op's footprint is
+	// computed into it, and the event keeps a copy (oplog.NewEvent).
+	acc []oplog.Access
+
 	// window is the committed history this attempt has fetched, (begin,
 	// seen] in commit order: what finish detects against and what commit
 	// joins the footprint with.
@@ -646,10 +652,10 @@ var txPool = sync.Pool{New: func() any {
 	return t
 }}
 
-// maxShellLocs bounds the locations a pooled shell's views may have held:
-// clearing a map costs in proportion to its largest size ever, so one
-// outlier transaction's shell is left to the collector instead of taxing
-// every transaction after it.
+// maxShellLocs bounds the locations a pooled shell's views may have held,
+// and its footprint buffer: clearing a map costs in proportion to its
+// largest size ever, so one outlier transaction's shell is left to the
+// collector instead of taxing every transaction after it.
 const maxShellLocs = 1 << 14
 
 // release ends the transaction's use of its shell and pools it. Callers
@@ -660,7 +666,7 @@ const maxShellLocs = 1 << 14
 // The artifact is not the shell's to return: finish recycles or publishes
 // it.
 func (t *Tx) release() {
-	if t.priv.Len() > maxShellLocs || t.replay.Len() > maxShellLocs {
+	if t.priv.Len() > maxShellLocs || t.replay.Len() > maxShellLocs || cap(t.acc) > maxShellLocs {
 		return
 	}
 	t.priv.Reset()
@@ -673,12 +679,12 @@ func (t *Tx) release() {
 
 // Exec implements adt.Executor.
 func (t *Tx) Exec(op oplog.Op) (state.Value, error) {
-	acc := op.Accesses(t.priv)
+	t.acc = op.AppendAccesses(t.acc[:0], t.priv)
 	v, err := op.Apply(t.priv)
 	if err != nil {
 		return nil, err
 	}
-	t.prep.Append(oplog.Event{Op: op, Task: t.tid, Seq: t.prep.Ops(), Acc: acc, Observed: v})
+	t.prep.Append(oplog.NewEvent(op, t.tid, t.prep.Ops(), t.acc, v))
 	return v, nil
 }
 

@@ -347,7 +347,7 @@ func TestReclaimReleasesLogReferences(t *testing.T) {
 			runtime.SetFinalizer(op, func(*pinnedOp) { collected <- struct{}{} })
 		}
 		prep := conflict.Begin()
-		prep.Append(oplog.Event{Op: op, Task: int(ct), Acc: op.Accesses(nil)})
+		prep.Append(oplog.NewEvent(op, int(ct), 0, op.AppendAccesses(nil, nil), nil))
 		r.history = append(r.history, histEntry{commitTime: ct, task: int(ct), prep: prep})
 	}
 	r.clock.Store(7)
@@ -428,8 +428,8 @@ func (e explodingOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-func (e explodingOp) Accesses(*state.State) []oplog.Access {
-	return []oplog.Access{{P: "boom", Write: true}}
+func (e explodingOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, oplog.Access{P: "boom", Write: true})
 }
 func (e explodingOp) Sym() oplog.Sym { return oplog.Sym{Kind: "num.store", Arg: "1"} }
 func (e explodingOp) IsRead() bool   { return false }

@@ -28,6 +28,7 @@ type Profiler struct {
 	st    *state.State
 	trace oplog.Log
 	task  int
+	acc   []oplog.Access // footprint buffer, reused by every Exec
 }
 
 // NewProfiler profiles against st (mutated in place).
@@ -39,14 +40,13 @@ func (p *Profiler) AddLocalWork(int64) {}
 
 // Exec implements adt.Executor.
 func (p *Profiler) Exec(op oplog.Op) (state.Value, error) {
-	acc := op.Accesses(p.st)
+	p.acc = op.AppendAccesses(p.acc[:0], p.st)
 	v, err := op.Apply(p.st)
 	if err != nil {
 		return nil, err
 	}
-	p.trace = append(p.trace, &oplog.Event{
-		Op: op, Task: p.task, Seq: len(p.trace), Acc: acc, Observed: v,
-	})
+	ev := oplog.NewEvent(op, p.task, len(p.trace), p.acc, v)
+	p.trace = append(p.trace, &ev)
 	return v, nil
 }
 

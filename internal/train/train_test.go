@@ -315,7 +315,7 @@ var errSentinel = errors.New("sentinel")
 // is probed with its own tuple present.
 func TestSyntheticStatesBindEscapedKey(t *testing.T) {
 	for _, key := range []string{"plain", "a,b", "a=b", `a\b`} {
-		p := adt.RelPutOp{L: "canvas", Key: key}.Accesses(nil)[0].P
+		p := adt.RelPutOp{L: "canvas", Key: key}.AppendAccesses(nil, nil)[0].P
 		states := syntheticStates(initialState(), p)
 		bound := false
 		for _, st := range states {

@@ -261,8 +261,9 @@ type Config struct {
 	// chunked trace recorder / flight recorder built on this). The sink
 	// may keep neither the log slice nor the events it points to — the
 	// runtime reuses both for later transactions — but copies of the
-	// events are its own, and their Op, Acc and Observed may be kept. Nil
-	// disables recording at the cost of one branch per commit.
+	// events are its own, footprint included, and their Op and Observed
+	// may be kept. Nil disables recording at the cost of one branch per
+	// commit.
 	Record CommitSink
 	// Trace, when non-nil, records every run's protocol events (task
 	// spans, validations, commits, aborts with reasons, cache queries)
