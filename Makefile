@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test allocs race stress check bench bench-quick bench-contention bench-commit bench-journal chaos soak fuzz serve-smoke crash-matrix trace record-replay clean
+.PHONY: all vet build test allocs cli-smoke race stress check bench bench-quick bench-contention bench-commit bench-journal chaos soak fuzz serve-smoke crash-matrix trace record-replay clean
 
 all: check
 
@@ -64,6 +64,13 @@ allocs:
 		$(GO) test -count=1 -run "^$${t#*:}$$" ./$${t%%:*} || exit 1; \
 	done
 
+# The training-side commands have no tests of their own: run each once on
+# jgrapht2 (CI's test job); a nonzero exit fails the target.
+cli-smoke:
+	$(GO) run ./cmd/janus-train -workload jgrapht2 > /dev/null
+	$(GO) run ./cmd/janus-trace -workload jgrapht2 > /dev/null
+	$(GO) run ./cmd/janus-advise -workload jgrapht2 > /dev/null
+
 # Short chaos soak under the race detector (CI's chaos-soak job): fault-injected
 # runs whose final state is checked against the sequential oracle.
 chaos:
@@ -110,7 +117,7 @@ serve-smoke:
 crash-matrix:
 	sh scripts/crash-matrix.sh
 
-check: vet build test allocs bench-quick race stress chaos serve-smoke
+check: vet build test allocs cli-smoke bench-quick race stress chaos serve-smoke
 
 bench:
 	$(GO) run ./cmd/janus-bench

@@ -1,20 +1,21 @@
 // Command janus-trace inspects the training-time dependence analysis
-// (§5.1) for one benchmark: the sequential trace, the dependence-graph
-// edges over projection locations, and the mined per-location, per-task
-// operation sequences, with their §5.2 regular abstractions.
+// (§5.1) for one benchmark: the sequential trace and the mined
+// per-location, per-task operation sequences, with their §5.2 regular
+// abstractions.
 //
 // Usage:
 //
 //	janus-trace -workload jfilesync
-//	janus-trace -workload pmd -edges -max 40
+//	janus-trace -workload pmd -max 40
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"repro/internal/deps"
+	"repro/internal/oplog"
 	"repro/internal/seqabs"
 	"repro/internal/train"
 	"repro/internal/workloads"
@@ -22,9 +23,8 @@ import (
 
 func main() {
 	var (
-		name      = flag.String("workload", "", "benchmark to trace (required)")
-		showEdges = flag.Bool("edges", false, "also dump dependence-graph edges")
-		maxItems  = flag.Int("max", 20, "max items to print per section")
+		name     = flag.String("workload", "", "benchmark to trace (required)")
+		maxItems = flag.Int("max", 20, "max items to print per section")
 	)
 	flag.Parse()
 	if *name == "" {
@@ -46,21 +46,8 @@ func main() {
 	trace := p.Trace()
 	fmt.Printf("benchmark: %s — training trace: %d operations\n\n", w.Name, len(trace))
 
-	if *showEdges {
-		g := deps.Build(trace)
-		fmt.Printf("dependence graph: %d edges (showing up to %d)\n", len(g.Edges), *maxItems)
-		for i, e := range g.Edges {
-			if i >= *maxItems {
-				fmt.Printf("  … %d more\n", len(g.Edges)-i)
-				break
-			}
-			fmt.Printf("  %s\n", e)
-		}
-		fmt.Println()
-	}
-
-	mined := deps.Mine(trace)
-	shared := deps.SharedPLocs(mined)
+	mined := train.Mine(trace)
+	shared := train.SharedPLocs(mined)
 	fmt.Printf("projection locations: %d total, %d shared across tasks\n\n", len(mined), len(shared))
 
 	abs := &seqabs.Abstracter{Mode: seqabs.Abstract}
@@ -79,11 +66,20 @@ func main() {
 			shown = shown[:4]
 		}
 		for _, s := range shown {
-			fmt.Printf("  %s\n", s)
+			fmt.Printf("  task %d: %s\n", s[0].Task, symsString(s))
 			fmt.Printf("    abstraction: %s\n", abs.Key(s.Syms()))
 		}
 		if len(seqs) > len(shown) {
 			fmt.Printf("  … %d more task sequences\n", len(seqs)-len(shown))
 		}
 	}
+}
+
+// symsString renders a task sequence's symbolic descriptors.
+func symsString(l oplog.Log) string {
+	parts := make([]string, len(l))
+	for i, sym := range l.Syms() {
+		parts[i] = sym.String()
+	}
+	return strings.Join(parts, "; ")
 }

@@ -109,7 +109,7 @@ func (o NumAddOp) Apply(st *state.State) (state.Value, error) {
 
 // AppendAccesses implements oplog.Op.
 func (o NumAddOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true, Write: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true, Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -137,7 +137,7 @@ func (o NumStoreOp) Apply(st *state.State) (state.Value, error) {
 
 // AppendAccesses implements oplog.Op.
 func (o NumStoreOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Write: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -165,7 +165,7 @@ func (o NumLoadOp) Apply(st *state.State) (state.Value, error) {
 
 // AppendAccesses implements oplog.Op.
 func (o NumLoadOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true})
 }
 
 // Sym implements oplog.Op.
@@ -193,7 +193,7 @@ func (o StrStoreOp) Apply(st *state.State) (state.Value, error) {
 
 // AppendAccesses implements oplog.Op.
 func (o StrStoreOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Write: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -223,7 +223,7 @@ func (o StrLoadOp) Apply(st *state.State) (state.Value, error) {
 
 // AppendAccesses implements oplog.Op.
 func (o StrLoadOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true})
 }
 
 // Sym implements oplog.Op.
@@ -251,7 +251,7 @@ func (o BoolStoreOp) Apply(st *state.State) (state.Value, error) {
 
 // AppendAccesses implements oplog.Op.
 func (o BoolStoreOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Write: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -283,7 +283,7 @@ func (o BoolLoadOp) Apply(st *state.State) (state.Value, error) {
 
 // AppendAccesses implements oplog.Op.
 func (o BoolLoadOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true})
 }
 
 // Sym implements oplog.Op.
@@ -316,7 +316,7 @@ func (o ListPushOp) Apply(st *state.State) (state.Value, error) {
 // AppendAccesses implements oplog.Op: structural update — read and write
 // of the whole list value.
 func (o ListPushOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true, Write: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true, Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -349,7 +349,7 @@ func (o ListPopOp) Apply(st *state.State) (state.Value, error) {
 
 // AppendAccesses implements oplog.Op.
 func (o ListPopOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true, Write: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true, Write: true})
 }
 
 // Sym implements oplog.Op.
@@ -375,7 +375,7 @@ func (o ListSizeOp) Apply(st *state.State) (state.Value, error) {
 
 // AppendAccesses implements oplog.Op.
 func (o ListSizeOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.MakePLoc(o.L, ""), Read: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true})
 }
 
 // Sym implements oplog.Op.

@@ -54,7 +54,7 @@ var domainCols = []string{DomainCol}
 // the tuple key relation.Tuple.Key renders, escapes and all, so it names
 // the tuple Relation.LocKey finds.
 func relPLoc(l state.Loc, key string) oplog.PLoc {
-	return oplog.MakePLoc(l, relation.Tuple{DomainCol: key}.Key(domainCols))
+	return oplog.PLoc{Loc: l, Key: relation.Tuple{DomainCol: key}.Key(domainCols)}
 }
 
 // RelPutOp binds Key to Val in the relation at L ("insert" of Table 2).

@@ -24,10 +24,10 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/conflict"
-	"repro/internal/deps"
 	"repro/internal/oplog"
 	"repro/internal/seqeff"
 	"repro/internal/state"
+	"repro/internal/train"
 )
 
 // Pattern classifies a shared location's cross-task behavior.
@@ -93,8 +93,8 @@ type Report struct {
 
 // Analyze classifies every shared location of the trace.
 func Analyze(trace oplog.Log) *Report {
-	mined := deps.Mine(trace)
-	shared := deps.SharedPLocs(mined)
+	mined := train.Mine(trace)
+	shared := train.SharedPLocs(mined)
 
 	// Track each task's first operation per base location: a leading
 	// rel.clear marks the whole-ADT scratch-pad reset that per-key
@@ -107,7 +107,7 @@ func Analyze(trace oplog.Log) *Report {
 	for _, e := range trace {
 		locs := map[state.Loc]struct{}{}
 		for _, a := range e.Accesses() {
-			locs[a.P.Loc()] = struct{}{}
+			locs[a.P.Loc] = struct{}{}
 		}
 		if len(locs) == 0 {
 			// Ops whose footprint is empty in this state (e.g. clearing
@@ -139,24 +139,20 @@ func Analyze(trace oplog.Log) *Report {
 	// Aggregate projection locations by base location: a relational ADT
 	// is one data structure in the §5.3 specification.
 	type agg struct {
-		plocs   int
-		tasks   map[int]struct{}
-		seqs    [][]oplog.Sym
-		anyWild bool
+		plocs int
+		tasks map[int]struct{}
+		seqs  [][]oplog.Sym
 	}
 	byLoc := make(map[state.Loc]*agg)
 	for _, p := range shared {
-		a := byLoc[p.Loc()]
+		a := byLoc[p.Loc]
 		if a == nil {
 			a = &agg{tasks: make(map[int]struct{})}
-			byLoc[p.Loc()] = a
+			byLoc[p.Loc] = a
 		}
 		a.plocs++
-		if p.IsWildcard() {
-			a.anyWild = true
-		}
 		for _, seq := range mined[p] {
-			a.tasks[seq.Task] = struct{}{}
+			a.tasks[seq[0].Task] = struct{}{}
 			a.seqs = append(a.seqs, seq.Syms())
 		}
 	}
@@ -170,7 +166,7 @@ func Analyze(trace oplog.Log) *Report {
 			f.SuggestRAW = true
 			f.Rationale = "every task resets the structure (leading clear) before touching it; RAW and WAW tolerances are safe"
 		} else {
-			classify(&f, a.seqs, a.anyWild)
+			classify(&f, a.seqs)
 		}
 		rep.Findings = append(rep.Findings, f)
 	}
@@ -181,12 +177,7 @@ func Analyze(trace oplog.Log) *Report {
 }
 
 // classify inspects the per-task sequences observed for one location.
-func classify(f *Finding, seqs [][]oplog.Sym, wild bool) {
-	if wild {
-		f.Pattern = PatternUnknown
-		f.Rationale = "whole-extent accesses observed; no per-key classification possible"
-		return
-	}
+func classify(f *Finding, seqs [][]oplog.Sym) {
 	var (
 		allReadOnly   = true
 		allAddOnly    = true

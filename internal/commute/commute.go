@@ -225,12 +225,11 @@ func EvaluateDetail(kind ConditionKind, s1, s2 []oplog.Sym) (conflict bool, fail
 // ("c=v" per range column), so the judgment works for any §6.1 schema,
 // not only the built-in single-key/single-value ADTs.
 func PLocValue(st *state.State, p oplog.PLoc) (state.Value, error) {
-	loc := p.Loc()
+	loc, key := p.Loc, p.Key
 	v, bound := st.Get(loc)
 	if !bound {
 		return nil, fmt.Errorf("commute: unbound location %q", loc)
 	}
-	key := p.Key()
 	if key == "" {
 		return v, nil
 	}

@@ -135,23 +135,23 @@ func TestPLocValue(t *testing.T) {
 	st := state.New()
 	st.Set("work", state.Int(7))
 	st.Set("bits", adt.NewRelValue())
-	if v, err := PLocValue(st, "work"); err != nil || !v.EqualValue(state.Int(7)) {
+	if v, err := PLocValue(st, oplog.PLoc{Loc: "work"}); err != nil || !v.EqualValue(state.Int(7)) {
 		t.Errorf("scalar PLocValue = %v, %v", v, err)
 	}
-	if v, err := PLocValue(st, "bits#k=3"); err != nil || !v.EqualValue(state.Str(adt.AbsentVal)) {
+	if v, err := PLocValue(st, oplog.PLoc{Loc: "bits", Key: "k=3"}); err != nil || !v.EqualValue(state.Str(adt.AbsentVal)) {
 		t.Errorf("absent key PLocValue = %v, %v", v, err)
 	}
 	mut := st.Clone()
 	if _, err := (adt.RelPutOp{L: "bits", Key: "3", Val: "1"}).Apply(mut); err != nil {
 		t.Fatal(err)
 	}
-	if v, err := PLocValue(mut, "bits#k=3"); err != nil || !v.EqualValue(state.Str("v=1")) {
+	if v, err := PLocValue(mut, oplog.PLoc{Loc: "bits", Key: "k=3"}); err != nil || !v.EqualValue(state.Str("v=1")) {
 		t.Errorf("bound key PLocValue = %v, %v", v, err)
 	}
-	if _, err := PLocValue(st, "missing"); err == nil {
+	if _, err := PLocValue(st, oplog.PLoc{Loc: "missing"}); err == nil {
 		t.Errorf("unbound loc must error")
 	}
-	if _, err := PLocValue(st, "work#k=1"); err == nil {
+	if _, err := PLocValue(st, oplog.PLoc{Loc: "work", Key: "k=1"}); err == nil {
 		t.Errorf("keyed PLoc on scalar must error")
 	}
 }
@@ -161,7 +161,7 @@ func TestConflictConcreteIdentityPattern(t *testing.T) {
 	base.Set("work", state.Int(0))
 	s1 := record(t, base.Clone(), 1, adt.NumAddOp{L: "work", Delta: 2}, adt.NumAddOp{L: "work", Delta: -2})
 	s2 := record(t, base.Clone(), 2, adt.NumAddOp{L: "work", Delta: 9}, adt.NumAddOp{L: "work", Delta: -9})
-	conflict, err := ConflictConcrete(base, "work", s1, s2)
+	conflict, err := ConflictConcrete(base, oplog.PLoc{Loc: "work"}, s1, s2)
 	if err != nil || conflict {
 		t.Fatalf("identity pairs must not conflict: %v %v", conflict, err)
 	}
@@ -173,13 +173,13 @@ func TestConflictConcreteSpuriousRead(t *testing.T) {
 	// Reader observes entry value; writer stores a new one: SAMEREAD fails.
 	rd := record(t, base.Clone(), 1, adt.NumLoadOp{L: "max"})
 	wr := record(t, base.Clone(), 2, adt.NumStoreOp{L: "max", V: 5})
-	conflict, err := ConflictConcrete(base, "max", rd, wr)
+	conflict, err := ConflictConcrete(base, oplog.PLoc{Loc: "max"}, rd, wr)
 	if err != nil || !conflict {
 		t.Fatalf("read vs store must conflict: %v %v", conflict, err)
 	}
 	// Reader vs reader is fine.
 	rd2 := record(t, base.Clone(), 2, adt.NumLoadOp{L: "max"})
-	conflict, err = ConflictConcrete(base, "max", rd, rd2)
+	conflict, err = ConflictConcrete(base, oplog.PLoc{Loc: "max"}, rd, rd2)
 	if err != nil || conflict {
 		t.Fatalf("two readers must not conflict: %v %v", conflict, err)
 	}
@@ -191,7 +191,7 @@ func TestConflictConcreteEqualWrites(t *testing.T) {
 	w1 := record(t, base.Clone(), 1, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "white"})
 	w2 := record(t, base.Clone(), 2, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "white"})
 	w3 := record(t, base.Clone(), 3, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "black"})
-	p := oplog.PLoc("canvas#k=1:1")
+	p := oplog.PLoc{Loc: "canvas", Key: "k=1:1"}
 	if conflict, err := ConflictConcrete(base, p, w1, w2); err != nil || conflict {
 		t.Fatalf("equal writes must not conflict: %v %v", conflict, err)
 	}
@@ -229,11 +229,11 @@ func TestConflictConcreteSharedAsLocal(t *testing.T) {
 	// value unless the stores are equal. With equal stores, no conflict.
 	a := record(t, base.Clone(), 1, adt.StrStoreOp{L: "f", V: "x"}, adt.StrLoadOp{L: "f"})
 	b := record(t, base.Clone(), 2, adt.StrStoreOp{L: "f", V: "x"}, adt.StrLoadOp{L: "f"})
-	if conflict, err := ConflictConcrete(base, "f", a, b); err != nil || conflict {
+	if conflict, err := ConflictConcrete(base, oplog.PLoc{Loc: "f"}, a, b); err != nil || conflict {
 		t.Fatalf("equal store-load pairs must not conflict: %v %v", conflict, err)
 	}
 	c := record(t, base.Clone(), 3, adt.StrStoreOp{L: "f", V: "y"}, adt.StrLoadOp{L: "f"})
-	if conflict, err := ConflictConcrete(base, "f", a, c); err != nil || !conflict {
+	if conflict, err := ConflictConcrete(base, oplog.PLoc{Loc: "f"}, a, c); err != nil || !conflict {
 		t.Fatalf("different final stores must conflict (COMMUTE): %v %v", conflict, err)
 	}
 }
@@ -265,7 +265,7 @@ func TestTheoryAgreesWithConcrete(t *testing.T) {
 		a1, _ := seqeff.AnalyzeRegister(s1.Syms())
 		a2, _ := seqeff.AnalyzeRegister(s2.Syms())
 		theory := seqeff.PairConflicts(a1, a2)
-		concrete, err := ConflictConcrete(base, "x", s1, s2)
+		concrete, err := ConflictConcrete(base, oplog.PLoc{Loc: "x"}, s1, s2)
 		if err != nil {
 			t.Fatal(err)
 		}

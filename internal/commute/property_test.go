@@ -95,7 +95,7 @@ func TestProvedConditionsSoundOnRegisterDomain(t *testing.T) {
 		for _, entry := range []int64{-3, 0, 2, 17} {
 			st := state.New()
 			st.Set("x", state.Int(entry))
-			concrete, err := ConflictConcrete(st, "x", s1, s2)
+			concrete, err := ConflictConcrete(st, oplog.PLoc{Loc: "x"}, s1, s2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -130,7 +130,7 @@ func TestProvedConditionsSoundOnStackDomain(t *testing.T) {
 		for _, entry := range []state.IntList{{}, {7}, {1, 2, 3, 4, 5, 6}} {
 			st := state.New()
 			st.Set("s", append(state.IntList(nil), entry...))
-			concrete, err := ConflictConcrete(st, "s", s1, s2)
+			concrete, err := ConflictConcrete(st, oplog.PLoc{Loc: "s"}, s1, s2)
 			if err != nil {
 				// Pops beyond the entry depth cannot run on this entry
 				// state; a balanced-pair admission never pops the entry
@@ -180,7 +180,7 @@ func TestRelationalConditionsSoundPerKey(t *testing.T) {
 		return l
 	}
 	admitted := 0
-	ploc := oplog.PLoc("r#k=k")
+	ploc := oplog.PLoc{Loc: "r", Key: "k=k"}
 	for iter := 0; iter < 1500; iter++ {
 		s1, s2 := gen(1), gen(2)
 		kind := Prove(s1.Syms(), s2.Syms())

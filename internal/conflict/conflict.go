@@ -46,9 +46,6 @@ const (
 	// ReasonRelaxation: the residual check of a relaxation-aware query
 	// (§5.3) failed.
 	ReasonRelaxation
-	// ReasonWildcard: a whole-relation extent access forced the
-	// conservative write-set rule.
-	ReasonWildcard
 	// ReasonTheory: a cached condition's theory did not cover the
 	// concrete pair (answered conservatively).
 	ReasonTheory
@@ -71,8 +68,6 @@ func (r Reason) String() string {
 		return "commute"
 	case ReasonRelaxation:
 		return "relaxation"
-	case ReasonWildcard:
-		return "wildcard"
 	case ReasonTheory:
 		return "theory"
 	case ReasonInjected:
@@ -83,13 +78,14 @@ func (r Reason) String() string {
 }
 
 // Verdict is one detection outcome with attribution: on a conflict, the
-// failed check, the conflicting projection-location pair (P from the
-// running transaction, Q from the committed one), and — when tracing is
-// enabled — the symbolic shapes of the two per-location sequences.
+// failed check, the projection location both transactions accessed, and
+// — when tracing is enabled — the symbolic shapes of the two
+// per-location sequences (ShapeT the running transaction's, ShapeC the
+// committed one's).
 type Verdict struct {
 	Conflict       bool
 	Reason         Reason
-	P, Q           oplog.PLoc
+	P              oplog.PLoc
 	ShapeT, ShapeC string
 }
 
@@ -194,10 +190,10 @@ func (w *WriteSet) DetectPrepared(_ obs.Ctx, _ *state.State, txn *Prepared, comm
 		if mt == nil {
 			mt = txn.accessModes()
 		}
-		if p, q, hit := findWriteSetConflict(mt, c.accessModes(), nil); hit {
+		if p, hit := findWriteSetConflict(mt, c.accessModes(), nil); hit {
 			atomic.AddInt64(&w.stats.Conflicts, 1)
 			w.reasons.add(ReasonWriteSet)
-			return Verdict{Conflict: true, Reason: ReasonWriteSet, P: p, Q: q}
+			return Verdict{Conflict: true, Reason: ReasonWriteSet, P: p}
 		}
 	}
 	return Verdict{}
@@ -221,31 +217,27 @@ func accessModes(l oplog.Log) map[oplog.PLoc]mode {
 	return m
 }
 
-// pairConflictsWriteSet applies the write-set rule over every overlapping
-// projection-location pair, honoring relaxations when non-nil.
+// pairConflictsWriteSet applies the write-set rule at every projection
+// location both sides access, honoring relaxations when non-nil.
 func pairConflictsWriteSet(mt, mc map[oplog.PLoc]mode, relax *Relaxations) bool {
-	_, _, hit := findWriteSetConflict(mt, mc, relax)
+	_, hit := findWriteSetConflict(mt, mc, relax)
 	return hit
 }
 
 // findWriteSetConflict is pairConflictsWriteSet returning the first
-// conflicting projection-location pair for abort attribution.
-func findWriteSetConflict(mt, mc map[oplog.PLoc]mode, relax *Relaxations) (oplog.PLoc, oplog.PLoc, bool) {
+// conflicting projection location for abort attribution: two accesses
+// overlap iff their projection locations are equal, so each of mt's
+// locations is one probe of mc.
+func findWriteSetConflict(mt, mc map[oplog.PLoc]mode, relax *Relaxations) (oplog.PLoc, bool) {
 	for p, tm := range mt {
-		for q, cm := range mc {
-			if !p.Overlaps(q) {
-				continue
-			}
-			if writeSetConflict(p, tm, cm, relax) {
-				return p, q, true
-			}
+		if cm, ok := mc[p]; ok && writeSetConflict(p.Loc, tm, cm, relax) {
+			return p, true
 		}
 	}
-	return "", "", false
+	return oplog.PLoc{}, false
 }
 
-func writeSetConflict(p oplog.PLoc, a, b mode, relax *Relaxations) bool {
-	loc := p.Loc()
+func writeSetConflict(loc state.Loc, a, b mode, relax *Relaxations) bool {
 	waw := a.write && b.write
 	rw := (a.read && b.write) || (a.write && b.read)
 	if relax != nil {
@@ -380,7 +372,7 @@ func (s *Sequence) DetectPrepared(ctx obs.Ctx, _ *state.State, txn *Prepared, co
 			lt := &tlocs[i]
 			for j := range clocs {
 				lc := &clocs[j]
-				if !lt.p.Overlaps(lc.p) {
+				if lt.p != lc.p {
 					continue
 				}
 				atomic.AddInt64(&s.stats.PairQueries, 1)
@@ -417,18 +409,9 @@ func reasonForCheck(c commute.Check) Reason {
 // the access modes behind the fallback paths are memoized lazily on first
 // use.
 func (s *Sequence) pairVerdict(ctx obs.Ctx, lt, lc *preparedLoc) Verdict {
-	p, q := lt.p, lc.p
-	conflict := func(r Reason) Verdict { return Verdict{Conflict: true, Reason: r, P: p, Q: q} }
-	// Wildcard-extent pairs (whole-relation observations) are outside the
-	// per-key sequence theories: conservative write-set rule.
-	if lt.wildcard || lc.wildcard {
-		atomic.AddInt64(&s.stats.Fallbacks, 1)
-		if s.fallback(lt, lc) {
-			return conflict(ReasonWildcard)
-		}
-		return Verdict{}
-	}
-	loc := p.Loc()
+	p := lt.p
+	conflict := func(r Reason) Verdict { return Verdict{Conflict: true, Reason: r, P: p} }
+	loc := p.Loc
 	if s.Relax.Any(loc) {
 		atomic.AddInt64(&s.stats.RelaxedChecks, 1)
 		if hit, reason := s.relaxedConflicts(loc, lt, lc); hit {
@@ -454,13 +437,13 @@ func (s *Sequence) pairVerdict(ctx obs.Ctx, lt, lc *preparedLoc) Verdict {
 			hitConflict, failed, hit = s.Cache.LookupDetail(symsT, symsC)
 		}
 		if hit {
-			ctx.Cache(obs.EvCacheHit, string(p), "")
+			traceCache(ctx, obs.EvCacheHit, p)
 			if hitConflict {
 				return conflict(reasonForCheck(failed))
 			}
 			return Verdict{}
 		}
-		ctx.Cache(obs.EvCacheMiss, string(p), "")
+		traceCache(ctx, obs.EvCacheMiss, p)
 		if s.LearnOnline {
 			if kind := commute.Prove(symsT, symsC); kind != commute.CondNone {
 				s.Cache.Put(symsT, symsC, kind)
@@ -475,11 +458,19 @@ func (s *Sequence) pairVerdict(ctx obs.Ctx, lt, lc *preparedLoc) Verdict {
 	}
 	// Miss: write-set fallback.
 	atomic.AddInt64(&s.stats.Fallbacks, 1)
-	ctx.Cache(obs.EvCacheFallback, string(p), "")
+	traceCache(ctx, obs.EvCacheFallback, p)
 	if s.fallback(lt, lc) {
 		return conflict(ReasonWriteSet)
 	}
 	return Verdict{}
+}
+
+// traceCache emits a cache event at p, rendering p only when tracing is
+// enabled.
+func traceCache(ctx obs.Ctx, t obs.EventType, p oplog.PLoc) {
+	if ctx.Enabled() {
+		ctx.Cache(t, p.String(), "")
+	}
 }
 
 // symsString renders a symbolic sequence shape for trace attribution.

@@ -190,23 +190,6 @@ func TestRelaxationsBothOnStack(t *testing.T) {
 	}
 }
 
-func TestWildcardFallsBack(t *testing.T) {
-	st := baseState()
-	det := NewSequence(cache.New(seqabs.Abstract), nil)
-	// Build events with a synthetic wildcard read (whole-relation scan)
-	// against a concrete key write.
-	ev := oplog.NewEvent(adt.RelGetOp{L: "bits", Key: "1"}, 1, 0,
-		[]oplog.Access{{P: oplog.MakePLoc("bits", "*"), Read: true}}, nil)
-	scan := oplog.Log{&ev}
-	put := record(t, st, 2, adt.RelPutOp{L: "bits", Key: "9", Val: "1"})
-	if !detect(det, st, scan, put) {
-		t.Fatalf("wildcard read vs key write must conflict conservatively")
-	}
-	if s := det.Stats(); s.Fallbacks != 1 {
-		t.Errorf("stats = %+v", s)
-	}
-}
-
 func TestRelaxationAccessors(t *testing.T) {
 	var nilRx *Relaxations
 	if nilRx.TolerateRAW("x") || nilRx.TolerateWAW("x") || nilRx.Any("x") {

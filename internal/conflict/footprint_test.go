@@ -12,7 +12,7 @@ import (
 // footAcc builds a synthetic access for footprint tests (Footprint reads
 // only the logged access list, never the ops).
 func footAcc(loc state.Loc, key string, read, write bool) oplog.Access {
-	return oplog.Access{P: oplog.MakePLoc(loc, key), Read: read, Write: write}
+	return oplog.Access{P: oplog.PLoc{Loc: loc, Key: key}, Read: read, Write: write}
 }
 
 func footLog(accs ...[]oplog.Access) oplog.Log {
@@ -51,12 +51,10 @@ func TestFootprintDedupAndWriteAggregation(t *testing.T) {
 }
 
 func TestFootprintCollapsesProjectionsToLocation(t *testing.T) {
-	// Per-key accesses and the wildcard extent of one relation are the
-	// same footprint entry: stripe locking works at state-location
-	// granularity.
+	// Accesses to different keys of one relation are the same footprint
+	// entry: stripe locking works at state-location granularity.
 	p := Prepare(footLog(
 		[]oplog.Access{footAcc("bits", "7", true, true)},
-		[]oplog.Access{footAcc("bits", "*", true, false)},
 		[]oplog.Access{footAcc("bits", "9", true, false)},
 	))
 	foot := p.Footprint()

@@ -96,16 +96,15 @@ const footprintScanBound = 64
 // Footprint returns the log's distinct accessed locations in first-access
 // order, each with its aggregate write flag and location hash, computed
 // on first use and shared read-only thereafter. Projection locations
-// collapse to their underlying state location ("rel#k" and "rel#*" both
-// contribute "rel"), so wildcard extents and per-key accesses of one
-// relation land on the same footprint entry.
+// collapse to their underlying state location: accesses to different keys
+// of one relation land on the same footprint entry.
 func (p *Prepared) Footprint() []FootprintLoc {
 	p.footOnce.Do(func() {
 		p.checkLive()
 		var idx map[state.Loc]int // nil while the footprint is short enough to scan
 		for _, e := range p.log {
 			for _, a := range e.Accesses() {
-				loc := a.P.Loc()
+				loc := a.P.Loc
 				j := -1
 				if idx != nil {
 					if k, ok := idx[loc]; ok {
@@ -216,13 +215,12 @@ func fnv64a(s string) uint64 {
 // preparedLoc is one per-projection-location subsequence with its
 // memoized projections. Accessed by pointer only (it embeds a sync.Once).
 type preparedLoc struct {
-	p        oplog.PLoc
-	seq      oplog.Log
-	syms     []oplog.Sym
-	wildcard bool
+	p    oplog.PLoc
+	seq  oplog.Log
+	syms []oplog.Sym
 
 	// modes memoizes the subsequence's access modes for the write-set
-	// fallback paths (wildcard extents, cache misses, relaxed residuals).
+	// fallback paths (cache misses, relaxed residuals).
 	modesOnce sync.Once
 	modes     map[oplog.PLoc]mode
 
@@ -439,7 +437,7 @@ func (p *Prepared) materializeLocs() {
 		for j, e := range d.Seq {
 			syms[j] = e.Op.Sym()
 		}
-		p.locs[i] = preparedLoc{p: d.P, seq: d.Seq, syms: syms, wildcard: d.P.IsWildcard(), key: p.locs[i].key[:0]}
+		p.locs[i] = preparedLoc{p: d.P, seq: d.Seq, syms: syms, key: p.locs[i].key[:0]}
 	}
 }
 

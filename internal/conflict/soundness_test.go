@@ -13,8 +13,7 @@ import (
 	"repro/internal/state"
 )
 
-// accOp is a test op with explicit accesses, for shapes the ADT ops do
-// not produce (whole-relation wildcard extents).
+// accOp is a test op with explicit accesses and no effect.
 type accOp struct {
 	kind string
 	acc  []oplog.Access
@@ -28,9 +27,20 @@ func (o accOp) Sym() oplog.Sym { return oplog.Sym{Kind: o.kind} }
 func (o accOp) IsRead() bool   { return false }
 func (o accOp) String() string { return o.kind }
 
+// scanAccesses is a read of every key the random relational ops use: a
+// static multi-key footprint, so one event sits in several per-key
+// subsequences at once.
+var scanAccesses = func() []oplog.Access {
+	var acc []oplog.Access
+	for i := 0; i < 3; i++ {
+		acc = adt.RelGetOp{L: "bits", Key: fmt.Sprintf("k%d", i)}.AppendAccesses(acc, nil)
+	}
+	return acc
+}()
+
 // richRandLog is randLog extended with relational per-key ops and
-// occasional wildcard extents — covering every pairVerdict path (trained
-// hit, fallback, wildcard, relaxation residual).
+// occasional multi-key scans — covering every pairVerdict path (trained
+// hit, fallback, relaxation residual).
 func richRandLog(t *testing.T, rng *rand.Rand, st *state.State, task int) oplog.Log {
 	t.Helper()
 	locs := []state.Loc{"work", "max"}
@@ -50,7 +60,7 @@ func richRandLog(t *testing.T, rng *rand.Rand, st *state.State, task int) oplog.
 		case 4:
 			ops = append(ops, adt.RelGetOp{L: "bits", Key: fmt.Sprintf("k%d", rng.Intn(3))})
 		default:
-			ops = append(ops, accOp{kind: "test.scan", acc: []oplog.Access{{P: "bits#*", Read: true}}})
+			ops = append(ops, accOp{kind: "test.scan", acc: scanAccesses})
 		}
 	}
 	return record(t, st, task, ops...)

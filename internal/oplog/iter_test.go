@@ -64,19 +64,19 @@ func TestSubseqIterMatchesDecompose(t *testing.T) {
 // twice in that location's subsequence, and an absent location yields an
 // empty iteration.
 func TestSubseqIterMultiAccess(t *testing.T) {
-	e1 := mkEvent(1, 0, multiOp{acc: []Access{{P: "x", Write: true}, {P: "y", Read: true}}}, nil)
-	e2 := mkEvent(1, 1, multiOp{acc: []Access{{P: "x", Read: true}, {P: "x", Write: true}}}, nil)
+	e1 := mkEvent(1, 0, multiOp{acc: []Access{{P: PLoc{Loc: "x"}, Write: true}, {P: PLoc{Loc: "y"}, Read: true}}}, nil)
+	e2 := mkEvent(1, 1, multiOp{acc: []Access{{P: PLoc{Loc: "x"}, Read: true}, {P: PLoc{Loc: "x"}, Write: true}}}, nil)
 	l := Log{e1, e2}
 	want := refDecompose(l)
 	var d Decomposer
 	d.Stream(l)
-	for _, p := range []PLoc{"x", "y", "absent"} {
+	for _, p := range []PLoc{{Loc: "x"}, {Loc: "y"}, {Loc: "absent"}} {
 		got := collect(d.Iter(p))
 		if !reflect.DeepEqual(got, want[p]) {
 			t.Fatalf("subsequence at %q = %v, want %v", p, got, want[p])
 		}
 	}
-	if got := collect(d.Iter("x")); len(got) != 3 {
+	if got := collect(d.Iter(PLoc{Loc: "x"})); len(got) != 3 {
 		t.Fatalf("x subsequence has %d events, want 3 (e2 twice)", len(got))
 	}
 }
@@ -114,7 +114,7 @@ func TestStreamReuseAndRelease(t *testing.T) {
 	if len(d.locs) != 0 {
 		t.Fatal("Release left location infos behind")
 	}
-	if got := collect(d.Iter("a")); got != nil {
+	if got := collect(d.Iter(PLoc{Loc: "a"})); got != nil {
 		t.Fatal("Iter after Release must yield nothing")
 	}
 }

@@ -9,9 +9,12 @@
 // part of it that touches locations a concurrent commit wrote.
 //
 // Projection locations (PLoc) refine shared locations to the subvalue
-// granularity of §5.1: a scalar location projects to itself, a relational
-// (ADT) location projects to one PLoc per tuple key, so that per-location
-// sequences (§5.3) are sequences of operations on a single key.
+// granularity of §5.1: a (location, tuple key) pair, where a scalar
+// location projects to itself (empty key) and a relational (ADT) location
+// projects to one PLoc per tuple key, so that per-location sequences
+// (§5.3) are sequences of operations on a single key. The Decomposer is
+// the one place a log is split by projection location: the detector
+// queries its output and training mines it.
 package oplog
 
 import (
@@ -21,51 +24,25 @@ import (
 	"repro/internal/state"
 )
 
-// PLoc is a projection location: either a scalar location "loc", or a
-// relational location refined by tuple key, "loc#key". The distinguished
-// key "*" stands for the relation's full extent (a tuple key always has the
-// form "col=val", so it never collides); an access to it overlaps every key
-// of the same location.
-type PLoc string
-
-// MakePLoc builds a PLoc from a location and an optional tuple key.
-func MakePLoc(loc state.Loc, key string) PLoc {
-	if key == "" {
-		return PLoc(loc)
-	}
-	return PLoc(string(loc) + "#" + key)
+// PLoc is a projection location (§5.1): a shared location refined by a
+// tuple key. A scalar location projects to itself, with an empty Key; a
+// relational location projects to one PLoc per tuple key, as
+// relation.Tuple.Key renders it. Two accesses overlap iff their PLocs are
+// equal.
+type PLoc struct {
+	Loc state.Loc
+	Key string
 }
 
-// Loc returns the underlying shared location.
-func (p PLoc) Loc() state.Loc {
-	if i := strings.IndexByte(string(p), '#'); i >= 0 {
-		return state.Loc(p[:i])
+// String renders p as "loc", or "loc#key" for a relational projection,
+// where text leaves the program: traces, errors and janus-trace. The
+// rendering is never parsed back, so a location's own name may contain
+// '#'.
+func (p PLoc) String() string {
+	if p.Key == "" {
+		return string(p.Loc)
 	}
-	return state.Loc(p)
-}
-
-// Key returns the tuple key, or "" for a scalar location.
-func (p PLoc) Key() string {
-	if i := strings.IndexByte(string(p), '#'); i >= 0 {
-		return string(p[i+1:])
-	}
-	return ""
-}
-
-// IsWildcard reports whether the PLoc denotes a relation's full extent.
-func (p PLoc) IsWildcard() bool { return p.Key() == "*" }
-
-// Overlaps reports whether accesses to p and q can touch a common
-// subvalue: equal PLocs always overlap, and a wildcard PLoc overlaps every
-// PLoc of the same location.
-func (p PLoc) Overlaps(q PLoc) bool {
-	if p == q {
-		return true
-	}
-	if p.Loc() != q.Loc() {
-		return false
-	}
-	return p.IsWildcard() || q.IsWildcard()
+	return string(p.Loc) + "#" + p.Key
 }
 
 // Access records that an operation touches a projection location.

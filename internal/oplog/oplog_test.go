@@ -25,7 +25,7 @@ func (f fakeOp) Apply(st *state.State) (state.Value, error) {
 }
 
 func (f fakeOp) AppendAccesses(dst []Access, _ *state.State) []Access {
-	return append(dst, Access{P: PLoc(f.loc), Read: true, Write: !f.read})
+	return append(dst, Access{P: PLoc{Loc: f.loc}, Read: true, Write: !f.read})
 }
 
 func (f fakeOp) Sym() Sym {
@@ -37,48 +37,26 @@ func (f fakeOp) Sym() Sym {
 func (f fakeOp) IsRead() bool   { return f.read }
 func (f fakeOp) String() string { return "fake:" + string(f.loc) }
 
+// TestPLocRoundTrip: a projection location renders as "loc" or
+// "loc#key", and a '#' in the location's own name stays in the location:
+// the rendering is for output only and never splits a name.
 func TestPLocRoundTrip(t *testing.T) {
 	cases := []struct {
-		loc  state.Loc
-		key  string
-		want PLoc
+		p    PLoc
+		want string
 	}{
-		{"work", "", "work"},
-		{"bits", "k=3", "bits#k=3"},
-		{"bits", "*", "bits#*"},
+		{PLoc{Loc: "work"}, "work"},
+		{PLoc{Loc: "bits", Key: "k=3"}, "bits#k=3"},
+		{PLoc{Loc: "a#b"}, "a#b"},
+		{PLoc{Loc: "a#b", Key: "k=1"}, "a#b#k=1"},
 	}
 	for _, c := range cases {
-		p := MakePLoc(c.loc, c.key)
-		if p != c.want {
-			t.Errorf("MakePLoc(%q,%q) = %q, want %q", c.loc, c.key, p, c.want)
-		}
-		if p.Loc() != c.loc || p.Key() != c.key {
-			t.Errorf("round trip failed for %q: loc=%q key=%q", p, p.Loc(), p.Key())
+		if got := c.p.String(); got != c.want {
+			t.Errorf("%#v renders %q, want %q", c.p, got, c.want)
 		}
 	}
-	if !PLoc("bits#*").IsWildcard() || PLoc("bits#k=1").IsWildcard() || PLoc("work").IsWildcard() {
-		t.Errorf("IsWildcard wrong")
-	}
-}
-
-func TestPLocOverlaps(t *testing.T) {
-	cases := []struct {
-		a, b PLoc
-		want bool
-	}{
-		{"work", "work", true},
-		{"work", "other", false},
-		{"bits#k=1", "bits#k=1", true},
-		{"bits#k=1", "bits#k=2", false},
-		{"bits#*", "bits#k=2", true},
-		{"bits#k=2", "bits#*", true},
-		{"bits#*", "other#k=2", false},
-		{"work", "bits#k=1", false},
-	}
-	for _, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.want {
-			t.Errorf("Overlaps(%q,%q) = %v, want %v", c.a, c.b, got, c.want)
-		}
+	if (PLoc{Loc: "a#b"}) == (PLoc{Loc: "a", Key: "b"}) {
+		t.Errorf("a location named a#b must differ from key b of location a")
 	}
 }
 
@@ -94,19 +72,19 @@ func TestEventFootprint(t *testing.T) {
 	buf := make([]Access, 0, 4)
 	for _, acc := range [][]Access{
 		nil,
-		{{P: "x", Read: true}},
-		{{P: "x", Write: true}, {P: "y", Read: true}, {P: "x", Read: true}},
+		{{P: PLoc{Loc: "x"}, Read: true}},
+		{{P: PLoc{Loc: "x"}, Write: true}, {P: PLoc{Loc: "y"}, Read: true}, {P: PLoc{Loc: "x"}, Read: true}},
 	} {
 		buf = append(buf[:0], acc...)
 		e := NewEvent(multiOp{}, 1, 2, buf, state.Int(7))
 		for i := range buf {
-			buf[i] = Access{P: "clobbered"} // the caller reuses its buffer
+			buf[i] = Access{P: PLoc{Loc: "clobbered"}} // the caller reuses its buffer
 		}
 		if got := e.Accesses(); len(got) != len(acc) || (len(acc) > 0 && !reflect.DeepEqual(got, acc)) {
 			t.Fatalf("footprint %v read back as %v", acc, got)
 		}
 		cp := e
-		e = NewEvent(multiOp{}, 0, 0, []Access{{P: "other", Write: true}}, nil)
+		e = NewEvent(multiOp{}, 0, 0, []Access{{P: PLoc{Loc: "other"}, Write: true}}, nil)
 		if got := cp.Accesses(); len(got) != len(acc) || (len(acc) > 0 && !reflect.DeepEqual(got, acc)) {
 			t.Fatalf("copied event's footprint %v read back as %v after the original was overwritten", acc, got)
 		}
@@ -151,7 +129,7 @@ func TestDecompose(t *testing.T) {
 	ay := mkEvent(1, 1, fakeOp{loc: "y", add: 1}, st)
 	ax2 := mkEvent(1, 2, fakeOp{loc: "x", add: 1}, st)
 	got := new(Decomposer).Decompose(Log{ax, ay, ax2})
-	if len(got) != 2 || got[0].P != "x" || got[1].P != "y" {
+	if len(got) != 2 || got[0].P != (PLoc{Loc: "x"}) || got[1].P != (PLoc{Loc: "y"}) {
 		t.Fatalf("locations = %v, want [x y]", got)
 	}
 	if x := got[0].Seq; len(x) != 2 || x[0] != ax || x[1] != ax2 {
@@ -230,7 +208,7 @@ func TestDecomposeOrderedFirstAccessOrder(t *testing.T) {
 		mkEvent(1, 3, fakeOp{loc: "z", add: 1}, st),
 	}
 	got := new(Decomposer).Decompose(l)
-	wantOrder := []PLoc{"y", "x", "z"}
+	wantOrder := []PLoc{{Loc: "y"}, {Loc: "x"}, {Loc: "z"}}
 	if len(got) != len(wantOrder) {
 		t.Fatalf("locations = %d, want %d", len(got), len(wantOrder))
 	}

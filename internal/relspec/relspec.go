@@ -232,7 +232,7 @@ func (o Object) Clear(ex adt.Executor) error {
 // Kleene-cross abstraction, and cached conditions treat custom ADTs
 // exactly like the built-ins.
 
-func (o Object) ploc(key string) oplog.PLoc { return oplog.MakePLoc(o.L, key) }
+func (o Object) ploc(key string) oplog.PLoc { return oplog.PLoc{Loc: o.L, Key: key} }
 
 type putOp struct {
 	obj Object

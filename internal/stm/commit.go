@@ -242,7 +242,7 @@ func (t *Tx) replayDirty(foot []conflict.FootprintLoc) (bool, error) {
 		acc := e.Accesses()
 		n := 0
 		for _, a := range acc {
-			if slices.Contains(locs, a.P.Loc()) {
+			if slices.Contains(locs, a.P.Loc) {
 				n++
 			}
 		}

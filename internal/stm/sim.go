@@ -443,7 +443,7 @@ func (s *sim) commitDone(tx *Tx, foot []conflict.FootprintLoc, t float64) float6
 // touches reports whether a logged op accesses one of locs.
 func touches(e *oplog.Event, locs []state.Loc) bool {
 	for _, a := range e.Accesses() {
-		if slices.Contains(locs, a.P.Loc()) {
+		if slices.Contains(locs, a.P.Loc) {
 			return true
 		}
 	}

@@ -796,7 +796,7 @@ func (r *Runtime) finish(ctx obs.Ctx, tx *Tx) (committed bool) {
 				if verdict.ShapeT != "" || verdict.ShapeC != "" {
 					detail = "[" + verdict.ShapeT + "] vs [" + verdict.ShapeC + "]"
 				}
-				ctx.Abort(verdict.Reason.String(), string(verdict.P), detail)
+				ctx.Abort(verdict.Reason.String(), verdict.P.String(), detail)
 			}
 			return false // abort; RUNTASK retries from scratch
 		}

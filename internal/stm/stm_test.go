@@ -429,7 +429,7 @@ func (e explodingOp) Apply(st *state.State) (state.Value, error) {
 }
 
 func (e explodingOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: "boom", Write: true})
+	return append(dst, oplog.Access{P: oplog.PLoc{Loc: "boom"}, Write: true})
 }
 func (e explodingOp) Sym() oplog.Sym { return oplog.Sym{Kind: "num.store", Arg: "1"} }
 func (e explodingOp) IsRead() bool   { return false }

@@ -1,7 +1,8 @@
 // Package train implements the offline training phase of JANUS (§5.1 and
 // Figure 6): the application is exercised sequentially on training inputs
-// with no synchronization, dependencies are tracked over the trace,
-// per-location dependent sequences are mined at task boundaries, symbolic
+// with no synchronization, the trace is decomposed per projection location
+// with the detector's own oplog.Decomposer, the per-location dependent
+// sequences are mined at task boundaries, symbolic
 // commutativity conditions are proved for pairs of sequences, verified —
 // concretely against the Figure 8 checks and, for relational pairs, with
 // the SAT-backed Table 4 content-formula equivalence — and cached under
@@ -9,12 +10,13 @@
 package train
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/adt"
 	"repro/internal/cache"
 	"repro/internal/commute"
-	"repro/internal/deps"
 	"repro/internal/logic"
 	"repro/internal/oplog"
 	"repro/internal/relation"
@@ -64,6 +66,48 @@ func (p *Profiler) Run(tasks []adt.Task) error {
 
 // Trace returns the recorded trace.
 func (p *Profiler) Trace() oplog.Log { return p.trace }
+
+// Mine partitions a sequential trace at task boundaries and decomposes
+// each task's slice per projection location (§5.1 "Mining Sequences"):
+// a location's maximal dependence path, cut at task boundaries, is the
+// run of the tasks' subsequences at it, which is what oplog.Decomposer
+// produces for each slice — the same decomposition the detector queries
+// at runtime. Each location's sequences are in trace order; every event
+// carries its Task, so a sequence is a plain log.
+func Mine(trace oplog.Log) map[oplog.PLoc][]oplog.Log {
+	out := make(map[oplog.PLoc][]oplog.Log)
+	var d oplog.Decomposer
+	for start := 0; start < len(trace); {
+		end := start + 1
+		for end < len(trace) && trace[end].Task == trace[start].Task {
+			end++
+		}
+		for _, ps := range d.Decompose(trace[start:end]) {
+			out[ps.P] = append(out[ps.P], slices.Clone(ps.Seq))
+		}
+		start = end
+	}
+	return out
+}
+
+// SharedPLocs returns the projection locations of a mined trace that more
+// than one task accessed — the only ones that can ever appear in a
+// conflict query — ordered by location, then key.
+func SharedPLocs(mined map[oplog.PLoc][]oplog.Log) []oplog.PLoc {
+	var out []oplog.PLoc
+	for p, seqs := range mined {
+		for _, s := range seqs[1:] {
+			if s[0].Task != seqs[0][0].Task {
+				out = append(out, p)
+				break
+			}
+		}
+	}
+	slices.SortFunc(out, func(a, b oplog.PLoc) int {
+		return cmp.Or(cmp.Compare(a.Loc, b.Loc), cmp.Compare(a.Key, b.Key))
+	})
+	return out
+}
 
 // Options configure training.
 type Options struct {
@@ -127,9 +171,9 @@ func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) 
 		TracedOps: len(trace),
 		Cached:    make(map[commute.ConditionKind]int),
 	}
-	mined := deps.Mine(trace)
+	mined := Mine(trace)
 	rep.PLocs = len(mined)
-	shared := deps.SharedPLocs(mined)
+	shared := SharedPLocs(mined)
 	rep.SharedPLocs = len(shared)
 	maxPairs := opts.MaxPairsPerLoc
 	if maxPairs == 0 {
@@ -141,7 +185,7 @@ func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) 
 		pairs := 0
 		for i := 0; i < len(seqs) && pairs < maxPairs; i++ {
 			for j := i + 1; j < len(seqs) && pairs < maxPairs; j++ {
-				if seqs[i].Task == seqs[j].Task {
+				if seqs[i][0].Task == seqs[j][0].Task {
 					continue
 				}
 				pairs++
@@ -158,7 +202,7 @@ func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) 
 					rep.Rejected++
 					continue
 				}
-				ok, err := verifyPair(rep, initial, p, seqs[i].Events, seqs[j].Events, kind)
+				ok, err := verifyPair(rep, initial, p, seqs[i], seqs[j], kind)
 				if err != nil {
 					return nil, err
 				}
@@ -211,7 +255,7 @@ func verifyPair(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Lo
 // syntheticStates builds small entry states exercising the pair's
 // location: the training initial value plus type-derived variants.
 func syntheticStates(initial *state.State, p oplog.PLoc) []*state.State {
-	loc := p.Loc()
+	loc := p.Loc
 	v, bound := initial.Get(loc)
 	if !bound {
 		return nil
@@ -229,8 +273,8 @@ func syntheticStates(initial *state.State, p oplog.PLoc) []*state.State {
 	case state.Rel:
 		empty := adt.NewRelValue()
 		boundKey := adt.NewRelValue()
-		if key := p.Key(); key != "" && key != "*" {
-			raw := relation.ParseKey(key)[adt.DomainCol]
+		if p.Key != "" {
+			raw := relation.ParseKey(p.Key)[adt.DomainCol]
 			boundKey.R.Insert(relation.Tuple{adt.DomainCol: raw, adt.RangeCol: "⟂probe"})
 		}
 		variants = []state.Value{tv, empty, boundKey}
@@ -261,8 +305,7 @@ func relationalOnly(l oplog.Log) bool {
 // that the two execution orders produce equivalent relation contents from
 // a synthetic entry relation — the §6.2 equivalence query.
 func satVerify(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Log) (bool, error) {
-	loc := p.Loc()
-	v, bound := initial.Get(loc)
+	v, bound := initial.Get(p.Loc)
 	if !bound {
 		return true, nil
 	}

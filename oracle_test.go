@@ -11,16 +11,19 @@ import (
 	"repro/internal/oplog"
 )
 
-// oracleState is the store the config-matrix tasks run over.
+// oracleState is the store the config-matrix tasks run over. Every
+// location name contains '#', the separator of a rendered projection
+// location, so every cell fails if some layer recovers a location by
+// parsing a rendering.
 func oracleState() *State {
 	st := NewState()
-	InitCounter(st, "sum", 0)
-	InitCounter(st, "ident", 0)
-	InitCounter(st, "max", 0)
-	InitBoolVar(st, "flag", false)
-	InitBitSet(st, "bits")
-	InitKVMap(st, "map")
-	InitStack(st, "stack")
+	InitCounter(st, "sum#1", 0)
+	InitCounter(st, "ident#2", 0)
+	InitCounter(st, "max#3", 0)
+	InitBoolVar(st, "flag#x", false)
+	InitBitSet(st, "bits#*")
+	InitKVMap(st, "map#k=0")
+	InitStack(st, "stack#top")
 	return st
 }
 
@@ -32,10 +35,10 @@ func oracleState() *State {
 // sequential one too.
 func oracleTask(i int, ordered bool) Task {
 	return func(ex Executor) error {
-		if err := (Counter{L: "sum"}).Add(ex, int64(i)); err != nil {
+		if err := (Counter{L: "sum#1"}).Add(ex, int64(i)); err != nil {
 			return err
 		}
-		ident := Counter{L: "ident"}
+		ident := Counter{L: "ident#2"}
 		if err := ident.Add(ex, int64(i)); err != nil {
 			return err
 		}
@@ -44,7 +47,7 @@ func oracleTask(i int, ordered bool) Task {
 		}
 		// Yield so attempts overlap on a host with fewer cores than workers.
 		runtime.Gosched()
-		m := Counter{L: "max"}
+		m := Counter{L: "max#3"}
 		cur, err := m.Load(ex)
 		if err != nil {
 			return err
@@ -54,22 +57,22 @@ func oracleTask(i int, ordered bool) Task {
 				return err
 			}
 		}
-		flag := BoolVar{L: "flag"}
+		flag := BoolVar{L: "flag#x"}
 		if err := flag.Store(ex, true); err != nil {
 			return err
 		}
 		if _, err := flag.Load(ex); err != nil {
 			return err
 		}
-		if err := (BitSet{L: "bits"}).Set(ex, i%8); err != nil {
+		if err := (BitSet{L: "bits#*"}).Set(ex, i%8); err != nil {
 			return err
 		}
 		key := strconv.Itoa(i % 5)
-		if err := (KVMap{L: "map"}).Put(ex, key, "v"+key); err != nil {
+		if err := (KVMap{L: "map#k=0"}).Put(ex, key, "v"+key); err != nil {
 			return err
 		}
 		if ordered {
-			return Stack{L: "stack"}.Push(ex, int64(i))
+			return Stack{L: "stack#top"}.Push(ex, int64(i))
 		}
 		return nil
 	}
@@ -110,7 +113,7 @@ func TestConfigMatrixMatchesSequential(t *testing.T) {
 		{"no-abstraction", Config{DisableAbstraction: true}, true},
 		// Every task stores the same flag, so tolerating its conflicts
 		// cannot move the final state.
-		{"relax", Config{Relax: NewRelaxations([]Loc{"flag"}, []Loc{"flag"})}, true},
+		{"relax", Config{Relax: NewRelaxations([]Loc{"flag#x"}, []Loc{"flag#x"})}, true},
 	}
 	for _, ordered := range []bool{false, true} {
 		tasks := make([]Task, n)
