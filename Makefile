@@ -54,6 +54,7 @@ ALLOCS_TESTS = \
 	internal/stm:TestDisabledRecordingAddsNoAllocs \
 	internal/stm:TestDisabledTracingAddsNoAllocs \
 	internal/stm:TestSteadyStateAttemptAllocs \
+	internal/stm:TestSteadyStateRelAllocs \
 	internal/stm:TestStoreCreateCostIsFlat
 allocs:
 	@for t in $(ALLOCS_TESTS); do \

@@ -33,16 +33,16 @@ var liveByContract = map[string]string{
 	// A method of a type the root package re-exports (janus.BitSet,
 	// janus.Canvas, janus.IntArray, janus.Trace, janus.CustomObject): the
 	// library's API, exercised by the root package's tests.
-	"internal/adt.BitSet.Clear":      "library API through janus.BitSet",
-	"internal/adt.Canvas.DrawPixel":  "library API through janus.Canvas",
-	"internal/adt.IntArray.Get":      "library API through janus.IntArray",
-	"internal/adt.IntArray.Set":      "library API through janus.IntArray",
-	"internal/obs.Trace.Reset":       "library API through janus.Trace",
-	"internal/relspec.Object.Clear":  "library API through janus.CustomObject",
-	"internal/relspec.Object.Delete": "library API through janus.CustomObject",
-	"internal/relspec.Object.Get":    "library API through janus.CustomObject",
-	"internal/relspec.Object.Has":    "library API through janus.CustomObject",
-	"internal/relspec.Object.Put":    "library API through janus.CustomObject",
+	"internal/adt.BitSet.Clear":        "library API through janus.BitSet",
+	"internal/adt.Canvas.DrawPixel":    "library API through janus.Canvas",
+	"internal/adt.CustomObject.Clear":  "library API through janus.CustomObject",
+	"internal/adt.CustomObject.Delete": "library API through janus.CustomObject",
+	"internal/adt.CustomObject.Get":    "library API through janus.CustomObject",
+	"internal/adt.CustomObject.Has":    "library API through janus.CustomObject",
+	"internal/adt.CustomObject.Put":    "library API through janus.CustomObject",
+	"internal/adt.IntArray.Get":        "library API through janus.IntArray",
+	"internal/adt.IntArray.Set":        "library API through janus.IntArray",
+	"internal/obs.Trace.Reset":         "library API through janus.Trace",
 
 	// A test's reference implementation: a test compares the shipped code
 	// against it, so deleting it deletes the oracle.

@@ -222,6 +222,23 @@ func TestCanvas(t *testing.T) {
 	}
 }
 
+// TestPutRefusesAbsentVal: a get observes AbsentVal for an unbound key,
+// and the effect analysis reads a put of it as a remove, so a put of it
+// would let detection admit orders that end in different states. Both
+// handles that take a caller's value refuse it and log nothing.
+func TestPutRefusesAbsentVal(t *testing.T) {
+	ex := newExec()
+	if err := (KVMap{L: "map"}).Put(ex, "k", AbsentVal); err == nil {
+		t.Errorf("KVMap.Put(%q) succeeded", AbsentVal)
+	}
+	if err := (Canvas{L: "canvas"}).DrawPixel(ex, 0, 0, AbsentVal); err == nil {
+		t.Errorf("Canvas.DrawPixel(%q) succeeded", AbsentVal)
+	}
+	if len(ex.log) != 0 {
+		t.Errorf("a refused put logged %d ops", len(ex.log))
+	}
+}
+
 func TestRelOpsOnWrongType(t *testing.T) {
 	ex := newExec()
 	m := KVMap{L: "work"} // Int location

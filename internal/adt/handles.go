@@ -141,8 +141,13 @@ func (b BitSet) ClearAll(ex Executor) error {
 // Figure 4).
 type KVMap struct{ L state.Loc }
 
-// Put binds key to val.
+// Put binds key to val. AbsentVal is refused: a get could not tell it
+// from an unbound key, and the effect analysis reads a put of it as a
+// remove.
 func (m KVMap) Put(ex Executor, key, val string) error {
+	if val == AbsentVal {
+		return fmt.Errorf("adt: map %s[%s]: value %q is reserved for an absent key", m.L, key, val)
+	}
 	_, err := ex.Exec(RelPutOp{L: m.L, Key: key, Val: val})
 	return err
 }
@@ -208,8 +213,12 @@ func (a IntArray) Get(ex Executor, i int) (int64, error) {
 // pattern.
 type Canvas struct{ L state.Loc }
 
-// DrawPixel paints pixel (x, y) with color.
+// DrawPixel paints pixel (x, y) with color; AbsentVal is refused, as
+// for KVMap.Put.
 func (c Canvas) DrawPixel(ex Executor, x, y int, color string) error {
+	if color == AbsentVal {
+		return fmt.Errorf("adt: canvas %s(%d,%d): color %q is reserved for an absent key", c.L, x, y, color)
+	}
 	key := strconv.Itoa(x) + ":" + strconv.Itoa(y)
 	_, err := ex.Exec(RelPutOp{L: c.L, Key: key, Val: color})
 	return err

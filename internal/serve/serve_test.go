@@ -16,6 +16,7 @@ import (
 	"time"
 
 	janus "repro"
+	"repro/internal/adt"
 	"repro/internal/rec"
 )
 
@@ -356,6 +357,37 @@ func TestOversizeWorkRejected(t *testing.T) {
 	}
 	if _, err := compile(srv.schIdx, work("at-bound", maxBatchWork/2, maxBatchWork/2)); err != nil {
 		t.Fatalf("a batch of exactly maxBatchWork units was refused: %v", err)
+	}
+}
+
+// TestAbsentValPutRejected: a put of adt.AbsentVal reads back as an
+// unbound key and is classified as a remove by the effect analysis, so a
+// batch carrying it is a 400 before admission and the tenant state is
+// unchanged; any other value is accepted.
+func TestAbsentValPutRejected(t *testing.T) {
+	srv := NewServer(Config{Runner: testRunner()})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := ts.Client()
+
+	put := func(id, val string) *Batch {
+		return &Batch{ID: id, Tasks: []TaskSpec{{Ops: []OpSpec{{Op: "put", Loc: "kv", Key: "k", Val: val}}}}}
+	}
+	postBatch(t, c, ts.URL, "kv", put("base", "x"), nil)
+	var before StateReply
+	getJSON(t, c, ts.URL+"/statez?tenant=kv", &before)
+
+	var e ErrorReply
+	if code, _ := postBatch(t, c, ts.URL, "kv", put("absent", adt.AbsentVal), &e); code != http.StatusBadRequest || e.Code != CodeBadRequest {
+		t.Fatalf("put of %q: status %d code %q, want 400 bad_request", adt.AbsentVal, code, e.Code)
+	}
+	var after StateReply
+	getJSON(t, c, ts.URL+"/statez?tenant=kv", &after)
+	if after.Digest != before.Digest || after.Applied != before.Applied {
+		t.Fatalf("state changed across a rejected batch: %+v -> %+v", before, after)
+	}
+	if _, err := compile(srv.schIdx, put("empty", "")); err != nil {
+		t.Fatalf("a put of the empty value was refused: %v", err)
 	}
 }
 

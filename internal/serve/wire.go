@@ -267,6 +267,9 @@ func checkOp(sch map[string]locKind, op OpSpec) error {
 		if op.Key == "" {
 			return fmt.Errorf("op %q needs a key", op.Op)
 		}
+		if op.Op == "put" && op.Val == adt.AbsentVal {
+			return fmt.Errorf("op put: value %q is reserved for an absent key", op.Val)
+		}
 	default:
 		return fmt.Errorf("unknown op %q", op.Op)
 	}

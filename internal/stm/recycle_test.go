@@ -72,10 +72,8 @@ func fourOps(a, b state.Loc) adt.Task {
 // pools are warm: what its operations are made of — per operation the
 // boxed Op and the value it computes, per written location the committed
 // store's box — and nothing per transaction. A one-location footprint is
-// stored in the logged event, so it costs nothing of its own. Two transactions over
-// disjoint counters are interleaved so that one commits inside the other's
-// window: the sequence detector then decomposes both artifacts, and the
-// first one is reclaimed and recycled by the next round's commit. A Tx, a
+// stored in the logged event, so it costs nothing of its own. The round
+// is two transactions over disjoint counters (see warmRoundAllocs). A Tx, a
 // view's map, a Prepared, a log, a slab or a decomposer buffer allocated
 // per attempt each cost at least one allocation per transaction, two per
 // round, and fail the bound.
@@ -84,8 +82,24 @@ func TestSteadyStateAttemptAllocs(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		st.Set(fuzzCounterLoc(i), state.Int(1<<20)) // past the runtime's small-integer cache
 	}
+	best := warmRoundAllocs(t, st, fourOps("c0", "c1"), fourOps("c2", "c3"))
+	// Per round: 8 operations × (Op box + new value), 4 written locations
+	// × the committed box.
+	const perOp = 8*2 + 4
+	if best > perOp+1 { // one object per transaction would be two more
+		t.Fatalf("a warm round of two 4-op transactions allocates %.0f objects, want the operations' %d", best, perOp)
+	}
+	t.Logf("%.0f allocations per round of two 4-op transactions (%d are the operations')", best, perOp)
+}
+
+// warmRoundAllocs returns the fewest allocations a round of outer and
+// inner takes once the pools are warm. The two transactions are
+// interleaved so that inner commits inside outer's window: the sequence
+// detector then decomposes both artifacts, and the first one is reclaimed
+// and recycled by the next round's commit.
+func warmRoundAllocs(t *testing.T, st *state.State, outer, inner adt.Task) float64 {
+	t.Helper()
 	r := New(Config{Threads: 1, Detector: &conflict.Sequence{}}, st)
-	outer, inner := fourOps("c0", "c1"), fourOps("c2", "c3")
 	tid := 0
 	round := func() {
 		tid += 2
@@ -112,13 +126,38 @@ func TestSteadyStateAttemptAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		best = min(best, testing.AllocsPerRun(1, round))
 	}
-	// Per round: 8 operations × (Op box + new value), 4 written locations
-	// × the committed box.
-	const perOp = 8*2 + 4
-	if best > perOp+1 { // one object per transaction would be two more
-		t.Fatalf("a warm round of two 4-op transactions allocates %.0f objects, want the operations' %d", best, perOp)
+	return best
+}
+
+// putGet is a transaction that binds key to val in the map at "kv" and
+// reads it back.
+func putGet(key, val string) adt.Task {
+	return func(ex adt.Executor) error {
+		m := adt.KVMap{L: "kv"}
+		if err := m.Put(ex, key, val); err != nil {
+			return err
+		}
+		_, _, err := m.Get(ex, key)
+		return err
 	}
-	t.Logf("%.0f allocations per round of two 4-op transactions (%d are the operations')", best, perOp)
+}
+
+// TestSteadyStateRelAllocs pins the built-in relational path the same
+// way: a warm round of two put+get transactions on disjoint keys of one
+// KVMap, at the count the path had when the pin was set. Most of it is
+// the relation's own: each transaction's private clone, each insert's
+// tuple copy and path copy of the persistent map (at execution and again
+// at the commit's replay), and each get's probe tuple. One more object
+// per operation or per transaction fails the bound.
+func TestSteadyStateRelAllocs(t *testing.T) {
+	st := state.New()
+	st.Set("kv", adt.NewRelValue())
+	best := warmRoundAllocs(t, st, putGet("a", "1"), putGet("b", "2"))
+	const pinned = 48
+	if best > pinned {
+		t.Fatalf("a warm round of two put+get transactions allocates %.0f objects, want at most %d", best, pinned)
+	}
+	t.Logf("%.0f allocations per round of two put+get transactions", best)
 }
 
 // TestPoolDropsOutliers: a transaction far larger than the rest must not

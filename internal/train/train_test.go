@@ -8,6 +8,7 @@ import (
 	"repro/internal/adt"
 	"repro/internal/cache"
 	"repro/internal/commute"
+	"repro/internal/relation"
 	"repro/internal/seqabs"
 	"repro/internal/state"
 )
@@ -327,5 +328,50 @@ func TestSyntheticStatesBindEscapedKey(t *testing.T) {
 		if !bound {
 			t.Errorf("key %q (projection %q): no synthetic state binds it", key, p)
 		}
+	}
+}
+
+// TestTrainChecksCustomPairs: a custom ADT's ops are the built-in
+// relational ops over a KV relation, so training checks its pairs the way
+// it checks a KVMap's: the route table's equal-writes pair gets the §6.2
+// SAT check, and the bound-key probe binds the pair's own composite key.
+func TestTrainChecksCustomPairs(t *testing.T) {
+	initial := state.New()
+	spec := adt.CustomSpec{Columns: []string{"src", "dst", "cost", "via"}, Domain: []string{"src", "dst"}}
+	obj, err := adt.NewCustom(initial, "routes", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := relation.Tuple{"src": "a", "dst": "b"}
+	task := func(ex adt.Executor) error {
+		if err := obj.Put(ex, relation.Tuple{"src": "a", "dst": "b", "cost": "3", "via": "r1"}); err != nil {
+			return err
+		}
+		_, _, err := obj.Get(ex, key)
+		return err
+	}
+	_, rep, err := Train(initial, []adt.Task{task, task}, Options{Mode: seqabs.Abstract})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.SATChecks == 0 || rep.SATFailures != 0 {
+		t.Fatalf("custom equal-writes pair: want SAT-verified, report: %s", rep)
+	}
+
+	prof := NewProfiler(initial.Clone())
+	if err := prof.Run([]adt.Task{task}); err != nil {
+		t.Fatal(err)
+	}
+	p := prof.Trace()[0].Accesses()[0].P
+	want := key.Key([]string{"dst", "src"})
+	bound := false
+	for _, st := range syntheticStates(initial, p) {
+		v, _ := st.Get("routes")
+		for _, tu := range v.(state.Rel).R.Tuples() {
+			bound = bound || tu[adt.DomainCol] == want
+		}
+	}
+	if !bound {
+		t.Errorf("projection %q: no synthetic state binds the key %q", p, want)
 	}
 }

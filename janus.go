@@ -47,7 +47,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relation"
-	"repro/internal/relspec"
 	"repro/internal/state"
 	"repro/internal/stm"
 	"repro/internal/train"
@@ -125,9 +124,9 @@ type (
 	// CustomSpec declares a user-defined ADT's relational representation
 	// (§6.1): arbitrary columns with an optional functional dependency
 	// whose domain names the key columns.
-	CustomSpec = relspec.Spec
+	CustomSpec = adt.CustomSpec
 	// CustomObject is the handle to a shared instance of a CustomSpec.
-	CustomObject = relspec.Object
+	CustomObject = adt.CustomObject
 	// Tuple is a relational tuple (column → value).
 	Tuple = relation.Tuple
 )
@@ -203,7 +202,7 @@ func InitCanvas(st *State, loc Loc) Canvas {
 // (Put/Get/Has/Delete/Clear) participate in sequence-based conflict
 // detection exactly like the built-in ADTs.
 func InitCustom(st *State, loc Loc, spec CustomSpec) (CustomObject, error) {
-	return relspec.New(st, loc, spec)
+	return adt.NewCustom(st, loc, spec)
 }
 
 // Detection selects the conflict-detection algorithm.
