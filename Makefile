@@ -22,7 +22,7 @@ test:
 # in the first): with recycled artifacts poisoned a use-after-recycle
 # panics, and -race is what reports a reader overlapping the recycler.
 race:
-	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/rec ./internal/serve ./internal/wal ./internal/fsio ./internal/relation ./internal/state ./internal/persist
+	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/rec ./internal/serve ./internal/wal ./internal/fsio ./internal/relation ./internal/state
 	$(GO) test -race -count=1 -run PoisonedRecycle ./internal/chaos ./internal/workloads
 
 # Repeat the stm liveness tests (context drains, sequencer waiters woken
@@ -45,6 +45,8 @@ stress:
 # target first checks that each named test exists: a renamed pin fails
 # here instead of quietly not running.
 ALLOCS_TESTS = \
+	internal/adt:TestLoadsReturnTheHeldValue \
+	internal/adt:TestRelAccessesAllocateNothing \
 	internal/commute:TestEvaluateDetailAllocs \
 	internal/obs:TestDisabledCtxZeroAllocs \
 	internal/rec:TestDigestCostIgnoresTupleCount \

@@ -132,19 +132,23 @@ func BenchmarkAblationPrivatization(b *testing.B) {
 }
 
 // eagerCopy wraps every task so that each execution attempt first deep-
-// copies shared (a state of the run's size and shape), relations tuple by
-// tuple: the begin cost of the prototype's CREATETRANSACTION.
+// copies shared (a state of the run's size and shape), relations binding
+// by binding: the begin cost of the prototype's CREATETRANSACTION.
 func eagerCopy(shared *State, tasks []Task) []Task {
 	type rel struct {
-		loc    state.Loc
-		schema *relation.Relation
-		tuples []relation.Tuple
+		loc   state.Loc
+		pairs [][2]string
 	}
 	var rels []rel
 	for _, l := range shared.Locs() {
 		v, _ := shared.Get(l)
 		if rv, ok := v.(state.Rel); ok {
-			rels = append(rels, rel{l, rv.R, rv.R.Tuples()})
+			r := rel{loc: l}
+			rv.R.Range(func(k, v string) bool {
+				r.pairs = append(r.pairs, [2]string{k, v})
+				return true
+			})
+			rels = append(rels, r)
 		}
 	}
 	out := make([]Task, len(tasks))
@@ -153,9 +157,9 @@ func eagerCopy(shared *State, tasks []Task) []Task {
 		out[i] = func(ex Executor) error {
 			c := shared.Clone() // every location; relations only share structure
 			for _, r := range rels {
-				deep := relation.New(r.schema.Cols(), r.schema.FDef())
-				for _, t := range r.tuples {
-					deep.Insert(t)
+				deep := relation.New()
+				for _, kv := range r.pairs {
+					deep.Put(kv[0], kv[1])
 				}
 				c.Set(r.loc, state.Rel{R: deep})
 			}

@@ -21,9 +21,6 @@ var liveByContract = map[string]string{
 	"internal/cache.SpecError.Unwrap":    "errors.Is/As walk it",
 	"internal/fsio.FrameError.Unwrap":    "errors.Is/As walk it",
 	"internal/serve.journalError.Unwrap": "errors.Is/As walk it",
-	"internal/relation.canonical.Len":    "sort.Sort calls it",
-	"internal/relation.canonical.Less":   "sort.Sort calls it",
-	"internal/relation.canonical.Swap":   "sort.Sort calls it",
 	"internal/stm.simHeap.Len":           "container/heap calls it",
 	"internal/stm.simHeap.Less":          "container/heap calls it",
 	"internal/stm.simHeap.Swap":          "container/heap calls it",

@@ -250,22 +250,75 @@ func TestRelOpsOnWrongType(t *testing.T) {
 func TestRelClearAccessesListPresentKeys(t *testing.T) {
 	ex := newExec()
 	b := BitSet{L: "bits"}
-	_ = b.Set(ex, 1)
-	_ = b.Set(ex, 5)
+	for _, i := range []int{5, 10, 1, 2} {
+		_ = b.Set(ex, i)
+	}
 	op := RelClearOp{L: "bits"}
 	acc := op.AppendAccesses(nil, ex.st)
-	if len(acc) != 2 {
-		t.Fatalf("clear accesses = %v, want 2 writes", acc)
+	if len(acc) != 4 {
+		t.Fatalf("clear accesses = %v, want 4 writes", acc)
 	}
-	for _, a := range acc {
+	for i, a := range acc {
 		if !a.Write || a.Read {
 			t.Errorf("clear access %+v must be a pure write", a)
+		}
+		if want := []string{"1", "10", "2", "5"}[i]; a.P != (oplog.PLoc{Loc: "bits", Key: want}) {
+			t.Errorf("clear access %d names %v, want bits#%s: the keys in sorted order", i, a.P, want)
 		}
 	}
 	// On an empty relation the clear has no footprint.
 	_, _ = op.Apply(ex.st)
 	if got := op.AppendAccesses(nil, ex.st); len(got) != 0 {
 		t.Errorf("clear of empty relation must have empty footprint, got %v", got)
+	}
+}
+
+// TestLoadsReturnTheHeldValue: a load hands back the value the location
+// holds, not a copy boxed again, so a warm load allocates nothing — for a
+// string, and for an integer past the runtime's small-integer cache.
+func TestLoadsReturnTheHeldValue(t *testing.T) {
+	st := state.New()
+	st.Set("s", state.Str("a string"))
+	st.Set("n", state.Int(1<<40))
+	st.Set("b", state.Bool(true))
+	for _, c := range []struct {
+		op  oplog.Op
+		loc state.Loc
+	}{{StrLoadOp{L: "s"}, "s"}, {NumLoadOp{L: "n"}, "n"}, {BoolLoadOp{L: "b"}, "b"}} {
+		want, _ := st.Get(c.loc)
+		var got state.Value
+		allocs := testing.AllocsPerRun(100, func() { got, _ = c.op.Apply(st) })
+		if !got.EqualValue(want) {
+			t.Errorf("%v = %v, want %v", c.op, got, want)
+		}
+		if allocs != 0 {
+			t.Errorf("%v allocates %.0f objects on a warm location, want 0", c.op, allocs)
+		}
+	}
+}
+
+// TestRelAccessesAllocateNothing: a relational op's projection location
+// is the key itself, so appending its footprint to a warm buffer allocates
+// nothing — clear's too, whose keys are sorted in place.
+func TestRelAccessesAllocateNothing(t *testing.T) {
+	st := state.New()
+	m := NewRelValue()
+	for _, k := range []string{"b", "a", "", "c,d", "e=f"} {
+		m.R.Put(k, "1")
+	}
+	st.Set("m", m)
+	dst := make([]oplog.Access, 0, 8)
+	for _, op := range []oplog.Op{
+		RelPutOp{L: "m", Key: "a", Val: "2"},
+		RelRemoveOp{L: "m", Key: "a"},
+		RelRemoveOp{L: "m", Key: "absent"},
+		RelGetOp{L: "m", Key: "c,d"},
+		RelHasOp{L: "m", Key: ""},
+		RelClearOp{L: "m"},
+	} {
+		if allocs := testing.AllocsPerRun(100, func() { dst = op.AppendAccesses(dst[:0], st) }); allocs != 0 {
+			t.Errorf("%v: AppendAccesses allocates %.0f objects, want 0", op, allocs)
+		}
 	}
 }
 

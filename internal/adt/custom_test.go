@@ -144,7 +144,7 @@ func TestFootprintsArePerCompositeKey(t *testing.T) {
 	if len(acc) != 1 || !acc[0].Write {
 		t.Fatalf("put accesses = %+v", acc)
 	}
-	if want := (oplog.PLoc{Loc: "routes", Key: `k=dst\=b\,src\=a`}); acc[0].P != want {
+	if want := (oplog.PLoc{Loc: "routes", Key: "dst=b,src=a"}); acc[0].P != want {
 		t.Fatalf("PLoc = %q, want %q", acc[0].P, want)
 	}
 	// Deleting an absent key observes absence (a read, §6.2).

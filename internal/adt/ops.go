@@ -154,13 +154,17 @@ func (o NumStoreOp) String() string { return fmt.Sprintf("%s=%d", o.L, o.V) }
 // NumLoadOp reads the integer at L.
 type NumLoadOp struct{ L state.Loc }
 
-// Apply implements oplog.Op.
+// Apply implements oplog.Op. It returns the value the location holds, not
+// a copy boxed again.
 func (o NumLoadOp) Apply(st *state.State) (state.Value, error) {
-	v, err := getInt(st, o.L)
-	if err != nil {
-		return nil, err
+	v, ok := st.Get(o.L)
+	if !ok {
+		return nil, fmt.Errorf("adt: unbound location %q", o.L)
 	}
-	return state.Int(v), nil
+	if _, ok := v.(state.Int); !ok {
+		return nil, fmt.Errorf("adt: location %q holds %T, want Int", o.L, v)
+	}
+	return v, nil
 }
 
 // AppendAccesses implements oplog.Op.
@@ -208,17 +212,17 @@ func (o StrStoreOp) String() string { return fmt.Sprintf("%s=%q", o.L, o.V) }
 // StrLoadOp reads the string at L.
 type StrLoadOp struct{ L state.Loc }
 
-// Apply implements oplog.Op.
+// Apply implements oplog.Op. It returns the value the location holds, not
+// a copy boxed again.
 func (o StrLoadOp) Apply(st *state.State) (state.Value, error) {
 	v, ok := st.Get(o.L)
 	if !ok {
 		return nil, fmt.Errorf("adt: unbound location %q", o.L)
 	}
-	s, ok := v.(state.Str)
-	if !ok {
+	if _, ok := v.(state.Str); !ok {
 		return nil, fmt.Errorf("adt: location %q holds %T, want Str", o.L, v)
 	}
-	return s, nil
+	return v, nil
 }
 
 // AppendAccesses implements oplog.Op.
@@ -274,11 +278,10 @@ func (o BoolLoadOp) Apply(st *state.State) (state.Value, error) {
 	if !ok {
 		return nil, fmt.Errorf("adt: unbound location %q", o.L)
 	}
-	b, ok := v.(state.Bool)
-	if !ok {
+	if _, ok := v.(state.Bool); !ok {
 		return nil, fmt.Errorf("adt: location %q holds %T, want Bool", o.L, v)
 	}
-	return b, nil
+	return v, nil
 }
 
 // AppendAccesses implements oplog.Op.

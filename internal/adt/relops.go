@@ -2,6 +2,8 @@ package adt
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/oplog"
 	"repro/internal/relation"
@@ -9,24 +11,13 @@ import (
 )
 
 // Relational operations act on state.Rel values: relations over columns
-// {"k","v"} with functional dependency k → v, per the §6.1 convention that
-// the FD specializes the relation into a function from locations to
-// values. These are the abstract states of BitSet, KVMap, IntArray, and
-// Canvas.
-
-// DomainCol and RangeCol are the standard columns of ADT relations.
-const (
-	DomainCol = "k"
-	RangeCol  = "v"
-)
+// {k, v} with functional dependency k → v, per the §6.1 convention that
+// the FD specializes the relation into a function from locations (keys)
+// to values. These are the abstract states of BitSet, KVMap, IntArray,
+// Canvas and the custom ADTs.
 
 // NewRelValue returns a fresh, empty ADT relation value.
-func NewRelValue() state.Rel {
-	return state.Rel{R: relation.New(
-		[]string{DomainCol, RangeCol},
-		&relation.FD{Domain: []string{DomainCol}, Range: []string{RangeCol}},
-	)}
-}
+func NewRelValue() state.Rel { return state.Rel{R: relation.New()} }
 
 // AbsentVal is the observed value a RelGetOp returns for an unbound key.
 const AbsentVal = "∅"
@@ -43,19 +34,9 @@ func getRel(st *state.State, l state.Loc) (*relation.Relation, error) {
 	return rv.R, nil
 }
 
-func relTuple(key, val string) relation.Tuple {
-	return relation.Tuple{DomainCol: key, RangeCol: val}
-}
-
-// domainCols is the key of an ADT relation: its FD's domain.
-var domainCols = []string{DomainCol}
-
-// relPLoc is key's projection location in the relation at l. Its key is
-// the tuple key relation.Tuple.Key renders, escapes and all, so it names
-// the tuple Relation.LocKey finds.
-func relPLoc(l state.Loc, key string) oplog.PLoc {
-	return oplog.PLoc{Loc: l, Key: relation.Tuple{DomainCol: key}.Key(domainCols)}
-}
+// relPLoc is key's projection location in the relation at l: the key
+// itself, as the relation files it.
+func relPLoc(l state.Loc, key string) oplog.PLoc { return oplog.PLoc{Loc: l, Key: key} }
 
 // RelPutOp binds Key to Val in the relation at L ("insert" of Table 2).
 type RelPutOp struct {
@@ -70,7 +51,7 @@ func (o RelPutOp) Apply(st *state.State) (state.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.Insert(relTuple(o.Key, o.Val))
+	r.Put(o.Key, o.Val)
 	return nil, nil
 }
 
@@ -103,9 +84,7 @@ func (o RelRemoveOp) Apply(st *state.State) (state.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range r.Matching(relTuple(o.Key, "")) {
-		r.Remove(t)
-	}
+	r.Delete(o.Key)
 	return nil, nil
 }
 
@@ -115,7 +94,7 @@ func (o RelRemoveOp) Apply(st *state.State) (state.Value, error) {
 func (o RelRemoveOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.Access {
 	p := relPLoc(o.L, o.Key)
 	if r, err := getRel(st, o.L); err == nil {
-		if len(r.Matching(relTuple(o.Key, ""))) == 0 {
+		if _, bound := r.Get(o.Key); !bound {
 			return append(dst, oplog.Access{P: p, Read: true})
 		}
 	}
@@ -143,11 +122,11 @@ func (o RelGetOp) Apply(st *state.State) (state.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := r.Matching(relTuple(o.Key, ""))
-	if len(m) == 0 {
+	v, bound := r.Get(o.Key)
+	if !bound {
 		return state.Str(AbsentVal), nil
 	}
-	return state.Str(m[0][RangeCol]), nil
+	return state.Str(v), nil
 }
 
 // AppendAccesses implements oplog.Op.
@@ -176,7 +155,8 @@ func (o RelHasOp) Apply(st *state.State) (state.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	return state.Bool(len(r.Matching(relTuple(o.Key, ""))) > 0), nil
+	_, bound := r.Get(o.Key)
+	return state.Bool(bound), nil
 }
 
 // AppendAccesses implements oplog.Op.
@@ -193,10 +173,10 @@ func (o RelHasOp) IsRead() bool { return true }
 // String implements fmt.Stringer.
 func (o RelHasOp) String() string { return fmt.Sprintf("%s.has(%s)", o.L, o.Key) }
 
-// RelClearOp removes every tuple of the relation at L. Its effect on keys
+// RelClearOp removes every binding of the relation at L. Its effect on keys
 // absent in the pre-state is vacuous, so its footprint is a write of each
-// key present at execution time (computed dynamically, like the §6.2
-// remove rule).
+// key present at execution time, in key order (computed dynamically, like
+// the §6.2 remove rule).
 type RelClearOp struct{ L state.Loc }
 
 // Apply implements oplog.Op.
@@ -205,9 +185,7 @@ func (o RelClearOp) Apply(st *state.State) (state.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, t := range r.Tuples() {
-		r.Remove(t)
-	}
+	r.Clear()
 	return nil, nil
 }
 
@@ -217,9 +195,12 @@ func (o RelClearOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.
 	if err != nil {
 		return dst
 	}
-	for _, t := range r.Tuples() {
-		dst = append(dst, oplog.Access{P: relPLoc(o.L, t[DomainCol]), Write: true})
-	}
+	start := len(dst)
+	r.Each(func(k, _ string) bool {
+		dst = append(dst, oplog.Access{P: relPLoc(o.L, k), Write: true})
+		return true
+	})
+	slices.SortFunc(dst[start:], func(a, b oplog.Access) int { return strings.Compare(a.P.Key, b.P.Key) })
 	return dst
 }
 

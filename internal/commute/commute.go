@@ -21,7 +21,6 @@ package commute
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/adt"
 	"repro/internal/oplog"
@@ -218,34 +217,25 @@ func EvaluateDetail(kind ConditionKind, s1, s2 []oplog.Sym) (conflict bool, fail
 // --- Concrete Figure 8 checks ---
 
 // PLocValue reads the value the projection location denotes in st: the
-// scalar value for a plain location, or the key's bound range valuation
-// (with adt.AbsentVal for unbound) for a relational key. This is the
-// "s(l)" of the SAMEREAD and COMMUTE definitions instantiated at
-// projection granularity. The range valuation is rendered canonically
-// ("c=v" per range column), so the judgment works for any §6.1 schema,
-// not only the built-in single-key/single-value ADTs.
+// scalar value for a plain location, or the value bound to the key (with
+// adt.AbsentVal for unbound) for a relational one. This is the "s(l)" of
+// the SAMEREAD and COMMUTE definitions instantiated at projection
+// granularity. Whether a location is relational is decided by the value
+// it holds, not by the key: the empty string is a key like any other.
 func PLocValue(st *state.State, p oplog.PLoc) (state.Value, error) {
-	loc, key := p.Loc, p.Key
-	v, bound := st.Get(loc)
+	v, bound := st.Get(p.Loc)
 	if !bound {
-		return nil, fmt.Errorf("commute: unbound location %q", loc)
-	}
-	if key == "" {
-		return v, nil
+		return nil, fmt.Errorf("commute: unbound location %q", p.Loc)
 	}
 	rel, isRel := v.(state.Rel)
 	if !isRel {
-		return nil, fmt.Errorf("commute: %q is not relational but PLoc %q has a key", loc, p)
-	}
-	rangeCols := rel.R.Cols()
-	if fd := rel.R.FDef(); fd != nil {
-		rangeCols = append([]string(nil), fd.Range...)
-		sort.Strings(rangeCols)
-	}
-	for _, t := range rel.R.Tuples() {
-		if rel.R.LocKey(t) == key {
-			return state.Str(t.Key(rangeCols)), nil
+		if p.Key != "" {
+			return nil, fmt.Errorf("commute: %q is not relational but PLoc %q has a key", p.Loc, p)
 		}
+		return v, nil
+	}
+	if val, ok := rel.R.Get(p.Key); ok {
+		return state.Str(val), nil
 	}
 	return state.Str(adt.AbsentVal), nil
 }

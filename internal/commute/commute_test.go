@@ -138,20 +138,23 @@ func TestPLocValue(t *testing.T) {
 	if v, err := PLocValue(st, oplog.PLoc{Loc: "work"}); err != nil || !v.EqualValue(state.Int(7)) {
 		t.Errorf("scalar PLocValue = %v, %v", v, err)
 	}
-	if v, err := PLocValue(st, oplog.PLoc{Loc: "bits", Key: "k=3"}); err != nil || !v.EqualValue(state.Str(adt.AbsentVal)) {
-		t.Errorf("absent key PLocValue = %v, %v", v, err)
-	}
-	mut := st.Clone()
-	if _, err := (adt.RelPutOp{L: "bits", Key: "3", Val: "1"}).Apply(mut); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := PLocValue(mut, oplog.PLoc{Loc: "bits", Key: "k=3"}); err != nil || !v.EqualValue(state.Str("v=1")) {
-		t.Errorf("bound key PLocValue = %v, %v", v, err)
+	for _, key := range []string{"3", ""} {
+		if v, err := PLocValue(st, oplog.PLoc{Loc: "bits", Key: key}); err != nil || !v.EqualValue(state.Str(adt.AbsentVal)) {
+			t.Errorf("absent key %q PLocValue = %v, %v", key, v, err)
+		}
+		mut := st.Clone()
+		if _, err := (adt.RelPutOp{L: "bits", Key: key, Val: "1"}).Apply(mut); err != nil {
+			t.Fatal(err)
+		}
+		// The empty key names its own binding, not the whole relation.
+		if v, err := PLocValue(mut, oplog.PLoc{Loc: "bits", Key: key}); err != nil || !v.EqualValue(state.Str("1")) {
+			t.Errorf("bound key %q PLocValue = %v, %v", key, v, err)
+		}
 	}
 	if _, err := PLocValue(st, oplog.PLoc{Loc: "missing"}); err == nil {
 		t.Errorf("unbound loc must error")
 	}
-	if _, err := PLocValue(st, oplog.PLoc{Loc: "work", Key: "k=1"}); err == nil {
+	if _, err := PLocValue(st, oplog.PLoc{Loc: "work", Key: "1"}); err == nil {
 		t.Errorf("keyed PLoc on scalar must error")
 	}
 }
@@ -191,7 +194,7 @@ func TestConflictConcreteEqualWrites(t *testing.T) {
 	w1 := record(t, base.Clone(), 1, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "white"})
 	w2 := record(t, base.Clone(), 2, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "white"})
 	w3 := record(t, base.Clone(), 3, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "black"})
-	p := oplog.PLoc{Loc: "canvas", Key: "k=1:1"}
+	p := oplog.PLoc{Loc: "canvas", Key: "1:1"}
 	if conflict, err := ConflictConcrete(base, p, w1, w2); err != nil || conflict {
 		t.Fatalf("equal writes must not conflict: %v %v", conflict, err)
 	}
@@ -201,13 +204,13 @@ func TestConflictConcreteEqualWrites(t *testing.T) {
 }
 
 // TestConflictConcreteKeysWithSeparators: a built-in ADT op's projection
-// key and the key PLocValue matches tuples by must be one rendering, or the
-// judgment finds no tuple, reads the absent value in both orders and
-// admits two different writes to a key holding a separator.
+// key and the key PLocValue looks up must be the same key, or the judgment
+// finds no binding, reads the absent value in both orders and admits two
+// different writes — for a key holding a separator, and for the empty key.
 func TestConflictConcreteKeysWithSeparators(t *testing.T) {
 	base := state.New()
 	base.Set("m", adt.NewRelValue())
-	for _, key := range []string{"a,b", "a=b", `a\b`, "k=a,k=b"} {
+	for _, key := range []string{"a,b", "a=b", `a\b`, "k=a,k=b", ""} {
 		after := base.Clone()
 		w1 := record(t, after, 1, adt.RelPutOp{L: "m", Key: key, Val: "1"})
 		w2 := record(t, base.Clone(), 2, adt.RelPutOp{L: "m", Key: key, Val: "2"})
@@ -215,8 +218,8 @@ func TestConflictConcreteKeysWithSeparators(t *testing.T) {
 		if conflict, err := ConflictConcrete(base, p, w1, w2); err != nil || !conflict {
 			t.Errorf("key %q: different writes must conflict: %v %v", key, conflict, err)
 		}
-		if v, err := PLocValue(after, p); err != nil || !v.EqualValue(state.Str("v=1")) {
-			t.Errorf("key %q: PLocValue after the put = %v, %v; want v=1", key, v, err)
+		if v, err := PLocValue(after, p); err != nil || !v.EqualValue(state.Str("1")) {
+			t.Errorf("key %q: PLocValue after the put = %v, %v; want 1", key, v, err)
 		}
 	}
 }

@@ -180,7 +180,7 @@ func TestRelationalConditionsSoundPerKey(t *testing.T) {
 		return l
 	}
 	admitted := 0
-	ploc := oplog.PLoc{Loc: "r", Key: "k=k"}
+	ploc := oplog.PLoc{Loc: "r", Key: "k"}
 	for iter := 0; iter < 1500; iter++ {
 		s1, s2 := gen(1), gen(2)
 		kind := Prove(s1.Syms(), s2.Syms())

@@ -9,9 +9,9 @@
 // part of it that touches locations a concurrent commit wrote.
 //
 // Projection locations (PLoc) refine shared locations to the subvalue
-// granularity of §5.1: a (location, tuple key) pair, where a scalar
-// location projects to itself (empty key) and a relational (ADT) location
-// projects to one PLoc per tuple key, so that per-location sequences
+// granularity of §5.1: a (location, key) pair, where a scalar location
+// projects to itself (empty key) and a relational (ADT) location projects
+// to one PLoc per key of the relation, so that per-location sequences
 // (§5.3) are sequences of operations on a single key. The Decomposer is
 // the one place a log is split by projection location: the detector
 // queries its output and training mines it.
@@ -25,19 +25,20 @@ import (
 )
 
 // PLoc is a projection location (§5.1): a shared location refined by a
-// tuple key. A scalar location projects to itself, with an empty Key; a
-// relational location projects to one PLoc per tuple key, as
-// relation.Tuple.Key renders it. Two accesses overlap iff their PLocs are
-// equal.
+// key. A scalar location projects to itself, with an empty Key; a
+// relational location projects to one PLoc per key of the relation, the
+// key itself, so the empty Key there is the empty key's binding, not the
+// whole relation — the value at Loc tells the two apart. Two accesses
+// overlap iff their PLocs are equal.
 type PLoc struct {
 	Loc state.Loc
 	Key string
 }
 
-// String renders p as "loc", or "loc#key" for a relational projection,
+// String renders p as "loc", or "loc#key" when the key is not empty,
 // where text leaves the program: traces, errors and janus-trace. The
 // rendering is never parsed back, so a location's own name may contain
-// '#'.
+// '#' (and a relation's empty key renders as its location).
 func (p PLoc) String() string {
 	if p.Key == "" {
 		return string(p.Loc)

@@ -2,6 +2,7 @@ package rec
 
 import (
 	"io"
+	"slices"
 	"sort"
 
 	"repro/internal/adt"
@@ -160,65 +161,45 @@ func (d *dec) strs(what string) []string {
 	return out
 }
 
+// rel decodes a relational value. The layout has room for any schema, but
+// a relation is {k, v} with FD k → v: any other schema, and any tuple that
+// is not one key and one value, latches BadRecord. The tuples load as
+// Table 2 inserts, so of two at one key the later stays.
 func (d *dec) rel() state.Value {
 	cols := d.strs("column")
-	var fd *relation.FD
-	if d.bool() {
-		fd = &relation.FD{Domain: d.strs("fd domain"), Range: d.strs("fd range")}
+	var dom, rng []string
+	hasFD := d.bool()
+	if hasFD {
+		dom, rng = d.strs("fd domain"), d.strs("fd range")
 	}
 	if d.Err() != nil {
 		return nil
 	}
-	// relation.New panics on invariant violations (it guards programmer
-	// error); a CRC-valid but corrupted trace must surface a typed error
-	// instead, so vet the decoded schema first.
-	if !d.validRelSchema(cols, fd) {
+	if !hasFD || !slices.Equal(cols, []string{relation.Domain, relation.Range}) ||
+		!slices.Equal(dom, cols[:1]) || !slices.Equal(rng, cols[1:]) {
+		d.Fail("relation schema %q (FD %v: %q → %q) is not {k, v} with k → v", cols, hasFD, dom, rng)
 		return nil
 	}
-	r := relation.New(cols, fd)
+	var b relation.Builder
 	ntup := d.Count("tuple")
 	for i := 0; i < ntup && d.Err() == nil; i++ {
-		ncol := d.Count("tuple width")
-		t := make(relation.Tuple, ncol)
-		for j := 0; j < ncol; j++ {
-			k := d.str()
-			t[k] = d.str()
+		if w := d.Count("tuple width"); w != 2 {
+			d.Fail("relation tuple of %d columns, want 2", w)
+			break
+		}
+		c1, k := d.str(), d.str()
+		c2, v := d.str(), d.str()
+		if d.Err() == nil && (c1 != relation.Domain || c2 != relation.Range) {
+			d.Fail("relation tuple over %q, %q, want k, v", c1, c2)
 		}
 		if d.Err() == nil {
-			r.Insert(t)
+			b.Put(k, v)
 		}
 	}
-	return state.Rel{R: r}
-}
-
-// validRelSchema checks the invariants relation.New enforces by panic:
-// distinct column names and, when an FD is present, that its domain and
-// range exactly partition the columns. Violations latch BadRecord.
-func (d *dec) validRelSchema(cols []string, fd *relation.FD) bool {
-	sorted := append([]string(nil), cols...)
-	sort.Strings(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			d.Fail("relation has duplicate column %q", sorted[i])
-			return false
-		}
+	if d.Err() != nil {
+		return nil
 	}
-	if fd == nil {
-		return true
-	}
-	all := append(append([]string(nil), fd.Domain...), fd.Range...)
-	sort.Strings(all)
-	if len(all) != len(sorted) {
-		d.Fail("relation FD covers %d columns, relation has %d", len(all), len(sorted))
-		return false
-	}
-	for i := range all {
-		if all[i] != sorted[i] {
-			d.Fail("relation FD domain+range does not partition columns")
-			return false
-		}
-	}
-	return true
+	return state.Rel{R: b.Done()}
 }
 
 func (d *dec) op() oplog.Op {
@@ -346,8 +327,8 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 
 func decodeTrace(raw []byte) (t *Trace, err error) {
 	// Backstop for the never-panic contract: malformed-but-CRC-valid input
-	// paths are vetted explicitly (see validRelSchema), but any invariant
-	// panic that slips through must still surface as a typed rejection.
+	// paths are vetted explicitly (see rel), but any invariant panic that
+	// slips through must still surface as a typed rejection.
 	defer func() {
 		if p := recover(); p != nil {
 			t, err = nil, fsio.Errorf(fsio.BadRecord, "panic decoding trace: %v", p)

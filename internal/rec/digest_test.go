@@ -26,26 +26,31 @@ func randValue(rng *rand.Rand) state.Value {
 		}
 		return l
 	default:
-		r := relation.New([]string{"k", "v"}, &relation.FD{Domain: []string{"k"}, Range: []string{"v"}})
+		r := relation.New()
 		for n := rng.Intn(6); n > 0; n-- {
-			r.Insert(relation.Tuple{"k": strconv.Itoa(rng.Intn(8)), "v": strconv.Itoa(rng.Intn(3))})
+			r.Put(strconv.Itoa(rng.Intn(8)), strconv.Itoa(rng.Intn(3)))
 		}
 		return state.Rel{R: r}
 	}
 }
 
 // reordered returns an Equal state built in a different order: locations
-// bound last to first, relations refilled from their tuples back to front.
+// bound last to first, relations refilled from their bindings back to
+// front.
 func reordered(st *state.State) *state.State {
 	out := state.New()
 	locs := st.Locs()
 	for i := len(locs) - 1; i >= 0; i-- {
 		v, _ := st.Get(locs[i])
 		if rel, ok := v.(state.Rel); ok {
-			r := relation.New(rel.R.Cols(), rel.R.FDef())
-			ts := rel.R.Tuples()
-			for j := len(ts) - 1; j >= 0; j-- {
-				r.Insert(ts[j])
+			var kvs [][2]string
+			rel.R.Range(func(k, v string) bool {
+				kvs = append(kvs, [2]string{k, v})
+				return true
+			})
+			r := relation.New()
+			for j := len(kvs) - 1; j >= 0; j-- {
+				r.Put(kvs[j][0], kvs[j][1])
 			}
 			v = state.Rel{R: r}
 		}
@@ -118,7 +123,7 @@ func TestDigestFollowsEqual(t *testing.T) {
 			case state.IntList:
 				b.Set(l, append(state.IntList{7}, x...))
 			case state.Rel:
-				x.R.Insert(relation.Tuple{"k": strconv.Itoa(rng.Intn(8)), "v": "changed"})
+				x.R.Put(strconv.Itoa(rng.Intn(8)), "changed")
 			}
 		}
 		if a.Equal(b) || Digest(a) == Digest(b) {
@@ -132,9 +137,9 @@ func kvState(n int) *state.State {
 	st := state.New()
 	st.Set("work", state.Int(n))
 	st.Set("name", state.Str("tenant"))
-	r := relation.New([]string{"k", "v"}, &relation.FD{Domain: []string{"k"}, Range: []string{"v"}})
+	r := relation.New()
 	for i := 0; i < n; i++ {
-		r.Insert(relation.Tuple{"k": strconv.Itoa(i), "v": "init"})
+		r.Put(strconv.Itoa(i), "init")
 	}
 	st.Set("kv", state.Rel{R: r})
 	return st

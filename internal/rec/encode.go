@@ -3,11 +3,13 @@ package rec
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/adt"
 	"repro/internal/fsio"
 	"repro/internal/oplog"
+	"repro/internal/relation"
 	"repro/internal/state"
 )
 
@@ -161,57 +163,47 @@ func (e *enc) value(v state.Value) {
 	}
 }
 
-// rel encodes a relational value: columns, functional dependency, and the
-// tuple set in deterministic (sorted) order.
+// rel encodes a relational value in the layout of the general relations
+// the format was first written for, which a {k, v} relation with FD k → v
+// fills in: its columns, its functional dependency, and its tuples in
+// wireOrder, each as its sorted column/value pairs.
 func (e *enc) rel(v state.Rel) {
-	cols := v.R.Cols()
-	e.u(uint64(len(cols)))
-	for _, c := range cols {
-		e.str(c)
-	}
-	fd := v.R.FDef()
-	if fd == nil {
-		e.bool(false)
-	} else {
-		e.bool(true)
-		e.u(uint64(len(fd.Domain)))
-		for _, c := range fd.Domain {
-			e.str(c)
-		}
-		e.u(uint64(len(fd.Range)))
-		for _, c := range fd.Range {
-			e.str(c)
-		}
-	}
-	tuples := v.R.Tuples()
-	wireKeys := make([]string, len(tuples))
-	order := make([]int, len(tuples))
-	for i, t := range tuples {
-		wireKeys[i], order[i] = tupleKey(t, cols), i
-	}
-	sort.Slice(order, func(a, b int) bool { return wireKeys[order[a]] < wireKeys[order[b]] })
-	e.u(uint64(len(tuples)))
-	for _, i := range order {
-		t := tuples[i]
-		e.u(uint64(len(t)))
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			e.str(k)
-			e.str(t[k])
-		}
+	e.u(2)
+	e.str(relation.Domain)
+	e.str(relation.Range)
+	e.bool(true)
+	e.u(1)
+	e.str(relation.Domain)
+	e.u(1)
+	e.str(relation.Range)
+	kvs := make([][2]string, 0, v.R.Len())
+	v.R.Each(func(k, val string) bool {
+		kvs = append(kvs, [2]string{k, val})
+		return true
+	})
+	slices.SortFunc(kvs, wireOrder)
+	e.u(uint64(len(kvs)))
+	for _, kv := range kvs {
+		e.u(2)
+		e.str(relation.Domain)
+		e.str(kv[0])
+		e.str(relation.Range)
+		e.str(kv[1])
 	}
 }
 
-func tupleKey(t map[string]string, cols []string) string {
-	key := ""
-	for _, c := range cols {
-		key += t[c] + "\x00"
+// wireOrder orders bindings as the format has always ordered its tuples:
+// by the string k+"\x00"+v+"\x00". That is key order, except where one key
+// is another followed by a NUL byte; only there are the strings built.
+func wireOrder(a, b [2]string) int {
+	short, long := a[0], b[0]
+	if len(short) > len(long) {
+		short, long = long, short
 	}
-	return key
+	if !strings.HasPrefix(long, short) || len(long) > len(short) && long[len(short)] != 0 {
+		return strings.Compare(a[0], b[0])
+	}
+	return strings.Compare(a[0]+"\x00"+a[1]+"\x00", b[0]+"\x00"+b[1]+"\x00")
 }
 
 // op encodes one concrete operation. The caller must have vetted the log

@@ -11,7 +11,6 @@ import (
 	"repro/internal/adt"
 	"repro/internal/fsio"
 	"repro/internal/oplog"
-	"repro/internal/relation"
 	"repro/internal/state"
 	"repro/internal/stm"
 )
@@ -282,11 +281,14 @@ func validTrace(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
+// fdSpec is a functional dependency as the trace layout spells it.
+type fdSpec struct{ Domain, Range []string }
+
 // craftRelTrace hand-builds a CRC-valid trace whose header snapshot holds
 // one relation value with the given schema, bypassing the encoder's
 // invariants — the shape of a crafted or corrupted-but-checksummed
 // artifact.
-func craftRelTrace(cols []string, fd *relation.FD) []byte {
+func craftRelTrace(cols []string, fd *fdSpec) []byte {
 	e := newEnc(true)
 	e.str("crafted")   // workload
 	e.str("write-set") // detector
@@ -320,21 +322,24 @@ func craftRelTrace(cols []string, fd *relation.FD) []byte {
 }
 
 // TestCraftedRelationRejection pins the never-panic contract against
-// CRC-valid traces whose relation schema violates relation.New's
-// invariants: decoding must return BadRecord, not panic.
+// CRC-valid traces whose relation schema is not {k, v} with FD k → v, the
+// one schema a relation has: decoding must return BadRecord, not panic.
 func TestCraftedRelationRejection(t *testing.T) {
 	cases := []struct {
 		name string
 		cols []string
-		fd   *relation.FD
+		fd   *fdSpec
 		ok   bool
 	}{
-		{"valid", []string{"k", "v"}, &relation.FD{Domain: []string{"k"}, Range: []string{"v"}}, true},
-		{"valid-no-fd", []string{"k", "v"}, nil, true},
-		{"fd-not-partition", []string{"a", "b"}, &relation.FD{Domain: []string{"a"}, Range: []string{"a"}}, false},
-		{"fd-extra-column", []string{"a"}, &relation.FD{Domain: []string{"a"}, Range: []string{"b"}}, false},
-		{"fd-missing-column", []string{"a", "b"}, &relation.FD{Domain: []string{"a"}, Range: nil}, false},
-		{"duplicate-columns", []string{"a", "a"}, &relation.FD{Domain: []string{"a"}, Range: []string{"a"}}, false},
+		{"valid", []string{"k", "v"}, &fdSpec{Domain: []string{"k"}, Range: []string{"v"}}, true},
+		{"no-fd", []string{"k", "v"}, nil, false},
+		{"fd-reversed", []string{"k", "v"}, &fdSpec{Domain: []string{"v"}, Range: []string{"k"}}, false},
+		{"columns-reversed", []string{"v", "k"}, &fdSpec{Domain: []string{"k"}, Range: []string{"v"}}, false},
+		{"wide", []string{"k", "v", "w"}, &fdSpec{Domain: []string{"k"}, Range: []string{"v", "w"}}, false},
+		{"fd-not-partition", []string{"a", "b"}, &fdSpec{Domain: []string{"a"}, Range: []string{"a"}}, false},
+		{"fd-extra-column", []string{"a"}, &fdSpec{Domain: []string{"a"}, Range: []string{"b"}}, false},
+		{"fd-missing-column", []string{"a", "b"}, &fdSpec{Domain: []string{"a"}, Range: nil}, false},
+		{"duplicate-columns", []string{"a", "a"}, &fdSpec{Domain: []string{"a"}, Range: []string{"a"}}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

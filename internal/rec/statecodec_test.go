@@ -4,6 +4,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/fsio"
@@ -17,9 +18,9 @@ func codecState() *state.State {
 	st.Set("s", state.Str("hello"))
 	st.Set("b", state.Bool(true))
 	st.Set("l", state.IntList{3, 1, 4, 1, 5})
-	r := relation.New([]string{"k", "v"}, &relation.FD{Domain: []string{"k"}, Range: []string{"v"}})
-	r.Insert(relation.Tuple{"k": "a", "v": "1"})
-	r.Insert(relation.Tuple{"k": "b", "v": "2"})
+	r := relation.New()
+	r.Put("a", "1")
+	r.Put("b", "2")
 	st.Set("rel", state.Rel{R: r})
 	return st
 }
@@ -88,53 +89,48 @@ func TestStateCodecRejectsCorruption(t *testing.T) {
 }
 
 // goldenState is a fixed state mixing every value kind, with relations
-// (single- and multi-column FD, no FD) whose insertion order, canonical
-// Tuples() order and EncodeState order all differ.
+// whose insertion order, String order and EncodeState order all differ:
+// "esc" holds keys whose rendering escapes a byte or sorts a byte below
+// ',', so that its String order is not its key order.
 func goldenState() *state.State {
 	st := state.New()
 	st.Set("n", state.Int(-42))
 	st.Set("s", state.Str("héllo"))
 	st.Set("b", state.Bool(true))
 	st.Set("l", state.IntList{3, 1, 4, 1, 5})
-	kv := relation.New([]string{"k", "v"}, &relation.FD{Domain: []string{"k"}, Range: []string{"v"}})
+	kv := relation.New()
 	for i, k := range []string{"9", "10", "b", "a", "", "a0", "Z"} {
-		kv.Insert(relation.Tuple{"k": k, "v": strconv.Itoa(7 - i)})
+		kv.Put(k, strconv.Itoa(7-i))
 	}
-	kv.Insert(relation.Tuple{"k": "10", "v": "replaced"})
-	kv.Remove(relation.Tuple{"k": "b", "v": "5"})
+	kv.Put("10", "replaced")
+	kv.Delete("b")
 	st.Set("kv", state.Rel{R: kv})
-	wide := relation.New([]string{"z", "x", "y"}, &relation.FD{Domain: []string{"y", "x"}, Range: []string{"z"}})
-	wide.Insert(relation.Tuple{"x": "1", "y": "2", "z": "c"})
-	wide.Insert(relation.Tuple{"x": "1", "y": "1", "z": "d"})
-	wide.Insert(relation.Tuple{"x": "0", "y": "2", "z": "a"})
-	wide.Insert(relation.Tuple{"x": "1", "y": "2", "z": "b"})
-	st.Set("wide", state.Rel{R: wide})
-	set := relation.New([]string{"q", "p"}, nil)
-	for _, pq := range [][2]string{{"2", "1"}, {"1", "2"}, {"1", "1"}, {"10", "0"}} {
-		set.Insert(relation.Tuple{"p": pq[0], "q": pq[1]})
+	esc := relation.New()
+	for _, p := range [][2]string{{"a", "1"}, {"a!", "2"}, {"a,", "3"}, {"a-", "4"}, {`x=y`, "v,w"}, {`\`, `=`}} {
+		esc.Put(p[0], p[1])
 	}
-	st.Set("set", state.Rel{R: set})
-	st.Set("empty", state.Rel{R: relation.New([]string{"k"}, nil)})
+	st.Set("esc", state.Rel{R: esc})
+	st.Set("empty", state.Rel{R: relation.New()})
 	return st
 }
 
-// The golden string and bytes were produced by the map-plus-sort relation
-// this package was first written against: the canonical Tuples() order is
-// wire format. The digest is the format-2 one (sum of element hashes, see
-// package digest); journals, snapshots and recorded traces on disk carry
-// these digests and bytes.
+// The golden string, digest and bytes were computed from the same state
+// by the general tuple relation this package was first written against,
+// which stored a {k, v} relation as tuples under FD k → v: the canonical
+// order of its tuples is wire format, and the digest is the format-2 one
+// (sum of element hashes, see package digest). Journals, snapshots and
+// recorded traces on disk carry these digests and bytes.
 const (
-	goldenDigest = 0xdecbd9e19108730d
-	goldenString = "⟨b↦true, empty↦{}, kv↦{(k=,v=3) (k=10,v=replaced) (k=9,v=7) (k=Z,v=1) (k=a,v=4) (k=a0,v=2)}, " +
-		"l↦[3 1 4 1 5], n↦-42, s↦héllo, set↦{(p=1,q=1) (p=1,q=2) (p=10,q=0) (p=2,q=1)}, " +
-		"wide↦{(x=0,y=2,z=a) (x=1,y=1,z=d) (x=1,y=2,z=b)}⟩"
-	goldenBytes = "0800016203010005656d707479050100016b000000026b76050200016b000176010100016b01000176060200016b0000000176" +
-		"0001330200016b0002313000017600087265706c616365640200016b0001390001760001370200016b00015a00017600013102" +
-		"00016b0001610001760001340200016b0002613000017600013200016c0405060208020a00016e015300017302000668c3a96c" +
-		"6c6f000373657405020001700001710004020001700001310001710001310200017000013100017100013202000170000231" +
-		"3000017100013002000170000132000171000131000477696465050300017800017900017a01020001790001780100017a03" +
-		"0300017800013000017900013200017a0001610300017800013100017900013100017a000164030001780001310001790001" +
-		"3200017a000162"
+	goldenDigest = 0x6b4db1af651862de
+	goldenString = "⟨b↦true, empty↦{}, esc↦{(k=\\\\,v=\\=) (k=a!,v=2) (k=a,v=1) (k=a-,v=4) (k=a\\,,v=3) (k=x\\=y,v=v\\,w)}, " +
+		"kv↦{(k=,v=3) (k=10,v=replaced) (k=9,v=7) (k=Z,v=1) (k=a,v=4) (k=a0,v=2)}, " +
+		"l↦[3 1 4 1 5], n↦-42, s↦héllo⟩"
+	goldenBytes = "0700016203010005656d707479050200016b000176010100016b01000176000003657363050200016b000176010100016b01" +
+		"000176060200016b00015c00017600013d0200016b0001610001760001310200016b000261210001760001320200016b0002" +
+		"612c0001760001330200016b0002612d0001760001340200016b0003783d790001760003762c7700026b76050200016b0001" +
+		"76010100016b01000176060200016b00000001760001330200016b0002313000017600087265706c616365640200016b0001" +
+		"390001760001370200016b00015a0001760001310200016b0001610001760001340200016b0002613000017600013200016c" +
+		"0405060208020a00016e015300017302000668c3a96c6c6f"
 )
 
 // TestGoldenDigestAndEncoding pins the on-disk formats across storage
@@ -162,6 +158,70 @@ func TestGoldenDigestAndEncoding(t *testing.T) {
 	}
 	if !got.Equal(st) || Digest(got) != goldenDigest {
 		t.Fatalf("stored snapshot decodes to %s", got)
+	}
+}
+
+// TestGoldenNulKeyOrder pins the one place where the tuple order on the
+// wire is not key order: a key that is another key followed by a NUL byte.
+// The general tuple relation sorted tuples by k+"\x00"+v+"\x00", so "a\x00"
+// and "a\x00y" precede "a"; the string, digest and bytes below are what it
+// produced from this state.
+func TestGoldenNulKeyOrder(t *testing.T) {
+	const (
+		wantString = "⟨nul↦{(k=,v=0) (k=a\x00,v=x) (k=a\x00y,v=) (k=a,v=z) (k=b,v=1)}⟩"
+		wantDigest = 0xb02589066797e054
+		wantBytes  = "0100036e756c050200016b000176010100016b01000176050200016b00000001760001300200016b0002610000017600" +
+			"01780200016b000361007900017600000200016b00016100017600017a0200016b000162000176000131"
+	)
+	st := state.New()
+	r := relation.New()
+	for _, p := range [][2]string{{"a", "z"}, {"a\x00", "x"}, {"a\x00y", ""}, {"b", "1"}, {"", "0"}} {
+		r.Put(p[0], p[1])
+	}
+	st.Set("nul", state.Rel{R: r})
+	if got := st.String(); got != wantString {
+		t.Fatalf("State.String() = %q, want %q", got, wantString)
+	}
+	if got := Digest(st); got != wantDigest {
+		t.Fatalf("Digest = %016x, want %016x", got, uint64(wantDigest))
+	}
+	buf, err := EncodeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := hex.EncodeToString(buf); got != wantBytes {
+		t.Fatalf("EncodeState bytes changed:\n got %s\nwant %s", got, wantBytes)
+	}
+	if got, err := DecodeState(buf); err != nil || !got.Equal(st) {
+		t.Fatalf("DecodeState = %v, %v; want %s", got, err, st)
+	}
+}
+
+// TestWireOrderMatchesJoinedKeys: wireOrder agrees with comparing the
+// joined strings k+"\x00"+v+"\x00" on every pair of bindings over keys and
+// values of up to three bytes from {NUL, 'a'}.
+func TestWireOrderMatchesJoinedKeys(t *testing.T) {
+	strs := []string{""}
+	for n := 0; n < 3; n++ {
+		for _, s := range strs {
+			if len(s) == n {
+				strs = append(strs, s+"\x00", s+"a")
+			}
+		}
+	}
+	var kvs [][2]string
+	for _, k := range strs {
+		for _, v := range strs {
+			kvs = append(kvs, [2]string{k, v})
+		}
+	}
+	for _, a := range kvs {
+		for _, b := range kvs {
+			want := strings.Compare(a[0]+"\x00"+a[1]+"\x00", b[0]+"\x00"+b[1]+"\x00")
+			if got := wireOrder(a, b); got != want {
+				t.Fatalf("wireOrder(%q, %q) = %d, want %d", a, b, got, want)
+			}
+		}
 	}
 }
 
@@ -204,6 +264,81 @@ func TestDecodeStateDuplicateLocKeyLastWins(t *testing.T) {
 	if got := v.String(); got != "{(k=a,v=second) (k=b,v=only)}" {
 		t.Fatalf("decoded relation = %s, want the later k=a tuple to win", got)
 	}
+	put := relation.New()
+	put.Put("a", "first")
+	put.Put("b", "only")
+	put.Put("a", "second")
+	if r := v.(state.Rel).R; !r.Equal(put) || r.Digest() != put.Digest() {
+		t.Fatalf("decoded relation %s (digest %016x) is not the one the puts build (digest %016x)", r, r.Digest(), put.Digest())
+	}
+}
+
+// generalRelSnapshot hand-builds a one-location snapshot of a relation
+// over cols with FD fd (nil for none) holding tuples, each a list of
+// column/value pairs: the layout of a relation that is not {k, v} with
+// k → v, which the general relations of earlier versions could hold.
+func generalRelSnapshot(cols []string, fd *fdSpec, tuples ...[][2]string) []byte {
+	e := newEnc(true)
+	e.u(1)
+	e.str("r")
+	e.byte(valRel)
+	e.u(uint64(len(cols)))
+	for _, c := range cols {
+		e.str(c)
+	}
+	e.bool(fd != nil)
+	if fd != nil {
+		for _, side := range [][]string{fd.Domain, fd.Range} {
+			e.u(uint64(len(side)))
+			for _, c := range side {
+				e.str(c)
+			}
+		}
+	}
+	e.u(uint64(len(tuples)))
+	for _, t := range tuples {
+		e.u(uint64(len(t)))
+		for _, cv := range t {
+			e.str(cv[0])
+			e.str(cv[1])
+		}
+	}
+	return e.buf
+}
+
+// generalSchemaSnapshots are one snapshot per general schema a relation
+// could have before relations became {k, v} with k → v: a wide FD, a set
+// without one, and an empty one-column relation.
+func generalSchemaSnapshots() map[string][]byte {
+	return map[string][]byte{
+		"wide": generalRelSnapshot([]string{"x", "y", "z"}, &fdSpec{Domain: []string{"y", "x"}, Range: []string{"z"}},
+			[][2]string{{"x", "0"}, {"y", "2"}, {"z", "a"}}, [][2]string{{"x", "1"}, {"y", "1"}, {"z", "d"}}),
+		"set": generalRelSnapshot([]string{"p", "q"}, nil,
+			[][2]string{{"p", "1"}, {"q", "1"}}, [][2]string{{"p", "10"}, {"q", "0"}}),
+		"empty": generalRelSnapshot([]string{"k"}, nil),
+	}
+}
+
+// TestDecodeStateRejectsGeneralSchemas: a relation in any schema but
+// {k, v} with k → v, and a {k, v} tuple missing a column or carrying a
+// foreign one, is a typed BadRecord, not a panic and not a relation.
+func TestDecodeStateRejectsGeneralSchemas(t *testing.T) {
+	kv := &fdSpec{Domain: []string{"k"}, Range: []string{"v"}}
+	cases := generalSchemaSnapshots()
+	cases["partial-tuple"] = generalRelSnapshot([]string{"k", "v"}, kv, [][2]string{{"k", "a"}})
+	cases["foreign-column"] = generalRelSnapshot([]string{"k", "v"}, kv, [][2]string{{"k", "a"}, {"w", "1"}})
+	cases["columns-swapped"] = generalRelSnapshot([]string{"k", "v"}, kv, [][2]string{{"v", "1"}, {"k", "a"}})
+	for name, snap := range cases {
+		_, err := DecodeState(snap)
+		var te *fsio.FrameError
+		if !errors.As(err, &te) || te.Reason != fsio.BadRecord {
+			t.Errorf("%s: err = %v, want a BadRecord *fsio.FrameError", name, err)
+		}
+	}
+	good := generalRelSnapshot([]string{"k", "v"}, kv, [][2]string{{"k", "a"}, {"v", "1"}})
+	if _, err := DecodeState(good); err != nil {
+		t.Fatalf("the {k, v} snapshot the helper builds is rejected: %v", err)
+	}
 }
 
 // valuelessLocationSnapshot binds one location to the "none" tag, which
@@ -236,6 +371,7 @@ func FuzzDecodeState(f *testing.F) {
 	f.Add(valuelessLocationSnapshot())
 	f.Add([]byte{})
 	f.Add([]byte{0})
+	f.Add(generalSchemaSnapshots()["wide"])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		st, err := DecodeState(data)
 		if err != nil {

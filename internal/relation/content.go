@@ -2,25 +2,38 @@ package relation
 
 import "repro/internal/logic"
 
-// This file implements the Table 4 update rules on content formulas: each
-// primitive relational operation the ADTs issue is mirrored as a
-// transformation of the propositional formula describing the relation's
-// content. Chaining these rules over a sequence of operations yields a
-// symbolic description of the sequence's composite effect, which
-// training (internal/train) compares for equivalence with SAT.
+// This file implements the Table 4 content formulas: a relation's content
+// as a propositional formula over column=value atoms, and the update rules
+// that mirror each primitive relational operation the ADTs issue as a
+// transformation of that formula. Chaining the rules over a sequence of
+// operations yields a symbolic description of the sequence's composite
+// effect, which training (internal/train) compares for equivalence with
+// SAT.
 
-// ContentInsert returns the content formula after "insert r t":
-// (fr ∧ ¬∧_{c∈Cdom} c=t_c) ∨ ∧_{c∈C} c=t_c.
-func (r *Relation) ContentInsert(fr logic.Formula, t Tuple) logic.Formula {
-	return logic.Or(
-		logic.And(fr, logic.Not(r.DomainFormula(t))),
-		TupleFormula(t),
-	)
+// bindingFormula is k=key ∧ v=val, the tuple formula of the binding.
+func bindingFormula(key, val string) logic.Formula {
+	return logic.And(logic.Atom{Col: Domain, Val: key}, logic.Atom{Col: Range, Val: val})
 }
 
-// ContentRemoveMatching returns the content formula after removing every
-// tuple matching t (the matching-removal JANUS ADT operations use):
-// fr ∧ ¬∧_{c∈Cdom} c=t_c.
-func (r *Relation) ContentRemoveMatching(fr logic.Formula, t Tuple) logic.Formula {
-	return logic.And(fr, logic.Not(r.DomainFormula(t)))
+// ContentFormula returns the relation's content: the disjunction over its
+// bindings, in key order, of k=key ∧ v=val. The empty relation is false.
+func (r *Relation) ContentFormula() logic.Formula {
+	disjuncts := make([]logic.Formula, 0, r.n)
+	r.Range(func(k, v string) bool {
+		disjuncts = append(disjuncts, bindingFormula(k, v))
+		return true
+	})
+	return logic.Or(disjuncts...)
+}
+
+// ContentPut returns the content formula after binding key to val (the
+// Table 4 insert rule): (f ∧ ¬k=key) ∨ (k=key ∧ v=val).
+func ContentPut(f logic.Formula, key, val string) logic.Formula {
+	return logic.Or(logic.And(f, logic.Not(logic.Atom{Col: Domain, Val: key})), bindingFormula(key, val))
+}
+
+// ContentDelete returns the content formula after unbinding key (the
+// matching removal the ADT operations use): f ∧ ¬k=key.
+func ContentDelete(f logic.Formula, key string) logic.Formula {
+	return logic.And(f, logic.Not(logic.Atom{Col: Domain, Val: key}))
 }

@@ -49,11 +49,11 @@ func TestIntList(t *testing.T) {
 }
 
 func TestRelValue(t *testing.T) {
-	r := relation.New([]string{"k", "v"}, &relation.FD{Domain: []string{"k"}, Range: []string{"v"}})
-	r.Insert(relation.Tuple{"k": "1", "v": "a"})
+	r := relation.New()
+	r.Put("1", "a")
 	rv := Rel{R: r}
 	cl := rv.CloneValue().(Rel)
-	cl.R.Insert(relation.Tuple{"k": "2", "v": "b"})
+	cl.R.Put("2", "b")
 	if r.Len() != 1 {
 		t.Fatalf("clone must be deep")
 	}

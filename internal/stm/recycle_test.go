@@ -144,16 +144,18 @@ func putGet(key, val string) adt.Task {
 
 // TestSteadyStateRelAllocs pins the built-in relational path the same
 // way: a warm round of two put+get transactions on disjoint keys of one
-// KVMap, at the count the path had when the pin was set. Most of it is
-// the relation's own: each transaction's private clone, each insert's
-// tuple copy and path copy of the persistent map (at execution and again
-// at the commit's replay), and each get's probe tuple. One more object
-// per operation or per transaction fails the bound.
+// KVMap, at the count the path had when the pin was set. Per transaction
+// that is the two operations' boxes, the get's result, the private clone
+// of the relation and the put's one-level path copy; the outer one's
+// commit replays its put on the relation the inner one committed, a
+// clone and a path copy more. The footprints name the raw keys and
+// allocate nothing. One more object per operation or per transaction
+// fails the bound.
 func TestSteadyStateRelAllocs(t *testing.T) {
 	st := state.New()
 	st.Set("kv", adt.NewRelValue())
 	best := warmRoundAllocs(t, st, putGet("a", "1"), putGet("b", "2"))
-	const pinned = 48
+	const pinned = 17
 	if best > pinned {
 		t.Fatalf("a warm round of two put+get transactions allocates %.0f objects, want at most %d", best, pinned)
 	}

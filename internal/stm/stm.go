@@ -8,7 +8,7 @@
 // Privatization (§4.1 "Versioning") is copy-on-access: a transaction's
 // private view faults each location in from the committed store on first
 // touch, and relational values clone in O(1) because their versions share
-// structure (internal/persist) — the improvement the paper proposes over
+// structure (internal/relation) — the improvement the paper proposes over
 // its prototype's deep copy of the whole state at every begin. A begin
 // therefore costs nothing up front and a transaction pays only for its
 // footprint; it never blocks on the commit path.

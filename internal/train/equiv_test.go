@@ -11,12 +11,8 @@ import (
 
 // The §6.2 equivalence judgment on Table 4 content formulas.
 
-func bitset() *relation.Relation {
-	return relation.New([]string{"idx", "val"},
-		&relation.FD{Domain: []string{"idx"}, Range: []string{"val"}})
-}
-
-func tup(i, v string) relation.Tuple { return relation.Tuple{"idx": i, "val": v} }
+// bitset is an empty BitSet relation (index → bit).
+func bitset() *relation.Relation { return relation.New() }
 
 func TestTrivialEquivalences(t *testing.T) {
 	a := logic.Atom{Col: "x", Val: "1"}
@@ -64,15 +60,15 @@ func TestInsertOrderIndependence(t *testing.T) {
 	f1, f2 := r1.ContentFormula(), r2.ContentFormula()
 
 	// Order A: set(1), set(2). Order B: set(2), set(1).
-	f1 = r1.ContentInsert(f1, tup("1", "1"))
-	r1.Insert(tup("1", "1"))
-	f1 = r1.ContentInsert(f1, tup("2", "1"))
-	r1.Insert(tup("2", "1"))
+	f1 = relation.ContentPut(f1, "1", "1")
+	r1.Put("1", "1")
+	f1 = relation.ContentPut(f1, "2", "1")
+	r1.Put("2", "1")
 
-	f2 = r2.ContentInsert(f2, tup("2", "1"))
-	r2.Insert(tup("2", "1"))
-	f2 = r2.ContentInsert(f2, tup("1", "1"))
-	r2.Insert(tup("1", "1"))
+	f2 = relation.ContentPut(f2, "2", "1")
+	r2.Put("2", "1")
+	f2 = relation.ContentPut(f2, "1", "1")
+	r2.Put("1", "1")
 
 	eq, err := equivalent(f1, f2, satBudget)
 	if err != nil {
@@ -85,8 +81,8 @@ func TestInsertOrderIndependence(t *testing.T) {
 
 func TestConflictingWritesDistinct(t *testing.T) {
 	r1, r2 := bitset(), bitset()
-	f1 := r1.ContentInsert(r1.ContentFormula(), tup("1", "0"))
-	f2 := r2.ContentInsert(r2.ContentFormula(), tup("1", "1"))
+	f1 := relation.ContentPut(r1.ContentFormula(), "1", "0")
+	f2 := relation.ContentPut(r2.ContentFormula(), "1", "1")
 	eq, err := equivalent(f1, f2, satBudget)
 	if err != nil {
 		t.Fatal(err)
@@ -107,26 +103,20 @@ func TestRandomSequencesAgainstConcrete(t *testing.T) {
 		fA, fB := rA.ContentFormula(), rB.ContentFormula()
 		for step := 0; step < 6; step++ {
 			i, v := strconv.Itoa(rng.Intn(3)), strconv.Itoa(rng.Intn(2))
-			u := tup(i, v)
 			if rng.Intn(2) == 0 {
-				fA = rA.ContentInsert(fA, u)
-				rA.Insert(u)
+				fA = relation.ContentPut(fA, i, v)
+				rA.Put(i, v)
 			} else {
-				fA = rA.ContentRemoveMatching(fA, u)
-				for _, m := range rA.Matching(u) {
-					rA.Remove(m)
-				}
+				fA = relation.ContentDelete(fA, i)
+				rA.Delete(i)
 			}
 			i, v = strconv.Itoa(rng.Intn(3)), strconv.Itoa(rng.Intn(2))
-			u = tup(i, v)
 			if rng.Intn(2) == 0 {
-				fB = rB.ContentInsert(fB, u)
-				rB.Insert(u)
+				fB = relation.ContentPut(fB, i, v)
+				rB.Put(i, v)
 			} else {
-				fB = rB.ContentRemoveMatching(fB, u)
-				for _, m := range rB.Matching(u) {
-					rB.Remove(m)
-				}
+				fB = relation.ContentDelete(fB, i)
+				rB.Delete(i)
 			}
 		}
 		eq, err := equivalent(fA, fB, satBudget)

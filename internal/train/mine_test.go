@@ -65,7 +65,7 @@ func TestMineRelationalPerKey(t *testing.T) {
 		{1, adt.RelPutOp{L: "bits", Key: "2", Val: "1"}},
 		{2, adt.RelPutOp{L: "bits", Key: "1", Val: "1"}},
 	})
-	k1, k2 := oplog.PLoc{Loc: "bits", Key: "k=1"}, oplog.PLoc{Loc: "bits", Key: "k=2"}
+	k1, k2 := oplog.PLoc{Loc: "bits", Key: "1"}, oplog.PLoc{Loc: "bits", Key: "2"}
 	mined := Mine(l)
 	if got := len(mined[k1]); got != 2 {
 		t.Errorf("k=1 sequences = %d, want 2", got)
@@ -74,7 +74,7 @@ func TestMineRelationalPerKey(t *testing.T) {
 		t.Errorf("k=2 sequences = %d, want 1", got)
 	}
 	if shared := SharedPLocs(mined); !reflect.DeepEqual(shared, []oplog.PLoc{k1}) {
-		t.Errorf("shared = %v, want [bits#k=1]", shared)
+		t.Errorf("shared = %v, want [bits#1]", shared)
 	}
 }
 
@@ -84,7 +84,7 @@ func TestClearFoldsIntoKeyChains(t *testing.T) {
 		{2, adt.RelClearOp{L: "bits"}}, // clears key 3: write access to k=3
 		{2, adt.RelPutOp{L: "bits", Key: "3", Val: "1"}},
 	})
-	seqs := Mine(l)[oplog.PLoc{Loc: "bits", Key: "k=3"}]
+	seqs := Mine(l)[oplog.PLoc{Loc: "bits", Key: "3"}]
 	if len(seqs) != 2 {
 		t.Fatalf("k=3 sequences = %d, want 2: %v", len(seqs), seqs)
 	}

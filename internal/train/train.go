@@ -271,13 +271,9 @@ func syntheticStates(initial *state.State, p oplog.PLoc) []*state.State {
 	case state.IntList:
 		variants = []state.Value{tv, state.IntList{}, state.IntList{11, 22}}
 	case state.Rel:
-		empty := adt.NewRelValue()
 		boundKey := adt.NewRelValue()
-		if p.Key != "" {
-			raw := relation.ParseKey(p.Key)[adt.DomainCol]
-			boundKey.R.Insert(relation.Tuple{adt.DomainCol: raw, adt.RangeCol: "⟂probe"})
-		}
-		variants = []state.Value{tv, empty, boundKey}
+		boundKey.R.Put(p.Key, "⟂probe")
+		variants = []state.Value{tv, adt.NewRelValue(), boundKey}
 	default:
 		variants = []state.Value{tv}
 	}
@@ -314,10 +310,9 @@ func satVerify(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Log
 		return true, nil
 	}
 	rep.SATChecks++
-	r := rv.R.Clone()
-	f0 := r.ContentFormula()
-	fAB := contentAfter(r, contentAfter(r, f0, e1), e2)
-	fBA := contentAfter(r, contentAfter(r, f0, e2), e1)
+	f0 := rv.R.ContentFormula()
+	fAB := contentAfter(contentAfter(f0, e1), e2)
+	fBA := contentAfter(contentAfter(f0, e2), e1)
 	eq, err := equivalent(fAB, fBA, satBudget)
 	if err != nil {
 		// Budget exhausted: treat as a failed proof, drop the entry.
@@ -332,13 +327,13 @@ func satVerify(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Log
 
 // contentAfter folds a relational event sequence over a content formula
 // using the Table 4 update rules. Reads leave the formula unchanged.
-func contentAfter(r *relation.Relation, f logic.Formula, l oplog.Log) logic.Formula {
+func contentAfter(f logic.Formula, l oplog.Log) logic.Formula {
 	for _, e := range l {
 		switch op := e.Op.(type) {
 		case adt.RelPutOp:
-			f = r.ContentInsert(f, relation.Tuple{adt.DomainCol: op.Key, adt.RangeCol: op.Val})
+			f = relation.ContentPut(f, op.Key, op.Val)
 		case adt.RelRemoveOp:
-			f = r.ContentRemoveMatching(f, relation.Tuple{adt.DomainCol: op.Key, adt.RangeCol: ""})
+			f = relation.ContentDelete(f, op.Key)
 		case adt.RelClearOp:
 			f = logic.False
 		}

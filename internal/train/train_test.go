@@ -311,19 +311,19 @@ func TestTaskErrorSurfacesWithTaskNumber(t *testing.T) {
 
 var errSentinel = errors.New("sentinel")
 
-// TestSyntheticStatesBindEscapedKey: the bound-key variant binds the raw
-// key the projection names, escapes undone, so a key holding a separator
-// is probed with its own tuple present.
+// TestSyntheticStatesBindEscapedKey: the bound-key variant binds the key
+// the projection names, which is the raw key, so a key holding a
+// separator is probed with its own tuple present — and so is the empty
+// key, which names a binding, not the whole relation.
 func TestSyntheticStatesBindEscapedKey(t *testing.T) {
-	for _, key := range []string{"plain", "a,b", "a=b", `a\b`} {
+	for _, key := range []string{"plain", "a,b", "a=b", `a\b`, ""} {
 		p := adt.RelPutOp{L: "canvas", Key: key}.AppendAccesses(nil, nil)[0].P
 		states := syntheticStates(initialState(), p)
 		bound := false
 		for _, st := range states {
 			v, _ := st.Get("canvas")
-			for _, tu := range v.(state.Rel).R.Tuples() {
-				bound = bound || tu[adt.DomainCol] == key
-			}
+			_, ok := v.(state.Rel).R.Get(key)
+			bound = bound || ok
 		}
 		if !bound {
 			t.Errorf("key %q (projection %q): no synthetic state binds it", key, p)
@@ -367,9 +367,8 @@ func TestTrainChecksCustomPairs(t *testing.T) {
 	bound := false
 	for _, st := range syntheticStates(initial, p) {
 		v, _ := st.Get("routes")
-		for _, tu := range v.(state.Rel).R.Tuples() {
-			bound = bound || tu[adt.DomainCol] == want
-		}
+		_, ok := v.(state.Rel).R.Get(want)
+		bound = bound || ok
 	}
 	if !bound {
 		t.Errorf("projection %q: no synthetic state binds the key %q", p, want)
