@@ -45,9 +45,11 @@ stress:
 # target first checks that each named test exists: a renamed pin fails
 # here instead of quietly not running.
 ALLOCS_TESTS = \
+	internal/adt:TestHandlesAllocateOnlyTheirResults \
 	internal/adt:TestLoadsReturnTheHeldValue \
 	internal/adt:TestRelAccessesAllocateNothing \
 	internal/commute:TestEvaluateDetailAllocs \
+	internal/conflict:TestWarmDecomposeAllocs \
 	internal/obs:TestDisabledCtxZeroAllocs \
 	internal/rec:TestDigestCostIgnoresTupleCount \
 	internal/relation:TestPointOpsAreSizeIndependent \

@@ -101,7 +101,7 @@ func TestEmptyKeyIsAKey(t *testing.T) {
 			if tr.Lossy || len(tr.Txns) != n {
 				t.Fatalf("trace lossy=%v with %d of %d transactions", tr.Lossy, len(tr.Txns), n)
 			}
-			replayed, err := tr.ReplaySequential(true)
+			replayed, _, err := tr.VerifySequential(nil)
 			if err != nil {
 				t.Fatalf("replay: %v", err)
 			}

@@ -1,6 +1,7 @@
 package adt
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -60,7 +61,7 @@ func TestCounter(t *testing.T) {
 	}
 	// Sub logs a negative add.
 	syms := ex.log.Syms()
-	if syms[1].Kind != KindNumAdd || syms[1].Arg != "-2" {
+	if syms[1].Kind != KindNumAdd || !syms[1].Int || syms[1].N != -2 {
 		t.Errorf("Sub sym = %v", syms[1])
 	}
 }
@@ -253,7 +254,7 @@ func TestRelClearAccessesListPresentKeys(t *testing.T) {
 	for _, i := range []int{5, 10, 1, 2} {
 		_ = b.Set(ex, i)
 	}
-	op := RelClearOp{L: "bits"}
+	op := RelClearOp{L: "bits"}.Op()
 	acc := op.AppendAccesses(nil, ex.st)
 	if len(acc) != 4 {
 		t.Fatalf("clear accesses = %v, want 4 writes", acc)
@@ -284,7 +285,7 @@ func TestLoadsReturnTheHeldValue(t *testing.T) {
 	for _, c := range []struct {
 		op  oplog.Op
 		loc state.Loc
-	}{{StrLoadOp{L: "s"}, "s"}, {NumLoadOp{L: "n"}, "n"}, {BoolLoadOp{L: "b"}, "b"}} {
+	}{{StrLoadOp{L: "s"}.Op(), "s"}, {NumLoadOp{L: "n"}.Op(), "n"}, {BoolLoadOp{L: "b"}.Op(), "b"}} {
 		want, _ := st.Get(c.loc)
 		var got state.Value
 		allocs := testing.AllocsPerRun(100, func() { got, _ = c.op.Apply(st) })
@@ -309,12 +310,12 @@ func TestRelAccessesAllocateNothing(t *testing.T) {
 	st.Set("m", m)
 	dst := make([]oplog.Access, 0, 8)
 	for _, op := range []oplog.Op{
-		RelPutOp{L: "m", Key: "a", Val: "2"},
-		RelRemoveOp{L: "m", Key: "a"},
-		RelRemoveOp{L: "m", Key: "absent"},
-		RelGetOp{L: "m", Key: "c,d"},
-		RelHasOp{L: "m", Key: ""},
-		RelClearOp{L: "m"},
+		RelPutOp{L: "m", Key: "a", Val: "2"}.Op(),
+		RelRemoveOp{L: "m", Key: "a"}.Op(),
+		RelRemoveOp{L: "m", Key: "absent"}.Op(),
+		RelGetOp{L: "m", Key: "c,d"}.Op(),
+		RelHasOp{L: "m", Key: ""}.Op(),
+		RelClearOp{L: "m"}.Op(),
 	} {
 		if allocs := testing.AllocsPerRun(100, func() { dst = op.AppendAccesses(dst[:0], st) }); allocs != 0 {
 			t.Errorf("%v: AppendAccesses allocates %.0f objects, want 0", op, allocs)
@@ -322,35 +323,145 @@ func TestRelAccessesAllocateNothing(t *testing.T) {
 	}
 }
 
+// warmExec is an executor in the runtime's shape (stm's Tx logging into
+// its artifact): it computes an op's footprint into a buffer it reuses and
+// logs the event, operation included, by value into storage it reuses.
+type warmExec struct {
+	st  *state.State
+	acc []oplog.Access
+	log []oplog.Event
+}
+
+func (w *warmExec) Exec(op oplog.Op) (state.Value, error) {
+	w.acc = op.AppendAccesses(w.acc[:0], w.st)
+	v, err := op.Apply(w.st)
+	if err != nil {
+		return nil, err
+	}
+	if len(w.log) == cap(w.log) {
+		w.log = w.log[:0]
+	}
+	w.log = append(w.log, oplog.NewEvent(op, 1, len(w.log), w.acc, v))
+	return v, nil
+}
+
+// TestHandlesAllocateOnlyTheirResults pins that a handle method called
+// through a warm executor allocates what its operation's Apply allocates —
+// the value it computes or returns, a relation's path copy — and nothing
+// more: the operation is logged by value, not boxed. Canvas.DrawPixel
+// renders its "x:y" key, one string of its own. Integers and stack
+// heights are past the runtime's small-integer cache, so a boxed value
+// shows. (A CustomObject's methods validate and render tuples, which
+// allocates by design; they are not pinned here.)
+func TestHandlesAllocateOnlyTheirResults(t *testing.T) {
+	st := state.New()
+	st.Set("n", state.Int(1<<20))
+	st.Set("s", state.Str(""))
+	st.Set("b", state.Bool(false))
+	stack := make(state.IntList, 1000)
+	for i := range stack {
+		stack[i] = 1 << 20
+	}
+	st.Set("l", stack)
+	for _, l := range []state.Loc{"bits", "map", "arr", "canvas"} {
+		st.Set(l, NewRelValue())
+	}
+	bits, m, arr, cv := BitSet{L: "bits"}, KVMap{L: "map"}, IntArray{L: "arr"}, Canvas{L: "canvas"}
+	_ = m.Put(&warmExec{st: st}, "k", "v")
+	_ = arr.Set(&warmExec{st: st}, 3, 42)
+	cases := []struct {
+		name string
+		call func(Executor) error
+		op   oplog.Op // what call logs
+		own  float64  // what the handle allocates of its own
+	}{
+		{"Counter.Add", func(ex Executor) error { return Counter{L: "n"}.Add(ex, 1<<20) }, NumAddOp{L: "n", Delta: 1 << 20}.Op(), 0},
+		{"Counter.Sub", func(ex Executor) error { return Counter{L: "n"}.Sub(ex, 1<<20) }, NumAddOp{L: "n", Delta: -1 << 20}.Op(), 0},
+		{"Counter.Store", func(ex Executor) error { return Counter{L: "n"}.Store(ex, 1<<21) }, NumStoreOp{L: "n", V: 1 << 21}.Op(), 0},
+		{"Counter.Load", func(ex Executor) error { _, err := Counter{L: "n"}.Load(ex); return err }, NumLoadOp{L: "n"}.Op(), 0},
+		{"StrVar.Store", func(ex Executor) error { return StrVar{L: "s"}.Store(ex, "a.go") }, StrStoreOp{L: "s", V: "a.go"}.Op(), 0},
+		{"StrVar.Load", func(ex Executor) error { _, err := StrVar{L: "s"}.Load(ex); return err }, StrLoadOp{L: "s"}.Op(), 0},
+		{"BoolVar.Store", func(ex Executor) error { return BoolVar{L: "b"}.Store(ex, true) }, BoolStoreOp{L: "b", V: true}.Op(), 0},
+		{"BoolVar.Load", func(ex Executor) error { _, err := BoolVar{L: "b"}.Load(ex); return err }, BoolLoadOp{L: "b"}.Op(), 0},
+		{"Stack.Push", func(ex Executor) error { return Stack{L: "l"}.Push(ex, 1<<20) }, ListPushOp{L: "l", V: 1 << 20}.Op(), 0},
+		{"Stack.Pop", func(ex Executor) error { _, err := Stack{L: "l"}.Pop(ex); return err }, ListPopOp{L: "l"}.Op(), 0},
+		{"Stack.Size", func(ex Executor) error { _, err := Stack{L: "l"}.Size(ex); return err }, ListSizeOp{L: "l"}.Op(), 0},
+		{"BitSet.Set", func(ex Executor) error { return bits.Set(ex, 7) }, RelPutOp{L: "bits", Key: "7", Val: "1"}.Op(), 0},
+		{"BitSet.Get", func(ex Executor) error { _, err := bits.Get(ex, 7); return err }, RelHasOp{L: "bits", Key: "7"}.Op(), 0},
+		{"BitSet.Clear", func(ex Executor) error { return bits.Clear(ex, 7) }, RelRemoveOp{L: "bits", Key: "7"}.Op(), 0},
+		{"BitSet.ClearAll", func(ex Executor) error { return bits.ClearAll(ex) }, RelClearOp{L: "bits"}.Op(), 0},
+		{"KVMap.Put", func(ex Executor) error { return m.Put(ex, "k", "w") }, RelPutOp{L: "map", Key: "k", Val: "w"}.Op(), 0},
+		{"KVMap.Get", func(ex Executor) error { _, _, err := m.Get(ex, "k"); return err }, RelGetOp{L: "map", Key: "k"}.Op(), 0},
+		{"KVMap.Has", func(ex Executor) error { _, err := m.Has(ex, "k"); return err }, RelHasOp{L: "map", Key: "k"}.Op(), 0},
+		{"KVMap.Remove", func(ex Executor) error { return m.Remove(ex, "gone") }, RelRemoveOp{L: "map", Key: "gone"}.Op(), 0},
+		{"IntArray.Set", func(ex Executor) error { return arr.Set(ex, 3, 42) }, RelPutOp{L: "arr", Key: "3", Val: "42"}.Op(), 0},
+		{"IntArray.Get", func(ex Executor) error { _, err := arr.Get(ex, 3); return err }, RelGetOp{L: "arr", Key: "3"}.Op(), 0},
+		{"Canvas.DrawPixel", func(ex Executor) error { return cv.DrawPixel(ex, 1, 2, "white") }, RelPutOp{L: "canvas", Key: "1:2", Val: "white"}.Op(), 1},
+	}
+	for _, c := range cases {
+		ex := &warmExec{st: st, log: make([]oplog.Event, 0, 4)}
+		if err := c.call(ex); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := ex.log[0].Op; got != c.op {
+			t.Fatalf("%s logged %v, want %v", c.name, got, c.op)
+		}
+		apply := testing.AllocsPerRun(100, func() { _, _ = c.op.Apply(st) })
+		handle := testing.AllocsPerRun(100, func() { _ = c.call(ex) })
+		if handle != apply+c.own {
+			t.Errorf("%s through a warm executor allocates %.0f objects, want its op's Apply's %.0f + %.0f of its own", c.name, handle, apply, c.own)
+		}
+	}
+}
+
+// TestOpStringsAndSyms pins, for every kind, an op's rendering, its
+// descriptor's rendering and whether it reads. The rows were computed when
+// every argument was rendered into the descriptor as a string, so an
+// integer argument, kept as an integer since, must render as it did then:
+// negative ones and ones past the runtime's 0–99 cache of small-integer
+// strings included.
 func TestOpStringsAndSyms(t *testing.T) {
 	cases := []struct {
 		op   oplog.Op
 		str  string
-		kind string
+		sym  string
 		read bool
 	}{
-		{NumAddOp{L: "w", Delta: 2}, "w+=2", KindNumAdd, false},
-		{NumStoreOp{L: "w", V: 3}, "w=3", KindNumStore, false},
-		{NumLoadOp{L: "w"}, "load(w)", KindNumLoad, true},
-		{StrStoreOp{L: "s", V: "a"}, `s="a"`, KindStrStore, false},
-		{StrLoadOp{L: "s"}, "load(s)", KindStrLoad, true},
-		{BoolStoreOp{L: "b", V: true}, "b=true", KindBoolStore, false},
-		{BoolLoadOp{L: "b"}, "load(b)", KindBoolLoad, true},
-		{ListPushOp{L: "l", V: 4}, "l.push(4)", KindListPush, false},
-		{ListPopOp{L: "l"}, "l.pop()", KindListPop, true},
-		{ListSizeOp{L: "l"}, "l.size()", KindListSize, true},
-		{RelPutOp{L: "r", Key: "1", Val: "x"}, "r[1]=x", KindRelPut, false},
-		{RelRemoveOp{L: "r", Key: "1"}, "del r[1]", KindRelRemove, false},
-		{RelGetOp{L: "r", Key: "1"}, "r[1]", KindRelGet, true},
-		{RelHasOp{L: "r", Key: "1"}, "r.has(1)", KindRelHas, true},
-		{RelClearOp{L: "r"}, "r.clear()", KindRelClear, false},
+		{NumAddOp{L: "c", Delta: 7}.Op(), "c+=7", "num.add(7)", false},
+		{NumAddOp{L: "c", Delta: -300}.Op(), "c+=-300", "num.add(-300)", false},
+		{NumAddOp{L: "c", Delta: 0}.Op(), "c+=0", "num.add(0)", false},
+		{NumAddOp{L: "c", Delta: 99}.Op(), "c+=99", "num.add(99)", false},
+		{NumAddOp{L: "c", Delta: 100}.Op(), "c+=100", "num.add(100)", false},
+		{NumAddOp{L: "c", Delta: -1}.Op(), "c+=-1", "num.add(-1)", false},
+		{NumAddOp{L: "c", Delta: math.MaxInt64}.Op(), "c+=9223372036854775807", "num.add(9223372036854775807)", false},
+		{NumAddOp{L: "c", Delta: math.MinInt64}.Op(), "c+=-9223372036854775808", "num.add(-9223372036854775808)", false},
+		{NumStoreOp{L: "c", V: 123456}.Op(), "c=123456", "num.store(123456)", false},
+		{NumStoreOp{L: "c", V: -7}.Op(), "c=-7", "num.store(-7)", false},
+		{NumLoadOp{L: "c"}.Op(), "load(c)", "num.load", true},
+		{StrStoreOp{L: "s", V: "hello"}.Op(), "s=\"hello\"", "str.store(hello)", false},
+		{StrStoreOp{L: "s", V: ""}.Op(), "s=\"\"", "str.store", false},
+		{StrStoreOp{L: "s", V: "-42"}.Op(), "s=\"-42\"", "str.store(-42)", false},
+		{StrLoadOp{L: "s"}.Op(), "load(s)", "str.load", true},
+		{BoolStoreOp{L: "b", V: true}.Op(), "b=true", "bool.store(true)", false},
+		{BoolStoreOp{L: "b", V: false}.Op(), "b=false", "bool.store(false)", false},
+		{BoolLoadOp{L: "b"}.Op(), "load(b)", "bool.load", true},
+		{ListPushOp{L: "l", V: -5}.Op(), "l.push(-5)", "list.push(-5)", false},
+		{ListPushOp{L: "l", V: 250}.Op(), "l.push(250)", "list.push(250)", false},
+		{ListPopOp{L: "l"}.Op(), "l.pop()", "list.pop", true},
+		{ListSizeOp{L: "l"}.Op(), "l.size()", "list.size", true},
+		{RelPutOp{L: "m", Key: "k", Val: "v"}.Op(), "m[k]=v", "rel.put(v)", false},
+		{RelPutOp{L: "m", Key: "k", Val: ""}.Op(), "m[k]=", "rel.put", false},
+		{RelRemoveOp{L: "m", Key: "k"}.Op(), "del m[k]", "rel.remove", false},
+		{RelGetOp{L: "m", Key: ""}.Op(), "m[]", "rel.get", true},
+		{RelHasOp{L: "m", Key: "k2"}.Op(), "m.has(k2)", "rel.has", true},
+		{RelClearOp{L: "m"}.Op(), "m.clear()", "rel.clear", false},
 	}
 	for _, c := range cases {
 		if got := c.op.String(); got != c.str {
 			t.Errorf("String = %q, want %q", got, c.str)
 		}
-		if got := c.op.Sym().Kind; got != c.kind {
-			t.Errorf("%s: Sym kind = %q, want %q", c.str, got, c.kind)
+		if got := c.op.Sym().String(); got != c.sym {
+			t.Errorf("%s: Sym = %q, want %q", c.str, got, c.sym)
 		}
 		if got := c.op.IsRead(); got != c.read {
 			t.Errorf("%s: IsRead = %v, want %v", c.str, got, c.read)

@@ -119,7 +119,7 @@ func (o CustomObject) Put(ex Executor, t relation.Tuple) error {
 		return fmt.Errorf("adt: tuple %v does not match schema %v", t, o.S.Columns)
 	}
 	key, rng := o.S.split()
-	_, err := ex.Exec(RelPutOp{L: o.L, Key: t.Key(key), Val: t.Key(rng)})
+	_, err := ex.Exec(RelPutOp{L: o.L, Key: t.Key(key), Val: t.Key(rng)}.Op())
 	return err
 }
 
@@ -129,7 +129,7 @@ func (o CustomObject) Delete(ex Executor, key relation.Tuple) error {
 	if err != nil {
 		return err
 	}
-	_, err = ex.Exec(RelRemoveOp{L: o.L, Key: k})
+	_, err = ex.Exec(RelRemoveOp{L: o.L, Key: k}.Op())
 	return err
 }
 
@@ -139,7 +139,7 @@ func (o CustomObject) Get(ex Executor, key relation.Tuple) (relation.Tuple, bool
 	if err != nil {
 		return nil, false, err
 	}
-	v, err := ex.Exec(RelGetOp{L: o.L, Key: k})
+	v, err := ex.Exec(RelGetOp{L: o.L, Key: k}.Op())
 	if err != nil {
 		return nil, false, err
 	}
@@ -160,7 +160,7 @@ func (o CustomObject) Has(ex Executor, key relation.Tuple) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	v, err := ex.Exec(RelHasOp{L: o.L, Key: k})
+	v, err := ex.Exec(RelHasOp{L: o.L, Key: k}.Op())
 	if err != nil {
 		return false, err
 	}
@@ -169,6 +169,6 @@ func (o CustomObject) Has(ex Executor, key relation.Tuple) (bool, error) {
 
 // Clear removes every tuple.
 func (o CustomObject) Clear(ex Executor) error {
-	_, err := ex.Exec(RelClearOp{L: o.L})
+	_, err := ex.Exec(RelClearOp{L: o.L}.Op())
 	return err
 }

@@ -17,7 +17,7 @@ type Counter struct{ L state.Loc }
 
 // Add adds n to the counter.
 func (c Counter) Add(ex Executor, n int64) error {
-	_, err := ex.Exec(NumAddOp{L: c.L, Delta: n})
+	_, err := ex.Exec(NumAddOp{L: c.L, Delta: n}.Op())
 	return err
 }
 
@@ -26,13 +26,13 @@ func (c Counter) Sub(ex Executor, n int64) error { return c.Add(ex, -n) }
 
 // Store overwrites the counter.
 func (c Counter) Store(ex Executor, n int64) error {
-	_, err := ex.Exec(NumStoreOp{L: c.L, V: n})
+	_, err := ex.Exec(NumStoreOp{L: c.L, V: n}.Op())
 	return err
 }
 
 // Load reads the counter.
 func (c Counter) Load(ex Executor) (int64, error) {
-	v, err := ex.Exec(NumLoadOp{L: c.L})
+	v, err := ex.Exec(NumLoadOp{L: c.L}.Op())
 	if err != nil {
 		return 0, err
 	}
@@ -45,13 +45,13 @@ type StrVar struct{ L state.Loc }
 
 // Store overwrites the variable.
 func (s StrVar) Store(ex Executor, v string) error {
-	_, err := ex.Exec(StrStoreOp{L: s.L, V: v})
+	_, err := ex.Exec(StrStoreOp{L: s.L, V: v}.Op())
 	return err
 }
 
 // Load reads the variable.
 func (s StrVar) Load(ex Executor) (string, error) {
-	v, err := ex.Exec(StrLoadOp{L: s.L})
+	v, err := ex.Exec(StrLoadOp{L: s.L}.Op())
 	if err != nil {
 		return "", err
 	}
@@ -63,13 +63,13 @@ type BoolVar struct{ L state.Loc }
 
 // Store overwrites the variable.
 func (b BoolVar) Store(ex Executor, v bool) error {
-	_, err := ex.Exec(BoolStoreOp{L: b.L, V: v})
+	_, err := ex.Exec(BoolStoreOp{L: b.L, V: v}.Op())
 	return err
 }
 
 // Load reads the variable.
 func (b BoolVar) Load(ex Executor) (bool, error) {
-	v, err := ex.Exec(BoolLoadOp{L: b.L})
+	v, err := ex.Exec(BoolLoadOp{L: b.L}.Op())
 	if err != nil {
 		return false, err
 	}
@@ -83,13 +83,13 @@ type Stack struct{ L state.Loc }
 
 // Push appends v.
 func (s Stack) Push(ex Executor, v int64) error {
-	_, err := ex.Exec(ListPushOp{L: s.L, V: v})
+	_, err := ex.Exec(ListPushOp{L: s.L, V: v}.Op())
 	return err
 }
 
 // Pop removes and returns the top element.
 func (s Stack) Pop(ex Executor) (int64, error) {
-	v, err := ex.Exec(ListPopOp{L: s.L})
+	v, err := ex.Exec(ListPopOp{L: s.L}.Op())
 	if err != nil {
 		return 0, err
 	}
@@ -98,7 +98,7 @@ func (s Stack) Pop(ex Executor) (int64, error) {
 
 // Size returns the number of elements.
 func (s Stack) Size(ex Executor) (int64, error) {
-	v, err := ex.Exec(ListSizeOp{L: s.L})
+	v, err := ex.Exec(ListSizeOp{L: s.L}.Op())
 	if err != nil {
 		return 0, err
 	}
@@ -112,19 +112,19 @@ type BitSet struct{ L state.Loc }
 
 // Set sets bit i.
 func (b BitSet) Set(ex Executor, i int) error {
-	_, err := ex.Exec(RelPutOp{L: b.L, Key: strconv.Itoa(i), Val: "1"})
+	_, err := ex.Exec(RelPutOp{L: b.L, Key: strconv.Itoa(i), Val: "1"}.Op())
 	return err
 }
 
 // Clear clears bit i.
 func (b BitSet) Clear(ex Executor, i int) error {
-	_, err := ex.Exec(RelRemoveOp{L: b.L, Key: strconv.Itoa(i)})
+	_, err := ex.Exec(RelRemoveOp{L: b.L, Key: strconv.Itoa(i)}.Op())
 	return err
 }
 
 // Get reads bit i.
 func (b BitSet) Get(ex Executor, i int) (bool, error) {
-	v, err := ex.Exec(RelHasOp{L: b.L, Key: strconv.Itoa(i)})
+	v, err := ex.Exec(RelHasOp{L: b.L, Key: strconv.Itoa(i)}.Op())
 	if err != nil {
 		return false, err
 	}
@@ -133,7 +133,7 @@ func (b BitSet) Get(ex Executor, i int) (bool, error) {
 
 // ClearAll clears every bit.
 func (b BitSet) ClearAll(ex Executor) error {
-	_, err := ex.Exec(RelClearOp{L: b.L})
+	_, err := ex.Exec(RelClearOp{L: b.L}.Op())
 	return err
 }
 
@@ -148,13 +148,13 @@ func (m KVMap) Put(ex Executor, key, val string) error {
 	if val == AbsentVal {
 		return fmt.Errorf("adt: map %s[%s]: value %q is reserved for an absent key", m.L, key, val)
 	}
-	_, err := ex.Exec(RelPutOp{L: m.L, Key: key, Val: val})
+	_, err := ex.Exec(RelPutOp{L: m.L, Key: key, Val: val}.Op())
 	return err
 }
 
 // Get reads the value bound to key; ok is false for an absent key.
 func (m KVMap) Get(ex Executor, key string) (val string, ok bool, err error) {
-	v, err := ex.Exec(RelGetOp{L: m.L, Key: key})
+	v, err := ex.Exec(RelGetOp{L: m.L, Key: key}.Op())
 	if err != nil {
 		return "", false, err
 	}
@@ -167,7 +167,7 @@ func (m KVMap) Get(ex Executor, key string) (val string, ok bool, err error) {
 
 // Has reports whether key is bound.
 func (m KVMap) Has(ex Executor, key string) (bool, error) {
-	v, err := ex.Exec(RelHasOp{L: m.L, Key: key})
+	v, err := ex.Exec(RelHasOp{L: m.L, Key: key}.Op())
 	if err != nil {
 		return false, err
 	}
@@ -176,7 +176,7 @@ func (m KVMap) Has(ex Executor, key string) (bool, error) {
 
 // Remove unbinds key.
 func (m KVMap) Remove(ex Executor, key string) error {
-	_, err := ex.Exec(RelRemoveOp{L: m.L, Key: key})
+	_, err := ex.Exec(RelRemoveOp{L: m.L, Key: key}.Op())
 	return err
 }
 
@@ -186,13 +186,13 @@ type IntArray struct{ L state.Loc }
 
 // Set writes a[i] = v.
 func (a IntArray) Set(ex Executor, i int, v int64) error {
-	_, err := ex.Exec(RelPutOp{L: a.L, Key: strconv.Itoa(i), Val: strconv.FormatInt(v, 10)})
+	_, err := ex.Exec(RelPutOp{L: a.L, Key: strconv.Itoa(i), Val: strconv.FormatInt(v, 10)}.Op())
 	return err
 }
 
 // Get reads a[i] (zero when unset).
 func (a IntArray) Get(ex Executor, i int) (int64, error) {
-	v, err := ex.Exec(RelGetOp{L: a.L, Key: strconv.Itoa(i)})
+	v, err := ex.Exec(RelGetOp{L: a.L, Key: strconv.Itoa(i)}.Op())
 	if err != nil {
 		return 0, err
 	}
@@ -220,6 +220,6 @@ func (c Canvas) DrawPixel(ex Executor, x, y int, color string) error {
 		return fmt.Errorf("adt: canvas %s(%d,%d): color %q is reserved for an absent key", c.L, x, y, color)
 	}
 	key := strconv.Itoa(x) + ":" + strconv.Itoa(y)
-	_, err := ex.Exec(RelPutOp{L: c.L, Key: key, Val: color})
+	_, err := ex.Exec(RelPutOp{L: c.L, Key: key, Val: color}.Op())
 	return err
 }

@@ -7,8 +7,10 @@
 //
 // Every handle method builds an oplog.Op and submits it to an Executor —
 // the transaction during parallel runs (internal/stm) or the profiler
-// during training (internal/train). The op carries its own footprint
-// computation, so the executor needs no knowledge of operation semantics.
+// during training (internal/train). The op's kind, an OpKind, carries its
+// semantics and footprint computation, so the executor needs no knowledge
+// of them. The op structs (NumAddOp, RelPutOp, ...) name an operation's
+// operands; their Op method builds the value that is logged.
 package adt
 
 import (
@@ -89,7 +91,174 @@ const (
 	KindRelClear  = "rel.clear"
 )
 
-// --- Numeric scalar ops ---
+// OpKind is the oplog.Kind of every operation this package defines. It is
+// one byte, which an interface holds without allocating, so an Op logs by
+// value. The values are the op codes of the trace format (internal/rec):
+// append only.
+type OpKind uint8
+
+// Operation kinds, in trace op-code order.
+const (
+	NumAdd OpKind = iota + 1
+	NumStore
+	NumLoad
+	StrStore
+	StrLoad
+	BoolStore
+	BoolLoad
+	ListPush
+	ListPop
+	ListSize
+	RelPut
+	RelRemove
+	RelGet
+	RelHas
+	RelClear
+)
+
+// kindNames maps an OpKind to the name its descriptors carry.
+var kindNames = [...]string{
+	NumAdd: KindNumAdd, NumStore: KindNumStore, NumLoad: KindNumLoad,
+	StrStore: KindStrStore, StrLoad: KindStrLoad,
+	BoolStore: KindBoolStore, BoolLoad: KindBoolLoad,
+	ListPush: KindListPush, ListPop: KindListPop, ListSize: KindListSize,
+	RelPut: KindRelPut, RelRemove: KindRelRemove, RelGet: KindRelGet, RelHas: KindRelHas, RelClear: KindRelClear,
+}
+
+// Apply implements oplog.Kind.
+func (k OpKind) Apply(o oplog.Op, st *state.State) (state.Value, error) {
+	switch k {
+	case NumAdd:
+		v, err := getInt(st, o.L)
+		if err != nil {
+			return nil, err
+		}
+		st.Set(o.L, state.Int(v+o.N))
+	case NumStore:
+		st.Set(o.L, state.Int(o.N))
+	case NumLoad:
+		// The value the location holds, not a copy boxed again.
+		return load[state.Int](st, o.L, "Int")
+	case StrStore:
+		st.Set(o.L, state.Str(o.Val))
+	case StrLoad:
+		return load[state.Str](st, o.L, "Str")
+	case BoolStore:
+		st.Set(o.L, state.Bool(o.N != 0))
+	case BoolLoad:
+		return load[state.Bool](st, o.L, "Bool")
+	case ListPush:
+		l, err := getList(st, o.L)
+		if err != nil {
+			return nil, err
+		}
+		st.Set(o.L, append(append(state.IntList(nil), l...), o.N))
+	case ListPop:
+		l, err := getList(st, o.L)
+		if err != nil {
+			return nil, err
+		}
+		if len(l) == 0 {
+			return nil, fmt.Errorf("adt: pop from empty list %q", o.L)
+		}
+		st.Set(o.L, append(state.IntList(nil), l[:len(l)-1]...))
+		return state.Int(l[len(l)-1]), nil
+	case ListSize:
+		l, err := getList(st, o.L)
+		if err != nil {
+			return nil, err
+		}
+		return state.Int(len(l)), nil
+	default:
+		return k.applyRel(o, st)
+	}
+	return nil, nil
+}
+
+// AppendAccesses implements oplog.Kind. A scalar op touches its location
+// whole; a list op reads and writes the whole list (a structural update);
+// a relational op touches its key, per the footprints of Table 3 and §6.2.
+func (k OpKind) AppendAccesses(o oplog.Op, dst []oplog.Access, st *state.State) []oplog.Access {
+	p := oplog.PLoc{Loc: o.L}
+	switch k {
+	case NumAdd, ListPush, ListPop:
+		return append(dst, oplog.Access{P: p, Read: true, Write: true})
+	case NumStore, StrStore, BoolStore:
+		return append(dst, oplog.Access{P: p, Write: true})
+	case NumLoad, StrLoad, BoolLoad, ListSize:
+		return append(dst, oplog.Access{P: p, Read: true})
+	case RelPut:
+		return append(dst, oplog.Access{P: relPLoc(o.L, o.Key), Write: true})
+	case RelGet, RelHas:
+		return append(dst, oplog.Access{P: relPLoc(o.L, o.Key), Read: true})
+	case RelRemove:
+		return appendRemoveAccess(dst, o, st)
+	case RelClear:
+		return appendClearAccesses(dst, o, st)
+	}
+	panic(fmt.Sprintf("adt: unknown op kind %d", k))
+}
+
+// Sym implements oplog.Kind. An integer argument stays an integer. A
+// relational key is part of the projection location, so a put's only
+// generalizable argument is its value.
+func (k OpKind) Sym(o oplog.Op) oplog.Sym {
+	switch k {
+	case NumAdd, NumStore, ListPush:
+		return oplog.Sym{Kind: kindNames[k], N: o.N, Int: true}
+	case StrStore, RelPut:
+		return oplog.Sym{Kind: kindNames[k], Arg: o.Val}
+	case BoolStore:
+		return oplog.Sym{Kind: KindBoolStore, Arg: strconv.FormatBool(o.N != 0)}
+	}
+	return oplog.Sym{Kind: kindNames[k]}
+}
+
+// IsRead implements oplog.Kind: loads, pops (the popped value flows to the
+// task), sizes, gets and has-tests observe; adds, stores, pushes, puts,
+// removes and clears do not.
+func (k OpKind) IsRead(oplog.Op) bool {
+	switch k {
+	case NumLoad, StrLoad, BoolLoad, ListPop, ListSize, RelGet, RelHas:
+		return true
+	}
+	return false
+}
+
+// String implements oplog.Kind.
+func (k OpKind) String(o oplog.Op) string {
+	switch k {
+	case NumAdd:
+		return fmt.Sprintf("%s+=%d", o.L, o.N)
+	case NumStore:
+		return fmt.Sprintf("%s=%d", o.L, o.N)
+	case NumLoad, StrLoad, BoolLoad:
+		return fmt.Sprintf("load(%s)", o.L)
+	case StrStore:
+		return fmt.Sprintf("%s=%q", o.L, o.Val)
+	case BoolStore:
+		return fmt.Sprintf("%s=%t", o.L, o.N != 0)
+	case ListPush:
+		return fmt.Sprintf("%s.push(%d)", o.L, o.N)
+	case ListPop:
+		return fmt.Sprintf("%s.pop()", o.L)
+	case ListSize:
+		return fmt.Sprintf("%s.size()", o.L)
+	case RelPut:
+		return fmt.Sprintf("%s[%s]=%s", o.L, o.Key, o.Val)
+	case RelRemove:
+		return fmt.Sprintf("del %s[%s]", o.L, o.Key)
+	case RelGet:
+		return fmt.Sprintf("%s[%s]", o.L, o.Key)
+	case RelHas:
+		return fmt.Sprintf("%s.has(%s)", o.L, o.Key)
+	case RelClear:
+		return fmt.Sprintf("%s.clear()", o.L)
+	}
+	return fmt.Sprintf("adt.OpKind(%d)", k)
+}
+
+// --- Scalar and list operations ---
 
 // NumAddOp adds Delta to the integer at L (a read-modify-write).
 type NumAddOp struct {
@@ -97,31 +266,8 @@ type NumAddOp struct {
 	Delta int64
 }
 
-// Apply implements oplog.Op.
-func (o NumAddOp) Apply(st *state.State) (state.Value, error) {
-	v, err := getInt(st, o.L)
-	if err != nil {
-		return nil, err
-	}
-	st.Set(o.L, state.Int(v+o.Delta))
-	return nil, nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o NumAddOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true, Write: true})
-}
-
-// Sym implements oplog.Op.
-func (o NumAddOp) Sym() oplog.Sym {
-	return oplog.Sym{Kind: KindNumAdd, Arg: strconv.FormatInt(o.Delta, 10)}
-}
-
-// IsRead implements oplog.Op: the added-to value does not flow to the task.
-func (o NumAddOp) IsRead() bool { return false }
-
-// String implements fmt.Stringer.
-func (o NumAddOp) String() string { return fmt.Sprintf("%s+=%d", o.L, o.Delta) }
+// Op returns the operation.
+func (o NumAddOp) Op() oplog.Op { return oplog.Op{K: NumAdd, L: o.L, N: o.Delta} }
 
 // NumStoreOp overwrites the integer at L.
 type NumStoreOp struct {
@@ -129,59 +275,14 @@ type NumStoreOp struct {
 	V int64
 }
 
-// Apply implements oplog.Op.
-func (o NumStoreOp) Apply(st *state.State) (state.Value, error) {
-	st.Set(o.L, state.Int(o.V))
-	return nil, nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o NumStoreOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Write: true})
-}
-
-// Sym implements oplog.Op.
-func (o NumStoreOp) Sym() oplog.Sym {
-	return oplog.Sym{Kind: KindNumStore, Arg: strconv.FormatInt(o.V, 10)}
-}
-
-// IsRead implements oplog.Op.
-func (o NumStoreOp) IsRead() bool { return false }
-
-// String implements fmt.Stringer.
-func (o NumStoreOp) String() string { return fmt.Sprintf("%s=%d", o.L, o.V) }
+// Op returns the operation.
+func (o NumStoreOp) Op() oplog.Op { return oplog.Op{K: NumStore, L: o.L, N: o.V} }
 
 // NumLoadOp reads the integer at L.
 type NumLoadOp struct{ L state.Loc }
 
-// Apply implements oplog.Op. It returns the value the location holds, not
-// a copy boxed again.
-func (o NumLoadOp) Apply(st *state.State) (state.Value, error) {
-	v, ok := st.Get(o.L)
-	if !ok {
-		return nil, fmt.Errorf("adt: unbound location %q", o.L)
-	}
-	if _, ok := v.(state.Int); !ok {
-		return nil, fmt.Errorf("adt: location %q holds %T, want Int", o.L, v)
-	}
-	return v, nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o NumLoadOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true})
-}
-
-// Sym implements oplog.Op.
-func (o NumLoadOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindNumLoad} }
-
-// IsRead implements oplog.Op.
-func (o NumLoadOp) IsRead() bool { return true }
-
-// String implements fmt.Stringer.
-func (o NumLoadOp) String() string { return fmt.Sprintf("load(%s)", o.L) }
-
-// --- String scalar ops ---
+// Op returns the operation.
+func (o NumLoadOp) Op() oplog.Op { return oplog.Op{K: NumLoad, L: o.L} }
 
 // StrStoreOp overwrites the string at L.
 type StrStoreOp struct {
@@ -189,57 +290,14 @@ type StrStoreOp struct {
 	V string
 }
 
-// Apply implements oplog.Op.
-func (o StrStoreOp) Apply(st *state.State) (state.Value, error) {
-	st.Set(o.L, state.Str(o.V))
-	return nil, nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o StrStoreOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Write: true})
-}
-
-// Sym implements oplog.Op.
-func (o StrStoreOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindStrStore, Arg: o.V} }
-
-// IsRead implements oplog.Op.
-func (o StrStoreOp) IsRead() bool { return false }
-
-// String implements fmt.Stringer.
-func (o StrStoreOp) String() string { return fmt.Sprintf("%s=%q", o.L, o.V) }
+// Op returns the operation.
+func (o StrStoreOp) Op() oplog.Op { return oplog.Op{K: StrStore, L: o.L, Val: o.V} }
 
 // StrLoadOp reads the string at L.
 type StrLoadOp struct{ L state.Loc }
 
-// Apply implements oplog.Op. It returns the value the location holds, not
-// a copy boxed again.
-func (o StrLoadOp) Apply(st *state.State) (state.Value, error) {
-	v, ok := st.Get(o.L)
-	if !ok {
-		return nil, fmt.Errorf("adt: unbound location %q", o.L)
-	}
-	if _, ok := v.(state.Str); !ok {
-		return nil, fmt.Errorf("adt: location %q holds %T, want Str", o.L, v)
-	}
-	return v, nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o StrLoadOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true})
-}
-
-// Sym implements oplog.Op.
-func (o StrLoadOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindStrLoad} }
-
-// IsRead implements oplog.Op.
-func (o StrLoadOp) IsRead() bool { return true }
-
-// String implements fmt.Stringer.
-func (o StrLoadOp) String() string { return fmt.Sprintf("load(%s)", o.L) }
-
-// --- Boolean scalar ops ---
+// Op returns the operation.
+func (o StrLoadOp) Op() oplog.Op { return oplog.Op{K: StrLoad, L: o.L} }
 
 // BoolStoreOp overwrites the boolean at L.
 type BoolStoreOp struct {
@@ -247,58 +305,20 @@ type BoolStoreOp struct {
 	V bool
 }
 
-// Apply implements oplog.Op.
-func (o BoolStoreOp) Apply(st *state.State) (state.Value, error) {
-	st.Set(o.L, state.Bool(o.V))
-	return nil, nil
+// Op returns the operation: the boolean travels as N, 1 for true.
+func (o BoolStoreOp) Op() oplog.Op {
+	var n int64
+	if o.V {
+		n = 1
+	}
+	return oplog.Op{K: BoolStore, L: o.L, N: n}
 }
-
-// AppendAccesses implements oplog.Op.
-func (o BoolStoreOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Write: true})
-}
-
-// Sym implements oplog.Op.
-func (o BoolStoreOp) Sym() oplog.Sym {
-	return oplog.Sym{Kind: KindBoolStore, Arg: strconv.FormatBool(o.V)}
-}
-
-// IsRead implements oplog.Op.
-func (o BoolStoreOp) IsRead() bool { return false }
-
-// String implements fmt.Stringer.
-func (o BoolStoreOp) String() string { return fmt.Sprintf("%s=%t", o.L, o.V) }
 
 // BoolLoadOp reads the boolean at L.
 type BoolLoadOp struct{ L state.Loc }
 
-// Apply implements oplog.Op.
-func (o BoolLoadOp) Apply(st *state.State) (state.Value, error) {
-	v, ok := st.Get(o.L)
-	if !ok {
-		return nil, fmt.Errorf("adt: unbound location %q", o.L)
-	}
-	if _, ok := v.(state.Bool); !ok {
-		return nil, fmt.Errorf("adt: location %q holds %T, want Bool", o.L, v)
-	}
-	return v, nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o BoolLoadOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true})
-}
-
-// Sym implements oplog.Op.
-func (o BoolLoadOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindBoolLoad} }
-
-// IsRead implements oplog.Op.
-func (o BoolLoadOp) IsRead() bool { return true }
-
-// String implements fmt.Stringer.
-func (o BoolLoadOp) String() string { return fmt.Sprintf("load(%s)", o.L) }
-
-// --- List (stack) ops ---
+// Op returns the operation.
+func (o BoolLoadOp) Op() oplog.Op { return oplog.Op{K: BoolLoad, L: o.L} }
 
 // ListPushOp appends V to the integer list at L.
 type ListPushOp struct {
@@ -306,89 +326,20 @@ type ListPushOp struct {
 	V int64
 }
 
-// Apply implements oplog.Op.
-func (o ListPushOp) Apply(st *state.State) (state.Value, error) {
-	l, err := getList(st, o.L)
-	if err != nil {
-		return nil, err
-	}
-	st.Set(o.L, append(append(state.IntList(nil), l...), o.V))
-	return nil, nil
-}
-
-// AppendAccesses implements oplog.Op: structural update — read and write
-// of the whole list value.
-func (o ListPushOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true, Write: true})
-}
-
-// Sym implements oplog.Op.
-func (o ListPushOp) Sym() oplog.Sym {
-	return oplog.Sym{Kind: KindListPush, Arg: strconv.FormatInt(o.V, 10)}
-}
-
-// IsRead implements oplog.Op.
-func (o ListPushOp) IsRead() bool { return false }
-
-// String implements fmt.Stringer.
-func (o ListPushOp) String() string { return fmt.Sprintf("%s.push(%d)", o.L, o.V) }
+// Op returns the operation.
+func (o ListPushOp) Op() oplog.Op { return oplog.Op{K: ListPush, L: o.L, N: o.V} }
 
 // ListPopOp removes and returns the last element of the list at L.
 type ListPopOp struct{ L state.Loc }
 
-// Apply implements oplog.Op.
-func (o ListPopOp) Apply(st *state.State) (state.Value, error) {
-	l, err := getList(st, o.L)
-	if err != nil {
-		return nil, err
-	}
-	if len(l) == 0 {
-		return nil, fmt.Errorf("adt: pop from empty list %q", o.L)
-	}
-	top := l[len(l)-1]
-	st.Set(o.L, append(state.IntList(nil), l[:len(l)-1]...))
-	return state.Int(top), nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o ListPopOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true, Write: true})
-}
-
-// Sym implements oplog.Op.
-func (o ListPopOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindListPop} }
-
-// IsRead implements oplog.Op: the popped value flows to the task.
-func (o ListPopOp) IsRead() bool { return true }
-
-// String implements fmt.Stringer.
-func (o ListPopOp) String() string { return fmt.Sprintf("%s.pop()", o.L) }
+// Op returns the operation.
+func (o ListPopOp) Op() oplog.Op { return oplog.Op{K: ListPop, L: o.L} }
 
 // ListSizeOp reads the length of the list at L.
 type ListSizeOp struct{ L state.Loc }
 
-// Apply implements oplog.Op.
-func (o ListSizeOp) Apply(st *state.State) (state.Value, error) {
-	l, err := getList(st, o.L)
-	if err != nil {
-		return nil, err
-	}
-	return state.Int(len(l)), nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o ListSizeOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: oplog.PLoc{Loc: o.L}, Read: true})
-}
-
-// Sym implements oplog.Op.
-func (o ListSizeOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindListSize} }
-
-// IsRead implements oplog.Op.
-func (o ListSizeOp) IsRead() bool { return true }
-
-// String implements fmt.Stringer.
-func (o ListSizeOp) String() string { return fmt.Sprintf("%s.size()", o.L) }
+// Op returns the operation.
+func (o ListSizeOp) Op() oplog.Op { return oplog.Op{K: ListSize, L: o.L} }
 
 func getInt(st *state.State, l state.Loc) (int64, error) {
 	v, ok := st.Get(l)
@@ -412,4 +363,17 @@ func getList(st *state.State, l state.Loc) (state.IntList, error) {
 		return nil, fmt.Errorf("adt: location %q holds %T, want IntList", l, v)
 	}
 	return lv, nil
+}
+
+// load returns the value at l, which must be bound and of type T (named
+// want in the error).
+func load[T state.Value](st *state.State, l state.Loc, want string) (state.Value, error) {
+	v, ok := st.Get(l)
+	if !ok {
+		return nil, fmt.Errorf("adt: unbound location %q", l)
+	}
+	if _, ok := v.(T); !ok {
+		return nil, fmt.Errorf("adt: location %q holds %T, want %s", l, v, want)
+	}
+	return v, nil
 }

@@ -38,60 +38,38 @@ func getRel(st *state.State, l state.Loc) (*relation.Relation, error) {
 // itself, as the relation files it.
 func relPLoc(l state.Loc, key string) oplog.PLoc { return oplog.PLoc{Loc: l, Key: key} }
 
-// RelPutOp binds Key to Val in the relation at L ("insert" of Table 2).
-type RelPutOp struct {
-	L   state.Loc
-	Key string
-	Val string
-}
-
-// Apply implements oplog.Op.
-func (o RelPutOp) Apply(st *state.State) (state.Value, error) {
+// applyRel is OpKind.Apply for the relational kinds.
+func (k OpKind) applyRel(o oplog.Op, st *state.State) (state.Value, error) {
 	r, err := getRel(st, o.L)
 	if err != nil {
 		return nil, err
 	}
-	r.Put(o.Key, o.Val)
-	return nil, nil
-}
-
-// AppendAccesses implements oplog.Op (the insert footprint of Table 3: a
-// write of the key's subvalue).
-func (o RelPutOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: relPLoc(o.L, o.Key), Write: true})
-}
-
-// Sym implements oplog.Op. The key is part of the projection location, so
-// only the range value is the generalizable argument.
-func (o RelPutOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindRelPut, Arg: o.Val} }
-
-// IsRead implements oplog.Op.
-func (o RelPutOp) IsRead() bool { return false }
-
-// String implements fmt.Stringer.
-func (o RelPutOp) String() string { return fmt.Sprintf("%s[%s]=%s", o.L, o.Key, o.Val) }
-
-// RelRemoveOp unbinds Key in the relation at L ("remove" of Table 2,
-// applied to the matching tuple).
-type RelRemoveOp struct {
-	L   state.Loc
-	Key string
-}
-
-// Apply implements oplog.Op.
-func (o RelRemoveOp) Apply(st *state.State) (state.Value, error) {
-	r, err := getRel(st, o.L)
-	if err != nil {
-		return nil, err
+	switch k {
+	case RelPut:
+		r.Put(o.Key, o.Val)
+	case RelRemove:
+		r.Delete(o.Key)
+	case RelGet:
+		v, bound := r.Get(o.Key)
+		if !bound {
+			return state.Str(AbsentVal), nil
+		}
+		return state.Str(v), nil
+	case RelHas:
+		_, bound := r.Get(o.Key)
+		return state.Bool(bound), nil
+	case RelClear:
+		r.Clear()
+	default:
+		panic(fmt.Sprintf("adt: unknown op kind %d", k))
 	}
-	r.Delete(o.Key)
 	return nil, nil
 }
 
-// AppendAccesses implements oplog.Op. Per §6.2, removing an absent tuple
-// reads the key (the op observes absence); removing a present one writes
-// it.
-func (o RelRemoveOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.Access {
+// appendRemoveAccess is a remove's footprint. Per §6.2, removing an absent
+// tuple reads the key (the op observes absence); removing a present one
+// writes it.
+func appendRemoveAccess(dst []oplog.Access, o oplog.Op, st *state.State) []oplog.Access {
 	p := relPLoc(o.L, o.Key)
 	if r, err := getRel(st, o.L); err == nil {
 		if _, bound := r.Get(o.Key); !bound {
@@ -101,96 +79,10 @@ func (o RelRemoveOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog
 	return append(dst, oplog.Access{P: p, Write: true})
 }
 
-// Sym implements oplog.Op.
-func (o RelRemoveOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindRelRemove} }
-
-// IsRead implements oplog.Op.
-func (o RelRemoveOp) IsRead() bool { return false }
-
-// String implements fmt.Stringer.
-func (o RelRemoveOp) String() string { return fmt.Sprintf("del %s[%s]", o.L, o.Key) }
-
-// RelGetOp reads the value bound to Key ("select" pinned to the key).
-type RelGetOp struct {
-	L   state.Loc
-	Key string
-}
-
-// Apply implements oplog.Op. Absent keys observe AbsentVal.
-func (o RelGetOp) Apply(st *state.State) (state.Value, error) {
-	r, err := getRel(st, o.L)
-	if err != nil {
-		return nil, err
-	}
-	v, bound := r.Get(o.Key)
-	if !bound {
-		return state.Str(AbsentVal), nil
-	}
-	return state.Str(v), nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o RelGetOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: relPLoc(o.L, o.Key), Read: true})
-}
-
-// Sym implements oplog.Op.
-func (o RelGetOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindRelGet} }
-
-// IsRead implements oplog.Op.
-func (o RelGetOp) IsRead() bool { return true }
-
-// String implements fmt.Stringer.
-func (o RelGetOp) String() string { return fmt.Sprintf("%s[%s]", o.L, o.Key) }
-
-// RelHasOp reads whether Key is bound.
-type RelHasOp struct {
-	L   state.Loc
-	Key string
-}
-
-// Apply implements oplog.Op.
-func (o RelHasOp) Apply(st *state.State) (state.Value, error) {
-	r, err := getRel(st, o.L)
-	if err != nil {
-		return nil, err
-	}
-	_, bound := r.Get(o.Key)
-	return state.Bool(bound), nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o RelHasOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, oplog.Access{P: relPLoc(o.L, o.Key), Read: true})
-}
-
-// Sym implements oplog.Op.
-func (o RelHasOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindRelHas} }
-
-// IsRead implements oplog.Op.
-func (o RelHasOp) IsRead() bool { return true }
-
-// String implements fmt.Stringer.
-func (o RelHasOp) String() string { return fmt.Sprintf("%s.has(%s)", o.L, o.Key) }
-
-// RelClearOp removes every binding of the relation at L. Its effect on keys
-// absent in the pre-state is vacuous, so its footprint is a write of each
-// key present at execution time, in key order (computed dynamically, like
-// the §6.2 remove rule).
-type RelClearOp struct{ L state.Loc }
-
-// Apply implements oplog.Op.
-func (o RelClearOp) Apply(st *state.State) (state.Value, error) {
-	r, err := getRel(st, o.L)
-	if err != nil {
-		return nil, err
-	}
-	r.Clear()
-	return nil, nil
-}
-
-// AppendAccesses implements oplog.Op.
-func (o RelClearOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.Access {
+// appendClearAccesses is a clear's footprint. Its effect on keys absent in
+// the pre-state is vacuous, so it writes each key present at execution
+// time, in key order (computed dynamically, like the §6.2 remove rule).
+func appendClearAccesses(dst []oplog.Access, o oplog.Op, st *state.State) []oplog.Access {
 	r, err := getRel(st, o.L)
 	if err != nil {
 		return dst
@@ -204,11 +96,55 @@ func (o RelClearOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.
 	return dst
 }
 
-// Sym implements oplog.Op.
-func (o RelClearOp) Sym() oplog.Sym { return oplog.Sym{Kind: KindRelClear} }
+// RelPutOp binds Key to Val in the relation at L ("insert" of Table 2).
+type RelPutOp struct {
+	L   state.Loc
+	Key string
+	Val string
+}
 
-// IsRead implements oplog.Op.
-func (o RelClearOp) IsRead() bool { return false }
+// Op returns the operation.
+func (o RelPutOp) Op() oplog.Op { return oplog.Op{K: RelPut, L: o.L, Key: o.Key, Val: o.Val} }
 
-// String implements fmt.Stringer.
-func (o RelClearOp) String() string { return fmt.Sprintf("%s.clear()", o.L) }
+// Apply applies the operation to st, for callers that time a relational
+// write outside any executor.
+func (o RelPutOp) Apply(st *state.State) (state.Value, error) { return o.Op().Apply(st) }
+
+// RelRemoveOp unbinds Key in the relation at L ("remove" of Table 2,
+// applied to the matching tuple).
+type RelRemoveOp struct {
+	L   state.Loc
+	Key string
+}
+
+// Op returns the operation.
+func (o RelRemoveOp) Op() oplog.Op { return oplog.Op{K: RelRemove, L: o.L, Key: o.Key} }
+
+// RelGetOp reads the value bound to Key ("select" pinned to the key);
+// an absent key observes AbsentVal.
+type RelGetOp struct {
+	L   state.Loc
+	Key string
+}
+
+// Op returns the operation.
+func (o RelGetOp) Op() oplog.Op { return oplog.Op{K: RelGet, L: o.L, Key: o.Key} }
+
+// Apply applies the operation to st, for callers that time a relational
+// read outside any executor.
+func (o RelGetOp) Apply(st *state.State) (state.Value, error) { return o.Op().Apply(st) }
+
+// RelHasOp reads whether Key is bound.
+type RelHasOp struct {
+	L   state.Loc
+	Key string
+}
+
+// Op returns the operation.
+func (o RelHasOp) Op() oplog.Op { return oplog.Op{K: RelHas, L: o.L, Key: o.Key} }
+
+// RelClearOp removes every binding of the relation at L.
+type RelClearOp struct{ L state.Loc }
+
+// Op returns the operation.
+func (o RelClearOp) Op() oplog.Op { return oplog.Op{K: RelClear, L: o.L} }

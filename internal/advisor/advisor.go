@@ -113,8 +113,8 @@ func Analyze(trace oplog.Log) *Report {
 			// Ops whose footprint is empty in this state (e.g. clearing
 			// an empty relation) still reset the structure; attribute
 			// them via the op's own location when it names one.
-			if cl, ok := e.Op.(adt.RelClearOp); ok {
-				locs[cl.L] = struct{}{}
+			if e.Op.K == adt.RelClear {
+				locs[e.Op.L] = struct{}{}
 			}
 		}
 		for loc := range locs {
@@ -226,7 +226,7 @@ func classify(f *Finding, seqs [][]oplog.Sym) {
 				allIdentity = false
 			}
 			if reg.Eff.Kind == seqeff.Store {
-				storeVals[reg.Eff.V] = struct{}{}
+				storeVals[reg.Eff.Stored()] = struct{}{}
 			} else {
 				allStoreLike = false
 			}

@@ -82,6 +82,10 @@ type ReplayInfo struct {
 	// Match reports that every computed digest agreed with the recorded
 	// one (vacuously true for stages that didn't run).
 	Match bool `json:"match"`
+	// RelaxedReads counts the reads the per-op check (-verify-ops) left
+	// unchecked because the recorded workload tolerates read-after-write
+	// conflicts on their location.
+	RelaxedReads int `json:"relaxed_reads,omitempty"`
 }
 
 // ProfileRun trains the hindsight engine for w (unless the write-set

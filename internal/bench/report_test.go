@@ -222,14 +222,80 @@ func TestProfileRunRecordRoundTrip(t *testing.T) {
 	if trace.DigestKind != rec.DigestFinal {
 		t.Fatalf("digest kind = %s, want final", trace.DigestKind)
 	}
-	st, err := trace.ReplaySequential(true)
+	st, _, err := trace.VerifySequential(nil)
 	if err != nil {
-		t.Fatalf("ReplaySequential: %v", err)
+		t.Fatalf("VerifySequential: %v", err)
 	}
 	if got := rec.Digest(st); got != trace.Digest {
 		t.Errorf("replay digest %016x != recorded %016x", got, trace.Digest)
 	}
 	if len(trace.Events) == 0 {
 		t.Error("no protocol events teed into the trace")
+	}
+}
+
+// TestVerifyOpsSkipsRelaxedReads: a recorded jgrapht1 run verifies op by
+// op once reads of the locations the workload relaxes for RAW (maxColor,
+// usedColors) are left unchecked — a parallel run may read them stale by
+// design, so the commit-order replay need not observe what the run did.
+// An observation tampered on such a location is skipped and counted; one
+// on any other location still fails the check.
+func TestVerifyOpsSkipsRelaxedReads(t *testing.T) {
+	w, err := workloads.ByName("jgrapht1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "jg1.trace")
+	if _, err := ProfileRun(w, Seq, 2, Opts{Size: workloads.Small, RecordPath: path}, nil); err != nil {
+		t.Fatalf("recorded run failed: %v", err)
+	}
+	read := func() *rec.Trace {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		tr, err := rec.ReadTrace(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr
+	}
+	tr := read()
+	st, skipped, err := tr.VerifySequential(w.Relaxations)
+	if err != nil {
+		t.Fatalf("verify-ops replay of a jgrapht1 recording: %v", err)
+	}
+	if got := rec.Digest(st); got != tr.Digest {
+		t.Errorf("replay digest %016x != recorded %016x", got, tr.Digest)
+	}
+	if skipped == 0 {
+		t.Fatal("no read of a RAW-relaxed location was skipped; every task reads maxColor")
+	}
+	// tamper replaces the first recorded observation of a read for which
+	// relaxed(loc) holds.
+	tamper := func(tr *rec.Trace, relaxed bool) {
+		for _, txn := range tr.Txns {
+			for j, op := range txn.Ops {
+				if op.IsRead() && w.Relaxations.TolerateRAW(op.L) == relaxed {
+					txn.Observed[j] = state.Int(-1)
+					return
+				}
+			}
+		}
+		t.Fatalf("no read with relaxed=%v in the trace", relaxed)
+	}
+	tr = read()
+	tamper(tr, true)
+	if _, n, err := tr.VerifySequential(w.Relaxations); err != nil || n != skipped {
+		t.Fatalf("a tampered relaxed read: skipped %d (err %v), want it skipped among %d", n, err, skipped)
+	}
+	if _, _, err := tr.VerifySequential(nil); err == nil {
+		t.Fatal("with no relaxations the tampered relaxed read passed the check")
+	}
+	tr = read()
+	tamper(tr, false)
+	if _, _, err := tr.VerifySequential(w.Relaxations); err == nil {
+		t.Fatal("a tampered read of a location jgrapht1 does not relax passed the check")
 	}
 }

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"strconv"
 	"testing"
 
 	"repro/internal/adt"
@@ -15,13 +14,13 @@ import (
 // write-set detection".
 func BenchmarkLookupHit(b *testing.B) {
 	c := New(seqabs.Abstract)
-	id := func(n string) []oplog.Sym {
+	id := func(n int64) []oplog.Sym {
 		return []oplog.Sym{
-			{Kind: adt.KindNumAdd, Arg: n}, {Kind: adt.KindNumAdd, Arg: "-" + n},
+			{Kind: adt.KindNumAdd, N: n, Int: true}, {Kind: adt.KindNumAdd, N: -n, Int: true},
 		}
 	}
-	c.Put(id("1"), id("2"), commute.CondRegister)
-	q1, q2 := id("7"), id("9")
+	c.Put(id(1), id(2), commute.CondRegister)
+	q1, q2 := id(7), id(9)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if conflict, _, hit := c.LookupDetail(q1, q2); !hit || conflict {
@@ -32,8 +31,8 @@ func BenchmarkLookupHit(b *testing.B) {
 
 func BenchmarkLookupMiss(b *testing.B) {
 	c := New(seqabs.Abstract)
-	q1 := []oplog.Sym{{Kind: adt.KindNumStore, Arg: "1"}, {Kind: adt.KindNumLoad}}
-	q2 := []oplog.Sym{{Kind: adt.KindNumAdd, Arg: "5"}}
+	q1 := []oplog.Sym{{Kind: adt.KindNumStore, N: 1, Int: true}, {Kind: adt.KindNumLoad}}
+	q2 := []oplog.Sym{{Kind: adt.KindNumAdd, N: 5, Int: true}}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, _, hit := c.LookupDetail(q1, q2); hit {
@@ -53,8 +52,8 @@ func lookupParallel(b *testing.B, freeze bool) {
 		out := make([]oplog.Sym, 0, 2*n)
 		for i := 0; i < n; i++ {
 			out = append(out,
-				oplog.Sym{Kind: adt.KindNumAdd, Arg: strconv.Itoa(i + 1)},
-				oplog.Sym{Kind: adt.KindNumAdd, Arg: strconv.Itoa(-i - 1)})
+				oplog.Sym{Kind: adt.KindNumAdd, N: int64(i + 1), Int: true},
+				oplog.Sym{Kind: adt.KindNumAdd, N: int64(-i - 1), Int: true})
 		}
 		return out
 	}
@@ -95,7 +94,7 @@ func BenchmarkLookupStackIdentity(b *testing.B) {
 		var out []oplog.Sym
 		for i := 0; i < n; i++ {
 			out = append(out,
-				oplog.Sym{Kind: adt.KindListPush, Arg: strconv.Itoa(i)},
+				oplog.Sym{Kind: adt.KindListPush, N: int64(i), Int: true},
 				oplog.Sym{Kind: adt.KindListPop})
 		}
 		return out

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,7 +18,17 @@ import (
 	"repro/internal/seqabs"
 )
 
-func sym(kind, arg string) oplog.Sym { return oplog.Sym{Kind: kind, Arg: arg} }
+// sym builds a descriptor as an op builds it: a numeric kind's argument
+// is its integer when arg spells one.
+func sym(kind, arg string) oplog.Sym {
+	switch kind {
+	case adt.KindNumAdd, adt.KindNumStore, adt.KindListPush:
+		if n, err := strconv.ParseInt(arg, 10, 64); err == nil {
+			return oplog.Sym{Kind: kind, N: n, Int: true}
+		}
+	}
+	return oplog.Sym{Kind: kind, Arg: arg}
+}
 
 func idPair(a string) []oplog.Sym {
 	return []oplog.Sym{sym(adt.KindNumAdd, a), sym(adt.KindNumAdd, "-"+a)}
@@ -132,6 +144,36 @@ func TestModeAffectsKeys(t *testing.T) {
 	}
 	if conc.Key(short, short) == conc.Key(long, long) {
 		t.Errorf("concrete keys must distinguish lengths")
+	}
+}
+
+// TestJoinedSeqKeysEqualPairKey: over random descriptor sequences, in both
+// abstraction modes, joining two sequences' separately rendered keys gives
+// exactly the pair key rendered from the sequences — the identity training
+// and the runtime's LookupDetailKeys rely on to render each sequence once.
+func TestJoinedSeqKeysEqualPairKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	kinds := []string{
+		adt.KindNumAdd, adt.KindNumStore, adt.KindNumLoad, adt.KindStrStore, adt.KindRelPut,
+		adt.KindRelGet, adt.KindRelRemove, adt.KindListPush, adt.KindListPop, adt.KindListSize,
+	}
+	genSeq := func() []oplog.Sym {
+		out := make([]oplog.Sym, rng.Intn(10))
+		for i := range out {
+			out[i] = sym(kinds[rng.Intn(len(kinds))], strconv.Itoa(rng.Intn(5)-2))
+		}
+		return out
+	}
+	for _, mode := range []seqabs.Mode{seqabs.Concrete, seqabs.Abstract} {
+		c := New(mode)
+		for i := 0; i < 2000; i++ {
+			s1, s2 := genSeq(), genSeq()
+			k1, k2 := c.AppendSeqKey(nil, s1), c.AppendSeqKey(nil, s2)
+			got := string(seqabs.AppendJoinedKeys(nil, k1, k2))
+			if want := c.Key(s1, s2); got != want {
+				t.Fatalf("%s: joined keys %q, pair key %q for %v, %v", mode, got, want, s1, s2)
+			}
+		}
 	}
 }
 

@@ -11,7 +11,17 @@ import (
 	"repro/internal/state"
 )
 
-func sym(kind, arg string) oplog.Sym { return oplog.Sym{Kind: kind, Arg: arg} }
+// sym builds a descriptor as an op builds it: a numeric kind's argument
+// is its integer when arg spells one.
+func sym(kind, arg string) oplog.Sym {
+	switch kind {
+	case adt.KindNumAdd, adt.KindNumStore, adt.KindListPush:
+		if n, err := strconv.ParseInt(arg, 10, 64); err == nil {
+			return oplog.Sym{Kind: kind, N: n, Int: true}
+		}
+	}
+	return oplog.Sym{Kind: kind, Arg: arg}
+}
 
 func TestProve(t *testing.T) {
 	adds := []oplog.Sym{sym(adt.KindNumAdd, "1"), sym(adt.KindNumAdd, "-1")}
@@ -162,8 +172,8 @@ func TestPLocValue(t *testing.T) {
 func TestConflictConcreteIdentityPattern(t *testing.T) {
 	base := state.New()
 	base.Set("work", state.Int(0))
-	s1 := record(t, base.Clone(), 1, adt.NumAddOp{L: "work", Delta: 2}, adt.NumAddOp{L: "work", Delta: -2})
-	s2 := record(t, base.Clone(), 2, adt.NumAddOp{L: "work", Delta: 9}, adt.NumAddOp{L: "work", Delta: -9})
+	s1 := record(t, base.Clone(), 1, adt.NumAddOp{L: "work", Delta: 2}.Op(), adt.NumAddOp{L: "work", Delta: -2}.Op())
+	s2 := record(t, base.Clone(), 2, adt.NumAddOp{L: "work", Delta: 9}.Op(), adt.NumAddOp{L: "work", Delta: -9}.Op())
 	conflict, err := ConflictConcrete(base, oplog.PLoc{Loc: "work"}, s1, s2)
 	if err != nil || conflict {
 		t.Fatalf("identity pairs must not conflict: %v %v", conflict, err)
@@ -174,14 +184,14 @@ func TestConflictConcreteSpuriousRead(t *testing.T) {
 	base := state.New()
 	base.Set("max", state.Int(1))
 	// Reader observes entry value; writer stores a new one: SAMEREAD fails.
-	rd := record(t, base.Clone(), 1, adt.NumLoadOp{L: "max"})
-	wr := record(t, base.Clone(), 2, adt.NumStoreOp{L: "max", V: 5})
+	rd := record(t, base.Clone(), 1, adt.NumLoadOp{L: "max"}.Op())
+	wr := record(t, base.Clone(), 2, adt.NumStoreOp{L: "max", V: 5}.Op())
 	conflict, err := ConflictConcrete(base, oplog.PLoc{Loc: "max"}, rd, wr)
 	if err != nil || !conflict {
 		t.Fatalf("read vs store must conflict: %v %v", conflict, err)
 	}
 	// Reader vs reader is fine.
-	rd2 := record(t, base.Clone(), 2, adt.NumLoadOp{L: "max"})
+	rd2 := record(t, base.Clone(), 2, adt.NumLoadOp{L: "max"}.Op())
 	conflict, err = ConflictConcrete(base, oplog.PLoc{Loc: "max"}, rd, rd2)
 	if err != nil || conflict {
 		t.Fatalf("two readers must not conflict: %v %v", conflict, err)
@@ -191,9 +201,9 @@ func TestConflictConcreteSpuriousRead(t *testing.T) {
 func TestConflictConcreteEqualWrites(t *testing.T) {
 	base := state.New()
 	base.Set("canvas", adt.NewRelValue())
-	w1 := record(t, base.Clone(), 1, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "white"})
-	w2 := record(t, base.Clone(), 2, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "white"})
-	w3 := record(t, base.Clone(), 3, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "black"})
+	w1 := record(t, base.Clone(), 1, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "white"}.Op())
+	w2 := record(t, base.Clone(), 2, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "white"}.Op())
+	w3 := record(t, base.Clone(), 3, adt.RelPutOp{L: "canvas", Key: "1:1", Val: "black"}.Op())
 	p := oplog.PLoc{Loc: "canvas", Key: "1:1"}
 	if conflict, err := ConflictConcrete(base, p, w1, w2); err != nil || conflict {
 		t.Fatalf("equal writes must not conflict: %v %v", conflict, err)
@@ -212,8 +222,8 @@ func TestConflictConcreteKeysWithSeparators(t *testing.T) {
 	base.Set("m", adt.NewRelValue())
 	for _, key := range []string{"a,b", "a=b", `a\b`, "k=a,k=b", ""} {
 		after := base.Clone()
-		w1 := record(t, after, 1, adt.RelPutOp{L: "m", Key: key, Val: "1"})
-		w2 := record(t, base.Clone(), 2, adt.RelPutOp{L: "m", Key: key, Val: "2"})
+		w1 := record(t, after, 1, adt.RelPutOp{L: "m", Key: key, Val: "1"}.Op())
+		w2 := record(t, base.Clone(), 2, adt.RelPutOp{L: "m", Key: key, Val: "2"}.Op())
 		p := w1[0].Accesses()[0].P
 		if conflict, err := ConflictConcrete(base, p, w1, w2); err != nil || !conflict {
 			t.Errorf("key %q: different writes must conflict: %v %v", key, conflict, err)
@@ -230,12 +240,12 @@ func TestConflictConcreteSharedAsLocal(t *testing.T) {
 	// Each task stores then loads its own value: reads are stable and the
 	// final value differs by order — a genuine conflict on the final
 	// value unless the stores are equal. With equal stores, no conflict.
-	a := record(t, base.Clone(), 1, adt.StrStoreOp{L: "f", V: "x"}, adt.StrLoadOp{L: "f"})
-	b := record(t, base.Clone(), 2, adt.StrStoreOp{L: "f", V: "x"}, adt.StrLoadOp{L: "f"})
+	a := record(t, base.Clone(), 1, adt.StrStoreOp{L: "f", V: "x"}.Op(), adt.StrLoadOp{L: "f"}.Op())
+	b := record(t, base.Clone(), 2, adt.StrStoreOp{L: "f", V: "x"}.Op(), adt.StrLoadOp{L: "f"}.Op())
 	if conflict, err := ConflictConcrete(base, oplog.PLoc{Loc: "f"}, a, b); err != nil || conflict {
 		t.Fatalf("equal store-load pairs must not conflict: %v %v", conflict, err)
 	}
-	c := record(t, base.Clone(), 3, adt.StrStoreOp{L: "f", V: "y"}, adt.StrLoadOp{L: "f"})
+	c := record(t, base.Clone(), 3, adt.StrStoreOp{L: "f", V: "y"}.Op(), adt.StrLoadOp{L: "f"}.Op())
 	if conflict, err := ConflictConcrete(base, oplog.PLoc{Loc: "f"}, a, c); err != nil || !conflict {
 		t.Fatalf("different final stores must conflict (COMMUTE): %v %v", conflict, err)
 	}
@@ -255,11 +265,11 @@ func TestTheoryAgreesWithConcrete(t *testing.T) {
 			for i := range ops {
 				switch rng.Intn(3) {
 				case 0:
-					ops[i] = adt.NumAddOp{L: "x", Delta: int64(rng.Intn(5) - 2)}
+					ops[i] = adt.NumAddOp{L: "x", Delta: int64(rng.Intn(5) - 2)}.Op()
 				case 1:
-					ops[i] = adt.NumStoreOp{L: "x", V: int64(rng.Intn(3))}
+					ops[i] = adt.NumStoreOp{L: "x", V: int64(rng.Intn(3))}.Op()
 				default:
-					ops[i] = adt.NumLoadOp{L: "x"}
+					ops[i] = adt.NumLoadOp{L: "x"}.Op()
 				}
 			}
 			return record(t, base.Clone(), task, ops...)

@@ -17,11 +17,11 @@ func genRegisterLog(rng *rand.Rand, loc state.Loc, task int) oplog.Log {
 	for i := range ops {
 		switch rng.Intn(3) {
 		case 0:
-			ops[i] = adt.NumAddOp{L: loc, Delta: int64(rng.Intn(7) - 3)}
+			ops[i] = adt.NumAddOp{L: loc, Delta: int64(rng.Intn(7) - 3)}.Op()
 		case 1:
-			ops[i] = adt.NumStoreOp{L: loc, V: int64(rng.Intn(4))}
+			ops[i] = adt.NumStoreOp{L: loc, V: int64(rng.Intn(4))}.Op()
 		default:
-			ops[i] = adt.NumLoadOp{L: loc}
+			ops[i] = adt.NumLoadOp{L: loc}.Op()
 		}
 	}
 	st := state.New()
@@ -46,18 +46,18 @@ func genStackLog(rng *rand.Rand, loc state.Loc, task int) oplog.Log {
 		var op oplog.Op
 		switch rng.Intn(3) {
 		case 0:
-			op = adt.ListPushOp{L: loc, V: int64(rng.Intn(9))}
+			op = adt.ListPushOp{L: loc, V: int64(rng.Intn(9))}.Op()
 			depth++
 		case 1:
 			if depth == 0 {
-				op = adt.ListPushOp{L: loc, V: 1}
+				op = adt.ListPushOp{L: loc, V: 1}.Op()
 				depth++
 			} else {
-				op = adt.ListPopOp{L: loc}
+				op = adt.ListPopOp{L: loc}.Op()
 				depth--
 			}
 		default:
-			op = adt.ListSizeOp{L: loc}
+			op = adt.ListSizeOp{L: loc}.Op()
 		}
 		acc := op.AppendAccesses(nil, st)
 		v, err := op.Apply(st)
@@ -164,13 +164,13 @@ func TestRelationalConditionsSoundPerKey(t *testing.T) {
 			var op oplog.Op
 			switch rng.Intn(4) {
 			case 0:
-				op = adt.RelPutOp{L: "r", Key: "k", Val: vals[rng.Intn(2)]}
+				op = adt.RelPutOp{L: "r", Key: "k", Val: vals[rng.Intn(2)]}.Op()
 			case 1:
-				op = adt.RelRemoveOp{L: "r", Key: "k"}
+				op = adt.RelRemoveOp{L: "r", Key: "k"}.Op()
 			case 2:
-				op = adt.RelGetOp{L: "r", Key: "k"}
+				op = adt.RelGetOp{L: "r", Key: "k"}.Op()
 			default:
-				op = adt.RelHasOp{L: "r", Key: "k"}
+				op = adt.RelHasOp{L: "r", Key: "k"}.Op()
 			}
 			acc := op.AppendAccesses(nil, st)
 			v, _ := op.Apply(st)

@@ -55,12 +55,12 @@ func benchSetup(b *testing.B, nLocs, stride int) *benchFixture {
 		st.Set(state.Loc("ctr"+strconv.Itoa(i)), state.Int(0))
 	}
 	c := cache.New(seqabs.Abstract)
-	idSyms := func(n string) []oplog.Sym {
+	idSyms := func(n int64) []oplog.Sym {
 		return []oplog.Sym{
-			{Kind: adt.KindNumAdd, Arg: n}, {Kind: adt.KindNumAdd, Arg: "-" + n},
+			{Kind: adt.KindNumAdd, N: n, Int: true}, {Kind: adt.KindNumAdd, N: -n, Int: true},
 		}
 	}
-	c.Put(idSyms("1"), idSyms("2"), commute.CondRegister)
+	c.Put(idSyms(1), idSyms(2), commute.CondRegister)
 	det := NewSequence(c, nil)
 
 	// Each transaction touches a few counters with identity add pairs —
@@ -70,7 +70,7 @@ func benchSetup(b *testing.B, nLocs, stride int) *benchFixture {
 		for j := 0; j < 3; j++ {
 			loc := state.Loc("ctr" + strconv.Itoa((base+j)%nLocs))
 			d := int64(task + j + 1)
-			ops = append(ops, adt.NumAddOp{L: loc, Delta: d}, adt.NumAddOp{L: loc, Delta: -d})
+			ops = append(ops, adt.NumAddOp{L: loc, Delta: d}.Op(), adt.NumAddOp{L: loc, Delta: -d}.Op())
 		}
 		return benchLog(b, st, task, ops...)
 	}
@@ -157,7 +157,7 @@ func BenchmarkDetectLargeTxn(b *testing.B) {
 	for j := 0; j < totalOps/2; j++ {
 		loc := state.Loc("ctr" + strconv.Itoa(j))
 		d := int64(j%9 + 1)
-		ops = append(ops, adt.NumAddOp{L: loc, Delta: d}, adt.NumAddOp{L: loc, Delta: -d})
+		ops = append(ops, adt.NumAddOp{L: loc, Delta: d}.Op(), adt.NumAddOp{L: loc, Delta: -d}.Op())
 	}
 	l := benchLog(b, f.st, 1, ops...)
 

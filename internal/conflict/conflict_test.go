@@ -56,10 +56,10 @@ func detect(det Detector, st *state.State, txn oplog.Log, committed ...oplog.Log
 func TestWriteSetBasic(t *testing.T) {
 	st := baseState()
 	w := NewWriteSet()
-	add := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 1})
-	add2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: -1})
-	rd := record(t, st, 2, adt.NumLoadOp{L: "work"})
-	other := record(t, st, 2, adt.NumLoadOp{L: "max"})
+	add := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 1}.Op())
+	add2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: -1}.Op())
+	rd := record(t, st, 2, adt.NumLoadOp{L: "work"}.Op())
+	other := record(t, st, 2, adt.NumLoadOp{L: "max"}.Op())
 
 	if !detect(w, st, add, add2) {
 		t.Errorf("write-write overlap must conflict under write-set")
@@ -67,7 +67,7 @@ func TestWriteSetBasic(t *testing.T) {
 	if !detect(w, st, rd, add) {
 		t.Errorf("read-write overlap must conflict")
 	}
-	if detect(w, st, rd, record(t, st, 3, adt.NumLoadOp{L: "work"})) {
+	if detect(w, st, rd, record(t, st, 3, adt.NumLoadOp{L: "work"}.Op())) {
 		t.Errorf("read-read must not conflict")
 	}
 	if detect(w, st, add, other) {
@@ -87,15 +87,15 @@ func TestWriteSetBasic(t *testing.T) {
 func TestSequenceHitAvoidsFalseConflict(t *testing.T) {
 	st := baseState()
 	c := cache.New(seqabs.Abstract)
-	idSyms := func(n string) []oplog.Sym {
+	idSyms := func(n int64) []oplog.Sym {
 		return []oplog.Sym{
-			{Kind: adt.KindNumAdd, Arg: n}, {Kind: adt.KindNumAdd, Arg: "-" + n},
+			{Kind: adt.KindNumAdd, N: n, Int: true}, {Kind: adt.KindNumAdd, N: -n, Int: true},
 		}
 	}
-	c.Put(idSyms("1"), idSyms("2"), commute.CondRegister)
+	c.Put(idSyms(1), idSyms(2), commute.CondRegister)
 	det := NewSequence(c, nil)
-	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}, adt.NumAddOp{L: "work", Delta: -5})
-	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}, adt.NumAddOp{L: "work", Delta: -7})
+	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}.Op(), adt.NumAddOp{L: "work", Delta: -5}.Op())
+	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}.Op(), adt.NumAddOp{L: "work", Delta: -7}.Op())
 	if detect(det, st, id1, id2) {
 		t.Fatalf("trained identity pair must not conflict")
 	}
@@ -110,8 +110,8 @@ func TestSequenceHitAvoidsFalseConflict(t *testing.T) {
 func TestSequenceMissFallsBackToWriteSet(t *testing.T) {
 	st := baseState()
 	det := NewSequence(cache.New(seqabs.Abstract), nil)
-	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}, adt.NumAddOp{L: "work", Delta: -5})
-	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}, adt.NumAddOp{L: "work", Delta: -7})
+	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}.Op(), adt.NumAddOp{L: "work", Delta: -5}.Op())
+	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}.Op(), adt.NumAddOp{L: "work", Delta: -7}.Op())
 	if !detect(det, st, id1, id2) {
 		t.Fatalf("empty cache must fall back to write-set and conflict")
 	}
@@ -126,8 +126,8 @@ func TestSequenceMissFallsBackToWriteSet(t *testing.T) {
 func TestSequenceNilCachePureFallback(t *testing.T) {
 	st := baseState()
 	det := &Sequence{}
-	rd := record(t, st, 1, adt.NumLoadOp{L: "work"})
-	wr := record(t, st, 2, adt.NumStoreOp{L: "work", V: 3})
+	rd := record(t, st, 1, adt.NumLoadOp{L: "work"}.Op())
+	wr := record(t, st, 2, adt.NumStoreOp{L: "work", V: 3}.Op())
 	if !detect(det, st, rd, wr) {
 		t.Fatalf("nil cache must behave like write-set")
 	}
@@ -139,13 +139,13 @@ func TestRelaxationsRAWSpuriousReads(t *testing.T) {
 	st := baseState()
 	rx := NewRelaxations([]state.Loc{"max"}, nil)
 	det := NewSequence(cache.New(seqabs.Abstract), rx)
-	rd := record(t, st, 1, adt.NumLoadOp{L: "max"})
-	wr := record(t, st, 2, adt.NumStoreOp{L: "max", V: 5})
+	rd := record(t, st, 1, adt.NumLoadOp{L: "max"}.Op())
+	wr := record(t, st, 2, adt.NumStoreOp{L: "max", V: 5}.Op())
 	if detect(det, st, rd, wr) {
 		t.Fatalf("RAW-relaxed read/write must not conflict")
 	}
 	// Write-write on the same location still conflicts (no WAW relax).
-	wr2 := record(t, st, 1, adt.NumStoreOp{L: "max", V: 9})
+	wr2 := record(t, st, 1, adt.NumStoreOp{L: "max", V: 9}.Op())
 	if !detect(det, st, wr2, wr) {
 		t.Fatalf("stores of different values must still conflict")
 	}
@@ -161,8 +161,8 @@ func TestRelaxationsWAWSharedAsLocal(t *testing.T) {
 	st := baseState()
 	rx := NewRelaxations(nil, []state.Loc{"ctx"})
 	det := NewSequence(cache.New(seqabs.Abstract), rx)
-	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: "a.go"}, adt.StrLoadOp{L: "ctx"})
-	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: "b.go"}, adt.StrLoadOp{L: "ctx"})
+	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: "a.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
+	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: "b.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
 	if detect(det, st, a, b) {
 		t.Fatalf("WAW-relaxed shared-as-local must not conflict")
 	}
@@ -172,7 +172,7 @@ func TestRelaxationsWAWSharedAsLocal(t *testing.T) {
 		t.Fatalf("unrelaxed shared-as-local with different stores must conflict")
 	}
 	// A bare read of the entry value still conflicts: SAMEREAD is kept.
-	spy := record(t, st, 3, adt.StrLoadOp{L: "ctx"})
+	spy := record(t, st, 3, adt.StrLoadOp{L: "ctx"}.Op())
 	if !detect(det, st, spy, b) {
 		t.Fatalf("WAW relaxation must not drop SAMEREAD")
 	}
@@ -183,8 +183,8 @@ func TestRelaxationsBothOnStack(t *testing.T) {
 	st.Set("stk", state.IntList{})
 	rx := NewRelaxations([]state.Loc{"stk"}, []state.Loc{"stk"})
 	det := NewSequence(cache.New(seqabs.Abstract), rx)
-	push := record(t, st, 1, adt.ListPushOp{L: "stk", V: 1})
-	push2 := record(t, st, 2, adt.ListPushOp{L: "stk", V: 2})
+	push := record(t, st, 1, adt.ListPushOp{L: "stk", V: 1}.Op())
+	push2 := record(t, st, 2, adt.ListPushOp{L: "stk", V: 2}.Op())
 	if detect(det, st, push, push2) {
 		t.Fatalf("fully relaxed stack ops must not conflict")
 	}
@@ -211,8 +211,8 @@ func TestLearnOnlineConvergesWithoutTraining(t *testing.T) {
 	st := baseState()
 	det := NewSequence(cache.New(seqabs.Abstract), nil)
 	det.LearnOnline = true
-	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}, adt.NumAddOp{L: "work", Delta: -5})
-	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}, adt.NumAddOp{L: "work", Delta: -7})
+	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}.Op(), adt.NumAddOp{L: "work", Delta: -5}.Op())
+	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}.Op(), adt.NumAddOp{L: "work", Delta: -7}.Op())
 	// First query proves and caches the condition immediately: no conflict.
 	if detect(det, st, id1, id2) {
 		t.Fatalf("online learning must prove the identity pair on first sight")
@@ -236,13 +236,13 @@ func TestInferWAWAdmitsSharedAsLocal(t *testing.T) {
 	// Store-then-read pairs with different values: reads are stable
 	// (each follows its own store); the final-value disagreement is
 	// tolerated under commit-order serialization.
-	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: "a.go"}, adt.StrLoadOp{L: "ctx"})
-	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: "b.go"}, adt.StrLoadOp{L: "ctx"})
+	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: "a.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
+	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: "b.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
 	if detect(det, st, a, b) {
 		t.Fatalf("InferWAW must admit shared-as-local store/read pairs")
 	}
 	// A stale read is never admitted: SAMEREAD is kept.
-	spy := record(t, st, 3, adt.StrLoadOp{L: "ctx"})
+	spy := record(t, st, 3, adt.StrLoadOp{L: "ctx"}.Op())
 	if !detect(det, st, spy, b) {
 		t.Fatalf("InferWAW must keep the read-stability requirement")
 	}
@@ -250,12 +250,12 @@ func TestInferWAWAdmitsSharedAsLocal(t *testing.T) {
 	// against a non-identity committed sequence does not.
 	st2 := state.New()
 	st2.Set("stk", state.IntList{5})
-	bal := record(t, st2, 1, adt.ListPushOp{L: "stk", V: 1}, adt.ListPopOp{L: "stk"})
-	grow := record(t, st2, 2, adt.ListPushOp{L: "stk", V: 9})
+	bal := record(t, st2, 1, adt.ListPushOp{L: "stk", V: 1}.Op(), adt.ListPopOp{L: "stk"}.Op())
+	grow := record(t, st2, 2, adt.ListPushOp{L: "stk", V: 9}.Op())
 	if detect(det, st2, bal, grow) {
 		t.Fatalf("balanced stack reads are stable under a growing committed txn")
 	}
-	popper := record(t, st2, 3, adt.ListPopOp{L: "stk"})
+	popper := record(t, st2, 3, adt.ListPopOp{L: "stk"}.Op())
 	if !detect(det, st2, popper, grow) {
 		t.Fatalf("a prestate pop must conflict with a growing committed txn")
 	}

@@ -18,7 +18,7 @@ func footAcc(loc state.Loc, key string, read, write bool) oplog.Access {
 func footLog(accs ...[]oplog.Access) oplog.Log {
 	l := make(oplog.Log, len(accs))
 	for i, a := range accs {
-		ev := oplog.NewEvent(nil, 1, i, a, nil)
+		ev := oplog.NewEvent(oplog.Op{}, 1, i, a, nil)
 		l[i] = &ev
 	}
 	return l
@@ -177,15 +177,15 @@ func opLog(ops ...oplog.Op) oplog.Log {
 // count, and a relation is one location whatever the keys.
 func TestDirtyWrites(t *testing.T) {
 	txn := Prepare(opLog(
-		adt.NumAddOp{L: "a", Delta: 1},            // written; a window entry writes it
-		adt.NumAddOp{L: "b", Delta: 1},            // written; a window entry only reads it
-		adt.NumLoadOp{L: "c"},                     // read only; a window entry writes it
-		adt.RelPutOp{L: "m", Key: "k1", Val: "v"}, // written; a window entry writes another key
-		adt.NumStoreOp{L: "d", V: 1},              // written; nobody else touches it
+		adt.NumAddOp{L: "a", Delta: 1}.Op(),            // written; a window entry writes it
+		adt.NumAddOp{L: "b", Delta: 1}.Op(),            // written; a window entry only reads it
+		adt.NumLoadOp{L: "c"}.Op(),                     // read only; a window entry writes it
+		adt.RelPutOp{L: "m", Key: "k1", Val: "v"}.Op(), // written; a window entry writes another key
+		adt.NumStoreOp{L: "d", V: 1}.Op(),              // written; nobody else touches it
 	))
-	writesA := Prepare(opLog(adt.NumAddOp{L: "a", Delta: 2}, adt.NumLoadOp{L: "b"}, adt.NumStoreOp{L: "zz", V: 0}))
-	writesCM := Prepare(opLog(adt.NumAddOp{L: "c", Delta: 2}, adt.RelPutOp{L: "m", Key: "k2", Val: "w"}))
-	disjoint := Prepare(opLog(adt.NumAddOp{L: "q", Delta: 2}))
+	writesA := Prepare(opLog(adt.NumAddOp{L: "a", Delta: 2}.Op(), adt.NumLoadOp{L: "b"}.Op(), adt.NumStoreOp{L: "zz", V: 0}.Op()))
+	writesCM := Prepare(opLog(adt.NumAddOp{L: "c", Delta: 2}.Op(), adt.RelPutOp{L: "m", Key: "k2", Val: "w"}.Op()))
+	disjoint := Prepare(opLog(adt.NumAddOp{L: "q", Delta: 2}.Op()))
 
 	want := map[state.Loc]bool{"a": true, "m": true}
 	dirty, n := txn.DirtyWrites([]*Prepared{disjoint, writesA, writesCM, writesA}, nil)

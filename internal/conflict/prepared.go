@@ -280,10 +280,10 @@ const maxPooledOps = 1 << 14
 // nothing the artifact handed out — the Log slice, the *oplog.Event
 // pointers in it, the footprint an event's Accesses returns, Footprint's
 // slice — may be used after Recycle: the next transaction overwrites them.
-// A copy of an event is whole (its one-location footprint is stored in
-// the struct), and what an event refers to (Op, Observed, a
-// multi-location footprint's slice) is allocated per operation, never
-// reused, and may be kept.
+// A copy of an event is whole (its operation and one-location footprint
+// are stored in the struct), and what an event refers to (the operation's
+// strings, Observed, a multi-location footprint's slice) is allocated per
+// operation, never reused, and may be kept.
 func Begin() *Prepared {
 	return preparedPool.Get().(*Prepared)
 }
@@ -333,18 +333,18 @@ func PoisonRecycled(on bool) (restore func()) {
 	return func() { poisonRecycled.Store(was) }
 }
 
-// recycledOp is what a poisoned event holds.
-type recycledOp struct{}
+// recycledKind is the kind of a poisoned event's operation.
+type recycledKind struct{}
 
 const recycledMsg = "conflict: use of a transaction log after its artifact was recycled"
 
-func (recycledOp) Apply(*state.State) (state.Value, error) { panic(recycledMsg) }
-func (recycledOp) AppendAccesses([]oplog.Access, *state.State) []oplog.Access {
+func (recycledKind) Apply(oplog.Op, *state.State) (state.Value, error) { panic(recycledMsg) }
+func (recycledKind) AppendAccesses(oplog.Op, []oplog.Access, *state.State) []oplog.Access {
 	panic(recycledMsg)
 }
-func (recycledOp) Sym() oplog.Sym { panic(recycledMsg) }
-func (recycledOp) IsRead() bool   { panic(recycledMsg) }
-func (recycledOp) String() string { return "recycled" }
+func (recycledKind) Sym(oplog.Op) oplog.Sym { panic(recycledMsg) }
+func (recycledKind) IsRead(oplog.Op) bool   { panic(recycledMsg) }
+func (recycledKind) String(oplog.Op) string { return "recycled" }
 
 // checkLive guards the lazily computed projections: they are recomputed
 // after Recycle reset their memos, which is where a stale holder of a
@@ -370,7 +370,7 @@ func (p *Prepared) Recycle() {
 	if poisonRecycled.Load() {
 		// Through the logged pointers, so abandoned slabs are reached too.
 		for _, e := range p.log {
-			e.Poison(recycledOp{})
+			e.Poison(recycledKind{})
 		}
 		for i := range p.symArena {
 			p.symArena[i] = oplog.Sym{Kind: "conflict.recycled"}

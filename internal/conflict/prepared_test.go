@@ -25,12 +25,12 @@ func randLog(t *testing.T, rng *rand.Rand, st *state.State, task int) oplog.Log 
 		loc := locs[rng.Intn(len(locs))]
 		switch rng.Intn(3) {
 		case 0:
-			ops = append(ops, adt.NumLoadOp{L: loc})
+			ops = append(ops, adt.NumLoadOp{L: loc}.Op())
 		case 1:
-			ops = append(ops, adt.NumAddOp{L: loc, Delta: int64(rng.Intn(5))})
+			ops = append(ops, adt.NumAddOp{L: loc, Delta: int64(rng.Intn(5))}.Op())
 		default:
 			d := int64(1 + rng.Intn(5))
-			ops = append(ops, adt.NumAddOp{L: loc, Delta: d}, adt.NumAddOp{L: loc, Delta: -d})
+			ops = append(ops, adt.NumAddOp{L: loc, Delta: d}.Op(), adt.NumAddOp{L: loc, Delta: -d}.Op())
 		}
 	}
 	return record(t, st, task, ops...)
@@ -40,12 +40,12 @@ func randLog(t *testing.T, rng *rand.Rand, st *state.State, task int) oplog.Log 
 // pairs, as the training pipeline would produce for the workload above.
 func trainedIdentityCache() *cache.Cache {
 	c := cache.New(seqabs.Abstract)
-	idSyms := func(n string) []oplog.Sym {
+	idSyms := func(n int64) []oplog.Sym {
 		return []oplog.Sym{
-			{Kind: adt.KindNumAdd, Arg: n}, {Kind: adt.KindNumAdd, Arg: "-" + n},
+			{Kind: adt.KindNumAdd, N: n, Int: true}, {Kind: adt.KindNumAdd, N: -n, Int: true},
 		}
 	}
-	c.Put(idSyms("1"), idSyms("2"), commute.CondRegister)
+	c.Put(idSyms(1), idSyms(2), commute.CondRegister)
 	c.Freeze()
 	return c
 }
@@ -175,5 +175,35 @@ func TestPreparePooledRecycle(t *testing.T) {
 			t.Fatalf("trial %d: pooled verdict %v != fresh %v", trial, got, wanted)
 		}
 		pooled.Recycle()
+	}
+}
+
+// TestWarmDecomposeAllocs pins that decomposing a warm artifact of num.add
+// ops into per-location descriptors, and rendering each location's cache
+// key, allocates nothing: a delta stays an integer in its descriptor, so
+// none is rendered — not a negative one, nor one past the runtime's cache
+// of the strings of 0–99.
+func TestWarmDecomposeAllocs(t *testing.T) {
+	st := state.New()
+	st.Set("a", state.Int(0))
+	st.Set("b", state.Int(0))
+	p := Begin()
+	defer p.Recycle()
+	for i, d := range []int64{-300, 300, 1000, -1, 12345, -12345, 250, -250} {
+		op := adt.NumAddOp{L: []state.Loc{"a", "b"}[i%2], Delta: d}.Op()
+		p.Append(oplog.NewEvent(op, 1, i, op.AppendAccesses(nil, st), nil))
+	}
+	c := cache.New(seqabs.Abstract)
+	decompose := func() {
+		p.locsOnce = sync.Once{}
+		for i := range p.locations() {
+			if _, ok := p.locs[i].seqKey(c); !ok {
+				t.Fatal("seqKey refused the cache it was keyed for")
+			}
+		}
+	}
+	decompose() // grow the buffers
+	if allocs := testing.AllocsPerRun(100, decompose); allocs != 0 {
+		t.Errorf("decomposing a warm artifact of 8 num.add ops allocates %.1f objects, want 0", allocs)
 	}
 }

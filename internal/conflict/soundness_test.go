@@ -13,19 +13,19 @@ import (
 	"repro/internal/state"
 )
 
-// accOp is a test op with explicit accesses and no effect.
-type accOp struct {
+// accKind is a test kind with explicit accesses and no effect.
+type accKind struct {
 	kind string
 	acc  []oplog.Access
 }
 
-func (o accOp) Apply(*state.State) (state.Value, error) { return nil, nil }
-func (o accOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
-	return append(dst, o.acc...)
+func (k *accKind) Apply(oplog.Op, *state.State) (state.Value, error) { return nil, nil }
+func (k *accKind) AppendAccesses(_ oplog.Op, dst []oplog.Access, _ *state.State) []oplog.Access {
+	return append(dst, k.acc...)
 }
-func (o accOp) Sym() oplog.Sym { return oplog.Sym{Kind: o.kind} }
-func (o accOp) IsRead() bool   { return false }
-func (o accOp) String() string { return o.kind }
+func (k *accKind) Sym(oplog.Op) oplog.Sym { return oplog.Sym{Kind: k.kind} }
+func (k *accKind) IsRead(oplog.Op) bool   { return false }
+func (k *accKind) String(oplog.Op) string { return k.kind }
 
 // scanAccesses is a read of every key the random relational ops use: a
 // static multi-key footprint, so one event sits in several per-key
@@ -33,7 +33,7 @@ func (o accOp) String() string { return o.kind }
 var scanAccesses = func() []oplog.Access {
 	var acc []oplog.Access
 	for i := 0; i < 3; i++ {
-		acc = adt.RelGetOp{L: "bits", Key: fmt.Sprintf("k%d", i)}.AppendAccesses(acc, nil)
+		acc = adt.RelGetOp{L: "bits", Key: fmt.Sprintf("k%d", i)}.Op().AppendAccesses(acc, nil)
 	}
 	return acc
 }()
@@ -48,19 +48,19 @@ func richRandLog(t *testing.T, rng *rand.Rand, st *state.State, task int) oplog.
 	for n := 1 + rng.Intn(4); n > 0; n-- {
 		switch rng.Intn(6) {
 		case 0:
-			ops = append(ops, adt.NumLoadOp{L: locs[rng.Intn(2)]})
+			ops = append(ops, adt.NumLoadOp{L: locs[rng.Intn(2)]}.Op())
 		case 1:
-			ops = append(ops, adt.NumAddOp{L: locs[rng.Intn(2)], Delta: int64(rng.Intn(5))})
+			ops = append(ops, adt.NumAddOp{L: locs[rng.Intn(2)], Delta: int64(rng.Intn(5))}.Op())
 		case 2:
 			d := int64(1 + rng.Intn(5))
 			l := locs[rng.Intn(2)]
-			ops = append(ops, adt.NumAddOp{L: l, Delta: d}, adt.NumAddOp{L: l, Delta: -d})
+			ops = append(ops, adt.NumAddOp{L: l, Delta: d}.Op(), adt.NumAddOp{L: l, Delta: -d}.Op())
 		case 3:
-			ops = append(ops, adt.RelPutOp{L: "bits", Key: fmt.Sprintf("k%d", rng.Intn(3)), Val: "v"})
+			ops = append(ops, adt.RelPutOp{L: "bits", Key: fmt.Sprintf("k%d", rng.Intn(3)), Val: "v"}.Op())
 		case 4:
-			ops = append(ops, adt.RelGetOp{L: "bits", Key: fmt.Sprintf("k%d", rng.Intn(3))})
+			ops = append(ops, adt.RelGetOp{L: "bits", Key: fmt.Sprintf("k%d", rng.Intn(3))}.Op())
 		default:
-			ops = append(ops, accOp{kind: "test.scan", acc: scanAccesses})
+			ops = append(ops, oplog.Op{K: &accKind{kind: "test.scan", acc: scanAccesses}})
 		}
 	}
 	return record(t, st, task, ops...)

@@ -148,8 +148,8 @@ func sweepArtifacts(t *testing.T) []artifact {
 	r := rec.New(rec.Meta{Workload: "sweep", Threads: 2, Tasks: 4}, initial, rec.Options{ChunkBytes: 24})
 	for i := 1; i <= 4; i++ {
 		r.ObserveCommitted(i, int64(i), oplog.Log{
-			&oplog.Event{Op: adt.NumAddOp{L: "c", Delta: int64(i)}},
-			&oplog.Event{Op: adt.StrLoadOp{L: "s"}, Observed: state.Str("x")},
+			&oplog.Event{Op: adt.NumAddOp{L: "c", Delta: int64(i)}.Op()},
+			&oplog.Event{Op: adt.StrLoadOp{L: "s"}.Op(), Observed: state.Str("x")},
 		})
 	}
 	r.Close(initial)

@@ -14,7 +14,7 @@ func benchLog(nLocs, total int) Log {
 	l := make(Log, 0, total)
 	for i := 0; i < total; i++ {
 		loc := state.Loc("l" + strconv.Itoa(i%nLocs))
-		l = append(l, mkEvent(1, i, fakeOp{loc: loc, add: 1}, st))
+		l = append(l, mkEvent(1, i, fakeAdd(loc), st))
 	}
 	return l
 }

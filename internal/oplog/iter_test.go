@@ -7,19 +7,22 @@ import (
 	"repro/internal/state"
 )
 
-// multiOp is a fake op touching several projection locations at once
+// multiKind is a fake kind touching several projection locations at once
 // (possibly the same one twice), exercising the per-access yield contract.
-type multiOp struct {
+type multiKind struct {
 	acc []Access
 }
 
-func (m multiOp) Apply(*state.State) (state.Value, error) { return nil, nil }
-func (m multiOp) AppendAccesses(dst []Access, _ *state.State) []Access {
+func (m *multiKind) Apply(Op, *state.State) (state.Value, error) { return nil, nil }
+func (m *multiKind) AppendAccesses(_ Op, dst []Access, _ *state.State) []Access {
 	return append(dst, m.acc...)
 }
-func (m multiOp) Sym() Sym       { return Sym{Kind: "multi"} }
-func (m multiOp) IsRead() bool   { return false }
-func (m multiOp) String() string { return "multi" }
+func (m *multiKind) Sym(Op) Sym       { return Sym{Kind: "multi"} }
+func (m *multiKind) IsRead(Op) bool   { return false }
+func (m *multiKind) String(Op) string { return "multi" }
+
+// multiOp is an op of a multiKind with footprint acc.
+func multiOp(acc []Access) Op { return Op{K: &multiKind{acc: acc}} }
 
 // collect drains a SubseqIter.
 func collect(it SubseqIter) Log {
@@ -64,8 +67,8 @@ func TestSubseqIterMatchesDecompose(t *testing.T) {
 // twice in that location's subsequence, and an absent location yields an
 // empty iteration.
 func TestSubseqIterMultiAccess(t *testing.T) {
-	e1 := mkEvent(1, 0, multiOp{acc: []Access{{P: PLoc{Loc: "x"}, Write: true}, {P: PLoc{Loc: "y"}, Read: true}}}, nil)
-	e2 := mkEvent(1, 1, multiOp{acc: []Access{{P: PLoc{Loc: "x"}, Read: true}, {P: PLoc{Loc: "x"}, Write: true}}}, nil)
+	e1 := mkEvent(1, 0, multiOp([]Access{{P: PLoc{Loc: "x"}, Write: true}, {P: PLoc{Loc: "y"}, Read: true}}), nil)
+	e2 := mkEvent(1, 1, multiOp([]Access{{P: PLoc{Loc: "x"}, Read: true}, {P: PLoc{Loc: "x"}, Write: true}}), nil)
 	l := Log{e1, e2}
 	want := refDecompose(l)
 	var d Decomposer

@@ -2,11 +2,13 @@
 // with read/write footprints, transaction logs, and the DECOMPOSE step of
 // the projection-based conflict-detection algorithm (Figure 8).
 //
-// Every shared-state access a task performs is an Op. Ops are immutable
-// descriptors; applying one mutates a given state and returns the observed
-// value (for reads). A transaction's log replays at commit time against the
-// global state (REPLAYLOGGEDOPERATIONS in Figure 7) — in this runtime, the
-// part of it that touches locations a concurrent commit wrote.
+// Every shared-state access a task performs is an Op: a value holding the
+// operation's Kind, which gives it its semantics, and its operands. Ops
+// are immutable; applying one mutates a given state and returns the
+// observed value (for reads). A transaction's log replays at commit time
+// against the global state (REPLAYLOGGEDOPERATIONS in Figure 7) — in this
+// runtime, the part of it that touches locations a concurrent commit
+// wrote.
 //
 // Projection locations (PLoc) refine shared locations to the subvalue
 // granularity of §5.1: a (location, key) pair, where a scalar location
@@ -19,6 +21,7 @@ package oplog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/state"
@@ -55,56 +58,100 @@ type Access struct {
 
 // Sym is an operation's symbolic descriptor, the unit of sequence mining
 // and commutativity caching. Kind names the operation (e.g. "num.add",
-// "rel.insert"); Arg is its generalizable argument rendered as a string
-// ("" when the operation takes none).
+// "rel.put"). Its generalizable argument is the integer N when Int is set
+// (num.add, num.store, list.push), so that detection reads a delta without
+// rendering or parsing it; otherwise it is Arg, rendered as a string (""
+// when the operation takes none).
 type Sym struct {
 	Kind string
 	Arg  string
+	N    int64
+	Int  bool
 }
 
-// String renders the descriptor.
+// String renders the descriptor: the kind, followed by the argument in
+// parentheses when there is one.
 func (s Sym) String() string {
+	if s.Int {
+		return s.Kind + "(" + strconv.FormatInt(s.N, 10) + ")"
+	}
 	if s.Arg == "" {
 		return s.Kind
 	}
 	return s.Kind + "(" + s.Arg + ")"
 }
 
-// Op is a loggable shared-state operation.
-type Op interface {
-	// Apply executes the operation against st, returning the observed
-	// value for reads (nil for pure effects). It must be a deterministic
-	// function of the op and of the values st holds at the locations
-	// AppendAccesses names, and may touch no other location: the commit
-	// path installs a location's privately computed value when no
-	// concurrent commit wrote that location and re-applies the op only
-	// otherwise, so both must yield the same value (stm.replayCompute).
-	// Apply may therefore run once or several times per committed
-	// transaction.
-	Apply(st *state.State) (state.Value, error)
-	// AppendAccesses appends to dst the projection locations the
-	// operation touches when executed in pre-state st, with read/write
-	// flags, and returns the extended slice. This is the only dynamic
-	// context conflict detection needs (§5.3: read and write sets). The
-	// executors pass a buffer they reuse, so an op whose footprint is one
-	// location computes it without allocating.
-	AppendAccesses(dst []Access, st *state.State) []Access
-	// Sym returns the symbolic descriptor used for sequence matching.
-	Sym() Sym
-	// IsRead reports whether the operation observes a value that flows
-	// into the task (GETREADSUBSEQUENCES of Figure 8 collects these).
-	IsRead() bool
-	fmt.Stringer
+// Op is a loggable shared-state operation: a kind and its operands. It is
+// a value, logged by copy, so an executor records an operation without
+// allocating; what an operand means is its kind's to say (a location L, a
+// relation key Key, a string Val, an integer N).
+type Op struct {
+	K   Kind
+	L   state.Loc
+	Key string
+	Val string
+	N   int64
 }
+
+// Kind is the semantics of a family of operations. Its methods take the
+// operation by value: a value passed to an interface method does not
+// escape, where a pointer to it would, so an Op on the caller's stack
+// stays there. A kind should be a byte-sized or zero-size value, which an
+// interface holds without allocating.
+type Kind interface {
+	// Apply executes o against st, returning the observed value for
+	// reads (nil for pure effects). It must be a deterministic function
+	// of o and of the values st holds at the locations AppendAccesses
+	// names, and may touch no other location: the commit path installs a
+	// location's privately computed value when no concurrent commit wrote
+	// that location and re-applies the op only otherwise, so both must
+	// yield the same value (stm.replayCompute). Apply may therefore run
+	// once or several times per committed transaction.
+	Apply(o Op, st *state.State) (state.Value, error)
+	// AppendAccesses appends to dst the projection locations o touches
+	// when executed in pre-state st, with read/write flags, and returns
+	// the extended slice. This is the only dynamic context conflict
+	// detection needs (§5.3: read and write sets). The executors pass a
+	// buffer they reuse, so an op whose footprint is one location
+	// computes it without allocating.
+	AppendAccesses(o Op, dst []Access, st *state.State) []Access
+	// Sym returns o's symbolic descriptor used for sequence matching.
+	Sym(o Op) Sym
+	// IsRead reports whether o observes a value that flows into the task
+	// (GETREADSUBSEQUENCES of Figure 8 collects these).
+	IsRead(o Op) bool
+	// String renders o for traces and errors.
+	String(o Op) string
+}
+
+// Apply executes the operation against st (Kind.Apply).
+func (o Op) Apply(st *state.State) (state.Value, error) { return o.K.Apply(o, st) }
+
+// AppendAccesses appends the operation's footprint in pre-state st to dst
+// (Kind.AppendAccesses).
+func (o Op) AppendAccesses(dst []Access, st *state.State) []Access {
+	return o.K.AppendAccesses(o, dst, st)
+}
+
+// Sym returns the operation's symbolic descriptor (Kind.Sym).
+func (o Op) Sym() Sym { return o.K.Sym(o) }
+
+// IsRead reports whether the operation's result flows into the task
+// (Kind.IsRead).
+func (o Op) IsRead() bool { return o.K.IsRead(o) }
+
+// String renders the operation (Kind.String).
+func (o Op) String() string { return o.K.String(o) }
 
 // Event is one executed operation in a trace or transaction log. Inside
 // the runtime an Event lives in storage its log's artifact owns and a later
 // transaction overwrites (conflict.Prepared.Recycle): whoever is handed a
 // runtime log (stm.CommitSink) keeps copies of the structs, not pointers.
 // A copy is whole: a one-location footprint is stored in the struct by
-// value, so the copy's Accesses reads its own. What an event refers to —
-// Op, Observed and a multi-location footprint's slice — is allocated per
-// operation and never reused.
+// value, so the copy's Accesses reads its own, and so is the operation.
+// What an event refers to — the operation's strings, Observed and a
+// multi-location footprint's slice — is allocated per operation and never
+// reused.
 type Event struct {
 	Op   Op
 	Task int // transaction/task identifier
@@ -150,7 +197,7 @@ func (e *Event) Accesses() []Access {
 	return e.many
 }
 
-// poisonedAccesses asks a poisoned event's tombstone op for the
+// poisonedAccesses asks a poisoned event's tombstone kind for the
 // footprint, which panics: a stale reader must not see "touches
 // nothing". Kept out of Accesses so that the reader every decomposition
 // and footprint loop calls per event inlines.
@@ -158,12 +205,12 @@ func (e *Event) Accesses() []Access {
 //go:noinline
 func (e *Event) poisonedAccesses() []Access { return e.Op.AppendAccesses(nil, nil) }
 
-// Poison overwrites e with a tombstone whose operation is op and whose
-// footprint is op's to compute (Accesses calls op.AppendAccesses): a log's
-// owner poisons its recycled events with an op whose methods panic, so a
-// stale reader fails at the footprint as at the op.
-func (e *Event) Poison(op Op) {
-	*e = Event{Op: op, Task: -1, Seq: -1, nacc: -1}
+// Poison overwrites e with a tombstone whose operation is of kind k and
+// whose footprint is k's to compute (Accesses calls k.AppendAccesses): a
+// log's owner poisons its recycled events with a kind whose methods panic,
+// so a stale reader fails at the footprint as at the op.
+func (e *Event) Poison(k Kind) {
+	*e = Event{Op: Op{K: k}, Task: -1, Seq: -1, nacc: -1}
 }
 
 // String renders the event for traces.

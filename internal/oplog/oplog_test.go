@@ -7,35 +7,36 @@ import (
 	"repro/internal/state"
 )
 
-// fakeOp is a minimal op for log-level tests.
-type fakeOp struct {
-	loc  state.Loc
-	add  int64
-	read bool
-}
+// fakeKind is a minimal kind for log-level tests: an add of N to the
+// integer at L, or a load of it.
+type fakeKind struct{ read bool }
 
-func (f fakeOp) Apply(st *state.State) (state.Value, error) {
-	v, _ := st.Get(f.loc)
+func (f fakeKind) Apply(o Op, st *state.State) (state.Value, error) {
+	v, _ := st.Get(o.L)
 	iv, _ := v.(state.Int)
 	if f.read {
 		return iv, nil
 	}
-	st.Set(f.loc, state.Int(int64(iv)+f.add))
+	st.Set(o.L, state.Int(int64(iv)+o.N))
 	return nil, nil
 }
 
-func (f fakeOp) AppendAccesses(dst []Access, _ *state.State) []Access {
-	return append(dst, Access{P: PLoc{Loc: f.loc}, Read: true, Write: !f.read})
+func (f fakeKind) AppendAccesses(o Op, dst []Access, _ *state.State) []Access {
+	return append(dst, Access{P: PLoc{Loc: o.L}, Read: true, Write: !f.read})
 }
 
-func (f fakeOp) Sym() Sym {
+func (f fakeKind) Sym(o Op) Sym {
 	if f.read {
 		return Sym{Kind: "num.load"}
 	}
-	return Sym{Kind: "num.add", Arg: "1"}
+	return Sym{Kind: "num.add", N: o.N, Int: true}
 }
-func (f fakeOp) IsRead() bool   { return f.read }
-func (f fakeOp) String() string { return "fake:" + string(f.loc) }
+func (f fakeKind) IsRead(Op) bool     { return f.read }
+func (f fakeKind) String(o Op) string { return "fake:" + string(o.L) }
+
+// fakeAdd adds 1 to the integer at loc; fakeLoad reads it.
+func fakeAdd(loc state.Loc) Op  { return Op{K: fakeKind{}, L: loc, N: 1} }
+func fakeLoad(loc state.Loc) Op { return Op{K: fakeKind{read: true}, L: loc} }
 
 // TestPLocRoundTrip: a projection location renders as "loc" or
 // "loc#key", and a '#' in the location's own name stays in the location:
@@ -76,7 +77,7 @@ func TestEventFootprint(t *testing.T) {
 		{{P: PLoc{Loc: "x"}, Write: true}, {P: PLoc{Loc: "y"}, Read: true}, {P: PLoc{Loc: "x"}, Read: true}},
 	} {
 		buf = append(buf[:0], acc...)
-		e := NewEvent(multiOp{}, 1, 2, buf, state.Int(7))
+		e := NewEvent(multiOp(nil), 1, 2, buf, state.Int(7))
 		for i := range buf {
 			buf[i] = Access{P: PLoc{Loc: "clobbered"}} // the caller reuses its buffer
 		}
@@ -84,7 +85,7 @@ func TestEventFootprint(t *testing.T) {
 			t.Fatalf("footprint %v read back as %v", acc, got)
 		}
 		cp := e
-		e = NewEvent(multiOp{}, 0, 0, []Access{{P: PLoc{Loc: "other"}, Write: true}}, nil)
+		e = NewEvent(multiOp(nil), 0, 0, []Access{{P: PLoc{Loc: "other"}, Write: true}}, nil)
 		if got := cp.Accesses(); len(got) != len(acc) || (len(acc) > 0 && !reflect.DeepEqual(got, acc)) {
 			t.Fatalf("copied event's footprint %v read back as %v after the original was overwritten", acc, got)
 		}
@@ -97,8 +98,8 @@ func TestEventFootprint(t *testing.T) {
 func TestReplay(t *testing.T) {
 	st := state.New()
 	st.Set("x", state.Int(0))
-	add := fakeOp{loc: "x", add: 1}
-	load := fakeOp{loc: "x", read: true}
+	add := fakeAdd("x")
+	load := fakeLoad("x")
 	l := Log{mkEvent(1, 0, add, st), mkEvent(1, 1, load, st), mkEvent(1, 2, add, st)}
 	if err := l.Replay(st); err != nil {
 		t.Fatal(err)
@@ -125,9 +126,9 @@ func TestDecompose(t *testing.T) {
 	st := state.New()
 	st.Set("x", state.Int(0))
 	st.Set("y", state.Int(0))
-	ax := mkEvent(1, 0, fakeOp{loc: "x", add: 1}, st)
-	ay := mkEvent(1, 1, fakeOp{loc: "y", add: 1}, st)
-	ax2 := mkEvent(1, 2, fakeOp{loc: "x", add: 1}, st)
+	ax := mkEvent(1, 0, fakeAdd("x"), st)
+	ay := mkEvent(1, 1, fakeAdd("y"), st)
+	ax2 := mkEvent(1, 2, fakeAdd("x"), st)
 	got := new(Decomposer).Decompose(Log{ax, ay, ax2})
 	if len(got) != 2 || got[0].P != (PLoc{Loc: "x"}) || got[1].P != (PLoc{Loc: "y"}) {
 		t.Fatalf("locations = %v, want [x y]", got)
@@ -143,9 +144,9 @@ func TestDecompose(t *testing.T) {
 func TestSymsAndStrings(t *testing.T) {
 	st := state.New()
 	st.Set("x", state.Int(0))
-	l := Log{mkEvent(3, 7, fakeOp{loc: "x", add: 1}, st)}
+	l := Log{mkEvent(3, 7, fakeAdd("x"), st)}
 	syms := l.Syms()
-	want := []Sym{{Kind: "num.add", Arg: "1"}}
+	want := []Sym{{Kind: "num.add", N: 1, Int: true}}
 	if !reflect.DeepEqual(syms, want) {
 		t.Errorf("Syms = %v, want %v", syms, want)
 	}
@@ -154,6 +155,9 @@ func TestSymsAndStrings(t *testing.T) {
 	}
 	if (Sym{Kind: "num.add", Arg: "2"}).String() != "num.add(2)" {
 		t.Errorf("Sym string wrong")
+	}
+	if (Sym{Kind: "num.add", N: -300, Int: true}).String() != "num.add(-300)" {
+		t.Errorf("integer Sym string wrong")
 	}
 	if got := l[0].String(); got != "t3/7:fake:x" {
 		t.Errorf("event String = %q", got)
@@ -169,7 +173,7 @@ func randDecomposeLog(st *state.State, nLocs, total, seed int) Log {
 	var l Log
 	for i := 0; i < total; i++ {
 		loc := state.Loc(string(rune('a' + (i*7+seed*3)%nLocs)))
-		l = append(l, mkEvent(1, i, fakeOp{loc: loc, add: 1}, st))
+		l = append(l, mkEvent(1, i, fakeAdd(loc), st))
 	}
 	return l
 }
@@ -202,10 +206,10 @@ func TestDecomposeOrderedFirstAccessOrder(t *testing.T) {
 	st.Set("y", state.Int(0))
 	st.Set("z", state.Int(0))
 	l := Log{
-		mkEvent(1, 0, fakeOp{loc: "y", add: 1}, st),
-		mkEvent(1, 1, fakeOp{loc: "x", add: 1}, st),
-		mkEvent(1, 2, fakeOp{loc: "y", add: 1}, st),
-		mkEvent(1, 3, fakeOp{loc: "z", add: 1}, st),
+		mkEvent(1, 0, fakeAdd("y"), st),
+		mkEvent(1, 1, fakeAdd("x"), st),
+		mkEvent(1, 2, fakeAdd("y"), st),
+		mkEvent(1, 3, fakeAdd("z"), st),
 	}
 	got := new(Decomposer).Decompose(l)
 	wantOrder := []PLoc{{Loc: "y"}, {Loc: "x"}, {Loc: "z"}}

@@ -202,47 +202,33 @@ func (d *dec) rel() state.Value {
 	return state.Rel{R: b.Done()}
 }
 
+// op decodes one operation as enc.op wrote it.
 func (d *dec) op() oplog.Op {
-	code := d.Byte()
+	k := adt.OpKind(d.Byte())
 	if d.Err() != nil {
-		return nil
+		return oplog.Op{}
 	}
-	loc := state.Loc(d.str())
-	switch code {
-	case opNumAdd:
-		return adt.NumAddOp{L: loc, Delta: d.Varint()}
-	case opNumStore:
-		return adt.NumStoreOp{L: loc, V: d.Varint()}
-	case opNumLoad:
-		return adt.NumLoadOp{L: loc}
-	case opStrStore:
-		return adt.StrStoreOp{L: loc, V: d.str()}
-	case opStrLoad:
-		return adt.StrLoadOp{L: loc}
-	case opBoolStore:
-		return adt.BoolStoreOp{L: loc, V: d.bool()}
-	case opBoolLoad:
-		return adt.BoolLoadOp{L: loc}
-	case opListPush:
-		return adt.ListPushOp{L: loc, V: d.Varint()}
-	case opListPop:
-		return adt.ListPopOp{L: loc}
-	case opListSize:
-		return adt.ListSizeOp{L: loc}
-	case opRelPut:
-		return adt.RelPutOp{L: loc, Key: d.str(), Val: d.str()}
-	case opRelRemove:
-		return adt.RelRemoveOp{L: loc, Key: d.str()}
-	case opRelGet:
-		return adt.RelGetOp{L: loc, Key: d.str()}
-	case opRelHas:
-		return adt.RelHasOp{L: loc, Key: d.str()}
-	case opRelClear:
-		return adt.RelClearOp{L: loc}
+	op := oplog.Op{K: k, L: state.Loc(d.str())}
+	switch k {
+	case adt.NumAdd, adt.NumStore, adt.ListPush:
+		op.N = d.Varint()
+	case adt.StrStore:
+		op.Val = d.str()
+	case adt.BoolStore:
+		if d.bool() {
+			op.N = 1
+		}
+	case adt.RelPut:
+		op.Key = d.str()
+		op.Val = d.str()
+	case adt.RelRemove, adt.RelGet, adt.RelHas:
+		op.Key = d.str()
+	case adt.NumLoad, adt.StrLoad, adt.BoolLoad, adt.ListPop, adt.ListSize, adt.RelClear:
 	default:
-		d.Fail("unknown opcode %d", code)
-		return nil
+		d.Fail("unknown opcode %d", k)
+		return oplog.Op{}
 	}
+	return op
 }
 
 // chunkPayload holds a decoded chunk's records.

@@ -68,26 +68,6 @@ const (
 	valRel
 )
 
-// Opcodes, one per concrete adt op type. These are part of the on-disk
-// format; append only.
-const (
-	opNumAdd byte = iota + 1
-	opNumStore
-	opNumLoad
-	opStrStore
-	opStrLoad
-	opBoolStore
-	opBoolLoad
-	opListPush
-	opListPop
-	opListSize
-	opRelPut
-	opRelRemove
-	opRelGet
-	opRelHas
-	opRelClear
-)
-
 // enc is an append-only encoder with an optional per-chunk string table.
 type enc struct {
 	buf []byte
@@ -206,67 +186,29 @@ func wireOrder(a, b [2]string) int {
 	return strings.Compare(a[0]+"\x00"+a[1]+"\x00", b[0]+"\x00"+b[1]+"\x00")
 }
 
-// op encodes one concrete operation. The caller must have vetted the log
-// with encodableLog first; an unknown op type here is a programming error.
+// op encodes one concrete operation: its kind's op code (an adt.OpKind is
+// its own code), its location, then the operands its kind has. The caller
+// must have vetted the log with encodableLog first; an op of another kind
+// here is a programming error.
 func (e *enc) op(op oplog.Op) {
-	switch o := op.(type) {
-	case adt.NumAddOp:
-		e.byte(opNumAdd)
-		e.str(string(o.L))
-		e.i(o.Delta)
-	case adt.NumStoreOp:
-		e.byte(opNumStore)
-		e.str(string(o.L))
-		e.i(o.V)
-	case adt.NumLoadOp:
-		e.byte(opNumLoad)
-		e.str(string(o.L))
-	case adt.StrStoreOp:
-		e.byte(opStrStore)
-		e.str(string(o.L))
-		e.str(o.V)
-	case adt.StrLoadOp:
-		e.byte(opStrLoad)
-		e.str(string(o.L))
-	case adt.BoolStoreOp:
-		e.byte(opBoolStore)
-		e.str(string(o.L))
-		e.bool(o.V)
-	case adt.BoolLoadOp:
-		e.byte(opBoolLoad)
-		e.str(string(o.L))
-	case adt.ListPushOp:
-		e.byte(opListPush)
-		e.str(string(o.L))
-		e.i(o.V)
-	case adt.ListPopOp:
-		e.byte(opListPop)
-		e.str(string(o.L))
-	case adt.ListSizeOp:
-		e.byte(opListSize)
-		e.str(string(o.L))
-	case adt.RelPutOp:
-		e.byte(opRelPut)
-		e.str(string(o.L))
-		e.str(o.Key)
-		e.str(o.Val)
-	case adt.RelRemoveOp:
-		e.byte(opRelRemove)
-		e.str(string(o.L))
-		e.str(o.Key)
-	case adt.RelGetOp:
-		e.byte(opRelGet)
-		e.str(string(o.L))
-		e.str(o.Key)
-	case adt.RelHasOp:
-		e.byte(opRelHas)
-		e.str(string(o.L))
-		e.str(o.Key)
-	case adt.RelClearOp:
-		e.byte(opRelClear)
-		e.str(string(o.L))
-	default:
-		panic(fmt.Sprintf("rec: unencodable op %T escaped encodableLog", op))
+	k, ok := op.K.(adt.OpKind)
+	if !ok {
+		panic(fmt.Sprintf("rec: unencodable op kind %T escaped encodableLog", op.K))
+	}
+	e.byte(byte(k))
+	e.str(string(op.L))
+	switch k {
+	case adt.NumAdd, adt.NumStore, adt.ListPush:
+		e.i(op.N)
+	case adt.StrStore:
+		e.str(op.Val)
+	case adt.BoolStore:
+		e.bool(op.N != 0)
+	case adt.RelPut:
+		e.str(op.Key)
+		e.str(op.Val)
+	case adt.RelRemove, adt.RelGet, adt.RelHas:
+		e.str(op.Key)
 	}
 }
 
@@ -285,14 +227,8 @@ func encodableValue(v state.Value) error {
 // marks the trace lossy without corrupting the chunk mid-record.
 func encodableLog(log oplog.Log) error {
 	for _, ev := range log {
-		switch ev.Op.(type) {
-		case adt.NumAddOp, adt.NumStoreOp, adt.NumLoadOp,
-			adt.StrStoreOp, adt.StrLoadOp,
-			adt.BoolStoreOp, adt.BoolLoadOp,
-			adt.ListPushOp, adt.ListPopOp, adt.ListSizeOp,
-			adt.RelPutOp, adt.RelRemoveOp, adt.RelGetOp, adt.RelHasOp, adt.RelClearOp:
-		default:
-			return fmt.Errorf("rec: op %q (%T) has no trace encoding", ev.Op.Sym().Kind, ev.Op)
+		if _, ok := ev.Op.K.(adt.OpKind); !ok {
+			return fmt.Errorf("rec: op %q (kind %T) has no trace encoding", ev.Op.Sym().Kind, ev.Op.K)
 		}
 		if err := encodableValue(ev.Observed); err != nil {
 			return err

@@ -50,7 +50,7 @@ func FuzzReadTrace(f *testing.F) {
 		}
 		// And re-encoding decisions downstream (replay) must not panic
 		// either; errors are fine.
-		_, _ = tr.ReplaySequential(false)
+		_, _ = tr.ReplaySequential()
 	})
 }
 

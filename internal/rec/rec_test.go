@@ -3,7 +3,9 @@ package rec
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -142,9 +144,9 @@ func TestRoundTripStream(t *testing.T) {
 		}
 		// Sequential oracle replay reproduces the recorded final state,
 		// checking every observed value on the way.
-		st, err := tr.ReplaySequential(true)
+		st, _, err := tr.VerifySequential(nil)
 		if err != nil {
-			t.Fatalf("ReplaySequential: %v", err)
+			t.Fatalf("VerifySequential: %v", err)
 		}
 		if !st.Equal(final) {
 			t.Errorf("sequential replay drifted:\n got %s\nwant %s", st, final)
@@ -180,7 +182,7 @@ func TestFlightRingEvictionMarksTruncated(t *testing.T) {
 		t.Errorf("truncated trace retained %d of %d commits — nothing was lost?", len(tr.Txns), tr.Commits)
 	}
 	// A truncated trace cannot be replayed — typed rejection.
-	if _, err := tr.ReplaySequential(false); err == nil {
+	if _, err := tr.ReplaySequential(); err == nil {
 		t.Fatal("replaying a truncated trace must fail")
 	} else {
 		var terr *fsio.FrameError
@@ -215,7 +217,7 @@ func TestFlightMidRunDumpDerivesDigest(t *testing.T) {
 	if tr.DigestKind != DigestDerived {
 		t.Fatalf("mid-run lossless dump digest kind = %s, want derived", tr.DigestKind)
 	}
-	st, err := tr.ReplaySequential(false)
+	st, err := tr.ReplaySequential()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,17 +231,80 @@ func TestFlightMidRunDumpDerivesDigest(t *testing.T) {
 	}
 }
 
-// customOp is an op type the trace format does not know.
-type customOp struct{ adt.NumAddOp }
+// TestGoldenOpBytes pins the trace bytes of one op of every kind, written
+// in this order into one chunk's string table (so later ops refer back to
+// earlier strings), and that the bytes decode to the ops they came from.
+// The bytes were computed when each kind was a Go type of its own and the
+// codec switched on the type; an op code past the last kind is refused.
+func TestGoldenOpBytes(t *testing.T) {
+	cases := []struct {
+		op  oplog.Op
+		hex string
+	}{
+		{adt.NumAddOp{L: "c", Delta: 7}.Op(), "010001630e"},
+		{adt.NumAddOp{L: "c", Delta: -300}.Op(), "0101d704"},
+		{adt.NumAddOp{L: "c", Delta: 0}.Op(), "010100"},
+		{adt.NumAddOp{L: "c", Delta: 99}.Op(), "0101c601"},
+		{adt.NumAddOp{L: "c", Delta: 100}.Op(), "0101c801"},
+		{adt.NumAddOp{L: "c", Delta: -1}.Op(), "010101"},
+		{adt.NumAddOp{L: "c", Delta: math.MaxInt64}.Op(), "0101feffffffffffffffff01"},
+		{adt.NumAddOp{L: "c", Delta: math.MinInt64}.Op(), "0101ffffffffffffffffff01"},
+		{adt.NumStoreOp{L: "c", V: 123456}.Op(), "020180890f"},
+		{adt.NumStoreOp{L: "c", V: -7}.Op(), "02010d"},
+		{adt.NumLoadOp{L: "c"}.Op(), "0301"},
+		{adt.StrStoreOp{L: "s", V: "hello"}.Op(), "04000173000568656c6c6f"},
+		{adt.StrStoreOp{L: "s", V: ""}.Op(), "04020000"},
+		{adt.StrStoreOp{L: "s", V: "-42"}.Op(), "040200032d3432"},
+		{adt.StrLoadOp{L: "s"}.Op(), "0502"},
+		{adt.BoolStoreOp{L: "b", V: true}.Op(), "0600016201"},
+		{adt.BoolStoreOp{L: "b", V: false}.Op(), "060600"},
+		{adt.BoolLoadOp{L: "b"}.Op(), "0706"},
+		{adt.ListPushOp{L: "l", V: -5}.Op(), "0800016c09"},
+		{adt.ListPushOp{L: "l", V: 250}.Op(), "0807f403"},
+		{adt.ListPopOp{L: "l"}.Op(), "0907"},
+		{adt.ListSizeOp{L: "l"}.Op(), "0a07"},
+		{adt.RelPutOp{L: "m", Key: "k", Val: "v"}.Op(), "0b00016d00016b000176"},
+		{adt.RelPutOp{L: "m", Key: "k", Val: ""}.Op(), "0b080904"},
+		{adt.RelRemoveOp{L: "m", Key: "k"}.Op(), "0c0809"},
+		{adt.RelGetOp{L: "m", Key: ""}.Op(), "0d0804"},
+		{adt.RelHasOp{L: "m", Key: "k2"}.Op(), "0e0800026b32"},
+		{adt.RelClearOp{L: "m"}.Op(), "0f08"},
+	}
+	e := newEnc(false)
+	for _, c := range cases {
+		start := len(e.buf)
+		e.op(c.op)
+		if got := hex.EncodeToString(e.buf[start:]); got != c.hex {
+			t.Errorf("%v encodes as %s, want %s", c.op, got, c.hex)
+		}
+	}
+	d := dec{Reader: fsio.NewReader(e.buf)}
+	for _, c := range cases {
+		if got := d.op(); got != c.op || d.Err() != nil {
+			t.Fatalf("%s decodes as %v (err %v), want %v", c.hex, got, d.Err(), c.op)
+		}
+	}
+	if d.Remaining() != 0 {
+		t.Fatalf("%d bytes left after decoding every op", d.Remaining())
+	}
+	bad := dec{Reader: fsio.NewReader([]byte{byte(adt.RelClear) + 1, 0, 1, 'x'})}
+	if op := bad.op(); bad.Err() == nil {
+		t.Fatalf("op code %d decoded as %v, want an error", adt.RelClear+1, op)
+	}
+}
+
+// customKind is an op kind the trace format does not know: it behaves as
+// adt's, but it is not an adt.OpKind.
+type customKind struct{ adt.OpKind }
 
 func TestUnencodableOpMarksLossy(t *testing.T) {
 	initial := testState()
 	r := New(testMeta(1), initial, Options{})
 	log := oplog.Log{
-		&oplog.Event{Op: customOp{adt.NumAddOp{L: "counter", Delta: 1}}},
+		&oplog.Event{Op: oplog.Op{K: customKind{adt.NumAdd}, L: "counter", N: 1}},
 	}
 	r.ObserveCommitted(0, 1, log)
-	r.ObserveCommitted(1, 2, oplog.Log{&oplog.Event{Op: adt.NumAddOp{L: "counter", Delta: 2}}})
+	r.ObserveCommitted(1, 2, oplog.Log{&oplog.Event{Op: adt.NumAddOp{L: "counter", Delta: 2}.Op()}})
 	if st := r.Stats(); !st.Lossy || st.Commits != 1 {
 		t.Fatalf("stats after unencodable log: %+v, want lossy with 1 commit", st)
 	}
@@ -257,7 +322,7 @@ func TestUnencodableOpMarksLossy(t *testing.T) {
 	if tr.DigestKind != DigestNone {
 		t.Errorf("lossy dump digest kind = %s, want none", tr.DigestKind)
 	}
-	if _, err := tr.ReplaySequential(false); err == nil {
+	if _, err := tr.ReplaySequential(); err == nil {
 		t.Fatal("replaying a lossy trace must fail")
 	} else {
 		var terr *fsio.FrameError
@@ -490,7 +555,7 @@ func TestRecorderClosedDropsLateCommits(t *testing.T) {
 	initial := testState()
 	r := New(testMeta(0), initial, Options{})
 	r.Close(initial)
-	r.ObserveCommitted(0, 1, oplog.Log{&oplog.Event{Op: adt.NumAddOp{L: "counter", Delta: 1}}})
+	r.ObserveCommitted(0, 1, oplog.Log{&oplog.Event{Op: adt.NumAddOp{L: "counter", Delta: 1}.Op()}})
 	if st := r.Stats(); st.Commits != 0 {
 		t.Errorf("closed recorder accepted a commit: %+v", st)
 	}

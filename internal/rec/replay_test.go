@@ -85,9 +85,9 @@ func TestReplayDeterminismMatrix(t *testing.T) {
 					t.Fatalf("trace digest %016x (%s), want final %016x", tr.Digest, tr.DigestKind, want)
 				}
 				// Sequential replay, with per-op observed-value checks.
-				seqState, err := tr.ReplaySequential(true)
+				seqState, _, err := tr.VerifySequential(nil)
 				if err != nil {
-					t.Fatalf("ReplaySequential: %v", err)
+					t.Fatalf("VerifySequential: %v", err)
 				}
 				if got := Digest(seqState); got != want {
 					t.Errorf("sequential replay digest %016x != recorded %016x", got, want)
@@ -133,18 +133,18 @@ func TestReplayTasksVerifyOpsCatchesDrift(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sanity: against the recorded initial state, verification passes.
-	if _, err := tr.ReplaySequential(true); err != nil {
+	if _, _, err := tr.VerifySequential(nil); err != nil {
 		t.Fatalf("faithful replay rejected: %v", err)
 	}
 	// Corrupt the replayed-over initial state; the counter load now
 	// observes a different value and verify-ops must say so.
 	tr.Initial.Set("counter", state.Int(999))
-	if _, err := tr.ReplaySequential(true); err == nil {
+	if _, _, err := tr.VerifySequential(nil); err == nil {
 		t.Fatal("verify-ops replay accepted a drifted initial state")
 	}
 	// Without verification the drift is silent (by design: -verify-ops
 	// is the strict mode).
-	if _, err := tr.ReplaySequential(false); err != nil {
+	if _, err := tr.ReplaySequential(); err != nil {
 		t.Fatalf("non-verifying replay should still apply: %v", err)
 	}
 	_ = final

@@ -2,7 +2,6 @@ package seqabs
 
 import (
 	"math/rand"
-	"strconv"
 	"testing"
 
 	"repro/internal/adt"
@@ -13,9 +12,9 @@ import (
 func genRegisterOp(rng *rand.Rand) oplog.Sym {
 	switch rng.Intn(4) {
 	case 0:
-		return oplog.Sym{Kind: adt.KindNumAdd, Arg: strconv.Itoa(rng.Intn(7) - 3)}
+		return oplog.Sym{Kind: adt.KindNumAdd, N: int64(rng.Intn(7) - 3), Int: true}
 	case 1:
-		return oplog.Sym{Kind: adt.KindNumStore, Arg: strconv.Itoa(rng.Intn(4))}
+		return oplog.Sym{Kind: adt.KindNumStore, N: int64(rng.Intn(4)), Int: true}
 	default:
 		return oplog.Sym{Kind: adt.KindNumLoad}
 	}
@@ -112,7 +111,7 @@ func TestSpansCoverSequence(t *testing.T) {
 // TestConcreteSpans checks the Concrete-mode span contract.
 func TestConcreteSpans(t *testing.T) {
 	a := &Abstracter{Mode: Concrete}
-	seq := []oplog.Sym{{Kind: adt.KindNumAdd, Arg: "1"}, {Kind: adt.KindNumLoad}}
+	seq := []oplog.Sym{{Kind: adt.KindNumAdd, N: 1, Int: true}, {Kind: adt.KindNumLoad}}
 	pattern, spans := a.AbstractWithSpans(seq)
 	if len(pattern) != 2 || len(spans) != 2 {
 		t.Fatalf("concrete mode must be one elem per op")

@@ -214,8 +214,7 @@ const pairSep = " ⇄ "
 // returns the extended slice. It produces exactly Abstract(syms).String()
 // but skips the intermediate Pattern, and the collapse search compares
 // block shapes in place and asks seqeff's allocation-free analyses for
-// idempotence, so into a buffer with room it allocates nothing (except
-// to render a numeric store an add folds into, Effect.Then) — the
+// idempotence, so into a buffer with room it allocates nothing — the
 // per-query cost §5.3 requires to stay "on a par with write-set
 // detection".
 func (a *Abstracter) AppendKey(dst []byte, syms []oplog.Sym) []byte {

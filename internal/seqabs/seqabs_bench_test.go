@@ -13,12 +13,12 @@ import (
 func benchSeq(pairs int) []oplog.Sym {
 	out := make([]oplog.Sym, 0, 2*pairs+4)
 	out = append(out,
-		oplog.Sym{Kind: adt.KindListPush, Arg: "2"},
-		oplog.Sym{Kind: adt.KindListPush, Arg: "9"},
+		oplog.Sym{Kind: adt.KindListPush, N: 2, Int: true},
+		oplog.Sym{Kind: adt.KindListPush, N: 9, Int: true},
 	)
 	for i := 0; i < pairs; i++ {
 		out = append(out,
-			oplog.Sym{Kind: adt.KindListPush, Arg: strconv.Itoa(i)},
+			oplog.Sym{Kind: adt.KindListPush, N: int64(i), Int: true},
 			oplog.Sym{Kind: adt.KindListPop},
 		)
 	}

@@ -8,7 +8,17 @@ import (
 	"repro/internal/oplog"
 )
 
-func sym(kind, arg string) oplog.Sym { return oplog.Sym{Kind: kind, Arg: arg} }
+// sym builds a descriptor as an op builds it: a numeric kind's argument
+// is its integer when arg spells one.
+func sym(kind, arg string) oplog.Sym {
+	switch kind {
+	case adt.KindNumAdd, adt.KindNumStore, adt.KindListPush:
+		if n, err := strconv.ParseInt(arg, 10, 64); err == nil {
+			return oplog.Sym{Kind: kind, N: n, Int: true}
+		}
+	}
+	return oplog.Sym{Kind: kind, Arg: arg}
+}
 
 func addPair(a int) []oplog.Sym {
 	return []oplog.Sym{

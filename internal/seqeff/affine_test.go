@@ -2,7 +2,6 @@ package seqeff_test
 
 import (
 	"math/rand"
-	"strconv"
 	"testing"
 	"testing/quick"
 
@@ -201,8 +200,8 @@ func equalInts(a, b []int64) bool {
 
 func TestTokenize(t *testing.T) {
 	syms := []oplog.Sym{
-		{Kind: adt.KindNumAdd, Arg: "3"},
-		{Kind: adt.KindNumStore, Arg: "-1"},
+		{Kind: adt.KindNumAdd, N: 3, Int: true},
+		{Kind: adt.KindNumStore, N: -1, Int: true},
 		{Kind: adt.KindNumLoad},
 	}
 	toks, ok := Tokenize(syms)
@@ -212,7 +211,7 @@ func TestTokenize(t *testing.T) {
 	if toks[0] != (Token{Kind: Add, Arg: 3}) || toks[1] != (Token{Kind: Store, Arg: -1}) || toks[2] != (Token{Kind: Load}) {
 		t.Errorf("tokens = %v", toks)
 	}
-	if _, ok := Tokenize([]oplog.Sym{{Kind: adt.KindListPush, Arg: "1"}}); ok {
+	if _, ok := Tokenize([]oplog.Sym{{Kind: adt.KindListPush, N: 1, Int: true}}); ok {
 		t.Errorf("non-numeric kind must be rejected")
 	}
 	if _, ok := Tokenize([]oplog.Sym{{Kind: adt.KindNumAdd, Arg: "zzz"}}); ok {
@@ -263,9 +262,9 @@ func TestAgreesWithAffineTheory(t *testing.T) {
 		for i := range out {
 			switch rng.Intn(3) {
 			case 0:
-				out[i] = oplog.Sym{Kind: adt.KindNumAdd, Arg: strconv.Itoa(rng.Intn(9) - 4)}
+				out[i] = oplog.Sym{Kind: adt.KindNumAdd, N: int64(rng.Intn(9) - 4), Int: true}
 			case 1:
-				out[i] = oplog.Sym{Kind: adt.KindNumStore, Arg: strconv.Itoa(rng.Intn(5))}
+				out[i] = oplog.Sym{Kind: adt.KindNumStore, N: int64(rng.Intn(5)), Int: true}
 			default:
 				out[i] = oplog.Sym{Kind: adt.KindNumLoad}
 			}

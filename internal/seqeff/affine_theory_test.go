@@ -23,7 +23,6 @@ package seqeff_test
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/adt"
 	"repro/internal/oplog"
@@ -161,17 +160,15 @@ func Tokenize(syms []oplog.Sym) ([]Token, bool) {
 	for _, s := range syms {
 		switch s.Kind {
 		case adt.KindNumAdd:
-			n, err := strconv.ParseInt(s.Arg, 10, 64)
-			if err != nil {
+			if !s.Int {
 				return nil, false
 			}
-			out = append(out, Token{Kind: Add, Arg: n})
+			out = append(out, Token{Kind: Add, Arg: s.N})
 		case adt.KindNumStore:
-			n, err := strconv.ParseInt(s.Arg, 10, 64)
-			if err != nil {
+			if !s.Int {
 				return nil, false
 			}
-			out = append(out, Token{Kind: Store, Arg: n})
+			out = append(out, Token{Kind: Store, Arg: s.N})
 		case adt.KindNumLoad:
 			out = append(out, Token{Kind: Load})
 		default:

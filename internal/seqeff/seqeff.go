@@ -35,11 +35,14 @@ const (
 )
 
 // Effect is the composite effect of a register sequence: identity, a
-// numeric shift by N, or a store of V.
+// numeric shift by N, or a store. A store of an integer holds it in N
+// with Num set, so the integer arguments of descriptors are never
+// rendered; a store of anything else holds the rendered value in V.
 type Effect struct {
 	Kind EffKind
-	N    int64  // Add: the shift
-	V    string // Store: the stored value, rendered
+	N    int64  // Add: the shift; Store with Num: the stored integer
+	V    string // Store without Num: the stored value, rendered
+	Num  bool   // Store: the stored value is the integer N
 }
 
 // String renders the effect.
@@ -50,8 +53,30 @@ func (e Effect) String() string {
 	case Add:
 		return fmt.Sprintf("x+%d", e.N)
 	default:
-		return fmt.Sprintf("≔%s", e.V)
+		return "≔" + e.Stored()
 	}
+}
+
+// Stored renders a store's value. An integer renders as its decimal
+// digits, so a stored integer and the string of its digits are the same
+// stored value, as they were when every argument was rendered.
+func (e Effect) Stored() string {
+	if e.Num {
+		return strconv.FormatInt(e.N, 10)
+	}
+	return e.V
+}
+
+// sameStored reports whether two stores store the same value; it renders
+// only when one of them stores an integer and the other does not.
+func sameStored(a, b Effect) bool {
+	if a.Num && b.Num {
+		return a.N == b.N
+	}
+	if !a.Num && !b.Num {
+		return a.V == b.V
+	}
+	return a.Stored() == b.Stored()
 }
 
 // IsIdent reports the identity effect.
@@ -71,11 +96,14 @@ func (e Effect) Then(g Effect) (Effect, bool) {
 		case Add:
 			return normAdd(e.N + g.N), true
 		default: // Store then Add: fold into the stored value if numeric
-			n, err := strconv.ParseInt(e.V, 10, 64)
-			if err != nil {
-				return Effect{}, false
+			n := e.N
+			if !e.Num {
+				var err error
+				if n, err = strconv.ParseInt(e.V, 10, 64); err != nil {
+					return Effect{}, false
+				}
 			}
-			return Effect{Kind: Store, V: strconv.FormatInt(n+g.N, 10)}, true
+			return Effect{Kind: Store, N: n + g.N, Num: true}, true
 		}
 	default: // Store wipes anything before it
 		return g, true
@@ -97,7 +125,7 @@ func Commute(a, b Effect) bool {
 	case a.Kind == Add && b.Kind == Add:
 		return true
 	case a.Kind == Store && b.Kind == Store:
-		return a.V == b.V
+		return sameStored(a, b)
 	default:
 		// Add vs Store: the non-identity add shifts the store's result
 		// in one order only.
@@ -152,8 +180,9 @@ func Idempotent(a Analysis) bool {
 }
 
 // AnalyzeRegister folds a per-location symbolic sequence into its register
-// analysis. ok is false when the sequence contains stack operations or
-// malformed arguments — callers then try the stack theory or give up.
+// analysis. ok is false when the sequence contains stack operations or an
+// add whose delta is not an integer (Sym.Int) — callers then try the stack
+// theory or give up. Integer arguments are read as integers, never parsed.
 func AnalyzeRegister(syms []oplog.Sym) (Analysis, bool) {
 	var a Analysis
 	a.Eff = Effect{Kind: Ident}
@@ -162,13 +191,12 @@ func AnalyzeRegister(syms []oplog.Sym) (Analysis, bool) {
 		read := false
 		switch s.Kind {
 		case adt.KindNumAdd:
-			n, err := strconv.ParseInt(s.Arg, 10, 64)
-			if err != nil {
+			if !s.Int {
 				return Analysis{}, false
 			}
-			step = normAdd(n)
+			step = normAdd(s.N)
 		case adt.KindNumStore, adt.KindStrStore, adt.KindBoolStore, adt.KindRelPut:
-			step = Effect{Kind: Store, V: s.Arg}
+			step = Effect{Kind: Store, N: s.N, V: s.Arg, Num: s.Int}
 		case adt.KindRelRemove, adt.KindRelClear:
 			// Per-key semantics: removal stores the distinguished
 			// "absent" value.
@@ -314,8 +342,7 @@ func Classify(syms []oplog.Sym) Theory {
 // theory covers the block, IdempotentStack(AnalyzeStack(·)) when the
 // stack theory does, false otherwise and for the empty block. seqabs asks
 // once per candidate block per prepared location, and the analyses keep
-// flags and counts, so the question allocates nothing beyond the value of
-// a numeric store an add folds into (Effect.Then).
+// flags, counts and integers, so the question allocates nothing.
 func BlockIdempotent(syms []oplog.Sym) bool {
 	if len(syms) == 0 {
 		return false

@@ -9,13 +9,24 @@ import (
 	"repro/internal/oplog"
 )
 
-func sym(kind, arg string) oplog.Sym { return oplog.Sym{Kind: kind, Arg: arg} }
+// sym builds a descriptor as an op builds it: a numeric kind's argument
+// is its integer when arg spells one.
+func sym(kind, arg string) oplog.Sym {
+	switch kind {
+	case adt.KindNumAdd, adt.KindNumStore, adt.KindListPush:
+		if n, err := strconv.ParseInt(arg, 10, 64); err == nil {
+			return oplog.Sym{Kind: kind, N: n, Int: true}
+		}
+	}
+	return oplog.Sym{Kind: kind, Arg: arg}
+}
 
 func TestEffectThen(t *testing.T) {
 	id := Effect{Kind: Ident}
 	add2 := Effect{Kind: Add, N: 2}
 	addm2 := Effect{Kind: Add, N: -2}
 	store5 := Effect{Kind: Store, V: "5"}
+	num5 := Effect{Kind: Store, N: 5, Num: true}
 	storeA := Effect{Kind: Store, V: "a"}
 
 	cases := []struct {
@@ -28,7 +39,9 @@ func TestEffectThen(t *testing.T) {
 		{"add∘add cancels", add2, addm2, id, true},
 		{"add∘add accumulates", add2, add2, Effect{Kind: Add, N: 4}, true},
 		{"store wipes add", add2, store5, store5, true},
-		{"numeric store then add folds", store5, add2, Effect{Kind: Store, V: "7"}, true},
+		{"numeric store then add folds", store5, add2, Effect{Kind: Store, N: 7, Num: true}, true},
+		{"integer store then add folds", num5, add2, Effect{Kind: Store, N: 7, Num: true}, true},
+		{"integer store wipes add", add2, num5, num5, true},
 		{"non-numeric store then add fails", storeA, add2, Effect{}, false},
 		{"then identity", store5, id, store5, true},
 	}
@@ -46,6 +59,9 @@ func TestCommute(t *testing.T) {
 	s1 := Effect{Kind: Store, V: "x"}
 	s2 := Effect{Kind: Store, V: "x"}
 	s3 := Effect{Kind: Store, V: "y"}
+	n7 := Effect{Kind: Store, N: 7, Num: true}
+	n8 := Effect{Kind: Store, N: 8, Num: true}
+	str7 := Effect{Kind: Store, V: "7"}
 	cases := []struct {
 		a, b Effect
 		want bool
@@ -55,6 +71,9 @@ func TestCommute(t *testing.T) {
 		{s1, s2, true},  // equal-writes
 		{s1, s3, false}, // different writes
 		{add, s1, false}, {s1, add, false},
+		{n7, n7, true}, {n7, n8, false},
+		// An integer and the string of its digits are one stored value.
+		{n7, str7, true}, {str7, n7, true}, {n8, str7, false},
 	}
 	for _, c := range cases {
 		if got := Commute(c.a, c.b); got != c.want {
@@ -120,7 +139,7 @@ func TestAnalyzeRegister(t *testing.T) {
 		sym(adt.KindNumAdd, "1"), sym(adt.KindNumLoad, ""), sym(adt.KindNumStore, "4"),
 		sym(adt.KindNumAdd, "2"), sym(adt.KindNumLoad, ""),
 	})
-	if !ok || !f.ReadBeforeStore || f.Eff != (Effect{Kind: Store, V: "6"}) {
+	if !ok || !f.ReadBeforeStore || f.Eff != (Effect{Kind: Store, N: 6, Num: true}) {
 		t.Fatalf("add-load-store-add-load analysis = %+v %v", f, ok)
 	}
 	g, _ := AnalyzeRegister([]oplog.Sym{sym(adt.KindNumStore, "4"), sym(adt.KindNumAdd, "2"), sym(adt.KindNumLoad, "")})
@@ -368,11 +387,9 @@ func TestIdempotenceSemantics(t *testing.T) {
 		for _, s := range seq {
 			switch s.Kind {
 			case adt.KindNumAdd:
-				n, _ := strconv.ParseInt(s.Arg, 10, 64)
-				x += n
+				x += s.N
 			case adt.KindNumStore:
-				n, _ := strconv.ParseInt(s.Arg, 10, 64)
-				x = n
+				x = s.N
 			case adt.KindNumLoad:
 				obs = append(obs, x)
 			}

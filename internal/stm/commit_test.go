@@ -46,7 +46,7 @@ func runExploding(overlap bool) (fired int32, final *state.State, stats Stats, e
 	st := state.New()
 	st.Set("boom", state.Int(0))
 	exploder := func(ex adt.Executor) error {
-		_, err := ex.Exec(explodingOp{fired: &fired})
+		_, err := ex.Exec(oplog.Op{K: explodingKind{fired: &fired}})
 		return err
 	}
 	storer := func(ex adt.Executor) error { return adt.Counter{L: "boom"}.Store(ex, 1) }

@@ -118,7 +118,7 @@ var exploreSets = []exploreSet{
 				if err := (adt.Counter{L: "c0"}).Add(ex, 5); err != nil {
 					return err
 				}
-				_, err := ex.Exec(spreadOp{A: "c0", B: "c1", N: int64(i)})
+				_, err := ex.Exec(spreadOp("c0", "c1", int64(i)))
 				return err
 			}
 		},

@@ -174,30 +174,33 @@ func runOverlapped(st *state.State, first, second adt.Task) (*state.State, Stats
 	}, st, []adt.Task{first, second})
 }
 
-// spreadOp is a test-local op over two locations: it adds N to both A and
-// B. No shipped op spans locations; the commit path must still be right
-// for one that does. Its projection at either location is exactly the
-// counter add its symbol names, so the sequence theories cover its pairs.
-type spreadOp struct {
-	A, B state.Loc
-	N    int64
+// spreadKind is a test-local kind over two locations: it adds N to both
+// L and the location named by Key. No shipped op spans locations; the
+// commit path must still be right for one that does. Its projection at
+// either location is exactly the counter add its symbol names, so the
+// sequence theories cover its pairs.
+type spreadKind struct{}
+
+// spreadOp adds n to both a and b.
+func spreadOp(a, b state.Loc, n int64) oplog.Op {
+	return oplog.Op{K: spreadKind{}, L: a, Key: string(b), N: n}
 }
 
-func (o spreadOp) Apply(st *state.State) (state.Value, error) {
-	for _, l := range []state.Loc{o.A, o.B} {
-		if _, err := (adt.NumAddOp{L: l, Delta: o.N}).Apply(st); err != nil {
+func (spreadKind) Apply(o oplog.Op, st *state.State) (state.Value, error) {
+	for _, l := range []state.Loc{o.L, state.Loc(o.Key)} {
+		if _, err := (adt.NumAddOp{L: l, Delta: o.N}.Op()).Apply(st); err != nil {
 			return nil, err
 		}
 	}
 	return nil, nil
 }
 
-func (o spreadOp) AppendAccesses(dst []oplog.Access, st *state.State) []oplog.Access {
-	return adt.NumAddOp{L: o.B}.AppendAccesses(adt.NumAddOp{L: o.A}.AppendAccesses(dst, st), st)
+func (spreadKind) AppendAccesses(o oplog.Op, dst []oplog.Access, st *state.State) []oplog.Access {
+	return adt.NumAddOp{L: state.Loc(o.Key)}.Op().AppendAccesses(adt.NumAddOp{L: o.L}.Op().AppendAccesses(dst, st), st)
 }
-func (o spreadOp) Sym() oplog.Sym { return adt.NumAddOp{Delta: o.N}.Sym() }
-func (o spreadOp) IsRead() bool   { return false }
-func (o spreadOp) String() string { return fmt.Sprintf("%s,%s+=%d", o.A, o.B, o.N) }
+func (spreadKind) Sym(o oplog.Op) oplog.Sym { return adt.NumAddOp{Delta: o.N}.Op().Sym() }
+func (spreadKind) IsRead(oplog.Op) bool     { return false }
+func (spreadKind) String(o oplog.Op) string { return fmt.Sprintf("%s,%s+=%d", o.L, o.Key, o.N) }
 
 // TestPartialReplay pins the two shapes of a commit whose window dirtied
 // one of its two written locations. Single-location ops: only the dirty
@@ -243,7 +246,7 @@ func TestPartialReplay(t *testing.T) {
 		if err := (adt.Counter{L: "a"}).Add(ex, 5); err != nil {
 			return err
 		}
-		_, err := ex.Exec(spreadOp{A: "a", B: "b", N: 2})
+		_, err := ex.Exec(spreadOp("a", "b", 2))
 		return err
 	}, 7, 12, 1, 2)
 }

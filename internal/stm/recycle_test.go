@@ -70,9 +70,10 @@ func fourOps(a, b state.Loc) adt.Task {
 
 // TestSteadyStateAttemptAllocs pins what an attempt allocates once the
 // pools are warm: what its operations are made of — per operation the
-// boxed Op and the value it computes, per written location the committed
-// store's box — and nothing per transaction. A one-location footprint is
-// stored in the logged event, so it costs nothing of its own. The round
+// value it computes, per written location the committed store's box — and
+// nothing per transaction. An operation is logged by value and a
+// one-location footprint is stored in the logged event, so neither costs
+// anything of its own. The round
 // is two transactions over disjoint counters (see warmRoundAllocs). A Tx, a
 // view's map, a Prepared, a log, a slab or a decomposer buffer allocated
 // per attempt each cost at least one allocation per transaction, two per
@@ -83,9 +84,9 @@ func TestSteadyStateAttemptAllocs(t *testing.T) {
 		st.Set(fuzzCounterLoc(i), state.Int(1<<20)) // past the runtime's small-integer cache
 	}
 	best := warmRoundAllocs(t, st, fourOps("c0", "c1"), fourOps("c2", "c3"))
-	// Per round: 8 operations × (Op box + new value), 4 written locations
-	// × the committed box.
-	const perOp = 8*2 + 4
+	// Per round: 8 operations × the new value, 4 written locations × the
+	// committed box.
+	const perOp = 8 + 4
 	if best > perOp+1 { // one object per transaction would be two more
 		t.Fatalf("a warm round of two 4-op transactions allocates %.0f objects, want the operations' %d", best, perOp)
 	}
@@ -145,17 +146,17 @@ func putGet(key, val string) adt.Task {
 // TestSteadyStateRelAllocs pins the built-in relational path the same
 // way: a warm round of two put+get transactions on disjoint keys of one
 // KVMap, at the count the path had when the pin was set. Per transaction
-// that is the two operations' boxes, the get's result, the private clone
-// of the relation and the put's one-level path copy; the outer one's
-// commit replays its put on the relation the inner one committed, a
-// clone and a path copy more. The footprints name the raw keys and
-// allocate nothing. One more object per operation or per transaction
-// fails the bound.
+// that is the get's result, the private clone of the relation and the
+// put's one-level path copy; the outer one's commit replays its put on
+// the relation the inner one committed, a clone and a path copy more.
+// The operations are logged by value and the footprints name the raw
+// keys, so neither allocates. One more object per operation or per
+// transaction fails the bound.
 func TestSteadyStateRelAllocs(t *testing.T) {
 	st := state.New()
 	st.Set("kv", adt.NewRelValue())
 	best := warmRoundAllocs(t, st, putGet("a", "1"), putGet("b", "2"))
-	const pinned = 17
+	const pinned = 13
 	if best > pinned {
 		t.Fatalf("a warm round of two put+get transactions allocates %.0f objects, want at most %d", best, pinned)
 	}

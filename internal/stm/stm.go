@@ -129,9 +129,10 @@ type Governor interface {
 // a later transaction once the commit's history entry is reclaimed:
 // implementations must retain neither the slice nor the *oplog.Event
 // pointers in it past the call. A copy of the Event structs is theirs,
-// footprint included (a one-location footprint is stored in the struct,
-// so the copy's Accesses reads the copy), and what an event refers to —
-// Op, Observed, a multi-location footprint's slice — is allocated per
+// operation and footprint included (both a one-location footprint and
+// the operation are stored in the struct, so the copy's Accesses reads
+// the copy), and what an event refers to — the operation's strings,
+// Observed, a multi-location footprint's slice — is allocated per
 // operation and may be kept. A nil sink costs one branch per commit.
 type CommitSink interface {
 	ObserveCommitted(task int, commitTime int64, log oplog.Log)

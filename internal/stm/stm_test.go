@@ -328,24 +328,28 @@ func TestHistoryFollowsConcurrencyNotRunLength(t *testing.T) {
 	}
 }
 
-// pinnedOp is an operation allocated on its own, so a test can tell when
-// nothing refers to it any more.
-type pinnedOp struct{ adt.NumAddOp }
+// pinnedKind is an operation kind allocated on its own, so a test can
+// tell when no logged operation refers to it any more.
+type pinnedKind struct {
+	adt.OpKind
+	_ [8]byte // not zero-size, so each allocation is its own object
+}
 
 // TestReclaimReleasesLogReferences checks that reclamation frees what a log
 // referred to, now that the log's own storage is recycled instead: the
 // dropped slots of the history's backing array are zeroed, and the pooled
 // artifact keeps no event of its old log — slab, log and arenas are
-// cleared before it is pooled — so an operation only that log held becomes
-// collectable while the artifact sits in the pool.
+// cleared before it is pooled — so what an operation only that log held
+// refers to becomes collectable while the artifact sits in the pool.
 func TestReclaimReleasesLogReferences(t *testing.T) {
 	r := New(Config{}, initialState())
 	collected := make(chan struct{}, 1)
 	for ct := int64(2); ct <= 6; ct++ {
-		op := &pinnedOp{adt.NumAddOp{L: "work", Delta: ct}}
+		kind := &pinnedKind{OpKind: adt.NumAdd}
 		if ct == 2 {
-			runtime.SetFinalizer(op, func(*pinnedOp) { collected <- struct{}{} })
+			runtime.SetFinalizer(kind, func(*pinnedKind) { collected <- struct{}{} })
 		}
+		op := oplog.Op{K: kind, L: "work", N: ct}
 		prep := conflict.Begin()
 		prep.Append(oplog.NewEvent(op, int(ct), 0, op.AppendAccesses(nil, nil), nil))
 		r.history = append(r.history, histEntry{commitTime: ct, task: int(ct), prep: prep})
@@ -374,7 +378,7 @@ func TestReclaimReleasesLogReferences(t *testing.T) {
 		p.Recycle()
 	}
 	// The artifacts are in the pool, reachable; the first one's operation
-	// must not be.
+	// kind must not be.
 	for i := 0; i < 20; i++ {
 		runtime.GC()
 		select {
@@ -383,7 +387,7 @@ func TestReclaimReleasesLogReferences(t *testing.T) {
 		default:
 		}
 	}
-	t.Fatalf("a reclaimed log's operation was never garbage-collected: the pooled artifact pins it")
+	t.Fatalf("a reclaimed log's operation kind was never garbage-collected: the pooled artifact pins it")
 }
 
 func TestStatsRetryRatio(t *testing.T) {
@@ -416,11 +420,12 @@ func TestManyTasksStress(t *testing.T) {
 	_ = fmt.Sprintf("%v", stats)
 }
 
-// explodingOp succeeds against the private state but fails when replayed
-// onto the global state (its Apply errors on the second application).
-type explodingOp struct{ fired *int32 }
+// explodingKind succeeds against the private state but fails when
+// replayed onto the global state (its Apply errors on the second
+// application).
+type explodingKind struct{ fired *int32 }
 
-func (e explodingOp) Apply(st *state.State) (state.Value, error) {
+func (e explodingKind) Apply(_ oplog.Op, st *state.State) (state.Value, error) {
 	if atomic.AddInt32(e.fired, 1) > 1 {
 		return nil, errors.New("replay exploded")
 	}
@@ -428,12 +433,14 @@ func (e explodingOp) Apply(st *state.State) (state.Value, error) {
 	return nil, nil
 }
 
-func (e explodingOp) AppendAccesses(dst []oplog.Access, _ *state.State) []oplog.Access {
+func (e explodingKind) AppendAccesses(_ oplog.Op, dst []oplog.Access, _ *state.State) []oplog.Access {
 	return append(dst, oplog.Access{P: oplog.PLoc{Loc: "boom"}, Write: true})
 }
-func (e explodingOp) Sym() oplog.Sym { return oplog.Sym{Kind: "num.store", Arg: "1"} }
-func (e explodingOp) IsRead() bool   { return false }
-func (e explodingOp) String() string { return "exploding" }
+func (e explodingKind) Sym(oplog.Op) oplog.Sym {
+	return oplog.Sym{Kind: "num.store", N: 1, Int: true}
+}
+func (e explodingKind) IsRead(oplog.Op) bool   { return false }
+func (e explodingKind) String(oplog.Op) string { return "exploding" }
 
 // TestReplayFailureSurfaces injects an op that fails during commit replay
 // (its location is dirtied by a commit inside its window, see
@@ -453,7 +460,7 @@ func TestReplayFailureSurfaces(t *testing.T) {
 func TestDisabledTracingAddsNoAllocs(t *testing.T) {
 	st := state.New()
 	st.Set("work", state.Int(0))
-	op := adt.NumAddOp{L: "work", Delta: 1}
+	op := adt.NumAddOp{L: "work", Delta: 1}.Op()
 	newTx := func() *Tx {
 		return &Tx{priv: st.Clone(), prep: conflict.Begin()}
 	}
@@ -616,7 +623,7 @@ func TestCommitSinkReceivesCommits(t *testing.T) {
 func TestDisabledRecordingAddsNoAllocs(t *testing.T) {
 	st := state.New()
 	st.Set("work", state.Int(0))
-	op := adt.NumAddOp{L: "work", Delta: 1}
+	op := adt.NumAddOp{L: "work", Delta: 1}.Op()
 	newTx := func() *Tx {
 		return &Tx{priv: st.Clone(), prep: conflict.Begin()}
 	}

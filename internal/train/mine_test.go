@@ -39,11 +39,11 @@ func mineState() *state.State {
 
 func TestMinePartitionsByTask(t *testing.T) {
 	l := traceOf(mineState(), []step{
-		{1, adt.NumAddOp{L: "work", Delta: 2}},
-		{1, adt.NumAddOp{L: "work", Delta: -2}},
-		{2, adt.NumAddOp{L: "work", Delta: 3}},
-		{2, adt.NumAddOp{L: "work", Delta: -3}},
-		{3, adt.NumLoadOp{L: "work"}},
+		{1, adt.NumAddOp{L: "work", Delta: 2}.Op()},
+		{1, adt.NumAddOp{L: "work", Delta: -2}.Op()},
+		{2, adt.NumAddOp{L: "work", Delta: 3}.Op()},
+		{2, adt.NumAddOp{L: "work", Delta: -3}.Op()},
+		{3, adt.NumLoadOp{L: "work"}.Op()},
 	})
 	seqs := Mine(l)[oplog.PLoc{Loc: "work"}]
 	if len(seqs) != 3 {
@@ -54,16 +54,16 @@ func TestMinePartitionsByTask(t *testing.T) {
 			t.Errorf("sequence %d = %v, want %d ops of task %d", i, seqs[i], want.n, want.task)
 		}
 	}
-	if got := seqs[0].Syms(); got[0].Kind != adt.KindNumAdd || got[0].Arg != "2" {
+	if got := seqs[0].Syms(); got[0].Kind != adt.KindNumAdd || !got[0].Int || got[0].N != 2 {
 		t.Errorf("syms = %v", got)
 	}
 }
 
 func TestMineRelationalPerKey(t *testing.T) {
 	l := traceOf(mineState(), []step{
-		{1, adt.RelPutOp{L: "bits", Key: "1", Val: "1"}},
-		{1, adt.RelPutOp{L: "bits", Key: "2", Val: "1"}},
-		{2, adt.RelPutOp{L: "bits", Key: "1", Val: "1"}},
+		{1, adt.RelPutOp{L: "bits", Key: "1", Val: "1"}.Op()},
+		{1, adt.RelPutOp{L: "bits", Key: "2", Val: "1"}.Op()},
+		{2, adt.RelPutOp{L: "bits", Key: "1", Val: "1"}.Op()},
 	})
 	k1, k2 := oplog.PLoc{Loc: "bits", Key: "1"}, oplog.PLoc{Loc: "bits", Key: "2"}
 	mined := Mine(l)
@@ -80,9 +80,9 @@ func TestMineRelationalPerKey(t *testing.T) {
 
 func TestClearFoldsIntoKeyChains(t *testing.T) {
 	l := traceOf(mineState(), []step{
-		{1, adt.RelPutOp{L: "bits", Key: "3", Val: "1"}},
-		{2, adt.RelClearOp{L: "bits"}}, // clears key 3: write access to k=3
-		{2, adt.RelPutOp{L: "bits", Key: "3", Val: "1"}},
+		{1, adt.RelPutOp{L: "bits", Key: "3", Val: "1"}.Op()},
+		{2, adt.RelClearOp{L: "bits"}.Op()}, // clears key 3: write access to k=3
+		{2, adt.RelPutOp{L: "bits", Key: "3", Val: "1"}.Op()},
 	})
 	seqs := Mine(l)[oplog.PLoc{Loc: "bits", Key: "3"}]
 	if len(seqs) != 2 {

@@ -179,9 +179,20 @@ func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) 
 	if maxPairs == 0 {
 		maxPairs = DefaultMaxPairsPerLoc
 	}
+	// Each sequence is rendered once per location: its descriptors and its
+	// cache key. A pair's key is the two joined into one reused buffer,
+	// as the runtime's LookupDetailKeys joins them, and a key string is
+	// built only for a pair not seen before.
 	seen := make(map[string]struct{})
+	var buf []byte
 	for _, p := range shared {
 		seqs := mined[p]
+		syms := make([][]oplog.Sym, len(seqs))
+		keys := make([][]byte, len(seqs))
+		for i, seq := range seqs {
+			syms[i] = seq.Syms()
+			keys[i] = c.AppendSeqKey(nil, syms[i])
+		}
 		pairs := 0
 		for i := 0; i < len(seqs) && pairs < maxPairs; i++ {
 			for j := i + 1; j < len(seqs) && pairs < maxPairs; j++ {
@@ -190,13 +201,13 @@ func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) 
 				}
 				pairs++
 				rep.PairsConsidered++
-				s1, s2 := seqs[i].Syms(), seqs[j].Syms()
-				key := c.Key(s1, s2)
-				if _, dup := seen[key]; dup {
+				buf = seqabs.AppendJoinedKeys(buf[:0], keys[i], keys[j])
+				if _, dup := seen[string(buf)]; dup {
 					continue
 				}
-				seen[key] = struct{}{}
+				seen[string(buf)] = struct{}{}
 				rep.UniquePairs++
+				s1, s2 := syms[i], syms[j]
 				kind := commute.Prove(s1, s2)
 				if kind == commute.CondNone {
 					rep.Rejected++
@@ -288,8 +299,8 @@ func syntheticStates(initial *state.State, p oplog.PLoc) []*state.State {
 
 func relationalOnly(l oplog.Log) bool {
 	for _, e := range l {
-		switch e.Op.(type) {
-		case adt.RelPutOp, adt.RelRemoveOp, adt.RelGetOp, adt.RelHasOp, adt.RelClearOp:
+		switch e.Op.K {
+		case adt.RelPut, adt.RelRemove, adt.RelGet, adt.RelHas, adt.RelClear:
 		default:
 			return false
 		}
@@ -329,12 +340,12 @@ func satVerify(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Log
 // using the Table 4 update rules. Reads leave the formula unchanged.
 func contentAfter(f logic.Formula, l oplog.Log) logic.Formula {
 	for _, e := range l {
-		switch op := e.Op.(type) {
-		case adt.RelPutOp:
+		switch op := e.Op; op.K {
+		case adt.RelPut:
 			f = relation.ContentPut(f, op.Key, op.Val)
-		case adt.RelRemoveOp:
+		case adt.RelRemove:
 			f = relation.ContentDelete(f, op.Key)
-		case adt.RelClearOp:
+		case adt.RelClear:
 			f = logic.False
 		}
 	}

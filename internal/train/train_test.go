@@ -317,7 +317,7 @@ var errSentinel = errors.New("sentinel")
 // key, which names a binding, not the whole relation.
 func TestSyntheticStatesBindEscapedKey(t *testing.T) {
 	for _, key := range []string{"plain", "a,b", "a=b", `a\b`, ""} {
-		p := adt.RelPutOp{L: "canvas", Key: key}.AppendAccesses(nil, nil)[0].P
+		p := adt.RelPutOp{L: "canvas", Key: key}.Op().AppendAccesses(nil, nil)[0].P
 		states := syntheticStates(initialState(), p)
 		bound := false
 		for _, st := range states {

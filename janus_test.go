@@ -547,7 +547,7 @@ func TestCustomADTRecordsAndReplays(t *testing.T) {
 	if tr.DigestKind != rec.DigestFinal || tr.Digest != rec.Digest(final) {
 		t.Fatalf("recorded digest %s %016x, final state's %016x", tr.DigestKind, tr.Digest, rec.Digest(final))
 	}
-	replayed, err := tr.ReplaySequential(true)
+	replayed, _, err := tr.VerifySequential(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
