@@ -59,7 +59,8 @@ ALLOCS_TESTS = \
 	internal/stm:TestDisabledTracingAddsNoAllocs \
 	internal/stm:TestSteadyStateAttemptAllocs \
 	internal/stm:TestSteadyStateRelAllocs \
-	internal/stm:TestStoreCreateCostIsFlat
+	internal/stm:TestStoreCreateCostIsFlat \
+	internal/stm:TestStoreNewCostIsFlat
 allocs:
 	@for t in $(ALLOCS_TESTS); do \
 		n=$$($(GO) test -list "^$${t#*:}$$" ./$${t%%:*} | grep -cx "$${t#*:}"); \

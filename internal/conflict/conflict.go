@@ -354,7 +354,8 @@ func (s *Sequence) Stats() Stats {
 // Figure 8 over prepared projections: every overlapping per-location
 // subsequence pair of the transaction and each committed transaction is
 // checked, reading the decomposition and symbolic shapes memoized at
-// preparation time instead of recomputing them per call. Cache hits,
+// preparation time instead of recomputing them per call. The join
+// compares the locations' memoized hashes before their strings. Cache hits,
 // misses, and fallbacks are emitted through ctx; a conflict verdict
 // carries the failed check, the location pair, and (when tracing is
 // enabled) the symbolic shape pair.
@@ -372,7 +373,7 @@ func (s *Sequence) DetectPrepared(ctx obs.Ctx, _ *state.State, txn *Prepared, co
 			lt := &tlocs[i]
 			for j := range clocs {
 				lc := &clocs[j]
-				if lt.p != lc.p {
+				if lt.h != lc.h || lt.p != lc.p {
 					continue
 				}
 				atomic.AddInt64(&s.stats.PairQueries, 1)

@@ -67,15 +67,17 @@ func TestFootprintCollapsesProjectionsToLocation(t *testing.T) {
 }
 
 func TestFootprintLargeLogUsesIndex(t *testing.T) {
-	// Exceed footprintScanBound so dedup switches to the index map, and
-	// revisit every location once more to prove the map still
-	// deduplicates and aggregates.
+	// A log long enough for the decomposer to index it through its maps
+	// (and past the 64 distinct locations an earlier footprint scanned
+	// before building its own map), revisiting every location once more,
+	// the second time at another key, to prove the fold of the index
+	// still deduplicates and aggregates.
 	var accs [][]oplog.Access
-	n := footprintScanBound + 8
+	const n = 100
 	for round := 0; round < 2; round++ {
 		for i := 0; i < n; i++ {
 			loc := state.Loc(fmt.Sprintf("loc%03d", i))
-			accs = append(accs, []oplog.Access{footAcc(loc, "", true, round == 1)})
+			accs = append(accs, []oplog.Access{footAcc(loc, fmt.Sprint(round), true, round == 1)})
 		}
 	}
 	foot := Prepare(footLog(accs...)).Footprint()

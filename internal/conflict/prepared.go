@@ -41,18 +41,27 @@ type Prepared struct {
 	// transactions that reuse it soon log without allocating.
 	slab []oplog.Event
 
+	// index memoizes the log's location index, the decomposition's first
+	// pass (oplog.Decomposer.Index): its distinct projection locations in
+	// first-access order with their access counts, write flags and
+	// shared-location ordinals. The footprint folds it and the
+	// decomposition's second pass reads its slots, so however many
+	// projections a run consumes, the log is searched once.
+	indexOnce sync.Once
+	index     []oplog.LocInfo
+
 	// locs memoizes the per-location decomposition with its symbolic
 	// shapes. Only the sequence detector consumes it — the write-set
 	// detector compares whole-log access modes — so it is computed on
 	// first use (locations), not at Prepare: a run under write-set
-	// detection never pays for decomposition at all.
+	// detection never pays for the second pass at all.
 	locsOnce sync.Once
 	locs     []preparedLoc
 
 	// dec and symArena are the decomposition's backing buffers. They are
-	// owned exclusively while materializing and return to preparedPool
-	// with the artifact (Recycle), whether its attempt aborted or its
-	// history entry was reclaimed.
+	// owned exclusively while indexing and materializing and return to
+	// preparedPool with the artifact (Recycle), whether its attempt
+	// aborted or its history entry was reclaimed.
 	dec      oplog.Decomposer
 	symArena []oplog.Sym
 
@@ -67,7 +76,6 @@ type Prepared struct {
 	// (Signatures), computed alongside it.
 	footOnce sync.Once
 	foot     []FootprintLoc
-	footIdx  map[state.Loc]int // Footprint's index past footprintScanBound
 	sigAll   uint64
 	sigWrite uint64
 
@@ -88,53 +96,22 @@ type FootprintLoc struct {
 	Write bool
 }
 
-// footprintScanBound is the distinct-location count under which
-// Footprint deduplicates by linear scan; larger footprints build an
-// index map (the same trade the oplog.Decomposer makes).
-const footprintScanBound = 64
-
 // Footprint returns the log's distinct accessed locations in first-access
 // order, each with its aggregate write flag and location hash, computed
 // on first use and shared read-only thereafter. Projection locations
 // collapse to their underlying state location: accesses to different keys
-// of one relation land on the same footprint entry.
+// of one relation land on the same footprint entry. It is a fold of the
+// log's index, one step per distinct projection location, with no search:
+// the index already numbers each one's shared location.
 func (p *Prepared) Footprint() []FootprintLoc {
 	p.footOnce.Do(func() {
-		p.checkLive()
-		var idx map[state.Loc]int // nil while the footprint is short enough to scan
-		for _, e := range p.log {
-			for _, a := range e.Accesses() {
-				loc := a.P.Loc
-				j := -1
-				if idx != nil {
-					if k, ok := idx[loc]; ok {
-						j = k
-					}
-				} else {
-					for k := range p.foot {
-						if p.foot[k].Loc == loc {
-							j = k
-							break
-						}
-					}
-				}
-				if j >= 0 {
-					p.foot[j].Write = p.foot[j].Write || a.Write
-					continue
-				}
-				p.foot = append(p.foot, FootprintLoc{Loc: loc, Hash: fnv64a(string(loc)), Write: a.Write})
-				if idx == nil && len(p.foot) > footprintScanBound {
-					if p.footIdx == nil {
-						p.footIdx = make(map[state.Loc]int, 2*len(p.foot))
-					}
-					idx = p.footIdx
-					for k := range p.foot {
-						idx[p.foot[k].Loc] = k
-					}
-				} else if idx != nil {
-					idx[loc] = len(p.foot) - 1
-				}
+		for _, in := range p.indexed() {
+			if in.LocIdx < len(p.foot) {
+				f := &p.foot[in.LocIdx]
+				f.Write = f.Write || in.Write
+				continue
 			}
+			p.foot = append(p.foot, FootprintLoc{Loc: in.P.Loc, Hash: fnv64a(string(in.P.Loc)), Write: in.Write})
 		}
 		for i := range p.foot {
 			bit := uint64(1) << (p.foot[i].Hash % 64)
@@ -145,6 +122,15 @@ func (p *Prepared) Footprint() []FootprintLoc {
 		}
 	})
 	return p.foot
+}
+
+// indexed returns the log's location index, computing it on first use.
+func (p *Prepared) indexed() []oplog.LocInfo {
+	p.indexOnce.Do(func() {
+		p.checkLive()
+		p.index = p.dec.Index(p.log)
+	})
+	return p.index
 }
 
 // Signatures returns the footprint folded into 64-bit overlap
@@ -203,8 +189,10 @@ func (p *Prepared) DirtyWrites(window []*Prepared, buf []bool) (dirty []bool, n 
 }
 
 // fnv64a is the 64-bit FNV-1a string hash.
-func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
+func fnv64a(s string) uint64 { return fnvFold(14695981039346656037, s) }
+
+// fnvFold continues an FNV-1a hash h over s.
+func fnvFold(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= 1099511628211
@@ -212,10 +200,16 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
+// plocHash is a projection location's join hash: FNV-1a over the location
+// and then the key. Equal projection locations hash equal, so the
+// detector's join compares hashes before strings.
+func plocHash(p oplog.PLoc) uint64 { return fnvFold(fnv64a(string(p.Loc)), p.Key) }
+
 // preparedLoc is one per-projection-location subsequence with its
 // memoized projections. Accessed by pointer only (it embeds a sync.Once).
 type preparedLoc struct {
 	p    oplog.PLoc
+	h    uint64 // plocHash(p)
 	seq  oplog.Log
 	syms []oplog.Sym
 
@@ -364,6 +358,7 @@ func (p *Prepared) Recycle() {
 	if p == nil {
 		return
 	}
+	p.indexOnce = sync.Once{}
 	p.locsOnce = sync.Once{}
 	p.modesOnce = sync.Once{}
 	p.footOnce = sync.Once{}
@@ -383,6 +378,7 @@ func (p *Prepared) Recycle() {
 	clear(p.log)
 	p.log = p.log[:0]
 	p.dec.Release()
+	p.index = nil
 	clear(p.symArena)
 	p.symArena = p.symArena[:0]
 	for i := range p.locs {
@@ -392,7 +388,6 @@ func (p *Prepared) Recycle() {
 	p.modes = nil
 	clear(p.foot)
 	p.foot = p.foot[:0]
-	clear(p.footIdx)
 	p.sigAll, p.sigWrite = 0, 0
 	if cap(p.log) <= maxPooledOps {
 		preparedPool.Put(p)
@@ -400,17 +395,17 @@ func (p *Prepared) Recycle() {
 }
 
 // locations returns the per-location decomposition, materializing it on
-// first use and sharing it read-only thereafter (safe for concurrent
-// detectors via the sync.Once). The buffers behind it (dec, symArena)
-// belong to the artifact and recycle with it.
+// first use from the log's index and sharing it read-only thereafter
+// (safe for concurrent detectors via the sync.Once). The buffers behind
+// it (dec, symArena) belong to the artifact and recycle with it.
 func (p *Prepared) locations() []preparedLoc {
 	p.locsOnce.Do(p.materializeLocs)
 	return p.locs
 }
 
 func (p *Prepared) materializeLocs() {
-	p.checkLive()
-	decomp := p.dec.Decompose(p.log)
+	p.indexed()
+	decomp := p.dec.Fill(p.log)
 	if len(decomp) == 0 {
 		p.locs = p.locs[:0]
 		return
@@ -437,7 +432,7 @@ func (p *Prepared) materializeLocs() {
 		for j, e := range d.Seq {
 			syms[j] = e.Op.Sym()
 		}
-		p.locs[i] = preparedLoc{p: d.P, seq: d.Seq, syms: syms, key: p.locs[i].key[:0]}
+		p.locs[i] = preparedLoc{p: d.P, h: plocHash(d.P), seq: d.Seq, syms: syms, key: p.locs[i].key[:0]}
 	}
 }
 

@@ -2,6 +2,7 @@ package conflict
 
 import (
 	"math/rand"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -178,32 +179,49 @@ func TestPreparePooledRecycle(t *testing.T) {
 	}
 }
 
-// TestWarmDecomposeAllocs pins that decomposing a warm artifact of num.add
-// ops into per-location descriptors, and rendering each location's cache
-// key, allocates nothing: a delta stays an integer in its descriptor, so
-// none is rendered — not a negative one, nor one past the runtime's cache
-// of the strings of 0–99.
+// TestWarmDecomposeAllocs pins that indexing a warm artifact, folding its
+// footprint, decomposing it into per-location descriptors and rendering
+// each location's cache key allocates nothing — for a short log, and for
+// a 1023-op one over 65 counters that the decomposer indexes through its
+// maps. A delta stays an integer in its descriptor, so none is rendered —
+// not a negative one, nor one past the runtime's cache of the strings of
+// 0–99.
 func TestWarmDecomposeAllocs(t *testing.T) {
-	st := state.New()
-	st.Set("a", state.Int(0))
-	st.Set("b", state.Int(0))
-	p := Begin()
-	defer p.Recycle()
+	short := make([]oplog.Op, 0, 8)
 	for i, d := range []int64{-300, 300, 1000, -1, 12345, -12345, 250, -250} {
-		op := adt.NumAddOp{L: []state.Loc{"a", "b"}[i%2], Delta: d}.Op()
-		p.Append(oplog.NewEvent(op, 1, i, op.AppendAccesses(nil, st), nil))
+		short = append(short, adt.NumAddOp{L: []state.Loc{"a", "b"}[i%2], Delta: d}.Op())
 	}
-	c := cache.New(seqabs.Abstract)
-	decompose := func() {
-		p.locsOnce = sync.Once{}
-		for i := range p.locations() {
-			if _, ok := p.locs[i].seqKey(c); !ok {
-				t.Fatal("seqKey refused the cache it was keyed for")
-			}
+	long := make([]oplog.Op, 0, 1023)
+	for i := 0; i < 1023; i++ {
+		loc := state.Loc("h" + strconv.Itoa(i*7%65))
+		if i%5 == 0 {
+			long = append(long, adt.NumLoadOp{L: loc}.Op())
+		} else {
+			long = append(long, adt.NumAddOp{L: loc, Delta: int64(i%300 - 150)}.Op())
 		}
 	}
-	decompose() // grow the buffers
-	if allocs := testing.AllocsPerRun(100, decompose); allocs != 0 {
-		t.Errorf("decomposing a warm artifact of 8 num.add ops allocates %.1f objects, want 0", allocs)
+	c := cache.New(seqabs.Abstract)
+	for _, ops := range [][]oplog.Op{short, long} {
+		p := Begin()
+		for i, op := range ops {
+			p.Append(oplog.NewEvent(op, 1, i, op.AppendAccesses(nil, nil), nil))
+		}
+		project := func() {
+			// Reset the memos, keeping their buffers, as Recycle does.
+			p.indexOnce, p.footOnce, p.locsOnce = sync.Once{}, sync.Once{}, sync.Once{}
+			p.foot = p.foot[:0]
+			p.sigAll, p.sigWrite = 0, 0
+			p.Footprint()
+			for i := range p.locations() {
+				if _, ok := p.locs[i].seqKey(c); !ok {
+					t.Fatal("seqKey refused the cache it was keyed for")
+				}
+			}
+		}
+		project() // grow the buffers
+		if allocs := testing.AllocsPerRun(100, project); allocs != 0 {
+			t.Errorf("indexing, footprinting and decomposing a warm artifact of %d ops allocates %.1f objects, want 0", len(ops), allocs)
+		}
+		p.Recycle()
 	}
 }

@@ -3,13 +3,6 @@
 
 package oplog
 
-// LocInfo is one projection location of a decomposed log with its
-// subsequence length.
-type LocInfo struct {
-	P PLoc
-	N int
-}
-
 // SubseqIter is a cursor over one location's subsequence. The zero value
 // is exhausted.
 type SubseqIter struct {
@@ -28,14 +21,11 @@ func (it *SubseqIter) Next() (*Event, bool) {
 }
 
 // Stream decomposes l and returns its projection locations in
-// first-access order. The slice is owned by the Decomposer and valid
-// until its next Decompose, Stream or Release call.
+// first-access order (its index). The slice is owned by the Decomposer
+// and valid until its next Index, Decompose, Stream or Release call.
 func (d *Decomposer) Stream(l Log) []LocInfo {
-	d.locs = d.locs[:0]
-	for _, ps := range d.Decompose(l) {
-		d.locs = append(d.locs, LocInfo{P: ps.P, N: len(ps.Seq)})
-	}
-	return d.locs
+	d.Decompose(l)
+	return d.infos
 }
 
 // Iter returns a cursor over the last decomposed log's subsequence at p;

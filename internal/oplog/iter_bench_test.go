@@ -19,15 +19,15 @@ func benchLog(nLocs, total int) Log {
 	return l
 }
 
-// BenchmarkDecomposerCrossover measures the first-access-discovery
-// crossover between the linear scan and the index map, pinning each path
+// BenchmarkDecomposerCrossover measures the first-pass (Index)
+// crossover between the linear scan and the index maps, pinning each path
 // in turn at equal input sizes by overriding linearScanAccesses. The
 // interesting regime is many distinct locations (the scan's worst case:
 // loc count ≈ access count); the fixture keeps locations = accesses/2 so
 // half the finds are misses over a growing output slice. Used to tune
 // the linearScanAccesses constant; see the comment there for the result.
 func BenchmarkDecomposerCrossover(b *testing.B) {
-	for _, total := range []int{16, 32, 48, 64, 96, 128, 256} {
+	for _, total := range []int{16, 24, 32, 40, 48, 64, 96, 128, 256} {
 		l := benchLog(total/2, total)
 		b.Run("scan/"+strconv.Itoa(total), func(b *testing.B) {
 			defer func(v int) { linearScanAccesses = v }(linearScanAccesses)

@@ -114,7 +114,7 @@ func TestStreamReuseAndRelease(t *testing.T) {
 		t.Fatal("the last log must be a map-mode one for the Release check below")
 	}
 	d.Release()
-	if len(d.locs) != 0 {
+	if len(d.infos) != 0 {
 		t.Fatal("Release left location infos behind")
 	}
 	if got := collect(d.Iter(PLoc{Loc: "a"})); got != nil {

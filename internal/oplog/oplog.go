@@ -251,65 +251,97 @@ type PLocSeq struct {
 // Decomposer performs ordered per-location decomposition with reusable
 // buffers, so repeated decompositions (one per transaction attempt) only
 // allocate when a capacity grows. The zero value is ready to use.
+//
+// Decomposition is two passes over the log. Pass one (Index) is the log's
+// location index: it finds each access's projection location among those
+// seen so far — the only lookup of the decomposition — and records the
+// distinct locations in first-access order with their access counts,
+// write flags and shared-location ordinals, and each access's slot among
+// them. Pass two (Fill) carves the subsequences out of one arena by
+// reading the slots back. Whatever else is derived per location — the
+// commit path's footprint, the detector's per-location projections —
+// reads the index instead of the accesses.
 type Decomposer struct {
-	out    []PLocSeq
-	counts []int
-	arena  Log
-	idx    map[PLoc]int
-	// useMap records whether the last decomposed log was indexed through
-	// idx (true) or is found by linear scan over out.
+	infos []LocInfo
+	slots []int32
+	nlocs int // distinct shared locations among infos
+	idx   map[PLoc]int
+	lidx  map[state.Loc]int // see locIdx
+	// useMap records whether the last indexed log was indexed through
+	// idx and lidx (true) or by linear scan over infos.
 	useMap bool
-	locs   []LocInfo
+	out    []PLocSeq
+	arena  Log
 }
 
-// linearScanAccesses bounds the access count under which first-access
-// discovery runs by linear scan over the output slice; logs with at least
-// this many accesses build the index map. Measured with
-// BenchmarkDecomposerCrossover: on few-location logs (the typical
-// transaction) scan and map are within noise of each other at every size,
-// but when distinct locations grow with the log the scan goes quadratic —
-// the map is ahead by 32 total accesses (1.3×) and 2× ahead by 48 — so
-// the bound sits at the worst-case crossover rather than the historical
-// 64, which paid up to 2.7× on 64-access many-location logs. A var so the
-// crossover benchmark can pin either path at equal input sizes.
+// LocInfo is one projection location of an indexed log: its subsequence
+// length N, whether any of its accesses writes (Write), and LocIdx, the
+// ordinal of P.Loc among the log's distinct shared locations in
+// first-access order — so accesses to several keys of one relation share
+// a LocIdx, and the first location with a given LocIdx is the first
+// access to that shared location.
+type LocInfo struct {
+	P      PLoc
+	N      int
+	Write  bool
+	LocIdx int
+}
+
+// linearScanAccesses bounds the access count under which Index finds
+// locations by linear scan over the index; logs with at least this many
+// accesses build the index maps. Only Index searches (Fill reads the
+// slots), so the bound trades scan against map in the first pass alone.
+// Measured with BenchmarkDecomposerCrossover (median of 6 on a 2-core
+// Intel Xeon VM): when distinct locations grow with the log (its fixture,
+// the scan's worst case) the two tie at 16 and 24 accesses and the map is
+// ahead from 32 on (1.2× at 32, 1.35× at 40, 1.6× at 48); on a log over
+// four locations the scan is ahead by about 1.5× at every size from 16 to
+// 40. The bound stays at 32, between the two. A var so the crossover
+// benchmark can pin either path at equal input sizes.
 var linearScanAccesses = 32
 
-// discover runs the first pass of decomposition: locations in
-// first-access order into d.out (Seq left nil) with subsequence lengths
-// in d.counts. Returns the total access count.
-func (d *Decomposer) discover(l Log) int {
+// Index runs pass one of decomposition over l and returns its projection
+// locations in first-access order. The slice is owned by the Decomposer
+// and valid until its next Index, Decompose, Stream or Release call; a
+// Fill of the same log may follow.
+func (d *Decomposer) Index(l Log) []LocInfo {
 	total := 0
 	for _, e := range l {
 		total += len(e.Accesses())
 	}
-	d.out = d.out[:0]
-	d.counts = d.counts[:0]
+	d.infos = d.infos[:0]
+	d.slots = d.slots[:0]
+	d.nlocs = 0
 	d.useMap = total >= linearScanAccesses
 	if d.useMap {
 		if d.idx == nil {
 			d.idx = make(map[PLoc]int, 16)
+			d.lidx = make(map[state.Loc]int, 16)
 		} else {
 			clear(d.idx)
+			clear(d.lidx)
 		}
 	}
 	for _, e := range l {
 		for _, a := range e.Accesses() {
-			if i := d.find(a.P); i >= 0 {
-				d.counts[i]++
-				continue
+			i := d.find(a.P)
+			if i < 0 {
+				i = len(d.infos)
+				d.infos = append(d.infos, LocInfo{P: a.P, LocIdx: d.locIdx(a.P)})
+				if d.useMap {
+					d.idx[a.P] = i
+				}
 			}
-			if d.useMap {
-				d.idx[a.P] = len(d.out)
-			}
-			d.out = append(d.out, PLocSeq{P: a.P})
-			d.counts = append(d.counts, 1)
+			d.infos[i].N++
+			d.infos[i].Write = d.infos[i].Write || a.Write
+			d.slots = append(d.slots, int32(i))
 		}
 	}
-	return total
+	return d.infos
 }
 
-// find locates p in the discovered set, by the index map or linear scan,
-// whichever discover chose for this log.
+// find locates p among the indexed locations, by the index map or linear
+// scan, whichever Index chose for the log.
 func (d *Decomposer) find(p PLoc) int {
 	if d.useMap {
 		if i, ok := d.idx[p]; ok {
@@ -317,56 +349,104 @@ func (d *Decomposer) find(p PLoc) int {
 		}
 		return -1
 	}
-	for i := range d.out {
-		if d.out[i].P == p {
+	for i := range d.infos {
+		if d.infos[i].P == p {
 			return i
 		}
 	}
 	return -1
 }
 
-// Decompose splits l into per-location subsequences in first-access
-// order, program order within each (the DECOMPOSE step of Figure 8). The
-// returned slice and the Logs it references are owned by the Decomposer
-// and remain valid until its next Decompose or Release call; callers that
-// retain the result must not reuse the Decomposer.
-func (d *Decomposer) Decompose(l Log) []PLocSeq {
-	total := d.discover(l)
-	if total == 0 {
+// locIdx returns the ordinal of p.Loc among the shared locations indexed
+// so far, p being a projection location not indexed yet, giving p.Loc the
+// next ordinal if it is new. Called once per distinct projection
+// location, not per access. In map mode lidx holds only the locations
+// seen at a non-empty key: a location seen at the empty key alone has a
+// single projection location, which idx finds, so a log of scalars never
+// touches lidx.
+func (d *Decomposer) locIdx(p PLoc) int {
+	if !d.useMap {
+		for i := range d.infos {
+			if d.infos[i].P.Loc == p.Loc {
+				return d.infos[i].LocIdx
+			}
+		}
+		d.nlocs++
+		return d.nlocs - 1
+	}
+	if len(d.lidx) > 0 {
+		if j, ok := d.lidx[p.Loc]; ok {
+			return j
+		}
+	}
+	j := d.nlocs
+	if p.Key != "" {
+		if i, ok := d.idx[PLoc{Loc: p.Loc}]; ok {
+			j = d.infos[i].LocIdx
+		}
+		d.lidx[p.Loc] = j
+	}
+	if j == d.nlocs {
+		d.nlocs++
+	}
+	return j
+}
+
+// Fill runs pass two over l, which must be the log the last Index call
+// indexed: it splits l into per-location subsequences in first-access
+// order, program order within each, reading each access's slot from the
+// index. The returned slice and the Logs it references are owned by the
+// Decomposer and remain valid until its next Index, Decompose, Stream or
+// Release call.
+func (d *Decomposer) Fill(l Log) []PLocSeq {
+	d.out = d.out[:0]
+	if len(d.slots) == 0 {
 		return d.out
 	}
-	// Second pass: carve per-location windows out of one arena and fill.
-	if cap(d.arena) < total {
-		d.arena = make(Log, total)
+	if cap(d.arena) < len(d.slots) {
+		d.arena = make(Log, len(d.slots))
 	} else {
-		d.arena = d.arena[:total]
+		d.arena = d.arena[:len(d.slots)]
 	}
 	off := 0
-	for i := range d.out {
-		d.out[i].Seq = d.arena[off : off : off+d.counts[i]]
-		off += d.counts[i]
+	for i := range d.infos {
+		n := d.infos[i].N
+		d.out = append(d.out, PLocSeq{P: d.infos[i].P, Seq: d.arena[off : off : off+n]})
+		off += n
 	}
+	k := 0
 	for _, e := range l {
-		for _, a := range e.Accesses() {
-			i := d.find(a.P)
-			d.out[i].Seq = append(d.out[i].Seq, e)
+		for range e.Accesses() {
+			s := &d.out[d.slots[k]].Seq
+			*s = append(*s, e)
+			k++
 		}
 	}
 	return d.out
+}
+
+// Decompose splits l into per-location subsequences in first-access
+// order, program order within each (the DECOMPOSE step of Figure 8): an
+// Index and a Fill of l. The returned slice and the Logs it references
+// are owned by the Decomposer and remain valid until its next Index,
+// Decompose, Stream or Release call; callers that retain the result must
+// not reuse the Decomposer.
+func (d *Decomposer) Decompose(l Log) []PLocSeq {
+	d.Index(l)
+	return d.Fill(l)
 }
 
 // Release drops the event references held by the Decomposer's buffers
 // (keeping their capacity), so pooled decomposers do not pin old logs.
 func (d *Decomposer) Release() {
 	clear(d.arena)
-	for i := range d.out {
-		d.out[i] = PLocSeq{}
-	}
+	clear(d.out)
 	d.out = d.out[:0]
-	d.counts = d.counts[:0]
+	clear(d.infos)
+	d.infos = d.infos[:0]
+	d.slots = d.slots[:0]
+	d.nlocs = 0
 	d.useMap = false
-	clear(d.locs)
-	d.locs = d.locs[:0]
 }
 
 // String renders the log compactly.

@@ -118,8 +118,8 @@ func goldenState() *state.State {
 // by the general tuple relation this package was first written against,
 // which stored a {k, v} relation as tuples under FD k → v: the canonical
 // order of its tuples is wire format, and the digest is the format-2 one
-// (sum of element hashes, see package digest). Journals, snapshots and
-// recorded traces on disk carry these digests and bytes.
+// (sum of element hashes, see package relation's digest.go). Journals,
+// snapshots and recorded traces on disk carry these digests and bytes.
 const (
 	goldenDigest = 0x6b4db1af651862de
 	goldenString = "⟨b↦true, empty↦{}, esc↦{(k=\\\\,v=\\=) (k=a!,v=2) (k=a,v=1) (k=a-,v=4) (k=a\\,,v=3) (k=x\\=y,v=v\\,w)}, " +

@@ -19,8 +19,6 @@ import (
 	"bytes"
 	"slices"
 	"strings"
-
-	"repro/internal/digest"
 )
 
 // Tuple maps a set of columns to untyped values (rendered as strings): a
@@ -99,11 +97,11 @@ const (
 )
 
 // The halves of an element hash: each column folded in before its value.
-var seedDomain, seedRange = digest.String(digest.Seed, Domain), digest.String(digest.Seed, Range)
+var seedDomain, seedRange = HashString(HashSeed, Domain), HashString(HashSeed, Range)
 
 // keyHash is the hash a key's binding is filed under, and its half of the
 // binding's element hash.
-func keyHash(key string) uint64 { return digest.Mix(digest.String(seedDomain, key)) }
+func keyHash(key string) uint64 { return HashMix(HashString(seedDomain, key)) }
 
 // elemHash is the element hash of the binding key ↦ val, with kh its
 // key's hash: the sum over the tuple's two columns of a hash of (column,
@@ -111,7 +109,7 @@ func keyHash(key string) uint64 { return digest.Mix(digest.String(seedDomain, ke
 // relation this package replaced gave the tuple {k: key, v: val}, so
 // digests already on disk still verify.
 func elemHash(kh uint64, val string) uint64 {
-	return digest.Set(kh+digest.Mix(digest.String(seedRange, val)), 2)
+	return SetDigest(kh+HashMix(HashString(seedRange, val)), 2)
 }
 
 // Relation is a set of bindings key ↦ value, at most one per key. The zero
@@ -170,8 +168,8 @@ func (r *Relation) Clone() *Relation {
 }
 
 // Digest fingerprints the relation's content in O(1), whatever sequence
-// of operations produced it (see package digest).
-func (r *Relation) Digest() uint64 { return digest.Set(r.sum, r.n) }
+// of operations produced it (see digest.go).
+func (r *Relation) Digest() uint64 { return SetDigest(r.sum, r.n) }
 
 // Equal reports whether the two relations bind the same keys to the same
 // values.

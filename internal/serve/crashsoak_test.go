@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/digest"
+	"repro/internal/relation"
 	"repro/internal/wal"
 )
 
@@ -166,7 +166,7 @@ func soakOnePoint(t *testing.T, pi int, point string) {
 
 // soakBatch derives a deterministic mixed batch from its ID.
 func soakBatch(id string) *Batch {
-	return mixedBatch(id, int64(digest.String(digest.Seed, id)%97)+1)
+	return mixedBatch(id, int64(relation.HashString(relation.HashSeed, id)%97)+1)
 }
 
 // submitRaw posts a batch and decodes whichever reply shape came back.

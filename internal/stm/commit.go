@@ -290,10 +290,20 @@ func (t *Tx) installed(i int, loc state.Loc) (state.Value, bool) {
 func (t *Tx) replayed(i int) bool { return t.overlay != nil && t.dirty[i] }
 
 // mergeVersion publishes the transaction's written locations into the
-// committed store — one atomic box store per location. Callers are
+// committed store — one atomic box store per location, of a pointer into
+// one slab of values allocated for this commit's writes. Callers are
 // serialized by the publication turn, which is what location creation in
 // the overflow table relies on.
 func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
+	n := 0
+	for _, f := range foot {
+		if f.Write {
+			n++
+		}
+	}
+	// The slab is this commit's alone: a run-wide one would let one still
+	// published value pin the dead values of every commit that shared it.
+	vals := make([]state.Value, 0, n)
 	var fromPriv, fromReplay int64
 	for i, f := range foot {
 		if !f.Write {
@@ -303,7 +313,8 @@ func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
 		if !ok {
 			continue
 		}
-		r.storeSet(f.Loc, state.Copy(v))
+		vals = append(vals, state.Copy(v))
+		r.storeSet(f.Loc, &vals[len(vals)-1])
 		if tx.replayed(i) {
 			fromReplay++
 		} else {

@@ -70,27 +70,27 @@ func fourOps(a, b state.Loc) adt.Task {
 
 // TestSteadyStateAttemptAllocs pins what an attempt allocates once the
 // pools are warm: what its operations are made of — per operation the
-// value it computes, per written location the committed store's box — and
-// nothing per transaction. An operation is logged by value and a
+// value it computes — and, per commit, the one slab the committed store
+// keeps its published values in; nothing per written location and
+// nothing else per transaction. An operation is logged by value and a
 // one-location footprint is stored in the logged event, so neither costs
-// anything of its own. The round
-// is two transactions over disjoint counters (see warmRoundAllocs). A Tx, a
-// view's map, a Prepared, a log, a slab or a decomposer buffer allocated
-// per attempt each cost at least one allocation per transaction, two per
-// round, and fail the bound.
+// anything of its own. The round is two transactions over disjoint
+// counters (see warmRoundAllocs). A Tx, a view's map, a Prepared, a log,
+// an event slab or a decomposer buffer allocated per attempt each cost at
+// least one more allocation per transaction, two per round, and fail the
+// bound; so does a box per written location.
 func TestSteadyStateAttemptAllocs(t *testing.T) {
 	st := state.New()
 	for i := 0; i < 4; i++ {
 		st.Set(fuzzCounterLoc(i), state.Int(1<<20)) // past the runtime's small-integer cache
 	}
 	best := warmRoundAllocs(t, st, fourOps("c0", "c1"), fourOps("c2", "c3"))
-	// Per round: 8 operations × the new value, 4 written locations × the
-	// committed box.
-	const perOp = 8 + 4
-	if best > perOp+1 { // one object per transaction would be two more
-		t.Fatalf("a warm round of two 4-op transactions allocates %.0f objects, want the operations' %d", best, perOp)
+	// Per round: 8 operations × the new value, 2 commits × the value slab.
+	const pinned = 8 + 2
+	if best > pinned+1 { // one object per transaction would be two more
+		t.Fatalf("a warm round of two 4-op transactions allocates %.0f objects, want the operations' and commits' %d", best, pinned)
 	}
-	t.Logf("%.0f allocations per round of two 4-op transactions (%d are the operations')", best, perOp)
+	t.Logf("%.0f allocations per round of two 4-op transactions (%d are the operations' and commits')", best, pinned)
 }
 
 // warmRoundAllocs returns the fewest allocations a round of outer and

@@ -307,12 +307,13 @@ func New(cfg Config, initial *state.State) *Runtime {
 	r.published.Store(1)
 	locs := initial.Locs()
 	r.base = make(map[state.Loc]*locBox, len(locs))
-	for _, loc := range locs {
+	boxes := make([]locBox, len(locs))
+	vals := make([]state.Value, len(locs))
+	for i, loc := range locs {
 		v, _ := initial.Get(loc)
-		b := new(locBox)
-		cl := state.Copy(v)
-		b.v.Store(&cl)
-		r.base[loc] = b
+		vals[i] = state.Copy(v)
+		boxes[i].v.Store(&vals[i])
+		r.base[loc] = &boxes[i]
 	}
 	r.over.seed = maphash.MakeSeed()
 	return r

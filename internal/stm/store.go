@@ -5,12 +5,14 @@
 // map of per-location boxes for the locations present in the initial
 // state, plus an insert-only sharded table for locations created mid-run.
 // A merge is one atomic pointer store per written location and a fault is
-// one map hit plus an atomic load. Creating a location costs its box and
-// an amortized map slot under one shard's lock — the same at 100 existing
-// overflow locations and at 20 000, which matters because creation runs
-// inside the serialized publication turn. Boxes are never removed or
-// replaced, so a reader that found one may keep using it without the
-// shard lock.
+// one map hit plus an atomic load. The initial boxes and values are two
+// slabs, and a commit's published values one slab of its own, so building
+// the store allocates per run and a merge per commit, not per location.
+// Creating a location costs its box and an amortized map slot under one
+// shard's lock — the same at 100 existing overflow locations and at
+// 20 000, which matters because creation runs inside the serialized
+// publication turn. Boxes are never removed or replaced, so a reader that
+// found one may keep using it without the shard lock.
 //
 // What the flattening gives up is cross-location snapshot atomicity:
 // two faults by one transaction may observe values from different
@@ -105,16 +107,17 @@ func (r *Runtime) storeGet(l state.Loc) (state.Value, bool) {
 	return *p, true
 }
 
-// storeSet publishes one location's committed value. Callers are
-// serialized by the publication turn.
-func (r *Runtime) storeSet(l state.Loc, v state.Value) {
+// storeSet publishes one location's committed value, held at v (a slot
+// of the publishing commit's value slab, never written again). Callers
+// are serialized by the publication turn.
+func (r *Runtime) storeSet(l state.Loc, v *state.Value) {
 	b := r.base[l]
 	if b == nil {
 		if b = r.over.get(l); b == nil {
 			b = r.over.create(l)
 		}
 	}
-	b.v.Store(&v)
+	b.v.Store(v)
 }
 
 // storeRange visits every location with a committed value. It is not an
