@@ -55,6 +55,7 @@ ALLOCS_TESTS = \
 	internal/relation:TestPointOpsAreSizeIndependent \
 	internal/seqabs:TestAppendPairKeyAllocs \
 	internal/seqeff:TestBlockIdempotent \
+	internal/serve:TestParseBatchAllocs \
 	internal/stm:TestDisabledRecordingAddsNoAllocs \
 	internal/stm:TestDisabledTracingAddsNoAllocs \
 	internal/stm:TestSteadyStateAttemptAllocs \
@@ -89,9 +90,11 @@ chaos:
 soak:
 	$(GO) test -race -count=1 -run Chaos -timeout 30m ./internal/chaos -chaos.seeds=200
 
-# Fuzz every decoder that reads bytes from disk, FUZZTIME each (go test
-# -fuzz takes one target at a time, so the target loops over every Fuzz*
-# function the packages declare). Tier-1 runs only the seed corpora. A
+# Fuzz every decoder that reads bytes from disk (frames, trace, journal
+# segment, snapshot, state codec, spec envelope) and the network decoder
+# of the submit path (the batch codec, held to encoding/json), FUZZTIME
+# each (go test -fuzz takes one target at a time, so the target loops
+# over every Fuzz* function the packages declare). Tier-1 runs only the seed corpora. A
 # failing input lands in the package's testdata/fuzz, to be checked in as
 # a regression seed once fixed. Used by the nightly workflow at 60s.
 # Minimizing a new interesting input is capped at 10s: the trace seeds

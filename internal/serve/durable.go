@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -117,12 +116,12 @@ func (s *Server) recoverTenant(t *tenant) error {
 	// equivalence is the system's core correctness claim), so a mismatch
 	// means the journal does not reproduce the acked state — refuse.
 	for _, r := range rcv.Records {
-		var b Batch
-		if uerr := json.Unmarshal(r.Payload, &b); uerr != nil {
+		b, perr := parseBatch(r.Payload)
+		if perr != nil {
 			l.Close()
-			return fmt.Errorf("serve: tenant %q journal seq %d: decoding batch: %w", t.name, r.Seq, uerr)
+			return fmt.Errorf("serve: tenant %q journal seq %d: decoding batch: %w", t.name, r.Seq, perr)
 		}
-		next, aerr := ApplySequential(t.st, s.cfg.Schema, &b)
+		next, aerr := applySequential(s.schIdx, t.st, b)
 		if aerr != nil {
 			l.Close()
 			return fmt.Errorf("serve: tenant %q journal seq %d: replaying batch %q: %w", t.name, r.Seq, b.ID, aerr)

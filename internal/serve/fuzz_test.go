@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	janus "repro"
@@ -15,12 +17,10 @@ import (
 // compile admits up to maxBatchWork (about 10 s), far too slow per input.
 const fuzzRunWork = 1 << 20
 
-// FuzzCompileBatch drives the submit path's decode and compile with
-// arbitrary bytes against DefaultSchema. The contract: every input is
-// either refused with an error (which the handler answers with a 400
-// bad_request) or compiles to tasks that ApplySequential runs without
-// panicking — a task may still fail, as a pop of an empty stack does.
-func FuzzCompileBatch(f *testing.F) {
+// batchSeeds is the seed corpus of the submit path's fuzzers: valid
+// batches, schema violations, an unknown field and a truncated body.
+func batchSeeds(f *testing.F) [][]byte {
+	var seeds [][]byte
 	for _, b := range []*Batch{
 		{ID: "b1", Tasks: []TaskSpec{
 			{Ops: []OpSpec{{Op: "add", Loc: "c0", Delta: 5}, {Op: "push", Loc: "stk", Delta: 7}}},
@@ -41,11 +41,23 @@ func FuzzCompileBatch(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(body)
+		seeds = append(seeds, body)
 	}
-	f.Add([]byte(`{"id":"u","tasks":[{"ops":[{"op":"add","loc":"c0"}]}],"extra":1}`))
-	f.Add([]byte(`{"id":"d","tasks":[{"ops":[{"op":"del","loc":"kv","key":"k"},{"op":"has","loc":"kv","key":"k"},{"op":"size","loc":"stk"},{"op":"store","loc":"c1","delta":-3},{"op":"load","loc":"c1"}]}]}`))
-	f.Add([]byte(`{`))
+	return append(seeds,
+		[]byte(`{"id":"u","tasks":[{"ops":[{"op":"add","loc":"c0"}]}],"extra":1}`),
+		[]byte(`{"id":"d","tasks":[{"ops":[{"op":"del","loc":"kv","key":"k"},{"op":"has","loc":"kv","key":"k"},{"op":"size","loc":"stk"},{"op":"store","loc":"c1","delta":-3},{"op":"load","loc":"c1"}]}]}`),
+		[]byte(`{`))
+}
+
+// FuzzCompileBatch drives the submit path's decode and compile with
+// arbitrary bytes against DefaultSchema. The contract: every input is
+// either refused with an error (which the handler answers with a 400
+// bad_request) or compiles to tasks that ApplySequential runs without
+// panicking — a task may still fail, as a pop of an empty stack does.
+func FuzzCompileBatch(f *testing.F) {
+	for _, seed := range batchSeeds(f) {
+		f.Add(seed)
+	}
 
 	sch := DefaultSchema()
 	idx := sch.index()
@@ -75,4 +87,110 @@ func FuzzCompileBatch(f *testing.F) {
 			t.Fatalf("compiled batch panicked: %v", pe)
 		}
 	})
+}
+
+// FuzzBatchCodec holds the batch codec to encoding/json on arbitrary
+// bytes. The reference is json.Decoder with DisallowUnknownFields whose
+// value must be followed by white space only. A body parseBatch accepts,
+// the reference accepts as an equal Batch; a body parseBatch refuses, the
+// reference refuses too, unless the refusal is one of the two the codec
+// adds (a repeated key, trailing bytes); and appendBatch of every
+// accepted batch is json.Marshal's bytes, which parse back to the batch.
+func FuzzBatchCodec(f *testing.F) {
+	for _, seed := range batchSeeds(f) {
+		f.Add(seed)
+	}
+	for _, seed := range []string{
+		// Escapes: HTML, short, \u, surrogate pairs, lone and reversed
+		// surrogates, a high surrogate before a non-escape.
+		`{"id":"<a&b>\"\\\/\b\f\n\r\t\u0000\u001f\u007f","tasks":[]}`,
+		`{"id":"\ud83d\ude00\uD83D\uDE00","tasks":[{"ops":[{"op":"put","loc":"kv","key":"\u2028\u2029","val":"\ud800"}]}]}`,
+		`{"id":"\udc00\ud800x\ud800A\ud800","tasks":null}`,
+		`{"id":"\u00e9\u4e2d","tasks":[{"ops":[{"op":"add","loc":"c0","delta":1}]}]}`,
+		`{"id":"bad \u12","tasks":[]}`,
+		`{"id":"bad \x","tasks":[]}`,
+		// Raw UTF-8: valid, invalid bytes, an encoded surrogate, U+2028,
+		// a control byte.
+		"{\"id\":\"\xc3\xa9\xe2\x80\xa8\xff\xfe\xed\xa0\x80\xf4\x90\x80\x80\",\"tasks\":[]}",
+		"{\"id\":\"a\x01b\",\"tasks\":[]}",
+		// null at every level.
+		`null`,
+		` null `,
+		`{"id":null,"tasks":null,"deadline_ms":null}`,
+		`{"id":"n","tasks":[null,{"ops":null},{"ops":[null,{"op":null,"loc":null,"delta":null,"key":null,"val":null}]}]}`,
+		// Case folding, including the Kelvin sign and the long s, raw and
+		// escaped, and a key repeated under folding.
+		`{"ID":"f","TASKS":[{"Ops":[{"OP":"add","Loc":"c0","DELTA":2}]}],"Deadline_MS":5}`,
+		"{\"id\":\"k\",\"ta\xc5\xbfks\":[{\"ops\":[{\"op\":\"put\",\"loc\":\"kv\",\"\xe2\x84\xaaey\":\"q\",\"val\":\"v\"}]}]}",
+		`{"id":"k","tasks":[{"ops":[{"op":"get","loc":"kv","\u212aey":"q"}]}]}`,
+		`{"id":"d","id":"e","tasks":[]}`,
+		`{"id":"d","ID":"e","tasks":[]}`,
+		`{"id":"d","tasks":[{"ops":[{"op":"add","op":"sub"}]}]}`,
+		// Numbers at and past the int64 edges, and not integers.
+		`{"id":"n","deadline_ms":9223372036854775807,"tasks":[{"ops":[{"op":"add","loc":"c0","delta":-9223372036854775808}]}]}`,
+		`{"id":"n","deadline_ms":9223372036854775808,"tasks":[]}`,
+		`{"id":"n","deadline_ms":-9223372036854775809,"tasks":[]}`,
+		`{"id":"n","deadline_ms":-0,"tasks":[]}`,
+		`{"id":"n","deadline_ms":1.0,"tasks":[]}`,
+		`{"id":"n","deadline_ms":1e3,"tasks":[]}`,
+		`{"id":"n","deadline_ms":01,"tasks":[]}`,
+		`{"id":"n","deadline_ms":-,"tasks":[]}`,
+		`{"id":"n","deadline_ms":"5","tasks":[]}`,
+		`{"id":5,"tasks":[]}`,
+		// Structure: white space, trailing bytes, a second batch, an
+		// empty body, wrong types, a trailing comma.
+		" \t\r\n{ \"id\" : \"s\" , \"tasks\" : [ { \"ops\" : [ ] } ] } \n",
+		`{"id":"t","tasks":[]}x`,
+		`{"id":"a","tasks":[]}{"id":"b","tasks":[]}`,
+		``,
+		`[]`,
+		`{"id":"t","tasks":{}}`,
+		`{"id":"t","tasks":[],}`,
+		`{"id":"t","tasks":[{"ops":[{"op":"add"},]}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := parseBatch(data)
+		want, werr := referenceDecode(data)
+		if err != nil {
+			if werr == nil && !errors.Is(err, errRepeatedKey) && !errors.Is(err, errTrailing) {
+				t.Fatalf("parseBatch refused what encoding/json accepts as %+v: %v", want, err)
+			}
+			return
+		}
+		if werr != nil {
+			t.Fatalf("parseBatch accepted %+v, encoding/json refuses: %v", got, werr)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("parseBatch gave %#v, encoding/json %#v", got, want)
+		}
+		enc := appendBatch(nil, got)
+		ref, merr := json.Marshal(got)
+		if merr != nil {
+			t.Fatal(merr)
+		}
+		if !bytes.Equal(enc, ref) {
+			t.Fatalf("appendBatch wrote %q, json.Marshal %q", enc, ref)
+		}
+		again, err := parseBatch(enc)
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Fatalf("encoded batch parses to %#v (%v), want %#v", again, err, got)
+		}
+	})
+}
+
+// referenceDecode is the decoder the codec replaced, plus the check that
+// nothing but white space follows the batch.
+func referenceDecode(data []byte) (*Batch, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var b Batch
+	if err := dec.Decode(&b); err != nil {
+		return nil, err
+	}
+	if rest := bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n"); len(rest) > 0 {
+		return nil, fmt.Errorf("%d bytes after the batch", len(rest))
+	}
+	return &b, nil
 }

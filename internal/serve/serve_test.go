@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -428,5 +429,74 @@ func TestDrainStopsIntakeAndDumpsFlight(t *testing.T) {
 	fi, err := os.Stat(filepath.Join(dir, "flight-d1.jtrace"))
 	if err != nil || fi.Size() == 0 {
 		t.Fatalf("flight artifact missing or empty: %v %v", fi, err)
+	}
+}
+
+// TestSubmitContract drives handleSubmit with the bodies the batch codec
+// decides differently from a lenient JSON decoder: bytes after the batch,
+// a key repeated under case folding, and a body over MaxBody are 400
+// bad_request naming the cause; a body of exactly MaxBody, a chunked
+// body and case-folded keys are accepted.
+func TestSubmitContract(t *testing.T) {
+	const maxBody = 512
+	srv := NewServer(Config{Runner: testRunner(), MaxBody: maxBody})
+	valid := func(id string) string {
+		return `{"id":"` + id + `","tasks":[{"ops":[{"op":"add","loc":"c0","delta":1}]}]}`
+	}
+	pad := func(body string, n int) string { return body + strings.Repeat(" ", n-len(body)) }
+	for _, tc := range []struct {
+		name    string
+		body    string
+		chunked bool
+		want    int
+		cause   string // in the 400's message
+	}{
+		{name: "concatenated batches", body: valid("cat1") + valid("cat2"), want: http.StatusBadRequest, cause: "trailing data"},
+		{name: "repeated key", body: `{"id":"d","id":"e","tasks":[{"ops":[{"op":"add","loc":"c0"}]}]}`, want: http.StatusBadRequest, cause: `repeated key "id"`},
+		{name: "repeated key folded", body: `{"id":"d","tasks":[{"ops":[{"op":"add","loc":"c0","Loc":"c1"}]}]}`, want: http.StatusBadRequest, cause: `repeated key "loc"`},
+		{name: "exactly MaxBody", body: pad(valid("max"), maxBody), want: http.StatusOK},
+		{name: "MaxBody+1", body: pad(valid("over"), maxBody+1), want: http.StatusBadRequest, cause: fmt.Sprintf("%d-byte limit", maxBody)},
+		{name: "chunked", body: valid("chunked"), chunked: true, want: http.StatusOK},
+		{name: "chunked over MaxBody", body: pad(valid("chunked-over"), maxBody+1), chunked: true, want: http.StatusBadRequest, cause: fmt.Sprintf("%d-byte limit", maxBody)},
+		{name: "case-folded keys", body: `{"ID":"fold","Tasks":[{"OPS":[{"Op":"add","LOC":"c0","Delta":2}]}]}`, want: http.StatusOK},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var body io.Reader = strings.NewReader(tc.body)
+			if tc.chunked {
+				body = io.MultiReader(body) // hides the length: no Content-Length
+			}
+			r := httptest.NewRequest(http.MethodPost, "/submit?tenant=contract", body)
+			if tc.chunked {
+				if r.ContentLength != -1 {
+					t.Fatalf("chunked request has Content-Length %d", r.ContentLength)
+				}
+			} else if r.ContentLength != int64(len(tc.body)) {
+				t.Fatalf("request has Content-Length %d, want %d", r.ContentLength, len(tc.body))
+			}
+			w := httptest.NewRecorder()
+			srv.handleSubmit(w, r)
+			if w.Code != tc.want {
+				t.Fatalf("status %d, want %d: %s", w.Code, tc.want, w.Body)
+			}
+			if tc.want != http.StatusBadRequest {
+				return
+			}
+			var e ErrorReply
+			if err := json.NewDecoder(w.Body).Decode(&e); err != nil {
+				t.Fatal(err)
+			}
+			if e.Code != CodeBadRequest || !strings.Contains(e.Error, tc.cause) {
+				t.Fatalf("reply %+v, want code %q naming %q", e, CodeBadRequest, tc.cause)
+			}
+		})
+	}
+	var st StateReply
+	w := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/statez?tenant=contract", nil))
+	if err := json.NewDecoder(w.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Applied != 3 {
+		t.Fatalf("%d batches applied, want the 3 accepted rows", st.Applied)
 	}
 }

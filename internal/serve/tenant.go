@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -56,6 +55,9 @@ type tenant struct {
 	// Appends happen under the gate (which serializes them) before the
 	// in-memory state swap and before the client sees an ack.
 	wal *wal.Log
+	// jbuf is the journal payload buffer, reused by each append under
+	// the gate.
+	jbuf []byte
 	// snapEvery is the server's snapshot cadence in applied batches,
 	// copied at creation (<=0 disables).
 	snapEvery int
@@ -89,6 +91,10 @@ type tenant struct {
 	recTruncations int64
 	recBadSnaps    int64
 }
+
+// journalBufKeep is the largest journal payload buffer a tenant keeps
+// between appends.
+const journalBufKeep = 64 << 10
 
 // appliedBatch is one seen-index entry: where in the journal a batch
 // landed and the state digest its commit produced.
@@ -196,11 +202,14 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 
 	digest64 := rec.Digest(final)
 	if t.wal != nil {
-		payload, merr := json.Marshal(b)
-		if merr != nil {
-			return nil, fmt.Errorf("serve: encoding journal record: %w", merr)
+		// The journal copies the payload, so the buffer is reused; one
+		// grown past journalBufKeep by a huge batch is let go.
+		t.jbuf = appendBatch(t.jbuf[:0], b)
+		aerr := t.wal.Append(wal.Record{Seq: seq, ID: b.ID, Payload: t.jbuf, Digest: digest64})
+		if cap(t.jbuf) > journalBufKeep {
+			t.jbuf = nil
 		}
-		if aerr := t.wal.Append(wal.Record{Seq: seq, ID: b.ID, Payload: payload, Digest: digest64}); aerr != nil {
+		if aerr != nil {
 			// Not journaled ⇒ not applied: the in-memory state is untouched
 			// and the client gets a retryable journal error, preserving
 			// ack ⇒ durable.

@@ -17,7 +17,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -321,22 +320,34 @@ func applyOp(ex janus.Executor, op OpSpec) error {
 // state; st is not mutated. Callers replay accepted batches in journal
 // order and compare rec.Digest against /statez.
 func ApplySequential(st *janus.State, sch Schema, b *Batch) (*janus.State, error) {
-	tasks, err := compile(sch.index(), b)
+	return applySequential(sch.index(), st, b)
+}
+
+// applySequential is ApplySequential against a built schema index, so a
+// caller replaying many batches (recovery) builds the index once.
+func applySequential(idx map[string]locKind, st *janus.State, b *Batch) (*janus.State, error) {
+	tasks, err := compile(idx, b)
 	if err != nil {
 		return nil, err
 	}
 	return janus.Sequential(st, tasks)
 }
 
-// decodeBatch reads and validates a submit body.
+// decodeBatch reads a submit body of at most maxBody bytes and parses it
+// with parseBatch.
 func decodeBatch(r *http.Request, maxBody int64) (*Batch, error) {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxBody))
-	dec.DisallowUnknownFields()
-	var b Batch
-	if err := dec.Decode(&b); err != nil {
+	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+	if err != nil {
+		return nil, fmt.Errorf("reading batch: %w", err)
+	}
+	if int64(len(body)) > maxBody {
+		return nil, fmt.Errorf("request body exceeds the %d-byte limit", maxBody)
+	}
+	b, err := parseBatch(body)
+	if err != nil {
 		return nil, fmt.Errorf("decoding batch: %w", err)
 	}
-	return &b, nil
+	return b, nil
 }
 
 // stateVal is a tiny helper for tests/introspection: the string form of

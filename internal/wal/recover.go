@@ -20,7 +20,8 @@ type Recovered struct {
 	Snapshot *Snapshot
 	// Records are the journal records after the snapshot (seq >
 	// Snapshot.Seq, or all records with no snapshot), contiguous and
-	// ascending.
+	// ascending. Their payloads alias the segment buffers Recover read,
+	// which belong to the caller from then on.
 	Records []Record
 	// Truncations counts repair actions taken: torn tails and corrupt
 	// records cut at the last valid prefix, dangling later segments
@@ -38,6 +39,12 @@ type Recovered struct {
 // of the valid prefix, the byte length of that prefix, and a
 // *fsio.FrameError describing the first invalid frame (nil when the whole
 // segment is valid). It never panics on crafted input.
+//
+// A record's Payload is not copied: it aliases buf (capped at its own
+// length, so an append cannot reach the next frame). The caller owns buf
+// and must not change it while it reads the records; Recover reads each
+// segment into a buffer of its own and hands that buffer over with the
+// records.
 func ScanSegment(buf []byte) (recs []Record, validLen int, err error) {
 	pos, err := fsio.CheckHeader(buf, segMagic, segFormat)
 	if err != nil {
@@ -55,7 +62,9 @@ func ScanSegment(buf []byte) (recs []Record, validLen int, err error) {
 		var rec Record
 		rec.Seq = d.Uvarint()
 		rec.ID = string(d.Bytes(d.Uvarint()))
-		rec.Payload = append([]byte(nil), d.Bytes(d.Uvarint())...)
+		if p := d.Bytes(d.Uvarint()); len(p) > 0 {
+			rec.Payload = p[:len(p):len(p)]
+		}
 		rec.Digest = d.U64LE()
 		if err := d.Done(); err != nil {
 			return recs, pos, err
