@@ -43,7 +43,6 @@ var liveByContract = map[string]string{
 
 	// A test's reference implementation: a test compares the shipped code
 	// against it, so deleting it deletes the oracle.
-	"internal/logic.Xor":            "builds the formulas the truth-table oracle's tests enumerate",
 	"internal/seqeff.PairConflicts": "Figure 8 on analyses: the verdict commute's and seqabs's lemma tests compare with",
 	"internal/state.State.Equal":    "Theorem 4.1's comparison: final state against the sequential run's, in every oracle test",
 

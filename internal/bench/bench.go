@@ -450,7 +450,7 @@ func join(ss []string) string {
 }
 
 // TrainingSummary prints the per-benchmark training reports (cache sizes,
-// proved conditions, SAT verification counts) — useful context for the
+// proved conditions, §6.2 content-check counts) — useful context for the
 // Figure 11 discussion.
 func TrainingSummary(out io.Writer) error {
 	fmt.Fprintln(out, "Training summary (5 payloads per benchmark, abstraction on)")

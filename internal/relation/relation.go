@@ -5,9 +5,8 @@
 // encodes ADT states such as a BitSet (index → bit) or a Map (key →
 // value), so it is stored as one: a persistent map from key to value
 // (trie.go) plus the sum of its elements' digest hashes. The package also
-// gives the propositional content representation of Table 4 that
-// training's SAT check compares (content.go), and Tuple, which renders a
-// custom ADT's domain and range valuations into a key and a value.
+// gives Tuple, which renders a custom ADT's domain and range valuations
+// into a key and a value.
 //
 // A point operation is one O(log32 n) lookup or path copy, Clone shares
 // structure in O(1), and only String and Range pay for a sort. Table 3's

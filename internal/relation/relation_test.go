@@ -9,8 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"repro/internal/logic"
 )
 
 // bitset is the paper's running example: a BitSet as the relation
@@ -159,56 +157,6 @@ func TestCloneIsDeep(t *testing.T) {
 	if !r.Equal(r.Clone()) {
 		t.Fatalf("clone must equal original")
 	}
-}
-
-func TestContentFormulaMatchesConcrete(t *testing.T) {
-	// Random op sequences: the Table 4 symbolic content must agree with
-	// the concrete relation on every tuple of a small universe.
-	rng := rand.New(rand.NewSource(5))
-	for iter := 0; iter < 200; iter++ {
-		r := New()
-		f := r.ContentFormula()
-		for step := 0; step < 10; step++ {
-			key := strconv.Itoa(rng.Intn(3))
-			val := strconv.Itoa(rng.Intn(2))
-			if rng.Intn(2) == 0 {
-				f = ContentPut(f, key, val)
-				r.Put(key, val)
-			} else {
-				f = ContentDelete(f, key)
-				r.Delete(key)
-			}
-		}
-		if g := r.ContentFormula(); !agree(f, g) {
-			t.Fatalf("iter %d: folded content %v, relation's own %v", iter, f, g)
-		}
-		// Check agreement on the full universe.
-		for i := 0; i < 3; i++ {
-			for v := 0; v < 2; v++ {
-				key, val := strconv.Itoa(i), strconv.Itoa(v)
-				asn := map[logic.Atom]bool{{Col: "k", Val: key}: true, {Col: "v", Val: val}: true}
-				got, _ := r.Get(key)
-				if f.Eval(asn) != (got == val) {
-					t.Fatalf("iter %d: formula says %v for k=%s,v=%s; relation %v\nf=%v",
-						iter, f.Eval(asn), key, val, r, f)
-				}
-			}
-		}
-	}
-}
-
-// agree reports whether f and g evaluate alike on every assignment that
-// binds one k and one v out of a three-key, two-value universe.
-func agree(f, g logic.Formula) bool {
-	for i := 0; i < 3; i++ {
-		for v := 0; v < 2; v++ {
-			asn := map[logic.Atom]bool{{Col: "k", Val: strconv.Itoa(i)}: true, {Col: "v", Val: strconv.Itoa(v)}: true}
-			if f.Eval(asn) != g.Eval(asn) {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func TestSetOpsBasics(t *testing.T) {

@@ -4,8 +4,8 @@
 // with the detector's own oplog.Decomposer, the per-location dependent
 // sequences are mined at task boundaries, symbolic
 // commutativity conditions are proved for pairs of sequences, verified —
-// concretely against the Figure 8 checks and, for relational pairs, with
-// the SAT-backed Table 4 content-formula equivalence — and cached under
+// concretely against the Figure 8 checks and, for relational pairs, by
+// the §6.2 content equivalence decided in closed form — and cached under
 // their §5.2 regular abstractions.
 package train
 
@@ -17,9 +17,7 @@ import (
 	"repro/internal/adt"
 	"repro/internal/cache"
 	"repro/internal/commute"
-	"repro/internal/logic"
 	"repro/internal/oplog"
-	"repro/internal/relation"
 	"repro/internal/seqabs"
 	"repro/internal/state"
 )
@@ -113,14 +111,11 @@ func SharedPLocs(mined map[oplog.PLoc][]oplog.Log) []oplog.PLoc {
 type Options struct {
 	// Mode selects the cache key abstraction (Figure 11 knob).
 	Mode seqabs.Mode
-	// MaxPairsPerLoc bounds the quadratic pair enumeration per location;
-	// 0 means DefaultMaxPairsPerLoc.
-	MaxPairsPerLoc int
 }
 
-// DefaultMaxPairsPerLoc bounds pair enumeration per location. Dedup by
-// shape key happens first, so the bound only guards pathological traces.
-const DefaultMaxPairsPerLoc = 4096
+// maxPairsPerLoc bounds pair enumeration per location. Dedup by shape key
+// happens first, so the bound only guards pathological traces.
+const maxPairsPerLoc = 4096
 
 // Report summarizes a training run.
 type Report struct {
@@ -132,41 +127,31 @@ type Report struct {
 	Cached          map[commute.ConditionKind]int
 	Rejected        int // pairs no theory covers
 	VerifyDropped   int // proved pairs dropped by verification
-	SATChecks       int
-	SATFailures     int
+	EquivChecks     int // relational pairs given the §6.2 content check
+	EquivFailures   int // of those, pairs whose orders leave different content
 }
 
 // String renders the report.
 func (r *Report) String() string {
 	return fmt.Sprintf(
-		"trace=%d ops, plocs=%d (%d shared), pairs=%d (%d unique), cached={always:%d register:%d stack:%d}, rejected=%d, verify-dropped=%d, sat=%d/%d",
+		"trace=%d ops, plocs=%d (%d shared), pairs=%d (%d unique), cached={always:%d register:%d stack:%d}, rejected=%d, verify-dropped=%d, equiv=%d/%d",
 		r.TracedOps, r.PLocs, r.SharedPLocs, r.PairsConsidered, r.UniquePairs,
 		r.Cached[commute.CondAlways], r.Cached[commute.CondRegister], r.Cached[commute.CondStackIdentity],
-		r.Rejected, r.VerifyDropped, r.SATFailures, r.SATChecks,
+		r.Rejected, r.VerifyDropped, r.EquivFailures, r.EquivChecks,
 	)
 }
 
 // Train profiles one sequential run of tasks from the given initial state
-// (cloned; the caller's state is not mutated) and builds the
-// commutativity cache.
+// (cloned; the caller's state is not mutated), mines the trace and builds
+// the commutativity cache. initial also types the synthetic verification
+// states.
 func Train(initial *state.State, tasks []adt.Task, opts Options) (*cache.Cache, *Report, error) {
-	st := initial.Clone()
-	p := NewProfiler(st)
+	p := NewProfiler(initial.Clone())
 	if err := p.Run(tasks); err != nil {
 		return nil, nil, err
 	}
+	trace := p.Trace()
 	c := cache.New(opts.Mode)
-	rep, err := Learn(c, initial, p.Trace(), opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, rep, nil
-}
-
-// Learn mines a recorded trace and populates the cache. initial is the
-// state the trace started from (used to type synthetic verification
-// states).
-func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) (*Report, error) {
 	rep := &Report{
 		TracedOps: len(trace),
 		Cached:    make(map[commute.ConditionKind]int),
@@ -175,10 +160,6 @@ func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) 
 	rep.PLocs = len(mined)
 	shared := SharedPLocs(mined)
 	rep.SharedPLocs = len(shared)
-	maxPairs := opts.MaxPairsPerLoc
-	if maxPairs == 0 {
-		maxPairs = DefaultMaxPairsPerLoc
-	}
 	// Each sequence is rendered once per location: its descriptors and its
 	// cache key. A pair's key is the two joined into one reused buffer,
 	// as the runtime's LookupDetailKeys joins them, and a key string is
@@ -194,8 +175,8 @@ func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) 
 			keys[i] = c.AppendSeqKey(nil, syms[i])
 		}
 		pairs := 0
-		for i := 0; i < len(seqs) && pairs < maxPairs; i++ {
-			for j := i + 1; j < len(seqs) && pairs < maxPairs; j++ {
+		for i := 0; i < len(seqs) && pairs < maxPairsPerLoc; i++ {
+			for j := i + 1; j < len(seqs) && pairs < maxPairsPerLoc; j++ {
 				if seqs[i][0].Task == seqs[j][0].Task {
 					continue
 				}
@@ -213,11 +194,7 @@ func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) 
 					rep.Rejected++
 					continue
 				}
-				ok, err := verifyPair(rep, initial, p, seqs[i], seqs[j], kind)
-				if err != nil {
-					return nil, err
-				}
-				if !ok {
+				if !verifyPair(rep, initial, p, seqs[i], seqs[j], kind) {
 					rep.VerifyDropped++
 					continue
 				}
@@ -226,22 +203,21 @@ func Learn(c *cache.Cache, initial *state.State, trace oplog.Log, opts Options) 
 			}
 		}
 	}
-	return rep, nil
+	return c, rep, nil
 }
 
 // verifyPair cross-checks the proved condition kind against the concrete
-// Figure 8 judgment on synthetic entry states, and against the SAT-backed
-// content-formula equivalence for relational pairs. A proved "no conflict"
-// that any verifier contradicts drops the entry (soundness guard); a
-// proved "conflict" needs no verification (conservative answers are always
-// sound).
-func verifyPair(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Log, kind commute.ConditionKind) (bool, error) {
+// Figure 8 judgment on synthetic entry states, and relational pairs against
+// the §6.2 content equivalence. A proved "no conflict" that any check
+// contradicts drops the entry (soundness guard); a proved "conflict" needs
+// no verification (conservative answers are always sound).
+func verifyPair(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Log, kind commute.ConditionKind) bool {
 	conflict, ok := commute.Evaluate(kind, e1.Syms(), e2.Syms())
 	if !ok {
-		return false, nil
+		return false
 	}
 	if conflict {
-		return true, nil
+		return true
 	}
 	for _, entry := range syntheticStates(initial, p) {
 		concrete, err := commute.ConflictConcrete(entry, p, e1, e2)
@@ -251,16 +227,17 @@ func verifyPair(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Lo
 			continue
 		}
 		if concrete {
-			return false, nil
+			return false
 		}
 	}
 	if relationalOnly(e1) && relationalOnly(e2) {
-		agree, err := satVerify(rep, initial, p, e1, e2)
-		if err != nil || !agree {
-			return false, err
+		rep.EquivChecks++
+		if !sameContent(e1, e2) {
+			rep.EquivFailures++
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // syntheticStates builds small entry states exercising the pair's
@@ -308,46 +285,58 @@ func relationalOnly(l oplog.Log) bool {
 	return len(l) > 0
 }
 
-// satVerify checks, with the Table 4 content formulas and the SAT solver,
-// that the two execution orders produce equivalent relation contents from
-// a synthetic entry relation — the §6.2 equivalence query.
-func satVerify(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Log) (bool, error) {
-	v, bound := initial.Get(p.Loc)
-	if !bound {
-		return true, nil
-	}
-	rv, isRel := v.(state.Rel)
-	if !isRel {
-		return true, nil
-	}
-	rep.SATChecks++
-	f0 := rv.R.ContentFormula()
-	fAB := contentAfter(contentAfter(f0, e1), e2)
-	fBA := contentAfter(contentAfter(f0, e2), e1)
-	eq, err := equivalent(fAB, fBA, satBudget)
-	if err != nil {
-		// Budget exhausted: treat as a failed proof, drop the entry.
-		rep.SATFailures++
-		return false, nil
-	}
-	if !eq {
-		rep.SATFailures++
-	}
-	return eq, nil
+// sameContent decides the §6.2 equivalence in closed form: whether both
+// orders of two relational sequences leave equal content from every entry
+// relation. Put, remove and clear are unconditional writes, so a key ends
+// with the second side's last write to it, else the first side's, else
+// its entry value: the orders agree iff no key gets two different last
+// writes. A side that clears writes absence to every key it does not
+// write after the clear. Reads write nothing.
+func sameContent(e1, e2 oplog.Log) bool {
+	w1, cleared1 := lastWrites(e1)
+	w2, cleared2 := lastWrites(e2)
+	return writesAgree(w1, w2, cleared2) && writesAgree(w2, w1, cleared1)
 }
 
-// contentAfter folds a relational event sequence over a content formula
-// using the Table 4 update rules. Reads leave the formula unchanged.
-func contentAfter(f logic.Formula, l oplog.Log) logic.Formula {
+// lastWrite is a sequence's last write to a key: a value, or absence.
+type lastWrite struct {
+	val    string
+	absent bool
+}
+
+// lastWrites folds a relational sequence to its last write per key, and
+// reports whether it clears. A clear forgets the writes before it.
+func lastWrites(l oplog.Log) (map[string]lastWrite, bool) {
+	w := make(map[string]lastWrite)
+	cleared := false
 	for _, e := range l {
 		switch op := e.Op; op.K {
 		case adt.RelPut:
-			f = relation.ContentPut(f, op.Key, op.Val)
+			w[op.Key] = lastWrite{val: op.Val}
 		case adt.RelRemove:
-			f = relation.ContentDelete(f, op.Key)
+			w[op.Key] = lastWrite{absent: true}
 		case adt.RelClear:
-			f = logic.False
+			clear(w)
+			cleared = true
 		}
 	}
-	return f
+	return w, cleared
+}
+
+// writesAgree reports whether b's last write to every key in a equals a's.
+// A key b does not write is absent if b clears, and left alone otherwise.
+func writesAgree(a, b map[string]lastWrite, bClears bool) bool {
+	for k, wa := range a {
+		wb, ok := b[k]
+		if !ok {
+			if !bClears {
+				continue
+			}
+			wb = lastWrite{absent: true}
+		}
+		if wa != wb {
+			return false
+		}
+	}
+	return true
 }

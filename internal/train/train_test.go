@@ -120,7 +120,7 @@ func TestTrainStackPattern(t *testing.T) {
 	}
 }
 
-func TestTrainEqualWritesVerifiedBySAT(t *testing.T) {
+func TestTrainEqualWritesVerified(t *testing.T) {
 	c, rep, err := Train(initialState(), []adt.Task{drawTask("white"), drawTask("white")}, Options{Mode: seqabs.Abstract})
 	if err != nil {
 		t.Fatal(err)
@@ -128,11 +128,11 @@ func TestTrainEqualWritesVerifiedBySAT(t *testing.T) {
 	if rep.Cached[commute.CondRegister] == 0 {
 		t.Fatalf("equal-writes pair must cache; report: %s", rep)
 	}
-	if rep.SATChecks == 0 {
-		t.Fatalf("relational pair must be SAT-verified; report: %s", rep)
+	if rep.EquivChecks == 0 {
+		t.Fatalf("relational pair must get the content check; report: %s", rep)
 	}
-	if rep.SATFailures != 0 {
-		t.Fatalf("SAT verification failed: %s", rep)
+	if rep.EquivFailures != 0 {
+		t.Fatalf("content check failed: %s", rep)
 	}
 	_ = c
 }
@@ -239,23 +239,21 @@ func TestReportString(t *testing.T) {
 }
 
 func TestLearnRespectsPairBound(t *testing.T) {
-	// Many tasks on one location; bound pair enumeration to 1.
+	// 92 tasks on one location make 92·91/2 = 4186 cross-task pairs, more
+	// than the bound lets training consider.
 	var tasks []adt.Task
-	for i := 0; i < 6; i++ {
+	for i := 0; i < 92; i++ {
 		tasks = append(tasks, identityTask(int64(i+1)))
 	}
-	st := initialState()
-	p := NewProfiler(st)
-	if err := p.Run(tasks); err != nil {
-		t.Fatal(err)
+	if n := len(tasks) * (len(tasks) - 1) / 2; n <= maxPairsPerLoc {
+		t.Fatalf("%d pairs do not exceed the bound %d", n, maxPairsPerLoc)
 	}
-	c := cache.New(seqabs.Abstract)
-	rep, err := Learn(c, initialState(), p.Trace(), Options{MaxPairsPerLoc: 1})
+	_, rep, err := Train(initialState(), tasks, Options{Mode: seqabs.Abstract})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PairsConsidered != 1 {
-		t.Fatalf("PairsConsidered = %d, want 1", rep.PairsConsidered)
+	if rep.SharedPLocs != 1 || rep.PairsConsidered != maxPairsPerLoc {
+		t.Fatalf("shared plocs = %d, PairsConsidered = %d, want 1 and %d", rep.SharedPLocs, rep.PairsConsidered, maxPairsPerLoc)
 	}
 }
 
@@ -334,7 +332,7 @@ func TestSyntheticStatesBindEscapedKey(t *testing.T) {
 // TestTrainChecksCustomPairs: a custom ADT's ops are the built-in
 // relational ops over a KV relation, so training checks its pairs the way
 // it checks a KVMap's: the route table's equal-writes pair gets the §6.2
-// SAT check, and the bound-key probe binds the pair's own composite key.
+// content check, and the bound-key probe binds the pair's own composite key.
 func TestTrainChecksCustomPairs(t *testing.T) {
 	initial := state.New()
 	spec := adt.CustomSpec{Columns: []string{"src", "dst", "cost", "via"}, Domain: []string{"src", "dst"}}
@@ -354,8 +352,8 @@ func TestTrainChecksCustomPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.SATChecks == 0 || rep.SATFailures != 0 {
-		t.Fatalf("custom equal-writes pair: want SAT-verified, report: %s", rep)
+	if rep.EquivChecks == 0 || rep.EquivFailures != 0 {
+		t.Fatalf("custom equal-writes pair: want the content check passed, report: %s", rep)
 	}
 
 	prof := NewProfiler(initial.Clone())
