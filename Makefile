@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test allocs cli-smoke race stress check bench bench-quick bench-contention bench-commit bench-journal chaos soak fuzz serve-smoke crash-matrix trace record-replay clean
+.PHONY: all vet build test allocs race stress check bench bench-quick bench-contention bench-commit chaos soak fuzz serve-smoke crash-matrix trace record-replay clean
 
 all: check
 
@@ -22,7 +22,7 @@ test:
 # in the first): with recycled artifacts poisoned a use-after-recycle
 # panics, and -race is what reports a reader overlapping the recycler.
 race:
-	$(GO) test -race -count=1 . ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/rec ./internal/serve ./internal/wal ./internal/fsio ./internal/relation ./internal/state
+	$(GO) test -race -count=1 . ./cmd/janus ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/rec ./internal/serve ./internal/wal ./internal/fsio ./internal/relation ./internal/state
 	$(GO) test -race -count=1 -run PoisonedRecycle ./internal/chaos ./internal/workloads
 
 # Repeat the stm liveness tests (context drains, sequencer waiters woken
@@ -70,13 +70,6 @@ allocs:
 	@for t in $(ALLOCS_TESTS); do \
 		$(GO) test -count=1 -run "^$${t#*:}$$" ./$${t%%:*} || exit 1; \
 	done
-
-# The training-side commands have no tests of their own: run each once on
-# jgrapht2 (CI's test job); a nonzero exit fails the target.
-cli-smoke:
-	$(GO) run ./cmd/janus-train -workload jgrapht2 > /dev/null
-	$(GO) run ./cmd/janus-trace -workload jgrapht2 > /dev/null
-	$(GO) run ./cmd/janus-advise -workload jgrapht2 > /dev/null
 
 # Short chaos soak under the race detector (CI's chaos-soak job): fault-injected
 # runs whose final state is checked against the sequential oracle.
@@ -126,10 +119,10 @@ serve-smoke:
 crash-matrix:
 	sh scripts/crash-matrix.sh
 
-check: vet build test allocs cli-smoke bench-quick race stress chaos serve-smoke
+check: vet build test allocs bench-quick race stress chaos serve-smoke
 
 bench:
-	$(GO) run ./cmd/janus-bench
+	$(GO) run ./cmd/janus bench
 
 # Smoke run of the fenced end-to-end benchmark (mirrors CI): all five
 # workloads at smoke sizes, one measured and one traced child run each,
@@ -154,37 +147,26 @@ bench-contention:
 bench-commit:
 	$(GO) test -run '^$$' -bench 'BenchmarkCommitParallel' -benchmem -cpu 8 \
 		./internal/stm | tee bench-commit.txt
-	$(GO) run ./cmd/janus-benchjson -file BENCH_commit.json -label after < bench-commit.txt
-
-# Journal append-latency trajectory: BenchmarkJournalAppend across the
-# three fsync policies (never / group / always — the price of the
-# ack => durable contract is the fsync in the append path), folded into
-# BENCH_serve.json. Used by the nightly workflow; informational, not
-# gating.
-bench-journal:
-	$(GO) test -run '^$$' -bench BenchmarkJournalAppend -benchmem \
-		./internal/wal | tee bench-journal.txt
-	$(GO) run ./cmd/janus-benchjson -file BENCH_serve.json -label journal-append \
-		< bench-journal.txt
+	$(GO) run ./cmd/janus benchjson -file BENCH_commit.json -label after < bench-commit.txt
 
 # Capture a Chrome trace of one production run (open in ui.perfetto.dev).
 trace:
-	$(GO) run ./cmd/janus-bench -trace out.json -workloads jfilesync
+	$(GO) run ./cmd/janus bench -trace out.json -workloads jfilesync
 
 # Record/replay round trip: capture a chaos-perturbed run as a
-# binary op trace, deterministically replay it (janus-replay exits nonzero
+# binary op trace, deterministically replay it (janus replay exits nonzero
 # on any digest mismatch), and fold the replay timings plus the recording
 # overhead benchmark into BENCH_replay.json. Used by the nightly workflow;
 # the replay step IS gating — a mismatch means lost determinism.
 record-replay:
-	$(GO) run ./cmd/janus-bench -json -chaos 42 -record janus.trace \
+	$(GO) run ./cmd/janus bench -json -chaos 42 -record janus.trace \
 		-workloads jfilesync > /dev/null
-	$(GO) run ./cmd/janus-replay -json -verify-ops janus.trace | \
-		$(GO) run ./cmd/janus-benchjson -reports -file BENCH_replay.json -label replay
+	$(GO) run ./cmd/janus replay -json -verify-ops janus.trace | \
+		$(GO) run ./cmd/janus benchjson -reports -file BENCH_replay.json -label replay
 	$(GO) test -run '^$$' -bench BenchmarkRecord -benchmem ./internal/rec | \
 		tee record-overhead.txt
-	$(GO) run ./cmd/janus-benchjson -file BENCH_replay.json -label record-overhead \
+	$(GO) run ./cmd/janus benchjson -file BENCH_replay.json -label record-overhead \
 		< record-overhead.txt
 
 clean:
-	rm -f out.json bench-contention.txt bench-commit.txt janus.trace record-overhead.txt bench-journal.txt
+	rm -f out.json bench-contention.txt bench-commit.txt janus.trace record-overhead.txt

@@ -7,6 +7,8 @@ package janus
 import (
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/conflict"
@@ -144,10 +146,11 @@ func eagerCopy(shared *State, tasks []Task) []Task {
 		v, _ := shared.Get(l)
 		if rv, ok := v.(state.Rel); ok {
 			r := rel{loc: l}
-			rv.R.Range(func(k, v string) bool {
+			rv.R.Each(func(k, v string) bool {
 				r.pairs = append(r.pairs, [2]string{k, v})
 				return true
 			})
+			slices.SortFunc(r.pairs, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
 			rels = append(rels, r)
 		}
 	}

@@ -12,7 +12,7 @@ package janus
 //	go test -bench 'Figure11' -benchtime 1x   # cache miss rates
 //	go test -bench 'Table'    -benchtime 1x   # Tables 5 and 6
 //
-// cmd/janus-bench prints the same series as formatted tables.
+// `janus bench` prints the same series as formatted tables.
 
 import (
 	"fmt"

@@ -1,30 +1,14 @@
-// janus-benchjson folds `go test -bench` output into a JSON benchmark
-// trajectory file, so performance changes are recorded next to the code
-// that caused them instead of in CI logs that expire.
-//
-// The trajectory file holds one entry per label; re-recording a label
-// replaces its entry and leaves the others untouched, so a "before"
-// baseline recorded once survives any number of "after" refreshes:
-//
-//	go test -bench CommitParallel -benchmem ./internal/stm |
-//	    janus-benchjson -file BENCH_commit.json -label after
-//
-// With -reports, stdin is instead a JSON array of bench.RunReport (the
-// output of `janus-bench -json` or `janus-replay -json`); each report
-// folds into the trajectory as wall-clock results, so replayed
-// production captures leave the same regression trail as benchmarks:
-//
-//	janus-replay -json janus.trace |
-//	    janus-benchjson -reports -file BENCH_replay.json -label replay
 package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -54,54 +38,63 @@ type Entry struct {
 	Results []Result `json:"results"`
 }
 
-func main() {
-	file := flag.String("file", "BENCH_commit.json", "trajectory file to update")
-	label := flag.String("label", "", "label to record this run under (required)")
-	reports := flag.Bool("reports", false, "parse stdin as a bench.RunReport JSON array (janus-bench/janus-replay -json) instead of go test -bench text")
-	flag.Parse()
+// runBenchJSON folds `go test -bench` output on standard input into a
+// JSON benchmark trajectory file, so performance changes are recorded
+// next to the code that caused them instead of in CI logs that expire.
+// The file holds one entry per label; re-recording a label replaces its
+// entry and leaves the others untouched, so a "before" baseline recorded
+// once survives any number of "after" refreshes:
+//
+//	go test -bench CommitParallel -benchmem ./internal/stm |
+//	    janus benchjson -file BENCH_commit.json -label after
+//
+// With -reports, standard input is instead a JSON array of
+// bench.RunReport (`janus bench -json` or `janus replay -json`), folded
+// in as wall-clock results:
+//
+//	janus replay -json janus.trace |
+//	    janus benchjson -reports -file BENCH_replay.json -label replay
+func runBenchJSON(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := newFlags("benchjson", stderr)
+	file := fs.String("file", "BENCH_commit.json", "trajectory file to update")
+	label := fs.String("label", "", "label to record this run under (required)")
+	reports := fs.Bool("reports", false, "parse stdin as a bench.RunReport JSON array (janus bench/replay -json) instead of go test -bench text")
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if *label == "" {
-		fmt.Fprintln(os.Stderr, "janus-benchjson: -label is required")
-		os.Exit(2)
+		return usageError{errors.New("-label is required")}
 	}
 	var entry *Entry
 	var err error
 	if *reports {
 		entry, err = parseReports(os.Stdin)
 	} else {
-		entry, err = parse(bufio.NewScanner(os.Stdin))
+		entry, err = parseBenchText(bufio.NewScanner(os.Stdin))
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "janus-benchjson:", err)
-		os.Exit(1)
+		return err
 	}
 	entry.Label = *label
 	entries, err := load(*file)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "janus-benchjson:", err)
-		os.Exit(1)
+		return err
 	}
-	replaced := false
-	for i := range entries {
-		if entries[i].Label == *label {
-			entries[i] = *entry
-			replaced = true
-			break
-		}
-	}
-	if !replaced {
+	if i := slices.IndexFunc(entries, func(e Entry) bool { return e.Label == *label }); i >= 0 {
+		entries[i] = *entry
+	} else {
 		entries = append(entries, *entry)
 	}
 	out, err := json.MarshalIndent(entries, "", "  ")
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "janus-benchjson:", err)
-		os.Exit(1)
+		return err
 	}
 	if err := os.WriteFile(*file, append(out, '\n'), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "janus-benchjson:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Fprintf(os.Stderr, "janus-benchjson: recorded %d results under %q in %s\n",
+	fmt.Fprintf(stderr, "janus benchjson: recorded %d results under %q in %s\n",
 		len(entry.Results), *label, *file)
+	return nil
 }
 
 func load(path string) ([]Entry, error) {
@@ -124,7 +117,7 @@ func load(path string) ([]Entry, error) {
 // iteration at the report's thread count) and its sequential baseline
 // (Sequential/<workload>). Failed reports are rejected — a trajectory
 // entry must not record a broken run as a data point.
-func parseReports(in *os.File) (*Entry, error) {
+func parseReports(in io.Reader) (*Entry, error) {
 	var reps []bench.RunReport
 	if err := json.NewDecoder(in).Decode(&reps); err != nil {
 		return nil, fmt.Errorf("parsing RunReport array: %w", err)
@@ -160,9 +153,9 @@ func parseReports(in *os.File) (*Entry, error) {
 	return e, nil
 }
 
-// parse reads `go test -bench` text output: header lines (goos, goarch,
-// cpu, pkg) followed by benchmark result lines.
-func parse(sc *bufio.Scanner) (*Entry, error) {
+// parseBenchText reads `go test -bench` text output: header lines (goos,
+// goarch, cpu, pkg) followed by benchmark result lines.
+func parseBenchText(sc *bufio.Scanner) (*Entry, error) {
 	e := &Entry{}
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
@@ -217,17 +210,11 @@ func parseResult(line string) (*Result, error) {
 		val, unit := fields[i], fields[i+1]
 		switch unit {
 		case "ns/op":
-			if r.NsPerOp, err = strconv.ParseFloat(val, 64); err != nil {
-				return nil, fmt.Errorf("bad ns/op in %q: %w", line, err)
-			}
+			r.NsPerOp, err = strconv.ParseFloat(val, 64)
 		case "B/op":
-			if r.BytesPerOp, err = strconv.ParseInt(val, 10, 64); err != nil {
-				return nil, fmt.Errorf("bad B/op in %q: %w", line, err)
-			}
+			r.BytesPerOp, err = strconv.ParseInt(val, 10, 64)
 		case "allocs/op":
-			if r.AllocsPerOp, err = strconv.ParseInt(val, 10, 64); err != nil {
-				return nil, fmt.Errorf("bad allocs/op in %q: %w", line, err)
-			}
+			r.AllocsPerOp, err = strconv.ParseInt(val, 10, 64)
 		default:
 			// A custom b.ReportMetric column; keep it under its unit so
 			// trajectories can track memory/ratio metrics the standard
@@ -238,6 +225,9 @@ func parseResult(line string) (*Result, error) {
 				}
 				r.Extra[unit] = v
 			}
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad %s in %q: %w", unit, line, err)
 		}
 	}
 	return r, nil

@@ -1,4 +1,5 @@
-// Package loadgen is the janus-serve load-generator client: concurrent clients per tenant submit
+// Package loadgen is the load-generator client of `janus serve` (run as
+// `janus loadgen`): concurrent clients per tenant submit
 // deterministic batches over HTTP, honor the typed shed replies
 // (Retry-After backoff, duplicate-as-applied, deadline retry), and then
 // verify the service's exactly-once contract — every accepted batch
@@ -21,9 +22,9 @@ import (
 	"repro/internal/serve"
 )
 
-// Opts parameterize a load-generation run against janus-serve.
+// Opts parameterize a load-generation run against `janus serve`.
 type Opts struct {
-	// URL is the base address of a running janus-serve, e.g.
+	// URL is the base address of a running `janus serve`, e.g.
 	// "http://127.0.0.1:8085".
 	URL string
 	// Tenants, Clients, and Batches shape the run: Tenants independent
@@ -135,7 +136,7 @@ func batchFor(tenant string, cl, seq int) *serve.Batch {
 	return b
 }
 
-// Run drives a running janus-serve and verifies the exactly-once and
+// Run drives a running `janus serve` and verifies the exactly-once and
 // digest invariants. It returns a report plus an error when the run could
 // not complete (transport-level failure); invariant violations are
 // reported via report.OK=false with details on out.

@@ -49,7 +49,7 @@ type RunReport struct {
 	Chaos     *chaos.Stats `json:"chaos,omitempty"`
 	// Error is the run's failure, when it failed: the report then carries
 	// whatever partial accounting was gathered, and consumers must treat
-	// the run as unsuccessful (janus-bench exits nonzero).
+	// the run as unsuccessful (`janus bench` exits nonzero).
 	Error string `json:"error,omitempty"`
 	// Trace summarizes the attached tracer (event counts, latency
 	// histograms) when one was supplied.
@@ -58,12 +58,12 @@ type RunReport struct {
 	// where the artifact went and the recorder's counters.
 	RecordPath string     `json:"record_path,omitempty"`
 	Record     *rec.Stats `json:"record,omitempty"`
-	// Replay carries janus-replay's verification verdict when the report
+	// Replay carries `janus replay`'s verification verdict when the report
 	// describes a replayed trace instead of a live workload run.
 	Replay *ReplayInfo `json:"replay,omitempty"`
 }
 
-// ReplayInfo is the replay-verification block of a janus-replay report.
+// ReplayInfo is the replay-verification block of a `janus replay` report.
 type ReplayInfo struct {
 	// Trace is the replayed artifact's path.
 	Trace string `json:"trace"`

@@ -9,7 +9,6 @@ package chaos
 
 import (
 	"hash/fnv"
-	"sync/atomic"
 	"time"
 )
 
@@ -42,20 +41,10 @@ type ServiceConfig struct {
 	SlowWork int64
 }
 
-// ServiceStats counts service-layer faults actually injected.
-type ServiceStats struct {
-	Disconnects int64
-	Deadlines   int64
-	SlowBatches int64
-}
-
 // ServiceInjector makes seeded per-request fault decisions for a
 // serving-layer soak. All methods are safe for concurrent use.
 type ServiceInjector struct {
-	cfg         ServiceConfig
-	disconnects atomic.Int64
-	deadlines   atomic.Int64
-	slows       atomic.Int64
+	cfg ServiceConfig
 }
 
 // NewService builds a service-layer injector.
@@ -67,15 +56,6 @@ func NewService(cfg ServiceConfig) *ServiceInjector {
 		cfg.SlowWork = 200_000
 	}
 	return &ServiceInjector{cfg: cfg}
-}
-
-// Stats snapshots the injected-fault counters.
-func (i *ServiceInjector) Stats() ServiceStats {
-	return ServiceStats{
-		Disconnects: i.disconnects.Load(),
-		Deadlines:   i.deadlines.Load(),
-		SlowBatches: i.slows.Load(),
-	}
 }
 
 // roll maps (seed, site, tenant, seq) to [0, 1). The tenant name is
@@ -93,7 +73,6 @@ func (i *ServiceInjector) Disconnect(tenant string, seq int) bool {
 	if i.cfg.DisconnectProb <= 0 || i.roll(siteDisconnect, tenant, seq) >= i.cfg.DisconnectProb {
 		return false
 	}
-	i.disconnects.Add(1)
 	return true
 }
 
@@ -103,7 +82,6 @@ func (i *ServiceInjector) Deadline(tenant string, seq int) (time.Duration, bool)
 	if i.cfg.DeadlineProb <= 0 || i.roll(siteDeadline, tenant, seq) >= i.cfg.DeadlineProb {
 		return 0, false
 	}
-	i.deadlines.Add(1)
 	return i.cfg.TinyDeadline, true
 }
 
@@ -113,6 +91,5 @@ func (i *ServiceInjector) SlowBatch(tenant string, seq int) (int64, bool) {
 	if i.cfg.SlowProb <= 0 || i.roll(siteSlow, tenant, seq) >= i.cfg.SlowProb {
 		return 0, false
 	}
-	i.slows.Add(1)
 	return i.cfg.SlowWork, true
 }

@@ -6,7 +6,7 @@
 // crash or full disk at any point leaves either the old artifact or the
 // new one at the published path — never a torn file.
 //
-// janus-train's spec artifacts, the flight-recorder dumps, and the
+// `janus train`'s spec artifacts, the flight-recorder dumps, and the
 // serving layer's durable snapshots all publish through this package;
 // before it existed each carried its own (subtly different) copy of the
 // idiom.
@@ -45,11 +45,6 @@ func NewAtomic(path string) (*Atomic, error) {
 
 // Write appends to the temp file; Atomic implements io.Writer.
 func (a *Atomic) Write(p []byte) (int, error) { return a.f.Write(p) }
-
-// File exposes the underlying temp file for callers that need more than
-// io.Writer (e.g. io.ReaderFrom fast paths). The caller must not close
-// or rename it.
-func (a *Atomic) File() *os.File { return a.f }
 
 // Publish makes the write durable and visible: chmod 0644, fsync, close,
 // rename onto the target path, and fsync the parent directory. On error

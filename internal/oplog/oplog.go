@@ -39,7 +39,7 @@ type PLoc struct {
 }
 
 // String renders p as "loc", or "loc#key" when the key is not empty,
-// where text leaves the program: traces, errors and janus-trace. The
+// where text leaves the program: traces, errors and `janus trace`. The
 // rendering is never parsed back, so a location's own name may contain
 // '#' (and a relation's empty key renders as its location).
 func (p PLoc) String() string {

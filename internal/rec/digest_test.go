@@ -2,7 +2,9 @@ package rec
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/relation"
@@ -44,10 +46,11 @@ func reordered(st *state.State) *state.State {
 		v, _ := st.Get(locs[i])
 		if rel, ok := v.(state.Rel); ok {
 			var kvs [][2]string
-			rel.R.Range(func(k, v string) bool {
+			rel.R.Each(func(k, v string) bool {
 				kvs = append(kvs, [2]string{k, v})
 				return true
 			})
+			slices.SortFunc(kvs, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
 			r := relation.New()
 			for j := len(kvs) - 1; j >= 0; j-- {
 				r.Put(kvs[j][0], kvs[j][1])

@@ -9,10 +9,10 @@
 // Two capture modes share one implementation:
 //
 //   - Stream capture keeps every sealed chunk in memory and writes the
-//     complete artifact at Close. Used by `janus-bench -record`.
+//     complete artifact at Close. Used by `janus bench -record`.
 //   - Flight-recorder capture (Options.FlightChunks > 0) bounds the
 //     in-memory chunk ring, evicting the oldest sealed chunks. A dump —
-//     janus-serve's on an abnormal exit — snapshots whatever the ring
+//     `janus serve`'s on an abnormal exit — snapshots whatever the ring
 //     holds into a complete, self-validating artifact.
 //     Evictions mark the dump truncated; its footer then carries no
 //     replay-verifiable digest.

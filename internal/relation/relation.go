@@ -9,7 +9,7 @@
 // into a key and a value.
 //
 // A point operation is one O(log32 n) lookup or path copy, Clone shares
-// structure in O(1), and only String and Range pay for a sort. Table 3's
+// structure in O(1), and only String pays for a sort. Table 3's
 // footprints are not computed here: each ADT operation reports its own
 // (oplog.Op.AppendAccesses), at the key.
 package relation
@@ -186,21 +186,6 @@ func (r *Relation) Equal(o *Relation) bool {
 // returns false. It allocates nothing.
 func (r *Relation) Each(fn func(key, val string) bool) {
 	r.root.each(func(b *binding) bool { return fn(b.key, b.val) })
-}
-
-// Range calls fn for every binding in key order until fn returns false.
-func (r *Relation) Range(fn func(key, val string) bool) {
-	kvs := make([][2]string, 0, r.n)
-	r.Each(func(k, v string) bool {
-		kvs = append(kvs, [2]string{k, v})
-		return true
-	})
-	slices.SortFunc(kvs, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
-	for _, kv := range kvs {
-		if !fn(kv[0], kv[1]) {
-			return
-		}
-	}
 }
 
 // A Builder fills one fresh relation without path copies: until Done

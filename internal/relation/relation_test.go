@@ -119,30 +119,10 @@ func TestZeroRelationIsEmpty(t *testing.T) {
 	if _, ok := r.Get(""); ok || r.Delete("") {
 		t.Fatalf("zero relation binds the empty key")
 	}
-	r.Range(func(string, string) bool { t.Error("Range over the empty relation called fn"); return true })
+	r.Each(func(string, string) bool { t.Error("Each over the empty relation called fn"); return true })
 	r.Put("", "x")
 	if v, ok := r.Get(""); !ok || v != "x" || r.Len() != 1 {
 		t.Fatalf("the empty key is a key: Get = %q, %v", v, ok)
-	}
-}
-
-func TestRangeIsSortedAndStops(t *testing.T) {
-	r := bitset([2]string{"b", "2"}, [2]string{"a!", "4"}, [2]string{"a", "1"}, [2]string{"", "0"}, [2]string{"c", "3"})
-	var keys []string
-	r.Range(func(k, v string) bool {
-		if w, _ := r.Get(k); w != v {
-			t.Errorf("Range yields %s=%s, Get %s", k, v, w)
-		}
-		keys = append(keys, k)
-		return true
-	})
-	if want := []string{"", "a", "a!", "b", "c"}; !slices.Equal(keys, want) {
-		t.Errorf("Range keys = %q, want %q", keys, want)
-	}
-	n := 0
-	r.Range(func(string, string) bool { n++; return n < 2 })
-	if n != 2 {
-		t.Errorf("Range visited %d after early stop, want 2", n)
 	}
 }
 
@@ -256,10 +236,11 @@ func sameAs(r *Relation, m model) bool {
 		}
 	}
 	var keys []string
-	r.Range(func(k, v string) bool {
+	r.Each(func(k, v string) bool {
 		keys = append(keys, k)
 		return m[k] == v
 	})
+	sort.Strings(keys)
 	want := make([]string, 0, len(m))
 	for k := range m {
 		want = append(want, k)
@@ -419,10 +400,11 @@ func TestRetainedVersionsAgainstModel(t *testing.T) {
 // or, with a source of randomness, in a shuffled one.
 func rebuilt(r *Relation, rng *rand.Rand) *Relation {
 	var kvs [][2]string
-	r.Range(func(k, v string) bool {
+	r.Each(func(k, v string) bool {
 		kvs = append(kvs, [2]string{k, v})
 		return true
 	})
+	slices.SortFunc(kvs, func(a, b [2]string) int { return strings.Compare(a[0], b[0]) })
 	if rng != nil {
 		rng.Shuffle(len(kvs), func(i, j int) { kvs[i], kvs[j] = kvs[j], kvs[i] })
 	}
@@ -534,7 +516,8 @@ func TestDigestSeparatesWhatStringSeparates(t *testing.T) {
 				pair, a, b, a.Equal(b), a.Digest(), b.Digest())
 		}
 		var keys []string
-		b.Range(func(k, _ string) bool { keys = append(keys, k); return true })
+		b.Each(func(k, _ string) bool { keys = append(keys, k); return true })
+		sort.Strings(keys)
 		switch kind := rng.Intn(4); {
 		case kind == 0 || len(keys) == 0: // one more binding, at a new key
 			b.Put("new", "0")
@@ -622,7 +605,7 @@ func TestCloneIsolation(t *testing.T) {
 			for i := 0; i < n; i++ {
 				c.Put(strconv.Itoa(i), mine)
 			}
-			c.Range(func(k, v string) bool {
+			c.Each(func(k, v string) bool {
 				if v != mine {
 					t.Errorf("writer %d: clone holds %s=%s", w, k, v)
 					return false

@@ -19,40 +19,9 @@
 package seqabs
 
 import (
-	"strings"
-
 	"repro/internal/oplog"
 	"repro/internal/seqeff"
 )
-
-// Elem is one element of an abstract pattern: a block of operation kinds,
-// optionally under the Kleene-cross (one or more repetitions).
-type Elem struct {
-	Kinds []string
-	Plus  bool
-}
-
-// String renders the element.
-func (e Elem) String() string {
-	body := strings.Join(e.Kinds, " ")
-	if e.Plus {
-		return "(" + body + ")+"
-	}
-	return body
-}
-
-// Pattern is the regular abstraction of a sequence.
-type Pattern []Elem
-
-// String renders the pattern canonically; equal strings mean equal
-// patterns, so this rendering is the cache key.
-func (p Pattern) String() string {
-	parts := make([]string, len(p))
-	for i, e := range p {
-		parts[i] = e.String()
-	}
-	return strings.Join(parts, " · ")
-}
 
 // Mode selects whether abstraction is applied — the experimental knob of
 // Figure 11 (miss rates with and without sequence abstraction).
@@ -96,54 +65,6 @@ func (a *Abstracter) idem(block []oplog.Sym) bool {
 		return a.Idem(block)
 	}
 	return seqeff.BlockIdempotent(block)
-}
-
-// Span records which concrete positions a pattern element covers.
-type Span struct {
-	Start, End int // half-open [Start, End)
-	Block      int // block length for Plus elements (0 otherwise)
-}
-
-// Abstract canonicalizes a concrete symbolic sequence into its pattern.
-func (a *Abstracter) Abstract(syms []oplog.Sym) Pattern {
-	p, _ := a.AbstractWithSpans(syms)
-	return p
-}
-
-// AbstractWithSpans additionally reports, per pattern element, the
-// concrete index range it covers — used by trace tooling and by the
-// Lemma 5.1 invariance tests (duplicating one block of a collapsed run
-// must leave the pattern unchanged).
-func (a *Abstracter) AbstractWithSpans(syms []oplog.Sym) (Pattern, []Span) {
-	if a.Mode == Concrete {
-		out := make(Pattern, len(syms))
-		spans := make([]Span, len(syms))
-		for i, s := range syms {
-			out[i] = Elem{Kinds: []string{s.Kind}}
-			spans[i] = Span{Start: i, End: i + 1}
-		}
-		return out, spans
-	}
-	maxBlock := a.MaxBlock
-	if maxBlock == 0 {
-		maxBlock = DefaultMaxBlock
-	}
-	var out Pattern
-	var spans []Span
-	i := 0
-	for i < len(syms) {
-		k, m := a.findCollapse(syms[i:], maxBlock)
-		if k == 0 {
-			out = append(out, Elem{Kinds: []string{syms[i].Kind}})
-			spans = append(spans, Span{Start: i, End: i + 1})
-			i++
-			continue
-		}
-		out = append(out, Elem{Kinds: kinds(syms[i : i+k]), Plus: true})
-		spans = append(spans, Span{Start: i, End: i + k*m, Block: k})
-		i += k * m
-	}
-	return out, spans
 }
 
 // findCollapse searches at the head of rest for the smallest block length
@@ -190,14 +111,6 @@ func sameKinds(a, b []oplog.Sym) bool {
 	return true
 }
 
-func kinds(syms []oplog.Sym) []string {
-	out := make([]string, len(syms))
-	for i, s := range syms {
-		out[i] = s.Kind
-	}
-	return out
-}
-
 // Key abstracts a sequence and renders its cache key in one step.
 func (a *Abstracter) Key(syms []oplog.Sym) string {
 	return string(a.AppendKey(nil, syms))
@@ -211,12 +124,13 @@ const elemSep = " · "
 const pairSep = " ⇄ "
 
 // AppendKey renders the sequence's cache key directly into dst and
-// returns the extended slice. It produces exactly Abstract(syms).String()
-// but skips the intermediate Pattern, and the collapse search compares
-// block shapes in place and asks seqeff's allocation-free analyses for
-// idempotence, so into a buffer with room it allocates nothing — the
-// per-query cost §5.3 requires to stay "on a par with write-set
-// detection".
+// returns the extended slice. The Lemma 5.1 tests hold it to the
+// rendering of a pattern built element by element (pattern_test.go);
+// AppendKey skips that intermediate pattern, and the collapse search
+// compares block shapes in place and asks seqeff's allocation-free
+// analyses for idempotence, so into a buffer with room it allocates
+// nothing — the per-query cost §5.3 requires to stay "on a par with
+// write-set detection".
 func (a *Abstracter) AppendKey(dst []byte, syms []oplog.Sym) []byte {
 	if a.Mode == Concrete {
 		for i, s := range syms {

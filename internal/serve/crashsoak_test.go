@@ -11,10 +11,44 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/relation"
 	"repro/internal/wal"
 )
+
+// crashPlan schedules one simulated process death for the durability
+// layer: at the visit-th time the journal reaches point, hook reports
+// die=true and wal poisons the log — every later journal operation fails
+// with wal.ErrCrashed and performs no I/O, the observable behavior of
+// `kill -9` at that instant (bytes written before the point survive in
+// the page cache; nothing after exists). Same plan, same traffic order,
+// same death.
+type crashPlan struct {
+	point  string
+	visit  int64 // 1-based count of point visits; 1 dies at the first
+	visits atomic.Int64
+	fired  atomic.Bool // a plan aimed past the run's traffic never fires
+}
+
+func (p *crashPlan) hook(point string) bool {
+	if point != p.point {
+		return false
+	}
+	if p.visits.Add(1) == p.visit {
+		p.fired.Store(true)
+		return true
+	}
+	return false
+}
+
+// crashPoints are every wal crash point, in protocol order.
+var crashPoints = []string{
+	wal.PointAppendBefore,
+	wal.PointAppendAfter,
+	wal.PointSnapshotMid,
+	wal.PointSnapshotRenameBefore,
+	wal.PointSnapshotRenameAfter,
+	wal.PointTruncateBefore,
+}
 
 // TestCrashRecoverySoak is the PR's acceptance criterion: for every wal
 // crash point, a crash-restart loop under concurrent load must converge
@@ -29,14 +63,14 @@ import (
 //
 // Runs at fsync=always, the policy whose contract (ack ⇒ durable) the
 // soak is asserting. Crashes are the in-process poison model
-// (chaos.CrashPlan): everything journaled before the point survives on
+// (crashPlan): everything journaled before the point survives on
 // disk for the next round's recovery, nothing after exists — the same
 // observable semantics as kill -9, and runnable under -race.
 func TestCrashRecoverySoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: skipping under -short")
 	}
-	for pi, point := range chaos.CrashPoints() {
+	for pi, point := range crashPoints {
 		t.Run(point, func(t *testing.T) {
 			soakOnePoint(t, pi, point)
 		})
@@ -76,7 +110,7 @@ func soakOnePoint(t *testing.T, pi int, point string) {
 		if point != wal.PointAppendBefore && point != wal.PointAppendAfter {
 			visit = int64(round + 1)
 		}
-		plan := &chaos.CrashPlan{Point: point, Visit: visit}
+		plan := &crashPlan{point: point, visit: visit}
 
 		cfg := Config{
 			Runner:        testRunner(),
@@ -84,7 +118,7 @@ func soakOnePoint(t *testing.T, pi int, point string) {
 			Fsync:         wal.FsyncAlways,
 			SnapshotEvery: 5,
 			SegmentBytes:  1 << 10,
-			CrashHook:     plan.Hook(),
+			CrashHook:     plan.hook,
 		}
 		srv := NewServer(cfg)
 		if _, err := srv.RecoverTenants(); err != nil {
@@ -144,9 +178,9 @@ func soakOnePoint(t *testing.T, pi int, point string) {
 		srv.CloseJournals()
 		ts.Close()
 
-		if round < rounds-1 && !plan.Fired() && (point == wal.PointAppendBefore || point == wal.PointAppendAfter) {
+		if round < rounds-1 && !plan.fired.Load() && (point == wal.PointAppendBefore || point == wal.PointAppendAfter) {
 			t.Fatalf("round %d: crash plan for %s (visit %d) never fired in %d visits",
-				round, point, visit, plan.Visits())
+				round, point, visit, plan.visits.Load())
 		}
 	}
 
@@ -228,7 +262,7 @@ func verifySoak(t *testing.T, c *http.Client, base string, srv *Server, ledger *
 		acked[k] = v
 	}
 	ledger.mu.Unlock()
-	if got := oracleReplay(t, srv.Schema(), specs, j.IDs); got != st.Digest {
+	if got := oracleReplay(t, srv.cfg.Schema, specs, j.IDs); got != st.Digest {
 		t.Fatalf("journal/oracle divergence: oracle %s, server %s over %d ids", got, st.Digest, len(j.IDs))
 	}
 

@@ -146,7 +146,7 @@ func TestDurableRestartExactlyOnce(t *testing.T) {
 	for i, id := range j.IDs {
 		prefixed[i] = "alpha/" + id
 	}
-	if got := oracleReplay(t, srv2.Schema(), specs, prefixed); got != after.Digest {
+	if got := oracleReplay(t, srv2.cfg.Schema, specs, prefixed); got != after.Digest {
 		t.Fatalf("oracle replay %s, server %s", got, after.Digest)
 	}
 
@@ -376,7 +376,7 @@ func TestDurableRecoveryEdgeCases(t *testing.T) {
 		}
 		var j JournalReply
 		getJSON(t, c2, ts2.URL+"/journalz?tenant=t", &j)
-		if got := oracleReplay(t, srv2.Schema(), specs, j.IDs); got != st.Digest {
+		if got := oracleReplay(t, srv2.cfg.Schema, specs, j.IDs); got != st.Digest {
 			t.Fatalf("post-repair digest: oracle %s, server %s", got, st.Digest)
 		}
 		// The torn batch was cut, so its ID is free again: resubmission
@@ -429,7 +429,7 @@ func TestDurableRecoveryEdgeCases(t *testing.T) {
 		if int64(len(j.IDs)) != st.Applied {
 			t.Fatalf("journal/applied mismatch: %d vs %d", len(j.IDs), st.Applied)
 		}
-		if got := oracleReplay(t, srv2.Schema(), specs, j.IDs); got != st.Digest {
+		if got := oracleReplay(t, srv2.cfg.Schema, specs, j.IDs); got != st.Digest {
 			t.Fatalf("post-repair digest: oracle %s, server %s", got, st.Digest)
 		}
 	})

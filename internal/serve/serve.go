@@ -120,7 +120,7 @@ func (c Config) withDefaults() Config {
 
 // Server is the multi-tenant serving core: tenant registry, admission
 // control, request execution, and drain. It carries no listener — wrap
-// Handler in an http.Server (cmd/janus-serve) or httptest (the soak).
+// Handler in an http.Server (`janus serve`) or httptest (the soak).
 type Server struct {
 	cfg    Config
 	schIdx map[string]locKind
@@ -156,9 +156,6 @@ func NewServer(cfg Config) *Server {
 		pending: make(map[string]*tenantSlot),
 	}
 }
-
-// Schema returns the served schema (for oracle clients).
-func (s *Server) Schema() Schema { return s.cfg.Schema }
 
 // tenantSlot is a tenant creation in flight (or failed): ready closes
 // once t/err are final. Concurrent first requests for the same tenant
@@ -583,7 +580,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // DumpFlight writes every tenant's flight-recorder ring into dir as
 // flight-<tenant>.jtrace, returning the paths written. Called on
 // abnormal exit (a drain timeout, a dead listener) so the last
-// window of committed traffic survives for janus-replay.
+// window of committed traffic survives for `janus replay`.
 func (s *Server) DumpFlight(dir string) ([]string, error) {
 	s.mu.Lock()
 	ts := make([]*tenant, 0, len(s.tenants))
@@ -609,7 +606,7 @@ func (s *Server) DumpFlight(dir string) ([]string, error) {
 	return paths, firstErr
 }
 
-// Vars returns the server's expvar-shaped snapshot; cmd/janus-serve
+// Vars returns the server's expvar-shaped snapshot; `janus serve`
 // publishes it as "janus.serve".
 func (s *Server) Vars() map[string]any {
 	s.mu.Lock()

@@ -123,8 +123,8 @@ func TestSubmitAndIntrospection(t *testing.T) {
 	}
 
 	// The reply digest matches the sequential oracle.
-	oracle := InitialState(srv.Schema())
-	oracle, err := ApplySequential(oracle, srv.Schema(), b)
+	oracle := InitialState(srv.cfg.Schema)
+	oracle, err := ApplySequential(oracle, srv.cfg.Schema, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,7 +125,7 @@ var exploreSets = []exploreSet{
 	},
 }
 
-// exploreDetectors are write-set, the sequence detector janus-serve runs
+// exploreDetectors are write-set, the sequence detector `janus serve` runs
 // (an untrained cache that proves and caches a condition on each miss, so
 // no trained entry hides a path, falling back to write-set where no
 // theory covers the pair), and the same with InferWAW, which admits a

@@ -17,7 +17,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 
 // TestTrainedSpecGolden pins what training learns: for every workload at
 // its training size, with abstraction on and off, the per-payload reports
-// and the merged cache's dump, exactly as janus-train prints them. A
+// and the merged cache's dump, exactly as `janus train` prints them. A
 // change to mining, proving or verification that moves any entry shows
 // here as a diff.
 func TestTrainedSpecGolden(t *testing.T) {

@@ -32,7 +32,7 @@
 // subsequent operation fails with ErrCrashed and performs no I/O —
 // which models the process dying at exactly that instant: bytes written
 // before the point survive on disk, nothing after does. The chaos
-// harness drives recovery soaks through it; cmd/janus-serve can arm it
+// harness drives recovery soaks through it; `janus serve` can arm it
 // to call os.Exit for true kill-matrix testing.
 package wal
 

@@ -2,7 +2,7 @@
 // all small transactions — a handful of logged operations each — which
 // never exercises the decomposer's index map. Heavy is the CLI-drivable
 // counterweight: every transaction logs a configurable number of
-// operations over a skewable location distribution, so janus-bench can
+// operations over a skewable location distribution, so `janus bench` can
 // profile the large-ops/txn regime (`-ops-per-txn`, `-txn-skew`) that
 // BenchmarkDetectLargeTxn measures in isolation.
 

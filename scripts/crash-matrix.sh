@@ -1,9 +1,9 @@
 #!/bin/sh
 # Crash matrix: for every wal crash point × fsync policy, arm the real
-# janus-serve daemon to die (os.Exit(137) at the Nth visit of the point
+# `janus serve` daemon to die (os.Exit(137) at the Nth visit of the point
 # — SIGKILL semantics: no drain, no journal close), drive concurrent
 # load until it does, restart on the same data dir, and run the
-# restart-aware loadgen verification (-serve-resume): every pre-crash
+# restart-aware loadgen verification (-resume): every pre-crash
 # batch ID must resolve exactly once (409 original-verdict or fresh
 # 200), the journal must hold no duplicates, and the recovered state
 # digest must equal a sequential-oracle replay of the journal.
@@ -26,15 +26,14 @@ POLICIES=${POLICIES:-"always group"}
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 
-"$GO" build -o "$DIR/janus-serve" ./cmd/janus-serve
-"$GO" build -o "$DIR/janus-bench" ./cmd/janus-bench
+"$GO" build -o "$DIR/janus" ./cmd/janus
 
 wait_up() {
     i=0
     until grep -q 'listening on' "$1" 2>/dev/null; do
         i=$((i + 1))
         if [ "$i" -gt 50 ]; then
-            echo "crash-matrix: janus-serve never came up" >&2
+            echo "crash-matrix: janus serve never came up" >&2
             cat "$1" >&2
             return 1
         fi
@@ -59,7 +58,7 @@ for policy in $POLICIES; do
         *) visit=2 ;;
         esac
 
-        "$DIR/janus-serve" -addr "$ADDR" -flight-dir "$DIR" \
+        "$DIR/janus" serve -addr "$ADDR" -flight-dir "$DIR" \
             -data-dir "$DATA" -fsync "$policy" \
             -snapshot-every 6 -segment-bytes 4096 \
             -chaos-crash "$point:$visit" >"$LOG" 2>&1 &
@@ -67,8 +66,8 @@ for policy in $POLICIES; do
         wait_up "$LOG" || { kill "$PID" 2>/dev/null || true; exit 1; }
 
         # Expected to fail: the daemon dies under this run.
-        "$DIR/janus-bench" -serve "http://$ADDR" \
-            -serve-tenants "$TENANTS" -serve-clients "$CLIENTS" -serve-batches "$BATCHES" \
+        "$DIR/janus" loadgen -url "http://$ADDR" \
+            -tenants "$TENANTS" -clients "$CLIENTS" -batches "$BATCHES" \
             >/dev/null 2>&1 || true
 
         # Snapshot-cycle crashes can fire from a background goroutine
@@ -92,15 +91,15 @@ for policy in $POLICIES; do
         fi
 
         RLOG="$DIR/recover-$tag.log"
-        "$DIR/janus-serve" -addr "$ADDR" -flight-dir "$DIR" \
+        "$DIR/janus" serve -addr "$ADDR" -flight-dir "$DIR" \
             -data-dir "$DATA" -fsync "$policy" \
             -snapshot-every 6 -segment-bytes 4096 >"$RLOG" 2>&1 &
         PID=$!
         wait_up "$RLOG" || { kill "$PID" 2>/dev/null || true; exit 1; }
 
-        "$DIR/janus-bench" -serve "http://$ADDR" \
-            -serve-tenants "$TENANTS" -serve-clients "$CLIENTS" -serve-batches "$BATCHES" \
-            -serve-seq-base "$BATCHES" -serve-resume >"$DIR/bench-$tag.out" 2>&1 || {
+        "$DIR/janus" loadgen -url "http://$ADDR" \
+            -tenants "$TENANTS" -clients "$CLIENTS" -batches "$BATCHES" \
+            -seq-base "$BATCHES" -resume >"$DIR/bench-$tag.out" 2>&1 || {
             echo "crash-matrix: $tag: post-restart verification FAILED" >&2
             cat "$DIR/bench-$tag.out" >&2
             cat "$RLOG" >&2

@@ -1,15 +1,15 @@
 #!/bin/sh
 # Integration smoke for the serving layer, in two phases.
 #
-# Phase 1 (in-memory): start janus-serve, drive concurrent multi-tenant
-# load through the janus-bench loadgen client (which verifies
+# Phase 1 (in-memory): start `janus serve`, drive concurrent multi-tenant
+# load through the `janus loadgen` client (which verifies
 # exactly-once journals and replays the sequential oracle to check state
 # digests), then SIGTERM the daemon and require a clean drain.
 #
-# Phase 2 (durable): start janus-serve with a data dir and an armed
+# Phase 2 (durable): start `janus serve` with a data dir and an armed
 # chaos crash (SIGKILL semantics: the process os.Exits mid-append, no
 # drain, no journal close), drive load until it dies, restart on the
-# same data dir, and run the restart-aware loadgen (-serve-resume): every
+# same data dir, and run the restart-aware loadgen (-resume): every
 # pre-crash batch ID is resubmitted and must resolve exactly once — 409
 # with its original verdict if it survived the crash, a fresh 200 if its
 # record never reached the journal — before fresh load and the full
@@ -26,8 +26,7 @@ BATCHES=${BATCHES:-8}
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 
-"$GO" build -o "$DIR/janus-serve" ./cmd/janus-serve
-"$GO" build -o "$DIR/janus-bench" ./cmd/janus-bench
+"$GO" build -o "$DIR/janus" ./cmd/janus
 
 # wait_up LOGFILE: block until the daemon logs its bound address.
 wait_up() {
@@ -35,7 +34,7 @@ wait_up() {
     until grep -q 'listening on' "$1" 2>/dev/null; do
         i=$((i + 1))
         if [ "$i" -gt 50 ]; then
-            echo "serve-smoke: janus-serve never came up" >&2
+            echo "serve-smoke: janus serve never came up" >&2
             cat "$1" >&2
             return 1
         fi
@@ -45,20 +44,20 @@ wait_up() {
 
 # ---- Phase 1: in-memory load + clean SIGTERM drain -------------------
 
-"$DIR/janus-serve" -addr "$ADDR" -flight-dir "$DIR" >"$DIR/serve.log" 2>&1 &
+"$DIR/janus" serve -addr "$ADDR" -flight-dir "$DIR" >"$DIR/serve.log" 2>&1 &
 SERVE_PID=$!
 wait_up "$DIR/serve.log" || { kill "$SERVE_PID" 2>/dev/null || true; exit 1; }
 
-# Drive load; janus-bench exits nonzero on any lost/duplicated batch or
+# Drive load; janus loadgen exits nonzero on any lost/duplicated batch or
 # digest mismatch against the sequential oracle.
-"$DIR/janus-bench" -serve "http://$ADDR" \
-    -serve-tenants "$TENANTS" -serve-clients "$CLIENTS" -serve-batches "$BATCHES"
+"$DIR/janus" loadgen -url "http://$ADDR" \
+    -tenants "$TENANTS" -clients "$CLIENTS" -batches "$BATCHES"
 
 # Graceful drain: SIGTERM must exit 0 within the drain budget. A hung
 # drain (leaked in-flight work) or flight-recorder dump path exits 1.
 kill -TERM "$SERVE_PID"
 if ! wait "$SERVE_PID"; then
-    echo "serve-smoke: janus-serve did not drain cleanly" >&2
+    echo "serve-smoke: janus serve did not drain cleanly" >&2
     cat "$DIR/serve.log" >&2
     exit 1
 fi
@@ -75,7 +74,7 @@ DATA="$DIR/data"
 TOTAL=$((TENANTS * CLIENTS * BATCHES))
 # Die partway through the total append count so acked, in-flight, and
 # never-submitted batches all exist at the moment of death.
-"$DIR/janus-serve" -addr "$ADDR" -flight-dir "$DIR" \
+"$DIR/janus" serve -addr "$ADDR" -flight-dir "$DIR" \
     -data-dir "$DATA" -fsync always -snapshot-every 16 -segment-bytes 65536 \
     -chaos-crash "wal.append.after:$((TOTAL / 2))" >"$DIR/serve-crash.log" 2>&1 &
 SERVE_PID=$!
@@ -83,8 +82,8 @@ wait_up "$DIR/serve-crash.log" || { kill "$SERVE_PID" 2>/dev/null || true; exit 
 
 # This client run is EXPECTED to fail: the daemon dies under it. Its job
 # is to create acked batches whose durability the restart must honor.
-"$DIR/janus-bench" -serve "http://$ADDR" \
-    -serve-tenants "$TENANTS" -serve-clients "$CLIENTS" -serve-batches "$BATCHES" \
+"$DIR/janus" loadgen -url "http://$ADDR" \
+    -tenants "$TENANTS" -clients "$CLIENTS" -batches "$BATCHES" \
     >/dev/null 2>&1 || true
 
 if wait "$SERVE_PID" 2>/dev/null; then
@@ -101,7 +100,7 @@ fi
 # Restart on the same data dir: boot recovery must replay the journals,
 # then the resume run pins down the fate of every pre-crash batch ID and
 # layers fresh load plus full verification on top.
-"$DIR/janus-serve" -addr "$ADDR" -flight-dir "$DIR" \
+"$DIR/janus" serve -addr "$ADDR" -flight-dir "$DIR" \
     -data-dir "$DATA" -fsync always -snapshot-every 16 -segment-bytes 65536 \
     >"$DIR/serve-recover.log" 2>&1 &
 SERVE_PID=$!
@@ -112,13 +111,13 @@ if ! grep -q 'recovered' "$DIR/serve-recover.log"; then
     exit 1
 fi
 
-"$DIR/janus-bench" -serve "http://$ADDR" \
-    -serve-tenants "$TENANTS" -serve-clients "$CLIENTS" -serve-batches "$BATCHES" \
-    -serve-seq-base "$BATCHES" -serve-resume
+"$DIR/janus" loadgen -url "http://$ADDR" \
+    -tenants "$TENANTS" -clients "$CLIENTS" -batches "$BATCHES" \
+    -seq-base "$BATCHES" -resume
 
 kill -TERM "$SERVE_PID"
 if ! wait "$SERVE_PID"; then
-    echo "serve-smoke: recovered janus-serve did not drain cleanly" >&2
+    echo "serve-smoke: recovered janus serve did not drain cleanly" >&2
     cat "$DIR/serve-recover.log" >&2
     exit 1
 fi
