@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test allocs race stress check bench bench-quick bench-contention bench-commit chaos soak fuzz serve-smoke crash-matrix trace record-replay clean
+.PHONY: all vet build test allocs race stress check bench bench-quick bench-contention bench-commit chaos soak fuzz serve-smoke trace record-replay clean
 
 all: check
 
@@ -18,6 +18,11 @@ test:
 	$(GO) test -timeout 120s ./...
 
 # Short race job over the concurrency-heavy packages (CI's race job). The
+# serve and wal packages carry the crash checks: TestCrashStates recovers
+# every state a crash may leave of recorded journal runs,
+# TestCrashRecoverySoak kills the file system under concurrent load at each
+# protocol moment and restarts the tenant, and
+# TestDirSyncFailure fails a directory fsync through the FS seam. The
 # second line is the poisoned-recycle runs outside those packages (stm's is
 # in the first): with recycled artifacts poisoned a use-after-recycle
 # panics, and -race is what reports a reader overlapping the recycler.
@@ -104,20 +109,12 @@ fuzz:
 
 # Serving-layer integration smoke, two phases: (1) in-memory load +
 # exactly-once journal + sequential-oracle digest verification + clean
-# SIGTERM drain; (2) durable journal, armed mid-load kill (SIGKILL
-# semantics), restart on the same data dir, restart-aware resume
-# verification. Nonzero exit on any lost/duplicated batch, digest
+# SIGTERM drain; (2) durable journal, SIGKILL mid-load once a tenant's
+# journal holds about half its batches, restart on the same data dir,
+# restart-aware resume verification. Nonzero exit on any lost/duplicated batch, digest
 # mismatch, lost acked write, or hung drain.
 serve-smoke:
 	sh scripts/serve-smoke.sh
-
-# Durability crash matrix against the real daemon: every wal crash point
-# x fsync policy, each case armed to os.Exit mid-protocol, restarted on
-# its data dir, and verified with the restart-aware loadgen. Used by the
-# nightly workflow; per-push CI runs the cheaper in-process
-# TestCrashRecoverySoak plus serve-smoke instead.
-crash-matrix:
-	sh scripts/crash-matrix.sh
 
 check: vet build test allocs bench-quick race stress chaos serve-smoke
 

@@ -228,7 +228,7 @@ func profileRuns(stdout, stderr io.Writer, opts bench.Opts, traceOut string, jso
 // accepted batch is in the tenant's journal exactly once, and the state
 // digest equals a sequential-oracle replay of the journal. A lost or
 // duplicated batch, a digest mismatch or an untyped shed reply fails the
-// command: this is the gating half of serve-smoke and the crash matrix.
+// command: this is the gating half of serve-smoke.
 func runLoadgen(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := newFlags("loadgen", stderr)
 	var (

@@ -13,7 +13,7 @@
 // to standard error and exits 1; a bad command line exits 2. Three exits
 // are part of a command's contract: replay exits 1 on a digest mismatch,
 // loadgen exits 1 on a lost or duplicated batch, and serve exits 1 on a
-// failed drain and 137 at an armed -chaos-crash point.
+// failed drain.
 package main
 
 import (

@@ -7,11 +7,7 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"os"
 	"os/signal"
-	"strconv"
-	"strings"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -54,7 +50,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		segBytes     = fs.Int64("segment-bytes", 0, "journal segment rotation size (0 = default 4MiB)")
 		snapEvery    = fs.Int("snapshot-every", 0, "snapshot + truncate cadence in applied batches per tenant (0 = default 1024, negative disables)")
 		dedupWindow  = fs.Int("dedup-window", 0, "exactly-once retention: duplicate batch IDs are refused within this many most recent batches per tenant (0 = default 1048576, negative unbounded)")
-		chaosCrash   = fs.String("chaos-crash", "", "kill the process at the Nth visit of a wal crash point, as point:N (e.g. wal.append.after:100); testing only")
 		det          = detectorFlag(fs)
 	)
 	if err := parse(fs, args); err != nil {
@@ -64,10 +59,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	defer stop()
 	logger := log.New(stderr, "janus serve: ", log.LstdFlags)
 	policy, err := wal.ParsePolicy(*fsyncMode)
-	if err != nil {
-		return usageError{err}
-	}
-	hook, err := crashHook(*chaosCrash, logger)
 	if err != nil {
 		return usageError{err}
 	}
@@ -93,7 +84,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 		SegmentBytes:    *segBytes,
 		SnapshotEvery:   *snapEvery,
 		DedupWindow:     *dedupWindow,
-		CrashHook:       hook,
 	})
 	obs.PublishVars("janus.serve", func() any { return srv.Vars() })
 	if *dataDir != "" {
@@ -143,36 +133,6 @@ func runServe(ctx context.Context, args []string, stdout, stderr io.Writer) erro
 	}
 	logger.Printf("drained cleanly")
 	return nil
-}
-
-// crashHook arms a real kill at the Nth visit of one wal crash point
-// ("point:N"). Unlike the in-process poison hook the soak tests use,
-// the daemon dies for real — SIGKILL semantics, page cache survives —
-// which is what the crash-matrix smoke script exercises.
-func crashHook(spec string, logger *log.Logger) (wal.Hook, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	i := strings.LastIndex(spec, ":")
-	if i <= 0 {
-		return nil, fmt.Errorf("-chaos-crash wants point:N, got %q", spec)
-	}
-	point := spec[:i]
-	n, err := strconv.ParseInt(spec[i+1:], 10, 64)
-	if err != nil || n <= 0 {
-		return nil, fmt.Errorf("-chaos-crash count in %q: want a positive integer", spec)
-	}
-	var visits atomic.Int64
-	return func(p string) bool {
-		if p != point {
-			return false
-		}
-		if visits.Add(1) == n {
-			logger.Printf("chaos crash at %s (visit %d); dying", point, n)
-			os.Exit(137)
-		}
-		return false
-	}, nil
 }
 
 // dumpFlight writes every tenant's flight-recorder ring for post-mortem

@@ -55,12 +55,8 @@ var liveByContract = map[string]string{
 
 	// The fault-injection harness: package chaos exists to be called from
 	// other packages' soak tests.
-	"internal/chaos.CorruptSpec":                "janus and chaos corrupt-spec tests",
-	"internal/chaos.Injector.WrapPanics":        "chaos panic-injection soak",
-	"internal/chaos.NewService":                 "serve soak",
-	"internal/chaos.ServiceInjector.Deadline":   "serve soak",
-	"internal/chaos.ServiceInjector.Disconnect": "serve soak",
-	"internal/chaos.ServiceInjector.SlowBatch":  "serve soak",
+	"internal/chaos.CorruptSpec":         "janus and chaos corrupt-spec tests",
+	"internal/chaos.Injector.WrapPanics": "chaos panic-injection soak",
 }
 
 // modulePath is go.mod's module line: what import paths inside the

@@ -101,7 +101,7 @@ func TestWriteFuncErrorLeavesOldArtifact(t *testing.T) {
 
 func TestAbortRemovesTemp(t *testing.T) {
 	dir := t.TempDir()
-	a, err := NewAtomic(filepath.Join(dir, "never.bin"))
+	a, err := NewAtomic(OS, filepath.Join(dir, "never.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestAbortRemovesTemp(t *testing.T) {
 func TestAbortAfterPublishKeepsArtifact(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "artifact.bin")
-	a, err := NewAtomic(path)
+	a, err := NewAtomic(OS, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,21 +133,43 @@ func TestAbortAfterPublishKeepsArtifact(t *testing.T) {
 // target (rename across filesystems is not atomic), named after it.
 func TestTempLivesInTargetDir(t *testing.T) {
 	dir := t.TempDir()
-	a, err := NewAtomic(filepath.Join(dir, "spec.json"))
+	a, err := NewAtomic(OS, filepath.Join(dir, "spec.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Abort()
-	if filepath.Dir(a.f.Name()) != dir {
-		t.Fatalf("temp %s not in target dir %s", a.f.Name(), dir)
+	if filepath.Dir(a.tmp) != dir {
+		t.Fatalf("temp %s not in target dir %s", a.tmp, dir)
 	}
-	if !strings.Contains(filepath.Base(a.f.Name()), "spec.json") {
-		t.Fatalf("temp name %s does not reference target", a.f.Name())
+	if !strings.Contains(filepath.Base(a.tmp), "spec.json") {
+		t.Fatalf("temp name %s does not reference target", a.tmp)
 	}
 }
 
 func TestNewAtomicMissingDir(t *testing.T) {
-	if _, err := NewAtomic(filepath.Join(t.TempDir(), "no", "such", "dir", "f")); err == nil {
+	if _, err := NewAtomic(OS, filepath.Join(t.TempDir(), "no", "such", "dir", "f")); err == nil {
 		t.Fatal("want error for missing directory")
+	}
+}
+
+// failSyncDir is OS with every directory fsync failing.
+type failSyncDir struct{ FS }
+
+var errSyncDir = errors.New("injected directory fsync failure")
+
+func (failSyncDir) SyncDir(string) error { return errSyncDir }
+
+// TestPublishReturnsDirSyncError: a rename whose directory fsync failed
+// is not known to survive a machine crash, so Publish must say so.
+func TestPublishReturnsDirSyncError(t *testing.T) {
+	dir := t.TempDir()
+	a, err := NewAtomic(failSyncDir{OS}, filepath.Join(dir, "artifact.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Abort()
+	io.WriteString(a, "data")
+	if err := a.Publish(); !errors.Is(err, errSyncDir) {
+		t.Fatalf("Publish = %v, want the directory fsync error", err)
 	}
 }

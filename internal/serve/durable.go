@@ -1,12 +1,14 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"repro/internal/fsio"
 	"repro/internal/rec"
 	"repro/internal/wal"
 )
@@ -80,7 +82,7 @@ func (s *Server) recoverTenant(t *tenant) error {
 		Policy:        s.cfg.Fsync,
 		GroupInterval: s.cfg.FsyncInterval,
 		SegmentBytes:  s.cfg.SegmentBytes,
-		Hook:          s.cfg.CrashHook,
+		FS:            s.cfg.fs,
 	})
 	if err != nil {
 		return fmt.Errorf("serve: recovering tenant %q: %w", t.name, err)
@@ -206,7 +208,7 @@ func (s *Server) RecoverTenants() ([]string, error) {
 	if s.cfg.DataDir == "" {
 		return nil, nil
 	}
-	entries, err := readTenantDirs(s.cfg.DataDir)
+	entries, err := readTenantDirs(s.cfg.fs, s.cfg.DataDir)
 	if err != nil {
 		return nil, err
 	}
@@ -230,9 +232,9 @@ func (s *Server) RecoverTenants() ([]string, error) {
 
 // readTenantDirs lists the subdirectory names under the data dir; an
 // absent data dir is an empty deployment, not an error.
-func readTenantDirs(dataDir string) ([]string, error) {
-	entries, err := os.ReadDir(dataDir)
-	if os.IsNotExist(err) {
+func readTenantDirs(fsys fsio.FS, dataDir string) ([]string, error) {
+	entries, err := fsys.ReadDir(dataDir)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
 	if err != nil {

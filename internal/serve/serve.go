@@ -14,6 +14,7 @@ import (
 	"time"
 
 	janus "repro"
+	"repro/internal/fsio"
 	"repro/internal/rec"
 	"repro/internal/wal"
 )
@@ -79,9 +80,10 @@ type Config struct {
 	// idempotency retention. 0 means 1<<20 (a million IDs); negative
 	// disables the bound (the pre-window unbounded behavior).
 	DedupWindow int
-	// CrashHook observes wal crash points for chaos testing; nil in
-	// production.
-	CrashHook wal.Hook
+
+	// fs is the file system journals live on; nil means fsio.OS. Tests
+	// substitute a recording one to enumerate crash states.
+	fs fsio.FS
 }
 
 func (c Config) withDefaults() Config {
@@ -114,6 +116,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DedupWindow == 0 {
 		c.DedupWindow = 1 << 20
+	}
+	if c.fs == nil {
+		c.fs = fsio.OS
 	}
 	return c
 }
@@ -395,11 +400,6 @@ func (s *Server) writeRunError(w http.ResponseWriter, r *http.Request, t *tenant
 			Error: err.Error(), Code: CodeDuplicate,
 			Applied: int64(dup.seq), Digest: rec.FormatDigest(dup.digest),
 		})
-	case errors.Is(err, wal.ErrCrashed):
-		// A chaos crash point fired: this process is "dead"; everything
-		// journaled before the point survives for the restart.
-		t.failed.Add(1)
-		reply(w, http.StatusServiceUnavailable, ErrorReply{Error: err.Error(), Code: CodeJournal})
 	case errors.As(err, new(*journalError)):
 		// The batch ran but could not be journaled: not applied, not
 		// acked — the invariant holds and the client may retry.

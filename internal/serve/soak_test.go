@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -13,9 +14,81 @@ import (
 	"time"
 
 	janus "repro"
-	"repro/internal/chaos"
 	"repro/internal/rec"
 )
+
+// serviceConfig parameterizes a serviceInjector: the client-side
+// misbehavior a serving front end must survive — disconnects
+// mid-request, unmeetable deadlines, and slow-tenant storms.
+// Probabilities are in [0, 1]; zero disables the class.
+type serviceConfig struct {
+	// Seed selects the deterministic fault pattern.
+	Seed int64
+	// DisconnectProb is the per-request probability the client hangs up
+	// mid-request (the request context is canceled while the batch may
+	// already be admitted or running).
+	DisconnectProb float64
+	// DeadlineProb is the per-request probability of a deadline-storm
+	// request: the batch carries TinyDeadline instead of a sane one,
+	// all but guaranteeing a 504.
+	DeadlineProb float64
+	TinyDeadline time.Duration
+	// SlowProb is the per-request probability of a slow-tenant batch:
+	// each task is padded with SlowWork spin units so one tenant's
+	// traffic hogs its runner while other tenants must stay unaffected.
+	SlowProb float64
+	SlowWork int64
+}
+
+// serviceInjector makes seeded per-request fault decisions. Each is a
+// pure function of (seed, site, tenant, sequence), so a soak run's fault
+// schedule is reproducible from its seed alone. Safe for concurrent use.
+type serviceInjector struct{ cfg serviceConfig }
+
+// Decision sites, each salting its own stream.
+const (
+	siteDisconnect uint64 = iota + 16
+	siteDeadline
+	siteSlow
+)
+
+// roll maps (seed, site, tenant, seq) to [0, 1) through the splitmix64
+// finalizer; the tenant name is folded through FNV so distinct tenants
+// draw independent streams.
+func (i *serviceInjector) roll(site uint64, tenant string, seq int) float64 {
+	mix := func(x uint64) uint64 {
+		x += 0x9e3779b97f4a7c15
+		x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+		x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+		return x ^ (x >> 31)
+	}
+	h := fnv.New64a()
+	_, _ = h.Write([]byte(tenant))
+	x := mix(mix(uint64(i.cfg.Seed)^site<<56) ^ h.Sum64() ^ uint64(seq)<<20)
+	return float64(x>>11) / float64(uint64(1)<<53)
+}
+
+// disconnect reports whether the client hangs up mid-request.
+func (i *serviceInjector) disconnect(tenant string, seq int) bool {
+	return i.cfg.DisconnectProb > 0 && i.roll(siteDisconnect, tenant, seq) < i.cfg.DisconnectProb
+}
+
+// deadline returns the storm's tiny deadline (true) or nothing (false).
+func (i *serviceInjector) deadline(tenant string, seq int) (time.Duration, bool) {
+	if i.cfg.DeadlineProb <= 0 || i.roll(siteDeadline, tenant, seq) >= i.cfg.DeadlineProb {
+		return 0, false
+	}
+	return i.cfg.TinyDeadline, true
+}
+
+// slowBatch reports whether this request carries slow-tenant spin
+// padding, and how many work units per task.
+func (i *serviceInjector) slowBatch(tenant string, seq int) (int64, bool) {
+	if i.cfg.SlowProb <= 0 || i.roll(siteSlow, tenant, seq) >= i.cfg.SlowProb {
+		return 0, false
+	}
+	return i.cfg.SlowWork, true
+}
 
 // TestChaosServiceSoak is the service-layer soak the tentpole demands:
 // three tenants, concurrent clients per tenant, and a seeded service
@@ -48,14 +121,14 @@ func TestChaosServiceSoak(t *testing.T) {
 		defer ts.Close()
 		client := ts.Client()
 
-		inj := chaos.NewService(chaos.ServiceConfig{
+		inj := &serviceInjector{serviceConfig{
 			Seed:           20260808,
 			DisconnectProb: 0.08,
 			DeadlineProb:   0.12,
 			TinyDeadline:   time.Millisecond,
 			SlowProb:       0.10,
 			SlowWork:       150_000,
-		})
+		}}
 
 		tenants := []string{"alpha", "beta", "gamma"}
 		const clientsPerTenant = 6
@@ -115,9 +188,9 @@ func TestChaosServiceSoak(t *testing.T) {
 				go func(tenant string, cl int) {
 					defer wg.Done()
 					for seq := 0; seq < batchesPerClient; seq++ {
-						slowWork, slow := inj.SlowBatch(tenant, cl*batchesPerClient+seq)
+						slowWork, slow := inj.slowBatch(tenant, cl*batchesPerClient+seq)
 						b := mkBatch(tenant, cl, seq, slowWork)
-						d, storm := inj.Deadline(tenant, cl*batchesPerClient+seq)
+						d, storm := inj.deadline(tenant, cl*batchesPerClient+seq)
 						if storm {
 							b.DeadlineMS = d.Milliseconds()
 							if b.DeadlineMS <= 0 {
@@ -143,7 +216,7 @@ func TestChaosServiceSoak(t *testing.T) {
 								ts.URL+"/submit?tenant="+tenant, bytes.NewReader(body))
 							ctx := context.Background()
 							var cancel context.CancelFunc
-							if attempt == 0 && inj.Disconnect(tenant, cl*batchesPerClient+seq) {
+							if attempt == 0 && inj.disconnect(tenant, cl*batchesPerClient+seq) {
 								// Client hangs up ~1ms into the request.
 								ctx, cancel = context.WithTimeout(ctx, time.Millisecond)
 								statMu.Lock()

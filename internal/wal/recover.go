@@ -3,7 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -85,15 +84,19 @@ func ScanSegment(buf []byte) (recs []Record, validLen int, err error) {
 // unreadable directory — fails with a typed error and no open log:
 // recovery refuses to silently serve a tenant whose history has holes.
 func Recover(dir string, opts Options) (*Log, *Recovered, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	opts = opts.withDefaults()
+	fsys := opts.FS
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating journal dir: %w", err)
 	}
 	if opts.Policy != FsyncNever {
 		// Make the journal directory itself durable: record fsyncs are
 		// useless if a machine crash forgets the directory ever existed.
-		fsio.SyncDir(filepath.Dir(dir))
+		if err := fsys.SyncDir(filepath.Dir(dir)); err != nil {
+			return nil, nil, fmt.Errorf("wal: syncing the journal directory's parent: %w", err)
+		}
 	}
-	entries, err := os.ReadDir(dir)
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: scanning journal dir: %w", err)
 	}
@@ -104,7 +107,7 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 		// recovery deletes them rather than letting them accumulate
 		// across crash/restart cycles. Other unknown names are ignored.
 		if name := ent.Name(); len(name) > 0 && name[0] == '.' && strings.Contains(name, ".tmp") {
-			os.Remove(filepath.Join(dir, name))
+			fsys.Remove(filepath.Join(dir, name))
 			continue
 		}
 		if seq, ok := parseSeqName(ent.Name(), "snap-", ".jsnap"); ok {
@@ -118,7 +121,7 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 
 	rcv := &Recovered{}
 	for _, seq := range snapSeqs {
-		buf, rerr := os.ReadFile(filepath.Join(dir, snapName(seq)))
+		buf, rerr := fsys.ReadFile(filepath.Join(dir, snapName(seq)))
 		if rerr == nil {
 			snap, derr := DecodeSnapshot(buf)
 			if derr == nil {
@@ -146,19 +149,21 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 	// later segments (unreachable without the cut records) are removed.
 	var recs []Record
 	damaged := false
+	var tail, tailNext uint64 // the newest surviving segment and the seq its next record would carry
+	var tailSize int64        // its length once any damage is cut off
 	for i, start := range segStarts {
 		path := filepath.Join(dir, segName(start))
 		if damaged {
 			rcv.Truncations++
 			rcv.TruncateDetail = append(rcv.TruncateDetail,
 				fmt.Sprintf("removed segment %s stranded after damage", segName(start)))
-			os.Remove(path)
+			fsys.Remove(path)
 			continue
 		}
 		if i+1 < len(segStarts) && segStarts[i+1] <= snapSeq+1 {
 			continue // fully covered by the snapshot
 		}
-		buf, err := os.ReadFile(path)
+		buf, err := fsys.ReadFile(path)
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: reading segment %s: %w", segName(start), err)
 		}
@@ -174,13 +179,13 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 			if validLen < segHdrSize {
 				rcv.TruncateDetail = append(rcv.TruncateDetail,
 					fmt.Sprintf("removed segment %s (%v)", segName(start), serr))
-				os.Remove(path)
-			} else {
-				rcv.TruncateDetail = append(rcv.TruncateDetail,
-					fmt.Sprintf("truncated segment %s to %d bytes (%v)", segName(start), validLen, serr))
-				if terr := os.Truncate(path, int64(validLen)); terr != nil {
-					return nil, nil, fmt.Errorf("wal: truncating damaged segment: %w", terr)
-				}
+				fsys.Remove(path)
+				continue
+			}
+			rcv.TruncateDetail = append(rcv.TruncateDetail,
+				fmt.Sprintf("truncated segment %s to %d bytes (%v)", segName(start), validLen, serr))
+			if terr := fsys.Truncate(path, int64(validLen)); terr != nil {
+				return nil, nil, fmt.Errorf("wal: truncating damaged segment: %w", terr)
 			}
 		}
 		if len(segRecs) > 0 && segRecs[0].Seq != start {
@@ -188,6 +193,7 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 				segName(start), segRecs[0].Seq, start)
 		}
 		recs = append(recs, segRecs...)
+		tail, tailNext, tailSize = start, start+uint64(len(segRecs)), int64(validLen)
 	}
 
 	// Contiguity across everything that survived, then filter to the
@@ -217,8 +223,16 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 		nextSeq = rcv.Records[n-1].Seq + 1
 	}
 
-	l := &Log{dir: dir, opts: opts.withDefaults(), nextSeq: nextSeq}
-	if err := l.reopen(segStarts); err != nil {
+	// Appending goes on in the newest surviving segment only where its
+	// records end. A snapshot can reach disk ahead of a segment's
+	// unsynced tail (a machine crash under group or never); a record
+	// appended after that tail would be a gap the next recovery refuses,
+	// so the journal resumes in a new segment instead.
+	if tailNext != nextSeq {
+		tail = 0
+	}
+	l := &Log{dir: dir, opts: opts, nextSeq: nextSeq}
+	if err := l.reopen(tail, tailSize); err != nil {
 		return nil, nil, err
 	}
 	if l.opts.Policy == FsyncGroup {
@@ -227,25 +241,20 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 	return l, rcv, nil
 }
 
-// reopen resumes appending into the newest surviving segment, or starts
-// a fresh one when none exists.
-func (l *Log) reopen(segStarts []uint64) error {
+// reopen resumes appending into the segment starting at tail, size bytes
+// long, or starts a fresh one at nextSeq when tail is 0.
+func (l *Log) reopen(tail uint64, size int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for i := len(segStarts) - 1; i >= 0; i-- {
-		path := filepath.Join(l.dir, segName(segStarts[i]))
-		info, err := os.Stat(path)
-		if err != nil {
-			continue // removed during damage repair
-		}
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("wal: reopening segment: %w", err)
-		}
-		l.f = f
-		l.segStart = segStarts[i]
-		l.segBytes = info.Size()
-		return nil
+	if tail == 0 {
+		return l.openSegmentLocked(l.nextSeq)
 	}
-	return l.openSegmentLocked(l.nextSeq)
+	f, err := l.opts.FS.OpenAppend(filepath.Join(l.dir, segName(tail)))
+	if err != nil {
+		return fmt.Errorf("wal: reopening segment: %w", err)
+	}
+	l.f = f
+	l.segStart = tail
+	l.segBytes = size
+	return nil
 }

@@ -3,7 +3,6 @@ package wal
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 
@@ -108,40 +107,22 @@ func (l *Log) WriteSnapshot(snap Snapshot) error {
 	l.fsMu.Lock()
 	defer l.fsMu.Unlock()
 	l.mu.Lock()
-	var dead error
-	if l.dead {
-		dead = l.deadErrLocked()
-	}
+	dead := l.deadErr
 	l.mu.Unlock()
 	if dead != nil {
 		return dead
 	}
 
-	buf := encodeSnapshot(snap)
-	path := filepath.Join(l.dir, snapName(snap.Seq))
-	a, err := fsio.NewAtomic(path)
+	a, err := fsio.NewAtomic(l.opts.FS, filepath.Join(l.dir, snapName(snap.Seq)))
 	if err != nil {
 		return err
 	}
 	defer a.Abort()
-	half := len(buf) / 2
-	if _, err := a.Write(buf[:half]); err != nil {
+	if _, err := a.Write(encodeSnapshot(snap)); err != nil {
 		return fmt.Errorf("wal: writing snapshot: %w", err)
-	}
-	if l.trip(PointSnapshotMid) {
-		return ErrCrashed
-	}
-	if _, err := a.Write(buf[half:]); err != nil {
-		return fmt.Errorf("wal: writing snapshot: %w", err)
-	}
-	if l.trip(PointSnapshotRenameBefore) {
-		return ErrCrashed
 	}
 	if err := a.Publish(); err != nil {
 		return err
-	}
-	if l.trip(PointSnapshotRenameAfter) {
-		return ErrCrashed
 	}
 	return l.truncateCoveredLocked(snap.Seq)
 }
@@ -149,17 +130,14 @@ func (l *Log) WriteSnapshot(snap Snapshot) error {
 // truncateCoveredLocked removes snapshots older than snapSeq and journal
 // segments whose every record is ≤ snapSeq. Caller holds fsMu.
 func (l *Log) truncateCoveredLocked(snapSeq uint64) error {
-	if l.trip(PointTruncateBefore) {
-		return ErrCrashed
-	}
-	entries, err := os.ReadDir(l.dir)
+	entries, err := l.opts.FS.ReadDir(l.dir)
 	if err != nil {
 		return fmt.Errorf("wal: scanning for truncation: %w", err)
 	}
 	var segs []uint64
 	for _, ent := range entries {
 		if seq, ok := parseSeqName(ent.Name(), "snap-", ".jsnap"); ok && seq < snapSeq {
-			os.Remove(filepath.Join(l.dir, snapName(seq)))
+			l.opts.FS.Remove(filepath.Join(l.dir, snapName(seq)))
 			continue
 		}
 		if seq, ok := parseSeqName(ent.Name(), "wal-", ".seg"); ok {
@@ -177,7 +155,7 @@ func (l *Log) truncateCoveredLocked(snapSeq uint64) error {
 		if start == active || i+1 >= len(segs) || segs[i+1] > snapSeq+1 {
 			continue
 		}
-		os.Remove(filepath.Join(l.dir, segName(start)))
+		l.opts.FS.Remove(filepath.Join(l.dir, segName(start)))
 	}
 	return nil
 }

@@ -25,21 +25,14 @@
 //     truncated at the last valid record, and counted — never panicked
 //     on, never silently replayed.
 //
-// Crash points: Options.Hook is consulted at the protocol's
-// durability-critical instants (before/after an append reaches the
-// file, mid-snapshot, before/after the snapshot rename, before
-// truncation). A hook that returns die=true poisons the log — every
-// subsequent operation fails with ErrCrashed and performs no I/O —
-// which models the process dying at exactly that instant: bytes written
-// before the point survive on disk, nothing after does. The chaos
-// harness drives recovery soaks through it; `janus serve` can arm it
-// to call os.Exit for true kill-matrix testing.
+// Every file call goes through Options.FS (fsio.OS in production), so
+// internal/serve's tests can record a run's calls and recover every
+// state a crash may leave on disk (DESIGN.md §13).
 package wal
 
 import (
 	"encoding/binary"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -88,38 +81,6 @@ func ParsePolicy(s string) (Policy, error) {
 	return FsyncAlways, fmt.Errorf("wal: unknown fsync policy %q (want always, group, or never)", s)
 }
 
-// Crash points a Hook observes, in protocol order.
-const (
-	// PointAppendBefore fires before a record's bytes reach the segment:
-	// dying here loses the batch, which is safe — it was never
-	// acknowledged.
-	PointAppendBefore = "wal.append.before"
-	// PointAppendAfter fires after the record is written (and synced,
-	// under FsyncAlways) but before Append returns: the batch is durable
-	// but the client never saw the ack — the recovery path must replay
-	// it and answer the client's retry with the original verdict.
-	PointAppendAfter = "wal.append.after"
-	// PointSnapshotMid fires with half the snapshot bytes written to the
-	// temp file: recovery must ignore the partial temp and fall back to
-	// the previous snapshot + journal.
-	PointSnapshotMid = "wal.snapshot.mid"
-	// PointSnapshotRenameBefore fires with the temp complete and synced
-	// but not yet renamed into place.
-	PointSnapshotRenameBefore = "wal.snapshot.rename.before"
-	// PointSnapshotRenameAfter fires with the snapshot published but old
-	// segments not yet truncated: recovery must tolerate journal records
-	// older than the snapshot.
-	PointSnapshotRenameAfter = "wal.snapshot.rename.after"
-	// PointTruncateBefore fires before covered segments are removed.
-	PointTruncateBefore = "wal.truncate.before"
-)
-
-// Hook observes crash points. Returning die=true poisons the log (every
-// later call fails with ErrCrashed, modelling process death at that
-// instant); a hook may equally os.Exit for a real kill. nil hooks and
-// false returns are free of side effects.
-type Hook func(point string) (die bool)
-
 // Options tunes a journal.
 type Options struct {
 	// Policy is the fsync policy (default FsyncAlways).
@@ -130,8 +91,8 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it crosses this size;
 	// 0 means 4 MiB.
 	SegmentBytes int64
-	// Hook observes crash points; nil disables.
-	Hook Hook
+	// FS is the file system the journal lives on; nil means fsio.OS.
+	FS fsio.FS
 }
 
 func (o Options) withDefaults() Options {
@@ -140,6 +101,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 4 << 20
+	}
+	if o.FS == nil {
+		o.FS = fsio.OS
 	}
 	return o
 }
@@ -154,10 +118,6 @@ type Record struct {
 	Payload []byte
 	Digest  uint64
 }
-
-// ErrCrashed reports an operation on a log poisoned by a crash-point
-// hook: the simulated process is dead, nothing further happens.
-var ErrCrashed = fmt.Errorf("wal: crash point tripped; log poisoned")
 
 // ErrPoisoned reports an operation on a log poisoned by an earlier I/O
 // failure whose effect on the segment tail could not be undone. Nothing
@@ -221,12 +181,11 @@ type Log struct {
 	opts Options
 
 	mu       sync.Mutex
-	f        *os.File
+	f        fsio.File
 	segStart uint64 // first seq of the active segment
 	segBytes int64
 	nextSeq  uint64
-	dead     bool
-	deadErr  error // why the log is dead; nil for crash hooks (ErrCrashed)
+	deadErr  error // non-nil once the log is poisoned (ErrPoisoned)
 	appends  int64
 	syncs    int64
 
@@ -261,39 +220,14 @@ func (l *Log) Stats() Stats {
 	return Stats{NextSeq: l.nextSeq, Appends: l.appends, Syncs: l.syncs, SegStart: l.segStart, SegBytes: l.segBytes}
 }
 
-// trip consults the crash hook at a point; true means the log is now
-// poisoned (the "process" died here). Caller holds whatever lock guards
-// the fields it was touching; trip only flips dead under mu.
-func (l *Log) trip(point string) bool {
-	if l.opts.Hook == nil {
-		return false
-	}
-	if !l.opts.Hook(point) {
-		return false
-	}
-	l.mu.Lock()
-	l.dead = true
-	l.mu.Unlock()
-	return true
-}
-
 // poisonLocked marks the log permanently dead with a cause: the
 // segment tail can no longer be trusted, so every later operation
 // fails with ErrPoisoned instead of writing after the damage. Caller
 // holds mu.
 func (l *Log) poisonLocked(cause error) {
-	l.dead = true
 	if l.deadErr == nil {
 		l.deadErr = fmt.Errorf("%w: %w", ErrPoisoned, cause)
 	}
-}
-
-// deadErrLocked reports why the log refuses to operate. Caller holds mu.
-func (l *Log) deadErrLocked() error {
-	if l.deadErr != nil {
-		return l.deadErr
-	}
-	return ErrCrashed
 }
 
 // Append writes one record, durably per the policy, before returning.
@@ -309,15 +243,11 @@ func (l *Log) deadErrLocked() error {
 func (l *Log) Append(rec Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.dead {
-		return l.deadErrLocked()
+	if l.deadErr != nil {
+		return l.deadErr
 	}
 	if rec.Seq != l.nextSeq {
 		return fsio.Errorf(fsio.SeqGap, "append seq %d, journal expects %d", rec.Seq, l.nextSeq)
-	}
-	if l.opts.Hook != nil && l.opts.Hook(PointAppendBefore) {
-		l.dead = true
-		return ErrCrashed
 	}
 	if l.segBytes >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
@@ -349,13 +279,6 @@ func (l *Log) Append(rec Record) error {
 		}
 		l.syncs++
 	}
-	if l.opts.Hook != nil && l.opts.Hook(PointAppendAfter) {
-		// The bytes are on disk; the caller never learns. Recovery must
-		// surface this record and the client's retry must get the
-		// original verdict.
-		l.dead = true
-		return ErrCrashed
-	}
 	l.nextSeq++
 	l.segBytes += int64(len(frame))
 	l.appends++
@@ -370,8 +293,8 @@ func (l *Log) Append(rec Record) error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.dead {
-		return l.deadErrLocked()
+	if l.deadErr != nil {
+		return l.deadErr
 	}
 	if l.f == nil {
 		return nil
@@ -407,10 +330,11 @@ func (l *Log) rotateLocked() error {
 // its header. The journal directory is fsynced so the new segment's
 // directory entry survives a machine crash — without it, record fsyncs
 // reach a file no directory mentions, and recovery would silently
-// resume before every batch the segment holds.
+// resume before every batch the segment holds. A failed directory fsync
+// therefore poisons the log, as a failed record fsync does.
 func (l *Log) openSegmentLocked(startSeq uint64) error {
 	path := filepath.Join(l.dir, segName(startSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := l.opts.FS.Create(path)
 	if err != nil {
 		return fmt.Errorf("wal: creating segment: %w", err)
 	}
@@ -419,7 +343,11 @@ func (l *Log) openSegmentLocked(startSeq uint64) error {
 		return fmt.Errorf("wal: writing segment header: %w", err)
 	}
 	if l.opts.Policy != FsyncNever {
-		fsio.SyncDir(l.dir)
+		if err := l.opts.FS.SyncDir(l.dir); err != nil {
+			f.Close()
+			l.poisonLocked(fmt.Errorf("syncing journal directory: %w", err))
+			return fmt.Errorf("wal: syncing journal directory: %w", err)
+		}
 	}
 	l.f = f
 	l.segStart = startSeq
@@ -441,7 +369,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	var err error
-	if !l.dead {
+	if l.deadErr == nil {
 		err = l.f.Sync()
 	}
 	if cerr := l.f.Close(); err == nil {

@@ -416,89 +416,49 @@ func TestSyncFailurePoisons(t *testing.T) {
 	}
 }
 
-func TestCrashHookPoisonsLog(t *testing.T) {
-	t.Run("append.before", func(t *testing.T) {
-		dir := t.TempDir()
-		die := false
-		opts := Options{Policy: FsyncAlways, Hook: func(p string) bool { return die && p == PointAppendBefore }}
-		l, _ := mustRecover(t, dir, opts)
-		appendN(t, l, 1, 3)
-		die = true
-		if err := l.Append(Record{Seq: 4, ID: "doomed"}); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("append at crash point: %v", err)
-		}
-		// Poisoned: nothing works anymore, no I/O happens.
-		if err := l.Append(Record{Seq: 4, ID: "after"}); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("append after death: %v", err)
-		}
-		if err := l.Sync(); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("sync after death: %v", err)
-		}
-		if err := l.WriteSnapshot(Snapshot{Seq: 3}); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("snapshot after death: %v", err)
-		}
-		l.Close()
-		// Dying before the write means seq 4 was never persisted.
-		_, rcv := mustRecover(t, dir, Options{Policy: FsyncNever})
-		checkRecords(t, rcv.Records, 1, 3)
-	})
-	t.Run("append.after", func(t *testing.T) {
-		dir := t.TempDir()
-		die := false
-		opts := Options{Policy: FsyncAlways, Hook: func(p string) bool { return die && p == PointAppendAfter }}
-		l, _ := mustRecover(t, dir, opts)
-		appendN(t, l, 1, 3)
-		die = true
-		err := l.Append(Record{Seq: 4, ID: "batch-4",
-			Payload: []byte(`{"id":"batch-4"}`), Digest: 4 * 0x9e3779b9})
-		if !errors.Is(err, ErrCrashed) {
-			t.Fatalf("append at crash point: %v", err)
-		}
-		l.Close()
-		// Dying after the write: the record IS durable even though the
-		// caller saw a crash — recovery must surface it.
-		_, rcv := mustRecover(t, dir, Options{Policy: FsyncNever})
-		checkRecords(t, rcv.Records, 1, 4)
-	})
-	t.Run("snapshot.mid", func(t *testing.T) {
-		dir := t.TempDir()
-		die := false
-		opts := Options{Policy: FsyncNever, Hook: func(p string) bool { return die && p == PointSnapshotMid }}
-		l, _ := mustRecover(t, dir, opts)
-		appendN(t, l, 1, 5)
-		die = true
-		if err := l.WriteSnapshot(Snapshot{Seq: 5, Digest: 9, State: []byte("s")}); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("snapshot at crash point: %v", err)
-		}
-		l.Close()
-		// The half-written temp never renamed: no snapshot, journal whole.
-		_, rcv := mustRecover(t, dir, Options{Policy: FsyncNever})
-		if rcv.Snapshot != nil {
-			t.Fatalf("partial snapshot visible: %+v", rcv.Snapshot)
-		}
-		checkRecords(t, rcv.Records, 1, 5)
-	})
-	t.Run("rename.after", func(t *testing.T) {
-		dir := t.TempDir()
-		die := false
-		opts := Options{Policy: FsyncNever, Hook: func(p string) bool { return die && p == PointSnapshotRenameAfter }}
-		l, _ := mustRecover(t, dir, opts)
-		appendN(t, l, 1, 5)
-		die = true
-		if err := l.WriteSnapshot(Snapshot{Seq: 5, Digest: 9}); !errors.Is(err, ErrCrashed) {
-			t.Fatalf("snapshot at crash point: %v", err)
-		}
-		l.Close()
-		// Published but not truncated: snapshot wins, stale journal
-		// records are tolerated.
-		_, rcv := mustRecover(t, dir, Options{Policy: FsyncNever})
-		if rcv.Snapshot == nil || rcv.Snapshot.Seq != 5 {
-			t.Fatalf("published snapshot lost: %+v", rcv.Snapshot)
-		}
-		if len(rcv.Records) != 0 {
-			t.Fatalf("covered records resurfaced: %d", len(rcv.Records))
-		}
-	})
+// failSyncDir is fsio.OS with directory fsyncs failing while on is set.
+type failSyncDir struct {
+	fsio.FS
+	on bool
+}
+
+var errSyncDir = errors.New("injected directory fsync failure")
+
+func (f *failSyncDir) SyncDir(dir string) error {
+	if f.on {
+		return errSyncDir
+	}
+	return f.FS.SyncDir(dir)
+}
+
+// TestDirSyncFailure: a directory fsync that fails leaves a segment or
+// the journal directory unknown to a machine crash. Recover refuses to
+// open, and a failed sync after a segment create poisons the log as a
+// failed record fsync does.
+func TestDirSyncFailure(t *testing.T) {
+	dir := t.TempDir()
+	fsys := &failSyncDir{FS: fsio.OS, on: true}
+	opts := Options{Policy: FsyncAlways, SegmentBytes: 16, FS: fsys}
+	if _, _, err := Recover(dir, opts); !errors.Is(err, errSyncDir) {
+		t.Fatalf("Recover with a failing parent sync: %v", err)
+	}
+
+	fsys.on = false
+	l, _ := mustRecover(t, dir, opts)
+	appendN(t, l, 1, 1)
+	fsys.on = true
+	// The 16-byte bound rotates before the next record; the new
+	// segment's directory entry cannot be made durable.
+	if err := l.Append(Record{Seq: 2, ID: "batch-2"}); !errors.Is(err, errSyncDir) {
+		t.Fatalf("append across a failed rotation: %v", err)
+	}
+	fsys.on = false
+	if err := l.Append(Record{Seq: 2, ID: "batch-2"}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("append after the failed directory sync: %v, want ErrPoisoned", err)
+	}
+	if err := l.WriteSnapshot(Snapshot{Seq: 1}); !errors.Is(err, ErrPoisoned) {
+		t.Fatalf("snapshot after the failed directory sync: %v, want ErrPoisoned", err)
+	}
 }
 
 func TestParsePolicy(t *testing.T) {

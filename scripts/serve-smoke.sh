@@ -6,10 +6,12 @@
 # exactly-once journals and replays the sequential oracle to check state
 # digests), then SIGTERM the daemon and require a clean drain.
 #
-# Phase 2 (durable): start `janus serve` with a data dir and an armed
-# chaos crash (SIGKILL semantics: the process os.Exits mid-append, no
-# drain, no journal close), drive load until it dies, restart on the
-# same data dir, and run the restart-aware loadgen (-resume): every
+# Phase 2 (durable): start `janus serve` with a data dir, drive a longer
+# load (CRASH_BATCHES per client), and SIGKILL the daemon (no drain, no
+# journal close) once tenant t0's journal holds about half its batches;
+# the smoke fails unless that kill lands while the load runs. Restart on
+# the same data dir
+# and run the restart-aware loadgen (-resume): every
 # pre-crash batch ID is resubmitted and must resolve exactly once — 409
 # with its original verdict if it survived the crash, a fresh 200 if its
 # record never reached the journal — before fresh load and the full
@@ -23,6 +25,8 @@ ADDR=${ADDR:-127.0.0.1:18085}
 TENANTS=${TENANTS:-3}
 CLIENTS=${CLIENTS:-4}
 BATCHES=${BATCHES:-8}
+# Phase 2's interrupted load is longer, so the kill lands while it runs.
+CRASH_BATCHES=${CRASH_BATCHES:-$((BATCHES * 8))}
 DIR=$(mktemp -d)
 trap 'rm -rf "$DIR"' EXIT
 
@@ -71,31 +75,41 @@ echo "serve-smoke: phase 1 OK (in-memory; tenants=$TENANTS clients=$CLIENTS batc
 # ---- Phase 2: durable journal, mid-load kill, restart, resume --------
 
 DATA="$DIR/data"
-TOTAL=$((TENANTS * CLIENTS * BATCHES))
-# Die partway through the total append count so acked, in-flight, and
-# never-submitted batches all exist at the moment of death.
+TOTAL=$((CLIENTS * CRASH_BATCHES))
+HALF=$((TOTAL / 2))
 "$DIR/janus" serve -addr "$ADDR" -flight-dir "$DIR" \
     -data-dir "$DATA" -fsync always -snapshot-every 16 -segment-bytes 65536 \
-    -chaos-crash "wal.append.after:$((TOTAL / 2))" >"$DIR/serve-crash.log" 2>&1 &
+    >"$DIR/serve-crash.log" 2>&1 &
 SERVE_PID=$!
 wait_up "$DIR/serve-crash.log" || { kill "$SERVE_PID" 2>/dev/null || true; exit 1; }
 
 # This client run is EXPECTED to fail: the daemon dies under it. Its job
-# is to create acked batches whose durability the restart must honor.
+# is to leave acked, in-flight and never-submitted batches at the kill.
 "$DIR/janus" loadgen -url "http://$ADDR" \
-    -tenants "$TENANTS" -clients "$CLIENTS" -batches "$BATCHES" \
-    >/dev/null 2>&1 || true
+    -tenants "$TENANTS" -clients "$CLIENTS" -batches "$CRASH_BATCHES" \
+    >/dev/null 2>&1 &
+LOAD_PID=$!
 
-if wait "$SERVE_PID" 2>/dev/null; then
-    echo "serve-smoke: daemon survived an armed chaos crash" >&2
+# Kill once t0 has applied half its batches. The kill must land mid-load
+# (loadgen still running, t0 neither empty nor done), or the resume check
+# below would pass on a daemon that was never interrupted.
+applied=0
+i=0
+while [ "$applied" -lt "$HALF" ] && [ "$i" -lt 1000 ] && kill -0 "$LOAD_PID" 2>/dev/null; do
+    applied=$(curl -s "http://$ADDR/statez?tenant=t0" | sed -n 's/.*"applied":\([0-9]*\).*/\1/p')
+    applied=${applied:-0}
+    i=$((i + 1))
+    sleep 0.01
+done
+if ! kill -0 "$LOAD_PID" 2>/dev/null || [ "$applied" -le 0 ] || [ "$applied" -ge "$TOTAL" ]; then
+    echo "serve-smoke: no mid-load kill: t0 applied $applied of $TOTAL, loadgen running: $(kill -0 "$LOAD_PID" 2>/dev/null && echo yes || echo no)" >&2
+    kill -KILL "$SERVE_PID" "$LOAD_PID" 2>/dev/null || true
     cat "$DIR/serve-crash.log" >&2
     exit 1
 fi
-if ! grep -q 'chaos crash at' "$DIR/serve-crash.log"; then
-    echo "serve-smoke: daemon died without reaching the armed crash point" >&2
-    cat "$DIR/serve-crash.log" >&2
-    exit 1
-fi
+kill -KILL "$SERVE_PID"
+wait "$SERVE_PID" 2>/dev/null || true
+wait "$LOAD_PID" 2>/dev/null || true
 
 # Restart on the same data dir: boot recovery must replay the journals,
 # then the resume run pins down the fate of every pre-crash batch ID and
@@ -113,7 +127,7 @@ fi
 
 "$DIR/janus" loadgen -url "http://$ADDR" \
     -tenants "$TENANTS" -clients "$CLIENTS" -batches "$BATCHES" \
-    -seq-base "$BATCHES" -resume
+    -seq-base "$CRASH_BATCHES" -resume
 
 kill -TERM "$SERVE_PID"
 if ! wait "$SERVE_PID"; then
@@ -126,4 +140,4 @@ if ! grep -q 'drained cleanly' "$DIR/serve-recover.log"; then
     cat "$DIR/serve-recover.log" >&2
     exit 1
 fi
-echo "serve-smoke: phase 2 OK (durable; killed at append $((TOTAL / 2)), recovered, resume verified)"
+echo "serve-smoke: phase 2 OK (durable; SIGKILL with t0 at $applied of $TOTAL batches, recovered, resume verified)"
