@@ -66,7 +66,8 @@ ALLOCS_TESTS = \
 	internal/stm:TestSteadyStateAttemptAllocs \
 	internal/stm:TestSteadyStateRelAllocs \
 	internal/stm:TestStoreCreateCostIsFlat \
-	internal/stm:TestStoreNewCostIsFlat
+	internal/stm:TestStoreNewCostIsFlat \
+	internal/train:TestProfilerExecAllocs
 allocs:
 	@for t in $(ALLOCS_TESTS); do \
 		n=$$($(GO) test -list "^$${t#*:}$$" ./$${t%%:*} | grep -cx "$${t#*:}"); \

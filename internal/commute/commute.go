@@ -17,6 +17,14 @@
 //
 // Conditions are derived and verified during training (internal/train);
 // production never trusts a condition that training did not prove.
+//
+// The concrete judgment (ConflictConcrete) is training's verifier. It
+// checks SAMEREAD for all read prefixes of a sequence in one lockstep
+// pass over two clones of the entry state, one of which ran the other
+// sequence first, so a pair costs O(|seq1|+|seq2|) op applications per
+// entry state. The pass stops at the sequence's last read, where the
+// per-prefix definition stops: training skips a sample whose ops fail,
+// so an op no prefix reaches must not decide anything.
 package commute
 
 import (
@@ -250,47 +258,55 @@ func applyAll(st *state.State, seq oplog.Log) error {
 	return nil
 }
 
-// SameRead is the concrete SAMEREAD check of Figure 8 for one read prefix
-// of seq1: the value of l after the prefix is the same whether or not the
-// other sequence ran first, starting from entry state s.
-func SameRead(s *state.State, l oplog.PLoc, prefix, other oplog.Log) (bool, error) {
-	s1 := s.Clone()
-	if err := applyAll(s1, prefix); err != nil {
+// sameReads is the concrete SAMEREAD check of Figure 8 for every read
+// prefix of seq at once: after each read of seq, l's value is the same
+// whether or not other ran first, starting from entry state s. One state
+// runs seq alone and one runs other and then seq, in lockstep, so the
+// check costs O(|seq|+|other|) op applications; Apply is deterministic,
+// so after op i each state holds what a fresh replay of seq[:i+1] would.
+// The pass stops at seq's last read: the per-prefix definition never runs
+// an op past it, so an op there that fails must not turn into an error,
+// and a sequence with no read applies nothing, not even other.
+func sameReads(s *state.State, l oplog.PLoc, seq, other oplog.Log) (bool, error) {
+	last := len(seq) - 1
+	for last >= 0 && !seq[last].Op.IsRead() {
+		last--
+	}
+	if last < 0 {
+		return true, nil
+	}
+	alone, after := s.Clone(), s.Clone()
+	if err := applyAll(after, other); err != nil {
 		return false, err
 	}
-	v1, err := PLocValue(s1, l)
-	if err != nil {
-		return false, err
-	}
-	s2 := s.Clone()
-	if err := applyAll(s2, other); err != nil {
-		return false, err
-	}
-	if err := applyAll(s2, prefix); err != nil {
-		return false, err
-	}
-	v2, err := PLocValue(s2, l)
-	if err != nil {
-		return false, err
-	}
-	return v1.EqualValue(v2), nil
-}
-
-// readPrefixes returns, per GETREADSUBSEQUENCES, the prefixes of seq
-// ending at each observing (IsRead) operation.
-func readPrefixes(seq oplog.Log) []oplog.Log {
-	var out []oplog.Log
-	for i, e := range seq {
-		if e.Op.IsRead() {
-			out = append(out, seq[:i+1])
+	for _, e := range seq[:last+1] {
+		if _, err := e.Op.Apply(alone); err != nil {
+			return false, err
+		}
+		if _, err := e.Op.Apply(after); err != nil {
+			return false, err
+		}
+		if !e.Op.IsRead() {
+			continue
+		}
+		v1, err := PLocValue(alone, l)
+		if err != nil {
+			return false, err
+		}
+		v2, err := PLocValue(after, l)
+		if err != nil {
+			return false, err
+		}
+		if !v1.EqualValue(v2) {
+			return false, nil
 		}
 	}
-	return out
+	return true, nil
 }
 
-// Commutes is the concrete COMMUTE check of Figure 8: l's value is the
+// commutes is the concrete COMMUTE check of Figure 8: l's value is the
 // same under both execution orders starting from entry state s.
-func Commutes(s *state.State, l oplog.PLoc, seq1, seq2 oplog.Log) (bool, error) {
+func commutes(s *state.State, l oplog.PLoc, seq1, seq2 oplog.Log) (bool, error) {
 	ab := s.Clone()
 	if err := applyAll(ab, seq1); err != nil {
 		return false, err
@@ -319,13 +335,16 @@ func Commutes(s *state.State, l oplog.PLoc, seq1, seq2 oplog.Log) (bool, error) 
 // ConflictConcrete is the idealized CONFLICT of Figure 8 executed
 // concretely from entry state s: a conflict exists unless every read
 // prefix of each sequence passes SAMEREAD and the pair passes COMMUTE.
-// It is an offline oracle, not a runtime path (it needs the entry state,
-// which the runtime does not keep): training uses it to validate learned
-// conditions on observed instances, and the soundness tests use it as
-// their reference.
+// SAMEREAD runs as one lockstep pass per side (sameReads), so a pair
+// costs O(|seq1|+|seq2|) op applications, and it answers exactly what a
+// replay per read prefix answers: the same verdict, and an error on the
+// same inputs. It is an offline oracle, not a runtime path (it needs the
+// entry state, which the runtime does not keep): training uses it to
+// validate learned conditions on observed instances, and the soundness
+// tests use it as their reference.
 func ConflictConcrete(s *state.State, l oplog.PLoc, seq1, seq2 oplog.Log) (bool, error) {
-	for _, prefix := range readPrefixes(seq1) {
-		same, err := SameRead(s, l, prefix, seq2)
+	for _, side := range [...][2]oplog.Log{{seq1, seq2}, {seq2, seq1}} {
+		same, err := sameReads(s, l, side[0], side[1])
 		if err != nil {
 			return true, err
 		}
@@ -333,18 +352,9 @@ func ConflictConcrete(s *state.State, l oplog.PLoc, seq1, seq2 oplog.Log) (bool,
 			return true, nil
 		}
 	}
-	for _, prefix := range readPrefixes(seq2) {
-		same, err := SameRead(s, l, prefix, seq1)
-		if err != nil {
-			return true, err
-		}
-		if !same {
-			return true, nil
-		}
-	}
-	commutes, err := Commutes(s, l, seq1, seq2)
+	ok, err := commutes(s, l, seq1, seq2)
 	if err != nil {
 		return true, err
 	}
-	return !commutes, nil
+	return !ok, nil
 }

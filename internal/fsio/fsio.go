@@ -19,6 +19,7 @@
 package fsio
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"io/fs"
@@ -41,7 +42,10 @@ type FS interface {
 	Truncate(name string, size int64) error
 	ReadDir(dir string) ([]fs.DirEntry, error)
 	ReadFile(name string) ([]byte, error)
-	MkdirAll(dir string) error
+	// Mkdir creates one directory (mode 0755). The error wraps
+	// fs.ErrExist when dir exists and fs.ErrNotExist when its parent
+	// does not.
+	Mkdir(dir string) error
 	// SyncDir fsyncs a directory, making the creates, renames and
 	// removes inside it durable.
 	SyncDir(dir string) error
@@ -73,7 +77,7 @@ func (osFS) Remove(name string) error                  { return os.Remove(name) 
 func (osFS) Truncate(name string, size int64) error    { return os.Truncate(name, size) }
 func (osFS) ReadDir(dir string) ([]fs.DirEntry, error) { return os.ReadDir(dir) }
 func (osFS) ReadFile(name string) ([]byte, error)      { return os.ReadFile(name) }
-func (osFS) MkdirAll(dir string) error                 { return os.MkdirAll(dir, 0o755) }
+func (osFS) Mkdir(dir string) error                    { return os.Mkdir(dir, 0o755) }
 
 func (osFS) SyncDir(dir string) error {
 	d, err := os.Open(dir)
@@ -85,6 +89,28 @@ func (osFS) SyncDir(dir string) error {
 		err = cerr
 	}
 	return err
+}
+
+// MkdirAll creates dir and its missing parents on fsys, and returns the
+// directories it created, deepest first: the ones whose entries in their
+// parents a caller must fsync before a machine crash can be trusted to
+// keep them. An existing dir creates nothing.
+func MkdirAll(fsys FS, dir string) ([]string, error) {
+	err := fsys.Mkdir(dir)
+	if errors.Is(err, fs.ErrExist) {
+		return nil, nil
+	}
+	var created []string
+	if parent := filepath.Dir(dir); errors.Is(err, fs.ErrNotExist) && parent != dir {
+		if created, err = MkdirAll(fsys, parent); err != nil {
+			return nil, err
+		}
+		err = fsys.Mkdir(dir)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return append([]string{dir}, created...), nil
 }
 
 // Atomic is an in-progress atomic write: a temp file that becomes the

@@ -173,3 +173,29 @@ func TestPublishReturnsDirSyncError(t *testing.T) {
 		t.Fatalf("Publish = %v, want the directory fsync error", err)
 	}
 }
+
+// TestMkdirAllReportsCreated: MkdirAll returns the directories it made,
+// deepest first, and nothing for a directory that exists; a file on the
+// path fails it.
+func TestMkdirAllReportsCreated(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "a", "b", "c")
+	created, err := MkdirAll(OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{dir, filepath.Join(root, "a", "b"), filepath.Join(root, "a")}
+	if fmt.Sprint(created) != fmt.Sprint(want) {
+		t.Fatalf("created %v, want %v", created, want)
+	}
+	if created, err := MkdirAll(OS, dir); err != nil || created != nil {
+		t.Fatalf("second MkdirAll: created %v, err %v; want nothing", created, err)
+	}
+	file := filepath.Join(root, "f")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := MkdirAll(OS, filepath.Join(file, "d")); err == nil {
+		t.Fatal("MkdirAll under a file succeeded")
+	}
+}

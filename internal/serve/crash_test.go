@@ -371,50 +371,60 @@ func countOf(ids []string, id string) (n int) {
 // cover appends, segment rotation, snapshot publish and truncation; the
 // repair run starts from a state whose last record is torn, so Recover
 // cuts the tail back, the run appends after the cut, and a second crash
-// lands anywhere in that. The data directory exists before the run: a
-// first boot that creates it never fsyncs its entry in the parent, a
-// known bug under which a machine crash can lose every acked batch
-// (ROADMAP item 21), so the empty-root case is left out until that is
-// mended.
+// lands anywhere in that. The policy subtests start with the data
+// directory in place; the empty-root ones are a first boot, where
+// Recover creates the data directory too and must make its entry in the
+// root durable before the first ack.
 func TestCrashStates(t *testing.T) {
 	dataDir := []*node{{dir: map[string]int{"data": 1}}, {dir: map[string]int{}}}
 	specs := map[string]*Batch{}
-	for _, policy := range []wal.Policy{wal.FsyncAlways, wal.FsyncGroup, wal.FsyncNever} {
-		t.Run(policy.String(), func(t *testing.T) {
-			run := recordRun(t, policy, dataDir, specs, crashBatches("b", 12), 3, 8)
-			var cov crashCoverage
-			var torn []*node
-			n := run.fs.crashImages(run.epoch, func(ci crashImage) bool {
-				checkCrashState(t, run, ci)
-				before := cov.tornTail
-				cov.add(ci.nodes)
-				if cov.tornTail > before {
-					torn = ci.nodes // the repair run starts from the last
-				}
-				return !t.Failed()
-			})
-			t.Logf("%s: %d recorded calls, %d distinct crash states; coverage %+v",
-				policy, len(run.fs.ops), n, cov)
-			if cov.partialTemp == 0 || cov.coveredSegs == 0 || cov.tornTail == 0 || cov.multiSegments == 0 {
-				t.Fatalf("enumeration missed a crash shape: %+v", cov)
-			}
-			if policy != wal.FsyncAlways {
-				return
-			}
-
-			t.Run("repair", func(t *testing.T) {
-				run := recordRun(t, policy, torn, specs, crashBatches("r", 5), 2)
-				if !slices.ContainsFunc(run.fs.ops, func(op fsOp) bool { return op.kind == opTrunc && op.size > 0 }) {
-					t.Fatal("the repair run never cut a torn tail back")
-				}
-				n := run.fs.crashImages(run.epoch, func(ci crashImage) bool {
-					checkCrashState(t, run, ci)
-					return !t.Failed()
-				})
-				t.Logf("repair: %d recorded calls, %d distinct crash states", len(run.fs.ops), n)
-			})
-		})
+	policies := []wal.Policy{wal.FsyncAlways, wal.FsyncGroup, wal.FsyncNever}
+	for _, policy := range policies {
+		t.Run(policy.String(), func(t *testing.T) { crashStatesFrom(t, policy, dataDir, specs) })
 	}
+	t.Run("empty-root", func(t *testing.T) {
+		for _, policy := range policies {
+			t.Run(policy.String(), func(t *testing.T) { crashStatesFrom(t, policy, nil, specs) })
+		}
+	})
+}
+
+// crashStatesFrom records a run from image under policy and checks every
+// crash state it may leave, then, under FsyncAlways, a repair run from
+// the last state with a torn tail.
+func crashStatesFrom(t *testing.T, policy wal.Policy, image []*node, specs map[string]*Batch) {
+	run := recordRun(t, policy, image, specs, crashBatches("b", 12), 3, 8)
+	var cov crashCoverage
+	var torn []*node
+	n := run.fs.crashImages(run.epoch, func(ci crashImage) bool {
+		checkCrashState(t, run, ci)
+		before := cov.tornTail
+		cov.add(ci.nodes)
+		if cov.tornTail > before {
+			torn = ci.nodes // the repair run starts from the last
+		}
+		return !t.Failed()
+	})
+	t.Logf("%s: %d recorded calls, %d distinct crash states; coverage %+v",
+		policy, len(run.fs.ops), n, cov)
+	if cov.partialTemp == 0 || cov.coveredSegs == 0 || cov.tornTail == 0 || cov.multiSegments == 0 {
+		t.Fatalf("enumeration missed a crash shape: %+v", cov)
+	}
+	if policy != wal.FsyncAlways {
+		return
+	}
+
+	t.Run("repair", func(t *testing.T) {
+		run := recordRun(t, policy, torn, specs, crashBatches("r", 5), 2)
+		if !slices.ContainsFunc(run.fs.ops, func(op fsOp) bool { return op.kind == opTrunc && op.size > 0 }) {
+			t.Fatal("the repair run never cut a torn tail back")
+		}
+		n := run.fs.crashImages(run.epoch, func(ci crashImage) bool {
+			checkCrashState(t, run, ci)
+			return !t.Failed()
+		})
+		t.Logf("repair: %d recorded calls, %d distinct crash states", len(run.fs.ops), n)
+	})
 }
 
 // crashMoments are the moments of the journal protocol a crash can fall

@@ -287,26 +287,20 @@ func (m *memFS) ReadFile(name string) ([]byte, error) {
 	return append([]byte(nil), m.nodes[ino].data...), nil
 }
 
-func (m *memFS) MkdirAll(dir string) error {
+func (m *memFS) Mkdir(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ino := 0
-	for _, part := range strings.Split(strings.Trim(filepath.Clean(dir), "/"), "/") {
-		if part == "" {
-			continue
-		}
-		next, ok := m.nodes[ino].dir[part]
-		if !ok {
-			next = len(m.nodes)
-			if err := m.do(fsOp{kind: opLink, ino: ino, name: part, child: next}); err != nil {
-				return err
-			}
-			m.nodes = append(m.nodes, &node{dir: map[string]int{}})
-		} else if m.nodes[next].dir == nil {
-			return errors.New("memfs: mkdir over a file: " + dir)
-		}
-		ino = next
+	if _, ok := m.lookup(dir); ok {
+		return &fs.PathError{Op: "mkdir", Path: dir, Err: fs.ErrExist}
 	}
+	parent, base, err := m.parent("mkdir", dir)
+	if err != nil {
+		return err
+	}
+	if err := m.do(fsOp{kind: opLink, ino: parent, name: base, child: len(m.nodes)}); err != nil {
+		return err
+	}
+	m.nodes = append(m.nodes, &node{dir: map[string]int{}})
 	return nil
 }
 

@@ -27,6 +27,7 @@ import (
 type Profiler struct {
 	st    *state.State
 	trace oplog.Log
+	slab  []oplog.Event // the trace's events, a slab at a time (Exec)
 	task  int
 	acc   []oplog.Access // footprint buffer, reused by every Exec
 }
@@ -45,8 +46,15 @@ func (p *Profiler) Exec(op oplog.Op) (state.Value, error) {
 	if err != nil {
 		return nil, err
 	}
-	ev := oplog.NewEvent(op, p.task, len(p.trace), p.acc, v)
-	p.trace = append(p.trace, &ev)
+	// Events are logged into a slab that doubles when full, as
+	// conflict.Prepared.Append logs a transaction's: one allocation per
+	// slab instead of one per event. A full slab is left to the trace
+	// entries that point into it.
+	if len(p.slab) == cap(p.slab) {
+		p.slab = make([]oplog.Event, 0, max(8, 2*cap(p.slab)))
+	}
+	p.slab = append(p.slab, oplog.NewEvent(op, p.task, len(p.trace), p.acc, v))
+	p.trace = append(p.trace, &p.slab[len(p.slab)-1])
 	return v, nil
 }
 
@@ -168,6 +176,7 @@ func Train(initial *state.State, tasks []adt.Task, opts Options) (*cache.Cache, 
 	var buf []byte
 	for _, p := range shared {
 		seqs := mined[p]
+		entries := syntheticStates(initial, p)
 		syms := make([][]oplog.Sym, len(seqs))
 		keys := make([][]byte, len(seqs))
 		for i, seq := range seqs {
@@ -194,7 +203,7 @@ func Train(initial *state.State, tasks []adt.Task, opts Options) (*cache.Cache, 
 					rep.Rejected++
 					continue
 				}
-				if !verifyPair(rep, initial, p, seqs[i], seqs[j], kind) {
+				if !verifyPair(rep, entries, p, seqs[i], seqs[j], s1, s2, kind) {
 					rep.VerifyDropped++
 					continue
 				}
@@ -207,19 +216,20 @@ func Train(initial *state.State, tasks []adt.Task, opts Options) (*cache.Cache, 
 }
 
 // verifyPair cross-checks the proved condition kind against the concrete
-// Figure 8 judgment on synthetic entry states, and relational pairs against
-// the §6.2 content equivalence. A proved "no conflict" that any check
+// Figure 8 judgment on the location's synthetic entry states, and
+// relational pairs against the §6.2 content equivalence. s1 and s2 are the
+// sequences' descriptors. A proved "no conflict" that any check
 // contradicts drops the entry (soundness guard); a proved "conflict" needs
 // no verification (conservative answers are always sound).
-func verifyPair(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Log, kind commute.ConditionKind) bool {
-	conflict, ok := commute.Evaluate(kind, e1.Syms(), e2.Syms())
+func verifyPair(rep *Report, entries []*state.State, p oplog.PLoc, e1, e2 oplog.Log, s1, s2 []oplog.Sym, kind commute.ConditionKind) bool {
+	conflict, ok := commute.Evaluate(kind, s1, s2)
 	if !ok {
 		return false
 	}
 	if conflict {
 		return true
 	}
-	for _, entry := range syntheticStates(initial, p) {
+	for _, entry := range entries {
 		concrete, err := commute.ConflictConcrete(entry, p, e1, e2)
 		if err != nil {
 			// Synthetic state does not support the ops (e.g. pop from an
@@ -240,8 +250,10 @@ func verifyPair(rep *Report, initial *state.State, p oplog.PLoc, e1, e2 oplog.Lo
 	return true
 }
 
-// syntheticStates builds small entry states exercising the pair's
-// location: the training initial value plus type-derived variants.
+// syntheticStates builds small entry states exercising a location: the
+// training initial value plus type-derived variants. Training builds them
+// once per location and shares them among its pairs: they are read-only,
+// as the concrete judgment runs on clones.
 func syntheticStates(initial *state.State, p oplog.PLoc) []*state.State {
 	loc := p.Loc
 	v, bound := initial.Get(loc)

@@ -74,6 +74,31 @@ func TestProfilerRecordsTasks(t *testing.T) {
 	}
 }
 
+// TestProfilerExecAllocs pins the profiler's logging: events go into
+// slabs that double, so an op whose footprint is one location and whose
+// result is the value its location already holds costs less than one
+// allocation per Exec, amortized. Logging each event in its own heap
+// object costs one. Events logged before a slab filled keep their
+// contents.
+func TestProfilerExecAllocs(t *testing.T) {
+	p := NewProfiler(initialState())
+	p.task = 1
+	load := adt.NumLoadOp{L: "work"}.Op()
+	const runs = 10000
+	if a := testing.AllocsPerRun(runs, func() {
+		if _, err := p.Exec(load); err != nil {
+			t.Fatal(err)
+		}
+	}); a >= 1 {
+		t.Fatalf("%v allocations per Exec, want < 1", a)
+	}
+	for i, e := range p.Trace() {
+		if e.Seq != i || e.Op != load || len(e.Accesses()) != 1 {
+			t.Fatalf("event %d = %+v after the slab grew", i, *e)
+		}
+	}
+}
+
 func TestTrainIdentityPattern(t *testing.T) {
 	c, rep, err := Train(initialState(), []adt.Task{identityTask(2), identityTask(5)}, Options{Mode: seqabs.Abstract})
 	if err != nil {

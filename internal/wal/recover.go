@@ -86,14 +86,23 @@ func ScanSegment(buf []byte) (recs []Record, validLen int, err error) {
 func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 	opts = opts.withDefaults()
 	fsys := opts.FS
-	if err := fsys.MkdirAll(dir); err != nil {
+	created, err := fsio.MkdirAll(fsys, dir)
+	if err != nil {
 		return nil, nil, fmt.Errorf("wal: creating journal dir: %w", err)
 	}
 	if opts.Policy != FsyncNever {
-		// Make the journal directory itself durable: record fsyncs are
-		// useless if a machine crash forgets the directory ever existed.
-		if err := fsys.SyncDir(filepath.Dir(dir)); err != nil {
-			return nil, nil, fmt.Errorf("wal: syncing the journal directory's parent: %w", err)
+		// Make the journal directory itself durable, and every directory
+		// created on the way to it (a data directory made on a first
+		// boot), deepest first: record fsyncs are useless if a machine
+		// crash forgets a directory on the path ever existed. The journal
+		// directory's own entry is synced even when it existed.
+		if len(created) == 0 {
+			created = []string{dir}
+		}
+		for _, d := range created {
+			if err := fsys.SyncDir(filepath.Dir(d)); err != nil {
+				return nil, nil, fmt.Errorf("wal: syncing the parent of %s: %w", d, err)
+			}
 		}
 	}
 	entries, err := fsys.ReadDir(dir)
