@@ -27,7 +27,7 @@ test:
 # in the first): with recycled artifacts poisoned a use-after-recycle
 # panics, and -race is what reports a reader overlapping the recycler.
 race:
-	$(GO) test -race -count=1 . ./cmd/janus ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/cache ./internal/rec ./internal/serve ./internal/wal ./internal/fsio ./internal/relation ./internal/state
+	$(GO) test -race -count=1 . ./cmd/janus ./internal/stm ./internal/conflict ./internal/oplog ./internal/obs ./internal/spec ./internal/rec ./internal/serve ./internal/wal ./internal/fsio ./internal/relation ./internal/state
 	$(GO) test -race -count=1 -run PoisonedRecycle ./internal/chaos ./internal/workloads
 
 # Repeat the stm liveness tests (context drains, sequencer waiters woken
@@ -53,21 +53,21 @@ ALLOCS_TESTS = \
 	internal/adt:TestHandlesAllocateOnlyTheirResults \
 	internal/adt:TestLoadsReturnTheHeldValue \
 	internal/adt:TestRelAccessesAllocateNothing \
-	internal/commute:TestEvaluateDetailAllocs \
 	internal/conflict:TestWarmDecomposeAllocs \
 	internal/obs:TestDisabledCtxZeroAllocs \
 	internal/rec:TestDigestCostIgnoresTupleCount \
 	internal/relation:TestPointOpsAreSizeIndependent \
-	internal/seqabs:TestAppendPairKeyAllocs \
 	internal/seqeff:TestBlockIdempotent \
 	internal/serve:TestParseBatchAllocs \
+	internal/spec:TestAppendPairKeyAllocs \
+	internal/spec:TestEvaluateDetailAllocs \
+	internal/spec:TestProfilerExecAllocs \
 	internal/stm:TestDisabledRecordingAddsNoAllocs \
 	internal/stm:TestDisabledTracingAddsNoAllocs \
 	internal/stm:TestSteadyStateAttemptAllocs \
 	internal/stm:TestSteadyStateRelAllocs \
 	internal/stm:TestStoreCreateCostIsFlat \
-	internal/stm:TestStoreNewCostIsFlat \
-	internal/train:TestProfilerExecAllocs
+	internal/stm:TestStoreNewCostIsFlat
 allocs:
 	@for t in $(ALLOCS_TESTS); do \
 		n=$$($(GO) test -list "^$${t#*:}$$" ./$${t%%:*} | grep -cx "$${t#*:}"); \
@@ -135,7 +135,7 @@ bench-quick:
 # upload it as an artifact; informational, not gating.
 bench-contention:
 	$(GO) test -run '^$$' -bench 'BenchmarkLookupParallel|BenchmarkDetectHighContention' \
-		-benchmem -cpu 1,4,8 ./internal/cache ./internal/conflict | tee bench-contention.txt
+		-benchmem -cpu 1,4,8 ./internal/spec ./internal/conflict | tee bench-contention.txt
 
 # Commit-path benchmark trajectory: the striped-commit throughput
 # benchmarks (disjoint-footprint workload; unordered and ordered) folded

@@ -4,16 +4,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
-	"repro/internal/advisor"
 	"repro/internal/core"
 	"repro/internal/fsio"
 	"repro/internal/oplog"
-	"repro/internal/seqabs"
-	"repro/internal/state"
-	"repro/internal/train"
+	"repro/internal/spec"
 	"repro/internal/workloads"
 )
 
@@ -59,7 +55,7 @@ func runTrain(_ context.Context, args []string, stdout, stderr io.Writer) error 
 // profile runs one workload's training inputs sequentially and returns
 // the profiled trace, the input of both trace and advise.
 func profile(w *workloads.Workload) (oplog.Log, error) {
-	p := train.NewProfiler(w.NewState())
+	p := spec.NewProfiler(w.NewState())
 	if err := p.Run(w.Tasks(workloads.Training, 1000)); err != nil {
 		return nil, err
 	}
@@ -86,11 +82,10 @@ func runTrace(_ context.Context, args []string, stdout, stderr io.Writer) error 
 	}
 	fmt.Fprintf(stdout, "benchmark: %s — training trace: %d operations\n\n", w.Name, len(trace))
 
-	mined := train.Mine(trace)
-	shared := train.SharedPLocs(mined)
+	mined := spec.Mine(trace)
+	shared := spec.SharedPLocs(mined)
 	fmt.Fprintf(stdout, "projection locations: %d total, %d shared across tasks\n\n", len(mined), len(shared))
 
-	abs := &seqabs.Abstracter{Mode: seqabs.Abstract}
 	fmt.Fprintf(stdout, "mined shared-location sequences (showing up to %d locations):\n", *maxItems)
 	for i, ploc := range shared {
 		if i >= *maxItems {
@@ -106,60 +101,11 @@ func runTrace(_ context.Context, args []string, stdout, stderr io.Writer) error 
 				syms[j] = sym.String()
 			}
 			fmt.Fprintf(stdout, "  task %d: %s\n", s[0].Task, strings.Join(syms, "; "))
-			fmt.Fprintf(stdout, "    abstraction: %s\n", abs.Key(s.Syms()))
+			fmt.Fprintf(stdout, "    abstraction: %s\n", spec.Abstract.AppendKey(nil, s.Syms()))
 		}
 		if len(seqs) > len(shown) {
 			fmt.Fprintf(stdout, "  … %d more task sequences\n", len(seqs)-len(shown))
 		}
-	}
-	return nil
-}
-
-// runAdvise profiles one workload sequentially and reports, per shared
-// location, the §2 semantic pattern it exhibits and the §5.3 consistency
-// relaxations that justifies: the automated counterpart of the paper's
-// hand-written specification step (§7.1).
-func runAdvise(_ context.Context, args []string, stdout, stderr io.Writer) error {
-	fs := newFlags("advise", stderr)
-	workload := workloadFlag(fs)
-	if err := parse(fs, args); err != nil {
-		return err
-	}
-	w, err := workload()
-	if err != nil {
-		return err
-	}
-	trace, err := profile(w)
-	if err != nil {
-		return err
-	}
-	rep := advisor.Analyze(trace)
-	fmt.Fprintf(stdout, "benchmark: %s — %d shared locations\n\n", w.Name, len(rep.Findings))
-	rep.Render(stdout)
-
-	printSpec := func(m map[state.Loc]bool, kind string) {
-		var locs []string
-		for l, on := range m {
-			if on {
-				locs = append(locs, string(l))
-			}
-		}
-		sort.Strings(locs)
-		if len(locs) == 0 {
-			fmt.Fprintf(stdout, "  tolerate %s: (none)\n", kind)
-		}
-		for _, l := range locs {
-			fmt.Fprintf(stdout, "  tolerate %s: %s\n", kind, l)
-		}
-	}
-	safe := rep.SafeRelaxations()
-	fmt.Fprintf(stdout, "\nsafe relaxation specification:\n")
-	printSpec(safe.RAW, "RAW")
-	printSpec(safe.WAW, "WAW")
-	if w.Relaxations != nil {
-		fmt.Fprintf(stdout, "\nhand-written specification (internal/workloads):\n")
-		printSpec(w.Relaxations.RAW, "RAW")
-		printSpec(w.Relaxations.WAW, "WAW")
 	}
 	return nil
 }

@@ -18,7 +18,7 @@ import (
 // no non-test file names, and that stay anyway. Each entry says why.
 var liveByContract = map[string]string{
 	// Reached through a standard-library interface, never by name.
-	"internal/cache.SpecError.Unwrap":    "errors.Is/As walk it",
+	"internal/spec.SpecError.Unwrap":     "errors.Is/As walk it",
 	"internal/fsio.FrameError.Unwrap":    "errors.Is/As walk it",
 	"internal/serve.journalError.Unwrap": "errors.Is/As walk it",
 	"internal/stm.simHeap.Len":           "container/heap calls it",
@@ -45,7 +45,7 @@ var liveByContract = map[string]string{
 
 	// A test's reference implementation: a test compares the shipped code
 	// against it, so deleting it deletes the oracle.
-	"internal/seqeff.PairConflicts": "Figure 8 on analyses: the verdict commute's and seqabs's lemma tests compare with",
+	"internal/seqeff.PairConflicts": "Figure 8 on analyses: the verdict spec's condition and lemma tests compare with",
 	"internal/state.State.Equal":    "Theorem 4.1's comparison: final state against the sequential run's, in every oracle test",
 
 	// What tests in several packages build their inputs with, and the

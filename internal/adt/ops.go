@@ -7,7 +7,7 @@
 //
 // Every handle method builds an oplog.Op and submits it to an Executor —
 // the transaction during parallel runs (internal/stm) or the profiler
-// during training (internal/train). The op's kind, an OpKind, carries its
+// during training (internal/spec). The op's kind, an OpKind, carries its
 // semantics and footprint computation, so the executor needs no knowledge
 // of them. The op structs (NumAddOp, RelPutOp, ...) name an operation's
 // operands; their Op method builds the value that is logged.

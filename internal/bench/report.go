@@ -6,11 +6,11 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/chaos"
 	"repro/internal/conflict"
 	"repro/internal/obs"
 	"repro/internal/rec"
+	"repro/internal/spec"
 	"repro/internal/stm"
 	"repro/internal/workloads"
 )
@@ -34,7 +34,7 @@ type RunReport struct {
 	Speedup      float64        `json:"speedup"`
 	Run          stm.Stats      `json:"run"`
 	Conflict     conflict.Stats `json:"conflict"`
-	Cache        cache.Stats    `json:"cache"`
+	Cache        spec.Stats     `json:"cache"`
 	// BackoffBaseNs echoes the backoff base the run used (omitted when
 	// disabled).
 	BackoffBaseNs int64 `json:"backoff_base_ns,omitempty"`
@@ -185,7 +185,7 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 		rep.Conflict = dd.Stats()
 	}
 	rep.Cache = engine.Cache().Stats()
-	rep.CacheShards = engine.Cache().NumShards()
+	rep.CacheShards = rep.Cache.Shards
 	rep.CacheFrozen = engine.Cache().Frozen()
 	if inj != nil {
 		cs := inj.Stats()

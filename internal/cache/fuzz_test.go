@@ -1,15 +1,15 @@
-package cache
+package cache_test
 
 import (
 	"bytes"
 	"errors"
 	"testing"
 
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 )
 
 // FuzzLoadSpec: arbitrary bytes never panic the spec loader, a rejection
-// is a typed *SpecError that leaves the cache empty, and an accepted spec
+// is a typed *spec.SpecError that leaves the cache empty, and an accepted spec
 // survives a save and reload.
 func FuzzLoadSpec(f *testing.F) {
 	good := saveSample(f)
@@ -19,9 +19,9 @@ func FuzzLoadSpec(f *testing.F) {
 	f.Add([]byte(`{"magic":"JANUS-SPEC","format":2,"mode":"abstract","crc32":1,"payload":{"entries":{}}}`))
 	f.Add([]byte(`{"format":1,"mode":"abstract","entries":{"num.add|num.add":"always"}}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		c := New(seqabs.Abstract)
+		c := spec.New(spec.Abstract, false)
 		if err := c.Load(bytes.NewReader(data)); err != nil {
-			var se *SpecError
+			var se *spec.SpecError
 			if !errors.As(err, &se) {
 				t.Fatalf("untyped load error %T: %v", err, err)
 			}
@@ -34,7 +34,7 @@ func FuzzLoadSpec(f *testing.F) {
 		if err := c.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		again := New(seqabs.Abstract)
+		again := spec.New(spec.Abstract, false)
 		if err := again.Load(&buf); err != nil || again.Dump() != c.Dump() {
 			t.Fatalf("saved spec reloads as %q (%v), want %q", again.Dump(), err, c.Dump())
 		}

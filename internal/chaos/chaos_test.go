@@ -11,10 +11,9 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/conflict"
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 	"repro/internal/state"
 	"repro/internal/stm"
-	"repro/internal/train"
 )
 
 // seedCount is the soak matrix width. The default (20 seeds × ordered/
@@ -201,7 +200,7 @@ func TestChaosSoakForcedCacheMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache, _, err := train.Train(soakState(), tasks[:3], train.Options{Mode: seqabs.Abstract})
+	cache, _, err := spec.Train(soakState(), tasks[:3], spec.Abstract)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,11 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/adt"
-	"repro/internal/cache"
 	"repro/internal/conflict"
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 	"repro/internal/stm"
-	"repro/internal/train"
 )
 
 // identityTasks builds n add/undo identity tasks over one counter: they
@@ -34,9 +32,9 @@ func identityTasks(n int) []adt.Task {
 }
 
 // trainOn returns a cache trained on a prefix of the tasks.
-func trainOn(t *testing.T, tasks []adt.Task) *cache.Cache {
+func trainOn(t *testing.T, tasks []adt.Task) *spec.Cache {
 	t.Helper()
-	c, _, err := train.Train(soakState(), tasks[:3], train.Options{Mode: seqabs.Abstract})
+	c, _, err := spec.Train(soakState(), tasks[:3], spec.Abstract)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +83,7 @@ func TestMissStormFallsBackPerPair(t *testing.T) {
 }
 
 // TestCorruptSpecAlwaysRejected: every seeded corruption of a saved spec
-// artifact must be caught by the envelope (typed *cache.SpecError), and
+// artifact must be caught by the envelope (typed *spec.SpecError), and
 // the target cache must stay unchanged — the flips land inside the
 // checksummed payload by construction, so this is the CRC's job, not
 // lucky JSON breakage.
@@ -98,7 +96,7 @@ func TestCorruptSpecAlwaysRejected(t *testing.T) {
 	pristine := buf.Bytes()
 
 	// The artifact itself round-trips.
-	clean := cache.New(seqabs.Abstract)
+	clean := spec.New(spec.Abstract, false)
 	if err := clean.Load(bytes.NewReader(pristine)); err != nil {
 		t.Fatalf("pristine spec rejected: %v", err)
 	}
@@ -112,11 +110,11 @@ func TestCorruptSpecAlwaysRejected(t *testing.T) {
 			if bytes.Equal(corrupted, pristine) {
 				t.Fatalf("seed=%d flips=%d: corruption was a no-op", seed, flips)
 			}
-			target := cache.New(seqabs.Abstract)
+			target := spec.New(spec.Abstract, false)
 			err := target.Load(bytes.NewReader(corrupted))
-			var se *cache.SpecError
+			var se *spec.SpecError
 			if !errors.As(err, &se) {
-				t.Fatalf("seed=%d flips=%d: err = %v, want *cache.SpecError", seed, flips, err)
+				t.Fatalf("seed=%d flips=%d: err = %v, want *spec.SpecError", seed, flips, err)
 			}
 			if target.Len() != 0 {
 				t.Fatalf("seed=%d flips=%d: rejected load still added %d entries",

@@ -16,11 +16,10 @@ import (
 	"strings"
 	"sync/atomic"
 
-	"repro/internal/cache"
-	"repro/internal/commute"
 	"repro/internal/obs"
 	"repro/internal/oplog"
 	"repro/internal/seqeff"
+	"repro/internal/spec"
 	"repro/internal/state"
 )
 
@@ -298,17 +297,12 @@ func NewRelaxations(raw, waw []state.Loc) *Relaxations {
 // answered from the trained commutativity cache, relaxation-aware theory
 // checks, or — on a cache miss — the write-set fallback.
 type Sequence struct {
-	// Cache holds the trained commutativity specification. A nil cache
-	// makes every query a miss (pure fallback).
-	Cache *cache.Cache
+	// Cache holds the trained commutativity specification, learning on
+	// misses when it was built to (spec.New). A nil cache makes every
+	// query a miss (pure fallback).
+	Cache *spec.Cache
 	// Relax is the consistency-relaxation specification; may be nil.
 	Relax *Relaxations
-	// LearnOnline implements the §5.3 remark that "memoization can be
-	// used to support online training": on a cache miss, the detector
-	// attempts to prove a condition for the pair's shape right away and
-	// caches it, so an untrained system converges to trained behavior
-	// after one miss per shape pair.
-	LearnOnline bool
 	// InferWAW enables the §5.3 "limited automatic inference": write-
 	// after-write dependences between two transactions are ignored — a
 	// pair is admitted when the running transaction's reads are stable
@@ -331,7 +325,7 @@ type Sequence struct {
 }
 
 // NewSequence returns a sequence detector over the given trained cache.
-func NewSequence(c *cache.Cache, relax *Relaxations) *Sequence {
+func NewSequence(c *spec.Cache, relax *Relaxations) *Sequence {
 	return &Sequence{Cache: c, Relax: relax}
 }
 
@@ -392,13 +386,13 @@ func (s *Sequence) DetectPrepared(ctx obs.Ctx, _ *state.State, txn *Prepared, co
 }
 
 // reasonForCheck maps a failed commutativity check to an abort reason.
-func reasonForCheck(c commute.Check) Reason {
+func reasonForCheck(c spec.Check) Reason {
 	switch c {
-	case commute.CheckSameRead:
+	case spec.CheckSameRead:
 		return ReasonSameRead
-	case commute.CheckCommute:
+	case spec.CheckCommute:
 		return ReasonCommute
-	case commute.CheckTheory:
+	case spec.CheckTheory:
 		return ReasonTheory
 	default:
 		return ReasonWriteSet
@@ -406,9 +400,9 @@ func reasonForCheck(c commute.Check) Reason {
 }
 
 // pairVerdict answers one per-location query over prepared subsequences.
-// The symbolic shapes are read from the artifacts' memoized projections;
-// the access modes behind the fallback paths are memoized lazily on first
-// use.
+// The symbolic shapes and their keys are read from the artifacts'
+// memoized projections; the access modes behind the fallback paths are
+// memoized lazily on first use.
 func (s *Sequence) pairVerdict(ctx obs.Ctx, lt, lc *preparedLoc) Verdict {
 	p := lt.p
 	conflict := func(r Reason) Verdict { return Verdict{Conflict: true, Reason: r, P: p} }
@@ -424,37 +418,18 @@ func (s *Sequence) pairVerdict(ctx obs.Ctx, lt, lc *preparedLoc) Verdict {
 		return Verdict{}
 	}
 	if s.Cache != nil && (s.ForceMiss == nil || !s.ForceMiss(int(ctx.Task), int(ctx.Attempt))) {
-		symsT, symsC := lt.syms, lc.syms
-		var hitConflict bool
-		var failed commute.Check
-		var hit bool
-		if kt, okT := lt.seqKey(s.Cache); okT {
-			if kc, okC := lc.seqKey(s.Cache); okC {
-				hitConflict, failed, hit = s.Cache.LookupDetailKeys(kt, kc, symsT, symsC)
-			} else {
-				hitConflict, failed, hit = s.Cache.LookupDetail(symsT, symsC)
-			}
-		} else {
-			hitConflict, failed, hit = s.Cache.LookupDetail(symsT, symsC)
-		}
-		if hit {
+		m := s.Cache.Mode()
+		a := s.Cache.Lookup(lt.seqKey(m), lc.seqKey(m), lt.syms, lc.syms)
+		if a.Hit {
 			traceCache(ctx, obs.EvCacheHit, p)
-			if hitConflict {
-				return conflict(reasonForCheck(failed))
+		} else {
+			traceCache(ctx, obs.EvCacheMiss, p)
+		}
+		if a.Known {
+			if a.Conflict {
+				return conflict(reasonForCheck(a.Failed))
 			}
 			return Verdict{}
-		}
-		traceCache(ctx, obs.EvCacheMiss, p)
-		if s.LearnOnline {
-			if kind := commute.Prove(symsT, symsC); kind != commute.CondNone {
-				s.Cache.Put(symsT, symsC, kind)
-				if learned, failed, ok := commute.EvaluateDetail(kind, symsT, symsC); ok {
-					if learned {
-						return conflict(reasonForCheck(failed))
-					}
-					return Verdict{}
-				}
-			}
 		}
 	}
 	// Miss: write-set fallback.

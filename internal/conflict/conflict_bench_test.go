@@ -6,11 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/adt"
-	"repro/internal/cache"
-	"repro/internal/commute"
 	"repro/internal/obs"
 	"repro/internal/oplog"
-	"repro/internal/seqabs"
 	"repro/internal/state"
 )
 
@@ -54,14 +51,7 @@ func benchSetup(b *testing.B, nLocs, stride int) *benchFixture {
 	for i := 0; i < nLocs; i++ {
 		st.Set(state.Loc("ctr"+strconv.Itoa(i)), state.Int(0))
 	}
-	c := cache.New(seqabs.Abstract)
-	idSyms := func(n int64) []oplog.Sym {
-		return []oplog.Sym{
-			{Kind: adt.KindNumAdd, N: n, Int: true}, {Kind: adt.KindNumAdd, N: -n, Int: true},
-		}
-	}
-	c.Put(idSyms(1), idSyms(2), commute.CondRegister)
-	det := NewSequence(c, nil)
+	det := NewSequence(trainedIdentityCache(b), nil)
 
 	// Each transaction touches a few counters with identity add pairs —
 	// always admissible, so detection always runs the full pipeline.

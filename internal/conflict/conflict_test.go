@@ -4,11 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/adt"
-	"repro/internal/cache"
-	"repro/internal/commute"
 	"repro/internal/obs"
 	"repro/internal/oplog"
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 	"repro/internal/state"
 )
 
@@ -86,14 +84,7 @@ func TestWriteSetBasic(t *testing.T) {
 
 func TestSequenceHitAvoidsFalseConflict(t *testing.T) {
 	st := baseState()
-	c := cache.New(seqabs.Abstract)
-	idSyms := func(n int64) []oplog.Sym {
-		return []oplog.Sym{
-			{Kind: adt.KindNumAdd, N: n, Int: true}, {Kind: adt.KindNumAdd, N: -n, Int: true},
-		}
-	}
-	c.Put(idSyms(1), idSyms(2), commute.CondRegister)
-	det := NewSequence(c, nil)
+	det := NewSequence(trainedIdentityCache(t), nil)
 	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}.Op(), adt.NumAddOp{L: "work", Delta: -5}.Op())
 	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}.Op(), adt.NumAddOp{L: "work", Delta: -7}.Op())
 	if detect(det, st, id1, id2) {
@@ -109,7 +100,7 @@ func TestSequenceHitAvoidsFalseConflict(t *testing.T) {
 
 func TestSequenceMissFallsBackToWriteSet(t *testing.T) {
 	st := baseState()
-	det := NewSequence(cache.New(seqabs.Abstract), nil)
+	det := NewSequence(spec.New(spec.Abstract, false), nil)
 	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}.Op(), adt.NumAddOp{L: "work", Delta: -5}.Op())
 	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}.Op(), adt.NumAddOp{L: "work", Delta: -7}.Op())
 	if !detect(det, st, id1, id2) {
@@ -138,7 +129,7 @@ func TestRelaxationsRAWSpuriousReads(t *testing.T) {
 	// another writes. RAW relaxation suppresses the conflict.
 	st := baseState()
 	rx := NewRelaxations([]state.Loc{"max"}, nil)
-	det := NewSequence(cache.New(seqabs.Abstract), rx)
+	det := NewSequence(spec.New(spec.Abstract, false), rx)
 	rd := record(t, st, 1, adt.NumLoadOp{L: "max"}.Op())
 	wr := record(t, st, 2, adt.NumStoreOp{L: "max", V: 5}.Op())
 	if detect(det, st, rd, wr) {
@@ -160,14 +151,14 @@ func TestRelaxationsWAWSharedAsLocal(t *testing.T) {
 	// SAMEREAD checks still pass because each read follows its own store.
 	st := baseState()
 	rx := NewRelaxations(nil, []state.Loc{"ctx"})
-	det := NewSequence(cache.New(seqabs.Abstract), rx)
+	det := NewSequence(spec.New(spec.Abstract, false), rx)
 	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: "a.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
 	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: "b.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
 	if detect(det, st, a, b) {
 		t.Fatalf("WAW-relaxed shared-as-local must not conflict")
 	}
 	// Without the relaxation it conflicts (different final stores).
-	strict := NewSequence(cache.New(seqabs.Abstract), nil)
+	strict := NewSequence(spec.New(spec.Abstract, false), nil)
 	if !detect(strict, st, a, b) {
 		t.Fatalf("unrelaxed shared-as-local with different stores must conflict")
 	}
@@ -182,7 +173,7 @@ func TestRelaxationsBothOnStack(t *testing.T) {
 	st := state.New()
 	st.Set("stk", state.IntList{})
 	rx := NewRelaxations([]state.Loc{"stk"}, []state.Loc{"stk"})
-	det := NewSequence(cache.New(seqabs.Abstract), rx)
+	det := NewSequence(spec.New(spec.Abstract, false), rx)
 	push := record(t, st, 1, adt.ListPushOp{L: "stk", V: 1}.Op())
 	push2 := record(t, st, 2, adt.ListPushOp{L: "stk", V: 2}.Op())
 	if detect(det, st, push, push2) {
@@ -207,31 +198,52 @@ func TestRelaxationAccessors(t *testing.T) {
 	}
 }
 
+// TestLearnOnlineConvergesWithoutTraining: a learning cache proves a
+// missed pair's condition and answers from it at once, yet that first
+// query still counts and traces as a miss (Figure 11's statistics and the
+// trace are those of a cache that missed); the second query is a plain
+// hit. No query falls back to the write-set rule.
 func TestLearnOnlineConvergesWithoutTraining(t *testing.T) {
 	st := baseState()
-	det := NewSequence(cache.New(seqabs.Abstract), nil)
-	det.LearnOnline = true
+	det := NewSequence(spec.New(spec.Abstract, true), nil)
 	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}.Op(), adt.NumAddOp{L: "work", Delta: -5}.Op())
 	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}.Op(), adt.NumAddOp{L: "work", Delta: -7}.Op())
-	// First query proves and caches the condition immediately: no conflict.
-	if detect(det, st, id1, id2) {
+	tr := obs.NewTrace(64)
+	ctx := obs.Ctx{T: tr, Task: 1, Attempt: 1}
+	query := func() bool {
+		return det.DetectPrepared(ctx, st, Prepare(id1), prepareAll([]oplog.Log{id2})).Conflict
+	}
+	if query() {
 		t.Fatalf("online learning must prove the identity pair on first sight")
 	}
-	if det.Cache.Len() == 0 {
-		t.Fatalf("online learning must populate the cache")
+	if det.Cache.Len() != 1 {
+		t.Fatalf("online learning must store the pair: %d entries", det.Cache.Len())
 	}
-	// Second query is a plain hit.
-	if detect(det, st, id1, id2) {
+	s := det.Cache.Stats()
+	if s.Hits != 0 || s.Misses != 1 || s.UniqueMisses != 1 {
+		t.Fatalf("first sight must count as a miss: %+v", s)
+	}
+	if tr.Count(obs.EvCacheMiss) != 1 || tr.Count(obs.EvCacheHit) != 0 {
+		t.Fatalf("first sight must trace a miss: %d misses, %d hits", tr.Count(obs.EvCacheMiss), tr.Count(obs.EvCacheHit))
+	}
+	if query() {
 		t.Fatalf("second query must hit")
 	}
-	if s := det.Cache.Stats(); s.Hits == 0 {
-		t.Fatalf("expected a cache hit after learning: %+v", s)
+	s = det.Cache.Stats()
+	if s.Hits != 1 || s.Misses != 1 || s.UniqueMisses != 1 || s.UniqueHits != 0 {
+		t.Fatalf("second query must hit, its key still a unique miss: %+v", s)
+	}
+	if tr.Count(obs.EvCacheHit) != 1 || tr.Count(obs.EvCacheMiss) != 1 {
+		t.Fatalf("second query must trace a hit: %d misses, %d hits", tr.Count(obs.EvCacheMiss), tr.Count(obs.EvCacheHit))
+	}
+	if n := det.Stats().Fallbacks; n != 0 || tr.Count(obs.EvCacheFallback) != 0 {
+		t.Fatalf("a learned pair must not fall back: %d fallbacks", n)
 	}
 }
 
 func TestInferWAWAdmitsSharedAsLocal(t *testing.T) {
 	st := baseState()
-	det := NewSequence(cache.New(seqabs.Abstract), nil)
+	det := NewSequence(spec.New(spec.Abstract, false), nil)
 	det.InferWAW = true
 	// Store-then-read pairs with different values: reads are stable
 	// (each follows its own store); the final-value disagreement is

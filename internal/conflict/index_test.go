@@ -165,7 +165,7 @@ func TestHashScreenedJoinMatchesPlainJoin(t *testing.T) {
 	configs := []func() *Sequence{
 		func() *Sequence { return NewSequence(nil, nil) },
 		func() *Sequence { return NewSequence(nil, relax) },
-		func() *Sequence { return NewSequence(trainedIdentityCache(), relax) },
+		func() *Sequence { return NewSequence(trainedIdentityCache(t), relax) },
 		func() *Sequence { return &Sequence{InferWAW: true} },
 	}
 	conflicts := 0

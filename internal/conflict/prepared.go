@@ -17,9 +17,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/cache"
 	"repro/internal/oplog"
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 	"repro/internal/state"
 )
 
@@ -218,30 +217,29 @@ type preparedLoc struct {
 	modesOnce sync.Once
 	modes     map[oplog.PLoc]mode
 
-	// key memoizes the subsequence's rendered commutativity-cache key, so
-	// pair lookups join two prepared keys instead of re-running the
+	// key memoizes the subsequence's rendered specification key, so pair
+	// lookups join two prepared keys instead of re-running the
 	// idempotent-block abstraction per query. Keys depend only on the
-	// cache's abstraction mode (caches always use the default block
-	// bound), so the memo is tagged with the mode it was rendered under.
+	// cache's abstraction mode, so the memo is tagged with the mode it was
+	// rendered under.
 	keyOnce sync.Once
-	keyMode seqabs.Mode
+	keyMode spec.Mode
 	key     []byte
 }
 
-// seqKey returns the projection's rendered cache key, computing it on
-// first use. ok is false when c abstracts under a different mode than the
-// memoized rendering — the caller must then fall back to a per-call
-// lookup (never the case in production, where one detector owns one
-// cache for the life of the run).
-func (pl *preparedLoc) seqKey(c *cache.Cache) (key []byte, ok bool) {
+// seqKey returns the projection's key under mode m, rendering it on first
+// use. A memo rendered under the other mode is rendered again into a new
+// buffer: never the case in production, where one detector owns one cache
+// for the life of the run.
+func (pl *preparedLoc) seqKey(m spec.Mode) []byte {
 	pl.keyOnce.Do(func() {
-		pl.keyMode = c.Mode()
-		pl.key = c.AppendSeqKey(pl.key[:0], pl.syms)
+		pl.keyMode = m
+		pl.key = m.AppendKey(pl.key[:0], pl.syms)
 	})
-	if pl.keyMode != c.Mode() {
-		return nil, false
+	if pl.keyMode != m {
+		return m.AppendKey(nil, pl.syms)
 	}
-	return pl.key, true
+	return pl.key
 }
 
 // preparedPool recycles artifacts (Begin / Recycle) with everything they

@@ -7,11 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/adt"
-	"repro/internal/cache"
-	"repro/internal/commute"
 	"repro/internal/obs"
 	"repro/internal/oplog"
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 	"repro/internal/state"
 )
 
@@ -37,16 +35,29 @@ func randLog(t *testing.T, rng *rand.Rand, st *state.State, task int) oplog.Log 
 	return record(t, st, task, ops...)
 }
 
-// trainedIdentityCache returns a frozen cache answering identity add
-// pairs, as the training pipeline would produce for the workload above.
-func trainedIdentityCache() *cache.Cache {
-	c := cache.New(seqabs.Abstract)
-	idSyms := func(n int64) []oplog.Sym {
-		return []oplog.Sym{
-			{Kind: adt.KindNumAdd, N: n, Int: true}, {Kind: adt.KindNumAdd, N: -n, Int: true},
+// trainedIdentityCache returns a frozen specification trained on two
+// tasks that each add to a counter and take it away again: it answers
+// every identity add pair, the shape the workloads above repeat.
+func trainedIdentityCache(tb testing.TB) *spec.Cache {
+	tb.Helper()
+	st := state.New()
+	st.Set("ctr", state.Int(0))
+	identity := func(d int64) adt.Task {
+		return func(ex adt.Executor) error {
+			if _, err := ex.Exec(adt.NumAddOp{L: "ctr", Delta: d}.Op()); err != nil {
+				return err
+			}
+			_, err := ex.Exec(adt.NumAddOp{L: "ctr", Delta: -d}.Op())
+			return err
 		}
 	}
-	c.Put(idSyms(1), idSyms(2), commute.CondRegister)
+	c, _, err := spec.Train(st, []adt.Task{identity(1), identity(2)}, spec.Abstract)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if c.Len() != 1 {
+		tb.Fatalf("identity training learned %d entries, want 1:\n%s", c.Len(), c.Dump())
+	}
 	c.Freeze()
 	return c
 }
@@ -60,7 +71,7 @@ func TestDetectorCompositionality(t *testing.T) {
 	st := baseState()
 	detectors := []Detector{
 		NewWriteSet(),
-		NewSequence(trainedIdentityCache(), nil),
+		NewSequence(trainedIdentityCache(t), nil),
 		NewSequence(nil, nil), // pure fallback
 	}
 	rng := rand.New(rand.NewSource(41))
@@ -108,8 +119,8 @@ func TestPreparedSharedConcurrently(t *testing.T) {
 		preps[i] = Prepare(txns[i])
 	}
 
-	hot := NewSequence(trainedIdentityCache(), nil)
-	missing := NewSequence(trainedIdentityCache(), nil)
+	hot := NewSequence(trainedIdentityCache(t), nil)
+	missing := NewSequence(trainedIdentityCache(t), nil)
 	missing.ForceMiss = func(int, int) bool { return true }
 
 	// Reference verdicts, computed single-threaded.
@@ -153,7 +164,7 @@ func TestPreparedSharedConcurrently(t *testing.T) {
 func TestPreparePooledRecycle(t *testing.T) {
 	st := baseState()
 	rng := rand.New(rand.NewSource(53))
-	det := NewSequence(trainedIdentityCache(), nil)
+	det := NewSequence(trainedIdentityCache(t), nil)
 	committed := []oplog.Log{randLog(t, rng, st, 100), randLog(t, rng, st, 101)}
 	prepC := prepareAll(committed)
 	for trial := 0; trial < 100; trial++ {
@@ -200,7 +211,6 @@ func TestWarmDecomposeAllocs(t *testing.T) {
 			long = append(long, adt.NumAddOp{L: loc, Delta: int64(i%300 - 150)}.Op())
 		}
 	}
-	c := cache.New(seqabs.Abstract)
 	for _, ops := range [][]oplog.Op{short, long} {
 		p := Begin()
 		for i, op := range ops {
@@ -213,9 +223,7 @@ func TestWarmDecomposeAllocs(t *testing.T) {
 			p.sigAll, p.sigWrite = 0, 0
 			p.Footprint()
 			for i := range p.locations() {
-				if _, ok := p.locs[i].seqKey(c); !ok {
-					t.Fatal("seqKey refused the cache it was keyed for")
-				}
+				p.locs[i].seqKey(spec.Abstract)
 			}
 		}
 		project() // grow the buffers

@@ -6,10 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/adt"
-	"repro/internal/cache"
 	"repro/internal/obs"
 	"repro/internal/oplog"
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 	"repro/internal/state"
 )
 
@@ -77,14 +76,13 @@ func richRandLog(t *testing.T, rng *rand.Rand, st *state.State, task int) oplog.
 // detectors admit non-serializable pairs by definition and are exempt.
 func TestNoConflictImpliesSerialEquivalence(t *testing.T) {
 	var st *state.State
-	learn := NewSequence(cache.New(seqabs.Abstract), nil)
-	learn.LearnOnline = true
+	learn := NewSequence(spec.New(spec.Abstract, true), nil)
 	dets := []struct {
 		name string
 		det  Detector
 	}{
 		{"write-set", NewWriteSet()},
-		{"sequence/trained", NewSequence(trainedIdentityCache(), nil)},
+		{"sequence/trained", NewSequence(trainedIdentityCache(t), nil)},
 		{"sequence/nil-cache", NewSequence(nil, nil)},
 		{"sequence/learn-online", learn},
 	}

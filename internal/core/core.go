@@ -1,10 +1,9 @@
 // Package core assembles the paper's primary contribution — sequence-based
 // conflict detection via hindsight — into a single engine: offline
-// training (internal/train) populates a commutativity cache
-// (internal/cache) keyed by Kleene-cross sequence abstractions
-// (internal/seqabs), and the engine manufactures conflict detectors
-// (internal/conflict) that answer per-location sequence queries from that
-// cache, falling back to write-set detection on misses.
+// training populates a commutativity specification keyed by Kleene-cross
+// sequence abstractions (internal/spec), and the engine manufactures
+// conflict detectors (internal/conflict) that answer per-location sequence
+// queries from it, falling back to write-set detection on misses.
 //
 // The protocol runtime (internal/stm) and the public API (package janus)
 // are both clients of this engine; so is the benchmark harness, which uses
@@ -16,11 +15,9 @@ import (
 	"io"
 
 	"repro/internal/adt"
-	"repro/internal/cache"
 	"repro/internal/conflict"
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 	"repro/internal/state"
-	"repro/internal/train"
 )
 
 // Options configure an Engine.
@@ -41,26 +38,26 @@ type Options struct {
 // Engine is a trained JANUS detection engine.
 type Engine struct {
 	opts    Options
-	cache   *cache.Cache
-	reports []*train.Report
+	cache   *spec.Cache
+	reports []*spec.Report
 }
 
 // NewEngine builds an untrained engine.
 func NewEngine(opts Options) *Engine {
-	return &Engine{opts: opts, cache: cache.New(opts.mode())}
+	return &Engine{opts: opts, cache: spec.New(opts.mode(), opts.LearnOnline)}
 }
 
-func (o Options) mode() seqabs.Mode {
+func (o Options) mode() spec.Mode {
 	if o.DisableAbstraction {
-		return seqabs.Concrete
+		return spec.Concrete
 	}
-	return seqabs.Abstract
+	return spec.Abstract
 }
 
 // Train profiles one sequential run of the payload from initial and folds
 // the learned conditions into the engine's cache.
 func (e *Engine) Train(initial *state.State, tasks []adt.Task) error {
-	c, rep, err := train.Train(initial, tasks, train.Options{Mode: e.opts.mode()})
+	c, rep, err := spec.Train(initial, tasks, e.opts.mode())
 	if err != nil {
 		return fmt.Errorf("core: training: %w", err)
 	}
@@ -83,24 +80,18 @@ func (e *Engine) TrainMany(initial *state.State, payloads [][]adt.Task) error {
 // Each run should use a fresh detector so its statistics are per-run.
 func (e *Engine) Detector() *conflict.Sequence {
 	det := conflict.NewSequence(e.cache, e.opts.Relax)
-	det.LearnOnline = e.opts.LearnOnline
 	det.InferWAW = e.opts.InferWAW
 	return det
 }
 
 // Freeze switches the trained cache into read-only production mode:
 // lookups stop taking shard locks, and further Train/LoadSpec calls fail
-// or no-op (see cache.Freeze). It is skipped under LearnOnline, which
-// must keep writing entries at detection time.
-func (e *Engine) Freeze() {
-	if e.opts.LearnOnline {
-		return
-	}
-	e.cache.Freeze()
-}
+// or no-op (see spec.Cache.Freeze, a no-op on the learning cache
+// LearnOnline builds).
+func (e *Engine) Freeze() { e.cache.Freeze() }
 
 // Cache exposes the trained commutativity specification.
-func (e *Engine) Cache() *cache.Cache { return e.cache }
+func (e *Engine) Cache() *spec.Cache { return e.cache }
 
 // SaveSpec serializes the trained commutativity specification.
 func (e *Engine) SaveSpec(w io.Writer) error { return e.cache.Save(w) }
@@ -110,4 +101,4 @@ func (e *Engine) SaveSpec(w io.Writer) error { return e.cache.Save(w) }
 func (e *Engine) LoadSpec(r io.Reader) error { return e.cache.Load(r) }
 
 // Reports returns the per-payload training summaries.
-func (e *Engine) Reports() []*train.Report { return e.reports }
+func (e *Engine) Reports() []*spec.Report { return e.reports }

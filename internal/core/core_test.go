@@ -85,8 +85,13 @@ func TestEngineOptionsPropagate(t *testing.T) {
 	relax := conflict.NewRelaxations([]state.Loc{"x"}, nil)
 	e := NewEngine(Options{LearnOnline: true, InferWAW: true, Relax: relax})
 	det := e.Detector()
-	if !det.LearnOnline || !det.InferWAW {
+	if !det.InferWAW || det.Cache != e.Cache() {
 		t.Fatalf("options not propagated: %+v", det)
+	}
+	// LearnOnline builds a learning cache, which Freeze leaves writable.
+	e.Freeze()
+	if det.Cache.Frozen() {
+		t.Fatalf("LearnOnline not propagated: Freeze froze the learning cache")
 	}
 	if !det.Relax.TolerateRAW("x") {
 		t.Fatalf("relaxations not propagated")

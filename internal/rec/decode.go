@@ -48,9 +48,6 @@ type TxnRecord struct {
 	Task int
 	// CommitTime is the global-clock value the commit published.
 	CommitTime int64
-	// Shape is the seqabs abstraction key of the op sequence ("" when
-	// shape capture was disabled).
-	Shape string
 	// Ops is the committed op log in execution order.
 	Ops []oplog.Op
 	// Observed holds the per-op observed values (nil entry = none).
@@ -263,7 +260,6 @@ func decodeRecords(body []byte) (chunkPayload, error) {
 			t := TxnRecord{
 				Task:       int(d.Uvarint()),
 				CommitTime: int64(d.Uvarint()),
-				Shape:      d.str(),
 			}
 			nops := d.Count("op")
 			t.Ops = make([]oplog.Op, 0, nops)

@@ -15,7 +15,7 @@ import (
 
 // On-disk layout (fsio's frames; integers varint-encoded unless noted):
 //
-//	file   := fsio.header("JANUSTRC", 6) frame(header) chunk* footer
+//	file   := fsio.header("JANUSTRC", 7) frame(header) chunk* footer
 //	chunk  := 'C' frame(uvarint(rawLen) body)
 //	footer := 'F' frame(payload)
 //
@@ -43,8 +43,9 @@ const traceMagic = "JANUSTRC"
 // three event types, renumbering every later one in the event byte.
 // Format 6 dropped another (the serial-escalation span), renumbering again,
 // and the header's flags byte, whose one flag marked gzip-compressed
-// chunks. No reader for an older format is kept.
-const traceFormat = 6
+// chunks. Format 7 dropped each transaction record's shape key, which no
+// reader used. No reader for an older format is kept.
+const traceFormat = 7
 
 // Frame markers.
 const (

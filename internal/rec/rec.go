@@ -2,9 +2,9 @@
 // record half of ROADMAP item 5. The runtime already observes every
 // operation a task performs (that hindsight is the paper's premise, §3);
 // the recorder persists that observation: each committed transaction's op
-// log (method, location, arguments, observed results, and its seqabs
-// shape key) plus the protocol event stream, framed into CRC32-checked
-// chunks (see encode.go for the format).
+// log (method, location, arguments and observed results) plus the
+// protocol event stream, framed into CRC32-checked chunks (see encode.go
+// for the format).
 //
 // Two capture modes share one implementation:
 //
@@ -33,7 +33,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oplog"
 	"repro/internal/relation"
-	"repro/internal/seqabs"
 	"repro/internal/state"
 )
 
@@ -56,8 +55,6 @@ type Options struct {
 	// FlightChunks, when > 0, bounds the sealed-chunk ring (flight
 	// recorder mode); 0 keeps everything (stream capture).
 	FlightChunks int
-	// NoShapes skips the seqabs shape key per transaction (cheaper).
-	NoShapes bool
 }
 
 // DefaultChunkBytes is the chunk-seal threshold when unset.
@@ -96,8 +93,6 @@ type Recorder struct {
 	finalDigest uint64
 	lossy       bool
 	lossyDetail string
-	abs         seqabs.Abstracter
-	syms        []oplog.Sym // scratch for shape keys
 }
 
 // New builds a recorder for a run starting from initial (snapshotted —
@@ -134,19 +129,10 @@ func (r *Recorder) ObserveCommitted(task int, commitTime int64, log oplog.Log) {
 		}
 		return
 	}
-	shape := ""
-	if !r.opts.NoShapes {
-		r.syms = r.syms[:0]
-		for _, ev := range log {
-			r.syms = append(r.syms, ev.Op.Sym())
-		}
-		shape = r.abs.Key(r.syms)
-	}
 	e := r.cur
 	e.byte(recTxn)
 	e.u(uint64(task))
 	e.u(uint64(commitTime))
-	e.str(shape)
 	e.u(uint64(len(log)))
 	for _, ev := range log {
 		e.op(ev.Op)

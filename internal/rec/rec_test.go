@@ -131,9 +131,6 @@ func TestRoundTripStream(t *testing.T) {
 			if i > 0 && txn.CommitTime < tr.Txns[i-1].CommitTime {
 				t.Fatalf("txns not sorted by commit time at %d", i)
 			}
-			if txn.Shape == "" {
-				t.Errorf("txn %d lost its shape key", i)
-			}
 			if len(txn.Ops) == 0 || len(txn.Observed) != len(txn.Ops) {
 				t.Fatalf("txn %d: %d ops, %d observed", i, len(txn.Ops), len(txn.Observed))
 			}

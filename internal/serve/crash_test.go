@@ -374,7 +374,9 @@ func countOf(ids []string, id string) (n int) {
 // lands anywhere in that. The policy subtests start with the data
 // directory in place; the empty-root ones are a first boot, where
 // Recover creates the data directory too and must make its entry in the
-// root durable before the first ack.
+// root durable before the first ack. The first-boot-death one is a
+// first boot killed between creating those directories and syncing
+// them, and the boot after it.
 func TestCrashStates(t *testing.T) {
 	dataDir := []*node{{dir: map[string]int{"data": 1}}, {dir: map[string]int{}}}
 	specs := map[string]*Batch{}
@@ -387,6 +389,53 @@ func TestCrashStates(t *testing.T) {
 			t.Run(policy.String(), func(t *testing.T) { crashStatesFrom(t, policy, nil, specs) })
 		}
 	})
+	t.Run("first-boot-death", func(t *testing.T) { crashStatesAfterFirstBootDeath(t, specs) })
+}
+
+// crashStatesAfterFirstBootDeath records a first boot whose process dies
+// after creating the data and tenant directories and before syncing
+// them, then a second boot on the same machine: it finds both
+// directories in place and an empty journal, acks a batch and closes.
+// Every state a machine crash may leave of the two boots' calls must
+// keep that ack, so the second boot must make the whole path durable,
+// not just the tenant directory's entry in the data directory.
+func crashStatesAfterFirstBootDeath(t *testing.T, specs map[string]*Batch) {
+	m := newMemFS(nil)
+	m.dieWhen(func(op fsOp) bool { return op.kind == opSyncDir })
+	b := mixedBatch("first-boot", 3)
+	specs[b.ID] = b
+	first := NewServer(crashConfig(wal.FsyncAlways, m))
+	if _, err := first.RecoverTenants(); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, _ := submitLocal(t, first.Handler(), b); code == http.StatusOK || !m.isDead() {
+		t.Fatalf("the first boot acked (%d) or outlived its first directory fsync (dead %v)", code, m.isDead())
+	}
+	m.revive()
+
+	run := &crashRun{policy: wal.FsyncAlways, fs: m, specs: specs,
+		sentAt: map[string]int{}, ackAt: map[string]int{}, verdict: map[string]ack{}}
+	srv := NewServer(crashConfig(wal.FsyncAlways, m))
+	if _, err := srv.RecoverTenants(); err != nil {
+		t.Fatalf("second boot: %v", err)
+	}
+	run.sentAt[b.ID] = m.count()
+	code, res, er := submitLocal(t, srv.Handler(), b)
+	if code != http.StatusOK {
+		t.Fatalf("second boot submit: %d %+v", code, er)
+	}
+	run.ackAt[b.ID] = m.count()
+	run.verdict[b.ID] = ack{digest: res.Digest, applied: res.Applied}
+	if err := srv.CloseJournals(); err != nil {
+		t.Fatal(err)
+	}
+	_, run.journal = journalOf(srv)
+	run.oracle = oracleDigests(t, specs, run.journal)
+	n := m.crashImages(run.epoch, func(ci crashImage) bool {
+		checkCrashState(t, run, ci)
+		return !t.Failed()
+	})
+	t.Logf("%d recorded calls, %d distinct crash states", len(m.ops), n)
 }
 
 // crashStatesFrom records a run from image under policy and checks every

@@ -145,6 +145,15 @@ func (m *memFS) dieWhen(pick func(fsOp) bool) {
 	m.dieAt = pick
 }
 
+// revive lets a dead memFS record again, as a process restarted on the
+// same machine finds it: what the calls before the death did stays as it
+// is, synced or not.
+func (m *memFS) revive() {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.dead, m.dieAt = false, nil
+}
+
 func (m *memFS) isDead() bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()

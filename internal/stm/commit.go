@@ -232,14 +232,25 @@ func (r *Runtime) replayCompute(tx *Tx, foot []conflict.FootprintLoc, nDirty int
 	return tx.prep.Log().Replay(tx.overlay)
 }
 
-// replayDirty applies the logged ops that access a dirty location to
-// tx.overlay, in log order. It reports false, leaving the overlay
-// unfinished, at the first op that accesses dirty and clean locations
-// both.
+// replayDirty applies the logged ops that access a dirty location, or
+// that access nothing and name one, to tx.overlay, in log order. It
+// reports false, leaving the overlay unfinished, at the first op that
+// accesses dirty and clean locations both.
 func (t *Tx) replayDirty(foot []conflict.FootprintLoc) (bool, error) {
 	locs := t.dirtyLocs(foot)
 	for _, e := range t.prep.Log() {
 		acc := e.Accesses()
+		if len(acc) == 0 {
+			// A clear of a relation its private view held empty accesses
+			// nothing there, but on the committed value it removes what
+			// the window added.
+			if slices.Contains(locs, e.Op.L) {
+				if _, err := e.Op.Apply(t.overlay); err != nil {
+					return false, fmt.Errorf("stm: replaying %s: %w", e, err)
+				}
+			}
+			continue
+		}
 		n := 0
 		for _, a := range acc {
 			if slices.Contains(locs, a.P.Loc) {

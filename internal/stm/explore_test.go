@@ -7,10 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/adt"
-	"repro/internal/cache"
 	"repro/internal/conflict"
 	"repro/internal/obs"
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 	"repro/internal/state"
 )
 
@@ -137,10 +136,10 @@ var exploreDetectors = []struct {
 }{
 	{"write-set", func() conflict.Detector { return conflict.NewWriteSet() }},
 	{"sequence", func() conflict.Detector {
-		return &conflict.Sequence{Cache: cache.New(seqabs.Abstract), LearnOnline: true}
+		return &conflict.Sequence{Cache: spec.New(spec.Abstract, true)}
 	}},
 	{"sequence+infer-waw", func() conflict.Detector {
-		return &conflict.Sequence{Cache: cache.New(seqabs.Abstract), LearnOnline: true, InferWAW: true}
+		return &conflict.Sequence{Cache: spec.New(spec.Abstract, true), InferWAW: true}
 	}},
 }
 

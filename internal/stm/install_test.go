@@ -251,6 +251,60 @@ func TestPartialReplay(t *testing.T) {
 	}, 7, 12, 1, 2)
 }
 
+// TestPartialReplayKeepsEmptyClear: a clear of a relation the private
+// view held empty has no footprint of its own, yet on the committed value
+// it removes what the window added. Task 1 clears b while it is empty,
+// sets bit 1 and adds to a; task 2 sets bit 7 and commits inside task 1's
+// window. Write-set detection clears the pair (keys 1 and 7), task 1
+// installs a and replays b, and in commit order (task 2, then task 1) b
+// ends holding bit 1 alone.
+func TestPartialReplayKeepsEmptyClear(t *testing.T) {
+	st := state.New()
+	st.Set("a", state.Int(0))
+	st.Set("b", adt.NewRelValue())
+	executed := make(chan struct{})
+	var once sync.Once
+	sig := committedSignal{task: 2, ch: make(chan struct{})}
+	final, stats, err := Run(Config{
+		Threads:  2,
+		Detector: conflict.NewWriteSet(),
+		Record:   sig,
+		Hooks: &Hooks{WindowDelay: func(task int) {
+			switch task {
+			case 1:
+				once.Do(func() { close(executed) })
+				<-sig.ch
+			case 2:
+				<-executed
+			}
+		}},
+	}, st, []adt.Task{
+		func(ex adt.Executor) error {
+			b := adt.BitSet{L: "b"}
+			if err := b.ClearAll(ex); err != nil {
+				return err
+			}
+			if err := b.Set(ex, 1); err != nil {
+				return err
+			}
+			return adt.Counter{L: "a"}.Add(ex, 5)
+		},
+		func(ex adt.Executor) error { return adt.BitSet{L: "b"}.Set(ex, 7) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := final.Get("b"); v.(state.Rel).R.Len() != 1 {
+		t.Errorf("b = %v, want bit 1 alone", v)
+	}
+	if v, _ := final.Get("a"); !v.EqualValue(state.Int(5)) {
+		t.Errorf("a = %v, want 5", v)
+	}
+	if stats.LocsInstalled != 2 || stats.LocsReplayed != 1 {
+		t.Errorf("installed/replayed = %d/%d, want 2/1", stats.LocsInstalled, stats.LocsReplayed)
+	}
+}
+
 // TestInstallCountersNameThePath: an operator reads which path a run took
 // off Stats. Footprint-disjoint transactions replay nothing. When every
 // transaction writes every location and all of them validate before any

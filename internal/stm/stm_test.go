@@ -14,9 +14,8 @@ import (
 	"repro/internal/conflict"
 	"repro/internal/obs"
 	"repro/internal/oplog"
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 	"repro/internal/state"
-	"repro/internal/train"
 )
 
 func initialState() *state.State {
@@ -163,7 +162,7 @@ func TestSequenceDetectorEnablesIdentityParallelism(t *testing.T) {
 	for i := 1; i <= 12; i++ {
 		tasks = append(tasks, identityTask(int64(i)))
 	}
-	c, _, err := train.Train(initialState(), tasks[:3], train.Options{Mode: seqabs.Abstract})
+	c, _, err := spec.Train(initialState(), tasks[:3], spec.Abstract)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +194,7 @@ func TestWriteSetSerializesConflictingCommits(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		tasks = append(tasks, draw("white"))
 	}
-	c, _, err := train.Train(initialState(), tasks[:2], train.Options{Mode: seqabs.Abstract})
+	c, _, err := spec.Train(initialState(), tasks[:2], spec.Abstract)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,9 @@
-package train
+// Package train_test checks training from outside the specification
+// package, through the API that `janus train` and core.Engine call: Mine
+// partitions a sequential trace, and Train turns payloads into the spec
+// whose contents the golden file pins. The directory holds tests only;
+// the code they exercise is internal/spec.
+package train_test
 
 import (
 	"bytes"
@@ -8,8 +13,7 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/cache"
-	"repro/internal/seqabs"
+	"repro/internal/spec"
 	"repro/internal/workloads"
 )
 
@@ -23,11 +27,11 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite golden files")
 func TestTrainedSpecGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, w := range workloads.All() {
-		for _, mode := range []seqabs.Mode{seqabs.Abstract, seqabs.Concrete} {
-			fmt.Fprintf(&buf, "== %s abstraction=%v\n", w.Name, mode == seqabs.Abstract)
-			merged := cache.New(mode)
+		for _, mode := range []spec.Mode{spec.Abstract, spec.Concrete} {
+			fmt.Fprintf(&buf, "== %s abstraction=%v\n", w.Name, mode == spec.Abstract)
+			merged := spec.New(mode, false)
 			for i, tasks := range w.TrainingPayloads() {
-				c, rep, err := Train(w.NewState(), tasks, Options{Mode: mode})
+				c, rep, err := spec.Train(w.NewState(), tasks, mode)
 				if err != nil {
 					t.Fatalf("%s payload %d: %v", w.Name, i, err)
 				}

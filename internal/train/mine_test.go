@@ -1,4 +1,4 @@
-package train
+package train_test
 
 import (
 	"reflect"
@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/oplog"
+	"repro/internal/spec"
 	"repro/internal/state"
 )
 
@@ -45,7 +46,7 @@ func TestMinePartitionsByTask(t *testing.T) {
 		{2, adt.NumAddOp{L: "work", Delta: -3}.Op()},
 		{3, adt.NumLoadOp{L: "work"}.Op()},
 	})
-	seqs := Mine(l)[oplog.PLoc{Loc: "work"}]
+	seqs := spec.Mine(l)[oplog.PLoc{Loc: "work"}]
 	if len(seqs) != 3 {
 		t.Fatalf("sequences = %d, want 3 (one per task)", len(seqs))
 	}
@@ -66,14 +67,14 @@ func TestMineRelationalPerKey(t *testing.T) {
 		{2, adt.RelPutOp{L: "bits", Key: "1", Val: "1"}.Op()},
 	})
 	k1, k2 := oplog.PLoc{Loc: "bits", Key: "1"}, oplog.PLoc{Loc: "bits", Key: "2"}
-	mined := Mine(l)
+	mined := spec.Mine(l)
 	if got := len(mined[k1]); got != 2 {
 		t.Errorf("k=1 sequences = %d, want 2", got)
 	}
 	if got := len(mined[k2]); got != 1 {
 		t.Errorf("k=2 sequences = %d, want 1", got)
 	}
-	if shared := SharedPLocs(mined); !reflect.DeepEqual(shared, []oplog.PLoc{k1}) {
+	if shared := spec.SharedPLocs(mined); !reflect.DeepEqual(shared, []oplog.PLoc{k1}) {
 		t.Errorf("shared = %v, want [bits#1]", shared)
 	}
 }
@@ -84,7 +85,7 @@ func TestClearFoldsIntoKeyChains(t *testing.T) {
 		{2, adt.RelClearOp{L: "bits"}.Op()}, // clears key 3: write access to k=3
 		{2, adt.RelPutOp{L: "bits", Key: "3", Val: "1"}.Op()},
 	})
-	seqs := Mine(l)[oplog.PLoc{Loc: "bits", Key: "3"}]
+	seqs := spec.Mine(l)[oplog.PLoc{Loc: "bits", Key: "3"}]
 	if len(seqs) != 2 {
 		t.Fatalf("k=3 sequences = %d, want 2: %v", len(seqs), seqs)
 	}
@@ -97,7 +98,7 @@ func TestClearFoldsIntoKeyChains(t *testing.T) {
 }
 
 func TestMineEmptyTrace(t *testing.T) {
-	if m := Mine(nil); len(m) != 0 {
+	if m := spec.Mine(nil); len(m) != 0 {
 		t.Errorf("empty trace must mine nothing")
 	}
 }

@@ -3,7 +3,9 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -74,6 +76,40 @@ func ScanSegment(buf []byte) (recs []Record, validLen int, err error) {
 	return recs, pos, nil
 }
 
+// syncPath makes the journal directory's path durable before the first
+// record can be acked: record fsyncs are useless if a machine crash
+// forgets a directory on the path ever existed. It syncs the parent of
+// every directory this boot created (a data directory made on a first
+// boot), deepest first, and the journal directory's own entry even when
+// it existed. A boot that created nothing but finds no segment and no
+// snapshot may follow a first boot that died between creating the
+// directories and syncing them, so it syncs the parent of the journal
+// directory and of every directory above it.
+func syncPath(fsys fsio.FS, dir string, created []string, entries []fs.DirEntry) error {
+	if len(created) == 0 {
+		created = []string{dir}
+		if !slices.ContainsFunc(entries, isJournalFile) {
+			for d := filepath.Dir(dir); d != filepath.Dir(d); d = filepath.Dir(d) {
+				created = append(created, d)
+			}
+		}
+	}
+	for _, d := range created {
+		if err := fsys.SyncDir(filepath.Dir(d)); err != nil {
+			return fmt.Errorf("wal: syncing the parent of %s: %w", d, err)
+		}
+	}
+	return nil
+}
+
+// isJournalFile reports whether a directory entry is a segment or a
+// snapshot.
+func isJournalFile(ent fs.DirEntry) bool {
+	_, snap := parseSeqName(ent.Name(), "snap-", ".jsnap")
+	_, seg := parseSeqName(ent.Name(), "wal-", ".seg")
+	return snap || seg
+}
+
 // Recover scans dir (creating it if absent), selects the newest valid
 // snapshot, reads the journal suffix it does not cover, repairs torn or
 // corrupt tails by truncating at the last valid record (removing any
@@ -90,24 +126,14 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: creating journal dir: %w", err)
 	}
-	if opts.Policy != FsyncNever {
-		// Make the journal directory itself durable, and every directory
-		// created on the way to it (a data directory made on a first
-		// boot), deepest first: record fsyncs are useless if a machine
-		// crash forgets a directory on the path ever existed. The journal
-		// directory's own entry is synced even when it existed.
-		if len(created) == 0 {
-			created = []string{dir}
-		}
-		for _, d := range created {
-			if err := fsys.SyncDir(filepath.Dir(d)); err != nil {
-				return nil, nil, fmt.Errorf("wal: syncing the parent of %s: %w", d, err)
-			}
-		}
-	}
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: scanning journal dir: %w", err)
+	}
+	if opts.Policy != FsyncNever {
+		if err := syncPath(fsys, dir, created, entries); err != nil {
+			return nil, nil, err
+		}
 	}
 	var snapSeqs, segStarts []uint64
 	for _, ent := range entries {

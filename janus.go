@@ -42,14 +42,13 @@ import (
 	"io"
 
 	"repro/internal/adt"
-	"repro/internal/cache"
 	"repro/internal/conflict"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/relation"
+	"repro/internal/spec"
 	"repro/internal/state"
 	"repro/internal/stm"
-	"repro/internal/train"
 )
 
 // Re-exported core types: tasks access shared state through typed handles
@@ -119,7 +118,7 @@ type (
 	// SpecError reports a rejected trained-spec artifact (corruption,
 	// version or abstraction-mode mismatch, unknown entries); LoadSpec
 	// returns one, errors.As-matchable, for every artifact fault.
-	SpecError = cache.SpecError
+	SpecError = spec.SpecError
 
 	// CustomSpec declares a user-defined ADT's relational representation
 	// (§6.1): arbitrary columns with an optional functional dependency
@@ -316,11 +315,11 @@ func (r *Runner) Train(initial *State, tasks []Task) error {
 func (r *Runner) Freeze() { r.engine.Freeze() }
 
 // TrainingReports returns the per-payload training summaries.
-func (r *Runner) TrainingReports() []*train.Report { return r.engine.Reports() }
+func (r *Runner) TrainingReports() []*spec.Report { return r.engine.Reports() }
 
 // CacheStats returns the commutativity cache's query accounting (the
 // Figure 11 metrics).
-func (r *Runner) CacheStats() cache.Stats { return r.engine.Cache().Stats() }
+func (r *Runner) CacheStats() spec.Stats { return r.engine.Cache().Stats() }
 
 // ResetCacheStats clears query accounting (e.g. after a cold run).
 func (r *Runner) ResetCacheStats() { r.engine.Cache().ResetStats() }
@@ -332,7 +331,7 @@ func (r *Runner) SaveSpec(w io.Writer) error { return r.engine.SaveSpec(w) }
 
 // ErrSpecFrozen is returned by LoadSpec after Freeze: spec loading is part
 // of the training phase and must complete before the cache goes read-only.
-var ErrSpecFrozen = cache.ErrFrozen
+var ErrSpecFrozen = spec.ErrFrozen
 
 // SpecPolicy selects how LoadSpecPolicy treats a faulty artifact.
 type SpecPolicy int
