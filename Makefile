@@ -31,16 +31,16 @@ race:
 	$(GO) test -race -count=1 -run PoisonedRecycle ./internal/chaos ./internal/workloads
 
 # Repeat the stm liveness tests (context drains, sequencer waiters woken
-# by a failure, an ordered run whose first task fails): the schedules they
-# stage are ordered by construction, so 20 of 20 must pass even under
-# package-level load (CI runs it in the race job). go test -run
-# passes when nothing matches, so the target first checks that all five
-# named tests exist. Those are the lock-level
+# by a failure, an ordered run whose first task fails, on a fresh runtime
+# and on one that ran a set before): the schedules they stage are ordered
+# by construction, so 20 of 20 must pass even under package-level load
+# (CI runs it in the race job). go test -run passes when nothing matches,
+# so the target first checks that all six named tests exist. Those are the lock-level
 # schedules; the step-level ones are enumerated, not repeated, so the
 # explorer runs once beside them.
-STRESS_TESTS = ^(TestCtxDeadlineMidBackoffDrains|TestCtxDeadlineMidCommitStallDrains|TestCtxCancelStormUnderLoad|TestWaitPublishedFailureWakes|TestOrderedErrorDoesNotDeadlock)$$
+STRESS_TESTS = ^(TestCtxDeadlineMidBackoffDrains|TestCtxDeadlineMidCommitStallDrains|TestCtxCancelStormUnderLoad|TestWaitPublishedFailureWakes|TestOrderedErrorDoesNotDeadlock|TestOrderedSecondRunErrorDoesNotDeadlock)$$
 stress:
-	@n=$$($(GO) test -list '$(STRESS_TESTS)' ./internal/stm | grep -c '^Test'); test "$$n" = 5 || { echo "stress: $$n of 5 named tests found"; exit 1; }
+	@n=$$($(GO) test -list '$(STRESS_TESTS)' ./internal/stm | grep -c '^Test'); test "$$n" = 6 || { echo "stress: $$n of 6 named tests found"; exit 1; }
 	$(GO) test -count=20 -run '$(STRESS_TESTS)' ./internal/stm
 	$(GO) test -count=1 -run 'TestExploreSchedules' ./internal/stm
 
@@ -59,11 +59,13 @@ ALLOCS_TESTS = \
 	internal/relation:TestPointOpsAreSizeIndependent \
 	internal/seqeff:TestBlockIdempotent \
 	internal/serve:TestParseBatchAllocs \
+	internal/serve:TestSteadyBatchAllocs \
 	internal/spec:TestAppendPairKeyAllocs \
 	internal/spec:TestEvaluateDetailAllocs \
 	internal/spec:TestProfilerExecAllocs \
 	internal/stm:TestDisabledRecordingAddsNoAllocs \
 	internal/stm:TestDisabledTracingAddsNoAllocs \
+	internal/stm:TestRunCostIsFlat \
 	internal/stm:TestSteadyStateAttemptAllocs \
 	internal/stm:TestSteadyStateRelAllocs \
 	internal/stm:TestStoreCreateCostIsFlat \

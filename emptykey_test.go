@@ -89,7 +89,7 @@ func TestEmptyKeyIsAKey(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("final state %s, sequential %s", got, want)
 			}
-			recorder.Close(got)
+			recorder.Close(rec.Digest(got))
 			var buf bytes.Buffer
 			if _, err := recorder.WriteTo(&buf); err != nil {
 				t.Fatal(err)

@@ -197,7 +197,11 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 	if recorder != nil {
 		// Seal the capture with the run's final state (nil on failure:
 		// the dump then reports no final digest rather than a wrong one).
-		recorder.Close(final)
+		var digest uint64
+		if final != nil {
+			digest = rec.Digest(final)
+		}
+		recorder.Close(digest)
 		rep.RecordPath = o.RecordPath
 		if werr := recorder.WriteFile(o.RecordPath); werr != nil {
 			return fail(fmt.Errorf("bench: recording %s: %w", w.Name, werr))

@@ -152,7 +152,7 @@ func sweepArtifacts(t *testing.T) []artifact {
 			&oplog.Event{Op: adt.StrLoadOp{L: "s"}.Op(), Observed: state.Str("x")},
 		})
 	}
-	r.Close(initial)
+	r.Close(rec.Digest(initial))
 	var trace bytes.Buffer
 	if _, err := r.WriteTo(&trace); err != nil {
 		t.Fatal(err)

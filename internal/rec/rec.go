@@ -93,6 +93,19 @@ type Recorder struct {
 	finalDigest uint64
 	lossy       bool
 	lossyDetail string
+
+	// marked says a mark is open, and mark is where the recorder stood
+	// when it was taken (Mark).
+	marked bool
+	mark   recMark
+}
+
+// recMark is a recorder position inside its open chunk: the body length,
+// the string-table size, and the counts.
+type recMark struct {
+	buf, tab        int
+	records         int
+	commits, events int64
 }
 
 // New builds a recorder for a run starting from initial (snapshotted —
@@ -171,10 +184,53 @@ func (r *Recorder) recordEvent(ev obs.Event) {
 	r.maybeSealLocked()
 }
 
+// Mark takes a mark at what the recorder holds now: Rewind drops
+// everything recorded after it, Keep keeps it. While the mark is open the
+// open chunk does not seal, and a dump holds only what precedes the mark.
+// A server marks before each batch and rewinds when the batch fails, so
+// the trace holds the batches that were applied and nothing else.
+func (r *Recorder) Mark() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.marked = true
+	r.mark = recMark{
+		buf: len(r.cur.buf), tab: len(r.cur.tab), records: r.curRecords,
+		commits: r.commits, events: r.events,
+	}
+}
+
+// Rewind drops what was recorded since the open mark, string-table
+// entries included, and closes the mark.
+func (r *Recorder) Rewind() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.marked {
+		return
+	}
+	m := r.mark
+	r.cur.buf = r.cur.buf[:m.buf]
+	for s, idx := range r.cur.tab {
+		if idx >= uint64(m.tab) {
+			delete(r.cur.tab, s)
+		}
+	}
+	r.curRecords, r.commits, r.events = m.records, m.commits, m.events
+	r.marked = false
+}
+
+// Keep closes the open mark, keeping what was recorded since.
+func (r *Recorder) Keep() {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.marked = false
+	r.maybeSealLocked()
+}
+
 // maybeSealLocked seals the open chunk once it crosses the size
-// threshold, evicting the oldest sealed frame in flight mode.
+// threshold, evicting the oldest sealed frame in flight mode. It does not
+// seal under an open mark.
 func (r *Recorder) maybeSealLocked() {
-	if len(r.cur.buf) < r.opts.ChunkBytes {
+	if r.marked || len(r.cur.buf) < r.opts.ChunkBytes {
 		return
 	}
 	frame := chunkFrame(r.cur.buf)
@@ -225,16 +281,15 @@ func (r *Recorder) Tracer(inner obs.Tracer) obs.Tracer {
 	return &teeTracer{r: r, inner: inner}
 }
 
-// Close seals the capture with the run's final state; subsequent commits
-// and events are dropped, and dumps carry the definitive final-state
-// digest. final may be nil when the run failed before producing one.
-func (r *Recorder) Close(final *state.State) {
+// Close seals the capture with the digest of the run's final state;
+// subsequent commits and events are dropped, and dumps carry the
+// definitive final-state digest. digest is 0 when the run failed before
+// producing a final state.
+func (r *Recorder) Close(digest uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.closed = true
-	if final != nil {
-		r.finalDigest = Digest(final)
-	}
+	r.finalDigest = digest
 }
 
 // Stats reports capture counters.
@@ -267,8 +322,9 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	for _, frame := range r.sealed {
 		out = append(out, frame...)
 	}
-	if len(r.cur.buf) > 0 {
-		out = append(out, chunkFrame(r.cur.buf)...)
+	body, commits, events := r.keptLocked()
+	if len(body) > 0 {
+		out = append(out, chunkFrame(body)...)
 	}
 
 	truncated := r.evicted > 0
@@ -285,13 +341,24 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 			kind, digest = DigestDerived, d
 		}
 	}
-	out = append(out, footerFrame(r.commits, r.events, truncated, r.lossy, kind, digest, r.evicted, r.lossyDetail)...)
+	out = append(out, footerFrame(commits, events, truncated, r.lossy, kind, digest, r.evicted, r.lossyDetail)...)
 
 	n, err := w.Write(out)
 	if err == nil {
 		r.dumps++ // only successful dumps count as produced artifacts
 	}
 	return int64(n), err
+}
+
+// keptLocked returns what a dump holds of the open chunk, and the commit
+// and event counts that go with it: everything, or under an open mark
+// what precedes it. Back-references only point backwards, so the prefix
+// decodes on its own.
+func (r *Recorder) keptLocked() (body []byte, commits, events int64) {
+	if r.marked {
+		return r.cur.buf[:r.mark.buf], r.mark.commits, r.mark.events
+	}
+	return r.cur.buf, r.commits, r.events
 }
 
 // deriveDigestLocked replays the retained transactions over the initial
@@ -309,7 +376,8 @@ func (r *Recorder) deriveDigestLocked() (uint64, error) {
 		}
 		txns = append(txns, chunk.txns...)
 	}
-	cur, err := decodeRecords(r.cur.buf)
+	body, _, _ := r.keptLocked()
+	cur, err := decodeRecords(body)
 	if err != nil {
 		return 0, err
 	}
@@ -345,13 +413,30 @@ func (r *Recorder) WriteFile(path string) error {
 // sort and no rendering. Every digest on disk or on the wire is this one;
 // the segment, snapshot and trace formats are versioned with it.
 func Digest(st *state.State) uint64 {
-	var sum uint64
+	var d Digester
 	st.Range(func(l state.Loc, v state.Value) bool {
-		sum += relation.HashMix(hashValue(relation.HashString(relation.HashSeed, string(l)), v))
+		d.Add(l, v)
 		return true
 	})
-	return relation.SetDigest(sum, st.Len())
+	return d.Sum()
 }
+
+// Digester computes Digest one location at a time, for a state that is
+// not a *state.State (a committed store ranged in place). Add each bound
+// location once, in any order.
+type Digester struct {
+	sum uint64
+	n   int
+}
+
+// Add folds one bound location into the digest.
+func (d *Digester) Add(l state.Loc, v state.Value) {
+	d.sum += relation.HashMix(hashValue(relation.HashString(relation.HashSeed, string(l)), v))
+	d.n++
+}
+
+// Sum returns the digest of the locations added so far.
+func (d *Digester) Sum() uint64 { return relation.SetDigest(d.sum, d.n) }
 
 // hashValue folds v, tagged with its wire type, into h.
 func hashValue(h uint64, v state.Value) uint64 {

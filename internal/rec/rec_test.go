@@ -83,7 +83,7 @@ func recordRun(t testing.TB, r *Recorder, initial *state.State, tasks []adt.Task
 	if err != nil {
 		t.Fatalf("stm.Run: %v", err)
 	}
-	r.Close(final)
+	r.Close(Digest(final))
 	return final
 }
 
@@ -551,9 +551,50 @@ func TestWriteFileAtomicDump(t *testing.T) {
 func TestRecorderClosedDropsLateCommits(t *testing.T) {
 	initial := testState()
 	r := New(testMeta(0), initial, Options{})
-	r.Close(initial)
+	r.Close(Digest(initial))
 	r.ObserveCommitted(0, 1, oplog.Log{&oplog.Event{Op: adt.NumAddOp{L: "counter", Delta: 1}.Op()}})
 	if st := r.Stats(); st.Commits != 0 {
 		t.Errorf("closed recorder accepted a commit: %+v", st)
+	}
+}
+
+// TestRewindDropsWhatFollowsTheMark: a rewound commit leaves nothing
+// behind — not its bytes, not its count, and not the string-table
+// entries it defined, which a later back-reference would otherwise
+// misnumber — and no chunk seals while a mark is open.
+func TestRewindDropsWhatFollowsTheMark(t *testing.T) {
+	initial := testState()
+	r := New(testMeta(0), initial, Options{ChunkBytes: 1})
+	add := func(l state.Loc, d int64) oplog.Log {
+		return oplog.Log{&oplog.Event{Op: adt.NumAddOp{L: l, Delta: d}.Op()}}
+	}
+	r.Mark()
+	r.ObserveCommitted(1, 2, add("counter", 1))
+	if st := r.Stats(); st.Chunks != 0 || st.Commits != 1 {
+		t.Fatalf("under an open mark: %+v, want one commit and no sealed chunk", st)
+	}
+	r.Rewind()
+	r.Mark()
+	r.ObserveCommitted(1, 3, append(add("flag2", 5), add("flag2", 6)...))
+	r.Keep()
+	if st := r.Stats(); st.Chunks != 1 || st.Commits != 1 {
+		t.Fatalf("after the rewind and a kept commit: %+v, want one commit in one sealed chunk", st)
+	}
+	r.Close(0)
+	var buf bytes.Buffer
+	if _, err := r.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ReadTrace(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Txns) != 1 || tr.Commits != 1 || tr.Txns[0].CommitTime != 3 {
+		t.Fatalf("trace holds %d commits (footer %d): %+v, want the kept one", len(tr.Txns), tr.Commits, tr.Txns)
+	}
+	for _, op := range tr.Txns[0].Ops {
+		if op.L != "flag2" {
+			t.Fatalf("kept commit decodes as %v: the rewound string-table entry shifted its back-reference", tr.Txns[0].Ops)
+		}
 	}
 }

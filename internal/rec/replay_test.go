@@ -55,7 +55,7 @@ func TestReplayDeterminismMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatalf("recording run: %v", err)
 				}
-				r.Close(final)
+				r.Close(Digest(final))
 
 				var buf bytes.Buffer
 				if _, err := r.WriteTo(&buf); err != nil {

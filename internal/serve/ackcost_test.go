@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	janus "repro"
 	"repro/internal/obs"
 )
 
@@ -161,4 +162,91 @@ func TestTimelineFollowDeliversLateSpansOnce(t *testing.T) {
 	if lost := tr.Dropped() - before; lost < 200-64 || seen["flood"] > 64 {
 		t.Fatalf("flood of 200 into a 64-event lane: %d delivered, Dropped grew by %d", seen["flood"], lost)
 	}
+}
+
+// TestSteadyBatchAllocs pins what a tenant allocates to apply one batch
+// of the benchmark's serve shape once it is warm: four tasks, each a
+// counter add, a put and a get of an existing key of a 1024-key map, and
+// an add to a counter all four share, at two threads under online
+// learning. A batch runs on the tenant's long-lived store, so the count
+// is what the tasks' operations, commits and workers cost, and nothing
+// that grows with the state. The bound is the measured count plus slack
+// for a pool refill; a store rebuilt or copied out per batch costs more
+// than the slack.
+func TestSteadyBatchAllocs(t *testing.T) {
+	srv := NewServer(Config{Runner: janus.Config{
+		Threads:     2,
+		LearnOnline: true,
+		Backoff:     janus.Backoff{Base: time.Millisecond, Max: 32 * time.Millisecond},
+	}, DedupWindow: 16})
+	tn, err := srv.tenantFor("steady")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	apply := func(b *Batch) {
+		tasks, err := compile(srv.schIdx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tn.runBatch(ctx, b, tasks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const keys = 1024
+	for k := 0; k < keys; k += 64 {
+		b := &Batch{ID: fmt.Sprintf("preload-%d", k)}
+		for i := k; i < k+64; i++ {
+			b.Tasks = append(b.Tasks, TaskSpec{Ops: []OpSpec{{Op: "put", Loc: "kv", Key: fmt.Sprintf("k%05d", i), Val: "v000000000"}}})
+		}
+		apply(b)
+	}
+	batch := func(n int) (*Batch, []janus.Task) {
+		b := &Batch{ID: fmt.Sprintf("b-%d", n)}
+		for i := 0; i < 4; i++ {
+			key := fmt.Sprintf("k%05d", (n*4+i)*7%keys)
+			b.Tasks = append(b.Tasks, TaskSpec{Ops: []OpSpec{
+				{Op: "add", Loc: fmt.Sprintf("c%d", i), Delta: int64(n%100) + 1},
+				{Op: "put", Loc: "kv", Key: key, Val: fmt.Sprintf("v%09d", n)},
+				{Op: "get", Loc: "kv", Key: key},
+				{Op: "add", Loc: "work", Delta: 1},
+			}})
+		}
+		tasks, err := compile(srv.schIdx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, tasks
+	}
+	n := 0
+	for ; n < 500; n++ {
+		b, tasks := batch(n)
+		if _, err := tn.runBatch(ctx, b, tasks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// sync.Pool may drop an object at any time (and does, on purpose,
+	// under -race), so one batch can allocate what the steady state does
+	// not: take the best of many. AllocsPerRun(1, f) calls f twice.
+	const rounds = 100
+	bs := make([]*Batch, 2*rounds)
+	ts := make([][]janus.Task, 2*rounds)
+	for i := range bs {
+		bs[i], ts[i] = batch(n + i)
+	}
+	i := 0
+	got := 1e9
+	for r := 0; r < rounds; r++ {
+		got = min(got, testing.AllocsPerRun(1, func() {
+			if _, err := tn.runBatch(ctx, bs[i], ts[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}))
+	}
+	const pinned = 41
+	if got > pinned+4 {
+		t.Fatalf("a warm benchmark-shaped batch allocates %.0f objects, want at most %d+4", got, pinned)
+	}
+	t.Logf("%.0f allocations per warm benchmark-shaped batch (pinned %d)", got, pinned)
 }

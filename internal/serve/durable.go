@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -8,6 +9,7 @@ import (
 	"sort"
 	"strings"
 
+	janus "repro"
 	"repro/internal/fsio"
 	"repro/internal/rec"
 	"repro/internal/wal"
@@ -74,10 +76,11 @@ func (s *Server) tenantDir(name string) string {
 // serves its first request: open (or create) the WAL, load the newest
 // valid snapshot, replay the journal suffix through the sequential
 // oracle verifying each record's digest, and rebuild the exactly-once
-// seen index. A journal that cannot be recovered honestly (sequence
-// gap, digest mismatch, undecodable batch) fails tenant creation — the
-// server refuses to serve a state it cannot prove.
-func (s *Server) recoverTenant(t *tenant) error {
+// seen index. It returns the recovered state, st itself when the
+// journal is empty. A journal that cannot be recovered honestly
+// (sequence gap, digest mismatch, undecodable batch) fails tenant
+// creation — the server refuses to serve a state it cannot prove.
+func (s *Server) recoverTenant(t *tenant, st *janus.State) (*janus.State, error) {
 	l, rcv, err := wal.Recover(s.tenantDir(t.name), wal.Options{
 		Policy:        s.cfg.Fsync,
 		GroupInterval: s.cfg.FsyncInterval,
@@ -85,23 +88,23 @@ func (s *Server) recoverTenant(t *tenant) error {
 		FS:            s.cfg.fs,
 	})
 	if err != nil {
-		return fmt.Errorf("serve: recovering tenant %q: %w", t.name, err)
+		return nil, fmt.Errorf("serve: recovering tenant %q: %w", t.name, err)
 	}
 	t.recTruncations = int64(rcv.Truncations)
 	t.recBadSnaps = int64(rcv.BadSnapshots)
 
 	if snap := rcv.Snapshot; snap != nil {
-		st, derr := rec.DecodeState(snap.State)
+		snapSt, derr := rec.DecodeState(snap.State)
 		if derr != nil {
 			l.Close()
-			return fmt.Errorf("serve: tenant %q snapshot state: %w", t.name, derr)
+			return nil, fmt.Errorf("serve: tenant %q snapshot state: %w", t.name, derr)
 		}
-		if got := rec.Digest(st); got != snap.Digest {
+		if got := rec.Digest(snapSt); got != snap.Digest {
 			l.Close()
-			return fmt.Errorf("serve: tenant %q snapshot digest mismatch: state %s, recorded %s",
+			return nil, fmt.Errorf("serve: tenant %q snapshot digest mismatch: state %s, recorded %s",
 				t.name, rec.FormatDigest(got), rec.FormatDigest(snap.Digest))
 		}
-		t.st = st
+		st = snapSt
 		t.applied = int64(snap.Seq)
 		// Snapshot seen tables are sorted by seq, so appending preserves
 		// journal order for the retention window.
@@ -121,19 +124,19 @@ func (s *Server) recoverTenant(t *tenant) error {
 		b, perr := parseBatch(r.Payload)
 		if perr != nil {
 			l.Close()
-			return fmt.Errorf("serve: tenant %q journal seq %d: decoding batch: %w", t.name, r.Seq, perr)
+			return nil, fmt.Errorf("serve: tenant %q journal seq %d: decoding batch: %w", t.name, r.Seq, perr)
 		}
-		next, aerr := applySequential(s.schIdx, t.st, b)
+		next, aerr := applySequential(s.schIdx, st, b)
 		if aerr != nil {
 			l.Close()
-			return fmt.Errorf("serve: tenant %q journal seq %d: replaying batch %q: %w", t.name, r.Seq, b.ID, aerr)
+			return nil, fmt.Errorf("serve: tenant %q journal seq %d: replaying batch %q: %w", t.name, r.Seq, b.ID, aerr)
 		}
 		if got := rec.Digest(next); got != r.Digest {
 			l.Close()
-			return fmt.Errorf("serve: tenant %q journal seq %d: replay digest %s, journal recorded %s",
+			return nil, fmt.Errorf("serve: tenant %q journal seq %d: replay digest %s, journal recorded %s",
 				t.name, r.Seq, rec.FormatDigest(got), rec.FormatDigest(r.Digest))
 		}
-		t.st = next
+		st = next
 		t.applied = int64(r.Seq)
 		t.seen[r.ID] = appliedBatch{seq: r.Seq, digest: r.Digest}
 		t.seenOrder = append(t.seenOrder, seenAt{id: r.ID, seq: r.Seq})
@@ -141,7 +144,7 @@ func (s *Server) recoverTenant(t *tenant) error {
 	// A restart rebuilds exactly the live index, including its bound.
 	t.evictSeenLocked()
 	t.wal = l
-	return nil
+	return st, nil
 }
 
 // maybeSnapshot kicks a background snapshot + truncate once enough
@@ -171,18 +174,22 @@ func (t *tenant) maybeSnapshot() {
 }
 
 // writeSnapshotNow captures the committed state and seen index and
-// publishes them as a snapshot, truncating covered journal segments.
-// The state pointer is safe to encode outside the lock: committed
-// states are immutable (runBatch swaps the pointer, never mutates).
+// publishes them as a snapshot, truncating covered journal segments. The
+// capture holds the gate, so the store holds exactly the state of the
+// last applied batch; the encoding and writing run after it is released.
 func (t *tenant) writeSnapshotNow() error {
+	if err := t.acquire(context.Background()); err != nil {
+		return err
+	}
+	st := t.store.State()
 	t.mu.Lock()
-	st, digest := t.st, t.digest
-	seq := uint64(t.applied)
+	digest, seq := t.digest, uint64(t.applied)
 	seen := make([]wal.SeenEntry, 0, len(t.seen))
 	for id, ab := range t.seen {
 		seen = append(seen, wal.SeenEntry{ID: id, Seq: ab.seq, Digest: ab.digest})
 	}
 	t.mu.Unlock()
+	t.release()
 	if seq <= t.lastSnap.Load() {
 		return nil
 	}

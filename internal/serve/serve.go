@@ -473,10 +473,15 @@ func (s *Server) handleStatez(w http.ResponseWriter, r *http.Request) {
 		reply(w, http.StatusNotFound, ErrorReply{Error: "unknown tenant", Code: CodeUnknownTenant})
 		return
 	}
+	// Under the gate the store holds the last applied batch's state, never
+	// one a running batch may still undo.
+	if err := t.acquire(r.Context()); err != nil {
+		reply(w, StatusCanceled, ErrorReply{Error: "client canceled", Code: CodeCanceled})
+		return
+	}
+	st := t.store.State()
 	snap := t.snapshot()
-	t.mu.Lock()
-	st := t.st
-	t.mu.Unlock()
+	t.release()
 	vals := make(map[string]string, len(s.cfg.Schema.Counters))
 	for _, c := range s.cfg.Schema.Counters {
 		vals[c] = stateVal(st, c)
@@ -591,8 +596,11 @@ func (s *Server) DumpFlight(dir string) ([]string, error) {
 	var paths []string
 	var firstErr error
 	for _, t := range ts {
+		// The digest of the last applied batch: a batch still running when
+		// the drain gave up holds the recorder's mark, and the dump stops
+		// at it.
 		t.mu.Lock()
-		t.rec.Close(t.st)
+		t.rec.Close(t.digest)
 		t.mu.Unlock()
 		p := filepath.Join(dir, "flight-"+t.name+".jtrace")
 		if err := t.rec.WriteFile(p); err != nil {

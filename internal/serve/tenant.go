@@ -13,7 +13,7 @@ import (
 )
 
 // tenant is one client namespace: its own Runner (own spec cache handle),
-// its own committed state, its own flight recorder and trace, its own
+// its own committed store, its own flight recorder and trace, its own
 // durable journal when the server has a data dir, and its own admission
 // counters. Nothing a tenant does — thrash on conflicts, wedge on its
 // deadline, flood its queue — touches another tenant's runner, state, or
@@ -26,13 +26,17 @@ type tenant struct {
 
 	// gate serializes batch application per tenant: batches are atomic
 	// state transitions, so two cannot interleave. Waiters are bounded by
-	// admission (inflight cap), never unbounded.
+	// admission (inflight cap), never unbounded. The gate also guards
+	// store: whoever reads the committed state out of it holds the gate.
 	gate chan struct{}
 
-	// mu guards the committed state, its digest (computed once, when the
-	// state is swapped in) and the applied-batch index.
+	// store is the tenant's committed state, opened once after recovery:
+	// every batch runs on it, and a batch that fails is undone in it.
+	store *janus.Store
+
+	// mu guards the committed state's digest (computed once per applied
+	// batch) and the applied-batch index.
 	mu      sync.Mutex
-	st      *janus.State
 	digest  uint64
 	applied int64
 	// seen maps applied batch IDs to the journal position and state
@@ -116,22 +120,24 @@ type seenAt struct {
 // data dir the tenant's state, applied count, and seen index are first
 // recovered from its journal (see durable.go); the runner then gets a
 // per-tenant flight recorder as its commit sink and a per-tenant trace
-// feeding the timeline endpoint.
+// feeding the timeline endpoint, and opens the tenant's store over the
+// recovered state.
 func (s *Server) newTenant(name string) (*tenant, error) {
 	t := &tenant{
 		name:        name,
 		gate:        make(chan struct{}, 1),
-		st:          InitialState(s.cfg.Schema),
 		seen:        make(map[string]appliedBatch),
 		dedupWindow: s.cfg.DedupWindow,
 	}
+	st := InitialState(s.cfg.Schema)
 	if s.cfg.DataDir != "" {
 		t.snapEvery = s.cfg.SnapshotEvery
-		if err := s.recoverTenant(t); err != nil {
+		var err error
+		if st, err = s.recoverTenant(t, st); err != nil {
 			return nil, err
 		}
 	}
-	t.digest = rec.Digest(t.st)
+	t.digest = rec.Digest(st)
 	cfg := s.cfg.Runner
 	if cfg.MaxRetries == 0 {
 		cfg.MaxRetries = s.cfg.RetryBudget
@@ -143,9 +149,10 @@ func (s *Server) newTenant(name string) (*tenant, error) {
 		Detector: cfg.Detection.String(),
 		Ordered:  true,
 		Threads:  cfg.Threads,
-	}, t.st, rec.Options{FlightChunks: s.cfg.FlightChunks})
+	}, st, rec.Options{FlightChunks: s.cfg.FlightChunks})
 	cfg.Record = t.rec
 	t.runner = janus.New(cfg)
+	t.store = t.runner.Open(st)
 	return t, nil
 }
 
@@ -162,17 +169,18 @@ func (t *tenant) acquire(ctx context.Context) error {
 
 func (t *tenant) release() { <-t.gate }
 
-// runBatch applies one compiled batch atomically: run from the current
-// committed state with ordered commits, journal the outcome durably,
-// and only then swap the tenant state and acknowledge. Any error —
-// deadline, task failure, retry exhaustion, journal append failure —
-// leaves state, journal, and seen-set exactly as before, so the client
-// can safely retry the same batch ID.
+// runBatch applies one compiled batch atomically: run it on the tenant's
+// store with ordered commits, journal the outcome durably, and only then
+// publish the new digest and acknowledge. Any error — deadline, task
+// failure, retry exhaustion, journal append failure — undoes the run in
+// the store and rewinds the flight recorder to its mark, leaving state,
+// journal, recording and seen-set exactly as before, so the client can
+// safely retry the same batch ID.
 //
 // The durability ordering is the tentpole invariant: the WAL append
 // (fsynced under FsyncAlways) happens under the gate, after the run
-// succeeds, BEFORE the in-memory swap and the ack. A crash after the
-// append but before the reply leaves a durable record for a batch the
+// succeeds, BEFORE the new digest is published and the ack. A crash after
+// the append but before the reply leaves a durable record for a batch the
 // client never saw acknowledged; recovery replays it and the client's
 // retry gets the original verdict as a 409.
 func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*BatchResult, error) {
@@ -186,12 +194,22 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 		t.mu.Unlock()
 		return nil, &duplicateError{id: b.ID, seq: ab.seq, digest: ab.digest}
 	}
-	base := t.st
 	seq := uint64(t.applied) + 1
 	t.mu.Unlock()
 
+	// Not journaled ⇒ not applied: every way out but the ack takes the
+	// run back out of the store and the recording.
+	applied := false
+	t.rec.Mark()
+	defer func() {
+		if !applied {
+			t.store.Undo()
+			t.rec.Rewind()
+		}
+	}()
+
 	start := time.Now()
-	final, stats, err := t.runner.RunInOrderCtx(ctx, base, tasks)
+	stats, err := t.store.RunInOrderCtx(ctx, tasks)
 	elapsed := time.Since(start)
 	t.runNanos.Add(int64(elapsed))
 	t.retries.Add(stats.Run.Retries)
@@ -200,7 +218,12 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 	}
 	t.commits.Add(stats.Run.Commits)
 
-	digest64 := rec.Digest(final)
+	var d rec.Digester
+	t.store.Range(func(l janus.Loc, v janus.Value) bool {
+		d.Add(l, v)
+		return true
+	})
+	digest64 := d.Sum()
 	if t.wal != nil {
 		// The journal copies the payload, so the buffer is reused; one
 		// grown past journalBufKeep by a huge batch is let go.
@@ -210,18 +233,18 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 			t.jbuf = nil
 		}
 		if aerr != nil {
-			// Not journaled ⇒ not applied: the in-memory state is untouched
-			// and the client gets a retryable journal error, preserving
+			// The client gets a retryable journal error, preserving
 			// ack ⇒ durable.
 			return nil, &journalError{err: fmt.Errorf("serve: journaling batch %q: %w", b.ID, aerr)}
 		}
 	}
+	applied = true
+	t.rec.Keep()
 
 	t.mu.Lock()
-	t.st = final
 	t.digest = digest64
 	t.applied++
-	applied := t.applied
+	n := t.applied
 	t.seen[b.ID] = appliedBatch{seq: seq, digest: digest64}
 	t.seenOrder = append(t.seenOrder, seenAt{id: b.ID, seq: seq})
 	t.evictSeenLocked()
@@ -237,7 +260,7 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 		Commits:   stats.Run.Commits,
 		Retries:   stats.Run.Retries,
 		Digest:    digest,
-		Applied:   applied,
+		Applied:   n,
 		ElapsedMS: elapsed.Milliseconds(),
 	}
 	return res, nil

@@ -174,7 +174,7 @@ func (x exploration) run(pick func(step, enabled int) int) (trace []string, err 
 	}
 	sink := &commitCollector{}
 	r := New(Config{Threads: 1, Ordered: x.ordered, Detector: x.det, Record: sink}, x.set.initial())
-	r.stats.Tasks = n
+	r.start(n)
 	inFlight := make([]*Tx, n+1) // a task's executed attempt awaiting its finish
 	done := make([]bool, n+1)
 	attempts := make([]int, n+1)
@@ -182,7 +182,7 @@ func (x exploration) run(pick func(step, enabled int) int) (trace []string, err 
 		var enabled, retries []int
 		for tid := 1; tid <= n; tid++ {
 			switch {
-			case done[tid] || (inFlight[tid] != nil && x.ordered && r.published.Load() != int64(tid)):
+			case done[tid] || (inFlight[tid] != nil && x.ordered && r.published.Load() != r.turn(tid)):
 			case attempts[tid] > 0 && !x.retriesBranch:
 				retries = append(retries, tid)
 			default:
@@ -246,7 +246,7 @@ func (x exploration) run(pick func(step, enabled int) int) (trace []string, err 
 	if err != nil {
 		return trace, err
 	}
-	if got := r.finalState(); !got.Equal(want) {
+	if got := r.State(); !got.Equal(want) {
 		return trace, fmt.Errorf("final state %s, but the tasks run sequentially in their commit order give %s", got, want)
 	}
 	if stats.LocsInstalled+stats.LocsReplayed != written {

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -132,7 +133,7 @@ func TestInstallEqualsReplay(t *testing.T) {
 				}
 				r := New(cfg, installState())
 				checkInstallAgainstReplay(t, r)
-				got, stats, err := r.run(tasks)
+				stats, err := r.Run(context.Background(), tasks)
 				name := fmt.Sprintf("ordered=%v seed=%d %s", ordered, seed, det.Name())
 				if err != nil {
 					var p *PanicError
@@ -141,7 +142,7 @@ func TestInstallEqualsReplay(t *testing.T) {
 					}
 					t.Fatalf("%s: %v", name, err)
 				}
-				if !got.Equal(want) {
+				if got := r.State(); !got.Equal(want) {
 					t.Fatalf("%s: final state %s, sequential %s", name, got, want)
 				}
 				installed += stats.LocsInstalled

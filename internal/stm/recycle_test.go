@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -189,7 +190,7 @@ func TestPoolDropsOutliers(t *testing.T) {
 		t.Errorf("a shell with %d bound locations was pooled (bound %d)", tx.priv.Len(), maxShellLocs)
 	}
 	// The artifact is still the history's; the run's end returns it.
-	r.run(nil)
+	r.Run(context.Background(), nil)
 	for i := 0; i < 64; i++ {
 		if p := conflict.Begin(); p == prep {
 			t.Fatalf("an artifact with a %d-event log was pooled", maxShellLocs+1)

@@ -7,7 +7,7 @@
 // an attempt happens; Simulate keeps a single-threaded event heap and
 // decides it itself: a transaction's execute half runs at the attempt's
 // virtual begin, its finish half at the virtual end of its body (ordered
-// tasks park until published == tid). Both halves are the ones attempt
+// tasks park until the published watermark reaches their turn). Both halves are the ones attempt
 // calls, so every attempt really executes its task against a privatized
 // view, detection really runs the configured detector against the real
 // committed history, commits really plan stripes, install, replay and
@@ -260,7 +260,7 @@ func Simulate(cfg SimConfig, initial *state.State, tasks []adt.Task) (*state.Sta
 	if cfg.Machine != nil {
 		machine = *cfg.Machine
 	}
-	s.r.stats.Tasks = len(tasks)
+	s.r.start(len(tasks))
 
 	seqCost, err := s.sequentialCost(initial)
 	if err != nil {
@@ -280,6 +280,7 @@ func Simulate(cfg SimConfig, initial *state.State, tasks []adt.Task) (*state.Sta
 		}
 	}
 
+	s.r.end()
 	stats := SimStats{Stats: s.r.statsSnapshot(), Makespan: s.makespan, SeqCost: seqCost, Timeline: s.timeline}
 	if int64(stats.Tasks) != stats.Commits {
 		return nil, SimStats{}, fmt.Errorf("stm: simulated %d tasks but %d commits (ordered deadlock?)", stats.Tasks, stats.Commits)
@@ -287,7 +288,7 @@ func Simulate(cfg SimConfig, initial *state.State, tasks []adt.Task) (*state.Sta
 	if s.makespan > 0 {
 		stats.Speedup = seqCost / s.makespan
 	}
-	return s.r.finalState(), stats, nil
+	return s.r.State(), stats, nil
 }
 
 // sequentialCost executes the tasks unsynchronized against a scratch
@@ -329,7 +330,7 @@ func (s *sim) start(tid int, at, first float64, retries int) error {
 // time and charges what it did.
 func (s *sim) process(e *simEvent) error {
 	r, tid := s.r, e.tx.tid
-	if s.cfg.Ordered && r.published.Load() != int64(tid) {
+	if s.cfg.Ordered && r.published.Load() != r.turn(tid) {
 		// Execution finished but predecessors have not published; the
 		// worker parks until the watermark reaches this task (Figure 7's
 		// ordered wait). finish would block here, with nobody to wake it.

@@ -20,6 +20,14 @@
 // order through a sequencer.
 // Footprint-disjoint transactions commit concurrently; there is no global
 // lock.
+//
+// A Runtime is the committed store together with that protocol, and it
+// outlives its task sets: New opens it once over an initial state, and
+// Runtime.Run runs one task set after another on what the last one
+// committed, with one clock and one published watermark for its whole
+// life. Until the next Run starts, Undo takes back everything a Run
+// published; State reads the committed state out. The one-shot Run and
+// Simulate are New, one run and State.
 package stm
 
 import (
@@ -235,12 +243,18 @@ type histEntry struct {
 	sigWrite uint64
 }
 
-// Runtime executes one task set. It is single-use.
+// Runtime is one committed store and the protocol that runs task sets on
+// it. It is opened once over an initial state (New) and runs any number of
+// task sets, one at a time (Run): Runs of one Runtime must not overlap, and
+// Undo and State are called between them.
 type Runtime struct {
 	cfg      Config
 	detector conflict.Detector
 
-	clock atomic.Int64 // commit-time ticket counter, initialized to 1
+	// clock is the commit-time ticket counter. It starts at 1 and runs on
+	// across Runs, so the commit times of a Runtime's whole life are one
+	// serialization order (a recorder sorts by them).
+	clock atomic.Int64
 
 	// published is the commit sequencer's watermark: the highest commit
 	// time whose publication (version merge + history append) has
@@ -282,12 +296,34 @@ type Runtime struct {
 	// published yet.
 	installCheck func(tx *Tx, foot []conflict.FootprintLoc)
 
-	errOnce sync.Once
-	err     error
-	done    chan struct{}
+	// turn0 is the published watermark when the current Run started:
+	// ordered task tid's commit turn comes when published reaches
+	// turn0+tid-1 (turn).
+	turn0 int64
+
+	// The current Run's failure: the first error, and done, closed with it
+	// (it wakes ordered waiters and backoff sleeps). runID numbers the Runs;
+	// errMu orders a failure against the start of the next Run, so that a
+	// context watcher which fires after its Run has ended cannot fail the
+	// next one (failRun).
+	errMu sync.Mutex
+	runID uint64
+	err   error
+	done  chan struct{}
+
+	// epoch numbers the Runs from 2 (New's 1 is no Run's, and boxes start
+	// at 0): the boxes the current Run published to carry it, with the
+	// value each held before (storeSet, Undo).
+	epoch uint64
+
+	// The current Run's task set and the cursor its workers take task
+	// indices from.
+	tasks []adt.Task
+	next  atomic.Int64
+	wg    sync.WaitGroup
 }
 
-// New builds a runtime over a deep copy of the initial state.
+// New opens a runtime over a deep copy of the initial state.
 func New(cfg Config, initial *state.State) *Runtime {
 	if cfg.Detector == nil {
 		cfg.Detector = conflict.NewWriteSet()
@@ -305,6 +341,7 @@ func New(cfg Config, initial *state.State) *Runtime {
 	}
 	r.clock.Store(1)
 	r.published.Store(1)
+	r.turn0, r.epoch = 1, 1
 	locs := initial.Locs()
 	r.base = make(map[state.Loc]*locBox, len(locs))
 	boxes := make([]locBox, len(locs))
@@ -325,29 +362,146 @@ func Run(cfg Config, initial *state.State, tasks []adt.Task) (*state.State, Stat
 	return RunCtx(context.Background(), cfg, initial, tasks)
 }
 
-// RunCtx is Run with cancellation: when ctx is canceled or its deadline
-// passes, in-flight transactions abort at their next protocol step
-// (attempt boundary, validation loop, backoff sleep), ordered-mode
-// waiters are woken, the workers drain cleanly, and the context's cause
-// is returned (errors.Is against context.Canceled/DeadlineExceeded
-// works). A task body that never returns cannot be preempted — Go offers
-// no goroutine kill — so cancellation latency is bounded by the longest
-// single task execution.
+// RunCtx is Run with cancellation (see Runtime.Run): New, one Run, and
+// the committed state.
 func RunCtx(ctx context.Context, cfg Config, initial *state.State, tasks []adt.Task) (*state.State, Stats, error) {
 	r := New(cfg, initial)
+	stats, err := r.Run(ctx, tasks)
+	if err != nil {
+		return nil, stats, err
+	}
+	return r.State(), stats, nil
+}
+
+// Run executes the tasks to completion on the committed store, starting
+// from what the last Run left, and returns the run statistics. When ctx is
+// canceled or its deadline passes, in-flight transactions abort at their
+// next protocol step (attempt boundary, validation loop, backoff sleep),
+// ordered-mode waiters are woken, the workers drain cleanly, and the
+// context's cause is returned (errors.Is against
+// context.Canceled/DeadlineExceeded works). A task body that never returns
+// cannot be preempted — Go offers no goroutine kill — so cancellation
+// latency is bounded by the longest single task execution.
+//
+// A failed Run leaves whatever its commits published in the store; Undo
+// takes it back.
+func (r *Runtime) Run(ctx context.Context, tasks []adt.Task) (Stats, error) {
+	id := r.start(len(tasks))
 	if ctx.Done() != nil {
 		// An already-expired context fails synchronously: AfterFunc runs
 		// its callback on a fresh goroutine, which a fast run could
 		// otherwise race past.
 		if ctx.Err() != nil {
-			return nil, r.statsSnapshot(), fmt.Errorf("stm: run canceled: %w", context.Cause(ctx))
+			return r.statsSnapshot(), fmt.Errorf("stm: run canceled: %w", context.Cause(ctx))
 		}
 		stop := context.AfterFunc(ctx, func() {
-			r.fail(fmt.Errorf("stm: run canceled: %w", context.Cause(ctx)))
+			r.failRun(id, fmt.Errorf("stm: run canceled: %w", context.Cause(ctx)))
 		})
 		defer stop()
 	}
-	return r.run(tasks)
+	r.tasks = tasks
+	for w := 0; w < min(r.cfg.Threads, len(tasks)); w++ {
+		r.wg.Add(1)
+		go r.worker(w)
+	}
+	r.wg.Wait()
+	r.tasks = nil
+	r.end()
+	return r.statsSnapshot(), r.runErr()
+}
+
+// start begins a Run of n tasks and returns its id: it drops what the last
+// Run left (its failure, what Undo would take back, tickets it took but
+// never published, waiters it never woke, begins it never dropped) and
+// counts the new Run's turns from the published watermark.
+func (r *Runtime) start(n int) uint64 {
+	r.errMu.Lock()
+	r.runID++
+	if r.err != nil {
+		r.err = nil
+		r.done = make(chan struct{})
+	}
+	id := r.runID
+	r.errMu.Unlock()
+
+	r.epoch++
+	r.turn0 = r.published.Load()
+	r.clock.Store(r.turn0)
+	clear(r.seqWaiters)
+	clear(r.begins)
+	r.next.Store(0)
+	r.stats = Stats{Tasks: n}
+	r.abortReasons = [conflict.NumReasons]int64{}
+	return id
+}
+
+// end closes a Run: no transaction is left, so what remains of the history
+// goes back to the pool. A Run is often shorter than a reclamation window
+// (a server batch), so this is where most of its artifacts return.
+func (r *Runtime) end() {
+	for _, h := range r.history {
+		h.prep.Recycle()
+	}
+	clear(r.history)
+	r.history = r.history[:0]
+}
+
+// worker runs tasks off the Run's cursor until none is left or the Run
+// fails.
+func (r *Runtime) worker(worker int) {
+	defer r.wg.Done()
+	// Backstop: task-body panics are recovered in runTaskBody with the
+	// task's identity; this catches panics in the protocol code itself so
+	// a bug here fails the run (waking ordered-mode waiters via the done
+	// channel) rather than killing the process with peers blocked in
+	// waitPublished.
+	current := 0
+	defer func() {
+		if p := recover(); p != nil {
+			r.fail(fmt.Errorf("stm: worker %d: %w",
+				worker, &PanicError{Task: current, Value: p, Stack: debug.Stack()}))
+		}
+	}()
+	for {
+		idx := int(r.next.Add(1)) - 1
+		if idx >= len(r.tasks) || r.failed() {
+			return
+		}
+		current = idx + 1
+		r.runTask(r.tasks[idx], idx+1, worker)
+	}
+}
+
+// Undo takes back every publication of the last Run: each location it
+// wrote gets back the value it held before the Run, and a location it
+// created is unbound again. It is valid until the next Run starts; a
+// second Undo is a no-op. The clock and the watermark are not rewound.
+// It visits every location of the store, which only a failed Run pays;
+// publication pays no more than a compare per written location.
+func (r *Runtime) Undo() {
+	r.eachBox(func(_ state.Loc, b *locBox) bool {
+		if b.epoch == r.epoch {
+			b.v.Store(b.prev)
+		}
+		return true
+	})
+}
+
+// State returns the committed state. Committed values are never written
+// again, so the result shares them, except a relation, whose operations
+// mutate its header in place: that header is cloned (O(1)), so nothing
+// the result holds is anything the runtime can still change. Call it
+// between Runs.
+func (r *Runtime) State() *state.State {
+	out := state.New()
+	r.Range(func(l state.Loc, v state.Value) bool {
+		if rel, ok := v.(state.Rel); ok {
+			v = rel.CloneValue()
+		}
+		out.Set(l, v)
+		return true
+	})
+	return out
 }
 
 // RetryLimitError is what a run fails with when one transaction exhausts
@@ -413,11 +567,27 @@ type directExec struct{ st *state.State }
 // Exec implements adt.Executor.
 func (d *directExec) Exec(op oplog.Op) (state.Value, error) { return op.Apply(d.st) }
 
+// fail fails the current Run with err, unless it already failed.
 func (r *Runtime) fail(err error) {
-	r.errOnce.Do(func() {
+	r.errMu.Lock()
+	r.failLocked(err)
+	r.errMu.Unlock()
+}
+
+// failRun fails Run id with err, if it is still the current one.
+func (r *Runtime) failRun(id uint64, err error) {
+	r.errMu.Lock()
+	if id == r.runID {
+		r.failLocked(err)
+	}
+	r.errMu.Unlock()
+}
+
+func (r *Runtime) failLocked(err error) {
+	if r.err == nil {
 		r.err = err
 		close(r.done) // wakes ordered waiters and backoff sleeps
-	})
+	}
 }
 
 func (r *Runtime) failed() bool {
@@ -440,53 +610,6 @@ func (r *Runtime) runErr() error {
 	default:
 		return nil
 	}
-}
-
-func (r *Runtime) run(tasks []adt.Task) (*state.State, Stats, error) {
-	r.stats.Tasks = len(tasks)
-	next := make(chan int, len(tasks))
-	for i := range tasks {
-		next <- i
-	}
-	close(next)
-	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Threads; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			// Backstop: task-body panics are recovered in runTaskBody
-			// with the task's identity; this catches panics in the
-			// protocol code itself so a bug here fails the run (waking
-			// ordered-mode waiters via the done channel) rather than
-			// killing the process with peers blocked in waitPublished.
-			current := 0
-			defer func() {
-				if p := recover(); p != nil {
-					r.fail(fmt.Errorf("stm: worker %d: %w",
-						worker, &PanicError{Task: current, Value: p, Stack: debug.Stack()}))
-				}
-			}()
-			for idx := range next {
-				current = idx + 1
-				if r.failed() {
-					return
-				}
-				r.runTask(tasks[idx], idx+1, worker)
-			}
-		}(w)
-	}
-	wg.Wait()
-	// No transaction is left: what remains of the history goes back to the
-	// pool too. A run is often shorter than a reclamation window (a server
-	// batch), so this is where most of its artifacts return.
-	for _, h := range r.history {
-		h.prep.Recycle()
-	}
-	r.history = nil
-	if err := r.runErr(); err != nil {
-		return nil, r.statsSnapshot(), err
-	}
-	return r.finalState(), r.statsSnapshot(), nil
 }
 
 func (r *Runtime) statsSnapshot() Stats {
@@ -512,16 +635,6 @@ func (r *Runtime) statsSnapshot() Stats {
 		}
 	}
 	return s
-}
-
-// finalState materializes the committed shared state.
-func (r *Runtime) finalState() *state.State {
-	out := state.New()
-	r.storeRange(func(l state.Loc, v state.Value) bool {
-		out.Set(l, state.Copy(v))
-		return true
-	})
-	return out
 }
 
 // runTask is RUNTASK of Figure 7: retry until commit. The whole service
@@ -868,7 +981,7 @@ func (r *Runtime) dropBegin(tid int) {
 }
 
 // waitTurn is ordered mode's commit turn: it blocks until every preceding
-// task has published (published == tid) or the run fails, reporting the
+// task has published (published == turn(tid)) or the run fails, reporting the
 // wait to the tracer and the governor. The waiter registers on the commit
 // sequencer's waiter table and is woken exactly once, by its predecessor's
 // publication — the O(1) "may I commit?" query, no broadcast storm across
@@ -879,12 +992,16 @@ func (r *Runtime) waitTurn(ctx obs.Ctx, tid int) {
 	if r.cfg.Governor != nil {
 		govStart = time.Now()
 	}
-	r.waitPublished(int64(tid))
+	r.waitPublished(r.turn(tid))
 	if gov := r.cfg.Governor; gov != nil {
 		gov.ObserveCommitWait(time.Since(govStart))
 	}
 	ctx.End(obs.EvCommitWait, waitStart)
 }
+
+// turn is the published watermark at which ordered task tid of the
+// current Run may commit: when every task before it has published.
+func (r *Runtime) turn(tid int) int64 { return r.turn0 + int64(tid) - 1 }
 
 // committedHistory appends to dst the prepared artifacts of transactions
 // that committed in (begin, now], one per transaction in commit order —

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -286,7 +287,7 @@ func TestHistoryFollowsConcurrencyNotRunLength(t *testing.T) {
 	}
 	run := func(cfg Config, tasks []adt.Task) Stats {
 		r = New(cfg, initialState())
-		_, stats, err := r.run(tasks)
+		stats, err := r.Run(context.Background(), tasks)
 		if err != nil {
 			t.Fatal(err)
 		}

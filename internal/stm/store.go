@@ -7,7 +7,8 @@
 // A merge is one atomic pointer store per written location and a fault is
 // one map hit plus an atomic load. The initial boxes and values are two
 // slabs, and a commit's published values one slab of its own, so building
-// the store allocates per run and a merge per commit, not per location.
+// the store allocates once per runtime and a merge once per commit, not
+// per location. A Run on an open runtime builds nothing of the store.
 // Creating a location costs its box and an amortized map slot under one
 // shard's lock — the same at 100 existing overflow locations and at
 // 20 000, which matters because creation runs inside the serialized
@@ -37,10 +38,15 @@ import (
 )
 
 // locBox holds one location's committed value. A nil pointer means the
-// location has no committed value yet (an overflow box becomes visible
-// before its creating commit's merge stores into it).
+// location has no committed value (an overflow box becomes visible before
+// its creating commit's merge stores into it, and Undo unbinds a location
+// the undone Run created). prev is the value the box held before Run
+// epoch first published to it, nil if the box was new: what Undo stores
+// back. Only the publication turn and Undo touch prev and epoch.
 type locBox struct {
-	v atomic.Pointer[state.Value]
+	v     atomic.Pointer[state.Value]
+	prev  *state.Value
+	epoch uint64
 }
 
 // overflowShards is the overflow table's shard count: enough that two
@@ -108,8 +114,9 @@ func (r *Runtime) storeGet(l state.Loc) (state.Value, bool) {
 }
 
 // storeSet publishes one location's committed value, held at v (a slot
-// of the publishing commit's value slab, never written again). Callers
-// are serialized by the publication turn.
+// of the publishing commit's value slab, never written again). The first
+// time a Run publishes a location, the box keeps the value it replaces
+// for Undo. Callers are serialized by the publication turn.
 func (r *Runtime) storeSet(l state.Loc, v *state.Value) {
 	b := r.base[l]
 	if b == nil {
@@ -117,21 +124,33 @@ func (r *Runtime) storeSet(l state.Loc, v *state.Value) {
 			b = r.over.create(l)
 		}
 	}
+	if b.epoch != r.epoch {
+		b.epoch, b.prev = r.epoch, b.v.Load()
+	}
 	b.v.Store(v)
 }
 
-// storeRange visits every location with a committed value. It is not an
-// atomic snapshot across locations (see the package comment); its one
-// caller, finalState, runs when the store is quiescent (run drained).
-func (r *Runtime) storeRange(f func(l state.Loc, v state.Value) bool) {
+// Range visits every location with a committed value, until f returns
+// false. It is not an atomic snapshot across locations (see the package
+// comment): call it between Runs, when the store is quiescent.
+func (r *Runtime) Range(f func(l state.Loc, v state.Value) bool) {
+	r.eachBox(func(l state.Loc, b *locBox) bool {
+		p := b.v.Load()
+		return p == nil || f(l, *p)
+	})
+}
+
+// eachBox visits every box of the store, bound or not, until f returns
+// false.
+func (r *Runtime) eachBox(f func(l state.Loc, b *locBox) bool) {
 	for l, b := range r.base {
-		if p := b.v.Load(); p != nil && !f(l, *p) {
+		if !f(l, b) {
 			return
 		}
 	}
 	for i := range r.over.shards {
 		for l, b := range r.over.shards[i].m {
-			if p := b.v.Load(); p != nil && !f(l, *p) {
+			if !f(l, b) {
 				return
 			}
 		}

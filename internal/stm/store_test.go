@@ -58,9 +58,9 @@ func TestStoreFaultsRaceCreation(t *testing.T) {
 	wg.Wait()
 
 	n := 0
-	r.storeRange(func(state.Loc, state.Value) bool { n++; return true })
+	r.Range(func(state.Loc, state.Value) bool { n++; return true })
 	if n != created+1 {
-		t.Fatalf("storeRange visited %d locations, want %d", n, created+1)
+		t.Fatalf("Range visited %d locations, want %d", n, created+1)
 	}
 }
 

@@ -63,6 +63,8 @@ type (
 	State = state.State
 	// Loc names a shared location.
 	Loc = state.Loc
+	// Value is a shared location's value.
+	Value = state.Value
 
 	// Counter is a shared integer (identity/reduction patterns).
 	Counter = adt.Counter
@@ -394,8 +396,9 @@ type RunStats struct {
 	Detector conflict.Stats
 }
 
-// detector builds the configured detector instance for one run. A runner
-// whose spec artifact was rejected leniently always detects by write set.
+// detector builds the configured detector instance for one store. A
+// runner whose spec artifact was rejected leniently always detects by
+// write set.
 func (r *Runner) detector() conflict.Detector {
 	if r.cfg.Detection == DetectWriteSet || r.specRejected {
 		return conflict.NewWriteSet()
@@ -403,13 +406,28 @@ func (r *Runner) detector() conflict.Detector {
 	return r.engine.Detector()
 }
 
-func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered bool) (*State, RunStats, error) {
+// Store is a committed shared state that runs task sets one after
+// another, each from what the last one committed (Runner.Open). It keeps
+// its runtime — store, clock, detector and scratch — for its whole life,
+// so a run pays for the tasks it runs, not for the state it runs on. Runs
+// of one Store must not overlap; Undo, State and Range are called between
+// them.
+type Store struct {
+	rt  *stm.Runtime
+	det conflict.Detector
+}
+
+// Open opens a store over a copy of initial whose runs commit in task
+// order (RunInOrderCtx).
+func (r *Runner) Open(initial *State) *Store { return r.open(initial, true) }
+
+func (r *Runner) open(initial *State, ordered bool) *Store {
 	det := r.detector()
 	var tracer obs.Tracer
 	if r.cfg.Trace != nil {
 		tracer = r.cfg.Trace
 	}
-	final, stats, err := stm.RunCtx(ctx, stm.Config{
+	return &Store{det: det, rt: stm.New(stm.Config{
 		Threads:    r.cfg.Threads,
 		Ordered:    ordered,
 		Detector:   det,
@@ -417,15 +435,49 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 		Tracer:     tracer,
 		Backoff:    r.cfg.Backoff,
 		Record:     r.cfg.Record,
-	}, initial, tasks)
+	}, initial)}
+}
+
+// RunInOrderCtx runs the tasks in parallel on the store's committed state,
+// with commits following task order and cancellation as in
+// Runner.RunInOrderCtx. The store's commit times run on from its last
+// run, so a recorder (Config.Record) sees one serialization order across
+// runs. A failed run leaves what its commits published: Undo takes it
+// back. RunStats.Detector is left zero, because the store's detector
+// outlives the run.
+func (s *Store) RunInOrderCtx(ctx context.Context, tasks []Task) (RunStats, error) {
+	stats, err := s.rt.Run(ctx, tasks)
+	return RunStats{Run: stats}, err
+}
+
+// Undo takes back everything the last run published: until the next run
+// starts, the store can return to the state that run started from.
+func (s *Store) Undo() { s.rt.Undo() }
+
+// State returns a copy of the committed state that shares the store's
+// immutable values.
+func (s *Store) State() *State { return s.rt.State() }
+
+// Range visits every committed location and its value, until f returns
+// false. The values are the store's own: f must not mutate them.
+func (s *Store) Range(f func(Loc, Value) bool) { s.rt.Range(f) }
+
+// run is the one-shot run behind every Runner.Run*: a store opened for
+// these tasks alone, one run, and its committed state.
+func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered bool) (*State, RunStats, error) {
+	s := r.open(initial, ordered)
+	stats, err := s.rt.Run(ctx, tasks)
 	rs := RunStats{Run: stats}
-	switch d := det.(type) {
+	switch d := s.det.(type) {
 	case *conflict.WriteSet:
 		rs.Detector = d.Stats()
 	case *conflict.Sequence:
 		rs.Detector = d.Stats()
 	}
-	return final, rs, err
+	if err != nil {
+		return nil, rs, err
+	}
+	return s.State(), rs, nil
 }
 
 // Run executes the tasks in parallel with unordered commits.

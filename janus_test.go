@@ -532,7 +532,7 @@ func TestCustomADTRecordsAndReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.Close(final)
+	r.Close(rec.Digest(final))
 	var buf bytes.Buffer
 	if _, err := r.WriteTo(&buf); err != nil {
 		t.Fatal(err)
