@@ -92,7 +92,7 @@ soak:
 	$(GO) test -race -count=1 -run Chaos -timeout 30m ./internal/chaos -chaos.seeds=200
 
 # Fuzz every decoder that reads bytes from disk (frames, trace, journal
-# segment, snapshot, state codec, spec envelope) and the network decoder
+# segment, snapshot, state codec, spec artifact) and the network decoder
 # of the submit path (the batch codec, held to encoding/json), FUZZTIME
 # each (go test -fuzz takes one target at a time, so the target loops
 # over every Fuzz* function the packages declare). Tier-1 runs only the seed corpora. A

@@ -185,8 +185,8 @@ func profileRuns(stdout, stderr io.Writer, opts bench.Opts, traceOut string, jso
 				traceOut, tracer.Workers())
 		}
 		if rep.Record != nil {
-			fmt.Fprintf(stderr, "janus bench: recorded %s (%d commits, %d events, %d bytes; replay with janus replay)\n",
-				rep.RecordPath, rep.Record.Commits, rep.Record.Events, rep.Record.Bytes)
+			fmt.Fprintf(stderr, "janus bench: recorded %s (%d commits, %d bytes; replay with janus replay)\n",
+				rep.RecordPath, rep.Record.Commits, rep.Record.Bytes)
 		}
 	}
 	if jsonOut {

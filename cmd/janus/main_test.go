@@ -4,11 +4,16 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	janus "repro"
 )
 
 // runCmd runs one command line in process and returns its exit status,
@@ -28,6 +33,46 @@ func TestTrainingCommands(t *testing.T) {
 		if !strings.HasPrefix(out, "benchmark: jgrapht2") {
 			t.Errorf("janus %s printed %.80q, want a jgrapht2 report", cmd, out)
 		}
+	}
+}
+
+// TestTrainOutLoadsIntoRunner is the deployment flow through the command:
+// `janus train -out F` writes the spec, a runner loads as many entries as
+// the command printed, and a copy with one byte flipped is refused by a
+// strict load and degrades a lenient one.
+func TestTrainOutLoadsIntoRunner(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "jfilesync.spec")
+	code, out, errOut := runCmd("train", "-workload", "jfilesync", "-out", path)
+	if code != 0 {
+		t.Fatalf("janus train -out: exit %d: %s", code, errOut)
+	}
+	var printed int
+	if i := strings.Index(out, "commutativity specification ("); i < 0 {
+		t.Fatalf("janus train printed no specification: %.200q", out)
+	} else if _, err := fmt.Sscanf(out[i:], "commutativity specification (%d entries)", &printed); err != nil || printed == 0 {
+		t.Fatalf("entry count: %d, %v", printed, err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := janus.New(janus.Config{})
+	if err := r.LoadSpec(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("LoadSpec(%s): %v", path, err)
+	}
+	if got := r.CacheStats().Entries; got != printed {
+		t.Errorf("runner loaded %d entries, janus train printed %d", got, printed)
+	}
+
+	flipped := append([]byte(nil), raw...)
+	flipped[len(flipped)/2] ^= 0xff
+	var fe *janus.FrameError
+	if err := janus.New(janus.Config{}).LoadSpecPolicy(bytes.NewReader(flipped), janus.SpecStrict); !errors.As(err, &fe) {
+		t.Fatalf("strict load of a flipped spec: %v, want a *janus.FrameError", err)
+	}
+	lenient := janus.New(janus.Config{})
+	if err := lenient.LoadSpecPolicy(bytes.NewReader(flipped), janus.SpecLenient); err != nil || !lenient.SpecRejected() {
+		t.Fatalf("lenient load of a flipped spec: err=%v rejected=%v, want a degraded runner", err, lenient.SpecRejected())
 	}
 }
 

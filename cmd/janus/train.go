@@ -22,7 +22,7 @@ func runTrain(_ context.Context, args []string, stdout, stderr io.Writer) error 
 	fs := newFlags("train", stderr)
 	workload := workloadFlag(fs)
 	noAbs := fs.Bool("no-abstraction", false, "disable §5.2 sequence abstraction")
-	out := fs.String("out", "", "also write the trained specification as JSON to this file")
+	out := fs.String("out", "", "also write the trained specification to this file, the artifact Runner.LoadSpec reads")
 	if err := parse(fs, args); err != nil {
 		return err
 	}

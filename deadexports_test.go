@@ -18,7 +18,6 @@ import (
 // no non-test file names, and that stay anyway. Each entry says why.
 var liveByContract = map[string]string{
 	// Reached through a standard-library interface, never by name.
-	"internal/spec.SpecError.Unwrap":     "errors.Is/As walk it",
 	"internal/fsio.FrameError.Unwrap":    "errors.Is/As walk it",
 	"internal/serve.journalError.Unwrap": "errors.Is/As walk it",
 	"internal/stm.simHeap.Len":           "container/heap calls it",

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -69,8 +70,8 @@ type ReplayInfo struct {
 	Trace string `json:"trace"`
 	// Commits is the number of transactions the trace retained.
 	Commits int64 `json:"commits"`
-	// DigestKind says what the recorded digest covers ("final",
-	// "derived", or "none").
+	// DigestKind says whether the trace carries a digest: "final" (the
+	// recorder was closed with one) or "none".
 	DigestKind string `json:"digest_kind"`
 	// RecordedDigest / SequentialDigest / ParallelDigest are hex
 	// final-state fingerprints: from the trace footer, from commit-order
@@ -163,11 +164,9 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 			Seed:     prodSeed,
 		}, w.NewState(), rec.Options{})
 		sink = recorder
-		// Tee protocol events into the trace alongside the op logs.
-		tr = recorder.Tracer(tr)
 	}
 	start := time.Now()
-	final, stats, err := stm.Run(stm.Config{
+	rt := stm.New(stm.Config{
 		Threads:  threads,
 		Ordered:  w.Ordered,
 		Detector: d,
@@ -175,7 +174,8 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 		Backoff:  stm.Backoff{Base: o.BackoffBase},
 		Hooks:    hooks,
 		Record:   sink,
-	}, w.NewState(), tasks)
+	}, w.NewState())
+	stats, err := rt.Run(context.Background(), tasks)
 	rep.ElapsedNs = int64(time.Since(start))
 	rep.Run = stats
 	switch dd := d.(type) {
@@ -195,13 +195,9 @@ func ProfileRun(w *workloads.Workload, det Detection, threads int, o Opts, trace
 		rep.Trace = tracer.Vars()
 	}
 	if recorder != nil {
-		// Seal the capture with the run's final state (nil on failure:
-		// the dump then reports no final digest rather than a wrong one).
-		var digest uint64
-		if final != nil {
-			digest = rec.Digest(final)
-		}
-		recorder.Close(digest)
+		// Seal the capture with the digest of what the run committed: a
+		// failed run keeps its commits, so its trace replays to it too.
+		recorder.Close(rec.Digest(rt.State()))
 		rep.RecordPath = o.RecordPath
 		if werr := recorder.WriteFile(o.RecordPath); werr != nil {
 			return fail(fmt.Errorf("bench: recording %s: %w", w.Name, werr))

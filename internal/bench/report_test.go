@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -77,6 +78,66 @@ func TestProfileRunFailureReport(t *testing.T) {
 	}
 	if len(back) != 1 || back[0].Error != rep.Error {
 		t.Fatalf("error field lost in JSON round trip: %+v", back)
+	}
+}
+
+// TestFailedRecordedRunReplaysToFooterDigest: a recorded run whose last
+// task fails after the others committed still closes its trace with the
+// digest of what it committed, and the trace replays to that digest.
+func TestFailedRecordedRunReplaysToFooterDigest(t *testing.T) {
+	errLate := errors.New("synthetic late fault")
+	var lateRuns atomic.Int32
+	w := &workloads.Workload{
+		Name: "synthetic-late-failure",
+		Desc: "fails its last production task in the parallel run only",
+		NewState: func() *state.State {
+			st := state.New()
+			st.Set("work", state.Int(0))
+			return st
+		},
+		Tasks: func(size workloads.Size, seed int64) []adt.Task {
+			tasks := make([]adt.Task, 0, 4)
+			for n := int64(1); n <= 3; n++ {
+				tasks = append(tasks, func(ex adt.Executor) error {
+					return adt.Counter{L: "work"}.Add(ex, n)
+				})
+			}
+			if seed == prodSeed {
+				// ProfileRun times a sequential run of the same tasks
+				// first: that run is the task's first, and succeeds.
+				tasks = append(tasks, func(adt.Executor) error {
+					if lateRuns.Add(1) > 1 {
+						return errLate
+					}
+					return nil
+				})
+			}
+			return tasks
+		},
+	}
+	path := filepath.Join(t.TempDir(), "late.trace")
+	// One worker commits the first three tasks before the fourth runs.
+	if _, err := ProfileRun(w, Seq, 1, Opts{Size: workloads.Small, RecordPath: path}, nil); !errors.Is(err, errLate) {
+		t.Fatalf("ProfileRun: %v, want the late fault", err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	trace, err := rec.ReadTrace(f)
+	if err != nil {
+		t.Fatalf("ReadTrace on a failed run's artifact: %v", err)
+	}
+	if trace.DigestKind != rec.DigestFinal || len(trace.Txns) != 3 {
+		t.Fatalf("failed run's trace: digest %s, %d txns; want final, 3", trace.DigestKind, len(trace.Txns))
+	}
+	st, err := trace.ReplaySequential()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := rec.Digest(st); got != trace.Digest {
+		t.Errorf("replay digest %016x != footer digest %016x", got, trace.Digest)
 	}
 }
 
@@ -228,9 +289,6 @@ func TestProfileRunRecordRoundTrip(t *testing.T) {
 	}
 	if got := rec.Digest(st); got != trace.Digest {
 		t.Errorf("replay digest %016x != recorded %016x", got, trace.Digest)
-	}
-	if len(trace.Events) == 0 {
-		t.Error("no protocol events teed into the trace")
 	}
 }
 

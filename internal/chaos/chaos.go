@@ -20,7 +20,6 @@
 package chaos
 
 import (
-	"bytes"
 	"sync/atomic"
 	"time"
 
@@ -212,30 +211,19 @@ func (i *Injector) Hooks() *stm.Hooks {
 }
 
 // CorruptSpec returns a copy of a serialized spec artifact with `flips`
-// deterministic single-bit flips (seeded site-hash positions). Flips land
-// only on alphanumeric bytes inside the checksummed payload region and
-// toggle a low bit, so the corruption never just breaks the outer JSON
-// framing or mutates unvalidated envelope metadata by luck — it produces
-// the hard case: a file that still *looks* like a spec but whose
-// checksummed content changed, which only the envelope CRC can catch.
+// deterministic single-bit flips at seeded positions past its header (the
+// 8-byte magic and the format byte). Each flip lands in the spec's frame —
+// its length, payload or CRC — so the file still names itself a spec and
+// only the frame's checks can catch it.
 func CorruptSpec(spec []byte, seed int64, flips int) []byte {
+	const header = 9
 	out := append([]byte(nil), spec...)
-	from := 0
-	if at := bytes.Index(out, []byte(`"payload"`)); at >= 0 {
-		from = at + len(`"payload"`)
-	}
-	var sites []int
-	for idx, b := range out[from:] {
-		if b >= 'a' && b <= 'z' || b >= 'A' && b <= 'Z' || b >= '0' && b <= '9' {
-			sites = append(sites, from+idx)
-		}
-	}
-	if len(sites) == 0 {
+	if len(out) <= header {
 		return out
 	}
 	for n := 0; n < flips; n++ {
-		at := sites[mix64(uint64(seed)^siteCorrupt<<56^uint64(n)<<20)%uint64(len(sites))]
-		out[at] ^= 1 << (mix64(uint64(seed)^siteCorrupt<<56^uint64(n)<<20^1)%4 + 1)
+		h := mix64(uint64(seed) ^ siteCorrupt<<56 ^ uint64(n)<<20)
+		out[header+int(h%uint64(len(out)-header))] ^= 1 << (h >> 61)
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/conflict"
+	"repro/internal/fsio"
 	"repro/internal/spec"
 	"repro/internal/stm"
 )
@@ -83,10 +84,9 @@ func TestMissStormFallsBackPerPair(t *testing.T) {
 }
 
 // TestCorruptSpecAlwaysRejected: every seeded corruption of a saved spec
-// artifact must be caught by the envelope (typed *spec.SpecError), and
-// the target cache must stay unchanged — the flips land inside the
-// checksummed payload by construction, so this is the CRC's job, not
-// lucky JSON breakage.
+// artifact must be caught by its frame (a typed *fsio.FrameError), and
+// the target cache must stay unchanged — the flips land past the header
+// by construction, so this is the frame's length and CRC checks' job.
 func TestCorruptSpecAlwaysRejected(t *testing.T) {
 	trained := trainOn(t, identityTasks(4))
 	var buf bytes.Buffer
@@ -112,9 +112,9 @@ func TestCorruptSpecAlwaysRejected(t *testing.T) {
 			}
 			target := spec.New(spec.Abstract, false)
 			err := target.Load(bytes.NewReader(corrupted))
-			var se *spec.SpecError
-			if !errors.As(err, &se) {
-				t.Fatalf("seed=%d flips=%d: err = %v, want *spec.SpecError", seed, flips, err)
+			var fe *fsio.FrameError
+			if !errors.As(err, &fe) {
+				t.Fatalf("seed=%d flips=%d: err = %v, want *fsio.FrameError", seed, flips, err)
 			}
 			if target.Len() != 0 {
 				t.Fatalf("seed=%d flips=%d: rejected load still added %d entries",

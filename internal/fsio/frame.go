@@ -6,8 +6,9 @@ import (
 	"hash/crc32"
 )
 
-// Every binary artifact on disk — the op trace (internal/rec), the journal
-// segment and the snapshot (internal/wal) — is built from one framing:
+// Every artifact on disk — the trained spec (internal/spec), the op trace
+// (internal/rec), the journal segment and the snapshot (internal/wal) — is
+// built from one framing:
 //
 //	file  := magic format ... frame ...
 //	frame := uvarint(len(payload)) payload crc32(payload, 4 bytes LE)

@@ -13,6 +13,7 @@ import (
 	"repro/internal/fsio"
 	"repro/internal/oplog"
 	"repro/internal/rec"
+	"repro/internal/spec"
 	"repro/internal/state"
 	"repro/internal/wal"
 )
@@ -95,7 +96,7 @@ func reasonOf(t *testing.T, err error) fsio.Reason {
 }
 
 // TestCorruptionSweep cuts each artifact at every offset and flips every
-// byte of it, and checks each rejection against one rule for all three
+// byte of it, and checks each rejection against one rule for all four
 // formats: a cut is torn, a flipped byte is judged by the region it falls
 // in, and a byte past the last frame is malformed.
 func TestCorruptionSweep(t *testing.T) {
@@ -140,7 +141,8 @@ func TestCorruptionSweep(t *testing.T) {
 }
 
 // sweepArtifacts writes one small trace (several chunks), one journal
-// segment and one snapshot through the packages' own writers.
+// segment, one snapshot and one trained spec through the packages' own
+// writers.
 func sweepArtifacts(t *testing.T) []artifact {
 	initial := state.New()
 	initial.Set("c", state.Int(1))
@@ -189,7 +191,25 @@ func sweepArtifacts(t *testing.T) []artifact {
 		return b
 	}
 
+	cache := spec.New(spec.Abstract, true)
+	add := []oplog.Sym{{Kind: adt.KindNumAdd, N: 1, Int: true}}
+	store := []oplog.Sym{{Kind: adt.KindNumStore, N: 2, Int: true}}
+	for _, pair := range [][2][]oplog.Sym{{add, add}, {store, store}, {add, store}} {
+		m := cache.Mode()
+		cache.Lookup(m.AppendKey(nil, pair[0]), m.AppendKey(nil, pair[1]), pair[0], pair[1])
+	}
+	if cache.Len() < 2 {
+		t.Fatalf("sweep spec learned %d entries:\n%s", cache.Len(), cache.Dump())
+	}
+	var specBuf bytes.Buffer
+	if err := cache.Save(&specBuf); err != nil {
+		t.Fatal(err)
+	}
+
 	return []artifact{
+		{name: "spec", buf: specBuf.Bytes(), markedFrom: 1, decode: func(b []byte) error {
+			return spec.New(spec.Abstract, false).Load(bytes.NewReader(b))
+		}},
 		{name: "trace", buf: trace.Bytes(), markedFrom: 1, decode: func(b []byte) error {
 			_, err := rec.ReadTrace(bytes.NewReader(b))
 			return err

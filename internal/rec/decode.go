@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/adt"
 	"repro/internal/fsio"
-	"repro/internal/obs"
 	"repro/internal/oplog"
 	"repro/internal/relation"
 	"repro/internal/state"
@@ -18,33 +17,25 @@ type DigestKind byte
 
 // Digest kinds.
 const (
-	// DigestNone: no digest (truncated or lossy capture).
+	// DigestNone: no digest; the recorder was dumped before Close.
 	DigestNone DigestKind = iota
-	// DigestFinal: digest of the actual final state at recorder close.
+	// DigestFinal: the digest the recorder was closed with, of the state
+	// its recorded commits left.
 	DigestFinal
-	// DigestDerived: digest computed at dump time by replaying the
-	// retained transactions over the initial state (flight-recorder dumps
-	// taken mid-run with a complete, lossless history).
-	DigestDerived
 )
 
 // String renders the kind.
 func (k DigestKind) String() string {
-	switch k {
-	case DigestFinal:
+	if k == DigestFinal {
 		return "final"
-	case DigestDerived:
-		return "derived"
-	default:
-		return "none"
 	}
+	return "none"
 }
 
 // TxnRecord is one committed transaction as captured in the trace.
 type TxnRecord struct {
-	// Task is the stm's 1-based task identifier, matching the Task field
-	// of captured obs events (subtract one to index the original task
-	// slice).
+	// Task is the stm's 1-based task identifier (subtract one to index
+	// the original task slice).
 	Task int
 	// CommitTime is the global-clock value the commit published.
 	CommitTime int64
@@ -60,8 +51,6 @@ type Trace struct {
 	Initial *state.State
 	// Txns is sorted by CommitTime: the serialization order.
 	Txns []TxnRecord
-	// Events are the protocol events captured alongside the op logs.
-	Events []obs.Event
 	// Commits is the footer's commit count — the number of commits the
 	// recorder saw, which exceeds len(Txns) when chunks were evicted.
 	Commits int64
@@ -228,73 +217,45 @@ func (d *dec) op() oplog.Op {
 	return op
 }
 
-// chunkPayload holds a decoded chunk's records.
-type chunkPayload struct {
-	txns   []TxnRecord
-	events []obs.Event
-}
-
 // decodeChunk decodes one chunk frame's payload: the body length, then
-// the body.
-func decodeChunk(payload []byte) (chunkPayload, error) {
-	d := fsio.NewReader(payload)
-	rawLen := d.Uvarint()
-	body := d.Bytes(uint64(d.Remaining()))
-	if err := d.Err(); err != nil {
-		return chunkPayload{}, err
+// the body's transaction records.
+func decodeChunk(payload []byte) ([]TxnRecord, error) {
+	r := fsio.NewReader(payload)
+	rawLen := r.Uvarint()
+	body := r.Bytes(uint64(r.Remaining()))
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
 	if uint64(len(body)) != rawLen {
-		return chunkPayload{}, fsio.Errorf(fsio.BadRecord, "chunk body of %d bytes, rawLen says %d", len(body), rawLen)
+		return nil, fsio.Errorf(fsio.BadRecord, "chunk body of %d bytes, rawLen says %d", len(body), rawLen)
 	}
-	return decodeRecords(body)
-}
-
-// decodeRecords decodes a chunk body's records. Shared by
-// ReadTrace and the recorder's derived-digest path.
-func decodeRecords(body []byte) (chunkPayload, error) {
-	var out chunkPayload
+	var txns []TxnRecord
 	d := dec{Reader: fsio.NewReader(body)}
 	for d.Remaining() > 0 && d.Err() == nil {
-		switch kind := d.Byte(); kind {
-		case recTxn:
-			t := TxnRecord{
-				Task:       int(d.Uvarint()),
-				CommitTime: int64(d.Uvarint()),
-			}
-			nops := d.Count("op")
-			t.Ops = make([]oplog.Op, 0, nops)
-			t.Observed = make([]state.Value, 0, nops)
-			for i := 0; i < nops && d.Err() == nil; i++ {
-				t.Ops = append(t.Ops, d.op())
-				if d.bool() {
-					t.Observed = append(t.Observed, d.value())
-				} else {
-					t.Observed = append(t.Observed, nil)
-				}
-			}
-			if d.Err() == nil {
-				out.txns = append(out.txns, t)
-			}
-		case recEvent:
-			ev := obs.Event{
-				Type:    obs.EventType(d.Byte()),
-				When:    d.Varint(),
-				Dur:     d.Varint(),
-				Worker:  int32(d.Varint()),
-				Task:    int32(d.Varint()),
-				Attempt: int32(d.Varint()),
-				Reason:  d.str(),
-				Loc:     d.str(),
-				Detail:  d.str(),
-			}
-			if d.Err() == nil {
-				out.events = append(out.events, ev)
-			}
-		default:
+		if kind := d.Byte(); kind != recTxn {
 			d.Fail("unknown record kind %d", kind)
+			break
+		}
+		t := TxnRecord{
+			Task:       int(d.Uvarint()),
+			CommitTime: int64(d.Uvarint()),
+		}
+		nops := d.Count("op")
+		t.Ops = make([]oplog.Op, 0, nops)
+		t.Observed = make([]state.Value, 0, nops)
+		for i := 0; i < nops && d.Err() == nil; i++ {
+			t.Ops = append(t.Ops, d.op())
+			if d.bool() {
+				t.Observed = append(t.Observed, d.value())
+			} else {
+				t.Observed = append(t.Observed, nil)
+			}
+		}
+		if d.Err() == nil {
+			txns = append(txns, t)
 		}
 	}
-	return out, d.Err()
+	return txns, d.Err()
 }
 
 // ReadTrace decodes and validates a trace artifact. Failures carry a
@@ -343,12 +304,11 @@ func decodeTrace(raw []byte) (t *Trace, err error) {
 			return nil, err
 		}
 		off = next
-		chunk, err := decodeChunk(payload)
+		txns, err := decodeChunk(payload)
 		if err != nil {
 			return nil, err
 		}
-		t.Txns = append(t.Txns, chunk.txns...)
-		t.Events = append(t.Events, chunk.events...)
+		t.Txns = append(t.Txns, txns...)
 	}
 	if off == len(raw) {
 		return nil, fsio.Errorf(fsio.Torn, "no footer frame")
@@ -365,11 +325,12 @@ func decodeTrace(raw []byte) (t *Trace, err error) {
 	}
 	fd := dec{Reader: fsio.NewReader(payload), inline: true}
 	t.Commits = int64(fd.Uvarint())
-	fd.Uvarint() // event count; len(t.Events) is authoritative for retained data
 	fl := fd.Byte()
 	t.Truncated = fl&(1<<0) != 0
 	t.Lossy = fl&(1<<1) != 0
-	t.DigestKind = DigestKind(fd.Byte())
+	if t.DigestKind = DigestKind(fd.Byte()); t.DigestKind > DigestFinal {
+		fd.Fail("unknown digest kind %d", t.DigestKind)
+	}
 	t.Digest = fd.U64LE()
 	t.EvictedChunks = int(fd.Uvarint())
 	t.LossyDetail = fd.str()

@@ -15,14 +15,14 @@ import (
 
 // On-disk layout (fsio's frames; integers varint-encoded unless noted):
 //
-//	file   := fsio.header("JANUSTRC", 7) frame(header) chunk* footer
+//	file   := fsio.header("JANUSTRC", 8) frame(header) chunk* footer
 //	chunk  := 'C' frame(uvarint(rawLen) body)
 //	footer := 'F' frame(payload)
 //
 // The header payload carries the run metadata and a full snapshot of the
-// initial shared state; chunk bodies carry the transaction and event
-// records (rawLen is the body length); the footer carries the commit count
-// and the final-state digest. Every byte after the format byte sits in a
+// initial shared state; chunk bodies carry the committed transactions'
+// records (rawLen is the body length); the footer carries the commit count,
+// the completeness flags, and the digest kind and value. Every byte after the format byte sits in a
 // CRC32-checked frame, so a truncated or bit-flipped artifact is rejected
 // with a typed *fsio.FrameError instead of silently replaying garbage.
 //
@@ -44,8 +44,10 @@ const traceMagic = "JANUSTRC"
 // Format 6 dropped another (the serial-escalation span), renumbering again,
 // and the header's flags byte, whose one flag marked gzip-compressed
 // chunks. Format 7 dropped each transaction record's shape key, which no
-// reader used. No reader for an older format is kept.
-const traceFormat = 7
+// reader used. Format 8 dropped the protocol-event record and the footer's
+// event count, which no reader decoded. No reader for an older format is
+// kept.
+const traceFormat = 8
 
 // Frame markers.
 const (
@@ -53,11 +55,9 @@ const (
 	frameFooter byte = 'F'
 )
 
-// Record kinds inside a chunk body.
-const (
-	recTxn   byte = 1
-	recEvent byte = 2
-)
+// recTxn is the kind byte of a transaction record, the one record kind
+// inside a chunk body.
+const recTxn byte = 1
 
 // Value tags (observed values and initial-state snapshot entries).
 const (
@@ -275,12 +275,11 @@ func chunkFrame(body []byte) []byte {
 	return fsio.AppendFrame([]byte{frameChunk}, append(payload, body...))
 }
 
-// footerFrame renders the trailing frame: counts, completeness flags, and
-// the final-state digest.
-func footerFrame(commits, events int64, truncated, lossy bool, kind DigestKind, digest uint64, evicted int, lossyDetail string) []byte {
+// footerFrame renders the trailing frame: the commit count, completeness
+// flags, and the final-state digest.
+func footerFrame(commits int64, truncated, lossy bool, kind DigestKind, digest uint64, evicted int, lossyDetail string) []byte {
 	e := newEnc(true)
 	e.u(uint64(commits))
-	e.u(uint64(events))
 	var fl byte
 	if truncated {
 		fl |= 1 << 0

@@ -2,9 +2,9 @@
 // record half of ROADMAP item 5. The runtime already observes every
 // operation a task performs (that hindsight is the paper's premise, §3);
 // the recorder persists that observation: each committed transaction's op
-// log (method, location, arguments and observed results) plus the
-// protocol event stream, framed into CRC32-checked chunks (see encode.go
-// for the format).
+// log (method, location, arguments and observed results), framed into
+// CRC32-checked chunks (see encode.go for the format), and at Close the
+// digest of the state the run left, which replay must reach.
 //
 // Two capture modes share one implementation:
 //
@@ -15,7 +15,8 @@
 //     `janus serve`'s on an abnormal exit — snapshots whatever the ring
 //     holds into a complete, self-validating artifact.
 //     Evictions mark the dump truncated; its footer then carries no
-//     replay-verifiable digest.
+//     replay-verifiable digest, and neither does a dump of a recorder
+//     that was never closed.
 //
 // When no recorder is configured the stm hot path pays a single nil
 // check (stm.Config.Record == nil), asserted zero-alloc by
@@ -25,12 +26,9 @@ package rec
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/fsio"
-	"repro/internal/obs"
 	"repro/internal/oplog"
 	"repro/internal/relation"
 	"repro/internal/state"
@@ -63,7 +61,6 @@ const DefaultChunkBytes = 64 << 10
 // Stats summarizes a recorder's activity.
 type Stats struct {
 	Commits       int64 `json:"commits"`
-	Events        int64 `json:"events"`
 	Chunks        int   `json:"chunks"`
 	EvictedChunks int   `json:"evicted_chunks"`
 	Bytes         int64 `json:"bytes"`
@@ -71,23 +68,19 @@ type Stats struct {
 	Lossy         bool  `json:"lossy"`
 }
 
-// Recorder captures commits and events into chunked frames. It
-// implements stm.CommitSink; Tracer wraps an obs tracer to tee events.
-// All methods are safe for concurrent use.
+// Recorder captures commits into chunked frames. It implements
+// stm.CommitSink. All methods are safe for concurrent use.
 type Recorder struct {
 	meta    Meta
 	opts    Options
 	initial *state.State
-	epoch   time.Time
 
 	mu          sync.Mutex
 	cur         *enc     // open chunk body
-	curRecords  int      // records in cur
 	sealed      [][]byte // completed chunk frames, oldest first
 	sealedBytes int64
 	evicted     int
 	commits     int64
-	events      int64
 	dumps       int
 	closed      bool
 	finalDigest uint64
@@ -101,11 +94,10 @@ type Recorder struct {
 }
 
 // recMark is a recorder position inside its open chunk: the body length,
-// the string-table size, and the counts.
+// the string-table size, and the commit count.
 type recMark struct {
-	buf, tab        int
-	records         int
-	commits, events int64
+	buf, tab int
+	commits  int64
 }
 
 // New builds a recorder for a run starting from initial (snapshotted —
@@ -118,7 +110,6 @@ func New(meta Meta, initial *state.State, opts Options) *Recorder {
 		meta:    meta,
 		opts:    opts,
 		initial: initial.Clone(),
-		epoch:   time.Now(),
 		cur:     newEnc(false),
 	}
 }
@@ -157,30 +148,6 @@ func (r *Recorder) ObserveCommitted(task int, commitTime int64, log oplog.Log) {
 		}
 	}
 	r.commits++
-	r.curRecords++
-	r.maybeSealLocked()
-}
-
-// recordEvent captures one protocol event.
-func (r *Recorder) recordEvent(ev obs.Event) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return
-	}
-	e := r.cur
-	e.byte(recEvent)
-	e.byte(byte(ev.Type))
-	e.i(ev.When)
-	e.i(ev.Dur)
-	e.i(int64(ev.Worker))
-	e.i(int64(ev.Task))
-	e.i(int64(ev.Attempt))
-	e.str(ev.Reason)
-	e.str(ev.Loc)
-	e.str(ev.Detail)
-	r.events++
-	r.curRecords++
 	r.maybeSealLocked()
 }
 
@@ -194,8 +161,7 @@ func (r *Recorder) Mark() {
 	defer r.mu.Unlock()
 	r.marked = true
 	r.mark = recMark{
-		buf: len(r.cur.buf), tab: len(r.cur.tab), records: r.curRecords,
-		commits: r.commits, events: r.events,
+		buf: len(r.cur.buf), tab: len(r.cur.tab), commits: r.commits,
 	}
 }
 
@@ -214,7 +180,7 @@ func (r *Recorder) Rewind() {
 			delete(r.cur.tab, s)
 		}
 	}
-	r.curRecords, r.commits, r.events = m.records, m.commits, m.events
+	r.commits = m.commits
 	r.marked = false
 }
 
@@ -237,7 +203,6 @@ func (r *Recorder) maybeSealLocked() {
 	r.sealed = append(r.sealed, frame)
 	r.sealedBytes += int64(len(frame))
 	r.cur = newEnc(false)
-	r.curRecords = 0
 	if r.opts.FlightChunks > 0 {
 		for len(r.sealed) > r.opts.FlightChunks {
 			r.sealedBytes -= int64(len(r.sealed[0]))
@@ -251,40 +216,10 @@ func (r *Recorder) maybeSealLocked() {
 	}
 }
 
-// teeTracer forwards events to an inner tracer (when any) and records
-// them.
-type teeTracer struct {
-	r     *Recorder
-	inner obs.Tracer
-}
-
-// Emit records and forwards.
-func (t *teeTracer) Emit(ev obs.Event) {
-	t.r.recordEvent(ev)
-	if t.inner != nil {
-		t.inner.Emit(ev)
-	}
-}
-
-// Now delegates to the inner tracer's clock so span timestamps stay on
-// one epoch; without one it falls back to the recorder's own epoch.
-func (t *teeTracer) Now() int64 {
-	if t.inner != nil {
-		return t.inner.Now()
-	}
-	return int64(time.Since(t.r.epoch))
-}
-
-// Tracer wraps inner so every emitted event is also captured in the
-// trace. inner may be nil (record-only).
-func (r *Recorder) Tracer(inner obs.Tracer) obs.Tracer {
-	return &teeTracer{r: r, inner: inner}
-}
-
-// Close seals the capture with the digest of the run's final state;
-// subsequent commits and events are dropped, and dumps carry the
-// definitive final-state digest. digest is 0 when the run failed before
-// producing a final state.
+// Close seals the capture with the digest of the state the recorded
+// commits left — a failed run's too, since the runtime keeps what its
+// commits published; later commits are dropped, and dumps carry the
+// digest as DigestFinal, which replay must reach.
 func (r *Recorder) Close(digest uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -298,7 +233,6 @@ func (r *Recorder) Stats() Stats {
 	defer r.mu.Unlock()
 	return Stats{
 		Commits:       r.commits,
-		Events:        r.events,
 		Chunks:        len(r.sealed),
 		EvictedChunks: r.evicted,
 		Bytes:         r.sealedBytes + int64(len(r.cur.buf)),
@@ -322,26 +256,16 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 	for _, frame := range r.sealed {
 		out = append(out, frame...)
 	}
-	body, commits, events := r.keptLocked()
+	body, commits := r.keptLocked()
 	if len(body) > 0 {
 		out = append(out, chunkFrame(body)...)
 	}
 
-	truncated := r.evicted > 0
-	kind, digest := DigestNone, uint64(0)
-	switch {
-	case r.closed && r.finalDigest != 0:
-		kind, digest = DigestFinal, r.finalDigest
-	case !truncated && !r.lossy:
-		// Mid-run dump with a complete lossless history: derive the
-		// digest by replaying our own retained frames. Commit-order
-		// replay of committed logs reconstructs the published state
-		// exactly (serializability).
-		if d, derr := r.deriveDigestLocked(); derr == nil {
-			kind, digest = DigestDerived, d
-		}
+	kind := DigestNone
+	if r.closed {
+		kind = DigestFinal
 	}
-	out = append(out, footerFrame(commits, events, truncated, r.lossy, kind, digest, r.evicted, r.lossyDetail)...)
+	out = append(out, footerFrame(commits, r.evicted > 0, r.lossy, kind, r.finalDigest, r.evicted, r.lossyDetail)...)
 
 	n, err := w.Write(out)
 	if err == nil {
@@ -351,45 +275,14 @@ func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
 }
 
 // keptLocked returns what a dump holds of the open chunk, and the commit
-// and event counts that go with it: everything, or under an open mark
-// what precedes it. Back-references only point backwards, so the prefix
-// decodes on its own.
-func (r *Recorder) keptLocked() (body []byte, commits, events int64) {
+// count that goes with it: everything, or under an open mark what
+// precedes it. Back-references only point backwards, so the prefix decodes
+// on its own.
+func (r *Recorder) keptLocked() (body []byte, commits int64) {
 	if r.marked {
-		return r.cur.buf[:r.mark.buf], r.mark.commits, r.mark.events
+		return r.cur.buf[:r.mark.buf], r.mark.commits
 	}
-	return r.cur.buf, r.commits, r.events
-}
-
-// deriveDigestLocked replays the retained transactions over the initial
-// state. Caller holds r.mu; only valid with no evictions and no loss.
-func (r *Recorder) deriveDigestLocked() (uint64, error) {
-	var txns []TxnRecord
-	for _, frame := range r.sealed {
-		payload, _, err := fsio.NextFrame(frame, 1) // past the 'C' marker
-		if err != nil {
-			return 0, err
-		}
-		chunk, err := decodeChunk(payload)
-		if err != nil {
-			return 0, err
-		}
-		txns = append(txns, chunk.txns...)
-	}
-	body, _, _ := r.keptLocked()
-	cur, err := decodeRecords(body)
-	if err != nil {
-		return 0, err
-	}
-	txns = append(txns, cur.txns...)
-	// Commits arrive at the sink in publish order per worker but may
-	// interleave across workers; sort into the serialization order.
-	sort.SliceStable(txns, func(i, j int) bool { return txns[i].CommitTime < txns[j].CommitTime })
-	st := r.initial.Clone()
-	if err := applyInCommitOrder(st, txns); err != nil {
-		return 0, err
-	}
-	return Digest(st), nil
+	return r.cur.buf, r.commits
 }
 
 // WriteFile dumps the current capture to path atomically (fsio's

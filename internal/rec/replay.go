@@ -61,8 +61,7 @@ func valueEqual(a, b state.Value) bool {
 }
 
 // applyInCommitOrder replays committed op logs over st in commit order.
-// txns must already be sorted by CommitTime (decodeTrace guarantees it;
-// the recorder's derived-digest path sorts before calling).
+// txns must already be sorted by CommitTime (decodeTrace guarantees it).
 func applyInCommitOrder(st *state.State, txns []TxnRecord) error {
 	for _, txn := range txns {
 		for j, op := range txn.Ops {

@@ -352,14 +352,19 @@ func (c *Cache) Stats() Stats {
 // golden tests.
 func (c *Cache) Dump() string {
 	entries := c.snapshotEntries()
+	var b strings.Builder
+	for _, k := range sortedKeys(entries) {
+		fmt.Fprintf(&b, "%s → %s\n", k, entries[k])
+	}
+	return b.String()
+}
+
+// sortedKeys returns the entries' keys in order (Dump and Save).
+func sortedKeys(entries map[string]conditionKind) []string {
 	keys := make([]string, 0, len(entries))
 	for k := range entries {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%s → %s\n", k, entries[k])
-	}
-	return b.String()
+	return keys
 }

@@ -44,6 +44,7 @@ import (
 	"repro/internal/adt"
 	"repro/internal/conflict"
 	"repro/internal/core"
+	"repro/internal/fsio"
 	"repro/internal/obs"
 	"repro/internal/relation"
 	"repro/internal/spec"
@@ -117,10 +118,11 @@ type (
 	// commit order (see Config.Record and internal/rec for the standard
 	// implementation).
 	CommitSink = stm.CommitSink
-	// SpecError reports a rejected trained-spec artifact (corruption,
-	// version or abstraction-mode mismatch, unknown entries); LoadSpec
-	// returns one, errors.As-matchable, for every artifact fault.
-	SpecError = spec.SpecError
+	// FrameError reports a rejected artifact: LoadSpec returns one,
+	// errors.As-matchable, for every fault of a trained-spec file (foreign,
+	// cut, corrupted, unknown entries, the other abstraction mode), with a
+	// Reason saying which.
+	FrameError = fsio.FrameError
 
 	// CustomSpec declares a user-defined ADT's relational representation
 	// (§6.1): arbitrary columns with an optional functional dependency
@@ -326,9 +328,9 @@ func (r *Runner) CacheStats() spec.Stats { return r.engine.Cache().Stats() }
 // ResetCacheStats clears query accounting (e.g. after a cold run).
 func (r *Runner) ResetCacheStats() { r.engine.Cache().ResetStats() }
 
-// SaveSpec writes the trained commutativity specification as JSON, the
-// deployment artifact of the Figure 6 flow: train once on representative
-// inputs, ship the spec, load it in production with LoadSpec.
+// SaveSpec writes the trained commutativity specification, the deployment
+// artifact of the Figure 6 flow: train once on representative inputs, ship
+// the spec, load it in production with LoadSpec.
 func (r *Runner) SaveSpec(w io.Writer) error { return r.engine.SaveSpec(w) }
 
 // ErrSpecFrozen is returned by LoadSpec after Freeze: spec loading is part
@@ -340,7 +342,7 @@ type SpecPolicy int
 
 // Spec-loading policies.
 const (
-	// SpecStrict fails the load with the *SpecError (the LoadSpec
+	// SpecStrict fails the load with the *FrameError (the LoadSpec
 	// behavior): a bad artifact is a deployment error.
 	SpecStrict SpecPolicy = iota
 	// SpecLenient rejects the artifact but not the run: the runner
@@ -350,18 +352,19 @@ const (
 )
 
 // LoadSpec merges a saved commutativity specification into the runner —
-// the production side of the Figure 6 deployment flow. The artifact's
-// envelope is verified (magic, format version, CRC32 checksum) and its
+// the production side of the Figure 6 deployment flow. The artifact is an
+// fsio file (magic, format byte, one CRC32-checked frame) whose
 // abstraction mode must match the runner's; any artifact fault is
-// reported as a *SpecError and leaves the cache unchanged.
+// reported as a *FrameError and leaves the cache unchanged. A read error
+// is returned as it is.
 //
 // LoadSpec is only legal before Freeze: the spec is training input, and a
 // frozen cache is read-only. Calling it after Freeze returns
-// ErrSpecFrozen (a contract violation, deliberately not a *SpecError).
+// ErrSpecFrozen (a contract violation, deliberately not a *FrameError).
 func (r *Runner) LoadSpec(rd io.Reader) error { return r.engine.LoadSpec(rd) }
 
 // LoadSpecPolicy is LoadSpec with a fault policy. Under SpecLenient an
-// artifact fault (*SpecError) does not fail the call: the rejection is
+// artifact fault (*FrameError) does not fail the call: the rejection is
 // recorded (SpecRejected), a spec.rejected event is emitted on
 // Config.Trace, and the runner degrades to write-set detection for all
 // subsequent runs — the run proceeds correct-but-slower instead of dying
@@ -372,8 +375,8 @@ func (r *Runner) LoadSpecPolicy(rd io.Reader, policy SpecPolicy) error {
 	if err == nil || policy != SpecLenient {
 		return err
 	}
-	var se *SpecError
-	if !errors.As(err, &se) {
+	var fe *FrameError
+	if !errors.As(err, &fe) {
 		return err
 	}
 	r.specRejected = true

@@ -3,11 +3,11 @@ package janus
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
 
+	"repro/internal/fsio"
 	"repro/internal/obs"
 	"repro/internal/rec"
 	"time"
@@ -422,29 +422,14 @@ func TestSpecSaveLoadAcrossRunners(t *testing.T) {
 	}
 }
 
-// TestLenientLoadRejectsStrippedEnvelope: a trained spec rewritten as a
-// magic-less, checksum-less document must not load under either policy —
-// the lenient one degrades the runner to write-set detection.
+// TestLenientLoadRejectsStrippedEnvelope: a trained spec stripped of its
+// header (the magic and the format byte) must not load under either
+// policy — the lenient one degrades the runner to write-set detection.
 func TestLenientLoadRejectsStrippedEnvelope(t *testing.T) {
-	var env struct {
-		Mode    string `json:"mode"`
-		Payload struct {
-			Entries map[string]string `json:"entries"`
-		} `json:"payload"`
-	}
-	if err := json.Unmarshal(trainedSpec(t), &env); err != nil {
-		t.Fatal(err)
-	}
-	if len(env.Payload.Entries) == 0 {
-		t.Fatal("trained spec carries no entries")
-	}
-	stripped, err := json.Marshal(map[string]any{"format": 1, "mode": env.Mode, "entries": env.Payload.Entries})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var se *SpecError
-	if err := New(Config{}).LoadSpec(bytes.NewReader(stripped)); !errors.As(err, &se) {
-		t.Fatalf("strict load of a stripped spec = %v, want *SpecError", err)
+	stripped := trainedSpec(t)[9:]
+	var fe *FrameError
+	if err := New(Config{}).LoadSpec(bytes.NewReader(stripped)); !errors.As(err, &fe) || fe.Reason != fsio.BadMagic {
+		t.Fatalf("strict load of a stripped spec = %v, want *FrameError (%s)", err, fsio.BadMagic)
 	}
 	r := New(Config{Threads: 2})
 	if err := r.LoadSpecPolicy(bytes.NewReader(stripped), SpecLenient); err != nil {

@@ -34,9 +34,9 @@ func TestLoadSpecStrictRejectsCorruptArtifact(t *testing.T) {
 	corrupted := chaos.CorruptSpec(spec, 7, 2)
 	r := New(Config{})
 	err := r.LoadSpec(bytes.NewReader(corrupted))
-	var se *SpecError
-	if !errors.As(err, &se) {
-		t.Fatalf("LoadSpec(corrupt) = %v, want *SpecError", err)
+	var fe *FrameError
+	if !errors.As(err, &fe) {
+		t.Fatalf("LoadSpec(corrupt) = %v, want *FrameError", err)
 	}
 	if r.SpecRejected() {
 		t.Fatal("strict rejection must not mark the runner as leniently degraded")
@@ -93,9 +93,9 @@ func TestLoadSpecLenientPassesThroughNonSpecErrors(t *testing.T) {
 	if !errors.Is(err, ErrSpecFrozen) {
 		t.Fatalf("lenient post-Freeze load = %v, want ErrSpecFrozen", err)
 	}
-	var se *SpecError
-	if errors.As(err, &se) {
-		t.Fatal("ErrSpecFrozen must not masquerade as a *SpecError")
+	var fe *FrameError
+	if errors.As(err, &fe) {
+		t.Fatal("ErrSpecFrozen must not masquerade as a *FrameError")
 	}
 	if r.SpecRejected() {
 		t.Fatal("a contract violation must not count as an artifact rejection")
