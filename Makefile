@@ -65,11 +65,13 @@ ALLOCS_TESTS = \
 	internal/spec:TestProfilerExecAllocs \
 	internal/stm:TestDisabledRecordingAddsNoAllocs \
 	internal/stm:TestDisabledTracingAddsNoAllocs \
+	internal/stm:TestParkedWaitAllocatesNothing \
 	internal/stm:TestRunCostIsFlat \
 	internal/stm:TestSteadyStateAttemptAllocs \
 	internal/stm:TestSteadyStateRelAllocs \
 	internal/stm:TestStoreCreateCostIsFlat \
-	internal/stm:TestStoreNewCostIsFlat
+	internal/stm:TestStoreNewCostIsFlat \
+	internal/stm:TestWarmListTransactionAllocs
 allocs:
 	@for t in $(ALLOCS_TESTS); do \
 		n=$$($(GO) test -list "^$${t#*:}$$" ./$${t%%:*} | grep -cx "$${t#*:}"); \

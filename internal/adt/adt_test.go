@@ -32,7 +32,7 @@ func newExec() *directExec {
 	st.Set("work", state.Int(0))
 	st.Set("name", state.Str(""))
 	st.Set("flag", state.Bool(false))
-	st.Set("stack", state.IntList{})
+	st.Set("stack", &state.IntList{})
 	st.Set("bits", NewRelValue())
 	st.Set("map", NewRelValue())
 	st.Set("arr", NewRelValue())
@@ -362,7 +362,7 @@ func TestHandlesAllocateOnlyTheirResults(t *testing.T) {
 	for i := range stack {
 		stack[i] = 1 << 20
 	}
-	st.Set("l", stack)
+	st.Set("l", &stack)
 	for _, l := range []state.Loc{"bits", "map", "arr", "canvas"} {
 		st.Set(l, NewRelValue())
 	}

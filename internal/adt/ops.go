@@ -148,27 +148,30 @@ func (k OpKind) Apply(o oplog.Op, st *state.State) (state.Value, error) {
 	case BoolLoad:
 		return load[state.Bool](st, o.L, "Bool")
 	case ListPush:
+		// The list bound in st is st's own (state.Value): it grows in place.
 		l, err := getList(st, o.L)
 		if err != nil {
 			return nil, err
 		}
-		st.Set(o.L, append(append(state.IntList(nil), l...), o.N))
+		l.Push(o.N)
 	case ListPop:
 		l, err := getList(st, o.L)
 		if err != nil {
 			return nil, err
 		}
-		if len(l) == 0 {
+		n := len(*l)
+		if n == 0 {
 			return nil, fmt.Errorf("adt: pop from empty list %q", o.L)
 		}
-		st.Set(o.L, append(state.IntList(nil), l[:len(l)-1]...))
-		return state.Int(l[len(l)-1]), nil
+		top := (*l)[n-1]
+		*l = (*l)[:n-1]
+		return state.Int(top), nil
 	case ListSize:
 		l, err := getList(st, o.L)
 		if err != nil {
 			return nil, err
 		}
-		return state.Int(len(l)), nil
+		return state.Int(len(*l)), nil
 	default:
 		return k.applyRel(o, st)
 	}
@@ -353,12 +356,12 @@ func getInt(st *state.State, l state.Loc) (int64, error) {
 	return int64(iv), nil
 }
 
-func getList(st *state.State, l state.Loc) (state.IntList, error) {
+func getList(st *state.State, l state.Loc) (*state.IntList, error) {
 	v, ok := st.Get(l)
 	if !ok {
 		return nil, fmt.Errorf("adt: unbound location %q", l)
 	}
-	lv, ok := v.(state.IntList)
+	lv, ok := v.(*state.IntList)
 	if !ok {
 		return nil, fmt.Errorf("adt: location %q holds %T, want IntList", l, v)
 	}

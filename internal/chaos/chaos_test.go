@@ -33,7 +33,7 @@ func soakStateOn(ctrs []state.Loc) *state.State {
 	for _, l := range ctrs {
 		st.Set(l, state.Int(0))
 	}
-	st.Set("log", state.IntList{})
+	st.Set("log", &state.IntList{})
 	return st
 }
 

@@ -171,7 +171,7 @@ func TestRelaxationsWAWSharedAsLocal(t *testing.T) {
 
 func TestRelaxationsBothOnStack(t *testing.T) {
 	st := state.New()
-	st.Set("stk", state.IntList{})
+	st.Set("stk", &state.IntList{})
 	rx := NewRelaxations([]state.Loc{"stk"}, []state.Loc{"stk"})
 	det := NewSequence(spec.New(spec.Abstract, false), rx)
 	push := record(t, st, 1, adt.ListPushOp{L: "stk", V: 1}.Op())
@@ -261,7 +261,7 @@ func TestInferWAWAdmitsSharedAsLocal(t *testing.T) {
 	// Stack sequences: a balanced pair passes; a prestate-popping one
 	// against a non-identity committed sequence does not.
 	st2 := state.New()
-	st2.Set("stk", state.IntList{5})
+	st2.Set("stk", &state.IntList{5})
 	bal := record(t, st2, 1, adt.ListPushOp{L: "stk", V: 1}.Op(), adt.ListPopOp{L: "stk"}.Op())
 	grow := record(t, st2, 2, adt.ListPushOp{L: "stk", V: 9}.Op())
 	if detect(det, st2, bal, grow) {

@@ -111,7 +111,7 @@ func (d *dec) value() state.Value {
 		for i := range out {
 			out[i] = d.Varint()
 		}
-		return out
+		return &out
 	case valRel:
 		return d.rel()
 	default:

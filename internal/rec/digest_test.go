@@ -26,7 +26,7 @@ func randValue(rng *rand.Rand) state.Value {
 		for n := rng.Intn(4); n > 0; n-- {
 			l = append(l, int64(rng.Intn(3)))
 		}
-		return l
+		return &l
 	default:
 		r := relation.New()
 		for n := rng.Intn(6); n > 0; n-- {
@@ -123,8 +123,9 @@ func TestDigestFollowsEqual(t *testing.T) {
 				b.Set(l, x+"'")
 			case state.Bool:
 				b.Set(l, !x)
-			case state.IntList:
-				b.Set(l, append(state.IntList{7}, x...))
+			case *state.IntList:
+				grown := append(state.IntList{7}, *x...)
+				b.Set(l, &grown)
 			case state.Rel:
 				x.R.Put(strconv.Itoa(rng.Intn(8)), "changed")
 			}

@@ -130,10 +130,10 @@ func (e *enc) value(v state.Value) {
 	case state.Bool:
 		e.byte(valBool)
 		e.bool(bool(x))
-	case state.IntList:
+	case *state.IntList:
 		e.byte(valList)
-		e.u(uint64(len(x)))
-		for _, n := range x {
+		e.u(uint64(len(*x)))
+		for _, n := range *x {
 			e.i(n)
 		}
 	case state.Rel:
@@ -216,7 +216,7 @@ func (e *enc) op(op oplog.Op) {
 // encodableValue reports whether a value has an on-disk encoding.
 func encodableValue(v state.Value) error {
 	switch v.(type) {
-	case nil, state.Int, state.Str, state.Bool, state.IntList, state.Rel:
+	case nil, state.Int, state.Str, state.Bool, *state.IntList, state.Rel:
 		return nil
 	default:
 		return fmt.Errorf("rec: value type %T has no trace encoding", v)

@@ -344,9 +344,9 @@ func hashValue(h uint64, v state.Value) uint64 {
 			b = 1
 		}
 		return relation.HashUint64(relation.HashUint64(h, uint64(valBool)), b)
-	case state.IntList:
-		h = relation.HashUint64(relation.HashUint64(h, uint64(valList)), uint64(len(x)))
-		for _, n := range x {
+	case *state.IntList:
+		h = relation.HashUint64(relation.HashUint64(h, uint64(valList)), uint64(len(*x)))
+		for _, n := range *x {
 			h = relation.HashUint64(h, uint64(n))
 		}
 		return h

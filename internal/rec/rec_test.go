@@ -23,7 +23,7 @@ func testState() *state.State {
 	st.Set("counter", state.Int(7))
 	st.Set("name", state.Str("seed"))
 	st.Set("flag", state.Bool(true))
-	st.Set("stack", state.IntList{1, 2, 3})
+	st.Set("stack", &state.IntList{1, 2, 3})
 	st.Set("bits", adt.NewRelValue())
 	return st
 }

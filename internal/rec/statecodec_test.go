@@ -17,7 +17,7 @@ func codecState() *state.State {
 	st.Set("n", state.Int(-42))
 	st.Set("s", state.Str("hello"))
 	st.Set("b", state.Bool(true))
-	st.Set("l", state.IntList{3, 1, 4, 1, 5})
+	st.Set("l", &state.IntList{3, 1, 4, 1, 5})
 	r := relation.New()
 	r.Put("a", "1")
 	r.Put("b", "2")
@@ -97,7 +97,7 @@ func goldenState() *state.State {
 	st.Set("n", state.Int(-42))
 	st.Set("s", state.Str("héllo"))
 	st.Set("b", state.Bool(true))
-	st.Set("l", state.IntList{3, 1, 4, 1, 5})
+	st.Set("l", &state.IntList{3, 1, 4, 1, 5})
 	kv := relation.New()
 	for i, k := range []string{"9", "10", "b", "a", "", "a0", "Z"} {
 		kv.Put(k, strconv.Itoa(7-i))

@@ -538,7 +538,11 @@ type soakLedger struct {
 // the previous death left in flight, and lets three clients submit
 // until the file system dies at the moment (a later occurrence each
 // round): that call and every later one fail, and what the calls before
-// it wrote is what the next round boots from.
+// it wrote is what the next round boots from. The clients keep going
+// until a submission sees the death, not for a fixed count: a moment in
+// the background snapshot comes after however many batches a loaded CPU
+// lets pass before the snapshot runs. maxPerRound only bounds a moment
+// that never comes.
 //
 // While the clients run, no fresh ID may get a 409, and every batch
 // sent after the death gets 503 journal_error, never an ack. A batch
@@ -548,7 +552,7 @@ type soakLedger struct {
 // its retry resolves exactly once.
 func TestCrashRecoverySoak(t *testing.T) {
 	dataDir := []*node{{dir: map[string]int{"data": 1}}, {dir: map[string]int{}}}
-	const rounds, clients, perClient = 3, 3, 20
+	const rounds, clients, maxPerRound = 3, 3, 1200
 	for mi, moment := range crashMoments {
 		t.Run(moment.name, func(t *testing.T) {
 			l := &soakLedger{specs: map[string]*Batch{}, acked: map[string]ack{}, pending: map[string]bool{}}
@@ -590,12 +594,13 @@ func TestCrashRecoverySoak(t *testing.T) {
 				h := srv.Handler()
 				refused := map[string]bool{}
 				var crashed atomic.Bool
+				var roundSent atomic.Int64
 				var wg sync.WaitGroup
 				for c := 0; c < clients; c++ {
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						for i := 0; i < perClient && !crashed.Load(); i++ {
+						for !crashed.Load() && roundSent.Add(1) <= maxPerRound {
 							k := sent.Add(1)
 							b := mixedBatch(fmt.Sprintf("m%d-b%d", mi, k), k%13+1)
 							l.mu.Lock()

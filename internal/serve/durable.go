@@ -12,6 +12,7 @@ import (
 	janus "repro"
 	"repro/internal/fsio"
 	"repro/internal/rec"
+	"repro/internal/stm"
 	"repro/internal/wal"
 )
 
@@ -119,24 +120,29 @@ func (s *Server) recoverTenant(t *tenant, st *janus.State) (*janus.State, error)
 	// digest was computed at commit time from the parallel run's final
 	// state; sequential replay must land on the same digest (that
 	// equivalence is the system's core correctness claim), so a mismatch
-	// means the journal does not reproduce the acked state — refuse.
+	// means the journal does not reproduce the acked state — refuse. st
+	// is this recovery's own (a fresh initial state or a decoded
+	// snapshot), and a failure discards it, so each record replays on it
+	// in place rather than on a copy.
 	for _, r := range rcv.Records {
 		b, perr := parseBatch(r.Payload)
 		if perr != nil {
 			l.Close()
 			return nil, fmt.Errorf("serve: tenant %q journal seq %d: decoding batch: %w", t.name, r.Seq, perr)
 		}
-		next, aerr := applySequential(s.schIdx, st, b)
+		tasks, aerr := compile(s.schIdx, b)
+		if aerr == nil {
+			aerr = stm.ApplySequential(st, tasks)
+		}
 		if aerr != nil {
 			l.Close()
 			return nil, fmt.Errorf("serve: tenant %q journal seq %d: replaying batch %q: %w", t.name, r.Seq, b.ID, aerr)
 		}
-		if got := rec.Digest(next); got != r.Digest {
+		if got := rec.Digest(st); got != r.Digest {
 			l.Close()
 			return nil, fmt.Errorf("serve: tenant %q journal seq %d: replay digest %s, journal recorded %s",
 				t.name, r.Seq, rec.FormatDigest(got), rec.FormatDigest(r.Digest))
 		}
-		st = next
 		t.applied = int64(r.Seq)
 		t.seen[r.ID] = appliedBatch{seq: r.Seq, digest: r.Digest}
 		t.seenOrder = append(t.seenOrder, seenAt{id: r.ID, seq: r.Seq})

@@ -320,13 +320,7 @@ func applyOp(ex janus.Executor, op OpSpec) error {
 // state; st is not mutated. Callers replay accepted batches in journal
 // order and compare rec.Digest against /statez.
 func ApplySequential(st *janus.State, sch Schema, b *Batch) (*janus.State, error) {
-	return applySequential(sch.index(), st, b)
-}
-
-// applySequential is ApplySequential against a built schema index, so a
-// caller replaying many batches (recovery) builds the index once.
-func applySequential(idx map[string]locKind, st *janus.State, b *Batch) (*janus.State, error) {
-	tasks, err := compile(idx, b)
+	tasks, err := compile(sch.index(), b)
 	if err != nil {
 		return nil, err
 	}

@@ -123,7 +123,7 @@ var concreteDomains = []concreteDomain{
 			}
 		},
 		entries: func() []*state.State {
-			return withLoc("s", state.IntList{}, state.IntList{7}, state.IntList{1, 2, 3})
+			return withLoc("s", &state.IntList{}, &state.IntList{7}, &state.IntList{1, 2, 3})
 		},
 	},
 	{

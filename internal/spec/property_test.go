@@ -39,7 +39,7 @@ func genRegisterLog(rng *rand.Rand, loc state.Loc, task int) oplog.Log {
 func genStackLog(rng *rand.Rand, loc state.Loc, task int) oplog.Log {
 	n := 1 + rng.Intn(5)
 	st := state.New()
-	st.Set(loc, state.IntList{10, 20, 30, 40, 50}) // deep enough to pop
+	st.Set(loc, &state.IntList{10, 20, 30, 40, 50}) // deep enough to pop
 	var l oplog.Log
 	depth := 5
 	for i := 0; i < n; i++ {
@@ -129,7 +129,7 @@ func TestProvedConditionsSoundOnStackDomain(t *testing.T) {
 		admitted++
 		for _, entry := range []state.IntList{{}, {7}, {1, 2, 3, 4, 5, 6}} {
 			st := state.New()
-			st.Set("s", append(state.IntList(nil), entry...))
+			st.Set("s", entry.CloneValue())
 			concrete, err := conflictConcrete(st, oplog.PLoc{Loc: "s"}, s1, s2)
 			if err != nil {
 				// Pops beyond the entry depth cannot run on this entry

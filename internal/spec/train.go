@@ -260,8 +260,8 @@ func syntheticStates(initial *state.State, p oplog.PLoc) []*state.State {
 		variants = []state.Value{tv, state.Str(""), state.Str("⟂probe")}
 	case state.Bool:
 		variants = []state.Value{tv, state.Bool(!bool(tv))}
-	case state.IntList:
-		variants = []state.Value{tv, state.IntList{}, state.IntList{11, 22}}
+	case *state.IntList:
+		variants = []state.Value{tv, &state.IntList{}, &state.IntList{11, 22}}
 	case state.Rel:
 		boundKey := adt.NewRelValue()
 		boundKey.R.Put(p.Key, "⟂probe")

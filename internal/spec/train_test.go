@@ -13,7 +13,7 @@ import (
 func initialState() *state.State {
 	st := state.New()
 	st.Set("work", state.Int(0))
-	st.Set("monitor", state.IntList{})
+	st.Set("monitor", &state.IntList{})
 	st.Set("canvas", adt.NewRelValue())
 	st.Set("max", state.Int(1))
 	return st

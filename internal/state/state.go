@@ -8,6 +8,7 @@ package state
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,6 +22,14 @@ type Loc string
 // (for privatization: mutations of a clone never show in the original,
 // whether by copying or by structural sharing) and equality (for
 // SAMEREAD/COMMUTE checks).
+//
+// Scalars (Int, Str, Bool) are immutable. A mutable value — a relation
+// (Rel) or a list (*IntList) — belongs to the one state it is bound in,
+// and operations mutate it there in place: a put rewrites the relation's
+// header, a push appends to the list. So a value read out of one state
+// (or out of a committed store) is bound in another only through Copy,
+// never as it is: the fault path, State.Clone and every store boundary
+// copy, and Range hands out values for reading only.
 type Value interface {
 	CloneValue() Value
 	EqualValue(Value) bool
@@ -101,29 +110,48 @@ func (v Rel) EqualValue(o Value) bool {
 func (v Rel) String() string { return v.R.String() }
 
 // IntList is an ordered list of integers (the JFileSync monitor stacks).
+// The Value is the pointer, *IntList: list operations push and pop on the
+// list bound in their state in place, so writing the result back binds
+// nothing new.
 type IntList []int64
 
-// CloneValue implements Value.
-func (v IntList) CloneValue() Value { return append(IntList(nil), v...) }
+// listHeadroom is the spare capacity a list gets when it is cloned or
+// first pushed onto, so the pushes after a fault append without growing
+// it.
+const listHeadroom = 8
+
+// CloneValue implements Value: a copy with room for listHeadroom pushes.
+// An empty list's copy holds no elements yet, so copying a state whose
+// list no operation touches costs the list's header alone; its first
+// Push makes the room.
+func (v *IntList) CloneValue() Value {
+	if len(*v) == 0 {
+		return &IntList{}
+	}
+	c := make(IntList, len(*v), len(*v)+listHeadroom)
+	copy(c, *v)
+	return &c
+}
+
+// Push appends x in place. A list with no storage yet grows straight to
+// listHeadroom elements.
+func (v *IntList) Push(x int64) {
+	if cap(*v) == 0 {
+		*v = make(IntList, 0, listHeadroom)
+	}
+	*v = append(*v, x)
+}
 
 // EqualValue implements Value.
-func (v IntList) EqualValue(o Value) bool {
-	ov, ok := o.(IntList)
-	if !ok || len(ov) != len(v) {
-		return false
-	}
-	for i := range v {
-		if v[i] != ov[i] {
-			return false
-		}
-	}
-	return true
+func (v *IntList) EqualValue(o Value) bool {
+	ov, ok := o.(*IntList)
+	return ok && slices.Equal(*v, *ov)
 }
 
 // String implements Value.
-func (v IntList) String() string {
-	parts := make([]string, len(v))
-	for i, x := range v {
+func (v *IntList) String() string {
+	parts := make([]string, len(*v))
+	for i, x := range *v {
 		parts[i] = fmt.Sprintf("%d", x)
 	}
 	return "[" + strings.Join(parts, " ") + "]"

@@ -27,20 +27,20 @@ func TestScalarValues(t *testing.T) {
 			t.Errorf("String = %q, want %q", c.v.String(), c.str)
 		}
 		// Cross-type comparisons are never equal.
-		if c.v.EqualValue(IntList{1}) {
+		if c.v.EqualValue(&IntList{1}) {
 			t.Errorf("%v equal to IntList", c.v)
 		}
 	}
 }
 
 func TestIntList(t *testing.T) {
-	l := IntList{1, 2, 3}
-	c := l.CloneValue().(IntList)
-	c[0] = 99
-	if l[0] != 1 {
+	l := &IntList{1, 2, 3}
+	c := l.CloneValue().(*IntList)
+	(*c)[0] = 99
+	if (*l)[0] != 1 {
 		t.Fatalf("clone must not alias")
 	}
-	if !l.EqualValue(IntList{1, 2, 3}) || l.EqualValue(IntList{1, 2}) || l.EqualValue(IntList{1, 2, 4}) {
+	if !l.EqualValue(&IntList{1, 2, 3}) || l.EqualValue(&IntList{1, 2}) || l.EqualValue(&IntList{1, 2, 4}) {
 		t.Errorf("equality wrong")
 	}
 	if l.String() != "[1 2 3]" {
@@ -89,7 +89,7 @@ func TestStateBasics(t *testing.T) {
 func TestCloneAndEqual(t *testing.T) {
 	s := New()
 	s.Set("a", Int(1))
-	s.Set("l", IntList{5})
+	s.Set("l", &IntList{5})
 	c := s.Clone()
 	if !s.Equal(c) {
 		t.Fatalf("clone must be equal")
@@ -104,8 +104,8 @@ func TestCloneAndEqual(t *testing.T) {
 	// Deep: mutate list inside clone.
 	c2 := s.Clone()
 	lst, _ := c2.Get("l")
-	lst.(IntList)[0] = 42
-	if orig, _ := s.Get("l"); orig.(IntList)[0] != 5 {
+	(*lst.(*IntList))[0] = 42
+	if orig, _ := s.Get("l"); (*orig.(*IntList))[0] != 5 {
 		t.Fatalf("list clone not deep")
 	}
 	// Different domains are unequal.
@@ -126,7 +126,7 @@ func TestStateString(t *testing.T) {
 }
 
 func TestFaultingStateMaterializesOnGet(t *testing.T) {
-	source := map[Loc]Value{"a": Int(5), "l": IntList{1, 2}}
+	source := map[Loc]Value{"a": Int(5), "l": &IntList{1, 2}}
 	calls := 0
 	st := NewFaulting(func(l Loc) (Value, bool) {
 		calls++
@@ -149,8 +149,8 @@ func TestFaultingStateMaterializesOnGet(t *testing.T) {
 	}
 	// Mutations never reach the source (the fault clones).
 	lv, _ := st.Get("l")
-	lv.(IntList)[0] = 99
-	if source["l"].(IntList)[0] != 1 {
+	(*lv.(*IntList))[0] = 99
+	if (*source["l"].(*IntList))[0] != 1 {
 		t.Fatalf("mutation leaked into the fault source")
 	}
 	// Set shadows the source.

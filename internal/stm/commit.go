@@ -117,14 +117,29 @@ func (r *Runtime) unlockStripes(t *Tx) {
 	}
 }
 
+// seqWaiter is one goroutine parked in waitPublished: the watermark it
+// waits for and the channel that wakes it.
+type seqWaiter struct {
+	target int64
+	wake   chan struct{}
+}
+
 // waitPublished blocks until the sequencer's published watermark reaches
 // target or the run fails, reporting whether the watermark got there.
-// This is the O(1) order-maintenance query behind both the publication
-// turn and the ordered-mode commit turn: tickets are dense and publish
-// in order, so the watermark passes through every integer and each
-// waiter registers under exactly the value it needs — advancePublished
-// wakes it with a map lookup, not a broadcast over all waiters.
-func (r *Runtime) waitPublished(target int64) bool {
+// This is the order-maintenance query behind both the publication turn
+// and the ordered-mode commit turn: tickets are dense and publish in
+// order, so the watermark passes through every integer and each waiter
+// registers under exactly the value it needs — advancePublished wakes
+// only the waiters of the value it publishes, not a broadcast over all.
+//
+// wake is the caller's own channel, with room for one wake-up, reused
+// from wait to wait (a transaction shell's): waiting allocates nothing. A
+// wait that the run's failure ended leaves its registration behind, so a
+// later publication may drop a stale wake-up in the channel; the waiter
+// therefore re-checks the watermark and, short of target, waits on —
+// still registered, because only the publication of target takes a
+// registration for target away.
+func (r *Runtime) waitPublished(target int64, wake chan struct{}) bool {
 	if r.published.Load() >= target {
 		return true
 	}
@@ -133,31 +148,43 @@ func (r *Runtime) waitPublished(target int64) bool {
 		r.seqMu.Unlock()
 		return true
 	}
-	ch := make(chan struct{})
-	r.seqWaiters[target] = append(r.seqWaiters[target], ch)
+	r.seqWaiters = append(r.seqWaiters, seqWaiter{target: target, wake: wake})
 	r.seqMu.Unlock()
-	select {
-	case <-ch:
-		return true
-	case <-r.done:
-		return r.published.Load() >= target
+	for {
+		select {
+		case <-wake:
+			if r.published.Load() >= target {
+				return true
+			}
+		case <-r.done:
+			return r.published.Load() >= target
+		}
 	}
 }
 
 // advancePublished publishes watermark c — always exactly published+1,
 // because publication runs in dense ticket order — and wakes the waiters
-// registered for c.
+// registered for c. There are at most as many as there are workers, so
+// finding them is a scan of a few entries.
 func (r *Runtime) advancePublished(c int64) {
 	r.seqMu.Lock()
 	r.published.Store(c)
-	chs := r.seqWaiters[c]
-	if chs != nil {
-		delete(r.seqWaiters, c)
+	ws := r.seqWaiters
+	for i := 0; i < len(ws); {
+		if ws[i].target != c {
+			i++
+			continue
+		}
+		select {
+		case ws[i].wake <- struct{}{}:
+		default: // a stale wake-up is already pending; one is enough
+		}
+		ws[i] = ws[len(ws)-1]
+		ws[len(ws)-1] = seqWaiter{}
+		ws = ws[:len(ws)-1]
 	}
+	r.seqWaiters = ws
 	r.seqMu.Unlock()
-	for _, ch := range chs {
-		close(ch)
-	}
 }
 
 // casMax raises *addr to v if v is greater. Commits publish
@@ -423,7 +450,7 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, tcheck int64) commitResult {
 	}
 	ctime := r.clock.Add(1)
 	pipeStart := ctx.Now()
-	if !r.waitPublished(ctime - 1) {
+	if !r.waitPublished(ctime-1, tx.wake) {
 		// Run failed before our turn could come up; nothing was merged
 		// and no successor is live to wait on the gap.
 		return commitFailed

@@ -2,6 +2,7 @@ package stm
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -251,7 +252,7 @@ func TestDisjointCommitsOverlap(t *testing.T) {
 func TestWaitPublishedFailureWakes(t *testing.T) {
 	r := New(Config{}, state.New())
 	done := make(chan bool, 1)
-	go func() { done <- r.waitPublished(99) }()
+	go func() { done <- r.waitPublished(99, make(chan struct{}, 1)) }()
 	time.Sleep(5 * time.Millisecond)
 	r.fail(errors.New("boom"))
 	select {
@@ -261,5 +262,38 @@ func TestWaitPublishedFailureWakes(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("waitPublished did not wake on run failure")
+	}
+}
+
+// TestParkedWaitAllocatesNothing: a wait the sequencer has to park —
+// registered on the waiter list, then woken by the publication of its
+// watermark — allocates nothing once the list has grown: the waiter
+// brings its own wake channel and the list keeps its storage.
+func TestParkedWaitAllocatesNothing(t *testing.T) {
+	r := New(Config{}, state.New())
+	wake := make(chan struct{}, 1)
+	publish := make(chan int64)
+	defer close(publish)
+	go func() {
+		for c := range publish {
+			for parked := false; !parked; {
+				r.seqMu.Lock()
+				parked = len(r.seqWaiters) > 0
+				r.seqMu.Unlock()
+				runtime.Gosched()
+			}
+			r.advancePublished(c)
+		}
+	}()
+	next := r.published.Load()
+	allocs := testing.AllocsPerRun(100, func() {
+		next++
+		publish <- next
+		if !r.waitPublished(next, wake) {
+			t.Fatalf("the wait for %d failed", next)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a parked wait allocates %.0f objects, want none", allocs)
 	}
 }

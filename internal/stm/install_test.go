@@ -90,7 +90,7 @@ func commutingTasks(rng *rand.Rand, n int, ordered bool) []adt.Task {
 func installState() *state.State {
 	st := fuzzState()
 	st.Set("tag", state.Str(""))
-	st.Set("log", state.IntList{})
+	st.Set("log", &state.IntList{})
 	return st
 }
 

@@ -1,0 +1,194 @@
+package stm
+
+import (
+	"context"
+	"slices"
+	"testing"
+
+	"repro/internal/adt"
+	"repro/internal/obs"
+	"repro/internal/state"
+)
+
+// listOf returns the elements of the list bound at l in st.
+func listOf(t *testing.T, st *state.State, l state.Loc) []int64 {
+	t.Helper()
+	v, ok := st.Get(l)
+	if !ok {
+		t.Fatalf("%s is unbound", l)
+	}
+	return slices.Clone(*v.(*state.IntList))
+}
+
+// listState is a state whose list at "log" holds elems.
+func listState(elems ...int64) *state.State {
+	l := state.IntList(elems)
+	st := state.New()
+	st.Set("log", &l)
+	return st
+}
+
+// popPush pops the stack at l and pushes vals: it rewrites the top
+// element in place, which a list shared with the committed store would
+// show there.
+func popPush(l state.Loc, vals ...int64) adt.Task {
+	return func(ex adt.Executor) error {
+		s := adt.Stack{L: l}
+		if _, err := s.Pop(ex); err != nil {
+			return err
+		}
+		for _, v := range vals {
+			if err := s.Push(ex, v); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// TestAbortedPushesNeverReachTheCommittedList: a transaction pops and
+// pushes on its private copy of a list, a disjoint-in-time commit to the
+// same list makes it abort, and the committed list is exactly the one
+// the committing transaction wrote — none of the aborted attempt's
+// in-place writes, neither the top it rewrote nor the elements it
+// appended, shows in the store or in the next transaction's view.
+func TestAbortedPushesNeverReachTheCommittedList(t *testing.T) {
+	r := New(Config{Threads: 1}, listState(1, 2, 3))
+	aborted, err := r.execute(obs.Ctx{Task: 1}, popPush("log", 90, 91, 92, 93, 94, 95, 96, 97, 98, 99), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if committed, err := r.attempt(obs.Ctx{Task: 2}, popPush("log", 30, 4), 2); err != nil || !committed {
+		t.Fatalf("the second transaction: committed=%v err=%v", committed, err)
+	}
+	if r.finish(obs.Ctx{Task: 1}, aborted) {
+		t.Fatal("a transaction whose list a later commit rewrote committed")
+	}
+	aborted.release()
+	if got, want := listOf(t, r.State(), "log"), []int64{1, 2, 30, 4}; !slices.Equal(got, want) {
+		t.Fatalf("committed list after the abort = %v, want %v", got, want)
+	}
+	var seen []int64
+	look := func(ex adt.Executor) error {
+		s := adt.Stack{L: "log"}
+		for {
+			n, err := s.Size(ex)
+			if err != nil || n == 0 {
+				return err
+			}
+			v, err := s.Pop(ex)
+			if err != nil {
+				return err
+			}
+			seen = append(seen, v)
+		}
+	}
+	if committed, err := r.attempt(obs.Ctx{Task: 3}, look, 3); err != nil || !committed {
+		t.Fatalf("the reading transaction: committed=%v err=%v", committed, err)
+	}
+	if want := []int64{4, 30, 2, 1}; !slices.Equal(seen, want) {
+		t.Fatalf("the next transaction popped %v, want %v", seen, want)
+	}
+}
+
+// TestUndoRestoresTheList: Undo after a Run of pushes and pops puts back
+// the list the Run started from, element for element — the values the
+// Run's commits published were copies, so nothing rewrote the old one.
+func TestUndoRestoresTheList(t *testing.T) {
+	r := New(Config{Threads: 2, Ordered: true}, listState(1, 2, 3))
+	tasks := []adt.Task{popPush("log", 7, 8), popPush("log"), popPush("log", 9), popPush("log", 10, 11, 12)}
+	if _, err := r.Run(context.Background(), tasks); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := listOf(t, r.State(), "log"), []int64{1, 2, 10, 11, 12}; !slices.Equal(got, want) {
+		t.Fatalf("after the Run the list is %v, want %v", got, want)
+	}
+	r.Undo()
+	if got, want := listOf(t, r.State(), "log"), []int64{1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("after Undo the list is %v, want %v", got, want)
+	}
+}
+
+// TestStateListIsTheCallers: the list in State's result is the caller's.
+// Mutating it in place — rewriting an element, appending into its spare
+// capacity — reaches neither the store nor the next Run.
+func TestStateListIsTheCallers(t *testing.T) {
+	r := New(Config{Threads: 1}, listState(1, 2, 3))
+	if _, err := r.Run(context.Background(), []adt.Task{popPush("log", 4, 5)}); err != nil {
+		t.Fatal(err)
+	}
+	out := r.State()
+	v, _ := out.Get("log")
+	l := v.(*state.IntList)
+	(*l)[0] = 100
+	*l = append(*l, 101)
+	if got, want := listOf(t, r.State(), "log"), []int64{1, 2, 4, 5}; !slices.Equal(got, want) {
+		t.Fatalf("the store's list after the caller mutated its copy = %v, want %v", got, want)
+	}
+	if _, err := r.Run(context.Background(), []adt.Task{popPush("log", 6)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := listOf(t, r.State(), "log"), []int64{1, 2, 4, 6}; !slices.Equal(got, want) {
+		t.Fatalf("the next Run left %v, want %v", got, want)
+	}
+}
+
+// pushPops is a transaction of pairs rounds of push, push, pop, pop on the
+// stack at l: the balanced push/pop of JFileSync's monitor stacks, 2·pairs
+// pushes and as many pops. The values stay below the runtime's
+// small-integer cache, so a pop's result boxes nothing.
+func pushPops(l state.Loc, pairs int) adt.Task {
+	return func(ex adt.Executor) error {
+		s := adt.Stack{L: l}
+		for i := 0; i < pairs; i++ {
+			if err := s.Push(ex, int64(i%100)); err != nil {
+				return err
+			}
+			if err := s.Push(ex, int64(i%100+100)); err != nil {
+				return err
+			}
+			for j := 0; j < 2; j++ {
+				if _, err := s.Pop(ex); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	}
+}
+
+// TestWarmListTransactionAllocs pins what a warm transaction of list
+// operations allocates: a constant, not one or two objects per push or
+// pop. Each transaction of the round faults its list in, pushes and pops
+// on its copy in place, and commits its value slab and a copy of the
+// list. A list of three elements is copied with spare capacity (header
+// and elements) at the fault and at the commit: five objects. An empty
+// one is copied as a header, and its first push makes the room: four.
+// That holds whether the transaction runs 2 000 pushes and 2 000 pops or
+// 20 and 20. Before lists were updated in place, every push and pop
+// copied the list and boxed the copy: 8 000 objects for the long
+// transaction.
+func TestWarmListTransactionAllocs(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		elems  []int64
+		pinned float64 // per round of two transactions
+	}{
+		{"three elements", []int64{1, 2, 3}, 2 * 5},
+		{"empty", nil, 2 * 4},
+	} {
+		round := func(pairs int) float64 {
+			a, b := state.IntList(slices.Clone(c.elems)), state.IntList(slices.Clone(c.elems))
+			st := state.New()
+			st.Set("a", &a)
+			st.Set("b", &b)
+			return warmRoundAllocs(t, st, pushPops("a", pairs), pushPops("b", pairs))
+		}
+		long, short := round(1000), round(10)
+		if long != short || long > c.pinned {
+			t.Fatalf("%s: a warm round of two list transactions allocates %.0f objects at 2000 pushes and pops each, %.0f at 20; want the same, at most %.0f",
+				c.name, long, short, c.pinned)
+		}
+		t.Logf("%s: %.0f allocations per round of two list transactions, at 4000 list operations each as at 40", c.name, long)
+	}
+}

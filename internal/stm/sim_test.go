@@ -83,7 +83,7 @@ func TestOrderedCommitsFollowTaskOrder(t *testing.T) {
 	tasks := []adt.Task{appendTask(1), appendTask(2), appendTask(3), appendTask(4)}
 	final, _ := simulate(t, SimConfig{Threads: 4, Ordered: true}, tasks)
 	v, _ := final.Get("log")
-	lst := v.(state.IntList)
+	lst := *v.(*state.IntList)
 	for i, x := range lst {
 		if x != int64(i+1) {
 			t.Fatalf("ordered log = %v", lst)

@@ -263,11 +263,11 @@ type Runtime struct {
 	// tickets run ahead of visible history.
 	published atomic.Int64
 	seqMu     sync.Mutex
-	// seqWaiters parks goroutines per awaited watermark value
-	// (waitPublished); published advances by exactly one per
+	// seqWaiters lists the goroutines parked on an awaited watermark
+	// value (waitPublished); published advances by exactly one per
 	// publication, so each advance wakes precisely the waiters
 	// registered for the new value.
-	seqWaiters map[int64][]chan struct{}
+	seqWaiters []seqWaiter
 
 	// stripes is the commit-path location lock table (commit.go).
 	stripes [commitStripes]sync.RWMutex
@@ -332,26 +332,26 @@ func New(cfg Config, initial *state.State) *Runtime {
 		cfg.Threads = runtime.GOMAXPROCS(0)
 	}
 	r := &Runtime{
-		cfg:        cfg,
-		detector:   cfg.Detector,
-		tracer:     cfg.Tracer,
-		begins:     make(map[int]int64),
-		seqWaiters: make(map[int64][]chan struct{}),
-		done:       make(chan struct{}),
+		cfg:      cfg,
+		detector: cfg.Detector,
+		tracer:   cfg.Tracer,
+		begins:   make(map[int]int64),
+		done:     make(chan struct{}),
 	}
 	r.clock.Store(1)
 	r.published.Store(1)
 	r.turn0, r.epoch = 1, 1
-	locs := initial.Locs()
-	r.base = make(map[state.Loc]*locBox, len(locs))
-	boxes := make([]locBox, len(locs))
-	vals := make([]state.Value, len(locs))
-	for i, loc := range locs {
-		v, _ := initial.Get(loc)
+	r.base = make(map[state.Loc]*locBox, initial.Len())
+	boxes := make([]locBox, initial.Len())
+	vals := make([]state.Value, initial.Len())
+	i := 0
+	initial.Range(func(loc state.Loc, v state.Value) bool {
 		vals[i] = state.Copy(v)
 		boxes[i].v.Store(&vals[i])
 		r.base[loc] = &boxes[i]
-	}
+		i++
+		return true
+	})
 	r.over.seed = maphash.MakeSeed()
 	return r
 }
@@ -428,6 +428,7 @@ func (r *Runtime) start(n int) uint64 {
 	r.turn0 = r.published.Load()
 	r.clock.Store(r.turn0)
 	clear(r.seqWaiters)
+	r.seqWaiters = r.seqWaiters[:0]
 	clear(r.begins)
 	r.next.Store(0)
 	r.stats = Stats{Tasks: n}
@@ -487,18 +488,16 @@ func (r *Runtime) Undo() {
 	})
 }
 
-// State returns the committed state. Committed values are never written
-// again, so the result shares them, except a relation, whose operations
-// mutate its header in place: that header is cloned (O(1)), so nothing
-// the result holds is anything the runtime can still change. Call it
-// between Runs.
+// State returns the committed state. A mutable value belongs to the
+// state it is bound in (state.Value), and the result's operations mutate
+// its relations and lists in place, so every one of them is copied
+// (state.Copy: a relation's header in O(1), a list's elements); the
+// immutable scalars are shared. Nothing the result holds is anything the
+// runtime can still change, nor the other way round. Call it between Runs.
 func (r *Runtime) State() *state.State {
 	out := state.New()
 	r.Range(func(l state.Loc, v state.Value) bool {
-		if rel, ok := v.(state.Rel); ok {
-			v = rel.CloneValue()
-		}
-		out.Set(l, v)
+		out.Set(l, state.Copy(v))
 		return true
 	})
 	return out
@@ -552,13 +551,23 @@ func runTaskBody(task adt.Task, ex adt.Executor, tid int) (err error) {
 // panics are recovered and returned as *PanicError, matching Run.
 func RunSequential(initial *state.State, tasks []adt.Task) (*state.State, error) {
 	st := initial.Clone()
+	if err := ApplySequential(st, tasks); err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// ApplySequential is RunSequential on st itself, for a caller that owns
+// st and wants no copy of it: the tasks mutate st in place, and a failed
+// task leaves it with the operations that ran before.
+func ApplySequential(st *state.State, tasks []adt.Task) error {
 	ex := &directExec{st: st}
 	for i, t := range tasks {
 		if err := runTaskBody(t, ex, i+1); err != nil {
-			return nil, fmt.Errorf("stm: sequential task %d: %w", i+1, err)
+			return fmt.Errorf("stm: sequential task %d: %w", i+1, err)
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // directExec applies ops with no logging or synchronization.
@@ -751,6 +760,10 @@ type Tx struct {
 	overlay     *state.State
 	replay      *state.State
 	dirtyLocBuf []state.Loc
+
+	// wake is the channel the sequencer wakes this shell's waits on
+	// (waitPublished), made once per shell.
+	wake chan struct{}
 }
 
 // txPool holds transaction shells between transactions. Like the artifact
@@ -764,6 +777,7 @@ var txPool = sync.Pool{New: func() any {
 	t.replay = state.NewFaulting(fault)
 	t.stripes = t.stripesBuf[:0]
 	t.dirty = t.dirtyBuf[:0]
+	t.wake = make(chan struct{}, 1)
 	return t
 }}
 
@@ -874,7 +888,7 @@ func (r *Runtime) finish(ctx obs.Ctx, tx *Tx) (committed bool) {
 	validated := 0
 
 	if r.cfg.Ordered {
-		r.waitTurn(ctx, tid)
+		r.waitTurn(ctx, tx)
 		if r.failed() {
 			return false
 		}
@@ -983,16 +997,15 @@ func (r *Runtime) dropBegin(tid int) {
 // waitTurn is ordered mode's commit turn: it blocks until every preceding
 // task has published (published == turn(tid)) or the run fails, reporting the
 // wait to the tracer and the governor. The waiter registers on the commit
-// sequencer's waiter table and is woken exactly once, by its predecessor's
-// publication — the O(1) "may I commit?" query, no broadcast storm across
-// all waiting tasks.
-func (r *Runtime) waitTurn(ctx obs.Ctx, tid int) {
+// sequencer's waiter list and is woken by its predecessor's publication
+// alone — no broadcast storm across all waiting tasks.
+func (r *Runtime) waitTurn(ctx obs.Ctx, tx *Tx) {
 	waitStart := ctx.Now()
 	var govStart time.Time
 	if r.cfg.Governor != nil {
 		govStart = time.Now()
 	}
-	r.waitPublished(r.turn(tid))
+	r.waitPublished(r.turn(tx.tid), tx.wake)
 	if gov := r.cfg.Governor; gov != nil {
 		gov.ObserveCommitWait(time.Since(govStart))
 	}

@@ -22,7 +22,7 @@ import (
 func initialState() *state.State {
 	st := state.New()
 	st.Set("work", state.Int(0))
-	st.Set("log", state.IntList{})
+	st.Set("log", &state.IntList{})
 	st.Set("canvas", adt.NewRelValue())
 	return st
 }
@@ -110,7 +110,7 @@ func TestUnorderedIsSomeSerialOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 		v, _ := got.Get("log")
-		lst := v.(state.IntList)
+		lst := *v.(*state.IntList)
 		matched := false
 		for _, p := range perms {
 			if len(lst) == 3 && lst[0] == p[0] && lst[1] == p[1] && lst[2] == p[2] {
@@ -532,9 +532,9 @@ func TestPreparedSharingMatrix(t *testing.T) {
 		if v, _ := got.Get("work"); !v.EqualValue(wantWork) {
 			t.Fatalf("unordered: work = %v, want %v", v, wantWork)
 		}
-		if v, _ := got.Get("log"); len(v.(state.IntList)) != len(wantLog.(state.IntList)) {
+		if v, _ := got.Get("log"); len(*v.(*state.IntList)) != len(*wantLog.(*state.IntList)) {
 			t.Fatalf("unordered: log length %d, want %d",
-				len(v.(state.IntList)), len(wantLog.(state.IntList)))
+				len(*v.(*state.IntList)), len(*wantLog.(*state.IntList)))
 		}
 	}
 }

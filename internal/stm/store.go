@@ -9,10 +9,10 @@
 // slabs, and a commit's published values one slab of its own, so building
 // the store allocates once per runtime and a merge once per commit, not
 // per location. A Run on an open runtime builds nothing of the store.
-// Creating a location costs its box and an amortized map slot under one
-// shard's lock — the same at 100 existing overflow locations and at
-// 20 000, which matters because creation runs inside the serialized
-// publication turn. Boxes are never removed or replaced, so a reader that
+// Creating a location costs an amortized map slot and a box carved from
+// a slab, both under one shard's lock — the same at 100 existing overflow
+// locations and at 20 000, which matters because creation runs inside the
+// serialized publication turn. Boxes are never removed or replaced, so a reader that
 // found one may keep using it without the shard lock.
 //
 // What the flattening gives up is cross-location snapshot atomicity:
@@ -53,12 +53,19 @@ type locBox struct {
 // workers faulting mid-run locations rarely meet on one shard's lock.
 const overflowShards = 64
 
+// overflowSlab is how many boxes a shard allocates at once. Boxes are
+// never freed, so a slab pins nothing its boxes would not; what a shard
+// has not handed out yet is at most one slab.
+const overflowSlab = 16
+
 // overflowShard is one shard of the overflow table. Readers (faults) take
 // the read side; creation takes the write side and is already serialized
-// across shards by the publication turn.
+// across shards by the publication turn. slab holds the boxes the shard
+// has allocated and not handed out yet.
 type overflowShard struct {
-	mu sync.RWMutex
-	m  map[state.Loc]*locBox
+	mu   sync.RWMutex
+	m    map[state.Loc]*locBox
+	slab []locBox
 }
 
 // overflow is the insert-only table of locations created mid-run.
@@ -89,7 +96,11 @@ func (o *overflow) create(l state.Loc) *locBox {
 		if s.m == nil {
 			s.m = make(map[state.Loc]*locBox)
 		}
-		b = new(locBox)
+		if len(s.slab) == 0 {
+			s.slab = make([]locBox, overflowSlab)
+		}
+		b = &s.slab[0]
+		s.slab = s.slab[1:]
 		s.m[l] = b
 	}
 	s.mu.Unlock()
@@ -132,7 +143,8 @@ func (r *Runtime) storeSet(l state.Loc, v *state.Value) {
 
 // Range visits every location with a committed value, until f returns
 // false. It is not an atomic snapshot across locations (see the package
-// comment): call it between Runs, when the store is quiescent.
+// comment): call it between Runs, when the store is quiescent. The values
+// are the store's own: f reads them and must not mutate or bind them.
 func (r *Runtime) Range(f func(l state.Loc, v state.Value) bool) {
 	r.eachBox(func(l state.Loc, b *locBox) bool {
 		p := b.v.Load()

@@ -44,8 +44,8 @@ func JFileSync() *Workload {
 
 func jfsState() *state.State {
 	st := state.New()
-	st.Set(jfsItemsStarted, state.IntList{})
-	st.Set(jfsItemsWeight, state.IntList{})
+	st.Set(jfsItemsStarted, &state.IntList{})
+	st.Set(jfsItemsWeight, &state.IntList{})
 	st.Set(jfsRootURISrc, state.Str(""))
 	st.Set(jfsRootURITgt, state.Str(""))
 	st.Set(jfsCanceled, state.Bool(false))

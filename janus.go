@@ -168,7 +168,7 @@ func InitBoolVar(st *State, loc Loc, v bool) BoolVar {
 
 // InitStack binds loc to an empty stack and returns its handle.
 func InitStack(st *State, loc Loc) Stack {
-	st.Set(loc, state.IntList{})
+	st.Set(loc, &state.IntList{})
 	return Stack{L: loc}
 }
 
@@ -457,8 +457,9 @@ func (s *Store) RunInOrderCtx(ctx context.Context, tasks []Task) (RunStats, erro
 // starts, the store can return to the state that run started from.
 func (s *Store) Undo() { s.rt.Undo() }
 
-// State returns a copy of the committed state that shares the store's
-// immutable values.
+// State returns a copy of the committed state that the caller owns: it
+// shares the store's scalars, which are immutable, and copies its
+// relations and stacks, which operations mutate in place.
 func (s *Store) State() *State { return s.rt.State() }
 
 // Range visits every committed location and its value, until f returns
