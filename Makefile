@@ -50,6 +50,7 @@ stress:
 # target first checks that each named test exists: a renamed pin fails
 # here instead of quietly not running.
 ALLOCS_TESTS = \
+	internal/adt:TestEqualStoreBindsNothing \
 	internal/adt:TestHandlesAllocateOnlyTheirResults \
 	internal/adt:TestLoadsReturnTheHeldValue \
 	internal/adt:TestRelAccessesAllocateNothing \
@@ -71,7 +72,9 @@ ALLOCS_TESTS = \
 	internal/stm:TestSteadyStateRelAllocs \
 	internal/stm:TestStoreCreateCostIsFlat \
 	internal/stm:TestStoreNewCostIsFlat \
-	internal/stm:TestWarmListTransactionAllocs
+	internal/stm:TestWarmListTransactionAllocs \
+	internal/workloads:TestHeavyTaskAllocsIgnoreOpCount \
+	internal/workloads:TestWekaRerunAllocatesOnlyChanges
 allocs:
 	@for t in $(ALLOCS_TESTS); do \
 		n=$$($(GO) test -list "^$${t#*:}$$" ./$${t%%:*} | grep -cx "$${t#*:}"); \

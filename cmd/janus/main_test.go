@@ -38,8 +38,9 @@ func TestTrainingCommands(t *testing.T) {
 
 // TestTrainOutLoadsIntoRunner is the deployment flow through the command:
 // `janus train -out F` writes the spec, a runner loads as many entries as
-// the command printed, and a copy with one byte flipped is refused by a
-// strict load and degrades a lenient one.
+// the command printed, a flipped, a cut and a foreign file are refused by
+// a strict load with the reason that names each, and the flipped copy
+// degrades a lenient one.
 func TestTrainOutLoadsIntoRunner(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "jfilesync.spec")
 	code, out, errOut := runCmd("train", "-workload", "jfilesync", "-out", path)
@@ -66,9 +67,20 @@ func TestTrainOutLoadsIntoRunner(t *testing.T) {
 
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)/2] ^= 0xff
-	var fe *janus.FrameError
-	if err := janus.New(janus.Config{}).LoadSpecPolicy(bytes.NewReader(flipped), janus.SpecStrict); !errors.As(err, &fe) {
-		t.Fatalf("strict load of a flipped spec: %v, want a *janus.FrameError", err)
+	// A caller outside the module tells the faults apart by the reason.
+	for _, c := range []struct {
+		name string
+		raw  []byte
+		want janus.FrameReason
+	}{
+		{"flipped", flipped, janus.FrameBadChecksum},
+		{"cut", raw[:len(raw)/2], janus.FrameTorn},
+		{"foreign", []byte("#!/bin/sh\necho not a spec\n"), janus.FrameBadMagic},
+	} {
+		var fe *janus.FrameError
+		if err := janus.New(janus.Config{}).LoadSpecPolicy(bytes.NewReader(c.raw), janus.SpecStrict); !errors.As(err, &fe) || fe.Reason != c.want {
+			t.Fatalf("strict load of a %s spec: %v, want a *janus.FrameError (%s)", c.name, err, c.want)
+		}
 	}
 	lenient := janus.New(janus.Config{})
 	if err := lenient.LoadSpecPolicy(bytes.NewReader(flipped), janus.SpecLenient); err != nil || !lenient.SpecRejected() {

@@ -34,14 +34,18 @@ func analyze(name string) int64 {
 }
 
 func scanTask(filename, file janus.StrVar, attrs janus.KVMap, violations, analyzed janus.Counter, name string, id int) janus.Task {
+	// The strings the task stores are built once, with the task, not on
+	// every run (a retry runs the body again).
+	fileName := "file:" + name
+	counter := fmt.Sprintf("rule-counter-%d", id)
 	return func(ex janus.Executor) error {
 		if err := filename.Store(ex, name); err != nil {
 			return err
 		}
-		if err := file.Store(ex, "file:"+name); err != nil {
+		if err := file.Store(ex, fileName); err != nil {
 			return err
 		}
-		if err := attrs.Put(ex, "COUNTER", fmt.Sprintf("rule-counter-%d", id)); err != nil {
+		if err := attrs.Put(ex, "COUNTER", counter); err != nil {
 			return err
 		}
 		for pass := 0; pass < 3; pass++ {

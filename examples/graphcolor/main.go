@@ -26,15 +26,24 @@ const (
 	degree = 4
 )
 
-func colorLoc(v int) janus.Loc { return janus.Loc(fmt.Sprintf("color.%d", v)) }
+// colorLocs names every node's color location, once, before any task
+// runs: a task body indexes the table instead of formatting a name on
+// every run.
+func colorLocs() []janus.Loc {
+	locs := make([]janus.Loc, nodes)
+	for v := range locs {
+		locs[v] = janus.Loc(fmt.Sprintf("color.%d", v))
+	}
+	return locs
+}
 
-func colorTask(used janus.BitSet, maxColor janus.Counter, v int, neighbors []int) janus.Task {
+func colorTask(used janus.BitSet, maxColor janus.Counter, colors []janus.Loc, v int, neighbors []int) janus.Task {
 	return func(ex janus.Executor) error {
 		if err := used.ClearAll(ex); err != nil {
 			return err
 		}
 		for _, nb := range neighbors {
-			c, err := (janus.Counter{L: colorLoc(nb)}).Load(ex)
+			c, err := (janus.Counter{L: colors[nb]}).Load(ex)
 			if err != nil {
 				return err
 			}
@@ -56,7 +65,7 @@ func colorTask(used janus.BitSet, maxColor janus.Counter, v int, neighbors []int
 			color++
 		}
 		time.Sleep(150 * time.Microsecond) // surrounding application work
-		if err := (janus.Counter{L: colorLoc(v)}).Store(ex, color); err != nil {
+		if err := (janus.Counter{L: colors[v]}).Store(ex, color); err != nil {
 			return err
 		}
 		cur, err := maxColor.Load(ex)
@@ -85,13 +94,14 @@ func main() {
 	st := janus.NewState()
 	used := janus.InitBitSet(st, "usedColors")
 	maxColor := janus.InitCounter(st, "maxColor", 1)
-	for v := 0; v < nodes; v++ {
-		janus.InitCounter(st, colorLoc(v), 0)
+	colors := colorLocs()
+	for _, l := range colors {
+		janus.InitCounter(st, l, 0)
 	}
 
 	var tasks []janus.Task
 	for v := 0; v < nodes; v++ {
-		tasks = append(tasks, colorTask(used, maxColor, v, neighbors[v]))
+		tasks = append(tasks, colorTask(used, maxColor, colors, v, neighbors[v]))
 	}
 
 	relax := janus.NewRelaxations(
@@ -108,27 +118,27 @@ func main() {
 	}
 
 	// Verify the coloring invariant: adjacent nodes differ.
-	colors := make([]int64, nodes)
+	colorOf := make([]int64, nodes)
 	maxSeen := int64(0)
 	for v := 0; v < nodes; v++ {
-		val, ok := final.Get(colorLoc(v))
+		val, ok := final.Get(colors[v])
 		if !ok {
 			log.Fatalf("node %d uncolored", v)
 		}
 		c := int64(0)
 		fmt.Sscanf(val.String(), "%d", &c)
-		colors[v] = c
+		colorOf[v] = c
 		if c > maxSeen {
 			maxSeen = c
 		}
 	}
 	for v := 0; v < nodes; v++ {
-		if colors[v] <= 0 {
+		if colorOf[v] <= 0 {
 			log.Fatalf("node %d uncolored", v)
 		}
 		for _, nb := range neighbors[v] {
-			if colors[v] == colors[nb] {
-				log.Fatalf("invalid coloring: %d and %d share color %d", v, nb, colors[v])
+			if colorOf[v] == colorOf[nb] {
+				log.Fatalf("invalid coloring: %d and %d share color %d", v, nb, colorOf[v])
 			}
 		}
 	}

@@ -34,9 +34,32 @@ func pixelLoc(x, y int) janus.Loc { return janus.Loc(fmt.Sprintf("px.%d:%d", x, 
 
 func nodePos(v int) (int, int) { return (v % cols) * 10, (v / cols) * 10 }
 
+// renderTask names every pixel the task paints when it builds the task,
+// in painting order: a retry runs the body again, and a body that
+// formatted its names would pay for them on every run.
 func renderTask(colorReg janus.StrVar, v int, neighbors []int) janus.Task {
+	x, y := nodePos(v)
+	var oval []janus.Loc
+	for dx := 0; dx < 3; dx++ {
+		oval = append(oval, pixelLoc(x+dx, y))
+	}
+	label := pixelLoc(x, y+1)
+	// Edges: both endpoints draw the same midpoint pixels in black.
+	var edges [][]janus.Loc
+	for _, nb := range neighbors {
+		a, b := v, nb
+		if b < a {
+			a, b = b, a
+		}
+		ax, ay := nodePos(a)
+		bx, by := nodePos(b)
+		var line []janus.Loc
+		for i := 1; i <= 3; i++ {
+			line = append(line, pixelLoc(ax+(bx-ax)*i/4, ay+(by-ay)*i/4))
+		}
+		edges = append(edges, line)
+	}
 	return func(ex janus.Executor) error {
-		x, y := nodePos(v)
 		setColor := func(c string) error {
 			if err := colorReg.Store(ex, c); err != nil {
 				return err
@@ -44,15 +67,15 @@ func renderTask(colorReg janus.StrVar, v int, neighbors []int) janus.Task {
 			_, err := colorReg.Load(ex)
 			return err
 		}
-		paint := func(px, py int, c string) error {
-			return janus.StrVar{L: pixelLoc(px, py)}.Store(ex, c)
+		paint := func(px janus.Loc, c string) error {
+			return janus.StrVar{L: px}.Store(ex, c)
 		}
 		// Node oval.
 		if err := setColor(bg); err != nil {
 			return err
 		}
-		for dx := 0; dx < 3; dx++ {
-			if err := paint(x+dx, y, bg); err != nil {
+		for _, px := range oval {
+			if err := paint(px, bg); err != nil {
 				return err
 			}
 		}
@@ -60,27 +83,15 @@ func renderTask(colorReg janus.StrVar, v int, neighbors []int) janus.Task {
 		if err := setColor(white); err != nil {
 			return err
 		}
-		if err := paint(x, y+1, white); err != nil {
+		if err := paint(label, white); err != nil {
 			return err
 		}
-		// Edges: both endpoints draw the same midpoint pixels in black.
-		for _, nb := range neighbors {
+		for _, line := range edges {
 			if err := setColor(black); err != nil {
 				return err
 			}
-			nx, ny := nodePos(nb)
-			a, b := v, nb
-			if b < a {
-				a, b = b, a
-			}
-			ax, ay := nodePos(a)
-			bx, by := nodePos(b)
-			_ = nx
-			_ = ny
-			for i := 1; i <= 3; i++ {
-				px := ax + (bx-ax)*i/4
-				py := ay + (by-ay)*i/4
-				if err := paint(px, py, black); err != nil {
+			for _, px := range line {
+				if err := paint(px, black); err != nil {
 					return err
 				}
 			}

@@ -298,6 +298,56 @@ func TestLoadsReturnTheHeldValue(t *testing.T) {
 	}
 }
 
+// TestEqualStoreBindsNothing: a scalar store of the value its location
+// already holds, of the same type, allocates nothing and leaves the state
+// a blind Set would; a store of a new value, or of another type, binds
+// it. On a view the compare faults the location in, which the store
+// would have bound anyway.
+func TestEqualStoreBindsNothing(t *testing.T) {
+	const big = 1 << 20 // past the runtime's small-integer cache
+	for _, c := range []struct {
+		name   string
+		held   state.Value
+		op     oplog.Op
+		want   state.Value
+		allocs float64
+	}{
+		{"equal str", state.Str("black"), StrStoreOp{L: "x", V: "black"}.Op(), state.Str("black"), 0},
+		{"equal num", state.Int(big), NumStoreOp{L: "x", V: big}.Op(), state.Int(big), 0},
+		{"new str", state.Str("white"), StrStoreOp{L: "x", V: "black"}.Op(), state.Str("black"), 1},
+		{"new num", state.Int(big), NumStoreOp{L: "x", V: big + 1}.Op(), state.Int(big + 1), 1},
+		{"str over num", state.Int(big), StrStoreOp{L: "x", V: "1048576"}.Op(), state.Str("1048576"), 1},
+		{"num over str", state.Str("1048576"), NumStoreOp{L: "x", V: big}.Op(), state.Int(big), 1},
+		{"str over bool", state.Bool(true), StrStoreOp{L: "x", V: "true"}.Op(), state.Str("true"), 1},
+	} {
+		held := c.held
+		blind := state.New()
+		blind.Set("x", c.want)
+		for _, view := range []bool{false, true} {
+			st := state.New()
+			if view {
+				st = state.NewFaulting(func(l state.Loc) (state.Value, bool) { return held, l == "x" })
+			} else {
+				st.Set("x", held)
+			}
+			if _, err := c.op.Apply(st); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			if !st.Equal(blind) {
+				t.Errorf("%s (view %v): %v leaves %v, a blind Set %v", c.name, view, c.op, st, blind)
+			}
+		}
+		st := state.New()
+		allocs := testing.AllocsPerRun(100, func() {
+			st.Set("x", held)
+			_, _ = c.op.Apply(st)
+		})
+		if allocs != c.allocs {
+			t.Errorf("%s: %v over %v allocates %.0f objects, want %.0f", c.name, c.op, held, allocs, c.allocs)
+		}
+	}
+}
+
 // TestRelAccessesAllocateNothing: a relational op's projection location
 // is the key itself, so appending its footprint to a warm buffer allocates
 // nothing — clear's too, whose keys are sorted in place.

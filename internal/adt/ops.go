@@ -135,12 +135,16 @@ func (k OpKind) Apply(o oplog.Op, st *state.State) (state.Value, error) {
 		}
 		st.Set(o.L, state.Int(v+o.N))
 	case NumStore:
-		st.Set(o.L, state.Int(o.N))
+		if !holds(st, o.L, state.Int(o.N)) {
+			st.Set(o.L, state.Int(o.N))
+		}
 	case NumLoad:
 		// The value the location holds, not a copy boxed again.
 		return load[state.Int](st, o.L, "Int")
 	case StrStore:
-		st.Set(o.L, state.Str(o.Val))
+		if !holds(st, o.L, state.Str(o.Val)) {
+			st.Set(o.L, state.Str(o.Val))
+		}
 	case StrLoad:
 		return load[state.Str](st, o.L, "Str")
 	case BoolStore:
@@ -366,6 +370,21 @@ func getList(st *state.State, l state.Loc) (*state.IntList, error) {
 		return nil, fmt.Errorf("adt: location %q holds %T, want IntList", l, v)
 	}
 	return lv, nil
+}
+
+// holds reports whether l is bound to a T equal to v. A store of an
+// equal value binds nothing new: the location holds the stored value
+// either way, so install, replay, Undo and digests read the same, and the
+// store's footprint and logged event are the op's, not the branch's. The
+// Get may fault l into a view; the store's result does not depend on what
+// it finds (DESIGN.md §19).
+func holds[T state.Int | state.Str](st *state.State, l state.Loc, v T) bool {
+	cur, ok := st.Get(l)
+	if !ok {
+		return false
+	}
+	c, ok := cur.(T)
+	return ok && c == v
 }
 
 // load returns the value at l, which must be bound and of type T (named

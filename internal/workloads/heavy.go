@@ -10,6 +10,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/adt"
 	"repro/internal/state"
@@ -29,7 +30,8 @@ const heavyLocs = 64
 // magnitude past the paper workloads' task bodies.
 const DefaultHeavyOps = 64
 
-func heavyLoc(i int) state.Loc { return state.Loc(fmt.Sprintf("h%02d", i)) }
+// heavyCounters names the counters h00 … h63, built once per process.
+var heavyCounters = sync.OnceValue(func() []state.Loc { return numbered("h", heavyLocs, 2) })
 
 // Heavy builds the heavy-transaction workload: each task executes
 // opsPerTxn logged counter operations — balanced add/sub identity pairs
@@ -62,8 +64,8 @@ func Heavy(opsPerTxn int, skew float64) *Workload {
 
 func heavyState() *state.State {
 	st := state.New()
-	for i := 0; i < heavyLocs; i++ {
-		st.Set(heavyLoc(i), state.Int(0))
+	for _, l := range heavyCounters() {
+		st.Set(l, state.Int(0))
 	}
 	st.Set("h.total", state.Int(0))
 	return st
@@ -92,6 +94,7 @@ func heavyTasks(size Size, seed int64, opsPerTxn int, skew float64) []adt.Task {
 		n = 32
 	}
 	r := rng(seed)
+	counters := heavyCounters()
 	tasks := make([]adt.Task, 0, n)
 	for t := 0; t < n; t++ {
 		// Fix the task's op script up front: retries must replay the
@@ -105,7 +108,7 @@ func heavyTasks(size Size, seed int64, opsPerTxn int, skew float64) []adt.Task {
 		delta := int64(t + 1)
 		tasks = append(tasks, func(ex adt.Executor) error {
 			for _, li := range script {
-				c := adt.Counter{L: heavyLoc(li)}
+				c := adt.Counter{L: counters[li]}
 				if err := c.Add(ex, delta); err != nil {
 					return err
 				}

@@ -1,8 +1,8 @@
 package workloads
 
 import (
-	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/adt"
 	"repro/internal/conflict"
@@ -17,13 +17,31 @@ const (
 	jgVisited    = state.Loc("visited")
 )
 
-func jgColorLoc(v int) state.Loc  { return state.Loc(fmt.Sprintf("color.%d", v)) }
-func jgDegreeLoc(v int) state.Loc { return state.Loc(fmt.Sprintf("degree.%d", v)) }
-func jgSatLoc(v int) state.Loc    { return state.Loc(fmt.Sprintf("saturation.%d", v)) }
-func jgOrderLoc(i int) state.Loc  { return state.Loc(fmt.Sprintf("order.%d", i)) }
-func jgHistLoc(bucket int) state.Loc {
-	return state.Loc(fmt.Sprintf("histogram.%d", bucket))
+// jgMaxNodes is the node count of the largest input; jgBuckets is the
+// saturation histogram's size.
+const (
+	jgMaxNodes = 1000
+	jgBuckets  = 32
+)
+
+// jgNames holds JGraphT's indexed locations: color.<v>, degree.<v>,
+// saturation.<v> and order.<i> for every node of the largest input, and
+// histogram.<b> per bucket.
+type jgNames struct {
+	color, degree, sat, order, hist []state.Loc
 }
+
+// jgLocs builds the name tables once per process; states and task bodies
+// index them.
+var jgLocs = sync.OnceValue(func() *jgNames {
+	return &jgNames{
+		color:  numbered("color.", jgMaxNodes, 0),
+		degree: numbered("degree.", jgMaxNodes, 0),
+		sat:    numbered("saturation.", jgMaxNodes, 0),
+		order:  numbered("order.", jgMaxNodes, 0),
+		hist:   numbered("histogram.", jgBuckets, 0),
+	}
+})
 
 // graph is a deterministic random simple graph (the Table 6 inputs).
 type graph struct {
@@ -115,8 +133,8 @@ func jg1State() *state.State {
 	st.Set(jgUsedColors, adt.NewRelValue())
 	// Colors materialize lazily: color.<v> is bound to 0 up front so
 	// loads are defined for every node of the largest input.
-	for v := 0; v < 1000; v++ {
-		st.Set(jgColorLoc(v), state.Int(0))
+	for _, l := range jgLocs().color {
+		st.Set(l, state.Int(0))
 	}
 	return st
 }
@@ -124,6 +142,7 @@ func jg1State() *state.State {
 func jg1Tasks(size Size, seed int64) []adt.Task {
 	g := jgGraphFor(size, seed)
 	w := JGraphT1()
+	colors := jgLocs().color
 	tasks := make([]adt.Task, g.n)
 	for i := 0; i < g.n; i++ {
 		v := i
@@ -135,7 +154,7 @@ func jg1Tasks(size Size, seed int64) []adt.Task {
 				return err
 			}
 			for _, nb := range nbs {
-				c, err := adt.Counter{L: jgColorLoc(nb)}.Load(ex)
+				c, err := adt.Counter{L: colors[nb]}.Load(ex)
 				if err != nil {
 					return err
 				}
@@ -156,7 +175,7 @@ func jg1Tasks(size Size, seed int64) []adt.Task {
 				}
 				color++
 			}
-			if err := (adt.Counter{L: jgColorLoc(v)}).Store(ex, color); err != nil {
+			if err := (adt.Counter{L: colors[v]}).Store(ex, color); err != nil {
 				return err
 			}
 			cur, err := maxColor.Load(ex)
@@ -203,13 +222,14 @@ func jg2State() *state.State {
 	st := state.New()
 	st.Set(jgTotalSat, state.Int(0))
 	st.Set(jgVisited, adt.NewRelValue())
-	for v := 0; v < 1000; v++ {
-		st.Set(jgDegreeLoc(v), state.Int(0))
-		st.Set(jgSatLoc(v), state.Int(0))
-		st.Set(jgOrderLoc(v), state.Int(-1))
+	locs := jgLocs()
+	for v := 0; v < jgMaxNodes; v++ {
+		st.Set(locs.degree[v], state.Int(0))
+		st.Set(locs.sat[v], state.Int(0))
+		st.Set(locs.order[v], state.Int(-1))
 	}
-	for b := 0; b < 32; b++ {
-		st.Set(jgHistLoc(b), state.Int(0))
+	for _, l := range locs.hist {
+		st.Set(l, state.Int(0))
 	}
 	return st
 }
@@ -217,6 +237,7 @@ func jg2State() *state.State {
 func jg2Tasks(size Size, seed int64) []adt.Task {
 	g := jgGraphFor(size, seed)
 	w := JGraphT2()
+	locs := jgLocs()
 	tasks := make([]adt.Task, g.n)
 	for i := 0; i < g.n; i++ {
 		v := i
@@ -226,14 +247,14 @@ func jg2Tasks(size Size, seed int64) []adt.Task {
 			// Accumulate this node's contribution to each neighbor's
 			// saturation (reduction on shared counters).
 			for _, nb := range nbs {
-				if err := (adt.Counter{L: jgSatLoc(nb)}).Add(ex, 1); err != nil {
+				if err := (adt.Counter{L: locs.sat[nb]}).Add(ex, 1); err != nil {
 					return err
 				}
 			}
 			// Read-only degree scan.
 			var degSum int64
 			for _, nb := range nbs {
-				d, err := adt.Counter{L: jgDegreeLoc(nb)}.Load(ex)
+				d, err := adt.Counter{L: locs.degree[nb]}.Load(ex)
 				if err != nil {
 					return err
 				}
@@ -244,15 +265,15 @@ func jg2Tasks(size Size, seed int64) []adt.Task {
 				return err
 			}
 			// Own output slot (disjoint across tasks).
-			if err := (adt.Counter{L: jgOrderLoc(slot)}).Store(ex, int64(v)); err != nil {
+			if err := (adt.Counter{L: locs.order[slot]}).Store(ex, int64(v)); err != nil {
 				return err
 			}
 			// Histogram and total (reductions on hot shared counters).
-			bucket := int(degSum) % 32
+			bucket := int(degSum) % jgBuckets
 			if bucket < 0 {
 				bucket = -bucket
 			}
-			if err := (adt.Counter{L: jgHistLoc(bucket)}).Add(ex, 1); err != nil {
+			if err := (adt.Counter{L: locs.hist[bucket]}).Add(ex, 1); err != nil {
 				return err
 			}
 			if err := (adt.Counter{L: jgTotalSat}).Add(ex, int64(len(nbs))); err != nil {

@@ -1,8 +1,6 @@
 package workloads
 
 import (
-	"fmt"
-
 	"repro/internal/adt"
 	"repro/internal/conflict"
 	"repro/internal/state"
@@ -85,26 +83,40 @@ func pmdTasks(size Size, seed int64) []adt.Task {
 	if size == Production {
 		maxPasses = 8
 	}
+	// Per file, "file:<name>" (whose tail is the name itself) and the
+	// task's counter-<id>: the strings the body stores, built here.
+	const filePrefix = "file:"
+	var n names
 	for i := 0; i < files; i++ {
-		name := fmt.Sprintf("src/com/example/Class%04d.java", i)
+		n.buf = append(n.buf, filePrefix+"src/com/example/Class"...)
+		n.num(i, 4)
+		n.buf = append(n.buf, ".java"...)
+		n.cut()
+		n.buf = append(n.buf, "counter-"...)
+		n.num(i+1, 0)
+		n.cut()
+	}
+	strs := split[string](&n)
+	for i := 0; i < files; i++ {
+		file, counter := strs[2*i], strs[2*i+1]
+		name := file[len(filePrefix):]
 		// Deterministic per-file "analysis findings".
 		violations := int64(r.Intn(5))
 		rulePasses := 2 + r.Intn(maxPasses)
-		taskID := i + 1
 		tasks[i] = func(ex adt.Executor) error {
 			filename := adt.StrVar{L: pmdFilename}
-			file := adt.StrVar{L: pmdFile}
+			fileVar := adt.StrVar{L: pmdFile}
 			attrs := adt.KVMap{L: pmdAttributes}
 
 			// ctx.sourceCodeFilename = niceFileName; ctx.sourceCodeFile = new File(...)
 			if err := filename.Store(ex, name); err != nil {
 				return err
 			}
-			if err := file.Store(ex, "file:"+name); err != nil {
+			if err := fileVar.Store(ex, file); err != nil {
 				return err
 			}
 			// rs.start(ctx): setAttribute(COUNTER_LABEL, new AtomicLong())
-			if err := attrs.Put(ex, pmdCounterLabel, fmt.Sprintf("counter-%d", taskID)); err != nil {
+			if err := attrs.Put(ex, pmdCounterLabel, counter); err != nil {
 				return err
 			}
 			for pass := 0; pass < rulePasses; pass++ {

@@ -1,7 +1,7 @@
 package workloads
 
 import (
-	"fmt"
+	"strconv"
 
 	"repro/internal/adt"
 	"repro/internal/state"
@@ -14,9 +14,22 @@ const (
 	wekaBlack      = "black"
 )
 
-func wekaPixelLoc(x, y int) state.Loc {
-	return state.Loc(fmt.Sprintf("canvas.%d:%d", x, y))
+// pixel cuts the name canvas.<x>:<y>.
+func (n *names) pixel(x, y int) {
+	n.buf = append(n.buf, "canvas."...)
+	n.buf = strconv.AppendInt(n.buf, int64(x), 10)
+	n.buf = append(n.buf, ':')
+	n.buf = strconv.AppendInt(n.buf, int64(y), 10)
+	n.cut()
 }
+
+// Pixels a task paints: its node's oval (3×2) and label (2×1), and
+// wekaLineSamples per incident edge.
+const (
+	wekaOvalPixels  = 6
+	wekaLabelPixels = 2
+	wekaLineSamples = 6
+)
 
 // wekaColorReg is the Graphics2D object's current-color register: every
 // task calls g.setColor(...) on the one shared Graphics object, the
@@ -64,12 +77,43 @@ func wekaNodePos(v int) (x, y int) {
 func wekaTasks(size Size, seed int64) []adt.Task {
 	g := jgGraphFor(size, seed) // same Table 6 graph shapes
 	w := Weka()
+	// Name every pixel each task paints, in the order it paints them,
+	// here rather than in the body; task v's names start at first[v].
+	count := 0
+	for _, nbs := range g.neighbors {
+		count += wekaOvalPixels + wekaLabelPixels + wekaLineSamples*len(nbs)
+	}
+	n := names{buf: make([]byte, 0, count*len("canvas.000:000")), ends: make([]int, 0, count)}
+	first := make([]int, g.n+1)
+	var line [][2]int
+	for v, nbs := range g.neighbors {
+		first[v] = len(n.ends)
+		x, y := wekaNodePos(v)
+		for dx := 0; dx < 3; dx++ {
+			for dy := 0; dy < 2; dy++ {
+				n.pixel(x+dx, y+dy)
+			}
+		}
+		for dx := 0; dx < 2; dx++ {
+			n.pixel(x+dx, y+2)
+		}
+		for _, nb := range nbs {
+			nx, ny := wekaNodePos(nb)
+			line = linePixels(line[:0], x, y, nx, ny, wekaLineSamples)
+			for _, p := range line {
+				n.pixel(p[0], p[1])
+			}
+		}
+	}
+	first[g.n] = len(n.ends)
+	pixels := split[state.Loc](&n)
 	tasks := make([]adt.Task, g.n)
-	for i := 0; i < g.n; i++ {
-		v := i
-		nbs := g.neighbors[v]
-		tasks[i] = func(ex adt.Executor) error {
-			x, y := wekaNodePos(v)
+	for v := range tasks {
+		own := pixels[first[v]:first[v+1]]
+		oval := own[:wekaOvalPixels]
+		label := own[wekaOvalPixels : wekaOvalPixels+wekaLabelPixels]
+		lines := own[wekaOvalPixels+wekaLabelPixels:]
+		tasks[v] = func(ex adt.Executor) error {
 			colorReg := adt.StrVar{L: wekaColorReg}
 			// g.setColor(this.getBackground().darker().darker())
 			if err := colorReg.Store(ex, wekaBackground); err != nil {
@@ -79,12 +123,9 @@ func wekaTasks(size Size, seed int64) []adt.Task {
 				return err
 			}
 			// Node oval in the darkened background color (private pixels).
-			for dx := 0; dx < 3; dx++ {
-				for dy := 0; dy < 2; dy++ {
-					px := adt.StrVar{L: wekaPixelLoc(x+dx, y+dy)}
-					if err := px.Store(ex, wekaBackground); err != nil {
-						return err
-					}
+			for _, l := range oval {
+				if err := (adt.StrVar{L: l}).Store(ex, wekaBackground); err != nil {
+					return err
 				}
 			}
 			// g.setColor(Color.white)
@@ -95,9 +136,8 @@ func wekaTasks(size Size, seed int64) []adt.Task {
 				return err
 			}
 			// Label in white (private pixels).
-			for dx := 0; dx < 2; dx++ {
-				px := adt.StrVar{L: wekaPixelLoc(x+dx, y+2)}
-				if err := px.Store(ex, wekaWhite); err != nil {
+			for _, l := range label {
+				if err := (adt.StrVar{L: l}).Store(ex, wekaWhite); err != nil {
 					return err
 				}
 			}
@@ -108,17 +148,15 @@ func wekaTasks(size Size, seed int64) []adt.Task {
 			// abstraction collapses the store/load runs. Both endpoints
 			// draw the full line, so the line pixels are written twice
 			// with equal values.
-			for _, nb := range nbs {
+			for k := 0; k < len(lines); k += wekaLineSamples {
 				if err := colorReg.Store(ex, wekaBlack); err != nil {
 					return err
 				}
 				if _, err := colorReg.Load(ex); err != nil {
 					return err
 				}
-				nx, ny := wekaNodePos(nb)
-				for _, p := range linePixels(x, y, nx, ny, 6) {
-					px := adt.StrVar{L: wekaPixelLoc(p[0], p[1])}
-					if err := px.Store(ex, wekaBlack); err != nil {
+				for _, l := range lines[k : k+wekaLineSamples] {
+					if err := (adt.StrVar{L: l}).Store(ex, wekaBlack); err != nil {
 						return err
 					}
 				}
@@ -130,19 +168,18 @@ func wekaTasks(size Size, seed int64) []adt.Task {
 	return tasks
 }
 
-// linePixels samples up to n points on the segment (x0,y0)–(x1,y1),
-// deterministically and symmetrically (both endpoints produce identical
-// pixels for the same edge).
-func linePixels(x0, y0, x1, y1, n int) [][2]int {
+// linePixels appends to dst n points sampled on the segment
+// (x0,y0)–(x1,y1), deterministically and symmetrically (both endpoints
+// produce identical pixels for the same edge).
+func linePixels(dst [][2]int, x0, y0, x1, y1, n int) [][2]int {
 	// Canonicalize the endpoint order so both tasks sample identically.
 	if x1 < x0 || (x1 == x0 && y1 < y0) {
 		x0, y0, x1, y1 = x1, y1, x0, y0
 	}
-	out := make([][2]int, 0, n)
 	for i := 1; i <= n; i++ {
 		px := x0 + (x1-x0)*i/(n+1)
 		py := y0 + (y1-y0)*i/(n+1)
-		out = append(out, [2]int{px, py})
+		dst = append(dst, [2]int{px, py})
 	}
-	return out
+	return dst
 }

@@ -19,6 +19,7 @@ package workloads
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/adt"
 	"repro/internal/conflict"
@@ -108,3 +109,50 @@ func ByName(name string) (*Workload, error) {
 
 // rng returns a deterministic generator for a task set.
 func rng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// names builds a set of location names into one byte buffer and cuts
+// them all from one string, so a set of any size costs a few allocations
+// when it is built and none when a task body uses it. A task reads a
+// location by indexing the set, the way the paper's loops reach a field
+// or an array element (DESIGN.md §19).
+type names struct {
+	buf  []byte
+	ends []int
+}
+
+// num appends v in decimal, zero-padded to width digits.
+func (n *names) num(v, width int) {
+	for p := 10; width > 1; width, p = width-1, p*10 {
+		if v < p {
+			n.buf = append(n.buf, '0')
+		}
+	}
+	n.buf = strconv.AppendInt(n.buf, int64(v), 10)
+}
+
+// cut ends the name being built.
+func (n *names) cut() { n.ends = append(n.ends, len(n.buf)) }
+
+// split returns every name n has cut, in order, sliced from one string.
+func split[S ~string](n *names) []S {
+	s := string(n.buf)
+	out := make([]S, len(n.ends))
+	start := 0
+	for i, end := range n.ends {
+		out[i] = S(s[start:end])
+		start = end
+	}
+	return out
+}
+
+// numbered returns prefix+"0" … prefix+(count-1), each number zero-padded
+// to width digits.
+func numbered(prefix string, count, width int) []state.Loc {
+	var n names
+	for i := 0; i < count; i++ {
+		n.buf = append(n.buf, prefix...)
+		n.num(i, width)
+		n.cut()
+	}
+	return split[state.Loc](&n)
+}

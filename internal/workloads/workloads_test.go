@@ -231,7 +231,7 @@ func TestJGraphT1UnorderedColoringValid(t *testing.T) {
 		}
 		colors := make([]int64, g.n)
 		for v := 0; v < g.n; v++ {
-			val, ok := final.Get(jgColorLoc(v))
+			val, ok := final.Get(jgLocs().color[v])
 			if !ok {
 				t.Fatalf("%s: node %d has no color location", det.Name(), v)
 			}
@@ -278,8 +278,8 @@ func TestGraphGeneration(t *testing.T) {
 }
 
 func TestLinePixelsSymmetric(t *testing.T) {
-	a := linePixels(0, 0, 30, 12, 6)
-	b := linePixels(30, 12, 0, 0, 6)
+	a := linePixels(nil, 0, 0, 30, 12, 6)
+	b := linePixels(nil, 30, 12, 0, 0, 6)
 	if len(a) != 6 || len(b) != 6 {
 		t.Fatalf("lengths: %d %d", len(a), len(b))
 	}

@@ -337,6 +337,33 @@ func (r *Runner) SaveSpec(w io.Writer) error { return r.engine.SaveSpec(w) }
 // of the training phase and must complete before the cache goes read-only.
 var ErrSpecFrozen = spec.ErrFrozen
 
+// FrameReason says why an artifact was rejected: a *FrameError carries
+// one in its Reason field, so a caller tells a cut file from a foreign
+// one with errors.As and a comparison.
+type FrameReason = fsio.Reason
+
+// Rejection reasons of a *FrameError.
+const (
+	// FrameBadMagic: the file is not this kind of artifact, or was
+	// written by a build whose format had another magic.
+	FrameBadMagic = fsio.BadMagic
+	// FrameBadFormat: the format byte names a version this build does
+	// not read, or the spec was trained under the other abstraction mode.
+	FrameBadFormat = fsio.BadFormat
+	// FrameBadChecksum: a frame's bytes are all present but its CRC32
+	// does not match them.
+	FrameBadChecksum = fsio.BadChecksum
+	// FrameTorn: the bytes end inside the header or a frame (a cut or
+	// half-written file).
+	FrameTorn = fsio.Torn
+	// FrameBadRecord: a checksummed payload the format cannot parse.
+	FrameBadRecord = fsio.BadRecord
+	// FrameSeqGap: a journal is missing records it should hold.
+	FrameSeqGap = fsio.SeqGap
+	// FrameLossy: a trace omits transactions it could not encode.
+	FrameLossy = fsio.Lossy
+)
+
 // SpecPolicy selects how LoadSpecPolicy treats a faulty artifact.
 type SpecPolicy int
 
