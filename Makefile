@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all vet build test allocs race stress check bench bench-quick bench-contention bench-commit chaos soak fuzz serve-smoke trace record-replay clean
+.PHONY: all vet build test allocs examples race stress check bench bench-quick bench-contention bench-commit chaos soak fuzz serve-smoke trace record-replay clean
 
 all: check
 
@@ -84,6 +84,16 @@ allocs:
 		$(GO) test -count=1 -run "^$${t#*:}$$" ./$${t%%:*} || exit 1; \
 	done
 
+# Run every program under examples/ (CI's test job). Each exits non-zero
+# through log.Fatal on an error, and three check their result: filesync's
+# and quickstart's parallel state against their sequential run,
+# graphcolor's coloring.
+examples:
+	@for d in examples/*/; do \
+		echo "== $$d"; \
+		$(GO) run ./$$d || exit 1; \
+	done
+
 # Short chaos soak under the race detector (CI's chaos-soak job): fault-injected
 # runs whose final state is checked against the sequential oracle.
 chaos:
@@ -124,7 +134,7 @@ fuzz:
 serve-smoke:
 	sh scripts/serve-smoke.sh
 
-check: vet build test allocs bench-quick race stress chaos serve-smoke
+check: vet build test allocs examples bench-quick race stress chaos serve-smoke
 
 bench:
 	$(GO) run ./cmd/janus bench

@@ -24,7 +24,9 @@ import (
 // The paper's workflow used the authors' Hawkeye tool to identify the
 // shared data structures and wrote the relaxation specifications by hand
 // (§7.1), and notes that JANUS "performs limited automatic inference of
-// relaxation specifications". The advisor extends that inference: WAW
+// relaxation specifications". The detector now infers the "safe WAW"
+// tolerances itself for sequences in theory, judging every conflict in
+// commit order. The advisor extends that inference to the rest: WAW
 // tolerances whose soundness follows from the trace (every observed read
 // is preceded by the task's own write, so commit-order serialization
 // preserves all reads) are offered as safe; RAW tolerances (spurious

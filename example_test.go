@@ -34,7 +34,7 @@ func ExampleRunner() {
 	if err := r.Train(st, tasks[:2]); err != nil {
 		log.Fatal(err)
 	}
-	final, stats, err := r.RunOutOfOrder(st, tasks)
+	final, stats, err := r.Run(st, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func ExampleNewRelaxations() {
 		Threads: 4,
 		Relax:   janus.NewRelaxations(nil, []janus.Loc{"ctx.scratch"}),
 	})
-	_, stats, err := r.RunOutOfOrder(st, tasks)
+	_, stats, err := r.Run(st, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -87,12 +87,12 @@ func main() {
 	if err := runner.Train(st, tasks[:6]); err != nil {
 		log.Fatal(err)
 	}
-	final, stats, err := runner.RunOutOfOrder(st, tasks)
+	final, stats, err := runner.Run(st, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}
 	baseline := janus.New(janus.Config{Threads: 8, Detection: janus.DetectWriteSet})
-	_, wsStats, err := baseline.RunOutOfOrder(st, tasks)
+	_, wsStats, err := baseline.Run(st, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	final, stats, err := runner.RunOutOfOrder(st, tasks)
+	final, stats, err := runner.Run(st, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}

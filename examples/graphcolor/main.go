@@ -112,7 +112,7 @@ func main() {
 	if err := runner.Train(st, tasks[:10]); err != nil {
 		log.Fatal(err)
 	}
-	final, stats, err := runner.RunOutOfOrder(st, tasks)
+	final, stats, err := runner.Run(st, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -69,14 +69,14 @@ func main() {
 	if err := runner.Train(st, tasks[:8]); err != nil {
 		log.Fatal(err)
 	}
-	parFinal, stats, err := runner.RunOutOfOrder(st, tasks)
+	parFinal, stats, err := runner.Run(st, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	// The write-set baseline aborts interleaved iterations.
 	baseline := janus.New(janus.Config{Threads: 8, Detection: janus.DetectWriteSet})
-	_, wsStats, err := baseline.RunOutOfOrder(st, tasks)
+	_, wsStats, err := baseline.Run(st, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -137,12 +137,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	final, stats, err := prod.RunOutOfOrder(st, tasks)
+	final, stats, err := prod.Run(st, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}
 	baseline := janus.New(janus.Config{Threads: 8, Detection: janus.DetectWriteSet})
-	_, wsStats, err := baseline.RunOutOfOrder(st, tasks)
+	_, wsStats, err := baseline.Run(st, tasks)
 	if err != nil {
 		log.Fatal(err)
 	}

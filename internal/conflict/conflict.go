@@ -8,14 +8,16 @@
 // A detector must be sound (never admit a transaction that does not
 // commute with its conflict history) and valid (never reject a transaction
 // with an empty conflict history) for Theorem 4.1 to apply. The write-set
-// detector is trivially sound; the sequence detector's positive answers
-// come only from conditions proved during training.
+// detector is trivially sound. The sequence detector judges against the
+// order the run fixed: a committed transaction serializes first, so it
+// admits a transaction whose reads that commit leaves unchanged.
 package conflict
 
 import (
 	"strings"
 	"sync/atomic"
 
+	"repro/internal/adt"
 	"repro/internal/obs"
 	"repro/internal/oplog"
 	"repro/internal/seqeff"
@@ -295,7 +297,10 @@ func NewRelaxations(raw, waw []state.Loc) *Relaxations {
 
 // Sequence is the hindsight detector: per-location sequence pairs are
 // answered from the trained commutativity cache, relaxation-aware theory
-// checks, or — on a cache miss — the write-set fallback.
+// checks, or — on a cache miss — the write-set fallback, and every
+// conflict they find is judged again in commit order (readsStale), §5.3's
+// inference of write-after-write tolerances: under ordered commits that
+// order is the sequential one.
 type Sequence struct {
 	// Cache holds the trained commutativity specification, learning on
 	// misses when it was built to (spec.New). A nil cache makes every
@@ -303,15 +308,6 @@ type Sequence struct {
 	Cache *spec.Cache
 	// Relax is the consistency-relaxation specification; may be nil.
 	Relax *Relaxations
-	// InferWAW enables the §5.3 "limited automatic inference": write-
-	// after-write dependences between two transactions are ignored — a
-	// pair is admitted when the running transaction's reads are stable
-	// under the committed one's effect, even when the final values
-	// differ. The outcome is the commit-order serialization (the
-	// committed transaction first): under unordered commits some legal
-	// serial order, under ordered commits the sequential order itself,
-	// since the committed transaction precedes the running one.
-	InferWAW bool
 
 	// ForceMiss, when non-nil, is consulted before each commutativity-
 	// cache lookup with the querying transaction's (task, attempt); true
@@ -399,23 +395,27 @@ func reasonForCheck(c spec.Check) Reason {
 	}
 }
 
-// pairVerdict answers one per-location query over prepared subsequences.
-// The symbolic shapes and their keys are read from the artifacts'
-// memoized projections; the access modes behind the fallback paths are
-// memoized lazily on first use.
+// pairVerdict answers one per-location query over prepared subsequences:
+// the relaxed checks, the cache or its write-set fallback name a conflict,
+// and the commit-order judgment overturns it when the running
+// transaction's reads are stable under the committed one's effect. The
+// judgment runs last, so the query's hits, misses and fallbacks count as
+// they would without it.
 func (s *Sequence) pairVerdict(ctx obs.Ctx, lt, lc *preparedLoc) Verdict {
-	p := lt.p
-	conflict := func(r Reason) Verdict { return Verdict{Conflict: true, Reason: r, P: p} }
-	loc := p.Loc
-	if s.Relax.Any(loc) {
-		atomic.AddInt64(&s.stats.RelaxedChecks, 1)
-		if hit, reason := s.relaxedConflicts(loc, lt, lc); hit {
-			return conflict(reason)
-		}
-		return Verdict{}
+	if r := s.pairConflict(ctx, lt, lc); r != ReasonNone && readsStale(lt, lc) {
+		return Verdict{Conflict: true, Reason: r, P: lt.p}
 	}
-	if s.InferWAW && !readsStale(lt.syms, lc.syms) {
-		return Verdict{}
+	return Verdict{}
+}
+
+// pairConflict runs Figure 8's checks on one pair and names the one that
+// failed, ReasonNone if none did, reading the artifacts' memoized shapes,
+// keys and access modes.
+func (s *Sequence) pairConflict(ctx obs.Ctx, lt, lc *preparedLoc) Reason {
+	p := lt.p
+	if s.Relax.Any(p.Loc) {
+		atomic.AddInt64(&s.stats.RelaxedChecks, 1)
+		return s.relaxedConflicts(p.Loc, lt, lc)
 	}
 	if s.Cache != nil && (s.ForceMiss == nil || !s.ForceMiss(int(ctx.Task), int(ctx.Attempt))) {
 		m := s.Cache.Mode()
@@ -427,18 +427,18 @@ func (s *Sequence) pairVerdict(ctx obs.Ctx, lt, lc *preparedLoc) Verdict {
 		}
 		if a.Known {
 			if a.Conflict {
-				return conflict(reasonForCheck(a.Failed))
+				return reasonForCheck(a.Failed)
 			}
-			return Verdict{}
+			return ReasonNone
 		}
 	}
 	// Miss: write-set fallback.
 	atomic.AddInt64(&s.stats.Fallbacks, 1)
 	traceCache(ctx, obs.EvCacheFallback, p)
-	if s.fallback(lt, lc) {
-		return conflict(ReasonWriteSet)
+	if pairConflictsWriteSet(lt.accessModes(), lc.accessModes(), s.Relax) {
+		return ReasonWriteSet
 	}
-	return Verdict{}
+	return ReasonNone
 }
 
 // traceCache emits a cache event at p, rendering p only when tracing is
@@ -458,66 +458,72 @@ func symsString(syms []oplog.Sym) string {
 	return strings.Join(parts, " ")
 }
 
-// readsStale is the commit-order judgment behind InferWAW: the running
-// transaction conflicts with a committed one only if some read of the
-// running transaction observes a value the committed transaction's
-// composite effect changes. The committed transaction serializes first
-// (it already did), so its own reads and the pair's final-value
-// disagreement are immaterial. Pairs outside the effect theories report a
-// conflict here and flow on to the normal (stricter) pipeline.
-func readsStale(symsT, symsC []oplog.Sym) bool {
-	if aT, ok := seqeff.AnalyzeRegister(symsT); ok {
-		if aC, ok := seqeff.AnalyzeRegister(symsC); ok {
+// readsStale is the commit-order judgment: the running transaction
+// conflicts with a committed one only if some read of the running
+// transaction observes a value the committed transaction's composite
+// effect changes. The committed transaction serializes first (it already
+// did), so its own reads and the pair's final-value disagreement are
+// immaterial. Pairs outside the effect theories stay stale.
+//
+// A remove that found its key absent read it (Table 3), and the commit
+// installs it as a read, so it counts as one here, not as the register
+// theory's blind store of "absent".
+func readsStale(lt, lc *preparedLoc) bool {
+	if aT, ok := seqeff.AnalyzeRegister(lt.syms); ok {
+		if aC, ok := seqeff.AnalyzeRegister(lc.syms); ok {
+			aT.ReadBeforeStore = aT.ReadBeforeStore || lt.removesAbsent()
 			return !seqeff.SameRead(aT, aC.Eff)
 		}
 	}
-	if aT, ok := seqeff.AnalyzeStack(symsT); ok {
-		if aC, ok := seqeff.AnalyzeStack(symsC); ok {
+	if aT, ok := seqeff.AnalyzeStack(lt.syms); ok {
+		if aC, ok := seqeff.AnalyzeStack(lc.syms); ok {
 			return !seqeff.StackReadsStable(aT, aC)
 		}
 	}
 	return true
 }
 
+// removesAbsent reports whether some remove of the subsequence found its
+// key absent: its one-access footprint, at pl.p, is then a read.
+func (pl *preparedLoc) removesAbsent() bool {
+	for _, e := range pl.seq {
+		if e.Op.K == adt.RelRemove && !e.Accesses()[0].Write {
+			return true
+		}
+	}
+	return false
+}
+
 // relaxedConflicts evaluates the Figure 8 checks with the location's
 // relaxations applied: tolerated RAW drops SAMEREAD, tolerated WAW drops
 // COMMUTE. Sequences outside both theories fall back to the relaxed
 // write-set rule. On a conflict the reason names the residual check that
-// failed.
-func (s *Sequence) relaxedConflicts(loc state.Loc, lt, lc *preparedLoc) (bool, Reason) {
+// failed; ReasonNone is no conflict.
+func (s *Sequence) relaxedConflicts(loc state.Loc, lt, lc *preparedLoc) Reason {
 	dropSame := s.Relax.TolerateRAW(loc)
 	dropCommute := s.Relax.TolerateWAW(loc)
 	symsT, symsC := lt.syms, lc.syms
 	if a1, ok := seqeff.AnalyzeRegister(symsT); ok {
 		if a2, ok := seqeff.AnalyzeRegister(symsC); ok {
 			if !dropSame && (!seqeff.SameRead(a1, a2.Eff) || !seqeff.SameRead(a2, a1.Eff)) {
-				return true, ReasonSameRead
+				return ReasonSameRead
 			}
 			if !dropCommute && !seqeff.Commute(a1.Eff, a2.Eff) {
-				return true, ReasonCommute
+				return ReasonCommute
 			}
-			return false, ReasonNone
+			return ReasonNone
 		}
 	}
 	if a1, ok := seqeff.AnalyzeStack(symsT); ok {
 		if a2, ok := seqeff.AnalyzeStack(symsC); ok {
-			if dropSame && dropCommute {
-				return false, ReasonNone
+			if dropSame && dropCommute || !seqeff.StackPairConflicts(a1, a2) {
+				return ReasonNone
 			}
-			if seqeff.StackPairConflicts(a1, a2) {
-				return true, ReasonCommute
-			}
-			return false, ReasonNone
+			return ReasonCommute
 		}
 	}
 	if pairConflictsWriteSet(lt.accessModes(), lc.accessModes(), s.Relax) {
-		return true, ReasonRelaxation
+		return ReasonRelaxation
 	}
-	return false, ReasonNone
-}
-
-// fallback applies the plain write-set rule to the pair's subsequences,
-// reading the access modes memoized in the prepared artifacts.
-func (s *Sequence) fallback(lt, lc *preparedLoc) bool {
-	return pairConflictsWriteSet(lt.accessModes(), lc.accessModes(), s.Relax)
+	return ReasonNone
 }

@@ -98,18 +98,27 @@ func TestSequenceHitAvoidsFalseConflict(t *testing.T) {
 	}
 }
 
+// TestSequenceMissFallsBackToWriteSet: a miss falls back to the write-set
+// rule, whose conflict stands when the running transaction's read is stale
+// under the committed effect, and is overturned in commit order when it
+// has no read to go stale. Both queries count as a miss and a fallback.
 func TestSequenceMissFallsBackToWriteSet(t *testing.T) {
 	st := baseState()
 	det := NewSequence(spec.New(spec.Abstract, false), nil)
+	rd := record(t, st, 1, adt.NumLoadOp{L: "work"}.Op(), adt.NumAddOp{L: "work", Delta: 5}.Op())
+	add := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}.Op())
+	if !detect(det, st, rd, add) {
+		t.Fatalf("empty cache must fall back to write-set and conflict on a stale read")
+	}
 	id1 := record(t, st, 1, adt.NumAddOp{L: "work", Delta: 5}.Op(), adt.NumAddOp{L: "work", Delta: -5}.Op())
 	id2 := record(t, st, 2, adt.NumAddOp{L: "work", Delta: 7}.Op(), adt.NumAddOp{L: "work", Delta: -7}.Op())
-	if !detect(det, st, id1, id2) {
-		t.Fatalf("empty cache must fall back to write-set and conflict")
+	if detect(det, st, id1, id2) {
+		t.Fatalf("a fallback conflict without a stale read must be admitted in commit order")
 	}
-	if s := det.Stats(); s.Fallbacks != 1 {
+	if s := det.Stats(); s.Fallbacks != 2 || s.Conflicts != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	if det.Cache.Stats().Misses != 1 {
+	if det.Cache.Stats().Misses != 2 {
 		t.Errorf("cache stats = %+v", det.Cache.Stats())
 	}
 }
@@ -135,10 +144,16 @@ func TestRelaxationsRAWSpuriousReads(t *testing.T) {
 	if detect(det, st, rd, wr) {
 		t.Fatalf("RAW-relaxed read/write must not conflict")
 	}
-	// Write-write on the same location still conflicts (no WAW relax).
+	// Stores of different values still fail COMMUTE (no WAW relax); the
+	// conflict stands when the running transaction read the old value...
+	rw := record(t, st, 1, adt.NumLoadOp{L: "max"}.Op(), adt.NumStoreOp{L: "max", V: 9}.Op())
+	if !detect(det, st, rw, wr) {
+		t.Fatalf("stores of different values after a stale read must still conflict")
+	}
+	// ...and is overturned in commit order for a blind store.
 	wr2 := record(t, st, 1, adt.NumStoreOp{L: "max", V: 9}.Op())
-	if !detect(det, st, wr2, wr) {
-		t.Fatalf("stores of different values must still conflict")
+	if detect(det, st, wr2, wr) {
+		t.Fatalf("a blind store must be admitted in commit order")
 	}
 	if s := det.Stats(); s.RelaxedChecks == 0 {
 		t.Errorf("relaxed path not exercised: %+v", s)
@@ -157,15 +172,19 @@ func TestRelaxationsWAWSharedAsLocal(t *testing.T) {
 	if detect(det, st, a, b) {
 		t.Fatalf("WAW-relaxed shared-as-local must not conflict")
 	}
-	// Without the relaxation it conflicts (different final stores).
+	if s := det.Stats(); s.RelaxedChecks == 0 {
+		t.Errorf("relaxed path not exercised: %+v", s)
+	}
+	// Without the relaxation the stores fail COMMUTE, and the commit-order
+	// rule admits the pair all the same: each read follows its own store.
 	strict := NewSequence(spec.New(spec.Abstract, false), nil)
-	if !detect(strict, st, a, b) {
-		t.Fatalf("unrelaxed shared-as-local with different stores must conflict")
+	if detect(strict, st, a, b) {
+		t.Fatalf("unrelaxed shared-as-local must be admitted in commit order")
 	}
 	// A bare read of the entry value still conflicts: SAMEREAD is kept.
 	spy := record(t, st, 3, adt.StrLoadOp{L: "ctx"}.Op())
-	if !detect(det, st, spy, b) {
-		t.Fatalf("WAW relaxation must not drop SAMEREAD")
+	if !detect(det, st, spy, b) || !detect(strict, st, spy, b) {
+		t.Fatalf("neither the WAW relaxation nor the commit-order rule may drop SAMEREAD")
 	}
 }
 
@@ -241,22 +260,24 @@ func TestLearnOnlineConvergesWithoutTraining(t *testing.T) {
 	}
 }
 
-func TestInferWAWAdmitsSharedAsLocal(t *testing.T) {
+// TestCommitOrderRuleAdmitsSharedAsLocal: the sequence detector judges
+// every conflict in commit order, so a pair is admitted when the running
+// transaction's reads are stable under the committed one's effect.
+func TestCommitOrderRuleAdmitsSharedAsLocal(t *testing.T) {
 	st := baseState()
 	det := NewSequence(spec.New(spec.Abstract, false), nil)
-	det.InferWAW = true
 	// Store-then-read pairs with different values: reads are stable
 	// (each follows its own store); the final-value disagreement is
 	// tolerated under commit-order serialization.
 	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: "a.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
 	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: "b.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
 	if detect(det, st, a, b) {
-		t.Fatalf("InferWAW must admit shared-as-local store/read pairs")
+		t.Fatalf("the commit-order rule must admit shared-as-local store/read pairs")
 	}
 	// A stale read is never admitted: SAMEREAD is kept.
 	spy := record(t, st, 3, adt.StrLoadOp{L: "ctx"}.Op())
 	if !detect(det, st, spy, b) {
-		t.Fatalf("InferWAW must keep the read-stability requirement")
+		t.Fatalf("the commit-order rule must keep the read-stability requirement")
 	}
 	// Stack sequences: a balanced pair passes; a prestate-popping one
 	// against a non-identity committed sequence does not.
@@ -270,5 +291,21 @@ func TestInferWAWAdmitsSharedAsLocal(t *testing.T) {
 	popper := record(t, st2, 3, adt.ListPopOp{L: "stk"}.Op())
 	if !detect(det, st2, popper, grow) {
 		t.Fatalf("a prestate pop must conflict with a growing committed txn")
+	}
+	// A remove that found its key absent read it: it is stale under a
+	// committed put of that key, though the register theory reads both as
+	// stores. A remove of a present key is a blind store and is admitted.
+	put := record(t, st, 4, adt.RelPutOp{L: "bits", Key: "k0", Val: "v"}.Op())
+	delAbsent := record(t, st, 5, adt.RelRemoveOp{L: "bits", Key: "k0"}.Op())
+	if !detect(det, st, delAbsent, put) {
+		t.Fatalf("a remove of an absent key must conflict with a committed put of it")
+	}
+	st3 := baseState()
+	if err := put.Replay(st3); err != nil {
+		t.Fatal(err)
+	}
+	delPresent := record(t, st3, 6, adt.RelRemoveOp{L: "bits", Key: "k0"}.Op())
+	if detect(det, st3, delPresent, put) {
+		t.Fatalf("a remove of a present key is a blind store: the rule must admit it")
 	}
 }

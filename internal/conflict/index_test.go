@@ -166,7 +166,6 @@ func TestHashScreenedJoinMatchesPlainJoin(t *testing.T) {
 		func() *Sequence { return NewSequence(nil, nil) },
 		func() *Sequence { return NewSequence(nil, relax) },
 		func() *Sequence { return NewSequence(trainedIdentityCache(t), relax) },
-		func() *Sequence { return &Sequence{InferWAW: true} },
 	}
 	conflicts := 0
 	for round := 0; round < 200; round++ {

@@ -28,9 +28,6 @@ type Options struct {
 	// LearnOnline proves and caches conditions for missed shape pairs at
 	// runtime (online training via memoization, §5.3).
 	LearnOnline bool
-	// InferWAW ignores write-after-write dependences between transactions
-	// (§5.3 automatic inference): runs serialize in commit order.
-	InferWAW bool
 	// Relax is the §5.3 consistency-relaxation specification; may be nil.
 	Relax *conflict.Relaxations
 }
@@ -79,9 +76,7 @@ func (e *Engine) TrainMany(initial *state.State, payloads [][]adt.Task) error {
 // Detector manufactures a sequence-based detector over the trained cache.
 // Each run should use a fresh detector so its statistics are per-run.
 func (e *Engine) Detector() *conflict.Sequence {
-	det := conflict.NewSequence(e.cache, e.opts.Relax)
-	det.InferWAW = e.opts.InferWAW
-	return det
+	return conflict.NewSequence(e.cache, e.opts.Relax)
 }
 
 // Freeze switches the trained cache into read-only production mode:

@@ -83,9 +83,9 @@ var errBoom = boomErr{}
 
 func TestEngineOptionsPropagate(t *testing.T) {
 	relax := conflict.NewRelaxations([]state.Loc{"x"}, nil)
-	e := NewEngine(Options{LearnOnline: true, InferWAW: true, Relax: relax})
+	e := NewEngine(Options{LearnOnline: true, Relax: relax})
 	det := e.Detector()
-	if !det.InferWAW || det.Cache != e.Cache() {
+	if det.Cache != e.Cache() {
 		t.Fatalf("options not propagated: %+v", det)
 	}
 	// LearnOnline builds a learning cache, which Freeze leaves writable.

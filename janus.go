@@ -30,7 +30,7 @@
 //
 //	r := janus.New(janus.Config{Detection: janus.DetectSequence})
 //	if err := r.Train(st, trainingTasks); err != nil { ... }
-//	final, stats, err := r.RunOutOfOrder(st, productionTasks)
+//	final, stats, err := r.Run(st, productionTasks)
 //
 // See the examples directory for complete programs, and DESIGN.md for the
 // mapping from the paper's sections to packages.
@@ -242,12 +242,6 @@ type Config struct {
 	// so an untrained Runner converges to trained behavior after one miss
 	// per shape pair.
 	LearnOnline bool
-	// InferWAW enables §5.3's limited automatic inference: write-after-
-	// write dependences between two transactions are ignored when every
-	// read involved is order-insensitive. The final state is then the
-	// commit-order serialization: identical to the sequential order under
-	// RunInOrder, some legal serial order under RunOutOfOrder.
-	InferWAW bool
 	// Relax is the consistency-relaxation specification; may be nil.
 	Relax *Relaxations
 	// MaxRetries guards against livelock in tests (0 = unlimited).
@@ -294,7 +288,6 @@ func New(cfg Config) *Runner {
 	r := &Runner{cfg: cfg, engine: core.NewEngine(core.Options{
 		DisableAbstraction: cfg.DisableAbstraction,
 		LearnOnline:        cfg.LearnOnline,
-		InferWAW:           cfg.InferWAW,
 		Relax:              cfg.Relax,
 	})}
 	if cfg.Trace != nil {
@@ -511,7 +504,8 @@ func (r *Runner) run(ctx context.Context, initial *State, tasks []Task, ordered 
 	return s.State(), rs, nil
 }
 
-// Run executes the tasks in parallel with unordered commits.
+// Run executes the tasks in parallel with unordered commits (the
+// prototype's runOutOfOrder).
 func (r *Runner) Run(initial *State, tasks []Task) (*State, RunStats, error) {
 	return r.run(context.Background(), initial, tasks, false)
 }
@@ -535,12 +529,6 @@ func (r *Runner) RunInOrder(initial *State, tasks []Task) (*State, RunStats, err
 // RunInOrderCtx is RunInOrder with cancellation; see RunCtx.
 func (r *Runner) RunInOrderCtx(ctx context.Context, initial *State, tasks []Task) (*State, RunStats, error) {
 	return r.run(ctx, initial, tasks, true)
-}
-
-// RunOutOfOrder executes the tasks in parallel with unordered commits
-// (the prototype's runOutOfOrder).
-func (r *Runner) RunOutOfOrder(initial *State, tasks []Task) (*State, RunStats, error) {
-	return r.run(context.Background(), initial, tasks, false)
 }
 
 // Sequential executes the tasks one at a time with no synchronization —

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/fsio"
@@ -168,7 +169,7 @@ func TestRunInOrderPreservesOrder(t *testing.T) {
 func TestWriteSetConfigUsesBaselineDetector(t *testing.T) {
 	st := exampleState()
 	r := New(Config{Threads: 2, Detection: DetectWriteSet})
-	_, stats, err := r.RunOutOfOrder(st, []Task{addTask(1), addTask(2)})
+	_, stats, err := r.Run(st, []Task{addTask(1), addTask(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestRelaxationsViaConfig(t *testing.T) {
 		Threads: 4,
 		Relax:   NewRelaxations(nil, []Loc{"name"}),
 	})
-	_, stats, err := r.RunOutOfOrder(st, tasks)
+	_, stats, err := r.Run(st, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestLearnOnlineRunnerConverges(t *testing.T) {
 	}
 	// No Train call at all: the runner learns conditions at runtime.
 	r := New(Config{Threads: 4, LearnOnline: true})
-	final, stats, err := r.RunOutOfOrder(st, tasks)
+	final, stats, err := r.Run(st, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +313,10 @@ func TestLearnOnlineRunnerConverges(t *testing.T) {
 	}
 }
 
-func TestInferWAWOrderedEqualsSequential(t *testing.T) {
+// TestCommitOrderRuleOrderedEqualsSequential: tasks that store a string
+// and read it back are admitted in commit order whatever they stored, and
+// an ordered run reaches the sequential state.
+func TestCommitOrderRuleOrderedEqualsSequential(t *testing.T) {
 	st := exampleState()
 	scribble := func(v string) Task {
 		return func(ex Executor) error {
@@ -329,20 +333,22 @@ func TestInferWAWOrderedEqualsSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := New(Config{Threads: 4, InferWAW: true})
+	r := New(Config{Threads: 4})
 	final, stats, err := r.RunInOrder(st, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Run.Retries != 0 {
-		t.Fatalf("InferWAW must suppress the WAW aborts, got %d retries", stats.Run.Retries)
+		t.Fatalf("the commit-order rule must suppress the WAW aborts, got %d retries", stats.Run.Retries)
 	}
 	if !final.Equal(want) {
-		t.Fatalf("ordered InferWAW run must equal the sequential state:\ngot  %s\nwant %s", final, want)
+		t.Fatalf("ordered run must equal the sequential state:\ngot  %s\nwant %s", final, want)
 	}
 }
 
-func TestInferWAWUnorderedIsCommitOrderSerial(t *testing.T) {
+// TestCommitOrderRuleUnorderedIsSerial: unordered, the same tasks end in
+// one task's store, and every task reads back its own.
+func TestCommitOrderRuleUnorderedIsSerial(t *testing.T) {
 	st := exampleState()
 	scribble := func(v string) Task {
 		return func(ex Executor) error {
@@ -365,8 +371,8 @@ func TestInferWAWUnorderedIsCommitOrderSerial(t *testing.T) {
 	for _, v := range vals {
 		tasks = append(tasks, scribble(v))
 	}
-	r := New(Config{Threads: 4, InferWAW: true})
-	final, _, err := r.RunOutOfOrder(st, tasks)
+	r := New(Config{Threads: 4})
+	final, _, err := r.Run(st, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,6 +385,39 @@ func TestInferWAWUnorderedIsCommitOrderSerial(t *testing.T) {
 	}
 	if !ok {
 		t.Fatalf("final name %v is not any task's store", got)
+	}
+}
+
+// TestCommitOrderRuleRemoveOfAbsentReads: a remove that finds its key
+// absent reads the key (Table 3), and the commit installs it as a read, so
+// the commit-order rule must not admit it past a committed put of that key
+// as if it were a blind store. Task 2 removes k and then lets task 1 put
+// it; in order, task 1 commits first and task 2 must retry.
+func TestCommitOrderRuleRemoveOfAbsentReads(t *testing.T) {
+	st := NewState()
+	InitKVMap(st, "m")
+	ready := make(chan struct{})
+	var once sync.Once
+	tasks := []Task{
+		func(ex Executor) error {
+			<-ready
+			return KVMap{L: "m"}.Put(ex, "k", "v")
+		},
+		func(ex Executor) error {
+			err := KVMap{L: "m"}.Remove(ex, "k")
+			once.Do(func() { close(ready) })
+			return err
+		},
+	}
+	// The sequential order puts k and then removes it.
+	want := NewState()
+	InitKVMap(want, "m")
+	final, stats, err := New(Config{Threads: 2}).RunInOrder(st, tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !final.Equal(want) {
+		t.Fatalf("final %s, sequential %s (%d retries)", final, want, stats.Run.Retries)
 	}
 }
 
@@ -405,7 +444,7 @@ func TestSpecSaveLoadAcrossRunners(t *testing.T) {
 	if prod.CacheStats().Entries == 0 {
 		t.Fatalf("loaded spec is empty")
 	}
-	final, stats, err := prod.RunOutOfOrder(st, tasks)
+	final, stats, err := prod.Run(st, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +507,7 @@ func TestInitCustomADT(t *testing.T) {
 	if err := r.Train(st, tasks[:2]); err != nil {
 		t.Fatal(err)
 	}
-	final, stats, err := r.RunOutOfOrder(st, tasks)
+	final, stats, err := r.Run(st, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +552,7 @@ func TestCustomADTRecordsAndReplays(t *testing.T) {
 		})
 	}
 	r := rec.New(rec.Meta{Workload: "custom", Threads: 4, Tasks: len(tasks)}, st, rec.Options{})
-	final, _, err := New(Config{Threads: 4, Record: r}).RunOutOfOrder(st, tasks)
+	final, _, err := New(Config{Threads: 4, Record: r}).Run(st, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,7 +594,7 @@ func TestTracedRunFillsTrace(t *testing.T) {
 	}
 	tr := NewTrace(0)
 	r := New(Config{Threads: 4, Detection: DetectWriteSet, Trace: tr})
-	_, stats, err := r.RunOutOfOrder(st, tasks)
+	_, stats, err := r.Run(st, tasks)
 	if err != nil {
 		t.Fatal(err)
 	}
