@@ -44,12 +44,13 @@ stress:
 	$(GO) test -count=20 -run '$(STRESS_TESTS)' ./internal/stm
 	$(GO) test -count=1 -run 'TestExploreSchedules' ./internal/stm
 
-# The allocation pins (CI's test job): every test that calls
-# testing.AllocsPerRun, run by name with -count=1 so a cached pass never
-# stands in for a run. go test -run passes when nothing matches, so the
-# target first checks that each named test exists: a renamed pin fails
-# here instead of quietly not running.
+# The allocation pins (CI's test job): every test that counts allocations
+# (testing.AllocsPerRun, or MemStats around a Run), run by name with
+# -count=1 so a cached pass never stands in for a run. go test -run
+# passes when nothing matches, so the target first checks that each named
+# test exists: a renamed pin fails here instead of quietly not running.
 ALLOCS_TESTS = \
+	internal/adt:TestChangingStrStoreBindsItsBox \
 	internal/adt:TestEqualStoreBindsNothing \
 	internal/adt:TestHandlesAllocateOnlyTheirResults \
 	internal/adt:TestLoadsReturnTheHeldValue \
@@ -74,7 +75,8 @@ ALLOCS_TESTS = \
 	internal/stm:TestStoreNewCostIsFlat \
 	internal/stm:TestWarmListTransactionAllocs \
 	internal/workloads:TestHeavyTaskAllocsIgnoreOpCount \
-	internal/workloads:TestWekaRerunAllocatesOnlyChanges
+	internal/workloads:TestWekaRerunAllocatesNothing \
+	internal/workloads:TestWekaRunAllocs
 allocs:
 	@for t in $(ALLOCS_TESTS); do \
 		n=$$($(GO) test -list "^$${t#*:}$$" ./$${t%%:*} | grep -cx "$${t#*:}"); \

@@ -91,7 +91,7 @@ func ExampleNewRelaxations() {
 	scratch := janus.InitStrVar(st, "ctx.scratch", "")
 	var tasks []janus.Task
 	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("file%d", i)
+		name := janus.Value(janus.Str(fmt.Sprintf("file%d", i)))
 		tasks = append(tasks, func(ex janus.Executor) error {
 			if err := scratch.Store(ex, name); err != nil {
 				return err

@@ -34,15 +34,16 @@ func analyze(name string) int64 {
 }
 
 func scanTask(filename, file janus.StrVar, attrs janus.KVMap, violations, analyzed janus.Counter, name string, id int) janus.Task {
-	// The strings the task stores are built once, with the task, not on
-	// every run (a retry runs the body again).
-	fileName := "file:" + name
+	// The strings the task stores are built and boxed once, with the
+	// task, not on every run (a retry runs the body again).
+	nameVal := janus.Value(janus.Str(name))
+	fileVal := janus.Value(janus.Str("file:" + name))
 	counter := fmt.Sprintf("rule-counter-%d", id)
 	return func(ex janus.Executor) error {
-		if err := filename.Store(ex, name); err != nil {
+		if err := filename.Store(ex, nameVal); err != nil {
 			return err
 		}
-		if err := file.Store(ex, fileName); err != nil {
+		if err := file.Store(ex, fileVal); err != nil {
 			return err
 		}
 		if err := attrs.Put(ex, "COUNTER", counter); err != nil {

@@ -25,6 +25,9 @@ type dirPair struct {
 }
 
 func comparePair(started, weight janus.Stack, src, tgt janus.StrVar, canceled janus.BoolVar, p dirPair) janus.Task {
+	// The roots the task stores, boxed once with the task: every run and
+	// retry of the body binds the same values.
+	srcVal, tgtVal := janus.Value(janus.Str(p.src)), janus.Value(janus.Str(p.tgt))
 	return func(ex janus.Executor) error {
 		if err := started.Push(ex, 2); err != nil {
 			return err
@@ -32,10 +35,10 @@ func comparePair(started, weight janus.Stack, src, tgt janus.StrVar, canceled ja
 		if err := weight.Push(ex, 1); err != nil {
 			return err
 		}
-		if err := src.Store(ex, p.src); err != nil {
+		if err := src.Store(ex, srcVal); err != nil {
 			return err
 		}
-		if err := tgt.Store(ex, p.tgt); err != nil {
+		if err := tgt.Store(ex, tgtVal); err != nil {
 			return err
 		}
 		stop, err := canceled.Load(ex)

@@ -25,9 +25,13 @@ import (
 const (
 	nodes = 80
 	cols  = 10
-	bg    = "darkgray"
-	white = "white"
-	black = "black"
+)
+
+// The three colors, boxed once: every store binds one of these values.
+var (
+	bg    = janus.Value(janus.Str("darkgray"))
+	white = janus.Value(janus.Str("white"))
+	black = janus.Value(janus.Str("black"))
 )
 
 func pixelLoc(x, y int) janus.Loc { return janus.Loc(fmt.Sprintf("px.%d:%d", x, y)) }
@@ -60,14 +64,14 @@ func renderTask(colorReg janus.StrVar, v int, neighbors []int) janus.Task {
 		edges = append(edges, line)
 	}
 	return func(ex janus.Executor) error {
-		setColor := func(c string) error {
+		setColor := func(c janus.Value) error {
 			if err := colorReg.Store(ex, c); err != nil {
 				return err
 			}
 			_, err := colorReg.Load(ex)
 			return err
 		}
-		paint := func(px janus.Loc, c string) error {
+		paint := func(px janus.Loc, c janus.Value) error {
 			return janus.StrVar{L: px}.Store(ex, c)
 		}
 		// Node oval.

@@ -84,7 +84,7 @@ func TestCounterErrors(t *testing.T) {
 func TestStrAndBoolVars(t *testing.T) {
 	ex := newExec()
 	s := StrVar{L: "name"}
-	if err := s.Store(ex, "file.go"); err != nil {
+	if err := s.Store(ex, state.Str("file.go")); err != nil {
 		t.Fatal(err)
 	}
 	if v, err := s.Load(ex); err != nil || v != "file.go" {
@@ -301,7 +301,8 @@ func TestLoadsReturnTheHeldValue(t *testing.T) {
 // TestEqualStoreBindsNothing: a scalar store of the value its location
 // already holds, of the same type, allocates nothing and leaves the state
 // a blind Set would; a store of a new value, or of another type, binds
-// it. On a view the compare faults the location in, which the store
+// it: a num.store boxes its integer, a str.store binds the box its op
+// carries. On a view the compare faults the location in, which the store
 // would have bound anyway.
 func TestEqualStoreBindsNothing(t *testing.T) {
 	const big = 1 << 20 // past the runtime's small-integer cache
@@ -312,13 +313,13 @@ func TestEqualStoreBindsNothing(t *testing.T) {
 		want   state.Value
 		allocs float64
 	}{
-		{"equal str", state.Str("black"), StrStoreOp{L: "x", V: "black"}.Op(), state.Str("black"), 0},
+		{"equal str", state.Str("black"), StrStoreOp{L: "x", V: state.Str("black")}.Op(), state.Str("black"), 0},
 		{"equal num", state.Int(big), NumStoreOp{L: "x", V: big}.Op(), state.Int(big), 0},
-		{"new str", state.Str("white"), StrStoreOp{L: "x", V: "black"}.Op(), state.Str("black"), 1},
+		{"new str", state.Str("white"), StrStoreOp{L: "x", V: state.Str("black")}.Op(), state.Str("black"), 0},
 		{"new num", state.Int(big), NumStoreOp{L: "x", V: big + 1}.Op(), state.Int(big + 1), 1},
-		{"str over num", state.Int(big), StrStoreOp{L: "x", V: "1048576"}.Op(), state.Str("1048576"), 1},
+		{"str over num", state.Int(big), StrStoreOp{L: "x", V: state.Str("1048576")}.Op(), state.Str("1048576"), 0},
 		{"num over str", state.Str("1048576"), NumStoreOp{L: "x", V: big}.Op(), state.Int(big), 1},
-		{"str over bool", state.Bool(true), StrStoreOp{L: "x", V: "true"}.Op(), state.Str("true"), 1},
+		{"str over bool", state.Bool(true), StrStoreOp{L: "x", V: state.Str("true")}.Op(), state.Str("true"), 0},
 	} {
 		held := c.held
 		blind := state.New()
@@ -345,6 +346,44 @@ func TestEqualStoreBindsNothing(t *testing.T) {
 		if allocs != c.allocs {
 			t.Errorf("%s: %v over %v allocates %.0f objects, want %.0f", c.name, c.op, held, allocs, c.allocs)
 		}
+	}
+}
+
+// TestChangingStrStoreBindsItsBox: a str.store carries the value its
+// caller boxed, and a store that changes its location binds that box
+// without converting it: flipping a location between two boxed strings
+// allocates nothing, applied directly or through StrVar.Store on a warm
+// executor. Boxing the op's string at every changing store cost one
+// object each. A value that is not a Str is refused before it is logged.
+func TestChangingStrStoreBindsItsBox(t *testing.T) {
+	// Built at run time, so no box comes from the binary's static data.
+	black := state.Value(state.Str(strings.Repeat("black", 2)))
+	white := state.Value(state.Str(strings.Repeat("white", 2)))
+	st := state.New()
+	st.Set("x", white)
+	toBlack, toWhite := StrStoreOp{L: "x", V: black}.Op(), StrStoreOp{L: "x", V: white}.Op()
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, _ = toBlack.Apply(st)
+		_, _ = toWhite.Apply(st)
+	}); allocs != 0 {
+		t.Errorf("two changing str.stores of boxed values allocate %.0f objects, want 0", allocs)
+	}
+	ex := &warmExec{st: st, log: make([]oplog.Event, 0, 4)}
+	x := StrVar{L: "x"}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_ = x.Store(ex, black)
+		_ = x.Store(ex, white)
+	}); allocs != 0 {
+		t.Errorf("two changing StrVar.Stores of boxed values allocate %.0f objects, want 0", allocs)
+	}
+	if v, _ := st.Get("x"); v != white {
+		t.Errorf("x holds %v, want %v", v, white)
+	}
+	if err := x.Store(ex, state.Int(1)); err == nil {
+		t.Error("StrVar.Store of an Int succeeded")
+	}
+	if v, _ := st.Get("x"); v != white {
+		t.Errorf("a refused store left x holding %v", v)
 	}
 }
 
@@ -429,7 +468,7 @@ func TestHandlesAllocateOnlyTheirResults(t *testing.T) {
 		{"Counter.Sub", func(ex Executor) error { return Counter{L: "n"}.Sub(ex, 1<<20) }, NumAddOp{L: "n", Delta: -1 << 20}.Op(), 0},
 		{"Counter.Store", func(ex Executor) error { return Counter{L: "n"}.Store(ex, 1<<21) }, NumStoreOp{L: "n", V: 1 << 21}.Op(), 0},
 		{"Counter.Load", func(ex Executor) error { _, err := Counter{L: "n"}.Load(ex); return err }, NumLoadOp{L: "n"}.Op(), 0},
-		{"StrVar.Store", func(ex Executor) error { return StrVar{L: "s"}.Store(ex, "a.go") }, StrStoreOp{L: "s", V: "a.go"}.Op(), 0},
+		{"StrVar.Store", func(ex Executor) error { return StrVar{L: "s"}.Store(ex, state.Str("a.go")) }, StrStoreOp{L: "s", V: state.Str("a.go")}.Op(), 0},
 		{"StrVar.Load", func(ex Executor) error { _, err := StrVar{L: "s"}.Load(ex); return err }, StrLoadOp{L: "s"}.Op(), 0},
 		{"BoolVar.Store", func(ex Executor) error { return BoolVar{L: "b"}.Store(ex, true) }, BoolStoreOp{L: "b", V: true}.Op(), 0},
 		{"BoolVar.Load", func(ex Executor) error { _, err := BoolVar{L: "b"}.Load(ex); return err }, BoolLoadOp{L: "b"}.Op(), 0},
@@ -488,9 +527,9 @@ func TestOpStringsAndSyms(t *testing.T) {
 		{NumStoreOp{L: "c", V: 123456}.Op(), "c=123456", "num.store(123456)", false},
 		{NumStoreOp{L: "c", V: -7}.Op(), "c=-7", "num.store(-7)", false},
 		{NumLoadOp{L: "c"}.Op(), "load(c)", "num.load", true},
-		{StrStoreOp{L: "s", V: "hello"}.Op(), "s=\"hello\"", "str.store(hello)", false},
-		{StrStoreOp{L: "s", V: ""}.Op(), "s=\"\"", "str.store", false},
-		{StrStoreOp{L: "s", V: "-42"}.Op(), "s=\"-42\"", "str.store(-42)", false},
+		{StrStoreOp{L: "s", V: state.Str("hello")}.Op(), "s=\"hello\"", "str.store(hello)", false},
+		{StrStoreOp{L: "s", V: state.Str("")}.Op(), "s=\"\"", "str.store", false},
+		{StrStoreOp{L: "s", V: state.Str("-42")}.Op(), "s=\"-42\"", "str.store(-42)", false},
 		{StrLoadOp{L: "s"}.Op(), "load(s)", "str.load", true},
 		{BoolStoreOp{L: "b", V: true}.Op(), "b=true", "bool.store(true)", false},
 		{BoolStoreOp{L: "b", V: false}.Op(), "b=false", "bool.store(false)", false},

@@ -43,8 +43,14 @@ func (c Counter) Load(ex Executor) (int64, error) {
 // Figure 4, e.g. ctx.sourceCodeFilename).
 type StrVar struct{ L state.Loc }
 
-// Store overwrites the variable.
-func (s StrVar) Store(ex Executor, v string) error {
+// Store overwrites the variable with v, a state.Str the caller boxed:
+// box the strings a task set stores where the task set is built, as its
+// location names are, and every store, retry and rerun binds the same box
+// without allocating. A value of another type is refused.
+func (s StrVar) Store(ex Executor, v state.Value) error {
+	if _, ok := v.(state.Str); !ok {
+		return fmt.Errorf("adt: string %s: cannot store %T", s.L, v)
+	}
 	_, err := ex.Exec(StrStoreOp{L: s.L, V: v}.Op())
 	return err
 }

@@ -23,6 +23,10 @@ import (
 )
 
 // Executor applies operations; implemented by stm.Tx and train.Profiler.
+// What executing an op allocates is what OpKind.Apply computes, plus
+// the executor's own log (amortized to nothing once its storage is
+// warm): the op itself is a value, and a string store's value was boxed
+// by its caller.
 type Executor interface {
 	Exec(op oplog.Op) (state.Value, error)
 }
@@ -125,7 +129,12 @@ var kindNames = [...]string{
 	RelPut: KindRelPut, RelRemove: KindRelRemove, RelGet: KindRelGet, RelHas: KindRelHas, RelClear: KindRelClear,
 }
 
-// Apply implements oplog.Kind.
+// Apply implements oplog.Kind. It allocates only what the op computes:
+// a num.add's or num.store's new integer (Go boxes one below 256 without
+// allocating), a pop's, size's or get's result, and a relation write's
+// path copy. A str.store binds the box its op carries, a store
+// of an equal scalar binds nothing, a load returns the value held, and a
+// list or relation op updates the value bound in st in place.
 func (k OpKind) Apply(o oplog.Op, st *state.State) (state.Value, error) {
 	switch k {
 	case NumAdd:
@@ -142,8 +151,10 @@ func (k OpKind) Apply(o oplog.Op, st *state.State) (state.Value, error) {
 		// The value the location holds, not a copy boxed again.
 		return load[state.Int](st, o.L, "Int")
 	case StrStore:
-		if !holds(st, o.L, state.Str(o.Val)) {
-			st.Set(o.L, state.Str(o.Val))
+		// The op carries its value boxed (StrVar.Store): binding it
+		// allocates nothing.
+		if !holds(st, o.L, o.V.(state.Str)) {
+			st.Set(o.L, o.V)
 		}
 	case StrLoad:
 		return load[state.Str](st, o.L, "Str")
@@ -213,8 +224,10 @@ func (k OpKind) Sym(o oplog.Op) oplog.Sym {
 	switch k {
 	case NumAdd, NumStore, ListPush:
 		return oplog.Sym{Kind: kindNames[k], N: o.N, Int: true}
-	case StrStore, RelPut:
-		return oplog.Sym{Kind: kindNames[k], Arg: o.Val}
+	case StrStore:
+		return oplog.Sym{Kind: KindStrStore, Arg: string(o.V.(state.Str))}
+	case RelPut:
+		return oplog.Sym{Kind: KindRelPut, Arg: o.Val}
 	case BoolStore:
 		return oplog.Sym{Kind: KindBoolStore, Arg: strconv.FormatBool(o.N != 0)}
 	}
@@ -242,7 +255,7 @@ func (k OpKind) String(o oplog.Op) string {
 	case NumLoad, StrLoad, BoolLoad:
 		return fmt.Sprintf("load(%s)", o.L)
 	case StrStore:
-		return fmt.Sprintf("%s=%q", o.L, o.Val)
+		return fmt.Sprintf("%s=%q", o.L, string(o.V.(state.Str)))
 	case BoolStore:
 		return fmt.Sprintf("%s=%t", o.L, o.N != 0)
 	case ListPush:
@@ -291,14 +304,16 @@ type NumLoadOp struct{ L state.Loc }
 // Op returns the operation.
 func (o NumLoadOp) Op() oplog.Op { return oplog.Op{K: NumLoad, L: o.L} }
 
-// StrStoreOp overwrites the string at L.
+// StrStoreOp overwrites the string at L with V, which must hold a
+// state.Str: the op binds V as it is, so a caller that boxed it once
+// stores it any number of times without allocating.
 type StrStoreOp struct {
 	L state.Loc
-	V string
+	V state.Value
 }
 
 // Op returns the operation.
-func (o StrStoreOp) Op() oplog.Op { return oplog.Op{K: StrStore, L: o.L, Val: o.V} }
+func (o StrStoreOp) Op() oplog.Op { return oplog.Op{K: StrStore, L: o.L, V: o.V} }
 
 // StrLoadOp reads the string at L.
 type StrLoadOp struct{ L state.Loc }

@@ -167,8 +167,8 @@ func TestRelaxationsWAWSharedAsLocal(t *testing.T) {
 	st := baseState()
 	rx := NewRelaxations(nil, []state.Loc{"ctx"})
 	det := NewSequence(spec.New(spec.Abstract, false), rx)
-	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: "a.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
-	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: "b.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
+	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: state.Str("a.go")}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
+	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: state.Str("b.go")}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
 	if detect(det, st, a, b) {
 		t.Fatalf("WAW-relaxed shared-as-local must not conflict")
 	}
@@ -269,8 +269,8 @@ func TestCommitOrderRuleAdmitsSharedAsLocal(t *testing.T) {
 	// Store-then-read pairs with different values: reads are stable
 	// (each follows its own store); the final-value disagreement is
 	// tolerated under commit-order serialization.
-	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: "a.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
-	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: "b.go"}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
+	a := record(t, st, 1, adt.StrStoreOp{L: "ctx", V: state.Str("a.go")}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
+	b := record(t, st, 2, adt.StrStoreOp{L: "ctx", V: state.Str("b.go")}.Op(), adt.StrLoadOp{L: "ctx"}.Op())
 	if detect(det, st, a, b) {
 		t.Fatalf("the commit-order rule must admit shared-as-local store/read pairs")
 	}

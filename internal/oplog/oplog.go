@@ -84,13 +84,15 @@ func (s Sym) String() string {
 // Op is a loggable shared-state operation: a kind and its operands. It is
 // a value, logged by copy, so an executor records an operation without
 // allocating; what an operand means is its kind's to say (a location L, a
-// relation key Key, a string Val, an integer N).
+// relation key Key, a string Val, an integer N, a value V its builder
+// boxed, which the op binds as it is).
 type Op struct {
 	K   Kind
 	L   state.Loc
 	Key string
 	Val string
 	N   int64
+	V   state.Value
 }
 
 // Kind is the semantics of a family of operations. Its methods take the

@@ -199,7 +199,7 @@ func (d *dec) op() oplog.Op {
 	case adt.NumAdd, adt.NumStore, adt.ListPush:
 		op.N = d.Varint()
 	case adt.StrStore:
-		op.Val = d.str()
+		op.V = state.Str(d.str())
 	case adt.BoolStore:
 		if d.bool() {
 			op.N = 1

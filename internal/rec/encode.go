@@ -202,7 +202,7 @@ func (e *enc) op(op oplog.Op) {
 	case adt.NumAdd, adt.NumStore, adt.ListPush:
 		e.i(op.N)
 	case adt.StrStore:
-		e.str(op.Val)
+		e.str(string(op.V.(state.Str)))
 	case adt.BoolStore:
 		e.bool(op.N != 0)
 	case adt.RelPut:

@@ -43,7 +43,7 @@ func testTasks(n int) []adt.Task {
 				return err
 			}
 			if i%2 == 0 {
-				if err := (adt.StrVar{L: "name"}).Store(ex, "task"); err != nil {
+				if err := (adt.StrVar{L: "name"}).Store(ex, state.Str("task")); err != nil {
 					return err
 				}
 			}
@@ -239,9 +239,9 @@ func TestGoldenOpBytes(t *testing.T) {
 		{adt.NumStoreOp{L: "c", V: 123456}.Op(), "020180890f"},
 		{adt.NumStoreOp{L: "c", V: -7}.Op(), "02010d"},
 		{adt.NumLoadOp{L: "c"}.Op(), "0301"},
-		{adt.StrStoreOp{L: "s", V: "hello"}.Op(), "04000173000568656c6c6f"},
-		{adt.StrStoreOp{L: "s", V: ""}.Op(), "04020000"},
-		{adt.StrStoreOp{L: "s", V: "-42"}.Op(), "040200032d3432"},
+		{adt.StrStoreOp{L: "s", V: state.Str("hello")}.Op(), "04000173000568656c6c6f"},
+		{adt.StrStoreOp{L: "s", V: state.Str("")}.Op(), "04020000"},
+		{adt.StrStoreOp{L: "s", V: state.Str("-42")}.Op(), "040200032d3432"},
 		{adt.StrLoadOp{L: "s"}.Op(), "0502"},
 		{adt.BoolStoreOp{L: "b", V: true}.Op(), "0600016201"},
 		{adt.BoolStoreOp{L: "b", V: false}.Op(), "060600"},

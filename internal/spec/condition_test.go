@@ -228,12 +228,12 @@ func TestConflictConcreteSharedAsLocal(t *testing.T) {
 	// Each task stores then loads its own value: reads are stable and the
 	// final value differs by order — a genuine conflict on the final
 	// value unless the stores are equal. With equal stores, no conflict.
-	a := record(t, base.Clone(), 1, adt.StrStoreOp{L: "f", V: "x"}.Op(), adt.StrLoadOp{L: "f"}.Op())
-	b := record(t, base.Clone(), 2, adt.StrStoreOp{L: "f", V: "x"}.Op(), adt.StrLoadOp{L: "f"}.Op())
+	a := record(t, base.Clone(), 1, adt.StrStoreOp{L: "f", V: state.Str("x")}.Op(), adt.StrLoadOp{L: "f"}.Op())
+	b := record(t, base.Clone(), 2, adt.StrStoreOp{L: "f", V: state.Str("x")}.Op(), adt.StrLoadOp{L: "f"}.Op())
 	if conflict, err := conflictConcrete(base, oplog.PLoc{Loc: "f"}, a, b); err != nil || conflict {
 		t.Fatalf("equal store-load pairs must not conflict: %v %v", conflict, err)
 	}
-	c := record(t, base.Clone(), 3, adt.StrStoreOp{L: "f", V: "y"}.Op(), adt.StrLoadOp{L: "f"}.Op())
+	c := record(t, base.Clone(), 3, adt.StrStoreOp{L: "f", V: state.Str("y")}.Op(), adt.StrLoadOp{L: "f"}.Op())
 	if conflict, err := conflictConcrete(base, oplog.PLoc{Loc: "f"}, a, c); err != nil || !conflict {
 		t.Fatalf("different final stores must conflict (COMMUTE): %v %v", conflict, err)
 	}

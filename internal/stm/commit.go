@@ -329,9 +329,13 @@ func (t *Tx) replayed(i int) bool { return t.overlay != nil && t.dirty[i] }
 
 // mergeVersion publishes the transaction's written locations into the
 // committed store — one atomic box store per location, of a pointer into
-// one slab of values allocated for this commit's writes. Callers are
-// serialized by the publication turn, which is what location creation in
-// the overflow table relies on.
+// one slab of values allocated for this commit's writes. The value
+// published is the one the view (or the replay overlay) computed, not a
+// copy: the commit moves it into the store, and the shell's release
+// unbinds it from the view before the shell runs another op, so it has
+// one owner, the store, which never mutates it (DESIGN.md §19). Callers
+// are serialized by the publication turn, which is what location
+// creation in the overflow table relies on.
 func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
 	n := 0
 	for _, f := range foot {
@@ -351,7 +355,7 @@ func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
 		if !ok {
 			continue
 		}
-		vals = append(vals, state.Copy(v))
+		vals = append(vals, v)
 		r.storeSet(f.Loc, &vals[len(vals)-1])
 		if tx.replayed(i) {
 			fromReplay++

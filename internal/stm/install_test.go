@@ -67,7 +67,7 @@ func commutingTasks(rng *rand.Rand, n int, ordered bool) []adt.Task {
 				case 2:
 					err = adt.KVMap{L: "m"}.Put(ex, fmt.Sprintf("k%d", id), fmt.Sprintf("v%d", j))
 				case 3:
-					err = adt.StrVar{L: "tag"}.Store(ex, "same")
+					err = adt.StrVar{L: "tag"}.Store(ex, state.Str("same"))
 				case 4:
 					err = adt.Counter{L: state.Loc(fmt.Sprintf("new.%d", id))}.Store(ex, int64(id))
 				default:

@@ -793,7 +793,9 @@ const maxShellLocs = 1 << 14
 // that call execute and finish directly (sim.go, the schedule explorer)
 // read the window, the stripes and the install plan afterwards.
 // The artifact is not the shell's to return: finish recycles or publishes
-// it.
+// it. Resetting the views unbinds the values a commit moved into the
+// store (mergeVersion), so the shell's next transaction faults copies; a
+// shell too large to pool is dropped, and nothing runs in it again.
 func (t *Tx) release() {
 	if t.priv.Len() > maxShellLocs || t.replay.Len() > maxShellLocs || cap(t.acc) > maxShellLocs {
 		return

@@ -9,6 +9,11 @@
 // slabs, and a commit's published values one slab of its own, so building
 // the store allocates once per runtime and a merge once per commit, not
 // per location. A Run on an open runtime builds nothing of the store.
+// What a commit publishes is the value its transaction's view (or replay
+// overlay) built, moved into the store and unbound from the view when the
+// shell is released, never copied: the store is then the value's one
+// owner and never mutates it, so a fault copies it (state.Copy) and Undo
+// may store a replaced value back as it is.
 // Creating a location costs an amortized map slot and a box carved from
 // a slab, both under one shard's lock — the same at 100 existing overflow
 // locations and at 20 000, which matters because creation runs inside the

@@ -87,15 +87,16 @@ func jfsTasks(size Size, seed int64) []adt.Task {
 		for j := range weights {
 			weights[j] = int64(1 + r.Intn(4))
 		}
-		src := fmt.Sprintf("/src/dir%04d", i)
-		tgt := fmt.Sprintf("/tgt/dir%04d", i)
+		// The roots the body stores, boxed once per task.
+		src := state.Value(state.Str(fmt.Sprintf("/src/dir%04d", i)))
+		tgt := state.Value(state.Str(fmt.Sprintf("/tgt/dir%04d", i)))
 		tasks[i] = jfsCompareTask(src, tgt, weights, w.LocalWork)
 	}
 	return tasks
 }
 
 // jfsCompareTask is one iteration of the Figure 2 loop.
-func jfsCompareTask(src, tgt string, weights []int64, localWork int) adt.Task {
+func jfsCompareTask(src, tgt state.Value, weights []int64, localWork int) adt.Task {
 	return func(ex adt.Executor) error {
 		started := adt.Stack{L: jfsItemsStarted}
 		weight := adt.Stack{L: jfsItemsWeight}

@@ -99,7 +99,9 @@ func pmdTasks(size Size, seed int64) []adt.Task {
 	strs := split[string](&n)
 	for i := 0; i < files; i++ {
 		file, counter := strs[2*i], strs[2*i+1]
-		name := file[len(filePrefix):]
+		// The strings the body stores, boxed here once per task.
+		name := state.Value(state.Str(file[len(filePrefix):]))
+		fileVal := state.Value(state.Str(file))
 		// Deterministic per-file "analysis findings".
 		violations := int64(r.Intn(5))
 		rulePasses := 2 + r.Intn(maxPasses)
@@ -112,7 +114,7 @@ func pmdTasks(size Size, seed int64) []adt.Task {
 			if err := filename.Store(ex, name); err != nil {
 				return err
 			}
-			if err := fileVar.Store(ex, file); err != nil {
+			if err := fileVar.Store(ex, fileVal); err != nil {
 				return err
 			}
 			// rs.start(ctx): setAttribute(COUNTER_LABEL, new AtomicLong())

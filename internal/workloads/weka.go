@@ -7,11 +7,12 @@ import (
 	"repro/internal/state"
 )
 
-// Weka rendering constants (Figure 5's colors).
-const (
-	wekaBackground = "background.darker.darker"
-	wekaWhite      = "white"
-	wekaBlack      = "black"
+// Weka's colors (Figure 5), boxed once per process: every pixel and
+// color-register store binds one of these three values.
+var (
+	wekaBackground state.Value = state.Str("background.darker.darker")
+	wekaWhite      state.Value = state.Str("white")
+	wekaBlack      state.Value = state.Str("black")
 )
 
 // pixel cuts the name canvas.<x>:<y>.

@@ -66,6 +66,9 @@ type (
 	Loc = state.Loc
 	// Value is a shared location's value.
 	Value = state.Value
+	// Str is a string value. StrVar.Store takes it boxed: box what a task
+	// stores with the task, Value(Str(s)), as its location names are.
+	Str = state.Str
 
 	// Counter is a shared integer (identity/reduction patterns).
 	Counter = adt.Counter

@@ -52,7 +52,7 @@ func TestInitHelpersBindLocations(t *testing.T) {
 		if err := (Stack{L: "stack"}).Push(ex, 1); err != nil {
 			return err
 		}
-		if err := (StrVar{L: "name"}).Store(ex, "x"); err != nil {
+		if err := (StrVar{L: "name"}).Store(ex, Str("x")); err != nil {
 			return err
 		}
 		if err := (BoolVar{L: "flag"}).Store(ex, true); err != nil {
@@ -233,9 +233,10 @@ func TestDisableAbstraction(t *testing.T) {
 func TestRelaxationsViaConfig(t *testing.T) {
 	st := exampleState()
 	scribble := func(v string) Task {
+		boxed := Value(Str(v))
 		return func(ex Executor) error {
 			s := StrVar{L: "name"}
-			if err := s.Store(ex, v); err != nil {
+			if err := s.Store(ex, boxed); err != nil {
 				return err
 			}
 			_, err := s.Load(ex)
@@ -319,9 +320,10 @@ func TestLearnOnlineRunnerConverges(t *testing.T) {
 func TestCommitOrderRuleOrderedEqualsSequential(t *testing.T) {
 	st := exampleState()
 	scribble := func(v string) Task {
+		boxed := Value(Str(v))
 		return func(ex Executor) error {
 			s := StrVar{L: "name"}
-			if err := s.Store(ex, v); err != nil {
+			if err := s.Store(ex, boxed); err != nil {
 				return err
 			}
 			_, err := s.Load(ex)
@@ -351,9 +353,10 @@ func TestCommitOrderRuleOrderedEqualsSequential(t *testing.T) {
 func TestCommitOrderRuleUnorderedIsSerial(t *testing.T) {
 	st := exampleState()
 	scribble := func(v string) Task {
+		boxed := Value(Str(v))
 		return func(ex Executor) error {
 			s := StrVar{L: "name"}
-			if err := s.Store(ex, v); err != nil {
+			if err := s.Store(ex, boxed); err != nil {
 				return err
 			}
 			got, err := s.Load(ex)
