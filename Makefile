@@ -55,6 +55,7 @@ ALLOCS_TESTS = \
 	internal/adt:TestHandlesAllocateOnlyTheirResults \
 	internal/adt:TestLoadsReturnTheHeldValue \
 	internal/adt:TestRelAccessesAllocateNothing \
+	internal/conflict:TestFallbackDetectAllocs \
 	internal/conflict:TestWarmDecomposeAllocs \
 	internal/obs:TestDisabledCtxZeroAllocs \
 	internal/rec:TestDigestCostIgnoresTupleCount \

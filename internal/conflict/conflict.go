@@ -172,26 +172,21 @@ func (w *WriteSet) Stats() Stats {
 	}
 }
 
-// DetectPrepared implements Detector: both sides carry memoized access
-// modes, so no maps are rebuilt per call. Committed entries whose
-// footprint signatures are write-disjoint from the transaction's are
-// skipped without touching either mode map — a write-set conflict needs
-// a shared location with a write on one side, which disjoint signatures
-// rule out (Prepared.Signatures has no false negatives) — so a run of
-// footprint-disjoint transactions never materializes the maps at all.
+// DetectPrepared implements Detector by joining the two sides' log
+// indexes, which carry each location's access mode. Committed entries
+// whose footprint signatures are write-disjoint from the transaction's
+// are skipped without a join — a write-set conflict needs a shared
+// location with a write on one side, which disjoint signatures rule out
+// (Prepared.Signatures has no false negatives).
 func (w *WriteSet) DetectPrepared(_ obs.Ctx, _ *state.State, txn *Prepared, committed []*Prepared) Verdict {
 	atomic.AddInt64(&w.stats.Detections, 1)
 	ta, tw := txn.Signatures()
-	var mt map[oplog.PLoc]mode
 	for _, c := range committed {
 		ca, cw := c.Signatures()
 		if tw&ca == 0 && ta&cw == 0 {
 			continue
 		}
-		if mt == nil {
-			mt = txn.accessModes()
-		}
-		if p, hit := findWriteSetConflict(mt, c.accessModes(), nil); hit {
+		if p, hit := findWriteSetConflict(txn, c); hit {
 			atomic.AddInt64(&w.stats.Conflicts, 1)
 			w.reasons.add(ReasonWriteSet)
 			return Verdict{Conflict: true, Reason: ReasonWriteSet, P: p}
@@ -200,57 +195,34 @@ func (w *WriteSet) DetectPrepared(_ obs.Ctx, _ *state.State, txn *Prepared, comm
 	return Verdict{}
 }
 
-// mode aggregates how a log touches one projection location.
-type mode struct {
-	read, write bool
-}
-
-func accessModes(l oplog.Log) map[oplog.PLoc]mode {
-	m := make(map[oplog.PLoc]mode)
-	for _, e := range l {
-		for _, a := range e.Accesses() {
-			cur := m[a.P]
-			cur.read = cur.read || a.Read
-			cur.write = cur.write || a.Write
-			m[a.P] = cur
-		}
-	}
-	return m
-}
-
-// pairConflictsWriteSet applies the write-set rule at every projection
-// location both sides access, honoring relaxations when non-nil.
-func pairConflictsWriteSet(mt, mc map[oplog.PLoc]mode, relax *Relaxations) bool {
-	_, hit := findWriteSetConflict(mt, mc, relax)
-	return hit
-}
-
-// findWriteSetConflict is pairConflictsWriteSet returning the first
-// conflicting projection location for abort attribution: two accesses
-// overlap iff their projection locations are equal, so each of mt's
-// locations is one probe of mc.
-func findWriteSetConflict(mt, mc map[oplog.PLoc]mode, relax *Relaxations) (oplog.PLoc, bool) {
-	for p, tm := range mt {
-		if cm, ok := mc[p]; ok && writeSetConflict(p.Loc, tm, cm, relax) {
-			return p, true
+// findWriteSetConflict joins the two logs' indexes and returns the first
+// of txn's locations, in first-access order, at which the write-set rule
+// fires against c. Two accesses overlap iff their projection locations
+// are equal; the join compares their shared locations' footprint hashes
+// before the locations themselves.
+func findWriteSetConflict(txn, c *Prepared) (oplog.PLoc, bool) {
+	tfoot, cfoot := txn.Footprint(), c.Footprint()
+	tidx, cidx := txn.indexed(), c.indexed()
+	for i := range tidx {
+		t := &tidx[i]
+		h := tfoot[t.LocIdx].Hash
+		for j := range cidx {
+			u := &cidx[j]
+			if cfoot[u.LocIdx].Hash == h && u.P == t.P && writeSetConflict(t, u, nil) {
+				return t.P, true
+			}
 		}
 	}
 	return oplog.PLoc{}, false
 }
 
-func writeSetConflict(loc state.Loc, a, b mode, relax *Relaxations) bool {
-	waw := a.write && b.write
-	rw := (a.read && b.write) || (a.write && b.read)
-	if relax != nil {
-		if waw && !relax.TolerateWAW(loc) {
-			return true
-		}
-		if rw && !relax.TolerateRAW(loc) {
-			return true
-		}
-		return false
-	}
-	return waw || rw
+// writeSetConflict applies the write-set rule at the projection location
+// two logs share, a and b being their index entries there: a write on one
+// side against an access on the other, unless relax tolerates it there.
+func writeSetConflict(a, b *oplog.LocInfo, relax *Relaxations) bool {
+	waw := a.Write && b.Write
+	raw := (a.Read && b.Write) || (a.Write && b.Read)
+	return waw && !relax.TolerateWAW(a.P.Loc) || raw && !relax.TolerateRAW(a.P.Loc)
 }
 
 // --- Relaxation specifications (§5.3) ---
@@ -295,12 +267,14 @@ func NewRelaxations(raw, waw []state.Loc) *Relaxations {
 
 // --- Sequence-based detection (Figure 8) ---
 
-// Sequence is the hindsight detector: per-location sequence pairs are
-// answered from the trained commutativity cache, relaxation-aware theory
-// checks, or — on a cache miss — the write-set fallback, and every
-// conflict they find is judged again in commit order (readsStale), §5.3's
-// inference of write-after-write tolerances: under ordered commits that
-// order is the sequential one.
+// Sequence is the hindsight detector. It answers each per-location
+// sequence pair with the relaxation-aware theory checks if the location
+// is relaxed, else from the trained commutativity cache, or — on a cache
+// miss — by the write-set rule on the two sides' access modes there. A
+// conflict so found stands only if a read of the running transaction
+// observes a value the committed one changed (readsStale): judging in
+// commit order is how the detector infers §5.3's write-after-write
+// tolerances, and under ordered commits that order is the sequential one.
 type Sequence struct {
 	// Cache holds the trained commutativity specification, learning on
 	// misses when it was built to (spec.New). A nil cache makes every
@@ -435,7 +409,7 @@ func (s *Sequence) pairConflict(ctx obs.Ctx, lt, lc *preparedLoc) Reason {
 	// Miss: write-set fallback.
 	atomic.AddInt64(&s.stats.Fallbacks, 1)
 	traceCache(ctx, obs.EvCacheFallback, p)
-	if pairConflictsWriteSet(lt.accessModes(), lc.accessModes(), s.Relax) {
+	if writeSetConflict(lt.in, lc.in, nil) {
 		return ReasonWriteSet
 	}
 	return ReasonNone
@@ -522,7 +496,7 @@ func (s *Sequence) relaxedConflicts(loc state.Loc, lt, lc *preparedLoc) Reason {
 			return ReasonCommute
 		}
 	}
-	if pairConflictsWriteSet(lt.accessModes(), lc.accessModes(), s.Relax) {
+	if writeSetConflict(lt.in, lc.in, s.Relax) {
 		return ReasonRelaxation
 	}
 	return ReasonNone

@@ -23,13 +23,15 @@ import (
 )
 
 // Prepared is one transaction log with its detection-side projections
-// computed once: the per-location subsequences in first-access order,
-// each with its memoized symbolic shape, plus lazily memoized write-set
-// access modes. It is also the log's storage: a transaction takes an
-// artifact at begin (Begin) and logs into it (Append). Once the last
-// Append has returned a Prepared is immutable (the lazy projections are
-// guarded by sync.Once), so a single value is safely shared by any number
-// of concurrent DetectPrepared calls, until its owner recycles it.
+// computed once: the log's location index, whose per-location read and
+// write flags are the write-set rule's access modes; the footprint and
+// its overlap signatures, folded from the index; and the per-location
+// subsequences in first-access order, each with its memoized symbolic
+// shape. It is also the log's storage: a transaction takes an artifact at
+// begin (Begin) and logs into it (Append). Once the last Append has
+// returned a Prepared is immutable (the lazy projections are guarded by
+// sync.Once), so a single value is safely shared by any number of
+// concurrent DetectPrepared calls, until its owner recycles it.
 type Prepared struct {
 	log oplog.Log
 	// slab backs the log's events in batches: Append writes the event into
@@ -42,18 +44,19 @@ type Prepared struct {
 
 	// index memoizes the log's location index, the decomposition's first
 	// pass (oplog.Decomposer.Index): its distinct projection locations in
-	// first-access order with their access counts, write flags and
-	// shared-location ordinals. The footprint folds it and the
-	// decomposition's second pass reads its slots, so however many
-	// projections a run consumes, the log is searched once.
+	// first-access order with their access counts, read and write flags
+	// and shared-location ordinals. The footprint folds it, the write-set
+	// rule reads its flags and the decomposition's second pass reads its
+	// slots, so however many projections a run consumes, the log is
+	// searched once.
 	indexOnce sync.Once
 	index     []oplog.LocInfo
 
 	// locs memoizes the per-location decomposition with its symbolic
 	// shapes. Only the sequence detector consumes it — the write-set
-	// detector compares whole-log access modes — so it is computed on
-	// first use (locations), not at Prepare: a run under write-set
-	// detection never pays for the second pass at all.
+	// detector joins the two indexes — so it is computed on first use
+	// (locations), not at Prepare: a run under write-set detection never
+	// pays for the second pass at all.
 	locsOnce sync.Once
 	locs     []preparedLoc
 
@@ -64,15 +67,11 @@ type Prepared struct {
 	dec      oplog.Decomposer
 	symArena []oplog.Sym
 
-	// modes memoizes the whole-log access modes the write-set detector
-	// compares; computed on first use, then read-only.
-	modesOnce sync.Once
-	modes     map[oplog.PLoc]mode
-
 	// foot memoizes the log's location footprint (Footprint); the stm's
 	// striped commit path reads it on every commit attempt. sigAll and
 	// sigWrite are the footprint folded into 64-bit overlap signatures
-	// (Signatures), computed alongside it.
+	// (Signatures), computed alongside it: the one place they are folded,
+	// for the detectors' screens and the commit path's alike.
 	footOnce sync.Once
 	foot     []FootprintLoc
 	sigAll   uint64
@@ -211,11 +210,9 @@ type preparedLoc struct {
 	h    uint64 // plocHash(p)
 	seq  oplog.Log
 	syms []oplog.Sym
-
-	// modes memoizes the subsequence's access modes for the write-set
-	// fallback paths (cache misses, relaxed residuals).
-	modesOnce sync.Once
-	modes     map[oplog.PLoc]mode
+	// in is the log's index entry at p, whose access mode the write-set
+	// fallback paths (cache misses, relaxed residuals) compare.
+	in *oplog.LocInfo
 
 	// key memoizes the subsequence's rendered specification key, so pair
 	// lookups join two prepared keys instead of re-running the
@@ -258,10 +255,11 @@ const maxPooledOps = 1 << 14
 // Begin returns an empty artifact for a transaction about to run, drawn
 // with its backing buffers from the pool. The transaction logs into it
 // with Append; all projections are deferred to first use behind sync.Once
-// memos: the decomposition and symbolic shapes materialize when a sequence
-// detector first asks for them (locations), the write-set mode maps when a
-// detection falls back to them, the footprint when the commit path plans
-// its stripes — so each run pays only for the projections its
+// memos: the location index when a detector or the commit path first
+// needs any of them, the footprint and its signatures when a detector
+// screens or the commit path plans its stripes, the decomposition and
+// symbolic shapes when a sequence detector first asks for them
+// (locations) — so each run pays only for the projections its
 // configuration consumes.
 //
 // Ownership: the caller owns the artifact, log included, exclusively. An
@@ -358,7 +356,6 @@ func (p *Prepared) Recycle() {
 	}
 	p.indexOnce = sync.Once{}
 	p.locsOnce = sync.Once{}
-	p.modesOnce = sync.Once{}
 	p.footOnce = sync.Once{}
 	if poisonRecycled.Load() {
 		// Through the logged pointers, so abandoned slabs are reached too.
@@ -383,7 +380,6 @@ func (p *Prepared) Recycle() {
 		p.locs[i] = preparedLoc{key: p.locs[i].key[:0]}
 	}
 	p.locs = p.locs[:0]
-	p.modes = nil
 	clear(p.foot)
 	p.foot = p.foot[:0]
 	p.sigAll, p.sigWrite = 0, 0
@@ -402,7 +398,7 @@ func (p *Prepared) locations() []preparedLoc {
 }
 
 func (p *Prepared) materializeLocs() {
-	p.indexed()
+	index := p.indexed()
 	decomp := p.dec.Fill(p.log)
 	if len(decomp) == 0 {
 		p.locs = p.locs[:0]
@@ -430,7 +426,7 @@ func (p *Prepared) materializeLocs() {
 		for j, e := range d.Seq {
 			syms[j] = e.Op.Sym()
 		}
-		p.locs[i] = preparedLoc{p: d.P, h: plocHash(d.P), seq: d.Seq, syms: syms, key: p.locs[i].key[:0]}
+		p.locs[i] = preparedLoc{p: d.P, h: plocHash(d.P), seq: d.Seq, syms: syms, in: &index[i], key: p.locs[i].key[:0]}
 	}
 }
 
@@ -439,20 +435,3 @@ func (p *Prepared) Log() oplog.Log { return p.log }
 
 // Ops returns the number of logged operations.
 func (p *Prepared) Ops() int { return len(p.log) }
-
-// accessModes returns the whole-log write-set modes, computing them on
-// first use.
-func (p *Prepared) accessModes() map[oplog.PLoc]mode {
-	p.modesOnce.Do(func() {
-		p.checkLive()
-		p.modes = accessModes(p.log)
-	})
-	return p.modes
-}
-
-// accessModes returns the subsequence's write-set modes, computing them
-// on first use.
-func (pl *preparedLoc) accessModes() map[oplog.PLoc]mode {
-	pl.modesOnce.Do(func() { pl.modes = accessModes(pl.seq) })
-	return pl.modes
-}

@@ -100,10 +100,11 @@ func TestDetectorCompositionality(t *testing.T) {
 // TestPreparedSharedConcurrently shares one set of prepared projections
 // across many detecting goroutines — the commit-time sharing the runtime
 // does — and checks (under -race) that concurrent detection, including
-// the lazily memoized cache keys and access-mode maps, never mutates the
-// shared artifact or changes a verdict. One detector runs the trained
+// the lazily memoized index, decomposition and cache keys, never mutates
+// the shared artifact or changes a verdict. One detector runs the trained
 // hot path (exercising seqKey memoization), the other has every lookup
-// forced to miss (exercising the write-set fallback's lazy mode maps).
+// forced to miss (exercising the write-set fallback, which reads the
+// access modes the decomposition copied from the index).
 func TestPreparedSharedConcurrently(t *testing.T) {
 	st := baseState()
 	rng := rand.New(rand.NewSource(47))

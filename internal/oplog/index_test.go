@@ -1,6 +1,7 @@
 package oplog
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strconv"
@@ -50,8 +51,8 @@ func randIndexLog(rng *rand.Rand, nLocs, ops int) Log {
 }
 
 // refIndex is the index's reference model: the distinct projection
-// locations in first-access order with their access counts, OR'd write
-// flags and the first-access ordinal of their shared location.
+// locations in first-access order with their access counts, OR'd read
+// and write flags and the first-access ordinal of their shared location.
 func refIndex(l Log) []LocInfo {
 	var out []LocInfo
 	ord := map[state.Loc]int{}
@@ -68,37 +69,79 @@ func refIndex(l Log) []LocInfo {
 				out = append(out, LocInfo{P: a.P, LocIdx: ord[a.P.Loc]})
 			}
 			out[i].N++
+			out[i].Read = out[i].Read || a.Read
 			out[i].Write = out[i].Write || a.Write
 		}
 	}
 	return out
 }
 
+// modeLog is a fixed log whose index holds a read-only location (r), a
+// write-only one (w), one both read and written by separate accesses (rw)
+// and a relation key that is only read while another of its keys is
+// written by a multi-location access (m#a, m#b): its own index, in the
+// reference's terms, is modeIndex.
+func modeLog() Log {
+	acc := func(loc state.Loc, key string, read, write bool) Access {
+		return Access{P: PLoc{Loc: loc, Key: key}, Read: read, Write: write}
+	}
+	var l Log
+	for i, accs := range [][]Access{
+		{acc("r", "", true, false)},
+		{acc("w", "", false, true)},
+		{acc("rw", "", true, false)},
+		{acc("m", "a", true, false)},
+		{acc("m", "a", true, false), acc("m", "b", false, true)},
+		{acc("rw", "", false, true)},
+		{acc("r", "", true, false)},
+		{acc("w", "", false, true)},
+	} {
+		l = append(l, mkEvent(1, i, multiOp(accs), nil))
+	}
+	return l
+}
+
+var modeIndex = []LocInfo{
+	{P: PLoc{Loc: "r"}, N: 2, Read: true, LocIdx: 0},
+	{P: PLoc{Loc: "w"}, N: 2, Write: true, LocIdx: 1},
+	{P: PLoc{Loc: "rw"}, N: 2, Read: true, Write: true, LocIdx: 2},
+	{P: PLoc{Loc: "m", Key: "a"}, N: 2, Read: true, LocIdx: 3},
+	{P: PLoc{Loc: "m", Key: "b"}, N: 1, Write: true, LocIdx: 3},
+}
+
 // TestIndexAndDecomposeMatchReference checks Decompose, whose second pass
 // reads the first pass's slots, against refDecompose, and the first pass
-// (Index) against refIndex, over random logs of
-// 0 to 200 distinct locations on both sides of linearScanAccesses, with
-// one Decomposer reused throughout.
+// (Index) against refIndex, over modeLog (whose index, read and write
+// flags included, is spelled out in modeIndex) and random logs of 0 to
+// 200 distinct locations on both sides of linearScanAccesses, with one
+// Decomposer reused throughout.
 func TestIndexAndDecomposeMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
+	if got := refIndex(modeLog()); !reflect.DeepEqual(got, modeIndex) {
+		t.Fatalf("refIndex(modeLog) = %v, want %v", got, modeIndex)
+	}
 	var d Decomposer
+	check := func(name string, l Log) {
+		t.Helper()
+		ref := refDecompose(l)
+		want := refIndex(l)
+		seqs := d.Decompose(l)
+		if len(seqs) != len(want) {
+			t.Fatalf("%s: Decompose found %d locations, want %d", name, len(seqs), len(want))
+		}
+		for i, ps := range seqs {
+			if ps.P != want[i].P || !reflect.DeepEqual(ps.Seq, ref[ps.P]) {
+				t.Fatalf("%s: subsequence %d at %q differs from the reference", name, i, ps.P)
+			}
+		}
+		if got := d.Index(l); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("%s: Index = %v, want %v", name, got, want)
+		}
+	}
+	check("modeLog", modeLog())
+	rng := rand.New(rand.NewSource(1))
 	for _, nLocs := range []int{0, 1, 2, 5, 16, 31, 33, 64, 65, 100, 200} {
 		for _, ops := range []int{0, 1, linearScanAccesses - 1, linearScanAccesses, 3 * nLocs, 600} {
-			l := randIndexLog(rng, nLocs, ops)
-			ref := refDecompose(l)
-			want := refIndex(l)
-			seqs := d.Decompose(l)
-			if len(seqs) != len(want) {
-				t.Fatalf("nLocs=%d ops=%d: Decompose found %d locations, want %d", nLocs, ops, len(seqs), len(want))
-			}
-			for i, ps := range seqs {
-				if ps.P != want[i].P || !reflect.DeepEqual(ps.Seq, ref[ps.P]) {
-					t.Fatalf("nLocs=%d ops=%d: subsequence %d at %q differs from the reference", nLocs, ops, i, ps.P)
-				}
-			}
-			if got := d.Index(l); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Fatalf("nLocs=%d ops=%d: Index = %v, want %v", nLocs, ops, got, want)
-			}
+			check(fmt.Sprintf("nLocs=%d ops=%d", nLocs, ops), randIndexLog(rng, nLocs, ops))
 		}
 	}
 }

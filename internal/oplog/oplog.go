@@ -258,11 +258,12 @@ type PLocSeq struct {
 // location index: it finds each access's projection location among those
 // seen so far — the only lookup of the decomposition — and records the
 // distinct locations in first-access order with their access counts,
-// write flags and shared-location ordinals, and each access's slot among
-// them. Pass two (Fill) carves the subsequences out of one arena by
-// reading the slots back. Whatever else is derived per location — the
-// commit path's footprint, the detector's per-location projections —
-// reads the index instead of the accesses.
+// read and write flags and shared-location ordinals, and each access's
+// slot among them. Pass two (Fill) carves the subsequences out of one
+// arena by reading the slots back. Whatever else is derived per location
+// — the commit path's footprint, the write-set rule's access modes, the
+// detector's per-location projections — reads the index instead of the
+// accesses.
 type Decomposer struct {
 	infos []LocInfo
 	slots []int32
@@ -277,14 +278,16 @@ type Decomposer struct {
 }
 
 // LocInfo is one projection location of an indexed log: its subsequence
-// length N, whether any of its accesses writes (Write), and LocIdx, the
-// ordinal of P.Loc among the log's distinct shared locations in
-// first-access order — so accesses to several keys of one relation share
-// a LocIdx, and the first location with a given LocIdx is the first
+// length N, whether any of its accesses reads (Read) or writes (Write) —
+// the log's access mode at P, which the write-set rule compares — and
+// LocIdx, the ordinal of P.Loc among the log's distinct shared locations
+// in first-access order — so accesses to several keys of one relation
+// share a LocIdx, and the first location with a given LocIdx is the first
 // access to that shared location.
 type LocInfo struct {
 	P      PLoc
 	N      int
+	Read   bool
 	Write  bool
 	LocIdx int
 }
@@ -335,6 +338,7 @@ func (d *Decomposer) Index(l Log) []LocInfo {
 				}
 			}
 			d.infos[i].N++
+			d.infos[i].Read = d.infos[i].Read || a.Read
 			d.infos[i].Write = d.infos[i].Write || a.Write
 			d.slots = append(d.slots, int32(i))
 		}

@@ -170,6 +170,10 @@ type State struct {
 // New returns an empty state.
 func New() *State { return &State{m: make(map[Loc]Value)} }
 
+// NewSized returns an empty state with room for n locations, for a caller
+// that knows how many it will bind: the map is not grown by doubling.
+func NewSized(n int) *State { return &State{m: make(map[Loc]Value, n)} }
+
 // NewFaulting returns a state that materializes unbound locations on
 // demand from fault, cloning the faulted value so later mutations never
 // reach the source. fault must return immutable snapshot values.

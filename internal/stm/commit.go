@@ -58,23 +58,13 @@ type stripeRef struct {
 }
 
 // planStripes resolves the footprint into the transaction's sorted,
-// deduplicated stripe set and its 64-bit overlap signatures: one bit per
-// location hash, over all accessed locations and over written locations.
-// Two footprints can only share a location if
-// (A.sigWrite & B.sigAll) | (A.sigAll & B.sigWrite) is non-zero — equal
-// locations hash to equal bits, so the test has no false negatives.
-// Sorting makes multi-stripe acquisition deadlock-free (every committer
-// locks in ascending index order); deduplication merges two locations on
-// one stripe into a single acquisition in the stronger mode.
+// deduplicated stripe set. Sorting makes multi-stripe acquisition
+// deadlock-free (every committer locks in ascending index order);
+// deduplication merges two locations on one stripe into a single
+// acquisition in the stronger mode.
 func (t *Tx) planStripes(foot []conflict.FootprintLoc) {
 	t.stripes = t.stripes[:0]
-	t.sigAll, t.sigWrite = 0, 0
 	for _, f := range foot {
-		bit := uint64(1) << (f.Hash % 64)
-		t.sigAll |= bit
-		if f.Write {
-			t.sigWrite |= bit
-		}
 		idx := int32(f.Hash % commitStripes)
 		pos := len(t.stripes)
 		for i := range t.stripes {
@@ -200,14 +190,16 @@ func casMax(addr *int64, v int64) {
 }
 
 // overlapsPublished reports whether any history entry in commit-time
-// window (after, upto] has a possible footprint overlap with the given
-// signatures. Entries in that window published after the caller's last
-// validated fetch, so an overlap means its verdicts may be stale; all
-// signatures disjoint means every such entry is location-disjoint from
-// the caller and needs no re-detection. The window is fully resident:
-// the caller's begin watermark equals after, which pins newer entries
-// against reclamation.
-func (r *Runtime) overlapsPublished(after, upto int64, sigAll, sigWrite uint64) bool {
+// window (after, upto] may share a location with prep, by the two
+// artifacts' overlap signatures (conflict.Prepared.Signatures, which have
+// no false negatives). Entries in that window published after the
+// caller's last validated fetch, so an overlap means its verdicts may be
+// stale; all signatures disjoint means every such entry is
+// location-disjoint from the caller and needs no re-detection. The window
+// is fully resident: the caller's begin watermark equals after, which
+// pins newer entries against reclamation.
+func (r *Runtime) overlapsPublished(after, upto int64, prep *conflict.Prepared) bool {
+	sigAll, sigWrite := prep.Signatures()
 	r.histMu.Lock()
 	defer r.histMu.Unlock()
 	lo := searchHist(r.history, after)
@@ -215,7 +207,7 @@ func (r *Runtime) overlapsPublished(after, upto int64, sigAll, sigWrite uint64) 
 		if h.commitTime > upto {
 			break
 		}
-		if h.sigWrite&sigAll != 0 || h.sigAll&sigWrite != 0 {
+		if ha, hw := h.prep.Signatures(); hw&sigAll != 0 || ha&sigWrite != 0 {
 			return true
 		}
 	}
@@ -385,12 +377,10 @@ func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
 // commit can publish, and a begin left registered until finish unwinds
 // would let a worker descheduled in between pin the history for every
 // commit the others make meanwhile.
-func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared, sigAll, sigWrite uint64) {
+func (r *Runtime) publishEntry(tid int, ctime int64, prep *conflict.Prepared) {
 	var buf [4]*conflict.Prepared
 	r.histMu.Lock()
-	r.history = append(r.history, histEntry{
-		commitTime: ctime, task: tid, prep: prep, sigAll: sigAll, sigWrite: sigWrite,
-	})
+	r.history = append(r.history, histEntry{commitTime: ctime, task: tid, prep: prep})
 	casMax(&r.stats.MaxHist, int64(len(r.history)))
 	recycle := r.reclaimLocked(buf[:0])
 	delete(r.begins, tid)
@@ -423,7 +413,7 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, tcheck int64) commitResult {
 	// published after the last validated fetch; a possible overlap sends
 	// the attempt back to re-detection, exactly like the old lost clock
 	// race — except disjoint committers no longer pay it.
-	if p := r.published.Load(); p != tcheck && r.overlapsPublished(tcheck, p, tx.sigAll, tx.sigWrite) {
+	if p := r.published.Load(); p != tcheck && r.overlapsPublished(tcheck, p, prep) {
 		return commitRace
 	}
 	if h := r.cfg.Hooks; h != nil && h.CommitDelay != nil {
@@ -461,7 +451,7 @@ func (r *Runtime) commit(ctx obs.Ctx, tx *Tx, tcheck int64) commitResult {
 	}
 	ctx.End(obs.EvCommitPipeline, pipeStart)
 	r.mergeVersion(tx, foot)
-	r.publishEntry(tx.tid, ctime, prep, tx.sigAll, tx.sigWrite)
+	r.publishEntry(tx.tid, ctime, prep)
 	if sink := r.cfg.Record; sink != nil {
 		// Inside the publication turn: sinks see commits in strictly
 		// increasing commitTime order across all workers.

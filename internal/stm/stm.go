@@ -235,12 +235,6 @@ type histEntry struct {
 	commitTime int64 // the commit's sequencer ticket
 	task       int
 	prep       *conflict.Prepared
-	// sigAll/sigWrite are the entry's footprint overlap signatures
-	// (planStripes): later commits use them to screen, without
-	// re-detection, whether an entry that published mid-attempt could
-	// possibly share a location with them.
-	sigAll   uint64
-	sigWrite uint64
 }
 
 // Runtime is one committed store and the protocol that runs task sets on
@@ -494,8 +488,14 @@ func (r *Runtime) Undo() {
 // (state.Copy: a relation's header in O(1), a list's elements); the
 // immutable scalars are shared. Nothing the result holds is anything the
 // runtime can still change, nor the other way round. Call it between Runs.
+// The result is sized for every box of the store, bound or not, so it is
+// built without growing.
 func (r *Runtime) State() *state.State {
-	out := state.New()
+	n := len(r.base)
+	for i := range r.over.shards {
+		n += len(r.over.shards[i].m)
+	}
+	out := state.NewSized(n)
 	r.Range(func(l state.Loc, v state.Value) bool {
 		out.Set(l, state.Copy(v))
 		return true
@@ -743,12 +743,10 @@ type Tx struct {
 	// joins the footprint with.
 	window []*conflict.Prepared
 
-	// Commit-path scratch (commit.go): the sorted stripe set and overlap
-	// signatures of the attempt's footprint, planned per commit attempt.
+	// Commit-path scratch (commit.go): the sorted stripe set of the
+	// attempt's footprint, planned per commit attempt.
 	stripes    []stripeRef
 	stripesBuf [8]stripeRef
-	sigAll     uint64
-	sigWrite   uint64
 
 	// The commit's install plan (commit.go), aligned with the footprint:
 	// dirty[i] marks location i as written by an entry of the validated
