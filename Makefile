@@ -61,6 +61,7 @@ ALLOCS_TESTS = \
 	internal/rec:TestDigestCostIgnoresTupleCount \
 	internal/relation:TestPointOpsAreSizeIndependent \
 	internal/seqeff:TestBlockIdempotent \
+	internal/serve:TestDecodedStateReplayAllocs \
 	internal/serve:TestParseBatchAllocs \
 	internal/serve:TestSteadyBatchAllocs \
 	internal/spec:TestAppendPairKeyAllocs \

@@ -166,7 +166,7 @@ func (d *dec) rel() state.Value {
 		d.Fail("relation schema %q (FD %v: %q → %q) is not {k, v} with k → v", cols, hasFD, dom, rng)
 		return nil
 	}
-	var b relation.Builder
+	r := relation.New()
 	ntup := d.Count("tuple")
 	for i := 0; i < ntup && d.Err() == nil; i++ {
 		if w := d.Count("tuple width"); w != 2 {
@@ -179,13 +179,13 @@ func (d *dec) rel() state.Value {
 			d.Fail("relation tuple over %q, %q, want k, v", c1, c2)
 		}
 		if d.Err() == nil {
-			b.Put(k, v)
+			r.Put(k, v)
 		}
 	}
 	if d.Err() != nil {
 		return nil
 	}
-	return state.Rel{R: b.Done()}
+	return state.Rel{R: r}
 }
 
 // op decodes one operation as enc.op wrote it.

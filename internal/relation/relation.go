@@ -114,7 +114,7 @@ func elemHash(kh uint64, val string) uint64 {
 // Relation is a set of bindings key ↦ value, at most one per key. The zero
 // value is the empty relation.
 type Relation struct {
-	root node
+	root node // root.stamp is the relation's owner id, 0 while it is frozen
 	n    int
 	// sum is the wrapping sum of the bindings' element hashes, kept in
 	// step by Put and Delete.
@@ -130,11 +130,19 @@ func (r *Relation) Len() int { return r.n }
 // Get returns the value bound to key and whether there is one.
 func (r *Relation) Get(key string) (string, bool) { return r.root.get(keyHash(key), key) }
 
+// owner returns the relation's owner id, drawing one if it is frozen.
+func (r *Relation) owner() uint64 {
+	if r.root.stamp == 0 {
+		r.root.stamp = newOwner()
+	}
+	return r.root.stamp &^ (idStep - 1)
+}
+
 // Put binds key to val, replacing what key was bound to ("insert" of
 // Table 2: the matching tuple goes, the new one comes).
 func (r *Relation) Put(key, val string) {
 	kh := keyHash(key)
-	if old, had := r.root.set(kh, 0, key, val, false); had {
+	if old, had := r.root.set(kh, 0, key, val, r.owner()); had {
 		r.sum -= elemHash(kh, old)
 	} else {
 		r.n++
@@ -146,9 +154,9 @@ func (r *Relation) Put(key, val string) {
 // bound.
 func (r *Relation) Delete(key string) bool {
 	kh := keyHash(key)
-	root, old, had := r.root.without(kh, 0, key)
+	old, had := r.root.get(kh, key)
 	if had {
-		r.root = root
+		r.root.without(kh, 0, key, r.owner())
 		r.n--
 		r.sum -= elemHash(kh, old)
 	}
@@ -158,10 +166,20 @@ func (r *Relation) Delete(key string) bool {
 // Clear unbinds every key.
 func (r *Relation) Clear() { *r = Relation{} }
 
-// Clone returns an independent copy in O(1): the two relations share the
-// current version's (immutable) structure, and diverge by path copying as
-// either is mutated.
+// Freeze makes the relation's nodes immutable: its next write copies its
+// path. The committed store holds frozen relations only, which concurrent
+// faults Clone. Freeze writes r unless r is frozen already.
+func (r *Relation) Freeze() {
+	if r.root.stamp != 0 {
+		r.root.stamp = 0
+	}
+}
+
+// Clone returns an independent copy in O(1): it freezes r, and the two
+// relations share its structure and diverge by path copying as either is
+// mutated.
 func (r *Relation) Clone() *Relation {
+	r.Freeze()
 	c := *r
 	return &c
 }
@@ -186,30 +204,6 @@ func (r *Relation) Equal(o *Relation) bool {
 // returns false. It allocates nothing.
 func (r *Relation) Each(fn func(key, val string) bool) {
 	r.root.each(func(b *binding) bool { return fn(b.key, b.val) })
-}
-
-// A Builder fills one fresh relation without path copies: until Done
-// hands the relation out, its nodes are the builder's alone and change in
-// place, and the digest sum is taken once at the end. The zero value is
-// ready to use.
-type Builder struct{ r Relation }
-
-// Put binds key to val, replacing an earlier binding of key.
-func (b *Builder) Put(key, val string) {
-	if _, had := b.r.root.set(keyHash(key), 0, key, val, true); !had {
-		b.r.n++
-	}
-}
-
-// Done returns the relation built and resets the builder.
-func (b *Builder) Done() *Relation {
-	r := b.r
-	b.r = Relation{}
-	r.root.each(func(e *binding) bool {
-		r.sum += elemHash(e.hash, e.val)
-		return true
-	})
-	return &r
 }
 
 // String renders the relation canonically for traces and golden tests:

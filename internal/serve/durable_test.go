@@ -13,8 +13,10 @@ import (
 	"testing"
 	"time"
 
+	janus "repro"
 	"repro/internal/fsio"
 	"repro/internal/rec"
+	"repro/internal/stm"
 	"repro/internal/wal"
 )
 
@@ -644,4 +646,73 @@ func TestRecoveryFailureCachedAndIsolated(t *testing.T) {
 		t.Fatalf("healthy tenant submit: %d", code)
 	}
 	shutdown(t, srv, ts)
+}
+
+// TestDecodedStateReplayAllocs pins what recovery's replay of a warm
+// four-task batch allocates on a state rec.DecodeState returned, as
+// recoverTenant replays a journal suffix on a decoded snapshot. A decoded
+// relation owns its nodes, so the batch's four puts into the 1024-key map
+// change them in place and allocate no trie node. What is left is the
+// sequential executor and boxing: four gets' results and eight counter
+// sums past the small-integer cache, 13 objects (30 when each put copied
+// its path).
+func TestDecodedStateReplayAllocs(t *testing.T) {
+	sch := DefaultSchema()
+	idx := sch.index()
+	tasksOf := func(b *Batch) []janus.Task {
+		tasks, err := compile(idx, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tasks
+	}
+	const keys = 1024
+	st := InitialState(sch)
+	preload := &Batch{ID: "preload"}
+	for i := 0; i < keys; i++ {
+		preload.Tasks = append(preload.Tasks, TaskSpec{Ops: []OpSpec{{Op: "put", Loc: "kv", Key: fmt.Sprintf("k%05d", i), Val: "v000000000"}}})
+	}
+	if err := stm.ApplySequential(st, tasksOf(preload)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := rec.EncodeState(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err = rec.DecodeState(snap); err != nil {
+		t.Fatal(err)
+	}
+	// The batches TestSteadyBatchAllocs acks: per task, a counter add, a
+	// put and a get of one key, and an add to a shared counter.
+	const warm, runs = 100, 100
+	batches := make([][]janus.Task, warm+runs+1)
+	for n := range batches {
+		b := &Batch{ID: fmt.Sprintf("b-%d", n)}
+		for i := 0; i < 4; i++ {
+			key := fmt.Sprintf("k%05d", (n*4+i)*7%keys)
+			b.Tasks = append(b.Tasks, TaskSpec{Ops: []OpSpec{
+				{Op: "add", Loc: fmt.Sprintf("c%d", i), Delta: int64(n%100) + 1},
+				{Op: "put", Loc: "kv", Key: key, Val: fmt.Sprintf("v%09d", n)},
+				{Op: "get", Loc: "kv", Key: key},
+				{Op: "add", Loc: "work", Delta: 1},
+			}})
+		}
+		batches[n] = tasksOf(b)
+	}
+	n := 0
+	apply := func() {
+		if err := stm.ApplySequential(st, batches[n]); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for n < warm {
+		apply()
+	}
+	got := testing.AllocsPerRun(runs, apply)
+	const pinned = 13
+	if got > pinned {
+		t.Fatalf("replaying a warm four-task batch on a decoded state allocates %.0f objects, want at most %d", got, pinned)
+	}
+	t.Logf("%.0f allocations per warm four-task batch replayed on a decoded state (pinned %d)", got, pinned)
 }

@@ -325,9 +325,10 @@ func (t *Tx) replayed(i int) bool { return t.overlay != nil && t.dirty[i] }
 // published is the one the view (or the replay overlay) computed, not a
 // copy: the commit moves it into the store, and the shell's release
 // unbinds it from the view before the shell runs another op, so it has
-// one owner, the store, which never mutates it (DESIGN.md §19). Callers
-// are serialized by the publication turn, which is what location
-// creation in the overflow table relies on.
+// one owner, the store, which never mutates it (DESIGN.md §19). A
+// relation is frozen before it is published, so the faults that clone it
+// concurrently only read it. Callers are serialized by the publication
+// turn, which is what location creation in the overflow table relies on.
 func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
 	n := 0
 	for _, f := range foot {
@@ -346,6 +347,9 @@ func (r *Runtime) mergeVersion(tx *Tx, foot []conflict.FootprintLoc) {
 		v, ok := tx.installed(i, f.Loc)
 		if !ok {
 			continue
+		}
+		if rv, isRel := v.(state.Rel); isRel {
+			rv.R.Freeze()
 		}
 		vals = append(vals, v)
 		r.storeSet(f.Loc, &vals[len(vals)-1])
