@@ -63,7 +63,9 @@ ALLOCS_TESTS = \
 	internal/seqeff:TestBlockIdempotent \
 	internal/serve:TestDecodedStateReplayAllocs \
 	internal/serve:TestParseBatchAllocs \
+	internal/serve:TestRecoveryRecordAllocs \
 	internal/serve:TestSteadyBatchAllocs \
+	internal/serve:TestSubmitHandlerAllocs \
 	internal/spec:TestAppendPairKeyAllocs \
 	internal/spec:TestEvaluateDetailAllocs \
 	internal/spec:TestProfilerExecAllocs \

@@ -215,7 +215,7 @@ func sweepArtifacts(t *testing.T) []artifact {
 			return err
 		}},
 		{name: "segment", buf: read("wal-*.seg"), markedFrom: 0, appendOnly: true, decode: func(b []byte) error {
-			_, _, err := wal.ScanSegment(b)
+			_, _, err := wal.ScanSegment(b, 0)
 			return err
 		}},
 		{name: "snapshot", buf: read("snap-*.jsnap"), markedFrom: 1, decode: func(b []byte) error {

@@ -165,17 +165,19 @@ func TestTimelineFollowDeliversLateSpansOnce(t *testing.T) {
 	}
 }
 
-// TestSteadyBatchAllocs pins what a tenant allocates to apply one batch
-// of the benchmark's serve shape once it is warm: four tasks, each a
-// counter add, a put and a get of an existing key of a 1024-key map, and
-// an add to a counter all four share, at two threads under online
-// learning. A batch runs on the tenant's long-lived store, so the count
-// is what the tasks' operations, commits and workers cost, and nothing
-// that grows with the state. The bound is the measured count plus slack
-// for a pool refill; a store rebuilt or copied out per batch costs more
-// than the slack.
-func TestSteadyBatchAllocs(t *testing.T) {
-	srv := NewServer(Config{Runner: janus.Config{
+// steadyBatchAllocs is what TestSteadyBatchAllocs pins a warm
+// benchmark-shaped batch to.
+const steadyBatchAllocs = 41
+
+// steadyKeys is the size of the map the allocation pins preload.
+const steadyKeys = 1024
+
+// steadyTenant is the tenant the allocation pins measure and send
+// servedBatch: two threads under online learning, its map preloaded with
+// steadyKeys keys.
+func steadyTenant(t *testing.T) (srv *Server, tn *tenant) {
+	t.Helper()
+	srv = NewServer(Config{Runner: janus.Config{
 		Threads:     2,
 		LearnOnline: true,
 		Backoff:     janus.Backoff{Base: time.Millisecond, Max: 32 * time.Millisecond},
@@ -184,36 +186,53 @@ func TestSteadyBatchAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
-	apply := func(b *Batch) {
-		tasks, err := compile(srv.schIdx, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tn.runBatch(ctx, b, tasks); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const keys = 1024
-	for k := 0; k < keys; k += 64 {
+	for k := 0; k < steadyKeys; k += 64 {
 		b := &Batch{ID: fmt.Sprintf("preload-%d", k)}
 		for i := k; i < k+64; i++ {
 			b.Tasks = append(b.Tasks, TaskSpec{Ops: []OpSpec{{Op: "put", Loc: "kv", Key: fmt.Sprintf("k%05d", i), Val: "v000000000"}}})
 		}
-		apply(b)
-	}
-	batch := func(n int) (*Batch, []janus.Task) {
-		b := &Batch{ID: fmt.Sprintf("b-%d", n)}
-		for i := 0; i < 4; i++ {
-			key := fmt.Sprintf("k%05d", (n*4+i)*7%keys)
-			b.Tasks = append(b.Tasks, TaskSpec{Ops: []OpSpec{
-				{Op: "add", Loc: fmt.Sprintf("c%d", i), Delta: int64(n%100) + 1},
-				{Op: "put", Loc: "kv", Key: key, Val: fmt.Sprintf("v%09d", n)},
-				{Op: "get", Loc: "kv", Key: key},
-				{Op: "add", Loc: "work", Delta: 1},
-			}})
+		tasks, err := takeFrame(srv.schIdx).compile(b)
+		if err != nil {
+			t.Fatal(err)
 		}
-		tasks, err := compile(srv.schIdx, b)
+		if _, err := tn.runBatch(context.Background(), b, tasks); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return srv, tn
+}
+
+// servedBatch is the n-th batch of the benchmark's serve shape over a
+// map of steadyKeys keys: four tasks, each a counter add, a put and a get
+// of one key, and an add to a counter all four share.
+func servedBatch(n int) *Batch {
+	b := &Batch{ID: fmt.Sprintf("b-%d", n)}
+	for i := 0; i < 4; i++ {
+		key := fmt.Sprintf("k%05d", (n*4+i)*7%steadyKeys)
+		b.Tasks = append(b.Tasks, TaskSpec{Ops: []OpSpec{
+			{Op: "add", Loc: fmt.Sprintf("c%d", i), Delta: int64(n%100) + 1},
+			{Op: "put", Loc: "kv", Key: key, Val: fmt.Sprintf("v%09d", n)},
+			{Op: "get", Loc: "kv", Key: key},
+			{Op: "add", Loc: "work", Delta: 1},
+		}})
+	}
+	return b
+}
+
+// TestSteadyBatchAllocs pins what a tenant allocates to apply one batch
+// of the benchmark's serve shape once it is warm (steadyTenant). A batch
+// runs on the tenant's long-lived store, so the count is what the tasks'
+// operations, commits and workers cost, and nothing that grows with the
+// state. The bound is the measured count plus slack for a pool refill; a
+// store rebuilt or copied out per batch costs more than the slack.
+func TestSteadyBatchAllocs(t *testing.T) {
+	srv, tn := steadyTenant(t)
+	ctx := context.Background()
+	// Each batch compiles on a frame of its own: the measured ones are
+	// all compiled before the first is run.
+	batch := func(n int) (*Batch, []janus.Task) {
+		b := servedBatch(n)
+		tasks, err := takeFrame(srv.schIdx).compile(b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,9 +264,74 @@ func TestSteadyBatchAllocs(t *testing.T) {
 			i++
 		}))
 	}
-	const pinned = 41
-	if got > pinned+4 {
-		t.Fatalf("a warm benchmark-shaped batch allocates %.0f objects, want at most %d+4", got, pinned)
+	if got > steadyBatchAllocs+4 {
+		t.Fatalf("a warm benchmark-shaped batch allocates %.0f objects, want at most %d+4", got, steadyBatchAllocs)
 	}
-	t.Logf("%.0f allocations per warm benchmark-shaped batch (pinned %d)", got, pinned)
+	t.Logf("%.0f allocations per warm benchmark-shaped batch (pinned %d)", got, steadyBatchAllocs)
+}
+
+// discardWriter is a ResponseWriter that keeps the status and drops the
+// body, so a handler pin counts none of a recorder's allocations.
+type discardWriter struct {
+	header http.Header
+	code   int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.header }
+func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) WriteHeader(code int)        { w.code = code }
+
+// TestSubmitHandlerAllocs pins what the whole /submit handler allocates
+// for a warm benchmark-shaped batch on steadyTenant, driven through
+// httptest with each request and writer built ahead. It measured 64: the
+// 36 of TestSteadyBatchAllocs' run, then the parse's id, keys and values
+// (13), the deadline's context and timer and the run's wake-up on it (9),
+// the query parse (3) and the reply's header (2). The body, the Batch,
+// the tasks and the reply are the frame's. The pin has no slack, because
+// the min of a hundred rounds does not move and encoding the reply with
+// a json.Encoder again costs a single object; under -race the run's pools
+// refill by up to the slack TestSteadyBatchAllocs allows.
+func TestSubmitHandlerAllocs(t *testing.T) {
+	srv, _ := steadyTenant(t)
+	h := srv.Handler()
+	request := func(n int) (*http.Request, *discardWriter) {
+		body, err := json.Marshal(servedBatch(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return httptest.NewRequest(http.MethodPost, "/submit?tenant=steady", bytes.NewReader(body)),
+			&discardWriter{header: http.Header{}}
+	}
+	n := 0
+	for ; n < 500; n++ {
+		r, w := request(n)
+		if h.ServeHTTP(w, r); w.code != http.StatusOK {
+			t.Fatalf("batch %d: status %d", n, w.code)
+		}
+	}
+	const rounds = 100
+	rs := make([]*http.Request, 2*rounds)
+	ws := make([]*discardWriter, 2*rounds)
+	for i := range rs {
+		rs[i], ws[i] = request(n + i)
+	}
+	i := 0
+	got := 1e9
+	for r := 0; r < rounds; r++ {
+		got = min(got, testing.AllocsPerRun(1, func() {
+			if h.ServeHTTP(ws[i], rs[i]); ws[i].code != http.StatusOK {
+				t.Fatalf("status %d", ws[i].code)
+			}
+			i++
+		}))
+	}
+	const pinned = 64
+	slack := 0
+	if raceEnabled {
+		slack = 4
+	}
+	if got > float64(pinned+slack) {
+		t.Fatalf("a warm benchmark-shaped submit allocates %.0f objects, want at most %d+%d", got, pinned, slack)
+	}
+	t.Logf("%.0f allocations per warm benchmark-shaped submit (pinned %d)", got, pinned)
 }

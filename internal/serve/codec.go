@@ -11,9 +11,10 @@ import (
 
 // The batch codec: a parser and an encoder written for Batch's shape, used
 // by the submit path, the journal append and recovery instead of
-// encoding/json's reflection (DESIGN.md §12, §13).
+// encoding/json's reflection (DESIGN.md §12, §13), and the encoder of the
+// submit path's success reply.
 //
-// parseBatch accepts exactly the bodies json.Decoder with
+// frame.parse accepts exactly the bodies json.Decoder with
 // DisallowUnknownFields accepts when the value is followed by nothing but
 // white space, and yields the same Batch: keys match case-insensitively
 // (bytes.EqualFold), null leaves a field absent, integers are int64 only,
@@ -22,7 +23,8 @@ import (
 // a key repeated in one object (encoding/json keeps the last) and bytes
 // after the batch object (json.Decoder leaves them unread). appendBatch
 // writes exactly the bytes json.Marshal writes. FuzzBatchCodec holds both
-// against encoding/json.
+// against encoding/json. appendResult writes exactly what json.Encoder
+// writes for a BatchResult (TestAppendResultMatchesEncoder).
 
 var (
 	// errRepeatedKey refuses an object naming one field twice, compared
@@ -39,7 +41,7 @@ var (
 	opKeys    = []string{"op", "loc", "delta", "key", "val"}
 )
 
-// opNames are the op names compile knows; a parsed name equal to one of
+// opNames are the op names checkOp knows; a parsed name equal to one of
 // them shares its string instead of allocating.
 var opNames = [...]string{"add", "sub", "store", "load", "push", "pop", "size", "put", "get", "del", "has", "work"}
 
@@ -52,33 +54,38 @@ const (
 	bodyBytesPerTask = 160
 )
 
-// batchParser is one parse's cursor and its allocation slabs.
+// batchParser is one parse's cursor and a frame's allocation slabs.
 type batchParser struct {
 	data []byte
 	pos  int
+	// idx resolves a declared location to the schema's own string.
+	idx map[string]schemaLoc
 	// ops and tasks are the slabs every TaskSpec.Ops and Batch.Tasks are
-	// cut from; allocated at the first array of each kind.
+	// cut from; allocated at the first array of each kind, and kept by
+	// the frame for its next parse.
 	ops   []OpSpec
 	tasks []TaskSpec
-	// locs interns the first few distinct locations of this parse.
-	locs  [16]string
-	nlocs int
 	// esc holds a string's decoded bytes when it has an escape or
-	// invalid UTF-8; reused across the parse's strings.
+	// invalid UTF-8; reused across strings.
 	esc []byte
 }
 
-// parseBatch decodes one submit body or journal payload.
-func parseBatch(data []byte) (*Batch, error) {
-	p := batchParser{data: data}
-	b := new(Batch)
+// parse decodes one submit body or journal payload into the frame's
+// Batch, whose tasks and ops are cut from the frame's slabs: it
+// overwrites the batch the frame's last parse returned. Past the slabs'
+// first growth it allocates only the batch ID and each key and value.
+func (f *frame) parse(data []byte) (*Batch, error) {
+	p := &f.p
+	*p = batchParser{data: data, idx: f.idx, ops: p.ops[:0], tasks: p.tasks[:0], esc: p.esc[:0]}
+	b := &f.b
+	*b = Batch{}
 	p.space()
 	if p.pos == len(p.data) {
 		return nil, p.fail("empty body")
 	}
 	if p.null() {
 		// encoding/json leaves the target untouched: a zero batch, which
-		// compile refuses for its missing id.
+		// frame.compile refuses for its missing id.
 	} else if err := p.batch(b); err != nil {
 		return nil, err
 	}
@@ -315,7 +322,7 @@ func (p *batchParser) op(op *OpSpec) error {
 		case "op":
 			op.Op = opName(s)
 		case "loc":
-			op.Loc = p.intern(s)
+			op.Loc = p.loc(s)
 		case "key":
 			op.Key = string(s)
 		default:
@@ -348,19 +355,12 @@ func opName(s []byte) string {
 	return string(s)
 }
 
-// intern returns this parse's earlier string for a location seen before.
-func (p *batchParser) intern(s []byte) string {
-	for _, l := range p.locs[:p.nlocs] {
-		if string(s) == l {
-			return l
-		}
+// loc returns the schema's string for a declared location.
+func (p *batchParser) loc(s []byte) string {
+	if l, ok := p.idx[string(s)]; ok {
+		return l.name
 	}
-	l := string(s)
-	if p.nlocs < len(p.locs) {
-		p.locs[p.nlocs] = l
-		p.nlocs++
-	}
-	return l
+	return string(s)
 }
 
 // strVal parses a string or null field value; ok is false for null. The
@@ -588,6 +588,28 @@ func appendOp(dst []byte, op *OpSpec) []byte {
 		dst = appendString(dst, op.Val)
 	}
 	return append(dst, '}')
+}
+
+// appendResult appends json.NewEncoder(w).Encode(r)'s bytes to dst,
+// trailing newline included.
+func appendResult(dst []byte, r *BatchResult) []byte {
+	dst = append(dst, `{"id":`...)
+	dst = appendString(dst, r.ID)
+	dst = append(dst, `,"tenant":`...)
+	dst = appendString(dst, r.Tenant)
+	dst = append(dst, `,"tasks":`...)
+	dst = strconv.AppendInt(dst, int64(r.Tasks), 10)
+	dst = append(dst, `,"commits":`...)
+	dst = strconv.AppendInt(dst, r.Commits, 10)
+	dst = append(dst, `,"retries":`...)
+	dst = strconv.AppendInt(dst, r.Retries, 10)
+	dst = append(dst, `,"digest":`...)
+	dst = appendString(dst, r.Digest)
+	dst = append(dst, `,"applied":`...)
+	dst = strconv.AppendInt(dst, r.Applied, 10)
+	dst = append(dst, `,"elapsed_ms":`...)
+	dst = strconv.AppendInt(dst, r.ElapsedMS, 10)
+	return append(dst, "}\n"...)
 }
 
 const lowerHex = "0123456789abcdef"

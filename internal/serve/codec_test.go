@@ -23,22 +23,24 @@ func fourByFour() *Batch {
 	return b
 }
 
-// TestParseBatchAllocs pins the codec's allocations on the 4x4 batch:
-// parseBatch makes the Batch, one slab each of tasks and ops, the id, one
-// string per distinct location and one per key and value (22); op names
-// come from a table. appendBatch into a reused buffer makes none.
+// TestParseBatchAllocs pins the codec's allocations on the 4x4 batch: a
+// parse on a warm frame makes the id and one string per key and value
+// (13). The Batch and its slabs are the frame's, op names come from a
+// table and locations from the schema index. appendBatch into a reused
+// buffer makes none.
 func TestParseBatchAllocs(t *testing.T) {
 	b := fourByFour()
 	body, err := json.Marshal(b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	f := takeFrame(DefaultSchema().index())
 	if n := testing.AllocsPerRun(100, func() {
-		if _, err := parseBatch(body); err != nil {
+		if _, err := f.parse(body); err != nil {
 			t.Fatal(err)
 		}
-	}); n > 22 {
-		t.Errorf("parseBatch of a %d-byte 4x4 batch: %.0f allocations, want <= 22", len(body), n)
+	}); n > 13 {
+		t.Errorf("parse of a %d-byte 4x4 batch: %.0f allocations, want <= 13", len(body), n)
 	}
 	buf := appendBatch(nil, b)
 	if !bytes.Equal(buf, body) {
@@ -49,17 +51,37 @@ func TestParseBatchAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkDecodeBatch compares parseBatch with the json.Unmarshal it
+// TestAppendResultMatchesEncoder holds the success reply's encoder to
+// json.Encoder's bytes, trailing newline included, on strings that need
+// escaping and on the integers' edges.
+func TestAppendResultMatchesEncoder(t *testing.T) {
+	for _, r := range []BatchResult{
+		{},
+		{ID: "serve-mem-t0-c1-12345", Tenant: "t0", Tasks: 4, Commits: 4, Retries: 1, Digest: "0123456789abcdef", Applied: 77, ElapsedMS: 3},
+		{ID: "<a&b>\"\\\u2028\x01\xff", Tenant: "é中", Tasks: -1, Commits: -1 << 63, Retries: 1<<63 - 1, Applied: -5, ElapsedMS: 1<<63 - 1},
+	} {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(r); err != nil {
+			t.Fatal(err)
+		}
+		if got := appendResult(nil, &r); !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("appendResult wrote %q, json.Encoder %q", got, want.Bytes())
+		}
+	}
+}
+
+// BenchmarkDecodeBatch compares a frame's parse with the json.Unmarshal it
 // replaced on the 4x4 batch.
 func BenchmarkDecodeBatch(b *testing.B) {
 	body, err := json.Marshal(fourByFour())
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("parseBatch", func(b *testing.B) {
+	b.Run("frame.parse", func(b *testing.B) {
+		f := takeFrame(DefaultSchema().index())
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := parseBatch(body); err != nil {
+			if _, err := f.parse(body); err != nil {
 				b.Fatal(err)
 			}
 		}

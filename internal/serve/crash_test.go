@@ -223,7 +223,7 @@ func (c *crashCoverage) add(img []*node) {
 		case strings.HasPrefix(name, "wal-"):
 			fmt.Sscanf(name, "wal-%016x.seg", &seq)
 			segs = append(segs, seq)
-			if _, valid, err := wal.ScanSegment(data); err != nil && valid > 0 && valid < len(data) {
+			if _, valid, err := wal.ScanSegment(data, 0); err != nil && valid > 0 && valid < len(data) {
 				c.tornTail++
 			}
 		}

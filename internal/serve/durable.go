@@ -123,14 +123,17 @@ func (s *Server) recoverTenant(t *tenant, st *janus.State) (*janus.State, error)
 	// means the journal does not reproduce the acked state — refuse. st
 	// is this recovery's own (a fresh initial state or a decoded
 	// snapshot), and a failure discards it, so each record replays on it
-	// in place rather than on a copy.
+	// in place rather than on a copy. One frame parses and compiles every
+	// record: ApplySequential is done with a record's tasks when it returns.
+	f := takeFrame(s.schIdx)
+	defer f.release()
 	for _, r := range rcv.Records {
-		b, perr := parseBatch(r.Payload)
+		b, perr := f.parse(r.Payload)
 		if perr != nil {
 			l.Close()
 			return nil, fmt.Errorf("serve: tenant %q journal seq %d: decoding batch: %w", t.name, r.Seq, perr)
 		}
-		tasks, aerr := compile(s.schIdx, b)
+		tasks, aerr := f.compile(b)
 		if aerr == nil {
 			aerr = stm.ApplySequential(st, tasks)
 		}

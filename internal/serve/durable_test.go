@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -10,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -648,31 +651,21 @@ func TestRecoveryFailureCachedAndIsolated(t *testing.T) {
 	shutdown(t, srv, ts)
 }
 
-// TestDecodedStateReplayAllocs pins what recovery's replay of a warm
-// four-task batch allocates on a state rec.DecodeState returned, as
-// recoverTenant replays a journal suffix on a decoded snapshot. A decoded
-// relation owns its nodes, so the batch's four puts into the 1024-key map
-// change them in place and allocate no trie node. What is left is the
-// sequential executor and boxing: four gets' results and eight counter
-// sums past the small-integer cache, 13 objects (30 when each put copied
-// its path).
-func TestDecodedStateReplayAllocs(t *testing.T) {
-	sch := DefaultSchema()
-	idx := sch.index()
-	tasksOf := func(b *Batch) []janus.Task {
-		tasks, err := compile(idx, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tasks
-	}
-	const keys = 1024
-	st := InitialState(sch)
+// decodedReplayState is the state recovery's allocation pins replay on:
+// a 1024-key map, encoded and decoded as recoverTenant decodes a
+// snapshot.
+func decodedReplayState(t *testing.T) *janus.State {
+	t.Helper()
+	st := InitialState(DefaultSchema())
 	preload := &Batch{ID: "preload"}
-	for i := 0; i < keys; i++ {
+	for i := 0; i < steadyKeys; i++ {
 		preload.Tasks = append(preload.Tasks, TaskSpec{Ops: []OpSpec{{Op: "put", Loc: "kv", Key: fmt.Sprintf("k%05d", i), Val: "v000000000"}}})
 	}
-	if err := stm.ApplySequential(st, tasksOf(preload)); err != nil {
+	tasks, err := takeFrame(DefaultSchema().index()).compile(preload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stm.ApplySequential(st, tasks); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := rec.EncodeState(st)
@@ -682,22 +675,30 @@ func TestDecodedStateReplayAllocs(t *testing.T) {
 	if st, err = rec.DecodeState(snap); err != nil {
 		t.Fatal(err)
 	}
-	// The batches TestSteadyBatchAllocs acks: per task, a counter add, a
-	// put and a get of one key, and an add to a shared counter.
+	return st
+}
+
+// TestDecodedStateReplayAllocs pins what recovery's replay of a warm
+// four-task batch allocates on a state rec.DecodeState returned, as
+// recoverTenant replays a journal suffix on a decoded snapshot. A decoded
+// relation owns its nodes, so the batch's four puts into the 1024-key map
+// change them in place and allocate no trie node. What is left is the
+// sequential executor and boxing: four gets' results and eight counter
+// sums past the small-integer cache, 13 objects (30 when each put copied
+// its path).
+func TestDecodedStateReplayAllocs(t *testing.T) {
+	st := decodedReplayState(t)
+	idx := DefaultSchema().index()
+	// The batches TestSteadyBatchAllocs acks, each compiled on a frame of
+	// its own ahead of the measurement.
 	const warm, runs = 100, 100
 	batches := make([][]janus.Task, warm+runs+1)
 	for n := range batches {
-		b := &Batch{ID: fmt.Sprintf("b-%d", n)}
-		for i := 0; i < 4; i++ {
-			key := fmt.Sprintf("k%05d", (n*4+i)*7%keys)
-			b.Tasks = append(b.Tasks, TaskSpec{Ops: []OpSpec{
-				{Op: "add", Loc: fmt.Sprintf("c%d", i), Delta: int64(n%100) + 1},
-				{Op: "put", Loc: "kv", Key: key, Val: fmt.Sprintf("v%09d", n)},
-				{Op: "get", Loc: "kv", Key: key},
-				{Op: "add", Loc: "work", Delta: 1},
-			}})
+		tasks, err := takeFrame(idx).compile(servedBatch(n))
+		if err != nil {
+			t.Fatal(err)
 		}
-		batches[n] = tasksOf(b)
+		batches[n] = tasks
 	}
 	n := 0
 	apply := func() {
@@ -715,4 +716,169 @@ func TestDecodedStateReplayAllocs(t *testing.T) {
 		t.Fatalf("replaying a warm four-task batch on a decoded state allocates %.0f objects, want at most %d", got, pinned)
 	}
 	t.Logf("%.0f allocations per warm four-task batch replayed on a decoded state (pinned %d)", got, pinned)
+}
+
+// TestRecoveryRecordAllocs pins recoverTenant's per-record loop on the
+// same batches and state: one frame parses each journal payload,
+// compiles it and replays it with stm.ApplySequential. That is the
+// parse's id, keys and values (13, TestParseBatchAllocs) plus the replay
+// (13, TestDecodedStateReplayAllocs); the frame's Batch, slabs and task
+// slots are reused from record to record.
+func TestRecoveryRecordAllocs(t *testing.T) {
+	st := decodedReplayState(t)
+	const warm, runs = 100, 100
+	payloads := make([][]byte, warm+runs+1)
+	for n := range payloads {
+		payloads[n] = appendBatch(nil, servedBatch(n))
+	}
+	f := takeFrame(DefaultSchema().index())
+	n := 0
+	replay := func() {
+		b, err := f.parse(payloads[n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks, err := f.compile(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stm.ApplySequential(st, tasks); err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	for n < warm {
+		replay()
+	}
+	got := testing.AllocsPerRun(runs, replay)
+	const pinned = 13 + 13
+	if got > pinned {
+		t.Fatalf("recovering a warm four-task journal record allocates %.0f objects, want at most %d", got, pinned)
+	}
+	t.Logf("%.0f allocations per warm four-task journal record recovered (pinned %d)", got, pinned)
+}
+
+// TestFrameReuseAcrossDeadlines: a batch whose deadline expires mid-run
+// gives its frame back only once its run has returned, so the batches
+// queued behind it, and those after it, parse and run on reused frames
+// without reading one another's. Each acked batch is journaled once, as
+// sent; the journal replays to every acked digest; a resubmit gets the
+// original verdict; a restart recovers the same state. Run it under
+// -race (make race) too: a frame released early is a data race there.
+func TestFrameReuseAcrossDeadlines(t *testing.T) {
+	dir := t.TempDir()
+	srv := NewServer(durableCfg(dir))
+	h := srv.Handler()
+	post := func(b *Batch) *httptest.ResponseRecorder {
+		body, err := json.Marshal(b)
+		if err != nil {
+			panic(err)
+		}
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/submit?tenant=reuse", bytes.NewReader(body)))
+		return rr
+	}
+	// quick(id, i) has 1 to 4 tasks of 1 to 3 ops, so a reused frame's
+	// slabs are longer or shorter than the batch it parses next.
+	quick := func(id string, i int) *Batch {
+		b := &Batch{ID: id}
+		for k := 0; k <= i%4; k++ {
+			ts := TaskSpec{Ops: []OpSpec{{Op: "add", Loc: fmt.Sprintf("c%d", k), Delta: int64(i + k)}}}
+			for j := 0; j < i%3; j++ {
+				ts.Ops = append(ts.Ops, OpSpec{Op: "put", Loc: "kv", Key: fmt.Sprintf("k%d", (i+j)%5), Val: id})
+			}
+			b.Tasks = append(b.Tasks, ts)
+		}
+		return b
+	}
+	specs := map[string]*Batch{}
+	acked := map[string]BatchResult{}
+	for round := 0; round < 3; round++ {
+		slow := &Batch{ID: fmt.Sprintf("slow-%d", round), DeadlineMS: 20}
+		for i := 0; i < 4; i++ {
+			slow.Tasks = append(slow.Tasks, TaskSpec{Ops: []OpSpec{{Op: "work", Delta: 30_000_000}, {Op: "push", Loc: "stk", Delta: 1}}})
+		}
+		slowReply := make(chan *httptest.ResponseRecorder)
+		go func() { slowReply <- post(slow) }()
+		// The quick batches queue on the gate behind the slow one.
+		for tn := srv.lookup("reuse"); tn == nil || tn.inflight.Load() == 0; tn = srv.lookup("reuse") {
+			time.Sleep(100 * time.Microsecond)
+		}
+		replies := make([]*httptest.ResponseRecorder, 6)
+		var wg sync.WaitGroup
+		for i := range replies {
+			b := quick(fmt.Sprintf("q%d-%d", round, i), round*len(replies)+i)
+			specs[b.ID] = b
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				replies[i] = post(b)
+			}()
+		}
+		wg.Wait()
+		if rr := <-slowReply; rr.Code != http.StatusGatewayTimeout {
+			t.Fatalf("%s: status %d (%s), want 504", slow.ID, rr.Code, rr.Body)
+		}
+		for i, rr := range replies {
+			var res BatchResult
+			if err := json.Unmarshal(rr.Body.Bytes(), &res); err != nil || rr.Code != http.StatusOK {
+				t.Fatalf("q%d-%d: status %d (%s)", round, i, rr.Code, rr.Body)
+			}
+			if id := fmt.Sprintf("q%d-%d", round, i); res.ID != id || res.Tasks != len(specs[id].Tasks) {
+				t.Fatalf("%s acked as %+v", id, res)
+			}
+			acked[res.ID] = res
+		}
+	}
+
+	// The journal holds each acked batch once, in the order it was
+	// applied, and replays to each batch's acked digest and to the state.
+	var j JournalReply
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/journalz?tenant=reuse", nil))
+	if err := json.Unmarshal(rr.Body.Bytes(), &j); err != nil || len(j.IDs) != len(acked) {
+		t.Fatalf("journal %v (%v), want the %d acked batches", j.IDs, err, len(acked))
+	}
+	st := InitialState(srv.cfg.Schema)
+	for i, id := range j.IDs {
+		res, ok := acked[id]
+		if !ok || res.Applied != int64(i+1) {
+			t.Fatalf("journal position %d holds %q, acked as %+v", i+1, id, res)
+		}
+		next, err := ApplySequential(st, srv.cfg.Schema, specs[id])
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = next
+		if got := rec.FormatDigest(rec.Digest(st)); got != res.Digest {
+			t.Fatalf("%s: oracle digest %s, acked %s", id, got, res.Digest)
+		}
+	}
+	want := rec.FormatDigest(rec.Digest(st))
+	if got := statezOf(t, h, "reuse"); got.Digest != want {
+		t.Fatalf("state digest %s, oracle %s", got.Digest, want)
+	}
+	for id, res := range acked {
+		code, _, er := submitTo(t, h, "reuse", specs[id])
+		if code != http.StatusConflict || er.Applied != res.Applied || er.Digest != res.Digest {
+			t.Fatalf("resubmitted %s: %d %+v, want the verdict %+v", id, code, er, res)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.CloseJournals(); err != nil {
+		t.Fatal(err)
+	}
+	srv2 := NewServer(durableCfg(dir))
+	if _, err := srv2.RecoverTenants(); err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer srv2.CloseJournals()
+	if got := statezOf(t, srv2.Handler(), "reuse"); got.Digest != want || got.Applied != int64(len(acked)) {
+		t.Fatalf("recovered %+v, want digest %s at %d", got, want, len(acked))
+	}
 }

@@ -5,12 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	janus "repro"
+	"repro/internal/rec"
 )
 
 // fuzzRunWork caps the work units a fuzzed batch may spin when it is run:
@@ -62,12 +61,13 @@ func FuzzCompileBatch(f *testing.F) {
 	sch := DefaultSchema()
 	idx := sch.index()
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r := httptest.NewRequest(http.MethodPost, "/submit", bytes.NewReader(data))
-		b, err := decodeBatch(r, 1<<20)
+		fr := takeFrame(idx)
+		defer fr.release()
+		b, err := fr.read(bytes.NewReader(data), 1<<20)
 		if err != nil {
 			return
 		}
-		if _, err := compile(idx, b); err != nil {
+		if _, err := fr.compile(b); err != nil {
 			return
 		}
 		var work int64
@@ -91,8 +91,8 @@ func FuzzCompileBatch(f *testing.F) {
 
 // FuzzBatchCodec holds the batch codec to encoding/json on arbitrary
 // bytes. The reference is json.Decoder with DisallowUnknownFields whose
-// value must be followed by white space only. A body parseBatch accepts,
-// the reference accepts as an equal Batch; a body parseBatch refuses, the
+// value must be followed by white space only. A body a frame's parse
+// accepts, the reference accepts as an equal Batch; a body it refuses, the
 // reference refuses too, unless the refusal is one of the two the codec
 // adds (a repeated key, trailing bytes); and appendBatch of every
 // accepted batch is json.Marshal's bytes, which parse back to the batch.
@@ -151,19 +151,19 @@ func FuzzBatchCodec(f *testing.F) {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := parseBatch(data)
+		got, err := takeFrame(nil).parse(data)
 		want, werr := referenceDecode(data)
 		if err != nil {
 			if werr == nil && !errors.Is(err, errRepeatedKey) && !errors.Is(err, errTrailing) {
-				t.Fatalf("parseBatch refused what encoding/json accepts as %+v: %v", want, err)
+				t.Fatalf("parse refused what encoding/json accepts as %+v: %v", want, err)
 			}
 			return
 		}
 		if werr != nil {
-			t.Fatalf("parseBatch accepted %+v, encoding/json refuses: %v", got, werr)
+			t.Fatalf("parse accepted %+v, encoding/json refuses: %v", got, werr)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("parseBatch gave %#v, encoding/json %#v", got, want)
+			t.Fatalf("parse gave %#v, encoding/json %#v", got, want)
 		}
 		enc := appendBatch(nil, got)
 		ref, merr := json.Marshal(got)
@@ -173,9 +173,70 @@ func FuzzBatchCodec(f *testing.F) {
 		if !bytes.Equal(enc, ref) {
 			t.Fatalf("appendBatch wrote %q, json.Marshal %q", enc, ref)
 		}
-		again, err := parseBatch(enc)
+		again, err := takeFrame(nil).parse(enc)
 		if err != nil || !reflect.DeepEqual(again, got) {
 			t.Fatalf("encoded batch parses to %#v (%v), want %#v", again, err, got)
+		}
+	})
+}
+
+// FuzzFrameReuse holds a reused frame to a fresh one: parsing and
+// compiling b on a frame that last parsed, compiled and ran a must give
+// what a fresh frame gives for b, the same batch (id, tasks, ops,
+// deadline) or the same error text, and tasks that run b's ops.
+func FuzzFrameReuse(f *testing.F) {
+	seeds := batchSeeds(f)
+	big, err := json.Marshal(fourByFour())
+	if err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, big)
+	for i, a := range seeds {
+		b := seeds[(i+1)%len(seeds)]
+		f.Add(a, b)
+		f.Add(b, a)
+	}
+	sch := DefaultSchema()
+	idx := sch.index()
+	// run compiles a parsed batch on fr and runs its tasks from the
+	// initial state, returning what a batch under the work cap leaves.
+	run := func(fr *frame, b *Batch, perr error) string {
+		if perr != nil {
+			return "parse: " + perr.Error()
+		}
+		tasks, err := fr.compile(b)
+		if err != nil {
+			return "compile: " + err.Error()
+		}
+		var work int64
+		for _, ts := range b.Tasks {
+			for _, op := range ts.Ops {
+				if op.Op == "work" {
+					work += op.Delta
+				}
+			}
+		}
+		if work > fuzzRunWork {
+			return fmt.Sprintf("%d tasks, not run", len(tasks))
+		}
+		st, err := janus.Sequential(InitialState(sch), tasks)
+		if err != nil {
+			return "run: " + err.Error()
+		}
+		return rec.FormatDigest(rec.Digest(st))
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		reused := &frame{idx: idx}
+		pa, err := reused.parse(a)
+		run(reused, pa, err)
+		got, gerr := reused.parse(b)
+		fresh := &frame{idx: idx}
+		want, werr := fresh.parse(b)
+		if fmt.Sprint(gerr) != fmt.Sprint(werr) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("after %q, parse of %q gave %#v (%v), a fresh frame %#v (%v)", a, b, got, gerr, want, werr)
+		}
+		if g, w := run(reused, got, gerr), run(fresh, want, werr); g != w {
+			t.Fatalf("after %q, %q compiled and ran to %s, on a fresh frame to %s", a, b, g, w)
 		}
 	})
 }

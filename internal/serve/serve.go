@@ -128,7 +128,7 @@ func (c Config) withDefaults() Config {
 // Handler in an http.Server (`janus serve`) or httptest (the soak).
 type Server struct {
 	cfg    Config
-	schIdx map[string]locKind
+	schIdx map[string]schemaLoc
 
 	mu      sync.Mutex
 	tenants map[string]*tenant
@@ -331,13 +331,17 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		reply(w, http.StatusBadRequest, ErrorReply{Error: err.Error(), Code: CodeBadRequest})
 		return
 	}
-	b, err := decodeBatch(r, s.cfg.MaxBody)
+	// The frame goes back to the pool once the reply is written: the run
+	// has returned by then, and with it every worker that ran its tasks.
+	f := takeFrame(s.schIdx)
+	defer f.release()
+	b, err := f.read(r.Body, s.cfg.MaxBody)
 	if err != nil {
 		s.rejected.Add(1)
 		reply(w, http.StatusBadRequest, ErrorReply{Error: err.Error(), Code: CodeBadRequest})
 		return
 	}
-	tasks, err := compile(s.schIdx, b)
+	tasks, err := f.compile(b)
 	if err != nil {
 		s.rejected.Add(1)
 		reply(w, http.StatusBadRequest, ErrorReply{Error: err.Error(), Code: CodeBadRequest})
@@ -383,7 +387,10 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.writeRunError(w, r, t, err)
 		return
 	}
-	reply(w, http.StatusOK, res)
+	f.reply = appendResult(f.reply[:0], &res)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(f.reply)
 }
 
 // writeRunError maps a batch execution error to its typed reply.

@@ -356,7 +356,7 @@ func TestOversizeWorkRejected(t *testing.T) {
 	if after.Digest != before.Digest || after.Applied != before.Applied {
 		t.Fatalf("state changed across rejected batches: %+v -> %+v", before, after)
 	}
-	if _, err := compile(srv.schIdx, work("at-bound", maxBatchWork/2, maxBatchWork/2)); err != nil {
+	if _, err := takeFrame(srv.schIdx).compile(work("at-bound", maxBatchWork/2, maxBatchWork/2)); err != nil {
 		t.Fatalf("a batch of exactly maxBatchWork units was refused: %v", err)
 	}
 }
@@ -387,7 +387,7 @@ func TestAbsentValPutRejected(t *testing.T) {
 	if after.Digest != before.Digest || after.Applied != before.Applied {
 		t.Fatalf("state changed across a rejected batch: %+v -> %+v", before, after)
 	}
-	if _, err := compile(srv.schIdx, put("empty", "")); err != nil {
+	if _, err := takeFrame(srv.schIdx).compile(put("empty", "")); err != nil {
 		t.Fatalf("a put of the empty value was refused: %v", err)
 	}
 }

@@ -183,16 +183,16 @@ func (t *tenant) release() { <-t.gate }
 // the append but before the reply leaves a durable record for a batch the
 // client never saw acknowledged; recovery replays it and the client's
 // retry gets the original verdict as a 409.
-func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*BatchResult, error) {
+func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (BatchResult, error) {
 	if err := t.acquire(ctx); err != nil {
-		return nil, err
+		return BatchResult{}, err
 	}
 	defer t.release()
 
 	t.mu.Lock()
 	if ab, dup := t.seen[b.ID]; dup {
 		t.mu.Unlock()
-		return nil, &duplicateError{id: b.ID, seq: ab.seq, digest: ab.digest}
+		return BatchResult{}, &duplicateError{id: b.ID, seq: ab.seq, digest: ab.digest}
 	}
 	seq := uint64(t.applied) + 1
 	t.mu.Unlock()
@@ -214,7 +214,7 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 	t.runNanos.Add(int64(elapsed))
 	t.retries.Add(stats.Run.Retries)
 	if err != nil {
-		return nil, err
+		return BatchResult{}, err
 	}
 	t.commits.Add(stats.Run.Commits)
 
@@ -235,7 +235,7 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 		if aerr != nil {
 			// The client gets a retryable journal error, preserving
 			// ack ⇒ durable.
-			return nil, &journalError{err: fmt.Errorf("serve: journaling batch %q: %w", b.ID, aerr)}
+			return BatchResult{}, &journalError{err: fmt.Errorf("serve: journaling batch %q: %w", b.ID, aerr)}
 		}
 	}
 	applied = true
@@ -253,7 +253,7 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 
 	t.accepted.Add(1)
 	t.maybeSnapshot()
-	res := &BatchResult{
+	return BatchResult{
 		ID:        b.ID,
 		Tenant:    t.name,
 		Tasks:     len(tasks),
@@ -262,8 +262,7 @@ func (t *tenant) runBatch(ctx context.Context, b *Batch, tasks []janus.Task) (*B
 		Digest:    digest,
 		Applied:   n,
 		ElapsedMS: elapsed.Milliseconds(),
-	}
-	return res, nil
+	}, nil
 }
 
 // evictSeenLocked enforces the dedup retention window: once the seen

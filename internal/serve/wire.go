@@ -17,9 +17,10 @@
 package serve
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"net/http"
+	"sync"
 
 	janus "repro"
 	"repro/internal/adt"
@@ -57,17 +58,24 @@ const (
 	kindKVMap
 )
 
-// index maps each declared location to its kind.
-func (s Schema) index() map[string]locKind {
-	m := make(map[string]locKind, len(s.Counters)+len(s.Stacks)+len(s.KVMaps))
+// schemaLoc is one declared location: its name, which every op parsed
+// against the schema shares, and its kind.
+type schemaLoc struct {
+	name string
+	kind locKind
+}
+
+// index maps each declared location to its entry.
+func (s Schema) index() map[string]schemaLoc {
+	m := make(map[string]schemaLoc, len(s.Counters)+len(s.Stacks)+len(s.KVMaps))
 	for _, c := range s.Counters {
-		m[c] = kindCounter
+		m[c] = schemaLoc{c, kindCounter}
 	}
 	for _, st := range s.Stacks {
-		m[st] = kindStack
+		m[st] = schemaLoc{st, kindStack}
 	}
 	for _, kv := range s.KVMaps {
-		m[kv] = kindKVMap
+		m[kv] = schemaLoc{kv, kindKVMap}
 	}
 	return m
 }
@@ -195,10 +203,68 @@ const maxTaskOps = 4096
 // is roughly 10 s of compute.
 const maxBatchWork = 1 << 32
 
+// frame is one batch's scratch from bytes to tasks: the submit body, the
+// parser's slabs and the Batch cut from them, a task slot per task of the
+// batch last compiled on it, and the reply. handleSubmit takes one per
+// request and recoverTenant one per journal suffix; whoever took it
+// releases it once nothing reads its batch or runs its tasks any more
+// (DESIGN.md §12).
+type frame struct {
+	idx map[string]schemaLoc
+	p   batchParser
+	b   Batch
+	// tasks[i] is runs[i].run, bound once: compiling a batch only
+	// re-points each slot at its task's ops.
+	runs  []*taskRun
+	tasks []janus.Task
+	body  bytes.Buffer
+	limit io.LimitedReader
+	reply []byte
+}
+
+var frames = sync.Pool{New: func() any { return new(frame) }}
+
+// frameKeep bounds the bytes a released frame keeps in its body, escape
+// buffer and slabs: a frame a huge batch grew past it is let go.
+const frameKeep = 64 << 10
+
+// takeFrame takes a frame that parses and compiles against idx.
+func takeFrame(idx map[string]schemaLoc) *frame {
+	f := frames.Get().(*frame)
+	f.idx = idx
+	return f
+}
+
+// release returns f to the pool, dropping what its last caller owned: the
+// parsed input (a journal payload is the caller's) and each slot's ops.
+func (f *frame) release() {
+	f.p.data = nil
+	for _, r := range f.runs {
+		r.ops = nil
+	}
+	if f.body.Cap() <= frameKeep && cap(f.p.esc) <= frameKeep &&
+		cap(f.p.ops) <= frameKeep/bodyBytesPerOp && cap(f.p.tasks) <= frameKeep/bodyBytesPerTask {
+		frames.Put(f)
+	}
+}
+
+// taskRun is one task slot of a frame.
+type taskRun struct{ ops []OpSpec }
+
+func (r *taskRun) run(ex janus.Executor) error {
+	for i := range r.ops {
+		if err := applyOp(ex, &r.ops[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // compile validates a batch against the schema and compiles each task
-// into a janus.Task. All validation happens here, before admission
-// commits any resources: an invalid op anywhere rejects the whole batch.
-func compile(sch map[string]locKind, b *Batch) ([]janus.Task, error) {
+// into one of the frame's tasks, valid until the next compile on the
+// frame. All validation happens here, before admission commits any
+// resources: an invalid op anywhere rejects the whole batch.
+func (f *frame) compile(b *Batch) ([]janus.Task, error) {
 	if b.ID == "" {
 		return nil, fmt.Errorf("batch id required")
 	}
@@ -208,7 +274,6 @@ func compile(sch map[string]locKind, b *Batch) ([]janus.Task, error) {
 	if len(b.Tasks) > maxBatchTasks {
 		return nil, fmt.Errorf("batch has %d tasks, limit %d", len(b.Tasks), maxBatchTasks)
 	}
-	tasks := make([]janus.Task, len(b.Tasks))
 	var work int64 // never above maxBatchWork, so the sum cannot overflow
 	for ti, ts := range b.Tasks {
 		if len(ts.Ops) == 0 {
@@ -217,9 +282,9 @@ func compile(sch map[string]locKind, b *Batch) ([]janus.Task, error) {
 		if len(ts.Ops) > maxTaskOps {
 			return nil, fmt.Errorf("task %d has %d ops, limit %d", ti, len(ts.Ops), maxTaskOps)
 		}
-		ops := ts.Ops
-		for oi, op := range ops {
-			if err := checkOp(sch, op); err != nil {
+		for oi := range ts.Ops {
+			op := &ts.Ops[oi]
+			if err := checkOp(f.idx, op); err != nil {
 				return nil, fmt.Errorf("task %d op %d: %w", ti, oi, err)
 			}
 			if op.Op == "work" {
@@ -229,27 +294,25 @@ func compile(sch map[string]locKind, b *Batch) ([]janus.Task, error) {
 				work += op.Delta
 			}
 		}
-		tasks[ti] = func(ex janus.Executor) error {
-			for _, op := range ops {
-				if err := applyOp(ex, op); err != nil {
-					return err
-				}
-			}
-			return nil
+		if ti == len(f.runs) {
+			r := new(taskRun)
+			f.runs = append(f.runs, r)
+			f.tasks = append(f.tasks, r.run)
 		}
+		f.runs[ti].ops = ts.Ops
 	}
-	return tasks, nil
+	return f.tasks[:len(b.Tasks):len(b.Tasks)], nil
 }
 
 // checkOp validates one op against the schema without executing it.
-func checkOp(sch map[string]locKind, op OpSpec) error {
+func checkOp(sch map[string]schemaLoc, op *OpSpec) error {
 	if op.Op == "work" {
 		if op.Delta < 0 {
 			return fmt.Errorf("work units negative")
 		}
 		return nil
 	}
-	kind := sch[op.Loc]
+	kind := sch[op.Loc].kind
 	switch op.Op {
 	case "add", "sub", "store", "load":
 		if kind != kindCounter {
@@ -279,7 +342,7 @@ func checkOp(sch map[string]locKind, op OpSpec) error {
 // Read results are discarded — the reads still enter the op log and
 // participate in conflict detection, which is what batch authors use
 // them for.
-func applyOp(ex janus.Executor, op OpSpec) error {
+func applyOp(ex janus.Executor, op *OpSpec) error {
 	switch op.Op {
 	case "add":
 		return janus.Counter{L: janus.Loc(op.Loc)}.Add(ex, op.Delta)
@@ -320,24 +383,29 @@ func applyOp(ex janus.Executor, op OpSpec) error {
 // state; st is not mutated. Callers replay accepted batches in journal
 // order and compare rec.Digest against /statez.
 func ApplySequential(st *janus.State, sch Schema, b *Batch) (*janus.State, error) {
-	tasks, err := compile(sch.index(), b)
+	f := takeFrame(sch.index())
+	defer f.release()
+	tasks, err := f.compile(b)
 	if err != nil {
 		return nil, err
 	}
 	return janus.Sequential(st, tasks)
 }
 
-// decodeBatch reads a submit body of at most maxBody bytes and parses it
-// with parseBatch.
-func decodeBatch(r *http.Request, maxBody int64) (*Batch, error) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+// read reads a submit body of at most maxBody bytes into the frame and
+// parses it.
+func (f *frame) read(body io.Reader, maxBody int64) (*Batch, error) {
+	f.body.Reset()
+	f.limit = io.LimitedReader{R: body, N: maxBody + 1}
+	_, err := f.body.ReadFrom(&f.limit)
+	f.limit.R = nil
 	if err != nil {
 		return nil, fmt.Errorf("reading batch: %w", err)
 	}
-	if int64(len(body)) > maxBody {
+	if int64(f.body.Len()) > maxBody {
 		return nil, fmt.Errorf("request body exceeds the %d-byte limit", maxBody)
 	}
-	b, err := parseBatch(body)
+	b, err := f.parse(f.body.Bytes())
 	if err != nil {
 		return nil, fmt.Errorf("decoding batch: %w", err)
 	}

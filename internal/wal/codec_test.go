@@ -95,7 +95,7 @@ func FuzzScanSegment(f *testing.F) {
 	flipped[segHdrSize+4] ^= 0xff
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, buf []byte) {
-		recs, validLen, err := ScanSegment(buf)
+		recs, validLen, err := ScanSegment(buf, 0)
 		checkTyped(t, err)
 		if validLen > len(buf) || (err == nil && validLen != len(buf)) {
 			t.Fatalf("valid prefix %d of %d bytes (err %v)", validLen, len(buf), err)
@@ -103,7 +103,7 @@ func FuzzScanSegment(f *testing.F) {
 		if validLen < segHdrSize {
 			return
 		}
-		again, n, err := ScanSegment(segmentOf(recs...))
+		again, n, err := ScanSegment(segmentOf(recs...), 0)
 		if err != nil || n == 0 || !reflect.DeepEqual(again, recs) {
 			t.Fatalf("re-encoded records scan to %+v (%v), want %+v", again, err, recs)
 		}

@@ -39,14 +39,16 @@ type Recovered struct {
 // ScanSegment decodes a journal segment's bytes. It returns the records
 // of the valid prefix, the byte length of that prefix, and a
 // *fsio.FrameError describing the first invalid frame (nil when the whole
-// segment is valid). It never panics on crafted input.
+// segment is valid). It never panics on crafted input. A record a
+// snapshot covers (Seq <= covered) keeps its seq but gets no ID: Recover
+// checks its place in the sequence and then drops it.
 //
 // A record's Payload is not copied: it aliases buf (capped at its own
 // length, so an append cannot reach the next frame). The caller owns buf
 // and must not change it while it reads the records; Recover reads each
 // segment into a buffer of its own and hands that buffer over with the
 // records.
-func ScanSegment(buf []byte) (recs []Record, validLen int, err error) {
+func ScanSegment(buf []byte, covered uint64) (recs []Record, validLen int, err error) {
 	pos, err := fsio.CheckHeader(buf, segMagic, segFormat)
 	if err != nil {
 		return nil, 0, err
@@ -62,7 +64,9 @@ func ScanSegment(buf []byte) (recs []Record, validLen int, err error) {
 		d := fsio.NewReader(payload)
 		var rec Record
 		rec.Seq = d.Uvarint()
-		rec.ID = string(d.Bytes(d.Uvarint()))
+		if id := d.Bytes(d.Uvarint()); rec.Seq > covered {
+			rec.ID = string(id)
+		}
 		if p := d.Bytes(d.Uvarint()); len(p) > 0 {
 			rec.Payload = p[:len(p):len(p)]
 		}
@@ -202,7 +206,7 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("wal: reading segment %s: %w", segName(start), err)
 		}
-		segRecs, validLen, serr := ScanSegment(buf)
+		segRecs, validLen, serr := ScanSegment(buf, snapSeq)
 		if serr != nil {
 			var fe *fsio.FrameError
 			if errors.As(serr, &fe) && (fe.Reason == fsio.BadMagic || fe.Reason == fsio.BadFormat) {
@@ -244,7 +248,7 @@ func Recover(dir string, opts Options) (*Log, *Recovered, error) {
 			keep = append(keep, r)
 		}
 	}
-	rcv.Records = append([]Record(nil), keep...)
+	rcv.Records = keep
 	if len(rcv.Records) > 0 && rcv.Records[0].Seq != snapSeq+1 {
 		return nil, nil, fsio.Errorf(fsio.SeqGap, "journal resumes at seq %d but snapshot covers through %d",
 			rcv.Records[0].Seq, snapSeq)
